@@ -7,9 +7,20 @@ of the flow table's keying decision.  Every datagram now passes through
 *every* packet even though migrations are rare.  This benchmark feeds
 the identical pre-encoded mixed workload — stable flows, NAT rebinds,
 CID rotations, and interleaved TCP segments — through a plain table and
-a resolver-equipped table, and gates the resolver's ingestion overhead
-at <10 % (median of paired-round ratios, same machine-drift-cancelling
-scheme as the other overhead benchmarks).
+a resolver-equipped table, and gates what the resolver *adds* per
+1 000 datagrams: the difference between the two arms' best times over
+interleaved rounds (an added cost is what is left when both arms have
+had a quiet round; the median of the per-round differences is recorded
+beside it and swings with the host).
+
+The gate is an added cost, not a share of ingestion time: the resolver
+does a fixed amount of work per datagram, and a ratio would charge it
+for every speed-up of the table it sits in front of (the header-only
+observer of PR 12 cut the denominator more than 3x without touching the
+resolver).  The limit is the old one restated — 10 % of the plain arm
+as last recorded under the ratio gate (0.131 s for 25 090 datagrams,
+``BENCH_migration_overhead.json`` at e57b132), i.e. 0.52 ms per 1 000
+datagrams; the same record measured +0.29 ms.
 
 Writes ``BENCH_migration_overhead.json`` at the repo root;
 ``scripts/bench.sh`` appends each run to ``BENCH_history.jsonl``.
@@ -39,8 +50,9 @@ REBIND_FRACTION = 0.2
 ROTATION_FRACTION = 0.2
 TCP_EVERY = 23  # one TCP segment interleaved every N QUIC datagrams
 
-OVERHEAD_LIMIT = 0.10
-ROUNDS = 9
+#: Seconds the resolver may add per 1 000 datagrams ingested.
+ADDED_S_PER_KDATAGRAM_LIMIT = 0.10 * 0.131 / 25.090
+ROUNDS = 31
 
 _RESULT_PATH = (
     Path(__file__).resolve().parent.parent / "BENCH_migration_overhead.json"
@@ -101,8 +113,8 @@ def _ingest(taps, with_resolver: bool) -> SpinFlowTable:
 
 
 def _paired_rounds(rounds: int, fn_a, fn_b) -> tuple[list[float], float, float]:
-    """Per-round ``b/a`` ratios plus each configuration's best time."""
-    ratios: list[float] = []
+    """Per-round ``b - a`` seconds plus each configuration's best time."""
+    added: list[float] = []
     best_a = best_b = None
     for _ in range(rounds):
         start = time.perf_counter()
@@ -111,12 +123,12 @@ def _paired_rounds(rounds: int, fn_a, fn_b) -> tuple[list[float], float, float]:
         start = time.perf_counter()
         fn_b()
         elapsed_b = time.perf_counter() - start
-        ratios.append(elapsed_b / elapsed_a)
+        added.append(elapsed_b - elapsed_a)
         if best_a is None or elapsed_a < best_a:
             best_a = elapsed_a
         if best_b is None or elapsed_b < best_b:
             best_b = elapsed_b
-    return ratios, best_a, best_b
+    return added, best_a, best_b
 
 
 def test_migration_overhead():
@@ -140,8 +152,9 @@ def test_migration_overhead():
 
     run_plain = lambda: _ingest(taps, with_resolver=False)
     run_resolver = lambda: _ingest(taps, with_resolver=True)
-    ratios, plain_s, resolver_s = _paired_rounds(ROUNDS, run_plain, run_resolver)
-    overhead = statistics.median(ratios) - 1.0
+    added, plain_s, resolver_s = _paired_rounds(ROUNDS, run_plain, run_resolver)
+    kdatagrams = len(taps) / 1_000
+    added_per_k = (resolver_s - plain_s) / kdatagrams
 
     payload = {
         "benchmark": "migration_overhead",
@@ -149,12 +162,15 @@ def test_migration_overhead():
         "datagrams": len(taps),
         "rounds": ROUNDS,
         "results": {
-            "best_plain_s": round(plain_s, 3),
-            "best_resolver_s": round(resolver_s, 3),
+            "best_plain_s": round(plain_s, 4),
+            "best_resolver_s": round(resolver_s, 4),
             "datagrams_per_sec_plain": round(len(taps) / plain_s, 1),
             "datagrams_per_sec_resolver": round(len(taps) / resolver_s, 1),
-            "round_ratios": [round(r, 4) for r in ratios],
-            "overhead_median": round(overhead, 4),
+            "added_s_per_kdatagram": round(added_per_k, 6),
+            "added_s_per_kdatagram_round_median": round(
+                statistics.median(added) / kdatagrams, 6
+            ),
+            "added_s_per_kdatagram_limit": round(ADDED_S_PER_KDATAGRAM_LIMIT, 6),
         },
     }
     _RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
@@ -166,10 +182,11 @@ def test_migration_overhead():
     )
     print(
         f"  plain best {plain_s:.3f} s  with resolver best {resolver_s:.3f} s  "
-        f"median overhead {overhead * 100:+.1f} %"
+        f"resolver adds {added_per_k * 1e3:+.3f} ms per 1000 datagrams"
     )
 
-    assert overhead < OVERHEAD_LIMIT, (
-        f"flow-key resolver overhead {overhead * 100:.1f} % (median of "
-        f"{ROUNDS} paired rounds) exceeds {OVERHEAD_LIMIT * 100:.0f} %"
+    assert added_per_k < ADDED_S_PER_KDATAGRAM_LIMIT, (
+        f"flow-key resolver adds {added_per_k * 1e3:.3f} ms per 1000 datagrams "
+        f"(best of {ROUNDS} interleaved rounds each), limit "
+        f"{ADDED_S_PER_KDATAGRAM_LIMIT * 1e3:.3f} ms"
     )

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Per-PR perf gate: run the tier-1 tests, then the perf benchmarks
-# (scan, monitor, and analyze throughput; telemetry, fault, profiler,
-# and migration-resolver overhead; query pushdown and service query
-# latency),
+# (scan and analyze throughput; telemetry, fault, profiler, and
+# migration-resolver overhead; query pushdown and service query
+# latency; monitor throughput is `python3 -m bench run --workload
+# monitor_steady|monitor_churn`, the benchmark of record),
 # and append each benchmark's result (stamped with commit and timestamp)
 # to BENCH_history.jsonl so every PR records its perf delta.  The cbr
 # round-trip identity gate runs first: no perf run is recorded from a
@@ -82,9 +83,6 @@ else:
     )
 PY
 
-echo "== monitor-throughput benchmark =="
-python -m pytest -q -s benchmarks/test_perf_monitor_throughput.py
-
 echo "== analyze-throughput benchmark =="
 python -m pytest -q -s benchmarks/test_perf_analyze_throughput.py
 
@@ -123,7 +121,6 @@ timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat(
 )
 for result_file in (
     "BENCH_scan_throughput.json",
-    "BENCH_monitor_throughput.json",
     "BENCH_analyze_throughput.json",
     "BENCH_telemetry_overhead.json",
     "BENCH_fault_overhead.json",

@@ -25,6 +25,13 @@ flagged.  The JSONL codecs themselves (the artifact reader, the spool
 manifest, the ``/v1/domain`` response body) are the legitimate per-line
 JSON loops and opt out with ``# jsonl-ok``.
 
+One layering rule rides along (PR 12): code under ``src/repro/core/``
+and ``src/repro/monitor/`` sits on the path and reads headers only
+(:mod:`repro.quic.onpath`); naming ``decode_datagram`` or
+``decode_frames`` there would put the endpoint codec — a header object
+and a frame-object list per packet — back under the observer, and is
+flagged.  Docstrings and comments may mention them.
+
 Benchmarks (``benchmarks/``) legitimately measure wall-clock and are
 not scanned.  A source line may opt out with the pattern's pragma when
 the value is *diagnostics only* and never enters an artifact (e.g. the
@@ -37,6 +44,7 @@ Exit status: 0 when clean, 1 with one ``path:line: text`` per offender.
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -64,6 +72,11 @@ FORBIDDEN = (
     (re.compile(r"\btime\.sleep\("), ROBUSTNESS_PRAGMA),
 )
 
+#: The endpoint codec's entry points, and the on-path layers that may
+#: not use them.
+_ENDPOINT_DECODERS = frozenset({"decode_datagram", "decode_frames"})
+_ON_PATH_LAYERS = ("core", "monitor")
+
 
 def find_violations(root: Path) -> list[tuple[Path, int, str]]:
     violations: list[tuple[Path, int, str]] = []
@@ -90,7 +103,31 @@ def find_violations(root: Path) -> list[tuple[Path, int, str]]:
         layer_root = root / "repro" / hot_layer
         if layer_root.is_dir():
             violations.extend(find_json_loop_violations(layer_root))
+    for on_path_layer in _ON_PATH_LAYERS:
+        layer_root = root / "repro" / on_path_layer
+        if layer_root.is_dir():
+            violations.extend(find_endpoint_decoder_violations(layer_root))
     return violations
+
+
+def find_endpoint_decoder_violations(root: Path) -> list[tuple[Path, int, str]]:
+    """Imports or uses of the endpoint codec in on-path code."""
+    violations: list[tuple[Path, int, str]] = []
+    for path in sorted(root.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                named = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Name):
+                named = {node.id}
+            elif isinstance(node, ast.Attribute):
+                named = {node.attr}
+            else:
+                continue
+            if named & _ENDPOINT_DECODERS:
+                violations.append((path, node.lineno, lines[node.lineno - 1].strip()))
+    return sorted(set(violations))
 
 
 def find_json_loop_violations(root: Path) -> list[tuple[Path, int, str]]:
@@ -143,7 +180,9 @@ def main(argv: list[str] | None = None) -> int:
             f"may annotate the line with '# {WALLCLOCK_PRAGMA}', robustness "
             f"opt-outs with '# {ROBUSTNESS_PRAGMA}'; per-record JSON in the "
             f"analysis layer belongs in the cbr codec — the JSONL codec "
-            f"itself opts out with '# {JSONLOOP_PRAGMA}')",
+            f"itself opts out with '# {JSONLOOP_PRAGMA}'; on-path code under "
+            "core/ and monitor/ reads datagrams with repro.quic.onpath, not "
+            "decode_datagram/decode_frames)",
             file=sys.stderr,
         )
         return 1

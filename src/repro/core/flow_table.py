@@ -41,8 +41,8 @@ from typing import Callable
 
 from repro.core.flow_resolver import FlowKeyResolver, tuple_flow_key
 from repro.core.observer import SpinObservation, SpinObserver
-from repro.quic.datagram import decode_datagram
-from repro.quic.packet import HeaderParseError, LongHeader, ShortHeader
+from repro.quic.onpath import check_frames, walk_datagram
+from repro.quic.packet import HeaderParseError
 
 __all__ = ["FlowRecord", "FlowTableStats", "SpinFlowTable"]
 
@@ -242,58 +242,97 @@ class SpinFlowTable:
         ``tuple4`` is the datagram's 4-tuple when the tap knows it
         (source ip/port, destination ip/port); it keys zero-length-CID
         flows and feeds the resolver's migration linkage.
+
+        Only headers are read (first byte, DCID, truncated packet
+        number); payloads are checked for well-formedness, never
+        materialised.  The whole datagram is validated before the table
+        is touched, so one that fails anywhere — a later coalesced
+        packet's payload included — leaves no trace but a parse error.
         """
         stats = self.stats
         resolver = self.resolver
+        metered = self._m_datagrams is not None
         stats.datagrams += 1
-        if self._m_datagrams is not None:
+        if metered:
             self._m_datagrams.inc()
         if time_ms >= self._next_sweep_ms:
             self._expire_idle(time_ms)
+        dcid_length = self.short_dcid_length
         try:
-            packets = decode_datagram(data, self.short_dcid_length)
-        except (HeaderParseError, ValueError, IndexError):
-            # IndexError covers datagrams truncated mid-header (fault
-            # injection, capture loss); a monitor must count, not crash.
+            if data and data[0] & 0xC0 == 0x40:
+                # A short header first is the whole datagram (it has no
+                # length field): the common case of a tap, read in place.
+                packets = 1
+                short_at = 0
+                payload_at = 2 + dcid_length + (data[0] & 0x03)
+                if payload_at > len(data):
+                    raise HeaderParseError("short header truncated")
+                check_frames(data, payload_at)
+            else:
+                packets, short_at = walk_datagram(data, dcid_length)
+        except ValueError:
+            # Malformed input is counted, never raised: a monitor must
+            # not crash on what it taps.
             if resolver is not None:
                 if resolver.classify_non_quic(data, tuple4) == "tcp":
                     return  # classified, not an error
             stats.parse_errors += 1
-            if self._m_parse_errors is not None:
+            if metered:
                 self._m_parse_errors.inc()
             return
         if resolver is not None:
             resolver.note_quic_datagram()
-        for packet in packets:
-            stats.packets += 1
-            if self._m_packets is not None:
-                self._m_packets.inc()
-            header = packet.header
-            if isinstance(header, LongHeader):
-                continue
-            if not isinstance(header, ShortHeader):
-                continue  # version negotiation packets carry no flow data
-            if resolver is not None:
-                key = resolver.resolve(header.destination_cid.hex, tuple4)
-            elif not header.destination_cid.value and tuple4 is not None:
-                key = tuple_flow_key(tuple4)
-            else:
-                key = header.destination_cid.hex or "(empty)"
-            flow = self._flow(key, time_ms)
+        stats.packets += packets
+        if metered:
+            self._m_packets.inc(packets)
+        if short_at < 0:
+            return  # long headers and version negotiation carry no flow data
+        first = data[short_at]
+        pn_at = short_at + 1 + dcid_length
+        cid = data[short_at + 1 : pn_at]
+        if resolver is not None:
+            key = resolver.resolve(cid.hex(), tuple4)
+        elif not cid and tuple4 is not None:
+            key = tuple_flow_key(tuple4)
+        else:
+            key = cid.hex() or "(empty)"
+        flows = self.flows
+        flow = flows.get(key)
+        if flow is not None:
+            flows.move_to_end(key)
+        else:
+            flow = self._admit(key, time_ms)
             if flow is None:
                 stats.overflow_drops += 1
-                if self._m_drops is not None:
+                if metered:
                     self._m_drops.inc()
-                continue
-            stats.short_header_packets += 1
-            if self._m_short_packets is not None:
-                self._m_short_packets.inc()
-            flow.last_seen_ms = time_ms
-            flow.packets += 1
-            full_pn = self._reconstruct(flow, header.packet_number, header.pn_length)
-            flow._observer.on_packet(time_ms, full_pn, header.spin_bit)
-            if self.on_packet is not None:
-                self.on_packet(flow, time_ms)
+                return
+        stats.short_header_packets += 1
+        if metered:
+            self._m_short_packets.inc()
+        flow.last_seen_ms = time_ms
+        flow.packets += 1
+        # Packet-number reconstruction, RFC 9000 Appendix A.3 (the same
+        # arithmetic as repro.quic.packet_number.decode_packet_number).
+        pn_length = (first & 0x03) + 1
+        full_pn = int.from_bytes(data[pn_at : pn_at + pn_length], "big")
+        largest = flow._largest_pn
+        if largest is None:
+            flow._largest_pn = full_pn
+        else:
+            pn_win = 1 << (8 * pn_length)
+            pn_hwin = pn_win >> 1
+            expected = largest + 1
+            full_pn |= expected & -pn_win
+            if full_pn <= expected - pn_hwin and full_pn < (1 << 62) - pn_win:
+                full_pn += pn_win
+            elif full_pn > expected + pn_hwin and full_pn >= pn_win:
+                full_pn -= pn_win
+            if full_pn > largest:
+                flow._largest_pn = full_pn
+        flow._observer.on_packet(time_ms, full_pn, first & 0x20 != 0)
+        if self.on_packet is not None:
+            self.on_packet(flow, time_ms)
 
     def observations(self) -> dict[str, SpinObservation]:
         """Current per-flow observations (active flows only)."""
@@ -307,11 +346,8 @@ class SpinFlowTable:
 
     # ------------------------------------------------------------------
 
-    def _flow(self, key: str, time_ms: float) -> FlowRecord | None:
-        flow = self.flows.get(key)
-        if flow is not None:
-            self.flows.move_to_end(key)
-            return flow
+    def _admit(self, key: str, time_ms: float) -> FlowRecord | None:
+        """Open a flow for an untracked ``key``; ``None`` if dropped."""
         if len(self.flows) >= self.max_flows:
             if self.overflow_policy == "drop-new":
                 return None
@@ -373,12 +409,3 @@ class SpinFlowTable:
             self.evicted.append(flow)
         if self.on_retire is not None:
             self.on_retire(flow, reason)
-
-    @staticmethod
-    def _reconstruct(flow: FlowRecord, truncated: int, pn_length: int) -> int:
-        from repro.quic.packet_number import decode_packet_number
-
-        full = decode_packet_number(truncated, pn_length, flow._largest_pn)
-        if flow._largest_pn is None or full > flow._largest_pn:
-            flow._largest_pn = full
-        return full

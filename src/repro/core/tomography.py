@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.quic.datagram import decode_datagram
-from repro.quic.packet import HeaderParseError, ShortHeader
+from repro.quic.onpath import short_header_fields, walk_datagram
 from repro.quic.packet_number import decode_packet_number
 
 __all__ = ["ComponentSample", "SpinTomographyObserver"]
@@ -101,25 +100,23 @@ class SpinTomographyObserver:
     def _short_header_spins(self, data: bytes, state: _DirectionState):
         """Yield the spin value whenever this direction's signal flips."""
         try:
-            packets = decode_datagram(data, self.short_dcid_length)
-        except (HeaderParseError, ValueError):
+            _, short_at = walk_datagram(data, self.short_dcid_length)
+        except ValueError:
             self.parse_errors += 1
             return
-        for packet in packets:
-            header = packet.header
-            if not isinstance(header, ShortHeader):
-                continue
-            _, is_new = state.update(
-                header.packet_number, header.pn_length, header.spin_bit
-            )
-            if not is_new:
-                continue
-            if state.last_spin is None:
-                state.last_spin = header.spin_bit
-                continue
-            if header.spin_bit != state.last_spin:
-                state.last_spin = header.spin_bit
-                yield header.spin_bit
+        if short_at < 0:
+            return
+        spin_bit, _, _, truncated_pn, pn_length = short_header_fields(
+            data, short_at, self.short_dcid_length
+        )
+        _, is_new = state.update(truncated_pn, pn_length, spin_bit)
+        if not is_new:
+            return
+        if state.last_spin is None:
+            state.last_spin = spin_bit
+        elif spin_bit != state.last_spin:
+            state.last_spin = spin_bit
+            yield spin_bit
 
     def _on_client_edge(self, time_ms: float, _: bool) -> None:
         if self._pending_server_edge_ms is not None and self._pending_upstream_ms is not None:

@@ -21,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.observer import SpinObservation, SpinObserver
-from repro.quic.datagram import decode_datagram
-from repro.quic.packet import HeaderParseError, LongHeader, ShortHeader
+from repro.quic.onpath import short_header_fields, walk_datagram
 from repro.quic.packet_number import decode_packet_number
 
 __all__ = ["Direction", "WireObserver", "WireObserverStats"]
@@ -68,9 +67,8 @@ class WireObserver:
     edges are one RTT apart at the observation point.
     """
 
-    def __init__(self, short_dcid_length: int = 8, ack_delay_exponent: int = 3):
+    def __init__(self, short_dcid_length: int = 8):
         self.short_dcid_length = short_dcid_length
-        self.ack_delay_exponent = ack_delay_exponent
         self.stats = WireObserverStats()
         self._spin_observer = SpinObserver()
         self._states = {
@@ -92,25 +90,22 @@ class WireObserver:
             self.stats.parse_errors += 1
             return
         try:
-            packets = decode_datagram(
-                data, self.short_dcid_length, self.ack_delay_exponent
-            )
-        except (HeaderParseError, ValueError):
+            packets, short_at = walk_datagram(data, self.short_dcid_length)
+        except ValueError:
             self.stats.parse_errors += 1
             return
-        state = self._states[direction]
-        for packet in packets:
-            self.stats.packets += 1
-            header = packet.header
-            if isinstance(header, LongHeader):
-                continue  # long headers never carry the spin bit
-            assert isinstance(header, ShortHeader)
-            self.stats.short_header_packets += 1
-            full_pn = state.reconstruct(header.packet_number, header.pn_length)
-            if direction == Direction.SERVER_TO_CLIENT:
-                self._spin_observer.on_packet(time_ms, full_pn, header.spin_bit)
-                if header.vec:
-                    self._vec_marks.append((time_ms, header.vec))
+        self.stats.packets += packets
+        if short_at < 0:
+            return  # long headers never carry the spin bit
+        self.stats.short_header_packets += 1
+        spin_bit, vec, _, truncated_pn, pn_length = short_header_fields(
+            data, short_at, self.short_dcid_length
+        )
+        full_pn = self._states[direction].reconstruct(truncated_pn, pn_length)
+        if direction == Direction.SERVER_TO_CLIENT:
+            self._spin_observer.on_packet(time_ms, full_pn, spin_bit)
+            if vec:
+                self._vec_marks.append((time_ms, vec))
 
     def observation(self) -> SpinObservation:
         """The accumulated spin observation (server-to-client)."""

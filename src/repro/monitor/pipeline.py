@@ -13,7 +13,7 @@ open window — independent of how long the stream runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
 from repro.core.flow_resolver import FlowKeyResolver
@@ -136,32 +136,20 @@ class MonitorPipeline:
         )
         self._last_time_ms = 0.0
         self._spin_flows_retired = 0
+        #: The aggregator's open window and the table's counters as they
+        #: stood when it opened (see ``_open_window``).
+        self._window = None
+        self._stats_at_open = None
 
     # -- ingestion ------------------------------------------------------
 
     def process(self, time_ms: float, data: bytes, tuple4: tuple | None = None) -> None:
         """Ingest one tapped server-to-client datagram."""
-        aggregator = self.aggregator
-        for snapshot in aggregator.roll(time_ms, self._table_health()):
-            self._publish(snapshot)
+        window = self._window
+        if window is None or time_ms >= window.end_ms:
+            self._open_window(time_ms)
         self._last_time_ms = time_ms
-        window = aggregator.window_for(time_ms)
-        table = self.table
-        stats = table.stats
-        packets_before = stats.packets
-        errors_before = stats.parse_errors
-        created_before = stats.flows_created
-        evicted_before = stats.flows_evicted
-        expired_before = stats.flows_expired
-        drops_before = stats.overflow_drops
-        table.on_server_datagram(time_ms, data, tuple4)
-        window.datagrams += 1
-        window.packets += stats.packets - packets_before
-        window.parse_errors += stats.parse_errors - errors_before
-        window.flows_created += stats.flows_created - created_before
-        window.flows_evicted += stats.flows_evicted - evicted_before
-        window.flows_expired += stats.flows_expired - expired_before
-        window.overflow_drops += stats.overflow_drops - drops_before
+        self.table.on_server_datagram(time_ms, data, tuple4)
 
     def process_stream(self, stream: Iterable[TapDatagram]) -> MonitorSummary:
         """Consume an entire tap stream and return the final summary."""
@@ -172,8 +160,8 @@ class MonitorPipeline:
 
     def finish(self) -> MonitorSummary:
         """Flush the trailing window and compute the run summary."""
-        for snapshot in self.aggregator.flush(self._table_health()):
-            self._publish(snapshot)
+        if self._window is not None:
+            self._close_window()
         stats = self.table.stats
         spin_flows = self._spin_flows_retired + sum(
             1
@@ -258,6 +246,44 @@ class MonitorPipeline:
             monitor_span.end(summary.duration_ms)
         return summary
 
+    def _open_window(self, time_ms: float) -> None:
+        """Close the window ``time_ms`` has passed, open the one it is in.
+
+        The table's counters move only inside ``process``, so a window's
+        share of them is the difference between one copy of ``stats``
+        taken here and ``stats`` when the window closes — nothing is
+        read or built per datagram.
+        """
+        if self._window is not None:
+            self._close_window(time_ms)
+        self._window = self.aggregator.window_for(time_ms)
+        self._stats_at_open = replace(self.table.stats)
+
+    def _close_window(self, time_ms: float | None = None) -> None:
+        """Settle the open window's counters and publish it.
+
+        ``time_ms`` is the stream time that passed the window's end;
+        ``None`` closes the trailing window at end of stream.
+        """
+        window = self._window
+        opened = self._stats_at_open
+        stats = self.table.stats
+        window.datagrams += stats.datagrams - opened.datagrams
+        window.packets += stats.packets - opened.packets
+        window.parse_errors += stats.parse_errors - opened.parse_errors
+        window.flows_created += stats.flows_created - opened.flows_created
+        window.flows_evicted += stats.flows_evicted - opened.flows_evicted
+        window.flows_expired += stats.flows_expired - opened.flows_expired
+        window.overflow_drops += stats.overflow_drops - opened.overflow_drops
+        self._window = None
+        health = self._table_health()
+        if time_ms is None:
+            closed = self.aggregator.flush(health)
+        else:
+            closed = self.aggregator.roll(time_ms, health)
+        for snapshot in closed:
+            self._publish(snapshot)
+
     def _publish(self, snapshot: WindowSnapshot) -> None:
         """Deliver one closed window: callback + trace event."""
         if self.on_snapshot is not None:
@@ -282,7 +308,7 @@ class MonitorPipeline:
             self._spin_flows_retired += 1
 
     def _on_packet(self, flow: FlowRecord, time_ms: float) -> None:
-        self.aggregator.window_for(time_ms).flow_keys.add(flow.flow_key)
+        self._window.flow_keys.add(flow.flow_key)
 
     def _table_health(self) -> dict:
         """Gauges + cumulative counters at this instant."""

@@ -23,6 +23,7 @@ from repro.quic.frames import (
     decode_frames,
     encode_frames,
 )
+from repro.quic.onpath import check_frames, short_header_fields, walk_datagram
 from repro.quic.packet import (
     HeaderParseError,
     LongHeader,
@@ -69,6 +70,7 @@ __all__ = [
     "StreamFrame",
     "TransportParameters",
     "VersionNegotiationHeader",
+    "check_frames",
     "decode_datagram",
     "decode_frames",
     "decode_packet_number",
@@ -81,4 +83,6 @@ __all__ = [
     "is_spin_capable_version",
     "packet_number_length",
     "parse_header",
+    "short_header_fields",
+    "walk_datagram",
 ]

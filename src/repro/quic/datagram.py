@@ -3,9 +3,10 @@
 QUIC coalesces multiple long-header packets into one datagram during the
 handshake (RFC 9000 Section 12.2); the long-header ``Length`` field
 delimits them and a short-header packet, if present, always comes last
-and extends to the end of the datagram.  The passive observer parses
-datagrams exactly this way, so the codec here is shared between
-endpoints and observer.
+and extends to the end of the datagram.  This is the endpoints' codec;
+the passive observer delimits packets the same way but reads headers
+only (:mod:`repro.quic.onpath`), accepting and rejecting exactly the
+datagrams this module does.
 """
 
 from __future__ import annotations

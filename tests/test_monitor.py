@@ -1,5 +1,6 @@
 """The streaming monitoring service: mux, windows, pipeline, snapshots."""
 
+import hashlib
 import io
 import json
 
@@ -252,3 +253,37 @@ class TestSnapshots:
     def test_cli_monitor_rejects_bad_config(self, capsys):
         with pytest.raises(SystemExit):
             main(["monitor", "--flows", "0", "--out", "-"])
+
+
+#: sha256 of ``repro monitor`` JSONL output (windows + summary), recorded
+#: at e57b132 — the commit before the observer went header-only.  They
+#: pin every snapshot byte: counters, flow sets, RTT histograms, table
+#: health, migration block.  Regenerate only from a commit whose output
+#: is known good, never from the change under test.
+MIGRATE = "nat-rebind:0.35,cid-rotation:0.35,path-migration:0.1"
+GOLDEN_SNAPSHOTS = {
+    "plain": (
+        [],
+        "aa9f031764af838e0518175962a2e4a4d0e493a440caff03b760b7882b66f944",
+    ),
+    "corrupt": (
+        ["--flows", "80", "--seed", "5", "--fault", "corrupt-datagram:0.1"],
+        "8eaf30628237ee3ea43f44aa64bff569075c87035bea3f717250b3fafd6aed50",
+    ),
+    "corrupt+migration+tcp+churn": (
+        [
+            "--flows", "80", "--seed", "11", "--fault", "corrupt-datagram:0.08",
+            "--migrate", MIGRATE, "--tcp-flows", "8", "--max-flows", "32",
+        ],
+        "3a776b224e3ab97f14a2fd553169dac8cabd834d24c6087666bd602b7b8e1845",
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", GOLDEN_SNAPSHOTS)
+def test_golden_snapshot_bytes(scenario, tmp_path, capsys):
+    args, expected = GOLDEN_SNAPSHOTS[scenario]
+    out = tmp_path / "snapshots.jsonl"
+    assert main(["monitor", *args, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected

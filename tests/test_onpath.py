@@ -1,0 +1,402 @@
+"""The observer's header-only walk against the endpoint codec.
+
+``repro.quic.onpath`` must accept and reject exactly what
+``decode_datagram`` / ``decode_frames`` do and read the same header
+fields, or "parse error" would mean one thing on the path and another
+at the endpoints.  The endpoint codec is the oracle throughout.
+"""
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.core.flow_resolver import FlowKeyResolver
+from repro.core.flow_table import SpinFlowTable
+from repro.monitor import TrafficConfig, TrafficMux
+from repro.netsim.migration import parse_migration_plan
+from repro.netsim.tcp import decode_tcp_segment
+from repro.quic.connection_id import ConnectionId
+from repro.quic.datagram import QuicPacket, decode_datagram, encode_datagram
+from repro.quic.frames import (
+    AckFrame,
+    AckRange,
+    ConnectionCloseFrame,
+    CryptoFrame,
+    HandshakeDoneFrame,
+    NewConnectionIdFrame,
+    PaddingFrame,
+    PingFrame,
+    StreamFrame,
+    decode_frames,
+    encode_frames,
+)
+from repro.quic.onpath import check_frames, short_header_fields, walk_datagram
+from repro.quic.packet import LongHeader, LongPacketType, ShortHeader
+from repro.quic.packet_number import decode_packet_number
+
+DCID_LENGTH = 8
+SHORT_PREFIX = bytes([0x40]) + bytes(range(DCID_LENGTH)) + b"\x07"
+
+#: The two rejections that live in frame dataclasses' ``__post_init__``
+#: rather than in ``decode_frames``: an ACK whose *first* range reaches
+#: below packet number 0, and NEW_CONNECTION_ID CID lengths outside 1..20.
+ACK_FIRST_RANGE_UNDERFLOW = bytes([0x02, 0x01, 0x00, 0x00, 0x05])
+NCID_EMPTY_CID = bytes([0x18, 0x01, 0x00, 0x00]) + bytes(16)
+NCID_LONG_CID = bytes([0x18, 0x01, 0x00, 21]) + bytes(21 + 16)
+
+
+def reference_frames(payload: bytes) -> bool:
+    try:
+        decode_frames(payload)
+    except (ValueError, IndexError):
+        return False
+    return True
+
+
+def walk_frames(data: bytes, at: int = 0, end: int | None = None) -> bool:
+    try:
+        check_frames(data, at, end)
+    except ValueError:  # anything else is a crash, and fails the test
+        return False
+    return True
+
+
+def reference_datagram(data: bytes):
+    """``(packets, short_header_or_None)`` from the endpoint codec, or ``None``."""
+    try:
+        packets = decode_datagram(data, DCID_LENGTH)
+    except (ValueError, IndexError):
+        return None
+    short = [p.header for p in packets if isinstance(p.header, ShortHeader)]
+    assert len(short) <= 1
+    return len(packets), (short[0] if short else None)
+
+
+def assert_walk_agrees(data: bytes) -> None:
+    expected = reference_datagram(data)
+    try:
+        packets, short_at = walk_datagram(data, DCID_LENGTH)
+    except ValueError:
+        assert expected is None, "walk rejected what decode_datagram accepts"
+        return
+    assert expected is not None, "walk accepted what decode_datagram rejects"
+    count, header = expected
+    assert packets == count
+    if header is None:
+        assert short_at == -1
+        return
+    assert short_header_fields(data, short_at, DCID_LENGTH) == (
+        header.spin_bit,
+        header.vec,
+        header.destination_cid.value,
+        header.packet_number,
+        header.pn_length,
+    )
+
+
+# ----------------------------------------------------------------------
+# Payloads: check_frames against decode_frames.
+# ----------------------------------------------------------------------
+
+varints = st.sampled_from([0, 1, 63, 64, 300, 16_383, 16_384, 1 << 29, (1 << 62) - 1])
+small = st.integers(0, 40)
+
+
+@st.composite
+def ack_frames(draw):
+    largest = draw(st.integers(0, 5_000))
+    ranges = []
+    top = largest
+    for _ in range(draw(st.integers(1, 4))):
+        if top < 0:
+            break
+        bottom = draw(st.integers(max(0, top - 20), top))
+        ranges.append(AckRange(bottom, top))
+        top = bottom - 2 - draw(st.integers(0, 5))
+    return AckFrame(largest, draw(st.integers(0, 1 << 20)), tuple(ranges))
+
+
+frames = st.one_of(
+    st.builds(PaddingFrame, st.integers(1, 30)),
+    st.just(PingFrame()),
+    st.just(HandshakeDoneFrame()),
+    ack_frames(),
+    st.builds(CryptoFrame, varints, st.binary(max_size=40)),
+    st.builds(StreamFrame, varints, varints, st.binary(max_size=60), st.booleans()),
+    st.builds(
+        NewConnectionIdFrame, small, small, st.binary(min_size=1, max_size=20),
+        st.binary(min_size=16, max_size=16),
+    ),
+    st.builds(
+        ConnectionCloseFrame, varints, small, st.binary(max_size=20), st.booleans()
+    ),
+)
+
+
+@st.composite
+def mutated_payloads(draw):
+    payload = bytearray(encode_frames(draw(st.lists(frames, max_size=5))))
+    for _ in range(draw(st.integers(0, 3))):
+        if payload:
+            position = draw(st.integers(0, len(payload) - 1))
+            payload[position] ^= 1 << draw(st.integers(0, 7))
+    if draw(st.booleans()) and payload:
+        del payload[draw(st.integers(0, len(payload) - 1)) :]
+    payload += draw(st.binary(max_size=6))
+    return bytes(payload)
+
+
+class TestCheckFrames:
+    @settings(max_examples=600, deadline=None)
+    @given(mutated_payloads())
+    @example(ACK_FIRST_RANGE_UNDERFLOW)
+    @example(NCID_EMPTY_CID)
+    @example(NCID_LONG_CID)
+    @example(bytes([0x08, 0x01]) + b"stream to the end, no OFF, no LEN")
+    @example(bytes([0x0C, 0x01]))  # OFF promised, nothing left
+    @example(bytes([0x02, 0x05, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x00]))
+    def test_rejects_exactly_what_decode_frames_rejects(self, payload):
+        assert walk_frames(payload) == reference_frames(payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_payloads(), st.binary(max_size=12), st.binary(max_size=12))
+    def test_bytes_outside_the_window_are_never_read_into_the_verdict(
+        self, payload, before, after
+    ):
+        """A payload checked in place inside a datagram: what follows
+        ``end`` (the next coalesced packet) must not leak in."""
+        verdict = walk_frames(before + payload + after, len(before), len(before) + len(payload))
+        assert verdict == reference_frames(payload)
+
+    @pytest.mark.parametrize(
+        "payload", [ACK_FIRST_RANGE_UNDERFLOW, NCID_EMPTY_CID, NCID_LONG_CID]
+    )
+    def test_post_init_rejections_are_rejected(self, payload):
+        assert not reference_frames(payload)
+        assert not walk_frames(payload)
+
+
+# ----------------------------------------------------------------------
+# Datagrams: the walk against decode_datagram, and the table on top.
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """A tap with every shape the monitor meets: handshakes (coalesced
+    long headers), 1-RTT data, NEW_CONNECTION_ID (rotation), interleaved
+    TCP segments."""
+    config = TrafficConfig(
+        flows=14,
+        seed=12,
+        arrival_window_ms=600.0,
+        tcp_flows=3,
+        migration=parse_migration_plan("nat-rebind:0.4,cid-rotation:0.5"),
+    )
+    stream = list(TrafficMux(config).stream())
+    assert {tap.transport for tap in stream} == {"quic", "tcp"}
+    return stream
+
+
+def long_packet(long_type, frames=(PingFrame(),)) -> QuicPacket:
+    return QuicPacket(
+        header=LongHeader(
+            long_type=long_type,
+            version=1,
+            destination_cid=ConnectionId(bytes(range(8))),
+            source_cid=ConnectionId(bytes(range(8, 12))),
+            token=b"tok" if long_type is LongPacketType.INITIAL else b"",
+        ),
+        frames=frames,
+    )
+
+
+def short_packet(frames=(PingFrame(),), **header) -> QuicPacket:
+    return QuicPacket(
+        header=ShortHeader(
+            destination_cid=ConnectionId(bytes(range(8))), packet_number=9, **header
+        ),
+        frames=frames,
+    )
+
+
+@st.composite
+def mutations(draw):
+    """``(index, flips, cut, tail)``: which corpus datagram, and how to
+    damage it — bit flips in the first 48 bytes, a truncation point, a
+    garbage tail spliced on."""
+    return (
+        draw(st.integers(0, 1 << 30)),
+        draw(st.lists(st.tuples(st.integers(0, 47), st.integers(0, 7)), max_size=3)),
+        draw(st.none() | st.integers(0, 1500)),
+        draw(st.binary(max_size=24)),
+    )
+
+
+def mutate(stream, mutation):
+    index, flips, cut, tail = mutation
+    tap = stream[index % len(stream)]
+    data = bytearray(tap.data)
+    for position, bit in flips:
+        if position < len(data):
+            data[position] ^= 1 << bit
+    if cut is not None:
+        del data[cut:]
+    return tap, bytes(data + tail)
+
+
+class TestWalkDatagram:
+    def test_untouched_corpus_agrees(self, corpus):
+        for tap in corpus:
+            assert_walk_agrees(tap.data)
+
+    @settings(max_examples=1200, deadline=None)
+    @given(mutations())
+    def test_mutated_datagrams_agree_with_decode_datagram(self, corpus, mutation):
+        assert_walk_agrees(mutate(corpus, mutation)[1])
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"",
+            b"junk-datagram",  # valid short header, payload of unknown frames
+            SHORT_PREFIX + ACK_FIRST_RANGE_UNDERFLOW,
+            SHORT_PREFIX + NCID_EMPTY_CID,
+            SHORT_PREFIX + NCID_LONG_CID,
+            SHORT_PREFIX,  # header only: an empty payload is well-formed
+            encode_datagram([short_packet(spin_bit=True, vec=3, key_phase=True)]),
+            encode_datagram(
+                [
+                    long_packet(LongPacketType.INITIAL, (CryptoFrame(0, b"hi"),)),
+                    long_packet(LongPacketType.HANDSHAKE),
+                    short_packet(),
+                ]
+            ),
+            # A later coalesced packet's payload is bad; the first is fine.
+            encode_datagram([long_packet(LongPacketType.HANDSHAKE)])
+            + SHORT_PREFIX
+            + NCID_EMPTY_CID,
+            encode_datagram([long_packet(LongPacketType.ZERO_RTT)]) + b"\x40",
+            encode_datagram([long_packet(LongPacketType.RETRY, ())]) + b"retry token",
+            bytes([0xC0, 0, 0, 0, 0, 2, 1, 2, 1, 3, 0, 0, 0, 1, 0xFA, 0xCE, 0xB0, 0x0C]),  # VN
+            bytes([0xC0, 0, 0, 0, 0, 2, 1, 2, 1, 3, 0, 0, 0]),  # VN, torn version list
+            bytes([0xC0, 0, 0, 0, 0, 0, 0]),  # VN, no versions at all
+            bytes([0xC0, 0, 0, 0, 1, 21]) + bytes(40),  # DCID longer than 20
+            bytes([0xC0, 0, 0, 0, 1, 1, 9]),  # DCID runs into the SCID length
+            bytes([0xF0, 0, 0, 0, 1, 0, 0]),  # Retry: SCID ends the datagram
+            # Length 0 cannot hold the packet number, even when the byte
+            # after it would start a well-formed short-header packet.
+            bytes([0xE0, 0, 0, 0, 1, 0, 0, 0x00]) + SHORT_PREFIX,
+        ],
+    )
+    def test_hand_built_cases_agree(self, data):
+        assert_walk_agrees(data)
+
+
+def fresh_table() -> SpinFlowTable:
+    return SpinFlowTable(short_dcid_length=DCID_LENGTH, resolver=FlowKeyResolver())
+
+
+def expected_counters(data: bytes) -> dict:
+    """What one datagram does to a fresh table, per the endpoint codec."""
+    expected = reference_datagram(data)
+    transport = "quic"
+    if expected is None:
+        transport = "unparseable"
+        if data and not data[0] & 0xC0:
+            try:
+                decode_tcp_segment(data)
+                transport = "tcp"
+            except ValueError:
+                pass
+    packets, header = expected or (0, None)
+    return {
+        "packets": packets,
+        "short_header_packets": int(header is not None),
+        "parse_errors": int(transport == "unparseable"),
+        "transport_mix": {
+            name: int(name == transport) for name in ("quic", "tcp", "unparseable")
+        },
+        "flows": int(header is not None),
+    }
+
+
+def table_counters(table: SpinFlowTable) -> dict:
+    return {
+        "packets": table.stats.packets,
+        "short_header_packets": table.stats.short_header_packets,
+        "parse_errors": table.stats.parse_errors,
+        "transport_mix": table.resolver.counters()["transport_mix"],
+        "flows": len(table.flows),
+    }
+
+
+class TestFlowTableOnTheWalk:
+    @settings(max_examples=600, deadline=None)
+    @given(mutations())
+    def test_classification_and_counters_match_the_endpoint_codec(
+        self, corpus, mutation
+    ):
+        """QUIC / tcp / parse error, ``packets`` and ``short_header_packets``
+        are what ``decode_datagram`` says; a rejected datagram — wherever
+        in it the fault lies — leaves the flow table untouched."""
+        tap, data = mutate(corpus, mutation)
+        table = fresh_table()
+        table.on_server_datagram(tap.time_ms, data, tap.tuple4)
+        assert table_counters(table) == expected_counters(data)
+
+    def test_bad_payload_in_a_later_coalesced_packet_leaves_no_trace(self):
+        good = encode_datagram([long_packet(LongPacketType.HANDSHAKE), short_packet()])
+        bad = encode_datagram([long_packet(LongPacketType.HANDSHAKE)]) + SHORT_PREFIX + b"\x3f"
+        table = fresh_table()
+        table.on_server_datagram(0.0, bad)
+        assert table.stats.parse_errors == 1
+        assert (table.stats.packets, table.stats.short_header_packets) == (0, 0)
+        assert not table.flows
+        table.on_server_datagram(1.0, good)
+        assert (table.stats.packets, table.stats.short_header_packets) == (2, 1)
+        assert len(table.flows) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 4),
+                st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+                st.integers(-2, 2),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_inline_packet_number_reconstruction_is_appendix_a3(self, steps):
+        """The table reconstructs packet numbers inline; the result must
+        be ``decode_packet_number``'s, in particular a whole and a half
+        window either side of the expected number, where A.3 turns."""
+        seen = []
+
+        class Recorder:
+            def on_packet(self, time_ms, packet_number, spin_bit):
+                seen.append(packet_number)
+
+        table = SpinFlowTable(
+            short_dcid_length=DCID_LENGTH, observer_factory=lambda key: Recorder()
+        )
+        largest = None
+        expected = []
+        for pn_length, windows, nudge in steps:
+            window = 1 << (8 * pn_length)
+            sent = max(0, (largest or 0) + 1 + int(windows * window) + nudge)
+            truncated = sent & (window - 1)
+            data = (
+                bytes([0x40 | (pn_length - 1)])
+                + bytes(range(DCID_LENGTH))
+                + truncated.to_bytes(pn_length, "big")
+                + b"\x01"
+            )
+            table.on_server_datagram(0.0, data)
+            full = decode_packet_number(truncated, pn_length, largest)
+            if largest is None or full > largest:
+                largest = full
+            expected.append(full)
+        assert seen == expected

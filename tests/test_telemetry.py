@@ -342,3 +342,31 @@ class TestDeterminismLint:
             text=True,
         )
         assert result.returncode == 0
+
+    def test_endpoint_decoder_in_on_path_code_is_caught(self, tmp_path):
+        core = tmp_path / "repro" / "core"
+        analysis = tmp_path / "repro" / "analysis"
+        core.mkdir(parents=True)
+        analysis.mkdir(parents=True)
+        source = (
+            '"""decode_datagram may be named in a docstring."""\n'
+            "from repro.quic.datagram import (\n"
+            "    decode_datagram,\n"
+            ")\n"
+            "import repro.quic.frames as frames\n"
+            "def f(data):\n"
+            "    return frames.decode_frames(data)\n"
+        )
+        (core / "observer.py").write_text(source, encoding="utf-8")
+        # The oracle in analysis/ keeps the endpoint codec on purpose.
+        (analysis / "oracle.py").write_text(source, encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, str(self.LINT), str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        assert "observer.py:2" in result.stderr
+        assert "observer.py:7" in result.stderr
+        assert "observer.py:1:" not in result.stderr
+        assert "oracle.py" not in result.stderr
