@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Per-PR perf gate: run the tier-1 tests, then the perf benchmarks
-# (scan and analyze throughput; telemetry, fault, profiler, and
+# (analyze throughput; telemetry, fault, profiler, and
 # migration-resolver overhead; query pushdown and service query
-# latency; monitor throughput is `python3 -m bench run --workload
-# monitor_steady|monitor_churn`, the benchmark of record),
+# latency; scan and monitor throughput are `python3 -m bench run
+# --workload campaign_week|monitor_steady|monitor_churn`, the
+# benchmark of record),
 # and append each benchmark's result (stamped with commit and timestamp)
 # to BENCH_history.jsonl so every PR records its perf delta.  The cbr
 # round-trip identity gate runs first: no perf run is recorded from a
@@ -50,39 +51,6 @@ if second.getvalue() != first.getvalue():
 print(f"cbr round-trip identity OK ({len(records)} records)")
 PY
 
-echo "== scan-throughput benchmark =="
-python -m pytest -q -s benchmarks/test_perf_scan_throughput.py
-
-echo "== scan scaling gate =="
-# The work-stealing pool must actually scale where the hardware allows
-# it: >=2x sequential at 4 workers on a >=4-core host.  On smaller
-# hosts the arm is constrained (in-process fallback) and the gate is
-# skipped with a notice rather than asserting a number the machine
-# cannot produce.
-python - <<'PY'
-import json
-import sys
-
-result = json.loads(open("BENCH_scan_throughput.json", encoding="utf-8").read())
-cpu_count = result["cpu_count"]
-arm = result["results"]["workers_4"]
-speedup = arm["speedup_vs_sequential"]
-if cpu_count >= 4:
-    if arm.get("constrained"):
-        sys.exit(f"scaling gate FAILED: workers_4 constrained on {cpu_count} cores")
-    if speedup < 2.0:
-        sys.exit(
-            f"scaling gate FAILED: workers_4 speedup {speedup:.2f}x < 2.0x "
-            f"sequential on {cpu_count} cores"
-        )
-    print(f"scaling gate OK: workers_4 {speedup:.2f}x sequential on {cpu_count} cores")
-else:
-    print(
-        f"scaling gate SKIPPED ({cpu_count} core(s)): workers_4 ran "
-        f"constrained at {speedup:.2f}x; >=4 cores required to assert >=2.0x"
-    )
-PY
-
 echo "== analyze-throughput benchmark =="
 python -m pytest -q -s benchmarks/test_perf_analyze_throughput.py
 
@@ -120,7 +88,6 @@ timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat(
     timespec="seconds"
 )
 for result_file in (
-    "BENCH_scan_throughput.json",
     "BENCH_analyze_throughput.json",
     "BENCH_telemetry_overhead.json",
     "BENCH_fault_overhead.json",

@@ -19,8 +19,10 @@ behave as they would for the real thing.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable
 
 from repro.core.spin import EndpointRole, SpinBitState, SpinPolicy
@@ -36,6 +38,7 @@ from repro.quic.datagram import (
 )
 from repro.quic.frames import (
     AckFrame,
+    AckRange,
     ConnectionCloseFrame,
     CryptoFrame,
     Frame,
@@ -44,12 +47,15 @@ from repro.quic.frames import (
     PaddingFrame,
     PingFrame,
     StreamFrame,
+    decode_frame_fields,
+    encode_frames,
 )
+from repro.quic.onpath import walk_datagram
 from repro.quic.packet import (
+    HeaderParseError,
     LongHeader,
     LongPacketType,
     PacketType,
-    ShortHeader,
     VersionNegotiationHeader,
 )
 from repro.quic.packet_number import decode_packet_number
@@ -58,6 +64,7 @@ from repro.quic.transport_params import (
     TransportParameters,
     decode_transport_parameters,
 )
+from repro.quic.varint import encode_varint
 from repro.quic.version import SUPPORTED_VERSIONS, QuicVersion
 
 __all__ = ["ConnectionConfig", "PacketSpace", "QuicEndpoint"]
@@ -81,16 +88,17 @@ class PacketSpace(Enum):
     APPLICATION = "application"
 
 
-_SPACE_TO_PACKET_TYPE = {
-    PacketSpace.INITIAL: PacketType.INITIAL,
-    PacketSpace.HANDSHAKE: PacketType.HANDSHAKE,
-    PacketSpace.APPLICATION: PacketType.ONE_RTT,
-}
+#: The long-header packet types that carry frames, by packet-number
+#: space; 1-RTT packets never pass through the header dataclasses.
 _PACKET_TYPE_TO_SPACE = {
     PacketType.INITIAL: PacketSpace.INITIAL,
     PacketType.HANDSHAKE: PacketSpace.HANDSHAKE,
-    PacketType.ONE_RTT: PacketSpace.APPLICATION,
 }
+_ONE_RTT = PacketType.ONE_RTT.value
+#: Frames a probe timeout re-sends; the rest (ACK, PADDING, NEW_CONNECTION_ID,
+#: CONNECTION_CLOSE) describe a moment that has passed.
+_RETRANSMITTABLE = (CryptoFrame, StreamFrame, HandshakeDoneFrame, PingFrame)
+_PING = PingFrame().encode()
 
 
 @dataclass(frozen=True)
@@ -150,24 +158,42 @@ class ConnectionConfig:
     issue_alternate_cids: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _SentPacketInfo:
+    """An ack-eliciting packet awaiting its acknowledgment.
+
+    ``retransmit`` is what a probe timeout re-sends: the retransmittable
+    frames in the long-header spaces, their encoding in the application
+    space (possibly empty: NEW_CONNECTION_ID elicits an ACK but is not
+    re-sent).
+    """
+
     time_ms: float
-    frames: tuple[Frame, ...]
-    ack_eliciting: bool
-    acked: bool = False
+    retransmit: tuple[Frame, ...] | bytes
+    has_ping: bool = False
     retransmitted: bool = False
 
 
 class _SpaceState:
-    """Per-packet-number-space send/receive bookkeeping."""
+    """Per-packet-number-space send/receive bookkeeping.
 
-    def __init__(self) -> None:
+    Both sides are bounded by what is in flight, not by how long the
+    connection has run: ``sent`` holds only ack-eliciting packets the
+    peer has not acknowledged (an entry leaves when its ACK arrives;
+    packets that elicit no ACK are never entered), in ascending
+    packet-number order because that is the order they are sent in;
+    ``received_runs`` holds the received packet numbers as ascending,
+    non-adjacent ``[smallest, largest]`` runs — one run on a path that
+    loses nothing.
+    """
+
+    def __init__(self, space: PacketSpace) -> None:
+        self.space = space
         self.next_pn = 0
         self.largest_acked_by_peer: int | None = None
         self.largest_received: int | None = None
         self.largest_received_time_ms = 0.0
-        self.received_pns: set[int] = set()
+        self.received_runs: list[list[int]] = []
         self.sent: dict[int, _SentPacketInfo] = {}
         self.pending_ack_eliciting = 0
         self.ack_timer_generation = 0
@@ -235,7 +261,8 @@ class QuicEndpoint:
         self._retry_token = b""
         self._version_negotiated = False
 
-        self.spaces = {space: _SpaceState() for space in PacketSpace}
+        self.spaces = {space: _SpaceState(space) for space in PacketSpace}
+        self._app_state = self.spaces[PacketSpace.APPLICATION]
         #: What this endpoint announces in its handshake flight.
         self.local_params = TransportParameters(
             ack_delay_exponent=config.ack_delay_exponent,
@@ -264,7 +291,7 @@ class QuicEndpoint:
 
         # Stream state: send queue of (stream_id, bytes, fin) chunks that
         # respect the congestion window, and per-stream receive buffers.
-        self._stream_send_queue: list[tuple[int, bytes, bool]] = []
+        self._stream_send_queue: deque[tuple[int, bytes, bool]] = deque()
         self._stream_offsets_sent: dict[int, int] = {}
         self._stream_recv: dict[int, dict[int, bytes]] = {}
         self._stream_recv_delivered: dict[int, int] = {}
@@ -320,30 +347,29 @@ class QuicEndpoint:
         """Queue stream data; it is sent as fast as the window allows."""
         if not self.handshake_complete:
             raise RuntimeError("cannot send 1-RTT data before handshake keys")
-        offset = 0
+        total = len(data)
         chunk_size = self.config.mtu_bytes
-        while offset < len(data) or (fin and offset == 0 and not data):
-            chunk = data[offset : offset + chunk_size]
-            last = offset + len(chunk) >= len(data)
-            self._stream_send_queue.append((stream_id, chunk, fin and last))
-            offset += max(len(chunk), 1)
-            if not chunk:
-                break
+        queue = self._stream_send_queue
+        for offset in range(0, total, chunk_size):
+            end = offset + chunk_size
+            queue.append((stream_id, data[offset:end], fin and end >= total))
+        if fin and not data:
+            queue.append((stream_id, b"", True))  # a bare FIN
         self._flush_stream_queue()
 
     def send_ping(self) -> None:
         """Send a PING packet (used by keep-alive style probes)."""
-        self._send_packet(PacketSpace.APPLICATION, [PingFrame()])
+        self._send_short(_PING, _PING, has_ping=True)
 
     def close(self, error_code: int = 0, is_application: bool = True) -> None:
         """Send CONNECTION_CLOSE and stop participating."""
         if self.closed:
             return
         frame = ConnectionCloseFrame(error_code=error_code, is_application=is_application)
-        space = (
-            PacketSpace.APPLICATION if self.handshake_complete else PacketSpace.INITIAL
-        )
-        self._send_packet(space, [frame])
+        if self.handshake_complete:
+            self._send_short(frame.encode())
+        else:
+            self._send_packet(PacketSpace.INITIAL, [frame])
         self.closed = True
 
     # ------------------------------------------------------------------
@@ -351,28 +377,36 @@ class QuicEndpoint:
     # ------------------------------------------------------------------
 
     def receive_datagram(self, data: bytes) -> None:
-        """Entry point for wire bytes delivered by the path."""
-        if self.closed:
+        """Entry point for wire bytes delivered by the path.
+
+        The whole datagram is decoded before any state changes, so a
+        malformed one raises (``ValueError``) without side effects.
+        """
+        if self.closed or not data:
             return
         peer_exponent = (
             self.peer_params.ack_delay_exponent if self.peer_params is not None else 3
         )
-        packets = decode_datagram(data, self.config.cid_length, peer_exponent)
-        for packet in packets:
+        if not data[0] & 0x80:
+            self._receive_short(data, 0, peer_exponent)
+            return
+        # A handshake datagram: long-header packets go through the header
+        # and frame dataclasses, a coalesced 1-RTT packet (always last)
+        # is read where it lies.  The walk validates all of it first.
+        cid_length = self.config.cid_length
+        _, short_at = walk_datagram(data, cid_length)
+        long_part = data if short_at < 0 else data[:short_at]
+        for packet in decode_datagram(long_part, cid_length, peer_exponent):
             self._receive_packet(packet)
+        if short_at >= 0:
+            self._receive_short(data, short_at, peer_exponent)
 
     def _receive_packet(self, packet: ParsedPacket) -> None:
+        """Process one long-header packet (Initial, Handshake, VN, Retry)."""
         header = packet.header
         now = self.simulator.now_ms
         if self._m_packets_received is not None:
             self._m_packets_received.inc()
-            if isinstance(header, ShortHeader):
-                if (
-                    self._last_spin_rx is not None
-                    and header.spin_bit != self._last_spin_rx
-                ):
-                    self._m_spin_edges.inc()
-                self._last_spin_rx = header.spin_bit
         if isinstance(header, VersionNegotiationHeader):
             if self.recorder is not None:
                 self.recorder.on_packet_received(
@@ -380,7 +414,7 @@ class QuicEndpoint:
                 )
             self._handle_version_negotiation(header)
             return
-        if isinstance(header, LongHeader) and header.long_type is LongPacketType.RETRY:
+        if header.long_type is LongPacketType.RETRY:
             if self.recorder is not None:
                 self.recorder.on_packet_received(
                     now, header.packet_type.value, 0, None, 0
@@ -389,7 +423,6 @@ class QuicEndpoint:
             return
         if (
             self.role is EndpointRole.SERVER
-            and isinstance(header, LongHeader)
             and header.long_type is LongPacketType.INITIAL
         ):
             if header.version not in {int(v) for v in self.config.supported_versions}:
@@ -404,30 +437,19 @@ class QuicEndpoint:
         full_pn = decode_packet_number(
             header.packet_number, header.pn_length, state.largest_received
         )
-
-        spin_bit = header.spin_bit if isinstance(header, ShortHeader) else None
-        vec = header.vec if isinstance(header, ShortHeader) else 0
         if self.recorder is not None:
             self.recorder.on_packet_received(
-                now, header.packet_type.value, full_pn, spin_bit, packet.wire_length, vec
+                now, header.packet_type.value, full_pn, None, packet.wire_length, 0
             )
 
-        if full_pn in state.received_pns:
+        if not _note_received(state.received_runs, full_pn):
             return  # duplicate: recorded, not reprocessed
-        state.received_pns.add(full_pn)
         is_new_largest = state.largest_received is None or full_pn > state.largest_received
         if is_new_largest:
             state.largest_received = full_pn
 
-        if isinstance(header, ShortHeader):
-            self.spin.on_packet_received(full_pn, header.spin_bit)
-            if self.vec_state is not None:
-                self.vec_state.on_packet_received(full_pn, header.spin_bit, header.vec)
-        elif isinstance(header, LongHeader) and self.remote_cid is None:
-            self.remote_cid = header.source_cid
-        elif (
-            isinstance(header, LongHeader)
-            and self.role is EndpointRole.CLIENT
+        if self.remote_cid is None or (
+            self.role is EndpointRole.CLIENT
             and header.long_type is LongPacketType.INITIAL
         ):
             # The server replaces the client-invented DCID with its own
@@ -439,18 +461,102 @@ class QuicEndpoint:
             state.largest_received_time_ms = now
 
         for frame in packet.frames:
-            self._handle_frame(space, frame)
+            self._handle_frame(state, frame)
 
         if ack_eliciting and not self.closed:
-            self._on_ack_eliciting_received(space)
+            # Handshake spaces acknowledge promptly (RFC 9002 6.2.1):
+            # the handshake choreography piggybacks these ACKs.
+            state.pending_ack_eliciting += 1
 
-    def _handle_frame(self, space: PacketSpace, frame: Frame) -> None:
+    def _receive_short(self, data: bytes, at: int, peer_exponent: int) -> None:
+        """Receive the 1-RTT packet at ``data[at:]`` — the hot path.
+
+        Straight-line: first byte, packet number and payload are read
+        from the datagram where they lie and decoded to plain fields
+        (:func:`~repro.quic.frames.decode_frame_fields`) before any
+        state is touched; no header, connection-ID or frame object is
+        built for the frame types a transfer consists of.
+        """
+        first = data[at]
+        if not first & 0x40:
+            raise HeaderParseError("fixed bit is zero (not a QUIC v1/draft packet)")
+        pn_at = at + 1 + self.config.cid_length
+        payload_at = pn_at + (first & 0x03) + 1
+        if payload_at > len(data):
+            raise HeaderParseError("short header truncated")
+        items, ack_eliciting = decode_frame_fields(data, payload_at, peer_exponent)
+        # ---- the datagram is valid; state changes from here on ----
+        now = self.simulator.clock.now_ms
+        spin_bit = first & 0x20 != 0
+        vec = (first & 0x18) >> 3
+        if self._m_packets_received is not None:
+            self._m_packets_received.inc()
+            if self._last_spin_rx is not None and spin_bit != self._last_spin_rx:
+                self._m_spin_edges.inc()
+            self._last_spin_rx = spin_bit
+
+        # Packet-number reconstruction (RFC 9000 Appendix A.3).
+        state = self._app_state
+        largest = state.largest_received
+        full_pn = int.from_bytes(data[pn_at:payload_at], "big")
+        if largest is not None:
+            window = 1 << (8 * (payload_at - pn_at))
+            expected = largest + 1
+            full_pn |= expected & ~(window - 1)
+            if full_pn <= expected - (window >> 1) and full_pn < (1 << 62) - window:
+                full_pn += window
+            elif full_pn > expected + (window >> 1) and full_pn >= window:
+                full_pn -= window
+        if self.recorder is not None:
+            self.recorder.on_packet_received(
+                now, _ONE_RTT, full_pn, spin_bit, len(data) - at, vec
+            )
+
+        if not _note_received(state.received_runs, full_pn):
+            return  # duplicate: recorded, not reprocessed
+        if largest is None or full_pn > largest:
+            state.largest_received = full_pn
+            if ack_eliciting:
+                state.largest_received_time_ms = now
+            # Spin and VEC state follow the highest packet number only,
+            # which in this space is ``largest_received``.
+            self.spin.on_packet_received(full_pn, spin_bit)
+            if self.vec_state is not None:
+                self.vec_state.on_packet_received(full_pn, spin_bit, vec)
+
+        for item in items:
+            kind = item[0]
+            if kind == 0x08:
+                self._handle_stream(item[1], item[2], item[3], item[4])
+            elif kind == 0x02:
+                self._handle_ack(state, item[1], item[2], item[3])
+            else:
+                self._handle_frame(state, item[1])
+
+        if ack_eliciting and not self.closed:
+            state.pending_ack_eliciting += 1
+            if state.pending_ack_eliciting >= self.config.ack_eliciting_threshold:
+                self._send_short(ack=True)
+            else:
+                self.simulator.schedule_at(
+                    now + self.config.max_ack_delay_ms,
+                    partial(self._delayed_ack_fired, state.ack_timer_generation),
+                )
+
+    def _handle_frame(self, state: _SpaceState, frame: Frame) -> None:
+        """Act on a frame object: every long-header frame, and the
+        1-RTT frame types too rare to have a field form."""
         if isinstance(frame, AckFrame):
-            self._handle_ack(space, frame)
+            self._handle_ack(
+                state,
+                frame.largest_acknowledged,
+                frame.ack_delay_us,
+                [(r.smallest, r.largest) for r in frame.ranges],
+            )
         elif isinstance(frame, CryptoFrame):
-            self._handle_crypto(space, frame)
+            self._handle_crypto(state, frame)
         elif isinstance(frame, StreamFrame):
-            self._handle_stream(frame)
+            self._handle_stream(frame.stream_id, frame.offset, frame.data, frame.fin)
         elif isinstance(frame, NewConnectionIdFrame):
             self._peer_issued_cids.append(ConnectionId(frame.connection_id))
         elif isinstance(frame, HandshakeDoneFrame):
@@ -561,8 +667,7 @@ class QuicEndpoint:
     def _abandon_initial_flight(self) -> None:
         """Stop retransmitting pre-VN/pre-Retry Initial packets."""
         state = self.spaces[PacketSpace.INITIAL]
-        for info in state.sent.values():
-            info.acked = True
+        state.sent.clear()
         state.crypto_chunks.clear()
         state.crypto_message = None
 
@@ -570,29 +675,47 @@ class QuicEndpoint:
     # ACK handling and generation
     # ------------------------------------------------------------------
 
-    def _handle_ack(self, space: PacketSpace, frame: AckFrame) -> None:
-        state = self.spaces[space]
-        now = self.simulator.now_ms
-        newly_acked_eliciting = 0
-        for pn in frame.acked_packet_numbers():
-            info = state.sent.get(pn)
-            if info is None or info.acked:
-                continue
-            info.acked = True
-            if self.on_ping_acked is not None and any(
-                isinstance(f, PingFrame) for f in info.frames
-            ):
+    def _handle_ack(
+        self,
+        state: _SpaceState,
+        largest: int,
+        ack_delay_us: int,
+        ranges: list[tuple[int, int]],
+    ) -> None:
+        """Process an ACK of ``ranges`` (``(smallest, largest)``, descending).
+
+        Only packets still awaiting an acknowledgment are visited:
+        ``state.sent`` is in ascending packet-number order and holds
+        nothing the peer has acknowledged before, so the scan stops at
+        the first packet number above ``largest``.
+        """
+        newly_acked: list[int] = []
+        index = len(ranges) - 1
+        low, high = ranges[index]
+        for pn in state.sent:
+            while pn > high and index > 0:
+                index -= 1
+                low, high = ranges[index]
+            if pn > high:
+                break
+            if pn >= low:
+                newly_acked.append(pn)
+        is_application = state is self._app_state
+        now = self.simulator.clock.now_ms
+        # Highest first: the RTT sample is taken before older packets
+        # release their callbacks.
+        for pn in reversed(newly_acked):
+            info = state.sent.pop(pn)
+            if self.on_ping_acked is not None and info.has_ping:
                 callback, self.on_ping_acked = self.on_ping_acked, None
                 callback()
-            if info.ack_eliciting:
-                newly_acked_eliciting += 1
-                if space is PacketSpace.APPLICATION:
-                    self._app_packets_in_flight = max(0, self._app_packets_in_flight - 1)
-            if pn == frame.largest_acknowledged and info.ack_eliciting:
+            if is_application and self._app_packets_in_flight > 0:
+                self._app_packets_in_flight -= 1
+            if pn == largest:
                 sample = self.rtt_estimator.on_ack_received(
                     now,
                     info.time_ms,
-                    frame.ack_delay_us / 1000.0,
+                    ack_delay_us / 1000.0,
                     handshake_confirmed=self.handshake_confirmed,
                 )
                 if self.recorder is not None:
@@ -604,62 +727,47 @@ class QuicEndpoint:
                         self.rtt_estimator.smoothed_rtt_ms,
                         self.rtt_estimator.min_rtt_ms or sample.latest_rtt_ms,
                     )
-        if state.largest_acked_by_peer is None or (
-            frame.largest_acknowledged > state.largest_acked_by_peer
-        ):
-            state.largest_acked_by_peer = frame.largest_acknowledged
-        if space is PacketSpace.APPLICATION and newly_acked_eliciting:
-            grown = self._congestion_window + newly_acked_eliciting
+        if state.largest_acked_by_peer is None or largest > state.largest_acked_by_peer:
+            state.largest_acked_by_peer = largest
+        if is_application and newly_acked:
+            grown = self._congestion_window + len(newly_acked)
             self._congestion_window = min(
                 grown, self.config.max_congestion_window_packets
             )
-            low, high = self.config.flush_dispatch_ms
-            if high > 0.0 and self._stream_send_queue:
+            low_ms, high_ms = self.config.flush_dispatch_ms
+            if high_ms > 0.0 and self._stream_send_queue:
                 self.simulator.schedule(
-                    self.rng.uniform(low, high), self._flush_stream_queue
+                    self.rng.uniform(low_ms, high_ms), self._flush_stream_queue
                 )
             else:
                 self._flush_stream_queue()
 
-    def _on_ack_eliciting_received(self, space: PacketSpace) -> None:
-        state = self.spaces[space]
-        state.pending_ack_eliciting += 1
-        if space is not PacketSpace.APPLICATION:
-            # Handshake spaces: acknowledge promptly (RFC 9002 6.2.1 —
-            # our handshake choreography piggybacks these ACKs, so a
-            # standalone ACK is only needed if nothing else was sent).
-            return
-        if state.pending_ack_eliciting >= self.config.ack_eliciting_threshold:
-            self._send_ack_now(space)
-        else:
-            generation = state.ack_timer_generation
-            delay = self.config.max_ack_delay_ms
-            self.simulator.schedule(
-                delay, lambda: self._delayed_ack_fired(space, generation)
-            )
-
-    def _delayed_ack_fired(self, space: PacketSpace, generation: int) -> None:
-        state = self.spaces[space]
+    def _delayed_ack_fired(self, generation: int) -> None:
+        state = self._app_state
         if self.closed or state.ack_timer_generation != generation:
             return
         if state.pending_ack_eliciting > 0:
-            self._send_ack_now(space)
+            self._send_short(ack=True)
 
-    def _send_ack_now(self, space: PacketSpace) -> None:
-        self._send_packet(space, [self._build_ack_frame(space)])
-
-    def _build_ack_frame(self, space: PacketSpace) -> AckFrame:
-        state = self.spaces[space]
+    def _take_ack_delay_us(self, state: _SpaceState, now: float) -> int:
+        """The ``ack_delay`` to report at ``now``; settles the pending-ACK state."""
         if state.largest_received is None:
             raise RuntimeError("nothing to acknowledge")
-        ranges = _pns_to_ranges(state.received_pns)
-        delay_ms = max(0.0, self.simulator.now_ms - state.largest_received_time_ms)
+        delay_ms = max(0.0, now - state.largest_received_time_ms)
         state.pending_ack_eliciting = 0
         state.ack_timer_generation += 1
+        return int(delay_ms * 1000.0)
+
+    def _build_ack_frame(self, space: PacketSpace) -> AckFrame:
+        """The ACK of a handshake space, for the dataclass codec."""
+        state = self.spaces[space]
+        delay_us = self._take_ack_delay_us(state, self.simulator.now_ms)
         return AckFrame(
             largest_acknowledged=state.largest_received,
-            ack_delay_us=int(delay_ms * 1000.0),
-            ranges=ranges,
+            ack_delay_us=delay_us,
+            ranges=tuple(
+                AckRange(low, high) for low, high in reversed(state.received_runs)
+            ),
             ack_delay_exponent=self.config.ack_delay_exponent,
         )
 
@@ -667,8 +775,7 @@ class QuicEndpoint:
     # Crypto (handshake) choreography
     # ------------------------------------------------------------------
 
-    def _handle_crypto(self, space: PacketSpace, frame: CryptoFrame) -> None:
-        state = self.spaces[space]
+    def _handle_crypto(self, state: _SpaceState, frame: CryptoFrame) -> None:
         if state.crypto_message is not None:
             return  # flight already fully processed (retransmission)
         state.crypto_chunks[frame.offset] = frame.data
@@ -677,7 +784,7 @@ class QuicEndpoint:
         if message is None:
             return
         state.crypto_message = message
-        self._on_crypto_message(space)
+        self._on_crypto_message(state.space)
 
     def _on_crypto_message(self, space: PacketSpace) -> None:
         if self.role is EndpointRole.SERVER and space is PacketSpace.INITIAL:
@@ -762,18 +869,12 @@ class QuicEndpoint:
             PacketSpace.HANDSHAKE, [self._build_ack_frame(PacketSpace.HANDSHAKE)]
         )
         alternate = ConnectionId.generate(self.rng, self.config.cid_length)
-        done = self._build_packet(
-            PacketSpace.APPLICATION,
-            [
-                HandshakeDoneFrame(),
-                NewConnectionIdFrame(
-                    sequence_number=1,
-                    retire_prior_to=0,
-                    connection_id=bytes(alternate),
-                ),
-            ],
+        done = HandshakeDoneFrame().encode()
+        new_cid = NewConnectionIdFrame(
+            sequence_number=1, retire_prior_to=0, connection_id=bytes(alternate)
         )
-        self._transmit_datagram([handshake_ack, done])
+        # NEW_CONNECTION_ID is not re-sent on a probe timeout.
+        self._send_short(done + new_cid.encode(), done, behind=handshake_ack)
 
     # ------------------------------------------------------------------
     # Connection migration (RFC 9000 Section 5.1.1 / 9)
@@ -796,7 +897,7 @@ class QuicEndpoint:
                     connection_id=bytes(alternate),
                 )
             )
-        self._send_packet(PacketSpace.APPLICATION, frames)
+        self._send_short(encode_frames(frames), b"")
 
     def migrate_to_alternate_cid(self) -> ConnectionId | None:
         """Switch outgoing short headers to a peer-issued alternate CID.
@@ -825,111 +926,211 @@ class QuicEndpoint:
     # Stream handling
     # ------------------------------------------------------------------
 
-    def _handle_stream(self, frame: StreamFrame) -> None:
-        chunks = self._stream_recv.setdefault(frame.stream_id, {})
-        delivered = self._stream_recv_delivered.setdefault(frame.stream_id, 0)
-        if frame.offset + len(frame.data) > delivered:
-            chunks[frame.offset] = frame.data
-        if frame.fin:
-            self._stream_recv_fin_at[frame.stream_id] = frame.offset + len(frame.data)
-
-        # Deliver any newly contiguous bytes, in order.
-        data = _contiguous_from(chunks, delivered)
-        if not data and frame.fin is False:
+    def _handle_stream(self, stream_id: int, offset: int, data: bytes, fin: bool) -> None:
+        delivered = self._stream_recv_delivered.get(stream_id, 0)
+        chunks = self._stream_recv.get(stream_id)
+        if fin:
+            self._stream_recv_fin_at[stream_id] = offset + len(data)
+        if chunks or offset != delivered:
+            # Out of order, or behind a hole: buffer, then deliver any
+            # newly contiguous bytes.  (In order with nothing buffered,
+            # the frame's bytes are exactly what that would yield.)
+            if chunks is None:
+                chunks = self._stream_recv[stream_id] = {}
+            if offset + len(data) > delivered:
+                chunks[offset] = data
+            # No buffered chunk reaches back to the read position (it
+            # would have been delivered), so only a frame starting at
+            # or below it can move it.
+            data = _contiguous_from(chunks, delivered) if offset <= delivered else b""
+        if not data and not fin:
             return
         new_delivered = delivered + len(data)
-        self._stream_recv_delivered[frame.stream_id] = new_delivered
-        fin_at = self._stream_recv_fin_at.get(frame.stream_id)
+        self._stream_recv_delivered[stream_id] = new_delivered
+        fin_at = self._stream_recv_fin_at.get(stream_id)
         fin_reached = fin_at is not None and new_delivered >= fin_at
         if self.on_stream_data is not None and (data or fin_reached):
-            self.on_stream_data(frame.stream_id, data, fin_reached)
+            self.on_stream_data(stream_id, data, fin_reached)
 
     def _flush_stream_queue(self) -> None:
+        queue = self._stream_send_queue
+        state = self._app_state
+        offsets = self._stream_offsets_sent
         while (
-            self._stream_send_queue
+            queue
             and self._app_packets_in_flight < self._congestion_window
             and not self.closed
         ):
-            stream_id, chunk, fin = self._stream_send_queue.pop(0)
-            offset = self._stream_offsets_sent.setdefault(stream_id, 0)
-            frames: list[Frame] = []
-            state = self.spaces[PacketSpace.APPLICATION]
-            if state.pending_ack_eliciting > 0:
-                frames.append(self._build_ack_frame(PacketSpace.APPLICATION))
-            frames.append(StreamFrame(stream_id, offset, chunk, fin))
-            self._stream_offsets_sent[stream_id] = offset + len(chunk)
-            self._send_packet(PacketSpace.APPLICATION, frames)
+            stream_id, chunk, fin = queue.popleft()
+            offset = offsets.get(stream_id, 0)
+            # STREAM with OFF and LEN bits set, as StreamFrame.encode().
+            frame = b"".join(
+                (
+                    b"\x0f" if fin else b"\x0e",
+                    encode_varint(stream_id),
+                    encode_varint(offset),
+                    encode_varint(len(chunk)),
+                    chunk,
+                )
+            )
+            offsets[stream_id] = offset + len(chunk)
+            self._send_short(frame, frame, ack=state.pending_ack_eliciting > 0)
             self._app_packets_in_flight += 1
 
     # ------------------------------------------------------------------
     # Packet construction and transmission
     # ------------------------------------------------------------------
 
+    def _send_short(
+        self,
+        frames: bytes = b"",
+        retransmit: bytes | None = None,
+        *,
+        ack: bool = False,
+        has_ping: bool = False,
+        retries: int = 0,
+        behind: QuicPacket | None = None,
+    ) -> None:
+        """Build and send one 1-RTT packet — the hot path.
+
+        ``frames`` is the encoded payload after the optional ACK, which
+        (``ack=True``) is written straight from the receive state.
+        ``retransmit`` says whether the packet is ack-eliciting: ``None``
+        for one that is not (ACK, CONNECTION_CLOSE), otherwise the
+        encoded frames a probe timeout re-sends — ``frames`` itself for
+        STREAM and PING, possibly empty.  ``retries`` is the probe
+        count of a retransmission.  ``behind`` coalesces the packet
+        after a long-header one (the server's handshake confirmation).
+
+        Straight-line: header and payload go into one buffer without a
+        header, packet or frame object; the steps and their order are
+        those of ``_build_packet`` + ``_transmit_datagram`` for the
+        long-header spaces.
+        """
+        state = self._app_state
+        pn = state.next_pn
+        state.next_pn = pn + 1
+        if self.remote_cid is None:
+            raise RuntimeError("remote connection ID unknown")
+        config = self.config
+        rotate_after = config.rotate_cid_after_packets
+        if (
+            rotate_after is not None
+            and not self._cid_rotated
+            and self._app_packets_sent >= rotate_after
+            and self._peer_issued_cids
+        ):
+            self.remote_cid = self._peer_issued_cids.pop(0)
+            self._cid_rotated = True
+        spin_bit = self.spin.outgoing_value()
+        interval = config.key_update_interval_packets
+        if interval and self._app_packets_sent and self._app_packets_sent % interval == 0:
+            self._key_phase = not self._key_phase
+        self._app_packets_sent += 1
+        vec = self.vec_state.vec_for_outgoing(spin_bit) if self.vec_state is not None else 0
+        now = self.simulator.clock.now_ms
+
+        # Truncated packet number (RFC 9000 Appendix A.2): twice the
+        # unacknowledged range must fit.
+        largest_acked = state.largest_acked_by_peer
+        unacked = pn + 1 if largest_acked is None else pn - largest_acked
+        pn_length = (unacked.bit_length() + 8) // 8
+        if pn_length > 4:
+            raise ValueError("packet number range too large to encode")
+        first = 0x40 | (vec << 3) | (pn_length - 1)
+        if spin_bit:
+            first |= 0x20
+        if self._key_phase:
+            first |= 0x04
+        buf = bytearray((first,))
+        buf += self.remote_cid.value
+        buf += (pn & ((1 << (8 * pn_length)) - 1)).to_bytes(pn_length, "big")
+        if ack:
+            # The ACK frame, as AckFrame.encode() would write it, from
+            # the received runs (newest first on the wire).
+            delay_us = self._take_ack_delay_us(state, now)
+            runs = state.received_runs
+            low, high = runs[-1]
+            buf.append(0x02)
+            buf += encode_varint(high)
+            buf += encode_varint(delay_us >> config.ack_delay_exponent)
+            buf += encode_varint(len(runs) - 1)
+            buf += encode_varint(high - low)
+            for index in range(len(runs) - 2, -1, -1):
+                run_low, run_high = runs[index]
+                buf += encode_varint(low - run_high - 2)
+                buf += encode_varint(run_high - run_low)
+                low = run_low
+        data = bytes(buf) + frames
+        if retransmit is not None:
+            state.sent[pn] = _SentPacketInfo(now, retransmit, has_ping)
+
+        if self.transport is None:
+            raise RuntimeError("endpoint has no transport attached")
+        if behind is None:
+            size = len(data)
+        else:
+            data = behind.encode() + data
+            size = 0  # qlog records no size for coalesced packets
+        if self._m_packets_sent is not None:
+            self._m_packets_sent.inc(1 if behind is None else 2)
+        if self.recorder is not None:
+            if behind is not None:
+                self._record_long_sent(now, behind, 0)
+            self.recorder.on_packet_sent(now, _ONE_RTT, pn, spin_bit, size, vec)
+        if behind is not None:
+            # Coalesced: timers are armed before the datagram leaves.
+            if behind.is_ack_eliciting:
+                self._arm_pto(
+                    _PACKET_TYPE_TO_SPACE[behind.header.packet_type],
+                    behind.header.packet_number,
+                )
+            if retransmit is not None:
+                self._arm_pto(PacketSpace.APPLICATION, pn)
+        self.transport(data)
+        self._maybe_inject_reset()
+        if behind is None and retransmit is not None:
+            self._arm_pto(PacketSpace.APPLICATION, pn, retries)
+
     def _build_packet(
         self, space: PacketSpace, frames: list[Frame], pad_to: int = 0
     ) -> QuicPacket:
+        """Build an Initial or Handshake packet (the dataclass codec)."""
         state = self.spaces[space]
         pn = state.next_pn
         state.next_pn += 1
         if self.remote_cid is None:
             raise RuntimeError("remote connection ID unknown")
-        header: ShortHeader | LongHeader
-        if space is PacketSpace.APPLICATION:
-            rotate_after = self.config.rotate_cid_after_packets
-            if (
-                rotate_after is not None
-                and not self._cid_rotated
-                and self._app_packets_sent >= rotate_after
-                and self._peer_issued_cids
-            ):
-                self.remote_cid = self._peer_issued_cids.pop(0)
-                self._cid_rotated = True
-            spin_value = self.spin.outgoing_value()
-            interval = self.config.key_update_interval_packets
-            if interval and self._app_packets_sent and self._app_packets_sent % interval == 0:
-                self._key_phase = not self._key_phase
-            self._app_packets_sent += 1
-            header = ShortHeader(
-                destination_cid=self.remote_cid,
-                packet_number=pn,
-                spin_bit=spin_value,
-                key_phase=self._key_phase,
-                vec=(
-                    self.vec_state.vec_for_outgoing(spin_value)
-                    if self.vec_state is not None
-                    else 0
-                ),
-                largest_acked=state.largest_acked_by_peer,
-            )
-        else:
-            header = LongHeader(
-                long_type=(
-                    LongPacketType.INITIAL
-                    if space is PacketSpace.INITIAL
-                    else LongPacketType.HANDSHAKE
-                ),
-                version=self.version,
-                destination_cid=self.remote_cid,
-                source_cid=self.local_cid,
-                packet_number=pn,
-                token=(
-                    self._retry_token
-                    if space is PacketSpace.INITIAL
-                    and self.role is EndpointRole.CLIENT
-                    else b""
-                ),
-                largest_acked=state.largest_acked_by_peer,
-            )
+        header = LongHeader(
+            long_type=(
+                LongPacketType.INITIAL
+                if space is PacketSpace.INITIAL
+                else LongPacketType.HANDSHAKE
+            ),
+            version=self.version,
+            destination_cid=self.remote_cid,
+            source_cid=self.local_cid,
+            packet_number=pn,
+            token=(
+                self._retry_token
+                if space is PacketSpace.INITIAL
+                and self.role is EndpointRole.CLIENT
+                else b""
+            ),
+            largest_acked=state.largest_acked_by_peer,
+        )
         if pad_to:
             trial_length = len(QuicPacket(header=header, frames=tuple(frames)).encode())
             if trial_length < pad_to:
                 frames = list(frames) + [PaddingFrame(pad_to - trial_length)]
         packet = QuicPacket(header=header, frames=tuple(frames))
-        state.sent[pn] = _SentPacketInfo(
-            time_ms=self.simulator.now_ms,
-            frames=tuple(frames),
-            ack_eliciting=packet.is_ack_eliciting,
-        )
+        if packet.is_ack_eliciting:
+            state.sent[pn] = _SentPacketInfo(
+                self.simulator.now_ms,
+                tuple(
+                    frame for frame in frames if isinstance(frame, _RETRANSMITTABLE)
+                ),
+            )
         return packet
 
     def _send_packet(
@@ -941,6 +1142,7 @@ class QuicEndpoint:
             self._arm_pto(space, packet.header.packet_number)
 
     def _transmit_datagram(self, packets: list[QuicPacket]) -> None:
+        """Send long-header packets, coalesced when more than one."""
         if self.transport is None:
             raise RuntimeError("endpoint has no transport attached")
         data = encode_datagram(packets)
@@ -949,25 +1151,25 @@ class QuicEndpoint:
             self._m_packets_sent.inc(len(packets))
         if self.recorder is not None:
             for packet in packets:
-                is_short = isinstance(packet.header, ShortHeader)
-                self.recorder.on_packet_sent(
-                    now,
-                    packet.header.packet_type.value,
-                    packet.header.packet_number,
-                    packet.header.spin_bit if is_short else None,
-                    len(data) if len(packets) == 1 else 0,
-                    packet.header.vec if is_short else 0,
-                )
-        for packet in packets:
-            info = self.spaces[_PACKET_TYPE_TO_SPACE[packet.header.packet_type]].sent[
-                packet.header.packet_number
-            ]
-            if packet.is_ack_eliciting and info.ack_eliciting and len(packets) > 1:
-                self._arm_pto(
-                    _PACKET_TYPE_TO_SPACE[packet.header.packet_type],
-                    packet.header.packet_number,
-                )
+                self._record_long_sent(now, packet, len(data) if len(packets) == 1 else 0)
+        if len(packets) > 1:
+            for packet in packets:
+                if packet.is_ack_eliciting:
+                    self._arm_pto(
+                        _PACKET_TYPE_TO_SPACE[packet.header.packet_type],
+                        packet.header.packet_number,
+                    )
         self.transport(data)
+        self._maybe_inject_reset()
+
+    def _record_long_sent(self, now: float, packet: QuicPacket, size: int) -> None:
+        header = packet.header
+        self.recorder.on_packet_sent(
+            now, header.packet_type.value, header.packet_number, None, size, 0
+        )
+
+    def _maybe_inject_reset(self) -> None:
+        """The fault-injected reset, checked after every transmission."""
         reset_after = self.config.reset_after_packets
         if (
             reset_after is not None
@@ -975,8 +1177,8 @@ class QuicEndpoint:
             and not self.closed
             and self._app_packets_sent >= reset_after
         ):
-            # The fault-injected reset: schedule the close instead of
-            # issuing it inline, because close() itself transmits.
+            # Schedule the close instead of issuing it inline, because
+            # close() itself transmits.
             self._reset_fired = True
             self.simulator.schedule(
                 0.0, lambda: self.close(error_code=0x01, is_application=False)
@@ -986,19 +1188,16 @@ class QuicEndpoint:
     # Loss recovery (probe timeout)
     # ------------------------------------------------------------------
 
-    def _pto_interval_ms(self) -> float:
-        if self.rtt_estimator.has_sample:
-            return (
-                self.rtt_estimator.smoothed_rtt_ms
-                + 4.0 * self.rtt_estimator.rttvar_ms
-                + self.config.max_ack_delay_ms
-            )
-        return self.config.pto_initial_ms
-
     def _arm_pto(self, space: PacketSpace, pn: int, retries: int = 0) -> None:
+        rtt = self.rtt_estimator
+        if rtt.latest_rtt_ms is not None:  # has a sample
+            interval = (
+                rtt.smoothed_rtt_ms + 4.0 * rtt.rttvar_ms + self.config.max_ack_delay_ms
+            )
+        else:
+            interval = self.config.pto_initial_ms
         self.simulator.schedule(
-            self._pto_interval_ms() * (2**retries),
-            lambda: self._pto_fired(space, pn, retries),
+            interval * (2**retries), partial(self._pto_fired, space, pn, retries)
         )
 
     def _pto_fired(self, space: PacketSpace, pn: int, retries: int) -> None:
@@ -1006,8 +1205,8 @@ class QuicEndpoint:
             return
         state = self.spaces[space]
         info = state.sent.get(pn)
-        if info is None or info.acked or info.retransmitted:
-            return
+        if info is None or info.retransmitted:
+            return  # acknowledged, or already probed
         if retries >= self.config.pto_max_retries:
             self.failed = f"pto exhausted in {space.value} space (pn {pn})"
             self.closed = True
@@ -1019,16 +1218,19 @@ class QuicEndpoint:
             # so in-flight accounting is settled by its acknowledgment.
             self._congestion_window = max(2, self._congestion_window // 2)
         # Re-send the retransmittable frames in a fresh packet.
-        frames = [
-            frame
-            for frame in info.frames
-            if isinstance(frame, (CryptoFrame, StreamFrame, HandshakeDoneFrame, PingFrame))
-        ]
-        if not frames:
+        if not info.retransmit:
             return
-        packet = self._build_packet(space, frames)
-        self._transmit_datagram([packet])
-        self._arm_pto(space, packet.header.packet_number, retries + 1)
+        if space is PacketSpace.APPLICATION:
+            self._send_short(
+                info.retransmit,
+                info.retransmit,
+                has_ping=info.has_ping,
+                retries=retries + 1,
+            )
+        else:
+            packet = self._build_packet(space, list(info.retransmit))
+            self._transmit_datagram([packet])
+            self._arm_pto(space, packet.header.packet_number, retries + 1)
 
 
 # ----------------------------------------------------------------------
@@ -1072,42 +1274,46 @@ def _contiguous_from(chunks: dict[int, bytes], start: int, consume: bool = True)
     """Pull contiguous bytes from an offset-indexed chunk buffer.
 
     Overlapping retransmissions are tolerated: a chunk whose range was
-    already (partly) delivered contributes only its new suffix.
+    already (partly) delivered contributes only its new suffix, and one
+    wholly delivered is dropped.  One pass in offset order suffices —
+    every chunk at or below the read position either extends it or is
+    stale, and the first chunk beyond it is a hole.
     """
     parts: list[bytes] = []
     position = start
-    while True:
-        advanced = False
-        for offset in sorted(chunks):
-            data = chunks[offset]
-            if offset <= position < offset + len(data):
-                parts.append(data[position - offset :])
-                position = offset + len(data)
-                if consume:
-                    del chunks[offset]
-                advanced = True
-                break
-            if consume and offset + len(data) <= position:
-                del chunks[offset]
-        if not advanced:
+    for offset in sorted(chunks):
+        if offset > position:
             break
+        data = chunks[offset]
+        if position < offset + len(data):
+            parts.append(data[position - offset :])
+            position = offset + len(data)
+        if consume:
+            del chunks[offset]
     return b"".join(parts)
 
 
-def _pns_to_ranges(pns: set[int]):
-    """Convert a set of packet numbers into descending AckRanges."""
-    from repro.quic.frames import AckRange
+def _note_received(runs: list[list[int]], pn: int) -> bool:
+    """Enter ``pn`` into ``runs``; ``False`` if it was already there.
 
-    ordered = sorted(pns, reverse=True)
-    ranges = []
-    range_largest = ordered[0]
-    previous = ordered[0]
-    for pn in ordered[1:]:
-        if pn == previous - 1:
-            previous = pn
-            continue
-        ranges.append(AckRange(previous, range_largest))
-        range_largest = pn
-        previous = pn
-    ranges.append(AckRange(previous, range_largest))
-    return tuple(ranges)
+    ``runs`` are ascending ``[smallest, largest]`` packet-number runs,
+    never adjacent (adjacent runs are merged).  Arrivals are mostly in
+    order, so the search walks back from the newest run.
+    """
+    index = len(runs) - 1
+    while index >= 0 and runs[index][0] > pn:
+        index -= 1
+    # runs[index] is the last run starting at or below pn (if any).
+    if index >= 0 and pn <= runs[index][1]:
+        return False
+    joins_below = index >= 0 and runs[index][1] + 1 == pn
+    joins_above = index + 1 < len(runs) and runs[index + 1][0] - 1 == pn
+    if joins_below and joins_above:
+        runs[index][1] = runs.pop(index + 1)[1]
+    elif joins_below:
+        runs[index][1] = pn
+    elif joins_above:
+        runs[index + 1][0] = pn
+    else:
+        runs.insert(index + 1, [pn, pn])
+    return True

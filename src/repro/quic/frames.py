@@ -27,6 +27,7 @@ __all__ = [
     "PaddingFrame",
     "PingFrame",
     "StreamFrame",
+    "decode_frame_fields",
     "decode_frames",
     "encode_frames",
 ]
@@ -277,6 +278,96 @@ def decode_frames(payload: bytes, ack_delay_exponent: int = 3) -> list[Frame]:
         else:
             raise FrameParseError(f"unknown frame type 0x{frame_type:02x} at {offset}")
     return frames
+
+
+def decode_frame_fields(
+    data: bytes, at: int = 0, ack_delay_exponent: int = 3
+) -> tuple[list[tuple], bool]:
+    """Decode the payload ``data[at:]`` into plain fields.
+
+    The endpoint's 1-RTT receive path reads a payload where it lies in
+    the datagram (a short-header packet runs to the datagram's end) and
+    wants values, not frame objects.  Returns ``(items, ack_eliciting)``
+    with one tuple per frame the endpoint acts on, in payload order:
+
+    * ACK: ``(0x02, largest, ack_delay_us, [(smallest, largest), ...])``,
+      ranges descending;
+    * STREAM: ``(0x08, stream_id, offset, data, fin)``;
+    * CRYPTO, NEW_CONNECTION_ID, HANDSHAKE_DONE, CONNECTION_CLOSE — rare
+      on this path — ``(frame_type, frame)`` with the frame object
+      :func:`decode_frames` would build.
+
+    PADDING and PING carry nothing to act on and yield no item; PING
+    still makes the packet ack-eliciting.  Accepts and rejects exactly
+    the payloads ``decode_frames`` does (``tests/test_datapath.py``
+    holds the two against each other), including the rejections that
+    live in the frame dataclasses: a first ACK range reaching below
+    packet number 0, a NEW_CONNECTION_ID CID outside 1..20 bytes.
+    """
+    items: list[tuple] = []
+    ack_eliciting = False
+    end = len(data)
+    while at < end:
+        frame_type = data[at]
+        if 0x08 <= frame_type <= 0x0F:  # STREAM
+            stream_id, at = decode_varint(data, at + 1)
+            stream_offset = 0
+            if frame_type & 0x04:
+                stream_offset, at = decode_varint(data, at)
+            if frame_type & 0x02:
+                length, at = decode_varint(data, at)
+                if at + length > end:
+                    raise FrameParseError("STREAM frame data truncated")
+            else:
+                length = end - at
+            items.append(
+                (0x08, stream_id, stream_offset, data[at : at + length], frame_type & 0x01 != 0)
+            )
+            at += length
+            ack_eliciting = True
+        elif frame_type == 0x02:  # ACK
+            largest, at = decode_varint(data, at + 1)
+            raw_delay, at = decode_varint(data, at)
+            range_count, at = decode_varint(data, at)
+            first_range, at = decode_varint(data, at)
+            smallest = largest - first_range
+            if smallest < 0:
+                raise FrameParseError("first ACK range underflows packet number 0")
+            ranges = [(smallest, largest)]
+            for _ in range(range_count):
+                gap, at = decode_varint(data, at)
+                range_length, at = decode_varint(data, at)
+                range_largest = smallest - gap - 2
+                smallest = range_largest - range_length
+                if smallest < 0:
+                    raise FrameParseError("ACK range underflows packet number 0")
+                ranges.append((smallest, range_largest))
+            items.append((0x02, largest, raw_delay << ack_delay_exponent, ranges))
+        elif frame_type == 0x00:  # PADDING run
+            at += 1
+            while at < end and data[at] == 0x00:
+                at += 1
+        elif frame_type == 0x01:  # PING
+            at += 1
+            ack_eliciting = True
+        elif frame_type == 0x06:
+            frame, at = _decode_crypto(data, at + 1)
+            items.append((frame_type, frame))
+            ack_eliciting = True
+        elif frame_type == 0x18:
+            frame, at = _decode_new_connection_id(data, at + 1)
+            items.append((frame_type, frame))
+            ack_eliciting = True
+        elif frame_type == 0x1E:
+            items.append((frame_type, HandshakeDoneFrame()))
+            at += 1
+            ack_eliciting = True
+        elif frame_type in (0x1C, 0x1D):
+            frame, at = _decode_connection_close(data, at + 1, frame_type)
+            items.append((frame_type, frame))
+        else:
+            raise FrameParseError(f"unknown frame type 0x{frame_type:02x} at {at}")
+    return items, ack_eliciting
 
 
 def _decode_ack(payload: bytes, offset: int, ack_delay_exponent: int) -> tuple[AckFrame, int]:

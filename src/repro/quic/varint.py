@@ -37,16 +37,16 @@ def varint_length(value: int) -> int:
 
 def encode_varint(value: int) -> bytes:
     """Encode ``value`` as a canonical (shortest-form) QUIC varint."""
-    length = varint_length(value)
-    if length == 1:
-        return bytes([value])
-    if length == 2:
-        return bytes([0x40 | (value >> 8), value & 0xFF])
-    if length == 4:
-        encoded = value.to_bytes(4, "big")
-        return bytes([0x80 | encoded[0]]) + encoded[1:]
-    encoded = value.to_bytes(8, "big")
-    return bytes([0xC0 | encoded[0]]) + encoded[1:]
+    if value < 0 or value > MAX_VARINT:
+        raise VarintError(f"varint out of range: {value}")
+    # The length exponent goes into the two top bits of the first byte.
+    if value <= _ONE_BYTE_MAX:
+        return value.to_bytes(1, "big")
+    if value <= _TWO_BYTE_MAX:
+        return (0x4000 | value).to_bytes(2, "big")
+    if value <= _FOUR_BYTE_MAX:
+        return (0x8000_0000 | value).to_bytes(4, "big")
+    return (0xC000_0000_0000_0000 | value).to_bytes(8, "big")
 
 
 def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
@@ -55,15 +55,14 @@ def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
     Returns ``(value, new_offset)`` where ``new_offset`` points just past
     the consumed bytes.  Raises :class:`VarintError` on truncation.
     """
-    if offset >= len(data):
+    size = len(data)
+    if offset >= size:
         raise VarintError("varint truncated: no bytes available")
     first = data[offset]
+    if first < 0x40:
+        return first, offset + 1
     length = 1 << (first >> 6)
-    if offset + length > len(data):
-        raise VarintError(
-            f"varint truncated: need {length} bytes, have {len(data) - offset}"
-        )
-    value = first & 0x3F
-    for i in range(1, length):
-        value = (value << 8) | data[offset + i]
-    return value, offset + length
+    end = offset + length
+    if end > size:
+        raise VarintError(f"varint truncated: need {length} bytes, have {size - offset}")
+    return int.from_bytes(data[offset:end], "big") & ((1 << (8 * length - 2)) - 1), end

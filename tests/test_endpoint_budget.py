@@ -1,0 +1,101 @@
+"""A fixed per-datagram work budget for the simulated QUIC connection.
+
+"Tracking the QUIC Spin Bit on Tofino" (PAPERS.md) fits the observer
+into a fixed amount of work per packet; the scanner's endpoints should
+be held to the same kind of budget.  Wall-clock time is too noisy for a
+tier-1 gate, so this counts Python-level calls instead — every Python
+function entered and every C function called (``sys.setprofile``
+``call`` + ``c_call`` events) while one seeded ``run_exchange`` runs,
+endpoints, paths, event loop, recorder and application included —
+divided by the datagrams the two paths delivered.  The count is a pure
+function of the code and the seed: it repeats exactly, so a regression
+shows as a number, not as a flaky timing.
+
+Measured when the budget was set (same seeds, same counter):
+
+====================  ==============  ===========
+exchange              before (PR 12)  this change
+====================  ==============  ===========
+64 kB, loss-free               216.9        102.8
+420 kB, loss-free              254.2         87.1
+420 kB, 2 % loss               342.0        101.6
+2 MB, loss-free                471.0         84.1
+====================  ==============  ===========
+"""
+
+import sys
+
+import pytest
+
+from repro._util.rng import derive_rng
+from repro.core.spin import SpinPolicy
+from repro.netsim.path import Path, PathProfile
+from repro.web.http3 import ResponsePlan, run_exchange
+
+#: Calls per delivered datagram a loss-free exchange may cost.
+BUDGET = 130.0
+#: The 2 % loss exchange at its measured value; the gate allows +10 %.
+LOSSY_MEASURED = 101.6
+
+
+def calls_per_datagram(body_bytes, loss=0.0, seed=5):
+    """``(calls / delivered datagram, delivered datagrams)`` of one exchange."""
+    plan = ResponsePlan(server_header="x", think_time_ms=10.0, write_sizes=(body_bytes,))
+    profile = PathProfile(propagation_delay_ms=15.0, loss_probability=loss)
+    deliver = Path._deliver.__code__
+    calls = delivered = 0
+
+    def count(frame, event, arg):
+        nonlocal calls, delivered
+        if event == "call":
+            calls += 1
+            if frame.f_code is deliver:
+                delivered += 1
+        elif event == "c_call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        result = run_exchange(
+            "www.budget.test", plan, SpinPolicy.SPIN, SpinPolicy.SPIN,
+            profile, profile, derive_rng(seed, "budget"),
+        )
+    finally:
+        sys.setprofile(previous)
+    assert result.success
+    return calls / delivered, delivered
+
+
+@pytest.fixture(scope="module")
+def sustained():
+    """A 420 kB transfer, the reference for the long-connection check."""
+    return calls_per_datagram(420_000)
+
+
+class TestWorkBudget:
+    def test_loss_free_exchange_fits_the_budget(self):
+        """A scan-sized fetch: ~96 datagrams, handshake included."""
+        per_datagram, delivered = calls_per_datagram(64_000)
+        assert 90 <= delivered <= 100
+        assert per_datagram <= BUDGET
+
+    def test_lossy_exchange_stays_at_its_measured_cost(self):
+        """Holes in the received runs, multi-range ACKs, buffered stream
+        chunks and probe timeouts may cost no more than they did."""
+        per_datagram, _ = calls_per_datagram(420_000, loss=0.02, seed=8)
+        assert per_datagram <= LOSSY_MEASURED * 1.10
+
+    def test_the_count_repeats_exactly(self):
+        assert calls_per_datagram(30_000) == calls_per_datagram(30_000)
+
+    def test_sustained_transfer_fits_the_budget(self, sustained):
+        assert sustained[0] <= BUDGET
+
+    def test_cost_per_datagram_does_not_grow_with_connection_length(self, sustained):
+        """Ack and loss state are O(window): 2 MB costs per datagram what
+        420 kB does (the full walk over every packet number ever sent
+        made it 1.85x)."""
+        long_run, delivered = calls_per_datagram(2_000_000)
+        assert delivered > 2_000
+        assert long_run <= sustained[0] * 1.10

@@ -9,21 +9,38 @@ from repro.netsim.events import Simulator
 from repro.netsim.path import PathProfile, duplex_paths
 from repro.qlog.recorder import TraceRecorder
 from repro.quic.connection import ConnectionConfig, PacketSpace, QuicEndpoint
-from repro.quic.connection import _pns_to_ranges
-from repro.quic.frames import AckRange
+from repro.quic.connection import _note_received
 from repro.web.http3 import ResponsePlan, run_exchange
 
 
+def runs_of(arrivals):
+    """Received runs after ``arrivals``, each of which must be new."""
+    runs = []
+    for pn in arrivals:
+        assert _note_received(runs, pn)
+    return runs
+
+
 class TestPnsToRanges:
+    """Received packet numbers are kept as the runs an ACK reports."""
+
     def test_contiguous(self):
-        assert _pns_to_ranges({0, 1, 2}) == (AckRange(0, 2),)
+        assert runs_of([0, 1, 2]) == [[0, 2]]
 
     def test_with_gaps(self):
-        ranges = _pns_to_ranges({0, 1, 4, 5, 9})
-        assert ranges == (AckRange(9, 9), AckRange(4, 5), AckRange(0, 1))
+        assert runs_of([0, 1, 4, 5, 9]) == [[0, 1], [4, 5], [9, 9]]
+        # Arrival order does not matter; a filled hole merges its neighbours.
+        assert runs_of([9, 5, 0, 4, 1]) == [[0, 1], [4, 5], [9, 9]]
+        assert runs_of([0, 1, 4, 5, 3, 2]) == [[0, 5]]
 
     def test_single(self):
-        assert _pns_to_ranges({7}) == (AckRange(7, 7),)
+        assert runs_of([7]) == [[7, 7]]
+
+    def test_duplicate_is_reported_and_changes_nothing(self):
+        runs = runs_of([0, 1, 4])
+        for pn in (0, 1, 4):
+            assert not _note_received(runs, pn)
+        assert runs == [[0, 1], [4, 4]]
 
 
 def build_pair(seed=0, loss=0.0, jitter=None):
@@ -88,14 +105,15 @@ class TestHandshakeInternals:
 
         # Deliver the last server datagram once more.
         received_before = len(recorder.received)
-        pn_count_before = len(client.spaces[PacketSpace.APPLICATION].received_pns)
+        state = client.spaces[PacketSpace.APPLICATION]
+        runs_before = [list(run) for run in state.received_runs]
+        pending_before = state.pending_ack_eliciting
         client.receive_datagram = original_receive
         original_receive(captured[-1])
         assert len(recorder.received) > received_before  # recorded again
-        assert (
-            len(client.spaces[PacketSpace.APPLICATION].received_pns)
-            == pn_count_before  # but not re-processed
-        )
+        # but not re-processed
+        assert state.received_runs == runs_before
+        assert state.pending_ack_eliciting == pending_before
 
 
 class TestAckBehaviour:
@@ -170,10 +188,11 @@ class TestCongestionWindow:
         before = server._congestion_window
         # Simulate a PTO-detected loss on the server's app space.
         state = server.spaces[PacketSpace.APPLICATION]
-        if state.sent:
-            pn, info = next(iter(state.sent.items()))
-            info.acked = False
-            info.retransmitted = False
-            server.closed = False
-            server._pto_fired(PacketSpace.APPLICATION, pn, retries=0)
-            assert server._congestion_window <= max(2, before // 2) or before <= 2
+        assert not state.sent  # everything was acknowledged and dropped
+        server.closed = False
+        server.send_ping()  # an ack-eliciting packet that is never acked
+        (pn,) = state.sent
+        server._pto_fired(PacketSpace.APPLICATION, pn, retries=0)
+        assert server._congestion_window == max(2, before // 2)
+        assert state.sent[pn].retransmitted
+        assert len(state.sent) == 2  # the probe awaits its own ACK
