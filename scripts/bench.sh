@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Per-PR perf gate: run the tier-1 tests, then the perf benchmarks
-# (analyze throughput; telemetry, fault, profiler, and
-# migration-resolver overhead; query pushdown and service query
-# latency; scan and monitor throughput are `python3 -m bench run
-# --workload campaign_week|monitor_steady|monitor_churn`, the
+# (telemetry, fault, profiler, and migration-resolver overhead; service
+# query latency; scan, monitor, analyze and query throughput are
+# `python3 -m bench run --workload
+# campaign_week|monitor_steady|monitor_churn|archive_query`, the
 # benchmark of record),
 # and append each benchmark's result (stamped with commit and timestamp)
 # to BENCH_history.jsonl so every PR records its perf delta.  The cbr
@@ -51,9 +51,6 @@ if second.getvalue() != first.getvalue():
 print(f"cbr round-trip identity OK ({len(records)} records)")
 PY
 
-echo "== analyze-throughput benchmark =="
-python -m pytest -q -s benchmarks/test_perf_analyze_throughput.py
-
 echo "== telemetry-overhead benchmark =="
 python -m pytest -q -s benchmarks/test_perf_telemetry_overhead.py
 
@@ -65,9 +62,6 @@ python -m pytest -q -s benchmarks/test_perf_profile_overhead.py
 
 echo "== migration-overhead benchmark =="
 python -m pytest -q -s benchmarks/test_perf_migration_overhead.py
-
-echo "== query-pushdown benchmark =="
-python -m pytest -q -s benchmarks/test_perf_query_pushdown.py
 
 echo "== service-query benchmark =="
 python -m pytest -q -s benchmarks/test_perf_service_query.py
@@ -88,12 +82,10 @@ timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat(
     timespec="seconds"
 )
 for result_file in (
-    "BENCH_analyze_throughput.json",
     "BENCH_telemetry_overhead.json",
     "BENCH_fault_overhead.json",
     "BENCH_profile_overhead.json",
     "BENCH_migration_overhead.json",
-    "BENCH_query_pushdown.json",
     "BENCH_service_query.json",
 ):
     result = json.loads(pathlib.Path(result_file).read_text())

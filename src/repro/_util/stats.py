@@ -128,7 +128,7 @@ class Histogram:
         if value < self.edges[0]:
             self.underflow += 1
             return
-        if value >= self.edges[-1]:
+        if not value < self.edges[-1]:  # NaN too: no bin holds it
             self.overflow += 1
             return
         index = bisect.bisect_right(self.edges, value) - 1

@@ -14,10 +14,12 @@ packet number), plus the Section 5.2 reordering-impact summary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro._util.stats import Histogram
-from repro.core.metrics import AccuracyResult, compare_means
+from repro.artifacts.cbr import RecordBatch
+from repro.core.classify import SpinBehaviour
+from repro.core.metrics import AccuracyResult, accuracy_from_means
 from repro.web.scanner import ConnectionRecord
 
 __all__ = [
@@ -293,8 +295,8 @@ class AccuracyFold:
 
     Connections without spin-bit RTT samples or without stack samples
     cannot be compared and are skipped (candidates with a single edge
-    yield no interval).  Only the RTT series are read — edge objects
-    are never touched, so projected artifact decodes suffice.
+    yield no interval).  Each series is summed once per connection and
+    both results are built from the means.
     """
 
     name = "accuracy"
@@ -310,29 +312,27 @@ class AccuracyFold:
             reordering=ReorderingImpact(),
         )
 
-    def update_many(self, records: Sequence[ConnectionRecord]) -> None:
+    def update_many(self, batch: RecordBatch) -> None:
         study = self._study
-        for connection in records:
-            observation = connection.observation
-            if len(observation.values_seen) != 2:
-                continue
-            stack_rtts = connection.stack_rtts_ms
-            received = observation.rtts_received_ms
-            sorted_series = observation.rtts_sorted_ms
-            if not stack_rtts or not received or not sorted_series:
+        grease = SpinBehaviour.GREASE
+        for mask, stack_rtts, received, sorted_series, behaviour in zip(
+            batch.masks, batch.stacks, batch.rtts_received, batch.rtts_sorted,
+            batch.behaviours,
+        ):
+            if mask != 3 or not stack_rtts or not received or not sorted_series:
                 continue
             # Degenerate series (all-zero intervals from identically
             # timestamped packets, or a non-positive stack baseline) have
             # no meaningful ratio and are excluded, like empty ones.
-            if (
-                sum(received) <= 0.0
-                or sum(sorted_series) <= 0.0
-                or sum(stack_rtts) <= 0.0
-            ):
+            sum_received = sum(received)
+            sum_sorted = sum(sorted_series)
+            sum_stack = sum(stack_rtts)
+            if sum_received <= 0.0 or sum_sorted <= 0.0 or sum_stack <= 0.0:
                 continue
-            result_r = compare_means(received, stack_rtts)
-            result_s = compare_means(sorted_series, stack_rtts)
-            if connection.behaviour.value == "grease":
+            quic_mean = sum_stack / len(stack_rtts)
+            result_r = accuracy_from_means(sum_received / len(received), quic_mean)
+            result_s = accuracy_from_means(sum_sorted / len(sorted_series), quic_mean)
+            if behaviour is grease:
                 study.grease_received.add(result_r)
                 study.grease_sorted.add(result_s)
             else:
@@ -355,7 +355,5 @@ class AccuracyFold:
 def accuracy_study(connections: Iterable[ConnectionRecord]) -> AccuracyStudy:
     """Run the Section 5 analysis over spin-active connection records."""
     fold = AccuracyFold()
-    fold.update_many(
-        connections if isinstance(connections, Sequence) else list(connections)
-    )
+    fold.update_many(RecordBatch.coerce(connections))
     return fold.finish()

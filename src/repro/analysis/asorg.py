@@ -12,8 +12,9 @@ paper's Table 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
+from repro.artifacts.cbr import RecordBatch
 from repro.core.classify import SpinBehaviour
 from repro.internet.asdb import AsDatabase
 from repro.web.scanner import ConnectionRecord
@@ -75,8 +76,9 @@ class OrgFold:
     Only successful QUIC connections are attributed; spin activity uses
     the unfiltered candidate criterion plus grease filtering, i.e. the
     ``SPIN`` behaviour class, consistent with the paper's "Spin #".
-    Prefix lookups are cached per IP — campaigns revisit the same
-    addresses constantly (redirect chains, follow-up probes).
+    Prefix lookups are cached per address key (the batch's ``ip_keys``
+    integers) — campaigns revisit the same addresses constantly
+    (redirect chains, follow-up probes).
     """
 
     name = "orgs"
@@ -88,25 +90,26 @@ class OrgFold:
         self._top_n = top_n
         self._totals: dict[str, int] = {}
         self._spins: dict[str, int] = {}
-        self._org_of: dict = {}
+        self._org_of: dict[int, str] = {}
 
-    def update_many(self, records: Sequence[ConnectionRecord]) -> None:
+    def update_many(self, batch: RecordBatch) -> None:
         totals = self._totals
         spins = self._spins
         org_of = self._org_of
-        lookup = self._asdb.lookup
+        lookup = self._asdb.lookup_value
         spin = SpinBehaviour.SPIN
-        for connection in records:
-            if not connection.success:
+        for success, key, behaviour in zip(
+            batch.successes, batch.ip_keys, batch.behaviours
+        ):
+            if not success:
                 continue
-            ip = connection.ip
-            org = org_of.get(ip)
+            org = org_of.get(key)
             if org is None:
-                entry = lookup(ip)
+                entry = lookup(key >> 1, 6 if key & 1 else 4)
                 org = entry.org_name if entry is not None else "<unrouted>"
-                org_of[ip] = org
+                org_of[key] = org
             totals[org] = totals.get(org, 0) + 1
-            if connection.behaviour is spin:
+            if behaviour is spin:
                 spins[org] = spins.get(org, 0) + 1
 
     def counts(self) -> tuple[dict[str, int], dict[str, int]]:
@@ -165,7 +168,5 @@ def organization_table(
 ) -> OrgTable:
     """Build the Table 2 aggregation from connection records."""
     fold = OrgFold(asdb, top_n=top_n)
-    fold.update_many(
-        connections if isinstance(connections, Sequence) else list(connections)
-    )
+    fold.update_many(RecordBatch.coerce(connections))
     return fold.finish()

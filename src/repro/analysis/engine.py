@@ -4,27 +4,29 @@ Every analysis section of the repro pipeline is a **fold**: an
 accumulator object with
 
 * ``name`` — the section identifier (``"orgs"``, ``"accuracy"``, ...);
-* ``update_many(records)`` — absorb one batch of decoded
-  :class:`~repro.web.scanner.ConnectionRecord` objects (the batch loop
-  lives *inside* the fold, so per-record dispatch costs one method call
-  per batch and section, not per record and section);
+* ``update_many(batch)`` — absorb one
+  :class:`~repro.artifacts.cbr.RecordBatch`, reading its columns (the
+  loop lives *inside* the fold and runs over two to five parallel
+  columns; no fold touches a :class:`~repro.web.scanner.ConnectionRecord`,
+  so none is built for it);
 * ``finish()`` — produce the section's result object (the same type the
   section's classic function returns).
 
 :class:`AnalysisEngine` drives any number of folds over one shared
 stream of record batches, so ``repro analyze`` with every section
 enabled decodes the artifact exactly once and holds one batch in memory
-at a time.  The classic per-section functions
-(:func:`~repro.analysis.asorg.organization_table`,
-:func:`~repro.analysis.accuracy.accuracy_study`, ...) are thin wrappers
-that run their fold over an in-memory list — same code path, same
-results.
+at a time.  Plain lists of records are turned into batches once, at the
+edge (:meth:`AnalysisEngine.run` and the classic per-section functions
+— :func:`~repro.analysis.asorg.organization_table`,
+:func:`~repro.analysis.accuracy.accuracy_study`, ...), so every input
+takes the same code path and gives the same results.
 
-Folds declare which decoded columns they touch via the class attributes
-``needs_edges_received`` / ``needs_edges_sorted``; the engine aggregates
-them so the cbr reader can skip materializing edge objects nobody will
-read (projection pushdown).  Absent attributes count as *needed* —
-unknown folds never see partial records.
+Folds declare whether they read the *records* of a batch, and then
+which edge lists, via the class attributes ``needs_edges_received`` /
+``needs_edges_sorted``; the engine aggregates them so the cbr reader can
+skip the edge blocks no built record will show (projection pushdown).
+The six folds here read columns only and declare ``False``.  Absent
+attributes count as *needed* — unknown folds never see partial records.
 
 The domain-scoped sections (support, config, compliance) fold over
 domain results / weekly activity flags instead of connection records;
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Protocol, Sequence
 
+from repro.artifacts.cbr import RecordBatch
 from repro.web.scanner import ConnectionRecord
 
 __all__ = ["AnalysisEngine", "RecordFold", "build_record_folds"]
@@ -48,7 +51,7 @@ class RecordFold(Protocol):
 
     name: str
 
-    def update_many(self, records: Sequence[ConnectionRecord]) -> None: ...
+    def update_many(self, batch: RecordBatch) -> None: ...
 
     def finish(self) -> Any: ...
 
@@ -78,13 +81,14 @@ class AnalysisEngine:
 
     def run(
         self,
-        batches: Iterable[Sequence[ConnectionRecord]],
+        batches: Iterable[RecordBatch | Sequence[ConnectionRecord]],
         predicate=None,
         stats=None,
     ) -> dict[str, Any]:
         """One pass over ``batches``; returns ``{section: result}``.
 
-        Results preserve the fold order given at construction.
+        Results preserve the fold order given at construction.  A batch
+        may be a plain list of records; it is given columns here.
         ``predicate`` (a :class:`repro.analysis.query.Predicate`) is the
         residual filter of a pushed-down query: every batch is filtered
         before the folds see it, so the same folds over a zone-pruned
@@ -108,6 +112,7 @@ class AnalysisEngine:
                         fold.update_many(matched)
         else:
             for batch in batches:
+                batch = RecordBatch.coerce(batch)
                 for fold in folds:
                     fold.update_many(batch)
         return {fold.name: fold.finish() for fold in folds}
@@ -124,6 +129,8 @@ class AnalysisEngine:
                 if predicate is not None or stats is not None:
                     with profiler.phase("filter"):
                         batch = filter_batch(batch, predicate, stats)
+                else:
+                    batch = RecordBatch.coerce(batch)
                 if not batch:
                     continue
                 for fold in folds:

@@ -11,11 +11,12 @@ accuracy picture.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import Iterable, Sequence
 
+from repro.artifacts.cbr import RecordBatch
 from repro.core.heuristics import DynamicThresholdFilter, StaticThresholdFilter
-from repro.core.metrics import AccuracyResult, compare_means
-from repro.core.observer import spin_rtts_from_edges
+from repro.core.metrics import AccuracyResult, accuracy_from_means
 from repro.web.scanner import ConnectionRecord
 
 __all__ = [
@@ -136,13 +137,17 @@ class FilterStudy:
 class FilterFold:
     """Streaming accumulator behind :func:`run_filter_study`.
 
-    The only analysis fold that reads the received-order *edge* objects
-    (the hold-time filter works on edges, not samples), so it declares
-    ``needs_edges_received``.
+    The hold-time filter works on edges, not samples; an edge's arrival
+    time is all it reads, so the fold runs it over the batch's
+    ``times_received`` column.  The stack mean is computed once per
+    connection and shared by the four variants.  A series whose mean is
+    not positive (identically timestamped packets) has no ratio: the
+    connection is skipped when that is the raw series or the stack
+    baseline, and counted in ``connections_lost`` for a filter variant.
     """
 
     name = "filters"
-    needs_edges_received = True
+    needs_edges_received = False
     needs_edges_sorted = False
 
     def __init__(
@@ -155,30 +160,31 @@ class FilterFold:
         self._hold = FilterOutcome(f"hold-time {hold_fraction:g}", [])
         self._combined = FilterOutcome("static + hold-time", [])
 
-    def update_many(self, records: Sequence[ConnectionRecord]) -> None:
+    def update_many(self, batch: RecordBatch) -> None:
         static_filter = self._static_filter
         hold_filter = self._hold_filter
         raw_results = self._raw.results
-        for record in records:
-            observation = record.observation
-            if len(observation.values_seen) != 2:
+        for mask, stack, base, times in zip(
+            batch.masks, batch.stacks, batch.rtts_received, batch.times_received
+        ):
+            if mask != 3 or not stack or not base:
                 continue
-            stack = record.stack_rtts_ms
-            base = observation.rtts_received_ms
-            if not stack or not base:
+            sum_base = sum(base)
+            sum_stack = sum(stack)
+            if sum_base <= 0.0 or sum_stack <= 0.0:
                 continue
-            raw_results.append(compare_means(base, stack))
+            quic_mean = sum_stack / len(stack)
+            raw_results.append(accuracy_from_means(sum_base / len(base), quic_mean))
 
             static_series = static_filter.filter_rtts(base)
-            _append(self._static, static_series, stack)
+            _append(self._static, static_series, quic_mean)
 
-            hold_series = spin_rtts_from_edges(
-                hold_filter.filter_edges(observation.edges_received)
-            )
-            _append(self._hold, hold_series, stack)
+            hold_times = hold_filter.filter_times(times)
+            hold_series = list(map(sub, hold_times[1:], hold_times))
+            _append(self._hold, hold_series, quic_mean)
 
             combined_series = static_filter.filter_rtts(hold_series)
-            _append(self._combined, combined_series, stack)
+            _append(self._combined, combined_series, quic_mean)
 
     def finish(self) -> FilterStudy:
         return FilterStudy(
@@ -202,12 +208,13 @@ def run_filter_study(
     averages.
     """
     fold = FilterFold(static_floor_ms=static_floor_ms, hold_fraction=hold_fraction)
-    fold.update_many(records if isinstance(records, Sequence) else list(records))
+    fold.update_many(RecordBatch.coerce(records))
     return fold.finish()
 
 
-def _append(outcome: FilterOutcome, series: list[float], stack: list[float]) -> None:
-    if series:
-        outcome.results.append(compare_means(series, stack))
-    else:
+def _append(outcome: FilterOutcome, series: Sequence[float], quic_mean: float) -> None:
+    total = sum(series)
+    if not series or total <= 0.0:
         outcome.connections_lost += 1
+    else:
+        outcome.results.append(accuracy_from_means(total / len(series), quic_mean))

@@ -5,8 +5,9 @@ provider, per week, per failure kind — over artifacts that only grow
 week by week.  This module turns those filters into a small
 :class:`Predicate` AST that can answer two questions:
 
-* :meth:`Predicate.matches` — does this decoded record satisfy the
-  filter?  (the *residual* filter; always exact)
+* :meth:`Predicate.select` — which rows of this decoded batch satisfy
+  the filter?  (the *residual* filter; always exact, and read off the
+  batch's columns, so no record is built to be rejected)
 * :meth:`Predicate.prune` — does this chunk's footer zone map *prove*
   that no record inside can match?  (the pushdown; always conservative)
 
@@ -14,8 +15,8 @@ week by week.  This module turns those filters into a small
 :class:`repro.artifacts.cbr.CbrWriter` — per-chunk zone maps plus the
 optional domain-hash secondary index — and returns exactly the chunk
 ordinals worth inflating.  Because pruning only ever skips chunks the
-zone maps prove empty of matches, and every surviving record still
-passes through :meth:`matches`, the pruned result is byte-identical to
+zone maps prove empty of matches, and every surviving row still passes
+through :meth:`select`, the pruned result is byte-identical to
 brute-force "decode everything, then filter".
 
 Zone-map semantics the planner relies on (see ``_zone_entry`` in the
@@ -30,9 +31,9 @@ unparseable — identically in the zone and residual paths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from repro.artifacts.cbr import bloom_might_contain, week_serial
+from repro.artifacts.cbr import RecordBatch, bloom_might_contain, week_serial
 from repro.web.scanner import ConnectionRecord
 
 __all__ = [
@@ -76,10 +77,6 @@ _ALIASES = {
     "time": "t",
 }
 
-#: Fields whose residual filter reads the received-edge column, so the
-#: engine must not project it away.
-_EDGE_FIELDS = frozenset({"edges", "t"})
-
 #: Fields with a totally ordered domain, eligible for ``between``.
 _RANGE_FIELDS = frozenset({"week", "t", "edges", "status"})
 
@@ -94,27 +91,36 @@ def _canonical_field(name: str) -> str:
     return name
 
 
-def _record_value(name: str, record: ConnectionRecord):
-    """The scalar a record exposes for ``name`` (``None``: absent)."""
+def _scalar_field(name: str, operator: str) -> str:
+    """``name`` canonicalized, for an operator that compares one scalar
+    per record (``t`` is a record's whole series of edge times)."""
+    name = _canonical_field(name)
+    if name == "t":
+        raise QueryError(f"field 't' does not support {operator!r}")
+    return name
+
+
+def _column(batch: RecordBatch, name: str) -> Sequence:
+    """The scalar each row exposes for ``name`` (``None``: absent)."""
     if name == "domain":
-        return record.domain
+        return batch.domains
     if name == "provider":
-        return record.provider_name
+        return batch.providers
     if name == "week":
-        return week_serial(record.week)
+        return list(map(week_serial, batch.weeks))
     if name == "failure":
-        return None if record.failure is None else record.failure.value
+        return [None if kind is None else kind.value for kind in batch.failures]
     if name == "behaviour":
-        return record.behaviour.value
+        return [behaviour.value for behaviour in batch.behaviours]
     if name == "edges":
-        return len(record.observation.edges_received)
+        return list(map(len, batch.times_received))
     if name == "status":
-        return record.status
+        return batch.statuses
     if name == "version":
-        return record.negotiated_version
+        return batch.versions
     if name == "success":
-        return record.success
-    raise AssertionError(name)  # pragma: no cover - guarded by _canonical_field
+        return batch.successes
+    raise AssertionError(name)  # pragma: no cover - guarded by _scalar_field
 
 
 def _zone_excludes_values(zone: dict, name: str, values: Sequence) -> bool:
@@ -144,10 +150,15 @@ def _zone_excludes_values(zone: dict, name: str, values: Sequence) -> bool:
 
 
 class Predicate:
-    """Base class: a filter that can both match records and prune chunks."""
+    """Base class: a filter that can both select rows and prune chunks."""
+
+    def select(self, batch: RecordBatch, rows: Iterable[int]) -> list[int]:
+        """Those of ``rows`` (row numbers of ``batch``) that match, in order."""
+        raise NotImplementedError
 
     def matches(self, record: ConnectionRecord) -> bool:
-        raise NotImplementedError
+        """Whether one record matches: :meth:`select` over a one-row batch."""
+        return bool(self.select(RecordBatch.from_records([record]), (0,)))
 
     def prune(self, zone: dict) -> bool:
         """``True`` only when ``zone`` proves no record can match."""
@@ -158,7 +169,10 @@ class Predicate:
 
     @property
     def needs_edges_received(self) -> bool:
-        return not _EDGE_FIELDS.isdisjoint(self.fields())
+        """Whether selecting reads edge objects of built records: never —
+        ``edges`` and ``t`` read the ``times_received`` column, which
+        every decode carries."""
+        return False
 
     def point_domains(self) -> frozenset[str] | None:
         """The finite domain-name set this filter restricts to, if any.
@@ -179,16 +193,17 @@ class Eq(Predicate):
     def __post_init__(self) -> None:
         object.__setattr__(self, "name", _canonical_field(self.name))
 
-    def matches(self, record: ConnectionRecord) -> bool:
+    def select(self, batch: RecordBatch, rows: Iterable[int]) -> list[int]:
+        value = self.value
         if self.name == "t":
-            return any(
-                edge.time_ms == self.value
-                for edge in record.observation.edges_received
-            )
+            times = batch.times_received
+            return [row for row in rows if any(t == value for t in times[row])]
         if self.name == "week":
-            serial = week_serial(self.value)  # type: ignore[arg-type]
-            return serial is not None and _record_value("week", record) == serial
-        return _record_value(self.name, record) == self.value
+            value = week_serial(value)  # type: ignore[arg-type]
+            if value is None:
+                return []
+        column = _column(batch, self.name)
+        return [row for row in rows if column[row] == value]
 
     def prune(self, zone: dict) -> bool:
         if self.name == "t":
@@ -214,14 +229,15 @@ class In(Predicate):
     values: frozenset
 
     def __init__(self, name: str, values) -> None:
-        object.__setattr__(self, "name", _canonical_field(name))
+        object.__setattr__(self, "name", _scalar_field(name, "in"))
         object.__setattr__(self, "values", frozenset(values))
 
-    def matches(self, record: ConnectionRecord) -> bool:
+    def select(self, batch: RecordBatch, rows: Iterable[int]) -> list[int]:
+        values = self.values
         if self.name == "week":
-            serials = {week_serial(v) for v in self.values} - {None}
-            return _record_value("week", record) in serials
-        return _record_value(self.name, record) in self.values
+            values = {week_serial(v) for v in values} - {None}
+        column = _column(batch, self.name)
+        return [row for row in rows if column[row] in values]
 
     def prune(self, zone: dict) -> bool:
         if self.name == "week":
@@ -266,17 +282,18 @@ class Between(Predicate):
             return week_serial(self.low), week_serial(self.high)
         return self.low, self.high
 
-    def matches(self, record: ConnectionRecord) -> bool:
+    def select(self, batch: RecordBatch, rows: Iterable[int]) -> list[int]:
         low, high = self._bounds()
         if low is None or high is None:  # unparseable week bound
-            return False
+            return []
         if self.name == "t":
-            return any(
-                low <= edge.time_ms <= high
-                for edge in record.observation.edges_received
-            )
-        value = _record_value(self.name, record)
-        return value is not None and low <= value <= high
+            times = batch.times_received
+            return [row for row in rows if any(low <= t <= high for t in times[row])]
+        column = _column(batch, self.name)
+        return [
+            row for row in rows
+            if column[row] is not None and low <= column[row] <= high
+        ]
 
     def prune(self, zone: dict) -> bool:
         low, high = self._bounds()
@@ -309,10 +326,11 @@ class Present(Predicate):
     name: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "name", _canonical_field(self.name))
+        object.__setattr__(self, "name", _scalar_field(self.name, "present"))
 
-    def matches(self, record: ConnectionRecord) -> bool:
-        return _record_value(self.name, record) is not None
+    def select(self, batch: RecordBatch, rows: Iterable[int]) -> list[int]:
+        column = _column(batch, self.name)
+        return [row for row in rows if column[row] is not None]
 
     def prune(self, zone: dict) -> bool:
         if self.name == "failure":
@@ -336,8 +354,10 @@ class And(Predicate):
         if not self.clauses:
             raise QueryError("empty conjunction")
 
-    def matches(self, record: ConnectionRecord) -> bool:
-        return all(clause.matches(record) for clause in self.clauses)
+    def select(self, batch: RecordBatch, rows: Iterable[int]) -> list[int]:
+        for clause in self.clauses:
+            rows = clause.select(batch, rows)
+        return list(rows)
 
     def prune(self, zone: dict) -> bool:
         # One clause proving emptiness is enough for the conjunction.
@@ -523,17 +543,22 @@ def plan_chunks(
 
 
 def filter_batch(
-    batch: Sequence[ConnectionRecord],
+    batch: RecordBatch | Sequence[ConnectionRecord],
     predicate: Predicate | None,
     stats: QueryStats | None = None,
-) -> Sequence[ConnectionRecord]:
-    """Apply the residual filter to one decoded batch."""
+) -> RecordBatch:
+    """Apply the residual filter to one decoded batch.
+
+    The result is the batch of the matching rows; only they are ever
+    built into records (a point lookup builds one, not the chunk).
+    """
+    batch = RecordBatch.coerce(batch)
     if stats is not None:
         stats.records_scanned += len(batch)
     if predicate is None:
         matched = batch
     else:
-        matched = [record for record in batch if predicate.matches(record)]
+        matched = batch.take(predicate.select(batch, range(len(batch))))
     if stats is not None:
         stats.records_matched += len(matched)
     return matched

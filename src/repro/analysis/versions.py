@@ -11,8 +11,9 @@ negotiation machinery sees use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
+from repro.artifacts.cbr import RecordBatch
 from repro.quic.version import QuicVersion
 from repro.web.scanner import ConnectionRecord
 
@@ -54,11 +55,10 @@ class VersionFold:
     def __init__(self) -> None:
         self._counts: dict[int, int] = {}
 
-    def update_many(self, records: Sequence[ConnectionRecord]) -> None:
+    def update_many(self, batch: RecordBatch) -> None:
         counts = self._counts
-        for record in records:
-            version = record.negotiated_version
-            if version is None or not record.success:
+        for version, success in zip(batch.versions, batch.successes):
+            if version is None or not success:
                 continue
             counts[version] = counts.get(version, 0) + 1
 
@@ -96,5 +96,5 @@ def version_distribution_from_counts(
 def version_distribution(records: Iterable[ConnectionRecord]) -> list[VersionShare]:
     """Per-version connection counts, descending by share."""
     fold = VersionFold()
-    fold.update_many(records if isinstance(records, Sequence) else list(records))
+    fold.update_many(RecordBatch.coerce(records))
     return fold.finish()

@@ -11,8 +11,9 @@ actual response bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
+from repro.artifacts.cbr import RecordBatch
 from repro.core.classify import SpinBehaviour
 from repro.web.scanner import ConnectionRecord
 
@@ -49,16 +50,18 @@ class WebserverFold:
         self._spinning_only = spinning_only
         self._counts: dict[str, int] = {}
 
-    def update_many(self, records: Sequence[ConnectionRecord]) -> None:
+    def update_many(self, batch: RecordBatch) -> None:
         counts = self._counts
         spinning_only = self._spinning_only
         spin = SpinBehaviour.SPIN
-        for connection in records:
-            if not connection.success:
+        for success, behaviour, header in zip(
+            batch.successes, batch.behaviours, batch.headers
+        ):
+            if not success:
                 continue
-            if spinning_only and connection.behaviour is not spin:
+            if spinning_only and behaviour is not spin:
                 continue
-            header = connection.server_header or "<none>"
+            header = header or "<none>"
             counts[header] = counts.get(header, 0) + 1
 
     def counts(self) -> dict[str, int]:
@@ -94,7 +97,5 @@ def webserver_shares(
 ) -> list[WebserverShare]:
     """Connection share per ``server`` header, descending."""
     fold = WebserverFold(spinning_only=spinning_only)
-    fold.update_many(
-        connections if isinstance(connections, Sequence) else list(connections)
-    )
+    fold.update_many(RecordBatch.coerce(connections))
     return fold.finish()

@@ -8,10 +8,11 @@ is: :func:`open_record_batches` sniffs the magic bytes and yields
 decoded record batches either way, and :func:`write_records` picks the
 encoder from an explicit format or the file extension.
 
-Batches (lists of :class:`~repro.web.scanner.ConnectionRecord`) are the
-unit of streaming everywhere: one cbr chunk, or up to
-``DEFAULT_BATCH_RECORDS`` JSONL lines.  Memory stays bounded by the
-batch size, never the artifact size.
+Batches (:class:`~repro.artifacts.cbr.RecordBatch`: the records as
+parallel columns, built into :class:`~repro.web.scanner.ConnectionRecord`
+objects only for whoever iterates one) are the unit of streaming
+everywhere: one cbr chunk, or up to ``DEFAULT_BATCH_RECORDS`` JSONL
+lines.  Memory stays bounded by the batch size, never the artifact size.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from repro.artifacts.cbr import (
     CbrWriter,
     KIND_DOMAINS,
     KIND_RECORDS,
+    RecordBatch,
     concat_frames,
     write_records_cbr,
 )
@@ -45,6 +47,7 @@ __all__ = [
     "DEFAULT_BATCH_RECORDS",
     "FORMAT_CBR",
     "FORMAT_JSONL",
+    "RecordBatch",
     "RecordBatchSource",
     "detect_format",
     "open_query_source",
@@ -90,7 +93,7 @@ class RecordBatchSource:
         "format", "_batches", "records_read", "corrupt_chunks", "_cbr", "stats",
     )
 
-    def __init__(self, format: str, batches: Iterator[list[ConnectionRecord]],
+    def __init__(self, format: str, batches: Iterator[RecordBatch],
                  cbr_reader=None, stats=None) -> None:
         self.format = format
         self._batches = batches
@@ -99,7 +102,7 @@ class RecordBatchSource:
         self.corrupt_chunks = 0
         self.stats = stats
 
-    def batches(self) -> Iterator[list[ConnectionRecord]]:
+    def batches(self) -> Iterator[RecordBatch]:
         for batch in self._batches:
             self.records_read += len(batch)
             if self._cbr is not None:
@@ -115,17 +118,15 @@ class RecordBatchSource:
             yield from batch
 
 
-def _jsonl_batches(
-    stream: IO[str], batch_records: int
-) -> Iterator[list[ConnectionRecord]]:
+def _jsonl_batches(stream: IO[str], batch_records: int) -> Iterator[RecordBatch]:
     batch: list[ConnectionRecord] = []
     for record in read_records(stream):
         batch.append(record)
         if len(batch) >= batch_records:
-            yield batch
+            yield RecordBatch.from_records(batch)
             batch = []
     if batch:
-        yield batch
+        yield RecordBatch.from_records(batch)
 
 
 @contextmanager
@@ -138,9 +139,9 @@ def open_record_batches(
 ) -> Iterator[RecordBatchSource]:
     """Open an artifact by path (``-`` = stdin) with format auto-detect.
 
-    The projection flags apply to cbr only (JSONL lines always carry
-    everything); ``errors="count"`` makes the cbr reader tolerant of
-    damaged chunks.  Yields a :class:`RecordBatchSource`.
+    The projection flags apply to the records a cbr batch builds (JSONL
+    lines always carry everything); ``errors="count"`` makes the cbr
+    reader tolerant of damaged chunks.  Yields a :class:`RecordBatchSource`.
     """
     if path == "-":
         raw: IO[bytes] = sys.stdin.buffer
@@ -198,7 +199,7 @@ def open_query_source(
     trailer is torn or missing, which previously raised in any
     footer-dependent path.
 
-    Batches still contain *unfiltered* records from the selected chunks;
+    Batches still contain the *unfiltered* rows of the selected chunks;
     residual filtering stays with the consumer (``AnalysisEngine.run``
     or :func:`repro.analysis.query.filter_batch`) so the pruned path is
     byte-identical to brute force by construction.

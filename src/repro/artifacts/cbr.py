@@ -34,6 +34,11 @@ text.  ``cbr`` stores the same records column-wise in compressed chunks:
   chunks).  Schema-1 footers (pre-zone-map files) still read
   everywhere; they simply offer the planner nothing to prune with.
 
+Decoding stays columnar: a chunk decodes into a :class:`RecordBatch` —
+its columns, validated — that analysis reads directly; the
+:class:`~repro.web.scanner.ConnectionRecord` objects of a batch are
+built only for a caller that iterates it.
+
 Two chunk kinds exist: ``KIND_RECORDS`` (plain connection records — the
 Appendix-B artifact) and ``KIND_DOMAINS`` (checkpoint shards: the same
 connection columns plus per-domain grouping columns and sampled qlog
@@ -69,9 +74,10 @@ import json
 import os
 import struct
 import zlib
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate as _accumulate
 from operator import sub as _operator_sub
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO
 
 from repro.core.classify import SpinBehaviour
 from repro.core.observer import SpinEdge, SpinObservation
@@ -89,6 +95,7 @@ __all__ = [
     "FOOTER_SCHEMA",
     "KIND_DOMAINS",
     "KIND_RECORDS",
+    "RecordBatch",
     "bloom_might_contain",
     "concat_frames",
     "domain_hash",
@@ -143,6 +150,10 @@ _FAILURES = {member.value: member for member in FailureKind}
 
 class CbrFormatError(ValueError):
     """Raised when a cbr stream violates the format (strict mode)."""
+
+
+#: What a damaged (CRC-valid) chunk payload makes the column decode raise.
+_COLUMN_DECODE_ERRORS = (CbrFormatError, KeyError, IndexError, ValueError, struct.error)
 
 
 # ----------------------------------------------------------------------
@@ -225,7 +236,10 @@ def _read_uv_column(buf: bytes, pos: int, count: int) -> tuple[list[int], int]:
     tag = buf[pos]
     pos += 1
     if tag == 0:
-        return list(buf[pos : pos + count]), pos + count
+        values = list(buf[pos : pos + count])
+        if len(values) != count:
+            raise CbrFormatError("truncated integer column")
+        return values, pos + count
     if tag == 1:
         return list(struct.unpack_from(f"<{count}H", buf, pos)), pos + 2 * count
     if tag == 2:
@@ -266,6 +280,8 @@ def _read_bits(buf: bytes, pos: int, count: int) -> tuple[list[bool], int]:
     for byte in buf[pos : pos + nbytes]:
         extend(table[byte])
     del flags[count:]
+    if len(flags) != count:
+        raise CbrFormatError("truncated bit column")
     return flags, pos + nbytes
 
 
@@ -648,212 +664,428 @@ class DomainResultData:
 def _decode_strings(buf: bytes, pos: int) -> tuple[list[str], int]:
     count, pos = _read_uv(buf, pos)
     strings: list[str] = []
+    append = strings.append
     for _ in range(count):
-        length, pos = _read_uv(buf, pos)
-        strings.append(buf[pos : pos + length].decode("utf-8"))
+        length = buf[pos]
+        if length < 0x80:
+            pos += 1
+        else:
+            length, pos = _read_uv(buf, pos)
+        append(str(buf[pos : pos + length], "utf-8"))
         pos += length
     return strings, pos
 
 
+def _split(flat: tuple, counts: list[int]) -> list[tuple]:
+    """``flat`` cut into one tuple per count, in order."""
+    parts: list[tuple] = []
+    append = parts.append
+    empty = ()
+    offset = 0
+    for count in counts:
+        if count:
+            append(flat[offset : offset + count])
+            offset += count
+        else:
+            append(empty)
+    return parts
+
+
+def _interned_ip(cache: dict, key: int) -> IpAddr:
+    """Decode-side IpAddr interning by ``value << 1 | is_v6``: frozen
+    instances are shared freely, and campaigns repeat addresses."""
+    ip = cache.get(key)
+    if ip is None:
+        ip = cache[key] = IpAddr(value=key >> 1, version=6 if key & 1 else 4)
+    return ip
+
+
 def _decode_edge_columns(
     buf: bytes, pos: int, n: int, build: bool
-) -> tuple[list[list[SpinEdge]] | None, list[tuple[float, ...]], int]:
-    """Decode one edge block; ``build=False`` skips the packet-number
-    column and edge-object construction (projection pushdown) but always
-    returns the per-record time tuples (derived RTT input)."""
+) -> tuple[tuple[list[int], list[int], list[bool]] | None, list[tuple[float, ...]], int]:
+    """Decode one edge block into per-record time tuples (always: the
+    derived RTT input) and, unless ``build=False`` skips them (projection
+    pushdown), the flat packet-number deltas and values with each
+    record's start offset — edge objects are built from those only when
+    a record is."""
     counts, pos = _read_uv_column(buf, pos, n)
     total = sum(counts)
     times, pos = _read_doubles(buf, pos, total)
     pn_bytes, pos = _read_uv(buf, pos)
-    per_record_times: list[tuple[float, ...]] = []
-    append_times = per_record_times.append
-    empty = ()
-    offset = 0
+    per_record_times = _split(times, counts)
     if not build:
-        pos += pn_bytes
-        for count in counts:
-            if count:
-                append_times(times[offset : offset + count])
-                offset += count
-            else:
-                append_times(empty)
-        pos += (total + 7) >> 3
-        return None, per_record_times, pos
+        return None, per_record_times, pos + pn_bytes + ((total + 7) >> 3)
     deltas, pos = _read_uv_list(buf, pos, total)
     values, pos = _read_bits(buf, pos, total)
-    edges: list[list[SpinEdge]] = []
-    append_edges = edges.append
-    unzig = _unzigzag
-    Edge = SpinEdge
-    for count in counts:
-        if not count:
-            append_times(empty)
-            append_edges([])
-            continue
-        end = offset + count
-        record_times = times[offset:end]
-        append_times(record_times)
-        pns = _accumulate(map(unzig, deltas[offset:end]))
-        append_edges(list(map(Edge, record_times, pns, values[offset:end])))
-        offset = end
-    return edges, per_record_times, pos
+    starts = list(_accumulate(counts, initial=0))
+    return (starts, deltas, values), per_record_times, pos
 
 
 def _decode_rtt_columns(
     buf: bytes, pos: int, per_record_times: list[tuple[float, ...]]
-) -> tuple[list[list[float]], int]:
+) -> tuple[list[tuple[float, ...]], int]:
     n = len(per_record_times)
     derived, pos = _read_bits(buf, pos, n)
     explicit_count = n - sum(derived)
     sub = _operator_sub
+    empty = ()
     if explicit_count == 0:
         # Common case: every series in the chunk equals its edge-time
         # diffs (scans without explicit resampling), so the column body
         # is empty and the whole block is derived in one comprehension.
+        # Pairwise diffs at C speed; map stops at the shorter operand,
+        # so a single-edge record falls out as ().
         counts, pos = _read_uv_column(buf, pos, 0)
-        return [list(map(sub, t[1:], t)) for t in per_record_times], pos
+        return [tuple(map(sub, t[1:], t)) if t else empty for t in per_record_times], pos
     counts, pos = _read_uv_column(buf, pos, explicit_count)
-    total = sum(counts)
-    flat, pos = _read_doubles(buf, pos, total)
-    series: list[list[float]] = []
+    flat, pos = _read_doubles(buf, pos, sum(counts))
+    series: list[tuple[float, ...]] = []
     append = series.append
     offset = 0
-    explicit_index = 0
+    next_count = iter(counts)
     for is_derived, times in zip(derived, per_record_times):
         if is_derived:
-            # Pairwise diffs at C speed; map stops at the shorter
-            # operand, so empty and single-sample series fall out as [].
-            append(list(map(sub, times[1:], times)))
+            append(tuple(map(sub, times[1:], times)) if times else empty)
         else:
-            count = counts[explicit_index]
-            explicit_index += 1
-            append(list(flat[offset : offset + count]))
+            count = next(next_count)
+            append(flat[offset : offset + count])
             offset += count
     return series, pos
 
 
-#: Decode-side IpAddr interning: frozen instances are shared freely, and
-#: campaigns repeat addresses (redirect chains, follow-up probes).
-def _ip_cache_get(cache: dict, value: int, version: int) -> IpAddr:
-    key = (value << 1) | (version == 6)
-    ip = cache.get(key)
-    if ip is None:
-        ip = IpAddr(value=value, version=version)
-        cache[key] = ip
-    return ip
+def _resolve_optional(indexes: list[int], values: list) -> list:
+    """``0`` -> ``None``, ``i`` -> ``values[i - 1]`` (raises when out of range)."""
+    if not any(indexes):
+        return [None] * len(indexes)
+    return [None if not index else values[index - 1] for index in indexes]
 
 
-def _decode_chunk(
+#: Per-record columns every analysis consumer reads (the six folds, every
+#: predicate node, the week indexer); a :class:`RecordBatch` always
+#: carries all of them, whatever it was built from.
+_ANALYSIS_COLUMNS = (
+    "domains", "providers", "headers", "statuses", "successes", "behaviours",
+    "masks", "versions", "failures", "weeks", "ip_keys", "times_received",
+    "rtts_received", "rtts_sorted", "stacks",
+)
+
+_VALUES_SEEN = (set(), {False}, {True}, {False, True})
+
+
+class _ChunkColumns:
+    """One chunk's decoded columns: validated, no record built yet.
+
+    Besides the analysis columns it keeps what only a full record needs
+    — ``hosts`` (``None`` = ``"www." + domain``), ``ip_versions``,
+    ``packets_seen`` and the raw edge blocks ``(starts, packet-number
+    deltas, values)``, ``None`` where projected away — and the reader's
+    IpAddr interning cache.
+    """
+
+    __slots__ = _ANALYSIS_COLUMNS + (
+        "hosts", "ip_versions", "packets_seen", "edges_received", "edges_sorted",
+        "times_sorted", "ip_cache",
+    )
+
+    def records(self, rows: Sequence[int]) -> list[ConnectionRecord]:
+        """Build the records of ``rows`` (chunk row numbers), in order."""
+        domains = self.domains
+        hosts = self.hosts
+        ip_keys = self.ip_keys
+        ip_cache = self.ip_cache
+        ip_versions = self.ip_versions
+        providers = self.providers
+        headers = self.headers
+        statuses = self.statuses
+        successes = self.successes
+        behaviours = self.behaviours
+        masks = self.masks
+        packets_seen = self.packets_seen
+        rtts_r = self.rtts_received
+        rtts_s = self.rtts_sorted
+        stacks = self.stacks
+        versions = self.versions
+        failures = self.failures
+        weeks = self.weeks
+        times_r = self.times_received
+        times_s = self.times_sorted
+        starts_r, deltas_r, values_r = self.edges_received or (None, None, None)
+        starts_s, deltas_s, values_s = self.edges_sorted or (None, None, None)
+        values_seen = _VALUES_SEEN
+        unzig = _unzigzag
+        Edge = SpinEdge
+        records: list[ConnectionRecord] = []
+        append = records.append
+        # Hot loop: records are built via ``__new__`` + direct slot writes
+        # instead of the dataclass ``__init__`` (same fields, ~2x cheaper —
+        # this loop dominates a materialising decode).
+        new = object.__new__
+        Record = ConnectionRecord
+        Observation = SpinObservation
+        for i in rows:
+            domain = domains[i]
+            host = hosts[i]
+            key = ip_keys[i]
+            ip = ip_cache.get(key)
+            if ip is None:  # _interned_ip, inline
+                ip = ip_cache[key] = IpAddr(value=key >> 1, version=6 if key & 1 else 4)
+            observation = new(Observation)
+            observation.packets_seen = packets_seen[i]
+            observation.values_seen = set(values_seen[masks[i]])
+            times = times_r[i]
+            if starts_r is None or not times:
+                observation.edges_received = []
+            else:
+                start = starts_r[i]
+                end = start + len(times)
+                observation.edges_received = list(
+                    map(Edge, times, _accumulate(map(unzig, deltas_r[start:end])),
+                        values_r[start:end])
+                )
+            times = times_s[i]
+            if starts_s is None or not times:
+                observation.edges_sorted = []
+            else:
+                start = starts_s[i]
+                end = start + len(times)
+                observation.edges_sorted = list(
+                    map(Edge, times, _accumulate(map(unzig, deltas_s[start:end])),
+                        values_s[start:end])
+                )
+            observation.rtts_received_ms = list(rtts_r[i])
+            observation.rtts_sorted_ms = list(rtts_s[i])
+            record = new(Record)
+            record.domain = domain
+            record.host = "www." + domain if host is None else host
+            record.ip = ip
+            record.ip_version = ip_versions[i]
+            record.provider_name = providers[i]
+            record.server_header = headers[i]
+            record.status = statuses[i]
+            record.success = successes[i]
+            record.behaviour = behaviours[i]
+            record.observation = observation
+            record.stack_rtts_ms = list(stacks[i])
+            record.qlog = None
+            record.negotiated_version = versions[i]
+            record.failure = failures[i]
+            record.week = weeks[i]
+            append(record)
+        return records
+
+
+class RecordBatch(Sequence):
+    """``n`` connection records as parallel columns — the unit of analysis.
+
+    Folds, predicates and the week indexer read the columns directly:
+    ``domains``, ``providers``, ``headers``, ``statuses``, ``versions``,
+    ``failures``, ``weeks`` (``None`` where the record has none),
+    ``successes``, ``behaviours``, ``masks`` (spin values seen: bit 0 =
+    ``False``, bit 1 = ``True``; ``3`` is spin activity), ``ip_keys``
+    (``value << 1 | is_v6``), and per record one float sequence each in
+    ``times_received`` (spin-edge arrival times), ``rtts_received``,
+    ``rtts_sorted`` and ``stacks``.
+
+    The batch is still a ``Sequence[ConnectionRecord]`` — ``len``,
+    iteration, indexing, equality with a list — but a decoded chunk
+    builds its records only when something iterates or indexes it.
+    :meth:`take` picks a row subset without building anything;
+    :meth:`from_records` wraps records that already exist.
+    """
+
+    __slots__ = _ANALYSIS_COLUMNS + ("_records", "_chunk", "_rows")
+
+    @classmethod
+    def _from_chunk(cls, chunk: _ChunkColumns) -> "RecordBatch":
+        batch = object.__new__(cls)
+        for name in _ANALYSIS_COLUMNS:
+            setattr(batch, name, getattr(chunk, name))
+        batch._records = None
+        batch._chunk = chunk
+        batch._rows = range(len(chunk.domains))
+        return batch
+
+    @classmethod
+    def from_records(cls, records: Iterable[ConnectionRecord]) -> "RecordBatch":
+        """Columns over in-memory records (scanner datasets, JSONL lines).
+
+        The batch keeps the very record objects it was given; the float
+        series columns share the records' lists.
+        """
+        if not isinstance(records, list):
+            records = list(records)
+        observations = [record.observation for record in records]
+        batch = object.__new__(cls)
+        batch.domains = [record.domain for record in records]
+        batch.providers = [record.provider_name for record in records]
+        batch.headers = [record.server_header for record in records]
+        batch.statuses = [record.status for record in records]
+        batch.successes = [record.success for record in records]
+        batch.behaviours = [record.behaviour for record in records]
+        batch.masks = [
+            (False in observation.values_seen) | (True in observation.values_seen) << 1
+            for observation in observations
+        ]
+        batch.versions = [record.negotiated_version for record in records]
+        batch.failures = [record.failure for record in records]
+        batch.weeks = [record.week for record in records]
+        batch.ip_keys = [
+            record.ip.value << 1 | (record.ip.version == 6) for record in records
+        ]
+        batch.times_received = [
+            tuple([edge.time_ms for edge in observation.edges_received])
+            for observation in observations
+        ]
+        batch.rtts_received = [o.rtts_received_ms for o in observations]
+        batch.rtts_sorted = [o.rtts_sorted_ms for o in observations]
+        batch.stacks = [record.stack_rtts_ms for record in records]
+        batch._records = records
+        batch._chunk = batch._rows = None
+        return batch
+
+    @classmethod
+    def coerce(cls, records: "RecordBatch | Iterable[ConnectionRecord]") -> "RecordBatch":
+        """``records`` itself when it already is a batch, else its columns."""
+        return records if isinstance(records, cls) else cls.from_records(records)
+
+    def take(self, rows: Sequence[int]) -> "RecordBatch":
+        """The batch of the given row numbers, in the given order."""
+        rows = list(rows)
+        if rows == list(range(len(self))):
+            return self
+        batch = object.__new__(RecordBatch)
+        for name in _ANALYSIS_COLUMNS:
+            column = getattr(self, name)
+            setattr(batch, name, [column[row] for row in rows])
+        if self._records is not None:
+            batch._records = [self._records[row] for row in rows]
+            batch._chunk = batch._rows = None
+        else:
+            batch._records = None
+            batch._chunk = self._chunk
+            batch._rows = [self._rows[row] for row in rows]
+        return batch
+
+    def _materialised(self) -> list[ConnectionRecord]:
+        records = self._records
+        if records is None:
+            records = self._records = self._chunk.records(self._rows)
+            self._chunk = self._rows = None
+        return records
+
+    def __len__(self) -> int:
+        return len(self.domains)
+
+    def __iter__(self) -> Iterator[ConnectionRecord]:
+        return iter(self._materialised())
+
+    def __getitem__(self, index):
+        return self._materialised()[index]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return self._materialised() == list(other)
+
+    __hash__ = None
+
+
+def _decode_columns(
     payload: bytes,
     want_edges_received: bool = True,
     want_edges_sorted: bool = True,
-    want_domains: bool = False,
     ip_cache: dict | None = None,
-) -> tuple[list[ConnectionRecord], list[DomainResultData] | None]:
+) -> tuple[_ChunkColumns, list[str], int]:
+    """Decode and validate one chunk's connection columns.
+
+    Everything that could make building a record fail — a string-table
+    index out of range, an unknown behaviour or failure name, a spin
+    mask above 3, a column shorter than the chunk — fails here, so
+    damage is reported by the reader (``corrupt_chunks``) and never by a
+    fold or by :meth:`_ChunkColumns.records` later.  Returns the columns,
+    the string table and the payload position after the week column
+    (where a :data:`KIND_DOMAINS` chunk's domain columns start).
+    """
     buf = payload
-    pos = 1
     flags = buf[0] & ~_CHUNK_KIND_MASK
     kind = buf[0] & _CHUNK_KIND_MASK
     if kind not in (KIND_RECORDS, KIND_DOMAINS):
         raise CbrFormatError(f"unknown chunk kind {kind}")
     if flags & ~_CHUNK_FLAG_WEEK:
         raise CbrFormatError(f"unknown chunk flags 0x{flags:02x}")
-    if want_domains and kind != KIND_DOMAINS:
-        raise CbrFormatError("chunk has no domain columns")
-    n, pos = _read_uv(buf, pos)
+    n, pos = _read_uv(buf, 1)
     strings, pos = _decode_strings(buf, pos)
-    if ip_cache is None:
-        ip_cache = {}
+    string_at = strings.__getitem__
+    chunk = _ChunkColumns()
+    chunk.ip_cache = {} if ip_cache is None else ip_cache
 
     domain_idx, pos = _read_uv_column(buf, pos, n)
+    chunk.domains = list(map(string_at, domain_idx))
     www, pos = _read_bits(buf, pos, n)
-    host_idx_count = n - sum(www)
-    host_idx, pos = _read_uv_column(buf, pos, host_idx_count)
+    host_idx, pos = _read_uv_column(buf, pos, n - sum(www))
+    next_host = map(string_at, host_idx)
+    chunk.hosts = [None if same else next(next_host) for same in www]
     ip6, pos = _read_bits(buf, pos, n)
-    ips: list[IpAddr] = []
-    append_ip = ips.append
-    cache_get = ip_cache.get
-    from_bytes = int.from_bytes
-    for is6 in ip6:
-        width = 16 if is6 else 4
-        value = from_bytes(buf[pos : pos + width], "big")
-        pos += width
-        key = (value << 1) | is6
-        ip = cache_get(key)
-        if ip is None:
-            ip = IpAddr(value=value, version=6 if is6 else 4)
-            ip_cache[key] = ip
-        append_ip(ip)
-    ip_versions, pos = _read_uv_column(buf, pos, n)
+    if True in ip6:
+        ip_keys = []
+        from_bytes = int.from_bytes
+        for is6 in ip6:
+            width = 16 if is6 else 4
+            ip_keys.append(from_bytes(buf[pos : pos + width], "big") << 1 | is6)
+            pos += width
+    else:
+        ip_keys = [value << 1 for value in struct.unpack_from(f">{n}I", buf, pos)]
+        pos += 4 * n
+    chunk.ip_keys = ip_keys
+    chunk.ip_versions, pos = _read_uv_column(buf, pos, n)
     provider_idx, pos = _read_uv_column(buf, pos, n)
+    chunk.providers = list(map(string_at, provider_idx))
     header_idx, pos = _read_uv_column(buf, pos, n)
+    chunk.headers = _resolve_optional(header_idx, strings)
     statuses, pos = _read_uv_column(buf, pos, n)
-    successes, pos = _read_bits(buf, pos, n)
+    chunk.statuses = [None if not status else status - 1 for status in statuses]
+    chunk.successes, pos = _read_bits(buf, pos, n)
     behaviour_idx, pos = _read_uv_column(buf, pos, n)
-    masks = buf[pos : pos + n]
+    chunk.behaviours = list(map(_BEHAVIOURS.__getitem__, map(string_at, behaviour_idx)))
+    chunk.masks = masks = list(buf[pos : pos + n])
+    if len(masks) != n or max(masks, default=0) > 3:
+        raise CbrFormatError("bad spin-value mask column")
     pos += n
-    packets_seen, pos = _read_uv_column(buf, pos, n)
-    edges_r, times_r, pos = _decode_edge_columns(buf, pos, n, want_edges_received)
-    edges_s, times_s, pos = _decode_edge_columns(buf, pos, n, want_edges_sorted)
-    rtts_r, pos = _decode_rtt_columns(buf, pos, times_r)
-    rtts_s, pos = _decode_rtt_columns(buf, pos, times_s)
+    chunk.packets_seen, pos = _read_uv_column(buf, pos, n)
+    chunk.edges_received, chunk.times_received, pos = _decode_edge_columns(
+        buf, pos, n, want_edges_received
+    )
+    chunk.edges_sorted, chunk.times_sorted, pos = _decode_edge_columns(
+        buf, pos, n, want_edges_sorted
+    )
+    chunk.rtts_received, pos = _decode_rtt_columns(buf, pos, chunk.times_received)
+    chunk.rtts_sorted, pos = _decode_rtt_columns(buf, pos, chunk.times_sorted)
     stack_counts, pos = _read_uv_column(buf, pos, n)
     stack_flat, pos = _read_doubles(buf, pos, sum(stack_counts))
+    chunk.stacks = _split(stack_flat, stack_counts)
     versions, pos = _read_uv_column(buf, pos, n)
+    chunk.versions = [None if not version else version - 1 for version in versions]
     failure_idx, pos = _read_uv_column(buf, pos, n)
+    chunk.failures = [
+        None if name is None else _FAILURES[name]
+        for name in _resolve_optional(failure_idx, strings)
+    ]
     if flags & _CHUNK_FLAG_WEEK:
         week_idx, pos = _read_uv_column(buf, pos, n)
-        weeks = [None if not i else strings[i - 1] for i in week_idx]
+        chunk.weeks = _resolve_optional(week_idx, strings)
     else:
-        weeks = None
+        chunk.weeks = [None] * n
+    return chunk, strings, pos
 
-    behaviours = [_BEHAVIOURS[strings[i]] for i in behaviour_idx]
-    _VALUES_SEEN = (set(), {False}, {True}, {False, True})
-    records: list[ConnectionRecord] = []
-    append = records.append
-    host_iter = iter(host_idx)
-    stack_offset = 0
-    # Hot loop: records are built via ``__new__`` + direct slot writes
-    # instead of the dataclass ``__init__`` (same fields, ~2x cheaper —
-    # this loop dominates artifact decode).
-    new = object.__new__
-    Record = ConnectionRecord
-    Observation = SpinObservation
-    for i in range(n):
-        domain = strings[domain_idx[i]]
-        observation = new(Observation)
-        observation.packets_seen = packets_seen[i]
-        observation.values_seen = set(_VALUES_SEEN[masks[i]])
-        observation.edges_received = edges_r[i] if edges_r is not None else []
-        observation.edges_sorted = edges_s[i] if edges_s is not None else []
-        observation.rtts_received_ms = rtts_r[i]
-        observation.rtts_sorted_ms = rtts_s[i]
-        count = stack_counts[i]
-        status = statuses[i]
-        version = versions[i]
-        failure = failure_idx[i]
-        record = new(Record)
-        record.domain = domain
-        record.host = "www." + domain if www[i] else strings[next(host_iter)]
-        record.ip = ips[i]
-        record.ip_version = ip_versions[i]
-        record.provider_name = strings[provider_idx[i]]
-        record.server_header = None if not header_idx[i] else strings[header_idx[i] - 1]
-        record.status = None if not status else status - 1
-        record.success = successes[i]
-        record.behaviour = behaviours[i]
-        record.observation = observation
-        record.stack_rtts_ms = list(stack_flat[stack_offset : stack_offset + count])
-        record.qlog = None
-        record.negotiated_version = None if not version else version - 1
-        record.failure = None if not failure else _FAILURES[strings[failure - 1]]
-        record.week = None if weeks is None else weeks[i]
-        stack_offset += count
-        append(record)
 
-    if not want_domains:
-        return records, None
-
+def _decode_domain_columns(
+    buf: bytes,
+    pos: int,
+    strings: list[str],
+    records: list[ConnectionRecord],
+    ip_cache: dict,
+) -> list[DomainResultData]:
+    """The per-domain grouping and qlog blobs of a ``KIND_DOMAINS`` chunk."""
     n_domains, pos = _read_uv(buf, pos)
     name_idx, pos = _read_uv_column(buf, pos, n_domains)
     resolved, pos = _read_bits(buf, pos, n_domains)
@@ -864,9 +1096,9 @@ def _decode_chunk(
     resolved_ips: list[IpAddr] = []
     for is6 in res_ip6:
         width = 16 if is6 else 4
-        value = int.from_bytes(buf[pos : pos + width], "big")
+        key = int.from_bytes(buf[pos : pos + width], "big") << 1 | is6
         pos += width
-        resolved_ips.append(_ip_cache_get(ip_cache, value, 6 if is6 else 4))
+        resolved_ips.append(_interned_ip(ip_cache, key))
     d_failure_idx, pos = _read_uv_column(buf, pos, n_domains)
     conn_counts, pos = _read_uv_column(buf, pos, n_domains)
     for record in records:
@@ -894,7 +1126,7 @@ def _decode_chunk(
             )
         )
         record_offset += count
-    return records, domains
+    return domains
 
 
 # ----------------------------------------------------------------------
@@ -1133,39 +1365,40 @@ class CbrReader:
         self,
         want_edges_received: bool = True,
         want_edges_sorted: bool = True,
-    ) -> Iterator[list[ConnectionRecord]]:
-        """Yield one list of records per chunk (either chunk kind).
+    ) -> Iterator[RecordBatch]:
+        """Yield one :class:`RecordBatch` per chunk (either chunk kind).
 
-        The ``want_edges_*`` flags are projection pushdown: a skipped
-        edge column yields records with empty edge lists (their RTT
-        series are still exact) — decode cost drops accordingly.  Use
-        only when the consumer provably never reads those columns.
+        The ``want_edges_*`` flags are projection pushdown on the
+        *records* a batch builds: a skipped edge block is never decoded
+        and its records carry empty edge lists (their RTT series are
+        still exact).  The batch's columns are the same either way.
         """
         for kind, _n, payload in self._frames():
             try:
-                records, _ = _decode_chunk(
+                chunk, _strings, _pos = _decode_columns(
                     payload,
                     want_edges_received=want_edges_received,
                     want_edges_sorted=want_edges_sorted,
                     ip_cache=self._ip_cache,
                 )
-            except (CbrFormatError, KeyError, IndexError, ValueError, struct.error):
+            except _COLUMN_DECODE_ERRORS:
                 self._damaged("chunk column decode failed")
                 continue
-            self.records_read += len(records)
-            yield records
+            batch = RecordBatch._from_chunk(chunk)
+            self.records_read += len(batch)
+            yield batch
 
     def domain_batches(self) -> Iterator[list[DomainResultData]]:
         """Yield per-chunk domain groupings (``KIND_DOMAINS`` files)."""
         for kind, _n, payload in self._frames():
             if kind != KIND_DOMAINS:
                 raise CbrFormatError("artifact holds plain records, not domain results")
-            _records, domains = _decode_chunk(
-                payload, want_domains=True, ip_cache=self._ip_cache
-            )
-            assert domains is not None
-            self.records_read += len(_records)
-            yield domains
+            if payload[0] & _CHUNK_KIND_MASK != KIND_DOMAINS:
+                raise CbrFormatError("chunk has no domain columns")
+            chunk, strings, pos = _decode_columns(payload, ip_cache=self._ip_cache)
+            records = chunk.records(range(len(chunk.domains)))
+            self.records_read += len(records)
+            yield _decode_domain_columns(payload, pos, strings, records, self._ip_cache)
 
     def iter_records(self) -> Iterator[ConnectionRecord]:
         for batch in self.record_batches():
@@ -1260,8 +1493,8 @@ class CbrIndexedReader:
         ordinals: Sequence[int],
         want_edges_received: bool = True,
         want_edges_sorted: bool = True,
-    ) -> Iterator[list[ConnectionRecord]]:
-        """Yield one record batch per requested chunk ordinal."""
+    ) -> Iterator[RecordBatch]:
+        """Yield one :class:`RecordBatch` per requested chunk ordinal."""
         chunks = self.footer.get("chunks", ())
         stream = self._stream
         for ordinal in ordinals:
@@ -1282,21 +1515,18 @@ class CbrIndexedReader:
                 self._damaged(f"chunk {ordinal} CRC mismatch")
                 continue
             try:
-                raw = zlib.decompress(payload)
-                records, _ = _decode_chunk(
-                    raw,
+                chunk, _strings, _pos = _decode_columns(
+                    zlib.decompress(payload),
                     want_edges_received=want_edges_received,
                     want_edges_sorted=want_edges_sorted,
                     ip_cache=self._ip_cache,
                 )
-            except (
-                zlib.error, CbrFormatError, KeyError, IndexError, ValueError,
-                struct.error,
-            ):
+            except (zlib.error, *_COLUMN_DECODE_ERRORS):
                 self._damaged(f"chunk {ordinal} decode failed")
                 continue
-            self.records_read += len(records)
-            yield records
+            batch = RecordBatch._from_chunk(chunk)
+            self.records_read += len(batch)
+            yield batch
 
 
 def read_footer(stream: IO[bytes]) -> dict:

@@ -803,7 +803,10 @@ def _run_stream_scan(args: argparse.Namespace, scan_config) -> int:
             week_label=args.week, ip_version=args.ip_version, verbose=True
         ):
             if fold is not None:
-                fold.update_many(result.connections)
+                fold.update_columns(
+                    [c.success for c in result.connections],
+                    [c.failure for c in result.connections],
+                )
             yield from result.connections
 
     try:

@@ -69,21 +69,28 @@ class DynamicThresholdFilter:
         if not 0.0 < self.fraction < 1.0:
             raise ValueError("fraction must be in (0, 1)")
 
+    def surviving(self, times_ms: Sequence[float]) -> list[int]:
+        """Positions of the edges, given by arrival time, that survive."""
+        accepted: list[int] = []
+        last_ms = 0.0
+        estimate_ms: float | None = None
+        for position, time_ms in enumerate(times_ms):
+            if accepted:
+                interval = time_ms - last_ms
+                if estimate_ms is not None and interval < self.fraction * estimate_ms:
+                    continue
+                estimate_ms = interval
+            accepted.append(position)
+            last_ms = time_ms
+        return accepted
+
     def filter_edges(self, edges: Sequence[SpinEdge]) -> list[SpinEdge]:
         """Return the edges that survive the hold time."""
-        accepted: list[SpinEdge] = []
-        estimate_ms: float | None = None
-        for edge in edges:
-            if not accepted:
-                accepted.append(edge)
-                continue
-            interval = edge.time_ms - accepted[-1].time_ms
-            if estimate_ms is not None and interval < self.fraction * estimate_ms:
-                continue
-            accepted.append(edge)
-            if len(accepted) >= 2:
-                estimate_ms = interval
-        return accepted
+        return [edges[i] for i in self.surviving([edge.time_ms for edge in edges])]
+
+    def filter_times(self, times_ms: Sequence[float]) -> list[float]:
+        """:meth:`filter_edges` for edges known by arrival time alone."""
+        return [times_ms[i] for i in self.surviving(times_ms)]
 
     def filter_rtts_from_edges(self, edges: Sequence[SpinEdge]) -> list[float]:
         """Convenience: filtered edges → RTT samples."""

@@ -15,7 +15,7 @@ renders the per-kind summary.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 __all__ = [
     "RETRYABLE_KINDS",
@@ -109,20 +109,24 @@ class FailureFold:
         self._total = 0
         self._succeeded = 0
 
-    def update_many(self, records: Iterable) -> None:
+    def update_many(self, batch) -> None:
+        """Absorb one :class:`~repro.artifacts.cbr.RecordBatch`."""
+        self.update_columns(batch.successes, batch.failures)
+
+    def update_columns(
+        self, successes: Sequence[bool], failures: Sequence[FailureKind | None]
+    ) -> None:
+        """Absorb connections given as their two parallel outcome columns."""
         counts = self._counts
-        total = 0
-        succeeded = 0
-        for record in records:
-            total += 1
-            if record.success:
-                succeeded += 1
-                continue
-            kind = getattr(record, "failure", None)
-            key = kind.value if kind is not None else "unclassified"
-            counts[key] = counts.get(key, 0) + 1
-        self._total += total
+        succeeded = successes.count(True)
+        self._total += len(successes)
         self._succeeded += succeeded
+        if succeeded == len(successes):
+            return
+        for success, kind in zip(successes, failures):
+            if not success:
+                key = kind.value if kind is not None else "unclassified"
+                counts[key] = counts.get(key, 0) + 1
 
     def counts(self) -> tuple[int, int, dict[str, int]]:
         """The mergeable ``(total, succeeded, kinds)`` counters."""
@@ -163,8 +167,12 @@ def failure_summary(records: Iterable) -> dict:
     ``records`` are :class:`~repro.web.scanner.ConnectionRecord` objects
     (live or loaded from an artifact).
     """
+    records = list(records)
     fold = FailureFold()
-    fold.update_many(records)
+    fold.update_columns(
+        [record.success for record in records],
+        [getattr(record, "failure", None) for record in records],
+    )
     return fold.finish()
 
 

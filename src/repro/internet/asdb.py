@@ -12,6 +12,7 @@ organizations rather than one artificial giant.
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 import zlib
 from dataclasses import dataclass
@@ -86,33 +87,49 @@ class AsDatabase:
                         provider=provider,
                     )
                 )
-        # Longer prefixes win; sorting once keeps lookup simple.
+        # Longer prefixes win, the earlier provider on a tie.
         self._records.sort(key=lambda record: -record.prefix_length)
+        # Per IP version, one ``{network >> shift: record}`` table per
+        # distinct prefix length, longest first: a lookup is one dict
+        # probe per length in use, not one comparison per prefix.
+        self._tables: dict[int, list[tuple[int, dict[int, _PrefixRecord]]]] = {4: [], 6: []}
+        for record in self._records:
+            tables = self._tables[record.version]
+            shift = (32 if record.version == 4 else 128) - record.prefix_length
+            if not tables or tables[-1][0] != shift:
+                tables.append((shift, {}))
+            tables[-1][1].setdefault(record.network >> shift, record)
 
     def lookup(self, ip: IpAddr) -> AsEntry | None:
         """Map an IP to its AS entry, or ``None`` if unrouted."""
-        total_bits = 32 if ip.version == 4 else 128
-        for record in self._records:
-            if record.version != ip.version:
-                continue
-            shift = total_bits - record.prefix_length
-            if (ip.value >> shift) == (record.network >> shift):
-                return self._entry_for(record, ip, total_bits)
+        return self.lookup_value(ip.value, ip.version)
+
+    def lookup_value(self, value: int, version: int) -> AsEntry | None:
+        """:meth:`lookup` for an address held as integer and version."""
+        for shift, table in self._tables[version]:
+            record = table.get(value >> shift)
+            if record is not None:
+                return self._entry_for(record, value)
         return None
 
-    def _entry_for(self, record: _PrefixRecord, ip: IpAddr, total_bits: int) -> AsEntry:
+    def _entry_for(self, record: _PrefixRecord, value: int) -> AsEntry:
         provider = record.provider
         if provider.asn:
             return AsEntry(asn=provider.asn, org_name=provider.org_name)
         # Long-tail provider: derive a synthetic per-slice AS.
-        host_bits = _SLICE_HOST_BITS_V4 if ip.version == 4 else _SLICE_HOST_BITS_V6
-        slice_index = (ip.value - record.network) >> host_bits
+        host_bits = _SLICE_HOST_BITS_V4 if record.version == 4 else _SLICE_HOST_BITS_V6
+        slice_index = (value - record.network) >> host_bits
         # A stable (process-independent) per-provider ASN block.
         provider_block = zlib.crc32(provider.name.encode("utf-8")) % 997
         asn = _SYNTHETIC_ASN_BASE + provider_block * 100_000 + slice_index
         return AsEntry(asn=asn, org_name=f"{provider.org_name.strip('<>')} #{slice_index}")
 
 
+@functools.cache
 def build_default_asdb() -> AsDatabase:
-    """The AS database covering the full default provider catalog."""
+    """The AS database covering the full default provider catalog.
+
+    Built once per process: the catalog is constant and the database is
+    never mutated after construction.
+    """
     return AsDatabase((*PROVIDERS, *NO_QUIC_PROVIDERS))

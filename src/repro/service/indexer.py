@@ -33,7 +33,7 @@ import os
 from pathlib import Path
 from typing import Callable
 
-from repro.service.summary import WeekSummary, summarize_records
+from repro.service.summary import WeekSummarizer, WeekSummary
 
 __all__ = ["WeekIndexer"]
 
@@ -125,21 +125,29 @@ class WeekIndexer:
     def _summarize(
         self, path: str | os.PathLike, fingerprint: str
     ) -> dict[str, WeekSummary]:
-        """Decode once, group records by week stamp, summarize each."""
+        """Decode once, group each batch's rows by week stamp, and feed
+        every week's summarizer its rows — no record is ever built."""
         from repro.artifacts import open_record_batches
 
-        by_week: dict[str, list] = {}
-        with open_record_batches(str(path), errors="count") as source:
-            for batch in source.batches():
-                for record in batch:
-                    week = record.week or UNSTAMPED_WEEK
-                    by_week.setdefault(week, []).append(record)
         asdb = self.asdb
+        summarizers: dict[str, WeekSummarizer] = {}
+        with open_record_batches(
+            str(path), want_edges_received=False, want_edges_sorted=False,
+            errors="count",
+        ) as source:
+            for batch in source.batches():
+                rows_of: dict[str, list[int]] = {}
+                for row, week in enumerate(batch.weeks):
+                    rows_of.setdefault(week or UNSTAMPED_WEEK, []).append(row)
+                for week, rows in rows_of.items():
+                    summarizer = summarizers.get(week)
+                    if summarizer is None:
+                        summarizer = summarizers[week] = WeekSummarizer(week, asdb)
+                    summarizer.update(batch.take(rows))
         deltas = {}
-        for week, records in by_week.items():
-            delta = summarize_records(week, records, asdb)
+        for week, summarizer in summarizers.items():
+            delta = deltas[week] = summarizer.finish()
             delta.artifacts = [fingerprint]
-            deltas[week] = delta
         return deltas
 
     def _merge_week(

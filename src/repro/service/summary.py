@@ -30,8 +30,9 @@ from dataclasses import dataclass, field
 
 from repro.analysis.accuracy import AccuracyStudy, ReorderingImpact, SeriesStats
 from repro.analysis.filter_study import FilterOutcomeStats, FilterStudy
+from repro.artifacts.cbr import RecordBatch
 
-__all__ = ["WeekSummary", "summarize_records"]
+__all__ = ["WeekSummarizer", "WeekSummary", "summarize_records"]
 
 _SUMMARY_SCHEMA = 1
 
@@ -275,70 +276,70 @@ class WeekSummary:
         return summary
 
 
-def summarize_records(week: str, records: list, asdb) -> WeekSummary:
+class WeekSummarizer:
+    """Accumulates one week's :class:`WeekSummary` batch by batch.
+
+    Runs the exact analysis folds over each batch and, when finished,
+    extracts their mergeable state — the single shared code path that
+    guarantees summary-served sections match a direct fold.  The
+    adoption/compliance counters come off the same columns.
+    """
+
+    def __init__(self, week: str, asdb) -> None:
+        from repro.analysis.engine import build_record_folds
+
+        self._summary = WeekSummary(week=week)
+        self._folds = build_record_folds("all", asdb=asdb)
+
+    def update(self, batch: RecordBatch) -> None:
+        for fold in self._folds:
+            fold.update_many(batch)
+        summary = self._summary
+        summary.connections_total += len(batch)
+        summary.connections_success += sum(batch.successes)
+        summary.connections_spinning += batch.masks.count(3)
+        domains = summary.domains
+        behaviours = summary.behaviours
+        for domain, success, mask, behaviour in zip(
+            batch.domains, batch.successes, batch.masks, batch.behaviours
+        ):
+            flags = (FLAG_SUCCESS if success else 0) | (FLAG_SPIN if mask == 3 else 0)
+            domains[domain] = domains.get(domain, 0) | flags
+            key = behaviour.value
+            behaviours[key] = behaviours.get(key, 0) + 1
+
+    def finish(self) -> WeekSummary:
+        summary = self._summary
+        orgs, webservers, accuracy, versions, filters, failures = self._folds
+        summary.org_totals, summary.org_spins = orgs.counts()
+        summary.webservers = webservers.counts()
+        summary.versions = versions.counts()
+        study = accuracy.finish()
+        summary.accuracy = {
+            key: SeriesStats.from_summary(getattr(study, key))
+            for key, _ in _ACCURACY_SERIES
+        }
+        summary.reordering = study.reordering
+        summary.filters = [
+            FilterOutcomeStats.from_outcome(outcome)
+            for outcome in filters.finish().outcomes()
+        ]
+        total, succeeded, kinds = failures.counts()
+        summary.failures_total = total
+        summary.failures_succeeded = succeeded
+        summary.failure_kinds = kinds
+        return summary
+
+
+def summarize_records(week: str, records, asdb) -> WeekSummary:
     """Reduce one week's slice of an artifact to its counter summary.
 
-    Runs the exact analysis folds over ``records`` and extracts their
-    mergeable state — the single shared code path that guarantees
-    summary-served sections match a direct fold.
+    ``records`` is a :class:`~repro.artifacts.cbr.RecordBatch` or a list
+    of connection records.
     """
-    from repro.analysis.accuracy import AccuracyFold
-    from repro.analysis.asorg import OrgFold
-    from repro.analysis.filter_study import FilterFold
-    from repro.analysis.versions import VersionFold
-    from repro.analysis.webserver import WebserverFold
-    from repro.faults.taxonomy import FailureFold
-
-    summary = WeekSummary(week=week)
-
-    org_fold = OrgFold(asdb)
-    webserver_fold = WebserverFold()
-    accuracy_fold = AccuracyFold()
-    version_fold = VersionFold()
-    filter_fold = FilterFold()
-    failure_fold = FailureFold()
-    for fold in (
-        org_fold, webserver_fold, accuracy_fold, version_fold, filter_fold,
-        failure_fold,
-    ):
-        fold.update_many(records)
-
-    for record in records:
-        flags = 0
-        if record.success:
-            flags |= FLAG_SUCCESS
-            summary.connections_success += 1
-        if record.shows_spin_activity:
-            flags |= FLAG_SPIN
-            summary.connections_spinning += 1
-        summary.connections_total += 1
-        if flags:
-            summary.domains[record.domain] = (
-                summary.domains.get(record.domain, 0) | flags
-            )
-        else:
-            summary.domains.setdefault(record.domain, 0)
-        key = record.behaviour.value
-        summary.behaviours[key] = summary.behaviours.get(key, 0) + 1
-
-    summary.org_totals, summary.org_spins = org_fold.counts()
-    summary.webservers = webserver_fold.counts()
-    summary.versions = version_fold.counts()
-    study = accuracy_fold.finish()
-    summary.accuracy = {
-        key: SeriesStats.from_summary(getattr(study, key))
-        for key, _ in _ACCURACY_SERIES
-    }
-    summary.reordering = study.reordering
-    summary.filters = [
-        FilterOutcomeStats.from_outcome(outcome)
-        for outcome in filter_fold.finish().outcomes()
-    ]
-    total, succeeded, kinds = failure_fold.counts()
-    summary.failures_total = total
-    summary.failures_succeeded = succeeded
-    summary.failure_kinds = kinds
-    return summary
+    summarizer = WeekSummarizer(week, asdb)
+    summarizer.update(RecordBatch.coerce(records))
+    return summarizer.finish()
 
 
 def _add_counts(target: dict, source: dict) -> None:

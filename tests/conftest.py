@@ -77,3 +77,65 @@ def tiny_population():
 def rng():
     """A deterministic RNG, fresh per test."""
     return derive_rng(1234, "test")
+
+
+_ARCHIVE_PROVIDERS = ("cloudflare", "google", "fastly", "hostinger", "other-hosting")
+_ARCHIVE_BEHAVIOURS = (
+    SpinBehaviour.SPIN, SpinBehaviour.SPIN, SpinBehaviour.ALL_ZERO,
+    SpinBehaviour.ALL_ONE, SpinBehaviour.GREASE,
+)
+
+
+def archive_week_label(offset: int) -> str:
+    """The ``offset``-th week of a synthetic archive (cw10-2023 onwards)."""
+    return f"cw{10 + offset}-2023"
+
+
+def make_archive_week(week_offset: int, count: int, seed: int = 20230520):
+    """One week of a longitudinal archive, in the shape of the benchmark's
+    ``archive_query`` input: two fifths of the connections spin with two
+    to five edges, providers and behaviours cycle, every domain occurs
+    once per archive.  Weeks written in order keep week envelopes tight
+    per chunk, as a shard merge does."""
+    import random
+
+    from repro.core.observer import SpinEdge
+
+    rng = random.Random(f"{seed}:archive:{week_offset}")
+    records = []
+    for position in range(count):
+        index = week_offset * count + position
+        behaviour = _ARCHIVE_BEHAVIOURS[rng.randrange(len(_ARCHIVE_BEHAVIOURS))]
+        spinning = behaviour is SpinBehaviour.SPIN
+        rtt = 10.0 + rng.randrange(90)
+        edges = [
+            SpinEdge(1_000.0 * week_offset + rtt * j, j * 3 + 1, bool(j % 2))
+            for j in range(rng.randrange(2, 6) if spinning else 0)
+        ]
+        rtts = [rtt for _ in edges[1:]]
+        name = f"dom{index:07d}.example"
+        records.append(
+            ConnectionRecord(
+                domain=name,
+                host=f"www.{name}",
+                ip=IpAddr(value=0x0A000001 + rng.randrange(1 << 20), version=4),
+                ip_version=4,
+                provider_name=_ARCHIVE_PROVIDERS[rng.randrange(len(_ARCHIVE_PROVIDERS))],
+                server_header="LiteSpeed",
+                status=200,
+                success=True,
+                behaviour=behaviour,
+                observation=SpinObservation(
+                    packets_seen=max(4, len(edges) * 4),
+                    values_seen={False, True} if spinning else {False},
+                    edges_received=edges,
+                    edges_sorted=list(edges),
+                    rtts_received_ms=rtts,
+                    rtts_sorted_ms=list(rtts),
+                ),
+                stack_rtts_ms=list(rtts),
+                negotiated_version=1,
+                week=archive_week_label(week_offset),
+            )
+        )
+    return records

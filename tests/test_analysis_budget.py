@@ -1,0 +1,191 @@
+"""One analysis path, at a fixed cost per record.
+
+Analysis reads :class:`~repro.artifacts.cbr.RecordBatch` columns; a
+``ConnectionRecord`` is built only for a caller that iterates a batch.
+The first half holds the code to that: with record building patched to
+raise, a full ``AnalysisEngine`` pass, a ``--where`` analysis and the
+week indexer all still complete, a point lookup builds exactly the rows
+it returns, and no fold body (``repro.analysis``, ``FailureFold``,
+``repro.service.summary``) walks its batch as records.
+
+The second half is the per-record budget, in the manner of
+``test_endpoint_budget``: Python-level calls (``sys.setprofile`` ``call``
++ ``c_call``) of one all-section pass over a 26-week cbr archive, per
+record.  The count is a pure function of the code and the archive, so a
+regression shows as a number.
+
+======================  ===============  ===========
+all-section pass         before (PR 13)  this change
+======================  ===============  ===========
+calls per record                   66.3         43.9
+======================  ===============  ===========
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import archive_week_label, make_archive_week
+from repro.analysis.engine import AnalysisEngine, build_record_folds
+from repro.analysis.query import Eq, QueryStats, filter_batch
+from repro.artifacts import cbr, open_query_source, open_record_batches
+from repro.artifacts.cbr import write_records_cbr
+from repro.cli import main
+from repro.service import SpoolStore, WeekIndexer
+
+WEEKS = 26
+PER_WEEK = 300
+CHUNK_RECORDS = 256
+
+#: Calls per record of the all-section pass, as measured; the gate
+#: allows +10 %.
+CALLS_PER_RECORD_MEASURED = 43.9
+
+
+@pytest.fixture(scope="module")
+def archive(tmp_path_factory):
+    records = [r for week in range(WEEKS) for r in make_archive_week(week, PER_WEEK)]
+    path = tmp_path_factory.mktemp("budget") / "archive.cbr"
+    with open(path, "wb") as stream:
+        write_records_cbr(records, stream, chunk_records=CHUNK_RECORDS)
+    return path, records
+
+
+def full_pass(path):
+    engine = AnalysisEngine(build_record_folds("all"))
+    with open_record_batches(
+        str(path),
+        want_edges_received=engine.needs_edges_received,
+        want_edges_sorted=engine.needs_edges_sorted,
+    ) as source:
+        return engine.run(source.batches()), source.records_read
+
+
+class TestOnePath:
+    def test_analysis_never_builds_a_record(self, archive, monkeypatch, tmp_path, capsys):
+        path, records = archive
+        expected = AnalysisEngine(build_record_folds("all")).run([records])
+        assert main(["analyze", str(path), "--where", "week == cw12-2023"]) == 0
+        where_text = capsys.readouterr().out
+
+        def refuse(self, rows):
+            raise AssertionError("a record was built for analysis")
+
+        monkeypatch.setattr(cbr._ChunkColumns, "records", refuse)
+        results, read = full_pass(path)
+        assert read == len(records)
+        assert results == expected
+        assert main(["analyze", str(path), "--where", "week == cw12-2023"]) == 0
+        assert capsys.readouterr().out == where_text
+        spool = SpoolStore(tmp_path / "spool")
+        spool.submit_file(path)
+        indexer = WeekIndexer(tmp_path / "index")
+        assert len(indexer.fold_pending(spool)) == 1
+        assert indexer.weeks() == [archive_week_label(week) for week in range(WEEKS)]
+        assert indexer.load_combined().connections_total == len(records)
+        with pytest.raises(AssertionError):
+            with open_record_batches(str(path)) as source:
+                next(source.records())
+
+    def test_a_point_lookup_builds_only_the_rows_it_returns(self, archive, monkeypatch):
+        path, records = archive
+        wanted = records[len(records) // 2]
+        built = []
+        build = cbr._ChunkColumns.records
+
+        def counting(self, rows):
+            built.append(len(rows))
+            return build(self, rows)
+
+        monkeypatch.setattr(cbr._ChunkColumns, "records", counting)
+        predicate = Eq("domain", wanted.domain)
+        stats = QueryStats()
+        with open_query_source(str(path), predicate, stats=stats) as source:
+            matched = [
+                record
+                for batch in source.batches()
+                for record in filter_batch(batch, predicate, stats)
+            ]
+        assert matched == [wanted]
+        assert stats.records_scanned == CHUNK_RECORDS
+        assert built == [1]
+
+    def test_no_fold_walks_its_batch_as_records(self):
+        """In every ``update_many``/``update`` that takes a batch, the
+        batch parameter is only ever read through an attribute (a
+        column), measured with ``len``, or handed to a fold."""
+        src = Path(cbr.__file__).resolve().parents[1]
+        modules = sorted((src / "analysis").glob("*.py")) + [
+            src / "service" / "summary.py", src / "faults" / "taxonomy.py",
+        ]
+        checked = []
+        for module in modules:
+            for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.FunctionDef) or node.name not in (
+                    "update_many", "update"
+                ):
+                    continue
+                params = [arg.arg for arg in node.args.args]
+                if params[-1] != "batch":
+                    continue
+                checked.append(f"{module.name}:{node.lineno}")
+                columns = {
+                    id(sub.value) for sub in ast.walk(node) if isinstance(sub, ast.Attribute)
+                }
+                lengths = {
+                    id(arg) for sub in ast.walk(node)
+                    if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "len"
+                    for arg in sub.args
+                }
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Name) and sub.id == "batch":
+                        assert id(sub) in columns | lengths or _is_fold_call(node, sub), (
+                            f"{module}:{sub.lineno} uses the batch as records"
+                        )
+        # The six record folds, the ``RecordFold`` protocol and the week
+        # summarizer.
+        assert len(checked) == 8, checked
+
+
+def _is_fold_call(function: ast.FunctionDef, name: ast.Name) -> bool:
+    """``fold.update_many(batch)``: handing the batch on is not reading it."""
+    for sub in ast.walk(function):
+        if (
+            isinstance(sub, ast.Call)
+            and isinstance(sub.func, ast.Attribute)
+            and sub.func.attr == "update_many"
+            and name in sub.args
+        ):
+            return True
+    return False
+
+
+def calls_per_record(path):
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        _, read = full_pass(path)
+    finally:
+        sys.setprofile(previous)
+    return calls / read
+
+
+class TestWorkBudget:
+    def test_all_section_pass_fits_the_budget(self, archive):
+        path, records = archive
+        full_pass(path)  # warm: the shared AS database, week-serial cache
+        assert calls_per_record(path) <= CALLS_PER_RECORD_MEASURED * 1.10
+
+    def test_the_count_repeats_exactly(self, archive):
+        path, _ = archive
+        full_pass(path)
+        assert calls_per_record(path) == calls_per_record(path)

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import make_connection_record
 from repro.analysis.accuracy import accuracy_study
+from repro.analysis.engine import AnalysisEngine, build_record_folds
 from repro.analysis.artifacts import (
     ArtifactFormatError,
     export_records,
@@ -13,7 +14,9 @@ from repro.analysis.artifacts import (
     record_from_dict,
     record_to_dict,
 )
+from repro.artifacts import open_record_batches, write_records
 from repro.core.classify import SpinBehaviour
+from repro.web.scanner import ScanConfig, Scanner
 
 
 def sample_records():
@@ -69,6 +72,45 @@ class TestRoundTrip:
         clone = record_from_dict(record_to_dict(record))
         assert clone.ip.version == 6
         assert str(clone.ip) == str(record.ip)
+
+
+class TestFormatsAgree:
+    """cbr and JSONL are two encodings of the same records (the gates of
+    the retired analyze-throughput benchmark that need no clock)."""
+
+    @pytest.fixture(scope="class")
+    def artifact_pair(self, tiny_population, tmp_path_factory):
+        scanner = Scanner(tiny_population, ScanConfig())
+        records = []
+        for probe in range(2):
+            dataset = scanner.scan(
+                week_label="cw20-2023", ip_version=4,
+                domains=tiny_population.domains[:600], probe=probe,
+            )
+            records.extend(dataset.connection_records())
+        directory = tmp_path_factory.mktemp("formats")
+        jsonl_path, cbr_path = directory / "scan.jsonl", directory / "scan.cbr"
+        assert write_records(records, str(jsonl_path)) == len(records)
+        assert write_records(records, str(cbr_path)) == len(records)
+        return records, jsonl_path, cbr_path
+
+    def test_equal_section_results(self, artifact_pair):
+        records, jsonl_path, cbr_path = artifact_pair
+        assert len(records) > 100
+        expected = AnalysisEngine(build_record_folds("all")).run([records])
+        for path in (jsonl_path, cbr_path):
+            engine = AnalysisEngine(build_record_folds("all"))
+            with open_record_batches(
+                str(path),
+                want_edges_received=engine.needs_edges_received,
+                want_edges_sorted=engine.needs_edges_sorted,
+            ) as source:
+                assert engine.run(source.batches()) == expected, path.suffix
+                assert source.records_read == len(records)
+
+    def test_cbr_is_at_least_4x_smaller(self, artifact_pair):
+        _, jsonl_path, cbr_path = artifact_pair
+        assert jsonl_path.stat().st_size >= 4.0 * cbr_path.stat().st_size
 
 
 class TestErrorHandling:

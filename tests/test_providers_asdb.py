@@ -1,6 +1,8 @@
 """Provider catalog and the synthetic AS database."""
 
+import dataclasses
 import ipaddress
+import random
 
 import pytest
 
@@ -129,3 +131,81 @@ class TestIpAddr:
 
     def test_hashable_for_set_counting(self):
         assert len({IpAddr(1, 4), IpAddr(1, 4), IpAddr(1, 6)}) == 2
+
+
+def linear_lookup(asdb: AsDatabase, ip: IpAddr):
+    """``AsDatabase.lookup`` as it was: one comparison per prefix, in the
+    database's order (longest first, catalog order on a tie)."""
+    total_bits = 32 if ip.version == 4 else 128
+    for record in asdb._records:
+        if record.version != ip.version:
+            continue
+        shift = total_bits - record.prefix_length
+        if (ip.value >> shift) == (record.network >> shift):
+            return asdb._entry_for(record, ip.value)
+    return None
+
+
+def _with_prefixes(template, name, asn, v4_prefix, v6_prefix):
+    return dataclasses.replace(
+        template, name=name, org_name=name.title(), asn=asn,
+        v4_prefix=v4_prefix, v6_prefix=v6_prefix,
+    )
+
+
+class TestPrefixTables:
+    """The per-length dict probe against the linear scan it replaced."""
+
+    @pytest.fixture(scope="class")
+    def databases(self):
+        template = provider_by_name("cloudflare")
+        tail = provider_by_name("other-hosting")
+        nested = AsDatabase([
+            _with_prefixes(template, "outer", 1, "10.0.0.0/8", "2001:db8::/32"),
+            _with_prefixes(template, "inner", 2, "10.1.0.0/16", "2001:db8:1::/48"),
+            # The same prefixes again: the earlier provider wins the tie.
+            _with_prefixes(template, "shadowed", 3, "10.1.0.0/16", "2001:db8:1::/48"),
+            _with_prefixes(tail, "slices", 0, "10.1.2.0/24", "2001:db8:1:2::/64"),
+            _with_prefixes(template, "host", 4, "10.1.2.3/32", "2001:db8:1:2::3/128"),
+            _with_prefixes(template, "everything", 5, "0.0.0.0/0", "::/0"),
+        ])
+        return build_default_asdb(), nested
+
+    def test_every_prefix_boundary(self, databases):
+        for asdb in databases:
+            for record in asdb._records:
+                bits = 32 if record.version == 4 else 128
+                size = 1 << (bits - record.prefix_length)
+                for value in (
+                    record.network - 1, record.network, record.network + 1,
+                    record.network + size - 1, record.network + size,
+                    record.network + size + 1,
+                ):
+                    if 0 <= value < 1 << bits:
+                        ip = IpAddr(value, record.version)
+                        assert asdb.lookup(ip) == linear_lookup(asdb, ip), str(ip)
+
+    def test_random_addresses(self, databases):
+        rng = random.Random(20230520)
+        for asdb in databases:
+            for _ in range(5_000):
+                for ip in (
+                    IpAddr(rng.getrandbits(32), 4), IpAddr(rng.getrandbits(128), 6),
+                ):
+                    assert asdb.lookup(ip) == linear_lookup(asdb, ip), str(ip)
+                    assert asdb.lookup_value(ip.value, ip.version) == asdb.lookup(ip)
+
+    def test_longest_prefix_and_ties(self, databases):
+        _, nested = databases
+        def v4(text):
+            return IpAddr(int(ipaddress.IPv4Address(text)), 4)
+
+        assert nested.lookup(v4("10.1.2.3")).org_name == "Host"
+        assert nested.lookup(v4("10.1.2.4")).org_name == "Slices #0"
+        assert nested.lookup(v4("10.1.3.4")).org_name == "Inner"
+        assert nested.lookup(v4("10.2.0.1")).org_name == "Outer"
+        assert nested.lookup(v4("11.0.0.1")).org_name == "Everything"
+        assert nested.lookup(IpAddr(1, 6)).org_name == "Everything"
+
+    def test_the_default_database_is_built_once(self):
+        assert build_default_asdb() is build_default_asdb()

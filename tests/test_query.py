@@ -18,7 +18,8 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import make_connection_record
+from conftest import archive_week_label, make_archive_week, make_connection_record
+from repro.analysis.engine import AnalysisEngine, build_record_folds
 from repro.analysis.query import (
     And,
     Between,
@@ -181,6 +182,47 @@ class TestPruningCorrectness:
         matched, stats = query(path, Eq("provider", "cloudflare"))
         assert matched == []
         assert stats.chunks_total == 0
+
+
+class TestArchivePushdown:
+    """A 26-week archive written week by week, as a shard merge does:
+    selective reads must inflate a sliver of it and still equal brute
+    force over the whole (the gates of the retired pushdown benchmark)."""
+
+    MAX_CHUNK_FRACTION = 0.05
+
+    @pytest.fixture(scope="class")
+    def archive(self, tmp_path_factory):
+        by_week = [make_archive_week(offset, 512) for offset in range(26)]
+        path = tmp_path_factory.mktemp("archive") / "archive.cbr"
+        with open(path, "wb") as stream:
+            write_records_cbr(
+                [r for week in by_week for r in week], stream, chunk_records=256
+            )
+        return path, by_week
+
+    def test_where_week_inflates_under_5_percent_and_equals_brute_force(self, archive):
+        path, by_week = archive
+        for offset in (0, 13, 25):
+            predicate = parse_where(f"week == {archive_week_label(offset)}")
+            stats = QueryStats()
+            engine = AnalysisEngine(build_record_folds("all"))
+            with open_query_source(str(path), predicate, stats=stats) as source:
+                results = engine.run(source.batches(), predicate=predicate, stats=stats)
+            brute = AnalysisEngine(build_record_folds("all")).run([by_week[offset]])
+            assert results == brute
+            assert stats.records_matched == len(by_week[offset])
+            assert stats.chunks_selected / stats.chunks_total < self.MAX_CHUNK_FRACTION
+
+    def test_point_lookup_inflates_under_5_percent_and_equals_brute_force(self, archive):
+        path, by_week = archive
+        for wanted in (by_week[0][0], by_week[12][300], by_week[25][-1]):
+            matched, stats = query(path, Eq("domain", wanted.domain))
+            got, want = io.BytesIO(), io.BytesIO()
+            write_records_cbr(matched, got)
+            write_records_cbr([wanted], want)
+            assert got.getvalue() == want.getvalue()
+            assert stats.chunks_selected / stats.chunks_total < self.MAX_CHUNK_FRACTION
 
 
 class TestDegradedPaths:

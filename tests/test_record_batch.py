@@ -1,0 +1,700 @@
+"""Column bodies against the per-record bodies they replaced.
+
+The six analysis folds, the week summary and every ``--where`` predicate
+node read :class:`~repro.artifacts.cbr.RecordBatch` columns.  The loops
+they ran over ``ConnectionRecord`` objects until 256dd08 live on here,
+verbatim, as the naive references: random records must give equal fold
+results, equal ``WeekSummary.to_json()`` bytes, equal ``QueryStats`` and
+equal selected rows whichever way the batch came to be — columns taken
+off a list (``from_records``), a chunk decoded from cbr bytes, or a
+``take`` of some of a decoded chunk's rows.
+"""
+
+from __future__ import annotations
+
+import io
+from dataclasses import replace
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.accuracy import AccuracyFold
+from repro.analysis.asorg import OrgFold
+from repro.analysis.engine import AnalysisEngine, build_record_folds
+from repro.analysis.filter_study import FilterFold
+from repro.analysis.query import (
+    And,
+    Between,
+    Eq,
+    In,
+    Present,
+    QueryError,
+    QueryStats,
+    filter_batch,
+)
+from repro.analysis.versions import VersionFold
+from repro.analysis.webserver import WebserverFold
+from repro.artifacts.cbr import CbrReader, RecordBatch, week_serial, write_records_cbr
+from repro.core.classify import SpinBehaviour
+from repro.core.heuristics import DynamicThresholdFilter
+from repro.core.metrics import compare_means
+from repro.core.observer import SpinEdge, SpinObservation, spin_rtts_from_edges
+from repro.faults.taxonomy import FailureFold, FailureKind
+from repro.internet.asdb import IpAddr, build_default_asdb
+from repro.service.summary import (
+    FLAG_SPIN,
+    FLAG_SUCCESS,
+    WeekSummarizer,
+    WeekSummary,
+    summarize_records,
+)
+from repro.web.scanner import ConnectionRecord
+
+ASDB = build_default_asdb()
+SECTIONS = ("orgs", "webservers", "accuracy", "versions", "filters", "failures")
+
+# ----------------------------------------------------------------------
+# The naive references: the former per-record bodies, verbatim.  Each
+# subclass keeps the fold's state and ``finish``/``counts`` and swaps
+# the column loop for the record loop it replaced.
+# ----------------------------------------------------------------------
+
+
+class NaiveOrgFold(OrgFold):
+    def update_many(self, records):
+        totals = self._totals
+        spins = self._spins
+        org_of = self._org_of
+        lookup = self._asdb.lookup
+        spin = SpinBehaviour.SPIN
+        for connection in records:
+            if not connection.success:
+                continue
+            ip = connection.ip
+            org = org_of.get(ip)
+            if org is None:
+                entry = lookup(ip)
+                org = entry.org_name if entry is not None else "<unrouted>"
+                org_of[ip] = org
+            totals[org] = totals.get(org, 0) + 1
+            if connection.behaviour is spin:
+                spins[org] = spins.get(org, 0) + 1
+
+
+class NaiveWebserverFold(WebserverFold):
+    def update_many(self, records):
+        counts = self._counts
+        spinning_only = self._spinning_only
+        spin = SpinBehaviour.SPIN
+        for connection in records:
+            if not connection.success:
+                continue
+            if spinning_only and connection.behaviour is not spin:
+                continue
+            header = connection.server_header or "<none>"
+            counts[header] = counts.get(header, 0) + 1
+
+
+class NaiveAccuracyFold(AccuracyFold):
+    def update_many(self, records):
+        study = self._study
+        for connection in records:
+            observation = connection.observation
+            if len(observation.values_seen) != 2:
+                continue
+            stack_rtts = connection.stack_rtts_ms
+            received = observation.rtts_received_ms
+            sorted_series = observation.rtts_sorted_ms
+            if not stack_rtts or not received or not sorted_series:
+                continue
+            # Degenerate series (all-zero intervals from identically
+            # timestamped packets, or a non-positive stack baseline) have
+            # no meaningful ratio and are excluded, like empty ones.
+            if (
+                sum(received) <= 0.0
+                or sum(sorted_series) <= 0.0
+                or sum(stack_rtts) <= 0.0
+            ):
+                continue
+            result_r = compare_means(received, stack_rtts)
+            result_s = compare_means(sorted_series, stack_rtts)
+            if connection.behaviour.value == "grease":
+                study.grease_received.add(result_r)
+                study.grease_sorted.add(result_s)
+            else:
+                study.spin_received.add(result_r)
+                study.spin_sorted.add(result_s)
+                impact = study.reordering
+                impact.connections_compared += 1
+                delta = abs(result_r.absolute_ms - result_s.absolute_ms)
+                if received != sorted_series:
+                    impact.connections_changed += 1
+                    if delta < 1.0:
+                        impact.changed_below_1ms += 1
+                    if abs(result_s.absolute_ms) <= abs(result_r.absolute_ms):
+                        impact.changed_improved += 1
+
+
+class NaiveVersionFold(VersionFold):
+    def update_many(self, records):
+        counts = self._counts
+        for record in records:
+            version = record.negotiated_version
+            if version is None or not record.success:
+                continue
+            counts[version] = counts.get(version, 0) + 1
+
+
+def naive_filter_edges(self: DynamicThresholdFilter, edges):
+    """``DynamicThresholdFilter.filter_edges`` as it walked edge objects."""
+    accepted: list[SpinEdge] = []
+    estimate_ms: float | None = None
+    for edge in edges:
+        if not accepted:
+            accepted.append(edge)
+            continue
+        interval = edge.time_ms - accepted[-1].time_ms
+        if estimate_ms is not None and interval < self.fraction * estimate_ms:
+            continue
+        accepted.append(edge)
+        if len(accepted) >= 2:
+            estimate_ms = interval
+    return accepted
+
+
+def _naive_append(outcome, series, stack) -> None:
+    if series:
+        outcome.results.append(compare_means(series, stack))
+    else:
+        outcome.connections_lost += 1
+
+
+class NaiveFilterFold(FilterFold):
+    def update_many(self, records):
+        static_filter = self._static_filter
+        hold_filter = self._hold_filter
+        raw_results = self._raw.results
+        for record in records:
+            observation = record.observation
+            if len(observation.values_seen) != 2:
+                continue
+            stack = record.stack_rtts_ms
+            base = observation.rtts_received_ms
+            if not stack or not base:
+                continue
+            raw_results.append(compare_means(base, stack))
+
+            static_series = static_filter.filter_rtts(base)
+            _naive_append(self._static, static_series, stack)
+
+            hold_series = spin_rtts_from_edges(
+                naive_filter_edges(hold_filter, observation.edges_received)
+            )
+            _naive_append(self._hold, hold_series, stack)
+
+            combined_series = static_filter.filter_rtts(hold_series)
+            _naive_append(self._combined, combined_series, stack)
+
+
+class NaiveFailureFold(FailureFold):
+    def update_many(self, records):
+        counts = self._counts
+        total = 0
+        succeeded = 0
+        for record in records:
+            total += 1
+            if record.success:
+                succeeded += 1
+                continue
+            kind = getattr(record, "failure", None)
+            key = kind.value if kind is not None else "unclassified"
+            counts[key] = counts.get(key, 0) + 1
+        self._total += total
+        self._succeeded += succeeded
+
+
+def naive_folds():
+    return [
+        NaiveOrgFold(ASDB), NaiveWebserverFold(), NaiveAccuracyFold(),
+        NaiveVersionFold(), NaiveFilterFold(), NaiveFailureFold(),
+    ]
+
+
+def naive_summarize(week, records) -> WeekSummary:
+    """``summarize_records`` as it looped over records."""
+    from repro.analysis.accuracy import SeriesStats
+    from repro.analysis.filter_study import FilterOutcomeStats
+    from repro.service.summary import _ACCURACY_SERIES
+
+    summary = WeekSummary(week=week)
+    org_fold, webserver_fold, accuracy_fold, version_fold, filter_fold, failure_fold = (
+        folds := naive_folds()
+    )
+    for fold in folds:
+        fold.update_many(records)
+
+    for record in records:
+        flags = 0
+        if record.success:
+            flags |= FLAG_SUCCESS
+            summary.connections_success += 1
+        if record.shows_spin_activity:
+            flags |= FLAG_SPIN
+            summary.connections_spinning += 1
+        summary.connections_total += 1
+        if flags:
+            summary.domains[record.domain] = (
+                summary.domains.get(record.domain, 0) | flags
+            )
+        else:
+            summary.domains.setdefault(record.domain, 0)
+        key = record.behaviour.value
+        summary.behaviours[key] = summary.behaviours.get(key, 0) + 1
+
+    summary.org_totals, summary.org_spins = org_fold.counts()
+    summary.webservers = webserver_fold.counts()
+    summary.versions = version_fold.counts()
+    study = accuracy_fold.finish()
+    summary.accuracy = {
+        key: SeriesStats.from_summary(getattr(study, key))
+        for key, _ in _ACCURACY_SERIES
+    }
+    summary.reordering = study.reordering
+    summary.filters = [
+        FilterOutcomeStats.from_outcome(outcome)
+        for outcome in filter_fold.finish().outcomes()
+    ]
+    total, succeeded, kinds = failure_fold.counts()
+    summary.failures_total = total
+    summary.failures_succeeded = succeeded
+    summary.failure_kinds = kinds
+    return summary
+
+
+def _record_value(name, record):
+    if name == "domain":
+        return record.domain
+    if name == "provider":
+        return record.provider_name
+    if name == "week":
+        return week_serial(record.week)
+    if name == "failure":
+        return None if record.failure is None else record.failure.value
+    if name == "behaviour":
+        return record.behaviour.value
+    if name == "edges":
+        return len(record.observation.edges_received)
+    if name == "status":
+        return record.status
+    if name == "version":
+        return record.negotiated_version
+    if name == "success":
+        return record.success
+    raise AssertionError(name)
+
+
+def naive_matches(self, record) -> bool:
+    """Every node's former ``matches(record)``, by node type."""
+    if isinstance(self, Eq):
+        if self.name == "t":
+            return any(
+                edge.time_ms == self.value
+                for edge in record.observation.edges_received
+            )
+        if self.name == "week":
+            serial = week_serial(self.value)
+            return serial is not None and _record_value("week", record) == serial
+        return _record_value(self.name, record) == self.value
+    if isinstance(self, In):
+        if self.name == "week":
+            serials = {week_serial(v) for v in self.values} - {None}
+            return _record_value("week", record) in serials
+        return _record_value(self.name, record) in self.values
+    if isinstance(self, Between):
+        low, high = self._bounds()
+        if low is None or high is None:  # unparseable week bound
+            return False
+        if self.name == "t":
+            return any(
+                low <= edge.time_ms <= high
+                for edge in record.observation.edges_received
+            )
+        value = _record_value(self.name, record)
+        return value is not None and low <= value <= high
+    if isinstance(self, Present):
+        return _record_value(self.name, record) is not None
+    assert isinstance(self, And)
+    return all(naive_matches(clause, record) for clause in self.clauses)
+
+
+# ----------------------------------------------------------------------
+# Random records.
+# ----------------------------------------------------------------------
+
+DOMAINS = [f"d{i}.example" for i in range(5)] + ["bücher.example", "例え.テスト"]
+PROVIDER_NAMES = ["cloudflare", "google", "other-hosting", "nobody"]
+HEADERS = [None, "", "LiteSpeed", "nginx"]
+WEEK_LABELS = [None, "cw20-2023", "cw21-2023", "cw01-2024", "not-a-week"]
+STATUSES = [None, 0, 200, 404, 70_000]
+VERSIONS = [None, 0, 1, 0xFF00001D, 0x6B3343CF]
+#: A few exactly representable values, so sums reach 0.0 and series
+#: repeat, beside arbitrary finite floats.
+MS = st.sampled_from([0.0, 0.5, 1.0, 25.0, 40.0]) | st.floats(
+    -5.0, 4000.0, allow_nan=False
+)
+#: Addresses inside, at the edge of and outside routed prefixes.
+ROUTED = [
+    (record.network + offset, record.version)
+    for record in ASDB._records[::3]
+    for offset in (0, 1, 257)
+]
+IPS = st.sampled_from(ROUTED) | st.tuples(
+    st.integers(0, 2**32 - 1), st.just(4)
+) | st.tuples(st.integers(0, 2**128 - 1), st.just(6))
+
+
+@st.composite
+def connection_records(draw):
+    times = draw(st.lists(MS, max_size=6))
+    if draw(st.booleans()):
+        times.sort()
+    edges_received = [
+        SpinEdge(time_ms, draw(st.integers(0, 2**20)), draw(st.booleans()))
+        for time_ms in times
+    ]
+    edges_sorted = (
+        sorted(edges_received, key=lambda edge: edge.packet_number)
+        if draw(st.booleans())
+        else list(edges_received)
+    )
+    series = st.lists(MS, max_size=5)
+    observation = SpinObservation(
+        packets_seen=draw(st.integers(0, 300)),
+        values_seen=set(
+            draw(st.sampled_from([(), (False,), (True,), (False, True), (False, True)]))
+        ),
+        edges_received=edges_received,
+        edges_sorted=edges_sorted,
+        rtts_received_ms=(
+            spin_rtts_from_edges(edges_received)
+            if draw(st.booleans())
+            else draw(series)
+        ),
+        rtts_sorted_ms=(
+            spin_rtts_from_edges(edges_sorted) if draw(st.booleans()) else draw(series)
+        ),
+    )
+    domain = draw(st.sampled_from(DOMAINS))
+    value, version = draw(IPS)
+    return ConnectionRecord(
+        domain=domain,
+        host=draw(st.sampled_from(["www." + domain, domain, "cdn.example"])),
+        ip=IpAddr(value=value, version=version),
+        ip_version=version,
+        provider_name=draw(st.sampled_from(PROVIDER_NAMES)),
+        server_header=draw(st.sampled_from(HEADERS)),
+        status=draw(st.sampled_from(STATUSES)),
+        success=draw(st.booleans()),
+        behaviour=draw(st.sampled_from(list(SpinBehaviour))),
+        observation=observation,
+        stack_rtts_ms=draw(series),
+        negotiated_version=draw(st.sampled_from(VERSIONS)),
+        failure=draw(st.sampled_from([None, None, *FailureKind])),
+        week=draw(st.sampled_from(WEEK_LABELS)),
+    )
+
+
+RECORD_LISTS = st.lists(connection_records(), max_size=12)
+
+
+def encode(records, chunk_records=1024) -> bytes:
+    buffer = io.BytesIO()
+    write_records_cbr(records, buffer, chunk_records=chunk_records)
+    return buffer.getvalue()
+
+
+def decode_batches(payload, **want) -> list[RecordBatch]:
+    return list(CbrReader(io.BytesIO(payload)).record_batches(**want))
+
+
+def strip_edges(record, received, sorted_):
+    """``record`` as a decode projecting edge lists away builds it."""
+    observation = replace(
+        record.observation,
+        edges_received=record.observation.edges_received if received else [],
+        edges_sorted=record.observation.edges_sorted if sorted_ else [],
+    )
+    return replace(record, observation=observation)
+
+
+def three_ways(records, data):
+    """``(how, batches, the records they stand for, the records they
+    build)``, three ways; the last two differ by projected edge lists."""
+    yield "from_records", [RecordBatch.from_records(records)], records, records
+    received = data.draw(st.booleans(), label="want_edges_received")
+    sorted_ = data.draw(st.booleans(), label="want_edges_sorted")
+    want = {"want_edges_received": received, "want_edges_sorted": sorted_}
+    payload = encode(records, chunk_records=5)
+    yield "decoded", decode_batches(payload, **want), records, [
+        strip_edges(record, received, sorted_) for record in records
+    ]
+    taken, kept = [], []
+    for start, batch in zip(range(0, len(records), 5), decode_batches(payload, **want)):
+        rows = data.draw(
+            st.lists(st.integers(0, len(batch) - 1), unique=True), label="rows"
+        )
+        taken.append(batch.take(rows))
+        kept.extend(records[start + row] for row in rows)
+    yield "taken", taken, kept, [strip_edges(r, received, sorted_) for r in kept]
+
+
+def run_naive(records):
+    """``{section: result}`` and the summary bytes of the record loops;
+    the filter study is ``None`` where the old loop raised (a spinning
+    connection whose received series or stack sums to zero or less made
+    ``compare_means`` refuse the mean — the column body skips it)."""
+    results = {}
+    for fold in naive_folds():
+        try:
+            fold.update_many(records)
+            results[fold.name] = fold.finish()
+        except ValueError:
+            assert fold.name == "filters"
+            results[fold.name] = None
+    summary = None
+    if results["filters"] is not None:
+        summary = naive_summarize("cw20-2023", records).to_json()
+    return results, summary
+
+
+class TestFoldsAgainstRecordLoops:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(RECORD_LISTS, st.data())
+    def test_six_folds_and_summary_three_ways(self, records, data):
+        for how, batches, stood_for, _ in three_ways(records, data):
+            expected, expected_json = run_naive(stood_for)
+            results = AnalysisEngine(build_record_folds("all", asdb=ASDB)).run(batches)
+            assert list(results) == list(SECTIONS)
+            for section in SECTIONS:
+                if expected[section] is not None:
+                    assert results[section] == expected[section], (how, section)
+            summarizer = WeekSummarizer("cw20-2023", ASDB)
+            for batch in batches:
+                summarizer.update(batch)
+            if expected_json is not None:
+                assert summarizer.finish().to_json() == expected_json, how
+
+    def test_zero_sum_series_are_skipped_not_raised(self):
+        """Where the record loop raised, the column body has a rule."""
+        edges = [SpinEdge(5.0, 1, False), SpinEdge(5.0, 2, True), SpinEdge(5.0, 3, False)]
+        degenerate = _spinning(edges, stack=[20.0])
+        zero_stack = _spinning(_edges(0.0, 40.0, 80.0), stack=[0.0])
+        held = _spinning(_edges(0.0, 40.0, 40.0, 80.0), stack=[20.0])
+        backwards = _spinning(_edges(100.0, 50.0, 0.0), stack=[20.0])
+        backwards.observation.rtts_received_ms = [30.0]
+        for record in (degenerate, zero_stack, backwards):
+            with pytest.raises(ValueError):
+                NaiveFilterFold().update_many([record])
+        fold = FilterFold()
+        fold.update_many(
+            RecordBatch.from_records([degenerate, zero_stack, held, backwards])
+        )
+        study = fold.finish()
+        assert [o.connections for o in study.outcomes()] == [2, 2, 1, 1]
+        assert [o.connections_lost for o in study.outcomes()] == [0, 0, 1, 1]
+
+    def test_accuracy_skips_each_zero_sum_series(self):
+        """One series summing to exactly zero — received, sorted or the
+        stack — excludes the connection, whichever it is."""
+        still = [SpinEdge(5.0, 1, False), SpinEdge(5.0, 2, True)]
+        moving = _edges(0.0, 40.0)
+        cases = []
+        for received, sorted_, stack in [
+            (still, moving, [20.0]), (moving, still, [20.0]), (moving, moving, [0.0, 0.0]),
+            (moving, moving, [20.0]),
+        ]:
+            record = _spinning(received, stack=stack)
+            record.observation.edges_sorted = sorted_
+            record.observation.rtts_sorted_ms = spin_rtts_from_edges(sorted_)
+            cases.append(record)
+        naive = NaiveAccuracyFold()
+        naive.update_many(cases)
+        for batches in ([RecordBatch.from_records(cases)], decode_batches(encode(cases))):
+            fold = AccuracyFold()
+            for batch in batches:
+                fold.update_many(batch)
+            assert fold.finish() == naive.finish()
+            assert fold.finish().spin_received.connections == 1
+
+    def test_more_than_255_strings_in_a_chunk(self):
+        """Index columns wider than a byte resolve to the same strings."""
+        records = [
+            replace(_spinning(_edges(0.0, 30.0 + i, 70.0), stack=[25.0]),
+                    domain=f"wide{i:03d}.example", host=f"h{i}.wide.example",
+                    server_header=f"server/{i}")
+            for i in range(300)
+        ]
+        (batch,) = decode_batches(encode(records))
+        assert batch.domains == [r.domain for r in records]
+        assert batch.headers == [r.server_header for r in records]
+        assert list(batch) == records
+        expected, expected_json = run_naive(records)
+        assert AnalysisEngine(build_record_folds("all", asdb=ASDB)).run([batch]) == expected
+        assert summarize_records("cw20-2023", batch, ASDB).to_json() == expected_json
+
+
+def _edges(*times):
+    return [SpinEdge(t, 2 * i + 1, bool(i % 2)) for i, t in enumerate(times)]
+
+
+def _spinning(edges, stack):
+    return ConnectionRecord(
+        domain="spin.example", host="www.spin.example",
+        ip=IpAddr(value=0x0A000001, version=4), ip_version=4,
+        provider_name="other-hosting", server_header="LiteSpeed", status=200,
+        success=True, behaviour=SpinBehaviour.SPIN,
+        observation=SpinObservation(
+            packets_seen=12, values_seen={False, True}, edges_received=edges,
+            edges_sorted=list(edges), rtts_received_ms=spin_rtts_from_edges(edges),
+            rtts_sorted_ms=spin_rtts_from_edges(edges),
+        ),
+        stack_rtts_ms=stack, negotiated_version=1, week="cw20-2023",
+    )
+
+
+# ----------------------------------------------------------------------
+# Predicates.
+# ----------------------------------------------------------------------
+
+FIELD_VALUES = {
+    "domain": st.sampled_from(DOMAINS + ["absent.example"]),
+    "provider": st.sampled_from(PROVIDER_NAMES),
+    "week": st.sampled_from(WEEK_LABELS[1:] + ["cw52-2022"]),
+    "failure": st.sampled_from([kind.value for kind in FailureKind]),
+    "behaviour": st.sampled_from([b.value for b in SpinBehaviour]),
+    "edges": st.integers(0, 7),
+    "status": st.sampled_from(STATUSES[1:]),
+    "version": st.sampled_from(VERSIONS[1:]),
+    "success": st.booleans(),
+    "t": MS,
+}
+RANGE_FIELDS = ("week", "t", "edges", "status")
+SCALAR_FIELDS = tuple(name for name in FIELD_VALUES if name != "t")
+
+
+@st.composite
+def leaf_predicates(draw):
+    kind = draw(st.sampled_from(["eq", "in", "between", "present"]))
+    if kind == "eq":
+        name = draw(st.sampled_from(list(FIELD_VALUES)))
+        return Eq(name, draw(FIELD_VALUES[name]))
+    if kind == "in":
+        name = draw(st.sampled_from(SCALAR_FIELDS))
+        return In(name, draw(st.lists(FIELD_VALUES[name], max_size=3)))
+    if kind == "between":
+        name = draw(st.sampled_from(RANGE_FIELDS))
+        return Between(name, draw(FIELD_VALUES[name]), draw(FIELD_VALUES[name]))
+    return Present(draw(st.sampled_from(SCALAR_FIELDS)))
+
+
+PREDICATES = leaf_predicates() | st.lists(leaf_predicates(), min_size=1, max_size=3).map(And)
+
+
+class TestPredicatesAgainstMatches:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(RECORD_LISTS, PREDICATES, st.data())
+    def test_select_is_the_rows_matches_accepts(self, records, predicate, data):
+        for how, batches, stood_for, built in three_ways(records, data):
+            hits = [naive_matches(predicate, record) for record in stood_for]
+            expected = [record for record, hit in zip(stood_for, hits) if hit]
+            stats = QueryStats()
+            selected = []
+            for batch in batches:
+                rows = predicate.select(batch, range(len(batch)))
+                assert rows == sorted(rows)
+                matched = filter_batch(batch, predicate, stats)
+                assert len(matched) == len(rows)
+                selected.extend(matched)
+            assert selected == [r for r, hit in zip(built, hits) if hit], (how, predicate)
+            assert (stats.records_scanned, stats.records_matched) == (
+                len(stood_for), len(expected)
+            ), (how, predicate)
+            engine_stats = QueryStats()
+            results = AnalysisEngine(build_record_folds("failures")).run(
+                batches, predicate=predicate, stats=engine_stats
+            )
+            assert engine_stats == stats
+            naive = NaiveFailureFold()
+            naive.update_many(expected)
+            assert results == {"failures": naive.finish()}
+
+    @given(connection_records(), PREDICATES)
+    def test_matches_is_select_over_one_row(self, record, predicate):
+        assert predicate.matches(record) == naive_matches(predicate, record)
+
+    @pytest.mark.parametrize("build", [
+        lambda: In("t", [1.0]), lambda: Present("t"), lambda: In("time", [1.0]),
+    ])
+    def test_t_is_a_series_not_a_scalar(self, build):
+        """``in`` and ``present`` compare one scalar per record; ``t``
+        never had one (its ``matches`` hit an assertion)."""
+        with pytest.raises(QueryError):
+            build()
+
+
+# ----------------------------------------------------------------------
+# The batch as a sequence of records.
+# ----------------------------------------------------------------------
+
+
+class TestSequenceOfRecords:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(RECORD_LISTS, st.booleans(), st.booleans())
+    def test_reencoding_a_batch_reproduces_its_source_bytes(
+        self, records, received, sorted_
+    ):
+        assume(records)
+        payload = encode(records, chunk_records=5)
+        batches = decode_batches(
+            payload, want_edges_received=received, want_edges_sorted=sorted_
+        )
+        shown = [strip_edges(r, received, sorted_) for r in records]
+        assert encode([r for batch in batches for r in batch], 5) == encode(shown, 5)
+        for start, batch in zip(range(0, len(records), 5), batches):
+            assert len(batch) == len(shown[start : start + 5])
+            assert batch == shown[start : start + 5]
+            assert shown[start : start + 5] == batch
+            assert batch[0] == shown[start] and batch[-1] == batch[len(batch) - 1]
+            assert encode(list(batch)) == encode(shown[start : start + 5])
+        if received and sorted_:
+            assert encode([r for batch in batches for r in batch], 5) == payload
+
+    @given(RECORD_LISTS, st.data())
+    def test_take_is_the_rows_in_the_order_given(self, records, data):
+        (batch,) = decode_batches(encode(records)) or [RecordBatch.from_records([])]
+        rows = data.draw(st.lists(st.integers(0, max(0, len(records) - 1)), unique=True)
+                         if records else st.just([]))
+        taken = batch.take(rows)
+        again = taken.take(range(len(rows))[::-1])
+        assert list(taken) == [records[row] for row in rows]
+        assert list(again) == [records[row] for row in rows[::-1]]
+        assert taken.weeks == [records[row].week for row in rows]
+        from_list = RecordBatch.from_records(records).take(rows)
+        assert [a is b for a, b in zip(from_list, (records[row] for row in rows))] == (
+            [True] * len(rows)
+        )
+
+    def test_a_batch_is_built_once_and_compares_like_a_list(self):
+        records = [_spinning(_edges(0.0, 30.0, 70.0), stack=[25.0]) for _ in range(3)]
+        (batch,) = decode_batches(encode(records))
+        assert batch == records and records == batch and batch == batch.take([0, 1, 2])
+        assert batch != records[:2] and batch != object()
+        assert batch[1] is batch[1] and list(batch)[2] is batch[2]
+        assert batch[:2] == records[:2]
+        assert records[0] in batch
+        assert RecordBatch.coerce(batch) is batch
+        assert RecordBatch.coerce(iter(records)) == records
