@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Per-PR perf gate: run the tier-1 tests, then the perf benchmarks
-# (telemetry, fault, profiler, and migration-resolver overhead; service
-# query latency; scan, monitor, analyze and query throughput are
+# (telemetry, fault, profiler, and migration-resolver overhead; scan,
+# monitor, analyze/query throughput and API latency are
 # `python3 -m bench run --workload
-# campaign_week|monitor_steady|monitor_churn|archive_query`, the
-# benchmark of record),
+# campaign_week|monitor_steady|monitor_churn|archive_query|service_readwrite`,
+# the benchmark of record),
 # and append each benchmark's result (stamped with commit and timestamp)
 # to BENCH_history.jsonl so every PR records its perf delta.  The cbr
 # round-trip identity gate runs first: no perf run is recorded from a
@@ -63,9 +63,6 @@ python -m pytest -q -s benchmarks/test_perf_profile_overhead.py
 echo "== migration-overhead benchmark =="
 python -m pytest -q -s benchmarks/test_perf_migration_overhead.py
 
-echo "== service-query benchmark =="
-python -m pytest -q -s benchmarks/test_perf_service_query.py
-
 echo "== chaos smoke =="
 bash scripts/chaos_smoke.sh
 
@@ -86,7 +83,6 @@ for result_file in (
     "BENCH_fault_overhead.json",
     "BENCH_profile_overhead.json",
     "BENCH_migration_overhead.json",
-    "BENCH_service_query.json",
 ):
     result = json.loads(pathlib.Path(result_file).read_text())
     result["commit"] = commit

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from typing import IO, Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -159,6 +160,8 @@ class SpanLog:
         #: span (the daemon, or the scanner for standalone scans).
         self.trace_id: str | None = None
         self._stack: list[str] = []
+        self._diag_counted: dict[tuple, SpanRecord] = {}
+        self._diag_lock = threading.Lock()
 
     def span(
         self,
@@ -180,15 +183,24 @@ class SpanLog:
         (self.diag_records if span._diag else self.records).append(record)
 
     def record_diag(self, name: str, **attrs: object) -> None:
-        """Append a flat diag span without touching the nesting stack.
+        """Count a flat diag span without touching the nesting stack.
 
-        For spans recorded from server threads (API requests): a single
-        ``list.append`` keeps concurrent recording from ever corrupting
-        the stack the deterministic stream depends on.  Timestamps are
-        zero — request latency is wall-clock and belongs in the
+        For spans recorded from server threads (API requests): one
+        record per distinct ``(name, attrs)`` carrying a ``count``, so a
+        long-lived server's diag stream is bounded by what it serves,
+        not by how often — and no stack access, so concurrent recording
+        can never corrupt the deterministic stream.  Timestamps are zero
+        — request latency is wall-clock and belongs in the
         ``api.request_ms`` histogram, not in a span file.
         """
-        self.diag_records.append(SpanRecord((name,), 0.0, 0.0, dict(attrs)))
+        key = (name, *sorted(attrs.items()))
+        with self._diag_lock:
+            record = self._diag_counted.get(key)
+            if record is None:
+                record = SpanRecord((name,), 0.0, 0.0, dict(attrs, count=0))
+                self._diag_counted[key] = record
+                self.diag_records.append(record)
+            record.attrs["count"] += 1
 
     def absorb(
         self,

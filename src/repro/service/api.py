@@ -1,15 +1,17 @@
 """HTTP/JSON query API over the week index — the service's front door.
 
 A stdlib :class:`http.server.ThreadingHTTPServer` serving millisecond
-answers from the indexer's summary files.  The hot path never decodes
-artifact chunks: summaries are parsed once per index version and cached
-(including the merged all-weeks view and the rendered ``repro
-analyze`` text blocks), and every summary-backed response is a pure
-function of those counters.  The one deliberately cold endpoint is
-``/v1/domain/<name>``, which runs an index-backed point lookup against
-the spooled ``cbr`` artifacts — its chunk decodes are *counted* in the
-telemetry registry (``query.chunks_total`` …), which is how the
-benchmark asserts the summary endpoints decode zero chunks.
+answers from the indexer's summary files.  A summary request does
+answer-sized work: it reads the ledger (the index *version*), looks its
+week up in :class:`ServiceState`'s cache and writes the encoded body it
+finds there.  Parsing, merging the all-weeks view and rendering happen
+once per change of a week file's *content*, never per request, and no
+request decodes an artifact chunk.  The one deliberately cold endpoint
+is ``/v1/domain/<name>``, which runs an index-backed point lookup
+against the spooled ``cbr`` artifacts that can hold the name — its
+chunk decodes are *counted* in the telemetry registry
+(``query.chunks_total`` …), which is how the benchmark asserts the
+summary endpoints decode zero chunks.
 
 Endpoints (all JSON unless noted)::
 
@@ -25,11 +27,14 @@ Endpoints (all JSON unless noted)::
     POST /v1/seeds                       register target domains
 
 ``week`` defaults to ``all`` (every indexed week merged).  Errors are
-JSON too: ``{"error": ...}`` with a 4xx status.
+JSON too, and counted: ``{"error": ...}`` with a 4xx/5xx status, whether
+a route refused the request or the HTTP layer did (bad request line,
+unsupported version or method, oversized header).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import threading
@@ -45,24 +50,51 @@ from repro.obs.slo import (
 )
 from repro.obs.spans import span_rows
 from repro.service.daemon import CampaignDaemon
-from repro.service.indexer import WeekIndexer
+from repro.service.indexer import WeekIndexer, ledger_artifacts
 from repro.service.spool import SpoolStore
+from repro.service.summary import WeekSummary, combine_weeks
 
 __all__ = ["ServiceState", "build_server", "serve_forever"]
 
 _SEEDS_NAME = "seeds.json"
 _MAX_BODY_BYTES = 4 << 20
+_JSON_HEADERS = (("Content-Type", "application/json"),)
+_SECTIONS = (
+    "all", "orgs", "webservers", "accuracy", "versions", "filters", "failures",
+)
+
+
+def _encode(payload: dict) -> bytes:
+    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+
+
+class _CachedWeek:
+    """One week file as last read: content digest, parse, encoded answers."""
+
+    __slots__ = ("digest", "summary", "bodies", "checked")
+
+    def __init__(self) -> None:
+        self.digest = None  # sha256 of week-<label>.json; for "all", its weeks'
+        self.summary: WeekSummary | None = None
+        self.bodies: dict = {}  # (route, section) -> response body
+        self.checked = False  # digest compared under the current version
 
 
 class ServiceState:
     """Shared, cached view of one service directory.
 
-    Week summaries and rendered analysis blocks are cached per *index
-    version* (the ledger file's content): a fold by the daemon or an
-    external ``repro service index`` bumps the version and the next
-    request reloads.  Checking the version costs one small file read —
-    that is the entire per-request filesystem footprint of the summary
-    endpoints.
+    Every request reads the ledger — the index *version* — which is the
+    whole per-request filesystem footprint of the summary endpoints and
+    what makes a fold by the daemon or an external ``repro service
+    index`` visible on the next request.  A new version re-lists the
+    weeks and marks every cached week unchecked; the first request for a
+    week under that version compares its file's digest and re-parses
+    only if the bytes differ (a fold rewrites one or two week files, the
+    others keep their parse and their encoded bodies).  Content, not
+    mtime: a rewrite within the timestamp granularity, or one that puts
+    the same bytes back, is judged by what it wrote.  Labels the index
+    does not list get a 404 without touching the disk or the cache, so
+    the cache holds at most one entry per indexed week.
     """
 
     def __init__(
@@ -81,55 +113,63 @@ class ServiceState:
             default_service_slos()
         )
         self._lock = threading.Lock()
-        self._version: str | None = None
-        self._summaries: dict = {}
-        self._rendered: dict = {}
+        self._version: bytes | None = None
+        self._weeks: dict[str, _CachedWeek] = {}  # calendar order
+        self._all = _CachedWeek()
+        self._weeks_body = b""
 
-    def summary(self, week: str):
-        """The (cached) summary for ``week`` or the merged ``all`` view."""
+    def weeks(self) -> list[str]:
+        """Indexed week labels in calendar order, listed once per version."""
         with self._lock:
             self._refresh_locked()
-            if week in self._summaries:
-                return self._summaries[week]
-            if week == "all":
-                summary = self.indexer.load_combined()
-            else:
-                summary = self.indexer.load_week(week)
-            if summary is not None:
-                self._summaries[week] = summary
-            return summary
+            return list(self._weeks)
 
-    def analysis_text(self, week: str, section: str) -> str | None:
-        """The rendered ``repro analyze`` block (cached per version)."""
-        from repro.analysis.report import render_analysis_sections
-
-        key = (week, section)
+    def weeks_body(self) -> bytes:
         with self._lock:
             self._refresh_locked()
-            cached = self._rendered.get(key)
-        if cached is not None:
-            return cached
-        summary = self.summary(week)
-        if summary is None:
-            return None
-        text = render_analysis_sections(summary.analysis_results(), section)
+            return self._weeks_body
+
+    def summary_body(self, week: str, key, render) -> bytes | None:
+        """The encoded answer ``key`` for ``week`` (or the merged ``all``).
+
+        ``render`` turns the week's summary into the payload; it runs
+        once per content of the week file.  ``None``: not indexed.
+        """
         with self._lock:
-            self._rendered[key] = text
-        return text
+            self._refresh_locked()
+            entry = self._all_locked() if week == "all" else self._week_locked(week)
+            if entry is None:
+                return None
+            body = entry.bodies.get(key)
+            if body is None:
+                body = entry.bodies[key] = _encode(render(entry.summary))
+            return body
 
     def domain_records(self, name: str):
-        """Point lookup across every spooled artifact (the cold path).
+        """Point lookup across the spooled artifacts (the cold path).
 
-        Yields JSONL lines; decodes are charged to the telemetry
-        registry through the same :class:`QueryStats` counters the CLI
-        query path emits.
+        An artifact the ledger lists is listed by every week it holds
+        records of, so it is opened only if one of those weeks knows the
+        name; an artifact not (completely) folded yet is always opened.
+        Yields JSONL lines in spool order; decodes are charged to the
+        telemetry registry through the same :class:`QueryStats` counters
+        the CLI query path emits.
         """
         from repro.analysis.artifacts import record_to_dict
         from repro.analysis.query import Eq, QueryStats, filter_batch
         from repro.artifacts import open_query_source
 
+        with self._lock:
+            self._refresh_locked()
+            skip = ledger_artifacts(self._version)
+            for week in self._weeks:
+                cached = self._week_locked(week)
+                if cached is not None and name in cached.summary.domains:
+                    skip.difference_update(cached.summary.artifacts)
         predicate = Eq("domain", name)
         for entry in self.spool.artifacts():
+            if entry.fingerprint in skip:
+                continue
             stats = QueryStats()
             with open_query_source(str(entry.path), predicate, stats=stats) as source:
                 for batch in source.batches():
@@ -178,7 +218,7 @@ class ServiceState:
             self.telemetry.registry.counter(name).inc(amount)
 
     def observe_request_ms(self, route: str, elapsed_ms: float, status: int) -> None:
-        """Account one request: latency histogram + diag span."""
+        """Account one request: latency histogram + counted diag span."""
         if self.telemetry is None:
             return
         self.telemetry.registry.histogram("api.request_ms").observe(elapsed_ms)
@@ -216,10 +256,48 @@ class ServiceState:
 
     def _refresh_locked(self) -> None:
         version = self.indexer.version()
-        if version != self._version:
-            self._version = version
-            self._summaries = {}
-            self._rendered = {}
+        if version == self._version:
+            return
+        # The ledger is read before the directory and the week files, so
+        # whatever a fold wrote before this version is seen under it.
+        cached = self._weeks
+        self._weeks = {
+            week: cached.get(week) or _CachedWeek() for week in self.indexer.weeks()
+        }
+        for entry in self._weeks.values():
+            entry.checked = False
+        self._all.checked = False
+        self._weeks_body = _encode({"weeks": list(self._weeks)})
+        self._version = version
+
+    def _week_locked(self, week: str) -> _CachedWeek | None:
+        entry = self._weeks.get(week)
+        if entry is None or entry.checked:
+            return entry
+        data = self.indexer.week_bytes(week)
+        if data is None:
+            return None
+        digest = hashlib.sha256(data).digest()
+        if digest != entry.digest:
+            entry.digest = digest
+            entry.summary = WeekSummary.from_json(data)
+            entry.bodies = {}
+        entry.checked = True
+        return entry
+
+    def _all_locked(self) -> _CachedWeek:
+        entry = self._all
+        if not entry.checked:
+            checked = map(self._week_locked, self._weeks)
+            weeks = [week for week in checked if week is not None]
+            digest = tuple(week.digest for week in weeks)
+            if digest != entry.digest:
+                entry.digest = digest
+                entry.summary = None  # freed before its successor is built
+                entry.summary = combine_weeks(week.summary for week in weeks)
+                entry.bodies = {}
+            entry.checked = True
+        return entry
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -235,18 +313,40 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # requests are counted in telemetry, not printed
 
-    def _send_json(self, payload: dict, status: int = 200) -> None:
+    def _send(self, status: int, headers, body: bytes) -> None:
+        """The whole response — what ``send_response`` + ``send_header``
+        + ``end_headers`` + a body write emit — in one write."""
         self._last_status = status
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        if self.command and self.request_version == "HTTP/0.9":
+            self.wfile.write(body)  # a simple-request takes no status line
+            return
+        lines = [
+            f"{self.protocol_version} {status} {self.responses[status][0]}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            *(f"{name}: {value}" for name, value in headers),
+            f"Content-Length: {len(body)}\r\n\r\n",
+        ]
+        if self.command == "HEAD":
+            body = b""
+        self.wfile.write("\r\n".join(lines).encode("latin-1") + body)
 
-    def _send_error_json(self, message: str, status: int = 400) -> None:
+    def _send_json(self, payload: dict) -> None:
+        self._send(200, _JSON_HEADERS, _encode(payload))
+
+    def _send_error_json(self, message: str, status: int = 400, headers=()) -> None:
         self.state.counter("service.requests_errored")
-        self._send_json({"error": message}, status=status)
+        self._send(status, headers + _JSON_HEADERS, _encode({"error": message}))
+
+    def send_error(self, code, message=None, explain=None):
+        """What the HTTP layer refuses (request line, version, method,
+        header size) before a route sees it: counted and answered in
+        JSON like any other error, and the connection is closed."""
+        self.state.counter("service.requests_total")
+        self.close_connection = True
+        self._send_error_json(
+            message or self.responses[code][0], int(code), (("Connection", "close"),)
+        )
 
     # -- routing -------------------------------------------------------
 
@@ -254,39 +354,37 @@ class _Handler(BaseHTTPRequestHandler):
         # API latency is inherently wall-clock; it feeds the operator
         # histogram + SLOs and never enters a deterministic artifact.
         started = time.perf_counter()  # wallclock-ok: API latency histogram
-        self._last_status = 200
-        self._route_get()
+        route = self._route_get()
         elapsed_ms = (time.perf_counter() - started) * 1000.0  # wallclock-ok
-        self.state.observe_request_ms(
-            urlparse(self.path).path, elapsed_ms, self._last_status
-        )
+        self.state.observe_request_ms(route, elapsed_ms, self._last_status)
 
-    def _route_get(self) -> None:
+    def _route_get(self) -> str:
+        """Answer one GET; returns the route template it matched."""
         state = self.state
         state.counter("service.requests_total")
         url = urlparse(self.path)
-        query = parse_qs(url.query)
-        week = (query.get("week") or ["all"])[0]
         route = url.path.rstrip("/") or "/"
+        query = parse_qs(url.query) if url.query else {}
+        week = (query.get("week") or ["all"])[0]
         if route == "/v1/healthz":
             self._send_json(
                 {
                     "status": "ok",
-                    "weeks": state.indexer.weeks(),
+                    "weeks": state.weeks(),
                     "artifacts": len(state.spool.artifacts()),
                 }
             )
         elif route == "/v1/weeks":
-            self._send_json({"weeks": state.indexer.weeks()})
+            self._send(200, _JSON_HEADERS, state.weeks_body())
         elif route == "/v1/adoption":
-            self._summary_endpoint(week, lambda summary: summary.adoption())
+            self._summary_endpoint(week, "adoption", WeekSummary.adoption)
         elif route == "/v1/compliance":
-            self._summary_endpoint(week, lambda summary: summary.compliance())
+            self._summary_endpoint(week, "compliance", WeekSummary.compliance)
         elif route == "/v1/analyze":
-            section = (query.get("section") or ["all"])[0]
-            self._analyze_endpoint(week, section)
+            self._analyze_endpoint(week, (query.get("section") or ["all"])[0])
         elif route.startswith("/v1/domain/"):
             self._domain_endpoint(unquote(route[len("/v1/domain/"):]))
+            return "/v1/domain/<name>"
         elif route == "/v1/metrics":
             self._send_json({"metrics": state.metrics_snapshot()})
         elif route == "/v1/status":
@@ -295,6 +393,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(state.spans_payload())
         else:
             self._send_error_json(f"unknown endpoint {url.path}", status=404)
+            return "<unknown>"
+        return route
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         state = self.state
@@ -324,40 +424,36 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- endpoint bodies -----------------------------------------------
 
-    def _summary_endpoint(self, week: str, view) -> None:
-        summary = self.state.summary(week)
-        if summary is None:
+    def _summary_endpoint(self, week: str, key, render) -> None:
+        body = self.state.summary_body(week, key, render)
+        if body is None:
             self._send_error_json(f"week {week!r} is not indexed", status=404)
-            return
-        self._send_json(view(summary))
+        else:
+            self._send(200, _JSON_HEADERS, body)
 
     def _analyze_endpoint(self, week: str, section: str) -> None:
-        sections = (
-            "all", "orgs", "webservers", "accuracy", "versions", "filters",
-            "failures",
-        )
-        if section not in sections:
+        if section not in _SECTIONS:
             self._send_error_json(f"unknown section {section!r}")
             return
-        text = self.state.analysis_text(week, section)
-        if text is None:
-            self._send_error_json(f"week {week!r} is not indexed", status=404)
-            return
-        self._send_json({"week": week, "section": section, "text": text})
+
+        def render(summary: WeekSummary) -> dict:
+            from repro.analysis.report import render_analysis_sections
+
+            text = render_analysis_sections(summary.analysis_results(), section)
+            return {"week": week, "section": section, "text": text}
+
+        self._summary_endpoint(week, ("analyze", section), render)
 
     def _domain_endpoint(self, name: str) -> None:
         if not name:
             self._send_error_json("a domain name is required")
             return
         lines = list(self.state.domain_records(name))
-        body = ("".join(line + "\n" for line in lines)).encode("utf-8")
-        self._last_status = 200
-        self.send_response(200)
-        self.send_header("Content-Type", "application/jsonl")
-        self.send_header("X-Record-Count", str(len(lines)))
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(
+            200,
+            (("Content-Type", "application/jsonl"), ("X-Record-Count", len(lines))),
+            "".join(line + "\n" for line in lines).encode("utf-8"),
+        )
 
 
 def build_server(

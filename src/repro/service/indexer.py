@@ -33,7 +33,7 @@ import os
 from pathlib import Path
 from typing import Callable
 
-from repro.service.summary import WeekSummarizer, WeekSummary
+from repro.service.summary import WeekSummarizer, WeekSummary, combine_weeks
 
 __all__ = ["WeekIndexer"]
 
@@ -56,6 +56,7 @@ class WeekIndexer:
     ) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self._ledger_path = self.directory / _LEDGER_NAME
         self._asdb = asdb
         self._fault_hook = fault_hook
         #: Optional :class:`repro.telemetry.Telemetry`.  Folds emit
@@ -166,16 +167,7 @@ class WeekIndexer:
 
     def ledger(self) -> set[str]:
         """Fingerprints whose fold completed (every week file written)."""
-        path = self.directory / _LEDGER_NAME
-        if not path.is_file():
-            return set()
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            # An unreadable ledger only costs re-checks against the
-            # per-week artifact lists, never a double fold.
-            return set()
-        return set(data.get("artifacts") or [])
+        return ledger_artifacts(self.version())
 
     def _record_in_ledger(self, fingerprint: str) -> None:
         artifacts = self.ledger()
@@ -183,16 +175,19 @@ class WeekIndexer:
         payload = json.dumps(
             {"artifacts": sorted(artifacts)}, sort_keys=True, indent=1
         )
-        self._write_atomic(self.directory / _LEDGER_NAME, payload + "\n")
+        self._write_atomic(self._ledger_path, payload + "\n")
         self._fault("ledger-written")
 
-    def version(self) -> str:
-        """Cache tag for the API layer: changes iff the index changed."""
-        path = self.directory / _LEDGER_NAME
+    def version(self) -> bytes:
+        """Cache tag for the API layer: changes iff the index changed.
+
+        The ledger file as it is — read on every API request.
+        """
         try:
-            return path.read_text(encoding="utf-8")
+            with open(self._ledger_path, "rb") as stream:
+                return stream.read()
         except OSError:
-            return ""
+            return b""
 
     # -- reading -------------------------------------------------------
 
@@ -207,24 +202,21 @@ class WeekIndexer:
         ]
         return sorted(labels, key=_week_sort_key)
 
-    def load_week(self, week: str) -> WeekSummary | None:
-        path = self.week_path(week)
-        if not path.is_file():
+    def week_bytes(self, week: str) -> bytes | None:
+        """The week file as written (replaced atomically, so never torn)."""
+        try:
+            return self.week_path(week).read_bytes()
+        except OSError:
             return None
-        return WeekSummary.from_json(path.read_text(encoding="utf-8"))
+
+    def load_week(self, week: str) -> WeekSummary | None:
+        data = self.week_bytes(week)
+        return None if data is None else WeekSummary.from_json(data)
 
     def load_combined(self) -> WeekSummary:
-        """All weeks merged into one ``week="all"`` summary.
-
-        Counter merges are commutative and exact, so this equals the
-        summary a single fold over the union of all records would give.
-        """
-        combined = WeekSummary(week="all")
-        for week in self.weeks():
-            summary = self.load_week(week)
-            if summary is not None:
-                combined.merge(summary)
-        return combined
+        """All weeks on disk merged into one ``week="all"`` summary."""
+        loaded = map(self.load_week, self.weeks())
+        return combine_weeks(summary for summary in loaded if summary is not None)
 
     # -- internals -----------------------------------------------------
 
@@ -236,6 +228,16 @@ class WeekIndexer:
     def _fault(self, event: str) -> None:
         if self._fault_hook is not None:
             self._fault_hook(event)
+
+
+def ledger_artifacts(data: bytes) -> set[str]:
+    """The fingerprints the ledger file ``data`` lists."""
+    try:
+        return set(json.loads(data).get("artifacts") or [])
+    except (ValueError, AttributeError):
+        # An unreadable ledger only costs re-checks against the
+        # per-week artifact lists, never a double fold.
+        return set()
 
 
 def _week_sort_key(label: str):

@@ -32,7 +32,7 @@ from repro.analysis.accuracy import AccuracyStudy, ReorderingImpact, SeriesStats
 from repro.analysis.filter_study import FilterOutcomeStats, FilterStudy
 from repro.artifacts.cbr import RecordBatch
 
-__all__ = ["WeekSummarizer", "WeekSummary", "summarize_records"]
+__all__ = ["WeekSummarizer", "WeekSummary", "combine_weeks", "summarize_records"]
 
 _SUMMARY_SCHEMA = 1
 
@@ -237,7 +237,7 @@ class WeekSummary:
         return json.dumps(data, sort_keys=True, indent=1) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "WeekSummary":
+    def from_json(cls, text: str | bytes) -> "WeekSummary":
         data = json.loads(text)
         summary = cls(week=data["week"])
         summary.artifacts = list(data.get("artifacts") or [])
@@ -340,6 +340,18 @@ def summarize_records(week: str, records, asdb) -> WeekSummary:
     summarizer = WeekSummarizer(week, asdb)
     summarizer.update(RecordBatch.coerce(records))
     return summarizer.finish()
+
+
+def combine_weeks(summaries) -> WeekSummary:
+    """``summaries`` merged into one ``week="all"`` summary.
+
+    Counter merges are commutative and exact, so this equals the
+    summary a single fold over the union of all records would give.
+    """
+    combined = WeekSummary(week="all")
+    for summary in summaries:
+        combined.merge(summary)
+    return combined
 
 
 def _add_counts(target: dict, source: dict) -> None:

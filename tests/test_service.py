@@ -1,14 +1,20 @@
 """The measurement-as-a-service plane (spool, indexer, daemon, API)."""
 
+import dataclasses
 import io
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
-from contextlib import redirect_stdout
+from contextlib import contextmanager, redirect_stdout
 
 import pytest
 
+from repro.analysis.report import render_analysis_sections
+from repro.artifacts import open_record_batches
+from repro.artifacts.cbr import write_records_cbr
 from repro.cli import main
 from repro.service import (
     CampaignDaemon,
@@ -168,6 +174,17 @@ def service(tmp_path_factory):
     server.server_close()
 
 
+def entry_records(entry) -> list:
+    with open_record_batches(str(entry.path)) as source:
+        return list(source.records())
+
+
+def spooled_records(spool) -> list:
+    return [
+        record for entry in spool.artifacts() for record in entry_records(entry)
+    ]
+
+
 def http_get(url: str) -> tuple[int, bytes]:
     try:
         with urllib.request.urlopen(url) as response:
@@ -208,14 +225,10 @@ class TestApi:
         """The tentpole acceptance check: /v1/analyze must serve the same
         bytes ``repro analyze`` prints over the union of the artifacts."""
         daemon, base = service
-        from repro.artifacts import open_record_batches, write_records
+        from repro.artifacts import write_records
 
-        records = []
-        for entry in daemon.spool.artifacts():
-            with open_record_batches(str(entry.path)) as source:
-                records.extend(source.records())
         union = tmp_path / "union.cbr"
-        write_records(records, str(union))
+        write_records(spooled_records(daemon.spool), str(union))
         buffer = io.StringIO()
         with redirect_stdout(buffer):
             assert main(["analyze", str(union)]) == 0
@@ -225,14 +238,10 @@ class TestApi:
 
     def test_analyze_single_week_matches_where_filter(self, service, tmp_path):
         daemon, base = service
-        from repro.artifacts import open_record_batches, write_records
+        from repro.artifacts import write_records
 
-        records = []
-        for entry in daemon.spool.artifacts():
-            with open_record_batches(str(entry.path)) as source:
-                records.extend(source.records())
         union = tmp_path / "union.cbr"
-        write_records(records, str(union))
+        write_records(spooled_records(daemon.spool), str(union))
         buffer = io.StringIO()
         with redirect_stdout(buffer):
             assert main(
@@ -250,10 +259,7 @@ class TestApi:
     def test_domain_endpoint_matches_repro_query(self, service):
         daemon, base = service
         entry = daemon.spool.artifacts()[0]
-        from repro.artifacts import open_record_batches
-
-        with open_record_batches(str(entry.path)) as source:
-            name = next(source.records()).domain
+        name = entry_records(entry)[0].domain
         buffer = io.StringIO()
         with redirect_stdout(buffer):
             assert main(["query", "domain", name, str(entry.path)]) == 0
@@ -290,6 +296,302 @@ class TestApi:
         assert status == 404 and "error" in json.loads(body)
         status, body = http_get(f"{base}/v1/adoption?week=cw01-1999")
         assert status == 404 and "error" in json.loads(body)
+
+
+@pytest.fixture(scope="module")
+def scanned(service):
+    """The fixture campaign's records: the same domains in both weeks."""
+    daemon, _ = service
+    records = spooled_records(daemon.spool)
+    by_week = {
+        week: [record for record in records if record.week == week]
+        for week in ("cw19-2023", "cw20-2023")
+    }
+    assert all(len(rows) >= 8 for rows in by_week.values())
+    return by_week
+
+
+def submit(spool, records, week=None):
+    """Spool ``records`` (re-stamped to ``week`` if given) as one artifact."""
+    if week is not None:
+        records = [dataclasses.replace(record, week=week) for record in records]
+    buffer = io.BytesIO()
+    write_records_cbr(records, buffer)
+    return spool.submit_bytes(buffer.getvalue(), source="test")
+
+
+@contextmanager
+def serving(directory):
+    """An empty service directory behind a live API server."""
+    from repro.telemetry import Telemetry
+
+    spool = SpoolStore(directory / "spool")
+    state = ServiceState(
+        spool, WeekIndexer(directory / "index"), telemetry=Telemetry()
+    )
+    server = build_server(state)
+    # A short poll only so that shutdown() returns promptly.
+    thread = threading.Thread(target=server.serve_forever, args=(0.02,), daemon=True)
+    thread.start()
+    try:
+        yield state, f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=30)
+
+
+def encoded(payload) -> bytes:
+    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+
+
+def bodies_from_disk(indexer: WeekIndexer) -> dict[str, bytes]:
+    """Every summary route's body, computed from freshly loaded summaries."""
+    weeks = indexer.weeks()
+    expected = {"/v1/weeks": encoded({"weeks": weeks})}
+    summaries = {week: indexer.load_week(week) for week in weeks}
+    summaries["all"] = indexer.load_combined()
+    for week, summary in summaries.items():
+        expected[f"/v1/adoption?week={week}"] = encoded(summary.adoption())
+        expected[f"/v1/compliance?week={week}"] = encoded(summary.compliance())
+        for section in ("all", "versions"):
+            text = render_analysis_sections(summary.analysis_results(), section)
+            expected[f"/v1/analyze?week={week}&section={section}"] = encoded(
+                {"week": week, "section": section, "text": text}
+            )
+    expected["/v1/adoption"] = expected["/v1/adoption?week=all"]
+    return expected
+
+
+def raw_request(base: str, request: bytes) -> bytes:
+    host, port = base.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=30) as connection:
+        connection.sendall(request)
+        connection.shutdown(socket.SHUT_WR)
+        return b"".join(iter(lambda: connection.recv(65536), b""))
+
+
+class TestApiCache:
+    """The read cache's contract: answers are cached per week-file
+    content, and no request is answered from a superseded index."""
+
+    def assert_fresh(self, state, base):
+        for path, body in bodies_from_disk(state.indexer).items():
+            assert http_get(base + path) == (200, body), path
+            assert http_get(base + path) == (200, body), f"{path} (cached)"
+
+    def test_every_fold_step_serves_the_bytes_on_disk(self, scanned, tmp_path):
+        cw19, cw20 = scanned["cw19-2023"], scanned["cw20-2023"]
+        half = len(cw19) // 2
+        with serving(tmp_path) as (state, base):
+            fold = lambda: state.indexer.fold_pending(state.spool)  # noqa: E731
+            assert http_get(f"{base}/v1/weeks") == (200, encoded({"weeks": []}))
+            first = submit(state.spool, cw19[:half])
+            assert len(fold()) == 1  # a new week
+            self.assert_fresh(state, base)
+            submit(state.spool, cw20)
+            assert len(fold()) == 1  # another new week
+            self.assert_fresh(state, base)
+            untouched = state._weeks["cw20-2023"].summary
+            submit(state.spool, cw19[half:])
+            assert len(fold()) == 1  # a second artifact into an existing week
+            self.assert_fresh(state, base)
+            assert state._weeks["cw20-2023"].summary is untouched  # not re-parsed
+            submit(
+                state.spool,
+                [
+                    dataclasses.replace(record, week=week)
+                    for week, rows in (("cw21-2023", cw19), ("cw22-2023", cw20))
+                    for record in rows
+                ],
+            )
+            assert len(fold()) == 1  # one artifact, two weeks
+            self.assert_fresh(state, base)
+            cached = {week: entry.summary for week, entry in state._weeks.items()}
+            merged = state._all.summary
+            assert not state.spool.submit_bytes(
+                first.path.read_bytes(), source="again"
+            ).new
+            assert fold() == []  # a duplicate invalidates nothing
+            self.assert_fresh(state, base)
+            assert state._all.summary is merged
+            assert all(
+                state._weeks[week].summary is summary
+                for week, summary in cached.items()
+            )
+
+    def test_a_fold_by_another_indexer_is_visible_on_the_next_request(
+        self, scanned, tmp_path
+    ):
+        """What ``repro service index`` beside a running server does."""
+        with serving(tmp_path) as (state, base):
+            submit(state.spool, scanned["cw19-2023"])
+            state.indexer.fold_pending(state.spool)
+            self.assert_fresh(state, base)
+            submit(state.spool, scanned["cw20-2023"])
+            submit(state.spool, scanned["cw20-2023"][:5], week="cw19-2023")
+            other = WeekIndexer(state.indexer.directory)
+            assert len(other.fold_pending(state.spool)) == 2
+            status, body = http_get(f"{base}/v1/adoption?week=cw19-2023")
+            assert json.loads(body)["connections_total"] == len(scanned["cw19-2023"]) + 5
+            self.assert_fresh(state, base)
+
+    def test_unknown_week_labels_are_never_cached(self, scanned, tmp_path):
+        hostile = ["../ledger", "..%2F..%2Fetc%2Fpasswd", "%00", "all%00", "ALL",
+                   "cw19-2023/", "cw19-2023.json", "x" * 4000, "week-cw19-2023"]
+        with serving(tmp_path) as (state, base):
+            submit(state.spool, scanned["cw19-2023"])
+            state.indexer.fold_pending(state.spool)
+            self.assert_fresh(state, base)
+            for turn in range(1000):
+                label = hostile[turn % len(hostile)] if turn % 2 else f"cw{turn}-1999"
+                route = ("adoption", "compliance", "analyze")[turn % 3]
+                status, body = http_get(f"{base}/v1/{route}?week={label}")
+                assert status == 404 and "error" in json.loads(body), label
+            assert list(state._weeks) == ["cw19-2023"]
+            self.assert_fresh(state, base)
+
+    def test_a_reader_beside_folds_sees_each_week_before_or_after_a_fold(
+        self, scanned, tmp_path
+    ):
+        cw19, cw20 = scanned["cw19-2023"], scanned["cw20-2023"]
+        step = max(1, len(cw19) // 6)
+        slices = [cw19[at : at + step] for at in range(0, len(cw19), step)]
+        #: cw19's total after each fold begun so far; appended *before*
+        #: the fold starts, so ``totals[-1]`` may or may not be visible.
+        totals = [len(slices[0])]
+        seen: list[tuple[int, int, int]] = []
+        errors: list[str] = []
+        done = threading.Event()
+        paths = (
+            "/v1/adoption?week=cw19-2023", "/v1/adoption", "/v1/weeks",
+            "/v1/compliance?week=cw19-2023",
+            "/v1/analyze?week=cw19-2023&section=versions",
+        )
+        with serving(tmp_path) as (state, base):
+            submit(state.spool, slices[0])
+            state.indexer.fold_pending(state.spool)
+
+            def read():
+                while not done.is_set():
+                    for path in paths:
+                        begun = len(totals)
+                        status, body = http_get(base + path)
+                        if status != 200:
+                            errors.append(f"{path} -> {status}")
+                        elif path == paths[0]:
+                            total = json.loads(body)["connections_total"]
+                            seen.append((begun, total, len(totals)))
+
+            reader = threading.Thread(target=read, daemon=True)
+            reader.start()
+            for turn, rows in enumerate(slices[1:]):
+                submit(state.spool, rows)
+                submit(state.spool, cw20[:5], week=f"cw{21 + turn}-2023")
+                totals.append(totals[-1] + len(rows))
+                assert len(state.indexer.fold_pending(state.spool)) == 2
+                _, body = http_get(f"{base}/v1/adoption?week=cw19-2023")
+                assert json.loads(body)["connections_total"] == totals[-1]
+                answered = len(seen)  # let the reader come round between folds
+                deadline = time.monotonic() + 30
+                while len(seen) == answered and time.monotonic() < deadline:
+                    time.sleep(0.001)
+            done.set()
+            reader.join(timeout=30)
+            assert not reader.is_alive() and not errors, errors[:3]
+            assert len(seen) >= len(slices) - 1
+            for begun, total, begun_by_the_answer in seen:
+                # Every fold but the last one begun had returned when the
+                # request was sent: nothing older than that may be served.
+                assert total in totals[max(0, begun - 2) : begun_by_the_answer]
+            self.assert_fresh(state, base)
+
+    def test_protocol_rejects_are_json_and_counted(self, tmp_path):
+        rejects = {
+            b"GARBAGE\r\n\r\n": b" 400 ",
+            b"GET /v1/weeks HTTP/9.9\r\n\r\n": b" 505 ",
+            b"PUT /v1/weeks HTTP/1.1\r\nHost: x\r\n\r\n": b" 501 ",
+            b"GET /v1/weeks HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n": b" 431 ",
+        }
+        with serving(tmp_path) as (state, base):
+            for request, status in rejects.items():
+                head, _, body = raw_request(base, request).partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1" + status), head
+                assert b"Content-Type: application/json" in head
+                assert f"Content-Length: {len(body)}".encode() in head
+                assert set(json.loads(body)) == {"error"}
+            assert http_get(f"{base}/v1/weeks")[0] == 200
+            assert http_get(f"{base}/v1/nope")[0] == 404
+            counters = state.metrics_snapshot()["counters"]
+            assert counters["service.requests_total"] == 6
+            assert counters["service.requests_errored"] == 5
+
+    def test_request_diag_is_bounded_by_route_templates(self, tmp_path):
+        expected = {
+            ("request:/v1/domain/<name>", 200, 40),
+            ("request:<unknown>", 404, 40),
+            ("request:/v1/weeks", 200, 40),
+        }
+        with serving(tmp_path) as (state, base):
+            for turn in range(40):
+                http_get(f"{base}/v1/domain/name-{turn}.example")
+                http_get(f"{base}/v1/made-up-{turn}")
+                http_get(f"{base}/v1/weeks")
+            # A request is accounted after its response is written.
+            deadline = time.monotonic() + 30
+            while True:
+                diag = {
+                    (record.name, record.attrs["status"], record.attrs["count"])
+                    for record in state.telemetry.spans.diag_records
+                }
+                if diag == expected or time.monotonic() > deadline:
+                    break
+                time.sleep(0.001)
+            assert diag == expected
+            rows = json.loads(http_get(f"{base}/v1/spans")[1])["diag"]
+            assert {row["name"] for row in rows} == {name for name, _, _ in expected}
+
+
+class TestDomainLookup:
+    def unpruned(self, spool, name: str) -> bytes:
+        """The answer of opening every spooled artifact, in spool order."""
+        from repro.analysis.artifacts import record_to_dict
+
+        lines = [
+            json.dumps(record_to_dict(record), separators=(",", ":")) + "\n"
+            for record in spooled_records(spool)
+            if record.domain == name
+        ]
+        return "".join(lines).encode("utf-8")
+
+    def test_pruned_lookup_equals_opening_every_artifact(self, scanned, tmp_path):
+        cw19, cw20 = scanned["cw19-2023"], scanned["cw20-2023"]
+        names = sorted({record.domain for record in cw19})
+        groups = [set(names[at::3]) for at in range(3)]
+        assert {names[0], names[2]} <= {record.domain for record in cw20}
+        with serving(tmp_path) as (state, base):
+            # Three weeks of disjoint domains, all of cw20 (the same
+            # domains again), and a re-stamped copy left unfolded.
+            for week, group in zip(("cw17-2023", "cw18-2023", "cw19-2023"), groups):
+                submit(state.spool, [r for r in cw19 if r.domain in group], week=week)
+            submit(state.spool, cw20)
+            assert len(state.indexer.fold_pending(state.spool)) == 4
+            submit(
+                state.spool,
+                [r for r in cw19 if r.domain not in groups[2]],
+                week="cw21-2023",
+            )
+            assert len(state.spool.artifacts()) == 5  # one chunk each
+            # Opened: the artifacts of the two weeks that know the name,
+            # and whatever is not folded yet.
+            lines = {names[0]: 3, names[2]: 2, "absent.example": 0}
+            for name, expected in lines.items():
+                before = state.metrics_snapshot()["counters"].get("query.chunks_total", 0)
+                status, body = http_get(f"{base}/v1/domain/{name}")
+                assert (status, body) == (200, self.unpruned(state.spool, name)), name
+                assert body.count(b"\n") >= expected
+                after = state.metrics_snapshot()["counters"]["query.chunks_total"]
+                assert after - before == (3 if expected else 1), name
 
 
 class TestServiceCli:
