@@ -4,7 +4,8 @@
 #
 #   1. the scan completes (exit 0) with a nonzero fault plan,
 #   2. datasets and qlogs are byte-identical at --workers 1 vs the
-#      4-worker work-stealing pool (--force-pool), batch and --stream,
+#      4-worker pool (--force-pool), batch and --stream (breaker,
+#      checkpoint and resume included),
 #   3. the failure-taxonomy summary is byte-identical across workers,
 #   4. a checkpointed campaign with a deleted shard resumes to the same
 #      merged dataset as an uninterrupted run,
@@ -33,11 +34,11 @@ COMMON=(--czds 600 --toplist 100 --seed 417 --fault "$FAULTS"
         --breaker-threshold 4 --breaker-cooldown 6
         --qlog-sample-rate 0.05)
 
-echo "== chaos smoke: faulted scan, workers 1 vs 4 (work-stealing pool) =="
-# --force-pool makes the 4-worker arm run the real work-stealing pool
-# (cbr IPC, cost-aware shards, straggler splitting) even on hosts with
-# too few cores for the engine to pick it on its own — the identity
-# guarantee must hold through the scheduler, not just the fallback.
+echo "== chaos smoke: faulted scan, workers 1 vs 4 (process pool) =="
+# --force-pool makes the 4-worker arm run the real process pool (range
+# tasks, cbr IPC, reorder window) even on hosts with too few cores for
+# the engine to pick it on its own — the identity guarantee must hold
+# through the pool, not just the inline executor.
 python -m repro.cli scan "${COMMON[@]}" --workers 1 \
     --out "$WORK/w1.jsonl" --qlog-out "$WORK/w1-qlog.jsonl" 2>"$WORK/w1.err"
 python -m repro.cli scan "${COMMON[@]}" --workers 4 --force-pool \
@@ -64,17 +65,29 @@ python -m repro.cli scan "${COMMON[@]}" --chunk-size 128 --workers 4 --force-poo
 cmp "$WORK/ckpt-full.jsonl" "$WORK/ckpt-resumed.jsonl"
 cmp "$WORK/ckpt-full.jsonl" "$WORK/w1.jsonl"
 
-echo "== chaos smoke: streaming scan matches batch under faults =="
+echo "== chaos smoke: streaming scan, every flag the batch scan takes =="
 # The streaming population + bounded-window scan must emit identical
-# records at any worker count, faults and all (no breaker: the
-# breaker's post-merge pass needs the full result list).
-STREAM=(--czds 600 --toplist 100 --seed 417 --fault "$FAULTS"
-        --connect-timeout-ms 20000 --retries 1 --qlog-sample-rate 0.05)
-python -m repro.cli scan "${STREAM[@]}" --stream --workers 1 \
-    --out "$WORK/stream1.jsonl" 2>/dev/null
-python -m repro.cli scan "${STREAM[@]}" --stream --workers 4 --force-pool \
-    --out "$WORK/stream4.jsonl" 2>/dev/null
+# records, qlogs and telemetry at any worker count — faults, breaker and
+# checkpoint included — and resume a lost shard to the same artifact.
+for arm in 1 4; do
+    [ "$arm" = 4 ] && POOL=(--force-pool) || POOL=()
+    python -m repro.cli scan "${COMMON[@]}" --stream --workers "$arm" "${POOL[@]}" \
+        --chunk-size 128 --checkpoint-dir "$WORK/stream$arm-ckpt" \
+        --out "$WORK/stream$arm.jsonl" --qlog-out "$WORK/stream$arm-qlog.jsonl" \
+        --telemetry-out "$WORK/stream$arm-telemetry" 2>/dev/null
+done
 cmp "$WORK/stream1.jsonl" "$WORK/stream4.jsonl"
+cmp "$WORK/stream1-qlog.jsonl" "$WORK/stream4-qlog.jsonl"
+cmp "$WORK/stream1-telemetry/trace.jsonl" "$WORK/stream4-telemetry/trace.jsonl"
+cmp "$WORK/stream1-telemetry/metrics.json" "$WORK/stream4-telemetry/metrics.json"
+rm "$WORK/stream1-ckpt/shard-00003.cbr"   # a crash loses one shard
+python -m repro.cli scan "${COMMON[@]}" --stream --workers 4 --force-pool \
+    --chunk-size 128 --checkpoint-dir "$WORK/stream1-ckpt" \
+    --out "$WORK/stream-resumed.jsonl" --qlog-out "$WORK/stream-resumed-qlog.jsonl" \
+    2>/dev/null
+cmp "$WORK/stream1.jsonl" "$WORK/stream-resumed.jsonl"
+cmp "$WORK/stream1-qlog.jsonl" "$WORK/stream-resumed-qlog.jsonl"
+cmp "$WORK/stream4-ckpt/shard-00003.cbr" "$WORK/stream1-ckpt/shard-00003.cbr"
 
 echo "== chaos smoke: checkpoint merge via frame copy =="
 python -m repro.cli convert "$WORK/ckpt" "$WORK/merged.cbr" 2>/dev/null

@@ -98,13 +98,12 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     scanner = Scanner(population, ScanConfig(), parallel=parallel)
-    stats: dict = {}
     state = {"domains": 0, "connections": 0, "quic": 0, "next_mark": 0}
     started = time.perf_counter()
 
     def results():
         for result in scanner.scan_stream(
-            week_label=args.week, ip_version=args.ip_version, stats=stats
+            week_label=args.week, ip_version=args.ip_version
         ):
             state["domains"] += 1
             state["connections"] += len(result.connections)
@@ -148,11 +147,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     if args.out:
         print(f"wrote {written} connection records to {args.out}")
-    if stats:
-        print(
-            f"scheduler: pool={stats.get('pool')} shards={stats.get('shards')} "
-            f"max_outstanding={stats.get('max_outstanding')}"
-        )
+    stats = scanner.last_scan_stats
+    print(
+        f"executor: pool={stats['pool']} workers={stats['workers']} "
+        f"shards scanned={stats['units']} "
+        f"max_outstanding={stats['max_outstanding']}"
+    )
     print(
         f"parent peak RSS {peak_kb / 1024:.1f} MB "
         f"(baseline {baseline_kb / 1024:.1f} MB)"

@@ -86,10 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument(
         "--stream",
         action="store_true",
-        help="bounded-memory mode: generate the population on demand and "
-        "stream results shard by shard (no full domain list in any "
-        "process); incompatible with --checkpoint-dir, --qlog-out, and "
-        "the circuit breaker",
+        help="bounded-memory population: generate domains on demand, so no "
+        "process ever holds the full domain list (results are streamed "
+        "to the outputs shard by shard either way)",
     )
     scan.add_argument(
         "--out", required=True, help="output artifact path ('-' for stdout)"
@@ -654,11 +653,20 @@ def _parallel_config(
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    """``repro scan``: one consumer of :meth:`Scanner.scan_stream`.
+
+    Records flow straight into the artifact writer, sampled qlogs into
+    ``--qlog-out`` line by line and outcomes into the failure fold, so
+    no step holds the dataset; ``--stream`` only swaps the population
+    for one that never holds the domain list either.
+    """
     import json
 
     from repro.artifacts import write_records
-    from repro.faults import CheckpointError
+    from repro.faults import CheckpointError, truncate_jsonl_line
+    from repro.faults.taxonomy import FailureFold
     from repro.internet.population import PopulationConfig, build_population
+    from repro.internet.streaming import StreamingPopulation
     from repro.web.scanner import ScanConfig, Scanner
 
     # All configuration errors surface as one clean stderr line before
@@ -673,121 +681,17 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         )
     except ValueError as error:
         raise SystemExit(f"repro: error: {error}")
-    if args.stream:
-        return _run_stream_scan(args, scan_config)
-    population = build_population(
-        PopulationConfig(
-            toplist_domains=args.toplist, czds_domains=args.czds, seed=args.seed
-        )
+    population_config = PopulationConfig(
+        toplist_domains=args.toplist, czds_domains=args.czds, seed=args.seed
+    )
+    population = (
+        StreamingPopulation(population_config)
+        if args.stream
+        else build_population(population_config)
     )
     parallel = _parallel_config(args.workers, args.chunk_size, args.force_pool)
     print(
-        f"scanning {len(population.domains)} domains "
-        f"(week {args.week}, IPv{args.ip_version}, "
-        f"{parallel.workers} worker(s)) ...",
-        file=sys.stderr,
-    )
-    telemetry = _make_telemetry(args.telemetry_out)
-    scanner = Scanner(
-        population, config=scan_config, parallel=parallel, telemetry=telemetry
-    )
-    try:
-        try:
-            dataset = scanner.scan(
-                week_label=args.week,
-                ip_version=args.ip_version,
-                verbose=True,
-                checkpoint_dir=args.checkpoint_dir,
-            )
-        except CheckpointError as error:
-            raise SystemExit(f"repro: error: {error}")
-        try:
-            count = write_records(
-                dataset.connection_records(), args.out, format=args.artifact_format
-            )
-        except (OSError, ValueError) as error:
-            raise SystemExit(f"repro: error: cannot write {args.out}: {error}")
-    finally:
-        scanner.close()
-    if args.qlog_out:
-        documents = [
-            record.qlog
-            for record in dataset.connection_records()
-            if record.qlog is not None
-        ]
-        lines = [json.dumps(doc, separators=(",", ":")) for doc in documents]
-        truncated = 0
-        if faults is not None:
-            from repro.faults import truncate_jsonl_lines
-
-            lines, truncated = truncate_jsonl_lines(lines, faults, args.seed)
-        qlog_stream, qlog_close = _open_out(args.qlog_out)
-        try:
-            for line in lines:
-                qlog_stream.write(line + "\n")
-        finally:
-            if qlog_close:
-                qlog_stream.close()
-        print(
-            f"exported {len(lines)} qlog documents"
-            + (f" ({truncated} truncated by fault injection)" if truncated else ""),
-            file=sys.stderr,
-        )
-    if scan_config.faults_active:
-        from repro.faults import failure_summary
-
-        summary = failure_summary(dataset.connection_records())
-        kinds = ", ".join(f"{k}={v}" for k, v in summary["kinds"].items())
-        print(
-            f"failures: {summary['failed']}/{summary['total']} connections"
-            + (f" ({kinds})" if kinds else ""),
-            file=sys.stderr,
-        )
-    _save_telemetry(telemetry, args.telemetry_out)
-    print(f"exported {count} connection records", file=sys.stderr)
-    return 0
-
-
-def _run_stream_scan(args: argparse.Namespace, scan_config) -> int:
-    """``repro scan --stream``: bounded-memory population + export.
-
-    The population is a :class:`StreamingPopulation` (records generated
-    per index, never a full list), the scan is
-    :meth:`Scanner.scan_stream` (a bounded window of shards in flight),
-    and results flow straight into the artifact writer — no process
-    ever holds the dataset.  Features that need the full merged dataset
-    (checkpointing, buffered qlog export, the circuit breaker) are
-    rejected up front with the usual one-line error.
-    """
-    from repro.artifacts import write_records
-    from repro.faults.taxonomy import FailureFold
-    from repro.internet.population import PopulationConfig
-    from repro.internet.streaming import StreamingPopulation
-    from repro.web.scanner import Scanner
-
-    if args.checkpoint_dir:
-        raise SystemExit(
-            "repro: error: --stream cannot checkpoint (the manifest "
-            "fingerprint walks the full target list); drop --checkpoint-dir"
-        )
-    if args.qlog_out:
-        raise SystemExit(
-            "repro: error: --stream cannot buffer qlog documents; "
-            "drop --qlog-out"
-        )
-    if args.breaker_threshold is not None:
-        raise SystemExit(
-            "repro: error: --stream cannot apply the circuit breaker "
-            "(a post-merge pass); drop --breaker-threshold"
-        )
-    population = StreamingPopulation(
-        PopulationConfig(
-            toplist_domains=args.toplist, czds_domains=args.czds, seed=args.seed
-        )
-    )
-    parallel = _parallel_config(args.workers, args.chunk_size, args.force_pool)
-    print(
-        f"streaming scan of {population.domain_count} domains "
+        f"scanning {population.domain_count} domains "
         f"(week {args.week}, IPv{args.ip_version}, "
         f"{parallel.workers} worker(s)) ...",
         file=sys.stderr,
@@ -797,27 +701,54 @@ def _run_stream_scan(args: argparse.Namespace, scan_config) -> int:
         population, config=scan_config, parallel=parallel, telemetry=telemetry
     )
     fold = FailureFold() if scan_config.faults_active else None
+    qlog_stream, qlog_close = (
+        _open_out(args.qlog_out) if args.qlog_out else (None, False)
+    )
+    qlogs = truncated = 0
 
     def connection_stream():
+        nonlocal qlogs, truncated
         for result in scanner.scan_stream(
-            week_label=args.week, ip_version=args.ip_version, verbose=True
+            week_label=args.week,
+            ip_version=args.ip_version,
+            verbose=True,
+            checkpoint_dir=args.checkpoint_dir,
         ):
+            connections = result.connections
             if fold is not None:
                 fold.update_columns(
-                    [c.success for c in result.connections],
-                    [c.failure for c in result.connections],
+                    [c.success for c in connections],
+                    [c.failure for c in connections],
                 )
-            yield from result.connections
+            if qlog_stream is not None:
+                for record in connections:
+                    if record.qlog is None:
+                        continue
+                    line = json.dumps(record.qlog, separators=(",", ":"))
+                    cut = truncate_jsonl_line(line, qlogs, faults, args.seed)
+                    qlog_stream.write(cut + "\n")
+                    qlogs += 1
+                    truncated += len(cut) < len(line)
+            yield from connections
 
     try:
-        try:
-            count = write_records(
-                connection_stream(), args.out, format=args.artifact_format
-            )
-        except (OSError, ValueError) as error:
-            raise SystemExit(f"repro: error: cannot write {args.out}: {error}")
+        count = write_records(
+            connection_stream(), args.out, format=args.artifact_format
+        )
+    except CheckpointError as error:
+        raise SystemExit(f"repro: error: {error}")
+    except (OSError, ValueError) as error:
+        raise SystemExit(f"repro: error: cannot write {args.out}: {error}")
     finally:
         scanner.close()
+        if qlog_close:
+            qlog_stream.close()
+    if qlog_stream is not None:
+        print(
+            f"exported {qlogs} qlog documents"
+            + (f" ({truncated} truncated by fault injection)" if truncated else ""),
+            file=sys.stderr,
+        )
     if fold is not None:
         summary = fold.finish()
         kinds = ", ".join(f"{k}={v}" for k, v in summary["kinds"].items())

@@ -9,8 +9,8 @@ Two symmetric halves:
   corrupted monitor datagrams;
 * the *absorbing* side: timeout budgets and bounded retries with
   deterministic backoff (:mod:`repro.faults.retry`,
-  :mod:`repro.faults.resilience`), a per-provider circuit breaker run
-  as a deterministic post-merge pass (:mod:`repro.faults.breaker`),
+  :mod:`repro.faults.resilience`), a per-provider circuit breaker fed
+  results in population order (:mod:`repro.faults.breaker`),
   the :class:`FailureKind` taxonomy recorded on every failed exchange
   (:mod:`repro.faults.taxonomy`), and crash-safe campaign resume from
   per-shard checkpoints (:mod:`repro.faults.checkpoint`).
@@ -20,7 +20,12 @@ draws come from the scan RNG and how every piece stays byte-identical
 across worker counts.
 """
 
-from repro.faults.breaker import BreakerPolicy, CircuitBreaker, apply_circuit_breaker
+from repro.faults.breaker import (
+    BreakerPass,
+    BreakerPolicy,
+    CircuitBreaker,
+    apply_circuit_breaker,
+)
 from repro.faults.checkpoint import (
     CheckpointError,
     CheckpointStore,
@@ -41,6 +46,7 @@ from repro.faults.spec import (
     VN_FAULT_VERSION,
     corrupt_datagram_stream,
     parse_fault_plan,
+    truncate_jsonl_line,
     truncate_jsonl_lines,
 )
 from repro.faults.taxonomy import (
@@ -55,6 +61,7 @@ from repro.faults.taxonomy import (
 __all__ = [
     "AsyncCheckpointWriter",
     "BlackholeImpairment",
+    "BreakerPass",
     "BreakerPolicy",
     "BurstLossImpairment",
     "CheckpointError",
@@ -79,5 +86,6 @@ __all__ = [
     "render_failure_table",
     "results_from_cbr_payload",
     "scan_fingerprint",
+    "truncate_jsonl_line",
     "truncate_jsonl_lines",
 ]

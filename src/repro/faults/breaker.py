@@ -1,14 +1,13 @@
-"""Per-provider circuit breaker over merged scan results.
+"""Per-provider circuit breaker over scan results in population order.
 
 A breaker with live cross-domain state inside the scan loop would make
 results depend on shard boundaries (worker N sees a different failure
-prefix than the sequential scan), so the breaker runs as a deterministic
-*post-merge pass* instead: :func:`apply_circuit_breaker` walks the
-merged results in population order, keyed by provider, and replaces the
-connections of skipped domains with a synthesized ``circuit_open``
-record.  Same inputs, same order, same output — at any ``--workers``
-count, and identically on a checkpoint resume (shard checkpoints store
-pre-breaker results).
+prefix than the sequential scan), so the breaker runs *after* the scan,
+where results are emitted: :class:`BreakerPass` is fed every result in
+population order, keyed by provider, and answers skipped domains with a
+copy carrying one synthesized ``circuit_open`` record.  Same inputs,
+same order, same output — at any ``--workers`` count, and identically on
+a checkpoint resume (shard checkpoints store pre-breaker results).
 
 Schedules are counted in *attempts*, not wall-clock: after
 ``failure_threshold`` consecutive failing domains the breaker opens and
@@ -19,15 +18,15 @@ its failure re-opens it for another cooldown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Callable
 
 from repro.faults.taxonomy import FailureKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.web.scanner import DomainScanResult
 
-__all__ = ["BreakerPolicy", "CircuitBreaker", "apply_circuit_breaker"]
+__all__ = ["BreakerPass", "BreakerPolicy", "CircuitBreaker", "apply_circuit_breaker"]
 
 
 @dataclass(frozen=True)
@@ -90,8 +89,12 @@ class CircuitBreaker:
         self._skips_remaining = self.policy.cooldown_attempts
 
 
-def _short_circuit(result: "DomainScanResult") -> None:
-    """Replace a skipped domain's connections with one breaker record."""
+def _short_circuited(result: "DomainScanResult") -> "DomainScanResult":
+    """A copy of a skipped domain whose connections are one breaker record.
+
+    A copy, never an in-place edit: the scanned result may still be on
+    its way to a checkpoint shard, which must hold pre-breaker results.
+    """
     from repro.core.classify import classify_connection
     from repro.core.observer import SpinObservation
     from repro.web.scanner import ConnectionRecord
@@ -113,38 +116,47 @@ def _short_circuit(result: "DomainScanResult") -> None:
         failure=FailureKind.CIRCUIT_OPEN,
         week=template.week,
     )
-    result.connections = [record]
-    result.quic_support = False
-    result.failure = FailureKind.CIRCUIT_OPEN
+    return replace(
+        result,
+        connections=[record],
+        quic_support=False,
+        failure=FailureKind.CIRCUIT_OPEN,
+    )
 
 
-def apply_circuit_breaker(
-    results: Sequence["DomainScanResult"],
-    policy: BreakerPolicy,
-    key_of: Callable[["DomainScanResult"], str],
-    telemetry=None,
-) -> dict[str, CircuitBreaker]:
-    """Run the breaker pass over merged results, in place.
+class BreakerPass:
+    """The per-key breakers of one scan, fed results in population order.
 
-    Domains without connection attempts (unresolved, no QUIC stack)
-    carry no signal and pass through untouched.  Returns the per-key
-    breakers so callers can inspect trip counts.
+    Forward-only: :meth:`step` needs nothing but the results before it,
+    so the scan stream applies it as results are emitted and never holds
+    the merged list.  Domains without connection attempts (unresolved,
+    no QUIC stack) carry no signal and pass through untouched.
     """
-    breakers: dict[str, CircuitBreaker] = {}
-    for result in results:
+
+    def __init__(
+        self, policy: BreakerPolicy, key_of: Callable[["DomainScanResult"], str]
+    ):
+        self.policy = policy
+        self.key_of = key_of
+        self.breakers: dict[str, CircuitBreaker] = {}
+
+    def step(self, result: "DomainScanResult") -> "DomainScanResult":
+        """``result``, or its short-circuited copy behind an open breaker."""
         if not result.connections:
-            continue
-        key = key_of(result)
-        breaker = breakers.get(key)
+            return result
+        key = self.key_of(result)
+        breaker = self.breakers.get(key)
         if breaker is None:
-            breaker = breakers[key] = CircuitBreaker(policy)
-        if breaker.allows():
-            breaker.record(any(c.success for c in result.connections))
-        else:
-            _short_circuit(result)
-    if telemetry is not None:
-        for key in sorted(breakers):
-            breaker = breakers[key]
+            breaker = self.breakers[key] = CircuitBreaker(self.policy)
+        if not breaker.allows():
+            return _short_circuited(result)
+        breaker.record(any(c.success for c in result.connections))
+        return result
+
+    def flush(self, telemetry) -> None:
+        """Report trip and skip totals; once, at the end of the stream."""
+        for key in sorted(self.breakers):
+            breaker = self.breakers[key]
             if breaker.trips:
                 telemetry.registry.counter(
                     "scan.breaker_trips", provider=key
@@ -153,4 +165,22 @@ def apply_circuit_breaker(
                 telemetry.registry.counter(
                     "scan.breaker_skipped", provider=key
                 ).inc(breaker.skipped)
-    return breakers
+
+
+def apply_circuit_breaker(
+    results: list["DomainScanResult"],
+    policy: BreakerPolicy,
+    key_of: Callable[["DomainScanResult"], str],
+    telemetry=None,
+) -> dict[str, CircuitBreaker]:
+    """Run a whole :class:`BreakerPass` over a merged result list.
+
+    Skipped entries of ``results`` are replaced by their short-circuited
+    copies.  Returns the per-key breakers so callers can inspect trip
+    counts.
+    """
+    run = BreakerPass(policy, key_of)
+    results[:] = [run.step(result) for result in results]
+    if telemetry is not None:
+        run.flush(telemetry)
+    return run.breakers

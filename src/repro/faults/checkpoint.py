@@ -7,15 +7,15 @@ plus a manifest binding the directory to the scan's identity (seed,
 week, IP version, probe, target list, shard size).  A killed scan
 resumes by loading the finished shards and scanning only the rest;
 because each domain's randomness is independently derived and the
-circuit-breaker pass runs post-merge (never from checkpointed state),
-the resumed dataset is bit-identical to an uninterrupted run.  Shards
-written by earlier versions (``shard-NNNNN.jsonl``) still load.
+circuit breaker runs over emitted results (never from checkpointed
+state), the resumed dataset is bit-identical to an uninterrupted run.
 ``repro convert DIR out.cbr`` merges a checkpoint directory into one
 artifact by copying CRC-verified chunk frames — no decode, no
 re-encode.
 
 Robustness rules: a missing, truncated, or otherwise unreadable shard
-file is treated as "not scanned yet" and simply re-scanned; a manifest
+file — including one in the retired ``shard-NNNNN.jsonl`` format — is
+treated as "not scanned yet" and simply re-scanned; a manifest
 that does not match the requested scan raises :class:`CheckpointError`
 (silently mixing two campaigns would corrupt the dataset).
 """
@@ -26,7 +26,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.internet.population import DomainRecord
@@ -52,27 +52,34 @@ def scan_fingerprint(
     week_label: str,
     ip_version: int,
     probe: int,
-    targets: Sequence["DomainRecord"],
+    targets: Iterable["DomainRecord"],
     config_repr: str,
 ) -> dict:
     """Identity of one scan, for manifest compatibility checks.
 
-    The target list is folded to a digest so manifests stay small; the
-    scan config enters via its ``repr`` (frozen dataclasses render every
-    field), so resuming under a different fault plan or resilience
-    setting is rejected instead of silently mixing regimes.
+    The target list is folded to a digest so manifests stay small; it is
+    hashed name by name, so ``targets`` may be any iterable — a
+    streaming population's generator never becomes a list (the digest
+    equals that of the names joined by ``|``).  The scan config enters
+    via its ``repr`` (frozen dataclasses render every field), so
+    resuming under a different fault plan or resilience setting is
+    rejected instead of silently mixing regimes.
     """
-    names = hashlib.sha256(
-        "|".join(domain.name for domain in targets).encode("utf-8")
-    ).hexdigest()[:16]
+    names = hashlib.sha256()
+    count = 0
+    for domain in targets:
+        if count:
+            names.update(b"|")
+        names.update(domain.name.encode("utf-8"))
+        count += 1
     config_digest = hashlib.sha256(config_repr.encode("utf-8")).hexdigest()[:16]
     return {
         "seed": seed,
         "week": week_label,
         "ip_version": ip_version,
         "probe": probe,
-        "targets": len(targets),
-        "targets_digest": names,
+        "targets": count,
+        "targets_digest": names.hexdigest()[:16],
         "config_digest": config_digest,
     }
 
@@ -83,8 +90,7 @@ def encode_domain_results(results: Sequence["DomainScanResult"]) -> bytes:
     The format shared by checkpoint shard files and the parallel
     engine's worker→parent IPC payloads: both sides of the process
     boundary speak compact columnar frames instead of pickled object
-    graphs, and a worker payload can become a shard file (or half of
-    one) by CRC-verified frame copy.
+    graphs, and a worker payload is a shard file byte for byte.
     """
     import io
 
@@ -190,45 +196,19 @@ class CheckpointStore:
     def shard_path(self, shard_index: int) -> Path:
         return self.directory / f"shard-{shard_index:05d}.cbr"
 
-    def legacy_shard_path(self, shard_index: int) -> Path:
-        """Pre-cbr shard location (JSONL), still loadable for resume."""
-        return self.directory / f"shard-{shard_index:05d}.jsonl"
-
     def save_shard(
-        self, shard_index: int, results: Sequence["DomainScanResult"]
+        self, shard_index: int, shard: "Sequence[DomainScanResult] | bytes"
     ) -> None:
         """Persist one finished shard atomically (write + rename).
 
-        Shards are columnar binary (``cbr``, :data:`KIND_DOMAINS`
-        chunks), so ``repro convert`` can merge a checkpoint directory
-        into one artifact by frame concatenation — no re-decode.
+        ``shard`` is the results, or the cbr payload a pool worker
+        already encoded them to (written as is — the parent never
+        re-encodes what a worker produced).  Shards are columnar binary
+        (``cbr``, :data:`KIND_DOMAINS` chunks), so ``repro convert`` can
+        merge a checkpoint directory into one artifact by frame
+        concatenation — no re-decode.
         """
-        _atomic_write_bytes(
-            self.shard_path(shard_index), encode_domain_results(results)
-        )
-        self.shards_saved += 1
-
-    def save_shard_payloads(
-        self, shard_index: int, payloads: Sequence[bytes]
-    ) -> None:
-        """Persist a shard from pre-encoded cbr payloads (frame copy).
-
-        The parallel engine's workers already encode their sub-ranges to
-        cbr bytes for IPC; a shard assembled from one or more of those
-        payloads (a split shard arrives in pieces) is written by
-        CRC-verified frame concatenation — the parent never re-encodes
-        what a worker produced.
-        """
-        import io
-
-        if len(payloads) == 1:
-            payload = payloads[0]
-        else:
-            from repro.artifacts.cbr import concat_frames
-
-            buffer = io.BytesIO()
-            concat_frames([io.BytesIO(part) for part in payloads], buffer)
-            payload = buffer.getvalue()
+        payload = shard if isinstance(shard, bytes) else encode_domain_results(shard)
         _atomic_write_bytes(self.shard_path(shard_index), payload)
         self.shards_saved += 1
 
@@ -236,45 +216,13 @@ class CheckpointStore:
         self, shard_index: int, targets: Sequence["DomainRecord"]
     ) -> "list[DomainScanResult] | None":
         """Load one shard; ``None`` when absent or damaged (re-scan it)."""
-        path = self.shard_path(shard_index)
-        if path.is_file():
-            results = self._load_shard_cbr(path, targets)
-        else:
-            legacy = self.legacy_shard_path(shard_index)
-            if not legacy.is_file():
-                return None
-            results = self._load_shard_jsonl(legacy, targets)
-        if results is None:
-            return None
-        self.shards_loaded += 1
-        return results
-
-    @staticmethod
-    def _load_shard_cbr(
-        path: Path, targets: Sequence["DomainRecord"]
-    ) -> "list[DomainScanResult] | None":
         try:
-            payload = path.read_bytes()
+            payload = self.shard_path(shard_index).read_bytes()
         except OSError:
             return None
-        return results_from_cbr_payload(payload, targets)
-
-    @staticmethod
-    def _load_shard_jsonl(
-        path: Path, targets: Sequence["DomainRecord"]
-    ) -> "list[DomainScanResult] | None":
-        try:
-            lines = path.read_text(encoding="utf-8").splitlines()
-            if len(lines) != len(targets):
-                return None  # interrupted mid-write before the rename
-            results = []
-            for domain, line in zip(targets, lines):
-                data = json.loads(line)  # jsonl-ok: legacy shard format is JSONL
-                if data.get("domain") != domain.name:
-                    return None
-                results.append(_domain_result_from_dict(data, domain))
-        except (OSError, ValueError, KeyError):
-            return None
+        results = results_from_cbr_payload(payload, targets)
+        if results is not None:
+            self.shards_loaded += 1
         return results
 
 
@@ -288,50 +236,3 @@ def _atomic_write_bytes(path: Path, payload: bytes) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_bytes(payload)
     os.replace(tmp, path)
-
-
-def _domain_result_to_dict(result: "DomainScanResult") -> dict:
-    from repro.analysis.artifacts import record_to_dict
-
-    connections = []
-    for record in result.connections:
-        data = record_to_dict(record)
-        if record.qlog is not None:
-            data["qlog"] = record.qlog
-        connections.append(data)
-    return {
-        "domain": result.domain.name,
-        "resolved": result.resolved,
-        "quic_support": result.quic_support,
-        "resolved_ip": str(result.resolved_ip) if result.resolved_ip else None,
-        "failure": result.failure.value if result.failure is not None else None,
-        "connections": connections,
-    }
-
-
-def _domain_result_from_dict(data: dict, domain: "DomainRecord") -> "DomainScanResult":
-    import ipaddress
-
-    from repro.analysis.artifacts import record_from_dict
-    from repro.faults.taxonomy import FailureKind
-    from repro.internet.asdb import IpAddr
-    from repro.web.scanner import DomainScanResult
-
-    resolved_ip = None
-    if data.get("resolved_ip"):
-        address = ipaddress.ip_address(data["resolved_ip"])
-        resolved_ip = IpAddr(value=int(address), version=address.version)
-    connections = []
-    for entry in data["connections"]:
-        record = record_from_dict(entry)
-        record.qlog = entry.get("qlog")
-        connections.append(record)
-    failure = FailureKind(data["failure"]) if data.get("failure") else None
-    return DomainScanResult(
-        domain=domain,
-        resolved=bool(data["resolved"]),
-        quic_support=bool(data["quic_support"]),
-        resolved_ip=resolved_ip,
-        connections=connections,
-        failure=failure,
-    )

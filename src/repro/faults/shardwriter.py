@@ -2,19 +2,18 @@
 
 :class:`AsyncCheckpointWriter` is a drop-in facade over a
 :class:`~repro.faults.checkpoint.CheckpointStore` that moves every
-``save_shard`` / ``save_shard_payloads`` onto a single daemon writer
-thread, so the scanner's compute loop never blocks on disk I/O (encode
+``save_shard`` onto a single daemon writer thread, so the scanner's compute loop never blocks on disk I/O (encode
 + atomic write of a 256-domain shard is milliseconds, but there is one
 per shard and the scan path is otherwise pure CPU).  Loads stay
-synchronous — they all happen in the resume pre-pass, before any save
-for the same shard could be queued.
+synchronous — a shard is looked up when it comes due and saved only if
+that lookup found nothing, so a load never races a save of its shard.
 
 Durability contract: :meth:`close` drains the queue and joins the
 thread, so once it returns every accepted save is on disk — callers
 close the writer *before* reporting a scan finished, and close it (with
 errors suppressed) on the failure path too, so a crashed scan still
 persists every shard that completed before the crash.  A write error is
-sticky: it is re-raised on the next ``save_*`` call or at ``close()``,
+sticky: it is re-raised on the next ``save_shard`` call or at ``close()``,
 never silently dropped.
 
 Determinism: the thread only performs I/O on data the scan already
@@ -56,14 +55,12 @@ class AsyncCheckpointWriter:
         return self.store.load_shard(shard_index, targets)
 
     def save_shard(
-        self, shard_index: int, results: Sequence["DomainScanResult"]
+        self, shard_index: int, shard: "Sequence[DomainScanResult] | bytes"
     ) -> None:
-        self._submit(("results", shard_index, results))
-
-    def save_shard_payloads(
-        self, shard_index: int, payloads: Sequence[bytes]
-    ) -> None:
-        self._submit(("payloads", shard_index, payloads))
+        if self._closed:
+            raise RuntimeError("checkpoint writer already closed")
+        self._raise_pending()
+        self._queue.put((shard_index, shard))
 
     # -- lifecycle -----------------------------------------------------
 
@@ -83,12 +80,6 @@ class AsyncCheckpointWriter:
 
     # -- internals -----------------------------------------------------
 
-    def _submit(self, job: tuple) -> None:
-        if self._closed:
-            raise RuntimeError("checkpoint writer already closed")
-        self._raise_pending()
-        self._queue.put(job)
-
     def _raise_pending(self) -> None:
         if self._error is not None:
             error, self._error = self._error, None
@@ -101,12 +92,8 @@ class AsyncCheckpointWriter:
                 return
             if self._error is not None:
                 continue  # sticky failure: drain without writing
-            kind, shard_index, data = job
             try:
-                if kind == "results":
-                    self.store.save_shard(shard_index, data)
-                else:
-                    self.store.save_shard_payloads(shard_index, data)
+                self.store.save_shard(*job)
             except BaseException as exc:  # robustness-ok: repr of the
                 # failure crosses a thread boundary; re-raised verbatim
                 # on the next save or at close().

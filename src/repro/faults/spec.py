@@ -44,6 +44,7 @@ __all__ = [
     "VN_FAULT_VERSION",
     "corrupt_datagram_stream",
     "parse_fault_plan",
+    "truncate_jsonl_line",
     "truncate_jsonl_lines",
 ]
 
@@ -282,29 +283,37 @@ def parse_fault_plan(text: str) -> FaultPlan:
     return FaultPlan(specs=tuple(specs))
 
 
-def truncate_jsonl_lines(
-    lines: Sequence[str], plan: "FaultPlan | None", seed: int | str
-) -> tuple[list[str], int]:
-    """Apply the qlog-truncate fault to serialized JSONL lines.
+def truncate_jsonl_line(
+    line: str, index: int, plan: "FaultPlan | None", seed: int | str
+) -> str:
+    """One serialized JSONL line as the qlog-truncate fault leaves it.
 
-    Each line's fate comes from its own ``(seed, "qlog-fault", index)``
-    stream, so the outcome depends only on the export order — identical
-    at any worker count.  Returns ``(lines, truncated_count)``.
+    The line's fate comes from its own ``(seed, "qlog-fault", index)``
+    stream, so the outcome depends only on its position in the export —
+    identical at any worker count, and decidable line by line as a
+    streaming export writes them.  A hit always shortens the line.
     """
     spec = plan.spec(FaultKind.QLOG_TRUNCATE) if plan is not None else None
     if spec is None or spec.probability <= 0.0:
-        return list(lines), 0
-    out: list[str] = []
-    truncated = 0
-    for index, line in enumerate(lines):
-        rng = derive_rng(seed, "qlog-fault", index)
-        if rng.random() < spec.probability and len(line) > 2:
-            cut = max(1, int(len(line) * rng.uniform(0.2, 0.9)))
-            out.append(line[:cut])
-            truncated += 1
-        else:
-            out.append(line)
-    return out, truncated
+        return line
+    rng = derive_rng(seed, "qlog-fault", index)
+    if rng.random() < spec.probability and len(line) > 2:
+        return line[: max(1, int(len(line) * rng.uniform(0.2, 0.9)))]
+    return line
+
+
+def truncate_jsonl_lines(
+    lines: Sequence[str], plan: "FaultPlan | None", seed: int | str
+) -> tuple[list[str], int]:
+    """:func:`truncate_jsonl_line` over a whole export.
+
+    Returns ``(lines, truncated_count)``.
+    """
+    out = [
+        truncate_jsonl_line(line, index, plan, seed)
+        for index, line in enumerate(lines)
+    ]
+    return out, sum(len(cut) < len(line) for cut, line in zip(out, lines))
 
 
 def corrupt_datagram_stream(

@@ -137,6 +137,16 @@ class ObsSpan:
         end_ms = self.start_ms if time_ms is None else time_ms
         self._log._finish(self, end_ms)
 
+    def abandon(self) -> None:
+        """Close the span without a record: its step failed.
+
+        Leaves the log as if the span had never been opened, so a retry
+        of the step opens the same span at the same causal path.
+        """
+        if not self._ended:
+            self._ended = True
+            self._log._pop(self)
+
     def __enter__(self) -> "ObsSpan":
         return self
 
@@ -174,11 +184,14 @@ class SpanLog:
         self._stack.append(name)
         return ObsSpan(self, tuple(self._stack), start_ms, dict(attrs), diag)
 
-    def _finish(self, span: ObsSpan, end_ms: float) -> None:
+    def _pop(self, span: ObsSpan) -> None:
         # Spans close lexically (context managers / paired end calls),
         # so the innermost open name is the one being popped.
         if self._stack and self._stack[-1] == span.path[-1]:
             self._stack.pop()
+
+    def _finish(self, span: ObsSpan, end_ms: float) -> None:
+        self._pop(span)
         record = SpanRecord(span.path, span.start_ms, end_ms, span.attrs)
         (self.diag_records if span._diag else self.records).append(record)
 

@@ -1,4 +1,4 @@
-"""Parallel sharded scan engine.
+"""The one scan core: an ordinal-ordered shard stream.
 
 The paper's measurement covers >200 M domains per week; at that scale a
 single-core scanner is the bottleneck of the whole pipeline.  Scanning
@@ -7,30 +7,28 @@ independently derived from ``(population seed, week, ip_version,
 domain, probe)`` (see :mod:`repro._util.rng`), so no state flows
 between domains and the target list can be sharded freely.
 
-This module schedules domain shards over a process pool with three
-mechanisms the naive ``pool.map`` dispatch lacked:
+:func:`shard_stream` is the only route from a target list to results:
 
-* **Work stealing.**  Shards are priced by a deterministic cost model
-  (:mod:`repro.web.shardplan`: fault draws, provider delay) and
-  dispatched longest-first via ``submit``; when free workers outnumber
-  the queued shards at the tail, the costliest queued shard is *split*
-  and its halves dispatched separately, so a straggler never idles the
-  rest of the pool.
-* **cbr-frame IPC.**  Workers encode finished shards to columnar
-  ``cbr`` bytes (:func:`repro.faults.checkpoint.encode_domain_results`)
-  instead of pickling ``DomainScanResult`` object graphs; the parent
-  decodes once and, under a checkpoint, persists shards by CRC-verified
-  frame copy — a worker payload becomes a shard file without re-encode.
-* **Bounded-memory streaming.**  :func:`scan_stream_sharded` drives the
-  same pool from a range-addressed population: task descriptors carry
-  ``(start, count)`` instead of pickled domain records, workers
-  materialize their own slice, and the parent holds at most a small
-  window of in-flight shards — a 10 M+ domain scan runs in bounded
-  memory on both sides of the process boundary.
+* **Plan.**  :func:`~repro.web.shardplan.plan_shards` cuts ``[0, n)``
+  into fixed ``chunk``-sized ranges, so a shard's ordinal names the
+  same domains in every run (what lets a checkpoint resume at another
+  worker count).
+* **Executor.**  A shard that is due is scanned in-process, or — when
+  more than one core and more than one shard are available, or
+  ``force_pool`` is set — submitted to a process pool in ordinal order.
+  Tasks carry ``(start, count)`` range descriptors (workers materialize
+  their own slice; ad-hoc ``domains=`` lists ship their records) and
+  come back as one cbr payload, not a pickled object graph.
+* **Window.**  At most ``max(2, workers * 3)`` shards are outstanding
+  (in flight, or finished but behind a slower predecessor), so memory
+  is proportional to the window, never the population.
+* **Emission.**  Shards leave in ascending ordinal; telemetry absorb and
+  checkpoint save happen there, and :meth:`Scanner.scan_stream` runs the
+  circuit breaker over what is emitted — all in population order.
 
-The merge is positional, so the merged dataset is **bit-identical** to
-the sequential scan at any worker count, split layout, or completion
-order — same classifications, same RTT series, same sampled qlogs —
+Emission order alone fixes every byte downstream, so the stream is
+**bit-identical** at any worker count or completion order — same
+classifications, same RTT series, same sampled qlogs, same telemetry —
 which the test suite verifies record by record.
 """
 
@@ -42,34 +40,28 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from repro.web.shardplan import ShardCostModel, ShardRange, plan_shards, split_shard
+from repro.web.shardplan import ShardRange, plan_shards
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.internet.population import DomainRecord, Population
     from repro.web.scanner import DomainScanResult, ScanConfig, Scanner
 
-__all__ = [
-    "ParallelScanConfig",
-    "close_pool",
-    "scan_sharded",
-    "scan_stream_sharded",
-]
+__all__ = ["ParallelScanConfig", "close_pool", "shard_stream"]
 
 
 @dataclass(frozen=True)
 class ParallelScanConfig:
-    """Worker-pool shape of a scan.
+    """Executor shape of a scan.
 
     ``workers=1`` (the default) runs fully in-process — no pool, no
-    pickling, zero overhead — so tests and small scans behave exactly
-    like the pre-parallel scanner.  ``chunk_size=None`` picks a shard
-    size that gives each worker several shards for tail balancing.
+    pickling.  ``chunk_size=None`` picks a shard size that gives each
+    worker several shards for tail balancing.
 
-    Even with ``workers > 1`` the engine falls back to the in-process
-    path when a pool cannot help: a single pending shard, or fewer
-    usable cores than two (a pool on one core only adds pickling on top
-    of the same serial execution).  ``force_pool=True`` disables the
-    fallback — tests use it to exercise the real pool on any machine.
+    Even with ``workers > 1`` the stream scans inline when a pool cannot
+    help: a single shard, or fewer usable cores than two (a pool on one
+    core only adds pickling on top of the same serial execution).
+    ``force_pool=True`` overrides that — tests use it to exercise the
+    real pool on any machine.
     """
 
     workers: int = 1
@@ -108,7 +100,6 @@ class ParallelScanConfig:
 # ----------------------------------------------------------------------
 
 _WORKER_SCANNER: "Scanner | None" = None
-_WORKER_TELEMETRY_ENABLED = False
 
 
 def _population_payload(population: "Population"):
@@ -130,7 +121,8 @@ def _init_worker(
     scan_config: "ScanConfig",
     telemetry_enabled: bool = False,
 ) -> None:
-    global _WORKER_SCANNER, _WORKER_TELEMETRY_ENABLED
+    global _WORKER_SCANNER
+    from repro.telemetry import Telemetry
     from repro.web.scanner import Scanner
 
     kind, value = population_payload
@@ -140,24 +132,25 @@ def _init_worker(
         population = StreamingPopulation(value)
     else:
         population = value
-    _WORKER_SCANNER = Scanner(population, scan_config)
-    _WORKER_TELEMETRY_ENABLED = telemetry_enabled
+    # The worker's own bundle is never written to: it only tells
+    # ``scan_shard`` to record each shard into a fresh one.
+    _WORKER_SCANNER = Scanner(
+        population,
+        scan_config,
+        telemetry=Telemetry() if telemetry_enabled else None,
+    )
 
 
 def _scan_unit(task):
-    """Scan one unit (a shard or a split half); returns cbr bytes.
+    """Scan one shard in a pool worker; returns ``(payload, telem)``.
 
     ``task`` is ``(start, count, domains, week_label, ip_version,
     probe)``; ``domains=None`` means "materialize ``[start, start +
     count)`` from the worker's own population" (range descriptors ship
     no records at all).  The results cross back to the parent as one
     ``KIND_DOMAINS`` cbr payload — compact columnar frames instead of a
-    pickled object graph — plus the unit's telemetry bundle.
-
-    When telemetry is enabled each unit records into a *fresh*
-    :class:`~repro.telemetry.Telemetry` bundle; the parent folds the
-    bundles back in target order, which reproduces the sequential
-    emission order exactly.
+    pickled object graph, and already the bytes of a checkpoint shard
+    file — plus the shard's telemetry bundle.
     """
     start, count, domains, week_label, ip_version, probe = task
     scanner = _WORKER_SCANNER
@@ -166,27 +159,10 @@ def _scan_unit(task):
 
     if domains is None:
         domains = scanner.population.materialize_range(start, start + count)
-    if _WORKER_TELEMETRY_ENABLED:
-        from repro.telemetry import Telemetry
-
-        scanner.telemetry = Telemetry()
-    results = scanner.scan_sequential(domains, week_label, ip_version, probe)
+    results, telem = scanner.scan_shard(domains, week_label, ip_version, probe)
     payload = encode_domain_results(results)
     scanner.population.trim_caches()
-    telem = None
-    if scanner.telemetry is not None:
-        bundle = scanner.telemetry
-        scanner.telemetry = None
-        telem = (
-            bundle.registry,
-            bundle.tracer.events,
-            bundle.tracer.diag_events,
-            # Span records are path-relative to the unit; the parent's
-            # absorb re-roots them under its open scan span.
-            bundle.spans.records,
-            bundle.spans.diag_records,
-        )
-    return start, count, payload, telem
+    return payload, telem
 
 
 # ----------------------------------------------------------------------
@@ -252,420 +228,152 @@ def _drop_pool(scanner: "Scanner") -> None:
 
 
 # ----------------------------------------------------------------------
-# Batch path: scan a materialized target list.
+# The stream.
 # ----------------------------------------------------------------------
 
 
-def scan_sharded(
+def shard_stream(
     scanner: "Scanner",
-    targets: Sequence["DomainRecord"],
+    domains: "Sequence[DomainRecord] | None",
     week_label: str,
     ip_version: int,
     probe: int,
-    parallel: ParallelScanConfig,
+    chunk: int,
     checkpoint=None,
-) -> list["DomainScanResult"]:
-    """Scan ``targets`` over a worker pool; results in original order.
+) -> Iterator[list["DomainScanResult"]]:
+    """Yield every shard's results, in ascending ordinal, bounded memory.
 
-    The deterministic merge is positional: every unit is a contiguous
-    ``(start, count)`` slice of ``targets`` and reassembles by
-    ``start``, so the concatenation equals the sequential iteration
-    order regardless of completion order, dispatch order, or how often
-    the scheduler split a shard.
+    ``domains=None`` scans the scanner's whole population through
+    ``materialize_range`` (nothing here ever asks for the full list, so
+    a :class:`~repro.internet.streaming.StreamingPopulation` works);
+    otherwise the shards are slices of ``domains``.
 
-    With a ``checkpoint`` (:class:`repro.faults.CheckpointStore` or its
-    async writer facade), shards already on disk are loaded instead of
-    scanned and fresh shards are saved as they complete; the shard
-    boundaries then come from the store's fixed chunk (set at campaign
-    start) so a resume may use a different worker count — and a
-    different split layout — and still merge bit-identically.  Loaded
-    shards contribute no telemetry — their events belong to the run
-    that produced them.
+    A shard becomes *due* when the window has room for it.  Under a
+    ``checkpoint`` (:class:`repro.faults.CheckpointStore` or its async
+    writer facade) a due shard is first looked up on disk — lazily, one
+    ordinal at a time, so a resume holds no more than the window either
+    — and only scanned when absent or damaged.  Loaded shards contribute
+    no telemetry: their events belong to the run that produced them.
 
-    When a pool cannot win — one pending shard, or at most one usable
-    core — the shards run in-process instead (identical results *and*
-    identical telemetry bytes, since the same per-shard bundles are
-    produced in the same order).  ``parallel.force_pool`` overrides the
-    fallback.
-    """
-    chunk = (
-        checkpoint.chunk
-        if checkpoint is not None
-        else parallel.resolve_chunk_size(len(targets))
-    )
-    telemetry = scanner.telemetry
-    usable = min(parallel.workers, os.cpu_count() or 1)
-    n_shards = -(-len(targets) // chunk) if targets else 0
-
-    cost_model = None
-    costs: list[float] | None = None
-    if parallel.force_pool or (usable > 1 and n_shards > 1):
-        # Only a pool dispatch consults prices; the sequential fallback
-        # runs shards in order no matter what they cost.
-        cost_model = ShardCostModel(
-            scanner.population, scanner.config, week_label, ip_version, probe
-        )
-        costs = [cost_model.domain_cost(domain) for domain in targets]
-
-    shards = plan_shards(
-        len(targets),
-        chunk,
-        cost_of=(costs.__getitem__ if costs is not None else None),
-        # Checkpoint shard files must cover identical ranges across
-        # resumes, so their boundaries stay chunk-aligned; cost pricing
-        # still drives dispatch order and tail splitting.
-        fixed=checkpoint is not None,
-    )
-    merged: list[list["DomainScanResult"] | None] = [None] * len(shards)
-    telem_buffer: list[tuple[int, tuple]] = []
-    pending: list[ShardRange] = []
-    if checkpoint is not None:
-        for shard in shards:
-            loaded = checkpoint.load_shard(
-                shard.index, targets[shard.start : shard.stop]
-            )
-            if loaded is None:
-                pending.append(shard)
-            else:
-                merged[shard.index] = loaded
-    else:
-        pending = list(shards)
-
-    use_pool = parallel.force_pool or (usable > 1 and len(pending) > 1)
-    if pending and not use_pool:
-        _run_shards_inline(
-            scanner, targets, pending, week_label, ip_version, probe,
-            merged, telem_buffer, checkpoint,
-        )
-    elif pending:
-        workers = parallel.workers if parallel.force_pool else usable
-        _run_shards_pool(
-            scanner, targets, pending, costs, week_label, ip_version, probe,
-            workers, telemetry is not None, merged, telem_buffer, checkpoint,
-        )
-    if telemetry is not None:
-        _absorb_in_order(telemetry, shards, telem_buffer)
-    return [result for shard in merged for result in shard]  # type: ignore[union-attr]
-
-
-def _absorb_in_order(telemetry, shards: list[ShardRange], telem_buffer) -> None:
-    """Fold unit telemetry back in target order (= sequential order).
-
-    Units are contiguous slices, so absorbing their bundles by ``start``
-    offset concatenates events exactly as a sequential scan would have
-    emitted them — completion order and split layout never leak into
-    the deterministic streams.  The shard layout itself is noted as
-    diagnostics only (``diag=True``), interleaved after each shard's
-    bundles just as the one-bundle-per-shard absorb always did.
-    """
-    by_start = sorted(telem_buffer, key=lambda item: item[0])
-    position = 0
-    for shard in shards:
-        absorbed = False
-        while position < len(by_start) and by_start[position][0] < shard.stop:
-            registry, events, diag_events, spans, diag_spans = by_start[position][1]
-            telemetry.absorb_shard(registry, events, diag_events, spans, diag_spans)
-            absorbed = True
-            position += 1
-        if not absorbed:
-            continue  # loaded from checkpoint: no telemetry of ours
-        telemetry.tracer.event(
-            "scan.shard", diag=True, shard=shard.index, domains=shard.count
-        )
-        # The shard's existence is a sharding artifact, so its span
-        # lives in the diag stream, never the deterministic one.
-        telemetry.spans.span(
-            f"shard:{shard.index}", diag=True, domains=shard.count
-        ).end()
-
-
-def _run_shards_inline(
-    scanner: "Scanner",
-    targets: Sequence["DomainRecord"],
-    pending: list[ShardRange],
-    week_label: str,
-    ip_version: int,
-    probe: int,
-    merged: list,
-    telem_buffer: list,
-    checkpoint,
-) -> None:
-    """Run pending shards in-process, mimicking the pool's semantics.
-
-    Results are trivially identical (per-domain randomness is derived,
-    not threaded); telemetry matches byte-for-byte because each shard
-    still records into a fresh bundle, absorbed in target order by the
-    caller — exactly what the pool workers produce.
-    """
-    telemetry = scanner.telemetry
-    try:
-        for shard in pending:
-            domains = targets[shard.start : shard.stop]
-            if telemetry is not None:
-                from repro.telemetry import Telemetry
-
-                scanner.telemetry = Telemetry()
-            results = scanner.scan_sequential(
-                domains, week_label, ip_version, probe
-            )
-            merged[shard.index] = results
-            if checkpoint is not None:
-                checkpoint.save_shard(shard.index, results)
-            if telemetry is not None:
-                bundle = scanner.telemetry
-                telem_buffer.append(
-                    (
-                        shard.start,
-                        (
-                            bundle.registry,
-                            bundle.tracer.events,
-                            bundle.tracer.diag_events,
-                            bundle.spans.records,
-                            bundle.spans.diag_records,
-                        ),
-                    )
-                )
-    finally:
-        scanner.telemetry = telemetry
-
-
-def _run_shards_pool(
-    scanner: "Scanner",
-    targets: Sequence["DomainRecord"],
-    pending: list[ShardRange],
-    costs: list[float] | None,
-    week_label: str,
-    ip_version: int,
-    probe: int,
-    workers: int,
-    telemetry_enabled: bool,
-    merged: list,
-    telem_buffer: list,
-    checkpoint,
-) -> None:
-    """Work-stealing dispatch: longest-first submit, tail splitting.
-
-    The queue holds priced units sorted by descending cost (classic
-    longest-processing-time-first, which bounds makespan); whenever the
-    pool has more free slots than queued units — the tail — the
-    costliest splittable unit is cut at its cost midpoint and both
-    halves dispatched, so the last heavy shard is shared between
-    workers instead of idling all but one of them.  Results flow back
-    as cbr payloads; a checkpoint shard whose units have all arrived is
-    persisted by frame copy on the background writer.
+    Everything order-sensitive happens at emission, one shard at a time
+    in population order: the shard's telemetry bundle is absorbed, and a
+    freshly scanned shard is handed to the checkpoint before it is
+    yielded.  ``scanner.last_scan_stats`` is rewritten on every call and
+    kept current as the stream advances.
     """
     from repro.faults.checkpoint import results_from_cbr_payload
+    from repro.web.scanner import stamp_week
 
-    range_tasks = targets is getattr(scanner.population, "domains", None)
-    pool = _pool_for(scanner, workers, telemetry_enabled)
-
-    def priced(unit: ShardRange) -> tuple:
-        return (-unit.cost, unit.start)
-
-    queue = sorted(pending, key=priced)
-    inflight: dict = {}
-    parts: dict[int, dict[int, tuple[list, bytes]]] = {
-        shard.index: {} for shard in pending
-    }
-    outstanding = {shard.index: shard.count for shard in pending}
-    splits = 0
-    try:
-        while queue or inflight:
-            free = workers - len(inflight)
-            # Tail splitting: free workers outnumber queued units, so
-            # cut the costliest splittable unit and dispatch its halves.
-            while free > len(queue):
-                candidates = [unit for unit in queue if unit.count >= 2]
-                if not candidates:
-                    break
-                biggest = min(candidates, key=priced)
-                queue.remove(biggest)
-                left, right = split_shard(biggest, costs)
-                queue.extend((left, right))
-                queue.sort(key=priced)
-                splits += 1
-            while queue and len(inflight) < workers:
-                unit = queue.pop(0)
-                task = (
-                    unit.start,
-                    unit.count,
-                    None if range_tasks else tuple(
-                        targets[unit.start : unit.stop]
-                    ),
-                    week_label,
-                    ip_version,
-                    probe,
-                )
-                inflight[pool.submit(_scan_unit, task)] = unit
-            if not inflight:
-                continue
-            done, _ = wait(inflight, return_when=FIRST_COMPLETED)
-            for future in done:
-                unit = inflight.pop(future)
-                start, count, payload, telem = future.result()
-                results = results_from_cbr_payload(
-                    payload, targets[start : start + count], strict=True
-                )
-                parts[unit.index][start] = (results, payload)
-                if telem is not None:
-                    telem_buffer.append((start, telem))
-                outstanding[unit.index] -= count
-                if outstanding[unit.index] == 0:
-                    ordered = sorted(parts.pop(unit.index).items())
-                    merged[unit.index] = [
-                        result for _, (results_, _) in ordered
-                        for result in results_
-                    ]
-                    if checkpoint is not None:
-                        checkpoint.save_shard_payloads(
-                            unit.index,
-                            [payload_ for _, (_, payload_) in ordered],
-                        )
-    except Exception:
-        # A broken pool must not poison later scans on this scanner.
-        _drop_pool(scanner)
-        raise
-    scanner.last_scan_stats = {
-        "units": len(pending) + splits,
-        "splits": splits,
-        "workers": workers,
-    }
-
-
-# ----------------------------------------------------------------------
-# Streaming path: scan a range-addressed population in bounded memory.
-# ----------------------------------------------------------------------
-
-
-def scan_stream_sharded(
-    scanner: "Scanner",
-    week_label: str,
-    ip_version: int,
-    probe: int,
-    parallel: ParallelScanConfig,
-    stats: dict | None = None,
-) -> Iterator["DomainScanResult"]:
-    """Yield every domain's result in population order, bounded memory.
-
-    Tasks are pure range descriptors — workers materialize their own
-    slice from the (streaming) population, scan it, and return cbr
-    bytes — and the parent keeps at most ``workers * 3`` shards
-    outstanding (in flight or completed-but-not-yet-emittable), so peak
-    RSS is proportional to the window, never the population.  Emission
-    order is strictly ascending shard order, making the stream
-    bit-identical to a sequential scan at any worker count.
-
-    ``stats``, when given, is filled with the run's shape (shard count,
-    chunk, max outstanding window) for diagnostics and tests.
-    """
     population = scanner.population
-    total = population.domain_count
-    chunk = parallel.resolve_chunk_size(total)
-    n_shards = -(-total // chunk) if total else 0
     telemetry = scanner.telemetry
+    if domains is None:
+        total = population.domain_count
+
+        def targets_of(shard: ShardRange):
+            return population.materialize_range(shard.start, shard.stop)
+
+    else:
+        total = len(domains)
+
+        def targets_of(shard: ShardRange):
+            return domains[shard.start : shard.stop]
+
+    shards = plan_shards(total, chunk)
+    parallel = scanner.parallel
     usable = min(parallel.workers, os.cpu_count() or 1)
-    use_pool = parallel.force_pool or (usable > 1 and n_shards > 1)
-    workers = parallel.workers if parallel.force_pool else usable
-    window = max(2, workers * 3)
-    if stats is not None:
-        stats.update(
-            {
-                "shards": n_shards,
-                "chunk": chunk,
-                "pool": bool(use_pool),
-                "workers": workers if use_pool else 1,
-                "max_outstanding": 0,
-            }
+    use_pool = bool(shards) and (
+        parallel.force_pool or (usable > 1 and len(shards) > 1)
+    )
+    workers = 1
+    if use_pool:
+        workers = parallel.workers if parallel.force_pool else usable
+    # Inline, the one due shard is scanned and emitted before the next
+    # is looked at; a pool keeps finished shards behind a straggler.
+    window = max(2, workers * 3) if use_pool else 1
+    stats = scanner.last_scan_stats = {
+        "units": 0,
+        "workers": workers,
+        "pool": use_pool,
+        "max_outstanding": 0,
+    }
+    #: ordinal -> (results | None, worker cbr payload | None, telemetry
+    #: bundle | None, loaded from the checkpoint?)
+    ready: dict[int, tuple] = {}
+    inflight: dict = {}
+    next_due = 0
+
+    def fill_window() -> None:
+        nonlocal next_due
+        while (
+            next_due < len(shards)
+            and len(inflight) < workers
+            and len(inflight) + len(ready) < window
+        ):
+            due = shards[next_due]
+            next_due += 1
+            if checkpoint is not None:
+                loaded = checkpoint.load_shard(due.index, targets_of(due))
+                if loaded is not None:
+                    ready[due.index] = (loaded, None, None, True)
+                    continue
+            stats["units"] += 1
+            if use_pool:
+                # The population's own ranges ship as descriptors; the
+                # workers cannot rebuild an ad-hoc list, so its records go.
+                records = None if domains is None else tuple(targets_of(due))
+                task = (due.start, due.count, records, week_label, ip_version, probe)
+                pool = _pool_for(scanner, workers, telemetry is not None)
+                inflight[pool.submit(_scan_unit, task)] = due.index
+            else:
+                results, telem = scanner.scan_shard(
+                    targets_of(due), week_label, ip_version, probe
+                )
+                ready[due.index] = (results, None, telem, False)
+        stats["max_outstanding"] = max(
+            stats["max_outstanding"], len(inflight) + len(ready)
         )
 
-    def emit_shard(ordinal: int, results: list) -> Iterator["DomainScanResult"]:
-        population.trim_caches()
-        yield from results
-
-    if not use_pool:
-        for ordinal in range(n_shards):
-            start = ordinal * chunk
-            stop = min(start + chunk, total)
-            domains = population.materialize_range(start, stop)
-            telem = None
-            if telemetry is not None:
-                from repro.telemetry import Telemetry
-
-                scanner.telemetry = Telemetry()
-            try:
-                results = scanner.scan_sequential(
-                    domains, week_label, ip_version, probe
-                )
-            finally:
-                if telemetry is not None:
-                    bundle = scanner.telemetry
-                    telem = (
-                        bundle.registry,
-                        bundle.tracer.events,
-                        bundle.tracer.diag_events,
-                        bundle.spans.records,
-                        bundle.spans.diag_records,
-                    )
-                    scanner.telemetry = telemetry
-            _absorb_stream_shard(telemetry, ordinal, len(domains), telem)
-            if stats is not None:
-                stats["max_outstanding"] = max(stats["max_outstanding"], 1)
-            yield from emit_shard(ordinal, results)
-        return
-
-    from repro.faults.checkpoint import results_from_cbr_payload
-
-    pool = _pool_for(scanner, workers, telemetry is not None)
-    next_submit = 0
-    next_emit = 0
-    buffered: dict[int, tuple[int, int, bytes, tuple | None]] = {}
-    inflight: dict = {}
     try:
-        while next_emit < n_shards:
-            while (
-                next_submit < n_shards
-                and len(inflight) < workers
-                and len(inflight) + len(buffered) < window
-            ):
-                start = next_submit * chunk
-                count = min(chunk, total - start)
-                task = (start, count, None, week_label, ip_version, probe)
-                inflight[pool.submit(_scan_unit, task)] = next_submit
-                next_submit += 1
-            if stats is not None:
-                stats["max_outstanding"] = max(
-                    stats["max_outstanding"], len(inflight) + len(buffered)
-                )
-            while next_emit in buffered:
-                start, count, payload, telem = buffered.pop(next_emit)
-                domains = population.materialize_range(start, start + count)
+        for shard in shards:
+            fill_window()
+            while shard.index not in ready:
+                done, _ = wait(inflight, return_when=FIRST_COMPLETED)
+                for future in done:
+                    payload, telem = future.result()
+                    ready[inflight.pop(future)] = (None, payload, telem, False)
+                fill_window()
+            results, payload, telem, loaded = ready.pop(shard.index)
+            if payload is not None:
+                # Decoded only now, so shards waiting in the window are
+                # compact bytes; strict, because a damaged in-memory IPC
+                # payload is a bug, not a crash artifact.
                 results = results_from_cbr_payload(
-                    payload, domains, strict=True
+                    payload, targets_of(shard), strict=True
                 )
-                _absorb_stream_shard(telemetry, next_emit, count, telem)
-                ordinal = next_emit
-                next_emit += 1
-                yield from emit_shard(ordinal, results)
-            if next_emit >= n_shards or not inflight:
-                continue
-            done, _ = wait(inflight, return_when=FIRST_COMPLETED)
-            for future in done:
-                ordinal = inflight.pop(future)
-                start, count, payload, telem = future.result()
-                buffered[ordinal] = (start, count, payload, telem)
+            if telem is not None:
+                telemetry.absorb_shard(*telem)
+                # The shard layout is a sharding artifact: diagnostics
+                # only, never the deterministic streams.
+                telemetry.tracer.event(
+                    "scan.shard", diag=True, shard=shard.index, domains=shard.count
+                )
+                telemetry.spans.span(
+                    f"shard:{shard.index}", diag=True, domains=shard.count
+                ).end()
+            if loaded:
+                stamp_week(results, week_label)  # may predate week stamping
+            elif checkpoint is not None:
+                # A worker's payload is already the shard file's bytes.
+                checkpoint.save_shard(
+                    shard.index, results if payload is None else payload
+                )
+            population.trim_caches()
+            yield results
     except Exception:
-        _drop_pool(scanner)
+        if use_pool:
+            # A broken pool must not poison later scans on this scanner.
+            _drop_pool(scanner)
         raise
-
-
-def _absorb_stream_shard(
-    telemetry, ordinal: int, count: int, telem: tuple | None
-) -> None:
-    if telemetry is None or telem is None:
-        return
-    registry, events, diag_events, spans, diag_spans = telem
-    telemetry.absorb_shard(registry, events, diag_events, spans, diag_spans)
-    telemetry.tracer.event(
-        "scan.shard", diag=True, shard=ordinal, domains=count
-    )
-    telemetry.spans.span(f"shard:{ordinal}", diag=True, domains=count).end()
+    finally:
+        for future in inflight:  # consumer stopped early, or a crash
+            future.cancel()

@@ -18,6 +18,7 @@ import sys
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from typing import Iterator, Sequence
 
 from repro._util.rng import SeedPrefix, fork_rng
 from repro.obs.spans import trace_id_for
@@ -40,12 +41,7 @@ from repro.quic.connection import ConnectionConfig
 from repro.qlog.writer import recorder_to_qlog
 from repro.telemetry import Telemetry
 from repro.web.http3 import run_exchange
-from repro.web.parallel import (
-    ParallelScanConfig,
-    close_pool,
-    scan_sharded,
-    scan_stream_sharded,
-)
+from repro.web.parallel import ParallelScanConfig, close_pool, shard_stream
 from repro.web.server_profiles import ServerStackProfile, stack_by_name
 
 
@@ -70,7 +66,7 @@ __all__ = [
 _MAX_REDIRECTS = 3
 
 
-def _stamp_week(results: list["DomainScanResult"], week_label: str) -> None:
+def stamp_week(results: list["DomainScanResult"], week_label: str) -> None:
     """Stamp every connection record with the measurement week."""
     for result in results:
         for record in result.connections:
@@ -204,9 +200,10 @@ class ScanDataset:
 class Scanner:
     """Scans a population, one HTTP/3 fetch chain per domain per week.
 
-    ``parallel`` shards the target list over a process pool (see
-    :mod:`repro.web.parallel`); the default single-worker configuration
-    runs fully in-process.  Both paths produce bit-identical datasets
+    Every scan is one ordinal-ordered shard stream (see
+    :mod:`repro.web.parallel`); ``parallel`` only shapes its executor —
+    the default single-worker configuration runs fully in-process, more
+    workers bring a process pool.  Datasets are bit-identical either way
     because every domain's randomness is derived independently.
     """
 
@@ -225,8 +222,11 @@ class Scanner:
         #: scan arguments: event timestamps are *simulated* milliseconds
         #: (each domain's event cascade), never wall-clock, and the
         #: per-domain emission order is population order regardless of
-        #: worker count (parallel shards are absorbed in shard order).
+        #: worker count (shards are absorbed in shard order).
         self.telemetry = telemetry
+        #: Shape of the latest scan (``units`` scanned, ``workers``,
+        #: ``pool``, ``max_outstanding``), rewritten by every scan.
+        self.last_scan_stats: dict = {}
 
     def close(self) -> None:
         """Release the scanner's worker pool, deterministically.
@@ -254,7 +254,37 @@ class Scanner:
         verbose: bool = False,
         checkpoint_dir=None,
     ) -> ScanDataset:
-        """Run one measurement week over ``domains`` (default: all).
+        """Run one measurement week and hold the result as a dataset.
+
+        Exactly ``list(scan_stream(...))`` — see there for the
+        arguments and the determinism contract.
+        """
+        return ScanDataset(
+            week_label=week_label,
+            ip_version=ip_version,
+            results=list(
+                self.scan_stream(
+                    week_label, ip_version, domains, probe, verbose, checkpoint_dir
+                )
+            ),
+        )
+
+    def scan_stream(
+        self,
+        week_label: str = "cw20-2023",
+        ip_version: int = 4,
+        domains: list[DomainRecord] | None = None,
+        probe: int = 0,
+        verbose: bool = False,
+        checkpoint_dir=None,
+    ) -> Iterator[DomainScanResult]:
+        """Scan ``domains`` (default: the whole population) as a stream.
+
+        Yields one :class:`DomainScanResult` per domain, in population
+        order, holding no more than a small window of shards — so a
+        10 M+ domain :class:`~repro.internet.streaming.
+        StreamingPopulation` scan runs in bounded RSS (see
+        :func:`repro.web.parallel.shard_stream`).
 
         Deterministic in (population seed, week label, IP version,
         probe) — independent of worker count and sharding.  ``probe``
@@ -262,258 +292,177 @@ class Scanner:
         the follow-up methodology of Section 6 re-rolls per-connection
         randomness (spin disabling, paths) while keeping the week's
         deployment state fixed.  ``verbose`` prints a one-line summary
-        (domains, elapsed, throughput, workers) to stderr.
+        (domains, elapsed, throughput, executor) to stderr.
 
         ``checkpoint_dir`` enables crash-safe resume: completed shards
-        are written there as they finish, and a re-run of the *same*
-        scan (seed, week, IP version, probe, targets, config) loads them
-        back instead of re-scanning.  The shard size is fixed by the
-        chunk configuration, not the worker count, so a campaign can be
-        resumed with a different ``--workers`` and still merge
+        are written there as they are emitted, and a re-run of the
+        *same* scan (seed, week, IP version, probe, targets, config)
+        loads them back instead of re-scanning.  The shard size is fixed
+        by the chunk configuration, not the worker count, so a campaign
+        can be resumed with a different ``--workers`` and still merge
         bit-identically.
+
+        The circuit breaker runs here, over emitted results in
+        population order: its per-provider state only ever moves
+        forward, so decisions are identical for any worker count, and
+        checkpoint shards always hold pre-breaker results.
         """
-        targets = domains if domains is not None else self.population.domains
-        workers = self.parallel.workers if len(targets) > 1 else 1
+        population = self.population
+        total = population.domain_count if domains is None else len(domains)
+        chunk = self.parallel.resolve_chunk_size(total)
         store = None
         if checkpoint_dir is not None:
             from repro.faults.checkpoint import CheckpointStore, scan_fingerprint
             from repro.faults.shardwriter import AsyncCheckpointWriter
 
+            chunk = self.parallel.chunk_size or 256
             # The async facade moves shard persistence onto a writer
             # thread so checkpoint disk I/O overlaps scan compute; its
-            # close() below guarantees every finished shard is on disk
-            # before scan() returns (or re-raises).
+            # close() below guarantees every emitted shard is on disk
+            # before the stream ends (or re-raises).
             store = AsyncCheckpointWriter(
                 CheckpointStore(
                     checkpoint_dir,
                     fingerprint=scan_fingerprint(
-                        self.population.config.seed,
+                        population.config.seed,
                         week_label,
                         ip_version,
                         probe,
-                        targets,
+                        population.iter_targets() if domains is None else domains,
                         repr(self.config),
                     ),
-                    chunk=self.parallel.chunk_size or 256,
+                    chunk=chunk,
                 )
             )
+        breaker = None
+        resilience = self.config.resilience
+        if resilience is not None and resilience.breaker is not None:
+            from repro.faults.breaker import BreakerPass
+
+            breaker = BreakerPass(
+                resilience.breaker, lambda r: population.provider_of(r.domain).name
+            )
         started = time.perf_counter()  # wallclock-ok: stderr diagnostics only
+        telemetry = self.telemetry
+        profiler = telemetry.profiler if telemetry is not None else None
+        scan_phase = profiler.phase("scan") if profiler is not None else nullcontext()
         scan_span = None
-        profiler = self.telemetry.profiler if self.telemetry is not None else None
-        scan_phase = profiler.phase("scan") if profiler is not None else None
-        if scan_phase is not None:
-            scan_phase.__enter__()
-        if self.telemetry is not None:
+        if telemetry is not None:
             # Deliberately no worker count here: scan.begin is part of
             # the deterministic trace, which must not depend on sharding.
-            self.telemetry.tracer.event(
-                "scan.begin",
-                week=week_label,
-                ip_version=ip_version,
-                domains=len(targets),
+            telemetry.tracer.event(
+                "scan.begin", week=week_label, ip_version=ip_version, domains=total
             )
-            spans = self.telemetry.spans
+            spans = telemetry.spans
             if spans.trace_id is None:
                 # Standalone scan: the scan itself is the trace root.
                 # Under the campaign daemon the trace id is already the
                 # campaign's and this scan nests beneath it.
                 spans.trace_id = trace_id_for(
-                    "scan",
-                    self.population.config.seed,
-                    week_label,
-                    ip_version,
-                    probe,
-                )
-            scan_span = spans.span(
-                f"scan:{week_label}",
-                ip_version=ip_version,
-                domains=len(targets),
-            )
-        try:
-            if workers > 1:
-                results = scan_sharded(
-                    self, targets, week_label, ip_version, probe, self.parallel,
-                    checkpoint=store,
-                )
-            else:
-                results = self.scan_sequential(
-                    targets, week_label, ip_version, probe, checkpoint=store
-                )
-        except BaseException:
-            # A crashed scan still persists every shard that completed:
-            # drain the writer (suppressing secondary write errors, the
-            # scan failure is what the caller must see) before
-            # propagating.
-            if store is not None:
-                store.close(suppress_errors=True)
-            raise
-        if store is not None:
-            store.close()
-        if scan_span is not None:
-            # The merge marker closes the scan stage of the pipeline in
-            # both execution paths (the sequential path "merges" one
-            # shard) so the deterministic span stream never depends on
-            # how the work was split.
-            self.telemetry.spans.span("merge", domains=len(results)).end()
-        resilience = self.config.resilience
-        if resilience is not None and resilience.breaker is not None:
-            # A deterministic post-merge pass (never inside the scan
-            # loop): breaker decisions depend only on the merged result
-            # order, so they are identical for any worker count, and
-            # checkpoint shards always hold pre-breaker results.
-            from repro.faults.breaker import apply_circuit_breaker
-
-            apply_circuit_breaker(
-                results,
-                resilience.breaker,
-                lambda r: self.population.provider_of(r.domain).name,
-                telemetry=self.telemetry,
-            )
-        if scan_span is not None:
-            scan_span.annotate(
-                quic=sum(1 for r in results if r.quic_support)
-            )
-            scan_span.end()
-        if scan_phase is not None:
-            scan_phase.__exit__(None, None, None)
-        if verbose:
-            elapsed = time.perf_counter() - started  # wallclock-ok: diagnostics
-            rate = len(targets) / elapsed if elapsed > 0 else float("inf")
-            print(
-                f"scanned {len(targets)} domains in {elapsed:.1f} s "
-                f"({rate:.0f} domains/s, {workers} worker(s))",
-                file=sys.stderr,
-            )
-        return ScanDataset(
-            week_label=week_label, ip_version=ip_version, results=results
-        )
-
-    def scan_stream(
-        self,
-        week_label: str = "cw20-2023",
-        ip_version: int = 4,
-        probe: int = 0,
-        verbose: bool = False,
-        stats: dict | None = None,
-    ):
-        """Scan the whole population as a bounded-memory result stream.
-
-        Yields one :class:`DomainScanResult` per domain, in population
-        order, bit-identical to ``scan()`` over the same targets — but
-        never holds more than a small window of shards in memory, so a
-        10 M+ domain :class:`~repro.internet.streaming.
-        StreamingPopulation` scan runs in bounded RSS (the parent
-        re-materializes each shard's records on demand; workers
-        regenerate their own slices from range descriptors).
-
-        Streaming trades away the post-merge passes: the circuit
-        breaker (which needs the full merged result order) and
-        checkpointing (whose fingerprint walks the full target list)
-        are rejected up front.  Telemetry works as usual and stays
-        byte-identical across worker counts.
-        """
-        resilience = self.config.resilience
-        if resilience is not None and resilience.breaker is not None:
-            raise ValueError(
-                "streaming scans cannot apply the circuit breaker "
-                "(a post-merge pass over the full result order); "
-                "drop the breaker or use scan()"
-            )
-        total = self.population.domain_count
-        started = time.perf_counter()  # wallclock-ok: stderr diagnostics only
-        scan_span = None
-        if self.telemetry is not None:
-            self.telemetry.tracer.event(
-                "scan.begin",
-                week=week_label,
-                ip_version=ip_version,
-                domains=total,
-            )
-            spans = self.telemetry.spans
-            if spans.trace_id is None:
-                spans.trace_id = trace_id_for(
-                    "scan",
-                    self.population.config.seed,
-                    week_label,
-                    ip_version,
-                    probe,
+                    "scan", population.config.seed, week_label, ip_version, probe
                 )
             scan_span = spans.span(
                 f"scan:{week_label}", ip_version=ip_version, domains=total
             )
-        emitted = 0
-        quic = 0
-        for result in scan_stream_sharded(
-            self, week_label, ip_version, probe, self.parallel, stats=stats
-        ):
-            emitted += 1
-            if result.quic_support:
-                quic += 1
-            yield result
-        if scan_span is not None:
-            self.telemetry.spans.span("merge", domains=emitted).end()
-            scan_span.annotate(quic=quic)
-            scan_span.end()
+        emitted = quic = 0
+        with scan_phase:
+            try:
+                for shard in shard_stream(
+                    self, domains, week_label, ip_version, probe, chunk, store
+                ):
+                    for result in shard:
+                        if breaker is not None:
+                            result = breaker.step(result)
+                        emitted += 1
+                        quic += result.quic_support
+                        yield result
+                if store is not None:
+                    store.close()
+            except BaseException:
+                # A crashed (or abandoned) scan still persists every
+                # shard it emitted: drain the writer, suppressing
+                # secondary write errors — the scan failure is what the
+                # caller must see.  Its span is dropped unrecorded, so a
+                # retry on this scanner opens the same span at the same
+                # path and a crashed-then-retried campaign logs the span
+                # ids of an uninterrupted one.
+                if store is not None:
+                    store.close(suppress_errors=True)
+                if scan_span is not None:
+                    scan_span.abandon()
+                raise
+            if scan_span is not None:
+                # The merge marker closes the scan stage of the pipeline
+                # however the work was split (inline "merges" too), so
+                # the deterministic span stream never depends on it.
+                telemetry.spans.span("merge", domains=emitted).end()
+                if breaker is not None:
+                    breaker.flush(telemetry)
+                scan_span.annotate(quic=quic)
+                scan_span.end()
         if verbose:
             elapsed = time.perf_counter() - started  # wallclock-ok: diagnostics
             rate = emitted / elapsed if elapsed > 0 else float("inf")
+            stats = self.last_scan_stats
             print(
                 f"scanned {emitted} domains in {elapsed:.1f} s "
-                f"({rate:.0f} domains/s, streaming)",
+                f"({rate:.0f} domains/s, "
+                f"{'pool' if stats['pool'] else 'inline'}, "
+                f"{stats['workers']} worker(s))",
                 file=sys.stderr,
             )
 
-    def scan_sequential(
+    def scan_shard(
         self,
-        targets: list[DomainRecord],
+        domains: Sequence[DomainRecord],
         week_label: str,
         ip_version: int,
-        probe: int = 0,
-        checkpoint=None,
-    ) -> list[DomainScanResult]:
-        """Scan ``targets`` in-process; one result per domain, in order.
+        probe: int,
+    ) -> tuple[list[DomainScanResult], tuple | None]:
+        """Scan one shard in this process: ``(results, telemetry)``.
 
-        The per-scan invariants — the week's churn epoch and the
-        ``(seed, "scan", week, ip_version)`` seed prefix — are computed
-        once here instead of once per domain; both are pure functions of
-        the arguments, so sharded workers recompute identical values.
+        The one place domains are scanned — the inline executor and the
+        pool workers both call it.  The per-scan invariants — the week's
+        churn epoch and the ``(seed, "scan", week, ip_version)`` seed
+        prefix — are pure functions of the arguments, so every process
+        computes identical values.
 
-        With a :class:`repro.faults.CheckpointStore`, targets are walked
-        in fixed-size shards; each shard is loaded from disk when a
-        valid checkpoint exists and scanned-then-saved otherwise.
-        Loaded shards contribute no telemetry (their events were emitted
-        by the run that produced them).
+        With telemetry on, the shard records into a *fresh* bundle
+        (sharing only the profiler, which is diagnostics) and returns
+        its parts for :meth:`Telemetry.absorb_shard`; the stream absorbs
+        bundles in shard order, which reproduces one sequential emission
+        order at any worker count — and a shard that raises leaves no
+        partial events behind.  Records are week-stamped here, before a
+        shard can be encoded or persisted, so checkpoint artifacts
+        merged via ``repro convert`` stay queryable by week.
         """
         epoch = _epoch_of(week_label)
         seed_prefix = SeedPrefix(
             self.population.config.seed, "scan", week_label, ip_version
         )
-        if checkpoint is None:
+        parent = self.telemetry
+        if parent is not None:
+            self.telemetry = Telemetry()
+            self.telemetry.profiler = parent.profiler
+        try:
             results = [
                 self._scan_domain(domain, ip_version, probe, epoch, seed_prefix)
-                for domain in targets
+                for domain in domains
             ]
-            _stamp_week(results, week_label)
-            return results
-        results = []
-        chunk = checkpoint.chunk
-        for shard_index, start in enumerate(range(0, len(targets), chunk)):
-            shard_targets = targets[start : start + chunk]
-            shard = checkpoint.load_shard(shard_index, shard_targets)
-            if shard is None:
-                shard = [
-                    self._scan_domain(domain, ip_version, probe, epoch, seed_prefix)
-                    for domain in shard_targets
-                ]
-                # Stamp before the shard is persisted, so checkpoint
-                # artifacts merged via ``repro convert`` stay queryable
-                # by week.
-                _stamp_week(shard, week_label)
-                checkpoint.save_shard(shard_index, shard)
-            results.extend(shard)
-        # Loaded shards may predate week stamping; normalize everything.
-        _stamp_week(results, week_label)
-        return results
+        finally:
+            bundle, self.telemetry = self.telemetry, parent
+        stamp_week(results, week_label)
+        if bundle is None:
+            return results, None
+        return results, (
+            bundle.registry,
+            bundle.tracer.events,
+            bundle.tracer.diag_events,
+            # Span records are path-relative to the shard; the absorb
+            # re-roots them under the stream's open scan span.
+            bundle.spans.records,
+            bundle.spans.diag_records,
+        )
 
     # ------------------------------------------------------------------
 

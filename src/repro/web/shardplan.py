@@ -1,37 +1,29 @@
-"""Cost-aware shard planning for the parallel scan engine.
+"""Shard planning for the scan stream.
 
-A fixed ``chunk_size`` splits the target list into equal *domain*
-counts, but domains are nowhere near equal in scan cost: an unresolved
-name costs one RNG draw, a healthy QUIC exchange costs a full packet
-simulation, and a blackholed domain runs the simulator all the way to
-its connect timeout (plus retries).  A shard that happens to collect
-the blackholes takes many times longer than its siblings and stalls the
-pool at the tail.
+The scan path cuts the target list into fixed ``chunk``-sized ranges —
+``plan_shards(n, chunk)`` — so a shard's ordinal names the same domains
+in every run, whatever the worker count: the layout a
+:class:`~repro.faults.checkpoint.CheckpointStore` needs to resume.
 
-This module prices every domain with a deterministic cost model — the
-same derived fault stream the scanner itself will draw, so the estimate
-sees exactly the blackholes and stalls the scan will hit — and cuts the
-target list into shards of approximately equal *total cost* instead of
-equal length.  Fault-heavy and slow-server stretches get fewer domains
-per shard.  The shard count stays ``ceil(n / chunk)`` (the layout the
-fixed-chunk path would produce), only the boundaries move; merge order
-is positional either way, so the plan cannot affect result bytes.
-
-Costs are relative units: 1.0 ≈ one healthy QUIC exchange.  The model
-does not need to be accurate — only *monotone* in actual cost — for
-longest-processing-time-first dispatch and tail splitting to win.
+Cost-aware planning is no longer on that path.  Pricing every domain
+(the scanner's own derived fault stream, provider delay) to balance
+shard boundaries and dispatch longest-first did not beat plain ordinal
+dispatch on any measured workload, so the scheduler that used it is
+gone.  :class:`ShardCostModel` and ``plan_shards(cost_of=...)`` remain
+only because the benchmark times them (``bench/layers.py``,
+``web.plan_shards_ms``); they leave with that metric.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.internet.population import DomainRecord, Population
     from repro.web.scanner import ScanConfig
 
-__all__ = ["ShardCostModel", "ShardRange", "plan_shards", "split_shard"]
+__all__ = ["ShardCostModel", "ShardRange", "plan_shards"]
 
 #: Relative cost of one domain that fails to resolve (one RNG draw).
 _COST_UNRESOLVED = 0.05
@@ -45,11 +37,10 @@ _COST_ABORTED_EXCHANGE = 0.8
 
 @dataclass(frozen=True)
 class ShardRange:
-    """One contiguous slice of the target list, priced for dispatch.
+    """One contiguous slice of the target list.
 
-    ``index`` is the shard's merge position (and, under a checkpoint,
-    its shard-file number); a split shard yields several ShardRanges
-    sharing one ``index`` that reassemble by ``start``.
+    ``index`` is the shard's ordinal: its emission position and, under
+    a checkpoint, its shard-file number.
     """
 
     index: int
@@ -62,7 +53,7 @@ class ShardRange:
         return self.start + self.count
 
 
-class ShardCostModel:
+class ShardCostModel:  # the benchmark is its only caller
     """Deterministic per-domain scan-cost estimates.
 
     The provider component is cached per provider name (mean
@@ -150,9 +141,9 @@ def plan_shards(
     """Cut ``n_targets`` domains into ``ceil(n / chunk)`` shard ranges.
 
     With ``fixed=True`` (or no cost function) boundaries fall every
-    ``chunk`` domains — the layout a :class:`CheckpointStore` requires,
-    since shard files must cover identical ranges across resumes.
-    Otherwise boundaries equalize total cost: each shard closes once it
+    ``chunk`` domains — what the scan stream always asks for.  With a
+    ``cost_of`` (the benchmark is the only caller that passes one)
+    boundaries equalize total cost: each shard closes once it
     reaches the average per-shard cost, subject to leaving at least one
     domain for every remaining shard.  Pure function of its inputs —
     worker count and completion timing never move a boundary.
@@ -207,42 +198,3 @@ def _fixed_plan(
             ShardRange(index=index, start=start, count=stop - start, cost=cost)
         )
     return shards
-
-
-def split_shard(
-    shard: ShardRange, costs: Sequence[float] | None = None
-) -> tuple[ShardRange, ShardRange] | None:
-    """Split one queued shard into two sub-ranges at its cost midpoint.
-
-    ``None`` when the shard is a single domain.  Both halves keep the
-    parent's ``index`` — they are still the same merge (and checkpoint
-    shard-file) slot, reassembled by ``start``.  Only *queued* work is
-    ever split: a running task cannot be preempted, but the scheduler
-    splits the remaining tail so free workers never idle behind it.
-    """
-    if shard.count < 2:
-        return None
-    if costs is None:
-        mid = shard.count // 2
-        left_cost = shard.cost * (mid / shard.count)
-    else:
-        half = shard.cost / 2.0
-        acc = 0.0
-        mid = shard.count // 2
-        for offset in range(shard.count - 1):
-            acc += costs[shard.start + offset]
-            if acc >= half:
-                mid = offset + 1
-                break
-        left_cost = sum(costs[shard.start : shard.start + mid])
-    mid = max(1, min(shard.count - 1, mid))
-    left = ShardRange(
-        index=shard.index, start=shard.start, count=mid, cost=left_cost
-    )
-    right = ShardRange(
-        index=shard.index,
-        start=shard.start + mid,
-        count=shard.count - mid,
-        cost=shard.cost - left_cost,
-    )
-    return left, right

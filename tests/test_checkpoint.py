@@ -9,11 +9,14 @@ campaigns in one directory.
 
 from __future__ import annotations
 
+import io
 import json
+import multiprocessing
 
 import pytest
 
 from repro.analysis.artifacts import record_to_dict
+from repro.artifacts.cbr import write_records_cbr
 from repro.faults import (
     BreakerPolicy,
     CheckpointError,
@@ -28,7 +31,7 @@ from repro.web.scanner import ScanConfig, Scanner
 
 # Faults + resilience on, so checkpoint shards round-trip the failure
 # taxonomy (not just the happy-path record fields), and a breaker is
-# configured to prove the post-merge pass composes with resume.
+# configured to prove the breaker pass composes with resume.
 CONFIG = ScanConfig(
     faults=parse_fault_plan("blackhole:0.05,reset:0.06,vn-failure:0.04"),
     resilience=ResilienceConfig(
@@ -112,33 +115,126 @@ class TestCheckpointedScan:
         assert _dataset_dicts(dataset) == _dataset_dicts(plain_dataset)
 
 
+#: The exhaustive crash sweep runs 48 scans, so it gets a smaller target
+#: list: five shards, the last one partial.
+SWEEP_CHUNK = 16
+SWEEP_DOMAINS = 70
+SWEEP_SHARDS = 5
+
+
+def _sweep_scanner(population, pool: bool) -> Scanner:
+    return Scanner(
+        population,
+        CONFIG,
+        parallel=ParallelScanConfig(
+            workers=2 if pool else 1, chunk_size=SWEEP_CHUNK, force_pool=pool
+        ),
+    )
+
+
+def _artifact_bytes(dataset) -> bytes:
+    buffer = io.BytesIO()
+    write_records_cbr(dataset.connection_records(), buffer)
+    return buffer.getvalue()
+
+
+def _shard_files(directory) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in directory.glob("shard-*.cbr")}
+
+
 class TestCrashAndResume:
     def test_interrupted_scan_resumes_bit_identically(
-        self, tiny_population, targets, plain_dataset, tmp_path, monkeypatch
+        self, tiny_population, tmp_path
     ):
+        """Every crash point, not a hand-picked one.
+
+        For each shard ``k`` (and ``k = n_shards``: nothing fails),
+        either its checkpoint save fails or its scan raises, inline and
+        in a forced two-worker pool; the resume runs on the *other*
+        executor.  Dataset, cbr artifact and every shard file must equal
+        the uninterrupted run's, and exactly the shards that reached the
+        disk are not scanned again.
+        """
+        targets = tiny_population.domains[:SWEEP_DOMAINS]
+        with _sweep_scanner(tiny_population, pool=False) as scanner:
+            reference = scanner.scan(domains=targets, checkpoint_dir=tmp_path / "ref")
+        want_rows = _dataset_dicts(reference)
+        want_artifact = _artifact_bytes(reference)
+        want_shards = _shard_files(tmp_path / "ref")
+        assert len(want_shards) == SWEEP_SHARDS
+        forked = multiprocessing.get_start_method() == "fork"
+
+        real_save = CheckpointStore.save_shard
+        real_scan = Scanner.scan_shard
+        for pool in (False, True):
+            for failing in ("save", "scan"):
+                if pool and failing == "scan" and not forked:
+                    continue  # a patched scan_shard reaches only forked workers
+                for k in range(SWEEP_SHARDS + 1):
+                    case = f"pool={pool} failing={failing} k={k}"
+                    directory = tmp_path / f"ckpt-{pool}-{failing}-{k}"
+                    doomed = (
+                        targets[k * SWEEP_CHUNK].name if k < SWEEP_SHARDS else None
+                    )
+
+                    def failing_save(store, shard_index, shard):
+                        if shard_index == k:
+                            raise OSError("disk full")
+                        real_save(store, shard_index, shard)
+
+                    def failing_scan(scanner, domains, *args):
+                        if domains[0].name == doomed:
+                            raise RuntimeError("simulated crash")
+                        return real_scan(scanner, domains, *args)
+
+                    with pytest.MonkeyPatch.context() as patch:
+                        if failing == "save":
+                            patch.setattr(CheckpointStore, "save_shard", failing_save)
+                        else:
+                            patch.setattr(Scanner, "scan_shard", failing_scan)
+                        with _sweep_scanner(tiny_population, pool) as crashing:
+                            if k == SWEEP_SHARDS:
+                                crashing.scan(domains=targets, checkpoint_dir=directory)
+                            else:
+                                with pytest.raises((OSError, RuntimeError)):
+                                    crashing.scan(
+                                        domains=targets, checkpoint_dir=directory
+                                    )
+                    on_disk = _shard_files(directory)
+                    assert set(on_disk) <= {
+                        f"shard-{i:05d}.cbr" for i in range(k)
+                    }, case
+                    if not pool:
+                        # Inline, every shard before the failing one was
+                        # emitted — hence saved — before the failure.
+                        assert len(on_disk) == k, case
+
+                    with _sweep_scanner(tiny_population, not pool) as resuming:
+                        resumed = resuming.scan(
+                            domains=targets, checkpoint_dir=directory
+                        )
+                        rescanned = resuming.last_scan_stats["units"]
+                    assert rescanned == SWEEP_SHARDS - len(on_disk), case
+                    assert _dataset_dicts(resumed) == want_rows, case
+                    assert _artifact_bytes(resumed) == want_artifact, case
+                    assert _shard_files(directory) == want_shards, case
+
+    def test_retired_jsonl_shard_is_rescanned(
+        self, tiny_population, targets, plain_dataset, tmp_path
+    ):
+        """The pre-cbr shard format is gone: a directory that holds
+        shard 0 only as ``shard-00000.jsonl`` re-scans it, never raises."""
         directory = tmp_path / "ckpt"
-        crashing = _scanner(tiny_population)
-        real = crashing._scan_domain
-        calls = {"n": 0}
-
-        def dying_scan_domain(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] > 150:
-                raise RuntimeError("simulated crash")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(crashing, "_scan_domain", dying_scan_domain)
-        with pytest.raises(RuntimeError, match="simulated crash"):
-            crashing.scan(domains=targets, checkpoint_dir=directory)
-        # The first two full shards (2 x 64 domains) finished and were
-        # persisted before the crash; the interrupted shard was not.
-        saved = sorted(p.name for p in directory.glob("shard-*.cbr"))
-        assert saved == ["shard-00000.cbr", "shard-00001.cbr"]
-
-        resumed = _scanner(tiny_population).scan(
-            domains=targets, checkpoint_dir=directory
-        )
+        _scanner(tiny_population).scan(domains=targets, checkpoint_dir=directory)
+        shard = directory / "shard-00000.cbr"
+        payload = shard.read_bytes()
+        shard.unlink()
+        (directory / "shard-00000.jsonl").write_text('{"domain":"old.example"}\n')
+        scanner = _scanner(tiny_population)
+        resumed = scanner.scan(domains=targets, checkpoint_dir=directory)
+        assert scanner.last_scan_stats["units"] == 1
         assert _dataset_dicts(resumed) == _dataset_dicts(plain_dataset)
+        assert shard.read_bytes() == payload
 
     def test_resume_with_different_worker_count(
         self, tiny_population, targets, plain_dataset, tmp_path
@@ -222,8 +318,10 @@ class TestStoreInternals:
 
     def test_shard_domain_mismatch_is_none(self, tiny_population, tmp_path):
         store = CheckpointStore(tmp_path, self.FINGERPRINT, chunk=4)
-        store.legacy_shard_path(0).write_text('{"domain":"not-the-one"}\n')
-        assert store.load_shard(0, tiny_population.domains[:1]) is None
+        domains = tiny_population.domains
+        store.save_shard(0, _scanner(tiny_population).scan(domains=domains[:1]).results)
+        assert store.load_shard(0, domains[:1]) is not None
+        assert store.load_shard(0, domains[1:2]) is None
 
     def test_non_cbr_bytes_at_shard_path_is_none(self, tiny_population, tmp_path):
         store = CheckpointStore(tmp_path, self.FINGERPRINT, chunk=4)
@@ -239,38 +337,6 @@ class TestStoreInternals:
         assert base != scan_fingerprint(1, "cw20-2023", 4, 0, domains[:-1], "cfg")
         assert base != scan_fingerprint(1, "cw20-2023", 4, 1, domains, "cfg")
 
-class TestLegacyShards:
-    def test_legacy_jsonl_shard_still_loads(
-        self, tiny_population, targets, plain_dataset, tmp_path, monkeypatch
-    ):
-        """Directories written before the cbr store must still resume."""
-        import json as jsonlib
-
-        from repro.faults.checkpoint import _domain_result_to_dict
-
-        directory = tmp_path / "ckpt"
-        _scanner(tiny_population).scan(domains=targets, checkpoint_dir=directory)
-        # Rewrite shard 0 in the pre-cbr JSONL layout and drop the cbr
-        # file, as if the directory came from an older version.
-        scanner = _scanner(tiny_population)
-        store_results = plain_dataset.results[:CHUNK]
-        legacy = directory / "shard-00000.jsonl"
-        legacy.write_text(
-            "\n".join(
-                jsonlib.dumps(_domain_result_to_dict(r), separators=(",", ":"))
-                for r in store_results
-            )
-            + "\n"
-        )
-        (directory / "shard-00000.cbr").unlink()
-        monkeypatch.setattr(
-            scanner,
-            "_scan_domain",
-            lambda *a, **k: pytest.fail("resume re-scanned a legacy shard"),
-        )
-        resumed = scanner.scan(domains=targets, checkpoint_dir=directory)
-        assert _dataset_dicts(resumed) == _dataset_dicts(plain_dataset)
-
 
 def _pool_scanner(population, workers: int) -> Scanner:
     return Scanner(
@@ -283,12 +349,12 @@ def _pool_scanner(population, workers: int) -> Scanner:
 
 
 class TestWorkStealingResume:
-    """Crash-resume through the real submit/steal pool scheduler.
+    """Crash-resume through the real process pool.
 
     Checkpoint under workers=4, lose shards, resume under workers=2:
-    shard files are chunk-aligned regardless of how the scheduler split
-    the work, so the mixed-worker merge stays bit-identical to an
-    uninterrupted sequential run.
+    shard files are chunk-aligned whatever the worker count, so the
+    mixed-worker merge stays bit-identical to an uninterrupted
+    sequential run.
     """
 
     def test_checkpoint_4_workers_resume_2_workers(
@@ -318,40 +384,6 @@ class TestWorkStealingResume:
         # The lost shards are back, re-persisted from worker payloads.
         assert sorted(p.name for p in tmp_path.glob("shard-*.cbr")) == shard_files
 
-    def test_split_shard_files_load_back(self, tiny_population, tmp_path):
-        """A shard persisted from several split payloads (frame concat)
-        must load back identically to one saved in a single piece."""
-        from repro.faults.checkpoint import (
-            CheckpointStore,
-            encode_domain_results,
-            scan_fingerprint,
-        )
-
-        targets = tiny_population.domains[:CHUNK]
-        results = _scanner(tiny_population).scan_sequential(
-            targets, "cw20-2023", 4
-        )
-        store = CheckpointStore(
-            tmp_path,
-            fingerprint=scan_fingerprint(
-                tiny_population.config.seed, "cw20-2023", 4, 0, targets, "cfg"
-            ),
-            chunk=CHUNK,
-        )
-        store.save_shard_payloads(
-            0,
-            [
-                encode_domain_results(results[:20]),
-                encode_domain_results(results[20:45]),
-                encode_domain_results(results[45:]),
-            ],
-        )
-        loaded = store.load_shard(0, targets)
-        assert loaded is not None
-        assert [record_to_dict(c) for r in loaded for c in r.connections] == [
-            record_to_dict(c) for r in results for c in r.connections
-        ]
-
 
 class TestAsyncWriter:
     """The background checkpoint writer's durability and error contract."""
@@ -360,9 +392,7 @@ class TestAsyncWriter:
         from repro.faults import AsyncCheckpointWriter
 
         targets = tiny_population.domains[:10]
-        results = _scanner(tiny_population).scan_sequential(
-            targets, "cw20-2023", 4
-        )
+        results = _scanner(tiny_population).scan(domains=targets).results
         store = CheckpointStore(
             tmp_path,
             fingerprint=scan_fingerprint(
@@ -399,9 +429,9 @@ class TestAsyncWriter:
         class ExplodingStore:
             chunk = 10
 
-            def save_shard_payloads(self, shard_index, payloads):
+            def save_shard(self, shard_index, shard):
                 raise OSError("disk full")
 
         writer = AsyncCheckpointWriter(ExplodingStore())
-        writer.save_shard_payloads(0, [b""])
+        writer.save_shard(0, b"")
         writer.close(suppress_errors=True)

@@ -181,6 +181,43 @@ class TestScanSpans:
             assert reference[row["span"]] == row["path"]
 
 
+    def test_crashed_then_retried_scan_logs_an_uninterrupted_scans_spans(
+        self, tiny_population, targets, tmp_path, monkeypatch
+    ):
+        """A scan that raises leaves neither its span nor its profiler
+        phase open, so a retry on the same scanner and telemetry — what
+        the campaign daemon does after a failed tick — records the span
+        log of a scan that never crashed."""
+        _, clean = self._scan(tiny_population, targets, 1, tmp_path / "clean")
+
+        telemetry = Telemetry()
+        telemetry.profiler = PhaseProfiler()
+        scanner = Scanner(
+            tiny_population,
+            ScanConfig(),
+            parallel=ParallelScanConfig(workers=1, chunk_size=20),
+            telemetry=telemetry,
+        )
+        real = scanner.scan_shard
+
+        def crash_in_second_shard(domains, *args):
+            if domains[0] is targets[20]:
+                raise RuntimeError("simulated crash")
+            return real(domains, *args)
+
+        monkeypatch.setattr(scanner, "scan_shard", crash_in_second_shard)
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            scanner.scan(domains=targets, checkpoint_dir=tmp_path / "ckpt")
+        assert telemetry.spans._stack == []
+        assert telemetry.profiler._stack == []
+        monkeypatch.setattr(scanner, "scan_shard", real)
+        scanner.scan(domains=targets, checkpoint_dir=tmp_path / "ckpt")
+        assert scanner.last_scan_stats["units"] == 2  # shard 0 came from disk
+        retried = telemetry.save(tmp_path / "retried")
+        assert retried["spans"].read_bytes() == clean["spans"].read_bytes()
+        assert telemetry.profiler._stack == []
+
+
 class TestCampaignSpans:
     def _run_once(self, directory, workers):
         telemetry = Telemetry()

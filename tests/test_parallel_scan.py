@@ -184,9 +184,44 @@ class TestVerboseSummary:
         assert "domains/s" in err
         assert "1 worker(s)" in err
 
+    def test_names_the_executor_that_ran(self, population, capsys, monkeypatch):
+        """Four workers configured, one usable core: the line says what
+        ran (inline, one worker), not what was asked for."""
+        import repro.web.parallel as parallel_mod
+
+        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 1)
+        Scanner(
+            population, parallel=ParallelScanConfig(workers=4, chunk_size=7)
+        ).scan(week_label="cw20-2023", domains=population.domains[:20], verbose=True)
+        assert "inline, 1 worker(s)" in capsys.readouterr().err
+
+
+class TestScanStats:
+    def test_every_scan_rewrites_last_scan_stats(self, population):
+        """A pool scan's shape must not survive into a later inline scan
+        on the same scanner."""
+        domains = population.domains[:40]
+        scanner = Scanner(
+            population,
+            parallel=ParallelScanConfig(workers=2, chunk_size=10, force_pool=True),
+        )
+        try:
+            scanner.scan(week_label="cw20-2023", domains=domains)
+            pooled = dict(scanner.last_scan_stats)
+            scanner.parallel = ParallelScanConfig(workers=1, chunk_size=20)
+            scanner.scan(week_label="cw20-2023", domains=domains)
+        finally:
+            scanner.close()
+        assert pooled["pool"] is True
+        assert (pooled["units"], pooled["workers"]) == (4, 2)
+        assert 1 <= pooled["max_outstanding"] <= 6
+        assert scanner.last_scan_stats == {
+            "units": 2, "workers": 1, "pool": False, "max_outstanding": 1,
+        }
+
 
 class TestShardPlan:
-    """The planner's invariants: count, coverage, purity, splitting."""
+    """The planner's invariants: count, coverage, purity."""
 
     def test_plan_always_ceil_shards(self):
         from repro.web.shardplan import plan_shards
@@ -232,25 +267,6 @@ class TestShardPlan:
             301, 40, costs.__getitem__
         )
 
-    def test_split_shares_index_and_covers_range(self):
-        from repro.web.shardplan import ShardRange, split_shard
-
-        costs = [5.0, 1.0, 1.0, 1.0, 1.0, 1.0]
-        shard = ShardRange(index=3, start=0, count=6, cost=10.0)
-        left, right = split_shard(shard, costs)
-        assert left.index == right.index == 3
-        assert left.start == 0
-        assert right.stop == 6
-        assert left.count + right.count == 6
-        assert left.count >= 1 and right.count >= 1
-        # Cost midpoint: the expensive first domain pulls the cut left.
-        assert left.count < 6 // 2 + 1
-
-    def test_split_refuses_single_domain(self):
-        from repro.web.shardplan import ShardRange, split_shard
-
-        assert split_shard(ShardRange(index=0, start=4, count=1, cost=1.0)) is None
-
     def test_cost_model_prices_fault_draws(self, population):
         from repro.faults import parse_fault_plan
         from repro.web.shardplan import ShardCostModel
@@ -277,8 +293,8 @@ class TestWorkStealingIdentity:
     """Property-style sweep: (workers, chunk, fault plan) x force_pool.
 
     force_pool=True routes through the real submit/FIRST_COMPLETED
-    scheduler (with tail splitting) even on a single-core host; every
-    combination must merge record-by-record identical to sequential.
+    pool even on a single-core host; every combination must merge
+    record-by-record identical to sequential.
     """
 
     @pytest.mark.parametrize("workers", (2, 4))
@@ -326,22 +342,6 @@ class TestWorkStealingIdentity:
         finally:
             scanner.close()
         assert pooled == sequential
-
-    def test_scheduler_records_stats(self, population):
-        scanner = Scanner(
-            population,
-            parallel=ParallelScanConfig(workers=4, chunk_size=100, force_pool=True),
-        )
-        try:
-            scanner.scan(week_label="cw20-2023", ip_version=4)
-        finally:
-            scanner.close()
-        stats = scanner.last_scan_stats
-        assert stats["workers"] == 4
-        # 300 domains / chunk 100 = 3 planned shards for 4 workers: the
-        # tail must have been split at least once.
-        assert stats["splits"] >= 1
-        assert stats["units"] >= 4
 
 
 class TestPoolLifecycle:

@@ -117,35 +117,63 @@ class TestStreamingScan:
                 workers=workers, chunk_size=chunk, force_pool=True
             ),
         )
-        stats: dict = {}
         try:
             results = list(
-                scanner.scan_stream(
-                    week_label="cw20-2023", ip_version=4, stats=stats
-                )
+                scanner.scan_stream(week_label="cw20-2023", ip_version=4)
             )
         finally:
             scanner.close()
+        stats = scanner.last_scan_stats
         assert results == batch_dataset.results
         assert stats["pool"] is True
         # Bounded window: never more shards outstanding than the cap.
         assert 1 <= stats["max_outstanding"] <= max(2, workers * 3)
 
-    def test_stream_rejects_breaker(self, streaming):
-        from repro.faults import BreakerPolicy, ResilienceConfig
+    def test_scan_over_streaming_population_is_the_listed_stream(
+        self, streaming, batch_dataset
+    ):
+        dataset = Scanner(streaming, ScanConfig(qlog_sample_rate=0.2)).scan(
+            week_label="cw20-2023", ip_version=4
+        )
+        assert dataset == batch_dataset
 
-        scanner = Scanner(
-            streaming,
-            ScanConfig(
-                resilience=ResilienceConfig(
-                    breaker=BreakerPolicy(
-                        failure_threshold=4, cooldown_attempts=6
-                    )
-                )
+    @pytest.mark.parametrize("pool", (False, True))
+    def test_stream_with_breaker_equals_scan(self, streaming, pool):
+        """The breaker only ever looks back, so a stream applies it as
+        results are emitted: record for record and counter for counter
+        what ``scan`` gives."""
+        from repro.faults import (
+            BreakerPolicy,
+            ResilienceConfig,
+            parse_fault_plan,
+        )
+        from repro.telemetry import Telemetry
+
+        config = ScanConfig(
+            faults=parse_fault_plan("blackhole:0.2,reset:0.2"),
+            resilience=ResilienceConfig(
+                connect_timeout_ms=15_000,
+                breaker=BreakerPolicy(failure_threshold=2, cooldown_attempts=3),
             ),
         )
-        with pytest.raises(ValueError, match="circuit breaker"):
-            next(iter(scanner.scan_stream()))
+        batch_telemetry = Telemetry()
+        batch = Scanner(streaming, config, telemetry=batch_telemetry).scan(
+            week_label="cw21-2023", domains=streaming.materialize_range(0, 300)
+        )
+        stream_telemetry = Telemetry()
+        with Scanner(
+            streaming,
+            config,
+            parallel=ParallelScanConfig(
+                workers=2 if pool else 1, chunk_size=32, force_pool=pool
+            ),
+            telemetry=stream_telemetry,
+        ) as scanner:
+            results = list(scanner.scan_stream(week_label="cw21-2023"))
+        assert results == batch.results
+        counters = stream_telemetry.registry.snapshot()["counters"]
+        assert any(name.startswith("scan.breaker_skipped") for name in counters)
+        assert counters == batch_telemetry.registry.snapshot()["counters"]
 
     def test_stream_with_faults_matches_batch(self, streaming):
         from repro.faults import ResilienceConfig, RetryPolicy, parse_fault_plan
@@ -173,3 +201,55 @@ class TestStreamingScan:
         finally:
             scanner.close()
         assert results == batch.results
+
+
+class TestStreamCli:
+    """``repro scan --stream`` takes every flag the batch scan takes."""
+
+    FLAGS = [
+        "--czds", "200", "--toplist", "40", "--seed", "417", "--chunk-size", "48",
+        "--fault", "blackhole:0.05,reset:0.08,slow-server:0.1,qlog-truncate:0.3",
+        "--connect-timeout-ms", "20000", "--retries", "1",
+        "--breaker-threshold", "4", "--breaker-cooldown", "6",
+        "--qlog-sample-rate", "0.2",
+    ]
+    ARMS = {"w1": ["--workers", "1"], "w4": ["--workers", "4", "--force-pool"]}
+
+    def _run(self, directory, arm, stream=True):
+        from repro.cli import main
+
+        directory.mkdir(exist_ok=True)
+        command = [
+            "scan", *self.FLAGS, *self.ARMS[arm],
+            "--out", str(directory / "scan.cbr"),
+            "--qlog-out", str(directory / "qlog.jsonl"),
+            "--telemetry-out", str(directory / "telemetry"),
+            "--checkpoint-dir", str(directory / "ckpt"),
+        ]
+        assert main(command + (["--stream"] if stream else [])) == 0
+        return {
+            "artifact": (directory / "scan.cbr").read_bytes(),
+            "qlog": (directory / "qlog.jsonl").read_bytes(),
+            "trace": (directory / "telemetry" / "trace.jsonl").read_bytes(),
+            "metrics": (directory / "telemetry" / "metrics.json").read_bytes(),
+        }
+
+    def test_stream_outputs_identical_across_workers_and_resume(
+        self, tmp_path, capsys
+    ):
+        first = {arm: self._run(tmp_path / arm, arm) for arm in self.ARMS}
+        assert first["w1"]["qlog"] and first["w1"] == first["w4"]
+        # A crash loses one shard; each directory resumes on the other
+        # arm's worker count.  Loaded shards add no telemetry, so the
+        # resumed traces equal each other, not the first run's.
+        for arm in self.ARMS:
+            (tmp_path / arm / "ckpt" / "shard-00002.cbr").unlink()
+        resumed = {
+            "w1": self._run(tmp_path / "w4", "w1"),
+            "w4": self._run(tmp_path / "w1", "w4"),
+        }
+        assert resumed["w1"] == resumed["w4"]
+        for key in ("artifact", "qlog"):
+            assert resumed["w1"][key] == first["w1"][key]
+        assert resumed["w1"]["trace"] != first["w1"]["trace"]
+        capsys.readouterr()
