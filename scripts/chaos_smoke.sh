@@ -153,7 +153,7 @@ python -m repro.cli service run-once --dir "$WORK/svc" \
     --seed 417 --czds 200 --toplist 50 \
     --first-week cw20-2023 --last-week cw20-2023 >/dev/null 2>&1
 python -m repro.cli status --dir "$WORK/svc" --exit-code
-python - "$WORK/svc/telemetry/spans.jsonl" <<'PY'
+python - "$WORK/svc/telemetry/trace.jsonl" <<'PY'
 import json
 import sys
 
@@ -161,10 +161,10 @@ with open(sys.argv[1], encoding="utf-8") as stream:
     rows = [json.loads(line) for line in stream]
 stages = {row["name"].partition(":")[0] for row in rows}
 missing = {"campaign", "scan", "domain", "spool", "index", "status"} - stages
-assert not missing, f"span log misses pipeline stages: {sorted(missing)}"
+assert not missing, f"trace misses pipeline stages: {sorted(missing)}"
 roots = [row["name"] for row in rows if row["parent"] is None]
 assert roots == ["campaign"], f"expected one campaign root, got {roots}"
-print(f"span log OK: {len(rows)} spans, stages {sorted(stages)}")
+print(f"trace OK: {len(rows)} rows, stages {sorted(stages)}")
 PY
 
 echo "chaos smoke: OK"

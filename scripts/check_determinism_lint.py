@@ -15,22 +15,26 @@ arbitrary exceptions (``except:`` hides the very failures the taxonomy
 is supposed to classify) and must never sleep on the wall clock
 (``time.sleep`` — retry backoff is charged to *simulated* time).
 
-Performance rules ride along too (PR 5): under ``src/repro/analysis/``,
-``src/repro/service/``, ``src/repro/obs/``, ``src/repro/monitor/``, and
-``src/repro/netsim/`` a
-``json.loads``/``json.dumps`` call inside a ``for`` loop is per-record
-JSON — exactly the cost profile the
-columnar artifact format and the week index exist to remove — and is
-flagged.  The JSONL codecs themselves (the artifact reader, the spool
-manifest, the ``/v1/domain`` response body) are the legitimate per-line
-JSON loops and opt out with ``# jsonl-ok``.
+Which further rules apply to which layer (directory under
+``src/repro/``) is one table, ``LAYER_RULES``:
 
-One layering rule rides along (PR 12): code under ``src/repro/core/``
-and ``src/repro/monitor/`` sits on the path and reads headers only
-(:mod:`repro.quic.onpath`); naming ``decode_datagram`` or
-``decode_frames`` there would put the endpoint codec — a header object
-and a frame-object list per packet — back under the observer, and is
-flagged.  Docstrings and comments may mention them.
+* Performance (PR 5): in the hot layers a ``json.loads``/``json.dumps``
+  call inside a ``for`` loop is per-record JSON — exactly the cost
+  profile the columnar artifact format and the week index exist to
+  remove — and is flagged.  The JSONL codecs themselves (the artifact
+  reader, the spool manifest, the ``/v1/domain`` response body, the
+  trace writer) are the legitimate per-line JSON loops and opt out with
+  ``# jsonl-ok``.
+* Layering (PR 12): ``core`` and ``monitor`` sit on the path and read
+  headers only (:mod:`repro.quic.onpath`); naming ``decode_datagram``
+  or ``decode_frames`` there would put the endpoint codec — a header
+  object and a frame-object list per packet — back under the observer,
+  and is flagged.  Docstrings and comments may mention them.
+* One trace model (PR 17): outside ``telemetry`` nothing constructs a
+  trace record or open-span handle, or mutates a ``records`` /
+  ``diag_records`` list — rows enter the log through ``Tracer.span`` /
+  ``event`` / ``count`` / ``absorb`` only, so a second model of the
+  same facts cannot grow back beside the first.
 
 Benchmarks (``benchmarks/``) legitimately measure wall-clock and are
 not scanned.  A source line may opt out with the pattern's pragma when
@@ -72,91 +76,129 @@ FORBIDDEN = (
     (re.compile(r"\btime\.sleep\("), ROBUSTNESS_PRAGMA),
 )
 
-#: The endpoint codec's entry points, and the on-path layers that may
-#: not use them.
+#: The endpoint codec's entry points, which on-path layers may not use.
 _ENDPOINT_DECODERS = frozenset({"decode_datagram", "decode_frames"})
-_ON_PATH_LAYERS = ("core", "monitor")
+
+#: The trace model's constructors and row lists (``repro.telemetry.trace``).
+_TRACE_CONSTRUCTORS = frozenset({"TraceRecord", "OpenSpan"})
+_TRACE_ROW_LISTS = frozenset({"records", "diag_records"})
+_LIST_MUTATORS = frozenset(
+    {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
+)
 
 
-def find_violations(root: Path) -> list[tuple[Path, int, str]]:
-    violations: list[tuple[Path, int, str]] = []
-    for path in sorted(root.rglob("*.py")):
-        for number, line in enumerate(
-            path.read_text(encoding="utf-8").splitlines(), start=1
-        ):
-            for pattern, pragma in FORBIDDEN:
-                if pattern.search(line) and pragma not in line:
-                    violations.append((path, number, line.strip()))
-                    break
-    for hot_layer in (
-        "analysis",
-        "service",
-        "obs",
-        "monitor",
-        "netsim",
-        # The scan engine's hot path: shard scheduler, cbr IPC, and the
-        # checkpoint writer must never fall back to per-record JSON.
-        "web",
-        "internet",
-        "faults",
-    ):
-        layer_root = root / "repro" / hot_layer
-        if layer_root.is_dir():
-            violations.extend(find_json_loop_violations(layer_root))
-    for on_path_layer in _ON_PATH_LAYERS:
-        layer_root = root / "repro" / on_path_layer
-        if layer_root.is_dir():
-            violations.extend(find_endpoint_decoder_violations(layer_root))
-    return violations
+def forbidden_lines(text: str) -> list[int]:
+    """Wall-clock reads and robustness breaches without their pragma."""
+    return [
+        number
+        for number, line in enumerate(text.splitlines(), start=1)
+        if any(
+            pattern.search(line) and pragma not in line
+            for pattern, pragma in FORBIDDEN
+        )
+    ]
 
 
-def find_endpoint_decoder_violations(root: Path) -> list[tuple[Path, int, str]]:
-    """Imports or uses of the endpoint codec in on-path code."""
-    violations: list[tuple[Path, int, str]] = []
-    for path in sorted(root.rglob("*.py")):
-        text = path.read_text(encoding="utf-8")
-        lines = text.splitlines()
-        for node in ast.walk(ast.parse(text, filename=str(path))):
-            if isinstance(node, ast.ImportFrom):
-                named = {alias.name for alias in node.names}
-            elif isinstance(node, ast.Name):
-                named = {node.id}
-            elif isinstance(node, ast.Attribute):
-                named = {node.attr}
-            else:
-                continue
-            if named & _ENDPOINT_DECODERS:
-                violations.append((path, node.lineno, lines[node.lineno - 1].strip()))
-    return sorted(set(violations))
+def endpoint_decoder_uses(text: str) -> list[int]:
+    """Imports or uses of the endpoint codec (on-path code may not)."""
+    numbers = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.ImportFrom):
+            named = {alias.name for alias in node.names}
+        elif isinstance(node, ast.Name):
+            named = {node.id}
+        elif isinstance(node, ast.Attribute):
+            named = {node.attr}
+        else:
+            continue
+        if named & _ENDPOINT_DECODERS:
+            numbers.add(node.lineno)
+    return sorted(numbers)
 
 
-def find_json_loop_violations(root: Path) -> list[tuple[Path, int, str]]:
+def json_in_loops(text: str) -> list[int]:
     """JSON codec calls inside ``for`` loops (per-record JSON cost).
 
     Indentation-scoped: a ``for`` header opens a loop body at any deeper
     indent; a JSON call in such a body without ``# jsonl-ok`` is flagged.
     """
+    numbers = []
+    loop_stack: list[int] = []  # indents of enclosing `for` headers
+    for number, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        indent = len(line) - len(line.lstrip())
+        while loop_stack and indent <= loop_stack[-1]:
+            loop_stack.pop()
+        if loop_stack and _JSON_CALL.search(line) and JSONLOOP_PRAGMA not in line:
+            numbers.append(number)
+        header = _FOR_STMT.match(line)
+        if header is not None:
+            loop_stack.append(len(header.group(1)))
+    return numbers
+
+
+def _is_row_list(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr in _TRACE_ROW_LISTS
+
+
+def hand_built_trace_rows(text: str) -> list[int]:
+    """Trace rows constructed, or row lists mutated, outside the model."""
+    numbers = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = getattr(func, "id", None) or getattr(func, "attr", None)
+            if called in _TRACE_CONSTRUCTORS or (
+                called in _LIST_MUTATORS
+                and isinstance(func, ast.Attribute)
+                and _is_row_list(func.value)
+            ):
+                numbers.add(node.lineno)
+        elif isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del)) and (
+            _is_row_list(node)
+            or (isinstance(node, ast.Subscript) and _is_row_list(node.value))
+        ):
+            numbers.add(node.lineno)
+    return sorted(numbers)
+
+
+#: What every file is held to; a layer (directory under ``repro/``) not
+#: listed below gets exactly this.
+_EVERYWHERE = (forbidden_lines, hand_built_trace_rows)
+
+#: layer → its rules.  The JSON-in-loop layers are the hot paths (the
+#: scan engine's shard scheduler, cbr IPC and checkpoint writer must
+#: never fall back to per-record JSON); ``telemetry`` owns the trace
+#: model, so it alone may build rows.
+LAYER_RULES = {
+    "analysis": _EVERYWHERE + (json_in_loops,),
+    "core": _EVERYWHERE + (endpoint_decoder_uses,),
+    "faults": _EVERYWHERE + (json_in_loops,),
+    "internet": _EVERYWHERE + (json_in_loops,),
+    "monitor": _EVERYWHERE + (json_in_loops, endpoint_decoder_uses),
+    "netsim": _EVERYWHERE + (json_in_loops,),
+    "obs": _EVERYWHERE + (json_in_loops,),
+    "service": _EVERYWHERE + (json_in_loops,),
+    "telemetry": (forbidden_lines, json_in_loops),
+    "web": _EVERYWHERE + (json_in_loops,),
+}
+
+
+def find_violations(root: Path) -> list[tuple[Path, int, str]]:
     violations: list[tuple[Path, int, str]] = []
     for path in sorted(root.rglob("*.py")):
-        loop_stack: list[int] = []  # indents of enclosing `for` headers
-        for number, line in enumerate(
-            path.read_text(encoding="utf-8").splitlines(), start=1
-        ):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            indent = len(line) - len(line.lstrip())
-            while loop_stack and indent <= loop_stack[-1]:
-                loop_stack.pop()
-            if (
-                loop_stack
-                and _JSON_CALL.search(line)
-                and JSONLOOP_PRAGMA not in line
-            ):
-                violations.append((path, number, stripped))
-            header = _FOR_STMT.match(line)
-            if header is not None:
-                loop_stack.append(len(header.group(1)))
+        parts = path.relative_to(root).parts
+        layer = parts[1] if len(parts) > 2 and parts[0] == "repro" else ""
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        numbers = set()
+        for rule in LAYER_RULES.get(layer, _EVERYWHERE):
+            numbers.update(rule(text))
+        violations.extend(
+            (path, number, lines[number - 1].strip()) for number in sorted(numbers)
+        )
     return violations
 
 
@@ -182,7 +224,8 @@ def main(argv: list[str] | None = None) -> int:
             f"analysis layer belongs in the cbr codec — the JSONL codec "
             f"itself opts out with '# {JSONLOOP_PRAGMA}'; on-path code under "
             "core/ and monitor/ reads datagrams with repro.quic.onpath, not "
-            "decode_datagram/decode_frames)",
+            "decode_datagram/decode_frames; trace rows enter the log through "
+            "Tracer.span/event/count/absorb, only repro.telemetry builds them)",
             file=sys.stderr,
         )
         return 1

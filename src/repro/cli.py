@@ -1109,7 +1109,6 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from repro.obs.spans import SPANS_FILENAME, read_spans, render_span_summary
     from repro.telemetry import (
         SNAPSHOT_FILENAME,
         TRACE_FILENAME,
@@ -1124,18 +1123,18 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
             f"repro: error: no telemetry snapshot at {snapshot_path}"
         )
     snapshot = json.loads(snapshot_path.read_text(encoding="utf-8"))
-    events = None
+    rows = None
     trace_path = directory / TRACE_FILENAME
     if trace_path.is_file():
-        with open(trace_path, "r", encoding="utf-8") as stream:
-            events = read_trace(stream)
-    print(render_summary(snapshot, events))
-    spans_path = directory / SPANS_FILENAME
-    if spans_path.is_file():
-        with open(spans_path, "r", encoding="utf-8") as stream:
-            rows = read_spans(stream)
-        if rows:
-            print(render_span_summary(rows))
+        with open(trace_path, "r", encoding="utf-8", errors="replace") as stream:
+            rows, skipped = read_trace(stream)
+        if skipped:
+            print(
+                f"repro telemetry: skipped {skipped} unreadable line(s) "
+                f"of {trace_path}",
+                file=sys.stderr,
+            )
+    print(render_summary(snapshot, rows))
     return 0
 
 

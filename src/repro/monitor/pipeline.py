@@ -111,10 +111,10 @@ class MonitorPipeline:
         self.config = config or MonitorConfig()
         self.on_snapshot = on_snapshot
         #: Optional :class:`repro.telemetry.Telemetry` bundle: the flow
-        #: table reports into its registry, window closes and the final
-        #: summary become trace events (stamped with *stream* time), and
-        #: ``finish()`` folds the lifetime RTT histogram into the
-        #: ``monitor.rtt_ms`` series — zero per-sample hot-path cost.
+        #: table reports into its registry, ``finish()`` records the run
+        #: and its windows as trace rows (stamped with *stream* time) and
+        #: folds the lifetime RTT histogram into the ``monitor.rtt_ms``
+        #: series — zero per-sample hot-path cost.
         self.telemetry = telemetry
         self.aggregator = WindowAggregator(self.config.window)
         self.resolver = (
@@ -140,6 +140,9 @@ class MonitorPipeline:
         #: stood when it opened (see ``_open_window``).
         self._window = None
         self._stats_at_open = None
+        #: With telemetry on: (index, end_ms, datagrams, samples) of each
+        #: published window, until ``finish`` records them.
+        self._closed_windows: list[tuple] = []
 
     # -- ingestion ------------------------------------------------------
 
@@ -221,29 +224,31 @@ class MonitorPipeline:
                     registry.counter(
                         "monitor.transport_datagrams", transport=transport
                     ).inc(count)
-            self.telemetry.tracer.event(
-                "monitor.summary",
-                time_ms=summary.duration_ms,
-                windows=summary.windows,
-                datagrams=summary.datagrams,
-                flows_created=summary.flows_created,
-                spin_flows=spin_flows,
-                samples=summary.samples.get("count", 0),
-            )
-            # One span for the whole monitor run, stamped with stream
-            # time — the monitor's deterministic clock — so span logs
-            # cover the on-path pipeline alongside the scan plane.
-            span_attrs = {
+            # One row for the whole monitor run with its windows as
+            # children, stamped with stream time — the monitor's
+            # deterministic clock — so the trace covers the on-path
+            # pipeline alongside the scan plane.
+            attrs = {
                 "windows": summary.windows,
                 "datagrams": summary.datagrams,
+                "flows_created": summary.flows_created,
                 "spin_flows": spin_flows,
+                "samples": summary.samples.get("count", 0),
             }
             if self.resolver is not None:
-                span_attrs["flows_migrated"] = self.resolver.flows_migrated
-                span_attrs["flows_split"] = self.resolver.flows_split
-                span_attrs["rebinds_seen"] = self.resolver.rebinds_seen
-            monitor_span = self.telemetry.spans.span("monitor", **span_attrs)
-            monitor_span.end(summary.duration_ms)
+                attrs["flows_migrated"] = self.resolver.flows_migrated
+                attrs["flows_split"] = self.resolver.flows_split
+                attrs["rebinds_seen"] = self.resolver.rebinds_seen
+            tracer = self.telemetry.tracer
+            with tracer.span("monitor", **attrs) as span:
+                for index, end_ms, datagrams, samples in self._closed_windows:
+                    tracer.event(
+                        f"window:{index}",
+                        time_ms=end_ms,
+                        datagrams=datagrams,
+                        samples=samples,
+                    )
+                span.end(summary.duration_ms)
         return summary
 
     def _open_window(self, time_ms: float) -> None:
@@ -285,17 +290,20 @@ class MonitorPipeline:
             self._publish(snapshot)
 
     def _publish(self, snapshot: WindowSnapshot) -> None:
-        """Deliver one closed window: callback + trace event."""
+        """Deliver one closed window: callback + telemetry."""
         if self.on_snapshot is not None:
             self.on_snapshot(snapshot)
         if self.telemetry is not None:
             self.telemetry.registry.counter("monitor.windows_closed").inc()
-            self.telemetry.tracer.event(
-                "monitor.window",
-                time_ms=snapshot.end_ms,
-                index=snapshot.index,
-                datagrams=snapshot.datagrams,
-                samples=snapshot.samples.get("count", 0),
+            # A window row is a child of the run's ``monitor`` row, which
+            # only ``finish`` can open: hold the row's facts until then.
+            self._closed_windows.append(
+                (
+                    snapshot.index,
+                    snapshot.end_ms,
+                    snapshot.datagrams,
+                    snapshot.samples.get("count", 0),
+                )
             )
 
     # -- flow-table hooks ----------------------------------------------

@@ -1,20 +1,18 @@
-"""repro.obs — observability over the telemetry plane.
+"""repro.obs — the consumers of the telemetry plane.
 
-Three instruments, one contract (everything deterministic stays a pure
-function of the seed):
+:mod:`repro.telemetry` records (metrics and the trace log); this
+package reads.  Everything deterministic stays a pure function of the
+seed:
 
-* :mod:`repro.obs.spans` — causal spans with derived trace/span ids on
-  the simulated clock, threaded scan → spool → index → query.
 * :mod:`repro.obs.profile` — charge-driven sampling profiler for the
   scan/analyze hot paths (simulated or injected wall clock).
 * :mod:`repro.obs.slo` — declarative SLOs evaluated as burn rates over
   exported metrics snapshots, yielding structured health reports.
-
-:mod:`repro.obs.console` renders a one-shot operator console from a
-running ``repro serve``.
+* :mod:`repro.obs.console` — the one-shot ``repro top`` operator
+  console over a running ``repro serve``.
 """
 
-from .profile import PhaseProfiler, merge_profiles
+from .profile import PhaseProfiler
 from .slo import (
     HealthEngine,
     HealthReport,
@@ -24,39 +22,14 @@ from .slo import (
     default_service_slos,
     parse_slo_specs,
 )
-from .spans import (
-    SPANS_DIAG_FILENAME,
-    SPANS_FILENAME,
-    ObsSpan,
-    SpanLog,
-    SpanRecord,
-    read_spans,
-    render_span_summary,
-    span_id_for,
-    span_rows,
-    trace_id_for,
-    write_spans_jsonl,
-)
 
 __all__ = [
     "HealthEngine",
     "HealthReport",
-    "ObsSpan",
     "PhaseProfiler",
     "SLOResult",
     "SLOSpec",
-    "SPANS_DIAG_FILENAME",
-    "SPANS_FILENAME",
-    "SpanLog",
-    "SpanRecord",
     "collect_service_gauges",
     "default_service_slos",
-    "merge_profiles",
     "parse_slo_specs",
-    "read_spans",
-    "render_span_summary",
-    "span_id_for",
-    "span_rows",
-    "trace_id_for",
-    "write_spans_jsonl",
 ]

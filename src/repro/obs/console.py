@@ -13,8 +13,9 @@ import json
 import urllib.error
 import urllib.request
 
+from repro.telemetry import stage_latency_table
+
 from .slo import HealthReport, SLOResult, SLOSpec
-from .spans import stage_latency_table
 
 __all__ = ["fetch_json", "health_from_payload", "render_console"]
 

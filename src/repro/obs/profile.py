@@ -29,9 +29,9 @@ is an honest fraction.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
-__all__ = ["PhaseProfiler", "merge_profiles"]
+__all__ = ["PhaseProfiler"]
 
 
 class _Phase:
@@ -173,15 +173,3 @@ class PhaseProfiler:
                 f"  {row['phase']}"
             )
         return "\n".join(lines)
-
-
-def merge_profiles(profiles: Sequence[PhaseProfiler]) -> PhaseProfiler:
-    """Sum several profilers' accounts (e.g. per-shard) into one report."""
-    merged = PhaseProfiler(
-        sample_interval_ms=profiles[0].sample_interval_ms if profiles else 1.0
-    )
-    for profiler in profiles:
-        for path, ms in profiler.self_ms.items():
-            merged.self_ms[path] = merged.self_ms.get(path, 0.0) + ms
-            merged.total_ms += ms
-    return merged

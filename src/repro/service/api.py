@@ -23,7 +23,7 @@ Endpoints (all JSON unless noted)::
     GET  /v1/domain/<name>               the domain's records (JSONL body)
     GET  /v1/metrics                     telemetry registry snapshot
     GET  /v1/status                      SLO health report (repro.obs.slo)
-    GET  /v1/spans                       causal span log of the campaign
+    GET  /v1/spans                       trace rows of the campaign
     POST /v1/seeds                       register target domains
 
 ``week`` defaults to ``all`` (every indexed week merged).  Errors are
@@ -48,11 +48,11 @@ from repro.obs.slo import (
     collect_service_gauges,
     default_service_slos,
 )
-from repro.obs.spans import span_rows
 from repro.service.daemon import CampaignDaemon
 from repro.service.indexer import WeekIndexer, ledger_artifacts
 from repro.service.spool import SpoolStore
 from repro.service.summary import WeekSummary, combine_weeks
+from repro.telemetry import trace_rows
 
 __all__ = ["ServiceState", "build_server", "serve_forever"]
 
@@ -218,11 +218,11 @@ class ServiceState:
             self.telemetry.registry.counter(name).inc(amount)
 
     def observe_request_ms(self, route: str, elapsed_ms: float, status: int) -> None:
-        """Account one request: latency histogram + counted diag span."""
+        """Account one request: latency histogram + counted diag row."""
         if self.telemetry is None:
             return
         self.telemetry.registry.histogram("api.request_ms").observe(elapsed_ms)
-        self.telemetry.spans.record_diag(f"request:{route}", status=status)
+        self.telemetry.tracer.count(f"request:{route}", status=status)
 
     def metrics_snapshot(self) -> dict:
         if self.telemetry is None:
@@ -244,14 +244,14 @@ class ServiceState:
         return self.health_engine.evaluate(snapshot)
 
     def spans_payload(self) -> dict:
-        """The campaign span log in export shape (`/v1/spans`)."""
+        """The campaign trace in export shape (`/v1/spans`)."""
         if self.telemetry is None:
             return {"trace": None, "spans": [], "diag": []}
-        spans = self.telemetry.spans
+        tracer = self.telemetry.tracer
         return {
-            "trace": spans.trace_id,
-            "spans": span_rows(spans.records, spans.trace_id),
-            "diag": span_rows(spans.diag_records, spans.trace_id),
+            "trace": tracer.trace_id,
+            "spans": trace_rows(tracer.records, tracer.trace_id),
+            "diag": trace_rows(tracer.diag_records, tracer.trace_id),
         }
 
     def _refresh_locked(self) -> None:

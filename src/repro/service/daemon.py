@@ -30,14 +30,15 @@ from __future__ import annotations
 
 import io
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 from repro.campaign.schedule import CalendarWeek, Campaign
-from repro.obs.spans import trace_id_for
 from repro.service.indexer import WeekIndexer
 from repro.service.spool import SpoolStore, scan_digest
+from repro.telemetry import trace_id_for
 
 __all__ = [
     "CampaignDaemon",
@@ -174,53 +175,54 @@ class CampaignDaemon:
         just this tick's scans.
         """
         telemetry = self.telemetry
-        campaign_span = None
-        if telemetry is not None:
-            spans = telemetry.spans
-            if spans.trace_id is None:
-                spans.trace_id = self.campaign_trace_id()
-            campaign_span = spans.span(
+        if telemetry is not None and telemetry.tracer.trace_id is None:
+            telemetry.tracer.trace_id = self.campaign_trace_id()
+        with (
+            telemetry.tracer.span(
                 "campaign",
                 first_week=self.config.first_week,
                 last_week=self.config.last_week,
             )
-        pending = self.pending_weeks()
-        if max_weeks is not None:
-            pending = pending[:max_weeks]
-        scanned = []
-        for week in pending:
-            scanned.append(self._scan_week(week, verbose=verbose))
-        folded = self.indexer.fold_pending(self.spool)
-        # The tick's read-back — the "query" step of the pipeline: the
-        # status report is served from the index the tick just wrote.
-        status_span = (
-            telemetry.spans.span("status") if telemetry is not None else None
-        )
-        still_pending = self.pending_weeks()
-        indexed = self.indexer.weeks()
-        if status_span is not None:
-            status_span.annotate(
-                pending_weeks=len(still_pending), indexed_weeks=len(indexed)
-            )
-            status_span.end()
-        if telemetry is not None:
-            registry = telemetry.registry
-            registry.counter("service.ticks_total").inc()
-            registry.counter("service.weeks_scanned").inc(len(scanned))
-            registry.counter("service.artifacts_folded").inc(len(folded))
-            registry.gauge("service.pending_weeks").set(len(still_pending))
-            registry.gauge("service.weeks_indexed").set(len(indexed))
-            registry.gauge("service.spool_backlog").set(
-                sum(
-                    1
-                    for entry in self.spool.artifacts()
-                    if entry.fingerprint not in self.indexer.ledger()
+            if telemetry is not None
+            else nullcontext()
+        ) as campaign_span:
+            pending = self.pending_weeks()
+            if max_weeks is not None:
+                pending = pending[:max_weeks]
+            scanned = []
+            for week in pending:
+                scanned.append(self._scan_week(week, verbose=verbose))
+            folded = self.indexer.fold_pending(self.spool)
+            # The tick's read-back — the "query" step of the pipeline:
+            # the status report is served from the index the tick just
+            # wrote.
+            with (
+                telemetry.tracer.span("status")
+                if telemetry is not None
+                else nullcontext()
+            ) as status_span:
+                still_pending = self.pending_weeks()
+                indexed = self.indexer.weeks()
+                if status_span is not None:
+                    status_span.annotate(
+                        pending_weeks=len(still_pending),
+                        indexed_weeks=len(indexed),
+                    )
+            if telemetry is not None:
+                registry = telemetry.registry
+                registry.counter("service.ticks_total").inc()
+                registry.counter("service.weeks_scanned").inc(len(scanned))
+                registry.counter("service.artifacts_folded").inc(len(folded))
+                registry.gauge("service.pending_weeks").set(len(still_pending))
+                registry.gauge("service.weeks_indexed").set(len(indexed))
+                registry.gauge("service.spool_backlog").set(
+                    sum(
+                        1
+                        for entry in self.spool.artifacts()
+                        if entry.fingerprint not in self.indexer.ledger()
+                    )
                 )
-            )
-            campaign_span.annotate(
-                scanned=len(scanned), folded=len(folded)
-            )
-            campaign_span.end()
+                campaign_span.annotate(scanned=len(scanned), folded=len(folded))
         return {
             "scanned_weeks": scanned,
             "folded_artifacts": folded,
@@ -253,28 +255,27 @@ class CampaignDaemon:
         if telemetry is not None and elapsed > 0:
             # Wall-clock throughput is operational state, not a
             # measurement artifact: it feeds the scan-throughput SLO and
-            # never enters the deterministic trace or span streams.
+            # never enters the trace.
             telemetry.registry.gauge("service.scan_domains_per_s").set(
                 len(dataset.results) / elapsed
             )
-        spool_span = (
-            telemetry.spans.span(f"spool:{week.label}")
+        with (
+            telemetry.tracer.span(f"spool:{week.label}")
             if telemetry is not None
-            else None
-        )
-        buffer = io.BytesIO()
-        write_records_cbr(dataset.connection_records(), buffer)
-        entry = self.spool.submit_bytes(
-            buffer.getvalue(), source=f"daemon:{week.label}"
-        )
-        self.spool.record_scan(fingerprint, entry.fingerprint)
-        if spool_span is not None:
-            spool_span.annotate(
-                artifact=entry.fingerprint,
-                bytes=entry.size,
-                duplicate=not entry.new,
+            else nullcontext()
+        ) as spool_span:
+            buffer = io.BytesIO()
+            write_records_cbr(dataset.connection_records(), buffer)
+            entry = self.spool.submit_bytes(
+                buffer.getvalue(), source=f"daemon:{week.label}"
             )
-            spool_span.end()
+            self.spool.record_scan(fingerprint, entry.fingerprint)
+            if spool_span is not None:
+                spool_span.annotate(
+                    artifact=entry.fingerprint,
+                    bytes=entry.size,
+                    duplicate=not entry.new,
+                )
         return week.label
 
     def _scan_fingerprint(self, week: CalendarWeek) -> dict:

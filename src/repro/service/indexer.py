@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Callable
 
@@ -62,7 +63,7 @@ class WeekIndexer:
         #: Optional :class:`repro.telemetry.Telemetry`.  Folds emit
         #: ``index:<fingerprint>`` spans with per-week children; both
         #: are pure functions of the folded content, so they live in the
-        #: deterministic span stream.
+        #: deterministic trace.
         self.telemetry = telemetry
 
     @property
@@ -86,26 +87,33 @@ class WeekIndexer:
         if fingerprint in self.ledger():
             return False
         telemetry = self.telemetry
-        span = (
-            telemetry.spans.span(f"index:{fingerprint}")
+        with (
+            telemetry.tracer.span(f"index:{fingerprint}")
             if telemetry is not None
-            else None
-        )
-        deltas = self._summarize(path, fingerprint)
-        records = 0
-        for week in sorted(deltas):
-            if telemetry is not None:
-                telemetry.spans.span(
-                    f"week:{week}", records=deltas[week].connections_total
-                ).end()
-            self._merge_week(week, deltas[week], fingerprint)
-            records += deltas[week].connections_total
-        self._record_in_ledger(fingerprint)
-        if span is not None:
-            span.annotate(weeks=len(deltas), records=records)
-            span.end()
-            telemetry.registry.counter("index.artifacts_folded").inc()
-            telemetry.registry.counter("index.weeks_merged").inc(len(deltas))
+            else nullcontext()
+        ) as span:
+            deltas = self._summarize(path, fingerprint)
+            records = 0
+            for week in sorted(deltas):
+                # A week's row is recorded with its file, before the
+                # fault point: the log then holds exactly the merges
+                # that are durable, and a re-fold after a crash (which
+                # skips them) adds only the rest.
+                if self._merge_week(week, deltas[week], fingerprint):
+                    if span is not None:
+                        telemetry.tracer.event(
+                            f"week:{week}", records=deltas[week].connections_total
+                        )
+                    self._fault("week-written")
+                records += deltas[week].connections_total
+            self._record_in_ledger(fingerprint)
+            if span is not None:
+                span.annotate(weeks=len(deltas), records=records)
+                telemetry.registry.counter("index.artifacts_folded").inc()
+                telemetry.registry.counter("index.weeks_merged").inc(len(deltas))
+        # Likewise after the fold's own row: the fold is complete once
+        # the ledger lists it.
+        self._fault("ledger-written")
         return True
 
     def fold_pending(self, spool) -> list[str]:
@@ -153,15 +161,17 @@ class WeekIndexer:
 
     def _merge_week(
         self, week: str, delta: WeekSummary, fingerprint: str
-    ) -> None:
+    ) -> bool:
+        """Merge ``delta`` into the week's file; ``False`` if it was
+        already folded before a crash (the resume skips it)."""
         current = self.load_week(week)
         if current is None:
             current = WeekSummary(week=week)
         if fingerprint in current.artifacts:
-            return  # already folded before a crash; resume skips it
+            return False
         current.merge(delta)
         self._write_atomic(self.week_path(week), current.to_json())
-        self._fault("week-written")
+        return True
 
     # -- ledger --------------------------------------------------------
 
@@ -176,7 +186,6 @@ class WeekIndexer:
             {"artifacts": sorted(artifacts)}, sort_keys=True, indent=1
         )
         self._write_atomic(self._ledger_path, payload + "\n")
-        self._fault("ledger-written")
 
     def version(self) -> bytes:
         """Cache tag for the API layer: changes iff the index changed.

@@ -1,10 +1,14 @@
-"""Telemetry exporters: JSONL traces, Prometheus text, human summary.
+"""Telemetry exporters: the trace row codec, Prometheus text, the summary.
 
 Three formats, one invariant — every byte is a deterministic function
 of the recorded data:
 
-* ``trace.jsonl`` — one JSON object per trace event, ``sort_keys``,
-  with a monotonic ``step`` assigned in write order.
+* ``trace.jsonl`` / ``diag.jsonl`` — one JSON object per trace row,
+  ``sort_keys``: ``step`` (write order, the global order), ``trace``,
+  ``span`` and ``parent`` (derived ids), ``name``, ``path``,
+  ``start_ms``/``end_ms`` (simulated; equal for a point event) and
+  ``attrs``.  :func:`trace_rows` is the only place that shape is built;
+  ``/v1/spans`` serves the same rows.
 * ``metrics.prom`` — Prometheus text exposition: counters as
   ``_total``, gauges plain, histograms as summaries (quantile series
   plus ``_sum``/``_count``), all series sorted by key.
@@ -15,11 +19,10 @@ of the recorded data:
 from __future__ import annotations
 
 import json
-from collections import Counter as _TallyCounter
-from typing import IO, Iterable
+from typing import IO, Sequence
 
-from repro.telemetry.metrics import MetricsRegistry, _series_id
-from repro.telemetry.trace import TraceEvent
+from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.trace import TraceRecord, span_id_for
 
 __all__ = [
     "DIAG_FILENAME",
@@ -29,6 +32,8 @@ __all__ = [
     "read_trace",
     "registry_to_prometheus",
     "render_summary",
+    "stage_latency_table",
+    "trace_rows",
     "write_trace_jsonl",
 ]
 
@@ -40,30 +45,81 @@ SNAPSHOT_FILENAME = "metrics.json"
 #: Quantiles exported for every histogram series.
 _QUANTILES = (50.0, 90.0, 99.0)
 
+#: Trace id used when no campaign/scan identity was ever attached.
+UNKNOWN_TRACE_ID = "0" * 16
 
-def write_trace_jsonl(events: Iterable[TraceEvent], stream: IO[str]) -> int:
-    """Write ``events`` as JSONL, numbering them with ``step``.
 
-    The step counter is the global monotonic order of the trace (event
-    timestamps are local simulated clocks and may legitimately rewind
-    between units).  Returns the number of lines written.
+def trace_rows(
+    records: Sequence[TraceRecord], trace_id: str | None
+) -> list[dict]:
+    """Export-shape dicts (ids derived, steps assigned) for ``records``."""
+    resolved = trace_id or UNKNOWN_TRACE_ID
+    rows = []
+    for step, record in enumerate(records):
+        path = record.path
+        rows.append(
+            {
+                "step": step,
+                "trace": resolved,
+                "span": span_id_for(resolved, path),
+                "parent": span_id_for(resolved, path[:-1]) if len(path) > 1 else None,
+                "name": path[-1],
+                "path": "/".join(path),
+                "start_ms": round(record.start_ms, 6),
+                "end_ms": round(record.end_ms, 6),
+                "attrs": record.attrs,
+            }
+        )
+    return rows
+
+
+def write_trace_jsonl(
+    records: Sequence[TraceRecord], trace_id: str | None, stream: IO[str]
+) -> int:
+    """Write ``records`` as JSONL; returns the number of lines written."""
+    rows = trace_rows(records, trace_id)
+    for row in rows:
+        stream.write(json.dumps(row, sort_keys=True) + "\n")  # jsonl-ok: the trace codec
+    return len(rows)
+
+
+_ROW_FIELD_TYPES = (
+    ("name", str),
+    ("path", str),
+    ("start_ms", (int, float)),
+    ("end_ms", (int, float)),
+)
+
+
+def _parse_row(line: str) -> dict | None:
+    """``line`` as a trace row, or ``None`` when it is not one."""
+    try:
+        row = json.loads(line)
+    except json.JSONDecodeError:
+        return None
+    if isinstance(row, dict) and all(
+        isinstance(row.get(field), kind) for field, kind in _ROW_FIELD_TYPES
+    ):
+        return row
+    return None
+
+
+def read_trace(stream: IO[str]) -> tuple[list[dict], int]:
+    """Load a trace JSONL stream: ``(rows, lines skipped)``.
+
+    The file is outside input (another build wrote it, or a crash cut
+    it short): a line that is not JSON, not an object, or lacks a field
+    the renderer reads is counted and skipped, never raised.
     """
-    count = 0
-    for step, event in enumerate(events):
-        payload = {
-            "step": step,
-            "ts_ms": round(event.time_ms, 6),
-            "name": event.name,
-            "attrs": event.attrs,
-        }
-        stream.write(json.dumps(payload, sort_keys=True) + "\n")
-        count += 1
-    return count
-
-
-def read_trace(stream: IO[str]) -> list[dict]:
-    """Load a trace JSONL stream back into a list of event dicts."""
-    return [json.loads(line) for line in stream if line.strip()]
+    rows, skipped = [], 0
+    for line in stream:
+        if line.strip():
+            row = _parse_row(line)
+            if row is None:
+                skipped += 1
+            else:
+                rows.append(row)
+    return rows, skipped
 
 
 def _prom_name(name: str) -> str:
@@ -131,24 +187,76 @@ def registry_to_prometheus(registry: MetricsRegistry) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def render_summary(
-    snapshot: dict, trace_events: list[dict] | None = None
-) -> str:
+def _percentile(sorted_values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile over an already-sorted sequence."""
+    rank = max(0, min(len(sorted_values) - 1, int(q / 100.0 * len(sorted_values))))
+    return sorted_values[rank]
+
+
+def stage_latency_table(rows: Sequence[dict]) -> list[dict]:
+    """Per-stage duration percentiles from trace rows.
+
+    A *stage* is the row name up to its first ``:`` (``domain``,
+    ``scan``, ``spool``, ...).  Stages whose rows carry no duration
+    (orchestration markers, point events) report counts only.
+    """
+    by_stage: dict[str, list[float]] = {}
+    for row in rows:
+        stage = str(row.get("name", "")).partition(":")[0]
+        duration = float(row.get("end_ms", 0.0)) - float(row.get("start_ms", 0.0))
+        by_stage.setdefault(stage, []).append(duration)
+    table = []
+    for stage in sorted(by_stage):
+        durations = sorted(by_stage[stage])
+        entry = {"stage": stage, "count": len(durations)}
+        if durations[-1] > 0.0:
+            entry.update(
+                p50_ms=round(_percentile(durations, 50.0), 3),
+                p90_ms=round(_percentile(durations, 90.0), 3),
+                p99_ms=round(_percentile(durations, 99.0), 3),
+                max_ms=round(durations[-1], 3),
+            )
+        table.append(entry)
+    return table
+
+
+def render_summary(snapshot: dict, rows: Sequence[dict] | None = None) -> str:
     """Human-readable digest of a registry snapshot (+ optional trace).
 
     Takes the :meth:`MetricsRegistry.snapshot` dict (or the same loaded
-    back from ``metrics.json``), so it works on live registries and on
-    saved telemetry directories alike.
+    back from ``metrics.json``) and rows as :func:`read_trace` /
+    :func:`trace_rows` return them, so it works on live bundles and on
+    saved telemetry directories alike.  The trace renders as a tree
+    that collapses sibling rows of the same *stage* (one ``domain x800``
+    line for a scan) followed by each timed stage's duration
+    percentiles.
     """
     lines: list[str] = []
-    if trace_events is not None:
-        tally = _TallyCounter(event["name"] for event in trace_events)
-        rendered = ", ".join(
-            f"{name} x{count}" for name, count in sorted(tally.items())
-        )
-        lines.append(f"trace: {len(trace_events)} events")
-        if rendered:
-            lines.append(f"  {rendered}")
+    if rows:
+        lines.append(f"trace: {len(rows)} rows (trace {rows[0].get('trace')})")
+        collapsed: dict[tuple[str, ...], int] = {}
+        for row in rows:
+            path = tuple(
+                segment.partition(":")[0] for segment in row["path"].split("/")
+            )
+            collapsed[path] = collapsed.get(path, 0) + 1
+        for path in sorted(collapsed):
+            count = collapsed[path]
+            suffix = f" x{count}" if count > 1 else ""
+            lines.append(f"{'  ' * len(path)}{path[-1]}{suffix}")
+        timed = [entry for entry in stage_latency_table(rows) if "p50_ms" in entry]
+        if timed:
+            lines.append("stage latency (simulated ms):")
+            for entry in timed:
+                lines.append(
+                    f"  {entry['stage']:16s} count={entry['count']}"
+                    f" p50={entry['p50_ms']:g}"
+                    f" p90={entry['p90_ms']:g}"
+                    f" p99={entry['p99_ms']:g}"
+                    f" max={entry['max_ms']:g}"
+                )
+    elif rows is not None:
+        lines.append("trace: (no rows)")
     counters = snapshot.get("counters", {})
     if counters:
         lines.append("counters:")

@@ -10,7 +10,7 @@ into.  Design constraints, in order:
    sorted by series key — so a registry merged from parallel-scan
    worker shards renders byte-identically to one filled sequentially.
 2. **Losslessness under merge.**  :meth:`MetricsRegistry.merge` folds a
-   child/worker registry into the parent without approximation:
+   worker registry into the parent without approximation:
    counters add, histograms merge bin-by-bin (exact partial sums), and
    each gauge declares its own aggregation (``last``/``sum``/``max``).
 3. **Zero dependencies and near-zero hot-path cost.**  A series is a
@@ -18,10 +18,7 @@ into.  Design constraints, in order:
    binds the series once and pays one attribute increment per event.
 
 Labels follow the Prometheus model: a series is identified by
-``(name, sorted label items)``.  Child registries
-(:meth:`MetricsRegistry.child`) bake extra constant labels into every
-series they create — the scoping mechanism for per-shard or per-class
-sub-registries that later fold into one.
+``(name, sorted label items)``.
 """
 
 from __future__ import annotations
@@ -36,6 +33,10 @@ __all__ = ["Counter", "Gauge", "HistogramMetric", "MetricsRegistry"]
 GAUGE_AGGREGATIONS = ("last", "sum", "max")
 
 _LabelItems = tuple[tuple[str, str], ...]
+
+#: Histogram binning (min, max, bins per decade), one for every series
+#: of every registry so shard histograms always merge losslessly.
+_HIST_BINNING = (0.1, 60_000.0, 32)
 
 
 def _label_items(labels: Mapping[str, object]) -> _LabelItems:
@@ -140,25 +141,9 @@ class HistogramMetric:
 
 
 class MetricsRegistry:
-    """All metric series of one run (or one worker shard of a run).
+    """All metric series of one run (or one worker shard of a run)."""
 
-    ``constant_labels`` are baked into every series created through
-    this registry — :meth:`child` uses them to scope a sub-registry.
-    Histogram binning is registry-wide so shard histograms always merge
-    losslessly.
-    """
-
-    def __init__(
-        self,
-        constant_labels: Mapping[str, object] | None = None,
-        hist_min: float = 0.1,
-        hist_max: float = 60_000.0,
-        hist_bins_per_decade: int = 32,
-    ):
-        self.constant_labels = dict(constant_labels or {})
-        self.hist_min = hist_min
-        self.hist_max = hist_max
-        self.hist_bins_per_decade = hist_bins_per_decade
+    def __init__(self) -> None:
         self._series: dict[
             tuple[str, _LabelItems], Counter | Gauge | HistogramMetric
         ] = {}
@@ -179,30 +164,13 @@ class MetricsRegistry:
     def histogram(self, name: str, **labels: object) -> HistogramMetric:
         return self._get_or_create(HistogramMetric, name, labels)
 
-    def child(self, **labels: object) -> "MetricsRegistry":
-        """A scoped registry whose series all carry ``labels``.
-
-        The child is independent (its own series store) so it can be
-        filled by a worker and folded back via :meth:`merge`.
-        """
-        merged = dict(self.constant_labels)
-        merged.update(labels)
-        return MetricsRegistry(
-            merged, self.hist_min, self.hist_max, self.hist_bins_per_decade
-        )
-
     def _get_or_create(self, cls, name: str, labels: Mapping[str, object], **kw):
-        merged = dict(self.constant_labels)
-        merged.update(labels)
-        items = _label_items(merged)
+        items = _label_items(labels)
         key = (name, items)
         series = self._series.get(key)
         if series is None:
             if cls is HistogramMetric:
-                hist = LogHistogram(
-                    self.hist_min, self.hist_max, self.hist_bins_per_decade
-                )
-                series = HistogramMetric(name, items, hist)
+                series = HistogramMetric(name, items, LogHistogram(*_HIST_BINNING))
             else:
                 series = cls(name, items, **kw)
             self._series[key] = series

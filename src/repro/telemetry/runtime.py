@@ -1,20 +1,18 @@
 """The per-run telemetry bundle: one registry plus one tracer.
 
 :class:`Telemetry` is what gets threaded through the subsystems: the
-scanner, the monitor pipeline, and the CLI all accept an optional
-``telemetry`` argument and, when given, report into its
+scanner, the monitor pipeline, the service plane and the CLI all accept
+an optional ``telemetry`` argument and, when given, report into its
 :class:`~repro.telemetry.metrics.MetricsRegistry` and
 :class:`~repro.telemetry.trace.Tracer`.  ``None`` means telemetry is
 off and the instrumented code paths pay a single ``is None`` check.
 
-:meth:`Telemetry.save` writes the standard telemetry directory::
+:meth:`Telemetry.save` writes the telemetry directory::
 
-    DIR/trace.jsonl       deterministic trace (byte-identical per seed)
-    DIR/diag.jsonl        sharding-dependent diagnostics (still no wall clock)
-    DIR/metrics.json      registry snapshot (lossless reload for summarize)
-    DIR/metrics.prom      Prometheus text exposition snapshot
-    DIR/spans.jsonl       causal span log (byte-identical per seed)
-    DIR/spans_diag.jsonl  sharding-dependent spans (per-shard, API requests)
+    DIR/trace.jsonl    deterministic trace rows (byte-identical per seed)
+    DIR/diag.jsonl     sharding-dependent rows (per-shard, API requests)
+    DIR/metrics.json   registry snapshot (lossless reload for summarize)
+    DIR/metrics.prom   Prometheus text exposition snapshot
 
 which ``repro telemetry summarize DIR`` reads back.
 """
@@ -24,19 +22,12 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.obs.spans import (
-    SPANS_DIAG_FILENAME,
-    SPANS_FILENAME,
-    SpanLog,
-    write_spans_jsonl,
-)
 from repro.telemetry.export import (
     DIAG_FILENAME,
     PROM_FILENAME,
     SNAPSHOT_FILENAME,
     TRACE_FILENAME,
     registry_to_prometheus,
-    render_summary,
     write_trace_jsonl,
 )
 from repro.telemetry.metrics import MetricsRegistry
@@ -46,47 +37,25 @@ __all__ = ["Telemetry"]
 
 
 class Telemetry:
-    """Registry + tracer + span log for one run (or one worker shard)."""
+    """Registry + tracer for one run (or one worker shard)."""
 
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
-        spans: SpanLog | None = None,
-    ):
-        self.registry = registry or MetricsRegistry()
-        self.tracer = tracer or Tracer()
-        self.spans = spans or SpanLog()
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
+        self.tracer = Tracer()
         #: Optional :class:`repro.obs.profile.PhaseProfiler`; ``None``
         #: (the default) keeps profiling at zero cost.
         self.profiler = None
 
-    def absorb_shard(
-        self,
-        registry: MetricsRegistry,
-        events,
-        diag_events,
-        spans=(),
-        diag_spans=(),
-    ) -> None:
+    def absorb_shard(self, registry: MetricsRegistry, records, diag_records) -> None:
         """Fold one worker shard's telemetry into this bundle.
 
         Must be called in shard order: registry merges are lossless and
-        order-insensitive for counters/histograms, but trace events and
-        span records are concatenated, and shard order is what makes
-        the concatenation equal the sequential emission order.
+        order-insensitive for counters/histograms, but trace rows are
+        concatenated, and shard order is what makes the concatenation
+        equal the sequential emission order.
         """
         self.registry.merge(registry)
-        self.tracer.extend(events, diag_events)
-        if spans or diag_spans:
-            self.spans.absorb(spans, diag_spans)
-
-    def summary_text(self) -> str:
-        """Human-readable digest of the current state."""
-        trace_dicts = [
-            {"name": event.name} for event in self.tracer.events
-        ]
-        return render_summary(self.registry.snapshot(), trace_dicts)
+        self.tracer.absorb(records, diag_records)
 
     def save(self, out_dir: str | Path) -> dict[str, Path]:
         """Write the telemetry directory; returns the written paths."""
@@ -97,19 +66,12 @@ class Telemetry:
             "diag": directory / DIAG_FILENAME,
             "snapshot": directory / SNAPSHOT_FILENAME,
             "prom": directory / PROM_FILENAME,
-            "spans": directory / SPANS_FILENAME,
-            "spans_diag": directory / SPANS_DIAG_FILENAME,
         }
+        tracer = self.tracer
         with open(paths["trace"], "w", encoding="utf-8") as stream:
-            write_trace_jsonl(self.tracer.events, stream)
+            write_trace_jsonl(tracer.records, tracer.trace_id, stream)
         with open(paths["diag"], "w", encoding="utf-8") as stream:
-            write_trace_jsonl(self.tracer.diag_events, stream)
-        with open(paths["spans"], "w", encoding="utf-8") as stream:
-            write_spans_jsonl(self.spans.records, self.spans.trace_id, stream)
-        with open(paths["spans_diag"], "w", encoding="utf-8") as stream:
-            write_spans_jsonl(
-                self.spans.diag_records, self.spans.trace_id, stream
-            )
+            write_trace_jsonl(tracer.diag_records, tracer.trace_id, stream)
         paths["snapshot"].write_text(
             json.dumps(self.registry.snapshot(), indent=2, sort_keys=True)
             + "\n",

@@ -353,13 +353,10 @@ def shard_stream(
             if telem is not None:
                 telemetry.absorb_shard(*telem)
                 # The shard layout is a sharding artifact: diagnostics
-                # only, never the deterministic streams.
+                # only, never the deterministic rows.
                 telemetry.tracer.event(
-                    "scan.shard", diag=True, shard=shard.index, domains=shard.count
-                )
-                telemetry.spans.span(
                     f"shard:{shard.index}", diag=True, domains=shard.count
-                ).end()
+                )
             if loaded:
                 stamp_week(results, week_label)  # may predate week stamping
             elif checkpoint is not None:

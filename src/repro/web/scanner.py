@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
 from repro._util.rng import SeedPrefix, fork_rng
-from repro.obs.spans import trace_id_for
 from repro.core.classify import SpinBehaviour, classify_connection
 from repro.core.observer import SpinObservation, observe_recorder
 from repro.core.spin import SpinPolicy, resolve_connection_policy
@@ -39,7 +38,7 @@ from repro.netsim.delays import LogNormalDelay, UniformDelay
 from repro.netsim.path import PathProfile
 from repro.quic.connection import ConnectionConfig
 from repro.qlog.writer import recorder_to_qlog
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, trace_id_for
 from repro.web.http3 import run_exchange
 from repro.web.parallel import ParallelScanConfig, close_pool, shard_stream
 from repro.web.server_profiles import ServerStackProfile, stack_by_name
@@ -346,26 +345,28 @@ class Scanner:
         telemetry = self.telemetry
         profiler = telemetry.profiler if telemetry is not None else None
         scan_phase = profiler.phase("scan") if profiler is not None else nullcontext()
-        scan_span = None
+        scan_span = nullcontext()
         if telemetry is not None:
-            # Deliberately no worker count here: scan.begin is part of
-            # the deterministic trace, which must not depend on sharding.
-            telemetry.tracer.event(
-                "scan.begin", week=week_label, ip_version=ip_version, domains=total
-            )
-            spans = telemetry.spans
-            if spans.trace_id is None:
+            tracer = telemetry.tracer
+            if tracer.trace_id is None:
                 # Standalone scan: the scan itself is the trace root.
                 # Under the campaign daemon the trace id is already the
                 # campaign's and this scan nests beneath it.
-                spans.trace_id = trace_id_for(
+                tracer.trace_id = trace_id_for(
                     "scan", population.config.seed, week_label, ip_version, probe
                 )
-            scan_span = spans.span(
+            # Deliberately no worker count here: the scan row is part of
+            # the deterministic trace, which must not depend on sharding.
+            scan_span = tracer.span(
                 f"scan:{week_label}", ip_version=ip_version, domains=total
             )
         emitted = quic = 0
-        with scan_phase:
+        # A scan that raises (or is abandoned by its consumer) drops its
+        # row unrecorded and leaves neither span nor phase open, so a
+        # retry on this scanner opens the same span at the same path and
+        # a crashed-then-retried campaign logs the span ids of an
+        # uninterrupted one.
+        with scan_phase, scan_span as span:
             try:
                 for shard in shard_stream(
                     self, domains, week_label, ip_version, probe, chunk, store
@@ -379,27 +380,20 @@ class Scanner:
                 if store is not None:
                     store.close()
             except BaseException:
-                # A crashed (or abandoned) scan still persists every
-                # shard it emitted: drain the writer, suppressing
-                # secondary write errors — the scan failure is what the
-                # caller must see.  Its span is dropped unrecorded, so a
-                # retry on this scanner opens the same span at the same
-                # path and a crashed-then-retried campaign logs the span
-                # ids of an uninterrupted one.
+                # A crashed scan still persists every shard it emitted:
+                # drain the writer, suppressing secondary write errors —
+                # the scan failure is what the caller must see.
                 if store is not None:
                     store.close(suppress_errors=True)
-                if scan_span is not None:
-                    scan_span.abandon()
                 raise
-            if scan_span is not None:
+            if span is not None:
                 # The merge marker closes the scan stage of the pipeline
                 # however the work was split (inline "merges" too), so
-                # the deterministic span stream never depends on it.
-                telemetry.spans.span("merge", domains=emitted).end()
+                # the deterministic trace never depends on it.
+                telemetry.tracer.event("merge", domains=emitted)
                 if breaker is not None:
                     breaker.flush(telemetry)
-                scan_span.annotate(quic=quic)
-                scan_span.end()
+                span.annotate(quic=quic)
         if verbose:
             elapsed = time.perf_counter() - started  # wallclock-ok: diagnostics
             rate = emitted / elapsed if elapsed > 0 else float("inf")
@@ -432,7 +426,7 @@ class Scanner:
         its parts for :meth:`Telemetry.absorb_shard`; the stream absorbs
         bundles in shard order, which reproduces one sequential emission
         order at any worker count — and a shard that raises leaves no
-        partial events behind.  Records are week-stamped here, before a
+        partial rows behind.  Records are week-stamped here, before a
         shard can be encoded or persisted, so checkpoint artifacts
         merged via ``repro convert`` stay queryable by week.
         """
@@ -454,15 +448,10 @@ class Scanner:
         stamp_week(results, week_label)
         if bundle is None:
             return results, None
-        return results, (
-            bundle.registry,
-            bundle.tracer.events,
-            bundle.tracer.diag_events,
-            # Span records are path-relative to the shard; the absorb
-            # re-roots them under the stream's open scan span.
-            bundle.spans.records,
-            bundle.spans.diag_records,
-        )
+        # Rows are path-relative to the shard; the absorb re-roots them
+        # under the stream's open scan span.
+        tracer = bundle.tracer
+        return results, (bundle.registry, tracer.records, tracer.diag_records)
 
     # ------------------------------------------------------------------
 
@@ -476,18 +465,18 @@ class Scanner:
     ) -> DomainScanResult:
         """One domain: a ``domain:<name>`` span around the fetch chain.
 
-        The span's clock is the domain's *simulated* time (the same
-        value the ``scan.domain`` trace event carries), so span logs
-        stay a pure function of the seed.
+        The span's clock is the domain's *simulated* time and its
+        ``connection:<n>`` children sit on the same clock, so the trace
+        stays a pure function of the seed.
         """
         telemetry = self.telemetry
         if telemetry is None:
             return self._scan_domain_impl(
                 domain, ip_version, probe, epoch, seed_prefix
             )
-        span = telemetry.spans.span(f"domain:{domain.name}")
         profiler = telemetry.profiler
-        with (
+        self._domain_attempts = 0
+        with telemetry.tracer.span(f"domain:{domain.name}") as span, (
             profiler.phase("scan.domain")
             if profiler is not None
             else nullcontext()
@@ -495,13 +484,13 @@ class Scanner:
             result = self._scan_domain_impl(
                 domain, ip_version, probe, epoch, seed_prefix
             )
-        span.annotate(
-            resolved=result.resolved,
-            quic=result.quic_support,
-            spins=result.shows_spin_activity,
-            connections=len(result.connections),
-        )
-        span.end(self._domain_sim_ms)
+            span.annotate(
+                resolved=result.resolved,
+                quic=result.quic_support,
+                spins=result.shows_spin_activity,
+                connections=len(result.connections),
+            )
+            span.end(self._domain_sim_ms)
         return result
 
     def _scan_domain_impl(
@@ -520,10 +509,6 @@ class Scanner:
 
         rng = seed_prefix.derive(domain.name, probe)
         if not domain.resolves or (ip_version == 6 and not domain.has_aaaa):
-            if telemetry is not None:
-                telemetry.tracer.event(
-                    "scan.domain", domain=domain.name, resolved=False
-                )
             return DomainScanResult(domain=domain, resolved=False, quic_support=False)
 
         ip = self.population.host_of(domain, ip_version)
@@ -538,10 +523,6 @@ class Scanner:
         if registry is not None:
             registry.counter("scan.domains_resolved").inc()
         if stack_name is None:
-            if telemetry is not None:
-                telemetry.tracer.event(
-                    "scan.domain", domain=domain.name, resolved=True, quic=False
-                )
             return result
         stack = stack_by_name(stack_name)
         provider = self.population.provider_of(domain)
@@ -581,16 +562,6 @@ class Scanner:
                 registry.counter("scan.domains_quic").inc()
             if result.shows_spin_activity:
                 registry.counter("scan.domains_spinning").inc()
-        if telemetry is not None:
-            telemetry.tracer.event(
-                "scan.domain",
-                time_ms=self._domain_sim_ms,
-                domain=domain.name,
-                resolved=True,
-                quic=result.quic_support,
-                spins=result.shows_spin_activity,
-                connections=len(result.connections),
-            )
         return result
 
     def _connect_once(
@@ -706,14 +677,17 @@ class Scanner:
                 outcome = "success" if exchange.success else "failure"
                 registry.counter("scan.handshakes", outcome=outcome).inc()
                 registry.histogram("scan.exchange_sim_ms").observe(sim_end_ms)
-            if telemetry is not None:
+                # One row per attempt (retries included), numbered within
+                # the domain so sibling ids stay unique, at the attempt's
+                # end on the domain's clock.
                 telemetry.tracer.event(
-                    "scan.connection",
-                    time_ms=sim_end_ms,
+                    f"connection:{self._domain_attempts}",
+                    time_ms=self._domain_sim_ms,
                     host=host,
                     status=exchange.status,
                     success=exchange.success,
                 )
+                self._domain_attempts += 1
             kind = (
                 classify_exchange(exchange)
                 if classify_enabled and not exchange.success

@@ -1,5 +1,8 @@
 """The command-line interface."""
 
+import json
+import shutil
+
 import pytest
 
 from repro.cli import main
@@ -32,8 +35,6 @@ class TestScanAnalyze:
     def test_scan_writes_jsonl(self, dataset_path):
         lines = dataset_path.read_text().strip().splitlines()
         assert len(lines) > 30
-        import json
-
         record = json.loads(lines[0])
         assert record["schema"] == 1
         assert "stack_rtts_ms" in record
@@ -98,11 +99,9 @@ class TestTelemetryCommand:
             assert (telemetry_dir / name).is_file(), name
 
     def test_trace_is_stepped_jsonl(self, telemetry_dir):
-        import json
-
         lines = (telemetry_dir / "trace.jsonl").read_text().splitlines()
         events = [json.loads(line) for line in lines]
-        assert events[0]["name"] == "scan.begin"
+        assert events[-1]["name"] == "scan:cw20-2023"
         assert [event["step"] for event in events] == list(range(len(events)))
 
     def test_summarize_renders_counters(self, telemetry_dir, capsys):
@@ -115,6 +114,40 @@ class TestTelemetryCommand:
     def test_summarize_missing_directory_fails(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["telemetry", "summarize", str(tmp_path / "nope")])
+
+    @pytest.mark.parametrize(
+        "damage, skipped",
+        [
+            # A directory written before the trace merge: events, no path.
+            (
+                lambda lines: [
+                    '{"attrs": {}, "name": "scan.begin", "step": 0, "ts_ms": 0.0}'
+                ] * 3,
+                3,
+            ),
+            # A crash cut the last line short.
+            (lambda lines: lines[:-1] + [lines[-1][: len(lines[-1]) // 2]], 1),
+            # Lines that are JSON but not rows, or not JSON at all.
+            (lambda lines: lines + ["[1, 2]", "7", "not json", '{"path": 3}'], 4),
+        ],
+        ids=["pre-merge-directory", "truncated-last-line", "non-object-lines"],
+    )
+    def test_summarize_counts_and_skips_unreadable_trace_lines(
+        self, telemetry_dir, tmp_path, capsys, damage, skipped
+    ):
+        """The directory is outside input: bad lines never raise."""
+        damaged = tmp_path / "tele"
+        shutil.copytree(telemetry_dir, damaged)
+        trace = damaged / "trace.jsonl"
+        written = damage(trace.read_text().splitlines())
+        trace.write_text("\n".join(written))
+        assert main(["telemetry", "summarize", str(damaged)]) == 0
+        captured = capsys.readouterr()
+        assert f"skipped {skipped} unreadable line(s)" in captured.err
+        rows = len(written) - skipped
+        expected = f"trace: {rows} rows" if rows else "trace: (no rows)"
+        assert expected in captured.out
+        assert "counters:" in captured.out
 
     def test_monitor_telemetry_deterministic(self, tmp_path, capsys):
         for run in ("a", "b"):
@@ -134,6 +167,14 @@ class TestTelemetryCommand:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes(), name
+        rows = [
+            json.loads(line)
+            for line in (tmp_path / "a" / "trace.jsonl").read_text().splitlines()
+        ]
+        assert len({row["span"] for row in rows}) == len(rows) > 1
+        *windows, monitor = rows
+        assert monitor["name"] == "monitor" and monitor["parent"] is None
+        assert {row["parent"] for row in windows} == {monitor["span"]}
 
 
 class TestCompliance:

@@ -1,12 +1,12 @@
-"""The observability plane (``repro.obs``): spans, profiler, SLOs.
+"""The observability plane: the trace log, the profiler, SLOs.
 
-The span contract under test is the one the trace plane already
-enforces — a seeded campaign's deterministic span log is a pure
-function of the seed, byte-identical at any worker count, and
-crash-resume reuses span ids instead of minting duplicates.  The SLO
-engine is tested as the pure function it is (snapshot in, report out),
-and the API surfaces (``/v1/status``, ``/v1/spans``) against a live
-threaded server.
+The span contract under test — a seeded campaign's ``trace.jsonl`` is a
+pure function of the seed, byte-identical at any worker count, and
+crash-resume reuses span ids instead of minting duplicates — is
+``repro.telemetry``'s one log (``Telemetry.tracer``).  ``repro.obs``
+holds its consumers: the SLO engine is tested as the pure function it
+is (snapshot in, report out), and the API surfaces (``/v1/status``,
+``/v1/spans``) against a live threaded server.
 """
 
 from __future__ import annotations
@@ -25,17 +25,20 @@ from repro.obs import (
     HealthEngine,
     PhaseProfiler,
     SLOSpec,
-    SpanLog,
     default_service_slos,
-    merge_profiles,
     parse_slo_specs,
-    render_span_summary,
-    span_id_for,
-    span_rows,
-    trace_id_for,
 )
 from repro.service import CampaignDaemon, ServiceConfig, ServiceState, build_server
-from repro.telemetry import Telemetry
+from repro.telemetry import (
+    Telemetry,
+    Tracer,
+    read_trace,
+    render_summary,
+    span_id_for,
+    trace_id_for,
+    trace_rows,
+    write_trace_jsonl,
+)
 from repro.web.parallel import ParallelScanConfig
 from repro.web.scanner import ScanConfig, Scanner
 
@@ -57,69 +60,132 @@ def http_get(url: str) -> tuple[int, bytes]:
 
 
 class TestSpanLog:
+    """The one trace log (``Telemetry.tracer``): rows, stack, codec."""
+
     def test_nesting_builds_causal_paths(self):
-        log = SpanLog()
-        outer = log.span("scan:cw20-2023", domains=2)
-        inner = log.span("domain:a.example", start_ms=0.0)
-        inner.end(12.5)
-        outer.end()
+        log = Tracer()
+        with log.span("scan:cw20-2023", domains=2):
+            with log.span("domain:a.example") as inner:
+                log.event("connection:0", time_ms=12.5, status=200)
+                inner.end(12.5)
         assert [record.path for record in log.records] == [
+            ("scan:cw20-2023", "domain:a.example", "connection:0"),
             ("scan:cw20-2023", "domain:a.example"),
             ("scan:cw20-2023",),
         ]
-        assert log.records[0].duration_ms == 12.5
-        assert log.records[0].stage == "domain"
+        connection, domain, scan = log.records
+        assert (connection.start_ms, connection.end_ms) == (12.5, 12.5)
+        assert (domain.start_ms, domain.end_ms) == (0.0, 12.5)
+        assert domain.name == "domain:a.example"
+        assert scan.attrs == {"domains": 2}
         assert not log._stack
 
+    def test_span_emits_single_row(self):
+        log = Tracer()
+        with log.span("work", start_ms=5.0, unit="x") as span:
+            span.annotate(items=3)
+            span.end(9.0)
+        (record,) = log.records
+        assert (record.start_ms, record.end_ms) == (5.0, 9.0)
+        assert record.attrs == {"unit": "x", "items": 3}
+
     def test_end_is_idempotent(self):
-        log = SpanLog()
+        log = Tracer()
         span = log.span("work")
         span.end(3.0)
         span.end(9.0)
+        span.abandon()
         assert len(log.records) == 1
         assert log.records[0].end_ms == 3.0
 
+    def test_exception_abandons_and_restores_the_stack(self):
+        log = Tracer()
+        with log.span("campaign"):
+            with pytest.raises(RuntimeError):
+                with log.span("index:feed"):
+                    log.event("week:cw20-2023")
+                    log.span("leaked")  # never closed by its owner
+                    raise RuntimeError("fold crashed")
+            assert log._stack == ["campaign"]
+            with log.span("index:feed"):  # the retry: same path, same id
+                pass
+        # The failed step left no row; what its children recorded stays.
+        assert [record.path for record in log.records] == [
+            ("campaign", "index:feed", "week:cw20-2023"),
+            ("campaign", "index:feed"),
+            ("campaign",),
+        ]
+
+    def test_event_streams_are_separate(self):
+        log = Tracer()
+        log.event("a", time_ms=1.0, k=1)
+        log.event("b", diag=True, shard=0)
+        log.span("c", diag=True).end()
+        assert [record.name for record in log.records] == ["a"]
+        assert [record.name for record in log.diag_records] == ["b", "c"]
+
     def test_absorb_reroots_under_the_open_span(self):
-        shard = SpanLog()
+        shard = Tracer()
         shard.span("domain:a").end(1.0)
-        shard.span("domain:b", diag=False).end(2.0)
-        parent = SpanLog()
-        scan = parent.span("scan:cw20-2023")
-        parent.absorb(shard.records, shard.diag_records)
-        scan.end()
-        assert parent.records[0].path == ("scan:cw20-2023", "domain:a")
-        assert parent.records[1].path == ("scan:cw20-2023", "domain:b")
+        shard.span("domain:b").end(2.0)
+        shard.event("shard:0", diag=True)
+        parent = Tracer()
+        with parent.span("scan:cw20-2023"):
+            parent.absorb(shard.records, shard.diag_records)
+        assert [record.path for record in parent.records] == [
+            ("scan:cw20-2023", "domain:a"),
+            ("scan:cw20-2023", "domain:b"),
+            ("scan:cw20-2023",),
+        ]
+        assert parent.diag_records[0].path == ("scan:cw20-2023", "shard:0")
 
     def test_record_diag_skips_the_stack(self):
-        log = SpanLog()
-        span = log.span("campaign")
-        log.record_diag("request:/v1/weeks", status=200)
-        span.end()
-        assert log.diag_records[0].path == ("request:/v1/weeks",)
+        """``count``: one flat diag row per (name, attrs), no nesting."""
+        log = Tracer()
+        with log.span("campaign"):
+            log.count("request:/v1/weeks", status=200)
+            log.count("request:/v1/weeks", status=200)
+        (row,) = log.diag_records
+        assert row.path == ("request:/v1/weeks",)
+        assert row.attrs == {"status": 200, "count": 2}
         assert log.records[0].path == ("campaign",)
 
     def test_ids_derive_from_trace_and_path(self):
         trace = trace_id_for("campaign", 7, "cw19-2023")
-        log = SpanLog()
-        root = log.span("campaign")
-        log.span("scan:cw19-2023").end()
-        root.end()
-        rows = span_rows(log.records, trace)
+        log = Tracer()
+        with log.span("campaign"):
+            log.span("scan:cw19-2023").end()
+        rows = trace_rows(log.records, trace)
         child, parent = rows
         assert child["trace"] == parent["trace"] == trace
         assert child["parent"] == parent["span"]
         assert parent["parent"] is None
         assert child["span"] == span_id_for(trace, ("campaign", "scan:cw19-2023"))
         # Re-deriving the same rows yields the same ids (idempotence).
-        assert span_rows(log.records, trace) == rows
+        assert trace_rows(log.records, trace) == rows
+
+    def test_jsonl_roundtrip_assigns_steps(self):
+        log = Tracer()
+        log.event("x", time_ms=2.0)
+        log.event("y", time_ms=1.0)  # local clocks may rewind
+        out = io.StringIO()
+        assert write_trace_jsonl(log.records, "feed", out) == 2
+        loaded, skipped = read_trace(io.StringIO(out.getvalue()))
+        assert skipped == 0
+        assert loaded == trace_rows(log.records, "feed")
+        assert [row["step"] for row in loaded] == [0, 1]
+        assert [row["start_ms"] for row in loaded] == [2.0, 1.0]
+        assert set(loaded[0]) == {
+            "step", "trace", "span", "parent", "name", "path",
+            "start_ms", "end_ms", "attrs",
+        }
 
     def test_render_summary_collapses_siblings(self):
-        log = SpanLog()
-        root = log.span("scan:cw20-2023")
-        for name in ("a", "b", "c"):
-            log.span(f"domain:{name}").end(5.0)
-        root.end()
-        text = render_span_summary(span_rows(log.records, "feed"))
+        log = Tracer()
+        with log.span("scan:cw20-2023"):
+            for name in ("a", "b", "c"):
+                log.span(f"domain:{name}").end(5.0)
+        text = render_summary({}, trace_rows(log.records, "feed"))
         assert "domain x3" in text
         assert "stage latency" in text
 
@@ -148,12 +214,12 @@ class TestScanSpans:
         self, tiny_population, targets, tmp_path
     ):
         """The tentpole acceptance: equal seeds, any sharding,
-        byte-identical deterministic span logs."""
+        byte-identical deterministic trace."""
         _, seq = self._scan(tiny_population, targets, 1, tmp_path / "w1")
         _, par = self._scan(tiny_population, targets, 4, tmp_path / "w4")
-        assert seq["spans"].read_bytes() == par["spans"].read_bytes()
+        assert seq["trace"].read_bytes() == par["trace"].read_bytes()
         # The diag stream is where sharding may (and does) differ.
-        diag = par["spans_diag"].read_text(encoding="utf-8")
+        diag = par["diag"].read_text(encoding="utf-8")
         assert "shard:" in diag
 
     def test_crash_resume_reuses_ids_without_duplicates(
@@ -162,7 +228,7 @@ class TestScanSpans:
         full, _ = self._scan(tiny_population, targets, 1, tmp_path / "full")
         reference = {
             row["span"]: row["path"]
-            for row in span_rows(full.spans.records, full.spans.trace_id)
+            for row in trace_rows(full.tracer.records, full.tracer.trace_id)
         }
         ckpt = tmp_path / "ckpt"
         self._scan(tiny_population, targets, 2, tmp_path / "first", str(ckpt))
@@ -172,7 +238,7 @@ class TestScanSpans:
         resumed, _ = self._scan(
             tiny_population, targets, 3, tmp_path / "resumed", str(ckpt)
         )
-        rows = span_rows(resumed.spans.records, resumed.spans.trace_id)
+        rows = trace_rows(resumed.tracer.records, resumed.tracer.trace_id)
         ids = [row["span"] for row in rows]
         assert len(ids) == len(set(ids)), "duplicate span ids after resume"
         # Content-derived ids: every resumed span is the same logical
@@ -208,13 +274,13 @@ class TestScanSpans:
         monkeypatch.setattr(scanner, "scan_shard", crash_in_second_shard)
         with pytest.raises(RuntimeError, match="simulated crash"):
             scanner.scan(domains=targets, checkpoint_dir=tmp_path / "ckpt")
-        assert telemetry.spans._stack == []
+        assert telemetry.tracer._stack == []
         assert telemetry.profiler._stack == []
         monkeypatch.setattr(scanner, "scan_shard", real)
         scanner.scan(domains=targets, checkpoint_dir=tmp_path / "ckpt")
         assert scanner.last_scan_stats["units"] == 2  # shard 0 came from disk
         retried = telemetry.save(tmp_path / "retried")
-        assert retried["spans"].read_bytes() == clean["spans"].read_bytes()
+        assert retried["trace"].read_bytes() == clean["trace"].read_bytes()
         assert telemetry.profiler._stack == []
 
 
@@ -235,8 +301,9 @@ class TestCampaignSpans:
 
     def test_pipeline_spans_parent_to_the_campaign_root(self, tmp_path):
         daemon, telemetry = self._run_once(tmp_path / "svc", 1)
-        rows = span_rows(telemetry.spans.records, telemetry.spans.trace_id)
-        assert telemetry.spans.trace_id == daemon.campaign_trace_id()
+        rows = trace_rows(telemetry.tracer.records, telemetry.tracer.trace_id)
+        assert telemetry.tracer.trace_id == daemon.campaign_trace_id()
+        assert len({row["span"] for row in rows}) == len(rows)
         by_id = {row["span"]: row for row in rows}
         roots = [row for row in rows if row["parent"] is None]
         assert [row["name"] for row in roots] == ["campaign"]
@@ -247,9 +314,9 @@ class TestCampaignSpans:
             assert walk["name"] == "campaign"
         stages = {row["name"].partition(":")[0] for row in rows}
         assert {
-            "campaign", "scan", "domain", "merge", "spool", "index",
-            "week", "status",
-        } <= stages
+            "campaign", "scan", "domain", "connection", "merge", "spool",
+            "index", "week", "status",
+        } == stages
 
     def test_campaign_span_log_identical_across_worker_counts(self, tmp_path):
         _, seq = self._run_once(tmp_path / "w1", 1)
@@ -257,7 +324,7 @@ class TestCampaignSpans:
         seq_paths = seq.save(tmp_path / "tele1")
         par_paths = par.save(tmp_path / "tele2")
         assert (
-            seq_paths["spans"].read_bytes() == par_paths["spans"].read_bytes()
+            seq_paths["trace"].read_bytes() == par_paths["trace"].read_bytes()
         )
 
 
@@ -301,17 +368,6 @@ class TestProfiler:
         with pytest.raises(RuntimeError, match="LIFO"):
             outer.__exit__(None, None, None)
         inner.__exit__(None, None, None)
-
-    def test_merge_sums_shard_accounts(self):
-        shards = []
-        for _ in range(2):
-            profiler = PhaseProfiler()
-            with profiler.phase("scan"):
-                profiler.charge(10.0)
-            shards.append(profiler)
-        merged = merge_profiles(shards)
-        assert merged.self_ms == {("scan",): 20.0}
-        assert merged.total_ms == 20.0
 
     def test_scan_profile_is_deterministic_and_covers_the_exchange(
         self, tiny_population
@@ -537,8 +593,10 @@ class TestObsCli:
         code = main(["telemetry", "summarize", str(service_dir / "telemetry")])
         assert code == 0
         text = capsys.readouterr().out
-        assert "spans:" in text
-        assert "campaign" in text
+        assert "trace:" in text
+        assert "\n  campaign\n    index x2\n      week x2\n" in text
+        assert "      domain x360\n        connection x" in text
+        assert "stage latency (simulated ms):\n  domain " in text
 
     def test_profile_sim_reports_phases(self, capsys):
         code = main(

@@ -42,13 +42,10 @@ def truth(population):
 
 
 def _unit_telemetry(start: int) -> tuple:
-    """A worker bundle whose one trace event names the unit's start."""
+    """A worker bundle whose one trace row names the unit's start."""
     bundle = Telemetry()
     bundle.tracer.event("unit", start=start)
-    return (
-        bundle.registry, bundle.tracer.events, bundle.tracer.diag_events,
-        bundle.spans.records, bundle.spans.diag_records,
-    )
+    return bundle.registry, bundle.tracer.records, bundle.tracer.diag_records
 
 
 class FakeFuture:
@@ -191,9 +188,9 @@ class TestStreamProperty:
         assert harness.saved == [start // chunk for start, _ in scanned]
         # Telemetry absorbed in emission order, loaded shards silent.
         assert [
-            event.attrs["start"]
-            for event in telemetry.tracer.events
-            if event.name == "unit"
+            record.attrs["start"]
+            for record in telemetry.tracer.records
+            if record.name == "unit"
         ] == [start for start, _ in scanned]
         # The window bounds what is outstanding, by the stream's own
         # count and by the harness's.

@@ -6,14 +6,22 @@ the cbr artifact, the sampled qlog JSONL, and the deterministic
 telemetry files (``trace.jsonl``, ``metrics.json``) — together they see
 every wire byte's consequence: packet numbers, spin bits and sizes in
 qlogs, RTT samples in records, per-role packet and spin-edge counters in
-metrics, retry/breaker decisions in the trace.
+metrics, per-domain outcomes and every connection attempt in the trace.
+
+The trace is additionally reconciled, row by row, with the counters and
+the dataset of the same run — so a change of the trace *format* can
+re-record the ``trace`` digest against the three digests that did not
+move instead of trusting its own output.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from repro.cli import main
+from repro.faults.taxonomy import FailureKind
+from repro.web.scanner import Scanner
 
 #: The ``scripts/chaos_smoke.sh`` fault plan.
 FAULTS = (
@@ -24,7 +32,7 @@ POPULATION = ["--czds", "700", "--toplist", "100", "--week", "cw20-2023"]
 FAULT_FREE = {
     "artifact": "f9ece2d1f1af9afb7945439dd999be575da49b5d5105aca9bade92f235ae269c",
     "qlog": "3ea30f7b420eb674c6d8094568573ef2a33c00568230472939fda54ce59a18c2",
-    "trace": "6d741debdefe6d43726130e06bb03db3864f95a00e9b5b09b5e69af4e2047bd0",
+    "trace": "ba6814054880cfdcd35ce8946d9eaa852b6818ba738e459e0014853ee7a1460f",
     "metrics": "f841ca10073e60a7a6e4976e841235ba6066f41da75031571c109e115008bed7",
 }
 
@@ -32,6 +40,13 @@ FAULT_FREE = {
 #: datapath was rebuilt — by running exactly these command lines.
 #: Regenerate only from a commit whose output is known good, never from
 #: the change under test.
+#:
+#: The one exception so far: the two ``trace`` values were re-recorded by
+#: PR 17 (the change on top of 5d061c1 that merged the span log into the
+#: trace and so changed the row format).  What licensed it is
+#: ``test_trace_reconciles_with_counters_and_dataset`` below, which ties
+#: every row of the new file to the ``artifact`` and ``metrics`` digests
+#: — those, and ``qlog``, were not edited.
 GOLDEN_SCANS = {
     "fault-free": ([], FAULT_FREE),
     "chaos": (
@@ -42,7 +57,7 @@ GOLDEN_SCANS = {
         {
             "artifact": "8135a24d928f1fabb767f9b6256444b890184724276f726750601de30b0096fb",
             "qlog": "120cda1bef3c9c8fe4b5fa97f4c750247c4318d067ac94095066adcfb41f7475",
-            "trace": "6f91c927604a24a07ecec8ce18f04da66df42dcb2b037a5e76b0ed844d8cc7a3",
+            "trace": "25ad4c47006788f7325ce9822200913cc1bd233fc30df4c986766edd5a9bae3c",
             "metrics": "f475f5b59380cec1a3d518e666a3ca717726345051c1f023256dacd3ecdcfb04",
         },
     ),
@@ -56,22 +71,128 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """``run(scenario) -> (directory, results)``, each command line run once.
+
+    ``results`` are the ``DomainScanResult``\\ s the CLI's own scan
+    stream yielded — the dataset whose connection records are the
+    pinned artifact.
+    """
+    runs = {}
+
+    def run(scenario):
+        if scenario not in runs:
+            out = tmp_path_factory.mktemp(scenario)
+            results = []
+            real = Scanner.scan_stream
+
+            def tee(self, *args, **kwargs):
+                for result in real(self, *args, **kwargs):
+                    results.append(result)
+                    yield result
+
+            command = [
+                "scan", *POPULATION, *GOLDEN_SCANS[scenario][0],
+                "--qlog-sample-rate", "0.05",
+                "--out", str(out / "scan.cbr"),
+                "--qlog-out", str(out / "qlog.jsonl"),
+                "--telemetry-out", str(out / "telemetry"),
+            ]
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(Scanner, "scan_stream", tee)
+                assert main(command) == 0
+            runs[scenario] = (out, results)
+        return runs[scenario]
+
+    return run
+
+
 @pytest.mark.parametrize("scenario", GOLDEN_SCANS)
-def test_golden_scan_bytes(scenario, tmp_path, capsys):
-    args, expected = GOLDEN_SCANS[scenario]
-    artifact = tmp_path / "scan.cbr"
-    qlog = tmp_path / "qlog.jsonl"
-    telemetry = tmp_path / "telemetry"
-    command = [
-        "scan", *POPULATION, *args, "--qlog-sample-rate", "0.05",
-        "--out", str(artifact), "--qlog-out", str(qlog),
-        "--telemetry-out", str(telemetry),
-    ]
-    assert main(command) == 0
-    capsys.readouterr()
+def test_golden_scan_bytes(scenario, golden_run):
+    out, _ = golden_run(scenario)
     assert {
-        "artifact": _sha256(artifact),
-        "qlog": _sha256(qlog),
-        "trace": _sha256(telemetry / "trace.jsonl"),
-        "metrics": _sha256(telemetry / "metrics.json"),
-    } == expected
+        "artifact": _sha256(out / "scan.cbr"),
+        "qlog": _sha256(out / "qlog.jsonl"),
+        "trace": _sha256(out / "telemetry" / "trace.jsonl"),
+        "metrics": _sha256(out / "telemetry" / "metrics.json"),
+    } == GOLDEN_SCANS[scenario][1]
+
+
+@pytest.mark.parametrize("scenario", ["fault-free", "chaos"])
+def test_trace_reconciles_with_counters_and_dataset(scenario, golden_run):
+    out, results = golden_run(scenario)
+    telemetry = out / "telemetry"
+    rows = [
+        json.loads(line)
+        for line in (telemetry / "trace.jsonl").read_text().splitlines()
+    ]
+    counters = json.loads((telemetry / "metrics.json").read_text())["counters"]
+    by_stage: dict[str, list[dict]] = {}
+    for row in rows:
+        by_stage.setdefault(row["name"].partition(":")[0], []).append(row)
+
+    # One row per fact: the scan, its merge, every domain and every
+    # connection attempt (both counters are bumped beside the emission,
+    # retries included).
+    assert set(by_stage) == {"scan", "merge", "domain", "connection"}
+    assert len(by_stage["scan"]) == len(by_stage["merge"]) == 1
+    assert len(by_stage["domain"]) == counters["scan.domains"] == len(results)
+    assert len(by_stage["connection"]) == counters["scan.connections"]
+    if scenario == "fault-free":
+        assert "scan.retries" not in counters
+        assert len(by_stage["connection"]) == sum(
+            len(result.connections) for result in results
+        )
+
+    # Ids are unique, every row reaches the one scan root, a connection
+    # hangs off its domain.
+    by_id = {row["span"]: row for row in rows}
+    assert len(by_id) == len(rows)
+    (root,) = by_stage["scan"]
+    assert root["parent"] is None
+    attempts: dict[str, list[dict]] = {}
+    for row in by_stage["connection"]:
+        domain_row = by_id[row["parent"]]
+        assert domain_row["name"].startswith("domain:")
+        attempts.setdefault(domain_row["name"], []).append(row)
+    for row in by_stage["domain"] + by_stage["merge"]:
+        assert row["parent"] == root["span"]
+    assert root["attrs"] == {
+        "ip_version": 4,
+        "domains": len(results),
+        "quic": sum(result.quic_support for result in results),
+    }
+
+    # Domain rows come in population order and say what the dataset
+    # says.  The trace describes the scan; the breaker rewrites results
+    # afterwards, so a short-circuited result has no counterpart.
+    assert [row["name"] for row in by_stage["domain"]] == [
+        f"domain:{result.domain.name}" for result in results
+    ]
+    compared = 0
+    for row, result in zip(by_stage["domain"], results):
+        tried = attempts.get(row["name"], [])
+        assert [r["name"] for r in tried] == [
+            f"connection:{n}" for n in range(len(tried))
+        ]
+        if result.failure is FailureKind.CIRCUIT_OPEN:
+            continue
+        compared += 1
+        assert row["attrs"] == {
+            "resolved": result.resolved,
+            "quic": result.quic_support,
+            "spins": result.shows_spin_activity,
+            "connections": len(result.connections),
+        }
+        if scenario == "fault-free":
+            assert [r["attrs"] for r in tried] == [
+                {"host": c.host, "status": c.status, "success": c.success}
+                for c in result.connections
+            ]
+            assert not tried or tried[-1]["end_ms"] == row["end_ms"]
+    assert compared == len(results) - sum(
+        value
+        for name, value in counters.items()
+        if name.startswith("scan.breaker_skipped")
+    )

@@ -26,6 +26,7 @@ from repro.service import (
     WeekIndexer,
     build_server,
 )
+from repro.telemetry import Telemetry
 
 CONFIG = ServiceConfig(
     seed=77,
@@ -105,29 +106,60 @@ class TestIndexerIdempotence:
     def test_crash_mid_fold_then_resume_is_byte_identical(
         self, daemon, tmp_path
     ):
-        """Kill the fold after the first week file; the resumed fold must
-        finish the remaining weeks without double-counting the first."""
-        entry = daemon.spool.artifacts()[0]
-        reference = WeekIndexer(tmp_path / "reference")
-        assert reference.fold_artifact(entry.path, entry.fingerprint)
+        """Kill the fold of a two-week artifact at every ``fault_hook``
+        event in turn, then fold again on the same indexer and
+        telemetry: the resumed fold finishes what is missing without
+        double-counting what is not, the span stack is back where it
+        was, and the trace names each step once, under the right
+        parent."""
+        spool = SpoolStore(tmp_path / "spool")
+        entry = submit(spool, spooled_records(daemon.spool))
+        events: list[str] = []
+        telemetry = Telemetry()
+        reference = WeekIndexer(
+            tmp_path / "reference", fault_hook=events.append, telemetry=telemetry
+        )
+        assert reference.fold_pending(spool) == [entry.fingerprint]
+        assert events == ["week-written", "week-written", "ledger-written"]
+        reference_paths = sorted(r.path for r in telemetry.tracer.records)
+        assert [path[-1].partition(":")[0] for path in reference_paths] == [
+            "index", "week", "week",
+        ]
 
         class Crash(RuntimeError):
             pass
 
-        def crash_after_first_week(event):
-            if event == "week-written":
-                raise Crash(event)
+        for crash_at, crash_event in enumerate(events):
+            seen: list[str] = []
 
-        crashed = WeekIndexer(
-            tmp_path / "crashed", fault_hook=crash_after_first_week
-        )
-        with pytest.raises(Crash):
-            crashed.fold_artifact(entry.path, entry.fingerprint)
-        assert entry.fingerprint not in crashed.ledger()
+            def crash_once(event):
+                seen.append(event)
+                if len(seen) == crash_at + 1:
+                    raise Crash(event)
 
-        resumed = WeekIndexer(tmp_path / "crashed")  # no hook: clean restart
-        assert resumed.fold_artifact(entry.path, entry.fingerprint)
-        assert index_bytes(resumed) == index_bytes(reference)
+            telemetry = Telemetry()
+            indexer = WeekIndexer(
+                tmp_path / f"crash-{crash_at}",
+                fault_hook=crash_once,
+                telemetry=telemetry,
+            )
+            with telemetry.tracer.span("campaign"):
+                with pytest.raises(Crash):
+                    indexer.fold_pending(spool)
+                assert telemetry.tracer._stack == ["campaign"]
+                assert (entry.fingerprint in indexer.ledger()) == (
+                    crash_event == "ledger-written"
+                )
+                indexer.fold_pending(spool)
+            # Every persistence point passed exactly once over both runs.
+            assert seen == events, crash_at
+            assert index_bytes(indexer) == index_bytes(reference), crash_at
+            *steps, campaign = [r.path for r in telemetry.tracer.records]
+            assert campaign == ("campaign",)
+            assert sorted(path[1:] for path in steps) == reference_paths, crash_at
+            counters = telemetry.registry.snapshot()["counters"]
+            assert counters["index.artifacts_folded"] == 1
+            assert counters["index.weeks_merged"] == 2
 
 
 class TestDaemon:
@@ -139,6 +171,42 @@ class TestDaemon:
         assert status["scanned_weeks"] == []
         assert status["folded_artifacts"] == []
         assert status["indexed_weeks"] == ["cw19-2023", "cw20-2023"]
+
+    @pytest.mark.parametrize(
+        "failing", ["spool.submit_bytes", "scanner.scan_shard"]
+    )
+    def test_crashed_tick_retries_to_the_uninterrupted_index_and_trace(
+        self, tmp_path, monkeypatch, failing
+    ):
+        """A tick whose second week fails — in the scan, or spooling its
+        artifact — leaves no span open; the next tick on the same daemon
+        and telemetry ends at the uninterrupted run's index bytes and
+        row paths."""
+        clean_telemetry = Telemetry()
+        clean = CampaignDaemon(tmp_path / "clean", CONFIG, telemetry=clean_telemetry)
+        clean.run_once()
+
+        telemetry = Telemetry()
+        daemon = CampaignDaemon(tmp_path / "crashed", CONFIG, telemetry=telemetry)
+        owner, method = failing.split(".")
+        real = getattr(getattr(daemon, owner), method)
+        calls = []
+
+        def fail_the_second_call(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("simulated crash")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(getattr(daemon, owner), method, fail_the_second_call)
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            daemon.run_once()
+        assert telemetry.tracer._stack == []
+        assert daemon.run_once()["indexed_weeks"] == ["cw19-2023", "cw20-2023"]
+        assert index_bytes(daemon.indexer) == index_bytes(clean.indexer)
+        paths = {record.path for record in telemetry.tracer.records}
+        assert paths == {record.path for record in clean_telemetry.tracer.records}
+        assert all(len(set(path)) == len(path) for path in paths)
 
     def test_scheduler_paces_ticks_on_the_simulated_clock(self, tmp_path):
         daemon = CampaignDaemon(
@@ -323,8 +391,6 @@ def submit(spool, records, week=None):
 @contextmanager
 def serving(directory):
     """An empty service directory behind a live API server."""
-    from repro.telemetry import Telemetry
-
     spool = SpoolStore(directory / "spool")
     state = ServiceState(
         spool, WeekIndexer(directory / "index"), telemetry=Telemetry()
@@ -542,7 +608,7 @@ class TestApiCache:
             while True:
                 diag = {
                     (record.name, record.attrs["status"], record.attrs["count"])
-                    for record in state.telemetry.spans.diag_records
+                    for record in state.telemetry.tracer.diag_records
                 }
                 if diag == expected or time.monotonic() > deadline:
                     break

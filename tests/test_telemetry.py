@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import json
 import subprocess
 import sys
@@ -15,11 +14,9 @@ from repro.monitor.traffic import TrafficConfig, TrafficMux
 from repro.telemetry import (
     MetricsRegistry,
     Telemetry,
-    Tracer,
-    read_trace,
     registry_to_prometheus,
     render_summary,
-    write_trace_jsonl,
+    trace_rows,
 )
 from repro.web.parallel import ParallelScanConfig
 from repro.web.scanner import ScanConfig, Scanner
@@ -62,13 +59,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="agg"):
             registry.gauge("hw", agg="sum")
 
-    def test_child_bakes_constant_labels(self):
-        registry = MetricsRegistry()
-        child = registry.child(shard="3")
-        child.counter("done").inc()
-        registry.merge(child)
-        assert registry.snapshot()["counters"]["done{shard=3}"] == 1
-
     def test_merge_equals_sequential(self):
         sequential = MetricsRegistry()
         shard_a, shard_b = MetricsRegistry(), MetricsRegistry()
@@ -83,34 +73,6 @@ class TestRegistry:
         merged.merge(shard_b)
         assert merged.snapshot() == sequential.snapshot()
         assert registry_to_prometheus(merged) == registry_to_prometheus(sequential)
-
-
-class TestTracer:
-    def test_event_streams_are_separate(self):
-        tracer = Tracer()
-        tracer.event("a", time_ms=1.0, k=1)
-        tracer.event("b", diag=True, shard=0)
-        assert [event.name for event in tracer.events] == ["a"]
-        assert [event.name for event in tracer.diag_events] == ["b"]
-
-    def test_span_emits_single_event(self):
-        tracer = Tracer()
-        with tracer.span("work", time_ms=5.0, unit="x") as span:
-            span.annotate(items=3)
-            span.end(time_ms=9.0)
-        (event,) = tracer.events
-        assert event.time_ms == 9.0
-        assert event.attrs == {"start_ms": 5.0, "unit": "x", "items": 3}
-
-    def test_jsonl_roundtrip_assigns_steps(self):
-        tracer = Tracer()
-        tracer.event("x", time_ms=2.0)
-        tracer.event("y", time_ms=1.0)  # local clocks may rewind
-        out = io.StringIO()
-        assert write_trace_jsonl(tracer.events, out) == 2
-        loaded = read_trace(io.StringIO(out.getvalue()))
-        assert [event["step"] for event in loaded] == [0, 1]
-        assert [event["name"] for event in loaded] == ["x", "y"]
 
 
 class TestExport:
@@ -132,10 +94,13 @@ class TestExport:
         registry = MetricsRegistry()
         registry.counter("c").inc(2)
         registry.histogram("h").observe(5.0)
+        telemetry = Telemetry()
+        for unit in ("a", "b"):
+            telemetry.tracer.event(f"e:{unit}", time_ms=1.0)
         text = render_summary(
-            registry.snapshot(), [{"name": "e"}, {"name": "e"}]
+            registry.snapshot(), trace_rows(telemetry.tracer.records, "feed")
         )
-        assert "trace: 2 events" in text
+        assert "trace: 2 rows (trace feed)" in text
         assert "e x2" in text
         assert "c" in text and "2" in text
         assert "count=1" in text
@@ -147,11 +112,12 @@ class TestExport:
         telemetry.tracer.event("e", time_ms=1.0)
         telemetry.tracer.event("d", diag=True)
         paths = telemetry.save(tmp_path / "tele")
-        for key in ("trace", "diag", "snapshot", "prom"):
-            assert paths[key].is_file()
+        assert set(paths) == {"trace", "diag", "snapshot", "prom"}
+        assert sorted(path.name for path in (tmp_path / "tele").iterdir()) == [
+            "diag.jsonl", "metrics.json", "metrics.prom", "trace.jsonl",
+        ]
         snapshot = json.loads(paths["snapshot"].read_text())
         assert snapshot["counters"]["n"] == 1
-        assert "telemetry" not in telemetry.summary_text()  # renders content
 
 
 class TestScanTelemetry:
@@ -200,15 +166,14 @@ class TestScanTelemetry:
             1 for record in dataset.connection_records() if record.success
         )
         assert counters.get("scan.handshakes{outcome=success}", 0) == successes
-        # One deterministic trace event per domain plus scan.begin.
-        domain_events = [
-            event
-            for event in telemetry.tracer.events
-            if event.name == "scan.domain"
-        ]
-        assert len(domain_events) == len(targets)
-        assert telemetry.tracer.events[0].name == "scan.begin"
-        assert "workers" not in telemetry.tracer.events[0].attrs
+        # One deterministic trace row per domain and per connection,
+        # under the scan's row.
+        records = telemetry.tracer.records
+        stages = [record.name.partition(":")[0] for record in records]
+        assert stages.count("domain") == len(targets)
+        assert stages.count("connection") == counters["scan.connections"]
+        assert records[-1].name == "scan:cw20-2023"
+        assert "workers" not in records[-1].attrs
 
     def test_telemetry_off_costs_nothing_semantically(
         self, tiny_population, targets
@@ -243,13 +208,19 @@ class TestMonitorTelemetry:
             == summary.samples.get("count", 0)
         )
 
-        window_events = [
-            event
-            for event in telemetry.tracer.events
-            if event.name == "monitor.window"
-        ]
-        assert len(window_events) == summary.windows
-        assert telemetry.tracer.events[-1].name == "monitor.summary"
+        *windows, monitor = telemetry.tracer.records
+        assert len(windows) == summary.windows
+        assert all(
+            len(row.path) == 2 and row.path[0] == "monitor" for row in windows
+        )
+        indices = [int(row.name.removeprefix("window:")) for row in windows]
+        assert indices == sorted(set(indices))
+        assert sum(row.attrs["datagrams"] for row in windows) == summary.datagrams
+        assert monitor.path == ("monitor",)
+        assert monitor.end_ms == summary.duration_ms
+        assert monitor.attrs["flows_created"] == summary.flows_created
+        assert monitor.attrs["samples"] == summary.samples.get("count", 0)
+        assert telemetry.tracer._stack == []
 
     def test_custom_window_binning_folds_in(self):
         from repro.monitor.aggregate import WindowConfig
@@ -370,3 +341,54 @@ class TestDeterminismLint:
         assert "observer.py:7" in result.stderr
         assert "observer.py:1:" not in result.stderr
         assert "oracle.py" not in result.stderr
+
+
+class TestOneTraceModel:
+    """AST gate (same lint): outside ``repro.telemetry`` rows enter the
+    trace through ``span`` / ``event`` / ``count`` / ``absorb`` only."""
+
+    def test_hand_built_rows_outside_telemetry_are_caught(self, tmp_path):
+        source = (
+            "from repro.telemetry import TraceRecord\n"
+            "def f(telemetry, rows):\n"
+            "    row = TraceRecord(('x',), 0.0, 0.0, {})\n"
+            "    telemetry.tracer.records.append(row)\n"
+            "    telemetry.tracer.diag_records += rows\n"
+            "    telemetry.tracer.records[0] = row\n"
+            "    telemetry.tracer.event('x')\n"
+            "    return len(telemetry.tracer.records)\n"
+        )
+        for layer, name in (("service", "api.py"), ("telemetry", "trace.py")):
+            directory = tmp_path / "repro" / layer
+            directory.mkdir(parents=True)
+            (directory / name).write_text(source, encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, str(TestDeterminismLint.LINT), str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        for line in (3, 4, 5, 6):
+            assert f"api.py:{line}:" in result.stderr
+        for line in (1, 7, 8):
+            assert f"api.py:{line}:" not in result.stderr
+        # The model's own package is where rows are built.
+        assert "trace.py" not in result.stderr
+
+    def test_the_trace_writer_is_a_linted_jsonl_loop(self, tmp_path):
+        """``telemetry`` is a JSON-in-loop layer; its one writer opts out."""
+        export = REPO_ROOT / "src" / "repro" / "telemetry" / "export.py"
+        text = export.read_text(encoding="utf-8")
+        assert text.count("# jsonl-ok") == 1
+        directory = tmp_path / "repro" / "telemetry"
+        directory.mkdir(parents=True)
+        (directory / "export.py").write_text(
+            text.replace("# jsonl-ok", "#"), encoding="utf-8"
+        )
+        result = subprocess.run(
+            [sys.executable, str(TestDeterminismLint.LINT), str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        assert result.stderr.count("export.py:") == 1
