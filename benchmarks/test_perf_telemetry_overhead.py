@@ -1,16 +1,19 @@
 """Telemetry overhead: instrumented vs. bare scan and monitor runs.
 
 The telemetry plane (:mod:`repro.telemetry`) is threaded through every
-hot path — the simulator loop, the QUIC endpoints, the flow table —
-guarded by ``is None`` checks and pre-bound series objects.  This
-benchmark quantifies what turning it on costs: scan throughput
-(domains/sec) and monitor ingest (datagrams/sec) are measured with
-telemetry off and on.  The scan slowdown must stay under 10 %; the
-monitor arm is gated on what telemetry *adds* per 1 000 datagrams,
-because its counters are a fixed cost per datagram and a ratio would
-charge them for every speed-up of the observer underneath (PR 12 made
-ingestion more than 3x cheaper without touching them).  The monitor limit is
-the old 10 % restated against the run last recorded under the ratio
+stage and called unconditionally: off is a shared bundle that records
+nothing, and the per-packet paths — the simulator loop, the QUIC
+endpoints, the flow table — count in their own ints, which the owner
+exports where its span closes.  This benchmark quantifies what turning
+it on costs: scan throughput (domains/sec) and monitor ingest
+(datagrams/sec) are measured with telemetry off and on.  The scan
+slowdown must stay under 10 %; the monitor arm is gated on what
+telemetry *adds* per 1 000 datagrams, because its counters were a fixed
+cost per datagram when the gate was set (PR 18 moved them to one export
+per run) and a ratio would have charged them for every speed-up of the
+observer underneath (PR 12 made ingestion more than 3x cheaper without
+touching them).  The monitor limit is the old 10 % restated against the
+run last recorded under the ratio
 gate (0.84 s for 8 089 datagrams, ``BENCH_telemetry_overhead.json`` at
 e57b132): 10.4 ms per 1 000 datagrams, traffic generation included.
 

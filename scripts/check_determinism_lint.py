@@ -35,6 +35,14 @@ Which further rules apply to which layer (directory under
   ``diag_records`` list — rows enter the log through ``Tracer.span`` /
   ``event`` / ``count`` / ``absorb`` only, so a second model of the
   same facts cannot grow back beside the first.
+* One path per site (PR 18): outside ``telemetry`` nothing asks whether
+  anyone is listening.  Comparing a telemetry handle with ``None`` — a
+  name or attribute called ``telemetry``, ``registry``, ``tracer``,
+  ``profiler``, ``metrics`` or ``metered``, ending in ``span`` or
+  starting with ``_m_`` — and any use of ``contextlib.nullcontext`` are
+  flagged: owners resolve ``telemetry=None`` once
+  (``Telemetry.resolve``) and then report unconditionally.  No pragma
+  opts out.
 
 Benchmarks (``benchmarks/``) legitimately measure wall-clock and are
 not scanned.  A source line may opt out with the pattern's pragma when
@@ -164,14 +172,55 @@ def hand_built_trace_rows(text: str) -> list[int]:
     return sorted(numbers)
 
 
+#: Names under which code holds a telemetry handle (bundle, registry,
+#: tracer, profiler, bound series, span).
+_LISTENER_NAMES = frozenset(
+    {"telemetry", "registry", "tracer", "profiler", "metrics", "metered"}
+)
+
+
+def _names_a_listener(node: ast.AST) -> bool:
+    name = getattr(node, "id", None) or getattr(node, "attr", None) or ""
+    return (
+        name in _LISTENER_NAMES or name.endswith("span") or name.startswith("_m_")
+    )
+
+
+def _is_none(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def listener_guards(text: str) -> list[int]:
+    """``is None`` tests of a telemetry handle, and ``nullcontext``."""
+    numbers = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            guarded = (
+                any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+                and any(map(_is_none, operands))
+                and any(map(_names_a_listener, operands))
+            )
+        elif isinstance(node, ast.ImportFrom):
+            guarded = any(alias.name == "nullcontext" for alias in node.names)
+        else:
+            guarded = "nullcontext" in (
+                getattr(node, "id", None), getattr(node, "attr", None)
+            )
+        if guarded:
+            numbers.add(node.lineno)
+    return sorted(numbers)
+
+
 #: What every file is held to; a layer (directory under ``repro/``) not
 #: listed below gets exactly this.
-_EVERYWHERE = (forbidden_lines, hand_built_trace_rows)
+_EVERYWHERE = (forbidden_lines, hand_built_trace_rows, listener_guards)
 
 #: layer → its rules.  The JSON-in-loop layers are the hot paths (the
 #: scan engine's shard scheduler, cbr IPC and checkpoint writer must
 #: never fall back to per-record JSON); ``telemetry`` owns the trace
-#: model, so it alone may build rows.
+#: model and the off state, so it alone may build rows and test a
+#: handle for ``None``.
 LAYER_RULES = {
     "analysis": _EVERYWHERE + (json_in_loops,),
     "core": _EVERYWHERE + (endpoint_decoder_uses,),
@@ -225,7 +274,10 @@ def main(argv: list[str] | None = None) -> int:
             f"itself opts out with '# {JSONLOOP_PRAGMA}'; on-path code under "
             "core/ and monitor/ reads datagrams with repro.quic.onpath, not "
             "decode_datagram/decode_frames; trace rows enter the log through "
-            "Tracer.span/event/count/absorb, only repro.telemetry builds them)",
+            "Tracer.span/event/count/absorb, only repro.telemetry builds them; "
+            "a telemetry handle is never compared with None and nullcontext is "
+            "never used — Telemetry.resolve(None) is the off bundle, call it "
+            "unconditionally)",
             file=sys.stderr,
         )
         return 1

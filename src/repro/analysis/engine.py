@@ -41,9 +41,14 @@ from __future__ import annotations
 from typing import Any, Iterable, Protocol, Sequence
 
 from repro.artifacts.cbr import RecordBatch
+from repro.telemetry import Telemetry
 from repro.web.scanner import ConnectionRecord
 
-__all__ = ["AnalysisEngine", "RecordFold", "build_record_folds"]
+__all__ = ["RECORD_SECTIONS", "AnalysisEngine", "RecordFold", "build_record_folds"]
+
+#: The record-based analysis sections, in report order — the one list
+#: the CLI's ``--section`` choices and ``/v1/analyze`` read.
+RECORD_SECTIONS = ("orgs", "webservers", "accuracy", "versions", "filters", "failures")
 
 
 class RecordFold(Protocol):
@@ -64,10 +69,11 @@ class AnalysisEngine:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate fold names: {names}")
         self.folds = list(folds)
-        #: Optional :class:`repro.telemetry.Telemetry`; when its
-        #: ``profiler`` is set, per-fold self time is attributed under
+        #: :class:`repro.telemetry.Telemetry` (``None``: off); with its
+        #: ``profiler`` set, per-fold self time is attributed under
         #: ``fold:<section>`` phases (``repro profile --analyze``).
-        self.telemetry = telemetry
+        self.telemetry = Telemetry.resolve(telemetry)
+        self._phased_folds = [(f"fold:{fold.name}", fold) for fold in self.folds]
 
     @property
     def needs_edges_received(self) -> bool:
@@ -96,49 +102,26 @@ class AnalysisEngine:
         ``stats`` (a :class:`~repro.analysis.query.QueryStats`) counts
         scanned and matched records when given.
         """
-        folds = self.folds
-        profiler = (
-            self.telemetry.profiler if self.telemetry is not None else None
-        )
-        if profiler is not None:
-            return self._run_profiled(batches, predicate, stats, profiler)
-        if predicate is not None or stats is not None:
-            from repro.analysis.query import filter_batch
-
-            for batch in batches:
-                matched = filter_batch(batch, predicate, stats)
-                if matched:
-                    for fold in folds:
-                        fold.update_many(matched)
-        else:
-            for batch in batches:
-                batch = RecordBatch.coerce(batch)
-                for fold in folds:
-                    fold.update_many(batch)
-        return {fold.name: fold.finish() for fold in folds}
-
-    def _run_profiled(self, batches, predicate, stats, profiler):
-        """The profiling twin of :meth:`run`: same results, per-fold
-        phases.  A separate loop so the unprofiled hot path stays free
-        of per-batch-per-fold context managers."""
         from repro.analysis.query import filter_batch
 
-        folds = self.folds
-        with profiler.phase("analyze"):
+        phase = self.telemetry.phase
+        folds = self._phased_folds
+        filtered = predicate is not None or stats is not None
+        with phase("analyze"):
             for batch in batches:
-                if predicate is not None or stats is not None:
-                    with profiler.phase("filter"):
+                if filtered:
+                    with phase("filter"):
                         batch = filter_batch(batch, predicate, stats)
                 else:
                     batch = RecordBatch.coerce(batch)
                 if not batch:
                     continue
-                for fold in folds:
-                    with profiler.phase(f"fold:{fold.name}"):
+                for name, fold in folds:
+                    with phase(name):
                         fold.update_many(batch)
             results = {}
-            for fold in folds:
-                with profiler.phase(f"fold:{fold.name}"):
+            for name, fold in folds:
+                with phase(name):
                     results[fold.name] = fold.finish()
         return results
 
@@ -162,7 +145,7 @@ def build_record_folds(sections: Iterable[str], asdb=None) -> list[RecordFold]:
         sections = (sections,)
     wanted = set(sections)
     if "all" in wanted:
-        wanted |= {"orgs", "webservers", "accuracy", "versions", "filters", "failures"}
+        wanted.update(RECORD_SECTIONS)
     folds: list[RecordFold] = []
     if "orgs" in wanted:
         if asdb is None:
@@ -180,9 +163,7 @@ def build_record_folds(sections: Iterable[str], asdb=None) -> list[RecordFold]:
         folds.append(FilterFold())
     if "failures" in wanted:
         folds.append(FailureFold())
-    unknown = wanted - {
-        "all", "orgs", "webservers", "accuracy", "versions", "filters", "failures",
-    }
+    unknown = wanted - {"all", *RECORD_SECTIONS}
     if unknown:
         raise ValueError(f"unknown analysis sections: {sorted(unknown)}")
     return folds

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from repro.artifacts.cbr import RecordBatch, bloom_might_contain, week_serial
+from repro.telemetry import Telemetry
 from repro.web.scanner import ConnectionRecord
 
 __all__ = [
@@ -155,10 +156,6 @@ class Predicate:
     def select(self, batch: RecordBatch, rows: Iterable[int]) -> list[int]:
         """Those of ``rows`` (row numbers of ``batch``) that match, in order."""
         raise NotImplementedError
-
-    def matches(self, record: ConnectionRecord) -> bool:
-        """Whether one record matches: :meth:`select` over a one-row batch."""
-        return bool(self.select(RecordBatch.from_records([record]), (0,)))
 
     def prune(self, zone: dict) -> bool:
         """``True`` only when ``zone`` proves no record can match."""
@@ -492,9 +489,7 @@ class QueryStats:
 
     def emit(self, telemetry) -> None:
         """Publish the counters through a ``repro.telemetry`` bundle."""
-        if telemetry is None:
-            return
-        registry = telemetry.registry
+        registry = Telemetry.resolve(telemetry).registry
         registry.counter("query.chunks_total").inc(self.chunks_total)
         registry.counter("query.chunks_pruned").inc(self.chunks_pruned)
         registry.counter("query.records_scanned").inc(self.records_scanned)

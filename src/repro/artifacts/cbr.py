@@ -1169,10 +1169,10 @@ class CbrWriter:
     by domain; chunks flush on whole-domain boundaries).  ``close``
     writes the footer index and trailer.
 
-    ``zone_maps`` and ``domain_index`` control the footer's pruning
-    sections (both default on; they cost encode-side set building, no
-    chunk bytes).  ``compat_v1`` writes the exact pre-zone-map container
-    (version byte 1, no week column, schema-1 footer) — it exists so
+    The footer always carries the pruning sections (zone maps, domain
+    index: encode-side set building, no chunk bytes) — except under
+    ``compat_v1``, which writes the exact pre-zone-map container
+    (version byte 1, no week column, schema-1 footer) and exists so
     compatibility tests and tooling can fabricate legacy artifacts.
     """
 
@@ -1181,8 +1181,6 @@ class CbrWriter:
         stream: IO[bytes],
         chunk_records: int = _DEFAULT_CHUNK_RECORDS,
         kind: int = KIND_RECORDS,
-        zone_maps: bool = True,
-        domain_index: bool = True,
         compat_v1: bool = False,
     ) -> None:
         if chunk_records < 1:
@@ -1191,8 +1189,6 @@ class CbrWriter:
         self._chunk_records = chunk_records
         self._kind = kind
         self._compat_v1 = compat_v1
-        self._zone_maps = zone_maps and not compat_v1
-        self._domain_index = domain_index and not compat_v1
         self._records: list[ConnectionRecord] = []
         self._domains: list = []
         self._offset = 0
@@ -1235,9 +1231,8 @@ class CbrWriter:
         )
         n = len(self._records)
         ordinal = len(self._chunks)
-        if self._zone_maps:
+        if not self._compat_v1:
             self._zones.append(_zone_entry(self._records))
-        if self._domain_index:
             ordinals = self._domain_ordinals
             for name in {record.domain for record in self._records}:
                 buckets = ordinals.setdefault(_domain_hash_bytes(name), [])
@@ -1264,10 +1259,9 @@ class CbrWriter:
             "kind": self._kind,
             "chunks": self._chunks,
         }
-        if self._zone_maps:
+        if not self._compat_v1:
             footer["zones"] = self._zones
             footer["bloom"] = {"hashes": _BLOOM_HASHES}
-        if self._domain_index:
             # Sorted rows keep the index bytes independent of insertion
             # order and make the lookup a binary search.
             footer["domain_index"] = _write_index_frame(

@@ -51,6 +51,8 @@ __all__ = ["main"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.analysis.engine import RECORD_SECTIONS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Does It Spin?' (IMC 2023): scan a "
@@ -178,10 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--section",
-        choices=(
-            "orgs", "webservers", "accuracy", "versions", "filters",
-            "failures", "migration", "all",
-        ),
+        choices=(*RECORD_SECTIONS, "migration", "all"),
         default="all",
     )
     analyze.add_argument(
@@ -620,20 +619,18 @@ def _resilience_from_args(args):
     )
 
 
-def _make_telemetry(telemetry_out: str | None):
-    """A Telemetry bundle when ``--telemetry-out`` was given, else None."""
-    if not telemetry_out:
-        return None
+def _make_telemetry(on):
+    """A live Telemetry bundle if ``on`` (``--telemetry-out`` was given),
+    else the off one — the one place the CLI decides between the two."""
     from repro.telemetry import Telemetry
 
-    return Telemetry()
+    return Telemetry.resolve(Telemetry() if on else None)
 
 
 def _save_telemetry(telemetry, telemetry_out: str | None) -> None:
-    if telemetry is None:
-        return
-    telemetry.save(telemetry_out)
-    print(f"telemetry written to {telemetry_out}", file=sys.stderr)
+    if telemetry_out:
+        telemetry.save(telemetry_out)
+        print(f"telemetry written to {telemetry_out}", file=sys.stderr)
 
 
 def _parallel_config(
@@ -1327,7 +1324,9 @@ def _cmd_service(args: argparse.Namespace) -> int:
     command = getattr(args, "service_command", "serve")
     if command in ("run-once", "serve"):
         config = _service_config_from_args(args)
-        telemetry = _make_telemetry(getattr(args, "telemetry_out", None))
+        # A server's telemetry is what /v1/metrics, /v1/status and
+        # /v1/spans answer with (and is never saved), so it is always on.
+        telemetry = _make_telemetry(args.telemetry_out or command == "serve")
         try:
             daemon = CampaignDaemon(args.dir, config, telemetry=telemetry)
         except OSError as error:
@@ -1370,8 +1369,7 @@ def _cmd_service(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
     folded = indexer.fold_pending(spool)
-    if telemetry is not None:
-        telemetry.registry.counter("service.artifacts_folded").inc(len(folded))
+    telemetry.registry.counter("service.artifacts_folded").inc(len(folded))
     _save_telemetry(telemetry, args.telemetry_out)
     print(
         json.dumps(

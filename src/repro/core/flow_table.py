@@ -69,12 +69,14 @@ class FlowRecord:
 
 @dataclass(slots=True)
 class FlowTableStats:
-    """Table health counters (the monitor's gauge/counter export).
+    """Table health counters: plain ints, the table's only count.
 
-    ``flows_evicted`` counts capacity evictions, ``flows_expired`` idle
-    timeouts, ``overflow_drops`` packets discarded under the
-    ``drop-new`` policy because the table was full.  ``peak_flows`` is
-    the high-water mark of resident flows.
+    The per-datagram path bumps them and makes no telemetry call;
+    ``MonitorPipeline.finish`` copies them into the ``flow_table.*``
+    series.  ``flows_evicted`` counts capacity evictions,
+    ``flows_expired`` idle timeouts, ``overflow_drops`` packets discarded
+    under the ``drop-new`` policy because the table was full.
+    ``peak_flows`` is the high-water mark of resident flows.
     """
 
     datagrams: int = 0
@@ -142,17 +144,6 @@ class SpinFlowTable:
         "evicted",
         "stats",
         "_next_sweep_ms",
-        "_m_datagrams",
-        "_m_parse_errors",
-        "_m_packets",
-        "_m_short_packets",
-        "_m_created",
-        "_m_evicted",
-        "_m_expired",
-        "_m_drops",
-        "_m_sweeps",
-        "_m_active",
-        "_m_peak",
     )
 
     def __init__(
@@ -166,7 +157,6 @@ class SpinFlowTable:
         on_retire: Callable[[FlowRecord, str], None] | None = None,
         on_packet: Callable[[FlowRecord, float], None] | None = None,
         resolver: FlowKeyResolver | None = None,
-        metrics=None,
     ):
         if max_flows < 1:
             raise ValueError("max_flows must be positive")
@@ -194,35 +184,6 @@ class SpinFlowTable:
         self.stats = FlowTableStats()
         #: Stream time before which no idle sweep runs (amortization).
         self._next_sweep_ms = float("-inf")
-        # Telemetry bindings (repro.telemetry.MetricsRegistry): the
-        # registry is the metrics plane; ``stats`` remains the
-        # snapshot-schema source so existing exports stay byte-stable.
-        if metrics is not None:
-            self._m_datagrams = metrics.counter("flow_table.datagrams")
-            self._m_parse_errors = metrics.counter("flow_table.parse_errors")
-            self._m_packets = metrics.counter("flow_table.packets")
-            self._m_short_packets = metrics.counter(
-                "flow_table.short_header_packets"
-            )
-            self._m_created = metrics.counter("flow_table.flows_created")
-            self._m_evicted = metrics.counter("flow_table.flows_evicted")
-            self._m_expired = metrics.counter("flow_table.flows_expired")
-            self._m_drops = metrics.counter("flow_table.overflow_drops")
-            self._m_sweeps = metrics.counter("flow_table.idle_sweeps")
-            self._m_active = metrics.gauge("flow_table.active_flows")
-            self._m_peak = metrics.gauge("flow_table.peak_flows", agg="max")
-        else:
-            self._m_datagrams = None
-            self._m_parse_errors = None
-            self._m_packets = None
-            self._m_short_packets = None
-            self._m_created = None
-            self._m_evicted = None
-            self._m_expired = None
-            self._m_drops = None
-            self._m_sweeps = None
-            self._m_active = None
-            self._m_peak = None
 
     @property
     def parse_errors(self) -> int:
@@ -251,10 +212,7 @@ class SpinFlowTable:
         """
         stats = self.stats
         resolver = self.resolver
-        metered = self._m_datagrams is not None
         stats.datagrams += 1
-        if metered:
-            self._m_datagrams.inc()
         if time_ms >= self._next_sweep_ms:
             self._expire_idle(time_ms)
         dcid_length = self.short_dcid_length
@@ -277,14 +235,10 @@ class SpinFlowTable:
                 if resolver.classify_non_quic(data, tuple4) == "tcp":
                     return  # classified, not an error
             stats.parse_errors += 1
-            if metered:
-                self._m_parse_errors.inc()
             return
         if resolver is not None:
             resolver.note_quic_datagram()
         stats.packets += packets
-        if metered:
-            self._m_packets.inc(packets)
         if short_at < 0:
             return  # long headers and version negotiation carry no flow data
         first = data[short_at]
@@ -304,12 +258,8 @@ class SpinFlowTable:
             flow = self._admit(key, time_ms)
             if flow is None:
                 stats.overflow_drops += 1
-                if metered:
-                    self._m_drops.inc()
                 return
         stats.short_header_packets += 1
-        if metered:
-            self._m_short_packets.inc()
         flow.last_seen_ms = time_ms
         flow.packets += 1
         # Packet-number reconstruction, RFC 9000 Appendix A.3 (the same
@@ -354,8 +304,6 @@ class SpinFlowTable:
             # Front of the OrderedDict is the least recently seen flow.
             _, lru = self.flows.popitem(last=False)
             self.stats.flows_evicted += 1
-            if self._m_evicted is not None:
-                self._m_evicted.inc()
             self._retire(lru, "evicted")
         if self.observer_factory is not None:
             observer = self.observer_factory(key)
@@ -373,22 +321,15 @@ class SpinFlowTable:
         self.stats.flows_created += 1
         if len(self.flows) > self.stats.peak_flows:
             self.stats.peak_flows = len(self.flows)
-        if self._m_created is not None:
-            self._m_created.inc()
-            self._m_active.set(len(self.flows))
-            self._m_peak.set_max(len(self.flows))
         return flow
 
     def _expire_idle(self, now_ms: float) -> None:
         self._next_sweep_ms = now_ms + self.idle_timeout_ms / 4.0
         self.stats.idle_sweeps += 1
-        if self._m_sweeps is not None:
-            self._m_sweeps.inc()
         deadline = now_ms - self.idle_timeout_ms
         flows = self.flows
         # Recency order means stale flows cluster at the front; stop at
         # the first fresh one instead of sweeping the whole table.
-        expired = 0
         while flows:
             key = next(iter(flows))
             flow = flows[key]
@@ -396,11 +337,7 @@ class SpinFlowTable:
                 break
             del flows[key]
             self.stats.flows_expired += 1
-            expired += 1
             self._retire(flow, "expired")
-        if expired and self._m_expired is not None:
-            self._m_expired.inc(expired)
-            self._m_active.set(len(flows))
 
     def _retire(self, flow: FlowRecord, reason: str) -> None:
         if self.resolver is not None:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
 from repro.faults.taxonomy import FailureKind
+from repro.telemetry import Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.web.scanner import DomainScanResult
@@ -181,6 +182,5 @@ def apply_circuit_breaker(
     """
     run = BreakerPass(policy, key_of)
     results[:] = [run.step(result) for result in results]
-    if telemetry is not None:
-        run.flush(telemetry)
+    run.flush(Telemetry.resolve(telemetry))
     return run.breakers

@@ -21,6 +21,7 @@ from repro.core.flow_table import FlowRecord, SpinFlowTable
 from repro.core.observer import StreamingSpinObserver
 from repro.monitor.aggregate import WindowAggregator, WindowConfig, WindowSnapshot
 from repro.monitor.traffic import TapDatagram
+from repro.telemetry import Telemetry
 
 __all__ = ["MonitorConfig", "MonitorPipeline", "MonitorSummary"]
 
@@ -110,12 +111,13 @@ class MonitorPipeline:
     ):
         self.config = config or MonitorConfig()
         self.on_snapshot = on_snapshot
-        #: Optional :class:`repro.telemetry.Telemetry` bundle: the flow
-        #: table reports into its registry, ``finish()`` records the run
-        #: and its windows as trace rows (stamped with *stream* time) and
-        #: folds the lifetime RTT histogram into the ``monitor.rtt_ms``
-        #: series — zero per-sample hot-path cost.
-        self.telemetry = telemetry
+        #: :class:`repro.telemetry.Telemetry` bundle (``None``: off).  The
+        #: run is one ``monitor`` row, open from here to ``finish()``, with
+        #: a ``window:<i>`` child per published window, on *stream* time.
+        #: ``process`` makes no telemetry call: ``finish()`` copies the flow
+        #: table's and resolver's counts and the lifetime RTT histogram out.
+        self.telemetry = Telemetry.resolve(telemetry)
+        self._span = self.telemetry.tracer.span("monitor")
         self.aggregator = WindowAggregator(self.config.window)
         self.resolver = (
             FlowKeyResolver(cid_linkage=self.config.cid_linkage)
@@ -132,7 +134,6 @@ class MonitorPipeline:
             on_retire=self._on_retire,
             on_packet=self._on_packet,
             resolver=self.resolver,
-            metrics=telemetry.registry if telemetry is not None else None,
         )
         self._last_time_ms = 0.0
         self._spin_flows_retired = 0
@@ -140,9 +141,6 @@ class MonitorPipeline:
         #: stood when it opened (see ``_open_window``).
         self._window = None
         self._stats_at_open = None
-        #: With telemetry on: (index, end_ms, datagrams, samples) of each
-        #: published window, until ``finish`` records them.
-        self._closed_windows: list[tuple] = []
 
     # -- ingestion ------------------------------------------------------
 
@@ -157,9 +155,10 @@ class MonitorPipeline:
     def process_stream(self, stream: Iterable[TapDatagram]) -> MonitorSummary:
         """Consume an entire tap stream and return the final summary."""
         process = self.process
-        for tap in stream:
-            process(tap.time_ms, tap.data, getattr(tap, "tuple4", None))
-        return self.finish()
+        with self._span:  # a stream that raises leaves no ``monitor`` row open
+            for tap in stream:
+                process(tap.time_ms, tap.data, getattr(tap, "tuple4", None))
+            return self.finish()
 
     def finish(self) -> MonitorSummary:
         """Flush the trailing window and compute the run summary."""
@@ -190,65 +189,40 @@ class MonitorPipeline:
                 self.resolver.counters() if self.resolver is not None else None
             ),
         )
-        if self.telemetry is not None:
-            registry = self.telemetry.registry
-            lifetime = self.aggregator.lifetime
-            metric = registry.histogram("monitor.rtt_ms")
-            if metric.hist.count == 0 and (
-                metric.hist.min_value,
-                metric.hist.max_value,
-                metric.hist.bins_per_decade,
-            ) != (
-                lifetime.min_value,
-                lifetime.max_value,
-                lifetime.bins_per_decade,
+        registry = self.telemetry.registry
+        for name, count in stats.as_dict().items():
+            if name != "peak_flows":
+                registry.counter(f"flow_table.{name}").inc(count)
+        registry.gauge("flow_table.active_flows").set(len(self.table.flows))
+        registry.gauge("flow_table.peak_flows", agg="max").set_max(stats.peak_flows)
+        registry.histogram("monitor.rtt_ms").absorb(self.aggregator.lifetime)
+        registry.counter("monitor.spin_flows").inc(spin_flows)
+        self._span.annotate(
+            windows=summary.windows,
+            datagrams=summary.datagrams,
+            flows_created=summary.flows_created,
+            spin_flows=spin_flows,
+            samples=summary.samples.get("count", 0),
+        )
+        if self.resolver is not None:
+            resolver = self.resolver
+            registry.counter("monitor.flows_migrated").inc(resolver.flows_migrated)
+            registry.counter("monitor.flows_split").inc(resolver.flows_split)
+            registry.counter("monitor.rebinds_seen").inc(resolver.rebinds_seen)
+            for transport, count in (
+                ("quic", resolver.quic_datagrams),
+                ("tcp", resolver.tcp_datagrams),
+                ("unparseable", resolver.unparseable_datagrams),
             ):
-                # Adopt the monitor's own binning so the lifetime
-                # histogram folds in losslessly whatever WindowConfig
-                # the run used.
-                metric.hist = self.config.window.make_histogram()
-            metric.hist.merge(lifetime)
-            registry.counter("monitor.spin_flows").inc(spin_flows)
-            if self.resolver is not None:
-                resolver = self.resolver
-                registry.counter("monitor.flows_migrated").inc(
-                    resolver.flows_migrated
-                )
-                registry.counter("monitor.flows_split").inc(resolver.flows_split)
-                registry.counter("monitor.rebinds_seen").inc(resolver.rebinds_seen)
-                for transport, count in (
-                    ("quic", resolver.quic_datagrams),
-                    ("tcp", resolver.tcp_datagrams),
-                    ("unparseable", resolver.unparseable_datagrams),
-                ):
-                    registry.counter(
-                        "monitor.transport_datagrams", transport=transport
-                    ).inc(count)
-            # One row for the whole monitor run with its windows as
-            # children, stamped with stream time — the monitor's
-            # deterministic clock — so the trace covers the on-path
-            # pipeline alongside the scan plane.
-            attrs = {
-                "windows": summary.windows,
-                "datagrams": summary.datagrams,
-                "flows_created": summary.flows_created,
-                "spin_flows": spin_flows,
-                "samples": summary.samples.get("count", 0),
-            }
-            if self.resolver is not None:
-                attrs["flows_migrated"] = self.resolver.flows_migrated
-                attrs["flows_split"] = self.resolver.flows_split
-                attrs["rebinds_seen"] = self.resolver.rebinds_seen
-            tracer = self.telemetry.tracer
-            with tracer.span("monitor", **attrs) as span:
-                for index, end_ms, datagrams, samples in self._closed_windows:
-                    tracer.event(
-                        f"window:{index}",
-                        time_ms=end_ms,
-                        datagrams=datagrams,
-                        samples=samples,
-                    )
-                span.end(summary.duration_ms)
+                registry.counter(
+                    "monitor.transport_datagrams", transport=transport
+                ).inc(count)
+            self._span.annotate(
+                flows_migrated=resolver.flows_migrated,
+                flows_split=resolver.flows_split,
+                rebinds_seen=resolver.rebinds_seen,
+            )
+        self._span.end(summary.duration_ms)
         return summary
 
     def _open_window(self, time_ms: float) -> None:
@@ -293,18 +267,13 @@ class MonitorPipeline:
         """Deliver one closed window: callback + telemetry."""
         if self.on_snapshot is not None:
             self.on_snapshot(snapshot)
-        if self.telemetry is not None:
-            self.telemetry.registry.counter("monitor.windows_closed").inc()
-            # A window row is a child of the run's ``monitor`` row, which
-            # only ``finish`` can open: hold the row's facts until then.
-            self._closed_windows.append(
-                (
-                    snapshot.index,
-                    snapshot.end_ms,
-                    snapshot.datagrams,
-                    snapshot.samples.get("count", 0),
-                )
-            )
+        self.telemetry.registry.counter("monitor.windows_closed").inc()
+        self.telemetry.tracer.event(
+            f"window:{snapshot.index}",
+            time_ms=snapshot.end_ms,
+            datagrams=snapshot.datagrams,
+            samples=snapshot.samples.get("count", 0),
+        )
 
     # -- flow-table hooks ----------------------------------------------
 

@@ -35,6 +35,7 @@ from typing import IO
 from repro.monitor.aggregate import WindowSnapshot
 from repro.monitor.pipeline import MonitorConfig, MonitorPipeline, MonitorSummary
 from repro.monitor.traffic import TrafficConfig, TrafficMux
+from repro.telemetry import Telemetry
 
 __all__ = ["SCHEMA_VERSION", "SnapshotWriter", "run_monitor"]
 
@@ -93,15 +94,13 @@ def run_monitor(
         monitor = dataclasses.replace(monitor, track_migration=True)
     elif mixed_transport and monitor is None:
         monitor = MonitorConfig(track_migration=True)
+    telemetry = Telemetry.resolve(telemetry)
     pipeline = MonitorPipeline(
         monitor,
         on_snapshot=writer.write_window if writer else None,
         telemetry=telemetry,
     )
-    mux = TrafficMux(
-        traffic,
-        metrics=telemetry.registry if telemetry is not None else None,
-    )
+    mux = TrafficMux(traffic, metrics=telemetry.registry)
     stream = mux.stream()
     if faults is not None and not faults.is_empty:
         from repro._util.rng import derive_rng

@@ -24,13 +24,14 @@ from typing import Iterator, NamedTuple
 
 from repro._util.rng import SeedPrefix, derive_rng
 from repro._util.stats import weighted_choice
-from repro.core.spin import SpinPolicy, resolve_connection_policy
+from repro.core.spin import EndpointRole, SpinPolicy, resolve_connection_policy
 from repro.netsim.delays import LogNormalDelay, UniformDelay
 from repro.netsim.events import Simulator
 from repro.netsim.migration import DrawnMigration, MigrationPlan, draw_client_addr
 from repro.netsim.path import PathProfile
 from repro.netsim.tcp import draw_tcp_flow_spec, schedule_tcp_flow
-from repro.quic.connection import ConnectionConfig
+from repro.quic.connection import ConnectionConfig, PacketCounts
+from repro.telemetry import resolve_registry
 from repro.web.http3 import ResponsePlan, build_exchange
 from repro.web.server_profiles import stack_by_name
 
@@ -251,9 +252,10 @@ class TrafficMux:
 
     def __init__(self, config: TrafficConfig | None = None, metrics=None):
         self.config = config or TrafficConfig()
-        #: Optional telemetry registry: the shared simulator and every
-        #: launched endpoint report into it during :meth:`stream`.
-        self.metrics = metrics
+        #: Telemetry registry (``None``: the off registry): the shared
+        #: simulator reports into it during :meth:`stream`, and the
+        #: endpoints' packet counts are copied in when the stream ends.
+        self.metrics = resolve_registry(metrics)
         prefix = SeedPrefix(self.config.seed, "monitor", "flow")
         self.specs: list[FlowSpec] = [
             _spec_for(self.config, prefix, index)
@@ -295,18 +297,25 @@ class TrafficMux:
         simulator = Simulator(metrics=self.metrics)
         buffer: list[TapDatagram] = []
         self.migration_log = []
+        # One pair of counts for all flows: a finished flow's endpoints
+        # are garbage, what they counted is not.
+        counts = PacketCounts(EndpointRole.CLIENT), PacketCounts(EndpointRole.SERVER)
         for spec in self.specs:
-            self._launch(simulator, spec, buffer, metrics=self.metrics)
+            self._launch(simulator, spec, buffer, counts)
         for tcp_index in range(self.config.tcp_flows):
             self._launch_tcp(simulator, tcp_index, buffer)
         budget = self.config.event_budget
         window = self.config.drain_window_ms
-        while simulator.pending_events:
-            deadline = simulator.next_event_time_ms + window
-            simulator.run_until(deadline, max_events=budget)
-            if buffer:
-                yield from buffer
-                buffer.clear()
+        try:
+            while simulator.pending_events:
+                deadline = simulator.next_event_time_ms + window
+                simulator.run_until(deadline, max_events=budget)
+                if buffer:
+                    yield from buffer
+                    buffer.clear()
+        finally:  # also when the consumer stops early
+            for role_counts in counts:
+                role_counts.export(self.metrics)
 
     def replay_single(self, index: int) -> list[TapDatagram]:
         """Re-simulate flow ``index`` alone.
@@ -331,7 +340,7 @@ class TrafficMux:
         simulator: Simulator,
         spec: FlowSpec,
         buffer: list[TapDatagram],
-        metrics=None,
+        counts: tuple = (None, None),
     ) -> None:
         profile = PathProfile(
             propagation_delay_ms=spec.propagation_delay_ms,
@@ -366,7 +375,7 @@ class TrafficMux:
                 max_ack_delay_ms=stack.max_ack_delay_ms,
             ),
             start_ms=spec.start_ms,
-            metrics=metrics,
+            counts=counts,
         )
         wire = _FlowWire(self.client_tuple(spec.index))
         handle.downlink.install_tap(

@@ -14,6 +14,7 @@ from heapq import heappop, heappush
 from typing import Callable
 
 from repro.netsim.clock import SimClock
+from repro.telemetry import resolve_registry
 
 __all__ = ["Simulator"]
 
@@ -21,9 +22,10 @@ __all__ = ["Simulator"]
 class Simulator:
     """Event queue plus clock; the spine of every simulated measurement.
 
-    ``metrics`` optionally binds the simulator to a telemetry registry
-    (:mod:`repro.telemetry`): events dispatched are counted and the
-    queue's high-water mark is exported as a max-aggregated gauge.  The
+    ``metrics`` binds the simulator to a telemetry registry
+    (:mod:`repro.telemetry`; ``None``: the off registry): each ``run`` /
+    ``run_until`` exports, as it returns, the events it dispatched and
+    the queue's high-water mark (a max-aggregated gauge).  The
     bookkeeping itself is wall-clock free, so the exported values are
     deterministic functions of the simulation.
     """
@@ -34,18 +36,12 @@ class Simulator:
         #: Monotone tiebreaker for FIFO among equal timestamps; a plain
         #: int avoids one generator frame per scheduled event.
         self._sequence = 0
-        self._processed = 0
         #: Largest queue length ever reached (always tracked; exporting
         #: it costs nothing beyond one compare per schedule).
         self.queue_high_water = 0
-        if metrics is not None:
-            self._m_events = metrics.counter("netsim.events_dispatched")
-            self._m_high_water = metrics.gauge(
-                "netsim.queue_high_water", agg="max"
-            )
-        else:
-            self._m_events = None
-            self._m_high_water = None
+        metrics = resolve_registry(metrics)
+        self._m_events = metrics.counter("netsim.events_dispatched")
+        self._m_high_water = metrics.gauge("netsim.queue_high_water", agg="max")
 
     @property
     def now_ms(self) -> float:
@@ -66,11 +62,6 @@ class Simulator:
         stepping through empty stretches of simulated time.
         """
         return self._queue[0][0] if self._queue else None
-
-    @property
-    def processed_events(self) -> int:
-        """Number of events executed since construction."""
-        return self._processed
 
     def schedule(self, delay_ms: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` ``delay_ms`` milliseconds from now."""
@@ -108,7 +99,6 @@ class Simulator:
             advance_to(time_ms)
             callback()
             executed += 1
-            self._processed += 1
         self._export_metrics(executed)
         return executed
 
@@ -133,14 +123,12 @@ class Simulator:
             advance_to(time_ms)
             callback()
             executed += 1
-            self._processed += 1
         if settle and self.clock.now_ms < deadline_ms:
             advance_to(deadline_ms)
         self._export_metrics(executed)
         return executed
 
     def _export_metrics(self, executed: int) -> None:
-        """Flush per-run counters to the bound registry (if any)."""
-        if self._m_events is not None:
-            self._m_events.inc(executed)
-            self._m_high_water.set_max(self.queue_high_water)
+        """Copy this run's counts into the bound registry."""
+        self._m_events.inc(executed)
+        self._m_high_water.set_max(self.queue_high_water)

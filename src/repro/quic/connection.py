@@ -67,7 +67,7 @@ from repro.quic.transport_params import (
 from repro.quic.varint import encode_varint
 from repro.quic.version import SUPPORTED_VERSIONS, QuicVersion
 
-__all__ = ["ConnectionConfig", "PacketSpace", "QuicEndpoint"]
+__all__ = ["ConnectionConfig", "PacketCounts", "PacketSpace", "QuicEndpoint"]
 
 #: Synthetic handshake-flight sizes (bytes), shaped like typical TLS 1.3
 #: exchanges: ClientHello, ServerHello, the server's EncryptedExtensions+
@@ -202,6 +202,27 @@ class _SpaceState:
         self.crypto_message: bytes | None = None
 
 
+class PacketCounts:
+    """An endpoint's packet counts in plain ints: the packet paths bump
+    them and make no telemetry call, whoever runs the exchange calls
+    :meth:`export` once it is over, and endpoints of one role on a shared
+    simulator may share one.  A spin edge is a received short-header packet
+    whose spin value flipped — the raw signal passive RTT estimates rest on.
+    """
+
+    __slots__ = ("role", "sent", "received", "spin_edges")
+
+    def __init__(self, role: EndpointRole):
+        self.role = role.value
+        self.sent = self.received = self.spin_edges = 0
+
+    def export(self, metrics) -> None:
+        """Add the counts to the ``quic.*`` series of registry ``metrics``."""
+        metrics.counter("quic.packets_sent", role=self.role).inc(self.sent)
+        metrics.counter("quic.packets_received", role=self.role).inc(self.received)
+        metrics.counter("quic.spin_edges", role=self.role).inc(self.spin_edges)
+
+
 class QuicEndpoint:
     """One side of a simulated QUIC connection.
 
@@ -223,32 +244,14 @@ class QuicEndpoint:
         spin_policy: SpinPolicy,
         rng: random.Random,
         recorder: TraceRecorder | None = None,
-        metrics=None,
+        counts: PacketCounts | None = None,
     ):
         self.simulator = simulator
         self.role = role
         self.config = config
         self.rng = rng
         self.recorder = recorder
-        # Telemetry bindings (repro.telemetry.MetricsRegistry).  The
-        # role label splits client/server series; spin edges count
-        # received short-header packets whose spin value flipped — the
-        # raw signal every passive RTT estimate in the paper rests on.
-        if metrics is not None:
-            role_label = role.value
-            self._m_packets_sent = metrics.counter(
-                "quic.packets_sent", role=role_label
-            )
-            self._m_packets_received = metrics.counter(
-                "quic.packets_received", role=role_label
-            )
-            self._m_spin_edges = metrics.counter(
-                "quic.spin_edges", role=role_label
-            )
-        else:
-            self._m_packets_sent = None
-            self._m_packets_received = None
-            self._m_spin_edges = None
+        self.counts = counts or PacketCounts(role)
         self._last_spin_rx: bool | None = None
         self.spin = SpinBitState(role, spin_policy, rng)
         self.vec_state = VecSenderState() if config.enable_vec else None
@@ -405,8 +408,7 @@ class QuicEndpoint:
         """Process one long-header packet (Initial, Handshake, VN, Retry)."""
         header = packet.header
         now = self.simulator.now_ms
-        if self._m_packets_received is not None:
-            self._m_packets_received.inc()
+        self.counts.received += 1
         if isinstance(header, VersionNegotiationHeader):
             if self.recorder is not None:
                 self.recorder.on_packet_received(
@@ -489,10 +491,9 @@ class QuicEndpoint:
         now = self.simulator.clock.now_ms
         spin_bit = first & 0x20 != 0
         vec = (first & 0x18) >> 3
-        if self._m_packets_received is not None:
-            self._m_packets_received.inc()
-            if self._last_spin_rx is not None and spin_bit != self._last_spin_rx:
-                self._m_spin_edges.inc()
+        self.counts.received += 1
+        if spin_bit != self._last_spin_rx:
+            self.counts.spin_edges += self._last_spin_rx is not None
             self._last_spin_rx = spin_bit
 
         # Packet-number reconstruction (RFC 9000 Appendix A.3).
@@ -1072,8 +1073,7 @@ class QuicEndpoint:
         else:
             data = behind.encode() + data
             size = 0  # qlog records no size for coalesced packets
-        if self._m_packets_sent is not None:
-            self._m_packets_sent.inc(1 if behind is None else 2)
+        self.counts.sent += 1 if behind is None else 2
         if self.recorder is not None:
             if behind is not None:
                 self._record_long_sent(now, behind, 0)
@@ -1147,8 +1147,7 @@ class QuicEndpoint:
             raise RuntimeError("endpoint has no transport attached")
         data = encode_datagram(packets)
         now = self.simulator.now_ms
-        if self._m_packets_sent is not None:
-            self._m_packets_sent.inc(len(packets))
+        self.counts.sent += len(packets)
         if self.recorder is not None:
             for packet in packets:
                 self._record_long_sent(now, packet, len(data) if len(packets) == 1 else 0)

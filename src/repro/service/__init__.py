@@ -32,7 +32,7 @@ from repro.service.daemon import (
 )
 from repro.service.indexer import WeekIndexer
 from repro.service.spool import SpoolEntry, SpoolStore, artifact_fingerprint
-from repro.service.summary import WeekSummary, summarize_records
+from repro.service.summary import WeekSummary
 
 __all__ = [
     "CampaignDaemon",
@@ -48,5 +48,4 @@ __all__ = [
     "artifact_fingerprint",
     "build_server",
     "serve_forever",
-    "summarize_records",
 ]

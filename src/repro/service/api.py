@@ -42,6 +42,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlparse
 
+from repro.analysis.engine import RECORD_SECTIONS
 from repro.obs.slo import (
     HealthEngine,
     HealthReport,
@@ -52,16 +53,13 @@ from repro.service.daemon import CampaignDaemon
 from repro.service.indexer import WeekIndexer, ledger_artifacts
 from repro.service.spool import SpoolStore
 from repro.service.summary import WeekSummary, combine_weeks
-from repro.telemetry import trace_rows
+from repro.telemetry import Telemetry, trace_rows
 
 __all__ = ["ServiceState", "build_server", "serve_forever"]
 
 _SEEDS_NAME = "seeds.json"
 _MAX_BODY_BYTES = 4 << 20
 _JSON_HEADERS = (("Content-Type", "application/json"),)
-_SECTIONS = (
-    "all", "orgs", "webservers", "accuracy", "versions", "filters", "failures",
-)
 
 
 def _encode(payload: dict) -> bytes:
@@ -107,7 +105,11 @@ class ServiceState:
     ) -> None:
         self.spool = spool
         self.indexer = indexer
-        self.telemetry = telemetry
+        #: What ``/v1/metrics``, ``/v1/status`` and ``/v1/spans`` serve
+        #: back; ``None`` is off like anywhere else — requests go
+        #: uncounted and the three answer empty (``repro serve`` always
+        #: hands its daemon and its state one live bundle).
+        self.telemetry = Telemetry.resolve(telemetry)
         self.seeds_path = seeds_path or (spool.directory / _SEEDS_NAME)
         self.health_engine = health_engine or HealthEngine(
             default_service_slos()
@@ -214,19 +216,14 @@ class ServiceState:
         }
 
     def counter(self, name: str, amount: int = 1) -> None:
-        if self.telemetry is not None:
-            self.telemetry.registry.counter(name).inc(amount)
+        self.telemetry.registry.counter(name).inc(amount)
 
     def observe_request_ms(self, route: str, elapsed_ms: float, status: int) -> None:
         """Account one request: latency histogram + counted diag row."""
-        if self.telemetry is None:
-            return
         self.telemetry.registry.histogram("api.request_ms").observe(elapsed_ms)
         self.telemetry.tracer.count(f"request:{route}", status=status)
 
     def metrics_snapshot(self) -> dict:
-        if self.telemetry is None:
-            return {}
         return self.telemetry.registry.snapshot()
 
     def health_report(self) -> HealthReport:
@@ -237,16 +234,12 @@ class ServiceState:
         even before the daemon's first tick set any gauges — and it is
         computed purely from telemetry, never by re-scanning.
         """
-        snapshot = dict(self.metrics_snapshot())
-        gauges = dict(snapshot.get("gauges", {}))
-        gauges.update(collect_service_gauges(self.spool, self.indexer))
-        snapshot["gauges"] = gauges
+        snapshot = self.metrics_snapshot()
+        snapshot["gauges"].update(collect_service_gauges(self.spool, self.indexer))
         return self.health_engine.evaluate(snapshot)
 
     def spans_payload(self) -> dict:
         """The campaign trace in export shape (`/v1/spans`)."""
-        if self.telemetry is None:
-            return {"trace": None, "spans": [], "diag": []}
         tracer = self.telemetry.tracer
         return {
             "trace": tracer.trace_id,
@@ -432,7 +425,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(200, _JSON_HEADERS, body)
 
     def _analyze_endpoint(self, week: str, section: str) -> None:
-        if section not in _SECTIONS:
+        if section != "all" and section not in RECORD_SECTIONS:
             self._send_error_json(f"unknown section {section!r}")
             return
 
@@ -481,14 +474,7 @@ def serve_forever(
     import sys
 
     from repro.service.daemon import Scheduler, WallClock
-    from repro.telemetry import Telemetry
 
-    if daemon.telemetry is None:
-        # The operator plane needs somewhere to account requests and
-        # SLO inputs even when the daemon was built without telemetry.
-        daemon.telemetry = Telemetry()
-        daemon.spool.telemetry = daemon.telemetry
-        daemon.indexer.telemetry = daemon.telemetry
     state = ServiceState(
         daemon.spool, daemon.indexer, telemetry=daemon.telemetry
     )

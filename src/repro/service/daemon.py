@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import io
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -38,7 +37,7 @@ from typing import Callable
 from repro.campaign.schedule import CalendarWeek, Campaign
 from repro.service.indexer import WeekIndexer
 from repro.service.spool import SpoolStore, scan_digest
-from repro.telemetry import trace_id_for
+from repro.telemetry import Telemetry, trace_id_for
 
 __all__ = [
     "CampaignDaemon",
@@ -92,7 +91,7 @@ class CampaignDaemon:
     ) -> None:
         self.directory = Path(directory)
         self.config = config
-        self.telemetry = telemetry
+        self.telemetry = telemetry = Telemetry.resolve(telemetry)
         self.spool = SpoolStore(self.directory / "spool", telemetry=telemetry)
         self.indexer = WeekIndexer(
             self.directory / "index", fault_hook=fault_hook, telemetry=telemetry
@@ -174,17 +173,13 @@ class CampaignDaemon:
         pending spooled artifact (also externally submitted ones), not
         just this tick's scans.
         """
-        telemetry = self.telemetry
-        if telemetry is not None and telemetry.tracer.trace_id is None:
-            telemetry.tracer.trace_id = self.campaign_trace_id()
-        with (
-            telemetry.tracer.span(
-                "campaign",
-                first_week=self.config.first_week,
-                last_week=self.config.last_week,
-            )
-            if telemetry is not None
-            else nullcontext()
+        tracer, registry = self.telemetry.tracer, self.telemetry.registry
+        if tracer.trace_id is None:
+            tracer.trace_id = self.campaign_trace_id()
+        with tracer.span(
+            "campaign",
+            first_week=self.config.first_week,
+            last_week=self.config.last_week,
         ) as campaign_span:
             pending = self.pending_weeks()
             if max_weeks is not None:
@@ -196,33 +191,23 @@ class CampaignDaemon:
             # The tick's read-back — the "query" step of the pipeline:
             # the status report is served from the index the tick just
             # wrote.
-            with (
-                telemetry.tracer.span("status")
-                if telemetry is not None
-                else nullcontext()
-            ) as status_span:
+            with tracer.span("status") as status_span:
                 still_pending = self.pending_weeks()
                 indexed = self.indexer.weeks()
-                if status_span is not None:
-                    status_span.annotate(
-                        pending_weeks=len(still_pending),
-                        indexed_weeks=len(indexed),
-                    )
-            if telemetry is not None:
-                registry = telemetry.registry
-                registry.counter("service.ticks_total").inc()
-                registry.counter("service.weeks_scanned").inc(len(scanned))
-                registry.counter("service.artifacts_folded").inc(len(folded))
-                registry.gauge("service.pending_weeks").set(len(still_pending))
-                registry.gauge("service.weeks_indexed").set(len(indexed))
-                registry.gauge("service.spool_backlog").set(
-                    sum(
-                        1
-                        for entry in self.spool.artifacts()
-                        if entry.fingerprint not in self.indexer.ledger()
-                    )
+                status_span.annotate(
+                    pending_weeks=len(still_pending),
+                    indexed_weeks=len(indexed),
                 )
-                campaign_span.annotate(scanned=len(scanned), folded=len(folded))
+            registry.counter("service.ticks_total").inc()
+            registry.counter("service.weeks_scanned").inc(len(scanned))
+            registry.counter("service.artifacts_folded").inc(len(folded))
+            registry.gauge("service.pending_weeks").set(len(still_pending))
+            registry.gauge("service.weeks_indexed").set(len(indexed))
+            spooled = {entry.fingerprint for entry in self.spool.artifacts()}
+            registry.gauge("service.spool_backlog").set(
+                len(spooled - self.indexer.ledger())  # one ledger read a tick
+            )
+            campaign_span.annotate(scanned=len(scanned), folded=len(folded))
         return {
             "scanned_weeks": scanned,
             "folded_artifacts": folded,
@@ -252,30 +237,25 @@ class CampaignDaemon:
         )
         elapsed = time.perf_counter() - started  # wallclock-ok: gauge only
         telemetry = self.telemetry
-        if telemetry is not None and elapsed > 0:
+        if elapsed > 0:
             # Wall-clock throughput is operational state, not a
             # measurement artifact: it feeds the scan-throughput SLO and
             # never enters the trace.
             telemetry.registry.gauge("service.scan_domains_per_s").set(
                 len(dataset.results) / elapsed
             )
-        with (
-            telemetry.tracer.span(f"spool:{week.label}")
-            if telemetry is not None
-            else nullcontext()
-        ) as spool_span:
+        with telemetry.tracer.span(f"spool:{week.label}") as spool_span:
             buffer = io.BytesIO()
             write_records_cbr(dataset.connection_records(), buffer)
             entry = self.spool.submit_bytes(
                 buffer.getvalue(), source=f"daemon:{week.label}"
             )
             self.spool.record_scan(fingerprint, entry.fingerprint)
-            if spool_span is not None:
-                spool_span.annotate(
-                    artifact=entry.fingerprint,
-                    bytes=entry.size,
-                    duplicate=not entry.new,
-                )
+            spool_span.annotate(
+                artifact=entry.fingerprint,
+                bytes=entry.size,
+                duplicate=not entry.new,
+            )
         return week.label
 
     def _scan_fingerprint(self, week: CalendarWeek) -> dict:

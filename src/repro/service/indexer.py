@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import nullcontext
 from pathlib import Path
 from typing import Callable
 
 from repro.service.summary import WeekSummarizer, WeekSummary, combine_weeks
+from repro.telemetry import Telemetry
 
 __all__ = ["WeekIndexer"]
 
@@ -60,11 +60,11 @@ class WeekIndexer:
         self._ledger_path = self.directory / _LEDGER_NAME
         self._asdb = asdb
         self._fault_hook = fault_hook
-        #: Optional :class:`repro.telemetry.Telemetry`.  Folds emit
+        #: :class:`repro.telemetry.Telemetry` (``None``: off).  Folds emit
         #: ``index:<fingerprint>`` spans with per-week children; both
         #: are pure functions of the folded content, so they live in the
         #: deterministic trace.
-        self.telemetry = telemetry
+        self.telemetry = Telemetry.resolve(telemetry)
 
     @property
     def asdb(self):
@@ -87,11 +87,7 @@ class WeekIndexer:
         if fingerprint in self.ledger():
             return False
         telemetry = self.telemetry
-        with (
-            telemetry.tracer.span(f"index:{fingerprint}")
-            if telemetry is not None
-            else nullcontext()
-        ) as span:
+        with telemetry.tracer.span(f"index:{fingerprint}") as span:
             deltas = self._summarize(path, fingerprint)
             records = 0
             for week in sorted(deltas):
@@ -100,17 +96,15 @@ class WeekIndexer:
                 # that are durable, and a re-fold after a crash (which
                 # skips them) adds only the rest.
                 if self._merge_week(week, deltas[week], fingerprint):
-                    if span is not None:
-                        telemetry.tracer.event(
-                            f"week:{week}", records=deltas[week].connections_total
-                        )
+                    telemetry.tracer.event(
+                        f"week:{week}", records=deltas[week].connections_total
+                    )
                     self._fault("week-written")
                 records += deltas[week].connections_total
             self._record_in_ledger(fingerprint)
-            if span is not None:
-                span.annotate(weeks=len(deltas), records=records)
-                telemetry.registry.counter("index.artifacts_folded").inc()
-                telemetry.registry.counter("index.weeks_merged").inc(len(deltas))
+            span.annotate(weeks=len(deltas), records=records)
+            telemetry.registry.counter("index.artifacts_folded").inc()
+            telemetry.registry.counter("index.weeks_merged").inc(len(deltas))
         # Likewise after the fold's own row: the fold is complete once
         # the ledger lists it.
         self._fault("ledger-written")

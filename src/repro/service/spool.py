@@ -28,6 +28,8 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.telemetry import Telemetry
+
 __all__ = ["SpoolEntry", "SpoolStore", "artifact_fingerprint", "scan_digest"]
 
 _ARTIFACT_DIR = "artifacts"
@@ -58,13 +60,9 @@ class SpoolStore:
         self.artifact_dir = self.directory / _ARTIFACT_DIR
         self.artifact_dir.mkdir(parents=True, exist_ok=True)
         self.manifest_path = self.directory / _MANIFEST_NAME
-        #: Optional :class:`repro.telemetry.Telemetry`; intake volume
+        #: :class:`repro.telemetry.Telemetry` (``None``: off); intake volume
         #: counters only (content-derived, hence still deterministic).
-        self.telemetry = telemetry
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        if self.telemetry is not None:
-            self.telemetry.registry.counter(name).inc(amount)
+        self.telemetry = Telemetry.resolve(telemetry)
 
     # -- submissions ---------------------------------------------------
 
@@ -77,13 +75,14 @@ class SpoolStore:
         """
         fingerprint = artifact_fingerprint(payload)
         path = self.artifact_path(fingerprint)
-        self._count("spool.submissions")
+        registry = self.telemetry.registry
+        registry.counter("spool.submissions").inc()
         if path.is_file():
-            self._count("spool.duplicates")
+            registry.counter("spool.duplicates").inc()
             return SpoolEntry(
                 fingerprint=fingerprint, path=path, size=len(payload), new=False
             )
-        self._count("spool.bytes", len(payload))
+        registry.counter("spool.bytes").inc(len(payload))
         tmp = path.with_suffix(".tmp")
         tmp.write_bytes(payload)
         os.replace(tmp, path)

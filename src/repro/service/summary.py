@@ -32,7 +32,7 @@ from repro.analysis.accuracy import AccuracyStudy, ReorderingImpact, SeriesStats
 from repro.analysis.filter_study import FilterOutcomeStats, FilterStudy
 from repro.artifacts.cbr import RecordBatch
 
-__all__ = ["WeekSummarizer", "WeekSummary", "combine_weeks", "summarize_records"]
+__all__ = ["WeekSummarizer", "WeekSummary", "combine_weeks"]
 
 _SUMMARY_SCHEMA = 1
 
@@ -329,17 +329,6 @@ class WeekSummarizer:
         summary.failures_succeeded = succeeded
         summary.failure_kinds = kinds
         return summary
-
-
-def summarize_records(week: str, records, asdb) -> WeekSummary:
-    """Reduce one week's slice of an artifact to its counter summary.
-
-    ``records`` is a :class:`~repro.artifacts.cbr.RecordBatch` or a list
-    of connection records.
-    """
-    summarizer = WeekSummarizer(week, asdb)
-    summarizer.update(RecordBatch.coerce(records))
-    return summarizer.finish()
 
 
 def combine_weeks(summaries) -> WeekSummary:

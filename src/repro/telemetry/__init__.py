@@ -45,7 +45,7 @@ from repro.telemetry.metrics import (
     HistogramMetric,
     MetricsRegistry,
 )
-from repro.telemetry.runtime import Telemetry
+from repro.telemetry.runtime import Telemetry, resolve_registry
 from repro.telemetry.trace import (
     OpenSpan,
     TraceRecord,
@@ -70,6 +70,7 @@ __all__ = [
     "read_trace",
     "registry_to_prometheus",
     "render_summary",
+    "resolve_registry",
     "span_id_for",
     "stage_latency_table",
     "trace_id_for",

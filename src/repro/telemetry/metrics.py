@@ -13,9 +13,10 @@ into.  Design constraints, in order:
    worker registry into the parent without approximation:
    counters add, histograms merge bin-by-bin (exact partial sums), and
    each gauge declares its own aggregation (``last``/``sum``/``max``).
-3. **Zero dependencies and near-zero hot-path cost.**  A series is a
-   plain object with one mutable ``value`` slot; instrumented code
-   binds the series once and pays one attribute increment per event.
+3. **Zero dependencies, and no hot-path cost at all.**  A series is a
+   plain object with one mutable ``value`` slot; per-packet code never
+   touches one — it counts in its own ints, and its owner copies them
+   in where the enclosing span closes (``counter(name).inc(total)``).
 
 Labels follow the Prometheus model: a series is identified by
 ``(name, sorted label items)``.
@@ -93,12 +94,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = value
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
     def set_max(self, value: float) -> None:
         """Raise the gauge to ``value`` if it exceeds the current one."""
         if value > self.value:
@@ -131,6 +126,15 @@ class HistogramMetric:
 
     def observe(self, value: float) -> None:
         self.hist.add(value)
+
+    def absorb(self, hist: LogHistogram) -> None:
+        """Fold a whole histogram in; an empty series adopts its binning,
+        so an owner's own binning merges losslessly."""
+        if self.hist.count == 0:
+            self.hist = LogHistogram(
+                hist.min_value, hist.max_value, hist.bins_per_decade
+            )
+        self.hist.merge(hist)
 
     @property
     def value(self) -> dict:

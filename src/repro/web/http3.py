@@ -23,7 +23,8 @@ from repro.core.spin import EndpointRole, SpinPolicy
 from repro.netsim.events import Simulator
 from repro.netsim.path import PathProfile, duplex_paths
 from repro.qlog.recorder import TraceRecorder
-from repro.quic.connection import ConnectionConfig, QuicEndpoint
+from repro.quic.connection import ConnectionConfig, PacketCounts, QuicEndpoint
+from repro.telemetry import resolve_registry
 
 __all__ = [
     "ExchangeHandle",
@@ -313,7 +314,7 @@ def build_exchange(
     final_probe: bool = True,
     wire_observer=None,
     start_ms: float | None = None,
-    metrics=None,
+    counts: tuple[PacketCounts | None, PacketCounts | None] = (None, None),
 ) -> ExchangeHandle:
     """Wire one HTTP/3 connection into ``simulator`` without running it.
 
@@ -323,7 +324,9 @@ def build_exchange(
     immediately — this is how the traffic multiplexer staggers many
     concurrent connections on one shared simulator.  ``recorder`` is
     optional: a monitoring tap that observes from the path does not need
-    the client-side qlog trace.
+    the client-side qlog trace.  ``counts`` is a (client, server) pair of
+    :class:`~repro.quic.connection.PacketCounts` the endpoints count into
+    instead of their own: the multiplexer's, one pair for all its flows.
 
     RNG stream derivation (client / server / paths forks, in that
     order) is identical to the historical in-:func:`run_exchange`
@@ -339,7 +342,7 @@ def build_exchange(
         client_spin_policy,
         fork_rng(rng, "client"),
         recorder=recorder,
-        metrics=metrics,
+        counts=counts[0],
     )
     server = QuicEndpoint(
         simulator,
@@ -347,7 +350,7 @@ def build_exchange(
         server_config,
         server_spin_policy,
         fork_rng(rng, "server"),
-        metrics=metrics,
+        counts=counts[1],
     )
 
     uplink, downlink = duplex_paths(
@@ -425,7 +428,10 @@ def run_exchange(
     fault-injection drop predicate (:mod:`repro.faults.spec`) on both
     path directions.  Both default to off, leaving the event cascade —
     and therefore every artifact byte — exactly as without them.
+    ``metrics`` is a telemetry registry (``None``: off); the endpoints'
+    packet counts go into it once the exchange is over, timed out or not.
     """
+    metrics = resolve_registry(metrics)
     simulator = Simulator(metrics=metrics)
     recorder = TraceRecorder(vantage_point="client")
     handle = build_exchange(
@@ -443,7 +449,6 @@ def run_exchange(
         recorder=recorder,
         final_probe=final_probe,
         wire_observer=wire_observer,
-        metrics=metrics,
     )
     if impairment is not None:
         handle.uplink.install_impairment(impairment)
@@ -469,6 +474,8 @@ def run_exchange(
             timed_out = True
 
     client, server, client_app = handle.client, handle.server, handle.client_app
+    client.counts.export(metrics)
+    server.counts.export(metrics)
     recorder.odcid_hex = client.local_cid.hex
     status, server_header, location, body_bytes = client_app.parse_response()
     success = client_app.done and client.failed is None

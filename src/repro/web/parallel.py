@@ -117,12 +117,9 @@ def _population_payload(population: "Population"):
 
 
 def _init_worker(
-    population_payload,
-    scan_config: "ScanConfig",
-    telemetry_enabled: bool = False,
+    population_payload, scan_config: "ScanConfig", bundle_type: type
 ) -> None:
     global _WORKER_SCANNER
-    from repro.telemetry import Telemetry
     from repro.web.scanner import Scanner
 
     kind, value = population_payload
@@ -132,13 +129,10 @@ def _init_worker(
         population = StreamingPopulation(value)
     else:
         population = value
-    # The worker's own bundle is never written to: it only tells
-    # ``scan_shard`` to record each shard into a fresh one.
-    _WORKER_SCANNER = Scanner(
-        population,
-        scan_config,
-        telemetry=Telemetry() if telemetry_enabled else None,
-    )
+    # The worker's own bundle — one of the parent's type, which is what
+    # pickles — is never written to: ``scan_shard`` records each shard
+    # into a fresh one of its state.
+    _WORKER_SCANNER = Scanner(population, scan_config, telemetry=bundle_type())
 
 
 def _scan_unit(task):
@@ -170,9 +164,7 @@ def _scan_unit(task):
 # ----------------------------------------------------------------------
 
 
-def _pool_for(
-    scanner: "Scanner", workers: int, telemetry_enabled: bool
-) -> ProcessPoolExecutor:
+def _pool_for(scanner: "Scanner", workers: int) -> ProcessPoolExecutor:
     """The scanner's persistent worker pool, (re)built on shape change.
 
     Pool start-up (process forks + population pickling through the
@@ -184,7 +176,8 @@ def _pool_for(
     owning scanner's ``close()`` does the same, and a GC finalizer
     remains only as a backstop for scanners that are never closed.
     """
-    key = (workers, telemetry_enabled)
+    bundle_type = type(scanner.telemetry)
+    key = (workers, bundle_type)
     cached = getattr(scanner, "_shard_pool", None)
     if cached is not None:
         if cached[0] == key:
@@ -197,7 +190,7 @@ def _pool_for(
         initargs=(
             _population_payload(scanner.population),
             scanner.config,
-            telemetry_enabled,
+            bundle_type,
         ),
     )
     scanner._shard_pool = (key, pool)
@@ -297,7 +290,7 @@ def shard_stream(
         "max_outstanding": 0,
     }
     #: ordinal -> (results | None, worker cbr payload | None, telemetry
-    #: bundle | None, loaded from the checkpoint?)
+    #: parts | None, loaded from the checkpoint?)
     ready: dict[int, tuple] = {}
     inflight: dict = {}
     next_due = 0
@@ -322,7 +315,7 @@ def shard_stream(
                 # workers cannot rebuild an ad-hoc list, so its records go.
                 records = None if domains is None else tuple(targets_of(due))
                 task = (due.start, due.count, records, week_label, ip_version, probe)
-                pool = _pool_for(scanner, workers, telemetry is not None)
+                pool = _pool_for(scanner, workers)
                 inflight[pool.submit(_scan_unit, task)] = due.index
             else:
                 results, telem = scanner.scan_shard(

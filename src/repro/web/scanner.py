@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 import sys
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
@@ -216,13 +215,13 @@ class Scanner:
         self.population = population
         self.config = config or ScanConfig()
         self.parallel = parallel or ParallelScanConfig()
-        #: Optional :class:`repro.telemetry.Telemetry` bundle.  All scan
-        #: metrics and trace events are deterministic functions of the
-        #: scan arguments: event timestamps are *simulated* milliseconds
-        #: (each domain's event cascade), never wall-clock, and the
-        #: per-domain emission order is population order regardless of
-        #: worker count (shards are absorbed in shard order).
-        self.telemetry = telemetry
+        #: :class:`repro.telemetry.Telemetry` bundle (``None``: off).  All
+        #: scan metrics and trace events are deterministic functions of
+        #: the scan arguments: event timestamps are *simulated*
+        #: milliseconds (each domain's event cascade), never wall-clock,
+        #: and the per-domain emission order is population order
+        #: regardless of worker count (shards are absorbed in shard order).
+        self.telemetry = Telemetry.resolve(telemetry)
         #: Shape of the latest scan (``units`` scanned, ``workers``,
         #: ``pool``, ``max_outstanding``), rewritten by every scan.
         self.last_scan_stats: dict = {}
@@ -343,30 +342,25 @@ class Scanner:
             )
         started = time.perf_counter()  # wallclock-ok: stderr diagnostics only
         telemetry = self.telemetry
-        profiler = telemetry.profiler if telemetry is not None else None
-        scan_phase = profiler.phase("scan") if profiler is not None else nullcontext()
-        scan_span = nullcontext()
-        if telemetry is not None:
-            tracer = telemetry.tracer
-            if tracer.trace_id is None:
-                # Standalone scan: the scan itself is the trace root.
-                # Under the campaign daemon the trace id is already the
-                # campaign's and this scan nests beneath it.
-                tracer.trace_id = trace_id_for(
-                    "scan", population.config.seed, week_label, ip_version, probe
-                )
-            # Deliberately no worker count here: the scan row is part of
-            # the deterministic trace, which must not depend on sharding.
-            scan_span = tracer.span(
-                f"scan:{week_label}", ip_version=ip_version, domains=total
+        tracer = telemetry.tracer
+        if tracer.trace_id is None:
+            # Standalone scan: the scan itself is the trace root.  Under
+            # the campaign daemon the trace id is already the campaign's
+            # and this scan nests beneath it.
+            tracer.trace_id = trace_id_for(
+                "scan", population.config.seed, week_label, ip_version, probe
             )
         emitted = quic = 0
         # A scan that raises (or is abandoned by its consumer) drops its
         # row unrecorded and leaves neither span nor phase open, so a
         # retry on this scanner opens the same span at the same path and
         # a crashed-then-retried campaign logs the span ids of an
-        # uninterrupted one.
-        with scan_phase, scan_span as span:
+        # uninterrupted one.  Deliberately no worker count on the row: it
+        # is part of the deterministic trace, which must not depend on
+        # sharding.
+        with telemetry.phase("scan"), tracer.span(
+            f"scan:{week_label}", ip_version=ip_version, domains=total
+        ) as span:
             try:
                 for shard in shard_stream(
                     self, domains, week_label, ip_version, probe, chunk, store
@@ -386,14 +380,13 @@ class Scanner:
                 if store is not None:
                     store.close(suppress_errors=True)
                 raise
-            if span is not None:
-                # The merge marker closes the scan stage of the pipeline
-                # however the work was split (inline "merges" too), so
-                # the deterministic trace never depends on it.
-                telemetry.tracer.event("merge", domains=emitted)
-                if breaker is not None:
-                    breaker.flush(telemetry)
-                span.annotate(quic=quic)
+            # The merge marker closes the scan stage of the pipeline
+            # however the work was split (inline "merges" too), so the
+            # deterministic trace never depends on it.
+            tracer.event("merge", domains=emitted)
+            if breaker is not None:
+                breaker.flush(telemetry)
+            span.annotate(quic=quic)
         if verbose:
             elapsed = time.perf_counter() - started  # wallclock-ok: diagnostics
             rate = emitted / elapsed if elapsed > 0 else float("inf")
@@ -412,7 +405,7 @@ class Scanner:
         week_label: str,
         ip_version: int,
         probe: int,
-    ) -> tuple[list[DomainScanResult], tuple | None]:
+    ) -> tuple[list[DomainScanResult], tuple]:
         """Scan one shard in this process: ``(results, telemetry)``.
 
         The one place domains are scanned — the inline executor and the
@@ -421,12 +414,12 @@ class Scanner:
         prefix — are pure functions of the arguments, so every process
         computes identical values.
 
-        With telemetry on, the shard records into a *fresh* bundle
-        (sharing only the profiler, which is diagnostics) and returns
-        its parts for :meth:`Telemetry.absorb_shard`; the stream absorbs
-        bundles in shard order, which reproduces one sequential emission
-        order at any worker count — and a shard that raises leaves no
-        partial rows behind.  Records are week-stamped here, before a
+        The shard records into a *fresh* bundle of the scanner's state
+        (:meth:`Telemetry.shard`) and returns its parts for
+        :meth:`Telemetry.absorb_shard`; the stream absorbs bundles in
+        shard order, which reproduces one sequential emission order at
+        any worker count — and a shard that raises leaves no partial
+        rows behind.  Records are week-stamped here, before a
         shard can be encoded or persisted, so checkpoint artifacts
         merged via ``repro convert`` stay queryable by week.
         """
@@ -435,19 +428,15 @@ class Scanner:
             self.population.config.seed, "scan", week_label, ip_version
         )
         parent = self.telemetry
-        if parent is not None:
-            self.telemetry = Telemetry()
-            self.telemetry.profiler = parent.profiler
+        self.telemetry = bundle = parent.shard()
         try:
             results = [
                 self._scan_domain(domain, ip_version, probe, epoch, seed_prefix)
                 for domain in domains
             ]
         finally:
-            bundle, self.telemetry = self.telemetry, parent
+            self.telemetry = parent
         stamp_week(results, week_label)
-        if bundle is None:
-            return results, None
         # Rows are path-relative to the shard; the absorb re-roots them
         # under the stream's open scan span.
         tracer = bundle.tracer
@@ -470,98 +459,69 @@ class Scanner:
         stays a pure function of the seed.
         """
         telemetry = self.telemetry
-        if telemetry is None:
-            return self._scan_domain_impl(
-                domain, ip_version, probe, epoch, seed_prefix
-            )
-        profiler = telemetry.profiler
+        registry = telemetry.registry
         self._domain_attempts = 0
+        self._domain_sim_ms = 0.0
         with telemetry.tracer.span(f"domain:{domain.name}") as span, (
-            profiler.phase("scan.domain")
-            if profiler is not None
-            else nullcontext()
+            telemetry.phase("scan.domain")
         ):
-            result = self._scan_domain_impl(
-                domain, ip_version, probe, epoch, seed_prefix
-            )
+            registry.counter("scan.domains").inc()
+            rng = seed_prefix.derive(domain.name, probe)
+            result = DomainScanResult(domain=domain, resolved=False, quic_support=False)
+            stack_name = None
+            if domain.resolves and (ip_version != 6 or domain.has_aaaa):
+                ip = result.resolved_ip = self.population.host_of(domain, ip_version)
+                result.resolved = True
+                if domain.quic_enabled:
+                    stack_name = self.population.stack_of(domain, ip_version, epoch)
+                registry.counter("scan.domains_resolved").inc()
+            if stack_name is not None:
+                stack = stack_by_name(stack_name)
+                provider = self.population.provider_of(domain)
+
+                # Fault draws come from a *separate* stream derived
+                # alongside — never from — the measurement stream ``rng``,
+                # so an all-zero (or absent) plan leaves every measurement
+                # byte untouched, and any worker split sees the same
+                # faults for the same domain.
+                drawn = None
+                faults = self.config.faults
+                if faults is not None and not faults.is_empty:
+                    drawn = faults.draw(seed_prefix.derive(domain.name, probe, "faults"))
+
+                host = f"www.{domain.name}"
+                redirects_left = _MAX_REDIRECTS
+                while True:
+                    record = self._connect_once(
+                        domain, host, ip, ip_version, provider.name, stack,
+                        provider.propagation_delay, rng,
+                        allow_redirect=redirects_left > 0, drawn_faults=drawn,
+                    )
+                    result.connections.append(record)
+                    if record.success:
+                        result.quic_support = True
+                    if record.status in (301, 302, 307, 308) and redirects_left > 0:
+                        redirects_left -= 1
+                        registry.counter("scan.redirects_followed").inc()
+                        # Landing-page redirects overwhelmingly stay on the
+                        # same host (http→https, apex→www); the scanner
+                        # reconnects.
+                        continue
+                    break
+                if not result.quic_support:
+                    result.failure = result.connections[-1].failure
+            spins = result.shows_spin_activity
+            if result.quic_support:
+                registry.counter("scan.domains_quic").inc()
+            if spins:
+                registry.counter("scan.domains_spinning").inc()
             span.annotate(
                 resolved=result.resolved,
                 quic=result.quic_support,
-                spins=result.shows_spin_activity,
+                spins=spins,
                 connections=len(result.connections),
             )
             span.end(self._domain_sim_ms)
-        return result
-
-    def _scan_domain_impl(
-        self,
-        domain: DomainRecord,
-        ip_version: int,
-        probe: int,
-        epoch: int,
-        seed_prefix: SeedPrefix,
-    ) -> DomainScanResult:
-        telemetry = self.telemetry
-        registry = telemetry.registry if telemetry is not None else None
-        self._domain_sim_ms = 0.0
-        if registry is not None:
-            registry.counter("scan.domains").inc()
-
-        rng = seed_prefix.derive(domain.name, probe)
-        if not domain.resolves or (ip_version == 6 and not domain.has_aaaa):
-            return DomainScanResult(domain=domain, resolved=False, quic_support=False)
-
-        ip = self.population.host_of(domain, ip_version)
-        result = DomainScanResult(
-            domain=domain, resolved=True, quic_support=False, resolved_ip=ip
-        )
-        stack_name = (
-            self.population.stack_of(domain, ip_version, epoch)
-            if domain.quic_enabled
-            else None
-        )
-        if registry is not None:
-            registry.counter("scan.domains_resolved").inc()
-        if stack_name is None:
-            return result
-        stack = stack_by_name(stack_name)
-        provider = self.population.provider_of(domain)
-
-        # Fault draws come from a *separate* stream derived alongside —
-        # never from — the measurement stream ``rng``, so an all-zero
-        # (or absent) plan leaves every measurement byte untouched, and
-        # any worker split sees the same faults for the same domain.
-        drawn = None
-        faults = self.config.faults
-        if faults is not None and not faults.is_empty:
-            drawn = faults.draw(seed_prefix.derive(domain.name, probe, "faults"))
-
-        host = f"www.{domain.name}"
-        redirects_left = _MAX_REDIRECTS
-        while True:
-            record = self._connect_once(
-                domain, host, ip, ip_version, provider.name, stack,
-                provider.propagation_delay, rng, allow_redirect=redirects_left > 0,
-                drawn_faults=drawn,
-            )
-            result.connections.append(record)
-            if record.success:
-                result.quic_support = True
-            if record.status in (301, 302, 307, 308) and redirects_left > 0:
-                redirects_left -= 1
-                if registry is not None:
-                    registry.counter("scan.redirects_followed").inc()
-                # Landing-page redirects overwhelmingly stay on the same
-                # host (http→https, apex→www); the scanner reconnects.
-                continue
-            break
-        if not result.quic_support and result.connections:
-            result.failure = result.connections[-1].failure
-        if registry is not None:
-            if result.quic_support:
-                registry.counter("scan.domains_quic").inc()
-            if result.shows_spin_activity:
-                registry.counter("scan.domains_spinning").inc()
         return result
 
     def _connect_once(
@@ -623,7 +583,7 @@ class Scanner:
         )
 
         telemetry = self.telemetry
-        registry = telemetry.registry if telemetry is not None else None
+        registry = telemetry.registry
         retry = resilience.retry if resilience is not None else None
         max_attempts = retry.max_attempts if retry is not None else 1
         connect_timeout = (
@@ -633,15 +593,10 @@ class Scanner:
             resilience.domain_budget_ms if resilience is not None else None
         )
 
-        profiler = telemetry.profiler if telemetry is not None else None
         attempt = 0
         kind: FailureKind | None = None
         while True:
-            with (
-                profiler.phase("exchange")
-                if profiler is not None
-                else nullcontext()
-            ):
+            with telemetry.phase("exchange"):
                 exchange = run_exchange(
                     host,
                     plan,
@@ -666,28 +621,26 @@ class Scanner:
                     impairment=impairment,
                 )
                 sim_end_ms = exchange.client.simulator.now_ms
-                if profiler is not None:
-                    # In simulated mode this charges the exchange's sim
-                    # duration to the open stack; in wall mode the phase
-                    # measured itself and the charge is a no-op.
-                    profiler.charge(sim_end_ms)
+                # In simulated mode this charges the exchange's sim
+                # duration to the open stack; in wall mode the phase
+                # measured itself and the charge is a no-op.
+                telemetry.charge(sim_end_ms)
             self._domain_sim_ms += sim_end_ms
-            if registry is not None:
-                registry.counter("scan.connections").inc()
-                outcome = "success" if exchange.success else "failure"
-                registry.counter("scan.handshakes", outcome=outcome).inc()
-                registry.histogram("scan.exchange_sim_ms").observe(sim_end_ms)
-                # One row per attempt (retries included), numbered within
-                # the domain so sibling ids stay unique, at the attempt's
-                # end on the domain's clock.
-                telemetry.tracer.event(
-                    f"connection:{self._domain_attempts}",
-                    time_ms=self._domain_sim_ms,
-                    host=host,
-                    status=exchange.status,
-                    success=exchange.success,
-                )
-                self._domain_attempts += 1
+            registry.counter("scan.connections").inc()
+            outcome = "success" if exchange.success else "failure"
+            registry.counter("scan.handshakes", outcome=outcome).inc()
+            registry.histogram("scan.exchange_sim_ms").observe(sim_end_ms)
+            # One row per attempt (retries included), numbered within the
+            # domain so sibling ids stay unique, at the attempt's end on
+            # the domain's clock.
+            telemetry.tracer.event(
+                f"connection:{self._domain_attempts}",
+                time_ms=self._domain_sim_ms,
+                host=host,
+                status=exchange.status,
+                success=exchange.success,
+            )
+            self._domain_attempts += 1
             kind = (
                 classify_exchange(exchange)
                 if classify_enabled and not exchange.success
@@ -703,16 +656,11 @@ class Scanner:
             # time — the scanner never sleeps on the wall clock.
             self._domain_sim_ms += retry.delay_ms(attempt, rng)
             attempt += 1
-            if registry is not None:
-                registry.counter("scan.retries").inc()
-        if kind is not None and registry is not None:
+            registry.counter("scan.retries").inc()
+        if kind is not None:
             registry.counter("scan.failures", kind=kind.value).inc()
 
-        with (
-            profiler.phase("classify")
-            if profiler is not None
-            else nullcontext()
-        ):
+        with telemetry.phase("classify"):
             observation = observe_recorder(exchange.recorder)
             stack_rtts = exchange.recorder.stack_rtts_ms()
             behaviour = classify_connection(observation, stack_rtts)
@@ -723,11 +671,7 @@ class Scanner:
                 "ip": str(ip),
                 "provider": provider_name,
             }
-            with (
-                profiler.phase("qlog")
-                if profiler is not None
-                else nullcontext()
-            ):
+            with telemetry.phase("qlog"):
                 qlog_doc = recorder_to_qlog(exchange.recorder, title=host)
         return ConnectionRecord(
             domain=domain.name,

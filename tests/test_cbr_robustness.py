@@ -36,7 +36,7 @@ from repro.core.classify import SpinBehaviour
 from repro.core.observer import SpinEdge, SpinObservation
 from repro.faults.taxonomy import FailureKind
 from repro.internet.asdb import IpAddr, build_default_asdb
-from repro.service.summary import summarize_records
+from repro.service.summary import WeekSummarizer
 from repro.web.scanner import ConnectionRecord
 
 ASDB = build_default_asdb()
@@ -117,7 +117,9 @@ def survives(batch) -> None:
     half = batch.take(range(0, len(batch), 2))
     assert list(half) == records[::2]
     AnalysisEngine(build_record_folds("all", asdb=ASDB)).run([batch, half])
-    summarize_records("cw20-2023", batch, ASDB).to_json()
+    summarizer = WeekSummarizer("cw20-2023", ASDB)
+    summarizer.update(batch)
+    summarizer.finish().to_json()
     for where in ("week == cw20-2023", "edges between 1 and 3 and t between 0 and 50"):
         parse_where(where).select(batch, range(len(batch)))
     write_records_cbr(records, io.BytesIO())

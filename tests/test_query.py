@@ -33,7 +33,12 @@ from repro.analysis.query import (
     plan_chunks,
 )
 from repro.artifacts import open_query_source, write_records
-from repro.artifacts.cbr import read_footer, week_serial, write_records_cbr
+from repro.artifacts.cbr import (
+    RecordBatch,
+    read_footer,
+    week_serial,
+    write_records_cbr,
+)
 from repro.cli import main
 from repro.core.classify import SpinBehaviour
 from repro.faults.taxonomy import FailureKind
@@ -97,7 +102,10 @@ def artifact(records, tmp_path_factory):
 
 
 def brute_force(records, predicate):
-    return [r for r in records if predicate.matches(r)]
+    """Record by record: ``select`` over a batch of that one row."""
+    return [
+        r for r in records if predicate.select(RecordBatch.from_records([r]), (0,))
+    ]
 
 
 def query(path, predicate):

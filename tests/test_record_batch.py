@@ -47,7 +47,6 @@ from repro.service.summary import (
     FLAG_SUCCESS,
     WeekSummarizer,
     WeekSummary,
-    summarize_records,
 )
 from repro.web.scanner import ConnectionRecord
 
@@ -222,7 +221,7 @@ def naive_folds():
 
 
 def naive_summarize(week, records) -> WeekSummary:
-    """``summarize_records`` as it looped over records."""
+    """``WeekSummarizer`` as it looped over records."""
     from repro.analysis.accuracy import SeriesStats
     from repro.analysis.filter_study import FilterOutcomeStats
     from repro.service.summary import _ACCURACY_SERIES
@@ -542,7 +541,9 @@ class TestFoldsAgainstRecordLoops:
         assert list(batch) == records
         expected, expected_json = run_naive(records)
         assert AnalysisEngine(build_record_folds("all", asdb=ASDB)).run([batch]) == expected
-        assert summarize_records("cw20-2023", batch, ASDB).to_json() == expected_json
+        summarizer = WeekSummarizer("cw20-2023", ASDB)
+        summarizer.update(batch)
+        assert summarizer.finish().to_json() == expected_json
 
 
 def _edges(*times):
@@ -633,7 +634,8 @@ class TestPredicatesAgainstMatches:
 
     @given(connection_records(), PREDICATES)
     def test_matches_is_select_over_one_row(self, record, predicate):
-        assert predicate.matches(record) == naive_matches(predicate, record)
+        one_row = RecordBatch.from_records([record])
+        assert bool(predicate.select(one_row, (0,))) == naive_matches(predicate, record)
 
     @pytest.mark.parametrize("build", [
         lambda: In("t", [1.0]), lambda: Present("t"), lambda: In("time", [1.0]),

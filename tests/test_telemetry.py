@@ -342,6 +342,52 @@ class TestDeterminismLint:
         assert "observer.py:1:" not in result.stderr
         assert "oracle.py" not in result.stderr
 
+    def test_asking_whether_anyone_listens_is_caught(self, tmp_path):
+        """One fabricated offender per pattern; a pragma does not help,
+        and only ``repro.telemetry`` may hold the off state's tests."""
+        offenders = (
+            "from contextlib import nullcontext",
+            "import contextlib",
+            "def f(self, telemetry, registry, metrics, span, x=None):",
+            "    if telemetry is None: return",
+            "    if self.telemetry is not None: pass",
+            "    registry = registry if registry is not None else x",
+            "    if telemetry.tracer is None: pass",
+            "    profiler = telemetry.profiler",
+            "    if profiler is not None: pass  # wallclock-ok robustness-ok jsonl-ok",
+            "    if None is metrics: pass",
+            "    metered = self._m_packets is not None",
+            "    if metered is not None: pass",
+            "    if span is not None: span.annotate()",
+            "    if self.scan_span is None: pass",
+            "    with contextlib.nullcontext(): pass",
+            "    with (telemetry.tracer.span('s') if x else nullcontext()): pass",
+        )
+        innocent = (
+            "    if x is None or telemetry: pass",
+            "    if telemetry.tracer.trace_id is None: pass",
+            "    if self.recorder is not None and registry == x: pass",
+            "    with telemetry.tracer.span('s') as span: span.end()",
+        )
+        source = "\n".join(offenders + innocent) + "\n"
+        for layer in ("web", "telemetry", ""):
+            directory = tmp_path / "repro" / layer
+            directory.mkdir(parents=True, exist_ok=True)
+            (directory / "sites.py").write_text(source, encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, str(self.LINT), str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        flagged = {1, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 16}
+        for path in ("web/sites.py", "repro/sites.py"):
+            for line in range(1, len(offenders + innocent) + 1):
+                assert (f"{path}:{line}:" in result.stderr) == (line in flagged), (
+                    path, line, result.stderr
+                )
+        assert "telemetry/sites.py" not in result.stderr
+
 
 class TestOneTraceModel:
     """AST gate (same lint): outside ``repro.telemetry`` rows enter the
