@@ -628,6 +628,7 @@ class QuicEndpoint:
             self.recorder.on_packet_sent(
                 self.simulator.now_ms, header.packet_type.value, 0, None, 0
             )
+        self.counts.sent += 1
         self.transport(header.encode())
 
     def _send_retry(self, received: LongHeader) -> None:
@@ -643,6 +644,7 @@ class QuicEndpoint:
             self.recorder.on_packet_sent(
                 self.simulator.now_ms, header.packet_type.value, 0, None, 0
             )
+        self.counts.sent += 1
         self.transport(header.encode())
 
     def _learn_peer_params(self, crypto_message: bytes | None) -> None:

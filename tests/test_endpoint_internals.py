@@ -10,7 +10,8 @@ from repro.netsim.path import PathProfile, duplex_paths
 from repro.qlog.recorder import TraceRecorder
 from repro.quic.connection import ConnectionConfig, PacketSpace, QuicEndpoint
 from repro.quic.connection import _note_received
-from repro.web.http3 import ResponsePlan, run_exchange
+from repro.quic.version import QuicVersion
+from repro.web.http3 import ResponsePlan, build_exchange, run_exchange
 
 
 def runs_of(arrivals):
@@ -196,3 +197,32 @@ class TestCongestionWindow:
         assert server._congestion_window == max(2, before // 2)
         assert state.sent[pn].retransmitted
         assert len(state.sent) == 2  # the probe awaits its own ACK
+
+
+class TestPacketCounts:
+    @pytest.mark.parametrize(
+        "server_config",
+        [
+            ConnectionConfig(),
+            ConnectionConfig(retry_required=True),
+            ConnectionConfig(
+                supported_versions=(QuicVersion.DRAFT_29, QuicVersion.DRAFT_27)
+            ),
+        ],
+        ids=["plain", "retry", "version-negotiation"],
+    )
+    def test_each_role_sends_what_the_other_receives(self, server_config):
+        """On a loss-free path nothing sent goes uncounted — Version
+        Negotiation and Retry packets included, which leave the server
+        before it has any connection state."""
+        simulator = Simulator()
+        profile = PathProfile(propagation_delay_ms=15.0)
+        plan = ResponsePlan(server_header="x", write_sizes=(100,))
+        handle = build_exchange(
+            simulator, "www.counts.test", [plan], SpinPolicy.SPIN, SpinPolicy.SPIN,
+            profile, profile, derive_rng(2, "counts"), server_config=server_config,
+        )
+        simulator.run()
+        assert handle.done and handle.client.failed is None
+        client, server = handle.client.counts, handle.server.counts
+        assert (server.sent, client.sent) == (client.received, server.received)

@@ -33,7 +33,7 @@ FAULT_FREE = {
     "artifact": "f9ece2d1f1af9afb7945439dd999be575da49b5d5105aca9bade92f235ae269c",
     "qlog": "3ea30f7b420eb674c6d8094568573ef2a33c00568230472939fda54ce59a18c2",
     "trace": "ba6814054880cfdcd35ce8946d9eaa852b6818ba738e459e0014853ee7a1460f",
-    "metrics": "f841ca10073e60a7a6e4976e841235ba6066f41da75031571c109e115008bed7",
+    "metrics": "8433f75dfb52d984b55146153940a60c2dfc44892d33652f52570ad216dc8af6",
 }
 
 #: Digests recorded at 42b6150 — the commit before the endpoint's 1-RTT
@@ -41,12 +41,28 @@ FAULT_FREE = {
 #: Regenerate only from a commit whose output is known good, never from
 #: the change under test.
 #:
-#: The one exception so far: the two ``trace`` values were re-recorded by
-#: PR 17 (the change on top of 5d061c1 that merged the span log into the
-#: trace and so changed the row format).  What licensed it is
+#: The two exceptions so far.  The two ``trace`` values were re-recorded
+#: by PR 17 (the change on top of 5d061c1 that merged the span log into
+#: the trace and so changed the row format).  What licensed it is
 #: ``test_trace_reconciles_with_counters_and_dataset`` below, which ties
 #: every row of the new file to the ``artifact`` and ``metrics`` digests
 #: — those, and ``qlog``, were not edited.
+#:
+#: The two ``metrics`` values were re-recorded by PR 19's first commit,
+#: which is 26d1ca3 plus one line each in ``_send_version_negotiation``
+#: and ``_send_retry`` (``counts.sent += 1``: the server did not count
+#: the Version Negotiation and Retry packets it sent, while the client
+#: counted receiving them) — recorded from that two-line fix, before the
+#: datapath change that follows it.  The whole JSON diff of
+#: ``metrics.json``, 26d1ca3 -> fix, is one series per scenario, higher by
+#: the Retry + Version Negotiation packets the scenario's servers send:
+#:
+#:   fault-free  quic.packets_sent{role=server}  5638 -> 5645  (7 Retry)
+#:   chaos       quic.packets_sent{role=server}  5347 -> 5360  (8 Retry + 5 VN)
+#:
+#: ``artifact``, ``qlog`` and ``trace`` did not move, and
+#: ``tests/test_endpoint_internals.py::TestPacketCounts`` (sent equals
+#: the other role's received; fails at 26d1ca3) is what licenses it.
 GOLDEN_SCANS = {
     "fault-free": ([], FAULT_FREE),
     "chaos": (
@@ -58,7 +74,7 @@ GOLDEN_SCANS = {
             "artifact": "8135a24d928f1fabb767f9b6256444b890184724276f726750601de30b0096fb",
             "qlog": "120cda1bef3c9c8fe4b5fa97f4c750247c4318d067ac94095066adcfb41f7475",
             "trace": "25ad4c47006788f7325ce9822200913cc1bd233fc30df4c986766edd5a9bae3c",
-            "metrics": "f475f5b59380cec1a3d518e666a3ca717726345051c1f023256dacd3ecdcfb04",
+            "metrics": "02bfa7750149c1042e8ea8ddfbc3fb4e2bfeca4199fb472fcff61d2b0d9689ec",
         },
     ),
     # Telemetry and artifacts are worker-count independent, so the pool
