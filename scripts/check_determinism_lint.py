@@ -25,11 +25,21 @@ Which further rules apply to which layer (directory under
   reader, the spool manifest, the ``/v1/domain`` response body, the
   trace writer) are the legitimate per-line JSON loops and opt out with
   ``# jsonl-ok``.
-* Layering (PR 12): ``core`` and ``monitor`` sit on the path and read
-  headers only (:mod:`repro.quic.onpath`); naming ``decode_datagram``
-  or ``decode_frames`` there would put the endpoint codec — a header
-  object and a frame-object list per packet — back under the observer,
-  and is flagged.  Docstrings and comments may mention them.
+* One wire reader (PR 12, PR 19): the dataclass codec is the reference
+  the tests hold production to, and production does not run it.  Naming
+  one of its entry points (``decode_datagram``, ``parse_header``,
+  ``decode_frames``, ``encode_datagram``) or one of the objects it builds
+  (``QuicPacket``, ``ParsedPacket``, the three header classes) is flagged
+  everywhere but in the codec's own modules — observers and endpoints
+  read datagrams with :mod:`repro.quic.onpath` and
+  ``decode_frame_fields``.  Docstrings and comments may mention them.
+* One endpoint datapath (PR 19), ``quic/connection.py`` only: an
+  ``isinstance`` test against a frame or header class is a dispatch on
+  codec objects; a second ``self.transport(...)`` call is a second send
+  route; a second ``counts.sent +=`` / ``counts.received +=`` is a
+  second place where packets are counted — each is flagged.  And in
+  ``quic/frames.py``, ``decode_frame_fields`` may not call a class or a
+  ``_decode_*`` helper: the field decoder builds no object.
 * One trace model (PR 17): outside ``telemetry`` nothing constructs a
   trace record or open-span handle, or mutates a ``records`` /
   ``diag_records`` list — rows enter the log through ``Tracer.span`` /
@@ -84,8 +94,15 @@ FORBIDDEN = (
     (re.compile(r"\btime\.sleep\("), ROBUSTNESS_PRAGMA),
 )
 
-#: The endpoint codec's entry points, which on-path layers may not use.
-_ENDPOINT_DECODERS = frozenset({"decode_datagram", "decode_frames"})
+#: The reference codec — entry points, and the objects it builds —
+#: which nothing outside its own modules may use.
+_REFERENCE_CODEC = frozenset(
+    {
+        "decode_datagram", "parse_header", "decode_frames", "encode_datagram",
+        "QuicPacket", "ParsedPacket", "LongHeader", "ShortHeader",
+        "VersionNegotiationHeader",
+    }
+)
 
 #: The trace model's constructors and row lists (``repro.telemetry.trace``).
 _TRACE_CONSTRUCTORS = frozenset({"TraceRecord", "OpenSpan"})
@@ -108,7 +125,7 @@ def forbidden_lines(text: str) -> list[int]:
 
 
 def endpoint_decoder_uses(text: str) -> list[int]:
-    """Imports or uses of the endpoint codec (on-path code may not)."""
+    """Imports or uses of the reference codec (production may not)."""
     numbers = set()
     for node in ast.walk(ast.parse(text)):
         if isinstance(node, ast.ImportFrom):
@@ -119,7 +136,7 @@ def endpoint_decoder_uses(text: str) -> list[int]:
             named = {node.attr}
         else:
             continue
-        if named & _ENDPOINT_DECODERS:
+        if named & _REFERENCE_CODEC:
             numbers.add(node.lineno)
     return sorted(numbers)
 
@@ -212,9 +229,68 @@ def listener_guards(text: str) -> list[int]:
     return sorted(numbers)
 
 
+def _bare_name(node: ast.AST | None) -> str:
+    """``f`` of a name ``f`` or an attribute ``x.f``, else ''."""
+    return getattr(node, "id", None) or getattr(node, "attr", None) or ""
+
+
+def _called_name(node: ast.AST) -> str:
+    """The bare name a call goes to (``f(...)`` or ``x.f(...)``), else ''."""
+    return _bare_name(node.func) if isinstance(node, ast.Call) else ""
+
+
+def _is_codec_class(node: ast.AST) -> bool:
+    name = _bare_name(node)
+    return name.endswith(("Frame", "Header")) or name in _REFERENCE_CODEC
+
+
+def forked_datapath(text: str) -> list[int]:
+    """What would make the endpoint's one send and one receive route two:
+    ``isinstance`` against a frame or header class, and every
+    ``self.transport(...)``, ``counts.sent +=`` and ``counts.received +=``
+    after the first."""
+    numbers = []
+    once: dict[str, list[int]] = {}
+    for node in ast.walk(ast.parse(text)):
+        if _called_name(node) == "isinstance" and len(node.args) == 2:
+            classes = node.args[1]
+            if any(map(_is_codec_class, getattr(classes, "elts", [classes]))):
+                numbers.append(node.lineno)
+        elif _called_name(node) == "transport" and isinstance(node.func, ast.Attribute):
+            once.setdefault("transport", []).append(node.lineno)
+        elif (
+            isinstance(node, ast.AugAssign)
+            and getattr(node.target, "attr", None) in ("sent", "received")
+            and getattr(node.target.value, "attr", None) == "counts"
+        ):
+            once.setdefault(node.target.attr, []).append(node.lineno)
+    for lines in once.values():
+        numbers.extend(sorted(lines)[1:])
+    return sorted(numbers)
+
+
+def field_decoder_objects(text: str) -> list[int]:
+    """Class or ``_decode_*`` calls inside ``decode_frame_fields``: the
+    field decoder returns plain tuples (exceptions it raises aside)."""
+    numbers = []
+    for function in ast.walk(ast.parse(text)):
+        if getattr(function, "name", None) != "decode_frame_fields":
+            continue
+        raised = {
+            id(node.exc) for node in ast.walk(function) if isinstance(node, ast.Raise)
+        }
+        for node in ast.walk(function):
+            name = _called_name(node)
+            if id(node) not in raised and (name[:1].isupper() or name.startswith("_decode_")):
+                numbers.append(node.lineno)
+    return numbers
+
+
 #: What every file is held to; a layer (directory under ``repro/``) not
 #: listed below gets exactly this.
-_EVERYWHERE = (forbidden_lines, hand_built_trace_rows, listener_guards)
+_EVERYWHERE = (
+    forbidden_lines, hand_built_trace_rows, listener_guards, endpoint_decoder_uses
+)
 
 #: layer → its rules.  The JSON-in-loop layers are the hot paths (the
 #: scan engine's shard scheduler, cbr IPC and checkpoint writer must
@@ -223,15 +299,26 @@ _EVERYWHERE = (forbidden_lines, hand_built_trace_rows, listener_guards)
 #: handle for ``None``.
 LAYER_RULES = {
     "analysis": _EVERYWHERE + (json_in_loops,),
-    "core": _EVERYWHERE + (endpoint_decoder_uses,),
     "faults": _EVERYWHERE + (json_in_loops,),
     "internet": _EVERYWHERE + (json_in_loops,),
-    "monitor": _EVERYWHERE + (json_in_loops, endpoint_decoder_uses),
+    "monitor": _EVERYWHERE + (json_in_loops,),
     "netsim": _EVERYWHERE + (json_in_loops,),
     "obs": _EVERYWHERE + (json_in_loops,),
     "service": _EVERYWHERE + (json_in_loops,),
-    "telemetry": (forbidden_lines, json_in_loops),
+    "telemetry": (forbidden_lines, json_in_loops, endpoint_decoder_uses),
     "web": _EVERYWHERE + (json_in_loops,),
+}
+
+#: file → ``(rules added, rules lifted)``.  The reference codec's own
+#: modules (and the package's re-exports of it) are where its names
+#: live; the endpoint and the field decoder carry the one-datapath rules.
+_CODEC_HOME = ((), (endpoint_decoder_uses,))
+FILE_RULES = {
+    "repro/quic/__init__.py": _CODEC_HOME,
+    "repro/quic/connection.py": ((forked_datapath,), ()),
+    "repro/quic/datagram.py": _CODEC_HOME,
+    "repro/quic/frames.py": ((field_decoder_objects,), (endpoint_decoder_uses,)),
+    "repro/quic/packet.py": _CODEC_HOME,
 }
 
 
@@ -240,11 +327,13 @@ def find_violations(root: Path) -> list[tuple[Path, int, str]]:
     for path in sorted(root.rglob("*.py")):
         parts = path.relative_to(root).parts
         layer = parts[1] if len(parts) > 2 and parts[0] == "repro" else ""
+        added, lifted = FILE_RULES.get("/".join(parts), ((), ()))
         text = path.read_text(encoding="utf-8")
         lines = text.splitlines()
         numbers = set()
-        for rule in LAYER_RULES.get(layer, _EVERYWHERE):
-            numbers.update(rule(text))
+        for rule in LAYER_RULES.get(layer, _EVERYWHERE) + added:
+            if rule not in lifted:
+                numbers.update(rule(text))
         violations.extend(
             (path, number, lines[number - 1].strip()) for number in sorted(numbers)
         )
@@ -271,9 +360,13 @@ def main(argv: list[str] | None = None) -> int:
             f"may annotate the line with '# {WALLCLOCK_PRAGMA}', robustness "
             f"opt-outs with '# {ROBUSTNESS_PRAGMA}'; per-record JSON in the "
             f"analysis layer belongs in the cbr codec — the JSONL codec "
-            f"itself opts out with '# {JSONLOOP_PRAGMA}'; on-path code under "
-            "core/ and monitor/ reads datagrams with repro.quic.onpath, not "
-            "decode_datagram/decode_frames; trace rows enter the log through "
+            f"itself opts out with '# {JSONLOOP_PRAGMA}'; datagrams are read "
+            "with repro.quic.onpath and decode_frame_fields — the dataclass "
+            "codec (decode_datagram, QuicPacket, ...) is the tests' reference "
+            "and nothing under src/ but its own modules names it; "
+            "quic/connection.py has one send and one receive route "
+            "(self.transport, counts.sent +=, counts.received += once each, no "
+            "isinstance on frame or header classes); trace rows enter the log through "
             "Tracer.span/event/count/absorb, only repro.telemetry builds them; "
             "a telemetry handle is never compared with None and nullcontext is "
             "never used — Telemetry.resolve(None) is the off bundle, call it "

@@ -32,9 +32,7 @@ from repro.core.flow_resolver import FlowKeyResolver
 from repro.core.flow_table import SpinFlowTable
 from repro.core.observer import SpinObserver
 from repro.monitor.traffic import TrafficConfig, TrafficMux
-from repro.quic.datagram import decode_datagram
-from repro.quic.packet import HeaderParseError, ShortHeader
-from repro.quic.packet_number import decode_packet_number
+from repro.quic.onpath import DirectionState, walk_datagram
 
 __all__ = ["render_migration_section", "run_linkage_study"]
 
@@ -66,35 +64,27 @@ def run_linkage_study(traffic: TrafficConfig) -> dict:
             on_packet=on_packet,
         )
 
-    oracle: dict[int, SpinObserver] = {}
-    oracle_largest: dict[int, int | None] = {}
+    oracle: dict[int, tuple[SpinObserver, DirectionState]] = {}
     for tap in mux.stream():
         current_index[0] = tap.flow_index
         for table in tables.values():
             table.on_server_datagram(tap.time_ms, tap.data, tap.tuple4)
         try:
-            packets = decode_datagram(tap.data, traffic.short_dcid_length)
-        except (HeaderParseError, ValueError, IndexError):
+            _, short_at = walk_datagram(tap.data, traffic.short_dcid_length)
+        except ValueError:
             continue
-        for packet in packets:
-            header = packet.header
-            if not isinstance(header, ShortHeader):
-                continue
-            observer = oracle.get(tap.flow_index)
-            if observer is None:
-                observer = oracle[tap.flow_index] = SpinObserver()
-            full_pn = decode_packet_number(
-                header.packet_number,
-                header.pn_length,
-                oracle_largest.get(tap.flow_index),
-            )
-            previous = oracle_largest.get(tap.flow_index)
-            if previous is None or full_pn > previous:
-                oracle_largest[tap.flow_index] = full_pn
-            observer.on_packet(tap.time_ms, full_pn, header.spin_bit)
+        if short_at < 0:
+            continue
+        if tap.flow_index not in oracle:
+            oracle[tap.flow_index] = (SpinObserver(), DirectionState())
+        observer, direction = oracle[tap.flow_index]
+        spin_bit, _, _, full_pn, _ = direction.read_short(
+            tap.data, short_at, traffic.short_dcid_length
+        )
+        observer.on_packet(tap.time_ms, full_pn, spin_bit)
 
     oracle_means = {}
-    for index, observer in oracle.items():
+    for index, (observer, _) in oracle.items():
         rtts = observer.observation().rtts_received_ms
         if rtts:
             oracle_means[index] = sum(rtts) / len(rtts)

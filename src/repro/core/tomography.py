@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.quic.onpath import short_header_fields, walk_datagram
-from repro.quic.packet_number import decode_packet_number
+from repro.quic.onpath import DirectionState, walk_datagram
 
 __all__ = ["ComponentSample", "SpinTomographyObserver"]
 
@@ -38,18 +37,14 @@ class ComponentSample:
         return self.upstream_ms + self.downstream_ms
 
 
-@dataclass
-class _DirectionState:
-    largest_pn: int | None = None
-    last_spin: bool | None = None
+class _SpinDirection(DirectionState):
+    """A direction plus the spin value of its highest packet number."""
 
-    def update(self, truncated: int, pn_length: int, spin: bool) -> tuple[int, bool]:
-        """Reconstruct the pn; return (full_pn, is_new_highest)."""
-        full = decode_packet_number(truncated, pn_length, self.largest_pn)
-        is_new = self.largest_pn is None or full > self.largest_pn
-        if is_new:
-            self.largest_pn = full
-        return full, is_new
+    __slots__ = ("last_spin",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.last_spin: bool | None = None
 
 
 class SpinTomographyObserver:
@@ -66,8 +61,8 @@ class SpinTomographyObserver:
         self.short_dcid_length = short_dcid_length
         self.samples: list[ComponentSample] = []
         self.parse_errors = 0
-        self._client_state = _DirectionState()
-        self._server_state = _DirectionState()
+        self._client_state = _SpinDirection()
+        self._server_state = _SpinDirection()
         #: Time of the most recent client edge awaiting its reflection.
         self._pending_client_edge_ms: float | None = None
         #: Time of the most recent reflected (server) edge awaiting the
@@ -97,7 +92,7 @@ class SpinTomographyObserver:
 
     # ------------------------------------------------------------------
 
-    def _short_header_spins(self, data: bytes, state: _DirectionState):
+    def _short_header_spins(self, data: bytes, state: _SpinDirection):
         """Yield the spin value whenever this direction's signal flips."""
         try:
             _, short_at = walk_datagram(data, self.short_dcid_length)
@@ -106,10 +101,7 @@ class SpinTomographyObserver:
             return
         if short_at < 0:
             return
-        spin_bit, _, _, truncated_pn, pn_length = short_header_fields(
-            data, short_at, self.short_dcid_length
-        )
-        _, is_new = state.update(truncated_pn, pn_length, spin_bit)
+        spin_bit, _, _, _, is_new = state.read_short(data, short_at, self.short_dcid_length)
         if not is_new:
             return
         if state.last_spin is None:

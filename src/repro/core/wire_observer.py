@@ -21,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.observer import SpinObservation, SpinObserver
-from repro.quic.onpath import short_header_fields, walk_datagram
-from repro.quic.packet_number import decode_packet_number
+from repro.quic.onpath import DirectionState, walk_datagram
 
 __all__ = ["Direction", "WireObserver", "WireObserverStats"]
 
@@ -44,19 +43,6 @@ class WireObserverStats:
     parse_errors: int = 0
 
 
-@dataclass
-class _DirectionState:
-    """Per-direction packet-number reconstruction state."""
-
-    largest_pn: int | None = None
-
-    def reconstruct(self, truncated: int, pn_length: int) -> int:
-        full = decode_packet_number(truncated, pn_length, self.largest_pn)
-        if self.largest_pn is None or full > self.largest_pn:
-            self.largest_pn = full
-        return full
-
-
 class WireObserver:
     """A passive on-path spin-bit measurement point.
 
@@ -72,8 +58,8 @@ class WireObserver:
         self.stats = WireObserverStats()
         self._spin_observer = SpinObserver()
         self._states = {
-            Direction.CLIENT_TO_SERVER: _DirectionState(),
-            Direction.SERVER_TO_CLIENT: _DirectionState(),
+            Direction.CLIENT_TO_SERVER: DirectionState(),
+            Direction.SERVER_TO_CLIENT: DirectionState(),
         }
         self._vec_marks: list[tuple[float, int]] = []
 
@@ -98,10 +84,9 @@ class WireObserver:
         if short_at < 0:
             return  # long headers never carry the spin bit
         self.stats.short_header_packets += 1
-        spin_bit, vec, _, truncated_pn, pn_length = short_header_fields(
+        spin_bit, vec, _, full_pn, _ = self._states[direction].read_short(
             data, short_at, self.short_dcid_length
         )
-        full_pn = self._states[direction].reconstruct(truncated_pn, pn_length)
         if direction == Direction.SERVER_TO_CLIENT:
             self._spin_observer.on_packet(time_ms, full_pn, spin_bit)
             if vec:

@@ -3,10 +3,11 @@
 QUIC coalesces multiple long-header packets into one datagram during the
 handshake (RFC 9000 Section 12.2); the long-header ``Length`` field
 delimits them and a short-header packet, if present, always comes last
-and extends to the end of the datagram.  This is the endpoints' codec;
-the passive observer delimits packets the same way but reads headers
-only (:mod:`repro.quic.onpath`), accepting and rejecting exactly the
-datagrams this module does.
+and extends to the end of the datagram.  This is the reference codec:
+no production path runs it.  Observers and endpoints delimit packets
+the same way but read fields where they lie (:mod:`repro.quic.onpath`),
+accepting and rejecting exactly the datagrams this module does, and the
+tests hold them to it.
 """
 
 from __future__ import annotations

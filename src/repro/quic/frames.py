@@ -281,32 +281,39 @@ def decode_frames(payload: bytes, ack_delay_exponent: int = 3) -> list[Frame]:
 
 
 def decode_frame_fields(
-    data: bytes, at: int = 0, ack_delay_exponent: int = 3
+    data: bytes, at: int = 0, ack_delay_exponent: int = 3, end: int | None = None
 ) -> tuple[list[tuple], bool]:
-    """Decode the payload ``data[at:]`` into plain fields.
+    """Decode the payload ``data[at:end]`` into plain fields.
 
-    The endpoint's 1-RTT receive path reads a payload where it lies in
-    the datagram (a short-header packet runs to the datagram's end) and
-    wants values, not frame objects.  Returns ``(items, ack_eliciting)``
-    with one tuple per frame the endpoint acts on, in payload order:
+    The endpoint reads a payload where it lies in the datagram — a
+    short-header packet runs to the datagram's end (``end=None``), a
+    long-header one to the end its ``Length`` field gives — and wants
+    values, not frame objects.  Returns ``(items, ack_eliciting)`` with
+    one tuple per frame the endpoint acts on, in payload order, its first
+    element the frame type:
 
     * ACK: ``(0x02, largest, ack_delay_us, [(smallest, largest), ...])``,
       ranges descending;
     * STREAM: ``(0x08, stream_id, offset, data, fin)``;
-    * CRYPTO, NEW_CONNECTION_ID, HANDSHAKE_DONE, CONNECTION_CLOSE — rare
-      on this path — ``(frame_type, frame)`` with the frame object
-      :func:`decode_frames` would build.
+    * CRYPTO: ``(0x06, offset, data)``;
+    * NEW_CONNECTION_ID: ``(0x18, sequence_number, retire_prior_to,
+      connection_id, stateless_reset_token)``;
+    * HANDSHAKE_DONE: ``(0x1E,)``;
+    * CONNECTION_CLOSE: ``(0x1C, error_code, frame_type, reason,
+      is_application)``.
 
     PADDING and PING carry nothing to act on and yield no item; PING
-    still makes the packet ack-eliciting.  Accepts and rejects exactly
-    the payloads ``decode_frames`` does (``tests/test_datapath.py``
-    holds the two against each other), including the rejections that
-    live in the frame dataclasses: a first ACK range reaching below
-    packet number 0, a NEW_CONNECTION_ID CID outside 1..20 bytes.
+    still makes the packet ack-eliciting.  No frame object is built.
+    Accepts and rejects exactly the payloads ``decode_frames`` does
+    (``tests/test_datapath.py`` holds the two against each other),
+    including the rejections that live in the frame dataclasses: a first
+    ACK range reaching below packet number 0, a NEW_CONNECTION_ID CID
+    outside 1..20 bytes.
     """
     items: list[tuple] = []
     ack_eliciting = False
-    end = len(data)
+    if end is None:
+        end = len(data)
     while at < end:
         frame_type = data[at]
         if 0x08 <= frame_type <= 0x0F:  # STREAM
@@ -320,6 +327,8 @@ def decode_frame_fields(
                     raise FrameParseError("STREAM frame data truncated")
             else:
                 length = end - at
+                if length < 0:
+                    raise FrameParseError("STREAM frame header truncated")
             items.append(
                 (0x08, stream_id, stream_offset, data[at : at + length], frame_type & 0x01 != 0)
             )
@@ -350,23 +359,55 @@ def decode_frame_fields(
         elif frame_type == 0x01:  # PING
             at += 1
             ack_eliciting = True
-        elif frame_type == 0x06:
-            frame, at = _decode_crypto(data, at + 1)
-            items.append((frame_type, frame))
+        elif frame_type == 0x06:  # CRYPTO
+            crypto_offset, at = decode_varint(data, at + 1)
+            length, at = decode_varint(data, at)
+            if at + length > end:
+                raise FrameParseError("CRYPTO frame data truncated")
+            items.append((0x06, crypto_offset, data[at : at + length]))
+            at += length
             ack_eliciting = True
-        elif frame_type == 0x18:
-            frame, at = _decode_new_connection_id(data, at + 1)
-            items.append((frame_type, frame))
+        elif frame_type == 0x18:  # NEW_CONNECTION_ID
+            sequence_number, at = decode_varint(data, at + 1)
+            retire_prior_to, at = decode_varint(data, at)
+            if at >= end:
+                raise FrameParseError("NEW_CONNECTION_ID truncated at CID length")
+            cid_length = data[at]
+            token_at = at + 1 + cid_length
+            if token_at + 16 > end or not 1 <= cid_length <= 20:
+                raise FrameParseError("NEW_CONNECTION_ID truncated or CID length invalid")
+            items.append(
+                (
+                    0x18,
+                    sequence_number,
+                    retire_prior_to,
+                    data[at + 1 : token_at],
+                    data[token_at : token_at + 16],
+                )
+            )
+            at = token_at + 16
             ack_eliciting = True
-        elif frame_type == 0x1E:
-            items.append((frame_type, HandshakeDoneFrame()))
+        elif frame_type == 0x1E:  # HANDSHAKE_DONE
+            items.append((0x1E,))
             at += 1
             ack_eliciting = True
-        elif frame_type in (0x1C, 0x1D):
-            frame, at = _decode_connection_close(data, at + 1, frame_type)
-            items.append((frame_type, frame))
+        elif frame_type in (0x1C, 0x1D):  # CONNECTION_CLOSE
+            error_code, at = decode_varint(data, at + 1)
+            inner_type = 0
+            if frame_type == 0x1C:
+                inner_type, at = decode_varint(data, at)
+            length, at = decode_varint(data, at)
+            if at + length > end:
+                raise FrameParseError("CONNECTION_CLOSE reason truncated")
+            items.append(
+                (0x1C, error_code, inner_type, data[at : at + length], frame_type == 0x1D)
+            )
+            at += length
         else:
             raise FrameParseError(f"unknown frame type 0x{frame_type:02x} at {at}")
+    if at > end:
+        # A field read past ``end`` (into the next coalesced packet).
+        raise FrameParseError("frame overruns the payload")
     return items, ack_eliciting
 
 

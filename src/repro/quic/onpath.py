@@ -1,32 +1,50 @@
-"""Header-only reading of a datagram: what an on-path observer needs.
+"""Reading a datagram where it lies: the one parse graph every packet enters.
 
 The paper's observer reads three things from a datagram — the spin bit
 in the first byte, the destination connection ID, the truncated packet
 number — and "Tracking the QUIC Spin Bit on Tofino" (PAPERS.md) shows
-that this is a fixed, tiny amount of work per packet.  The endpoint
+that this is a fixed, tiny amount of work per packet.  The reference
 codec (:func:`~repro.quic.datagram.decode_datagram`) instead builds a
-header object and a frame object list per packet, none of which an
-observer looks at.
+header object and a frame object list per packet; nothing in production
+runs it, observers and endpoints both read with this module.
 
-:func:`walk_datagram` is the observer's reader: it steps over the
-coalesced packets of a datagram using only the first byte, the
-connection-ID lengths and the long-header ``Length`` field, and checks
-every payload with :func:`check_frames` without materialising a frame.
-It accepts and rejects exactly the datagrams ``decode_datagram`` does
+:func:`walk_datagram` validates: it steps over the coalesced packets of
+a datagram using only the first byte, the connection-ID lengths and the
+long-header ``Length`` field, and checks every payload with
+:func:`check_frames` without materialising a frame.  It accepts and
+rejects exactly the datagrams ``decode_datagram`` does
 (``tests/test_onpath.py`` holds the two against each other), so "parse
-error" means the same thing on the path as at the endpoints.
+error" means the same thing on the path, at the endpoints and in the
+reference.  :func:`short_header_fields` and :func:`long_header_fields`
+then read the header fields of a packet the walk has accepted, and
+:class:`DirectionState` is what an observer keeps per direction to turn
+a truncated packet number into a full one.
 """
 
 from __future__ import annotations
 
 from repro.quic.connection_id import ConnectionId
 from repro.quic.frames import FrameParseError
-from repro.quic.packet import HeaderParseError
-from repro.quic.varint import VarintError
+from repro.quic.packet import HeaderParseError, PacketType
+from repro.quic.packet_number import decode_packet_number
+from repro.quic.varint import VarintError, decode_varint
 
-__all__ = ["check_frames", "short_header_fields", "walk_datagram"]
+__all__ = [
+    "DirectionState",
+    "check_frames",
+    "long_header_fields",
+    "short_header_fields",
+    "walk_datagram",
+]
 
 _MAX_CID_LENGTH = ConnectionId.MAX_LENGTH
+#: The long packet type bits (``first & 0x30``), in wire order.
+_LONG_PACKET_TYPES = (
+    PacketType.INITIAL,
+    PacketType.ZERO_RTT,
+    PacketType.HANDSHAKE,
+    PacketType.RETRY,
+)
 
 
 def walk_datagram(data: bytes, short_dcid_length: int) -> tuple[int, int]:
@@ -108,6 +126,88 @@ def short_header_fields(
         data[short_at + 1 : pn_at],
         int.from_bytes(data[pn_at : pn_at + pn_length], "big"),
         pn_length,
+    )
+
+
+class DirectionState:
+    """One direction of a flow as an on-path observer holds it: the
+    largest packet number seen so far, against which the truncated
+    on-wire values are reconstructed (RFC 9000 Appendix A.3)."""
+
+    __slots__ = ("largest_pn",)
+
+    def __init__(self) -> None:
+        self.largest_pn: int | None = None
+
+    def read_short(
+        self, data: bytes, short_at: int, short_dcid_length: int
+    ) -> tuple[bool, int, bytes, int, bool]:
+        """Read the short header :func:`walk_datagram` located, against
+        this direction.
+
+        Returns ``(spin_bit, vec, dcid, packet_number, is_new_largest)``
+        with the full packet number, and advances the direction when it
+        is the largest yet.
+        """
+        spin_bit, vec, dcid, truncated_pn, pn_length = short_header_fields(
+            data, short_at, short_dcid_length
+        )
+        packet_number = decode_packet_number(truncated_pn, pn_length, self.largest_pn)
+        is_new_largest = self.largest_pn is None or packet_number > self.largest_pn
+        if is_new_largest:
+            self.largest_pn = packet_number
+        return spin_bit, vec, dcid, packet_number, is_new_largest
+
+
+def long_header_fields(
+    data: bytes, at: int = 0
+) -> tuple[PacketType, int, bytes, bytes, bytes, tuple[int, ...], int, int, int, int]:
+    """The fields of the long-header packet at ``data[at:]``.
+
+    Straight-line: :func:`walk_datagram` has bounds-checked the datagram,
+    nothing is re-checked here.  Returns ``(packet_type, version, dcid,
+    scid, token, supported_versions, truncated_pn, pn_length, payload_at,
+    end)``; the payload is ``data[payload_at:end]`` and the next coalesced
+    packet starts at ``end``.  ``token`` is an Initial's or a Retry's;
+    ``supported_versions`` is non-empty for Version Negotiation only.
+    Those two run to the end of the datagram and have neither packet
+    number nor payload (``payload_at == end == len(data)``).
+    """
+    first = data[at]
+    version = int.from_bytes(data[at + 1 : at + 5], "big")
+    scid_length_at = at + 6 + data[at + 5]
+    dcid = data[at + 6 : scid_length_at]
+    cursor = scid_length_at + 1 + data[scid_length_at]
+    scid = data[scid_length_at + 1 : cursor]
+    size = len(data)
+    if not version:
+        versions = tuple(
+            int.from_bytes(data[index : index + 4], "big")
+            for index in range(cursor, size, 4)
+        )
+        return PacketType.VERSION_NEGOTIATION, 0, dcid, scid, b"", versions, 0, 0, size, size
+    packet_type = _LONG_PACKET_TYPES[(first & 0x30) >> 4]
+    if packet_type is PacketType.RETRY:
+        return packet_type, version, dcid, scid, data[cursor:], (), 0, 0, size, size
+    token = b""
+    if packet_type is PacketType.INITIAL:
+        token_length, cursor = decode_varint(data, cursor)
+        token = data[cursor : cursor + token_length]
+        cursor += token_length
+    length, cursor = decode_varint(data, cursor)
+    pn_length = (first & 0x03) + 1
+    payload_at = cursor + pn_length
+    return (
+        packet_type,
+        version,
+        dcid,
+        scid,
+        token,
+        (),
+        int.from_bytes(data[cursor:payload_at], "big"),
+        pn_length,
+        payload_at,
+        cursor + length,
     )
 
 

@@ -1,7 +1,9 @@
 """QUIC packet headers: byte-exact encoding and decoding.
 
 The passive observer in this study sees *wire bytes*, not parsed
-structures, so the header codec implements the exact RFC 9000 layouts:
+structures, so the header codec — the reference codec: observers and
+endpoints read and write the same layouts as plain fields and are tested
+against this module — implements the exact RFC 9000 layouts:
 
 Short header (1-RTT; the only packets that carry the spin bit)::
 

@@ -1,14 +1,18 @@
-"""The endpoint's 1-RTT datapath against the dataclass codec.
+"""The endpoint's datapath against the dataclass codec.
 
-``QuicEndpoint`` reads and writes 1-RTT packets as plain fields in one
-buffer and keeps ack/loss state incrementally.  The public codec
+``QuicEndpoint`` reads and writes every packet — Initial, Handshake,
+Version Negotiation, Retry and 1-RTT — as plain fields in one buffer
+and keeps ack/loss state incrementally.  The reference codec
 (``decode_datagram`` / ``decode_frames`` / ``QuicPacket`` /
-``ShortHeader``) and the bookkeeping the endpoint used before — every
-received packet number in a set, every sent packet kept forever, each
-ACK walking from its largest packet number down — are the oracles
-throughout: same bytes, same accept/reject, same RTT samples, same
-congestion window.
+``LongHeader`` / ``ShortHeader``), which the endpoint never runs, and
+the bookkeeping the endpoint used before — every received packet number
+in a set, every sent packet kept forever, each ACK walking from its
+largest packet number down — are the oracles throughout: same bytes,
+same accept/reject, same RTT samples, same congestion window.
 """
+
+import copy
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +20,7 @@ from hypothesis import strategies as st
 
 import repro.quic.connection as connection_module
 import repro.quic.datagram as datagram_module
+import repro.quic.frames as frames_module
 import repro.quic.packet as packet_module
 from repro._util.rng import derive_rng
 from repro.core.spin import EndpointRole, SpinPolicy
@@ -29,11 +34,12 @@ from repro.quic.connection import (
     _note_received,
 )
 from repro.quic.connection_id import ConnectionId
-from repro.quic.datagram import QuicPacket, decode_datagram
+from repro.quic.datagram import QuicPacket, decode_datagram, encode_datagram
 from repro.quic.frames import (
     AckFrame,
     AckRange,
     ConnectionCloseFrame,
+    CryptoFrame,
     HandshakeDoneFrame,
     PaddingFrame,
     PingFrame,
@@ -42,9 +48,15 @@ from repro.quic.frames import (
     decode_frames,
     encode_frames,
 )
-from repro.quic.packet import ShortHeader
+from repro.quic.packet import (
+    LongHeader,
+    LongPacketType,
+    ShortHeader,
+    VersionNegotiationHeader,
+)
 from repro.quic.packet_number import decode_packet_number
 from repro.quic.rtt import RttEstimator
+from repro.quic.version import QuicVersion
 from repro.web.http3 import ResponsePlan, build_exchange, run_exchange
 
 # The payload corpus (frames, then bit flips, truncation, garbage tails)
@@ -54,6 +66,7 @@ from test_onpath import (
     ACK_FIRST_RANGE_UNDERFLOW,
     NCID_EMPTY_CID,
     NCID_LONG_CID,
+    frame_fields,
     mutated_payloads,
     varints,
 )
@@ -81,27 +94,16 @@ def pns_to_ranges(pns):
 def reference_fields(payload, exponent):
     """What ``decode_frames`` says the endpoint acts on, or ``None``."""
     try:
-        decoded = decode_frames(payload, exponent)
+        return frame_fields(decode_frames(payload, exponent))
     except (ValueError, IndexError):
         return None
-    acted_on = []
-    for frame in decoded:
-        if isinstance(frame, AckFrame):
-            ranges = [(r.smallest, r.largest) for r in frame.ranges]
-            acted_on.append((0x02, frame.largest_acknowledged, frame.ack_delay_us, ranges))
-        elif isinstance(frame, StreamFrame):
-            acted_on.append((0x08, frame.stream_id, frame.offset, frame.data, frame.fin))
-        elif not isinstance(frame, (PaddingFrame, PingFrame)):
-            acted_on.append(frame)
-    return acted_on, any(frame.is_ack_eliciting for frame in decoded)
 
 
-def field_decoder(data, at, exponent):
+def field_decoder(data, at, exponent, end=None):
     try:
-        items, ack_eliciting = decode_frame_fields(data, at, exponent)
+        return decode_frame_fields(data, at, exponent, end)
     except ValueError:  # anything else is a crash, and fails the test
         return None
-    return [item if item[0] in (0x02, 0x08) else item[1] for item in items], ack_eliciting
 
 
 class TestDecodeFrameFields:
@@ -115,10 +117,15 @@ class TestDecodeFrameFields:
     @example(bytes([0x0E, 0x40]), b"", 3)  # two-byte stream id cut short
     @example(bytes([0x02, 0x05, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x00]), b"", 3)
     def test_same_verdict_same_fields_as_decode_frames(self, payload, header, exponent):
-        """Read in place behind ``header`` bytes, as in a datagram."""
-        assert field_decoder(header + payload, len(header), exponent) == reference_fields(
-            payload, exponent
-        )
+        """Read in place behind ``header`` bytes, as in a datagram: to
+        its end (a short-header packet), and to an ``end`` that the next
+        coalesced packet follows, whose bytes must not leak in — here the
+        payload over again, so every varint that straddles ``end`` finds
+        plausible bytes beyond it."""
+        expected = reference_fields(payload, exponent)
+        assert field_decoder(header + payload, len(header), exponent) == expected
+        end = len(header) + len(payload)
+        assert field_decoder(header + payload + payload, len(header), exponent, end) == expected
 
     @pytest.mark.parametrize(
         "payload", [ACK_FIRST_RANGE_UNDERFLOW, NCID_EMPTY_CID, NCID_LONG_CID]
@@ -180,6 +187,92 @@ def received_runs(draw):
         runs.append([low, high])
         low = high + 2 + draw(st.sampled_from([0, 1, 61, 62, 63, 17_000]))
     return runs
+
+
+DRAFT_ONLY = (QuicVersion.DRAFT_29, QuicVersion.DRAFT_27)
+
+
+def captured_exchange(server_config, loss=0.0, seed=3):
+    """Run one connection; returns ``(sender, datagram, expected)`` for
+    everything either endpoint handed to its path, ``expected`` being
+    the reference encoding of long-header-first datagrams (``None`` for
+    others), built from the sender's state as the datagram left."""
+    simulator = Simulator()
+    profile = PathProfile(propagation_delay_ms=10.0, loss_probability=loss)
+    plan = ResponsePlan(server_header="x", write_sizes=(100,))
+    handle = build_exchange(
+        simulator, "www.flights.test", [plan], SpinPolicy.SPIN, SpinPolicy.SPIN,
+        profile, profile, derive_rng(seed, "flights"),
+        server_config=server_config, start_ms=0.0,
+    )
+    sent = []
+    initial = None  # the client's latest Initial: what a VN or Retry answers
+    for endpoint in (handle.client, handle.server):
+
+        def capture(data, endpoint=endpoint, send=endpoint.transport):
+            nonlocal initial
+            expected = None
+            if data[0] & 0x80:
+                expected = encode_datagram(rebuilt_packets(endpoint, data, initial))
+                if endpoint is handle.client:
+                    initial = decode_datagram(data, 8)[0].header
+            sent.append((endpoint, data, expected))
+            send(data)
+
+        endpoint.attach_transport(capture)
+    simulator.run()
+    assert loss or (handle.done and handle.client.failed is None)
+    return sent
+
+
+_SPACE_OF_TYPE = {
+    "initial": PacketSpace.INITIAL,
+    "handshake": PacketSpace.HANDSHAKE,
+    "1RTT": PacketSpace.APPLICATION,
+}
+
+
+def rebuilt_packets(sender, data, answered):
+    """The packets of ``data`` for ``encode_datagram``, as ``sender``
+    hands it to the path: headers from the sender's state (each space
+    has at most one packet in a datagram, its newest) — for the
+    stateless Version Negotiation and Retry from the header of the
+    Initial they answer — and frames as the reference codec reads them
+    off the wire."""
+    packets = []
+    for parsed in decode_datagram(data, 8):
+        wire = parsed.header
+        if isinstance(wire, VersionNegotiationHeader):
+            header = VersionNegotiationHeader(
+                answered.source_cid, answered.destination_cid,
+                tuple(int(v) for v in sender.config.supported_versions),
+            )
+        elif wire.packet_type.value == "retry":
+            header = LongHeader(
+                LongPacketType.RETRY, answered.version, answered.source_cid, sender.local_cid,
+                token=b"retry:" + answered.source_cid.value,
+            )
+        else:
+            state = sender.spaces[_SPACE_OF_TYPE[wire.packet_type.value]]
+            pn, largest_acked = state.next_pn - 1, state.largest_acked_by_peer
+            if state.space is PacketSpace.APPLICATION:
+                header = ShortHeader(
+                    sender.remote_cid, pn, wire.spin_bit, wire.key_phase, wire.vec, largest_acked
+                )
+            else:
+                header = LongHeader(
+                    wire.long_type, sender.version, sender.remote_cid, sender.local_cid,
+                    packet_number=pn,
+                    token=(
+                        sender._retry_token
+                        if state.space is PacketSpace.INITIAL
+                        and sender.role is EndpointRole.CLIENT
+                        else b""
+                    ),
+                    largest_acked=largest_acked,
+                )
+        packets.append(QuicPacket(header, parsed.frames))
+    return packets
 
 
 class TestSendBody:
@@ -245,13 +338,132 @@ class TestSendBody:
             expected = QuicPacket(header=header, frames=expected_frames).encode()
         except ValueError:  # unacknowledged range too wide for 4 bytes
             with pytest.raises(ValueError):
-                endpoint._send_short(payload, payload or None, ack=runs is not None)
+                endpoint._send("1RTT", payload, payload or None, ack=runs is not None)
             return
-        endpoint._send_short(payload, payload or None, ack=runs is not None)
+        endpoint._send("1RTT", payload, payload or None, ack=runs is not None)
         assert wire == [expected]
         assert state.next_pn == pn + 1
         assert state.pending_ack_eliciting == 0
         assert (pn in state.sent) == bool(payload)  # only what elicits an ACK is kept
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        long_type=st.sampled_from([LongPacketType.INITIAL, LongPacketType.HANDSHAKE]),
+        role=st.sampled_from([EndpointRole.CLIENT, EndpointRole.SERVER]),
+        pn=st.sampled_from([0, 1, 127, 128, 255, 256, 70_000, 1 << 24]),
+        acked_gap=st.none() | st.sampled_from([1, 2, 100, 127, 128, 40_000, 1 << 23]),
+        version=st.sampled_from([int(QuicVersion.VERSION_1), int(QuicVersion.DRAFT_29)]),
+        dcid=st.binary(max_size=20),
+        scid=st.binary(max_size=20),
+        token=st.binary(max_size=70),
+        runs=st.none() | received_runs(),
+        delay_ms=st.sampled_from([0.0, 0.004, 1.0, 24.9]),
+        exponent=st.integers(0, 6),
+        crypto=st.none() | st.tuples(varints, st.binary(max_size=300)),
+        # Around the sizes where padding moves Length from one varint
+        # width to the next, and the real one.
+        pad_to=st.sampled_from([0, 1200]) | st.integers(30, 180),
+    )
+    def test_long_header_wire_bytes_equal_the_dataclass_encoding(
+        self, long_type, role, pn, acked_gap, version, dcid, scid, token,
+        runs, delay_ms, exponent, crypto, pad_to,
+    ):
+        """Initial and Handshake packets of either role: version, both
+        connection IDs, the client's Retry token, ``Length``, truncated
+        packet number, ACK from the receive state, CRYPTO or
+        CONNECTION_CLOSE, and padding placed as ``PaddingFrame`` places it."""
+        largest_acked = None if acked_gap is None or acked_gap > pn else pn - acked_gap
+        simulator = Simulator()
+        endpoint = QuicEndpoint(
+            simulator, role, ConnectionConfig(ack_delay_exponent=exponent),
+            SpinPolicy.SPIN, derive_rng(1, "bare"),
+        )
+        wire = []
+        endpoint.attach_transport(wire.append)
+        endpoint.set_remote_cid(ConnectionId(dcid))
+        endpoint.local_cid = ConnectionId(scid)
+        endpoint.version = version
+        endpoint._retry_token = token
+        space = (
+            PacketSpace.INITIAL if long_type is LongPacketType.INITIAL else PacketSpace.HANDSHAKE
+        )
+        state = endpoint.spaces[space]
+        state.next_pn = pn
+        state.largest_acked_by_peer = largest_acked
+        simulator.clock.advance_to(1000.0)
+        expected_frames = []
+        if runs is not None:
+            state.received_runs = [list(run) for run in runs]
+            state.largest_received = runs[-1][1]
+            state.largest_received_time_ms = 1000.0 - delay_ms
+            expected_frames.append(
+                AckFrame(
+                    runs[-1][1],
+                    int((1000.0 - state.largest_received_time_ms) * 1000.0),
+                    tuple(AckRange(low, high) for low, high in runs),
+                    exponent,
+                )
+            )
+        expected_frames.append(
+            CryptoFrame(*crypto) if crypto is not None else ConnectionCloseFrame(0x0A)
+        )
+        payload = expected_frames[-1].encode()
+        header = LongHeader(
+            long_type=long_type,
+            version=version,
+            destination_cid=ConnectionId(dcid),
+            source_cid=ConnectionId(scid),
+            packet_number=pn,
+            token=token if role is EndpointRole.CLIENT and space is PacketSpace.INITIAL else b"",
+            largest_acked=largest_acked,
+        )
+        trial_length = len(QuicPacket(header=header, frames=expected_frames).encode())
+        if trial_length < pad_to:
+            expected_frames.append(PaddingFrame(pad_to - trial_length))
+        expected = QuicPacket(header=header, frames=expected_frames).encode()
+
+        endpoint._send(
+            space.value, payload, payload if crypto is not None else None,
+            ack=runs is not None, pad_to=pad_to,
+        )
+        assert wire == [expected]
+        assert state.next_pn == pn + 1
+        assert (pn in state.sent) == (crypto is not None)
+        if crypto is not None:
+            assert state.sent[pn].retransmit == payload
+
+    def test_every_handshake_datagram_equals_the_dataclass_encoding(self):
+        """Whole connections — plain, Retry, Version Negotiation, and
+        lossy ones that retransmit their handshake: every datagram that
+        starts with a long header is what ``encode_datagram`` makes of
+        ``QuicPacket(LongHeader(...), frames)`` built from the sender's
+        state as the datagram leaves, the three coalesced flights
+        included."""
+        shapes = set()
+        retransmissions = 0
+        for label, server_config, loss, seed in (
+            ("plain", ConnectionConfig(), 0.0, 3),
+            ("retry", ConnectionConfig(retry_required=True), 0.0, 3),
+            ("vn", ConnectionConfig(supported_versions=DRAFT_ONLY), 0.0, 3),
+            *(("lossy", ConnectionConfig(), 0.2, seed) for seed in range(8)),
+        ):
+            for sender, data, expected in captured_exchange(server_config, loss, seed):
+                if expected is None:
+                    continue
+                assert data == expected
+                types = tuple(p.header.packet_type.value for p in decode_datagram(data, 8))
+                shapes.add((sender.role.value, types))
+                retransmissions += types in (("initial",), ("handshake",)) and label == "lossy"
+        assert shapes >= {
+            ("client", ("initial",)),
+            ("server", ("retry",)),
+            ("server", ("version_negotiation",)),
+            ("server", ("initial", "handshake")),
+            ("server", ("handshake",)),
+            ("client", ("initial", "handshake")),
+            ("server", ("handshake", "1RTT")),
+        }
+        assert retransmissions > 20  # more lone packets than the loss-free flights have
 
     def test_stream_queue_writes_stream_frames_as_the_dataclass_does(self):
         simulator, endpoint, wire = bare_endpoint(
@@ -587,42 +799,71 @@ class TestAckBookkeeping:
 # ----------------------------------------------------------------------
 
 
-def _forbidden(name):
-    def call(*args, **kwargs):
-        raise AssertionError(f"{name} ran for a 1-RTT packet")
+#: The reference codec: every entry point and every object it builds.
+REFERENCE_CODEC = {
+    datagram_module: ("decode_datagram", "encode_datagram", "QuicPacket", "ParsedPacket"),
+    packet_module: ("parse_header", "LongHeader", "ShortHeader", "VersionNegotiationHeader"),
+    frames_module: ("decode_frames",),
+}
 
-    return call
+
+def trap_reference_codec(monkeypatch):
+    """Booby-trap the reference codec under every name any ``repro``
+    module holds it by (definitions, ``from`` imports, re-exports)."""
+    for home, names in REFERENCE_CODEC.items():
+        for name in names:
+            original = getattr(home, name)
+
+            def forbidden(*args, _name=name, **kwargs):
+                raise AssertionError(f"{_name} ran inside a connection")
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("repro") and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, forbidden)
 
 
 class TestOnePath:
-    def test_no_header_or_packet_object_for_1rtt_after_the_handshake(self, monkeypatch):
-        """With the dataclass codec's entry points booby-trapped once the
-        handshake is confirmed, a whole transfer still completes."""
-        simulator = Simulator()
-        profile = PathProfile(propagation_delay_ms=10.0)
-        plan = ResponsePlan(server_header="x", think_time_ms=80.0, write_sizes=(60_000,))
-        handle = build_exchange(
-            simulator, "www.onepath.test", [plan], SpinPolicy.SPIN, SpinPolicy.SPIN,
-            profile, profile, derive_rng(3, "onepath"),
+    @pytest.mark.parametrize(
+        "server_config, loss, body",
+        [
+            (ConnectionConfig(), 0.0, 60_000),
+            (ConnectionConfig(retry_required=True), 0.0, 1_000),
+            (ConnectionConfig(supported_versions=DRAFT_ONLY), 0.0, 1_000),
+            (ConnectionConfig(), 0.02, 420_000),
+        ],
+        ids=["plain", "retry", "version-negotiation", "lossy"],
+    )
+    def test_no_reference_codec_object_from_the_first_initial(
+        self, monkeypatch, server_config, loss, body
+    ):
+        """With the dataclass codec booby-trapped from t = 0 — not once
+        the handshake is over — whole connections still complete."""
+        trap_reference_codec(monkeypatch)
+        profile = PathProfile(propagation_delay_ms=10.0, loss_probability=loss)
+        plan = ResponsePlan(server_header="x", think_time_ms=10.0, write_sizes=(body,))
+        result = run_exchange(
+            "www.onepath.test", plan, SpinPolicy.SPIN, SpinPolicy.SPIN,
+            profile, profile, derive_rng(8, "onepath"), server_config=server_config,
         )
-        while not (handle.client.handshake_confirmed and handle.server.handshake_confirmed):
-            simulator.run_until(simulator.next_event_time_ms)
-        assert simulator.now_ms < 80.0 and not handle.done
-
-        for module, name in (
-            (packet_module, "ShortHeader"),
-            (datagram_module, "ShortHeader"),
-            (datagram_module, "QuicPacket"),
-            (connection_module, "QuicPacket"),
-            (connection_module, "decode_datagram"),
-        ):
-            monkeypatch.setattr(module, name, _forbidden(name))
-        simulator.run()
-        assert handle.done and handle.client.failed is None
-        assert len(handle.client_app.response) > 60_000
+        assert result.success and result.body_bytes == body
+        assert bool(result.client._retry_token) == server_config.retry_required
+        assert result.client._version_negotiated == (
+            server_config.supported_versions == DRAFT_ONLY
+        )
+        if loss:
+            assert any(
+                len(state.received_runs) > 1 or state.next_pn > 700
+                for state in result.server.spaces.values()
+            )
 
     def test_the_trap_does_catch_the_dataclass_path(self, monkeypatch):
-        monkeypatch.setattr(connection_module, "decode_datagram", _forbidden("decode_datagram"))
+        """An endpoint that validated its handshake datagrams with the
+        reference codec again would not get past its first one."""
+        trap_reference_codec(monkeypatch)
+        monkeypatch.setattr(
+            connection_module, "walk_datagram",
+            lambda data, cid_length: datagram_module.decode_datagram(data, cid_length),
+        )
         profile = PathProfile(propagation_delay_ms=10.0)
         plan = ResponsePlan(server_header="x", write_sizes=(1_000,))
         with pytest.raises(AssertionError, match="decode_datagram ran"):
@@ -630,6 +871,59 @@ class TestOnePath:
                 "www.trap.test", plan, SpinPolicy.SPIN, SpinPolicy.SPIN,
                 profile, profile, derive_rng(3, "trap"),
             )
+
+
+# ----------------------------------------------------------------------
+# A malformed datagram raises and changes nothing.
+# ----------------------------------------------------------------------
+
+
+def everything_a_datagram_can_touch(endpoint, simulator):
+    return (
+        {space: copy.deepcopy(vars(state)) for space, state in endpoint.spaces.items()},
+        (endpoint.counts.sent, endpoint.counts.received, endpoint.counts.spin_edges),
+        (list(endpoint.recorder.sent), list(endpoint.recorder.received)),
+        (list(simulator._queue), simulator._sequence),
+        (endpoint.remote_cid, endpoint.version, endpoint.peer_params, endpoint.closed),
+    )
+
+
+class TestMalformedDatagram:
+    def test_corrupt_second_coalesced_payload_raises_without_side_effects(self):
+        """The server's Initial + Handshake flight with its *second*
+        payload corrupt: the well-formed Initial in front of it must not
+        be acted on — no count, no qlog row, no received packet number,
+        no learned connection ID, no scheduled event."""
+        simulator = Simulator()
+        client = QuicEndpoint(
+            simulator, EndpointRole.CLIENT, ConnectionConfig(), SpinPolicy.SPIN,
+            derive_rng(6, "malformed"), recorder=TraceRecorder(),
+        )
+        client.attach_transport(lambda data: None)
+        client.connect()
+        server_cid = ConnectionId(bytes(range(100, 108)))
+
+        def header(long_type):
+            return LongHeader(long_type, 1, client.local_cid, server_cid, packet_number=0)
+
+        initial = QuicPacket(
+            header(LongPacketType.INITIAL), [AckFrame(0), CryptoFrame(0, b"\x00\x00\x00\x01S")]
+        ).encode()
+        handshake = QuicPacket(
+            header(LongPacketType.HANDSHAKE), [CryptoFrame(0, b"certificate...")]
+        ).encode()
+        before = everything_a_datagram_can_touch(client, simulator)
+        corrupt = bytearray(initial + handshake)
+        corrupt[-len(b"certificate...") - 3] = 0x3F  # CRYPTO's type byte: no such frame
+        assert len(decode_datagram(initial, 8)) == 1  # the packet in front is fine
+        with pytest.raises(ValueError):
+            client.receive_datagram(bytes(corrupt))
+        assert everything_a_datagram_can_touch(client, simulator) == before
+
+        client.receive_datagram(initial + handshake)  # intact, it is acted on
+        after = everything_a_datagram_can_touch(client, simulator)
+        assert client.counts.received == 2 and client.remote_cid == server_cid
+        assert all(now != then for now, then in zip(after[:3], before[:3]))
 
 
 class TestBoundedState:

@@ -1,20 +1,29 @@
-"""The observer's header-only walk against the endpoint codec.
+"""Reading datagrams where they lie, against the reference codec.
 
 ``repro.quic.onpath`` must accept and reject exactly what
 ``decode_datagram`` / ``decode_frames`` do and read the same header
-fields, or "parse error" would mean one thing on the path and another
-at the endpoints.  The endpoint codec is the oracle throughout.
+fields — short and long, Version Negotiation and Retry included — or
+"parse error" and "this packet's fields" would mean one thing on the
+path and at the endpoints and another in the reference.  The dataclass
+codec, which no production path runs, is the oracle throughout.
 """
+
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro._util.rng import derive_rng
 from repro.core.flow_resolver import FlowKeyResolver
 from repro.core.flow_table import SpinFlowTable
+from repro.core.spin import SpinPolicy
 from repro.monitor import TrafficConfig, TrafficMux
+from repro.netsim.events import Simulator
 from repro.netsim.migration import parse_migration_plan
+from repro.netsim.path import PathProfile
 from repro.netsim.tcp import decode_tcp_segment
+from repro.quic.connection import ConnectionConfig
 from repro.quic.connection_id import ConnectionId
 from repro.quic.datagram import QuicPacket, decode_datagram, encode_datagram
 from repro.quic.frames import (
@@ -27,12 +36,25 @@ from repro.quic.frames import (
     PaddingFrame,
     PingFrame,
     StreamFrame,
+    decode_frame_fields,
     decode_frames,
     encode_frames,
 )
-from repro.quic.onpath import check_frames, short_header_fields, walk_datagram
-from repro.quic.packet import LongHeader, LongPacketType, ShortHeader
+from repro.quic.onpath import (
+    check_frames,
+    long_header_fields,
+    short_header_fields,
+    walk_datagram,
+)
+from repro.quic.packet import (
+    LongHeader,
+    LongPacketType,
+    ShortHeader,
+    VersionNegotiationHeader,
+)
 from repro.quic.packet_number import decode_packet_number
+from repro.quic.version import QuicVersion
+from repro.web.http3 import ResponsePlan, build_exchange
 
 DCID_LENGTH = 8
 SHORT_PREFIX = bytes([0x40]) + bytes(range(DCID_LENGTH)) + b"\x07"
@@ -62,17 +84,63 @@ def walk_frames(data: bytes, at: int = 0, end: int | None = None) -> bool:
 
 
 def reference_datagram(data: bytes):
-    """``(packets, short_header_or_None)`` from the endpoint codec, or ``None``."""
+    """The reference codec's packets, or ``None`` where it rejects."""
     try:
-        packets = decode_datagram(data, DCID_LENGTH)
+        return decode_datagram(data, DCID_LENGTH)
     except (ValueError, IndexError):
         return None
-    short = [p.header for p in packets if isinstance(p.header, ShortHeader)]
-    assert len(short) <= 1
-    return len(packets), (short[0] if short else None)
+
+
+def frame_fields(frames):
+    """What ``decode_frame_fields`` must return for the frame objects
+    ``decode_frames`` built: ``(items, ack_eliciting)``."""
+    items = []
+    for frame in frames:
+        if isinstance(frame, AckFrame):
+            ranges = [(r.smallest, r.largest) for r in frame.ranges]
+            items.append((0x02, frame.largest_acknowledged, frame.ack_delay_us, ranges))
+        elif isinstance(frame, StreamFrame):
+            items.append((0x08, frame.stream_id, frame.offset, frame.data, frame.fin))
+        elif isinstance(frame, CryptoFrame):
+            items.append((0x06, frame.offset, frame.data))
+        elif isinstance(frame, NewConnectionIdFrame):
+            items.append(
+                (
+                    0x18, frame.sequence_number, frame.retire_prior_to,
+                    frame.connection_id, frame.stateless_reset_token,
+                )
+            )
+        elif isinstance(frame, HandshakeDoneFrame):
+            items.append((0x1E,))
+        elif isinstance(frame, ConnectionCloseFrame):
+            items.append(
+                (0x1C, frame.error_code, frame.frame_type, frame.reason, frame.is_application)
+            )
+        else:
+            assert isinstance(frame, (PaddingFrame, PingFrame))
+    return items, any(frame.is_ack_eliciting for frame in frames)
+
+
+def reference_long_fields(packet, at: int, size: int):
+    """What ``long_header_fields`` must read for a packet of the
+    reference codec that starts at ``at`` in a datagram of ``size`` bytes."""
+    header = packet.header
+    cids = (header.destination_cid.value, header.source_cid.value)
+    if isinstance(header, VersionNegotiationHeader):
+        return (header.packet_type, 0, *cids, b"", header.supported_versions, 0, 0, size, size)
+    if header.long_type is LongPacketType.RETRY:
+        return (header.packet_type, header.version, *cids, header.token, (), 0, 0, size, size)
+    end = at + packet.wire_length
+    return (
+        header.packet_type, header.version, *cids, header.token, (),
+        header.packet_number, header.pn_length, end - header.payload_length, end,
+    )
 
 
 def assert_walk_agrees(data: bytes) -> None:
+    """Same verdict as ``decode_datagram``; where both accept, the field
+    readers see in every packet — any header form, any coalescing — what
+    the reference's header and frame objects hold."""
     expected = reference_datagram(data)
     try:
         packets, short_at = walk_datagram(data, DCID_LENGTH)
@@ -80,18 +148,29 @@ def assert_walk_agrees(data: bytes) -> None:
         assert expected is None, "walk rejected what decode_datagram accepts"
         return
     assert expected is not None, "walk accepted what decode_datagram rejects"
-    count, header = expected
-    assert packets == count
-    if header is None:
+    assert packets == len(expected)
+    at = 0
+    for packet in expected:
+        header = packet.header
+        if isinstance(header, ShortHeader):
+            assert short_at == at
+            assert short_header_fields(data, at, DCID_LENGTH) == (
+                header.spin_bit,
+                header.vec,
+                header.destination_cid.value,
+                header.packet_number,
+                header.pn_length,
+            )
+            payload_at, end = at + 1 + DCID_LENGTH + header.pn_length, len(data)
+        else:
+            fields = long_header_fields(data, at)
+            assert fields == reference_long_fields(packet, at, len(data))
+            payload_at, end = fields[-2:]
+        assert decode_frame_fields(data, payload_at, 3, end) == frame_fields(packet.frames)
+        at = end
+    assert at == len(data)
+    if not (expected and isinstance(expected[-1].header, ShortHeader)):
         assert short_at == -1
-        return
-    assert short_header_fields(data, short_at, DCID_LENGTH) == (
-        header.spin_bit,
-        header.vec,
-        header.destination_cid.value,
-        header.packet_number,
-        header.pn_length,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -185,7 +264,8 @@ class TestCheckFrames:
 def corpus():
     """A tap with every shape the monitor meets: handshakes (coalesced
     long headers), 1-RTT data, NEW_CONNECTION_ID (rotation), interleaved
-    TCP segments."""
+    TCP segments — and the shapes only an endpoint meets, from a Retry
+    and a Version Negotiation handshake."""
     config = TrafficConfig(
         flows=14,
         seed=12,
@@ -193,9 +273,42 @@ def corpus():
         tcp_flows=3,
         migration=parse_migration_plan("nat-rebind:0.4,cid-rotation:0.5"),
     )
-    stream = list(TrafficMux(config).stream())
+    stream = list(TrafficMux(config).stream()) + handshake_taps()
     assert {tap.transport for tap in stream} == {"quic", "tcp"}
     return stream
+
+
+def handshake_taps() -> list:
+    """Every datagram, both directions, of a connection to a server that
+    demands a Retry and of one to a draft-only server: the Retry and the
+    Version Negotiation packet themselves, and padded Initials with and
+    without a token."""
+    taps = []
+    for server_config in (
+        ConnectionConfig(retry_required=True),
+        ConnectionConfig(supported_versions=(QuicVersion.DRAFT_29, QuicVersion.DRAFT_27)),
+    ):
+        simulator = Simulator()
+        profile = PathProfile(propagation_delay_ms=10.0)
+        handle = build_exchange(
+            simulator, "www.onpath.test", [ResponsePlan(server_header="x", write_sizes=(100,))],
+            SpinPolicy.SPIN, SpinPolicy.SPIN, profile, profile, derive_rng(4, "onpath"),
+            server_config=server_config, start_ms=0.0,
+        )
+        for endpoint in (handle.client, handle.server):
+
+            def tapped(data, send=endpoint.transport):
+                taps.append(
+                    SimpleNamespace(
+                        time_ms=simulator.now_ms, data=data, tuple4=None, transport="quic"
+                    )
+                )
+                send(data)
+
+            endpoint.attach_transport(tapped)
+        simulator.run()
+        assert handle.done
+    return taps
 
 
 def long_packet(long_type, frames=(PingFrame(),)) -> QuicPacket:
@@ -249,6 +362,23 @@ class TestWalkDatagram:
     def test_untouched_corpus_agrees(self, corpus):
         for tap in corpus:
             assert_walk_agrees(tap.data)
+
+    def test_corpus_has_every_long_header_shape(self, corpus):
+        seen = set()
+        for tap in corpus:
+            for packet in reference_datagram(tap.data) or ():
+                header = packet.header
+                padded = any(isinstance(frame, PaddingFrame) for frame in packet.frames)
+                seen.add((header.packet_type.value, bool(getattr(header, "token", b"")), padded))
+        assert seen >= {
+            ("initial", False, True),
+            ("initial", True, True),  # the ClientHello again, with the Retry token
+            ("initial", False, False),
+            ("handshake", False, False),
+            ("retry", True, False),
+            ("version_negotiation", False, False),
+            ("1RTT", False, False),
+        }
 
     @settings(max_examples=1200, deadline=None)
     @given(mutations())
@@ -309,7 +439,10 @@ def expected_counters(data: bytes) -> dict:
                 transport = "tcp"
             except ValueError:
                 pass
-    packets, header = expected or (0, None)
+    packets = len(expected or ())
+    header = next(
+        (p.header for p in expected or () if isinstance(p.header, ShortHeader)), None
+    )
     return {
         "packets": packets,
         "short_header_packets": int(header is not None),

@@ -315,10 +315,8 @@ class TestDeterminismLint:
         assert result.returncode == 0
 
     def test_endpoint_decoder_in_on_path_code_is_caught(self, tmp_path):
-        core = tmp_path / "repro" / "core"
-        analysis = tmp_path / "repro" / "analysis"
-        core.mkdir(parents=True)
-        analysis.mkdir(parents=True)
+        """The reference codec may be named in its own modules only —
+        not under the observer, not in the endpoint, not in analysis."""
         source = (
             '"""decode_datagram may be named in a docstring."""\n'
             "from repro.quic.datagram import (\n"
@@ -328,19 +326,95 @@ class TestDeterminismLint:
             "def f(data):\n"
             "    return frames.decode_frames(data)\n"
         )
-        (core / "observer.py").write_text(source, encoding="utf-8")
-        # The oracle in analysis/ keeps the endpoint codec on purpose.
-        (analysis / "oracle.py").write_text(source, encoding="utf-8")
+        more = (
+            "from repro.quic.packet import parse_header\n"
+            "from repro.quic import datagram\n"
+            "def g(packets):\n"
+            "    return datagram.encode_datagram(packets)\n"
+            "def h(header):\n"
+            "    return QuicPacket(header)\n"
+        )
+        for layer, name, text in (
+            ("core", "observer.py", source),
+            ("analysis", "oracle.py", source),
+            ("quic", "connection.py", more),
+            ("quic", "onpath.py", more),
+            ("", "cli.py", more),
+            # The codec's own modules, and the package re-exporting them.
+            ("quic", "datagram.py", source + more),
+            ("quic", "packet.py", source + more),
+            ("quic", "frames.py", source + more),
+            ("quic", "__init__.py", source + more),
+        ):
+            directory = tmp_path / "repro" / layer
+            directory.mkdir(parents=True, exist_ok=True)
+            (directory / name).write_text(text, encoding="utf-8")
         result = subprocess.run(
             [sys.executable, str(self.LINT), str(tmp_path)],
             capture_output=True,
             text=True,
         )
         assert result.returncode == 1
-        assert "observer.py:2" in result.stderr
-        assert "observer.py:7" in result.stderr
-        assert "observer.py:1:" not in result.stderr
-        assert "oracle.py" not in result.stderr
+        for name in ("observer.py", "oracle.py"):
+            assert f"{name}:2" in result.stderr
+            assert f"{name}:7" in result.stderr
+            assert f"{name}:1:" not in result.stderr
+        for name in ("connection.py", "onpath.py", "cli.py"):
+            for line in (1, 4, 6):
+                assert f"{name}:{line}:" in result.stderr
+            assert f"{name}:2:" not in result.stderr
+        for name in ("datagram.py", "packet.py", "frames.py", "__init__.py"):
+            assert name not in result.stderr
+
+    def test_a_second_endpoint_datapath_is_caught(self, tmp_path):
+        """One fabricated offender per pattern: dispatch on codec
+        objects, a second exit, a second count — in the endpoint — and a
+        field decoder that builds a frame."""
+        quic = tmp_path / "repro" / "quic"
+        quic.mkdir(parents=True)
+        endpoint = (
+            "def _send(self, data):",
+            "    self.counts.sent += 1",
+            "    self.transport(data)",
+            "def _receive(self, frame):",
+            "    self.counts.received += 1",
+            "    if isinstance(frame, dict): pass",
+            "    if isinstance(frame, CryptoFrame): pass",  # 7
+            "    if isinstance(frame, (bytes, frames.AckFrame)): pass",  # 8
+            "    if isinstance(frame.header, packet.LongishHeader): pass",  # 9
+            "def _send_retry(self, data):",
+            "    self.counts.sent += 1",  # 11
+            "    self.transport(data)",  # 12
+            "def _receive_long(self):",
+            "    self.counts.received += 1",  # 14
+            "    self.spaces.sent += 1",
+        )
+        (quic / "connection.py").write_text("\n".join(endpoint) + "\n", encoding="utf-8")
+        # Anywhere else the same lines are nobody's business.
+        (quic / "rtt.py").write_text("\n".join(endpoint) + "\n", encoding="utf-8")
+        decoder = (
+            "def decode_frame_fields(data, at):",
+            "    if at > len(data): raise FrameParseError('truncated')",
+            "    frame, at = _decode_crypto(data, at)",  # 3
+            "    return [(0x1E, HandshakeDoneFrame())], at",  # 4
+            "def decode_frames(data):",
+            "    return [HandshakeDoneFrame()]",
+        )
+        (quic / "frames.py").write_text("\n".join(decoder) + "\n", encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, str(self.LINT), str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        flagged = sorted(
+            line.strip().split(": ")[0].rsplit("/", 1)[1]
+            for line in result.stderr.splitlines()
+            if line.startswith("  /")
+        )
+        assert flagged == sorted(
+            [f"connection.py:{n}" for n in (7, 8, 9, 11, 12, 14)] + ["frames.py:3", "frames.py:4"]
+        )
 
     def test_asking_whether_anyone_listens_is_caught(self, tmp_path):
         """One fabricated offender per pattern; a pragma does not help,
