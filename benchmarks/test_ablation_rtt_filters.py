@@ -22,7 +22,6 @@ def test_ablation_rtt_filters(benchmark, accuracy_records):
             f"  {outcome.label:22s} n={outcome.connections:5d}"
             f"  within25%={outcome.within_25pct_share * 100:5.1f} %"
             f"  underest={outcome.underestimate_share * 100:5.2f} %"
-            f"  median|abs|={outcome.median_abs_ms:7.1f} ms"
             f"  lost={outcome.connections_lost}"
         )
 

@@ -53,6 +53,12 @@ Which further rules apply to which layer (directory under
   flagged: owners resolve ``telemetry=None`` once
   (``Telemetry.resolve``) and then report unconditionally.  No pragma
   opts out.
+* One declaration per analysis section (PR 20), ``service/`` only: a
+  fold's ``state()`` keys (``org_totals``, ``accuracy``, ``filters``,
+  ``failure_kinds``, ...) are the fold's own.  The week summary holds
+  folds and passes their state through whole, so a string constant or
+  an attribute of one of those names under ``service/`` is a section
+  being declared a second time, and is flagged.  No pragma opts out.
 
 Benchmarks (``benchmarks/``) legitimately measure wall-clock and are
 not scanned.  A source line may opt out with the pattern's pragma when
@@ -229,6 +235,27 @@ def listener_guards(text: str) -> list[int]:
     return sorted(numbers)
 
 
+#: The keys of the six record folds' ``state()`` dicts (and so of a week
+#: file's analysis part).
+_SECTION_STATE_KEYS = frozenset(
+    {
+        "org_totals", "org_spins", "webservers", "versions", "accuracy",
+        "reordering", "filters", "failures_total", "failures_succeeded",
+        "failure_kinds",
+    }
+)
+
+
+def section_state_names(text: str) -> list[int]:
+    """A fold's state key named as a string constant or an attribute."""
+    numbers = set()
+    for node in ast.walk(ast.parse(text)):
+        named = node.value if isinstance(node, ast.Constant) else getattr(node, "attr", None)
+        if isinstance(named, str) and named in _SECTION_STATE_KEYS:
+            numbers.add(node.lineno)
+    return sorted(numbers)
+
+
 def _bare_name(node: ast.AST | None) -> str:
     """``f`` of a name ``f`` or an attribute ``x.f``, else ''."""
     return getattr(node, "id", None) or getattr(node, "attr", None) or ""
@@ -296,7 +323,8 @@ _EVERYWHERE = (
 #: scan engine's shard scheduler, cbr IPC and checkpoint writer must
 #: never fall back to per-record JSON); ``telemetry`` owns the trace
 #: model and the off state, so it alone may build rows and test a
-#: handle for ``None``.
+#: handle for ``None``; ``service`` persists the analysis folds' state
+#: and may not spell its keys.
 LAYER_RULES = {
     "analysis": _EVERYWHERE + (json_in_loops,),
     "faults": _EVERYWHERE + (json_in_loops,),
@@ -304,7 +332,7 @@ LAYER_RULES = {
     "monitor": _EVERYWHERE + (json_in_loops,),
     "netsim": _EVERYWHERE + (json_in_loops,),
     "obs": _EVERYWHERE + (json_in_loops,),
-    "service": _EVERYWHERE + (json_in_loops,),
+    "service": _EVERYWHERE + (json_in_loops, section_state_names),
     "telemetry": (forbidden_lines, json_in_loops, endpoint_decoder_uses),
     "web": _EVERYWHERE + (json_in_loops,),
 }
@@ -370,7 +398,9 @@ def main(argv: list[str] | None = None) -> int:
             "Tracer.span/event/count/absorb, only repro.telemetry builds them; "
             "a telemetry handle is never compared with None and nullcontext is "
             "never used — Telemetry.resolve(None) is the off bundle, call it "
-            "unconditionally)",
+            "unconditionally; under service/ no analysis section's state key "
+            "(org_totals, accuracy, filters, ...) is named — the week summary "
+            "passes fold.state() through whole)",
             file=sys.stderr,
         )
         return 1

@@ -14,10 +14,12 @@ import bisect
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
+    "CounterState",
     "Histogram",
+    "add_counts",
     "binomial_pmf",
     "mean",
     "percentile",
@@ -170,6 +172,17 @@ class Histogram:
         """Fraction of observations at or above ``edge`` (a bin boundary)."""
         return 1.0 - self.fraction_below(edge)
 
+    def merge(self, other: "Histogram") -> None:
+        """Add ``other``'s bins in; its edges must be these edges."""
+        if list(other.edges) != list(self.edges):
+            raise ValueError(
+                f"histogram edges differ: {list(other.edges)} != {list(self.edges)}"
+            )
+        self.underflow += other.underflow
+        self.overflow += other.overflow
+        for index, count in enumerate(other.counts):
+            self.counts[index] += count
+
     def as_dict(self) -> dict:
         """JSON-serializable representation (for artifact export)."""
         return {
@@ -188,3 +201,36 @@ class Histogram:
             underflow=int(data.get("underflow", 0)),
             overflow=int(data.get("overflow", 0)),
         )
+
+
+def add_counts(target: dict, source: Mapping | None) -> None:
+    """Add the counter map ``source`` (``None``: empty) into ``target``."""
+    for key, count in (source or {}).items():
+        target[key] = target.get(key, 0) + int(count)
+
+
+class CounterState:
+    """For a record of commutative counters: its ``int`` and
+    :class:`Histogram` attributes are its mergeable state.
+
+    ``state()`` is the JSON-able dict of every attribute; ``merge(state)``
+    adds the counters of such a dict in and leaves every other attribute
+    (a label) alone.  Keys the dict lacks count as zero, so loading is
+    merging into a fresh instance.
+    """
+
+    def state(self) -> dict:
+        return {
+            name: value.as_dict() if isinstance(value, Histogram) else value
+            for name, value in vars(self).items()
+        }
+
+    def merge(self, state: Mapping) -> None:
+        for name, mine in list(vars(self).items()):
+            theirs = state.get(name)
+            if theirs is None:
+                continue
+            if isinstance(mine, Histogram):
+                mine.merge(Histogram.from_dict(theirs))
+            elif isinstance(mine, int):
+                setattr(self, name, mine + int(theirs))

@@ -14,9 +14,10 @@ packet number), plus the Section 5.2 reordering-impact summary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from math import inf
+from typing import Iterable, Mapping
 
-from repro._util.stats import Histogram
+from repro._util.stats import CounterState, Histogram
 from repro.artifacts.cbr import RecordBatch
 from repro.core.classify import SpinBehaviour
 from repro.core.metrics import AccuracyResult, accuracy_from_means
@@ -26,7 +27,6 @@ __all__ = [
     "AccuracyFold",
     "AccuracyStudy",
     "ReorderingImpact",
-    "SeriesStats",
     "SeriesSummary",
     "accuracy_study",
     "ABS_DIFF_EDGES_MS",
@@ -41,94 +41,19 @@ ABS_DIFF_EDGES_MS = (-200.0, -100.0, -50.0, -25.0, 0.0, 25.0, 50.0, 100.0, 200.0
 #: connections.
 RATIO_EDGES = (-3.0, -2.0, -1.25, 1.25, 2.0, 3.0)
 
-
-@dataclass
-class SeriesSummary:
-    """One (group, ordering) series: histograms plus headline shares."""
-
-    label: str
-    results: list[AccuracyResult] = field(default_factory=list)
-    abs_histogram: Histogram = field(
-        default_factory=lambda: Histogram(edges=ABS_DIFF_EDGES_MS)
-    )
-    ratio_histogram: Histogram = field(
-        default_factory=lambda: Histogram(edges=RATIO_EDGES)
-    )
-
-    def add(self, result: AccuracyResult) -> None:
-        self.results.append(result)
-        self.abs_histogram.add(result.absolute_ms)
-        self.ratio_histogram.add(result.ratio)
-
-    @property
-    def connections(self) -> int:
-        return len(self.results)
-
-    # -- Figure 3 headline numbers ------------------------------------
-
-    @property
-    def overestimate_share(self) -> float:
-        """Paper: 97.7 % of Spin (R) results overestimate the RTT."""
-        if not self.results:
-            return 0.0
-        return sum(1 for r in self.results if r.absolute_ms > 0) / len(self.results)
-
-    @property
-    def underestimate_share(self) -> float:
-        if not self.results:
-            return 0.0
-        return sum(1 for r in self.results if r.absolute_ms < 0) / len(self.results)
-
-    @property
-    def within_25ms_share(self) -> float:
-        """Paper: 28.8 % of connections within |spin - QUIC| <= 25 ms."""
-        if not self.results:
-            return 0.0
-        return sum(1 for r in self.results if abs(r.absolute_ms) <= 25.0) / len(
-            self.results
-        )
-
-    @property
-    def over_200ms_share(self) -> float:
-        """Paper: 41.3 % overestimate by more than 200 ms."""
-        if not self.results:
-            return 0.0
-        return sum(1 for r in self.results if r.absolute_ms > 200.0) / len(self.results)
-
-    # -- Figure 4 headline numbers ------------------------------------
-
-    @property
-    def within_25pct_share(self) -> float:
-        """Paper: 30.5 % of spinning connections within 25 % of the RTT."""
-        if not self.results:
-            return 0.0
-        return sum(1 for r in self.results if abs(r.ratio) <= 1.25) / len(self.results)
-
-    @property
-    def within_factor2_share(self) -> float:
-        """Paper: 36.0 % within a factor of two."""
-        if not self.results:
-            return 0.0
-        return sum(1 for r in self.results if abs(r.ratio) <= 2.0) / len(self.results)
-
-    @property
-    def over_factor3_share(self) -> float:
-        """Paper: 51.7 % overestimate by more than a factor of three."""
-        if not self.results:
-            return 0.0
-        return sum(1 for r in self.results if r.ratio > 3.0) / len(self.results)
+#: The four series of an :class:`AccuracyStudy`, by field name.
+_SERIES = ("spin_received", "spin_sorted", "grease_received", "grease_sorted")
 
 
 @dataclass
-class SeriesStats:
-    """Count-based form of a :class:`SeriesSummary` (no per-result list).
+class SeriesSummary(CounterState):
+    """One (group, ordering) series: histograms plus headline shares.
 
-    Holds exactly the integer counters the rendered summary and the
-    headline shares are computed from, so it can be persisted, merged by
-    plain addition (the service plane's per-week summaries), and still
-    render byte-identically to the original series: every share is the
-    same exact ``int / int`` division, and the histograms carry the same
-    integer bins.
+    Holds the integer counters the shares are computed from, never the
+    per-connection results: a series costs the same memory after ten
+    connections or ten million, and it persists and merges by plain
+    addition (the service's week files) while rendering byte-identically
+    — every share is the same exact ``int / int`` division.
     """
 
     label: str
@@ -147,109 +72,71 @@ class SeriesStats:
         default_factory=lambda: Histogram(edges=RATIO_EDGES)
     )
 
-    @classmethod
-    def from_summary(cls, series: "SeriesSummary") -> "SeriesStats":
-        """Reduce a full series to its mergeable counters."""
-        results = series.results
-        return cls(
-            label=series.label,
-            connections=len(results),
-            overestimating=sum(1 for r in results if r.absolute_ms > 0),
-            underestimating=sum(1 for r in results if r.absolute_ms < 0),
-            within_25ms=sum(1 for r in results if abs(r.absolute_ms) <= 25.0),
-            over_200ms=sum(1 for r in results if r.absolute_ms > 200.0),
-            within_25pct=sum(1 for r in results if abs(r.ratio) <= 1.25),
-            within_factor2=sum(1 for r in results if abs(r.ratio) <= 2.0),
-            over_factor3=sum(1 for r in results if r.ratio > 3.0),
-            abs_histogram=Histogram.from_dict(series.abs_histogram.as_dict()),
-            ratio_histogram=Histogram.from_dict(series.ratio_histogram.as_dict()),
-        )
+    def add(self, result: AccuracyResult) -> None:
+        absolute = result.absolute_ms
+        ratio = result.ratio
+        self.connections += 1
+        if absolute > 0:
+            self.overestimating += 1
+        if absolute < 0:
+            self.underestimating += 1
+        if -25.0 <= absolute <= 25.0:
+            self.within_25ms += 1
+        if absolute > 200.0:
+            self.over_200ms += 1
+        if -1.25 <= ratio <= 1.25:
+            self.within_25pct += 1
+        if -2.0 <= ratio <= 2.0:
+            self.within_factor2 += 1
+        if ratio > 3.0:
+            self.over_factor3 += 1
+        self.abs_histogram.add(absolute)
+        self.ratio_histogram.add(ratio)
 
-    def merge(self, other: "SeriesStats") -> None:
-        """Fold another series' counters in (commutative addition)."""
-        self.connections += other.connections
-        self.overestimating += other.overestimating
-        self.underestimating += other.underestimating
-        self.within_25ms += other.within_25ms
-        self.over_200ms += other.over_200ms
-        self.within_25pct += other.within_25pct
-        self.within_factor2 += other.within_factor2
-        self.over_factor3 += other.over_factor3
-        for mine, theirs in (
-            (self.abs_histogram, other.abs_histogram),
-            (self.ratio_histogram, other.ratio_histogram),
-        ):
-            mine.underflow += theirs.underflow
-            mine.overflow += theirs.overflow
-            for index, count in enumerate(theirs.counts):
-                mine.counts[index] += count
+    def _share(self, count: int) -> float:
+        return count / self.connections if self.connections else 0.0
 
-    def as_dict(self) -> dict:
-        """JSON-serializable representation (service week summaries)."""
-        return {
-            "label": self.label,
-            "connections": self.connections,
-            "overestimating": self.overestimating,
-            "underestimating": self.underestimating,
-            "within_25ms": self.within_25ms,
-            "over_200ms": self.over_200ms,
-            "within_25pct": self.within_25pct,
-            "within_factor2": self.within_factor2,
-            "over_factor3": self.over_factor3,
-            "abs_histogram": self.abs_histogram.as_dict(),
-            "ratio_histogram": self.ratio_histogram.as_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SeriesStats":
-        """Inverse of :meth:`as_dict`."""
-        return cls(
-            label=data["label"],
-            connections=int(data["connections"]),
-            overestimating=int(data["overestimating"]),
-            underestimating=int(data["underestimating"]),
-            within_25ms=int(data["within_25ms"]),
-            over_200ms=int(data["over_200ms"]),
-            within_25pct=int(data["within_25pct"]),
-            within_factor2=int(data["within_factor2"]),
-            over_factor3=int(data["over_factor3"]),
-            abs_histogram=Histogram.from_dict(data["abs_histogram"]),
-            ratio_histogram=Histogram.from_dict(data["ratio_histogram"]),
-        )
-
-    # -- the same headline shares a SeriesSummary exposes --------------
+    # -- Figure 3 headline numbers ------------------------------------
 
     @property
     def overestimate_share(self) -> float:
-        return self.overestimating / self.connections if self.connections else 0.0
+        """Paper: 97.7 % of Spin (R) results overestimate the RTT."""
+        return self._share(self.overestimating)
 
     @property
     def underestimate_share(self) -> float:
-        return self.underestimating / self.connections if self.connections else 0.0
+        return self._share(self.underestimating)
 
     @property
     def within_25ms_share(self) -> float:
-        return self.within_25ms / self.connections if self.connections else 0.0
+        """Paper: 28.8 % of connections within |spin - QUIC| <= 25 ms."""
+        return self._share(self.within_25ms)
 
     @property
     def over_200ms_share(self) -> float:
-        return self.over_200ms / self.connections if self.connections else 0.0
+        """Paper: 41.3 % overestimate by more than 200 ms."""
+        return self._share(self.over_200ms)
+
+    # -- Figure 4 headline numbers ------------------------------------
 
     @property
     def within_25pct_share(self) -> float:
-        return self.within_25pct / self.connections if self.connections else 0.0
+        """Paper: 30.5 % of spinning connections within 25 % of the RTT."""
+        return self._share(self.within_25pct)
 
     @property
     def within_factor2_share(self) -> float:
-        return self.within_factor2 / self.connections if self.connections else 0.0
+        """Paper: 36.0 % within a factor of two."""
+        return self._share(self.within_factor2)
 
     @property
     def over_factor3_share(self) -> float:
-        return self.over_factor3 / self.connections if self.connections else 0.0
+        """Paper: 51.7 % overestimate by more than a factor of three."""
+        return self._share(self.over_factor3)
 
 
 @dataclass
-class ReorderingImpact:
+class ReorderingImpact(CounterState):
     """Section 5.2's R-vs-S comparison."""
 
     connections_compared: int = 0
@@ -322,12 +209,17 @@ class AccuracyFold:
             if mask != 3 or not stack_rtts or not received or not sorted_series:
                 continue
             # Degenerate series (all-zero intervals from identically
-            # timestamped packets, or a non-positive stack baseline) have
-            # no meaningful ratio and are excluded, like empty ones.
+            # timestamped packets, a non-positive stack baseline, or a
+            # NaN / infinite sum off a damaged column) have no meaningful
+            # ratio and are excluded, like empty ones.
             sum_received = sum(received)
             sum_sorted = sum(sorted_series)
             sum_stack = sum(stack_rtts)
-            if sum_received <= 0.0 or sum_sorted <= 0.0 or sum_stack <= 0.0:
+            if not (
+                0.0 < sum_received < inf
+                and 0.0 < sum_sorted < inf
+                and 0.0 < sum_stack < inf
+            ):
                 continue
             quic_mean = sum_stack / len(stack_rtts)
             result_r = accuracy_from_means(sum_received / len(received), quic_mean)
@@ -347,6 +239,20 @@ class AccuracyFold:
                         impact.changed_below_1ms += 1
                     if abs(result_s.absolute_ms) <= abs(result_r.absolute_ms):
                         impact.changed_improved += 1
+
+    def state(self) -> dict:
+        study = self._study
+        return {
+            "accuracy": {key: getattr(study, key).state() for key in _SERIES},
+            "reordering": study.reordering.state(),
+        }
+
+    def merge(self, state: Mapping) -> None:
+        study = self._study
+        series = state.get("accuracy") or {}
+        for key in _SERIES:
+            getattr(study, key).merge(series.get(key) or {})
+        study.reordering.merge(state.get("reordering") or {})
 
     def finish(self) -> AccuracyStudy:
         return self._study

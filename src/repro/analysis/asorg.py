@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from repro._util.stats import add_counts
 from repro.artifacts.cbr import RecordBatch
 from repro.core.classify import SpinBehaviour
 from repro.internet.asdb import AsDatabase
@@ -23,7 +24,6 @@ __all__ = [
     "OrgFold",
     "OrgRow",
     "OrgTable",
-    "org_table_from_counts",
     "organization_table",
 ]
 
@@ -112,53 +112,39 @@ class OrgFold:
             if behaviour is spin:
                 spins[org] = spins.get(org, 0) + 1
 
-    def counts(self) -> tuple[dict[str, int], dict[str, int]]:
-        """The mergeable ``(totals, spins)`` counters behind the table.
+    def state(self) -> dict:
+        return {"org_totals": dict(self._totals), "org_spins": dict(self._spins)}
 
-        This is what the service plane persists per week: the dicts
-        merge by plain addition and :func:`org_table_from_counts`
-        rebuilds the identical table from the merged state.
-        """
-        return dict(self._totals), dict(self._spins)
+    def merge(self, state: Mapping) -> None:
+        add_counts(self._totals, state.get("org_totals"))
+        add_counts(self._spins, state.get("org_spins"))
 
     def finish(self) -> OrgTable:
-        return org_table_from_counts(self._totals, self._spins, top_n=self._top_n)
+        """The Table 2 ranking of the counters: ranks, tie-breaks and
+        the ``<other>`` aggregation are a function of them alone."""
+        spins = self._spins
+        rows = [
+            OrgRow(org_name=org, total_connections=count, spin_connections=spins.get(org, 0))
+            for org, count in self._totals.items()
+        ]
+        rows.sort(key=lambda row: (-row.total_connections, row.org_name))
+        for rank, row in enumerate(rows, start=1):
+            row.total_rank = rank
+        by_spin = sorted(
+            (row for row in rows if row.spin_connections),
+            key=lambda row: (-row.spin_connections, row.org_name),
+        )
+        for rank, row in enumerate(by_spin, start=1):
+            row.spin_rank = rank
 
-
-def org_table_from_counts(
-    totals: Mapping[str, int],
-    spins: Mapping[str, int],
-    top_n: int = 8,
-) -> OrgTable:
-    """Build the Table 2 ranking from per-organization counters.
-
-    The counters are exactly :class:`OrgFold`'s internal state, so the
-    service plane can persist them per week (they merge by plain
-    addition) and still reproduce the fold's table — ranks, tie-breaks
-    and ``<other>`` aggregation — byte-identically.
-    """
-    rows = [
-        OrgRow(org_name=org, total_connections=count, spin_connections=spins.get(org, 0))
-        for org, count in totals.items()
-    ]
-    rows.sort(key=lambda row: (-row.total_connections, row.org_name))
-    for rank, row in enumerate(rows, start=1):
-        row.total_rank = rank
-    by_spin = sorted(
-        (row for row in rows if row.spin_connections),
-        key=lambda row: (-row.spin_connections, row.org_name),
-    )
-    for rank, row in enumerate(by_spin, start=1):
-        row.spin_rank = rank
-
-    top_rows = rows[:top_n]
-    rest = rows[top_n:]
-    other = OrgRow(
-        org_name="<other>",
-        total_connections=sum(row.total_connections for row in rest),
-        spin_connections=sum(row.spin_connections for row in rest),
-    )
-    return OrgTable(top_rows=top_rows, other=other, all_rows=rows)
+        top_rows = rows[: self._top_n]
+        rest = rows[self._top_n :]
+        other = OrgRow(
+            org_name="<other>",
+            total_connections=sum(row.total_connections for row in rest),
+            spin_connections=sum(row.spin_connections for row in rest),
+        )
+        return OrgTable(top_rows=top_rows, other=other, all_rows=rows)
 
 
 def organization_table(

@@ -10,7 +10,14 @@ accumulator object with
   columns; no fold touches a :class:`~repro.web.scanner.ConnectionRecord`,
   so none is built for it);
 * ``finish()`` — produce the section's result object (the same type the
-  section's classic function returns).
+  section's classic function returns) from nothing but the state;
+* ``state()`` — the fold's commutative counters as a JSON-able dict,
+  under keys no other fold uses (they are the keys of the service's
+  week files); a fold accumulates *in* these counters, so its memory
+  does not grow with the connections it has seen;
+* ``merge(state)`` — add such a dict in.  Keys it lacks count as empty,
+  so loading a persisted fold is merging into a fresh one, and
+  ``fold(A).merge(fold(B).state())`` finishes equal to ``fold(A + B)``.
 
 :class:`AnalysisEngine` drives any number of folds over one shared
 stream of record batches, so ``repro analyze`` with every section
@@ -38,7 +45,7 @@ their folds live next to their classic functions
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Protocol, Sequence
+from typing import Any, Iterable, Mapping, Protocol, Sequence
 
 from repro.artifacts.cbr import RecordBatch
 from repro.telemetry import Telemetry
@@ -57,6 +64,10 @@ class RecordFold(Protocol):
     name: str
 
     def update_many(self, batch: RecordBatch) -> None: ...
+
+    def state(self) -> dict: ...
+
+    def merge(self, state: Mapping) -> None: ...
 
     def finish(self) -> Any: ...
 

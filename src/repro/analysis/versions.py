@@ -21,7 +21,6 @@ __all__ = [
     "VersionFold",
     "VersionShare",
     "version_distribution",
-    "version_distribution_from_counts",
 ]
 
 
@@ -62,35 +61,29 @@ class VersionFold:
                 continue
             counts[version] = counts.get(version, 0) + 1
 
-    def counts(self) -> dict[int, int]:
-        """The mergeable per-version counters behind the ranking."""
-        return dict(self._counts)
+    def state(self) -> dict:
+        # JSON object keys are strings; ``merge`` reads them back as ints.
+        return {"versions": {str(key): count for key, count in self._counts.items()}}
+
+    def merge(self, state: Mapping) -> None:
+        counts = self._counts
+        for key, count in (state.get("versions") or {}).items():
+            counts[int(key)] = counts.get(int(key), 0) + int(count)
 
     def finish(self) -> list[VersionShare]:
-        return version_distribution_from_counts(self._counts)
-
-
-def version_distribution_from_counts(
-    counts: Mapping[int, int]
-) -> list[VersionShare]:
-    """Rebuild the version ranking from per-version connection counters.
-
-    The counters are :class:`VersionFold`'s internal state; persisted
-    per week they merge by addition and reproduce the fold's output
-    byte-identically.
-    """
-    total = sum(counts.values())
-    shares = [
-        VersionShare(
-            version=version,
-            label=_label(version),
-            connections=count,
-            share=count / total,
-        )
-        for version, count in counts.items()
-    ]
-    shares.sort(key=lambda entry: (-entry.connections, entry.version))
-    return shares
+        counts = self._counts
+        total = sum(counts.values())
+        shares = [
+            VersionShare(
+                version=version,
+                label=_label(version),
+                connections=count,
+                share=count / total,
+            )
+            for version, count in counts.items()
+        ]
+        shares.sort(key=lambda entry: (-entry.connections, entry.version))
+        return shares
 
 
 def version_distribution(records: Iterable[ConnectionRecord]) -> list[VersionShare]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from repro._util.stats import add_counts
 from repro.artifacts.cbr import RecordBatch
 from repro.core.classify import SpinBehaviour
 from repro.web.scanner import ConnectionRecord
@@ -21,7 +22,6 @@ __all__ = [
     "WebserverFold",
     "WebserverShare",
     "webserver_shares",
-    "webserver_shares_from_counts",
 ]
 
 
@@ -64,31 +64,21 @@ class WebserverFold:
             header = header or "<none>"
             counts[header] = counts.get(header, 0) + 1
 
-    def counts(self) -> dict[str, int]:
-        """The mergeable per-header counters behind the share ranking."""
-        return dict(self._counts)
+    def state(self) -> dict:
+        return {"webservers": dict(self._counts)}
+
+    def merge(self, state: Mapping) -> None:
+        add_counts(self._counts, state.get("webservers"))
 
     def finish(self) -> list[WebserverShare]:
-        return webserver_shares_from_counts(self._counts)
-
-
-def webserver_shares_from_counts(
-    counts: Mapping[str, int]
-) -> list[WebserverShare]:
-    """Rebuild the share ranking from per-header connection counters.
-
-    The counters are :class:`WebserverFold`'s internal state; persisted
-    per week they merge by addition and reproduce the fold's output
-    byte-identically (shares are exact ``count / total`` divisions of
-    the same integers).
-    """
-    total = sum(counts.values())
-    shares = [
-        WebserverShare(server_header=header, connections=count, share=count / total)
-        for header, count in counts.items()
-    ]
-    shares.sort(key=lambda entry: (-entry.connections, entry.server_header))
-    return shares
+        counts = self._counts
+        total = sum(counts.values())
+        shares = [
+            WebserverShare(server_header=header, connections=count, share=count / total)
+            for header, count in counts.items()
+        ]
+        shares.sort(key=lambda entry: (-entry.connections, entry.server_header))
+        return shares
 
 
 def webserver_shares(

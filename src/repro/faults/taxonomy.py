@@ -15,7 +15,9 @@ renders the per-kind summary.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
+
+from repro._util.stats import add_counts
 
 __all__ = [
     "RETRYABLE_KINDS",
@@ -23,7 +25,6 @@ __all__ = [
     "FailureKind",
     "classify_exchange",
     "failure_summary",
-    "failure_summary_from_counts",
     "render_failure_table",
 ]
 
@@ -128,37 +129,32 @@ class FailureFold:
                 key = kind.value if kind is not None else "unclassified"
                 counts[key] = counts.get(key, 0) + 1
 
-    def counts(self) -> tuple[int, int, dict[str, int]]:
-        """The mergeable ``(total, succeeded, kinds)`` counters."""
-        return self._total, self._succeeded, dict(self._counts)
+    def state(self) -> dict:
+        return {
+            "failures_total": self._total,
+            "failures_succeeded": self._succeeded,
+            "failure_kinds": dict(self._counts),
+        }
+
+    def merge(self, state: Mapping) -> None:
+        self._total += int(state.get("failures_total", 0))
+        self._succeeded += int(state.get("failures_succeeded", 0))
+        add_counts(self._counts, state.get("failure_kinds"))
 
     def finish(self) -> dict:
-        return failure_summary_from_counts(
-            self._total, self._succeeded, self._counts
+        """The :func:`failure_summary` dict, kinds in stable enum order."""
+        ordered = dict(
+            sorted(
+                self._counts.items(),
+                key=lambda item: _KIND_ORDER.get(item[0], len(_KIND_ORDER)),
+            )
         )
-
-
-def failure_summary_from_counts(
-    total: int, succeeded: int, kinds: dict[str, int]
-) -> dict:
-    """The :func:`failure_summary` dict from raw counters.
-
-    Counters merge by plain addition, so persisted per-week summaries
-    (the service plane) rebuild the same dict — stable enum ordering
-    included — byte-identically.
-    """
-    ordered = dict(
-        sorted(
-            kinds.items(),
-            key=lambda item: _KIND_ORDER.get(item[0], len(_KIND_ORDER)),
-        )
-    )
-    return {
-        "total": total,
-        "succeeded": succeeded,
-        "failed": total - succeeded,
-        "kinds": ordered,
-    }
+        return {
+            "total": self._total,
+            "succeeded": self._succeeded,
+            "failed": self._total - self._succeeded,
+            "kinds": ordered,
+        }
 
 
 def failure_summary(records: Iterable) -> dict:

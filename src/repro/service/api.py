@@ -29,7 +29,10 @@ Endpoints (all JSON unless noted)::
 ``week`` defaults to ``all`` (every indexed week merged).  Errors are
 JSON too, and counted: ``{"error": ...}`` with a 4xx/5xx status, whether
 a route refused the request or the HTTP layer did (bad request line,
-unsupported version or method, oversized header).
+unsupported version or method, oversized header).  A week file that does
+not parse is a 500 on its week and on ``all`` (counted in
+``service.weeks_unreadable``), never cached and never left out of a
+merged answer; the request after the file is rewritten is served again.
 """
 
 from __future__ import annotations
@@ -64,6 +67,10 @@ _JSON_HEADERS = (("Content-Type", "application/json"),)
 
 def _encode(payload: dict) -> bytes:
     return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+
+
+class WeekUnreadable(Exception):
+    """A week file on disk does not parse into a summary."""
 
 
 class _CachedWeek:
@@ -136,6 +143,9 @@ class ServiceState:
 
         ``render`` turns the week's summary into the payload; it runs
         once per content of the week file.  ``None``: not indexed.
+        Raises :class:`WeekUnreadable` when the week's file — for
+        ``all``, any week's — does not parse: a merged view missing a
+        week would be a wrong answer, not a partial one.
         """
         with self._lock:
             self._refresh_locked()
@@ -164,10 +174,13 @@ class ServiceState:
         with self._lock:
             self._refresh_locked()
             skip = ledger_artifacts(self._version)
-            for week in self._weeks:
-                cached = self._week_locked(week)
-                if cached is not None and name in cached.summary.domains:
-                    skip.difference_update(cached.summary.artifacts)
+            try:
+                for week in self._weeks:
+                    cached = self._week_locked(week)
+                    if cached is not None and name in cached.summary.domains:
+                        skip.difference_update(cached.summary.artifacts)
+            except WeekUnreadable:
+                skip.clear()  # which artifacts hold the name is unknown
         predicate = Eq("domain", name)
         for entry in self.spool.artifacts():
             if entry.fingerprint in skip:
@@ -272,9 +285,17 @@ class ServiceState:
             return None
         digest = hashlib.sha256(data).digest()
         if digest != entry.digest:
-            entry.digest = digest
-            entry.summary = WeekSummary.from_json(data)
-            entry.bodies = {}
+            # Parsed before anything is assigned: a file that does not
+            # parse leaves the entry as it was (unchecked, so the next
+            # request reads the file again) and caches nothing.
+            try:
+                summary = WeekSummary.from_json(data)
+            except (ValueError, KeyError, TypeError, AttributeError) as error:
+                self.counter("service.weeks_unreadable")
+                raise WeekUnreadable(
+                    f"week {week!r} is unreadable: {type(error).__name__}: {error}"
+                ) from error
+            entry.digest, entry.summary, entry.bodies = digest, summary, {}
         entry.checked = True
         return entry
 
@@ -418,7 +439,11 @@ class _Handler(BaseHTTPRequestHandler):
     # -- endpoint bodies -----------------------------------------------
 
     def _summary_endpoint(self, week: str, key, render) -> None:
-        body = self.state.summary_body(week, key, render)
+        try:
+            body = self.state.summary_body(week, key, render)
+        except WeekUnreadable as error:
+            self._send_error_json(str(error), status=500)
+            return
         if body is None:
             self._send_error_json(f"week {week!r} is not indexed", status=404)
         else:

@@ -33,7 +33,7 @@ import os
 from pathlib import Path
 from typing import Callable
 
-from repro.service.summary import WeekSummarizer, WeekSummary, combine_weeks
+from repro.service.summary import WeekSummary, combine_weeks
 from repro.telemetry import Telemetry
 
 __all__ = ["WeekIndexer"]
@@ -129,11 +129,11 @@ class WeekIndexer:
         self, path: str | os.PathLike, fingerprint: str
     ) -> dict[str, WeekSummary]:
         """Decode once, group each batch's rows by week stamp, and feed
-        every week's summarizer its rows — no record is ever built."""
+        every week's summary its rows — no record is ever built."""
         from repro.artifacts import open_record_batches
 
         asdb = self.asdb
-        summarizers: dict[str, WeekSummarizer] = {}
+        deltas: dict[str, WeekSummary] = {}
         with open_record_batches(
             str(path), want_edges_received=False, want_edges_sorted=False,
             errors="count",
@@ -143,14 +143,11 @@ class WeekIndexer:
                 for row, week in enumerate(batch.weeks):
                     rows_of.setdefault(week or UNSTAMPED_WEEK, []).append(row)
                 for week, rows in rows_of.items():
-                    summarizer = summarizers.get(week)
-                    if summarizer is None:
-                        summarizer = summarizers[week] = WeekSummarizer(week, asdb)
-                    summarizer.update(batch.take(rows))
-        deltas = {}
-        for week, summarizer in summarizers.items():
-            delta = deltas[week] = summarizer.finish()
-            delta.artifacts = [fingerprint]
+                    delta = deltas.get(week)
+                    if delta is None:
+                        delta = deltas[week] = WeekSummary(week, asdb)
+                        delta.artifacts.append(fingerprint)
+                    delta.update(batch.take(rows))
         return deltas
 
     def _merge_week(
@@ -163,7 +160,7 @@ class WeekIndexer:
             current = WeekSummary(week=week)
         if fingerprint in current.artifacts:
             return False
-        current.merge(delta)
+        current.merge(delta.state())
         self._write_atomic(self.week_path(week), current.to_json())
         return True
 

@@ -14,14 +14,18 @@ The second half is the per-record budget, in the manner of
 record.  The count is a pure function of the code and the archive, so a
 regression shows as a number.
 
-======================  ===============  ===========
-all-section pass         before (PR 13)  this change
-======================  ===============  ===========
-calls per record                   66.3         43.9
-======================  ===============  ===========
+======================  ===============  =====  =====================
+all-section pass         before (PR 13)  PR 14  count-based series
+======================  ===============  =====  =====================
+calls per record                   66.3   43.9                   43.2
+======================  ===============  =====  =====================
+
+The last test holds the folds to their memory contract: a fold's state
+is counters, so it is as large after eight passes as after one.
 """
 
 import ast
+import pickle
 import sys
 from pathlib import Path
 
@@ -41,7 +45,7 @@ CHUNK_RECORDS = 256
 
 #: Calls per record of the all-section pass, as measured; the gate
 #: allows +10 %.
-CALLS_PER_RECORD_MEASURED = 43.9
+CALLS_PER_RECORD_MEASURED = 43.2
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +149,7 @@ class TestOnePath:
                             f"{module}:{sub.lineno} uses the batch as records"
                         )
         # The six record folds, the ``RecordFold`` protocol and the week
-        # summarizer.
+        # summary.
         assert len(checked) == 8, checked
 
 
@@ -189,3 +193,36 @@ class TestWorkBudget:
         path, _ = archive
         full_pass(path)
         assert calls_per_record(path) == calls_per_record(path)
+
+
+def _int_leaves(state) -> int:
+    if isinstance(state, dict):
+        state = list(state.values())
+    if isinstance(state, (list, tuple)):
+        return sum(map(_int_leaves, state))
+    return isinstance(state, int)
+
+
+class TestStateBudget:
+    def test_fold_state_does_not_grow_with_connections(self, archive):
+        """Eight passes leave each fold the size one pass did, but for
+        the wider encoding of a larger counter (a pickled ``int`` takes
+        one, two or four bytes)."""
+        path, _ = archive
+        folds = build_record_folds("all")
+
+        def one_pass():
+            with open_record_batches(
+                str(path), want_edges_received=False, want_edges_sorted=False
+            ) as source:
+                for batch in source.batches():
+                    for fold in folds:
+                        fold.update_many(batch)
+
+        one_pass()
+        once = [len(pickle.dumps(fold)) for fold in folds]
+        for _ in range(7):
+            one_pass()
+        for fold, size in zip(folds, once):
+            growth = len(pickle.dumps(fold)) - size
+            assert 0 <= growth <= 3 * _int_leaves(fold.state()), (fold.name, growth)

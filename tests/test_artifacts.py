@@ -16,6 +16,7 @@ from repro.analysis.artifacts import (
 )
 from repro.artifacts import open_record_batches, write_records
 from repro.core.classify import SpinBehaviour
+from repro.core.metrics import compare_means
 from repro.web.scanner import ScanConfig, Scanner
 
 
@@ -43,9 +44,14 @@ class TestRoundTrip:
 
         before = accuracy_study(records)
         after = accuracy_study(loaded)
-        assert before.spin_received.connections == after.spin_received.connections
-        assert [r.ratio for r in before.spin_received.results] == pytest.approx(
-            [r.ratio for r in after.spin_received.results]
+        assert before.spin_received.connections == 1  # the one spinning record
+        assert before == after
+        assert compare_means(
+            loaded[0].observation.rtts_received_ms, loaded[0].stack_rtts_ms
+        ).ratio == pytest.approx(
+            compare_means(
+                records[0].observation.rtts_received_ms, records[0].stack_rtts_ms
+            ).ratio
         )
 
     def test_fields_preserved(self):

@@ -36,7 +36,7 @@ from repro.core.classify import SpinBehaviour
 from repro.core.observer import SpinEdge, SpinObservation
 from repro.faults.taxonomy import FailureKind
 from repro.internet.asdb import IpAddr, build_default_asdb
-from repro.service.summary import WeekSummarizer
+from repro.service.summary import WeekSummary
 from repro.web.scanner import ConnectionRecord
 
 ASDB = build_default_asdb()
@@ -110,19 +110,21 @@ def reframe(raw: bytes) -> bytes:
     return bytes(out)
 
 
-def survives(batch) -> None:
-    """Everything a consumer does with a batch, none of it raising."""
+def survives(batch) -> dict:
+    """Everything a consumer does with a batch, none of it raising;
+    returns the all-section results of the batch and half its rows."""
     records = list(batch)
     assert len(records) == len(batch)
     half = batch.take(range(0, len(batch), 2))
     assert list(half) == records[::2]
-    AnalysisEngine(build_record_folds("all", asdb=ASDB)).run([batch, half])
-    summarizer = WeekSummarizer("cw20-2023", ASDB)
-    summarizer.update(batch)
-    summarizer.finish().to_json()
+    results = AnalysisEngine(build_record_folds("all", asdb=ASDB)).run([batch, half])
+    summary = WeekSummary("cw20-2023", ASDB)
+    summary.update(batch)
+    summary.to_json()
     for where in ("week == cw20-2023", "edges between 1 and 3 and t between 0 and 50"):
         parse_where(where).select(batch, range(len(batch)))
     write_records_cbr(records, io.BytesIO())
+    return results
 
 
 def _sequential(data: bytes, path, errors: str):
@@ -192,13 +194,19 @@ class TestMutatedChunks:
         records = source_records()
         spinning = records[3]
         weird = []
-        for times, stack in [
-            ((0.0, nan, 80.0, 120.0), [35.0]), ((0.0, inf, 80.0, inf), [35.0]),
-            ((0.0, 40.0, 80.0, 120.0), [nan]), ((0.0, 40.0, 80.0, 120.0), [inf, inf]),
-            ((1e308, -1e308, 1e308, -1e308), [1e308, 1e308]),
+        for times, stack, rtts in [
+            ((0.0, nan, 80.0, 120.0), [35.0], None),
+            ((0.0, inf, 80.0, inf), [35.0], None),
+            ((0.0, 40.0, 80.0, 120.0), [nan], None),
+            ((0.0, 40.0, 80.0, 120.0), [inf, inf], None),
+            ((1e308, -1e308, 1e308, -1e308), [1e308, 1e308], None),
+            # Sound samples beside damaged edge times: only the variants
+            # that filter on the times have nothing to compare.
+            ((0.0, inf, 80.0, inf), [35.0], [40.0, 40.0, 40.0]),
         ]:
             edges = [SpinEdge(t, 3 * j + 1, bool(j % 2)) for j, t in enumerate(times)]
-            rtts = [b.time_ms - a.time_ms for a, b in zip(edges, edges[1:])]
+            if rtts is None:
+                rtts = [b.time_ms - a.time_ms for a, b in zip(edges, edges[1:])]
             weird.append(replace(
                 spinning, stack_rtts_ms=stack, week="cw20-20230000000000000000",
                 observation=replace(
@@ -210,7 +218,26 @@ class TestMutatedChunks:
         write_records_cbr(weird, buffer)
         buffer.seek(0)
         (batch,) = CbrReader(buffer).record_batches()
-        survives(batch)
+        results = survives(batch)
+        # A series whose sum is NaN or infinite has no mean to compare:
+        # the connection is excluded like a zero-sum one (lost, for a
+        # filter variant), never counted and then found in no share.
+        # ``survives`` folds the batch and every other row of it: the
+        # last record is counted once, the damaged ones never.
+        study = results["accuracy"]
+        for series in (study.spin_received, study.spin_sorted):
+            assert series.connections == series.overestimating == 1
+        for series in (
+            study.spin_received, study.spin_sorted,
+            study.grease_received, study.grease_sorted,
+        ):
+            assert series.abs_histogram.total == series.connections
+            assert series.ratio_histogram.total == series.connections
+            assert series.overestimating + series.underestimating <= series.connections
+            assert series.abs_histogram.overflow == series.ratio_histogram.overflow == 0
+        outcomes = results["filters"].outcomes()
+        assert [outcome.connections for outcome in outcomes] == [1, 1, 0, 0]
+        assert [outcome.connections_lost for outcome in outcomes] == [0, 0, 1, 1]
 
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

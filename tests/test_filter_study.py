@@ -1,10 +1,12 @@
 """The RFC 9312 filter study over connection records."""
 
-import pytest
+from dataclasses import replace
 
 from conftest import make_connection_record
 from repro.analysis.filter_study import run_filter_study
 from repro.core.classify import SpinBehaviour
+from repro.core.heuristics import DynamicThresholdFilter, StaticThresholdFilter
+from repro.core.metrics import compare_means
 
 
 def records_with_reordering_noise():
@@ -39,23 +41,37 @@ class TestFilterStudy:
         assert study.raw.connections_lost == 0
 
     def test_static_filter_removes_subthreshold_samples(self):
-        study = run_filter_study(records_with_reordering_noise(), static_floor_ms=5.0)
-        noisy_raw = study.raw.results[-1]
-        noisy_static = study.static.results[-1]
+        records = records_with_reordering_noise()
+        study = run_filter_study(records, static_floor_ms=5.0)
+        noisy = records[-1]
+        base = noisy.observation.rtts_received_ms
+        noisy_raw = compare_means(base, noisy.stack_rtts_ms)
+        noisy_static = compare_means(
+            StaticThresholdFilter(min_rtt_ms=5.0).filter_rtts(base), noisy.stack_rtts_ms
+        )
         # The 0.4/0.6 ms spurious samples vanish: accuracy improves.
         assert abs(noisy_static.absolute_ms) < abs(noisy_raw.absolute_ms) + 1e-9
         assert study.static.within_25pct_share >= study.raw.within_25pct_share
+        # The study's rows are these results, counted.
+        alone = run_filter_study([noisy], static_floor_ms=5.0)
+        assert alone.raw.within_25pct == (abs(noisy_raw.ratio) <= 1.25)
+        assert alone.static.within_25pct == (abs(noisy_static.ratio) <= 1.25)
 
     def test_hold_time_filter_improves_noisy_connection(self):
         study = run_filter_study(records_with_reordering_noise())
         assert study.hold_time.within_25pct_share >= study.raw.within_25pct_share
 
     def test_clean_connections_untouched(self):
-        study = run_filter_study(records_with_reordering_noise()[:2])
-        for outcome in (study.static, study.hold_time, study.combined):
-            assert [r.ratio for r in outcome.results] == pytest.approx(
-                [r.ratio for r in study.raw.results]
-            )
+        for record in records_with_reordering_noise()[:2]:
+            study = run_filter_study([record])
+            assert study.raw.connections == 1
+            for outcome in (study.static, study.hold_time, study.combined):
+                assert replace(outcome, label="raw") == study.raw
+            # No filter drops a sample or an edge of a clean connection.
+            base = record.observation.rtts_received_ms
+            times = [edge.time_ms for edge in record.observation.edges_received]
+            assert StaticThresholdFilter(min_rtt_ms=1.0).filter_rtts(base) == base
+            assert DynamicThresholdFilter(fraction=0.125).filter_times(times) == times
 
     def test_connections_lost_counted(self):
         # A connection whose only samples are sub-threshold disappears
@@ -81,4 +97,3 @@ class TestFilterStudy:
         study = run_filter_study(records_with_reordering_noise())
         for outcome in study.outcomes():
             assert 0.0 <= outcome.within_25pct_share <= 1.0
-            assert outcome.median_abs_ms >= 0.0

@@ -13,16 +13,17 @@ off a list (``from_records``), a chunk decoded from cbr bytes, or a
 from __future__ import annotations
 
 import io
-from dataclasses import replace
+import json
+from dataclasses import dataclass, field, fields, replace
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.accuracy import AccuracyFold
+from repro.analysis.accuracy import AccuracyFold, SeriesSummary
 from repro.analysis.asorg import OrgFold
 from repro.analysis.engine import AnalysisEngine, build_record_folds
-from repro.analysis.filter_study import FilterFold
+from repro.analysis.filter_study import FilterFold, FilterOutcome
 from repro.analysis.query import (
     And,
     Between,
@@ -42,12 +43,7 @@ from repro.core.metrics import compare_means
 from repro.core.observer import SpinEdge, SpinObservation, spin_rtts_from_edges
 from repro.faults.taxonomy import FailureFold, FailureKind
 from repro.internet.asdb import IpAddr, build_default_asdb
-from repro.service.summary import (
-    FLAG_SPIN,
-    FLAG_SUCCESS,
-    WeekSummarizer,
-    WeekSummary,
-)
+from repro.service.summary import FLAG_SPIN, FLAG_SUCCESS, WeekSummary
 from repro.web.scanner import ConnectionRecord
 
 ASDB = build_default_asdb()
@@ -55,8 +51,8 @@ SECTIONS = ("orgs", "webservers", "accuracy", "versions", "filters", "failures")
 
 # ----------------------------------------------------------------------
 # The naive references: the former per-record bodies, verbatim.  Each
-# subclass keeps the fold's state and ``finish``/``counts`` and swaps
-# the column loop for the record loop it replaced.
+# subclass keeps the fold's state, ``finish`` and ``state``/``merge``
+# and swaps the column loop for the record loop it replaced.
 # ----------------------------------------------------------------------
 
 
@@ -164,7 +160,7 @@ def naive_filter_edges(self: DynamicThresholdFilter, edges):
 
 def _naive_append(outcome, series, stack) -> None:
     if series:
-        outcome.results.append(compare_means(series, stack))
+        outcome.add(compare_means(series, stack))
     else:
         outcome.connections_lost += 1
 
@@ -173,7 +169,7 @@ class NaiveFilterFold(FilterFold):
     def update_many(self, records):
         static_filter = self._static_filter
         hold_filter = self._hold_filter
-        raw_results = self._raw.results
+        study = self._study
         for record in records:
             observation = record.observation
             if len(observation.values_seen) != 2:
@@ -182,18 +178,18 @@ class NaiveFilterFold(FilterFold):
             base = observation.rtts_received_ms
             if not stack or not base:
                 continue
-            raw_results.append(compare_means(base, stack))
+            study.raw.add(compare_means(base, stack))
 
             static_series = static_filter.filter_rtts(base)
-            _naive_append(self._static, static_series, stack)
+            _naive_append(study.static, static_series, stack)
 
             hold_series = spin_rtts_from_edges(
                 naive_filter_edges(hold_filter, observation.edges_received)
             )
-            _naive_append(self._hold, hold_series, stack)
+            _naive_append(study.hold_time, hold_series, stack)
 
             combined_series = static_filter.filter_rtts(hold_series)
-            _naive_append(self._combined, combined_series, stack)
+            _naive_append(study.combined, combined_series, stack)
 
 
 class NaiveFailureFold(FailureFold):
@@ -220,17 +216,45 @@ def naive_folds():
     ]
 
 
-def naive_summarize(week, records) -> WeekSummary:
-    """``WeekSummarizer`` as it looped over records."""
-    from repro.analysis.accuracy import SeriesStats
-    from repro.analysis.filter_study import FilterOutcomeStats
-    from repro.service.summary import _ACCURACY_SERIES
+@dataclass
+class RecordingSeries(SeriesSummary):
+    """A series that also keeps every result it was given, in order: two
+    of them are equal only if they saw the same connections."""
 
-    summary = WeekSummary(week=week)
-    org_fold, webserver_fold, accuracy_fold, version_fold, filter_fold, failure_fold = (
-        folds := naive_folds()
-    )
+    seen: list = field(default_factory=list)
+
+    def add(self, result):
+        self.seen.append(result)
+        super().add(result)
+
+
+@dataclass
+class RecordingOutcome(FilterOutcome):
+    seen: list = field(default_factory=list)
+
+    def add(self, result):
+        self.seen.append(result)
+        super().add(result)
+
+
+def recording(folds):
+    """``folds``, their count-based series swapped for recording ones."""
     for fold in folds:
+        study = getattr(fold, "_study", None)
+        for spec in fields(study) if study is not None else ():
+            series = getattr(study, spec.name)
+            if isinstance(series, SeriesSummary):
+                setattr(study, spec.name, RecordingSeries(series.label))
+            elif isinstance(series, FilterOutcome):
+                setattr(study, spec.name, RecordingOutcome(series.label))
+    return folds
+
+
+def naive_summarize(week, records) -> WeekSummary:
+    """A ``WeekSummary`` whose folds and counters looped over records."""
+    summary = WeekSummary(week, ASDB)
+    summary.folds = naive_folds()
+    for fold in summary.folds:
         fold.update_many(records)
 
     for record in records:
@@ -250,24 +274,6 @@ def naive_summarize(week, records) -> WeekSummary:
             summary.domains.setdefault(record.domain, 0)
         key = record.behaviour.value
         summary.behaviours[key] = summary.behaviours.get(key, 0) + 1
-
-    summary.org_totals, summary.org_spins = org_fold.counts()
-    summary.webservers = webserver_fold.counts()
-    summary.versions = version_fold.counts()
-    study = accuracy_fold.finish()
-    summary.accuracy = {
-        key: SeriesStats.from_summary(getattr(study, key))
-        for key, _ in _ACCURACY_SERIES
-    }
-    summary.reordering = study.reordering
-    summary.filters = [
-        FilterOutcomeStats.from_outcome(outcome)
-        for outcome in filter_fold.finish().outcomes()
-    ]
-    total, succeeded, kinds = failure_fold.counts()
-    summary.failures_total = total
-    summary.failures_succeeded = succeeded
-    summary.failure_kinds = kinds
     return summary
 
 
@@ -454,7 +460,7 @@ def run_naive(records):
     connection whose received series or stack sums to zero or less made
     ``compare_means`` refuse the mean — the column body skips it)."""
     results = {}
-    for fold in naive_folds():
+    for fold in recording(naive_folds()):
         try:
             fold.update_many(records)
             results[fold.name] = fold.finish()
@@ -474,16 +480,17 @@ class TestFoldsAgainstRecordLoops:
     def test_six_folds_and_summary_three_ways(self, records, data):
         for how, batches, stood_for, _ in three_ways(records, data):
             expected, expected_json = run_naive(stood_for)
-            results = AnalysisEngine(build_record_folds("all", asdb=ASDB)).run(batches)
+            folds = recording(build_record_folds("all", asdb=ASDB))
+            results = AnalysisEngine(folds).run(batches)
             assert list(results) == list(SECTIONS)
             for section in SECTIONS:
                 if expected[section] is not None:
                     assert results[section] == expected[section], (how, section)
-            summarizer = WeekSummarizer("cw20-2023", ASDB)
+            summary = WeekSummary("cw20-2023", ASDB)
             for batch in batches:
-                summarizer.update(batch)
+                summary.update(batch)
             if expected_json is not None:
-                assert summarizer.finish().to_json() == expected_json, how
+                assert summary.to_json() == expected_json, how
 
     def test_zero_sum_series_are_skipped_not_raised(self):
         """Where the record loop raised, the column body has a rule."""
@@ -540,10 +547,50 @@ class TestFoldsAgainstRecordLoops:
         assert batch.headers == [r.server_header for r in records]
         assert list(batch) == records
         expected, expected_json = run_naive(records)
-        assert AnalysisEngine(build_record_folds("all", asdb=ASDB)).run([batch]) == expected
-        summarizer = WeekSummarizer("cw20-2023", ASDB)
-        summarizer.update(batch)
-        assert summarizer.finish().to_json() == expected_json
+        folds = recording(build_record_folds("all", asdb=ASDB))
+        assert AnalysisEngine(folds).run([batch]) == expected
+        summary = WeekSummary("cw20-2023", ASDB)
+        summary.update(batch)
+        assert summary.to_json() == expected_json
+
+
+def folded(records):
+    """The six folds after one batch of ``records``."""
+    folds = build_record_folds("all", asdb=ASDB)
+    batch = RecordBatch.from_records(records)
+    for fold in folds:
+        fold.update_many(batch)
+    return folds
+
+
+def as_stored(state):
+    """``state`` as a week file hands it back."""
+    return json.loads(json.dumps(state))
+
+
+class TestFoldState:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(RECORD_LISTS, RECORD_LISTS)
+    def test_merged_state_is_the_fold_of_the_union(self, first, second):
+        for a, b in ((first, second), (second, first)):
+            for merged, other, union, loaded in zip(
+                folded(a), folded(b), folded(a + b), folded([])
+            ):
+                merged.merge(as_stored(other.state()))
+                assert merged.finish() == union.finish(), merged.name
+                assert merged.state() == union.state(), merged.name
+                loaded.merge(as_stored(union.state()))
+                assert loaded.state() == union.state(), merged.name
+                assert loaded.finish() == union.finish(), merged.name
+        summary, other, both = (
+            WeekSummary("cw20-2023", ASDB) for _ in range(3)
+        )
+        for target, records in ((summary, first), (other, second), (both, first + second)):
+            target.update(RecordBatch.from_records(records))
+        assert WeekSummary.from_json(summary.to_json()).to_json() == summary.to_json()
+        summary.merge(WeekSummary.from_json(other.to_json()).state())
+        assert summary.to_json() == both.to_json()
 
 
 def _edges(*times):

@@ -26,6 +26,8 @@ from repro.service import (
     WeekIndexer,
     build_server,
 )
+from repro.service.api import WeekUnreadable
+from repro.service.summary import WeekSummary
 from repro.telemetry import Telemetry
 
 CONFIG = ServiceConfig(
@@ -411,12 +413,16 @@ def encoded(payload) -> bytes:
     return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
 
 
-def bodies_from_disk(indexer: WeekIndexer) -> dict[str, bytes]:
-    """Every summary route's body, computed from freshly loaded summaries."""
+def bodies_from_disk(indexer: WeekIndexer, unreadable=()) -> dict[str, bytes]:
+    """Every summary route's body, computed from freshly loaded summaries
+    (but those of the ``unreadable`` weeks, and then of ``all``)."""
     weeks = indexer.weeks()
     expected = {"/v1/weeks": encoded({"weeks": weeks})}
-    summaries = {week: indexer.load_week(week) for week in weeks}
-    summaries["all"] = indexer.load_combined()
+    summaries = {
+        week: indexer.load_week(week) for week in weeks if week not in unreadable
+    }
+    if not unreadable:
+        summaries["all"] = indexer.load_combined()
     for week, summary in summaries.items():
         expected[f"/v1/adoption?week={week}"] = encoded(summary.adoption())
         expected[f"/v1/compliance?week={week}"] = encoded(summary.compliance())
@@ -425,7 +431,8 @@ def bodies_from_disk(indexer: WeekIndexer) -> dict[str, bytes]:
             expected[f"/v1/analyze?week={week}&section={section}"] = encoded(
                 {"week": week, "section": section, "text": text}
             )
-    expected["/v1/adoption"] = expected["/v1/adoption?week=all"]
+    if not unreadable:
+        expected["/v1/adoption"] = expected["/v1/adoption?week=all"]
     return expected
 
 
@@ -571,6 +578,61 @@ class TestApiCache:
                 # request was sent: nothing older than that may be served.
                 assert total in totals[max(0, begun - 2) : begun_by_the_answer]
             self.assert_fresh(state, base)
+
+    def test_an_unreadable_week_file_is_a_counted_500_until_rewritten(
+        self, scanned, tmp_path
+    ):
+        """Half a week file: its week and the merged view answer 500 —
+        never the other weeks alone — and nothing of it is cached."""
+        cw19, cw20 = scanned["cw19-2023"], scanned["cw20-2023"]
+        broken = ("/v1/adoption?week=cw19-2023", "/v1/analyze?week=cw19-2023",
+                  "/v1/adoption", "/v1/compliance?week=all")
+        with serving(tmp_path) as (state, base):
+            fold = lambda: state.indexer.fold_pending(state.spool)  # noqa: E731
+            submit(state.spool, cw19)
+            submit(state.spool, cw20)
+            assert len(fold()) == 2
+            self.assert_fresh(state, base)
+            before = http_get(base + broken[0])
+            path = state.indexer.week_path("cw19-2023")
+            good = path.read_bytes()
+            path.write_bytes(good[: len(good) // 2])
+            submit(state.spool, cw20[:5], week="cw21-2023")
+            assert len(fold()) == 1  # a new version: every week is looked at again
+            original = bodies_from_disk(state.indexer, unreadable=("cw19-2023",))
+            for turn in range(2):
+                for route in broken:
+                    status, body = http_get(base + route)
+                    assert status == 500 and set(json.loads(body)) == {"error"}, route
+            for route in ("/v1/weeks", "/v1/adoption?week=cw20-2023",
+                          "/v1/analyze?week=cw21-2023&section=all"):
+                assert http_get(base + route) == (200, original[route]), route
+            counters = state.metrics_snapshot()["counters"]
+            assert counters["service.requests_errored"] == 2 * len(broken)
+            assert counters["service.weeks_unreadable"] == 2 * len(broken)
+            # A server started on the damage answers the same, every time;
+            # so does one that finds other histogram edges than the folds'.
+            restarted = ServiceState(state.spool, WeekIndexer(state.indexer.directory))
+            other_edges = good.replace(b"-200.0", b"-250.0")
+            assert other_edges != good
+            for damaged in (good[: len(good) // 2], other_edges):
+                path.write_bytes(damaged)
+                for week in ("cw19-2023", "all", "all"):
+                    with pytest.raises(WeekUnreadable):
+                        restarted.summary_body(week, "adoption", WeekSummary.adoption)
+            # A fold does not overwrite what it cannot read.
+            submit(state.spool, cw19[:3])
+            with pytest.raises(ValueError):
+                fold()
+            assert path.read_bytes() == other_edges
+            path.write_bytes(good)
+            assert http_get(base + broken[0]) == before
+            self.assert_fresh(state, base)
+            assert len(fold()) == 1
+            self.assert_fresh(state, base)
+            assert restarted.summary_body(
+                "all", "adoption", WeekSummary.adoption
+            ) == http_get(f"{base}/v1/adoption")[1]
 
     def test_protocol_rejects_are_json_and_counted(self, tmp_path):
         rejects = {

@@ -127,6 +127,20 @@ class TestHistogram:
         assert clone.counts == hist.counts
         assert clone.overflow == hist.overflow
 
+    def test_merge_adds_bins_of_equal_edges_only(self):
+        hist = Histogram(edges=(0.0, 1.0, 2.0))
+        hist.extend([0.5, 1.5, 9.0])
+        other = Histogram.from_dict(hist.as_dict())  # list edges, as loaded
+        other.add(-1.0)
+        hist.merge(other)
+        assert (hist.counts, hist.underflow, hist.overflow) == ([2, 2], 1, 2)
+        # Other edges are not added bin-by-position.
+        with pytest.raises(ValueError):
+            hist.merge(Histogram(edges=(0.0, 1.0, 3.0)))
+        with pytest.raises(ValueError):
+            hist.merge(Histogram(edges=(0.0, 1.0)))
+        assert hist.total == 7
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Histogram(edges=(1.0,))

@@ -463,6 +463,39 @@ class TestDeterminismLint:
         assert "telemetry/sites.py" not in result.stderr
 
 
+class TestOneSectionDeclaration:
+    """AST gate (same lint): under ``service/`` no analysis section's
+    state key is spelled — the week summary passes ``fold.state()``
+    through whole, so a section is declared by its fold alone."""
+
+    def test_section_state_keys_named_under_service_are_caught(self, tmp_path):
+        source = (
+            "def to_json(summary, data):\n"
+            "    data['org_totals'] = summary.org_totals\n"
+            "    for fold in summary.folds:\n"
+            "        data.update(fold.state())\n"
+            "    return data.get('failure_kinds'), summary.accuracy\n"
+            "def adoption(summary):\n"
+            "    return {'connections_total': summary.connections_total}\n"
+        )
+        for layer in ("service", "analysis"):
+            directory = tmp_path / "repro" / layer
+            directory.mkdir(parents=True)
+            (directory / "summary.py").write_text(source, encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, str(TestDeterminismLint.LINT), str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        for line in range(1, 8):
+            assert (f"service/summary.py:{line}:" in result.stderr) == (
+                line in (2, 5)
+            ), (line, result.stderr)
+        # The folds' own layer is where the keys live.
+        assert "analysis/summary.py" not in result.stderr
+
+
 class TestOneTraceModel:
     """AST gate (same lint): outside ``repro.telemetry`` rows enter the
     trace through ``span`` / ``event`` / ``count`` / ``absorb`` only."""
