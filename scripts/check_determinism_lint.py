@@ -59,6 +59,16 @@ Which further rules apply to which layer (directory under
   folds and passes their state through whole, so a string constant or
   an attribute of one of those names under ``service/`` is a section
   being declared a second time, and is flagged.  No pragma opts out.
+* One derivation of the per-connection means (PR 22), ``analysis/`` and
+  ``service/summary.py``: inside an ``update_many`` / ``update`` body,
+  ``sum(...)`` of an element of a float-series column (``stacks``,
+  ``rtts_received``, ``rtts_sorted``, ``times_received``, or an entry of
+  the ``comparable`` column derived from them) and the names
+  ``AccuracyResult`` / ``compare_means`` / ``accuracy_from_means`` are
+  flagged: ``RecordBatch.comparable`` derives each connection's means
+  once and ``mean_accuracy`` is the one test of a mean, so a fold that
+  sums a series is deriving them a second time.  Summing a whole column
+  (``sum(batch.successes)``) is not.  No pragma opts out.
 
 Benchmarks (``benchmarks/``) legitimately measure wall-clock and are
 not scanned.  A source line may opt out with the pattern's pragma when
@@ -266,6 +276,66 @@ def _called_name(node: ast.AST) -> str:
     return _bare_name(node.func) if isinstance(node, ast.Call) else ""
 
 
+#: The float-series columns of a ``RecordBatch`` and the column derived
+#: from them (whose entries carry the series along).
+_FLOAT_SERIES_COLUMNS = frozenset(
+    {"stacks", "rtts_received", "rtts_sorted", "times_received", "comparable"}
+)
+#: What builds a per-connection result object from two series.
+_RESULT_BUILDERS = frozenset({"AccuracyResult", "compare_means", "accuracy_from_means"})
+
+
+def _is_series_column(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr in _FLOAT_SERIES_COLUMNS
+
+
+def _names_in(target: ast.AST) -> set[str]:
+    return {node.id for node in ast.walk(target) if isinstance(node, ast.Name)}
+
+
+def _series_elements(target: ast.AST, iterable: ast.AST) -> set[str]:
+    """Loop variables bound to elements of a float-series column by
+    ``for target in iterable`` — over the column, or over a ``zip`` of
+    columns, position by position."""
+    if _is_series_column(iterable):
+        return _names_in(target)
+    names: set[str] = set()
+    if _called_name(iterable) == "zip" and isinstance(target, (ast.Tuple, ast.List)):
+        for element, column in zip(target.elts, iterable.args):
+            if _is_series_column(column):
+                names |= _names_in(element)
+    return names
+
+
+def fold_body_means(text: str) -> list[int]:
+    """Per-connection means derived again inside a fold body: ``sum`` of
+    a float-series element, or a result builder, in ``update_many`` /
+    ``update``."""
+    numbers = set()
+    for function in ast.walk(ast.parse(text)):
+        if not isinstance(function, ast.FunctionDef) or function.name not in (
+            "update_many", "update"
+        ):
+            continue
+        loops = [
+            node for node in ast.walk(function)
+            if isinstance(node, (ast.For, ast.comprehension))
+        ]
+        elements = set().union(
+            *(_series_elements(loop.target, loop.iter) for loop in loops)
+        )
+        for node in ast.walk(function):
+            if _bare_name(node) in _RESULT_BUILDERS:
+                numbers.add(node.lineno)
+            elif _called_name(node) == "sum" and node.args:
+                summed = node.args[0]
+                if getattr(summed, "id", None) in elements or (
+                    isinstance(summed, ast.Subscript) and _is_series_column(summed.value)
+                ):
+                    numbers.add(node.lineno)
+    return sorted(numbers)
+
+
 def _is_codec_class(node: ast.AST) -> bool:
     name = _bare_name(node)
     return name.endswith(("Frame", "Header")) or name in _REFERENCE_CODEC
@@ -324,9 +394,10 @@ _EVERYWHERE = (
 #: never fall back to per-record JSON); ``telemetry`` owns the trace
 #: model and the off state, so it alone may build rows and test a
 #: handle for ``None``; ``service`` persists the analysis folds' state
-#: and may not spell its keys.
+#: and may not spell its keys; ``analysis`` (and the week summary, which
+#: feeds the same folds) reads each connection's means off the batch.
 LAYER_RULES = {
-    "analysis": _EVERYWHERE + (json_in_loops,),
+    "analysis": _EVERYWHERE + (json_in_loops, fold_body_means),
     "faults": _EVERYWHERE + (json_in_loops,),
     "internet": _EVERYWHERE + (json_in_loops,),
     "monitor": _EVERYWHERE + (json_in_loops,),
@@ -347,6 +418,7 @@ FILE_RULES = {
     "repro/quic/datagram.py": _CODEC_HOME,
     "repro/quic/frames.py": ((field_decoder_objects,), (endpoint_decoder_uses,)),
     "repro/quic/packet.py": _CODEC_HOME,
+    "repro/service/summary.py": ((fold_body_means,), ()),
 }
 
 
@@ -400,7 +472,10 @@ def main(argv: list[str] | None = None) -> int:
             "never used — Telemetry.resolve(None) is the off bundle, call it "
             "unconditionally; under service/ no analysis section's state key "
             "(org_totals, accuracy, filters, ...) is named — the week summary "
-            "passes fold.state() through whole)",
+            "passes fold.state() through whole; a fold body (update_many / update "
+            "under analysis/ and in service/summary.py) never sums a connection's "
+            "float series nor names AccuracyResult / compare_means — it reads "
+            "batch.comparable, which derives the means once)",
             file=sys.stderr,
         )
         return 1

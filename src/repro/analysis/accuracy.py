@@ -14,13 +14,12 @@ packet number), plus the Section 5.2 reordering-impact summary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import inf
 from typing import Iterable, Mapping
 
 from repro._util.stats import CounterState, Histogram
 from repro.artifacts.cbr import RecordBatch
 from repro.core.classify import SpinBehaviour
-from repro.core.metrics import AccuracyResult, accuracy_from_means
+from repro.core.metrics import mean_accuracy
 from repro.web.scanner import ConnectionRecord
 
 __all__ = [
@@ -72,9 +71,8 @@ class SeriesSummary(CounterState):
         default_factory=lambda: Histogram(edges=RATIO_EDGES)
     )
 
-    def add(self, result: AccuracyResult) -> None:
-        absolute = result.absolute_ms
-        ratio = result.ratio
+    def add(self, absolute: float, ratio: float) -> None:
+        """Count one connection's ``spin - QUIC`` (ms) and mapped ratio."""
         self.connections += 1
         if absolute > 0:
             self.overestimating += 1
@@ -180,10 +178,12 @@ class AccuracyStudy:
 class AccuracyFold:
     """Streaming accumulator behind :func:`accuracy_study`.
 
-    Connections without spin-bit RTT samples or without stack samples
-    cannot be compared and are skipped (candidates with a single edge
-    yield no interval).  Each series is summed once per connection and
-    both results are built from the means.
+    Reads the batch's comparable spinning connections
+    (:attr:`RecordBatch.comparable`; a connection without spin activity
+    or with an empty or degenerate series is not among them).  All but
+    the reordered ones (paper: 0.28 %) have one series and one result; a
+    differing sorted series without a mean in ``(0, inf)`` excludes the
+    connection, like a received one.
     """
 
     name = "accuracy"
@@ -201,44 +201,30 @@ class AccuracyFold:
 
     def update_many(self, batch: RecordBatch) -> None:
         study = self._study
+        impact = study.reordering
         grease = SpinBehaviour.GREASE
-        for mask, stack_rtts, received, sorted_series, behaviour in zip(
-            batch.masks, batch.stacks, batch.rtts_received, batch.rtts_sorted,
-            batch.behaviours,
+        for absolute, ratio, quic_mean, received, _, sorted_series, behaviour in (
+            batch.comparable
         ):
-            if mask != 3 or not stack_rtts or not received or not sorted_series:
+            changed = sorted_series != received
+            resorted = (
+                mean_accuracy(sorted_series, quic_mean) if changed else (absolute, ratio)
+            )
+            if resorted is None:
                 continue
-            # Degenerate series (all-zero intervals from identically
-            # timestamped packets, a non-positive stack baseline, or a
-            # NaN / infinite sum off a damaged column) have no meaningful
-            # ratio and are excluded, like empty ones.
-            sum_received = sum(received)
-            sum_sorted = sum(sorted_series)
-            sum_stack = sum(stack_rtts)
-            if not (
-                0.0 < sum_received < inf
-                and 0.0 < sum_sorted < inf
-                and 0.0 < sum_stack < inf
-            ):
-                continue
-            quic_mean = sum_stack / len(stack_rtts)
-            result_r = accuracy_from_means(sum_received / len(received), quic_mean)
-            result_s = accuracy_from_means(sum_sorted / len(sorted_series), quic_mean)
             if behaviour is grease:
-                study.grease_received.add(result_r)
-                study.grease_sorted.add(result_s)
-            else:
-                study.spin_received.add(result_r)
-                study.spin_sorted.add(result_s)
-                impact = study.reordering
-                impact.connections_compared += 1
-                delta = abs(result_r.absolute_ms - result_s.absolute_ms)
-                if received != sorted_series:
-                    impact.connections_changed += 1
-                    if delta < 1.0:
-                        impact.changed_below_1ms += 1
-                    if abs(result_s.absolute_ms) <= abs(result_r.absolute_ms):
-                        impact.changed_improved += 1
+                study.grease_received.add(absolute, ratio)
+                study.grease_sorted.add(*resorted)
+                continue
+            study.spin_received.add(absolute, ratio)
+            study.spin_sorted.add(*resorted)
+            impact.connections_compared += 1
+            if changed:
+                impact.connections_changed += 1
+                if abs(absolute - resorted[0]) < 1.0:
+                    impact.changed_below_1ms += 1
+                if abs(resorted[0]) <= abs(absolute):
+                    impact.changed_improved += 1
 
     def state(self) -> dict:
         study = self._study

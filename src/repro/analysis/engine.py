@@ -6,9 +6,12 @@ accumulator object with
 * ``name`` — the section identifier (``"orgs"``, ``"accuracy"``, ...);
 * ``update_many(batch)`` — absorb one
   :class:`~repro.artifacts.cbr.RecordBatch`, reading its columns (the
-  loop lives *inside* the fold and runs over two to five parallel
-  columns; no fold touches a :class:`~repro.web.scanner.ConnectionRecord`,
-  so none is built for it);
+  loop lives *inside* the fold and runs over the parallel columns it
+  needs — or, for the accuracy and filter folds, over the batch's one
+  derived column, ``batch.comparable``: each spinning connection's
+  Section 5.1 metrics, computed once per batch and shared by both; no
+  fold touches a :class:`~repro.web.scanner.ConnectionRecord`, so none
+  is built for it);
 * ``finish()`` — produce the section's result object (the same type the
   section's classic function returns) from nothing but the state;
 * ``state()`` — the fold's commutative counters as a JSON-able dict,

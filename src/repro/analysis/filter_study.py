@@ -11,14 +11,12 @@ accuracy picture.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
-from operator import sub
 from typing import Iterable, Mapping, Sequence
 
 from repro._util.stats import CounterState
 from repro.artifacts.cbr import RecordBatch
 from repro.core.heuristics import DynamicThresholdFilter, StaticThresholdFilter
-from repro.core.metrics import AccuracyResult, accuracy_from_means
+from repro.core.metrics import mean_accuracy
 from repro.web.scanner import ConnectionRecord
 
 __all__ = [
@@ -40,11 +38,12 @@ class FilterOutcome(CounterState):
     underestimating: int = 0
     connections_lost: int = 0
 
-    def add(self, result: AccuracyResult) -> None:
+    def add(self, absolute: float, ratio: float) -> None:
+        """Count one connection's ``spin - QUIC`` (ms) and mapped ratio."""
         self.connections += 1
-        if -1.25 <= result.ratio <= 1.25:
+        if -1.25 <= ratio <= 1.25:
             self.within_25pct += 1
-        if result.absolute_ms < 0:
+        if absolute < 0:
             self.underestimating += 1
 
     @property
@@ -72,14 +71,14 @@ class FilterStudy:
 class FilterFold:
     """Streaming accumulator behind :func:`run_filter_study`.
 
-    The hold-time filter works on edges, not samples; an edge's arrival
-    time is all it reads, so the fold runs it over the batch's
-    ``times_received`` column.  The stack mean is computed once per
-    connection and shared by the four variants.  A series whose sum is
-    not positive (identically timestamped packets) or not finite (a
-    damaged column) has no ratio: the connection is skipped when that is
-    the raw series or the stack baseline, and counted in
-    ``connections_lost`` for a filter variant.
+    Starts from the batch's comparable spinning connections
+    (:attr:`RecordBatch.comparable`), whose raw result and stack mean
+    the four variants share.  The hold-time filter works on edges, not
+    samples; an edge's arrival time is all it reads, so the fold runs it
+    over the connection's ``times_received``.  A static floor that the
+    smallest sample reaches (every clean path) drops nothing, and the
+    variant reuses the result it started from.  A variant whose series
+    has no mean in ``(0, inf)`` counts in ``connections_lost``.
     """
 
     name = "filters"
@@ -100,29 +99,26 @@ class FilterFold:
 
     def update_many(self, batch: RecordBatch) -> None:
         static_filter = self._static_filter
-        hold_filter = self._hold_filter
-        study = self._study
-        for mask, stack, base, times in zip(
-            batch.masks, batch.stacks, batch.rtts_received, batch.times_received
-        ):
-            if mask != 3 or not stack or not base:
-                continue
-            sum_base = sum(base)
-            sum_stack = sum(stack)
-            if not (0.0 < sum_base < inf and 0.0 < sum_stack < inf):
-                continue
-            quic_mean = sum_stack / len(stack)
-            study.raw.add(accuracy_from_means(sum_base / len(base), quic_mean))
+        floor = static_filter.min_rtt_ms
+        accepted_intervals = self._hold_filter.accepted_intervals
+        raw, static, hold_time, combined = self._study.outcomes()
+        for absolute, ratio, quic_mean, base, times, _, _ in batch.comparable:
+            raw.add(absolute, ratio)
 
-            static_series = static_filter.filter_rtts(base)
-            _add(study.static, static_series, quic_mean)
+            if min(base) >= floor:
+                static.add(absolute, ratio)
+            else:
+                _add(static, static_filter.filter_rtts(base), quic_mean)
 
-            hold_times = hold_filter.filter_times(times)
-            hold_series = list(map(sub, hold_times[1:], hold_times))
-            _add(study.hold_time, hold_series, quic_mean)
+            hold_series = accepted_intervals(times)
+            held = _add(hold_time, hold_series, quic_mean)
 
-            combined_series = static_filter.filter_rtts(hold_series)
-            _add(study.combined, combined_series, quic_mean)
+            # Only a series with a result is known to hold no NaN, which
+            # ``min`` would order by position.
+            if held is not None and min(hold_series) >= floor:
+                combined.add(*held)
+            else:
+                _add(combined, static_filter.filter_rtts(hold_series), quic_mean)
 
     def state(self) -> dict:
         return {"filters": [outcome.state() for outcome in self._study.outcomes()]}
@@ -152,9 +148,14 @@ def run_filter_study(
     return fold.finish()
 
 
-def _add(outcome: FilterOutcome, series: Sequence[float], quic_mean: float) -> None:
-    total = sum(series)
-    if 0.0 < total < inf:
-        outcome.add(accuracy_from_means(total / len(series), quic_mean))
-    else:
+def _add(
+    outcome: FilterOutcome, series: Sequence[float], quic_mean: float
+) -> tuple[float, float] | None:
+    """Count ``series``' result in ``outcome`` — or the connection as
+    lost to the filter — and return the result."""
+    accuracy = mean_accuracy(series, quic_mean)
+    if accuracy is None:
         outcome.connections_lost += 1
+    else:
+        outcome.add(*accuracy)
+    return accuracy

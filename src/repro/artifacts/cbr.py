@@ -76,10 +76,13 @@ import struct
 import zlib
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate as _accumulate
+from itertools import compress as _compress
+from math import inf as _inf
 from operator import sub as _operator_sub
 from typing import IO
 
 from repro.core.classify import SpinBehaviour
+from repro.core.metrics import mean_accuracy
 from repro.core.observer import SpinEdge, SpinObservation
 from repro.faults.taxonomy import FailureKind
 from repro.internet.asdb import IpAddr
@@ -891,16 +894,19 @@ class RecordBatch(Sequence):
     builds its records only when something iterates or indexes it.
     :meth:`take` picks a row subset without building anything;
     :meth:`from_records` wraps records that already exist.
+
+    One column is derived, in one loop on first use: :attr:`comparable`,
+    the per-connection accuracy the accuracy and filter folds start from.
     """
 
-    __slots__ = _ANALYSIS_COLUMNS + ("_records", "_chunk", "_rows")
+    __slots__ = _ANALYSIS_COLUMNS + ("_records", "_chunk", "_rows", "_comparable")
 
     @classmethod
     def _from_chunk(cls, chunk: _ChunkColumns) -> "RecordBatch":
         batch = object.__new__(cls)
         for name in _ANALYSIS_COLUMNS:
             setattr(batch, name, getattr(chunk, name))
-        batch._records = None
+        batch._records = batch._comparable = None
         batch._chunk = chunk
         batch._rows = range(len(chunk.domains))
         return batch
@@ -940,7 +946,7 @@ class RecordBatch(Sequence):
         batch.rtts_sorted = [o.rtts_sorted_ms for o in observations]
         batch.stacks = [record.stack_rtts_ms for record in records]
         batch._records = records
-        batch._chunk = batch._rows = None
+        batch._chunk = batch._rows = batch._comparable = None
         return batch
 
     @classmethod
@@ -957,6 +963,7 @@ class RecordBatch(Sequence):
         for name in _ANALYSIS_COLUMNS:
             column = getattr(self, name)
             setattr(batch, name, [column[row] for row in rows])
+        batch._comparable = None
         if self._records is not None:
             batch._records = [self._records[row] for row in rows]
             batch._chunk = batch._rows = None
@@ -965,6 +972,39 @@ class RecordBatch(Sequence):
             batch._chunk = self._chunk
             batch._rows = [self._rows[row] for row in rows]
         return batch
+
+    @property
+    def comparable(self) -> list[tuple]:
+        """The batch's comparable spinning connections, in row order.
+
+        One ``(absolute_ms, ratio, quic_mean, rtts_received,
+        times_received, rtts_sorted, behaviour)`` per row with spin
+        activity (``mask == 3``) whose stack and received series both
+        have a mean in ``(0, inf)``: the Section 5.1 metrics of the
+        received series and what a fold needs to derive a variant.  A
+        row without activity or without such a mean (empty, all-zero,
+        NaN, infinite, underflowing) has no ratio and no entry.  Built
+        on first use; a :meth:`take` derives its own rows'.
+        """
+        column = self._comparable
+        if column is None:
+            column = self._comparable = []
+            columns = zip(
+                self.stacks, self.rtts_received, self.times_received,
+                self.rtts_sorted, self.behaviours,
+            )
+            spinning = [mask == 3 for mask in self.masks]
+            for stack, received, times, sorted_series, behaviour in _compress(
+                columns, spinning
+            ):
+                quic_mean = sum(stack) / len(stack) if stack else 0.0
+                if 0.0 < quic_mean < _inf:
+                    accuracy = mean_accuracy(received, quic_mean)
+                    if accuracy is not None:
+                        column.append(
+                            (*accuracy, quic_mean, received, times, sorted_series, behaviour)
+                        )
+        return column
 
     def _materialised(self) -> list[ConnectionRecord]:
         records = self._records

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.core.observer import SpinEdge, spin_rtts_from_edges
+from repro.core.observer import SpinEdge
 
 __all__ = [
     "DynamicThresholdFilter",
@@ -69,32 +69,38 @@ class DynamicThresholdFilter:
         if not 0.0 < self.fraction < 1.0:
             raise ValueError("fraction must be in (0, 1)")
 
-    def surviving(self, times_ms: Sequence[float]) -> list[int]:
-        """Positions of the edges, given by arrival time, that survive."""
-        accepted: list[int] = []
-        last_ms = 0.0
+    def filter_edges(self, edges: Sequence[SpinEdge]) -> list[SpinEdge]:
+        """Return the edges that survive the hold time."""
+        accepted: list[SpinEdge] = []
         estimate_ms: float | None = None
-        for position, time_ms in enumerate(times_ms):
+        for edge in edges:
             if accepted:
-                interval = time_ms - last_ms
+                interval = edge.time_ms - accepted[-1].time_ms
                 if estimate_ms is not None and interval < self.fraction * estimate_ms:
                     continue
                 estimate_ms = interval
-            accepted.append(position)
-            last_ms = time_ms
+            accepted.append(edge)
         return accepted
 
-    def filter_edges(self, edges: Sequence[SpinEdge]) -> list[SpinEdge]:
-        """Return the edges that survive the hold time."""
-        return [edges[i] for i in self.surviving([edge.time_ms for edge in edges])]
-
-    def filter_times(self, times_ms: Sequence[float]) -> list[float]:
-        """:meth:`filter_edges` for edges known by arrival time alone."""
-        return [times_ms[i] for i in self.surviving(times_ms)]
+    def accepted_intervals(self, times_ms: Sequence[float]) -> list[float]:
+        """:meth:`filter_edges` by arrival time alone, as RTT samples:
+        each surviving edge's interval to the one accepted before it."""
+        intervals: list[float] = []
+        fraction = self.fraction
+        last_ms = times_ms[0] if times_ms else 0.0
+        estimate_ms: float | None = None
+        for time_ms in times_ms[1:]:
+            interval = time_ms - last_ms
+            if estimate_ms is not None and interval < fraction * estimate_ms:
+                continue
+            estimate_ms = interval
+            intervals.append(interval)
+            last_ms = time_ms
+        return intervals
 
     def filter_rtts_from_edges(self, edges: Sequence[SpinEdge]) -> list[float]:
         """Convenience: filtered edges → RTT samples."""
-        return spin_rtts_from_edges(self.filter_edges(edges))
+        return self.accepted_intervals([edge.time_ms for edge in edges])
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,15 @@ estimates (*spin*) with the mean of the QUIC stack's estimates (*QUIC*):
 
 from __future__ import annotations
 
+from math import inf
 from typing import NamedTuple, Sequence
 
 __all__ = [
     "AccuracyResult",
     "absolute_difference_ms",
-    "accuracy_from_means",
     "compare_means",
     "mapped_ratio",
+    "mean_accuracy",
 ]
 
 
@@ -43,12 +44,27 @@ def mapped_ratio(spin_mean_ms: float, quic_mean_ms: float) -> float:
     return -(quic_mean_ms / spin_mean_ms)
 
 
+def mean_accuracy(
+    rtts_ms: Sequence[float], quic_mean_ms: float
+) -> tuple[float, float] | None:
+    """``(absolute_ms, ratio)`` of a spin RTT series against a stack mean
+    in ``(0, inf)`` — or ``None`` when the series has no such mean itself:
+    empty, all-zero intervals, a sum that underflows to a zero mean, NaN
+    or infinity off a damaged column.  The one test of a mean the
+    analysis folds rely on.
+    """
+    spin_mean_ms = sum(rtts_ms) / len(rtts_ms) if rtts_ms else 0.0
+    if 0.0 < spin_mean_ms < inf:
+        return spin_mean_ms - quic_mean_ms, mapped_ratio(spin_mean_ms, quic_mean_ms)
+    return None
+
+
 class AccuracyResult(NamedTuple):
     """Both per-connection accuracy metrics plus their inputs.
 
-    A named tuple rather than a dataclass: the analysis folds build up
-    to six per spinning connection, and tuple construction is several
-    times cheaper than a frozen dataclass ``__init__``.
+    What :func:`compare_means` hands a caller looking at one connection
+    (``repro demo``, the long-flow study); the analysis folds count
+    ``(absolute_ms, ratio)`` pairs and never build one.
     """
 
     spin_mean_ms: float
@@ -80,17 +96,8 @@ def compare_means(
         raise ValueError("no spin-bit RTT samples")
     if not stack_rtts_ms:
         raise ValueError("no stack RTT samples")
-    return accuracy_from_means(
-        sum(spin_rtts_ms) / len(spin_rtts_ms), sum(stack_rtts_ms) / len(stack_rtts_ms)
-    )
-
-
-def accuracy_from_means(spin_mean_ms: float, quic_mean_ms: float) -> AccuracyResult:
-    """The accuracy record of two per-connection means already computed.
-
-    The analysis folds derive several results per connection from one
-    stack mean; both means must be positive (see :func:`mapped_ratio`).
-    """
+    spin_mean_ms = sum(spin_rtts_ms) / len(spin_rtts_ms)
+    quic_mean_ms = sum(stack_rtts_ms) / len(stack_rtts_ms)
     return AccuracyResult(
         spin_mean_ms,
         quic_mean_ms,

@@ -84,7 +84,12 @@ class WeekIndexer:
         (crash before the ledger write) re-enter here and finish only
         their missing weeks.
         """
-        if fingerprint in self.ledger():
+        return self._fold(path, fingerprint, self.ledger())
+
+    def _fold(self, path: str | os.PathLike, fingerprint: str, ledger: set[str]) -> bool:
+        """:meth:`fold_artifact` against a ledger already read; the
+        fingerprint joins ``ledger`` as it joins the file."""
+        if fingerprint in ledger:
             return False
         telemetry = self.telemetry
         with telemetry.tracer.span(f"index:{fingerprint}") as span:
@@ -101,7 +106,11 @@ class WeekIndexer:
                     )
                     self._fault("week-written")
                 records += deltas[week].connections_total
-            self._record_in_ledger(fingerprint)
+            ledger.add(fingerprint)
+            payload = json.dumps(
+                {"artifacts": sorted(ledger)}, sort_keys=True, indent=1
+            )
+            self._write_atomic(self._ledger_path, payload + "\n")
             span.annotate(weeks=len(deltas), records=records)
             telemetry.registry.counter("index.artifacts_folded").inc()
             telemetry.registry.counter("index.weeks_merged").inc(len(deltas))
@@ -115,15 +124,14 @@ class WeekIndexer:
 
         Returns the fingerprints actually folded, in fingerprint order
         (which the ledger makes irrelevant for the resulting bytes).
+        The ledger is read once, here, however many artifacts follow.
         """
-        folded = []
         ledger = self.ledger()
-        for entry in spool.artifacts():
-            if entry.fingerprint in ledger:
-                continue
-            if self.fold_artifact(entry.path, entry.fingerprint):
-                folded.append(entry.fingerprint)
-        return folded
+        return [
+            entry.fingerprint
+            for entry in spool.artifacts()
+            if self._fold(entry.path, entry.fingerprint, ledger)
+        ]
 
     def _summarize(
         self, path: str | os.PathLike, fingerprint: str
@@ -169,14 +177,6 @@ class WeekIndexer:
     def ledger(self) -> set[str]:
         """Fingerprints whose fold completed (every week file written)."""
         return ledger_artifacts(self.version())
-
-    def _record_in_ledger(self, fingerprint: str) -> None:
-        artifacts = self.ledger()
-        artifacts.add(fingerprint)
-        payload = json.dumps(
-            {"artifacts": sorted(artifacts)}, sort_keys=True, indent=1
-        )
-        self._write_atomic(self._ledger_path, payload + "\n")
 
     def version(self) -> bytes:
         """Cache tag for the API layer: changes iff the index changed.

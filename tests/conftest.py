@@ -7,6 +7,8 @@ simulations; integration tests exercise the real pipeline separately.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro._util.rng import derive_rng
@@ -139,3 +141,26 @@ def make_archive_week(week_offset: int, count: int, seed: int = 20230520):
             )
         )
     return records
+
+
+def count_calls(run, only=None):
+    """``(calls, run())``: the Python-level calls (``sys.setprofile``
+    ``call`` + ``c_call``) ``run`` makes — a pure function of the code
+    and its input, no clock involved.  With ``only`` (a builtin), the
+    calls of that function alone."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if only is None:
+            calls += event in ("call", "c_call")
+        else:
+            calls += event == "c_call" and arg is only
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(previous)
+    return calls, result

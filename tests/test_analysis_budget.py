@@ -12,13 +12,15 @@ The second half is the per-record budget, in the manner of
 ``test_endpoint_budget``: Python-level calls (``sys.setprofile`` ``call``
 + ``c_call``) of one all-section pass over a 26-week cbr archive, per
 record.  The count is a pure function of the code and the archive, so a
-regression shows as a number.
+regression shows as a number.  The week indexer has the same kind of
+number: calls per record of one ``fold_pending`` of a 500-record week.
 
-======================  ===============  =====  =====================
-all-section pass         before (PR 13)  PR 14  count-based series
-======================  ===============  =====  =====================
-calls per record                   66.3   43.9                   43.2
-======================  ===============  =====  =====================
+======================  ===============  =====  ==================  ==============
+all-section pass         before (PR 13)  PR 14  count-based series  derived column
+======================  ===============  =====  ==================  ==============
+calls per record                   66.3   43.9                43.2            28.6
+calls per folded record               —      —                77.0            62.4
+======================  ===============  =====  ==================  ==============
 
 The last test holds the folds to their memory contract: a fold's state
 is counters, so it is as large after eight passes as after one.
@@ -26,12 +28,11 @@ is counters, so it is as large after eight passes as after one.
 
 import ast
 import pickle
-import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import archive_week_label, make_archive_week
+from conftest import archive_week_label, count_calls, make_archive_week
 from repro.analysis.engine import AnalysisEngine, build_record_folds
 from repro.analysis.query import Eq, QueryStats, filter_batch
 from repro.artifacts import cbr, open_query_source, open_record_batches
@@ -45,7 +46,12 @@ CHUNK_RECORDS = 256
 
 #: Calls per record of the all-section pass, as measured; the gate
 #: allows +10 %.
-CALLS_PER_RECORD_MEASURED = 43.2
+CALLS_PER_RECORD_MEASURED = 28.6
+
+#: Calls per record of folding one spooled week of ``FOLD_WEEK_RECORDS``
+#: into a fresh index (decode, six folds, week file, ledger), likewise.
+FOLD_WEEK_RECORDS = 500
+CALLS_PER_FOLDED_RECORD_MEASURED = 62.4
 
 
 @pytest.fixture(scope="module")
@@ -167,20 +173,25 @@ def _is_fold_call(function: ast.FunctionDef, name: ast.Name) -> bool:
 
 
 def calls_per_record(path):
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call" or event == "c_call":
-            calls += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(count)
-    try:
-        _, read = full_pass(path)
-    finally:
-        sys.setprofile(previous)
+    calls, (_, read) = count_calls(lambda: full_pass(path))
     return calls / read
+
+
+def calls_per_folded_record(directory):
+    """One ``fold_pending`` of one spooled week into a fresh index."""
+    directory.mkdir()
+    week = directory / "week.cbr"
+    with open(week, "wb") as stream:
+        write_records_cbr(
+            make_archive_week(0, FOLD_WEEK_RECORDS), stream, chunk_records=CHUNK_RECORDS
+        )
+    spool = SpoolStore(directory / "spool")
+    spool.submit_file(week)
+    indexer = WeekIndexer(directory / "index")
+    calls, folded = count_calls(lambda: indexer.fold_pending(spool))
+    assert len(folded) == 1
+    assert indexer.load_combined().connections_total == FOLD_WEEK_RECORDS
+    return calls / FOLD_WEEK_RECORDS
 
 
 class TestWorkBudget:
@@ -193,6 +204,13 @@ class TestWorkBudget:
         path, _ = archive
         full_pass(path)
         assert calls_per_record(path) == calls_per_record(path)
+
+    def test_a_week_fold_fits_its_budget_and_repeats(self, tmp_path):
+        calls_per_folded_record(tmp_path / "warm")  # the AS database, codecs
+        first = calls_per_folded_record(tmp_path / "first")
+        print(f"fold_pending: {first:.1f} calls per folded record")
+        assert first <= CALLS_PER_FOLDED_RECORD_MEASURED * 1.10
+        assert first == calls_per_folded_record(tmp_path / "second")
 
 
 def _int_leaves(state) -> int:

@@ -36,6 +36,7 @@ from repro.core.classify import SpinBehaviour
 from repro.core.observer import SpinEdge, SpinObservation
 from repro.faults.taxonomy import FailureKind
 from repro.internet.asdb import IpAddr, build_default_asdb
+from repro.service import SpoolStore, WeekIndexer
 from repro.service.summary import WeekSummary
 from repro.web.scanner import ConnectionRecord
 
@@ -188,7 +189,7 @@ class TestMutatedChunks:
             survives(batch)
         assert list(CbrReader(io.BytesIO(reframe(RAW))).iter_records()) == source_records()
 
-    def test_non_finite_and_absurd_values_fold_without_raising(self):
+    def test_non_finite_and_absurd_values_fold_without_raising(self, tmp_path):
         """What a flipped bit can leave in a column that still decodes."""
         nan, inf = float("nan"), float("inf")
         records = source_records()
@@ -203,6 +204,10 @@ class TestMutatedChunks:
             # Sound samples beside damaged edge times: only the variants
             # that filter on the times have nothing to compare.
             ((0.0, inf, 80.0, inf), [35.0], [40.0, 40.0, 40.0]),
+            # A sum that is positive and finite, and a mean that is not:
+            # ``5e-324 / 2`` underflows to zero (spin series, then stack).
+            ((0.0, 40.0, 80.0, 120.0), [35.0], [5e-324, 0.0]),
+            ((0.0, 40.0, 80.0, 120.0), [5e-324, 0.0], None),
         ]:
             edges = [SpinEdge(t, 3 * j + 1, bool(j % 2)) for j, t in enumerate(times)]
             if rtts is None:
@@ -238,6 +243,14 @@ class TestMutatedChunks:
         outcomes = results["filters"].outcomes()
         assert [outcome.connections for outcome in outcomes] == [1, 1, 0, 0]
         assert [outcome.connections_lost for outcome in outcomes] == [0, 0, 1, 1]
+        # The week indexer folds the same artifact: a week that raised
+        # here could never be folded.
+        (tmp_path / "weird.cbr").write_bytes(buffer.getvalue())
+        spool = SpoolStore(tmp_path / "spool")
+        spool.submit_file(tmp_path / "weird.cbr")
+        indexer = WeekIndexer(tmp_path / "index", asdb=ASDB)
+        assert len(indexer.fold_pending(spool)) == 1
+        assert indexer.load_combined().connections_spinning == len(weird)
 
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

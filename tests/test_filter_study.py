@@ -71,7 +71,7 @@ class TestFilterStudy:
             base = record.observation.rtts_received_ms
             times = [edge.time_ms for edge in record.observation.edges_received]
             assert StaticThresholdFilter(min_rtt_ms=1.0).filter_rtts(base) == base
-            assert DynamicThresholdFilter(fraction=0.125).filter_times(times) == times
+            assert DynamicThresholdFilter(fraction=0.125).accepted_intervals(times) == base
 
     def test_connections_lost_counted(self):
         # A connection whose only samples are sub-threshold disappears

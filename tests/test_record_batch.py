@@ -15,10 +15,14 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass, field, fields, replace
+from itertools import accumulate
+from math import inf, nan
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+
+from conftest import count_calls
 
 from repro.analysis.accuracy import AccuracyFold, SeriesSummary
 from repro.analysis.asorg import OrgFold
@@ -91,6 +95,19 @@ class NaiveWebserverFold(WebserverFold):
             counts[header] = counts.get(header, 0) + 1
 
 
+def naive_accuracy(series, stack):
+    """``compare_means`` of one connection as ``(absolute_ms, ratio)``,
+    or ``None`` under the folds' one rule: a series that is empty or
+    whose mean is not in ``(0, inf)`` — all-zero intervals, a sum that
+    underflows to a zero mean, NaN or infinity — has no ratio (the
+    record loops raised on the first and counted NaN for the last)."""
+    for values in (series, stack):
+        if not values or not 0.0 < sum(values) / len(values) < inf:
+            return None
+    result = compare_means(series, stack)
+    return result.absolute_ms, result.ratio
+
+
 class NaiveAccuracyFold(AccuracyFold):
     def update_many(self, records):
         study = self._study
@@ -101,33 +118,24 @@ class NaiveAccuracyFold(AccuracyFold):
             stack_rtts = connection.stack_rtts_ms
             received = observation.rtts_received_ms
             sorted_series = observation.rtts_sorted_ms
-            if not stack_rtts or not received or not sorted_series:
+            result_r = naive_accuracy(received, stack_rtts)
+            result_s = naive_accuracy(sorted_series, stack_rtts)
+            if result_r is None or result_s is None:
                 continue
-            # Degenerate series (all-zero intervals from identically
-            # timestamped packets, or a non-positive stack baseline) have
-            # no meaningful ratio and are excluded, like empty ones.
-            if (
-                sum(received) <= 0.0
-                or sum(sorted_series) <= 0.0
-                or sum(stack_rtts) <= 0.0
-            ):
-                continue
-            result_r = compare_means(received, stack_rtts)
-            result_s = compare_means(sorted_series, stack_rtts)
             if connection.behaviour.value == "grease":
-                study.grease_received.add(result_r)
-                study.grease_sorted.add(result_s)
+                study.grease_received.add(*result_r)
+                study.grease_sorted.add(*result_s)
             else:
-                study.spin_received.add(result_r)
-                study.spin_sorted.add(result_s)
+                study.spin_received.add(*result_r)
+                study.spin_sorted.add(*result_s)
                 impact = study.reordering
                 impact.connections_compared += 1
-                delta = abs(result_r.absolute_ms - result_s.absolute_ms)
+                delta = abs(result_r[0] - result_s[0])
                 if received != sorted_series:
                     impact.connections_changed += 1
                     if delta < 1.0:
                         impact.changed_below_1ms += 1
-                    if abs(result_s.absolute_ms) <= abs(result_r.absolute_ms):
+                    if abs(result_s[0]) <= abs(result_r[0]):
                         impact.changed_improved += 1
 
 
@@ -159,8 +167,9 @@ def naive_filter_edges(self: DynamicThresholdFilter, edges):
 
 
 def _naive_append(outcome, series, stack) -> None:
-    if series:
-        outcome.add(compare_means(series, stack))
+    result = naive_accuracy(series, stack)
+    if result is not None:
+        outcome.add(*result)
     else:
         outcome.connections_lost += 1
 
@@ -176,9 +185,10 @@ class NaiveFilterFold(FilterFold):
                 continue
             stack = record.stack_rtts_ms
             base = observation.rtts_received_ms
-            if not stack or not base:
+            raw = naive_accuracy(base, stack)
+            if raw is None:
                 continue
-            study.raw.add(compare_means(base, stack))
+            study.raw.add(*raw)
 
             static_series = static_filter.filter_rtts(base)
             _naive_append(study.static, static_series, stack)
@@ -218,23 +228,24 @@ def naive_folds():
 
 @dataclass
 class RecordingSeries(SeriesSummary):
-    """A series that also keeps every result it was given, in order: two
-    of them are equal only if they saw the same connections."""
+    """A series that also keeps every ``(absolute_ms, ratio)`` it was
+    given, in order: two of them are equal only if they saw the same
+    connections."""
 
     seen: list = field(default_factory=list)
 
-    def add(self, result):
-        self.seen.append(result)
-        super().add(result)
+    def add(self, absolute, ratio):
+        self.seen.append((absolute, ratio))
+        super().add(absolute, ratio)
 
 
 @dataclass
 class RecordingOutcome(FilterOutcome):
     seen: list = field(default_factory=list)
 
-    def add(self, result):
-        self.seen.append(result)
-        super().add(result)
+    def add(self, absolute, ratio):
+        self.seen.append((absolute, ratio))
+        super().add(absolute, ratio)
 
 
 def recording(folds):
@@ -343,11 +354,21 @@ HEADERS = [None, "", "LiteSpeed", "nginx"]
 WEEK_LABELS = [None, "cw20-2023", "cw21-2023", "cw01-2024", "not-a-week"]
 STATUSES = [None, 0, 200, 404, 70_000]
 VERSIONS = [None, 0, 1, 0xFF00001D, 0x6B3343CF]
-#: A few exactly representable values, so sums reach 0.0 and series
-#: repeat, beside arbitrary finite floats.
+#: A few exactly representable values, so sums reach 0.0, series repeat
+#: and samples fall on either side of the 1 ms static floor, beside
+#: arbitrary finite floats and what a damaged column can hold: a sum
+#: that overflows (1e308 twice) and a subnormal whose mean underflows
+#: to zero.
 MS = st.sampled_from([0.0, 0.5, 1.0, 25.0, 40.0]) | st.floats(
     -5.0, 4000.0, allow_nan=False
-)
+) | st.sampled_from([0.999, 5e-324, 1e308])
+#: ... and infinity and NaN, for the folds alone: a record holding a NaN
+#: (``inf - inf`` between two edges is one) is not equal to its own
+#: decoded copy.
+FOLD_MS = MS | st.sampled_from([inf, nan])
+#: Spin-edge spacings: a steady 40 ms path, reordering stragglers inside
+#: the hold time (``0.125 * 40``), sub-floor and zero intervals.
+SPACINGS = st.sampled_from([40.0, 40.0, 40.0, 25.0, 3.0, 1.0, 0.5, 0.0])
 #: Addresses inside, at the edge of and outside routed prefixes.
 ROUTED = [
     (record.network + offset, record.version)
@@ -360,10 +381,13 @@ IPS = st.sampled_from(ROUTED) | st.tuples(
 
 
 @st.composite
-def connection_records(draw):
-    times = draw(st.lists(MS, max_size=6))
+def connection_records(draw, ms=MS):
     if draw(st.booleans()):
-        times.sort()
+        times = list(accumulate(draw(st.lists(SPACINGS, max_size=6))))
+    else:
+        times = draw(st.lists(ms, max_size=6))
+        if draw(st.booleans()):
+            times.sort()
     edges_received = [
         SpinEdge(time_ms, draw(st.integers(0, 2**20)), draw(st.booleans()))
         for time_ms in times
@@ -373,7 +397,10 @@ def connection_records(draw):
         if draw(st.booleans())
         else list(edges_received)
     )
-    series = st.lists(MS, max_size=5)
+    series = st.lists(ms, max_size=5)
+    rtts_received = (
+        spin_rtts_from_edges(edges_received) if draw(st.booleans()) else draw(series)
+    )
     observation = SpinObservation(
         packets_seen=draw(st.integers(0, 300)),
         values_seen=set(
@@ -381,13 +408,10 @@ def connection_records(draw):
         ),
         edges_received=edges_received,
         edges_sorted=edges_sorted,
-        rtts_received_ms=(
-            spin_rtts_from_edges(edges_received)
-            if draw(st.booleans())
-            else draw(series)
-        ),
-        rtts_sorted_ms=(
-            spin_rtts_from_edges(edges_sorted) if draw(st.booleans()) else draw(series)
+        rtts_received_ms=rtts_received,
+        rtts_sorted_ms=draw(
+            st.sampled_from([list(rtts_received), spin_rtts_from_edges(edges_sorted)])
+            | series
         ),
     )
     domain = draw(st.sampled_from(DOMAINS))
@@ -411,6 +435,7 @@ def connection_records(draw):
 
 
 RECORD_LISTS = st.lists(connection_records(), max_size=12)
+FOLD_RECORD_LISTS = st.lists(connection_records(FOLD_MS), max_size=12)
 
 
 def encode(records, chunk_records=1024) -> bytes:
@@ -455,61 +480,67 @@ def three_ways(records, data):
 
 
 def run_naive(records):
-    """``{section: result}`` and the summary bytes of the record loops;
-    the filter study is ``None`` where the old loop raised (a spinning
-    connection whose received series or stack sums to zero or less made
-    ``compare_means`` refuse the mean — the column body skips it)."""
+    """``{section: result}`` and the summary bytes of the record loops."""
     results = {}
     for fold in recording(naive_folds()):
-        try:
-            fold.update_many(records)
-            results[fold.name] = fold.finish()
-        except ValueError:
-            assert fold.name == "filters"
-            results[fold.name] = None
-    summary = None
-    if results["filters"] is not None:
-        summary = naive_summarize("cw20-2023", records).to_json()
-    return results, summary
+        fold.update_many(records)
+        results[fold.name] = fold.finish()
+    return results, naive_summarize("cw20-2023", records).to_json()
+
+
+def assert_folds_equal_record_loops(how, batches, stood_for):
+    """The six column folds and the week summary over ``batches`` against
+    the record loops over the records they stand for — every
+    ``(absolute_ms, ratio)`` handed to every series, in order."""
+    expected, expected_json = run_naive(stood_for)
+    folds = recording(build_record_folds("all", asdb=ASDB))
+    results = AnalysisEngine(folds).run(batches)
+    assert list(results) == list(SECTIONS)
+    for section in SECTIONS:
+        assert results[section] == expected[section], (how, section)
+    summary = WeekSummary("cw20-2023", ASDB)
+    for batch in batches:
+        summary.update(batch)
+    assert summary.to_json() == expected_json, how
+    return results
 
 
 class TestFoldsAgainstRecordLoops:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-    @given(RECORD_LISTS, st.data())
+    @given(FOLD_RECORD_LISTS, st.data())
     def test_six_folds_and_summary_three_ways(self, records, data):
         for how, batches, stood_for, _ in three_ways(records, data):
-            expected, expected_json = run_naive(stood_for)
-            folds = recording(build_record_folds("all", asdb=ASDB))
-            results = AnalysisEngine(folds).run(batches)
-            assert list(results) == list(SECTIONS)
-            for section in SECTIONS:
-                if expected[section] is not None:
-                    assert results[section] == expected[section], (how, section)
-            summary = WeekSummary("cw20-2023", ASDB)
-            for batch in batches:
-                summary.update(batch)
-            if expected_json is not None:
-                assert summary.to_json() == expected_json, how
+            assert_folds_equal_record_loops(how, batches, stood_for)
 
     def test_zero_sum_series_are_skipped_not_raised(self):
-        """Where the record loop raised, the column body has a rule."""
+        """Where the record loop's ``compare_means`` raised, the folds
+        have a rule."""
         edges = [SpinEdge(5.0, 1, False), SpinEdge(5.0, 2, True), SpinEdge(5.0, 3, False)]
         degenerate = _spinning(edges, stack=[20.0])
         zero_stack = _spinning(_edges(0.0, 40.0, 80.0), stack=[0.0])
         held = _spinning(_edges(0.0, 40.0, 40.0, 80.0), stack=[20.0])
         backwards = _spinning(_edges(100.0, 50.0, 0.0), stack=[20.0])
         backwards.observation.rtts_received_ms = [30.0]
-        for record in (degenerate, zero_stack, backwards):
-            with pytest.raises(ValueError):
-                NaiveFilterFold().update_many([record])
-        fold = FilterFold()
-        fold.update_many(
-            RecordBatch.from_records([degenerate, zero_stack, held, backwards])
+        backwards_held = spin_rtts_from_edges(
+            naive_filter_edges(DynamicThresholdFilter(), backwards.observation.edges_received)
         )
+        for series, stack in (
+            (degenerate.observation.rtts_received_ms, degenerate.stack_rtts_ms),
+            (zero_stack.observation.rtts_received_ms, zero_stack.stack_rtts_ms),
+            (backwards_held, backwards.stack_rtts_ms),
+        ):
+            with pytest.raises(ValueError):
+                compare_means(series, stack)
+        records = [degenerate, zero_stack, held, backwards]
+        fold = FilterFold()
+        fold.update_many(RecordBatch.from_records(records))
         study = fold.finish()
         assert [o.connections for o in study.outcomes()] == [2, 2, 1, 1]
         assert [o.connections_lost for o in study.outcomes()] == [0, 0, 1, 1]
+        naive = NaiveFilterFold()
+        naive.update_many(records)
+        assert naive.finish() == study
 
     def test_accuracy_skips_each_zero_sum_series(self):
         """One series summing to exactly zero — received, sorted or the
@@ -533,6 +564,94 @@ class TestFoldsAgainstRecordLoops:
                 fold.update_many(batch)
             assert fold.finish() == naive.finish()
             assert fold.finish().spin_received.connections == 1
+
+    def test_each_shortcut_and_the_path_it_skips(self):
+        """One hand-made connection per way through the two folds: a
+        filter that drops nothing reuses the result it started from,
+        and gives what re-deriving it would."""
+        def explicit(record, received, sorted_=None):
+            record.observation.rtts_received_ms = list(received)
+            record.observation.rtts_sorted_ms = list(received if sorted_ is None else sorted_)
+            return record
+
+        clean = _spinning(_edges(0.0, 40.0, 80.0, 120.0), stack=[39.0])
+        below_floor = explicit(_spinning(_edges(0.0, 40.0, 80.0), [39.0]), [0.5, 40.0, 40.0])
+        straggler = _spinning(_edges(0.0, 40.0, 41.0, 80.0, 120.0), stack=[39.0])
+        held_below_floor = _spinning(_edges(0.0, 0.5, 40.5, 80.5), stack=[39.0])
+        reordered = explicit(_spinning(_edges(0.0, 40.0, 80.0), [39.0]), [40.0, 40.0], [39.5, 40.0])
+        swapped = explicit(_spinning(_edges(0.0, 40.0, 80.0), [39.0]), [25.0, 40.0], [40.0, 25.0])
+        sorted_still = explicit(_spinning(_edges(0.0, 40.0, 80.0), [39.0]), [40.0, 40.0], [0.0, 0.0])
+        underflow = explicit(_spinning(_edges(0.0, 40.0, 80.0), [39.0]), [5e-324, 0.0])
+        underflow_stack = _spinning(_edges(0.0, 40.0, 80.0), stack=[5e-324, 0.0])
+        # ``min`` of the held series is 40.0, whatever the NaN behind it.
+        nan_behind = explicit(_spinning(_edges(0.0, 40.0, nan), [39.0]), [40.0, 40.0])
+        overflow = explicit(_spinning(_edges(0.0, 40.0, 80.0), [39.0]), [1e308, 1e308])
+        grease = replace(clean, behaviour=SpinBehaviour.GREASE)
+        records = [
+            clean, below_floor, straggler, held_below_floor, reordered, swapped, sorted_still,
+            underflow, underflow_stack, nan_behind, overflow, grease,
+        ]
+        filter_ = DynamicThresholdFilter()
+        assert filter_.accepted_intervals([0.0, 40.0, 41.0, 80.0, 120.0]) == [40.0, 40.0, 40.0]
+        assert filter_.accepted_intervals([0.0, 0.5, 40.5, 80.5]) == [0.5, 40.0, 40.0]
+        payload = encode(records, chunk_records=4)
+        for how, batches in (
+            ("from_records", [RecordBatch.from_records(records)]),
+            ("decoded", decode_batches(payload)),
+            ("taken", [batch.take(range(len(batch))[::-1]) for batch in decode_batches(payload)]),
+        ):
+            stood_for = records if how != "taken" else [
+                record for start in range(0, len(records), 4)
+                for record in records[start : start + 4][::-1]
+            ]
+            results = assert_folds_equal_record_loops(how, batches, stood_for)
+            accuracy, filters = results["accuracy"], results["filters"]
+            # underflow, underflow_stack and overflow are nobody's; the
+            # accuracy study also refuses the still sorted series.
+            assert filters.raw.connections == 9
+            assert accuracy.spin_received.connections == 7
+            assert accuracy.grease_sorted.connections == 1
+            # ``swapped`` changes the series and not its mean: no worse.
+            assert accuracy.reordering.connections_changed == 2
+            assert accuracy.reordering.changed_improved == 2
+            assert accuracy.spin_sorted.seen != accuracy.spin_received.seen
+            assert filters.static.seen != filters.raw.seen
+            assert filters.hold_time.seen != filters.raw.seen
+            assert filters.combined.seen != filters.hold_time.seen
+            assert [o.connections_lost for o in filters.outcomes()] == [0, 0, 1, 0]
+
+    def test_comparable_is_one_column_however_the_batch_was_made(self):
+        """The same rows give the same derived column from a decoded
+        chunk, from its records, and from a ``take`` — and a batch
+        derives it once: the second fold sums nothing."""
+        records = [
+            _spinning(_edges(0.0, 30.0 + i, 70.0), stack=[25.0]) for i in range(6)
+        ]
+        records[1].observation.values_seen = {True}
+        records[2].stack_rtts_ms = []
+        records[3] = replace(records[3], behaviour=SpinBehaviour.GREASE)
+        records[4].stack_rtts_ms = [5e-324, 0.0]
+        (decoded,) = decode_batches(encode(records))
+        listed = RecordBatch.from_records(list(decoded))
+        assert [tuple(map(_plain, entry)) for entry in listed.comparable] == [
+            tuple(map(_plain, entry)) for entry in decoded.comparable
+        ]
+        assert [entry[3] for entry in decoded.comparable] == [
+            (30.0, 40.0), (33.0, 37.0), (35.0, 35.0),
+        ]
+        assert decoded.comparable[0][:3] == (35.0 - 25.0, 35.0 / 25.0, 25.0)
+        assert decoded.comparable[1][6] is SpinBehaviour.GREASE
+        rows = [5, 3, 1, 0]
+        taken = decoded.take(rows)
+        assert taken.comparable == [decoded.comparable[i] for i in (2, 1, 0)]
+        assert decoded.take(range(6)).comparable is decoded.comparable
+
+        for batch in (decode_batches(encode(records))[0], RecordBatch.from_records(records)):
+            sums = []
+            for fold in (AccuracyFold(), AccuracyFold()):
+                sums.append(count_calls(lambda: fold.update_many(batch), only=sum)[0])
+            assert sums[0] > 0 and sums[1] == 0
+            assert batch.comparable is batch.comparable
 
     def test_more_than_255_strings_in_a_chunk(self):
         """Index columns wider than a byte resolve to the same strings."""
@@ -591,6 +710,11 @@ class TestFoldState:
         assert WeekSummary.from_json(summary.to_json()).to_json() == summary.to_json()
         summary.merge(WeekSummary.from_json(other.to_json()).state())
         assert summary.to_json() == both.to_json()
+
+
+def _plain(value):
+    """A float-series column entry as a tuple, whichever it was."""
+    return tuple(value) if isinstance(value, list) else value
 
 
 def _edges(*times):

@@ -496,6 +496,53 @@ class TestOneSectionDeclaration:
         assert "analysis/summary.py" not in result.stderr
 
 
+class TestOneDerivationOfTheMeans:
+    """AST gate (same lint): a fold body under ``analysis/`` or in
+    ``service/summary.py`` reads each connection's means off
+    ``batch.comparable`` — it neither sums a float series nor builds a
+    per-connection result object."""
+
+    def test_means_derived_again_in_a_fold_body_are_caught(self, tmp_path):
+        source = (
+            "from repro.core.metrics import compare_means\n"
+            "def update_many(self, batch):\n"
+            "    self.successes += sum(batch.successes)\n"
+            "    for mask, stack, base in zip(batch.masks, batch.stacks, batch.rtts_received):\n"
+            "        total = sum(base) / len(base) + sum(mask)\n"
+            "        result = compare_means(base, stack)  # wallclock-ok jsonl-ok\n"
+            "    for absolute, ratio, quic_mean, base, *_ in batch.comparable:\n"
+            "        mean = sum(base)\n"
+            "    means = [sum(times) for times in batch.times_received]\n"
+            "    first = sum(batch.rtts_sorted[0])\n"
+            "    return metrics.AccuracyResult(1.0, 1.0, 0.0, 1.0)\n"
+            "def update(self, batch):\n"
+            "    return accuracy_from_means(1.0, 1.0)\n"
+            "def helper(series, stack):\n"
+            "    return sum(series), compare_means(series, stack)\n"
+        )
+        for layer, name in (
+            ("analysis", "hot.py"), ("service", "summary.py"), ("service", "api.py"),
+            ("web", "hot.py"),
+        ):
+            directory = tmp_path / "repro" / layer
+            directory.mkdir(parents=True, exist_ok=True)
+            (directory / name).write_text(source, encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, str(TestDeterminismLint.LINT), str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        for path in ("analysis/hot.py", "service/summary.py"):
+            for line in range(1, 16):
+                assert (f"{path}:{line}:" in result.stderr) == (
+                    line in (5, 6, 8, 9, 10, 11, 13)
+                ), (path, line, result.stderr)
+        # Only the fold bodies' own layer is held to it.
+        assert "service/api.py" not in result.stderr
+        assert "web/hot.py" not in result.stderr
+
+
 class TestOneTraceModel:
     """AST gate (same lint): outside ``repro.telemetry`` rows enter the
     trace through ``span`` / ``event`` / ``count`` / ``absorb`` only."""
