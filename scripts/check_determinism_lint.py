@@ -69,6 +69,23 @@ Which further rules apply to which layer (directory under
   once and ``mean_accuracy`` is the one test of a mean, so a fold that
   sums a series is deriving them a second time.  Summing a whole column
   (``sum(batch.successes)``) is not.  No pragma opts out.
+* One cbr container (PR 23): the framing of a cbr file — head, frame
+  headers, CRCs, footer, trailer — is read in one place and written in
+  one place, so a check cannot exist at one parse site and be forgotten
+  at another.  Everywhere under ``src/repro/``: ``.pack`` / ``.unpack``
+  / ``.unpack_from`` on ``_CHUNK_HEADER``, ``_INDEX_HEADER``,
+  ``_FOOTER_HEADER`` or ``_TRAILER``, any use of the ``_FRAME_HEADERS``
+  table and a comparison against ``CBR_MAGIC`` / ``_END_MAGIC`` are
+  flagged outside the function that is that construct's home
+  (``_CONTAINER_HOMES``: ``_read_head``, ``_read_frame``,
+  ``read_footer``, ``_write_footer``, ``_FrameWriter.chunk`` /
+  ``.close``, ``detect_format``).  In ``artifacts/`` also
+  (``_ARTIFACTS_HOMES``): a ``crc32(`` call outside ``_read_frame`` and
+  the frame writer (elsewhere ``crc32`` is anybody's hash), a
+  ``_decode_columns(`` call outside ``_open_chunk`` /
+  ``CbrReader.domain_batches``, a footer dict (a literal with a
+  ``"chunks"`` key) outside ``_FrameWriter.close``, and a second
+  ``def _damaged``.  No pragma opts out.
 
 Benchmarks (``benchmarks/``) legitimately measure wall-clock and are
 not scanned.  A source line may opt out with the pattern's pragma when
@@ -383,10 +400,85 @@ def field_decoder_objects(text: str) -> list[int]:
     return numbers
 
 
+#: The cbr container's framing constructs -> the only functions
+#: (``Class.method`` for methods) that may hold them.  Struct names mean
+#: a pack/unpack call on them, the magics a comparison, the rest a use.
+_CONTAINER_HOMES = {
+    "_CHUNK_HEADER": {"_FrameWriter.chunk"},
+    "_INDEX_HEADER": {"_FrameWriter.close"},
+    "_FOOTER_HEADER": {"_write_footer"},
+    "_TRAILER": {"read_footer", "_write_footer"},
+    "_FRAME_HEADERS": {"_read_frame"},
+    "CBR_MAGIC": {"_read_head", "detect_format"},
+    "_END_MAGIC": {"read_footer"},
+}
+#: What else ``artifacts/`` keeps single: the CRC (elsewhere ``crc32`` is
+#: anybody's hash), the column decode's callers, the footer dict's builder.
+_ARTIFACTS_HOMES = {
+    "crc32": {"_read_frame", "_FrameWriter.chunk", "_FrameWriter.close"},
+    "_decode_columns": {"_open_chunk", "CbrReader.domain_batches"},
+    "footer dict": {"_FrameWriter.close"},
+}
+_STRUCT_CALLS = frozenset({"pack", "pack_into", "unpack", "unpack_from", "iter_unpack"})
+
+
+def _framing_constructs(node: ast.AST):
+    """The ``_CONTAINER_HOMES`` / ``_ARTIFACTS_HOMES`` keys ``node`` itself is."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in _STRUCT_CALLS:
+            yield _bare_name(func.value)
+        yield _bare_name(func)
+    elif isinstance(node, ast.Compare):
+        yield from map(_bare_name, [node.left, *node.comparators])
+    elif isinstance(node, ast.Dict):
+        if any(getattr(key, "value", None) == "chunks" for key in node.keys):
+            yield "footer dict"
+    elif isinstance(getattr(node, "ctx", None), ast.Load) and _bare_name(node) == "_FRAME_HEADERS":
+        yield "_FRAME_HEADERS"
+
+
+def _outside_their_homes(text: str, homes: dict[str, set[str]]) -> set[int]:
+    numbers = set()
+
+    def walk(node: ast.AST, klass: str, function: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if function is None and isinstance(child, ast.ClassDef):
+                walk(child, child.name, None)
+            elif function is None and isinstance(child, ast.FunctionDef):
+                walk(child, klass, f"{klass}.{child.name}" if klass else child.name)
+            else:
+                for construct in _framing_constructs(child):
+                    if function not in homes.get(construct, (function,)):
+                        numbers.add(child.lineno)
+                walk(child, klass, function)
+
+    walk(ast.parse(text), "", None)
+    return numbers
+
+
+def container_framing(text: str) -> list[int]:
+    """cbr framing — header structs, the magics — outside the one
+    function that reads or writes that part of the container."""
+    return sorted(_outside_their_homes(text, _CONTAINER_HOMES))
+
+
+def one_container(text: str) -> list[int]:
+    """In ``artifacts/``: a CRC computed beside the frame reader and
+    writer, a third caller of the column decode, a footer dict beside
+    the writer's, a second tolerance policy (``def _damaged``)."""
+    policies = [
+        node.lineno for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.FunctionDef) and node.name == "_damaged"
+    ]
+    return sorted(_outside_their_homes(text, _ARTIFACTS_HOMES) | set(policies[1:]))
+
+
 #: What every file is held to; a layer (directory under ``repro/``) not
 #: listed below gets exactly this.
 _EVERYWHERE = (
-    forbidden_lines, hand_built_trace_rows, listener_guards, endpoint_decoder_uses
+    forbidden_lines, hand_built_trace_rows, listener_guards, endpoint_decoder_uses,
+    container_framing,
 )
 
 #: layer → its rules.  The JSON-in-loop layers are the hot paths (the
@@ -395,16 +487,18 @@ _EVERYWHERE = (
 #: model and the off state, so it alone may build rows and test a
 #: handle for ``None``; ``service`` persists the analysis folds' state
 #: and may not spell its keys; ``analysis`` (and the week summary, which
-#: feeds the same folds) reads each connection's means off the batch.
+#: feeds the same folds) reads each connection's means off the batch;
+#: ``artifacts`` is where the cbr container lives, once.
 LAYER_RULES = {
     "analysis": _EVERYWHERE + (json_in_loops, fold_body_means),
+    "artifacts": _EVERYWHERE + (one_container,),
     "faults": _EVERYWHERE + (json_in_loops,),
     "internet": _EVERYWHERE + (json_in_loops,),
     "monitor": _EVERYWHERE + (json_in_loops,),
     "netsim": _EVERYWHERE + (json_in_loops,),
     "obs": _EVERYWHERE + (json_in_loops,),
     "service": _EVERYWHERE + (json_in_loops, section_state_names),
-    "telemetry": (forbidden_lines, json_in_loops, endpoint_decoder_uses),
+    "telemetry": (forbidden_lines, json_in_loops, endpoint_decoder_uses, container_framing),
     "web": _EVERYWHERE + (json_in_loops,),
 }
 
@@ -475,7 +569,9 @@ def main(argv: list[str] | None = None) -> int:
             "passes fold.state() through whole; a fold body (update_many / update "
             "under analysis/ and in service/summary.py) never sums a connection's "
             "float series nor names AccuracyResult / compare_means — it reads "
-            "batch.comparable, which derives the means once)",
+            "batch.comparable, which derives the means once; a cbr file's framing "
+            "(header structs, magics, the CRC) is read by _read_head / _read_frame / "
+            "read_footer and written by _FrameWriter / _write_footer, nowhere else)",
             file=sys.stderr,
         )
         return 1

@@ -30,8 +30,9 @@ unparseable — identically in the zone and residual paths.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.artifacts.cbr import RecordBatch, bloom_might_contain, week_serial
 from repro.telemetry import Telemetry
@@ -46,6 +47,7 @@ __all__ = [
     "Present",
     "QueryError",
     "QueryStats",
+    "domain_lines",
     "filter_batch",
     "parse_where",
     "plan_chunks",
@@ -482,6 +484,8 @@ class QueryStats:
     chunks_selected: int = 0
     records_scanned: int = 0
     records_matched: int = 0
+    #: Reads that had to scan sequentially because the footer was unreadable.
+    footer_fallbacks: int = 0
 
     @property
     def chunks_pruned(self) -> int:
@@ -493,6 +497,8 @@ class QueryStats:
         registry.counter("query.chunks_total").inc(self.chunks_total)
         registry.counter("query.chunks_pruned").inc(self.chunks_pruned)
         registry.counter("query.records_scanned").inc(self.records_scanned)
+        if self.footer_fallbacks:  # a series only damaged artifacts create
+            registry.counter("query.footer_fallbacks").inc(self.footer_fallbacks)
 
 
 def plan_chunks(
@@ -557,3 +563,19 @@ def filter_batch(
     if stats is not None:
         stats.records_matched += len(matched)
     return matched
+
+
+def domain_lines(path: str, name: str, stats: QueryStats) -> Iterator[str]:
+    """Point lookup: the records of domain ``name`` in the artifact at
+    ``path``, in the line encoding of the JSONL artifact schema — so the
+    output is a valid (sub-)dataset itself."""
+    from repro.analysis.artifacts import record_to_dict
+    from repro.artifacts import open_query_source
+
+    predicate = Eq("domain", name)
+    with open_query_source(path, predicate, stats=stats) as source:
+        for batch in source.batches():
+            for record in filter_batch(batch, predicate, stats):
+                yield json.dumps(  # jsonl-ok: the JSONL codec, one line per match
+                    record_to_dict(record), separators=(",", ":")
+                )

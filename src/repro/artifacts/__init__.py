@@ -7,6 +7,11 @@ human-greppable JSON-lines schema of :mod:`repro.analysis.artifacts`
 is: :func:`open_record_batches` sniffs the magic bytes and yields
 decoded record batches either way, and :func:`write_records` picks the
 encoder from an explicit format or the file extension.
+:func:`open_query_source` is the same door with a predicate: one open,
+one sniff, then the footer's chunk plan — or, when the footer cannot be
+read, the sequential scan, counted.  Under ``errors="count"`` no kind of
+damage to a file raises out of either; it is counted in
+``corrupt_chunks``.
 
 Batches (:class:`~repro.artifacts.cbr.RecordBatch`: the records as
 parallel columns, built into :class:`~repro.web.scanner.ConnectionRecord`
@@ -31,6 +36,7 @@ from repro.analysis.artifacts import (
 from repro.artifacts.cbr import (
     CBR_MAGIC,
     CbrFormatError,
+    CbrIndexedReader,
     CbrReader,
     CbrWriter,
     KIND_DOMAINS,
@@ -89,44 +95,77 @@ class RecordBatchSource:
     :func:`open_record_batches` sources leave it ``None``.
     """
 
-    __slots__ = (
-        "format", "_batches", "records_read", "corrupt_chunks", "_cbr", "stats",
-    )
+    __slots__ = ("format", "_reader", "_batches", "records_read", "stats")
 
-    def __init__(self, format: str, batches: Iterator[RecordBatch],
-                 cbr_reader=None, stats=None) -> None:
+    def __init__(self, format: str, reader, batches: Iterator[RecordBatch],
+                 stats=None) -> None:
         self.format = format
+        self._reader = reader
         self._batches = batches
-        self._cbr = cbr_reader
         self.records_read = 0
-        self.corrupt_chunks = 0
         self.stats = stats
+
+    @property
+    def corrupt_chunks(self) -> int:
+        """What the reader skipped so far (a tear at the stream tail
+        shows once the batches are exhausted)."""
+        return self._reader.corrupt_chunks
 
     def batches(self) -> Iterator[RecordBatch]:
         for batch in self._batches:
             self.records_read += len(batch)
-            if self._cbr is not None:
-                self.corrupt_chunks = self._cbr.corrupt_chunks
             yield batch
-        # A tear at the stream tail is detected when the reader fails to
-        # pull the *next* chunk, i.e. after the last batch was yielded.
-        if self._cbr is not None:
-            self.corrupt_chunks = self._cbr.corrupt_chunks
 
     def records(self) -> Iterator[ConnectionRecord]:
         for batch in self.batches():
             yield from batch
 
 
-def _jsonl_batches(stream: IO[str], batch_records: int) -> Iterator[RecordBatch]:
-    batch: list[ConnectionRecord] = []
-    for record in read_records(stream):
-        batch.append(record)
-        if len(batch) >= batch_records:
+class _JsonlReader:
+    """JSONL lines as batches of ``DEFAULT_BATCH_RECORDS`` records, with
+    the cbr readers' ``errors=``: under ``"count"`` the first unreadable
+    line is counted like a torn chunk and ends the read."""
+
+    def __init__(self, stream: IO[bytes], errors: str) -> None:
+        self._stream = stream
+        self._errors = errors
+        self.corrupt_chunks = 0
+
+    def record_batches(self) -> Iterator[RecordBatch]:
+        batch: list[ConnectionRecord] = []
+        try:
+            for record in read_records(map(bytes.decode, self._stream)):
+                batch.append(record)
+                if len(batch) >= DEFAULT_BATCH_RECORDS:
+                    yield RecordBatch.from_records(batch)
+                    batch = []
+        except ValueError:  # ArtifactFormatError, UnicodeDecodeError
+            if self._errors == "raise":
+                raise
+            self.corrupt_chunks += 1
+        if batch:
             yield RecordBatch.from_records(batch)
-            batch = []
-    if batch:
-        yield RecordBatch.from_records(batch)
+
+
+@contextmanager
+def _open_sniffed(path: str) -> Iterator[tuple[IO[bytes], str]]:
+    """Open ``path`` (``-`` = stdin) once: the stream and its format."""
+    raw: IO[bytes] = sys.stdin.buffer if path == "-" else open(path, "rb")
+    try:
+        stream = raw if isinstance(raw, io.BufferedReader) else io.BufferedReader(raw)
+        yield stream, detect_format(stream.peek(len(CBR_MAGIC)))
+    finally:
+        if path != "-":
+            raw.close()
+
+
+def _sequential_source(stream: IO[bytes], format: str, errors: str,
+                       *want_edges: bool) -> RecordBatchSource:
+    if format == FORMAT_CBR:
+        reader = CbrReader(stream, errors=errors)
+        return RecordBatchSource(format, reader, reader.record_batches(*want_edges))
+    reader = _JsonlReader(stream, errors)  # JSONL lines always carry everything
+    return RecordBatchSource(format, reader, reader.record_batches())
 
 
 @contextmanager
@@ -135,44 +174,17 @@ def open_record_batches(
     want_edges_received: bool = True,
     want_edges_sorted: bool = True,
     errors: str = "raise",
-    batch_records: int = DEFAULT_BATCH_RECORDS,
 ) -> Iterator[RecordBatchSource]:
     """Open an artifact by path (``-`` = stdin) with format auto-detect.
 
-    The projection flags apply to the records a cbr batch builds (JSONL
-    lines always carry everything); ``errors="count"`` makes the cbr
-    reader tolerant of damaged chunks.  Yields a :class:`RecordBatchSource`.
+    The projection flags apply to the records a cbr batch builds;
+    ``errors="count"`` makes the reader tolerant of damage (skipped and
+    counted in ``corrupt_chunks``).  Yields a :class:`RecordBatchSource`.
     """
-    if path == "-":
-        raw: IO[bytes] = sys.stdin.buffer
-        close_raw = False
-    else:
-        raw = open(path, "rb")
-        close_raw = True
-    try:
-        buffered = raw if isinstance(raw, io.BufferedReader) else io.BufferedReader(raw)
-        head = buffered.peek(len(CBR_MAGIC))
-        if detect_format(head) == FORMAT_CBR:
-            reader = CbrReader(buffered, errors=errors)
-            yield RecordBatchSource(
-                FORMAT_CBR,
-                reader.record_batches(
-                    want_edges_received=want_edges_received,
-                    want_edges_sorted=want_edges_sorted,
-                ),
-                cbr_reader=reader,
-            )
-        else:
-            text = io.TextIOWrapper(buffered, encoding="utf-8")
-            try:
-                yield RecordBatchSource(
-                    FORMAT_JSONL, _jsonl_batches(text, batch_records)
-                )
-            finally:
-                text.detach()
-    finally:
-        if close_raw:
-            raw.close()
+    with _open_sniffed(path) as (stream, format):
+        yield _sequential_source(
+            stream, format, errors, want_edges_received, want_edges_sorted
+        )
 
 
 @contextmanager
@@ -183,7 +195,6 @@ def open_query_source(
     want_edges_received: bool = True,
     want_edges_sorted: bool = True,
     errors: str = "count",
-    batch_records: int = DEFAULT_BATCH_RECORDS,
 ) -> Iterator[RecordBatchSource]:
     """Open an artifact for a *filtered* read with predicate pushdown.
 
@@ -195,9 +206,8 @@ def open_query_source(
     degrades to the sequential full scan of
     :func:`open_record_batches` with ``chunks_pruned = 0``: stdin, JSONL
     datasets, footer-less cbr (schema 1 has no zones but still plans a
-    full scan), and — the tolerant-reader mirror — cbr files whose
-    trailer is torn or missing, which previously raised in any
-    footer-dependent path.
+    full scan), and — counted in ``stats.footer_fallbacks`` — cbr files
+    whose footer is unreadable: torn off, damaged, or of another shape.
 
     Batches still contain the *unfiltered* rows of the selected chunks;
     residual filtering stays with the consumer (``AnalysisEngine.run``
@@ -205,45 +215,28 @@ def open_query_source(
     byte-identical to brute force by construction.
     """
     from repro.analysis.query import QueryStats, plan_chunks
-    from repro.artifacts.cbr import CbrIndexedReader
 
     if stats is None:
         stats = QueryStats()
-    if predicate is not None and path != "-":
-        stream = open(path, "rb")
-        try:
-            indexed = None
-            if detect_format(stream.read(len(CBR_MAGIC))) == FORMAT_CBR:
-                try:
-                    indexed = CbrIndexedReader(stream, errors=errors)
-                except CbrFormatError:
-                    indexed = None  # torn trailer: sequential fallback
-            if indexed is not None:
+    want_edges = (want_edges_received, want_edges_sorted)
+    with _open_sniffed(path) as (stream, format):
+        if predicate is not None and path != "-" and format == FORMAT_CBR:
+            try:
+                indexed = CbrIndexedReader(stream, errors=errors)
+            except CbrFormatError:
+                stats.footer_fallbacks += 1
+                stream.seek(0)
+            else:
                 ordinals, total = plan_chunks(
                     indexed.footer, predicate, indexed.domain_index_lookup
                 )
                 stats.chunks_total = total
                 stats.chunks_selected = len(ordinals)
                 yield RecordBatchSource(
-                    FORMAT_CBR,
-                    indexed.read_chunks(
-                        ordinals,
-                        want_edges_received=want_edges_received,
-                        want_edges_sorted=want_edges_sorted,
-                    ),
-                    cbr_reader=indexed,
-                    stats=stats,
+                    format, indexed, indexed.read_chunks(ordinals, *want_edges), stats
                 )
                 return
-        finally:
-            stream.close()
-    with open_record_batches(
-        path,
-        want_edges_received=want_edges_received,
-        want_edges_sorted=want_edges_sorted,
-        errors=errors,
-        batch_records=batch_records,
-    ) as source:
+        source = _sequential_source(stream, format, errors, *want_edges)
         source.stats = stats
         yield source
 

@@ -59,6 +59,18 @@ Layout::
       0x02 footer: u32 payload_len, payload (zlib: JSON index),
                    u64 footer_frame_offset, b"CBRE"
 
+The module keeps that *container* apart from the *chunk payload codec*.
+The container — head, frame headers, CRCs, footer, trailer — is read in
+one place (``_read_head``, ``_read_frame``, :func:`read_footer`) and
+written in one (``_FrameWriter``), and every kind of damage to it is a
+:class:`CbrFormatError` there: a CRC mismatch says framing survived
+(skip the frame), a truncation or unknown frame type that it did not
+(stop), and the footer, which no CRC covers, is validated before it is
+returned.  The codec turns a frame's payload into columns and back and
+reports its own damage once, in ``_open_chunk``.  The writer and the
+two readers sit on both; what a reader does with damage — raise, or
+count and read on — is its ``errors=`` policy, kept in ``_ChunkReader``.
+
 The secondary domain index is a *binary* frame rather than footer JSON
 on purpose: a large artifact indexes ~one row per (domain, chunk), and
 parsing that as JSON would cost more than the chunk decodes a point
@@ -75,11 +87,12 @@ import os
 import struct
 import zlib
 from collections.abc import Iterable, Iterator, Sequence
+from functools import cached_property
 from itertools import accumulate as _accumulate
 from itertools import compress as _compress
 from math import inf as _inf
 from operator import sub as _operator_sub
-from typing import IO
+from typing import IO, NamedTuple
 
 from repro.core.classify import SpinBehaviour
 from repro.core.metrics import mean_accuracy
@@ -1170,23 +1183,161 @@ def _decode_domain_columns(
 
 
 # ----------------------------------------------------------------------
-# Framed file writer / reader.
+# The container: head, frames, footer, trailer.  Nothing below this
+# section unpacks a header, checks a CRC or tracks an offset.
 # ----------------------------------------------------------------------
 
+_FRAME_HEADERS = {
+    _FRAME_CHUNK: _CHUNK_HEADER,
+    _FRAME_FOOTER: _FOOTER_HEADER,
+    _FRAME_INDEX: _INDEX_HEADER,
+}
+_NUMBER_TYPES = frozenset({int, float})
 
-def _write_index_frame(
-    write, offset: int, ordinals_by_hash: dict[bytes, list[int]]
-) -> dict:
-    """Write the packed secondary-index frame; returns its footer entry."""
-    rows = b"".join(
-        key + ordinal.to_bytes(4, "big")
-        for key in sorted(ordinals_by_hash)
-        for ordinal in ordinals_by_hash[key]
+
+class _CrcMismatch(CbrFormatError):
+    """A frame whose payload fails its CRC.  Its length field held, so
+    the stream stands at the next frame and a tolerant reader goes on;
+    after any other :class:`CbrFormatError` framing is lost."""
+
+
+class _Frame(NamedTuple):
+    type: int
+    payload: bytes
+    crc: int | None = None  # chunk and index frames
+    n_records: int = 0  # chunk frames
+    kind: int = 0
+
+
+def _read_head(stream: IO[bytes]) -> None:
+    """Consume the magic and a supported version byte, or raise."""
+    head = stream.read(len(CBR_MAGIC) + 1)
+    if head[: len(CBR_MAGIC)] != CBR_MAGIC:
+        raise CbrFormatError("not a cbr stream (bad magic)")
+    version = head[len(CBR_MAGIC) :]
+    if not version or version[0] not in _SUPPORTED_VERSIONS:
+        raise CbrFormatError(f"unsupported cbr version {list(version)}")
+
+
+def _read_frame(stream: IO[bytes]) -> _Frame | None:
+    """The frame ``stream`` stands at; ``None`` at a clean end of stream.
+
+    Raises :class:`_CrcMismatch` for a payload that fails its CRC and
+    plain :class:`CbrFormatError` for an unknown frame type or a
+    truncated frame.
+    """
+    tag = stream.read(1)
+    if not tag:
+        return None
+    header = _FRAME_HEADERS.get(tag[0])
+    if header is None:
+        raise CbrFormatError(f"unknown frame type 0x{tag[0]:02x}")
+    fields = stream.read(header.size)
+    if len(fields) < header.size:
+        raise CbrFormatError(f"truncated 0x{tag[0]:02x} frame header")
+    payload_len, *rest = header.unpack(fields)
+    payload = stream.read(payload_len)
+    if len(payload) < payload_len:
+        raise CbrFormatError(f"truncated 0x{tag[0]:02x} frame payload")
+    if rest and zlib.crc32(payload) != rest[0]:
+        raise _CrcMismatch(f"0x{tag[0]:02x} frame CRC mismatch")
+    return _Frame(tag[0], payload, *rest)
+
+
+def _frame_at(stream: IO[bytes], offset: int, frame_type: int) -> _Frame:
+    """The ``frame_type`` frame a footer or trailer says starts at ``offset``."""
+    stream.seek(offset)
+    frame = _read_frame(stream)
+    if frame is None or frame.type != frame_type:
+        raise CbrFormatError(f"no 0x{frame_type:02x} frame at offset {offset}")
+    return frame
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _is_list(value, of_numbers: bool = False) -> bool:
+    """``null``, or a list (of ints and floats — no bools — if asked)."""
+    return value is None or (
+        type(value) is list
+        and (not of_numbers or _NUMBER_TYPES.issuperset(map(type, value)))
     )
-    write(bytes([_FRAME_INDEX]))
-    write(_INDEX_HEADER.pack(len(rows), zlib.crc32(rows)))
-    write(rows)
-    return {"at": offset, "rows": len(rows) // _INDEX_ROW_SIZE}
+
+
+def _zone_ok(zone) -> bool:
+    """Whether a ``zones`` entry is ``null`` or what :func:`_zone_entry`
+    writes and the query planner reads (unknown keys are the future's)."""
+    if not isinstance(zone, dict):
+        return zone is None
+    get = zone.get
+    bloom, week, time_ms = get("d") or "", get("w"), get("t")
+    try:  # hex, and all of it (fromhex alone would skip whitespace)
+        if 2 * len(bytes.fromhex(bloom)) != len(bloom):
+            return False
+    except (TypeError, ValueError):
+        return False
+    return (
+        _is_list(week, True) and (week is None or len(week) == 2)
+        and _is_list(time_ms, True) and (time_ms is None or len(time_ms) == 2)
+        and _is_list(get("p")) and _is_list(get("f")) and _is_list(get("b"))
+        and _is_list(get("e"), True)
+    )
+
+
+def _footer_ok(footer, end: int) -> bool:
+    """Whether ``footer`` is what its consumers index into without
+    looking: frames that start and end before ``end`` (the footer
+    frame's own offset), optional sections of the right shape."""
+    if not isinstance(footer, dict) or not isinstance(footer.get("chunks"), list):
+        return False
+    for entry in footer["chunks"]:
+        if not (
+            isinstance(entry, list) and len(entry) == 4 and all(map(_is_count, entry))
+            and entry[0] + entry[1] < end
+        ):
+            return False
+    zones = footer.get("zones")
+    if zones is not None and not (isinstance(zones, list) and all(map(_zone_ok, zones))):
+        return False
+    index = footer.get("domain_index")
+    return index is None or (
+        isinstance(index, dict)
+        and _is_count(index.get("at")) and _is_count(index.get("rows"))
+        and index["at"] + index["rows"] * _INDEX_ROW_SIZE < end
+    )
+
+
+def read_footer(stream: IO[bytes]) -> dict:
+    """Read and validate the footer index of a seekable cbr stream.
+
+    The footer is the one part of the container no CRC covers, so what
+    comes back has been checked: ``chunks`` is a list of ``[offset,
+    payload_len, n_records, kind]`` counts inside the file, ``zones`` is
+    absent or a list of ``null`` / pruning digests, ``domain_index`` is
+    absent or ``{"at": offset, "rows": n}``.  Anything else — no
+    trailer, a payload that does not inflate or parse, another shape —
+    is :class:`CbrFormatError`.
+    """
+    tail = stream.seek(0, 2) - _TRAILER.size
+    if tail < len(CBR_MAGIC) + 1:
+        raise CbrFormatError("stream too short for a cbr footer")
+    stream.seek(tail)
+    footer_offset, magic = _TRAILER.unpack(stream.read(_TRAILER.size))
+    if magic != _END_MAGIC:
+        raise CbrFormatError("missing cbr end marker (truncated artifact?)")
+    if footer_offset >= tail:
+        raise CbrFormatError("footer offset points outside the stream")
+    frame = _frame_at(stream, footer_offset, _FRAME_FOOTER)
+    if stream.tell() != tail:
+        raise CbrFormatError("footer frame does not end at the trailer")
+    try:
+        footer = json.loads(zlib.decompress(frame.payload))
+    except (zlib.error, ValueError, RecursionError) as error:
+        raise CbrFormatError(f"unreadable cbr footer: {error}") from None
+    if not _footer_ok(footer, footer_offset):
+        raise CbrFormatError("cbr footer has the wrong shape")
+    return footer
 
 
 def _write_footer(write, footer_offset: int, footer: dict) -> None:
@@ -1198,6 +1349,84 @@ def _write_footer(write, footer_offset: int, footer: dict) -> None:
     write(_FOOTER_HEADER.pack(len(payload)))
     write(payload)
     write(_TRAILER.pack(footer_offset, _END_MAGIC))
+
+
+class _FrameWriter:
+    """The one container writer: the head at once, a frame per
+    :meth:`chunk`, and on :meth:`close` the index frame, footer and
+    trailer — built from the offset, chunk table, zone list and index
+    rows it kept on the way.  :class:`CbrWriter` feeds it chunks it
+    encoded, :func:`concat_frames` chunks it copied.  ``version`` 1 is
+    the exact pre-zone-map container: schema-1 footer, no zones, no index.
+    """
+
+    def __init__(self, stream: IO[bytes], version: int = _FORMAT_VERSION) -> None:
+        self._stream = stream
+        self._version = version
+        self._offset = 0
+        self.chunks: list[list[int]] = []  # [offset, payload_len, n_records, kind]
+        self.records_written = 0
+        self._zones: list[dict | None] = []
+        self._index_rows: set[bytes] | None = None if version == 1 else set()
+        self._write(CBR_MAGIC + bytes([version]))
+
+    def _write(self, data: bytes) -> None:
+        self._stream.write(data)
+        self._offset += len(data)
+
+    def chunk(self, payload: bytes, n_records: int, kind: int, zone=None, crc=None) -> int:
+        """Append one chunk frame (and its ``zones`` entry); returns its
+        ordinal.  ``crc`` spares a copier that just verified the payload
+        a second pass over it."""
+        if crc is None:
+            crc = zlib.crc32(payload)
+        self.chunks.append([self._offset, len(payload), n_records, kind])
+        self._zones.append(zone)
+        self.records_written += n_records
+        self._write(bytes([_FRAME_CHUNK]))
+        self._write(_CHUNK_HEADER.pack(len(payload), crc, n_records, kind))
+        self._write(payload)
+        return len(self.chunks) - 1
+
+    def index(self, key: bytes | None, ordinal: int = 0) -> None:
+        """List chunk ``ordinal`` under domain hash ``key``.  ``None`` (a
+        source without an index) drops the section for good: a partial
+        index would make point lookups silently incomplete."""
+        if key is None:
+            self._index_rows = None
+        elif self._index_rows is not None:
+            self._index_rows.add(key + ordinal.to_bytes(4, "big"))
+
+    def close(self, kind: int | None = None) -> None:
+        """Write index frame, footer and trailer.  ``kind`` lets an empty
+        artifact announce what it would have held."""
+        if kind is None:
+            kind = self.chunks[0][3] if self.chunks else KIND_RECORDS
+        footer = {
+            "schema": 1 if self._version == 1 else FOOTER_SCHEMA,
+            "records": self.records_written,
+            "kind": kind,
+            "chunks": self.chunks,
+        }
+        if self._version != 1:
+            footer["zones"] = self._zones
+            footer["bloom"] = {"hashes": _BLOOM_HASHES}
+        if self._index_rows is not None:
+            # Sorted rows keep the index bytes independent of insertion
+            # order and make the lookup a binary search.
+            rows = b"".join(sorted(self._index_rows))
+            footer["domain_index"] = {
+                "at": self._offset, "rows": len(rows) // _INDEX_ROW_SIZE,
+            }
+            self._write(bytes([_FRAME_INDEX]))
+            self._write(_INDEX_HEADER.pack(len(rows), zlib.crc32(rows)))
+            self._write(rows)
+        _write_footer(self._write, self._offset, footer)
+
+
+# ----------------------------------------------------------------------
+# Writer and readers: chunk payloads in and out of the container.
+# ----------------------------------------------------------------------
 
 
 class CbrWriter:
@@ -1225,23 +1454,13 @@ class CbrWriter:
     ) -> None:
         if chunk_records < 1:
             raise ValueError("chunk_records must be >= 1")
-        self._stream = stream
         self._chunk_records = chunk_records
         self._kind = kind
         self._compat_v1 = compat_v1
         self._records: list[ConnectionRecord] = []
         self._domains: list = []
-        self._offset = 0
-        self._chunks: list[list] = []  # [offset, payload_len, n_records, kind]
-        self._zones: list[dict | None] = []
-        self._domain_ordinals: dict[bytes, list[int]] = {}
-        self.records_written = 0
+        self._frames = _FrameWriter(stream, 1 if compat_v1 else _FORMAT_VERSION)
         self._closed = False
-        self._write(CBR_MAGIC + bytes([1 if compat_v1 else _FORMAT_VERSION]))
-
-    def _write(self, data: bytes) -> None:
-        self._stream.write(data)
-        self._offset += len(data)
 
     def write_record(self, record: ConnectionRecord) -> None:
         assert self._kind == KIND_RECORDS, "writer is in domain-result mode"
@@ -1261,55 +1480,32 @@ class CbrWriter:
             self._flush()
 
     def _flush(self) -> None:
-        if not self._records and not self._domains:
+        records = self._records
+        if not records and not self._domains:
             return
         payload = _encode_chunk(
-            self._records,
+            records,
             self._kind,
             self._domains if self._kind == KIND_DOMAINS else None,
             with_week=not self._compat_v1,
         )
-        n = len(self._records)
-        ordinal = len(self._chunks)
+        zone = None if self._compat_v1 else _zone_entry(records)
+        ordinal = self._frames.chunk(payload, len(records), self._kind, zone)
         if not self._compat_v1:
-            self._zones.append(_zone_entry(self._records))
-            ordinals = self._domain_ordinals
-            for name in {record.domain for record in self._records}:
-                buckets = ordinals.setdefault(_domain_hash_bytes(name), [])
-                if not buckets or buckets[-1] != ordinal:
-                    buckets.append(ordinal)
-        self._chunks.append([self._offset, len(payload), n, self._kind])
-        self._write(bytes([_FRAME_CHUNK]))
-        self._write(_CHUNK_HEADER.pack(len(payload), zlib.crc32(payload), n, self._kind))
-        self._write(payload)
-        self.records_written += n
+            for name in {record.domain for record in records}:
+                self._frames.index(_domain_hash_bytes(name), ordinal)
         self._records = []
         self._domains = []
 
     def close(self) -> int:
         """Flush, write footer + trailer; returns records written."""
-        if self._closed:
-            return self.records_written
-        self._flush()
-        # An empty domain-kind artifact must still announce its kind so
-        # readers can validate (`domain_batches` on a records file).
-        footer = {
-            "schema": 1 if self._compat_v1 else FOOTER_SCHEMA,
-            "records": self.records_written,
-            "kind": self._kind,
-            "chunks": self._chunks,
-        }
-        if not self._compat_v1:
-            footer["zones"] = self._zones
-            footer["bloom"] = {"hashes": _BLOOM_HASHES}
-            # Sorted rows keep the index bytes independent of insertion
-            # order and make the lookup a binary search.
-            footer["domain_index"] = _write_index_frame(
-                self._write, self._offset, self._domain_ordinals
-            )
-        _write_footer(self._write, self._offset, footer)
-        self._closed = True
-        return self.records_written
+        if not self._closed:
+            self._flush()
+            # An empty domain-kind artifact must still announce its kind so
+            # readers can validate (`domain_batches` on a records file).
+            self._frames.close(self._kind)
+            self._closed = True
+        return self._frames.records_written
 
 
 def write_records_cbr(
@@ -1323,17 +1519,33 @@ def write_records_cbr(
     return writer.close()
 
 
-class CbrReader:
-    """Sequential cbr reader (works on pipes; no seeking required).
+def _open_chunk(
+    payload: bytes,
+    want_edges_received: bool = True,
+    want_edges_sorted: bool = True,
+    ip_cache: dict | None = None,
+) -> RecordBatch:
+    """One chunk frame's payload, inflated and decoded into a batch — and
+    the one place a payload failing at either becomes :class:`CbrFormatError`."""
+    try:
+        chunk, _strings, _pos = _decode_columns(
+            zlib.decompress(payload), want_edges_received, want_edges_sorted, ip_cache
+        )
+    except (zlib.error, *_COLUMN_DECODE_ERRORS) as error:
+        raise CbrFormatError(f"chunk payload does not decode: {error!r}") from None
+    return RecordBatch._from_chunk(chunk)
 
-    ``errors="raise"`` (default) turns any damage into
-    :class:`CbrFormatError`; ``errors="count"`` mirrors the tolerant
-    qlog JSONL reader: a chunk with a bad CRC or an undecodable payload
-    is skipped and counted in ``corrupt_chunks``, and a stream truncated
-    mid-frame stops the iteration after counting the torn chunk.
+
+class _ChunkReader:
+    """What both readers share: the ``errors=`` policy and the way from
+    chunk frames to batches.
+
+    ``errors="raise"`` turns any damage into :class:`CbrFormatError`;
+    ``errors="count"`` mirrors the tolerant qlog JSONL reader: what is
+    damaged is skipped and counted in ``corrupt_chunks``.
     """
 
-    def __init__(self, stream: IO[bytes], errors: str = "raise") -> None:
+    def __init__(self, stream: IO[bytes], errors: str) -> None:
         if errors not in ("raise", "count"):
             raise ValueError("errors must be 'raise' or 'count'")
         self._stream = stream
@@ -1341,59 +1553,59 @@ class CbrReader:
         self.corrupt_chunks = 0
         self.records_read = 0
         self._ip_cache: dict = {}
-        head = stream.read(len(CBR_MAGIC) + 1)
-        if head[: len(CBR_MAGIC)] != CBR_MAGIC:
-            raise CbrFormatError("not a cbr stream (bad magic)")
-        if head[len(CBR_MAGIC)] not in _SUPPORTED_VERSIONS:
-            raise CbrFormatError(f"unsupported cbr version {head[len(CBR_MAGIC)]}")
 
-    def _damaged(self, message: str) -> None:
+    def _damaged(self, error: CbrFormatError) -> None:
         if self._errors == "raise":
-            raise CbrFormatError(message)
+            raise error
         self.corrupt_chunks += 1
 
-    def _frames(self) -> Iterator[tuple[int, int, bytes]]:
-        """Yield (kind, n_records, decompressed payload) per good chunk."""
-        read = self._stream.read
-        while True:
-            frame_type = read(1)
-            if not frame_type:
-                return  # clean EOF (footer-less stream fragment)
-            if frame_type[0] == _FRAME_FOOTER:
-                return
-            if frame_type[0] == _FRAME_INDEX:
-                # The secondary index is seek-only data; the record
-                # stream just steps over it.
-                header = read(_INDEX_HEADER.size)
-                if len(header) < _INDEX_HEADER.size:
-                    self._damaged("truncated index header")
-                    return
-                (index_len, _crc) = _INDEX_HEADER.unpack(header)
-                if len(read(index_len)) < index_len:
-                    self._damaged("truncated index payload")
-                    return
-                continue
-            if frame_type[0] != _FRAME_CHUNK:
-                self._damaged(f"unknown frame type 0x{frame_type[0]:02x}")
-                return  # framing lost: cannot resynchronize
-            header = read(_CHUNK_HEADER.size)
-            if len(header) < _CHUNK_HEADER.size:
-                self._damaged("truncated chunk header")
-                return
-            payload_len, crc, n_records, kind = _CHUNK_HEADER.unpack(header)
-            payload = read(payload_len)
-            if len(payload) < payload_len:
-                self._damaged("truncated chunk payload")
-                return
-            if zlib.crc32(payload) != crc:
-                self._damaged("chunk CRC mismatch")
-                continue  # framing intact: skip just this chunk
+    def _batches(
+        self, frames: Iterable[_Frame], want_edges_received: bool, want_edges_sorted: bool
+    ) -> Iterator[RecordBatch]:
+        for frame in frames:
             try:
-                raw = zlib.decompress(payload)
-            except zlib.error:
-                self._damaged("chunk decompression failed")
+                batch = _open_chunk(
+                    frame.payload, want_edges_received, want_edges_sorted, self._ip_cache
+                )
+            except CbrFormatError as error:
+                self._damaged(error)
                 continue
-            yield kind, n_records, raw
+            self.records_read += len(batch)
+            yield batch
+
+
+class CbrReader(_ChunkReader):
+    """Sequential cbr reader (works on pipes; no seeking required).
+
+    Under ``errors="count"`` a frame with a bad CRC or an undecodable
+    payload is skipped, and where framing is lost — a bad head, an
+    unknown frame type, a stream truncated mid-frame — the damage is
+    counted once and the iteration ends.
+    """
+
+    def __init__(self, stream: IO[bytes], errors: str = "raise") -> None:
+        super().__init__(stream, errors)
+        self._framed = True
+        try:
+            _read_head(stream)
+        except CbrFormatError as error:
+            self._framed = False
+            self._damaged(error)
+
+    def _chunk_frames(self) -> Iterator[_Frame]:
+        """The chunk frames up to the footer (or a clean end: a
+        footer-less stream fragment), for as long as framing holds."""
+        while self._framed:
+            try:
+                frame = _read_frame(self._stream)
+            except CbrFormatError as error:
+                self._framed = isinstance(error, _CrcMismatch)
+                self._damaged(error)
+                continue
+            if frame is None or frame.type == _FRAME_FOOTER:
+                return
+            if frame.type == _FRAME_CHUNK:  # the index is seek-only data
+                yield frame
 
     def record_batches(
         self,
@@ -1407,105 +1619,66 @@ class CbrReader:
         and its records carry empty edge lists (their RTT series are
         still exact).  The batch's columns are the same either way.
         """
-        for kind, _n, payload in self._frames():
-            try:
-                chunk, _strings, _pos = _decode_columns(
-                    payload,
-                    want_edges_received=want_edges_received,
-                    want_edges_sorted=want_edges_sorted,
-                    ip_cache=self._ip_cache,
-                )
-            except _COLUMN_DECODE_ERRORS:
-                self._damaged("chunk column decode failed")
-                continue
-            batch = RecordBatch._from_chunk(chunk)
-            self.records_read += len(batch)
-            yield batch
+        return self._batches(self._chunk_frames(), want_edges_received, want_edges_sorted)
 
     def domain_batches(self) -> Iterator[list[DomainResultData]]:
         """Yield per-chunk domain groupings (``KIND_DOMAINS`` files)."""
-        for kind, _n, payload in self._frames():
-            if kind != KIND_DOMAINS:
+        for frame in self._chunk_frames():
+            if frame.kind != KIND_DOMAINS:
                 raise CbrFormatError("artifact holds plain records, not domain results")
-            if payload[0] & _CHUNK_KIND_MASK != KIND_DOMAINS:
-                raise CbrFormatError("chunk has no domain columns")
-            chunk, strings, pos = _decode_columns(payload, ip_cache=self._ip_cache)
-            records = chunk.records(range(len(chunk.domains)))
+            try:
+                payload = zlib.decompress(frame.payload)
+                if payload[0] & _CHUNK_KIND_MASK != KIND_DOMAINS:
+                    raise CbrFormatError("chunk has no domain columns")
+                chunk, strings, pos = _decode_columns(payload, ip_cache=self._ip_cache)
+                records = chunk.records(range(len(chunk.domains)))
+                domains = _decode_domain_columns(
+                    payload, pos, strings, records, self._ip_cache
+                )
+            except (zlib.error, *_COLUMN_DECODE_ERRORS) as error:
+                self._damaged(CbrFormatError(f"domain chunk does not decode: {error!r}"))
+                continue
             self.records_read += len(records)
-            yield _decode_domain_columns(payload, pos, strings, records, self._ip_cache)
+            yield domains
 
     def iter_records(self) -> Iterator[ConnectionRecord]:
         for batch in self.record_batches():
             yield from batch
 
 
-class CbrIndexedReader:
+class CbrIndexedReader(_ChunkReader):
     """Random-access cbr reader over a seekable stream.
 
     Reads the footer once, then decodes exactly the chunk ordinals it is
     asked for — this is the decode backend of the predicate-pushdown
     query planner: planning happens on the footer's zone maps, and only
-    the surviving ordinals are ever inflated.  ``errors`` follows
-    :class:`CbrReader` (``"count"`` skips damaged chunks and counts
-    them).  Raises :class:`CbrFormatError` when the stream has no
-    readable footer (torn trailer); callers fall back to the sequential
-    tolerant reader in that case.
+    the surviving ordinals are ever inflated.  Whatever ``errors`` says,
+    a stream with no readable footer (torn, damaged, of another shape)
+    raises :class:`CbrFormatError`: callers fall back to the sequential
+    reader, which needs none.
     """
 
     def __init__(self, stream: IO[bytes], errors: str = "raise") -> None:
-        if errors not in ("raise", "count"):
-            raise ValueError("errors must be 'raise' or 'count'")
-        self._stream = stream
-        self._errors = errors
-        self.corrupt_chunks = 0
-        self.records_read = 0
-        self._ip_cache: dict = {}
-        self._index_rows: bytes | None = None
-        self._index_loaded = False
+        super().__init__(stream, errors)
         stream.seek(0)
-        head = stream.read(len(CBR_MAGIC) + 1)
-        if head[: len(CBR_MAGIC)] != CBR_MAGIC:
-            raise CbrFormatError("not a cbr stream (bad magic)")
-        if head[len(CBR_MAGIC)] not in _SUPPORTED_VERSIONS:
-            raise CbrFormatError(f"unsupported cbr version {head[len(CBR_MAGIC)]}")
+        _read_head(stream)
         self.footer = read_footer(stream)
 
-    @property
-    def chunk_count(self) -> int:
-        return len(self.footer.get("chunks", ()))
-
-    def _damaged(self, message: str) -> None:
-        if self._errors == "raise":
-            raise CbrFormatError(message)
-        self.corrupt_chunks += 1
-
-    def _load_index(self) -> bytes | None:
+    @cached_property
+    def _index_rows(self) -> bytes | None:
         """The packed index rows, loaded and validated once on demand."""
-        if self._index_loaded:
-            return self._index_rows
-        self._index_loaded = True
         info = self.footer.get("domain_index")
-        if not isinstance(info, dict):
+        if info is None:
             return None
         try:
-            self._stream.seek(info["at"])
-            head = self._stream.read(1 + _INDEX_HEADER.size)
-            if len(head) < 1 + _INDEX_HEADER.size or head[0] != _FRAME_INDEX:
-                raise CbrFormatError("domain index frame is damaged")
-            rows_len, crc = _INDEX_HEADER.unpack_from(head, 1)
-            rows = self._stream.read(rows_len)
-            if (
-                len(rows) < rows_len
-                or zlib.crc32(rows) != crc
-                or rows_len != info["rows"] * _INDEX_ROW_SIZE
-            ):
-                raise CbrFormatError("domain index frame is damaged")
-        except (CbrFormatError, KeyError, TypeError, OSError, struct.error):
+            rows = _frame_at(self._stream, info["at"], _FRAME_INDEX).payload
+            if len(rows) != info["rows"] * _INDEX_ROW_SIZE:
+                raise CbrFormatError("domain index is not the size the footer lists")
+        except CbrFormatError as error:
             # A broken *optional* index only costs pruning opportunity:
             # report the damage and answer queries from zone maps alone.
-            self._damaged("domain index frame is damaged")
+            self._damaged(error)
             return None
-        self._index_rows = rows
         return rows
 
     def domain_index_lookup(self, name: str) -> list[int] | None:
@@ -1517,10 +1690,23 @@ class CbrIndexedReader:
         definitive miss: the index is complete, so an unlisted hash
         proves the domain is absent.
         """
-        rows = self._load_index()
+        rows = self._index_rows
         if rows is None:
             return None
         return _index_rows_lookup(rows, _domain_hash_bytes(name))
+
+    def _chunk_frames(self, ordinals: Sequence[int]) -> Iterator[_Frame]:
+        chunks = self.footer["chunks"]
+        for ordinal in ordinals:
+            offset, payload_len, _n, _kind = chunks[ordinal]
+            try:
+                frame = _frame_at(self._stream, offset, _FRAME_CHUNK)
+                if len(frame.payload) != payload_len:
+                    raise CbrFormatError(f"chunk {ordinal} is not the size the footer lists")
+            except CbrFormatError as error:
+                self._damaged(error)
+                continue
+            yield frame
 
     def read_chunks(
         self,
@@ -1529,72 +1715,43 @@ class CbrIndexedReader:
         want_edges_sorted: bool = True,
     ) -> Iterator[RecordBatch]:
         """Yield one :class:`RecordBatch` per requested chunk ordinal."""
-        chunks = self.footer.get("chunks", ())
-        stream = self._stream
-        for ordinal in ordinals:
-            offset, payload_len, _n, _kind = chunks[ordinal]
-            stream.seek(offset)
-            frame = stream.read(1 + _CHUNK_HEADER.size + payload_len)
-            if (
-                len(frame) < 1 + _CHUNK_HEADER.size + payload_len
-                or frame[0] != _FRAME_CHUNK
-            ):
-                self._damaged(f"chunk {ordinal} frame is damaged")
-                continue
-            stored_len, crc, _n_records, _kind_byte = _CHUNK_HEADER.unpack_from(
-                frame, 1
-            )
-            payload = frame[1 + _CHUNK_HEADER.size :]
-            if stored_len != payload_len or zlib.crc32(payload) != crc:
-                self._damaged(f"chunk {ordinal} CRC mismatch")
-                continue
-            try:
-                chunk, _strings, _pos = _decode_columns(
-                    zlib.decompress(payload),
-                    want_edges_received=want_edges_received,
-                    want_edges_sorted=want_edges_sorted,
-                    ip_cache=self._ip_cache,
-                )
-            except (zlib.error, *_COLUMN_DECODE_ERRORS):
-                self._damaged(f"chunk {ordinal} decode failed")
-                continue
-            batch = RecordBatch._from_chunk(chunk)
-            self.records_read += len(batch)
-            yield batch
+        return self._batches(
+            self._chunk_frames(ordinals), want_edges_received, want_edges_sorted
+        )
 
 
-def read_footer(stream: IO[bytes]) -> dict:
-    """Read the footer index of a seekable cbr stream."""
-    stream.seek(0, 2)
-    size = stream.tell()
-    if size < len(CBR_MAGIC) + 1 + _TRAILER.size:
-        raise CbrFormatError("stream too short for a cbr footer")
-    stream.seek(size - _TRAILER.size)
-    footer_offset, magic = _TRAILER.unpack(stream.read(_TRAILER.size))
-    if magic != _END_MAGIC:
-        raise CbrFormatError("missing cbr end marker (truncated artifact?)")
-    stream.seek(footer_offset)
-    frame_type = stream.read(1)
-    if not frame_type or frame_type[0] != _FRAME_FOOTER:
-        raise CbrFormatError("footer offset does not point at a footer frame")
-    (payload_len,) = _FOOTER_HEADER.unpack(stream.read(_FOOTER_HEADER.size))
-    return json.loads(zlib.decompress(stream.read(payload_len)).decode("utf-8"))
-
-
-def _source_footer(source: IO[bytes]) -> dict | None:
-    """A concat source's footer, or ``None`` when unreadable.
-
-    The stream position is restored to the start either way, so the
-    frame-copy pass that follows sees the whole stream.
-    """
-    try:
-        if not source.seekable():
-            return None
-        footer = read_footer(source)
-    except (CbrFormatError, OSError):
-        footer = None
-    source.seek(0)
-    return footer
+def _copy_frames(source: IO[bytes], writer: _FrameWriter) -> None:
+    """Append one source's chunks to ``writer``; any damage raises."""
+    footer: dict = {}
+    if source.seekable():
+        try:
+            footer = read_footer(source)
+        except CbrFormatError:
+            pass  # the frames still copy; zones and index have no source
+        source.seek(0)
+    zones = footer.get("zones") or []
+    base = len(writer.chunks)
+    rows: bytes | None = None
+    _read_head(source)
+    while (frame := _read_frame(source)) is not None and frame.type != _FRAME_FOOTER:
+        if frame.type == _FRAME_INDEX:
+            # Index rows carry source-local ordinals, so the frame is
+            # consumed (rebased below), never copied verbatim.
+            rows = frame.payload
+            continue
+        # Footer chunk entries are in file order, exactly the order this
+        # loop walks, so zone entries re-align by position.
+        copied = len(writer.chunks) - base
+        zone = zones[copied] if copied < len(zones) else None
+        writer.chunk(frame.payload, frame.n_records, frame.kind, zone, frame.crc)
+    if rows is None or footer.get("domain_index") is None or len(rows) % _INDEX_ROW_SIZE:
+        writer.index(None)
+        return
+    for start in range(0, len(rows), _INDEX_ROW_SIZE):
+        ordinal = int.from_bytes(
+            rows[start + _INDEX_HASH_SIZE : start + _INDEX_ROW_SIZE], "big"
+        )
+        writer.index(rows[start : start + _INDEX_HASH_SIZE], base + ordinal)
 
 
 def concat_frames(
@@ -1611,107 +1768,15 @@ def concat_frames(
     always correct).  The secondary domain index is merged only when
     every source carries one; a single index-less source would make
     lookups silently incomplete, so the merged footer drops the section
-    instead.  Returns ``(chunks, records)``.
+    instead.  A damaged source raises :class:`CbrFormatError`, with
+    ``out`` part-written.  Returns ``(chunks, records)``.
     """
-    offset = 0
-
-    def write(data: bytes) -> None:
-        nonlocal offset
-        out.write(data)
-        offset += len(data)
-
-    write(CBR_MAGIC + bytes([_FORMAT_VERSION]))
-    chunks: list[list] = []
-    zones: list[dict | None] = []
-    index_rows: list[bytes] = []
-    index_complete = True
-    records = 0
-    kind_seen: int | None = None
-
-    def copy_source(source: IO[bytes]) -> None:
-        nonlocal records, kind_seen, index_complete
-        footer = _source_footer(source)
-        base = len(chunks)
-        head = source.read(len(CBR_MAGIC) + 1)
-        if head[: len(CBR_MAGIC)] != CBR_MAGIC:
-            raise CbrFormatError("concat source is not a cbr stream")
-        if head[len(CBR_MAGIC)] not in _SUPPORTED_VERSIONS:
-            raise CbrFormatError(
-                f"concat source has unsupported cbr version {head[len(CBR_MAGIC)]}"
-            )
-        source_rows: bytes | None = None
-        while True:
-            frame_type = source.read(1)
-            if not frame_type or frame_type[0] == _FRAME_FOOTER:
-                break
-            if frame_type[0] == _FRAME_INDEX:
-                # Index rows carry source-local ordinals, so the frame
-                # is consumed (rebased below), never copied verbatim.
-                rows_len, crc = _INDEX_HEADER.unpack(
-                    source.read(_INDEX_HEADER.size)
-                )
-                rows = source.read(rows_len)
-                if len(rows) < rows_len or zlib.crc32(rows) != crc:
-                    raise CbrFormatError("concat source index is damaged")
-                source_rows = rows
-                continue
-            if frame_type[0] != _FRAME_CHUNK:
-                raise CbrFormatError("concat source has unknown frame type")
-            header = source.read(_CHUNK_HEADER.size)
-            payload_len, crc, n_records, kind = _CHUNK_HEADER.unpack(header)
-            payload = source.read(payload_len)
-            if len(payload) < payload_len or zlib.crc32(payload) != crc:
-                raise CbrFormatError("concat source chunk is damaged")
-            if kind_seen is None:
-                kind_seen = kind
-            chunks.append([offset, payload_len, n_records, kind])
-            write(frame_type)
-            write(header)
-            write(payload)
-            records += n_records
-        # Footer chunk entries are in file order, exactly the order the
-        # copy above walked, so zone entries re-align by position; only
-        # the ordinals are fresh.
-        copied = len(chunks) - base
-        source_zones = (footer or {}).get("zones") or []
-        zones.extend(
-            source_zones[index] if index < len(source_zones) else None
-            for index in range(copied)
-        )
-        if source_rows is None or not isinstance(
-            (footer or {}).get("domain_index"), dict
-        ):
-            index_complete = False
-        elif index_complete:
-            for start in range(0, len(source_rows), _INDEX_ROW_SIZE):
-                key = source_rows[start : start + _INDEX_HASH_SIZE]
-                ordinal = int.from_bytes(
-                    source_rows[start + _INDEX_HASH_SIZE : start + _INDEX_ROW_SIZE],
-                    "big",
-                )
-                index_rows.append(key + (base + ordinal).to_bytes(4, "big"))
-
+    writer = _FrameWriter(out)
     for source in sources:
         if isinstance(source, (str, os.PathLike)):
             with open(source, "rb") as stream:
-                copy_source(stream)
+                _copy_frames(stream, writer)
         else:
-            copy_source(source)
-    footer = {
-        "schema": FOOTER_SCHEMA,
-        "records": records,
-        "kind": KIND_RECORDS if kind_seen is None else kind_seen,
-        "chunks": chunks,
-        "zones": zones,
-        "bloom": {"hashes": _BLOOM_HASHES},
-    }
-    if index_complete:
-        # Re-sort globally: per-source row order interleaves by hash.
-        merged: dict[bytes, list[int]] = {}
-        for row in sorted(index_rows):
-            merged.setdefault(row[:_INDEX_HASH_SIZE], []).append(
-                int.from_bytes(row[_INDEX_HASH_SIZE:], "big")
-            )
-        footer["domain_index"] = _write_index_frame(write, offset, merged)
-    _write_footer(write, offset, footer)
-    return len(chunks), records
+            _copy_frames(source, writer)
+    writer.close()
+    return len(writer.chunks), writer.records_written

@@ -780,10 +780,11 @@ def _print_query_stats(stats, verbose: bool) -> None:
     """
     if not verbose:
         return
+    fallback = ", footer unreadable: sequential scan" if stats.footer_fallbacks else ""
     print(
         f"query plan: decoded {stats.chunks_selected}/{stats.chunks_total} "
         f"chunks ({stats.chunks_pruned} pruned), matched "
-        f"{stats.records_matched}/{stats.records_scanned} records",
+        f"{stats.records_matched}/{stats.records_scanned} records{fallback}",
         file=sys.stderr,
     )
 
@@ -872,25 +873,13 @@ def _cmd_analyze_migration(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    import json
+    from repro.analysis.query import QueryStats, domain_lines
 
-    from repro.analysis.artifacts import record_to_dict
-    from repro.analysis.query import Eq, QueryStats, filter_batch
-    from repro.artifacts import open_query_source
-
-    predicate = Eq("domain", args.name)
     stats = QueryStats()
     telemetry = _make_telemetry(args.telemetry_out)
     try:
-        with open_query_source(args.dataset, predicate, stats=stats) as source:
-            for batch in source.batches():
-                for record in filter_batch(batch, predicate, stats):
-                    # Same line encoding as the JSONL artifact schema, so
-                    # the lookup output is a valid (sub-)dataset itself.
-                    line = json.dumps(  # jsonl-ok
-                        record_to_dict(record), separators=(",", ":")
-                    )
-                    print(line)
+        for line in domain_lines(args.dataset, args.name, stats):
+            print(line)
     except OSError as error:
         raise SystemExit(f"repro: error: cannot read {args.dataset}: {error}")
     _print_query_stats(stats, args.verbose)
@@ -933,6 +922,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
                 with open(args.output, "wb") as out:
                     _, count = concat_frames(shards, out)
             except (OSError, CbrFormatError) as error:
+                if os.path.isfile(args.output):
+                    os.remove(args.output)  # ours, and torn
                 raise SystemExit(f"repro: error: {error}")
             print(
                 f"merged {len(shards)} shards, {count} connection records",

@@ -167,9 +167,7 @@ class ServiceState:
         telemetry registry through the same :class:`QueryStats` counters
         the CLI query path emits.
         """
-        from repro.analysis.artifacts import record_to_dict
-        from repro.analysis.query import Eq, QueryStats, filter_batch
-        from repro.artifacts import open_query_source
+        from repro.analysis.query import QueryStats, domain_lines
 
         with self._lock:
             self._refresh_locked()
@@ -181,17 +179,11 @@ class ServiceState:
                         skip.difference_update(cached.summary.artifacts)
             except WeekUnreadable:
                 skip.clear()  # which artifacts hold the name is unknown
-        predicate = Eq("domain", name)
         for entry in self.spool.artifacts():
             if entry.fingerprint in skip:
                 continue
             stats = QueryStats()
-            with open_query_source(str(entry.path), predicate, stats=stats) as source:
-                for batch in source.batches():
-                    for record in filter_batch(batch, predicate, stats):
-                        yield json.dumps(  # jsonl-ok: the JSONL response body
-                            record_to_dict(record), separators=(",", ":")
-                        )
+            yield from domain_lines(str(entry.path), name, stats)
             stats.emit(self.telemetry)
 
     def add_seeds(self, domains: list[str]) -> dict:

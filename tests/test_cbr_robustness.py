@@ -22,23 +22,28 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.engine import AnalysisEngine, build_record_folds
-from repro.analysis.query import parse_where
-from repro.artifacts import open_query_source
+from repro.analysis.query import Eq, QueryStats, parse_where
+from repro.artifacts import open_query_source, open_record_batches
 from repro.artifacts import cbr
 from repro.artifacts.cbr import (
     CBR_MAGIC,
     CbrFormatError,
     CbrIndexedReader,
     CbrReader,
+    CbrWriter,
+    concat_frames,
+    read_footer,
     write_records_cbr,
 )
 from repro.core.classify import SpinBehaviour
 from repro.core.observer import SpinEdge, SpinObservation
+from repro.faults import CheckpointError, results_from_cbr_payload
 from repro.faults.taxonomy import FailureKind
 from repro.internet.asdb import IpAddr, build_default_asdb
+from repro.internet.population import DomainRecord
 from repro.service import SpoolStore, WeekIndexer
 from repro.service.summary import WeekSummary
-from repro.web.scanner import ConnectionRecord
+from repro.web.scanner import ConnectionRecord, DomainScanResult
 
 ASDB = build_default_asdb()
 _HEAD = len(CBR_MAGIC) + 1
@@ -369,3 +374,243 @@ def test_short_columns_fail_in_the_decode():
     reader = CbrReader(io.BytesIO(reframe(bytes(raw))), errors="count")
     assert list(reader.record_batches()) == []
     assert reader.corrupt_chunks == 1
+
+
+# ----------------------------------------------------------------------
+# Damage to the container itself: head, frame headers, CRCs, the 0x03
+# index, footer, trailer.  Exhaustive, not sampled: every byte offset of
+# one small archive per shape, three ways.
+# ----------------------------------------------------------------------
+
+TARGETS = [
+    DomainRecord(name=record.domain, zone="example", in_toplist=False, in_czds=True)
+    for record in source_records()
+]
+
+
+def archive(**writer_options) -> bytes:
+    """The source records in two chunks, as the given writer lays them out."""
+    buffer = io.BytesIO()
+    writer = CbrWriter(buffer, chunk_records=2, **writer_options)
+    if writer_options.get("kind") == cbr.KIND_DOMAINS:
+        for target, record in zip(TARGETS, source_records()):
+            writer.write_domain_result(DomainScanResult(
+                domain=target, resolved=True, quic_support=True,
+                resolved_ip=record.ip, connections=[record],
+            ))
+    else:
+        writer.write_records(source_records())
+    writer.close()
+    return buffer.getvalue()
+
+
+#: shape -> (container bytes, the records a reader of it yields)
+ARCHIVES = {
+    "records-v2": (archive(), source_records()),
+    "domains-shard": (archive(kind=cbr.KIND_DOMAINS), source_records()),
+    "compat-v1": (
+        archive(compat_v1=True), [replace(r, week=None) for r in source_records()]
+    ),
+}
+
+
+def container_mutations(data: bytes):
+    for at in range(len(data)):
+        for mask in (0xFF, 0x01):
+            damaged = bytearray(data)
+            damaged[at] ^= mask
+            yield f"xor 0x{mask:02x} at {at}", bytes(damaged)
+        yield f"cut at {at}", data[:at]
+
+
+def in_order_subset(got: list, originals: list) -> bool:
+    remaining = iter(originals)
+    return all(any(record == original for original in remaining) for record in got)
+
+
+def _front_door(path, data):
+    with open_record_batches(str(path), errors="count") as source:
+        return list(source.records())
+
+
+def _where_week(path, data, predicate=parse_where("week == cw20-2023")):
+    with open_query_source(str(path), predicate) as source:
+        return list(source.records())
+
+
+def _where_domain(path, data):
+    return _where_week(path, data, Eq("domain", TARGETS[1].name))
+
+
+def _fold_pending(path, data):
+    spool = SpoolStore(path.with_name(path.name + ".spool"))
+    spool.submit_bytes(data)
+    WeekIndexer(path.with_name(path.name + ".index"), asdb=ASDB).fold_pending(spool)
+    return []
+
+
+def _results(data, strict: bool):
+    results = results_from_cbr_payload(data, TARGETS, strict=strict)
+    return [] if results is None else [c for r in results for c in r.connections]
+
+
+def _rescanned_or_loaded(path, data):
+    return _results(data, strict=False)
+
+
+def _strict_sequential(path, data):
+    return list(CbrReader(io.BytesIO(data)).iter_records())
+
+
+def _strict_indexed(path, data):
+    reader = CbrIndexedReader(io.BytesIO(data))
+    reader.domain_index_lookup(TARGETS[0].name)
+    chunks = range(len(reader.footer["chunks"]))
+    return [record for batch in reader.read_chunks(chunks) for record in batch]
+
+
+def _concat(path, data):
+    out = io.BytesIO()
+    concat_frames([io.BytesIO(data)], out)
+    return _strict_sequential(path, out.getvalue())
+
+
+def _ipc_payload(path, data):
+    return _results(data, strict=True)
+
+
+#: Never raise; every record they return is an original, in order.
+TOLERANT = (_front_door, _where_week, _where_domain, _fold_pending, _rescanned_or_loaded)
+#: Raise :class:`CbrFormatError` while reading, or read sound records
+#: (a strict IPC payload of the wrong domain count is a CheckpointError).
+STRICT = (_strict_sequential, _strict_indexed, _concat, _ipc_payload)
+
+
+class TestMutatedContainer:
+    @pytest.mark.parametrize("shape", ARCHIVES)
+    def test_counted_or_sound(self, shape, tmp_path):
+        """The oracle of ``TestMutatedChunks.test_counted_or_sound`` at
+        every byte of the container: xor 0xFF, xor 0x01, truncate here."""
+        data, originals = ARCHIVES[shape]
+        path = tmp_path / "pristine.cbr"
+        path.write_bytes(data)
+        for surface in (_front_door, _strict_sequential, _strict_indexed, _concat):
+            assert surface(path, data) == originals, surface
+        if shape == "domains-shard":
+            assert _ipc_payload(path, data) == originals
+        escapes = []
+        for number, (label, damaged) in enumerate(container_mutations(data)):
+            path = tmp_path / f"{number}.cbr"
+            path.write_bytes(damaged)
+            for surface in TOLERANT + STRICT:
+                try:
+                    got = surface(path, damaged)
+                except (CbrFormatError, CheckpointError) as error:
+                    allowed = surface in STRICT and (
+                        isinstance(error, CbrFormatError) or surface is _ipc_payload
+                    )
+                    if not allowed:
+                        escapes.append((label, surface.__name__, repr(error)))
+                except Exception as error:  # the finding, not swallowed: reported below
+                    escapes.append((label, surface.__name__, repr(error)))
+                else:
+                    if not in_order_subset(got, originals):
+                        escapes.append((label, surface.__name__, "foreign records"))
+        assert not escapes, (len(escapes), escapes[:10])
+
+
+def footer_offset(data: bytes) -> int:
+    return cbr._TRAILER.unpack(data[-cbr._TRAILER.size :])[0]
+
+
+def refooted(footer) -> bytes:
+    """The records-v2 archive with ``footer`` (any JSON) in place of its own."""
+    data, _ = ARCHIVES["records-v2"]
+    out = bytearray(data[: footer_offset(data)])
+    cbr._write_footer(out.extend, len(out), footer)
+    return bytes(out)
+
+
+def _zone(footer: dict, **keys) -> dict:
+    return {**footer, "zones": [{**footer["zones"][0], **keys}]}
+
+
+FOOTER_DAMAGE = {
+    "a-list": lambda f: [f],
+    "chunks-null": lambda f: {**f, "chunks": None},
+    "three-field-entry": lambda f: {**f, "chunks": [f["chunks"][0][:3]]},
+    "negative-offset": lambda f: {**f, "chunks": [[-5, 10, 2, 0]]},
+    "length-past-the-file": lambda f: {**f, "chunks": [[5, 1 << 70, 2, 0]]},
+    "bool-count": lambda f: {**f, "chunks": [[5, 10, True, 0]]},
+    "string-offset": lambda f: {**f, "chunks": [["5", 10, 2, 0]]},
+    "zones-a-dict": lambda f: {**f, "zones": {"w": None}},
+    "zone-a-number": lambda f: {**f, "zones": [7]},
+    "one-element-w": lambda f: _zone(f, w=[1]),
+    "t-of-strings": lambda f: _zone(f, t=["a", "b"]),
+    "p-a-string": lambda f: _zone(f, p="cloudflare"),
+    "e-of-strings": lambda f: _zone(f, e=["many"]),
+    "bloom-not-hex": lambda f: _zone(f, d="xyz"),
+    "bloom-blank": lambda f: _zone(f, d="  "),
+    "index-a-list": lambda f: {**f, "domain_index": [5, 4]},
+    "index-negative-at": lambda f: {**f, "domain_index": {"at": -1, "rows": 4}},
+    "index-past-the-file": lambda f: {**f, "domain_index": {"at": 5, "rows": 1 << 40}},
+}
+
+
+class TestFooterValidation:
+    """The footer is the one part no CRC covers: ``read_footer`` checks
+    what it returns, so the planner and the readers index into it blind."""
+
+    def test_the_writers_own_footer_passes(self):
+        for data, _ in ARCHIVES.values():
+            assert len(read_footer(io.BytesIO(data))["chunks"]) == 2
+        footer = read_footer(io.BytesIO(ARCHIVES["records-v2"][0]))
+        assert read_footer(io.BytesIO(refooted(footer))) == footer
+
+    @pytest.mark.parametrize("damage", FOOTER_DAMAGE)
+    def test_another_shape_is_a_format_error(self, damage, scratch):
+        data, originals = ARCHIVES["records-v2"]
+        damaged = refooted(FOOTER_DAMAGE[damage](read_footer(io.BytesIO(data))))
+        with pytest.raises(CbrFormatError):
+            read_footer(io.BytesIO(damaged))
+        with pytest.raises(CbrFormatError):
+            CbrIndexedReader(io.BytesIO(damaged), errors="count")
+        # ... and the planner's caller takes the sequential way round it.
+        scratch.write_bytes(damaged)
+        stats = QueryStats()
+        with open_query_source(
+            str(scratch), parse_where("week == cw20-2023"), stats=stats
+        ) as source:
+            assert list(source.records()) == originals
+        assert (stats.footer_fallbacks, source.corrupt_chunks) == (1, 0)
+
+    def test_a_footer_that_does_not_inflate_or_parse(self):
+        data, _ = ARCHIVES["records-v2"]
+        flipped = bytearray(data)
+        flipped[-cbr._TRAILER.size - 8] ^= 0xFF  # inside the zlib stream
+        not_json = bytearray(data[: footer_offset(data)])
+        payload = zlib.compress(b"{not json")
+        not_json += bytes([cbr._FRAME_FOOTER]) + cbr._FOOTER_HEADER.pack(len(payload))
+        not_json += payload + cbr._TRAILER.pack(footer_offset(data), cbr._END_MAGIC)
+        for damaged in (bytes(flipped), bytes(not_json)):
+            with pytest.raises(CbrFormatError):
+                read_footer(io.BytesIO(damaged))
+            assert list(CbrReader(io.BytesIO(damaged)).iter_records()) == source_records()
+
+
+@pytest.mark.parametrize("size", range(len(CBR_MAGIC) + 1))
+def test_a_head_cut_short_is_a_format_error_in_every_reader(size):
+    """``b"CBR1"`` alone used to be an IndexError in all three head checks
+    — which a ``--checkpoint-dir`` resume does not catch."""
+    head = ARCHIVES["domains-shard"][0][:size]
+    for strict in (CbrReader, CbrIndexedReader):
+        with pytest.raises(CbrFormatError):
+            strict(io.BytesIO(head))
+    with pytest.raises(CbrFormatError):
+        concat_frames([io.BytesIO(head)], io.BytesIO())
+    tolerant = CbrReader(io.BytesIO(head), errors="count")
+    assert list(tolerant.record_batches()) == []
+    assert tolerant.corrupt_chunks == 1
+    assert results_from_cbr_payload(head, TARGETS) is None  # re-scan
+    with pytest.raises(CbrFormatError):
+        results_from_cbr_payload(head, TARGETS, strict=True)

@@ -16,7 +16,8 @@ import multiprocessing
 import pytest
 
 from repro.analysis.artifacts import record_to_dict
-from repro.artifacts.cbr import write_records_cbr
+from repro.artifacts.cbr import read_footer, write_records_cbr
+from repro.cli import main
 from repro.faults import (
     BreakerPolicy,
     CheckpointError,
@@ -264,6 +265,45 @@ class TestCrashAndResume:
         # The re-scan also re-persisted the shard, intact again
         # (cbr encoding is deterministic, so bytes match exactly).
         assert shard.read_bytes() == payload
+
+    def test_shard_cut_inside_its_head_is_rescanned(
+        self, tiny_population, targets, plain_dataset, tmp_path
+    ):
+        """Magic without a version byte was an IndexError, which the
+        loader does not take for "not scanned yet"."""
+        directory = tmp_path / "ckpt"
+        _scanner(tiny_population).scan(domains=targets, checkpoint_dir=directory)
+        shard = directory / "shard-00001.cbr"
+        payload = shard.read_bytes()
+        shard.write_bytes(payload[:4])
+        resumed = _scanner(tiny_population).scan(
+            domains=targets, checkpoint_dir=directory
+        )
+        assert _dataset_dicts(resumed) == _dataset_dicts(plain_dataset)
+        assert shard.read_bytes() == payload
+
+    @pytest.mark.parametrize("cut", [3, 4, 10, 24, -40])
+    def test_convert_of_a_torn_shard_fails_in_one_line_and_leaves_no_output(
+        self, tiny_population, targets, tmp_path, cut
+    ):
+        """Inside the head, a chunk header, a payload, the index header,
+        the footer: ``repro: error:``, never ``struct.error`` and half a
+        merged artifact.  (Cut in the trailer, every frame is whole: the
+        shard merges, without zones to carry.)"""
+        directory = tmp_path / "ckpt"
+        _scanner(tiny_population).scan(domains=targets, checkpoint_dir=directory)
+        shard = directory / "shard-00001.cbr"
+        payload = shard.read_bytes()
+        if cut == 24:  # the 0x03 index frame: inside its header
+            cut = read_footer(io.BytesIO(payload))["domain_index"]["at"] + 3
+        shard.write_bytes(payload[:cut])
+        merged = tmp_path / "merged.cbr"
+        with pytest.raises(SystemExit, match="^repro: error: "):
+            main(["convert", str(directory), str(merged)])
+        assert not merged.exists()
+        shard.write_bytes(payload)
+        assert main(["convert", str(directory), str(merged)]) == 0
+        assert read_footer(io.BytesIO(merged.read_bytes()))["records"] > 0
 
 
 class TestCampaignIdentity:

@@ -410,6 +410,36 @@ class TestCliQuery:
         assert code == 0
         assert capsys.readouterr().out == expected
 
+    def test_an_unreadable_footer_costs_the_plan_not_the_answer(
+        self, artifact_pair, tmp_path, capsys
+    ):
+        """One flipped footer byte: ``analyze`` never needed the footer;
+        ``analyze --where`` and ``query domain`` died of ``zlib.error``."""
+        jsonl_path, cbr_path = artifact_pair
+        damaged = bytearray(cbr_path.read_bytes())
+        damaged[-20] ^= 0xFF  # eight bytes before the trailer: footer payload
+        flipped = tmp_path / "flipped.cbr"
+        flipped.write_bytes(bytes(damaged))
+        name = json.loads(jsonl_path.read_text(encoding="utf-8").splitlines()[0])["domain"]
+        for command in (
+            ["analyze", "--where", "provider == cloudflare", "--section", "versions"],
+            ["query", "domain", name],
+        ):
+            outputs = {}
+            for path in (cbr_path, flipped):
+                telemetry_dir = tmp_path / f"{command[0]}-{path.stem}"
+                assert main(
+                    command + [str(path), "--verbose", "--telemetry-out", str(telemetry_dir)]
+                ) == 0
+                captured = capsys.readouterr()
+                counters = json.loads((telemetry_dir / "metrics.json").read_text())["counters"]
+                outputs[path] = captured.out
+                damaged_footer = path is flipped
+                assert ("footer unreadable" in captured.err) == damaged_footer
+                assert counters.get("query.footer_fallbacks") == (1 if damaged_footer else None)
+                assert "corrupt chunks skipped" not in captured.err
+            assert outputs[cbr_path] == outputs[flipped] != ""
+
     def test_bad_where_is_clean_error(self, artifact_pair):
         _, cbr_path = artifact_pair
         with pytest.raises(SystemExit, match="invalid --where"):

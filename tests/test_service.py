@@ -721,6 +721,29 @@ class TestDomainLookup:
                 after = state.metrics_snapshot()["counters"]["query.chunks_total"]
                 assert after - before == (3 if expected else 1), name
 
+    def test_an_artifact_with_an_unreadable_footer_still_answers(self, scanned, tmp_path):
+        """The spool takes any bytes and the indexer needs no footer, so a
+        folded artifact whose footer does not inflate used to kill every
+        lookup that opened it (``zlib.error`` out of the planner)."""
+        cw19 = scanned["cw19-2023"]
+        buffer = io.BytesIO()
+        write_records_cbr(cw19, buffer)
+        damaged = bytearray(buffer.getvalue())
+        damaged[-20] ^= 0xFF  # eight bytes before the trailer: footer payload
+        name = cw19[0].domain
+        with serving(tmp_path) as (state, base):
+            state.spool.submit_bytes(bytes(damaged), source="test")
+            assert len(state.indexer.fold_pending(state.spool)) == 1
+            body = self.unpruned(state.spool, name)
+            assert body.count(b"\n") >= 1
+            assert b"".join(
+                line.encode("utf-8") + b"\n" for line in state.domain_records(name)
+            ) == body
+            assert http_get(f"{base}/v1/domain/{name}") == (200, body)
+            counters = state.metrics_snapshot()["counters"]
+            assert counters["query.footer_fallbacks"] == 2
+            assert counters["query.chunks_total"] == 0  # nothing was planned
+
 
 class TestServiceCli:
     def test_run_once_submit_and_index_roundtrip(self, tmp_path, capsys):

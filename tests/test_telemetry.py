@@ -543,6 +543,74 @@ class TestOneDerivationOfTheMeans:
         assert "web/hot.py" not in result.stderr
 
 
+class TestOneContainer:
+    """AST gate (same lint): a cbr file's framing is read and written by
+    the container's own functions, each construct in its one home."""
+
+    def test_framing_outside_its_home_is_caught(self, tmp_path):
+        homes = (
+            "def _read_head(stream):",
+            "    if stream.read(4) != CBR_MAGIC: raise CbrFormatError()",
+            "def _read_frame(stream):",
+            "    size, *rest = _FRAME_HEADERS[1].unpack(stream.read(13))",
+            "    return zlib.crc32(stream.read(size)) == rest[0]",
+            "def read_footer(stream):",
+            "    offset, magic = _TRAILER.unpack(stream.read(_TRAILER.size))",
+            "    return magic == _END_MAGIC",
+            "def _write_footer(write, offset, footer):",
+            "    write(_FOOTER_HEADER.pack(0) + _TRAILER.pack(offset, _END_MAGIC))",
+            "class _FrameWriter:",
+            "    def chunk(self, payload):",
+            "        return _CHUNK_HEADER.pack(len(payload), zlib.crc32(payload), 0, 0)",
+            "    def close(self):",
+            "        footer = {'schema': 2, 'chunks': self.chunks}",
+            "        return _INDEX_HEADER.pack(0, crc32(b'')), footer",
+            "def _open_chunk(payload):",
+            "    return _decode_columns(payload)",
+            "class CbrReader:",
+            "    def _damaged(self, error): raise error",
+            "    def domain_batches(self):",
+            "        return _decode_columns(b''), _CHUNK_HEADER.size, len(CBR_MAGIC)",
+        )
+        offenders = (
+            "def sniff(head):",
+            "    return head[:4] == cbr.CBR_MAGIC or head[-4:] != _END_MAGIC",  # 24
+            "def copy_source(source):",
+            "    n, crc = _INDEX_HEADER.unpack(source.read(8))",  # 26
+            "    header = _FRAME_HEADERS.get(1)",  # 27
+            "    return cbr._CHUNK_HEADER.unpack_from(source.read(14), 1)",  # 28
+            "class CbrIndexedReader:",
+            "    def _damaged(self, message): pass",  # 30: artifacts/
+            "    def read_chunks(self, payload, crc):",
+            "        if zlib.crc32(payload) != crc: return",  # 32: artifacts/
+            "        return _decode_columns(payload)",  # 33: artifacts/
+            "    def close(self):",
+            "        _TRAILER.pack(0, b'CBRE')  # wallclock-ok robustness-ok jsonl-ok",  # 35
+            "        return {'chunks': [], 'records': 0}",  # 36: artifacts/
+        )
+        source = "\n".join(homes + offenders) + "\n"
+        for layer in ("artifacts", "web", "telemetry"):
+            directory = tmp_path / "repro" / layer
+            directory.mkdir(parents=True)
+            (directory / "cbr.py").write_text(source, encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, str(TestDeterminismLint.LINT), str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        everywhere = {24, 26, 27, 28, 35}
+        for layer, flagged in (
+            ("artifacts", everywhere | {30, 32, 33, 36}),
+            ("web", everywhere),
+            ("telemetry", everywhere),
+        ):
+            for line in range(1, len(homes + offenders) + 1):
+                assert (f"{layer}/cbr.py:{line}:" in result.stderr) == (line in flagged), (
+                    layer, line, result.stderr
+                )
+
+
 class TestOneTraceModel:
     """AST gate (same lint): outside ``repro.telemetry`` rows enter the
     trace through ``span`` / ``event`` / ``count`` / ``absorb`` only."""
