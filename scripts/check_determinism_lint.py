@@ -86,6 +86,13 @@ Which further rules apply to which layer (directory under
   ``CbrReader.domain_batches``, a footer dict (a literal with a
   ``"chunks"`` key) outside ``_FrameWriter.close``, and a second
   ``def _damaged``.  No pragma opts out.
+* The monitor's packet path ends in the flow slot (PR 24),
+  ``monitor/pipeline.py`` only: its ``SpinFlowTable(...)`` takes neither
+  ``observer_factory=`` nor ``on_packet=`` (no observer object, no
+  per-packet hook), ``on_sample=`` is not a lambda or a ``self.<method>``
+  the file defines (samples go straight to the aggregator), and there is
+  no ``def process`` — ``process`` is the table's bound entry point, so
+  nothing in that file runs once per datagram.  No pragma opts out.
 
 Benchmarks (``benchmarks/``) legitimately measure wall-clock and are
 not scanned.  A source line may opt out with the pattern's pragma when
@@ -474,6 +481,35 @@ def one_container(text: str) -> list[int]:
     return sorted(_outside_their_homes(text, _ARTIFACTS_HOMES) | set(policies[1:]))
 
 
+def monitor_packet_path(text: str) -> list[int]:
+    """What would put the pipeline's own code back on the packet path: a
+    ``def process``, ``observer_factory=`` / ``on_packet=`` on its
+    ``SpinFlowTable(...)``, or ``on_sample=`` bound to a lambda or to a
+    method the file defines."""
+    tree = ast.parse(text)
+    methods = {
+        node.name: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+    }
+    numbers = [methods["process"]] if "process" in methods else []
+    for node in ast.walk(tree):
+        if _called_name(node) != "SpinFlowTable":
+            continue
+        for keyword in node.keywords:
+            value = keyword.value
+            own = isinstance(value, ast.Lambda) or (
+                isinstance(value, ast.Attribute)
+                and _bare_name(value.value) == "self"
+                and value.attr in methods
+            )
+            if keyword.arg in ("observer_factory", "on_packet") or (
+                keyword.arg == "on_sample" and own
+            ):
+                numbers.append(value.lineno)
+    return numbers
+
+
 #: What every file is held to; a layer (directory under ``repro/``) not
 #: listed below gets exactly this.
 _EVERYWHERE = (
@@ -504,9 +540,11 @@ LAYER_RULES = {
 
 #: file → ``(rules added, rules lifted)``.  The reference codec's own
 #: modules (and the package's re-exports of it) are where its names
-#: live; the endpoint and the field decoder carry the one-datapath rules.
+#: live; the endpoint and the field decoder carry the one-datapath rules,
+#: the monitor pipeline the rule that keeps it off the packet path.
 _CODEC_HOME = ((), (endpoint_decoder_uses,))
 FILE_RULES = {
+    "repro/monitor/pipeline.py": ((monitor_packet_path,), ()),
     "repro/quic/__init__.py": _CODEC_HOME,
     "repro/quic/connection.py": ((forked_datapath,), ()),
     "repro/quic/datagram.py": _CODEC_HOME,
@@ -571,7 +609,10 @@ def main(argv: list[str] | None = None) -> int:
             "float series nor names AccuracyResult / compare_means — it reads "
             "batch.comparable, which derives the means once; a cbr file's framing "
             "(header structs, magics, the CRC) is read by _read_head / _read_frame / "
-            "read_footer and written by _FrameWriter / _write_footer, nowhere else)",
+            "read_footer and written by _FrameWriter / _write_footer, nowhere else; "
+            "monitor/pipeline.py builds its SpinFlowTable without observer_factory= / "
+            "on_packet=, binds on_sample= to no code of its own and defines no "
+            "process() — the table's on_server_datagram is the pipeline's entry)",
             file=sys.stderr,
         )
         return 1

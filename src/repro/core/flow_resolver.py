@@ -28,8 +28,9 @@ header parse are tested against the TCP segment shape
 ``"tcp"`` or ``"unparseable"`` instead of being uniform parse errors.
 
 All state is keyed to *live* flows: :meth:`on_flow_retired` drops a
-retired flow's CID and tuple claims, so resolver memory is bounded by
-the flow table's ``max_flows``, not by traffic history.
+retired flow's CID and tuple claims — and those of a flow the table
+refused to admit — so resolver memory is bounded by the flow table's
+``max_flows``, not by traffic history.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ class FlowKeyResolver:
         return key
 
     def on_flow_retired(self, key: str) -> None:
-        """Forget a retired flow's claims (called by the flow table)."""
+        """Forget the claims of a flow the table retired or refused."""
         for cid_hex in self._key_cids.pop(key, ()):
             if self._by_cid.get(cid_hex) == key:
                 del self._by_cid[cid_hex]
@@ -163,9 +164,6 @@ class FlowKeyResolver:
     # ------------------------------------------------------------------
     # Transport classification
     # ------------------------------------------------------------------
-
-    def note_quic_datagram(self) -> None:
-        self.quic_datagrams += 1
 
     def classify_non_quic(self, data: bytes, tuple4: tuple | None) -> str:
         """File a datagram that failed the QUIC parse: tcp or unparseable."""

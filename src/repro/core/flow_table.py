@@ -9,10 +9,13 @@ must demultiplex it into flows before spin measurement is possible.
 * flows are keyed by the *destination connection ID* of the
   server-to-client direction (the client's CID, stable for the
   connection's lifetime in this model);
-* each flow gets its own packet-number reconstruction and spin observer
-  (by default :class:`~repro.core.observer.SpinObserver` state; a
-  long-running monitor plugs in the bounded-memory
-  :class:`~repro.core.observer.StreamingSpinObserver` instead);
+* each flow is one :class:`FlowRecord`, the register slot of "Tracking
+  the QUIC Spin Bit on Tofino" (PAPERS.md): last spin value, last edge
+  time, values seen, edge and packet counts, updated in place, each
+  received-order RTT sample retired through ``on_sample`` as its edge
+  arrives.  Packet-number reconstruction and an observer object (by
+  default the buffering :class:`~repro.core.observer.SpinObserver`, for
+  the R and S orderings) exist only where a table *attaches* one;
 * the table is bounded like a switch/NIC flow table: idle flows expire
   after a timeout, and at capacity either the least-recently-seen flow
   is evicted or new flows are dropped (``overflow_policy``).
@@ -36,7 +39,7 @@ on the single ``"(empty)"`` key.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.flow_resolver import FlowKeyResolver, tuple_flow_key
@@ -53,18 +56,38 @@ OVERFLOW_POLICIES = ("evict-lru", "drop-new")
 
 @dataclass(slots=True)
 class FlowRecord:
-    """Per-flow observer state."""
+    """One flow's slot: received-order spin state, updated in place.
+
+    The state machine of :class:`~repro.core.observer.StreamingSpinObserver`
+    (``tests/test_flow_slot.py`` holds the two together).  ``values_mask``
+    has bit 0 set once spin 0 was seen, bit 1 once spin 1 was; ``edges``
+    counts value changes.  ``_observer`` and ``_largest_pn`` are used
+    only when the table attached an observer.
+    """
 
     flow_key: str
     first_seen_ms: float
     last_seen_ms: float
     packets: int = 0
-    _observer: SpinObserver = field(default_factory=SpinObserver)
+    values_mask: int = 0
+    edges: int = 0
+    _last_spin: int | None = None
+    _last_edge_ms: float | None = None
+    _observer: SpinObserver | None = None
     _largest_pn: int | None = None
 
+    @property
+    def spins(self) -> bool:
+        """Both spin values observed (the paper's activity criterion)."""
+        return self.values_mask == 3
+
     def observation(self) -> SpinObservation:
-        """The flow's accumulated spin observation."""
-        return self._observer.observation()
+        """The attached observer's observation; without one, the slot's
+        counts (its RTT samples went to ``on_sample`` and are not kept)."""
+        if self._observer is not None:
+            return self._observer.observation()
+        values = {bool(bit) for bit in (0, 1) if self.values_mask >> bit & 1}
+        return SpinObservation(packets_seen=self.packets, values_seen=values)
 
 
 @dataclass(slots=True)
@@ -124,10 +147,22 @@ class SpinFlowTable:
     Retired flows are appended to ``evicted`` unless ``retain_retired``
     is false (a long-running monitor must not accumulate them) and are
     always reported through the ``on_retire(flow, reason)`` hook, with
-    ``reason`` one of ``"evicted"`` / ``"expired"``.  ``on_packet(flow,
-    time_ms)`` fires for every demultiplexed short-header packet;
-    ``observer_factory(flow_key)`` swaps the per-flow observer
-    implementation.
+    ``reason`` one of ``"evicted"`` / ``"expired"``.
+
+    ``on_sample(time_ms, rtt_ms)`` receives every received-order RTT
+    sample as the slot produces it.  A table given ``on_sample`` and no
+    ``observer_factory`` is a *streaming* table: nothing is attached to
+    a flow and nothing per packet leaves this module.  Otherwise each
+    flow gets ``observer_factory(flow_key)`` — or a buffering
+    :class:`~repro.core.observer.SpinObserver` — fed every packet with
+    its reconstructed number.  ``on_packet(flow, time_ms)`` fires for
+    every demultiplexed short-header packet.
+
+    ``on_window(time_ms)`` shares the idle sweep's deadline test: called
+    for the first datagram and for each one at or past the open window's
+    end, *before* that datagram is counted, it returns ``(flow_keys,
+    end_ms)`` — the set that collects the key of every tracked packet,
+    and the stream time to call again.
     """
 
     __slots__ = (
@@ -139,11 +174,17 @@ class SpinFlowTable:
         "observer_factory",
         "on_retire",
         "on_packet",
+        "on_sample",
+        "on_window",
         "resolver",
         "flows",
         "evicted",
         "stats",
+        "last_time_ms",
         "_next_sweep_ms",
+        "_window_keys",
+        "_window_end_ms",
+        "_deadline_ms",
     )
 
     def __init__(
@@ -157,6 +198,8 @@ class SpinFlowTable:
         on_retire: Callable[[FlowRecord, str], None] | None = None,
         on_packet: Callable[[FlowRecord, float], None] | None = None,
         resolver: FlowKeyResolver | None = None,
+        on_sample: Callable[[float, float], None] | None = None,
+        on_window: Callable[[float], tuple[set, float]] | None = None,
     ):
         if max_flows < 1:
             raise ValueError("max_flows must be positive")
@@ -175,6 +218,8 @@ class SpinFlowTable:
         self.observer_factory = observer_factory
         self.on_retire = on_retire
         self.on_packet = on_packet
+        self.on_sample = on_sample
+        self.on_window = on_window
         #: Optional migration-aware key resolution + transport
         #: classification (repro.core.flow_resolver).
         self.resolver = resolver
@@ -182,8 +227,14 @@ class SpinFlowTable:
         self.flows: OrderedDict[str, FlowRecord] = OrderedDict()
         self.evicted: list[FlowRecord] = []
         self.stats = FlowTableStats()
+        #: Stream time of the latest datagram, malformed ones included.
+        self.last_time_ms = 0.0
         #: Stream time before which no idle sweep runs (amortization).
         self._next_sweep_ms = float("-inf")
+        self._window_keys: set | None = None
+        self._window_end_ms = float("inf" if on_window is None else "-inf")
+        #: min(next sweep, window end): the one test a datagram pays.
+        self._deadline_ms = float("-inf")
 
     @property
     def parse_errors(self) -> int:
@@ -204,31 +255,41 @@ class SpinFlowTable:
         (source ip/port, destination ip/port); it keys zero-length-CID
         flows and feeds the resolver's migration linkage.
 
-        Only headers are read (first byte, DCID, truncated packet
-        number); payloads are checked for well-formedness, never
-        materialised.  The whole datagram is validated before the table
-        is touched, so one that fails anywhere — a later coalesced
-        packet's payload included — leaves no trace but a parse error.
+        Only headers are read (first byte, DCID and, for an attached
+        observer, the truncated packet number); payloads are checked for
+        well-formedness, never materialised.  The whole datagram is
+        validated before the table is touched, so one that fails
+        anywhere — a later coalesced packet's payload included — leaves
+        no trace but a parse error.
         """
+        if time_ms >= self._deadline_ms:
+            self._pass_deadline(time_ms)
         stats = self.stats
         resolver = self.resolver
         stats.datagrams += 1
-        if time_ms >= self._next_sweep_ms:
-            self._expire_idle(time_ms)
+        self.last_time_ms = time_ms
         dcid_length = self.short_dcid_length
+        quic = True
         try:
             if data and data[0] & 0xC0 == 0x40:
                 # A short header first is the whole datagram (it has no
                 # length field): the common case of a tap, read in place.
                 packets = 1
                 short_at = 0
+                size = len(data)
                 payload_at = 2 + dcid_length + (data[0] & 0x03)
-                if payload_at > len(data):
+                if payload_at > size:
                     raise HeaderParseError("short header truncated")
-                check_frames(data, payload_at)
+                check_frames(data, payload_at, size)
+            elif data and not data[0] & 0x40:
+                # What walk_datagram's first test raises for, without
+                # the raise: on a mixed tap this is every TCP segment.
+                quic = False
             else:
                 packets, short_at = walk_datagram(data, dcid_length)
         except ValueError:
+            quic = False
+        if not quic:
             # Malformed input is counted, never raised: a monitor must
             # not crash on what it taps.
             if resolver is not None:
@@ -237,7 +298,7 @@ class SpinFlowTable:
             stats.parse_errors += 1
             return
         if resolver is not None:
-            resolver.note_quic_datagram()
+            resolver.quic_datagrams += 1
         stats.packets += packets
         if short_at < 0:
             return  # long headers and version negotiation carry no flow data
@@ -258,29 +319,49 @@ class SpinFlowTable:
             flow = self._admit(key, time_ms)
             if flow is None:
                 stats.overflow_drops += 1
+                if resolver is not None:
+                    # resolve() registered the key; nothing will retire it.
+                    resolver.on_flow_retired(key)
                 return
         stats.short_header_packets += 1
+        window_keys = self._window_keys
+        if window_keys is not None:
+            window_keys.add(key)
         flow.last_seen_ms = time_ms
         flow.packets += 1
-        # Packet-number reconstruction, RFC 9000 Appendix A.3 (the same
-        # arithmetic as repro.quic.packet_number.decode_packet_number).
-        pn_length = (first & 0x03) + 1
-        full_pn = int.from_bytes(data[pn_at : pn_at + pn_length], "big")
-        largest = flow._largest_pn
-        if largest is None:
-            flow._largest_pn = full_pn
-        else:
-            pn_win = 1 << (8 * pn_length)
-            pn_hwin = pn_win >> 1
-            expected = largest + 1
-            full_pn |= expected & -pn_win
-            if full_pn <= expected - pn_hwin and full_pn < (1 << 62) - pn_win:
-                full_pn += pn_win
-            elif full_pn > expected + pn_hwin and full_pn >= pn_win:
-                full_pn -= pn_win
-            if full_pn > largest:
+        spin = first & 0x20
+        flow.values_mask |= 2 if spin else 1
+        last = flow._last_spin
+        if spin != last:
+            flow._last_spin = spin
+            if last is not None:
+                # A spin edge; two of them are one received-order sample.
+                flow.edges += 1
+                previous_edge = flow._last_edge_ms
+                flow._last_edge_ms = time_ms
+                if previous_edge is not None and self.on_sample is not None:
+                    self.on_sample(time_ms, time_ms - previous_edge)
+        observer = flow._observer
+        if observer is not None:
+            # Packet-number reconstruction, RFC 9000 Appendix A.3 (the same
+            # arithmetic as repro.quic.packet_number.decode_packet_number).
+            pn_length = (first & 0x03) + 1
+            full_pn = int.from_bytes(data[pn_at : pn_at + pn_length], "big")
+            largest = flow._largest_pn
+            if largest is None:
                 flow._largest_pn = full_pn
-        flow._observer.on_packet(time_ms, full_pn, first & 0x20 != 0)
+            else:
+                pn_win = 1 << (8 * pn_length)
+                pn_hwin = pn_win >> 1
+                expected = largest + 1
+                full_pn |= expected & -pn_win
+                if full_pn <= expected - pn_hwin and full_pn < (1 << 62) - pn_win:
+                    full_pn += pn_win
+                elif full_pn > expected + pn_hwin and full_pn >= pn_win:
+                    full_pn -= pn_win
+                if full_pn > largest:
+                    flow._largest_pn = full_pn
+            observer.on_packet(time_ms, full_pn, spin != 0)
         if self.on_packet is not None:
             self.on_packet(flow, time_ms)
 
@@ -305,23 +386,24 @@ class SpinFlowTable:
             _, lru = self.flows.popitem(last=False)
             self.stats.flows_evicted += 1
             self._retire(lru, "evicted")
+        flow = FlowRecord(flow_key=key, first_seen_ms=time_ms, last_seen_ms=time_ms)
         if self.observer_factory is not None:
-            observer = self.observer_factory(key)
-            flow = FlowRecord(
-                flow_key=key,
-                first_seen_ms=time_ms,
-                last_seen_ms=time_ms,
-                _observer=observer,
-            )
-        else:
-            flow = FlowRecord(
-                flow_key=key, first_seen_ms=time_ms, last_seen_ms=time_ms
-            )
+            flow._observer = self.observer_factory(key)
+        elif self.on_sample is None:
+            flow._observer = SpinObserver()
         self.flows[key] = flow
         self.stats.flows_created += 1
         if len(self.flows) > self.stats.peak_flows:
             self.stats.peak_flows = len(self.flows)
         return flow
+
+    def _pass_deadline(self, time_ms: float) -> None:
+        """Stream time reached the window's end, a due idle sweep, or both."""
+        if time_ms >= self._window_end_ms:
+            self._window_keys, self._window_end_ms = self.on_window(time_ms)
+        if time_ms >= self._next_sweep_ms:
+            self._expire_idle(time_ms)
+        self._deadline_ms = min(self._window_end_ms, self._next_sweep_ms)
 
     def _expire_idle(self, now_ms: float) -> None:
         self._next_sweep_ms = now_ms + self.idle_timeout_ms / 4.0

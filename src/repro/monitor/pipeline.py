@@ -3,12 +3,18 @@
 :class:`MonitorPipeline` is the on-path service loop: every
 server-to-client datagram is demultiplexed by a bounded
 :class:`~repro.core.flow_table.SpinFlowTable`, spin-RTT samples are
-retired *immediately* into the windowed aggregation layer (flows hold
-O(1) observer state via
-:class:`~repro.core.observer.StreamingSpinObserver`, no per-sample
-storage anywhere), and every closed window is published through the
-``on_snapshot`` callback.  Memory is bounded by ``max_flows`` plus one
-open window — independent of how long the stream runs.
+retired *immediately* into the windowed aggregation layer (a flow is
+one O(1) :class:`~repro.core.flow_table.FlowRecord` slot, no observer
+object and no per-sample storage anywhere), and every closed window is
+published through the ``on_snapshot`` callback.  Memory is bounded by
+``max_flows`` plus one open window — independent of how long the
+stream runs.
+
+The packet path ends in the table: ``process`` *is*
+``SpinFlowTable.on_server_datagram``, which updates the slot, retires
+samples into ``aggregator.record_sample``, fills the open window's flow
+set and calls back here once per window, not per datagram
+(``scripts/check_determinism_lint.py``, ``monitor_packet_path``).
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from typing import Callable, Iterable
 
 from repro.core.flow_resolver import FlowKeyResolver
 from repro.core.flow_table import FlowRecord, SpinFlowTable
-from repro.core.observer import StreamingSpinObserver
 from repro.monitor.aggregate import WindowAggregator, WindowConfig, WindowSnapshot
 from repro.monitor.traffic import TapDatagram
 from repro.telemetry import Telemetry
@@ -101,6 +106,10 @@ class MonitorPipeline:
     stream time passes its end — during processing, not at the end of
     the run, which is what makes this a *streaming* service rather than
     a batch replay.
+
+    ``process(time_ms, data, tuple4=None)`` ingests one tapped
+    server-to-client datagram; it is the flow table's bound entry point,
+    so a datagram costs no call in this class.
     """
 
     def __init__(
@@ -130,12 +139,12 @@ class MonitorPipeline:
             idle_timeout_ms=self.config.idle_timeout_ms,
             overflow_policy=self.config.overflow_policy,
             retain_retired=False,
-            observer_factory=self._make_observer,
             on_retire=self._on_retire,
-            on_packet=self._on_packet,
             resolver=self.resolver,
+            on_sample=self.aggregator.record_sample,
+            on_window=self._open_window,
         )
-        self._last_time_ms = 0.0
+        self.process = self.table.on_server_datagram
         self._spin_flows_retired = 0
         #: The aggregator's open window and the table's counters as they
         #: stood when it opened (see ``_open_window``).
@@ -143,14 +152,6 @@ class MonitorPipeline:
         self._stats_at_open = None
 
     # -- ingestion ------------------------------------------------------
-
-    def process(self, time_ms: float, data: bytes, tuple4: tuple | None = None) -> None:
-        """Ingest one tapped server-to-client datagram."""
-        window = self._window
-        if window is None or time_ms >= window.end_ms:
-            self._open_window(time_ms)
-        self._last_time_ms = time_ms
-        self.table.on_server_datagram(time_ms, data, tuple4)
 
     def process_stream(self, stream: Iterable[TapDatagram]) -> MonitorSummary:
         """Consume an entire tap stream and return the final summary."""
@@ -166,12 +167,10 @@ class MonitorPipeline:
             self._close_window()
         stats = self.table.stats
         spin_flows = self._spin_flows_retired + sum(
-            1
-            for flow in self.table.flows.values()
-            if len(flow._observer.values_seen) == 2
+            1 for flow in self.table.flows.values() if flow.spins
         )
         summary = MonitorSummary(
-            duration_ms=self._last_time_ms,
+            duration_ms=self.table.last_time_ms,
             windows=self.aggregator.windows_emitted,
             datagrams=stats.datagrams,
             packets=stats.packets,
@@ -225,18 +224,21 @@ class MonitorPipeline:
         self._span.end(summary.duration_ms)
         return summary
 
-    def _open_window(self, time_ms: float) -> None:
+    def _open_window(self, time_ms: float) -> tuple[set, float]:
         """Close the window ``time_ms`` has passed, open the one it is in.
 
-        The table's counters move only inside ``process``, so a window's
-        share of them is the difference between one copy of ``stats``
-        taken here and ``stats`` when the window closes — nothing is
-        read or built per datagram.
+        The table's ``on_window`` hook: called before the datagram at
+        ``time_ms`` is counted, it hands the table the new window's flow
+        set and end.  The table's counters move only inside ``process``,
+        so a window's share of them is the difference between one copy
+        of ``stats`` taken here and ``stats`` when the window closes —
+        nothing is read or built per datagram.
         """
         if self._window is not None:
             self._close_window(time_ms)
-        self._window = self.aggregator.window_for(time_ms)
+        window = self._window = self.aggregator.window_for(time_ms)
         self._stats_at_open = replace(self.table.stats)
+        return window.flow_keys, window.end_ms
 
     def _close_window(self, time_ms: float | None = None) -> None:
         """Settle the open window's counters and publish it.
@@ -275,17 +277,9 @@ class MonitorPipeline:
             samples=snapshot.samples.get("count", 0),
         )
 
-    # -- flow-table hooks ----------------------------------------------
-
-    def _make_observer(self, flow_key: str) -> StreamingSpinObserver:
-        return StreamingSpinObserver(on_sample=self.aggregator.record_sample)
-
     def _on_retire(self, flow: FlowRecord, reason: str) -> None:
-        if len(flow._observer.values_seen) == 2:
+        if flow.spins:
             self._spin_flows_retired += 1
-
-    def _on_packet(self, flow: FlowRecord, time_ms: float) -> None:
-        self._window.flow_keys.add(flow.flow_key)
 
     def _table_health(self) -> dict:
         """Gauges + cumulative counters at this instant."""

@@ -238,8 +238,16 @@ def check_frames(data: bytes, at: int = 0, end: int | None = None) -> None:
                 if frame_type & 0x04:
                     at += 1 << (data[at] >> 6)
                 if frame_type & 0x02:
-                    length, at = _varint(data, at, end)
-                    at += length
+                    # The length of nearly every STREAM frame is a one-
+                    # or two-byte varint: read in line, both bytes in bounds.
+                    if at + 1 < end and (prefix := data[at]) < 0x80:
+                        if prefix < 0x40:
+                            at += 1 + prefix
+                        else:
+                            at += 2 + ((prefix & 0x3F) << 8 | data[at + 1])
+                    else:
+                        length, at = _varint(data, at, end)
+                        at += length
                     if at > end:
                         raise FrameParseError("STREAM frame data truncated")
                 elif at > end:

@@ -135,7 +135,7 @@ class TestFlowKeyResolver:
         tcp = encode_tcp_segment(TcpSegment(443, 50000, 1, 1, True, 0x10, 0))
         assert resolver.classify_non_quic(tcp, self.TUPLE) == "tcp"
         assert resolver.classify_non_quic(b"\x00\x01", self.TUPLE) == "unparseable"
-        resolver.note_quic_datagram()
+        resolver.quic_datagrams += 1  # what the flow table does per QUIC datagram
         counters = resolver.counters()
         assert counters["transport_mix"] == {"quic": 1, "tcp": 1, "unparseable": 1}
         assert counters["tcp_flows"] == 1

@@ -173,7 +173,7 @@ class TestWindowAggregator:
 class TestMonitorPipeline:
     def test_bounded_memory_under_load(self, small_stream):
         """Table bounded at max_flows, no retired-flow accumulation,
-        no per-sample buffers in the streaming observers."""
+        no observer object and no sample series behind a flow's slot."""
         config = MonitorConfig(max_flows=8)
         pipeline = MonitorPipeline(config)
         for tap in small_stream:
@@ -184,7 +184,8 @@ class TestMonitorPipeline:
         assert summary.peak_flows <= 8
         assert summary.flows_evicted > 0
         for flow in pipeline.table.flows.values():
-            assert flow._observer.take_samples() == []
+            assert flow._observer is None
+            assert flow.observation().rtts_received_ms == []
 
     def test_summary_consistent_with_windows(self, small_stream):
         snapshots = []

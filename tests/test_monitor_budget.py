@@ -14,14 +14,19 @@ counter) and is by design where a live bundle and the off bundle differ;
 everything per datagram is held to *equal* counts in the two states —
 the flow table counts in its own ints and ``finish()`` copies them out.
 
-Measured when the budget was set (PR 18), telemetry off / on:
+Measured when the budget was set (PR 18) and lowered (PR 24: the packet
+path ends in the flow slot — no ``process`` frame, no observer object,
+no per-packet hook, no raise for TCP, STREAM lengths read in line),
+telemetry off / on:
 
-=======  ==============  ===========
-tap      parent          this change
-=======  ==============  ===========
-steady   15.57 / 18.60   15.57 / 15.57
-churn    17.93 / 20.58   17.93 / 17.93
-=======  ==============  ===========
+=======  =====  ==============  =============
+tap      PR     parent          that change
+=======  =====  ==============  =============
+steady   18     15.57 / 18.60   15.57 / 15.57
+churn    18     17.93 / 20.58   17.93 / 17.93
+steady   24     15.57 / 15.57    7.90 /  7.90
+churn    24     17.93 / 17.93   10.35 / 10.35
+=======  =====  ==============  =============
 """
 
 import gc
@@ -35,10 +40,9 @@ from repro.monitor.traffic import TrafficConfig, TrafficMux
 from repro.netsim.migration import parse_migration_plan
 from repro.telemetry import Telemetry
 
-#: Calls per datagram at the parent commit with telemetry *off* (15.5742
-#: and 17.9277, rounded up); the change may not exceed them in either
-#: state.
-BUDGET = {"steady": 15.575, "churn": 17.928}
+#: Calls per datagram measured by PR 24 with telemetry *off* (7.8962 and
+#: 10.3499, rounded up); a change may not exceed them in either state.
+BUDGET = {"steady": 7.897, "churn": 10.350}
 
 ONE_WINDOW = WindowConfig(window_ms=1e9)
 

@@ -247,6 +247,27 @@ class TestCheckFrames:
         verdict = walk_frames(before + payload + after, len(before), len(before) + len(payload))
         assert verdict == reference_frames(payload)
 
+    @pytest.mark.parametrize("frame_type", [0x0A, 0x0B, 0x0E])
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_stream_length_read_in_line_at_every_boundary(self, frame_type, width):
+        """One- and two-byte STREAM lengths are read without ``_varint``:
+        every length that fits the width, against data that is complete,
+        one byte short, cut inside the length itself, or followed by
+        another frame — alone and in place inside a datagram."""
+        head = bytes([frame_type, 0x01]) + (b"\x05" if frame_type & 0x04 else b"")
+        for length in (0, 1, 62, 63, 64, 65, 300, 16_383):
+            if width == 1 and length > 63:
+                continue
+            prefix = (length | {1: 0, 2: 0x4000, 4: 0x80000000}[width]).to_bytes(width, "big")
+            whole = head + prefix + bytes(length)
+            for payload in (
+                whole, whole[:-1], whole + b"\x01", whole + b"\x21",
+                head + prefix[:-1], head + prefix, head,
+            ):
+                assert walk_frames(payload) == reference_frames(payload), payload.hex()
+                framed = b"\x01\x01" + payload + b"\x00\x00"
+                assert walk_frames(framed, 2, 2 + len(payload)) == reference_frames(payload)
+
     @pytest.mark.parametrize(
         "payload", [ACK_FIRST_RANGE_UNDERFLOW, NCID_EMPTY_CID, NCID_LONG_CID]
     )

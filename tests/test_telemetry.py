@@ -416,6 +416,48 @@ class TestDeterminismLint:
             [f"connection.py:{n}" for n in (7, 8, 9, 11, 12, 14)] + ["frames.py:3", "frames.py:4"]
         )
 
+    def test_pipeline_code_on_the_packet_path_is_caught(self, tmp_path):
+        """One fabricated offender per pattern, in ``monitor/pipeline.py``
+        only: the hooks the table calls per packet, and a ``process``
+        wrapper around the table's entry."""
+        monitor = tmp_path / "repro" / "monitor"
+        monitor.mkdir(parents=True)
+        pipeline = (
+            "class MonitorPipeline:",
+            "    def __init__(self):",
+            "        self.table = SpinFlowTable(",
+            "            on_retire=self._on_retire,",
+            "            on_window=self._open_window,",
+            "            on_sample=self.aggregator.record_sample,",
+            "        )",
+            "        self.other = SpinFlowTable(",
+            "            observer_factory=make,",  # 9
+            "            on_packet=self.aggregator.touch,",  # 10
+            "            on_sample=self._on_sample,",  # 11
+            "        )",
+            "        self.third = SpinFlowTable(on_sample=lambda t, rtt: None)",  # 13
+            "    def process(self, time_ms, data):",  # 14
+            "        self.table.on_server_datagram(time_ms, data)",
+            "    def _on_sample(self, time_ms, rtt_ms): pass",
+            "    def _on_retire(self, flow, reason): pass",
+            "    def _open_window(self, time_ms): pass",
+        )
+        (monitor / "pipeline.py").write_text("\n".join(pipeline) + "\n", encoding="utf-8")
+        # A bench or an example may attach observers and hooks.
+        (monitor / "snapshots.py").write_text("\n".join(pipeline) + "\n", encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, str(self.LINT), str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        flagged = sorted(
+            line.strip().split(": ")[0].rsplit("/", 1)[1]
+            for line in result.stderr.splitlines()
+            if line.startswith("  /")
+        )
+        assert flagged == sorted(f"pipeline.py:{n}" for n in (9, 10, 11, 13, 14))
+
     def test_asking_whether_anyone_listens_is_caught(self, tmp_path):
         """One fabricated offender per pattern; a pragma does not help,
         and only ``repro.telemetry`` may hold the off state's tests."""
