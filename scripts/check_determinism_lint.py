@@ -93,6 +93,14 @@ Which further rules apply to which layer (directory under
   the file defines (samples go straight to the aggregator), and there is
   no ``def process`` — ``process`` is the table's bound entry point, so
   nothing in that file runs once per datagram.  No pragma opts out.
+* One flow structure, ``core/flow_table.py`` and ``core/flow_resolver.py``:
+  a flow's identity lives in its slot and leaves the resolver's indexes
+  when ``_retire`` releases the slot, so a definition or call of
+  ``on_flow_retired`` (the per-key maps' second eviction path) is
+  flagged; flows are keyed by CID bytes, so a ``.hex(`` call inside
+  ``on_server_datagram`` is flagged; and the packet finds its slot with
+  one index read, so every call of a resolver method there after the
+  first (transport classification) is flagged.  No pragma opts out.
 
 Benchmarks (``benchmarks/``) legitimately measure wall-clock and are
 not scanned.  A source line may opt out with the pattern's pragma when
@@ -510,6 +518,32 @@ def monitor_packet_path(text: str) -> list[int]:
     return numbers
 
 
+def one_flow_structure(text: str) -> list[int]:
+    """What would split flow identity back into two structures: a
+    definition or call of ``on_flow_retired``; in ``on_server_datagram``
+    a ``.hex(`` call, or a second call of a resolver method
+    (``resolver.f(...)`` / ``self.resolver.f(...)``)."""
+    numbers = []
+    for node in ast.walk(ast.parse(text)):
+        if _called_name(node) == "on_flow_retired" or (
+            isinstance(node, ast.FunctionDef) and node.name == "on_flow_retired"
+        ):
+            numbers.append(node.lineno)
+        if not (isinstance(node, ast.FunctionDef) and node.name == "on_server_datagram"):
+            continue
+        resolver_calls = []
+        for inner in ast.walk(node):
+            func = getattr(inner, "func", None)
+            if not isinstance(inner, ast.Call) or not isinstance(func, ast.Attribute):
+                continue
+            if func.attr == "hex":
+                numbers.append(inner.lineno)
+            elif _bare_name(func.value) == "resolver":
+                resolver_calls.append(inner.lineno)
+        numbers.extend(sorted(resolver_calls)[1:])
+    return sorted(numbers)
+
+
 #: What every file is held to; a layer (directory under ``repro/``) not
 #: listed below gets exactly this.
 _EVERYWHERE = (
@@ -541,9 +575,12 @@ LAYER_RULES = {
 #: file → ``(rules added, rules lifted)``.  The reference codec's own
 #: modules (and the package's re-exports of it) are where its names
 #: live; the endpoint and the field decoder carry the one-datapath rules,
-#: the monitor pipeline the rule that keeps it off the packet path.
+#: the monitor pipeline the rule that keeps it off the packet path, the
+#: flow table and resolver the rule that keeps flow identity one structure.
 _CODEC_HOME = ((), (endpoint_decoder_uses,))
 FILE_RULES = {
+    "repro/core/flow_resolver.py": ((one_flow_structure,), ()),
+    "repro/core/flow_table.py": ((one_flow_structure,), ()),
     "repro/monitor/pipeline.py": ((monitor_packet_path,), ()),
     "repro/quic/__init__.py": _CODEC_HOME,
     "repro/quic/connection.py": ((forked_datapath,), ()),
@@ -612,7 +649,10 @@ def main(argv: list[str] | None = None) -> int:
             "read_footer and written by _FrameWriter / _write_footer, nowhere else; "
             "monitor/pipeline.py builds its SpinFlowTable without observer_factory= / "
             "on_packet=, binds on_sample= to no code of its own and defines no "
-            "process() — the table's on_server_datagram is the pipeline's entry)",
+            "process() — the table's on_server_datagram is the pipeline's entry; "
+            "core/flow_table.py and core/flow_resolver.py neither define nor call "
+            "on_flow_retired (the slot holds its claims, _retire releases them), and "
+            "on_server_datagram calls no .hex( and at most one resolver method)",
             file=sys.stderr,
         )
         return 1

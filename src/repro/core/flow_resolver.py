@@ -13,28 +13,32 @@ Analysis of QUIC Connection Migration in the Wild" in PAPERS.md):
 * **Active path migration** — both change at once, deliberately, so
   that an on-path observer *cannot* link the paths.
 
-:class:`FlowKeyResolver` is the antidote for the linkable two: it maps
-every CID observed on a connection to one canonical flow key (the
-first CID's hex), links an unknown CID to a live flow when the 4-tuple
-carries continuity (rotation), and records a tuple change on a known
-CID as a rebind.  Zero-length CIDs fall back to pure 4-tuple keying in
-a separate key namespace so they can never merge with CID-keyed flows.
-The unlinkable third kind degrades gracefully by design: a new flow
-opens, nothing crashes, and nothing silently merges.
+:class:`FlowKeyResolver` is the antidote for the linkable two.  A
+flow's identity — the CIDs and 4-tuples it was seen with — lives in its
+slot (:class:`~repro.core.flow_table.FlowRecord` ``cids`` / ``tuples``);
+the resolver holds the linkage policy and two indexes, from CID bytes
+and from 4-tuple to the slot claiming them.  A known CID on an unclaimed
+4-tuple is a rebind, followed; an unknown CID on a claimed 4-tuple is a
+rotation, adopted into the owner.  Zero-length CIDs are never indexed:
+the table keys those flows by 4-tuple, apart from CID bytes.  The
+unlinkable third kind degrades gracefully by design: a new flow opens,
+nothing crashes, and nothing silently merges.
+
+Claims go only to slots the table holds — :meth:`~FlowKeyResolver.find`
+for a resident slot, :meth:`~FlowKeyResolver.admit` once a new one is
+admitted — and :meth:`~FlowKeyResolver.release` drops them, from the
+slot's own fields, when it is retired: the indexes are bounded by
+``max_flows``, and a flow the table refuses leaves nothing behind.
 
 The resolver also classifies transports: datagrams that fail the QUIC
 header parse are tested against the TCP segment shape
 (:mod:`repro.netsim.tcp`) and filed under ``transport_mix`` as
 ``"tcp"`` or ``"unparseable"`` instead of being uniform parse errors.
-
-All state is keyed to *live* flows: :meth:`on_flow_retired` drops a
-retired flow's CID and tuple claims — and those of a flow the table
-refused to admit — so resolver memory is bounded by the flow table's
-``max_flows``, not by traffic history.
 """
 
 from __future__ import annotations
 
+from repro.core.flow_table import FlowRecord, tuple_flow_key
 from repro.netsim.tcp import decode_tcp_segment
 
 __all__ = ["FlowKeyResolver", "tuple_flow_key"]
@@ -44,18 +48,8 @@ __all__ = ["FlowKeyResolver", "tuple_flow_key"]
 _QUIC_FORM_OR_FIXED = 0xC0
 
 
-def tuple_flow_key(tuple4: tuple) -> str:
-    """The flow key of a zero-length-CID flow: its 4-tuple, namespaced.
-
-    The ``4t:`` prefix keeps tuple-keyed flows in a different key space
-    from CID-keyed ones (hex strings), so a CID flow sharing a 4-tuple
-    with an empty-CID flow can never collide with it.
-    """
-    return "4t:" + ":".join(str(part) for part in tuple4)
-
-
 class FlowKeyResolver:
-    """CID-linkage table mapping wire observations to canonical flow keys.
+    """CID-linkage policy and the identity indexes of a flow table.
 
     ``cid_linkage=False`` disables the rotation-linking step (every
     unknown CID opens a new flow, as the legacy table behaved) while
@@ -71,10 +65,8 @@ class FlowKeyResolver:
         "quic_datagrams",
         "tcp_datagrams",
         "unparseable_datagrams",
-        "_by_cid",
-        "_by_tuple",
-        "_key_cids",
-        "_key_tuples",
+        "by_cid",
+        "by_tuple",
         "_tcp_tuples",
     )
 
@@ -82,20 +74,18 @@ class FlowKeyResolver:
         self.cid_linkage = cid_linkage
         #: Flows that kept one identity across a CID change (linked
         #: rotations); ``rebinds_seen`` counts tuple changes on a known
-        #: CID; ``flows_split`` counts flows that opened even though a
-        #: live flow owned the 4-tuple (linkage off, or an empty-CID /
-        #: foreign-CID conflict) — the degradation the chaos gate pins
-        #: at zero for linkable traffic.
+        #: CID; ``flows_split`` counts flows admitted even though a live
+        #: flow owned the 4-tuple (linkage off) — the degradation the
+        #: chaos gate pins at zero for linkable traffic.
         self.flows_migrated = 0
         self.flows_split = 0
         self.rebinds_seen = 0
         self.quic_datagrams = 0
         self.tcp_datagrams = 0
         self.unparseable_datagrams = 0
-        self._by_cid: dict[str, str] = {}
-        self._by_tuple: dict[tuple, str] = {}
-        self._key_cids: dict[str, set[str]] = {}
-        self._key_tuples: dict[str, set[tuple]] = {}
+        #: Every alias CID / claimed 4-tuple of a held slot -> that slot.
+        self.by_cid: dict[bytes, FlowRecord] = {}
+        self.by_tuple: dict[tuple, FlowRecord] = {}
         self._tcp_tuples: set[tuple] = set()
 
     # ------------------------------------------------------------------
@@ -103,63 +93,64 @@ class FlowKeyResolver:
     # ------------------------------------------------------------------
 
     def resolve(self, cid_hex: str, tuple4: tuple | None) -> str:
-        """Canonical flow key for one QUIC short-header packet."""
-        if not cid_hex:
+        """Canonical flow key for one QUIC short-header packet, without a
+        table: identity is registered as for an admitted slot, never retired."""
+        cid = bytes.fromhex(cid_hex)
+        if not cid:
             # Zero-length CID: the 4-tuple is the only identity there
-            # is.  Keyed deterministically in the ``4t:`` namespace; a
-            # tuple change on such a flow is unlinkable by definition.
-            if tuple4 is None:
-                return "(empty)"
-            return tuple_flow_key(tuple4)
+            # is; a tuple change on such a flow is unlinkable by definition.
+            return "(empty)" if tuple4 is None else tuple_flow_key(tuple4)
+        flow = self.find(cid, tuple4)
+        if flow is None:
+            flow = FlowRecord(cid_hex, 0.0, 0.0, key=cid)
+            self.admit(flow, cid, tuple4)
+        return flow.flow_key
 
-        key = self._by_cid.get(cid_hex)
-        if key is not None:
-            if tuple4 is not None and tuple4 not in self._key_tuples[key]:
+    def find(self, cid: bytes, tuple4: tuple | None) -> FlowRecord | None:
+        """The held slot a packet with ``cid`` on ``tuple4`` belongs to,
+        or ``None`` when it would open a new flow."""
+        flow = self.by_cid.get(cid)
+        if flow is not None:
+            if tuple4 is not None and tuple4 not in flow.tuples:
                 # Known CID on a new path: NAT rebind. Follow it.
                 self.rebinds_seen += 1
-                self._claim_tuple(key, tuple4)
-            return key
+                self._claim_tuple(flow, tuple4)
+        elif tuple4 is not None and self.cid_linkage:
+            flow = self.by_tuple.get(tuple4)
+            if flow is not None:
+                # Unknown CID with tuple continuity: CID rotation.
+                self.flows_migrated += 1
+                self.by_cid[cid] = flow
+                flow.cids += (cid,)
+        return flow
 
+    def admit(self, flow: FlowRecord, cid: bytes, tuple4: tuple | None) -> None:
+        """Claim ``cid`` and ``tuple4`` for a slot the table just admitted.
+
+        A 4-tuple a held flow owns means the evidence said continuation
+        and the policy said split: counted, and the new flow takes the
+        tuple (last writer wins, as on a real NAT).
+        """
+        self.by_cid[cid] = flow
+        flow.cids = (cid,)
         if tuple4 is not None:
-            owner = self._by_tuple.get(tuple4)
-            if owner is not None:
-                if self.cid_linkage:
-                    # Unknown CID with tuple continuity: CID rotation.
-                    # Adopt the CID into the owning flow's identity.
-                    self.flows_migrated += 1
-                    self._by_cid[cid_hex] = owner
-                    self._key_cids[owner].add(cid_hex)
-                    return owner
-                # Linkage disabled: the evidence says continuation, the
-                # policy says split.  Count it; the new flow takes the
-                # tuple (last writer wins, as on a real NAT).
+            if tuple4 in self.by_tuple:
                 self.flows_split += 1
+            self._claim_tuple(flow, tuple4)
 
-        key = cid_hex
-        self._by_cid[cid_hex] = key
-        self._key_cids[key] = {cid_hex}
-        self._key_tuples[key] = set()
-        if tuple4 is not None:
-            self._claim_tuple(key, tuple4)
-        return key
+    def release(self, flow: FlowRecord) -> None:
+        """Drop the claims of a slot the table retired."""
+        for cid in flow.cids:
+            del self.by_cid[cid]
+        for tuple4 in flow.tuples:
+            del self.by_tuple[tuple4]
 
-    def on_flow_retired(self, key: str) -> None:
-        """Forget the claims of a flow the table retired or refused."""
-        for cid_hex in self._key_cids.pop(key, ()):
-            if self._by_cid.get(cid_hex) == key:
-                del self._by_cid[cid_hex]
-        for tuple4 in self._key_tuples.pop(key, ()):
-            if self._by_tuple.get(tuple4) == key:
-                del self._by_tuple[tuple4]
-
-    def _claim_tuple(self, key: str, tuple4: tuple) -> None:
-        previous = self._by_tuple.get(tuple4)
-        if previous is not None and previous != key:
-            owned = self._key_tuples.get(previous)
-            if owned is not None:
-                owned.discard(tuple4)
-        self._by_tuple[tuple4] = key
-        self._key_tuples[key].add(tuple4)
+    def _claim_tuple(self, flow: FlowRecord, tuple4: tuple) -> None:
+        previous = self.by_tuple.get(tuple4)
+        if previous is not None:
+            previous.tuples = tuple(owned for owned in previous.tuples if owned != tuple4)
+        self.by_tuple[tuple4] = flow
+        flow.tuples += (tuple4,)
 
     # ------------------------------------------------------------------
     # Transport classification

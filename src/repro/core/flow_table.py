@@ -6,9 +6,9 @@ see one connection at a time — it sees an interleaved packet stream and
 must demultiplex it into flows before spin measurement is possible.
 :class:`SpinFlowTable` implements that stage:
 
-* flows are keyed by the *destination connection ID* of the
-  server-to-client direction (the client's CID, stable for the
-  connection's lifetime in this model);
+* flows are keyed by the *destination connection ID* bytes of the
+  server-to-client direction (the client's CID), a zero-length CID by
+  the datagram's 4-tuple (``b""`` when the tap has none);
 * each flow is one :class:`FlowRecord`, the register slot of "Tracking
   the QUIC Spin Bit on Tofino" (PAPERS.md): last spin value, last edge
   time, values seen, edge and packet counts, updated in place, each
@@ -27,42 +27,55 @@ amortized: at most one per ``idle_timeout_ms / 4`` of *stream* time, so
 per-datagram cost stays O(1) even with millions of flows resident.
 
 Connection migration: with a
-:class:`~repro.core.flow_resolver.FlowKeyResolver` attached (and the
-tap supplying 4-tuples), flow keys survive NAT rebinds and CID
-rotations, and non-QUIC datagrams are classified instead of counted as
-parse errors.  Without one, behaviour — and every emitted byte — is
-exactly the legacy DCID-keyed table, except that zero-length-CID flows
-with a known 4-tuple are keyed by that tuple rather than all colliding
-on the single ``"(empty)"`` key.
+:class:`~repro.core.flow_resolver.FlowKeyResolver` attached, the slot
+also holds the flow's identity (alias CIDs, claimed 4-tuples), a packet
+finds its slot with one lookup in the resolver's CID index, claims are
+made on admission and ``_retire`` — the one exit — releases them.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Callable
 
-from repro.core.flow_resolver import FlowKeyResolver, tuple_flow_key
 from repro.core.observer import SpinObservation, SpinObserver
-from repro.quic.onpath import check_frames, walk_datagram
+from repro.quic.onpath import DirectionState, check_frames, walk_datagram
 from repro.quic.packet import HeaderParseError
 
-__all__ = ["FlowRecord", "FlowTableStats", "SpinFlowTable"]
+if TYPE_CHECKING:
+    from repro.core.flow_resolver import FlowKeyResolver
+
+__all__ = ["FlowRecord", "FlowTableStats", "SpinFlowTable", "tuple_flow_key"]
 
 #: Valid ``overflow_policy`` values: evict the LRU flow to make room, or
 #: drop packets of not-yet-tracked flows while the table is full.
 OVERFLOW_POLICIES = ("evict-lru", "drop-new")
 
 
+def tuple_flow_key(tuple4: tuple) -> str:
+    """The flow key of a zero-length-CID flow: its 4-tuple, namespaced.
+
+    The ``4t:`` prefix keeps tuple-keyed flows in a different key space
+    from CID-keyed ones (hex strings), so a CID flow sharing a 4-tuple
+    with an empty-CID flow can never collide with it.
+    """
+    return "4t:" + ":".join(str(part) for part in tuple4)
+
+
 @dataclass(slots=True)
 class FlowRecord:
-    """One flow's slot: received-order spin state, updated in place.
+    """One flow's slot: received-order spin state, updated in place, and
+    the flow's identity.
 
     The state machine of :class:`~repro.core.observer.StreamingSpinObserver`
     (``tests/test_flow_slot.py`` holds the two together).  ``values_mask``
     has bit 0 set once spin 0 was seen, bit 1 once spin 1 was; ``edges``
-    counts value changes.  ``_observer`` and ``_largest_pn`` are used
-    only when the table attached an observer.
+    counts value changes.  ``key`` keys the slot in ``SpinFlowTable.flows``;
+    ``flow_key`` is its printable form (CID hex, :func:`tuple_flow_key` or
+    ``"(empty)"``).  ``cids`` (canonical first) and ``tuples`` are what a
+    resolver claimed; ``_observer`` and ``_direction`` exist only when the
+    table attached an observer.
     """
 
     flow_key: str
@@ -71,10 +84,13 @@ class FlowRecord:
     packets: int = 0
     values_mask: int = 0
     edges: int = 0
+    key: bytes | tuple = b""
+    cids: tuple[bytes, ...] = ()
+    tuples: tuple[tuple, ...] = ()
     _last_spin: int | None = None
     _last_edge_ms: float | None = None
     _observer: SpinObserver | None = None
-    _largest_pn: int | None = None
+    _direction: DirectionState | None = None
 
     @property
     def spins(self) -> bool:
@@ -120,18 +136,7 @@ class FlowTableStats:
 
     def as_dict(self) -> dict:
         """JSON-serializable counter block (snapshot export)."""
-        return {
-            "datagrams": self.datagrams,
-            "packets": self.packets,
-            "short_header_packets": self.short_header_packets,
-            "parse_errors": self.parse_errors,
-            "flows_created": self.flows_created,
-            "flows_evicted": self.flows_evicted,
-            "flows_expired": self.flows_expired,
-            "overflow_drops": self.overflow_drops,
-            "peak_flows": self.peak_flows,
-            "idle_sweeps": self.idle_sweeps,
-        }
+        return asdict(self)
 
 
 class SpinFlowTable:
@@ -161,8 +166,8 @@ class SpinFlowTable:
     ``on_window(time_ms)`` shares the idle sweep's deadline test: called
     for the first datagram and for each one at or past the open window's
     end, *before* that datagram is counted, it returns ``(flow_keys,
-    end_ms)`` — the set that collects the key of every tracked packet,
-    and the stream time to call again.
+    end_ms)`` — the set that collects the ``flow_key`` of every tracked
+    packet, and the stream time to call again.
     """
 
     __slots__ = (
@@ -220,11 +225,12 @@ class SpinFlowTable:
         self.on_packet = on_packet
         self.on_sample = on_sample
         self.on_window = on_window
-        #: Optional migration-aware key resolution + transport
-        #: classification (repro.core.flow_resolver).
+        #: Optional migration-aware identity + transport classification
+        #: (repro.core.flow_resolver).
         self.resolver = resolver
-        #: Resident flows in last-seen order (front = least recent).
-        self.flows: OrderedDict[str, FlowRecord] = OrderedDict()
+        #: Resident flows by ``FlowRecord.key``, in last-seen order
+        #: (front = least recent).
+        self.flows: OrderedDict[bytes | tuple, FlowRecord] = OrderedDict()
         self.evicted: list[FlowRecord] = []
         self.stats = FlowTableStats()
         #: Stream time of the latest datagram, malformed ones included.
@@ -240,11 +246,6 @@ class SpinFlowTable:
     def parse_errors(self) -> int:
         """Undecodable datagrams seen so far (alias of ``stats``)."""
         return self.stats.parse_errors
-
-    @property
-    def active_flows(self) -> int:
-        """Number of flows currently resident."""
-        return len(self.flows)
 
     def on_server_datagram(
         self, time_ms: float, data: bytes, tuple4: tuple | None = None
@@ -291,11 +292,10 @@ class SpinFlowTable:
             quic = False
         if not quic:
             # Malformed input is counted, never raised: a monitor must
-            # not crash on what it taps.
-            if resolver is not None:
-                if resolver.classify_non_quic(data, tuple4) == "tcp":
-                    return  # classified, not an error
-            stats.parse_errors += 1
+            # not crash on what it taps.  A classified TCP segment is
+            # not an error.
+            if resolver is None or resolver.classify_non_quic(data, tuple4) != "tcp":
+                stats.parse_errors += 1
             return
         if resolver is not None:
             resolver.quic_datagrams += 1
@@ -303,30 +303,29 @@ class SpinFlowTable:
         if short_at < 0:
             return  # long headers and version negotiation carry no flow data
         first = data[short_at]
-        pn_at = short_at + 1 + dcid_length
-        cid = data[short_at + 1 : pn_at]
-        if resolver is not None:
-            key = resolver.resolve(cid.hex(), tuple4)
-        elif not cid and tuple4 is not None:
-            key = tuple_flow_key(tuple4)
-        else:
-            key = cid.hex() or "(empty)"
+        cid = data[short_at + 1 : short_at + 1 + dcid_length]
         flows = self.flows
-        flow = flows.get(key)
-        if flow is not None:
-            flows.move_to_end(key)
+        if resolver is None or not cid:
+            key = cid if cid or tuple4 is None else tuple4
+            flow = flows.get(key)
         else:
-            flow = self._admit(key, time_ms)
+            # Every alias CID of a resident flow indexes its slot; the
+            # slot on a 4-tuple it has not claimed is a rebind to follow.
+            key = cid
+            flow = resolver.by_cid.get(cid)
+            if flow is not None and tuple4 is not None and tuple4 not in flow.tuples:
+                flow = None
+        if flow is None:
+            flow = self._admit(key, cid, tuple4, time_ms)
             if flow is None:
                 stats.overflow_drops += 1
-                if resolver is not None:
-                    # resolve() registered the key; nothing will retire it.
-                    resolver.on_flow_retired(key)
                 return
+        else:
+            flows.move_to_end(flow.key)
         stats.short_header_packets += 1
         window_keys = self._window_keys
         if window_keys is not None:
-            window_keys.add(key)
+            window_keys.add(flow.flow_key)
         flow.last_seen_ms = time_ms
         flow.packets += 1
         spin = first & 0x20
@@ -343,31 +342,14 @@ class SpinFlowTable:
                     self.on_sample(time_ms, time_ms - previous_edge)
         observer = flow._observer
         if observer is not None:
-            # Packet-number reconstruction, RFC 9000 Appendix A.3 (the same
-            # arithmetic as repro.quic.packet_number.decode_packet_number).
-            pn_length = (first & 0x03) + 1
-            full_pn = int.from_bytes(data[pn_at : pn_at + pn_length], "big")
-            largest = flow._largest_pn
-            if largest is None:
-                flow._largest_pn = full_pn
-            else:
-                pn_win = 1 << (8 * pn_length)
-                pn_hwin = pn_win >> 1
-                expected = largest + 1
-                full_pn |= expected & -pn_win
-                if full_pn <= expected - pn_hwin and full_pn < (1 << 62) - pn_win:
-                    full_pn += pn_win
-                elif full_pn > expected + pn_hwin and full_pn >= pn_win:
-                    full_pn -= pn_win
-                if full_pn > largest:
-                    flow._largest_pn = full_pn
-            observer.on_packet(time_ms, full_pn, spin != 0)
+            packet_number = flow._direction.read_short(data, short_at, dcid_length)[3]
+            observer.on_packet(time_ms, packet_number, spin != 0)
         if self.on_packet is not None:
             self.on_packet(flow, time_ms)
 
     def observations(self) -> dict[str, SpinObservation]:
         """Current per-flow observations (active flows only)."""
-        return {key: flow.observation() for key, flow in self.flows.items()}
+        return {flow.flow_key: flow.observation() for flow in self.flows.values()}
 
     def all_flows(self) -> list[FlowRecord]:
         """Active plus retained retired flows, in first-seen order."""
@@ -377,24 +359,41 @@ class SpinFlowTable:
 
     # ------------------------------------------------------------------
 
-    def _admit(self, key: str, time_ms: float) -> FlowRecord | None:
-        """Open a flow for an untracked ``key``; ``None`` if dropped."""
-        if len(self.flows) >= self.max_flows:
-            if self.overflow_policy == "drop-new":
-                return None
+    def _admit(
+        self, key: bytes | tuple, cid: bytes, tuple4: tuple | None, time_ms: float
+    ) -> FlowRecord | None:
+        """The slot for a packet the index lookup did not place: the
+        resident flow a rebind or an adopted CID leads to, else a new
+        slot under ``key`` whose claims are registered once it is held;
+        ``None`` (and no claim) if the table is full under ``drop-new``."""
+        flows = self.flows
+        resolver = self.resolver if cid else None
+        if resolver is not None:
+            flow = resolver.find(cid, tuple4)
+            if flow is not None:
+                flows.move_to_end(flow.key)
+                return flow
+        if len(flows) >= self.max_flows and self.overflow_policy == "drop-new":
+            return None
+        flow_key = tuple_flow_key(key) if type(key) is tuple else key.hex() or "(empty)"
+        flow = FlowRecord(flow_key, time_ms, time_ms, key=key)
+        if self.observer_factory is not None or self.on_sample is None:
+            factory = self.observer_factory
+            flow._observer = SpinObserver() if factory is None else factory(flow_key)
+            flow._direction = DirectionState()
+        flows[key] = flow
+        if resolver is not None:
+            # Claimed before the LRU leaves: a 4-tuple owned when the
+            # packet arrived is a split even if its owner is evicted now.
+            resolver.admit(flow, cid, tuple4)
+        stats = self.stats
+        stats.flows_created += 1
+        if len(flows) > self.max_flows:
             # Front of the OrderedDict is the least recently seen flow.
-            _, lru = self.flows.popitem(last=False)
-            self.stats.flows_evicted += 1
-            self._retire(lru, "evicted")
-        flow = FlowRecord(flow_key=key, first_seen_ms=time_ms, last_seen_ms=time_ms)
-        if self.observer_factory is not None:
-            flow._observer = self.observer_factory(key)
-        elif self.on_sample is None:
-            flow._observer = SpinObserver()
-        self.flows[key] = flow
-        self.stats.flows_created += 1
-        if len(self.flows) > self.stats.peak_flows:
-            self.stats.peak_flows = len(self.flows)
+            stats.flows_evicted += 1
+            self._retire(next(iter(flows.values())), "evicted")
+        if len(flows) > stats.peak_flows:
+            stats.peak_flows = len(flows)
         return flow
 
     def _pass_deadline(self, time_ms: float) -> None:
@@ -413,17 +412,17 @@ class SpinFlowTable:
         # Recency order means stale flows cluster at the front; stop at
         # the first fresh one instead of sweeping the whole table.
         while flows:
-            key = next(iter(flows))
-            flow = flows[key]
+            flow = next(iter(flows.values()))
             if flow.last_seen_ms >= deadline:
                 break
-            del flows[key]
             self.stats.flows_expired += 1
             self._retire(flow, "expired")
 
     def _retire(self, flow: FlowRecord, reason: str) -> None:
+        """The one exit: the slot leaves the table, its claims the resolver."""
+        del self.flows[flow.key]
         if self.resolver is not None:
-            self.resolver.on_flow_retired(flow.flow_key)
+            self.resolver.release(flow)
         if self.retain_retired:
             self.evicted.append(flow)
         if self.on_retire is not None:

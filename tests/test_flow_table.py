@@ -47,8 +47,8 @@ class TestDemultiplexing:
         table.on_server_datagram(0.0, datagram(CID_A, 250, False))
         table.on_server_datagram(1.0, datagram(CID_B, 3, True))
         flows = table.flows
-        assert flows[ConnectionId(CID_A).hex]._largest_pn == 250
-        assert flows[ConnectionId(CID_B).hex]._largest_pn == 3
+        assert flows[CID_A]._direction.largest_pn == 250
+        assert flows[CID_B]._direction.largest_pn == 3
 
     def test_long_headers_ignored(self):
         from repro.quic.frames import CryptoFrame
@@ -73,7 +73,7 @@ class TestTableManagement:
         table = SpinFlowTable(short_dcid_length=8, idle_timeout_ms=100.0)
         table.on_server_datagram(0.0, datagram(CID_A, 0, False))
         table.on_server_datagram(500.0, datagram(CID_B, 0, False))
-        assert ConnectionId(CID_A).hex not in table.flows
+        assert CID_A not in table.flows
         assert len(table.evicted) == 1
         assert table.evicted[0].flow_key == ConnectionId(CID_A).hex
 
@@ -118,7 +118,7 @@ class TestChurn:
         table.on_server_datagram(2.0, datagram(cid_a, 1, False))  # refresh A
         table.on_server_datagram(3.0, datagram(cid_c, 0, False))
         assert [f.flow_key for f in table.evicted] == [ConnectionId(cid_b).hex]
-        assert ConnectionId(cid_a).hex in table.flows
+        assert cid_a in table.flows
         assert table.stats.flows_evicted == 1
 
     def test_eviction_order_under_sustained_overflow(self):
@@ -147,7 +147,7 @@ class TestChurn:
         assert table.stats.flows_created == 2
         # Established flows still update while the table is full.
         table.on_server_datagram(3.0, datagram(cids[0], 1, True))
-        assert table.flows[ConnectionId(cids[0]).hex].packets == 2
+        assert table.flows[cids[0]].packets == 2
 
     def test_unknown_overflow_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -162,7 +162,7 @@ class TestChurn:
         table.on_server_datagram(0.0, datagram(idle_cid, 0, False))
         for step in range(1, 200):
             table.on_server_datagram(float(step), datagram(busy_cid, step, False))
-        assert ConnectionId(idle_cid).hex not in table.flows
+        assert idle_cid not in table.flows
         assert table.stats.flows_expired == 1
         # Amortization: far fewer sweeps than datagrams.
         assert table.stats.idle_sweeps <= 200 / (100.0 / 4.0) + 2
@@ -225,7 +225,7 @@ class TestChurn:
             table.on_server_datagram(pn * 40.0, datagram(CID_A, pn, pn % 2 == 1))
         # Edges at 40,80,...: samples are consecutive edge intervals.
         assert samples == [(ConnectionId(CID_A).hex, 40.0)] * 4
-        flow = table.flows[ConnectionId(CID_A).hex]
+        flow = table.flows[CID_A]
         # Retired samples are not accumulated in the flow record.
         assert flow.observation().rtts_received_ms == []
         assert flow.observation().values_seen == {False, True}
@@ -280,7 +280,7 @@ class TestZeroLengthCid:
             table.on_server_datagram(pn * 40.0, datagram(b"", pn, pn % 2 == 1), tuple_a)
             table.on_server_datagram(pn * 100.0, datagram(b"", pn, pn % 2 == 1), tuple_b)
         assert len(table.flows) == 2
-        assert set(table.flows) == {tuple_flow_key(tuple_a), tuple_flow_key(tuple_b)}
+        assert set(table.flows) == {tuple_a, tuple_b}
         observations = table.observations()
         assert observations[tuple_flow_key(tuple_a)].rtts_received_ms == pytest.approx(
             [40.0, 40.0]
@@ -293,7 +293,8 @@ class TestZeroLengthCid:
         """No tap tuple available: the legacy "(empty)" key still works."""
         table = SpinFlowTable(short_dcid_length=0)
         table.on_server_datagram(0.0, datagram(b"", 0, False))
-        assert set(table.flows) == {"(empty)"}
+        assert set(table.flows) == {b""}
+        assert set(table.observations()) == {"(empty)"}
 
 
 class TestResolverIntegration:

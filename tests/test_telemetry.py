@@ -458,6 +458,41 @@ class TestDeterminismLint:
         )
         assert flagged == sorted(f"pipeline.py:{n}" for n in (9, 10, 11, 13, 14))
 
+    def test_a_second_flow_structure_is_caught(self, tmp_path):
+        """One fabricated offender per pattern, in the flow table and the
+        resolver only: a retire hook on the resolver, hex keys on the
+        packet path, and a resolver call beside classification there."""
+        core = tmp_path / "repro" / "core"
+        core.mkdir(parents=True)
+        table = (
+            "class SpinFlowTable:",
+            "    def on_server_datagram(self, time_ms, data, tuple4=None):",
+            "        resolver = self.resolver",
+            "        if resolver.classify_non_quic(data, tuple4) == 'tcp': return",
+            "        flow = resolver.by_cid.get(data[1:9])",
+            "        key = resolver.resolve(data[1:9].hex(), tuple4)",  # 6
+            "        self.resolver.on_flow_retired(key)",  # 7
+            "    def _admit(self, cid):",
+            "        return cid.hex() or self.resolver.find(cid) or self.resolver.admit(cid)",
+            "    def on_flow_retired(self, key): pass",  # 10
+        )
+        for name in ("flow_table.py", "flow_resolver.py", "observer.py"):
+            (core / name).write_text("\n".join(table) + "\n", encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, str(self.LINT), str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        flagged = sorted(
+            line.strip().split(": ")[0].rsplit("/", 1)[1]
+            for line in result.stderr.splitlines()
+            if line.startswith("  /")
+        )
+        assert flagged == sorted(
+            f"{name}:{n}" for name in ("flow_table.py", "flow_resolver.py") for n in (6, 7, 10)
+        )
+
     def test_asking_whether_anyone_listens_is_caught(self, tmp_path):
         """One fabricated offender per pattern; a pragma does not help,
         and only ``repro.telemetry`` may hold the off state's tests."""
