@@ -100,7 +100,10 @@ Which further rules apply to which layer (directory under
   flagged; flows are keyed by CID bytes, so a ``.hex(`` call inside
   ``on_server_datagram`` is flagged; and the packet finds its slot with
   one index read, so every call of a resolver method there after the
-  first (transport classification) is flagged.  No pragma opts out.
+  first is flagged.  A datagram is classified by header alone
+  (``repro.netsim.tcp.is_tcp_shaped``), so naming the TCP segment codec
+  (``decode_tcp_segment``, ``TcpSegment``) in either file is flagged,
+  as the QUIC codec is everywhere.  No pragma opts out.
 
 Benchmarks (``benchmarks/``) legitimately measure wall-clock and are
 not scanned.  A source line may opt out with the pattern's pragma when
@@ -151,6 +154,8 @@ _REFERENCE_CODEC = frozenset(
         "VersionNegotiationHeader",
     }
 )
+#: The TCP segment codec, which the flow table and resolver classify without.
+_TCP_CODEC = frozenset({"decode_tcp_segment", "TcpSegment"})
 
 #: The trace model's constructors and row lists (``repro.telemetry.trace``).
 _TRACE_CONSTRUCTORS = frozenset({"TraceRecord", "OpenSpan"})
@@ -172,8 +177,8 @@ def forbidden_lines(text: str) -> list[int]:
     ]
 
 
-def endpoint_decoder_uses(text: str) -> list[int]:
-    """Imports or uses of the reference codec (production may not)."""
+def _uses_of(text: str, names: frozenset[str]) -> list[int]:
+    """Lines that import, name or reach an attribute among ``names``."""
     numbers = set()
     for node in ast.walk(ast.parse(text)):
         if isinstance(node, ast.ImportFrom):
@@ -184,9 +189,19 @@ def endpoint_decoder_uses(text: str) -> list[int]:
             named = {node.attr}
         else:
             continue
-        if named & _REFERENCE_CODEC:
+        if named & names:
             numbers.add(node.lineno)
     return sorted(numbers)
+
+
+def endpoint_decoder_uses(text: str) -> list[int]:
+    """Imports or uses of the reference codec (production may not)."""
+    return _uses_of(text, _REFERENCE_CODEC)
+
+
+def tcp_decoder_uses(text: str) -> list[int]:
+    """Imports or uses of the TCP segment codec (the flow table may not)."""
+    return _uses_of(text, _TCP_CODEC)
 
 
 def json_in_loops(text: str) -> list[int]:
@@ -579,8 +594,8 @@ LAYER_RULES = {
 #: flow table and resolver the rule that keeps flow identity one structure.
 _CODEC_HOME = ((), (endpoint_decoder_uses,))
 FILE_RULES = {
-    "repro/core/flow_resolver.py": ((one_flow_structure,), ()),
-    "repro/core/flow_table.py": ((one_flow_structure,), ()),
+    "repro/core/flow_resolver.py": ((one_flow_structure, tcp_decoder_uses), ()),
+    "repro/core/flow_table.py": ((one_flow_structure, tcp_decoder_uses), ()),
     "repro/monitor/pipeline.py": ((monitor_packet_path,), ()),
     "repro/quic/__init__.py": _CODEC_HOME,
     "repro/quic/connection.py": ((forked_datapath,), ()),
@@ -651,8 +666,9 @@ def main(argv: list[str] | None = None) -> int:
             "on_packet=, binds on_sample= to no code of its own and defines no "
             "process() — the table's on_server_datagram is the pipeline's entry; "
             "core/flow_table.py and core/flow_resolver.py neither define nor call "
-            "on_flow_retired (the slot holds its claims, _retire releases them), and "
-            "on_server_datagram calls no .hex( and at most one resolver method)",
+            "on_flow_retired (the slot holds its claims, _retire releases them), "
+            "on_server_datagram calls no .hex( and at most one resolver method, and "
+            "neither names decode_tcp_segment / TcpSegment — is_tcp_shaped classifies)",
             file=sys.stderr,
         )
         return 1

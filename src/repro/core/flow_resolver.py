@@ -30,22 +30,18 @@ admitted — and :meth:`~FlowKeyResolver.release` drops them, from the
 slot's own fields, when it is retired: the indexes are bounded by
 ``max_flows``, and a flow the table refuses leaves nothing behind.
 
-The resolver also classifies transports: datagrams that fail the QUIC
-header parse are tested against the TCP segment shape
-(:mod:`repro.netsim.tcp`) and filed under ``transport_mix`` as
-``"tcp"`` or ``"unparseable"`` instead of being uniform parse errors.
+The resolver also holds the transport counters.  The table classifies
+each datagram by header alone: QUIC, or, failing that, TCP when its
+first byte has the QUIC form and fixed bits clear and the header is
+:func:`~repro.netsim.tcp.is_tcp_shaped`, else ``"unparseable"``; they
+are filed under ``transport_mix`` instead of being uniform parse errors.
 """
 
 from __future__ import annotations
 
 from repro.core.flow_table import FlowRecord, tuple_flow_key
-from repro.netsim.tcp import decode_tcp_segment
 
 __all__ = ["FlowKeyResolver", "tuple_flow_key"]
-
-#: QUIC long/short form-or-fixed bits: a first byte with either set is
-#: QUIC-shaped, so the TCP classifier never gets to claim it.
-_QUIC_FORM_OR_FIXED = 0xC0
 
 
 class FlowKeyResolver:
@@ -67,7 +63,7 @@ class FlowKeyResolver:
         "unparseable_datagrams",
         "by_cid",
         "by_tuple",
-        "_tcp_tuples",
+        "tcp_tuples",
     )
 
     def __init__(self, cid_linkage: bool = True):
@@ -80,13 +76,15 @@ class FlowKeyResolver:
         self.flows_migrated = 0
         self.flows_split = 0
         self.rebinds_seen = 0
+        #: Datagrams per transport, and the 4-tuples seen carrying TCP:
+        #: the flow table's classification, counted here.
         self.quic_datagrams = 0
         self.tcp_datagrams = 0
         self.unparseable_datagrams = 0
+        self.tcp_tuples: set[tuple] = set()
         #: Every alias CID / claimed 4-tuple of a held slot -> that slot.
         self.by_cid: dict[bytes, FlowRecord] = {}
         self.by_tuple: dict[tuple, FlowRecord] = {}
-        self._tcp_tuples: set[tuple] = set()
 
     # ------------------------------------------------------------------
     # Flow identity
@@ -153,32 +151,13 @@ class FlowKeyResolver:
         flow.tuples += (tuple4,)
 
     # ------------------------------------------------------------------
-    # Transport classification
-    # ------------------------------------------------------------------
-
-    def classify_non_quic(self, data: bytes, tuple4: tuple | None) -> str:
-        """File a datagram that failed the QUIC parse: tcp or unparseable."""
-        if data and not data[0] & _QUIC_FORM_OR_FIXED:
-            try:
-                decode_tcp_segment(data)
-            except ValueError:
-                pass
-            else:
-                self.tcp_datagrams += 1
-                if tuple4 is not None:
-                    self._tcp_tuples.add(tuple4)
-                return "tcp"
-        self.unparseable_datagrams += 1
-        return "unparseable"
-
-    # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
 
     @property
     def tcp_flows(self) -> int:
         """Distinct 4-tuples seen carrying TCP segments."""
-        return len(self._tcp_tuples)
+        return len(self.tcp_tuples)
 
     def counters(self) -> dict:
         """JSON-serializable migration/classification counter block."""

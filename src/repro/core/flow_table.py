@@ -40,6 +40,7 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.observer import SpinObservation, SpinObserver
+from repro.netsim.tcp import _QUIC_FORM_OR_FIXED, is_tcp_shaped
 from repro.quic.onpath import DirectionState, check_frames, walk_datagram
 from repro.quic.packet import HeaderParseError
 
@@ -225,8 +226,8 @@ class SpinFlowTable:
         self.on_packet = on_packet
         self.on_sample = on_sample
         self.on_window = on_window
-        #: Optional migration-aware identity + transport classification
-        #: (repro.core.flow_resolver).
+        #: Optional migration-aware identity + transport counters
+        #: (repro.core.flow_resolver); with one, non-QUIC is classified.
         self.resolver = resolver
         #: Resident flows by ``FlowRecord.key``, in last-seen order
         #: (front = least recent).
@@ -292,9 +293,17 @@ class SpinFlowTable:
             quic = False
         if not quic:
             # Malformed input is counted, never raised: a monitor must
-            # not crash on what it taps.  A classified TCP segment is
-            # not an error.
-            if resolver is None or resolver.classify_non_quic(data, tuple4) != "tcp":
+            # not crash on what it taps.  With a resolver, transports are
+            # classified, and a TCP segment (QUIC form and fixed bits
+            # clear, TCP-shaped header) is not an error.
+            if resolver is None:
+                stats.parse_errors += 1
+            elif data and not data[0] & _QUIC_FORM_OR_FIXED and is_tcp_shaped(data):
+                resolver.tcp_datagrams += 1
+                if tuple4 is not None:
+                    resolver.tcp_tuples.add(tuple4)
+            else:
+                resolver.unparseable_datagrams += 1
                 stats.parse_errors += 1
             return
         if resolver is not None:

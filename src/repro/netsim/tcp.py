@@ -5,9 +5,12 @@ one deployment of a transport-agnostic idea; the original three-bits
 patches carried the same latency square wave in TCP's reserved header
 bits.  This module gives the traffic multiplexer a second transport so
 the tap stream is genuinely mixed: segments that are *not* QUIC (their
-first byte — the source-port high byte — has the QUIC fixed bit clear,
-so :func:`repro.quic.packet.parse_header` rejects them cleanly) yet
-still carry a spin signal an aware observer could read.
+first byte — the source-port high byte — has the QUIC form and fixed
+bits clear, so the flow table's first-byte dispatch never walks them as
+QUIC) yet still carry a spin signal an aware observer could read.
+:func:`is_tcp_shaped` is what "TCP-shaped" means, once: the table files
+a datagram as TCP by it, and :func:`decode_tcp_segment` accepts exactly
+what it accepts.
 
 The flow model is deliberately simple — a downlink segment train whose
 spin value flips once per RTT, the observable ground truth of a
@@ -43,6 +46,7 @@ __all__ = [
     "decode_tcp_segment",
     "draw_tcp_flow_spec",
     "encode_tcp_segment",
+    "is_tcp_shaped",
     "schedule_tcp_flow",
 ]
 
@@ -50,7 +54,7 @@ TCP_HEADER_BYTES = 20
 
 _FLAG_ACK = 0x10
 #: QUIC long/short form and fixed bits; a first byte with both clear
-#: cannot be mistaken for a QUIC v1 packet.
+#: cannot be mistaken for a QUIC v1 packet (the flow table's test, too).
 _QUIC_FORM_OR_FIXED = 0xC0
 
 
@@ -88,18 +92,22 @@ def encode_tcp_segment(segment: TcpSegment) -> bytes:
     return bytes(header) + b"\x78" * segment.payload_length
 
 
+def is_tcp_shaped(data: bytes) -> bool:
+    """Whether ``data`` has a TCP header's shape — at least 20 bytes, a
+    data offset (byte 12's high nibble) of at least 5 words — read in
+    place, no object built (the TCP counterpart of ``check_frames``)."""
+    return len(data) >= TCP_HEADER_BYTES and data[12] >> 4 >= 5
+
+
 def decode_tcp_segment(data: bytes) -> TcpSegment:
     """Parse a segment produced by :func:`encode_tcp_segment`.
 
-    Raises :class:`ValueError` on anything structurally un-TCP-like
+    Raises :class:`ValueError` on anything :func:`is_tcp_shaped` refuses
     (too short, impossible data offset) so callers can treat failure as
     "unparseable", the third transport class.
     """
-    if len(data) < TCP_HEADER_BYTES:
-        raise ValueError(f"segment too short for a TCP header: {len(data)} bytes")
-    data_offset_words = data[12] >> 4
-    if data_offset_words < 5:
-        raise ValueError(f"impossible TCP data offset: {data_offset_words}")
+    if not is_tcp_shaped(data):
+        raise ValueError(f"not a TCP header: {data[:TCP_HEADER_BYTES].hex()}")
     return TcpSegment(
         source_port=int.from_bytes(data[0:2], "big"),
         destination_port=int.from_bytes(data[2:4], "big"),

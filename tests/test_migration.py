@@ -14,6 +14,7 @@ import random
 import pytest
 
 from repro.core.flow_resolver import FlowKeyResolver, tuple_flow_key
+from repro.core.flow_table import SpinFlowTable
 from repro.netsim.migration import (
     DEFAULT_DELAY_MS,
     MigrationKind,
@@ -131,11 +132,14 @@ class TestFlowKeyResolver:
         assert resolver.resolve("", None) == "(empty)"
 
     def test_classification_counters(self):
+        """The table classifies; the resolver holds the counts."""
         resolver = FlowKeyResolver()
+        table = SpinFlowTable(short_dcid_length=2, resolver=resolver)
         tcp = encode_tcp_segment(TcpSegment(443, 50000, 1, 1, True, 0x10, 0))
-        assert resolver.classify_non_quic(tcp, self.TUPLE) == "tcp"
-        assert resolver.classify_non_quic(b"\x00\x01", self.TUPLE) == "unparseable"
-        resolver.quic_datagrams += 1  # what the flow table does per QUIC datagram
+        table.on_server_datagram(0.0, tcp, self.TUPLE)
+        table.on_server_datagram(1.0, b"\x00\x01", self.TUPLE)
+        table.on_server_datagram(2.0, b"\x41\x01\x01\x00\x01", self.TUPLE)  # PING
+        assert table.parse_errors == 1
         counters = resolver.counters()
         assert counters["transport_mix"] == {"quic": 1, "tcp": 1, "unparseable": 1}
         assert counters["tcp_flows"] == 1

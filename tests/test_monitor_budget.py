@@ -19,7 +19,9 @@ path ends in the flow slot — no ``process`` frame, no observer object,
 no per-packet hook, no raise for TCP, STREAM lengths read in line),
 telemetry off / on; the ``ids`` rows lowered it again (flow identity
 lives in the slot — a packet finds it with one lookup by CID bytes, no
-``resolve()`` call, no ``bytes.hex``):
+``resolve()`` call, no ``bytes.hex``), and the ``tcp`` rows once more (a
+TCP datagram is classified by header — ``is_tcp_shaped`` — with no
+``TcpSegment`` built and no resolver call; the steady tap has no TCP):
 
 =======  =====  ==============  =============
 tap      PR     parent          that change
@@ -30,6 +32,8 @@ steady   24     15.57 / 15.57    7.90 /  7.90
 churn    24     17.93 / 17.93   10.35 / 10.35
 steady   ids     7.90 /  7.90    6.97 /  6.97
 churn    ids    10.35 / 10.35    8.06 /  8.06
+steady   tcp     6.97 /  6.97    6.97 /  6.97
+churn    tcp     8.06 /  8.06    6.53 /  6.53
 =======  =====  ==============  =============
 """
 
@@ -44,10 +48,10 @@ from repro.monitor.traffic import TrafficConfig, TrafficMux
 from repro.netsim.migration import parse_migration_plan
 from repro.telemetry import Telemetry
 
-#: Calls per datagram measured with flow identity in the slot, telemetry
-#: *off* (6.9604 and 8.0585, rounded up); a change may not exceed them in
+#: Calls per datagram measured with TCP classified by header, telemetry
+#: *off* (6.9604 and 6.5307, rounded up); a change may not exceed them in
 #: either state.
-BUDGET = {"steady": 6.961, "churn": 8.059}
+BUDGET = {"steady": 6.961, "churn": 6.531}
 
 ONE_WINDOW = WindowConfig(window_ms=1e9)
 

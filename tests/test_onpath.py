@@ -22,7 +22,7 @@ from repro.monitor import TrafficConfig, TrafficMux
 from repro.netsim.events import Simulator
 from repro.netsim.migration import parse_migration_plan
 from repro.netsim.path import PathProfile
-from repro.netsim.tcp import decode_tcp_segment
+from repro.netsim.tcp import TcpSegment, decode_tcp_segment, encode_tcp_segment
 from repro.quic.connection import ConnectionConfig
 from repro.quic.connection_id import ConnectionId
 from repro.quic.datagram import QuicPacket, decode_datagram, encode_datagram
@@ -475,6 +475,27 @@ def expected_counters(data: bytes) -> dict:
     }
 
 
+TUPLE = ("10.0.0.1", 40000, "198.18.0.1", 443)
+#: A 21-byte segment: source port 443 (first byte 0x01), byte 12 = 0x51.
+TCP_WIRE = encode_tcp_segment(TcpSegment(443, 50000, 1, 1, True, 0x10, 1))
+
+
+def with_byte(data: bytes, position: int, value: int) -> bytes:
+    return data[:position] + bytes([value]) + data[position + 1 :]
+
+
+@st.composite
+def tcp_prefixes(draw):
+    """Datagrams near the TCP shape: a first byte on either side of the
+    QUIC form/fixed bits, byte 12 on either side of data offset 5, and a
+    length on either side of 20 bytes."""
+    first = draw(st.sampled_from([0x00, 0x01, 0x3F, 0x40, 0x7F, 0x80, 0xBF]) | st.integers(0, 255))
+    offset = draw(st.sampled_from([0x00, 0x4F, 0x50, 0x51, 0x5F, 0xF0]) | st.integers(0, 255))
+    data = bytes([first]) + draw(st.binary(min_size=11, max_size=11)) + bytes([offset])
+    data += draw(st.binary(min_size=7, max_size=7)) + draw(st.binary(max_size=4))
+    return data[: draw(st.sampled_from([0, 13, 19, 20, 21]) | st.integers(0, len(data)))]
+
+
 def table_counters(table: SpinFlowTable) -> dict:
     return {
         "packets": table.stats.packets,
@@ -497,6 +518,45 @@ class TestFlowTableOnTheWalk:
         tap, data = mutate(corpus, mutation)
         table = fresh_table()
         table.on_server_datagram(tap.time_ms, data, tap.tuple4)
+        assert table_counters(table) == expected_counters(data)
+
+    @pytest.mark.parametrize(
+        "data, tcp",
+        [
+            (b"", False),
+            (TCP_WIRE[:19], False),
+            (TCP_WIRE[:20], True),
+            (TCP_WIRE[:21], True),
+            (with_byte(TCP_WIRE, 12, 0x4F), False),  # data offset 4 words
+            (with_byte(TCP_WIRE, 12, 0x50), True),
+            (with_byte(TCP_WIRE, 12, 0xF0), True),
+            (with_byte(TCP_WIRE, 0, 0x00), True),
+            (with_byte(TCP_WIRE, 0, 0x3F), True),
+            (with_byte(TCP_WIRE, 0, 0x40), False),  # the QUIC fixed bit
+            (with_byte(TCP_WIRE, 0, 0x80), False),  # the long-header form bit
+        ],
+        ids=[
+            "len0", "len19", "len20", "len21", "byte12=4F", "byte12=50", "byte12=F0",
+            "first=00", "first=3F", "first=40", "first=80",
+        ],
+    )
+    def test_tcp_shape_at_every_boundary(self, data, tcp):
+        """The header test's edges, stated by hand as well as by the
+        oracle: ``decode_tcp_segment`` shares the shape test, so only the
+        stated verdict catches both drifting together."""
+        table = fresh_table()
+        table.on_server_datagram(0.0, data, TUPLE)
+        assert table_counters(table) == expected_counters(data)
+        assert table.resolver.counters()["transport_mix"]["tcp"] == tcp
+        assert table.resolver.tcp_flows == tcp
+
+    @settings(max_examples=600, deadline=None)
+    @given(tcp_prefixes())
+    def test_tcp_prefixes_are_classified_as_the_codec_says(self, data):
+        """The mutation corpus rarely reaches byte 12 of a TCP segment
+        intact; these prefixes sit on the shape's edges."""
+        table = fresh_table()
+        table.on_server_datagram(0.0, data, TUPLE)
         assert table_counters(table) == expected_counters(data)
 
     def test_bad_payload_in_a_later_coalesced_packet_leaves_no_trace(self):

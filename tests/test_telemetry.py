@@ -493,6 +493,40 @@ class TestDeterminismLint:
             f"{name}:{n}" for name in ("flow_table.py", "flow_resolver.py") for n in (6, 7, 10)
         )
 
+    def test_the_tcp_decoder_in_the_flow_table_is_caught(self, tmp_path):
+        """The table and the resolver classify TCP by header alone; the
+        segment codec stays with the generator, the tests and anyone else."""
+        source = (
+            '"""decode_tcp_segment may be named in a docstring."""\n'
+            "from repro.netsim.tcp import TcpSegment, is_tcp_shaped\n"
+            "import repro.netsim.tcp as tcp\n"
+            "def classify(data):\n"
+            "    return is_tcp_shaped(data) and tcp.decode_tcp_segment(data)\n"
+        )
+        for layer, name in (
+            ("core", "flow_table.py"),
+            ("core", "flow_resolver.py"),
+            ("core", "observer.py"),
+            ("monitor", "traffic.py"),
+        ):
+            directory = tmp_path / "repro" / layer
+            directory.mkdir(parents=True, exist_ok=True)
+            (directory / name).write_text(source, encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, str(self.LINT), str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        flagged = sorted(
+            line.strip().split(": ")[0].rsplit("/", 1)[1]
+            for line in result.stderr.splitlines()
+            if line.startswith("  /")
+        )
+        assert flagged == sorted(
+            f"{name}:{n}" for name in ("flow_table.py", "flow_resolver.py") for n in (2, 5)
+        )
+
     def test_asking_whether_anyone_listens_is_caught(self, tmp_path):
         """One fabricated offender per pattern; a pragma does not help,
         and only ``repro.telemetry`` may hold the off state's tests."""
