@@ -69,6 +69,13 @@ Which further rules apply to which layer (directory under
   once and ``mean_accuracy`` is the one test of a mean, so a fold that
   sums a series is deriving them a second time.  Summing a whole column
   (``sum(batch.successes)``) is not.  No pragma opts out.
+* Counts once per batch, same scope: a fold body counts each series from
+  columns (``SeriesSummary.add_many``, ``FilterOutcome.add_many``,
+  ``Histogram.add_sorted``), so an ``.add(`` call inside a loop of an
+  ``update_many`` / ``update`` body, on a name or attribute the module
+  declares as one of those classes (annotated with it, or assigned a
+  call of it), counts one row at a time and is flagged.  ``set.add`` is
+  not.  No pragma opts out.
 * One cbr container (PR 23): the framing of a cbr file — head, frame
   headers, CRCs, footer, trailer — is read in one place and written in
   one place, so a check cannot exist at one parse site and be forgotten
@@ -383,6 +390,38 @@ def fold_body_means(text: str) -> list[int]:
     return sorted(numbers)
 
 
+#: The counters that count a batch of connections at once (``add_many``,
+#: ``add_sorted``), and the loops a fold body could count one row in.
+_BATCH_COUNTERS = frozenset({"SeriesSummary", "FilterOutcome", "Histogram"})
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def fold_counts_per_row(text: str) -> list[int]:
+    """A batch counter's ``.add(`` inside a loop of an ``update_many`` /
+    ``update`` body.  A counter is a name or attribute the module
+    annotates with one of the counter classes or assigns a call of one."""
+    tree = ast.parse(text)
+    counters = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AnnAssign) and _bare_name(node.annotation) in _BATCH_COUNTERS:
+            counters.add(_bare_name(node.target))
+        elif isinstance(node, ast.Assign) and _called_name(node.value) in _BATCH_COUNTERS:
+            counters.update(map(_bare_name, node.targets))
+    numbers = set()
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef) or function.name not in (
+            "update_many", "update"
+        ):
+            continue
+        for loop in ast.walk(function):
+            if not isinstance(loop, _LOOPS):
+                continue
+            for node in ast.walk(loop):
+                if _called_name(node) == "add" and _bare_name(node.func.value) in counters:
+                    numbers.add(node.lineno)
+    return sorted(numbers)
+
+
 def _is_codec_class(node: ast.AST) -> bool:
     name = _bare_name(node)
     return name.endswith(("Frame", "Header")) or name in _REFERENCE_CODEC
@@ -572,10 +611,11 @@ _EVERYWHERE = (
 #: model and the off state, so it alone may build rows and test a
 #: handle for ``None``; ``service`` persists the analysis folds' state
 #: and may not spell its keys; ``analysis`` (and the week summary, which
-#: feeds the same folds) reads each connection's means off the batch;
+#: feeds the same folds) reads each connection's means off the batch and
+#: counts a batch at a time;
 #: ``artifacts`` is where the cbr container lives, once.
 LAYER_RULES = {
-    "analysis": _EVERYWHERE + (json_in_loops, fold_body_means),
+    "analysis": _EVERYWHERE + (json_in_loops, fold_body_means, fold_counts_per_row),
     "artifacts": _EVERYWHERE + (one_container,),
     "faults": _EVERYWHERE + (json_in_loops,),
     "internet": _EVERYWHERE + (json_in_loops,),
@@ -602,7 +642,7 @@ FILE_RULES = {
     "repro/quic/datagram.py": _CODEC_HOME,
     "repro/quic/frames.py": ((field_decoder_objects,), (endpoint_decoder_uses,)),
     "repro/quic/packet.py": _CODEC_HOME,
-    "repro/service/summary.py": ((fold_body_means,), ()),
+    "repro/service/summary.py": ((fold_body_means, fold_counts_per_row), ()),
 }
 
 
@@ -659,7 +699,9 @@ def main(argv: list[str] | None = None) -> int:
             "passes fold.state() through whole; a fold body (update_many / update "
             "under analysis/ and in service/summary.py) never sums a connection's "
             "float series nor names AccuracyResult / compare_means — it reads "
-            "batch.comparable, which derives the means once; a cbr file's framing "
+            "batch.comparable, which derives the means once, and calls no "
+            "SeriesSummary / FilterOutcome / Histogram .add( in a loop — it counts "
+            "columns with add_many / add_sorted; a cbr file's framing "
             "(header structs, magics, the CRC) is read by _read_head / _read_frame / "
             "read_footer and written by _FrameWriter / _write_footer, nowhere else; "
             "monitor/pipeline.py builds its SpinFlowTable without observer_factory= / "

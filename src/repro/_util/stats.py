@@ -141,6 +141,16 @@ class Histogram:
         for value in values:
             self.add(value)
 
+    def add_sorted(self, values: Sequence[float]) -> None:
+        """Record observations given in ascending order, none of them NaN:
+        one bisect per edge (the values below edge ``i`` are ``values[:p_i]``)."""
+        positions = [bisect.bisect_left(values, edge) for edge in self.edges]
+        self.underflow += positions[0]
+        self.overflow += len(values) - positions[-1]
+        counts = self.counts
+        for index in range(len(counts)):
+            counts[index] += positions[index + 1] - positions[index]
+
     @property
     def total(self) -> int:
         """Total number of observations, including under/overflow."""

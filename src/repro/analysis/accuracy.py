@@ -13,8 +13,9 @@ packet number), plus the Section 5.2 reordering-impact summary.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from repro._util.stats import CounterState, Histogram
 from repro.artifacts.cbr import RecordBatch
@@ -71,25 +72,30 @@ class SeriesSummary(CounterState):
         default_factory=lambda: Histogram(edges=RATIO_EDGES)
     )
 
-    def add(self, absolute: float, ratio: float) -> None:
-        """Count one connection's ``spin - QUIC`` (ms) and mapped ratio."""
-        self.connections += 1
-        if absolute > 0:
-            self.overestimating += 1
-        if absolute < 0:
-            self.underestimating += 1
-        if -25.0 <= absolute <= 25.0:
-            self.within_25ms += 1
-        if absolute > 200.0:
-            self.over_200ms += 1
-        if -1.25 <= ratio <= 1.25:
-            self.within_25pct += 1
-        if -2.0 <= ratio <= 2.0:
-            self.within_factor2 += 1
-        if ratio > 3.0:
-            self.over_factor3 += 1
-        self.abs_histogram.add(absolute)
-        self.ratio_histogram.add(ratio)
+    def add_many(self, absolutes: Sequence[float], ratios: Sequence[float]) -> None:
+        """Count connections given as two columns: each one's ``spin -
+        QUIC`` (ms) and mapped ratio.
+
+        Both columns are sorted once and every counter is the distance
+        between two bisect positions, so neither may hold NaN.  The
+        folds' columns cannot: :attr:`RecordBatch.comparable` and
+        :func:`mean_accuracy` give a result only for two means in
+        ``(0, inf)``, whose difference is finite and whose ratio is
+        finite or infinite.
+        """
+        absolutes = sorted(absolutes)
+        ratios = sorted(ratios)
+        n = len(absolutes)
+        self.connections += n
+        self.overestimating += n - bisect_right(absolutes, 0.0)
+        self.underestimating += bisect_left(absolutes, 0.0)
+        self.within_25ms += bisect_right(absolutes, 25.0) - bisect_left(absolutes, -25.0)
+        self.over_200ms += n - bisect_right(absolutes, 200.0)
+        self.within_25pct += bisect_right(ratios, 1.25) - bisect_left(ratios, -1.25)
+        self.within_factor2 += bisect_right(ratios, 2.0) - bisect_left(ratios, -2.0)
+        self.over_factor3 += n - bisect_right(ratios, 3.0)
+        self.abs_histogram.add_sorted(absolutes)
+        self.ratio_histogram.add_sorted(ratios)
 
     def _share(self, count: int) -> float:
         return count / self.connections if self.connections else 0.0
@@ -203,28 +209,33 @@ class AccuracyFold:
         study = self._study
         impact = study.reordering
         grease = SpinBehaviour.GREASE
-        for absolute, ratio, quic_mean, received, _, sorted_series, behaviour in (
-            batch.comparable
-        ):
+        # Per series, each connection's ``(absolute_ms, ratio, ...)`` in
+        # row order, counted once at the end.
+        results = {key: [] for key in _SERIES}
+        spin_received, spin_sorted, grease_received, grease_sorted = results.values()
+        for entry in batch.comparable:
+            absolute, _, quic_mean, received, _, sorted_series, behaviour = entry
             changed = sorted_series != received
-            resorted = (
-                mean_accuracy(sorted_series, quic_mean) if changed else (absolute, ratio)
-            )
+            resorted = mean_accuracy(sorted_series, quic_mean) if changed else entry
             if resorted is None:
                 continue
             if behaviour is grease:
-                study.grease_received.add(absolute, ratio)
-                study.grease_sorted.add(*resorted)
+                grease_received.append(entry)
+                grease_sorted.append(resorted)
                 continue
-            study.spin_received.add(absolute, ratio)
-            study.spin_sorted.add(*resorted)
-            impact.connections_compared += 1
+            spin_received.append(entry)
+            spin_sorted.append(resorted)
             if changed:
                 impact.connections_changed += 1
                 if abs(absolute - resorted[0]) < 1.0:
                     impact.changed_below_1ms += 1
                 if abs(resorted[0]) <= abs(absolute):
                     impact.changed_improved += 1
+        impact.connections_compared += len(spin_received)
+        for key, series in results.items():
+            getattr(study, key).add_many(
+                [result[0] for result in series], [result[1] for result in series]
+            )
 
     def state(self) -> dict:
         study = self._study

@@ -11,7 +11,9 @@ paper's Table 2.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Mapping
 
 from repro._util.stats import add_counts
@@ -76,9 +78,10 @@ class OrgFold:
     Only successful QUIC connections are attributed; spin activity uses
     the unfiltered candidate criterion plus grease filtering, i.e. the
     ``SPIN`` behaviour class, consistent with the paper's "Spin #".
-    Prefix lookups are cached per address key (the batch's ``ip_keys``
-    integers) — campaigns revisit the same addresses constantly
-    (redirect chains, follow-up probes).
+    Prefix lookups are cached per address block
+    (:attr:`AsDatabase.block_bits`; an ``ip_keys`` integer with its host
+    bits cleared) — every address of a block has its first address's
+    organisation, and a campaign's addresses share blocks.
     """
 
     name = "orgs"
@@ -88,29 +91,29 @@ class OrgFold:
     def __init__(self, asdb: AsDatabase, top_n: int = 8) -> None:
         self._asdb = asdb
         self._top_n = top_n
-        self._totals: dict[str, int] = {}
-        self._spins: dict[str, int] = {}
+        self._totals: Counter[str] = Counter()
+        self._spins: Counter[str] = Counter()
         self._org_of: dict[int, str] = {}
+        # ``ip_keys`` are ``value << 1 | is_v6``: per version, the mask
+        # that clears a block's host bits and keeps the version bit.
+        self._block_masks = tuple(
+            ~(((1 << asdb.block_bits[version]) - 1) << 1) for version in (4, 6)
+        )
 
     def update_many(self, batch: RecordBatch) -> None:
-        totals = self._totals
-        spins = self._spins
         org_of = self._org_of
+        masks = self._block_masks
+        successes = batch.successes
+        blocks = [key & masks[key & 1] for key in compress(batch.ip_keys, successes)]
         lookup = self._asdb.lookup_value
+        for block in set(blocks).difference(org_of):
+            entry = lookup(block >> 1, 6 if block & 1 else 4)
+            org_of[block] = entry.org_name if entry is not None else "<unrouted>"
+        orgs = list(map(org_of.__getitem__, blocks))
+        self._totals.update(orgs)
         spin = SpinBehaviour.SPIN
-        for success, key, behaviour in zip(
-            batch.successes, batch.ip_keys, batch.behaviours
-        ):
-            if not success:
-                continue
-            org = org_of.get(key)
-            if org is None:
-                entry = lookup(key >> 1, 6 if key & 1 else 4)
-                org = entry.org_name if entry is not None else "<unrouted>"
-                org_of[key] = org
-            totals[org] = totals.get(org, 0) + 1
-            if behaviour is spin:
-                spins[org] = spins.get(org, 0) + 1
+        spinning = [behaviour is spin for behaviour in compress(batch.behaviours, successes)]
+        self._spins.update(compress(orgs, spinning))
 
     def state(self) -> dict:
         return {"org_totals": dict(self._totals), "org_spins": dict(self._spins)}

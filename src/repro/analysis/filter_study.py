@@ -10,6 +10,7 @@ accuracy picture.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -38,13 +39,20 @@ class FilterOutcome(CounterState):
     underestimating: int = 0
     connections_lost: int = 0
 
-    def add(self, absolute: float, ratio: float) -> None:
-        """Count one connection's ``spin - QUIC`` (ms) and mapped ratio."""
-        self.connections += 1
-        if -1.25 <= ratio <= 1.25:
-            self.within_25pct += 1
-        if absolute < 0:
-            self.underestimating += 1
+    def add_many(
+        self, absolutes: Sequence[float], ratios: Sequence[float], lost: int = 0
+    ) -> None:
+        """Count connections given as two columns (each one's ``spin -
+        QUIC`` in ms and mapped ratio) and ``lost`` connections without a
+        result.  Each column is sorted once and a counter is the distance
+        between bisect positions, so neither may hold NaN — which a
+        :func:`mean_accuracy` result never does (see
+        :meth:`SeriesSummary.add_many`)."""
+        ratios = sorted(ratios)
+        self.connections += len(ratios)
+        self.connections_lost += lost
+        self.within_25pct += bisect_right(ratios, 1.25) - bisect_left(ratios, -1.25)
+        self.underestimating += bisect_left(sorted(absolutes), 0.0)
 
     @property
     def within_25pct_share(self) -> float:
@@ -98,27 +106,36 @@ class FilterFold:
         )
 
     def update_many(self, batch: RecordBatch) -> None:
-        static_filter = self._static_filter
-        floor = static_filter.min_rtt_ms
+        filter_rtts = self._static_filter.filter_rtts
+        floor = self._static_filter.min_rtt_ms
         accepted_intervals = self._hold_filter.accepted_intervals
-        raw, static, hold_time, combined = self._study.outcomes()
-        for absolute, ratio, quic_mean, base, times, _, _ in batch.comparable:
-            raw.add(absolute, ratio)
-
-            if min(base) >= floor:
-                static.add(absolute, ratio)
-            else:
-                _add(static, static_filter.filter_rtts(base), quic_mean)
-
+        comparable = batch.comparable
+        # Per variant, each connection's ``(absolute_ms, ratio, ...)`` or
+        # ``None`` (lost) in row order, counted once at the end.
+        static, hold_time, combined = [], [], []
+        for entry in comparable:
+            _, _, quic_mean, base, times, _, _ = entry
+            static.append(
+                entry if min(base) >= floor
+                else mean_accuracy(filter_rtts(base), quic_mean)
+            )
             hold_series = accepted_intervals(times)
-            held = _add(hold_time, hold_series, quic_mean)
-
+            held = mean_accuracy(hold_series, quic_mean)
+            hold_time.append(held)
             # Only a series with a result is known to hold no NaN, which
             # ``min`` would order by position.
-            if held is not None and min(hold_series) >= floor:
-                combined.add(*held)
-            else:
-                _add(combined, static_filter.filter_rtts(hold_series), quic_mean)
+            combined.append(
+                held if held is not None and min(hold_series) >= floor
+                else mean_accuracy(filter_rtts(hold_series), quic_mean)
+            )
+        for outcome, results in zip(
+            self._study.outcomes(), (comparable, static, hold_time, combined)
+        ):
+            kept = [result for result in results if result is not None]
+            outcome.add_many(
+                [result[0] for result in kept], [result[1] for result in kept],
+                len(results) - len(kept),
+            )
 
     def state(self) -> dict:
         return {"filters": [outcome.state() for outcome in self._study.outcomes()]}
@@ -146,16 +163,3 @@ def run_filter_study(
     fold = FilterFold(static_floor_ms=static_floor_ms, hold_fraction=hold_fraction)
     fold.update_many(RecordBatch.coerce(records))
     return fold.finish()
-
-
-def _add(
-    outcome: FilterOutcome, series: Sequence[float], quic_mean: float
-) -> tuple[float, float] | None:
-    """Count ``series``' result in ``outcome`` — or the connection as
-    lost to the filter — and return the result."""
-    accuracy = mean_accuracy(series, quic_mean)
-    if accuracy is None:
-        outcome.connections_lost += 1
-    else:
-        outcome.add(*accuracy)
-    return accuracy

@@ -10,7 +10,9 @@ negotiation machinery sees use.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Mapping
 
 from repro.artifacts.cbr import RecordBatch
@@ -52,14 +54,13 @@ class VersionFold:
     needs_edges_sorted = False
 
     def __init__(self) -> None:
-        self._counts: dict[int, int] = {}
+        self._counts: Counter[int] = Counter()
 
     def update_many(self, batch: RecordBatch) -> None:
-        counts = self._counts
-        for version, success in zip(batch.versions, batch.successes):
-            if version is None or not success:
-                continue
-            counts[version] = counts.get(version, 0) + 1
+        self._counts.update(
+            [version for version in compress(batch.versions, batch.successes)
+             if version is not None]
+        )
 
     def state(self) -> dict:
         # JSON object keys are strings; ``merge`` reads them back as ints.

@@ -10,7 +10,9 @@ actual response bytes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Mapping
 
 from repro._util.stats import add_counts
@@ -48,21 +50,18 @@ class WebserverFold:
 
     def __init__(self, spinning_only: bool = True) -> None:
         self._spinning_only = spinning_only
-        self._counts: dict[str, int] = {}
+        self._counts: Counter[str] = Counter()
 
     def update_many(self, batch: RecordBatch) -> None:
-        counts = self._counts
-        spinning_only = self._spinning_only
-        spin = SpinBehaviour.SPIN
-        for success, behaviour, header in zip(
-            batch.successes, batch.behaviours, batch.headers
-        ):
-            if not success:
-                continue
-            if spinning_only and behaviour is not spin:
-                continue
-            header = header or "<none>"
-            counts[header] = counts.get(header, 0) + 1
+        counted = batch.successes
+        if self._spinning_only:
+            spin = SpinBehaviour.SPIN
+            counted = [
+                success and behaviour is spin
+                for success, behaviour in zip(counted, batch.behaviours)
+            ]
+        for header, count in Counter(compress(batch.headers, counted)).items():
+            self._counts[header or "<none>"] += count
 
     def state(self) -> dict:
         return {"webservers": dict(self._counts)}

@@ -99,6 +99,13 @@ class AsDatabase:
             if not tables or tables[-1][0] != shift:
                 tables.append((shift, {}))
             tables[-1][1].setdefault(record.network >> shift, record)
+        #: Per IP version, the widest aligned block (``2**bits``
+        #: addresses) in which every address maps to the same entry: no
+        #: wider than the longest prefix in use nor than a long-tail slice.
+        self.block_bits = {
+            version: min([slice_bits] + [shift for shift, _ in self._tables[version]])
+            for version, slice_bits in ((4, _SLICE_HOST_BITS_V4), (6, _SLICE_HOST_BITS_V6))
+        }
 
     def lookup(self, ip: IpAddr) -> AsEntry | None:
         """Map an IP to its AS entry, or ``None`` if unrouted."""

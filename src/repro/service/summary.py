@@ -26,6 +26,7 @@ disk regardless of the submission order that built them.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Mapping
 
 from repro._util.stats import add_counts
@@ -72,14 +73,13 @@ class WeekSummary:
         self.connections_success += sum(batch.successes)
         self.connections_spinning += batch.masks.count(3)
         domains = self.domains
-        behaviours = self.behaviours
-        for domain, success, mask, behaviour in zip(
-            batch.domains, batch.successes, batch.masks, batch.behaviours
-        ):
+        for domain, success, mask in zip(batch.domains, batch.successes, batch.masks):
             flags = (FLAG_SUCCESS if success else 0) | (FLAG_SPIN if mask == 3 else 0)
             domains[domain] = domains.get(domain, 0) | flags
-            key = behaviour.value
-            behaviours[key] = behaviours.get(key, 0) + 1
+        add_counts(
+            self.behaviours,
+            {behaviour.value: count for behaviour, count in Counter(batch.behaviours).items()},
+        )
 
     def state(self) -> dict:
         data = {

@@ -209,3 +209,56 @@ class TestPrefixTables:
 
     def test_the_default_database_is_built_once(self):
         assert build_default_asdb() is build_default_asdb()
+
+
+def _block_samples(asdb: AsDatabase, rng: random.Random):
+    """``(address, version)`` pairs to hold to their block: both ends of
+    every prefix and of four long-tail slices per long-tail prefix, one
+    either side of each, and random addresses inside each prefix."""
+    for record in asdb._records:
+        bits = 32 if record.version == 4 else 128
+        size = 1 << (bits - record.prefix_length)
+        slice_size = 1 << (8 if record.version == 4 else 64)
+        starts = [record.network, record.network + size]
+        if not record.provider.asn:
+            starts += [record.network + k * slice_size for k in (1, 2, 255, 256)]
+        for start in starts:
+            for value in (start - 1, start, start + 1):
+                if 0 <= value < 1 << bits:
+                    yield value, record.version
+        for _ in range(20):
+            yield record.network + rng.randrange(size), record.version
+
+
+class TestAddressBlocks:
+    """``AsDatabase.block_bits``: every address of an aligned block maps
+    to its first address's entry, and the width comes from the catalog."""
+
+    def assert_blocks_hold(self, asdb):
+        rng = random.Random(20230520)
+        for value, version in _block_samples(asdb, rng):
+            bits = asdb.block_bits[version]
+            first = value >> bits << bits
+            entry = asdb.lookup_value(first, version)
+            assert asdb.lookup_value(value, version) == entry, (value, version)
+            # ... and so does a random address of the same block.
+            other = first + rng.randrange(1 << bits)
+            assert asdb.lookup_value(other, version) == entry, (other, version)
+
+    def test_default_catalog(self):
+        asdb = build_default_asdb()
+        assert asdb.block_bits == {4: 8, 6: 64}
+        self.assert_blocks_hold(asdb)
+
+    def test_a_longer_prefix_narrows_the_block(self):
+        template = provider_by_name("cloudflare")
+        narrow = AsDatabase([
+            *PROVIDERS,
+            _with_prefixes(template, "narrow", 7, "10.9.8.16/28", "2001:db8:9::/48"),
+        ])
+        assert narrow.block_bits == {4: 4, 6: 64}
+        self.assert_blocks_hold(narrow)
+        # The default width would merge the /28 with its neighbours.
+        inside = int(ipaddress.IPv4Address("10.9.8.16"))
+        assert narrow.lookup_value(inside, 4).org_name == "Narrow"
+        assert narrow.lookup_value(inside >> 8 << 8, 4) is None

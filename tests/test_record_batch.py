@@ -7,7 +7,10 @@ verbatim, as the naive references: random records must give equal fold
 results, equal ``WeekSummary.to_json()`` bytes, equal ``QueryStats`` and
 equal selected rows whichever way the batch came to be — columns taken
 off a list (``from_records``), a chunk decoded from cbr bytes, or a
-``take`` of some of a decoded chunk's rows.
+``take`` of some of a decoded chunk's rows.  The per-connection
+counters the folds used until they counted a batch at a time
+(``SeriesSummary.add``, ``FilterOutcome.add``) live here too, as the
+oracle of ``add_many`` and ``Histogram.add_sorted``.
 """
 
 from __future__ import annotations
@@ -16,15 +19,21 @@ import io
 import json
 from dataclasses import dataclass, field, fields, replace
 from itertools import accumulate
-from math import inf, nan
+from math import inf, nan, nextafter
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import count_calls
 
-from repro.analysis.accuracy import AccuracyFold, SeriesSummary
+from repro._util.stats import Histogram
+from repro.analysis.accuracy import (
+    ABS_DIFF_EDGES_MS,
+    RATIO_EDGES,
+    AccuracyFold,
+    SeriesSummary,
+)
 from repro.analysis.asorg import OrgFold
 from repro.analysis.engine import AnalysisEngine, build_record_folds
 from repro.analysis.filter_study import FilterFold, FilterOutcome
@@ -95,6 +104,49 @@ class NaiveWebserverFold(WebserverFold):
             counts[header] = counts.get(header, 0) + 1
 
 
+def pair_add_series(series, absolute, ratio):
+    """``SeriesSummary.add`` as it was: one connection's ``spin - QUIC``
+    (ms) and mapped ratio, nine compares and two histogram bisects."""
+    series.connections += 1
+    if absolute > 0:
+        series.overestimating += 1
+    if absolute < 0:
+        series.underestimating += 1
+    if -25.0 <= absolute <= 25.0:
+        series.within_25ms += 1
+    if absolute > 200.0:
+        series.over_200ms += 1
+    if -1.25 <= ratio <= 1.25:
+        series.within_25pct += 1
+    if -2.0 <= ratio <= 2.0:
+        series.within_factor2 += 1
+    if ratio > 3.0:
+        series.over_factor3 += 1
+    series.abs_histogram.add(absolute)
+    series.ratio_histogram.add(ratio)
+
+
+def pair_add_outcome(outcome, absolute, ratio):
+    """``FilterOutcome.add`` as it was."""
+    outcome.connections += 1
+    if -1.25 <= ratio <= 1.25:
+        outcome.within_25pct += 1
+    if absolute < 0:
+        outcome.underestimating += 1
+
+
+def naive_add(counter, absolute, ratio):
+    """One connection counted the per-pair way in a series or a filter
+    outcome (and recorded, when the counter records)."""
+    seen = getattr(counter, "seen", None)
+    if seen is not None:
+        seen.append((absolute, ratio))
+    if isinstance(counter, SeriesSummary):
+        pair_add_series(counter, absolute, ratio)
+    else:
+        pair_add_outcome(counter, absolute, ratio)
+
+
 def naive_accuracy(series, stack):
     """``compare_means`` of one connection as ``(absolute_ms, ratio)``,
     or ``None`` under the folds' one rule: a series that is empty or
@@ -123,11 +175,11 @@ class NaiveAccuracyFold(AccuracyFold):
             if result_r is None or result_s is None:
                 continue
             if connection.behaviour.value == "grease":
-                study.grease_received.add(*result_r)
-                study.grease_sorted.add(*result_s)
+                naive_add(study.grease_received, *result_r)
+                naive_add(study.grease_sorted, *result_s)
             else:
-                study.spin_received.add(*result_r)
-                study.spin_sorted.add(*result_s)
+                naive_add(study.spin_received, *result_r)
+                naive_add(study.spin_sorted, *result_s)
                 impact = study.reordering
                 impact.connections_compared += 1
                 delta = abs(result_r[0] - result_s[0])
@@ -169,7 +221,7 @@ def naive_filter_edges(self: DynamicThresholdFilter, edges):
 def _naive_append(outcome, series, stack) -> None:
     result = naive_accuracy(series, stack)
     if result is not None:
-        outcome.add(*result)
+        naive_add(outcome, *result)
     else:
         outcome.connections_lost += 1
 
@@ -188,7 +240,7 @@ class NaiveFilterFold(FilterFold):
             raw = naive_accuracy(base, stack)
             if raw is None:
                 continue
-            study.raw.add(*raw)
+            naive_add(study.raw, *raw)
 
             static_series = static_filter.filter_rtts(base)
             _naive_append(study.static, static_series, stack)
@@ -229,23 +281,23 @@ def naive_folds():
 @dataclass
 class RecordingSeries(SeriesSummary):
     """A series that also keeps every ``(absolute_ms, ratio)`` it was
-    given, in order: two of them are equal only if they saw the same
-    connections."""
+    given, in order — by ``add_many`` or by :func:`naive_add`: two of
+    them are equal only if they saw the same connections."""
 
     seen: list = field(default_factory=list)
 
-    def add(self, absolute, ratio):
-        self.seen.append((absolute, ratio))
-        super().add(absolute, ratio)
+    def add_many(self, absolutes, ratios):
+        self.seen.extend(zip(absolutes, ratios))
+        super().add_many(absolutes, ratios)
 
 
 @dataclass
 class RecordingOutcome(FilterOutcome):
     seen: list = field(default_factory=list)
 
-    def add(self, absolute, ratio):
-        self.seen.append((absolute, ratio))
-        super().add(absolute, ratio)
+    def add_many(self, absolutes, ratios, lost=0):
+        self.seen.extend(zip(absolutes, ratios))
+        super().add_many(absolutes, ratios, lost)
 
 
 def recording(folds):
@@ -671,6 +723,57 @@ class TestFoldsAgainstRecordLoops:
         summary = WeekSummary("cw20-2023", ASDB)
         summary.update(batch)
         assert summary.to_json() == expected_json
+
+
+#: Every threshold and bin edge a series or an outcome compares with,
+#: the floats either side of each, signed zeros and infinities — beside
+#: arbitrary floats.  No NaN: ``add_many``'s columns never hold one.
+THRESHOLDS = {
+    *ABS_DIFF_EDGES_MS, *RATIO_EDGES, 0.0, 25.0, -25.0, 200.0, 1.25, -1.25, 2.0, -2.0, 3.0,
+}
+ON_EDGES = sorted(
+    {nextafter(t, d) for t in THRESHOLDS for d in (-inf, inf)} | THRESHOLDS
+) + [-0.0, inf, -inf]
+COUNTED = st.sampled_from(ON_EDGES) | st.floats(allow_nan=False)
+
+
+class TestCountsAgainstPairLoops:
+    """``add_many`` / ``add_sorted`` against the per-pair loops they
+    replaced: equal state for any columns, counted in any split."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(COUNTED, COUNTED), max_size=40), st.integers(0, 40),
+           st.integers(0, 3))
+    @example([], 0, 0)
+    @example([(value, value) for value in ON_EDGES], len(ON_EDGES) // 2, 1)
+    def test_add_many_is_the_pair_loop(self, pairs, cut, lost):
+        for make, pair_add in (
+            (lambda: SeriesSummary("s"), pair_add_series),
+            (lambda: FilterOutcome("f"), pair_add_outcome),
+        ):
+            expected = make()
+            for absolute, ratio in pairs:
+                pair_add(expected, absolute, ratio)
+            counted = make()
+            for part in (pairs[:cut], pairs[cut:]):
+                counted.add_many([a for a, _ in part], [r for _, r in part])
+            assert counted.state() == expected.state(), pair_add.__name__
+        outcome = FilterOutcome("f")
+        outcome.add_many([], [], lost)
+        assert (outcome.connections, outcome.connections_lost) == (0, lost)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(COUNTED, max_size=40), st.sampled_from([ABS_DIFF_EDGES_MS, RATIO_EDGES]))
+    @example([], ABS_DIFF_EDGES_MS)
+    @example(ON_EDGES, ABS_DIFF_EDGES_MS)
+    @example(ON_EDGES, RATIO_EDGES)
+    def test_add_sorted_is_the_add_loop(self, values, edges):
+        expected = Histogram(edges=edges)
+        for value in values:
+            expected.add(value)
+        counted = Histogram(edges=edges)
+        counted.add_sorted(sorted(values))
+        assert counted.as_dict() == expected.as_dict()
 
 
 def folded(records):

@@ -654,6 +654,59 @@ class TestOneDerivationOfTheMeans:
         assert "web/hot.py" not in result.stderr
 
 
+class TestCountsOncePerBatch:
+    """AST gate (same lint): a fold body under ``analysis/`` or in
+    ``service/summary.py`` counts a series from columns — no
+    ``SeriesSummary`` / ``FilterOutcome`` / ``Histogram`` ``.add(`` in a
+    loop."""
+
+    def test_a_counter_added_to_per_row_is_caught(self, tmp_path):
+        source = (
+            "class Study:\n"
+            "    raw: FilterOutcome\n"
+            "    spin_received: SeriesSummary = field(default_factory=SeriesSummary)\n"
+            "def update_many(self, batch):\n"
+            "    hist = Histogram(edges=EDGES)\n"
+            "    seen = set()\n"
+            "    for absolute, ratio, *_ in batch.comparable:\n"
+            "        self._study.spin_received.add(absolute, ratio)\n"
+            "        seen.add(absolute)\n"
+            "        raw.add(absolute, ratio)  # wallclock-ok jsonl-ok\n"
+            "    kept = [hist.add(value) for value in batch.successes]\n"
+            "    while kept:\n"
+            "        self.hist.add(kept.pop())\n"
+            "    raw.add_many([1.0], [1.0])\n"
+            "    hist.add(0.0)\n"
+            "def update(self, batch):\n"
+            "    for ratio in batch.successes:\n"
+            "        self._study.raw.add(ratio, ratio)\n"
+            "def helper(batch):\n"
+            "    for ratio in batch.successes:\n"
+            "        raw.add(ratio, ratio)\n"
+        )
+        for layer, name in (
+            ("analysis", "hot.py"), ("service", "summary.py"), ("service", "api.py"),
+            ("web", "hot.py"),
+        ):
+            directory = tmp_path / "repro" / layer
+            directory.mkdir(parents=True, exist_ok=True)
+            (directory / name).write_text(source, encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, str(TestDeterminismLint.LINT), str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        for path in ("analysis/hot.py", "service/summary.py"):
+            for line in range(1, 22):
+                assert (f"{path}:{line}:" in result.stderr) == (
+                    line in (8, 10, 11, 13, 18)
+                ), (path, line, result.stderr)
+        # Only the fold bodies' own layer is held to it.
+        assert "service/api.py" not in result.stderr
+        assert "web/hot.py" not in result.stderr
+
+
 class TestOneContainer:
     """AST gate (same lint): a cbr file's framing is read and written by
     the container's own functions, each construct in its one home."""
