@@ -24,7 +24,7 @@ counts shrinking proportionally.
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from repro._util.rng import derive_rng
 from repro._util.stats import weighted_choice
@@ -56,6 +56,8 @@ _ZONES = (
     ("top", 0.015),
     ("store", 0.015),
 )
+_ZONE_NAMES = tuple(zone for zone, _ in _ZONES)
+_ZONE_WEIGHTS = tuple(weight for _, weight in _ZONES)
 
 _COM_NET_ORG = frozenset({"com", "net", "org"})
 
@@ -68,6 +70,11 @@ _VHOST_DENSITY_THRESHOLD = 40.0
 #: How far the weekly stack-churn walk looks back before falling back to
 #: the entity's base draw (covers the whole campaign and then some).
 _MAX_CHURN_LOOKBACK_WEEKS = 160
+
+#: Records are drawn in aligned blocks of this many indexes, one RNG
+#: stream per block: a range costs the blocks it touches, and one stream
+#: seeding is shared by 64 records instead of paid per record.
+BLOCK_SIZE = 64
 
 
 class ListGroup(Enum):
@@ -180,12 +187,25 @@ class _HostPool:
 
 
 class Population:
-    """The built population: domains plus host pools and stack processes."""
+    """Domains by index, plus host pools and stack processes.
 
-    def __init__(self, config: PopulationConfig):
+    Indexes ``[0, toplist_domains)`` are toplist domains, the rest CZDS.
+    Record *i* is drawn from the RNG stream of its aligned block
+    (``derive_rng(seed, "population-block", i // BLOCK_SIZE)``), in index
+    order inside the block, so any range is regenerated from the blocks
+    it touches, identically in every process.  ``names`` (toplist names
+    first) replaces the drawn names and zones with a given list's.
+    """
+
+    def __init__(self, config: PopulationConfig, names=None):
         self.config = config
-        self.domains: list[DomainRecord] = []
-        self._pools: dict[tuple[str, str, int], _HostPool] = {}
+        self.names = None if names is None else tuple(names)
+        if self.names is not None and len(self.names) != self.domain_count:
+            raise ValueError(
+                f"{len(self.names)} names for {self.domain_count} domains"
+            )
+        self._pools = _build_pools(config)
+        self._domains: list[DomainRecord] | None = None
         #: (entity label, epoch) → stack name; bounded by one campaign.
         self._stack_cache: dict[tuple[str, int], str] = {}
         self._persistence_cache: dict[str, float] = {}
@@ -252,31 +272,47 @@ class Population:
         return [d for d in self.domains if d.in_com_net_org]
 
     # ------------------------------------------------------------------
-    # Range-addressed access (shared surface with StreamingPopulation)
+    # Range-addressed access
     # ------------------------------------------------------------------
 
     @property
     def domain_count(self) -> int:
-        """Total domains, without forcing materialization."""
-        return len(self.domains)
+        return self.config.toplist_domains + self.config.czds_domains
+
+    @property
+    def domains(self) -> list[DomainRecord]:
+        """Every domain as one list, drawn on first touch and kept.
+
+        The scan path never asks for it (it reads :meth:`iter_targets`
+        and :meth:`materialize_range`), so a scan holds no list.
+        """
+        if self._domains is None:
+            self._domains = self.materialize_range(0, self.domain_count)
+        return self._domains
+
+    def domain_at(self, index: int) -> DomainRecord:
+        if not 0 <= index < self.domain_count:
+            raise IndexError(
+                f"domain index {index} outside population of {self.domain_count}"
+            )
+        return self.materialize_range(index, index + 1)[0]
 
     def materialize_range(self, start: int, stop: int) -> list[DomainRecord]:
-        """The domains at positions ``[start, stop)``.
-
-        For a materialized population this is a plain slice; a
-        :class:`~repro.internet.streaming.StreamingPopulation` generates
-        the records on demand.  The parallel scan engine addresses all
-        work through this method so task descriptors can ship ranges
-        instead of pickled records.
-        """
-        return self.domains[start:stop]
+        """The domains at positions ``[start, stop)``, from their blocks."""
+        start, stop = max(0, start), min(stop, self.domain_count)
+        if start >= stop:
+            return []
+        records = []
+        for block in range(start // BLOCK_SIZE, -(-stop // BLOCK_SIZE)):
+            records.extend(self._draw_block(block))
+        skip = start % BLOCK_SIZE
+        return records[skip : skip + stop - start]
 
     def iter_targets(self, batch: int = 1024):
         """Yield every domain in population order, ``batch`` at a time.
 
         Bounded-memory iteration surface: callers that only stream
-        (exports, streaming scans) never need ``.domains`` and so work
-        identically over a streaming population.
+        (exports, streaming scans) never need ``.domains``.
         """
         total = self.domain_count
         for start in range(0, total, batch):
@@ -301,6 +337,42 @@ class Population:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+
+    def _draw_block(self, block: int) -> list[DomainRecord]:
+        """Draw the records of one aligned block from its own stream."""
+        config = self.config
+        rng = derive_rng(config.seed, "population-block", block)
+        first = block * BLOCK_SIZE
+        records = []
+        for index in range(first, min(first + BLOCK_SIZE, self.domain_count)):
+            toplist = index < config.toplist_domains
+            sources: tuple[str, ...] = ()
+            if self.names is not None:
+                name = self.names[index]
+                zone = name.rsplit(".", 1)[-1]
+            else:
+                zone = weighted_choice(rng, _ZONE_NAMES, _ZONE_WEIGHTS)
+                if toplist:
+                    name = f"top{index:07d}.{zone}"
+                    # Tagged with the toplists that contain it
+                    # (deduplicated union, Sec. 3.1.1).
+                    sources = tuple(
+                        source for source in _TOPLIST_SOURCES if rng.random() < 0.45
+                    ) or ("tranco",)
+                else:
+                    name = f"domain{index - config.toplist_domains:09d}.{zone}"
+            record = DomainRecord(
+                name=name,
+                zone=zone,
+                in_toplist=toplist,
+                in_czds=not toplist,
+                toplist_sources=sources,
+            )
+            _resolve_domain(
+                record, config, rng, self, group="toplist" if toplist else "zone"
+            )
+            records.append(record)
+        return records
 
     def _placement(self, domain: DomainRecord, version: int) -> tuple[_HostPool, int]:
         if domain.provider_name is None:
@@ -393,41 +465,7 @@ def build_population(config: PopulationConfig | None = None) -> Population:
     Deterministic in ``config.seed``: the same configuration always
     yields the identical population, hosts, and stack processes.
     """
-    config = config or PopulationConfig()
-    population = Population(config)
-    rng = derive_rng(config.seed, "population")
-
-    _build_pools(population, config)
-
-    # Toplist domains: drawn from a popular TLD mix, tagged with the
-    # toplists that contain them (deduplicated union, Sec. 3.1.1).
-    for index in range(config.toplist_domains):
-        zone = weighted_choice(rng, [z for z, _ in _ZONES], [w for _, w in _ZONES])
-        sources = tuple(
-            source for source in _TOPLIST_SOURCES if rng.random() < 0.45
-        ) or ("tranco",)
-        record = DomainRecord(
-            name=f"top{index:07d}.{zone}",
-            zone=zone,
-            in_toplist=True,
-            in_czds=False,
-            toplist_sources=sources,
-        )
-        _resolve_domain(record, config, rng, population, group="toplist")
-        population.domains.append(record)
-
-    for index in range(config.czds_domains):
-        zone = weighted_choice(rng, [z for z, _ in _ZONES], [w for _, w in _ZONES])
-        record = DomainRecord(
-            name=f"domain{index:09d}.{zone}",
-            zone=zone,
-            in_toplist=False,
-            in_czds=True,
-        )
-        _resolve_domain(record, config, rng, population, group="zone")
-        population.domains.append(record)
-
-    return population
+    return Population(config or PopulationConfig())
 
 
 def _resolve_domain(
@@ -490,7 +528,7 @@ def _resolve_domain(
         record.host_index_v6 = rng.randrange(pool_v6.size)
 
 
-def _build_pools(population: Population, config: PopulationConfig) -> None:
+def _build_pools(config: PopulationConfig) -> dict[tuple[str, str, int], _HostPool]:
     """Size and place every provider's host pools.
 
     Pool sizes follow the expected number of domains a provider serves
@@ -506,6 +544,7 @@ def _build_pools(population: Population, config: PopulationConfig) -> None:
         "toplist": config.quic_rate_toplist,
         "zone": config.quic_rate_czds,
     }
+    pools = {}
 
     for catalog, is_quic in ((PROVIDERS, True), (NO_QUIC_PROVIDERS, False)):
         weight_total = {
@@ -547,7 +586,7 @@ def _build_pools(population: Population, config: PopulationConfig) -> None:
                 size_v6 = _fit_to_prefix(
                     provider.v6_prefix, offset_v6, size_v6, stride_v6, provider.name
                 )
-                population._pools[(provider.name, group, 4)] = _HostPool(
+                pools[(provider.name, group, 4)] = _HostPool(
                     provider=provider,
                     base_address=v4_base + offset_v4,
                     version=4,
@@ -555,7 +594,7 @@ def _build_pools(population: Population, config: PopulationConfig) -> None:
                     label=f"{provider.name}/{group}/v4",
                     address_stride=stride_v4,
                 )
-                population._pools[(provider.name, group, 6)] = _HostPool(
+                pools[(provider.name, group, 6)] = _HostPool(
                     provider=provider,
                     base_address=v6_base + offset_v6,
                     version=6,
@@ -565,6 +604,7 @@ def _build_pools(population: Population, config: PopulationConfig) -> None:
                 )
                 offset_v4 += size_v4 * stride_v4 + 64
                 offset_v6 += size_v6 * stride_v6 + 64
+    return pools
 
 
 def build_population_from_names(
@@ -576,43 +616,16 @@ def build_population_from_names(
 
     ``czds_names`` / ``toplist_names`` typically come from
     :mod:`repro.internet.listfiles` (real toplist CSVs and zone files).
-    Domain counts in ``config`` are ignored — the lists define the
-    population — while all rates, provider mixes, and the stack-churn
-    process apply unchanged.  Zone membership follows each name's TLD.
+    Domain counts in ``config`` are replaced by the list sizes, while all
+    rates, provider mixes, and the stack-churn process apply unchanged.
+    The records come from the same block draws as a generated
+    population's, with each name's TLD as its zone and no toplist
+    sources invented for it.
     """
     toplist_names = toplist_names or []
-    config = config or PopulationConfig()
-    population = Population(config)
-    rng = derive_rng(config.seed, "population-from-names")
-
-    # Pool sizing uses the actual list sizes.
-    sized = PopulationConfig(
+    config = replace(
+        config or PopulationConfig(),
         toplist_domains=len(toplist_names),
         czds_domains=len(czds_names),
-        resolve_rate_toplist=config.resolve_rate_toplist,
-        resolve_rate_czds=config.resolve_rate_czds,
-        quic_rate_toplist=config.quic_rate_toplist,
-        quic_rate_czds=config.quic_rate_czds,
-        zone_density_scale=config.zone_density_scale,
-        stack_persistence_tiers=config.stack_persistence_tiers,
-        seed=config.seed,
     )
-    population.config = sized
-    _build_pools(population, sized)
-
-    for name, in_toplist in (
-        *((n, True) for n in toplist_names),
-        *((n, False) for n in czds_names),
-    ):
-        zone = name.rsplit(".", 1)[-1] if "." in name else name
-        record = DomainRecord(
-            name=name,
-            zone=zone,
-            in_toplist=in_toplist,
-            in_czds=not in_toplist,
-        )
-        _resolve_domain(
-            record, sized, rng, population, group="toplist" if in_toplist else "zone"
-        )
-        population.domains.append(record)
-    return population
+    return Population(config, names=[*toplist_names, *czds_names])

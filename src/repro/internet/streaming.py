@@ -58,10 +58,9 @@ class StreamingPopulation(Population):
         # Deliberately not calling Population.__init__: it assigns
         # ``self.domains = []``, which this class forbids via property.
         self.config = config
-        self._pools = {}
+        self._pools = _build_pools(config)
         self._stack_cache = {}
         self._persistence_cache = {}
-        _build_pools(self, config)
 
     @property
     def domains(self):

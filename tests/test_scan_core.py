@@ -102,7 +102,7 @@ class Harness:
         self.loaded.append(index)
         self._took_a_slot()
         start = self.truth.index(
-            next(r for r in self.truth if r.domain is targets[0])
+            next(r for r in self.truth if r.domain == targets[0])
         )
         return self.truth[start : start + len(targets)]
 
@@ -113,7 +113,7 @@ class Harness:
 
     def scan_shard(self, domains, week_label, ip_version, probe):
         start = next(
-            i for i, r in enumerate(self.truth) if r.domain is domains[0]
+            i for i, r in enumerate(self.truth) if r.domain == domains[0]
         )
         self.submitted.append((start, len(domains)))
         self._took_a_slot()
