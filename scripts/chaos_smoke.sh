@@ -3,9 +3,9 @@
 # assert the robustness guarantees hold end to end:
 #
 #   1. the scan completes (exit 0) with a nonzero fault plan,
-#   2. datasets and qlogs are byte-identical at --workers 1 vs the
-#      4-worker pool (--force-pool), batch and --stream (breaker,
-#      checkpoint and resume included),
+#   2. datasets, qlogs and telemetry are byte-identical at --workers 1
+#      vs the 4-worker pool (--force-pool), breaker, checkpoint and
+#      resume included,
 #   3. the failure-taxonomy summary is byte-identical across workers,
 #   4. a checkpointed campaign with a deleted shard resumes to the same
 #      merged dataset as an uninterrupted run,
@@ -65,13 +65,13 @@ python -m repro.cli scan "${COMMON[@]}" --chunk-size 128 --workers 4 --force-poo
 cmp "$WORK/ckpt-full.jsonl" "$WORK/ckpt-resumed.jsonl"
 cmp "$WORK/ckpt-full.jsonl" "$WORK/w1.jsonl"
 
-echo "== chaos smoke: streaming scan, every flag the batch scan takes =="
-# The streaming population + bounded-window scan must emit identical
-# records, qlogs and telemetry at any worker count — faults, breaker and
-# checkpoint included — and resume a lost shard to the same artifact.
+echo "== chaos smoke: every scan flag, worker and resume identity =="
+# The bounded-window scan must emit identical records, qlogs and
+# telemetry at any worker count — faults, breaker and checkpoint
+# included — and resume a lost shard to the same artifact.
 for arm in 1 4; do
     [ "$arm" = 4 ] && POOL=(--force-pool) || POOL=()
-    python -m repro.cli scan "${COMMON[@]}" --stream --workers "$arm" "${POOL[@]}" \
+    python -m repro.cli scan "${COMMON[@]}" --workers "$arm" "${POOL[@]}" \
         --chunk-size 128 --checkpoint-dir "$WORK/stream$arm-ckpt" \
         --out "$WORK/stream$arm.jsonl" --qlog-out "$WORK/stream$arm-qlog.jsonl" \
         --telemetry-out "$WORK/stream$arm-telemetry" 2>/dev/null
@@ -81,7 +81,7 @@ cmp "$WORK/stream1-qlog.jsonl" "$WORK/stream4-qlog.jsonl"
 cmp "$WORK/stream1-telemetry/trace.jsonl" "$WORK/stream4-telemetry/trace.jsonl"
 cmp "$WORK/stream1-telemetry/metrics.json" "$WORK/stream4-telemetry/metrics.json"
 rm "$WORK/stream1-ckpt/shard-00003.cbr"   # a crash loses one shard
-python -m repro.cli scan "${COMMON[@]}" --stream --workers 4 --force-pool \
+python -m repro.cli scan "${COMMON[@]}" --workers 4 --force-pool \
     --chunk-size 128 --checkpoint-dir "$WORK/stream1-ckpt" \
     --out "$WORK/stream-resumed.jsonl" --qlog-out "$WORK/stream-resumed-qlog.jsonl" \
     2>/dev/null

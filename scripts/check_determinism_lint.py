@@ -111,6 +111,14 @@ Which further rules apply to which layer (directory under
   (``repro.netsim.tcp.is_tcp_shaped``), so naming the TCP segment codec
   (``decode_tcp_segment``, ``TcpSegment``) in either file is flagged,
   as the QUIC codec is everywhere.  No pragma opts out.
+* One population universe, everywhere but ``internet/population.py``:
+  a population is read by range (``materialize_range``,
+  ``iter_targets``, ``domain_count``), so a ``.domains`` read on a name
+  or attribute ending in ``population`` holds the whole list where no
+  one needs it, and is flagged; and a ``derive_rng(`` call with a
+  population label (``"population..."``, or the retired per-index
+  ``"stream-domain"``) draws domains outside the one generator, and is
+  flagged.  No pragma opts out.
 
 Benchmarks (``benchmarks/``) legitimately measure wall-clock and are
 not scanned.  A source line may opt out with the pattern's pragma when
@@ -598,11 +606,33 @@ def one_flow_structure(text: str) -> list[int]:
     return sorted(numbers)
 
 
+def population_by_range(text: str) -> list[int]:
+    """A population's ``.domains`` read, or a ``derive_rng(`` call with a
+    population label: domains held as a list, or drawn by a second rule."""
+    numbers = set()
+    for node in ast.walk(ast.parse(text)):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "domains"
+            and isinstance(node.ctx, ast.Load)
+            and _bare_name(node.value).endswith("population")
+        ):
+            numbers.add(node.lineno)
+        elif _called_name(node) == "derive_rng" and any(
+            isinstance(arg, ast.Constant)
+            and isinstance(arg.value, str)
+            and arg.value.startswith(("population", "stream-domain"))
+            for arg in node.args
+        ):
+            numbers.add(node.lineno)
+    return sorted(numbers)
+
+
 #: What every file is held to; a layer (directory under ``repro/``) not
 #: listed below gets exactly this.
 _EVERYWHERE = (
     forbidden_lines, hand_built_trace_rows, listener_guards, endpoint_decoder_uses,
-    container_framing,
+    container_framing, population_by_range,
 )
 
 #: layer → its rules.  The JSON-in-loop layers are the hot paths (the
@@ -631,11 +661,13 @@ LAYER_RULES = {
 #: modules (and the package's re-exports of it) are where its names
 #: live; the endpoint and the field decoder carry the one-datapath rules,
 #: the monitor pipeline the rule that keeps it off the packet path, the
-#: flow table and resolver the rule that keeps flow identity one structure.
+#: flow table and resolver the rule that keeps flow identity one structure,
+#: and the population generator is where populations are drawn.
 _CODEC_HOME = ((), (endpoint_decoder_uses,))
 FILE_RULES = {
     "repro/core/flow_resolver.py": ((one_flow_structure, tcp_decoder_uses), ()),
     "repro/core/flow_table.py": ((one_flow_structure, tcp_decoder_uses), ()),
+    "repro/internet/population.py": ((), (population_by_range,)),
     "repro/monitor/pipeline.py": ((monitor_packet_path,), ()),
     "repro/quic/__init__.py": _CODEC_HOME,
     "repro/quic/connection.py": ((forked_datapath,), ()),
@@ -710,7 +742,10 @@ def main(argv: list[str] | None = None) -> int:
             "core/flow_table.py and core/flow_resolver.py neither define nor call "
             "on_flow_retired (the slot holds its claims, _retire releases them), "
             "on_server_datagram calls no .hex( and at most one resolver method, and "
-            "neither names decode_tcp_segment / TcpSegment — is_tcp_shaped classifies)",
+            "neither names decode_tcp_segment / TcpSegment — is_tcp_shaped classifies; "
+            "outside internet/population.py a population is read by range "
+            "(materialize_range / iter_targets / domain_count), never as .domains, "
+            "and no derive_rng( call names a population label)",
             file=sys.stderr,
         )
         return 1

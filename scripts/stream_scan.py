@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Streaming-population scan demo: millions of domains, bounded RSS.
+"""Streaming scan demo: millions of domains, bounded RSS.
 
 Validates the scan engine's bounded-memory claim end to end: a
-:class:`~repro.internet.streaming.StreamingPopulation` generates the
-target list per index (never as a Python list), ``Scanner.scan_stream``
+:class:`~repro.internet.population.Population` draws the targets block
+by block (never as a Python list), ``Scanner.scan_stream``
 keeps only a bounded window of shards in flight, and results flow
 straight into the artifact writer.  The parent process's resident set
 must therefore stay flat no matter how many domains the scan covers.
@@ -34,8 +34,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.artifacts import write_records  # noqa: E402
-from repro.internet.population import PopulationConfig  # noqa: E402
-from repro.internet.streaming import StreamingPopulation  # noqa: E402
+from repro.internet.population import Population, PopulationConfig  # noqa: E402
 from repro.web.parallel import ParallelScanConfig  # noqa: E402
 from repro.web.scanner import ScanConfig, Scanner  # noqa: E402
 
@@ -79,7 +78,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    population = StreamingPopulation(
+    population = Population(
         PopulationConfig(
             toplist_domains=args.toplist, czds_domains=args.czds, seed=args.seed
         )

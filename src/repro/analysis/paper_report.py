@@ -88,7 +88,7 @@ def generate_paper_report(
     compliance = None
     if include_longitudinal:
         runner = CampaignRunner(population, DEFAULT_CAMPAIGN, scan_config)
-        quic_domains = [d for d in population.domains if d.quic_enabled]
+        quic_domains = [d for d in population.iter_targets() if d.quic_enabled]
         subset = quic_domains[:longitudinal_domain_cap]
         longitudinal = runner.run_longitudinal(longitudinal_weeks, domains=subset)
         compliance = compliance_histogram(longitudinal)

@@ -86,13 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "engine would fall back in-process (single core / single shard)",
     )
     scan.add_argument(
-        "--stream",
-        action="store_true",
-        help="bounded-memory population: generate domains on demand, so no "
-        "process ever holds the full domain list (results are streamed "
-        "to the outputs shard by shard either way)",
-    )
-    scan.add_argument(
         "--out", required=True, help="output artifact path ('-' for stdout)"
     )
     scan.add_argument(
@@ -654,8 +647,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
     Records flow straight into the artifact writer, sampled qlogs into
     ``--qlog-out`` line by line and outcomes into the failure fold, so
-    no step holds the dataset; ``--stream`` only swaps the population
-    for one that never holds the domain list either.
+    no step holds the dataset, and the population draws the targets
+    shard by shard, so none holds the domain list either.
     """
     import json
 
@@ -663,7 +656,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     from repro.faults import CheckpointError, truncate_jsonl_line
     from repro.faults.taxonomy import FailureFold
     from repro.internet.population import PopulationConfig, build_population
-    from repro.internet.streaming import StreamingPopulation
     from repro.web.scanner import ScanConfig, Scanner
 
     # All configuration errors surface as one clean stderr line before
@@ -678,13 +670,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         )
     except ValueError as error:
         raise SystemExit(f"repro: error: {error}")
-    population_config = PopulationConfig(
-        toplist_domains=args.toplist, czds_domains=args.czds, seed=args.seed
-    )
-    population = (
-        StreamingPopulation(population_config)
-        if args.stream
-        else build_population(population_config)
+    population = build_population(
+        PopulationConfig(
+            toplist_domains=args.toplist, czds_domains=args.czds, seed=args.seed
+        )
     )
     parallel = _parallel_config(args.workers, args.chunk_size, args.force_pool)
     print(
@@ -965,7 +954,7 @@ def _cmd_compliance(args: argparse.Namespace) -> int:
     population = build_population(
         PopulationConfig(toplist_domains=0, czds_domains=args.czds, seed=args.seed)
     )
-    quic_domains = [d for d in population.domains if d.quic_enabled]
+    quic_domains = [d for d in population.iter_targets() if d.quic_enabled]
     print(
         f"scanning {len(quic_domains)} QUIC domains in {args.weeks} spread weeks ...",
         file=sys.stderr,
@@ -1083,7 +1072,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         )
     )
     print(
-        f"running the full study over {len(population.domains)} domains ...",
+        f"running the full study over {population.domain_count} domains ...",
         file=sys.stderr,
     )
     report = generate_paper_report(
@@ -1223,7 +1212,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         )
     )
     print(
-        f"profiling a scan of {len(population.domains)} domains "
+        f"profiling a scan of {population.domain_count} domains "
         f"(week {args.week}, IPv{args.ip_version},"
         f" {'simulated' if args.sim else 'wall'} clock) ...",
         file=sys.stderr,

@@ -59,7 +59,7 @@ def scan_fingerprint(
 
     The target list is folded to a digest so manifests stay small; it is
     hashed name by name, so ``targets`` may be any iterable — a
-    streaming population's generator never becomes a list (the digest
+    population's ``iter_targets()`` never becomes a list (the digest
     equals that of the names joined by ``|``).  The scan config enters
     via its ``repr`` (frozen dataclasses render every field), so
     resuming under a different fault plan or resilience setting is

@@ -19,12 +19,21 @@ persistence produces the longitudinal churn Figure 2 measures.
 Scale is configurable; all published ratios (resolve rates, QUIC rates,
 provider mixes) are preserved, so Tables 1-4 reproduce at any scale with
 counts shrinking proportionally.
+
+The domain index is the unit of determinism: each aligned block of
+:data:`BLOCK_SIZE` indexes draws its records from its own RNG stream,
+so any range — a worker's shard, one domain, the whole list — is drawn
+from the blocks it touches, in any process, without the domains before
+it.  A population at the paper's scale is scanned without ever holding
+its domain list.
 """
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 from dataclasses import dataclass, replace
+from enum import Enum
 
 from repro._util.rng import derive_rng
 from repro._util.stats import weighted_choice
@@ -39,8 +48,6 @@ __all__ = [
     "build_population",
     "build_population_from_names",
 ]
-
-from enum import Enum
 
 #: CZDS zone mix: .com dominates, matching the paper's com/net/org share
 #: of 183.0 M / 216.5 M ≈ 84.5 %.
@@ -201,9 +208,7 @@ class Population:
         self.config = config
         self.names = None if names is None else tuple(names)
         if self.names is not None and len(self.names) != self.domain_count:
-            raise ValueError(
-                f"{len(self.names)} names for {self.domain_count} domains"
-            )
+            raise ValueError(f"{len(self.names)} names for {self.domain_count} domains")
         self._pools = _build_pools(config)
         self._domains: list[DomainRecord] | None = None
         #: (entity label, epoch) → stack name; bounded by one campaign.
@@ -308,26 +313,18 @@ class Population:
         skip = start % BLOCK_SIZE
         return records[skip : skip + stop - start]
 
-    def iter_targets(self, batch: int = 1024):
-        """Yield every domain in population order, ``batch`` at a time.
-
-        Bounded-memory iteration surface: callers that only stream
-        (exports, streaming scans) never need ``.domains``.
-        """
-        total = self.domain_count
-        for start in range(0, total, batch):
-            yield from self.materialize_range(start, min(start + batch, total))
+    def iter_targets(self):
+        """Yield every domain in population order, one block at a time."""
+        for block in range(-(-self.domain_count // BLOCK_SIZE)):
+            yield from self._draw_block(block)
 
     def trim_caches(self, limit: int = 200_000) -> None:
         """Drop stack/persistence caches once they exceed ``limit``.
 
-        Vhost serving entities are per-domain, so over a 10 M-domain
-        streaming scan these caches would otherwise grow without bound.
-        Entries are pure functions of ``(seed, entity, epoch)`` — any
-        evicted value is re-derived bit-identically on the next lookup —
-        so trimming can never change results, only timing.  A no-op for
-        ordinary campaign-scale populations, which stay far below the
-        cap.
+        Vhost serving entities are per-domain, so over a 10 M-domain scan
+        these caches would otherwise grow without bound.  Entries are
+        pure functions of ``(seed, entity, epoch)``, so trimming changes
+        timing, never results.
         """
         if len(self._stack_cache) > limit:
             self._stack_cache.clear()
@@ -368,11 +365,45 @@ class Population:
                 in_czds=not toplist,
                 toplist_sources=sources,
             )
-            _resolve_domain(
-                record, config, rng, self, group="toplist" if toplist else "zone"
-            )
+            self._resolve(record, rng, "toplist" if toplist else "zone")
             records.append(record)
         return records
+
+    def _resolve(self, record: DomainRecord, rng, group: str) -> None:
+        """DNS + hosting assignment for one domain."""
+        toplist = group == "toplist"
+        config = self.config
+        if rng.random() >= (
+            config.resolve_rate_toplist if toplist else config.resolve_rate_czds
+        ):
+            return
+        record.resolves = True
+        record.quic_enabled = rng.random() < (
+            config.quic_rate_toplist if toplist else config.quic_rate_czds
+        )
+        provider = weighted_choice(
+            rng, *_hosting_mix(record.quic_enabled, group, record.zone in _COM_NET_ORG)
+        )
+        record.provider_name = provider.name
+        record.host_index_v4 = rng.randrange(self._pools[provider.name, group, 4].size)
+        aaaa = (
+            provider.aaaa_fraction_toplist if toplist else provider.aaaa_fraction_zone
+        )
+        if record.quic_enabled and provider.aaaa_spin_stack_multiplier != 1.0:
+            # Dual-stack deployment correlates with the (modern) server
+            # stack: spin-capable vhosts are likelier to carry AAAA records
+            # (Table 4's >60 % IPv6 host-level spin support).
+            from repro.web.server_profiles import STACKS
+
+            stack_name = self.stack_of(record, 6, epoch=0)
+            if stack_name is not None and STACKS[stack_name].spin_config.ever_spins:
+                aaaa = min(1.0, aaaa * provider.aaaa_spin_stack_multiplier)
+            else:
+                aaaa *= 0.6
+        if rng.random() < aaaa:
+            record.has_aaaa = True
+            pool_v6 = self._pools[provider.name, group, 6]
+            record.host_index_v6 = rng.randrange(pool_v6.size)
 
     def _placement(self, domain: DomainRecord, version: int) -> tuple[_HostPool, int]:
         if domain.provider_name is None:
@@ -468,64 +499,15 @@ def build_population(config: PopulationConfig | None = None) -> Population:
     return Population(config or PopulationConfig())
 
 
-def _resolve_domain(
-    record: DomainRecord,
-    config: PopulationConfig,
-    rng,
-    population: Population,
-    group: str,
-) -> None:
-    """DNS + hosting assignment for one domain."""
-    resolve_rate = (
-        config.resolve_rate_toplist if group == "toplist" else config.resolve_rate_czds
-    )
-    quic_rate = (
-        config.quic_rate_toplist if group == "toplist" else config.quic_rate_czds
-    )
-    if rng.random() >= resolve_rate:
-        return
-    record.resolves = True
-    record.quic_enabled = rng.random() < quic_rate
-
-    catalog = PROVIDERS if record.quic_enabled else NO_QUIC_PROVIDERS
-    pairs = []
-    for provider in catalog:
-        weight = (
-            provider.quic_weight_toplist
-            if group == "toplist"
-            else provider.quic_weight_zone
-        )
-        if group == "zone" and record.zone in _COM_NET_ORG:
-            weight *= provider.cno_multiplier
-        pairs.append((provider, weight))
-    providers = [p for p, _ in pairs]
-    weights = [w for _, w in pairs]
-    provider = weighted_choice(rng, providers, weights)
-    record.provider_name = provider.name
-
-    pool_v4 = population._pools[(provider.name, group, 4)]
-    record.host_index_v4 = rng.randrange(pool_v4.size)
-
-    aaaa = (
-        provider.aaaa_fraction_toplist
-        if group == "toplist"
-        else provider.aaaa_fraction_zone
-    )
-    if record.quic_enabled and provider.aaaa_spin_stack_multiplier != 1.0:
-        # Dual-stack deployment correlates with the (modern) server
-        # stack: spin-capable vhosts are likelier to carry AAAA records
-        # (Table 4's >60 % IPv6 host-level spin support).
-        from repro.web.server_profiles import STACKS
-
-        stack_name = population.stack_of(record, 6, epoch=0)
-        if stack_name is not None and STACKS[stack_name].spin_config.ever_spins:
-            aaaa = min(1.0, aaaa * provider.aaaa_spin_stack_multiplier)
-        else:
-            aaaa *= 0.6
-    if rng.random() < aaaa:
-        record.has_aaaa = True
-        pool_v6 = population._pools[(provider.name, group, 6)]
-        record.host_index_v6 = rng.randrange(pool_v6.size)
+@functools.cache
+def _hosting_mix(quic: bool, group: str, com_net_org: bool):
+    """The providers a resolved domain is hosted by, and their weights."""
+    catalog = PROVIDERS if quic else NO_QUIC_PROVIDERS
+    if group == "toplist":
+        return catalog, tuple(p.quic_weight_toplist for p in catalog)
+    if com_net_org:
+        return catalog, tuple(p.quic_weight_zone * p.cno_multiplier for p in catalog)
+    return catalog, tuple(p.quic_weight_zone for p in catalog)
 
 
 def _build_pools(config: PopulationConfig) -> dict[tuple[str, str, int], _HostPool]:
@@ -552,10 +534,12 @@ def _build_pools(config: PopulationConfig) -> dict[tuple[str, str, int], _HostPo
             "zone": sum(p.quic_weight_zone for p in catalog),
         }
         for provider in catalog:
-            v4_base = int(ipaddress.ip_network(provider.v4_prefix).network_address)
-            v6_base = int(ipaddress.ip_network(provider.v6_prefix).network_address)
-            offset_v4 = 16
-            offset_v6 = 16
+            # Long-tail aggregates spread one host per AS slice (a /24
+            # for IPv4, a /64-aligned block for IPv6).
+            regions = {
+                4: [provider.v4_prefix, 16, 256 if provider.asn == 0 else 1],
+                6: [provider.v6_prefix, 16, (1 << 64) if provider.asn == 0 else 1],
+            }
             for group in ("toplist", "zone"):
                 weight = (
                     provider.quic_weight_toplist
@@ -574,36 +558,22 @@ def _build_pools(config: PopulationConfig) -> dict[tuple[str, str, int], _HostPo
                     dpi_v6 = max(
                         1.0, provider.domains_per_ip_v6 * config.zone_density_scale
                     )
-                size_v4 = max(1, round(domain_count / dpi_v4))
-                size_v6 = max(1, round(domain_count / dpi_v6))
-                # Long-tail aggregates spread one host per AS slice
-                # (a /24 for IPv4, a /64-aligned block for IPv6).
-                stride_v4 = 256 if provider.asn == 0 else 1
-                stride_v6 = (1 << 64) if provider.asn == 0 else 1
-                size_v4 = _fit_to_prefix(
-                    provider.v4_prefix, offset_v4, size_v4, stride_v4, provider.name
-                )
-                size_v6 = _fit_to_prefix(
-                    provider.v6_prefix, offset_v6, size_v6, stride_v6, provider.name
-                )
-                pools[(provider.name, group, 4)] = _HostPool(
-                    provider=provider,
-                    base_address=v4_base + offset_v4,
-                    version=4,
-                    size=size_v4,
-                    label=f"{provider.name}/{group}/v4",
-                    address_stride=stride_v4,
-                )
-                pools[(provider.name, group, 6)] = _HostPool(
-                    provider=provider,
-                    base_address=v6_base + offset_v6,
-                    version=6,
-                    size=size_v6,
-                    label=f"{provider.name}/{group}/v6",
-                    address_stride=stride_v6,
-                )
-                offset_v4 += size_v4 * stride_v4 + 64
-                offset_v6 += size_v6 * stride_v6 + 64
+                for version, density in ((4, dpi_v4), (6, dpi_v6)):
+                    prefix, offset, stride = regions[version]
+                    size = _fit_to_prefix(
+                        prefix, offset, max(1, round(domain_count / density)),
+                        stride, provider.name,
+                    )
+                    pools[(provider.name, group, version)] = _HostPool(
+                        provider=provider,
+                        base_address=int(ipaddress.ip_network(prefix).network_address)
+                        + offset,
+                        version=version,
+                        size=size,
+                        label=f"{provider.name}/{group}/v{version}",
+                        address_stride=stride,
+                    )
+                    regions[version][1] += size * stride + 64
     return pools
 
 

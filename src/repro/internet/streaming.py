@@ -1,123 +1,6 @@
-"""Range-addressed streaming population for bounded-memory scans.
+"""Old name of :class:`~repro.internet.population.Population`, which draws
+by index block; kept for ``bench/layers.py``'s import, then to go."""
 
-:func:`~repro.internet.population.build_population` draws every domain
-from one *sequential* RNG stream — domain N's attributes depend on every
-draw made for domains 0..N-1 — so materializing "domains 5 M..5 M+512"
-requires generating the 5 M domains before them.  Fine at campaign
-scale (34 k domains), impossible at the paper's (>200 M: the record
-list alone would be tens of GB per process).
-
-:class:`StreamingPopulation` makes the domain *index* the unit of
-determinism instead: every record is generated from its own derived RNG
-stream ``(seed, "stream-domain", index)``, so any range materializes in
-O(range) time and O(range) memory, identically in every process.  The
-parallel scan engine ships ``(start, count)`` descriptors through the
-pool and each worker regenerates its own slice — the full population
-never exists anywhere.
-
-This is a deliberately *different deterministic universe* from
-``build_population`` (the per-index derivation cannot reproduce the
-sequential stream), so the two constructions are never mixed within one
-campaign: a scan is either materialized or streaming, and its seed
-names which universe it lives in.  Rates, provider mixes, host pools,
-and the stack-churn process are shared unchanged — Tables 1-4 reproduce
-at any scale in both universes.
-"""
-
-from __future__ import annotations
-
-from repro._util.rng import derive_rng
-from repro._util.stats import weighted_choice
-from repro.internet.population import (
-    _TOPLIST_SOURCES,
-    _ZONES,
-    DomainRecord,
-    Population,
-    PopulationConfig,
-    _build_pools,
-    _resolve_domain,
-)
+from repro.internet.population import Population as StreamingPopulation
 
 __all__ = ["StreamingPopulation"]
-
-
-class StreamingPopulation(Population):
-    """A population that generates domain records on demand, by index.
-
-    Indexes ``[0, toplist_domains)`` are toplist domains, the rest CZDS
-    — the same ordering a materialized population uses.  Host pools,
-    stack churn, and provider lookups are inherited unchanged from
-    :class:`Population`; only record construction differs (per-index
-    derived RNG instead of one sequential stream).
-
-    ``.domains`` raises: the whole point is that no list of 10 M records
-    ever exists.  Use :meth:`materialize_range` / :meth:`iter_targets`.
-    """
-
-    def __init__(self, config: PopulationConfig):
-        # Deliberately not calling Population.__init__: it assigns
-        # ``self.domains = []``, which this class forbids via property.
-        self.config = config
-        self._pools = _build_pools(config)
-        self._stack_cache = {}
-        self._persistence_cache = {}
-
-    @property
-    def domains(self):
-        raise TypeError(
-            "StreamingPopulation does not materialize a domain list; "
-            "use materialize_range()/iter_targets()"
-        )
-
-    @property
-    def domain_count(self) -> int:
-        return self.config.toplist_domains + self.config.czds_domains
-
-    def spawn_spec(self):
-        """How a pool worker rebuilds this population: config only.
-
-        The parallel engine ships this through the pool initializer
-        instead of pickling the population object — a streaming
-        population is fully determined by its config.
-        """
-        return ("streaming", self.config)
-
-    def domain_at(self, index: int) -> DomainRecord:
-        """Generate the domain record at ``index`` (deterministic)."""
-        config = self.config
-        if not 0 <= index < self.domain_count:
-            raise IndexError(
-                f"domain index {index} outside population of "
-                f"{self.domain_count}"
-            )
-        rng = derive_rng(config.seed, "stream-domain", index)
-        zone = weighted_choice(
-            rng, [z for z, _ in _ZONES], [w for _, w in _ZONES]
-        )
-        if index < config.toplist_domains:
-            sources = tuple(
-                source for source in _TOPLIST_SOURCES if rng.random() < 0.45
-            ) or ("tranco",)
-            record = DomainRecord(
-                name=f"top{index:07d}.{zone}",
-                zone=zone,
-                in_toplist=True,
-                in_czds=False,
-                toplist_sources=sources,
-            )
-            group = "toplist"
-        else:
-            czds_index = index - config.toplist_domains
-            record = DomainRecord(
-                name=f"domain{czds_index:09d}.{zone}",
-                zone=zone,
-                in_toplist=False,
-                in_czds=True,
-            )
-            group = "zone"
-        _resolve_domain(record, config, rng, self, group=group)
-        return record
-
-    def materialize_range(self, start: int, stop: int) -> list[DomainRecord]:
-        stop = min(stop, self.domain_count)
-        return [self.domain_at(index) for index in range(max(0, start), stop)]

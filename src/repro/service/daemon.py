@@ -98,6 +98,9 @@ class CampaignDaemon:
         )
         self._population = None
         self._scanner = None
+        #: week label -> scan fingerprint; every input to it is fixed for
+        #: the daemon's life, and each one draws the whole population.
+        self._fingerprints: dict[str, dict] = {}
 
     def close(self) -> None:
         """Shut down the daemon's scanner pool deterministically."""
@@ -262,14 +265,16 @@ class CampaignDaemon:
         """The scan's identity — same derivation the checkpoint layer uses."""
         from repro.faults.checkpoint import scan_fingerprint
 
-        return scan_fingerprint(
-            self.config.seed,
-            week.label,
-            self.config.ip_version,
-            0,
-            self.population.domains,
-            repr(self.scanner.config),
-        )
+        if week.label not in self._fingerprints:
+            self._fingerprints[week.label] = scan_fingerprint(
+                self.config.seed,
+                week.label,
+                self.config.ip_version,
+                0,
+                self.population.iter_targets(),
+                repr(self.scanner.config),
+            )
+        return self._fingerprints[week.label]
 
 
 class SimulatedClock:

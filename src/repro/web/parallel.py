@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 from repro.web.shardplan import ShardRange, plan_shards
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.internet.population import DomainRecord, Population
+    from repro.internet.population import DomainRecord, PopulationConfig
     from repro.web.scanner import DomainScanResult, ScanConfig, Scanner
 
 __all__ = ["ParallelScanConfig", "close_pool", "shard_stream"]
@@ -93,8 +93,8 @@ class ParallelScanConfig:
 
 
 # ----------------------------------------------------------------------
-# Worker side.  The population (or, for a streaming population, just its
-# config) and the scan config are shipped once per worker via the pool
+# Worker side.  What the population is drawn from — its config and name
+# list — and the scan config are shipped once per worker via the pool
 # initializer; each task then carries only a range descriptor — or, for
 # ad-hoc target lists, its domain records — so task payloads stay small.
 # ----------------------------------------------------------------------
@@ -102,33 +102,17 @@ class ParallelScanConfig:
 _WORKER_SCANNER: "Scanner | None" = None
 
 
-def _population_payload(population: "Population"):
-    """What the pool initializer ships: spec for streaming, else object.
-
-    A streaming population regenerates any domain from its config, so
-    pickling the object graph (10 M+ records) through the initializer
-    would defeat its whole point; the workers rebuild it from the
-    config instead.
-    """
-    spawn = getattr(population, "spawn_spec", None)
-    if spawn is not None:
-        return spawn()
-    return ("object", population)
-
-
 def _init_worker(
-    population_payload, scan_config: "ScanConfig", bundle_type: type
+    population_config: "PopulationConfig",
+    names: "tuple[str, ...] | None",
+    scan_config: "ScanConfig",
+    bundle_type: type,
 ) -> None:
     global _WORKER_SCANNER
+    from repro.internet.population import Population
     from repro.web.scanner import Scanner
 
-    kind, value = population_payload
-    if kind == "streaming":
-        from repro.internet.streaming import StreamingPopulation
-
-        population = StreamingPopulation(value)
-    else:
-        population = value
+    population = Population(population_config, names)
     # The worker's own bundle — one of the parent's type, which is what
     # pickles — is never written to: ``scan_shard`` records each shard
     # into a fresh one of its state.
@@ -167,7 +151,7 @@ def _scan_unit(task):
 def _pool_for(scanner: "Scanner", workers: int) -> ProcessPoolExecutor:
     """The scanner's persistent worker pool, (re)built on shape change.
 
-    Pool start-up (process forks + population pickling through the
+    Pool start-up (process forks + population set-up in the
     initializer) dominated short scans when every ``scan()`` call built
     a fresh executor; campaigns run many weekly scans over one scanner,
     so the pool is cached on the scanner and reused.  A shape change
@@ -182,13 +166,13 @@ def _pool_for(scanner: "Scanner", workers: int) -> ProcessPoolExecutor:
     if cached is not None:
         if cached[0] == key:
             return cached[1]
-        scanner._shard_pool = None
-        cached[1].shutdown(wait=True)
+        close_pool(scanner)
     pool = ProcessPoolExecutor(
         max_workers=workers,
         initializer=_init_worker,
         initargs=(
-            _population_payload(scanner.population),
+            scanner.population.config,
+            scanner.population.names,
             scanner.config,
             bundle_type,
         ),
@@ -237,8 +221,7 @@ def shard_stream(
     """Yield every shard's results, in ascending ordinal, bounded memory.
 
     ``domains=None`` scans the scanner's whole population through
-    ``materialize_range`` (nothing here ever asks for the full list, so
-    a :class:`~repro.internet.streaming.StreamingPopulation` works);
+    ``materialize_range`` (nothing here ever asks for the full list);
     otherwise the shards are slices of ``domains``.
 
     A shard becomes *due* when the window has room for it.  Under a
@@ -259,17 +242,12 @@ def shard_stream(
 
     population = scanner.population
     telemetry = scanner.telemetry
-    if domains is None:
-        total = population.domain_count
+    total = population.domain_count if domains is None else len(domains)
 
-        def targets_of(shard: ShardRange):
+    def targets_of(shard: ShardRange):
+        if domains is None:
             return population.materialize_range(shard.start, shard.stop)
-
-    else:
-        total = len(domains)
-
-        def targets_of(shard: ShardRange):
-            return domains[shard.start : shard.stop]
+        return domains[shard.start : shard.stop]
 
     shards = plan_shards(total, chunk)
     parallel = scanner.parallel
@@ -293,6 +271,8 @@ def shard_stream(
     #: parts | None, loaded from the checkpoint?)
     ready: dict[int, tuple] = {}
     inflight: dict = {}
+    #: ordinal -> its targets, drawn once when the shard comes due
+    drawn: dict[int, Sequence["DomainRecord"]] = {}
     next_due = 0
 
     def fill_window() -> None:
@@ -304,8 +284,9 @@ def shard_stream(
         ):
             due = shards[next_due]
             next_due += 1
+            targets = drawn[due.index] = targets_of(due)
             if checkpoint is not None:
-                loaded = checkpoint.load_shard(due.index, targets_of(due))
+                loaded = checkpoint.load_shard(due.index, targets)
                 if loaded is not None:
                     ready[due.index] = (loaded, None, None, True)
                     continue
@@ -313,13 +294,13 @@ def shard_stream(
             if use_pool:
                 # The population's own ranges ship as descriptors; the
                 # workers cannot rebuild an ad-hoc list, so its records go.
-                records = None if domains is None else tuple(targets_of(due))
+                records = None if domains is None else tuple(targets)
                 task = (due.start, due.count, records, week_label, ip_version, probe)
                 pool = _pool_for(scanner, workers)
                 inflight[pool.submit(_scan_unit, task)] = due.index
             else:
                 results, telem = scanner.scan_shard(
-                    targets_of(due), week_label, ip_version, probe
+                    targets, week_label, ip_version, probe
                 )
                 ready[due.index] = (results, None, telem, False)
         stats["max_outstanding"] = max(
@@ -336,13 +317,12 @@ def shard_stream(
                     ready[inflight.pop(future)] = (None, payload, telem, False)
                 fill_window()
             results, payload, telem, loaded = ready.pop(shard.index)
+            targets = drawn.pop(shard.index)
             if payload is not None:
                 # Decoded only now, so shards waiting in the window are
                 # compact bytes; strict, because a damaged in-memory IPC
                 # payload is a bug, not a crash artifact.
-                results = results_from_cbr_payload(
-                    payload, targets_of(shard), strict=True
-                )
+                results = results_from_cbr_payload(payload, targets, strict=True)
             if telem is not None:
                 telemetry.absorb_shard(*telem)
                 # The shard layout is a sharding artifact: diagnostics

@@ -280,8 +280,7 @@ class Scanner:
 
         Yields one :class:`DomainScanResult` per domain, in population
         order, holding no more than a small window of shards — so a
-        10 M+ domain :class:`~repro.internet.streaming.
-        StreamingPopulation` scan runs in bounded RSS (see
+        10 M+ domain scan runs in bounded RSS (see
         :func:`repro.web.parallel.shard_stream`).
 
         Deterministic in (population seed, week label, IP version,

@@ -11,28 +11,30 @@ from repro.analysis.webserver import webserver_shares
 from repro.core.classify import SpinBehaviour
 from repro.internet.asdb import IpAddr, build_default_asdb
 from repro.internet.population import (
-    DomainRecord,
     ListGroup,
     Population,
     PopulationConfig,
+    build_population_from_names,
 )
 from repro.web.scanner import DomainScanResult, ScanDataset
 
 
 def build_fixture():
-    """Three CZDS domains and one toplist domain with known behaviour."""
-    population = Population(PopulationConfig(toplist_domains=0, czds_domains=0))
+    """Five CZDS domains and one toplist domain with known behaviour.
+
+    The population comes from the lists; what the tables count comes
+    from the scan results built here.
+    """
+    population = build_population_from_names(
+        ["spin.com", "zero.com", "grease.org", "unresolved.com", "noquic.xyz"],
+        ["one.net"],
+    )
+    records = {record.name: record for record in population.domains}
     dataset = ScanDataset(week_label="cw20-2023", ip_version=4)
 
     def add_domain(name, zone, in_toplist, resolved, quic, connections, ip_value=None):
-        record = DomainRecord(
-            name=name,
-            zone=zone,
-            in_toplist=in_toplist,
-            in_czds=not in_toplist,
-            resolves=resolved,
-        )
-        population.domains.append(record)
+        record = records[name]
+        assert (record.zone, record.in_toplist) == (zone, in_toplist)
         dataset.results.append(
             DomainScanResult(
                 domain=record,

@@ -1,11 +1,15 @@
 """The synthetic domain population and its stack processes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.internet.population import (
     ListGroup,
+    Population,
     PopulationConfig,
     build_population,
+    build_population_from_names,
 )
 from repro.web.server_profiles import STACKS
 
@@ -166,3 +170,57 @@ class TestConfigValidation:
             PopulationConfig(stack_persistence_tiers=())
         with pytest.raises(ValueError):
             PopulationConfig(toplist_domains=-1)
+
+
+#: Sizes that put block edges (63/64/65) and a toplist -> CZDS switch
+#: inside a block (70) on the table, beside arbitrary ones.
+SIZES = st.one_of(st.sampled_from([0, 1, 63, 64, 65, 70, 130]), st.integers(0, 200))
+
+
+def _range_checks(make, data) -> None:
+    """``make()`` builds one population; any range, any index and a
+    fresh instance agree with the whole list."""
+    population = make()
+    whole = population.domains
+    n = len(whole)
+    assert n == population.domain_count
+    edges = [i for i in (0, 63, 64, 65, 127, 128, 129, n) if i <= n]
+    bound = st.one_of(st.sampled_from(edges), st.integers(0, n))
+    a, b = sorted((data.draw(bound, label="a"), data.draw(bound, label="b")))
+    assert population.materialize_range(a, b) == whole[a:b]
+    assert make().materialize_range(a, b) == whole[a:b]
+    for index in {a, b - 1, n - 1} & set(range(n)):
+        assert population.domain_at(index) == whole[index]
+    assert list(population.iter_targets()) == whole
+
+
+class TestBlockDraws:
+    """Record *i* is a function of (config, names, i // BLOCK_SIZE) and
+    its place in that block, so every access path draws the same list."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(toplist=SIZES, czds=SIZES, seed=st.integers(0, 2**32), data=st.data())
+    def test_any_range_is_the_lists_slice(self, toplist, czds, seed, data):
+        config = PopulationConfig(toplist_domains=toplist, czds_domains=czds, seed=seed)
+        _range_checks(lambda: build_population(config), data)
+
+    @settings(max_examples=40, deadline=None)
+    @given(toplist=SIZES, czds=SIZES, seed=st.integers(0, 2**32), data=st.data())
+    def test_names_path_draws_the_same_way(self, toplist, czds, seed, data):
+        top = [f"www.t{i}.{('com', 'shop', 'org')[i % 3]}" for i in range(toplist)]
+        zone = [f"z{i}.{('net', 'xyz')[i % 2]}" for i in range(czds)]
+        config = PopulationConfig(seed=seed)
+        make = lambda: build_population_from_names(zone, top, config)  # noqa: E731
+        _range_checks(make, data)
+        records = make().domains
+        assert [r.name for r in records] == top + zone
+        assert all(r.zone == r.name.rsplit(".", 1)[1] for r in records)
+        assert [r.in_toplist for r in records] == [True] * toplist + [False] * czds
+
+    def test_names_must_cover_the_config(self):
+        with pytest.raises(ValueError, match="2 names for 3 domains"):
+            Population(PopulationConfig(toplist_domains=1, czds_domains=2), ["a.com", "b.com"])
+
+    def test_out_of_range_index_raises(self, population):
+        with pytest.raises(IndexError):
+            population.domain_at(population.domain_count)

@@ -16,6 +16,7 @@ from repro.analysis.report import render_analysis_sections
 from repro.artifacts import open_record_batches
 from repro.artifacts.cbr import write_records_cbr
 from repro.cli import main
+from repro.internet.population import Population
 from repro.service import (
     CampaignDaemon,
     Scheduler,
@@ -209,6 +210,26 @@ class TestDaemon:
         paths = {record.path for record in telemetry.tracer.records}
         assert paths == {record.path for record in clean_telemetry.tracer.records}
         assert all(len(set(path)) == len(path) for path in paths)
+
+    def test_a_tick_never_holds_the_domain_list(self, tmp_path, monkeypatch):
+        """The daemon reads its population by range: a tick over one
+        whose ``domains`` raises writes the same spool bytes."""
+
+        def spool_bytes(directory) -> dict[str, bytes]:
+            return {
+                str(path.relative_to(directory)): path.read_bytes()
+                for path in sorted((directory / "spool").rglob("*"))
+                if path.is_file()
+            }
+
+        run_daemon(tmp_path / "listed")
+
+        def refuse(population):
+            raise AssertionError("the daemon asked for the domain list")
+
+        monkeypatch.setattr(Population, "domains", property(refuse))
+        run_daemon(tmp_path / "ranged")
+        assert spool_bytes(tmp_path / "ranged") == spool_bytes(tmp_path / "listed")
 
     def test_scheduler_paces_ticks_on_the_simulated_clock(self, tmp_path):
         daemon = CampaignDaemon(

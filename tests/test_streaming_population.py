@@ -1,18 +1,17 @@
-"""The range-addressed streaming population and streaming scan.
+"""Range-addressed population access and the streaming scan over it.
 
-A :class:`StreamingPopulation` must be a *function* of (config, index):
-any range materializes identically in any process at any time, and the
-streaming scan over it is bit-identical to a batch scan of the same
-materialized records — at every worker count — while holding only a
-bounded window of shards in memory.
+A :class:`Population` is a *function* of (config, index): any range
+materializes identically in any process at any time, and the streaming
+scan over it is bit-identical to a batch scan of the same materialized
+records — at every worker count — while holding only a bounded window
+of shards in memory.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.internet.population import PopulationConfig
-from repro.internet.streaming import StreamingPopulation
+from repro.internet.population import Population, PopulationConfig
 from repro.web.parallel import ParallelScanConfig
 from repro.web.scanner import ScanConfig, Scanner
 
@@ -21,7 +20,7 @@ CONFIG = PopulationConfig(toplist_domains=40, czds_domains=260, seed=77)
 
 @pytest.fixture(scope="module")
 def streaming():
-    return StreamingPopulation(CONFIG)
+    return Population(CONFIG)
 
 
 class TestDeterminism:
@@ -30,7 +29,7 @@ class TestDeterminism:
             assert streaming.domain_at(index) == streaming.domain_at(index)
 
     def test_fresh_instance_generates_identical_records(self, streaming):
-        other = StreamingPopulation(CONFIG)
+        other = Population(CONFIG)
         assert streaming.materialize_range(0, 300) == other.materialize_range(
             0, 300
         )
@@ -45,7 +44,7 @@ class TestDeterminism:
         assert pieces == whole
 
     def test_iter_targets_matches_ranges(self, streaming):
-        assert list(streaming.iter_targets(batch=41)) == streaming.materialize_range(
+        assert list(streaming.iter_targets()) == streaming.materialize_range(
             0, 300
         )
 
@@ -64,20 +63,8 @@ class TestDeterminism:
 
 
 class TestBoundedSurface:
-    def test_domains_attribute_refuses(self, streaming):
-        with pytest.raises(TypeError, match="materialize_range"):
-            streaming.domains
-
     def test_domain_count(self, streaming):
         assert streaming.domain_count == 300
-
-    def test_spawn_spec_rebuilds_equal_population(self, streaming):
-        kind, config = streaming.spawn_spec()
-        assert kind == "streaming"
-        rebuilt = StreamingPopulation(config)
-        assert rebuilt.materialize_range(10, 20) == streaming.materialize_range(
-            10, 20
-        )
 
     def test_trim_caches_preserves_stack_determinism(self, streaming):
         quic = [
@@ -150,7 +137,7 @@ class TestStreamingScan:
         from repro.telemetry import Telemetry
 
         config = ScanConfig(
-            faults=parse_fault_plan("blackhole:0.2,reset:0.2"),
+            faults=parse_fault_plan("blackhole:0.3,reset:0.3"),
             resilience=ResilienceConfig(
                 connect_timeout_ms=15_000,
                 breaker=BreakerPolicy(failure_threshold=2, cooldown_attempts=3),
@@ -204,7 +191,9 @@ class TestStreamingScan:
 
 
 class TestStreamCli:
-    """``repro scan --stream`` takes every flag the batch scan takes."""
+    """``repro scan`` with every scan flag writes the same outputs at one
+    worker and through a four-worker pool, and resumes either on the
+    other's worker count."""
 
     FLAGS = [
         "--czds", "200", "--toplist", "40", "--seed", "417", "--chunk-size", "48",
@@ -215,7 +204,7 @@ class TestStreamCli:
     ]
     ARMS = {"w1": ["--workers", "1"], "w4": ["--workers", "4", "--force-pool"]}
 
-    def _run(self, directory, arm, stream=True):
+    def _run(self, directory, arm):
         from repro.cli import main
 
         directory.mkdir(exist_ok=True)
@@ -226,7 +215,7 @@ class TestStreamCli:
             "--telemetry-out", str(directory / "telemetry"),
             "--checkpoint-dir", str(directory / "ckpt"),
         ]
-        assert main(command + (["--stream"] if stream else [])) == 0
+        assert main(command) == 0
         return {
             "artifact": (directory / "scan.cbr").read_bytes(),
             "qlog": (directory / "qlog.jsonl").read_bytes(),
@@ -253,3 +242,36 @@ class TestStreamCli:
             assert resumed["w1"][key] == first["w1"][key]
         assert resumed["w1"]["trace"] != first["w1"]["trace"]
         capsys.readouterr()
+
+
+class TestPoolCli:
+    """A forced-pool ``repro scan`` at any shard size writes the inline
+    scan's bytes, whether or not shards align with the draw blocks."""
+
+    FLAGS = ["--czds", "200", "--toplist", "40", "--seed", "417", "--qlog-sample-rate", "0.2"]
+
+    def _run(self, directory, *arm):
+        from repro.cli import main
+
+        directory.mkdir()
+        command = [
+            "scan", *self.FLAGS, *arm,
+            "--out", str(directory / "scan.cbr"),
+            "--qlog-out", str(directory / "qlog.jsonl"),
+            "--telemetry-out", str(directory / "telemetry"),
+        ]
+        assert main(command) == 0
+        return [
+            (directory / name).read_bytes()
+            for name in ("scan.cbr", "qlog.jsonl", "telemetry/trace.jsonl",
+                         "telemetry/metrics.json")
+        ]
+
+    @pytest.mark.parametrize("chunk", ("37", "128"))
+    def test_forced_pool_equals_inline(self, tmp_path, capsys, chunk):
+        inline = self._run(tmp_path / "inline", "--workers", "1")
+        pool = self._run(
+            tmp_path / "pool", "--workers", "2", "--force-pool", "--chunk-size", chunk
+        )
+        assert inline[1] and pool == inline
+        assert "pool, 2 worker(s)" in capsys.readouterr().err

@@ -707,6 +707,64 @@ class TestCountsOncePerBatch:
         assert "web/hot.py" not in result.stderr
 
 
+class TestOnePopulationUniverse:
+    """AST gate (same lint): outside ``internet/population.py`` a
+    population is read by range and drawn by no second rule."""
+
+    #: ``CampaignDaemon._scan_fingerprint`` as it read before the daemon
+    #: went through ``iter_targets``; line 11 holds the whole list.
+    PARENT_DAEMON = (
+        "class CampaignDaemon:\n"
+        "    def _scan_fingerprint(self, week: CalendarWeek) -> dict:\n"
+        '        """The scan identity, as the checkpoint layer derives it."""\n'
+        "        from repro.faults.checkpoint import scan_fingerprint\n"
+        "\n"
+        "        return scan_fingerprint(\n"
+        "            self.config.seed,\n"
+        "            week.label,\n"
+        "            self.config.ip_version,\n"
+        "            0,\n"
+        "            self.population.domains,\n"
+        "            repr(self.scanner.config),\n"
+        "        )\n"
+    )
+    OTHER = (
+        "def draw(population, scanner, batch, summary, seed, index):\n"
+        "    rng = derive_rng(seed, 'stream-domain', index)\n"
+        "    rng = derive_rng(seed, 'population-block', index)\n"
+        "    rng = derive_rng(seed, 'stack-draw', index)\n"
+        "    total = population.domain_count + len(scanner.population.domains)\n"
+        "    names = batch.domains + list(summary.domains)\n"
+        "    return list(population.iter_targets()), population.domains\n"
+    )
+
+    def test_the_parents_daemon_and_a_second_draw_are_caught(self, tmp_path):
+        files = {
+            "service/daemon.py": self.PARENT_DAEMON,
+            "web/hot.py": self.OTHER,
+            "internet/population.py": self.OTHER,
+        }
+        for name, source in files.items():
+            path = tmp_path / "repro" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(source, encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, str(TestDeterminismLint.LINT), str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        flagged = {
+            line.split(": ", 1)[0].split("repro/", 1)[1]
+            for line in result.stderr.splitlines()
+            if "repro/" in line
+        }
+        assert flagged == {
+            "service/daemon.py:11", "web/hot.py:2", "web/hot.py:3", "web/hot.py:5",
+            "web/hot.py:7",
+        }, result.stderr
+
+
 class TestOneContainer:
     """AST gate (same lint): a cbr file's framing is read and written by
     the container's own functions, each construct in its one home."""
