@@ -40,30 +40,30 @@ echo "== chaos smoke: faulted scan, workers 1 vs 4 (process pool) =="
 # the engine to pick it on its own — the identity guarantee must hold
 # through the pool, not just the inline executor.
 python -m repro.cli scan "${COMMON[@]}" --workers 1 \
-    --out "$WORK/w1.jsonl" --qlog-out "$WORK/w1-qlog.jsonl" 2>"$WORK/w1.err"
+    --out "$WORK/w1.cbr" --qlog-out "$WORK/w1-qlog.jsonl" 2>"$WORK/w1.err"
 python -m repro.cli scan "${COMMON[@]}" --workers 4 --force-pool \
-    --out "$WORK/w4.jsonl" --qlog-out "$WORK/w4-qlog.jsonl" 2>"$WORK/w4.err"
-cmp "$WORK/w1.jsonl" "$WORK/w4.jsonl"
+    --out "$WORK/w4.cbr" --qlog-out "$WORK/w4-qlog.jsonl" 2>"$WORK/w4.err"
+cmp "$WORK/w1.cbr" "$WORK/w4.cbr"
 cmp "$WORK/w1-qlog.jsonl" "$WORK/w4-qlog.jsonl"
 grep '^failures:' "$WORK/w1.err"
 cmp <(grep '^failures:' "$WORK/w1.err") <(grep '^failures:' "$WORK/w4.err")
 
 echo "== chaos smoke: failure taxonomy is worker-independent =="
-python -m repro.cli analyze "$WORK/w1.jsonl" --section failures \
+python -m repro.cli analyze "$WORK/w1.cbr" --section failures \
     2>/dev/null >"$WORK/tax1.txt"
-python -m repro.cli analyze "$WORK/w4.jsonl" --section failures \
+python -m repro.cli analyze "$WORK/w4.cbr" --section failures \
     2>/dev/null >"$WORK/tax4.txt"
 cmp "$WORK/tax1.txt" "$WORK/tax4.txt"
 cat "$WORK/tax1.txt"
 
 echo "== chaos smoke: checkpoint / crash / resume =="
 python -m repro.cli scan "${COMMON[@]}" --chunk-size 128 \
-    --checkpoint-dir "$WORK/ckpt" --out "$WORK/ckpt-full.jsonl" 2>/dev/null
+    --checkpoint-dir "$WORK/ckpt" --out "$WORK/ckpt-full.cbr" 2>/dev/null
 rm "$WORK/ckpt/shard-00002.cbr"   # simulate a crash losing one shard
 python -m repro.cli scan "${COMMON[@]}" --chunk-size 128 --workers 4 --force-pool \
-    --checkpoint-dir "$WORK/ckpt" --out "$WORK/ckpt-resumed.jsonl" 2>/dev/null
-cmp "$WORK/ckpt-full.jsonl" "$WORK/ckpt-resumed.jsonl"
-cmp "$WORK/ckpt-full.jsonl" "$WORK/w1.jsonl"
+    --checkpoint-dir "$WORK/ckpt" --out "$WORK/ckpt-resumed.cbr" 2>/dev/null
+cmp "$WORK/ckpt-full.cbr" "$WORK/ckpt-resumed.cbr"
+cmp "$WORK/ckpt-full.cbr" "$WORK/w1.cbr"
 
 echo "== chaos smoke: every scan flag, worker and resume identity =="
 # The bounded-window scan must emit identical records, qlogs and
@@ -73,19 +73,19 @@ for arm in 1 4; do
     [ "$arm" = 4 ] && POOL=(--force-pool) || POOL=()
     python -m repro.cli scan "${COMMON[@]}" --workers "$arm" "${POOL[@]}" \
         --chunk-size 128 --checkpoint-dir "$WORK/stream$arm-ckpt" \
-        --out "$WORK/stream$arm.jsonl" --qlog-out "$WORK/stream$arm-qlog.jsonl" \
+        --out "$WORK/stream$arm.cbr" --qlog-out "$WORK/stream$arm-qlog.jsonl" \
         --telemetry-out "$WORK/stream$arm-telemetry" 2>/dev/null
 done
-cmp "$WORK/stream1.jsonl" "$WORK/stream4.jsonl"
+cmp "$WORK/stream1.cbr" "$WORK/stream4.cbr"
 cmp "$WORK/stream1-qlog.jsonl" "$WORK/stream4-qlog.jsonl"
 cmp "$WORK/stream1-telemetry/trace.jsonl" "$WORK/stream4-telemetry/trace.jsonl"
 cmp "$WORK/stream1-telemetry/metrics.json" "$WORK/stream4-telemetry/metrics.json"
 rm "$WORK/stream1-ckpt/shard-00003.cbr"   # a crash loses one shard
 python -m repro.cli scan "${COMMON[@]}" --workers 4 --force-pool \
     --chunk-size 128 --checkpoint-dir "$WORK/stream1-ckpt" \
-    --out "$WORK/stream-resumed.jsonl" --qlog-out "$WORK/stream-resumed-qlog.jsonl" \
+    --out "$WORK/stream-resumed.cbr" --qlog-out "$WORK/stream-resumed-qlog.jsonl" \
     2>/dev/null
-cmp "$WORK/stream1.jsonl" "$WORK/stream-resumed.jsonl"
+cmp "$WORK/stream1.cbr" "$WORK/stream-resumed.cbr"
 cmp "$WORK/stream1-qlog.jsonl" "$WORK/stream-resumed-qlog.jsonl"
 cmp "$WORK/stream4-ckpt/shard-00003.cbr" "$WORK/stream1-ckpt/shard-00003.cbr"
 

@@ -22,7 +22,7 @@ Which further rules apply to which layer (directory under
   call inside a ``for`` loop is per-record JSON — exactly the cost
   profile the columnar artifact format and the week index exist to
   remove — and is flagged.  The JSONL codecs themselves (the artifact
-  reader, the spool manifest, the ``/v1/domain`` response body, the
+  export, the spool manifest, the ``/v1/domain`` response body, the
   trace writer) are the legitimate per-line JSON loops and opt out with
   ``# jsonl-ok``.
 * One wire reader (PR 12, PR 19): the dataclass codec is the reference
@@ -86,13 +86,20 @@ Which further rules apply to which layer (directory under
   flagged outside the function that is that construct's home
   (``_CONTAINER_HOMES``: ``_read_head``, ``_read_frame``,
   ``read_footer``, ``_write_footer``, ``_FrameWriter.chunk`` /
-  ``.close``, ``detect_format``).  In ``artifacts/`` also
+  ``.close``).  In ``artifacts/`` also
   (``_ARTIFACTS_HOMES``): a ``crc32(`` call outside ``_read_frame`` and
   the frame writer (elsewhere ``crc32`` is anybody's hash), a
   ``_decode_columns(`` call outside ``_open_chunk`` /
   ``CbrReader.domain_batches``, a footer dict (a literal with a
   ``"chunks"`` key) outside ``_FrameWriter.close``, and a second
   ``def _damaged``.  No pragma opts out.
+* One artifact format, everywhere under ``src/repro/``: cbr is the only
+  format read, and JSONL is the write-only Appendix B export
+  (``record_to_dict`` / ``export_records``).  Naming a JSONL record
+  reader — ``record_from_dict``, ``read_records``, ``load_records``,
+  ``ArtifactFormatError`` — or a format sniff, ``detect_format``, is
+  flagged; the reader lives in ``tests/`` as the export's round-trip
+  oracle.  No pragma opts out.
 * The monitor's packet path ends in the flow slot (PR 24),
   ``monitor/pipeline.py`` only: its ``SpinFlowTable(...)`` takes neither
   ``observer_factory=`` nor ``on_packet=`` (no observer object, no
@@ -171,6 +178,11 @@ _REFERENCE_CODEC = frozenset(
 )
 #: The TCP segment codec, which the flow table and resolver classify without.
 _TCP_CODEC = frozenset({"decode_tcp_segment", "TcpSegment"})
+#: A JSONL record reader and the sniff that routed files to it.
+_JSONL_READER = frozenset(
+    {"record_from_dict", "read_records", "load_records", "ArtifactFormatError",
+     "detect_format"}
+)
 
 #: The trace model's constructors and row lists (``repro.telemetry.trace``).
 _TRACE_CONSTRUCTORS = frozenset({"TraceRecord", "OpenSpan"})
@@ -217,6 +229,16 @@ def endpoint_decoder_uses(text: str) -> list[int]:
 def tcp_decoder_uses(text: str) -> list[int]:
     """Imports or uses of the TCP segment codec (the flow table may not)."""
     return _uses_of(text, _TCP_CODEC)
+
+
+def one_artifact_format(text: str) -> list[int]:
+    """Definitions, imports or uses of a JSONL record reader (cbr is the
+    one format read)."""
+    defined = [
+        node.lineno for node in ast.walk(ast.parse(text))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in _JSONL_READER
+    ]
+    return sorted(set(_uses_of(text, _JSONL_READER) + defined))
 
 
 def json_in_loops(text: str) -> list[int]:
@@ -486,7 +508,7 @@ _CONTAINER_HOMES = {
     "_FOOTER_HEADER": {"_write_footer"},
     "_TRAILER": {"read_footer", "_write_footer"},
     "_FRAME_HEADERS": {"_read_frame"},
-    "CBR_MAGIC": {"_read_head", "detect_format"},
+    "CBR_MAGIC": {"_read_head"},
     "_END_MAGIC": {"read_footer"},
 }
 #: What else ``artifacts/`` keeps single: the CRC (elsewhere ``crc32`` is
@@ -632,7 +654,7 @@ def population_by_range(text: str) -> list[int]:
 #: listed below gets exactly this.
 _EVERYWHERE = (
     forbidden_lines, hand_built_trace_rows, listener_guards, endpoint_decoder_uses,
-    container_framing, population_by_range,
+    container_framing, population_by_range, one_artifact_format,
 )
 
 #: layer → its rules.  The JSON-in-loop layers are the hot paths (the
@@ -653,7 +675,10 @@ LAYER_RULES = {
     "netsim": _EVERYWHERE + (json_in_loops,),
     "obs": _EVERYWHERE + (json_in_loops,),
     "service": _EVERYWHERE + (json_in_loops, section_state_names),
-    "telemetry": (forbidden_lines, json_in_loops, endpoint_decoder_uses, container_framing),
+    "telemetry": (
+        forbidden_lines, json_in_loops, endpoint_decoder_uses, container_framing,
+        one_artifact_format,
+    ),
     "web": _EVERYWHERE + (json_in_loops,),
 }
 
@@ -736,6 +761,9 @@ def main(argv: list[str] | None = None) -> int:
             "columns with add_many / add_sorted; a cbr file's framing "
             "(header structs, magics, the CRC) is read by _read_head / _read_frame / "
             "read_footer and written by _FrameWriter / _write_footer, nowhere else; "
+            "cbr is the one artifact format read — JSONL is an export, and no "
+            "record_from_dict / read_records / load_records / ArtifactFormatError / "
+            "detect_format is named under src/; "
             "monitor/pipeline.py builds its SpinFlowTable without observer_factory= / "
             "on_packet=, binds on_sample= to no code of its own and defines no "
             "process() — the table's on_server_datagram is the pipeline's entry; "

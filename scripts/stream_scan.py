@@ -33,7 +33,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.artifacts import write_records  # noqa: E402
+from repro.artifacts.cbr import write_records_cbr  # noqa: E402
 from repro.internet.population import Population, PopulationConfig  # noqa: E402
 from repro.web.parallel import ParallelScanConfig  # noqa: E402
 from repro.web.scanner import ScanConfig, Scanner  # noqa: E402
@@ -62,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--chunk-size", type=int, default=None)
     parser.add_argument("--force-pool", action="store_true")
     parser.add_argument(
-        "--out", default=None, help="artifact path (default: discard, count only)"
+        "--out", default=None, help="cbr artifact path (default: discard, count only)"
     )
     parser.add_argument(
         "--progress-every",
@@ -122,14 +122,15 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.out:
-            written = write_records(
-                (
-                    record
-                    for result in results()
-                    for record in result.connections
-                ),
-                args.out,
-            )
+            with open(args.out, "wb") as stream:
+                written = write_records_cbr(
+                    (
+                        record
+                        for result in results()
+                        for record in result.connections
+                    ),
+                    stream,
+                )
         else:
             for result in results():
                 pass

@@ -2,7 +2,7 @@
 Section 6 extension studies (artifacts, filters, long connections,
 version distribution)."""
 
-from repro.analysis.artifacts import export_records, load_records, read_records
+from repro.analysis.artifacts import export_records
 from repro.analysis.engine import AnalysisEngine, RecordFold, build_record_folds
 from repro.analysis.filter_study import (
     FilterFold,
@@ -76,9 +76,7 @@ __all__ = [
     "SamplePositionProfile",
     "VersionShare",
     "export_records",
-    "load_records",
     "per_sample_deviation_profile",
-    "read_records",
     "run_filter_study",
     "version_distribution",
     "windowed_accuracy",

@@ -1,13 +1,14 @@
-"""Artifact dataset export and import (paper Appendix B).
+"""Artifact dataset export (paper Appendix B).
 
 The authors release, per connection, the extracted raw spin-bit
 information together with qlog baseline data so that future work (e.g.
 RTT filtering research, Section 5.2) can re-run analyses without
-repeating the measurement.  This module provides that interface: every
-:class:`~repro.web.scanner.ConnectionRecord` serializes to one JSON line
-and loads back into an equivalent record, so the complete analysis
-pipeline — grease filtering, accuracy metrics, R/S comparison,
-organization attribution — runs unchanged on a stored dataset.
+repeating the measurement.  This module writes that interface: every
+:class:`~repro.web.scanner.ConnectionRecord` serializes to one JSON
+line.  It is an export only — ``repro convert X.cbr X.jsonl`` — and
+``repro query domain`` / ``GET /v1/domain`` print the same lines; the
+stored dataset every analysis reads is the ``cbr`` artifact
+(:mod:`repro.artifacts`).
 
 Schema (one JSON object per line, ``schema = 1``)::
 
@@ -28,36 +29,19 @@ Schema (one JSON object per line, ``schema = 1``)::
 
 from __future__ import annotations
 
-import ipaddress
 import json
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
-from repro.core.classify import SpinBehaviour
-from repro.core.observer import SpinEdge, SpinObservation
-from repro.faults.taxonomy import FailureKind
-from repro.internet.asdb import IpAddr
+from repro.core.observer import SpinEdge
 from repro.web.scanner import ConnectionRecord
 
-__all__ = ["export_records", "load_records", "read_records"]
+__all__ = ["export_records", "record_to_dict"]
 
 _SCHEMA_VERSION = 1
 
 
-class ArtifactFormatError(ValueError):
-    """Raised when a dataset line does not match the schema."""
-
-
 def _edge_to_json(edge: SpinEdge) -> list:
     return [edge.time_ms, edge.packet_number, int(edge.new_value)]
-
-
-def _edge_from_json(entry: list) -> SpinEdge:
-    time_ms, packet_number, value = entry
-    return SpinEdge(
-        time_ms=float(time_ms),
-        packet_number=int(packet_number),
-        new_value=bool(value),
-    )
 
 
 def record_to_dict(record: ConnectionRecord) -> dict:
@@ -94,44 +78,6 @@ def record_to_dict(record: ConnectionRecord) -> dict:
     return data
 
 
-def record_from_dict(data: dict) -> ConnectionRecord:
-    """Inverse of :func:`record_to_dict`."""
-    if data.get("schema") != _SCHEMA_VERSION:
-        raise ArtifactFormatError(
-            f"unsupported schema {data.get('schema')!r}; expected {_SCHEMA_VERSION}"
-        )
-    try:
-        observation = SpinObservation(
-            packets_seen=int(data["packets_seen"]),
-            values_seen={bool(v) for v in data["values_seen"]},
-            edges_received=[_edge_from_json(e) for e in data["edges_received"]],
-            edges_sorted=[_edge_from_json(e) for e in data["edges_sorted"]],
-            rtts_received_ms=[float(v) for v in data["rtts_received_ms"]],
-            rtts_sorted_ms=[float(v) for v in data["rtts_sorted_ms"]],
-        )
-        address = ipaddress.ip_address(data["ip"])
-        return ConnectionRecord(
-            domain=data["domain"],
-            host=data["host"],
-            ip=IpAddr(value=int(address), version=address.version),
-            ip_version=int(data["ip_version"]),
-            provider_name=data["provider"],
-            server_header=data["server_header"],
-            status=data["status"],
-            success=bool(data["success"]),
-            behaviour=SpinBehaviour(data["behaviour"]),
-            observation=observation,
-            stack_rtts_ms=[float(v) for v in data["stack_rtts_ms"]],
-            negotiated_version=data.get("quic_version"),
-            failure=(
-                FailureKind(data["failure"]) if data.get("failure") else None
-            ),
-            week=data.get("week"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ArtifactFormatError(f"malformed artifact record: {exc}") from exc
-
-
 def export_records(records: Iterable[ConnectionRecord], stream: IO[str]) -> int:
     """Write records as JSON lines; returns the number written."""
     count = 0
@@ -141,22 +87,3 @@ def export_records(records: Iterable[ConnectionRecord], stream: IO[str]) -> int:
         count += 1
     return count
 
-
-def read_records(stream: IO[str]) -> Iterator[ConnectionRecord]:
-    """Lazily parse a JSONL dataset stream."""
-    for line_number, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            data = json.loads(line)  # jsonl-ok: this *is* the JSONL codec
-        except json.JSONDecodeError as exc:
-            raise ArtifactFormatError(
-                f"line {line_number}: not valid JSON: {exc}"
-            ) from exc
-        yield record_from_dict(data)
-
-
-def load_records(stream: IO[str]) -> list[ConnectionRecord]:
-    """Eagerly load a JSONL dataset stream."""
-    return list(read_records(stream))

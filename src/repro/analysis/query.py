@@ -567,8 +567,8 @@ def filter_batch(
 
 def domain_lines(path: str, name: str, stats: QueryStats) -> Iterator[str]:
     """Point lookup: the records of domain ``name`` in the artifact at
-    ``path``, in the line encoding of the JSONL artifact schema — so the
-    output is a valid (sub-)dataset itself."""
+    ``path``, as the lines :func:`~repro.analysis.artifacts.export_records`
+    writes for them — a slice of the Appendix B export."""
     from repro.analysis.artifacts import record_to_dict
     from repro.artifacts import open_query_source
 

@@ -1,10 +1,11 @@
 """The ``cbr`` columnar binary connection-record format.
 
-JSONL artifacts (:mod:`repro.analysis.artifacts`) spend one
-``json.loads`` and one fully materialized Python dict per record; at the
-paper's scale (200 M+ domains per week) both the decode time and the
-artifact bytes are dominated by repeated field names and decimal float
-text.  ``cbr`` stores the same records column-wise in compressed chunks:
+The only artifact format ``repro`` reads.  JSON lines (the Appendix B
+export, :mod:`repro.analysis.artifacts`) spend one fully materialized
+Python dict per record; at the paper's scale (200 M+ domains per week)
+both the decode time and the artifact bytes would be dominated by
+repeated field names and decimal float text.  ``cbr`` stores the
+records column-wise in compressed chunks:
 
 * **Chunked**: records are grouped into chunks (default 1024); each
   chunk is independently zlib-compressed and CRC-checked, so a torn
@@ -926,7 +927,8 @@ class RecordBatch(Sequence):
 
     @classmethod
     def from_records(cls, records: Iterable[ConnectionRecord]) -> "RecordBatch":
-        """Columns over in-memory records (scanner datasets, JSONL lines).
+        """Columns over in-memory records (the library path: scanner
+        datasets into ``accuracy_study`` or ``AnalysisEngine.run``).
 
         The batch keeps the very record objects it was given; the float
         series columns share the records' lists.
@@ -1210,7 +1212,9 @@ class _Frame(NamedTuple):
 
 
 def _read_head(stream: IO[bytes]) -> None:
-    """Consume the magic and a supported version byte, or raise."""
+    """Consume the magic and a supported version byte, or raise.  The
+    readers start here, and so does the spool's intake check
+    (:meth:`repro.service.spool.SpoolStore.submit_file`)."""
     head = stream.read(len(CBR_MAGIC) + 1)
     if head[: len(CBR_MAGIC)] != CBR_MAGIC:
         raise CbrFormatError("not a cbr stream (bad magic)")

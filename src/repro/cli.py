@@ -5,7 +5,7 @@ The subcommands mirror the study's workflow::
     repro scan        # build a population, scan it, export the dataset
     repro analyze     # run the connection-level analyses on a dataset
     repro query       # index-backed point lookups (e.g. one domain)
-    repro convert     # re-encode an artifact (jsonl <-> cbr), merge shards
+    repro convert     # export cbr as JSONL, re-encode it, merge shards
     repro compliance  # the Figure 2 longitudinal study
     repro report      # regenerate every table and figure in one run
     repro monitor     # streaming on-path monitoring of many-flow traffic
@@ -17,11 +17,11 @@ The subcommands mirror the study's workflow::
     repro profile     # sampling profiler over a seeded scan
     repro top         # one-shot operator console over a running server
 
-``scan`` writes the artifact that ``analyze`` consumes — the
-Appendix-B-style JSONL schema or the columnar binary ``cbr`` store
-(``--artifact-format``, auto-detected on read) — so the two halves can
-run on different machines, exactly how the paper separates measurement
-from analysis.  ``analyze`` streams the artifact through the single-pass
+``scan`` writes the artifact that ``analyze`` consumes — the columnar
+binary ``cbr`` store — so the two halves can run on different machines,
+exactly how the paper separates measurement from analysis; ``convert``
+exports it as the Appendix-B JSONL schema, which nothing reads back.
+``analyze`` streams the artifact through the single-pass
 :class:`~repro.analysis.engine.AnalysisEngine`: every requested section
 folds over one shared stream of record batches, decoding the artifact
 exactly once in bounded memory.  With ``--where`` the stream first goes
@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    scan = sub.add_parser("scan", help="run a weekly measurement and export JSONL")
+    scan = sub.add_parser("scan", help="run a weekly measurement into a cbr artifact")
     scan.add_argument("--czds", type=int, default=8_000, help="CZDS domain count")
     scan.add_argument("--toplist", type=int, default=1_000, help="toplist domain count")
     scan.add_argument("--seed", type=int, default=20230520)
@@ -86,14 +86,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "engine would fall back in-process (single core / single shard)",
     )
     scan.add_argument(
-        "--out", required=True, help="output artifact path ('-' for stdout)"
-    )
-    scan.add_argument(
-        "--artifact-format",
-        choices=("auto", "jsonl", "cbr"),
-        default="auto",
-        help="artifact encoding: columnar binary (cbr) or JSON lines; "
-        "'auto' keys off the --out extension (.cbr => cbr)",
+        "--out",
+        required=True,
+        help="output cbr artifact path (for the JSONL export, run "
+        "'repro convert OUT.cbr OUT.jsonl' afterwards)",
     )
     scan.add_argument(
         "--telemetry-out",
@@ -161,9 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write sampled qlog documents as JSONL ('-' for stdout)",
     )
 
-    analyze = sub.add_parser(
-        "analyze", help="analyze an exported dataset (jsonl or cbr)"
-    )
+    analyze = sub.add_parser("analyze", help="analyze a cbr artifact")
     analyze.add_argument(
         "dataset",
         nargs="?",
@@ -254,18 +248,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     convert = sub.add_parser(
         "convert",
-        help="re-encode an artifact between jsonl and cbr (or merge a "
-        "checkpoint directory of cbr shards)",
+        help="export a cbr artifact as Appendix B JSONL, re-encode it, or "
+        "merge a checkpoint directory of cbr shards",
     )
     convert.add_argument(
-        "input", help="artifact path, or a --checkpoint-dir directory of shards"
+        "input", help="cbr artifact path, or a --checkpoint-dir directory of shards"
     )
-    convert.add_argument("output", help="output artifact path")
     convert.add_argument(
-        "--to",
-        choices=("auto", "jsonl", "cbr"),
-        default="auto",
-        help="target encoding ('auto' keys off the output extension)",
+        "output",
+        help="output path: '.jsonl' writes the JSONL export, anything else cbr",
     )
 
     compliance = sub.add_parser(
@@ -642,6 +633,16 @@ def _parallel_config(
         raise SystemExit(f"repro: error: {error}")
 
 
+def _refuse_non_cbr_out(path: str) -> None:
+    """A cbr artifact is written to a file: stdout and ``.jsonl`` paths
+    are refused, since JSONL is an export of a finished artifact."""
+    if path == "-" or path.endswith(".jsonl"):
+        raise SystemExit(
+            f"repro: error: cannot write cbr to {path!r}: give a file path such "
+            "as OUT.cbr, then 'repro convert OUT.cbr OUT.jsonl' for the JSONL export"
+        )
+
+
 def _cmd_scan(args: argparse.Namespace) -> int:
     """``repro scan``: one consumer of :meth:`Scanner.scan_stream`.
 
@@ -652,7 +653,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     """
     import json
 
-    from repro.artifacts import write_records
+    from repro.artifacts.cbr import write_records_cbr
     from repro.faults import CheckpointError, truncate_jsonl_line
     from repro.faults.taxonomy import FailureFold
     from repro.internet.population import PopulationConfig, build_population
@@ -660,6 +661,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
     # All configuration errors surface as one clean stderr line before
     # any work starts; stdout stays machine-parseable.
+    _refuse_non_cbr_out(args.out)
     faults = _fault_plan_from_args(args.fault)
     try:
         resilience = _resilience_from_args(args)
@@ -718,9 +720,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             yield from connections
 
     try:
-        count = write_records(
-            connection_stream(), args.out, format=args.artifact_format
-        )
+        with open(args.out, "wb") as stream:
+            count = write_records_cbr(connection_stream(), stream)
     except CheckpointError as error:
         raise SystemExit(f"repro: error: {error}")
     except (OSError, ValueError) as error:
@@ -878,69 +879,54 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
+    """``repro convert IN OUT``: ``IN`` is a cbr artifact or a checkpoint
+    directory of cbr shards.  An ``OUT`` ending in ``.jsonl`` gets the
+    Appendix B export; any other ``OUT`` is cbr — the shards' frames
+    copied (no decode, no re-encode), or the artifact re-encoded.  A
+    failed convert leaves no ``OUT`` behind."""
     import os
 
-    from repro.artifacts import (
-        FORMAT_CBR,
-        open_record_batches,
-        resolve_write_format,
-        write_records,
-    )
+    from repro.analysis.artifacts import export_records
+    from repro.artifacts import open_record_batches
+    from repro.artifacts.cbr import concat_frames, write_records_cbr
 
-    try:
-        target = resolve_write_format(args.output, args.to)
-    except ValueError as error:
-        raise SystemExit(f"repro: error: {error}")
-
-    if os.path.isdir(args.input):
-        # A checkpoint directory of cbr shards: when the target is cbr
-        # too, merge by frame concatenation — no decode, no re-encode.
-        from repro.artifacts.cbr import CbrFormatError, concat_frames
-
-        shards = sorted(
+    export = args.output.endswith(".jsonl")
+    if not export:
+        _refuse_non_cbr_out(args.output)
+    merge = os.path.isdir(args.input)
+    sources = [args.input]
+    if merge:
+        sources = sorted(
             os.path.join(args.input, name)
             for name in os.listdir(args.input)
             if name.startswith("shard-") and name.endswith(".cbr")
         )
-        if not shards:
+        if not sources:
             raise SystemExit(
                 f"repro: error: no cbr shards (shard-*.cbr) in {args.input}"
             )
-        if target == FORMAT_CBR:
-            try:
-                with open(args.output, "wb") as out:
-                    _, count = concat_frames(shards, out)
-            except (OSError, CbrFormatError) as error:
-                if os.path.isfile(args.output):
-                    os.remove(args.output)  # ours, and torn
-                raise SystemExit(f"repro: error: {error}")
-            print(
-                f"merged {len(shards)} shards, {count} connection records",
-                file=sys.stderr,
-            )
-            return 0
 
-        def shard_records():
-            for shard in shards:
-                with open_record_batches(shard) as source:
-                    yield from source.records()
-
-        try:
-            count = write_records(shard_records(), args.output, format=target)
-        except (OSError, ValueError) as error:
-            raise SystemExit(f"repro: error: {error}")
-        print(
-            f"converted {len(shards)} shards, {count} connection records",
-            file=sys.stderr,
-        )
-        return 0
+    def records():
+        for path in sources:
+            with open_record_batches(path) as source:
+                yield from source.records()
 
     try:
-        with open_record_batches(args.input) as source:
-            count = write_records(source.records(), args.output, format=target)
-    except (OSError, ValueError) as error:
+        if export:
+            with open(args.output, "w", encoding="utf-8") as out:
+                count = export_records(records(), out)
+        else:
+            with open(args.output, "wb") as out:
+                if merge:
+                    _, count = concat_frames(sources, out)
+                else:
+                    count = write_records_cbr(records(), out)
+    except (OSError, ValueError) as error:  # CbrFormatError is a ValueError
+        if os.path.isfile(args.output):
+            os.remove(args.output)  # ours, and torn
         raise SystemExit(f"repro: error: {error}")
-    print(f"converted {count} connection records", file=sys.stderr)
+    shards = f"{len(sources)} shards, " if merge else ""
+    print(f"converted {shards}{count} connection records", file=sys.stderr)
     return 0
 
 
@@ -1343,6 +1329,8 @@ def _cmd_service(args: argparse.Namespace) -> int:
                 entry = spool.submit_file(path)
             except OSError as error:
                 raise SystemExit(f"repro: error: cannot read {path}: {error}")
+            except ValueError as error:  # CbrFormatError: not a cbr artifact
+                raise SystemExit(f"repro: error: cannot spool {path}: {error}")
             print(
                 f"spooled {path} as {entry.fingerprint}"
                 + ("" if entry.new else " (duplicate payload)"),

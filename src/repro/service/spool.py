@@ -23,11 +23,13 @@ Two files per spool directory:
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.artifacts.cbr import _read_head
 from repro.telemetry import Telemetry
 
 __all__ = ["SpoolEntry", "SpoolStore", "artifact_fingerprint", "scan_digest"]
@@ -99,8 +101,15 @@ class SpoolStore:
         )
 
     def submit_file(self, path: str | os.PathLike, source: str | None = None) -> SpoolEntry:
-        """Spool an existing artifact file by content."""
+        """Spool an existing cbr artifact file by content.
+
+        A file whose head is not cbr's (a JSONL export, anything else)
+        raises :class:`~repro.artifacts.cbr.CbrFormatError` and nothing
+        is written: spooled, it would fold as one corrupt chunk and
+        still be listed as done.
+        """
         payload = Path(path).read_bytes()
+        _read_head(io.BytesIO(payload))
         return self.submit_bytes(payload, source=source or str(path))
 
     def artifact_path(self, fingerprint: str) -> Path:

@@ -1,20 +1,16 @@
-"""Artifact dataset export/import (Appendix B interface)."""
+"""The Appendix B JSONL export, read back by the tests' own reader."""
 
 import io
 
 import pytest
 
 from conftest import make_connection_record
+from jsonl_reader import ArtifactFormatError, load_records, record_from_dict
 from repro.analysis.accuracy import accuracy_study
 from repro.analysis.engine import AnalysisEngine, build_record_folds
-from repro.analysis.artifacts import (
-    ArtifactFormatError,
-    export_records,
-    load_records,
-    record_from_dict,
-    record_to_dict,
-)
-from repro.artifacts import open_record_batches, write_records
+from repro.analysis.artifacts import export_records, record_to_dict
+from repro.artifacts import open_record_batches
+from repro.artifacts.cbr import write_records_cbr
 from repro.core.classify import SpinBehaviour
 from repro.core.metrics import compare_means
 from repro.web.scanner import ScanConfig, Scanner
@@ -81,8 +77,8 @@ class TestRoundTrip:
 
 
 class TestFormatsAgree:
-    """cbr and JSONL are two encodings of the same records (the gates of
-    the retired analyze-throughput benchmark that need no clock)."""
+    """The cbr artifact and the JSONL export hold the same records (the
+    gates of the retired analyze-throughput benchmark that need no clock)."""
 
     @pytest.fixture(scope="class")
     def artifact_pair(self, tiny_population, tmp_path_factory):
@@ -96,23 +92,28 @@ class TestFormatsAgree:
             records.extend(dataset.connection_records())
         directory = tmp_path_factory.mktemp("formats")
         jsonl_path, cbr_path = directory / "scan.jsonl", directory / "scan.cbr"
-        assert write_records(records, str(jsonl_path)) == len(records)
-        assert write_records(records, str(cbr_path)) == len(records)
+        with open(jsonl_path, "w", encoding="utf-8") as stream:
+            assert export_records(records, stream) == len(records)
+        with open(cbr_path, "wb") as stream:
+            assert write_records_cbr(records, stream) == len(records)
         return records, jsonl_path, cbr_path
 
     def test_equal_section_results(self, artifact_pair):
         records, jsonl_path, cbr_path = artifact_pair
         assert len(records) > 100
         expected = AnalysisEngine(build_record_folds("all")).run([records])
-        for path in (jsonl_path, cbr_path):
-            engine = AnalysisEngine(build_record_folds("all"))
-            with open_record_batches(
-                str(path),
-                want_edges_received=engine.needs_edges_received,
-                want_edges_sorted=engine.needs_edges_sorted,
-            ) as source:
-                assert engine.run(source.batches()) == expected, path.suffix
-                assert source.records_read == len(records)
+        engine = AnalysisEngine(build_record_folds("all"))
+        with open_record_batches(
+            str(cbr_path),
+            want_edges_received=engine.needs_edges_received,
+            want_edges_sorted=engine.needs_edges_sorted,
+        ) as source:
+            assert engine.run(source.batches()) == expected
+            assert source.records_read == len(records)
+        with open(jsonl_path, encoding="utf-8") as stream:
+            exported = load_records(stream)
+        engine = AnalysisEngine(build_record_folds("all"))
+        assert engine.run([exported]) == expected
 
     def test_cbr_is_at_least_4x_smaller(self, artifact_pair):
         _, jsonl_path, cbr_path = artifact_pair

@@ -11,19 +11,17 @@ never a crash, never silently wrong records.
 from __future__ import annotations
 
 import io
+import json
 from dataclasses import replace
 
 import pytest
 
 from conftest import make_connection_record, make_observation
-from repro.artifacts import (
-    FORMAT_CBR,
-    FORMAT_JSONL,
-    detect_format,
-    open_record_batches,
-    resolve_write_format,
-    write_records,
-)
+from jsonl_reader import load_records
+from repro.analysis.artifacts import export_records, record_to_dict
+from repro.analysis.engine import AnalysisEngine, build_record_folds
+from repro.analysis.report import render_analysis_sections
+from repro.artifacts import open_record_batches
 from repro.artifacts.cbr import (
     CBR_MAGIC,
     CbrFormatError,
@@ -213,47 +211,39 @@ class TestConcatFrames:
             concat_frames([io.BytesIO(bytes(payload))], io.BytesIO())
 
 
+def export(records) -> str:
+    buffer = io.StringIO()
+    export_records(records, buffer)
+    return buffer.getvalue()
+
+
 class TestFrontDoor:
-    def test_detect_format(self, scan_records):
-        assert detect_format(encode(scan_records[:1])[:8]) == FORMAT_CBR
-        assert detect_format(b'{"schema": 1}') == FORMAT_JSONL
-        assert detect_format(b"") == FORMAT_JSONL
-
-    def test_resolve_write_format(self):
-        assert resolve_write_format("out.cbr") == FORMAT_CBR
-        assert resolve_write_format("out.jsonl") == FORMAT_JSONL
-        assert resolve_write_format("-") == FORMAT_JSONL
-        assert resolve_write_format("out.jsonl", "cbr") == FORMAT_CBR
-        with pytest.raises(ValueError):
-            resolve_write_format("out.cbr", "parquet")
-
     def test_both_formats_decode_identically(self, scan_records, tmp_path):
-        jsonl_path = tmp_path / "art.jsonl"
+        """The front door reads back exactly the in-memory records, and
+        the JSONL export is one ``record_to_dict`` line per record."""
         cbr_path = tmp_path / "art.cbr"
-        assert write_records(scan_records, str(jsonl_path)) == len(scan_records)
-        assert write_records(scan_records, str(cbr_path)) == len(scan_records)
-        with open_record_batches(str(jsonl_path)) as source:
-            from_jsonl = list(source.records())
-            assert source.format == FORMAT_JSONL
+        cbr_path.write_bytes(encode(scan_records))
         with open_record_batches(str(cbr_path)) as source:
             from_cbr = list(source.records())
-            assert source.format == FORMAT_CBR
-        # JSONL drops nothing the analysis reads, but floats go through
-        # repr; cbr must match the in-memory records exactly.
         assert from_cbr == artifact_view(scan_records)
-        assert [r.domain for r in from_jsonl] == [r.domain for r in scan_records]
+        lines = export(from_cbr).splitlines()
+        assert [json.loads(line) for line in lines] == [
+            record_to_dict(record) for record in scan_records
+        ]
 
-    def test_cbr_to_stdout_refused(self, scan_records):
-        with pytest.raises(ValueError):
-            write_records(scan_records, "-", format="cbr")
-
-    def test_artifact_is_much_smaller(self, scan_records, tmp_path):
-        jsonl_path = tmp_path / "art.jsonl"
+    def test_cbr_to_stdout_refused(self, scan_records, tmp_path):
         cbr_path = tmp_path / "art.cbr"
-        write_records(scan_records, str(jsonl_path))
-        write_records(scan_records, str(cbr_path))
-        ratio = jsonl_path.stat().st_size / cbr_path.stat().st_size
-        assert ratio >= 4.0, f"cbr only {ratio:.1f}x smaller than jsonl"
+        cbr_path.write_bytes(encode(scan_records))
+        with pytest.raises(SystemExit, match="^repro: error: .*repro convert"):
+            main(["convert", str(cbr_path), "-"])
+
+    def test_artifact_is_much_smaller(self, scan_records):
+        exported = export(scan_records).encode("utf-8")
+        ratio = len(exported) / len(encode(scan_records))
+        assert ratio >= 4.0, f"cbr only {ratio:.1f}x smaller than the JSONL export"
+        assert load_records(io.StringIO(exported.decode("utf-8"))) == artifact_view(
+            scan_records
+        )
 
 
 class TestDomainChunks:
@@ -299,42 +289,34 @@ class TestCliIdentity:
     @pytest.fixture(scope="class")
     def artifact_pair(self, tmp_path_factory):
         directory = tmp_path_factory.mktemp("cli-cbr")
-        jsonl_path = directory / "dataset.jsonl"
         cbr_path = directory / "dataset.cbr"
+        jsonl_path = directory / "dataset.jsonl"
         base = ["scan", "--czds", "400", "--toplist", "80", "--seed", "33"]
-        assert main(base + ["--out", str(jsonl_path)]) == 0
         assert main(base + ["--out", str(cbr_path)]) == 0
+        assert main(["convert", str(cbr_path), str(jsonl_path)]) == 0
         return jsonl_path, cbr_path
 
     def test_analyze_output_identical_across_formats(self, artifact_pair, capsys):
+        """``repro analyze`` over the cbr artifact prints what the engine
+        makes of the records its JSONL export holds."""
         jsonl_path, cbr_path = artifact_pair
-        assert main(["analyze", str(jsonl_path)]) == 0
-        from_jsonl = capsys.readouterr().out
+        capsys.readouterr()
         assert main(["analyze", str(cbr_path)]) == 0
         from_cbr = capsys.readouterr().out
-        assert "AS organizations" in from_jsonl
-        assert from_cbr == from_jsonl
+        with open(jsonl_path, encoding="utf-8") as stream:
+            exported = load_records(stream)
+        results = AnalysisEngine(build_record_folds("all")).run([exported])
+        assert "AS organizations" in from_cbr
+        assert from_cbr == render_analysis_sections(results, "all") + "\n"
 
     def test_convert_round_trip_bytes(self, artifact_pair, tmp_path, capsys):
         jsonl_path, cbr_path = artifact_pair
-        back = tmp_path / "back.jsonl"
+        with open_record_batches(str(cbr_path)) as source:
+            records = list(source.records())
+        assert jsonl_path.read_text(encoding="utf-8") == export(records)
         again = tmp_path / "again.cbr"
-        assert main(["convert", str(cbr_path), str(back)]) == 0
-        assert back.read_bytes() == jsonl_path.read_bytes()
-        assert main(["convert", str(jsonl_path), str(again)]) == 0
+        assert main(["convert", str(cbr_path), str(again)]) == 0
         assert again.read_bytes() == cbr_path.read_bytes()
-        capsys.readouterr()
-
-    def test_scan_artifact_format_flag_overrides_extension(self, tmp_path, capsys):
-        out = tmp_path / "dataset.dat"
-        code = main(
-            [
-                "scan", "--czds", "300", "--toplist", "50", "--seed", "7",
-                "--out", str(out), "--artifact-format", "cbr",
-            ]
-        )
-        assert code == 0
-        assert out.read_bytes()[: len(CBR_MAGIC)] == CBR_MAGIC
         capsys.readouterr()
 
 

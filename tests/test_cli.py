@@ -19,7 +19,7 @@ class TestDemo:
 class TestScanAnalyze:
     @pytest.fixture(scope="class")
     def dataset_path(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("cli") / "dataset.jsonl"
+        path = tmp_path_factory.mktemp("cli") / "dataset.cbr"
         code = main(
             [
                 "scan",
@@ -32,12 +32,29 @@ class TestScanAnalyze:
         assert code == 0
         return path
 
-    def test_scan_writes_jsonl(self, dataset_path):
-        lines = dataset_path.read_text().strip().splitlines()
+    def test_scan_writes_jsonl(self, dataset_path, tmp_path):
+        """``scan`` writes cbr; ``convert`` exports it as Appendix B JSONL."""
+        assert dataset_path.read_bytes()[:4] == b"CBR1"
+        exported = tmp_path / "dataset.jsonl"
+        assert main(["convert", str(dataset_path), str(exported)]) == 0
+        lines = exported.read_text().strip().splitlines()
         assert len(lines) > 30
         record = json.loads(lines[0])
         assert record["schema"] == 1
         assert "stack_rtts_ms" in record
+
+    def test_analyze_of_a_jsonl_file_counts_one_corrupt_chunk(
+        self, dataset_path, tmp_path, capsys
+    ):
+        """JSONL is not read: handed to ``analyze`` it is a bad cbr head,
+        counted like any other damage, and nothing raises."""
+        exported = tmp_path / "dataset.jsonl"
+        assert main(["convert", str(dataset_path), str(exported)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(exported)]) == 0
+        captured = capsys.readouterr()
+        assert "0 connection records loaded" in captured.err
+        assert "1 corrupt chunks skipped" in captured.err
 
     def test_analyze_all_sections(self, dataset_path, capsys):
         assert main(["analyze", str(dataset_path)]) == 0
@@ -64,7 +81,7 @@ class TestScanAnalyze:
         assert "AS organizations" not in out
 
     def test_scan_deterministic(self, dataset_path, tmp_path):
-        again = tmp_path / "again.jsonl"
+        again = tmp_path / "again.cbr"
         main(
             [
                 "scan",
@@ -74,7 +91,7 @@ class TestScanAnalyze:
                 "--out", str(again),
             ]
         )
-        assert again.read_text() == dataset_path.read_text()
+        assert again.read_bytes() == dataset_path.read_bytes()
 
 
 class TestTelemetryCommand:
@@ -87,7 +104,7 @@ class TestTelemetryCommand:
                 "--czds", "400",
                 "--toplist", "80",
                 "--seed", "21",
-                "--out", str(directory.parent / "dataset.jsonl"),
+                "--out", str(directory.parent / "dataset.cbr"),
                 "--telemetry-out", str(directory),
             ]
         )
@@ -192,6 +209,19 @@ class TestArgumentErrors:
     def test_missing_out_rejected(self):
         with pytest.raises(SystemExit):
             main(["scan"])
+
+    @pytest.mark.parametrize("out", ["-", "dataset.jsonl"])
+    def test_scan_out_that_is_not_cbr_is_refused(self, out, tmp_path, capsys):
+        """cbr goes to a file; JSONL is the export ``repro convert`` writes.
+        The refusal comes before any scanning, and writes nothing."""
+        target = out if out == "-" else str(tmp_path / out)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scan", "--czds", "50", "--toplist", "10", "--out", target])
+        message = str(excinfo.value)
+        assert message.startswith("repro: error:")
+        assert "repro convert" in message and "\n" not in message
+        assert capsys.readouterr().err == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_service_config_errors_use_the_cli_convention(self, tmp_path):
         # Service-layer config errors must surface as the one-line

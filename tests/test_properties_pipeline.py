@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_connection_record
+from jsonl_reader import record_from_dict
 from repro.analysis.accuracy import accuracy_study
-from repro.analysis.artifacts import record_from_dict, record_to_dict
+from repro.analysis.artifacts import record_to_dict
 from repro.core.classify import SpinBehaviour, classify_connection
 from repro.core.grease_filter import is_greasing
 from repro.core.observer import SpinObserver

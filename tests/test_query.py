@@ -19,6 +19,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import archive_week_label, make_archive_week, make_connection_record
+from jsonl_reader import load_records
 from repro.analysis.engine import AnalysisEngine, build_record_folds
 from repro.analysis.query import (
     And,
@@ -32,7 +33,8 @@ from repro.analysis.query import (
     parse_where,
     plan_chunks,
 )
-from repro.artifacts import open_query_source, write_records
+from repro.analysis.report import render_analysis_sections
+from repro.artifacts import open_query_source
 from repro.artifacts.cbr import (
     RecordBatch,
     read_footer,
@@ -252,16 +254,6 @@ class TestDegradedPaths:
         assert 0 < survivors <= len(records)
         assert matched == brute_force(records[:survivors], predicate)
 
-    def test_jsonl_dataset_full_scan(self, records, tmp_path):
-        path = tmp_path / "dataset.jsonl"
-        write_records(records, str(path))
-        predicate = In("provider", ["google"])
-        matched, stats = query(path, predicate)
-        assert [r.domain for r in matched] == [
-            r.domain for r in brute_force(records, predicate)
-        ]
-        assert stats.chunks_total == 0 and stats.chunks_pruned == 0
-
     def test_v1_footer_plans_full_scan(self, records, tmp_path):
         from repro.artifacts.cbr import CbrWriter
 
@@ -349,6 +341,12 @@ class TestParseWhere:
             parse_where(text)
 
 
+def exported_records(path) -> list:
+    """The records of a ``repro convert``ed JSONL export."""
+    with open(path, encoding="utf-8") as stream:
+        return load_records(stream)
+
+
 class TestCliQuery:
     @pytest.fixture(scope="class")
     def artifact_pair(self, tmp_path_factory):
@@ -356,12 +354,12 @@ class TestCliQuery:
         jsonl_path = directory / "dataset.jsonl"
         cbr_path = directory / "dataset.cbr"
         base = ["scan", "--czds", "400", "--toplist", "80", "--seed", "33"]
-        assert main(base + ["--out", str(jsonl_path)]) == 0
         assert main(base + ["--out", str(cbr_path)]) == 0
+        assert main(["convert", str(cbr_path), str(jsonl_path)]) == 0
         return jsonl_path, cbr_path
 
     def test_query_domain_output_is_artifact_lines(self, artifact_pair, capsys):
-        """Point-lookup output must be the artifact's own JSONL lines."""
+        """Point-lookup output must be the export's lines for that domain."""
         jsonl_path, cbr_path = artifact_pair
         lines = jsonl_path.read_text(encoding="utf-8").splitlines()
         name = json.loads(lines[len(lines) // 2])["domain"]
@@ -379,26 +377,31 @@ class TestCliQuery:
         assert "query plan:" in captured.err
 
     def test_analyze_where_identical_across_formats(self, artifact_pair, capsys):
+        """``analyze --where`` over the cbr artifact prints what the engine
+        makes of the matching records of its JSONL export."""
         jsonl_path, cbr_path = artifact_pair
         where = ["--where", "provider == cloudflare", "--section", "versions"]
-        assert main(["analyze", str(jsonl_path)] + where) == 0
-        from_jsonl = capsys.readouterr().out
         assert main(["analyze", str(cbr_path)] + where) == 0
         from_cbr = capsys.readouterr().out
-        assert from_cbr == from_jsonl
+        kept = [
+            record for record in exported_records(jsonl_path)
+            if record.provider_name == "cloudflare"
+        ]
+        results = AnalysisEngine(build_record_folds("versions")).run([kept])
+        assert from_cbr == render_analysis_sections(results, "versions") + "\n"
 
     def test_analyze_where_equals_prefiltered_dataset(
         self, artifact_pair, tmp_path, capsys
     ):
         """--where on the full artifact == plain analyze of the subset."""
         jsonl_path, cbr_path = artifact_pair
-        subset = tmp_path / "subset.jsonl"
+        subset = tmp_path / "subset.cbr"
         kept = [
-            line
-            for line in jsonl_path.read_text(encoding="utf-8").splitlines()
-            if json.loads(line)["provider"] == "cloudflare"  # jsonl-ok
+            record for record in exported_records(jsonl_path)
+            if record.provider_name == "cloudflare"
         ]
-        subset.write_text("".join(f"{line}\n" for line in kept), encoding="utf-8")
+        with open(subset, "wb") as stream:
+            write_records_cbr(kept, stream)
         assert main(["analyze", str(subset), "--section", "failures"]) == 0
         expected = capsys.readouterr().out
         code = main(

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import random
 import socket
 import threading
 import time
@@ -12,9 +13,11 @@ from contextlib import contextmanager, redirect_stdout
 
 import pytest
 
+from conftest import make_connection_record
+from repro.analysis.artifacts import export_records
 from repro.analysis.report import render_analysis_sections
 from repro.artifacts import open_record_batches
-from repro.artifacts.cbr import write_records_cbr
+from repro.artifacts.cbr import CbrFormatError, write_records_cbr
 from repro.cli import main
 from repro.internet.population import Population
 from repro.service import (
@@ -72,6 +75,27 @@ class TestSpool:
         spool.manifest_path.write_text("{torn json\n", encoding="utf-8")
         listed = spool.artifacts()
         assert [item.fingerprint for item in listed] == [entry.fingerprint]
+
+    @pytest.mark.parametrize("payload", ["jsonl-export", "five-random-bytes", "empty"])
+    def test_submit_file_refuses_what_is_not_cbr(self, payload, tmp_path):
+        """Spooled, a non-cbr file would fold as one corrupt chunk and be
+        listed as done; the intake refuses it and writes nothing."""
+        records = [make_connection_record(domain=f"d{i}.example") for i in range(3)]
+        path = tmp_path / "submitted"
+        if payload == "jsonl-export":
+            with open(path, "w", encoding="utf-8") as stream:
+                export_records(records, stream)
+        else:
+            path.write_bytes(random.Random(5).randbytes(5) if payload != "empty" else b"")
+        spool = SpoolStore(tmp_path / "spool")
+        with pytest.raises(CbrFormatError):
+            spool.submit_file(path)
+        assert spool.artifacts() == []
+        assert not spool.manifest_path.exists()
+        with open(path, "wb") as stream:
+            write_records_cbr(records, stream)
+        assert spool.submit_file(path).new
+        assert len(spool.artifacts()) == 1
 
 
 class TestIndexerIdempotence:
@@ -316,10 +340,9 @@ class TestApi:
         """The tentpole acceptance check: /v1/analyze must serve the same
         bytes ``repro analyze`` prints over the union of the artifacts."""
         daemon, base = service
-        from repro.artifacts import write_records
-
         union = tmp_path / "union.cbr"
-        write_records(spooled_records(daemon.spool), str(union))
+        with open(union, "wb") as stream:
+            write_records_cbr(spooled_records(daemon.spool), stream)
         buffer = io.StringIO()
         with redirect_stdout(buffer):
             assert main(["analyze", str(union)]) == 0
@@ -329,10 +352,9 @@ class TestApi:
 
     def test_analyze_single_week_matches_where_filter(self, service, tmp_path):
         daemon, base = service
-        from repro.artifacts import write_records
-
         union = tmp_path / "union.cbr"
-        write_records(spooled_records(daemon.spool), str(union))
+        with open(union, "wb") as stream:
+            write_records_cbr(spooled_records(daemon.spool), stream)
         buffer = io.StringIO()
         with redirect_stdout(buffer):
             assert main(
@@ -793,6 +815,19 @@ class TestServiceCli:
 
         assert main(["service", "index", "--dir", str(service_dir)]) == 0
         assert json.loads(capsys.readouterr().out)["folded_artifacts"] == []
+
+    def test_submit_of_a_jsonl_export_is_a_clean_error(self, tmp_path, capsys):
+        exported = tmp_path / "week.jsonl"
+        with open(exported, "w", encoding="utf-8") as stream:
+            export_records([make_connection_record()], stream)
+        service_dir = tmp_path / "svc"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["service", "submit", "--dir", str(service_dir), str(exported)])
+        message = str(excinfo.value)
+        assert message.startswith("repro: error:") and "\n" not in message
+        assert list((service_dir / "spool" / "artifacts").iterdir()) == []
+        assert not (service_dir / "spool" / "manifest.jsonl").exists()
+        assert capsys.readouterr().out == ""
 
     def test_bad_week_label_is_a_clean_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:

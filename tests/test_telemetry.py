@@ -833,6 +833,77 @@ class TestOneContainer:
                 )
 
 
+class TestOneArtifactFormat:
+    """AST gate (same lint): cbr is the one artifact format read under
+    ``src/repro/``; JSONL is written (``record_to_dict`` /
+    ``export_records``) and read back only by the tests' oracle."""
+
+    #: The front door as it read while it sniffed the magic and handed
+    #: JSONL to a record reader (abridged; line numbers are this text's).
+    PARENT_FRONT_DOOR = (
+        "from repro.analysis.artifacts import (",
+        "    ArtifactFormatError,",
+        "    export_records,",
+        "    read_records,",
+        ")",
+        "from repro.artifacts.cbr import CBR_MAGIC, CbrReader",
+        "",
+        "def detect_format(head: bytes) -> str:",  # 8
+        '    """Classify a stream from its first bytes (cbr magic vs. text)."""',
+        "    return FORMAT_CBR if head[: len(CBR_MAGIC)] == CBR_MAGIC else FORMAT_JSONL",  # 10
+        "",
+        "class _JsonlReader:",
+        "    def record_batches(self):",
+        "        try:",
+        "            for record in read_records(map(bytes.decode, self._stream)):",  # 15
+        "                yield record",
+        "        except ValueError:  # ArtifactFormatError, UnicodeDecodeError",
+        "            self.corrupt_chunks += 1",
+        "",
+        "def _open_sniffed(stream):",
+        "    return stream, detect_format(stream.peek(len(CBR_MAGIC)))",  # 21
+    )
+
+    def test_the_parents_front_door_and_the_oracle_are_caught(self, tmp_path):
+        oracle = (REPO_ROOT / "tests" / "jsonl_reader.py").read_text(encoding="utf-8")
+        export = (REPO_ROOT / "src" / "repro" / "analysis" / "artifacts.py").read_text(
+            encoding="utf-8"
+        )
+        files = {
+            "artifacts/__init__.py": "\n".join(self.PARENT_FRONT_DOOR) + "\n",
+            "telemetry/reader.py": oracle,
+            "analysis/artifacts.py": export,
+        }
+        for name, source in files.items():
+            path = tmp_path / "repro" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(source, encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, str(TestDeterminismLint.LINT), str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        flagged = [
+            line.split(": ", 1)[0].split("repro/", 1)[1]
+            for line in result.stderr.splitlines()
+            if "repro/" in line
+        ]
+        door = [n for n in flagged if n.startswith("artifacts/")]
+        assert door == [f"artifacts/__init__.py:{n}" for n in (1, 8, 10, 15, 21)], result.stderr
+        # The oracle is caught wherever it lands under src/ (its class,
+        # defs and every call), and the export alone is clean.
+        oracle_lines = oracle.splitlines()
+        defined = {
+            number for number, text in enumerate(oracle_lines, start=1)
+            if text.startswith(("class ArtifactFormatError", "def record_from_dict",
+                                "def read_records", "def load_records"))
+        }
+        caught = {int(n.rsplit(":", 1)[1]) for n in flagged if n.startswith("telemetry/")}
+        assert len(defined) == 4 and defined <= caught, result.stderr
+        assert not any(n.startswith("analysis/") for n in flagged), result.stderr
+
+
 class TestOneTraceModel:
     """AST gate (same lint): outside ``repro.telemetry`` rows enter the
     trace through ``span`` / ``event`` / ``count`` / ``absorb`` only."""
