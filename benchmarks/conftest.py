@@ -1,92 +1,13 @@
-"""Shared fixtures for the benchmark harness.
-
-The harness regenerates every table and figure of the paper at a
-calibrated, scaled-down population (ratios preserved; see DESIGN.md).
-The expensive artifacts — the population and the weekly scans — are
-built once per session and shared; each benchmark times its own
-regeneration step and prints the paper-style rows.
-"""
+"""The harness population, shared by the ``test_perf_*`` overhead gates."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.campaign.runner import CampaignRunner
-from repro.campaign.schedule import DEFAULT_CAMPAIGN
-from repro.internet.asdb import build_default_asdb
 from repro.internet.population import PopulationConfig, build_population
-from repro.web.scanner import ScanConfig, Scanner
-
-#: The benchmark scale: 1/6400 of the paper's CZDS population and
-#: ~1/100 of its toplists, with all rates preserved.
-BENCH_CONFIG = PopulationConfig(
-    toplist_domains=4_000,
-    czds_domains=34_000,
-    seed=20230520,
-)
-
-#: Number of weeks of the Figure 2 longitudinal study.
-COMPLIANCE_WEEKS = 12
+from studies import HARNESS
 
 
 @pytest.fixture(scope="session")
 def population():
-    return build_population(BENCH_CONFIG)
-
-
-@pytest.fixture(scope="session")
-def scanner(population):
-    return Scanner(population, ScanConfig())
-
-
-@pytest.fixture(scope="session")
-def cw20_scan_v4(scanner):
-    """The paper's reference measurement: CW 20, 2023 over IPv4."""
-    return scanner.scan(week_label="cw20-2023", ip_version=4)
-
-
-@pytest.fixture(scope="session")
-def cw20_scan_v6(scanner):
-    """The CW 20, 2023 IPv6 measurement (Table 4)."""
-    return scanner.scan(week_label="cw20-2023", ip_version=6)
-
-
-@pytest.fixture(scope="session")
-def asdb():
-    return build_default_asdb()
-
-
-@pytest.fixture(scope="session")
-def accuracy_records(scanner, cw20_scan_v4):
-    """Spin-active connections pooled over several campaign weeks.
-
-    The paper's Section 5 uses all IPv4 connections with spin activity
-    across the entire campaign (~86 M); we pool the CW 20 scan with two
-    additional weekly scans of the domains that showed activity, which
-    multiplies the sample without rescanning the full population.
-    """
-    spin_domains = [
-        result.domain
-        for result in cw20_scan_v4.results
-        if result.shows_spin_activity
-    ]
-    records = list(cw20_scan_v4.connection_records())
-    for label in ("cw18-2023", "cw19-2023"):
-        extra = scanner.scan(week_label=label, ip_version=4, domains=spin_domains)
-        records.extend(extra.connection_records())
-    return records
-
-
-@pytest.fixture(scope="session")
-def longitudinal_12w(population):
-    """Twelve spread weeks over a population slice (Figure 2).
-
-    Weekly full-population scans would dominate the harness runtime, so
-    the longitudinal study samples a deterministic slice of QUIC-enabled
-    domains; the selection criterion (spun at least once, connected in
-    every week) is applied afterwards, exactly as in the paper.
-    """
-    runner = CampaignRunner(population, DEFAULT_CAMPAIGN)
-    quic_domains = [d for d in population.domains if d.quic_enabled]
-    subset = quic_domains[:1_500]
-    return runner.run_longitudinal(COMPLIANCE_WEEKS, domains=subset)
+    return build_population(PopulationConfig(**HARNESS))

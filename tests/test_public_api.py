@@ -82,6 +82,18 @@ class TestPaperReportUnit:
         assert report.support_v4.row(repro.ListGroup.CZDS).domains_total == 400
         assert report.organizations.total_connections > 0
 
+    def test_webservers_read_the_cw20_ipv4_scan_alone(self):
+        from repro.analysis.paper_report import generate_paper_report
+        from repro.analysis.webserver import webserver_shares
+
+        population = repro.build_population(
+            repro.PopulationConfig(toplist_domains=80, czds_domains=400, seed=6)
+        )
+        report = generate_paper_report(population, include_longitudinal=False)
+        v4 = repro.Scanner(population).scan(week_label="cw20-2023", ip_version=4)
+        assert report.webservers == webserver_shares(v4.connection_records())
+        assert report.webservers != webserver_shares(report.records)
+
     def test_report_with_longitudinal(self):
         from repro.analysis.paper_report import generate_paper_report
 

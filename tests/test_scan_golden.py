@@ -69,8 +69,8 @@ FAULT_FREE = {
 #: each aligned block of ``BLOCK_SIZE`` indexes from its own: every
 #: domain's attributes moved, so every byte downstream did, and nothing
 #: else changed in that commit.  The pool arm still shares the inline
-#: arm's digests, and the paper's bands (``benchmarks/``) hold on both
-#: sides.
+#: arm's digests, and the paper's bands (``PYTHONPATH=src python -m
+#: pytest benchmarks/test_paper_bands.py``) hold on both sides.
 GOLDEN_SCANS = {
     "fault-free": ([], FAULT_FREE),
     "chaos": (
