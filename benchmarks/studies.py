@@ -15,10 +15,10 @@ from pathlib import Path
 from statistics import median_high
 
 from repro._util.rng import derive_rng, fork_rng
+from repro.analysis.compliance import ComplianceFold, scan_flags
 from repro.analysis.filter_study import run_filter_study
 from repro.analysis.longform import per_sample_deviation_profile, windowed_accuracy
 from repro.analysis.paper_report import generate_paper_report
-from repro.campaign.followup import FollowUpStudy
 from repro.core.grease_filter import GreaseFilterVariant
 from repro.core.heuristics import DynamicThresholdFilter, PacketNumberFilter
 from repro.core.observer import SpinObserver, observe_recorder
@@ -189,22 +189,25 @@ def induced_reordering() -> dict[str, float]:
     return metrics
 
 
-def followup(population) -> dict[str, float]:
-    """Section 6's two-phase compliance design: one scan picks the
-    spin-active domains, then 260 of them are probed 16 times in-week,
-    which measures the per-connection disable rate (RFC 9000: 1/16)."""
-    study = FollowUpStudy(population)
-    _, candidates = study.identify_candidates(week_label="cw20-2023")
-    result = study.probe(candidates[:260], 16)
-    rate = result.estimated_disable_rate()
-    observed = result.observed_count_distribution()
+def followup(population, spin_domains) -> dict[str, float]:
+    """Section 6's two-phase compliance design: the report's CW 20 scan
+    picked the spin-active domains, and 260 of them are probed 16 times
+    in-week, which measures the per-connection disable rate (RFC 9000:
+    1/16)."""
+    candidates = spin_domains[:260]
+    probes = [("cw20-2023", probe) for probe in range(1, 17)]
+    fold = ComplianceFold(len(probes))
+    fold.update_many(scan_flags(Scanner(population), candidates, probes))
+    result = fold.finish()
+    rate = result.disable_rate
+    observed = result.observed_shares
     return {
-        "followup.domains_probed": result.domains_probed,
-        "followup.active_domains": len(result.active_domains()),
+        "followup.domains_probed": len(candidates),
+        "followup.active_domains": result.considered_domains,
         "followup.disable_rate": rate,
         "followup.rfc9000_minus_rfc9312_distance": abs(rate - 1 / 16)
         - abs(rate - 1 / 8),
-        "followup.top_two_share": observed[15] + observed[16],
+        "followup.top_two_share": observed[14] + observed[15],
     }
 
 
@@ -311,7 +314,7 @@ def measure_all() -> dict[str, float]:
         **report.metrics(),
         **grease_variants(report.records),
         **rtt_filters(report.records),
-        **followup(population),
+        **followup(population, report.spin_domains),
         **detection_probe(),
         **induced_reordering(),
         **long_connections(),

@@ -12,11 +12,11 @@ Run:  python examples/rfc_compliance.py [n_czds_domains]
 
 import sys
 
-from repro.analysis.compliance import compliance_histogram
+from repro.analysis.compliance import ComplianceFold, scan_flags
 from repro.analysis.report import render_compliance_histogram
-from repro.campaign.runner import CampaignRunner
 from repro.campaign.schedule import DEFAULT_CAMPAIGN
 from repro.internet.population import PopulationConfig, build_population
+from repro.web.scanner import Scanner
 
 
 def main() -> None:
@@ -24,15 +24,15 @@ def main() -> None:
     population = build_population(
         PopulationConfig(toplist_domains=0, czds_domains=czds, seed=17)
     )
-    runner = CampaignRunner(population, DEFAULT_CAMPAIGN)
-
-    quic_domains = [d for d in population.domains if d.quic_enabled]
+    quic_domains = [d for d in population.iter_targets() if d.quic_enabled]
     print(f"{len(quic_domains)} QUIC-enabled domains; scanning them in 12 "
           f"weeks spread across {DEFAULT_CAMPAIGN.first.label} .. "
           f"{DEFAULT_CAMPAIGN.last.label} ...")
-    result = runner.run_longitudinal(12, domains=quic_domains)
+    weeks = [(week.label, 0) for week in DEFAULT_CAMPAIGN.select_spread_weeks(12)]
+    fold = ComplianceFold(len(weeks))
+    fold.update_many(scan_flags(Scanner(population), quic_domains, weeks))
 
-    histogram = compliance_histogram(result)
+    histogram = fold.finish()
     print()
     print(render_compliance_histogram(histogram))
 

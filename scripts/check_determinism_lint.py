@@ -126,6 +126,11 @@ Which further rules apply to which layer (directory under
   population label (``"population..."``, or the retired per-index
   ``"stream-domain"``) draws domains outside the one generator, and is
   flagged.  No pragma opts out.
+* One definition of a scan's domain flags, everywhere but
+  ``analysis/compliance.py``: the week index's ``domains`` maps and the
+  repeated-scan fold read the same bits, so an assignment to
+  ``FLAG_SUCCESS`` or ``FLAG_SPIN`` anywhere else is a second meaning,
+  and is flagged.  No pragma opts out.
 
 Benchmarks (``benchmarks/``) legitimately measure wall-clock and are
 not scanned.  A source line may opt out with the pattern's pragma when
@@ -183,6 +188,9 @@ _JSONL_READER = frozenset(
     {"record_from_dict", "read_records", "load_records", "ArtifactFormatError",
      "detect_format"}
 )
+
+#: The per-scan domain flag bits (``repro.analysis.compliance``).
+_DOMAIN_FLAGS = frozenset({"FLAG_SUCCESS", "FLAG_SPIN"})
 
 #: The trace model's constructors and row lists (``repro.telemetry.trace``).
 _TRACE_CONSTRUCTORS = frozenset({"TraceRecord", "OpenSpan"})
@@ -650,11 +658,28 @@ def population_by_range(text: str) -> list[int]:
     return sorted(numbers)
 
 
+def one_flag_definition(text: str) -> list[int]:
+    """An assignment to a domain flag bit (``FLAG_SUCCESS`` /
+    ``FLAG_SPIN``): the bits are defined once, with the fold that counts
+    them."""
+    numbers = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        if any(_names_in(target) & _DOMAIN_FLAGS for target in targets):
+            numbers.add(node.lineno)
+    return sorted(numbers)
+
+
 #: What every file is held to; a layer (directory under ``repro/``) not
 #: listed below gets exactly this.
 _EVERYWHERE = (
     forbidden_lines, hand_built_trace_rows, listener_guards, endpoint_decoder_uses,
-    container_framing, population_by_range, one_artifact_format,
+    container_framing, population_by_range, one_artifact_format, one_flag_definition,
 )
 
 #: layer → its rules.  The JSON-in-loop layers are the hot paths (the
@@ -677,7 +702,7 @@ LAYER_RULES = {
     "service": _EVERYWHERE + (json_in_loops, section_state_names),
     "telemetry": (
         forbidden_lines, json_in_loops, endpoint_decoder_uses, container_framing,
-        one_artifact_format,
+        one_artifact_format, one_flag_definition,
     ),
     "web": _EVERYWHERE + (json_in_loops,),
 }
@@ -687,9 +712,11 @@ LAYER_RULES = {
 #: live; the endpoint and the field decoder carry the one-datapath rules,
 #: the monitor pipeline the rule that keeps it off the packet path, the
 #: flow table and resolver the rule that keeps flow identity one structure,
-#: and the population generator is where populations are drawn.
+#: the population generator is where populations are drawn, and the
+#: compliance fold is where the domain flags are defined.
 _CODEC_HOME = ((), (endpoint_decoder_uses,))
 FILE_RULES = {
+    "repro/analysis/compliance.py": ((), (one_flag_definition,)),
     "repro/core/flow_resolver.py": ((one_flow_structure, tcp_decoder_uses), ()),
     "repro/core/flow_table.py": ((one_flow_structure, tcp_decoder_uses), ()),
     "repro/internet/population.py": ((), (population_by_range,)),
@@ -773,7 +800,8 @@ def main(argv: list[str] | None = None) -> int:
             "neither names decode_tcp_segment / TcpSegment — is_tcp_shaped classifies; "
             "outside internet/population.py a population is read by range "
             "(materialize_range / iter_targets / domain_count), never as .domains, "
-            "and no derive_rng( call names a population label)",
+            "and no derive_rng( call names a population label; FLAG_SUCCESS / "
+            "FLAG_SPIN are assigned only in analysis/compliance.py)",
             file=sys.stderr,
         )
         return 1

@@ -17,7 +17,7 @@ synthetic, calibrated Internet (see DESIGN.md):
   many-flow traffic multiplexing, bounded flow-table pipeline, windowed
   RTT aggregation, JSONL metric snapshots;
 * :mod:`repro.internet` — providers, AS database, domain population;
-* :mod:`repro.campaign` — weekly/longitudinal measurement scheduling;
+* :mod:`repro.campaign` — the measurement calendar and its week selections;
 * :mod:`repro.analysis` — the aggregations behind Tables 1-4 and
   Figures 2-4.
 
@@ -32,13 +32,12 @@ Quickstart::
 
 from repro.analysis import (
     accuracy_study,
-    compliance_histogram,
     configuration_table,
     organization_table,
     support_overview,
     webserver_shares,
 )
-from repro.campaign import DEFAULT_CAMPAIGN, CalendarWeek, Campaign, CampaignRunner
+from repro.campaign import DEFAULT_CAMPAIGN, CalendarWeek, Campaign
 from repro.core import (
     GreaseFilterVariant,
     SpinBehaviour,
@@ -77,7 +76,6 @@ __version__ = "1.0.0"
 __all__ = [
     "CalendarWeek",
     "Campaign",
-    "CampaignRunner",
     "DEFAULT_CAMPAIGN",
     "GreaseFilterVariant",
     "ListGroup",
@@ -99,7 +97,6 @@ __all__ = [
     "build_default_asdb",
     "build_population",
     "compare_means",
-    "compliance_histogram",
     "configuration_table",
     "is_greasing",
     "mapped_ratio",

@@ -32,8 +32,8 @@ from repro.analysis.asorg import OrgFold, OrgRow, OrgTable, organization_table
 from repro.analysis.compliance import (
     ComplianceFold,
     ComplianceHistogram,
-    compliance_histogram,
     rfc_reference_shares,
+    scan_flags,
 )
 from repro.analysis.config import (
     ConfigurationFold,
@@ -93,7 +93,6 @@ __all__ = [
     "SupportRow",
     "WebserverShare",
     "accuracy_study",
-    "compliance_histogram",
     "configuration_table",
     "organization_table",
     "render_compliance_histogram",
@@ -107,6 +106,7 @@ __all__ = [
     "render_support_overview",
     "render_table",
     "rfc_reference_shares",
+    "scan_flags",
     "support_overview",
     "webserver_shares",
 ]

@@ -1,4 +1,4 @@
-"""RFC-compliance analysis — Figure 2 of the paper.
+"""Repeated-scan counting — Figure 2 and the Section 6 follow-up.
 
 RFC 9000 mandates that endpoints actively using the spin bit "MUST"
 disable it on at least one in every 16 connections (one in eight per
@@ -8,44 +8,93 @@ working connection in every week, and histogram in how many weeks each
 domain spun.  Reference curves computed from probability theory show how
 often a compliant, always-spinning endpoint would be expected to spin in
 ``k`` of ``n`` one-shot weekly measurements: Binomial(n, 15/16) for
-RFC 9000 and Binomial(n, 7/8) for RFC 9312.
+RFC 9000 and Binomial(n, 7/8) for RFC 9312.  The paper's Section 6
+follow-up asks the same over ``n = 16`` probes within one week, which
+holds the deployment fixed and measures the disable rate itself.
+
+Both count ``n`` per-scan ``{domain: flags}`` maps — the map a service
+week file stores as ``domains`` — with one :class:`ComplianceFold`, and
+:func:`scan_flags` makes such maps from fresh scans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from repro._util.stats import binomial_pmf
-from repro.campaign.runner import LongitudinalResult
+
+if TYPE_CHECKING:
+    from repro.internet.population import DomainRecord
+    from repro.web.scanner import Scanner
 
 __all__ = [
+    "FLAG_SPIN",
+    "FLAG_SUCCESS",
     "ComplianceFold",
     "ComplianceHistogram",
-    "compliance_histogram",
     "rfc_reference_shares",
+    "scan_flags",
 ]
+
+#: Domain flag bits of one scan: some connection succeeded
+#: (``DomainScanResult.quic_support``) / some connection saw both spin
+#: values, i.e. its spin mask is 3 (``shows_spin_activity``).  A domain
+#: *spun* in a scan when its flags are exactly ``FLAG_SUCCESS | FLAG_SPIN``.
+FLAG_SUCCESS = 1
+FLAG_SPIN = 2
 
 
 @dataclass(frozen=True)
 class ComplianceHistogram:
-    """Figure 2's data: observed shares and the two RFC references.
+    """Figure 2's data: k-of-n counts and the two RFC references.
 
-    Index ``k - 1`` of each list holds the share of domains that spun in
-    exactly ``k`` of the ``n_weeks`` selected weeks (``k >= 1``, since
-    the selection keeps only domains that spun at least once).
+    ``counts[k - 1]`` is the number of domains that spun in exactly
+    ``k`` of the ``n_weeks`` scans (``k >= 1``, since the selection
+    keeps only domains that spun at least once); the share lists are
+    indexed the same way.
     """
 
     n_weeks: int
-    considered_domains: int
-    observed_shares: list[float]
-    rfc9000_shares: list[float]
-    rfc9312_shares: list[float]
+    counts: list[int]
+
+    @property
+    def considered_domains(self) -> int:
+        return sum(self.counts)
+
+    @cached_property
+    def observed_shares(self) -> list[float]:
+        considered = self.considered_domains
+        return [count / considered if considered else 0.0 for count in self.counts]
+
+    @cached_property
+    def rfc9000_shares(self) -> list[float]:
+        return rfc_reference_shares(self.n_weeks, 16)
+
+    @cached_property
+    def rfc9312_shares(self) -> list[float]:
+        return rfc_reference_shares(self.n_weeks, 8)
 
     @property
     def share_spinning_every_week(self) -> float:
         """Observed share of domains with spin activity in all weeks."""
         return self.observed_shares[-1]
+
+    @property
+    def disable_rate(self) -> float:
+        """The measured per-connection disable probability.
+
+        One minus the share of the considered domains' scans that spun.
+        Over in-week probes, a compliant RFC 9000 endpoint gives 1/16 =
+        6.25 % (1/8 under the RFC 9312 reading), free of the deployment
+        churn that week-spaced scans add.
+        """
+        considered = self.considered_domains
+        if not considered:
+            return 0.0
+        spun = sum(k * count for k, count in enumerate(self.counts, 1))
+        return 1.0 - spun / (self.n_weeks * considered)
 
     def observed_cumulative_at_most(self, k: int) -> float:
         """Observed share of domains spinning in at most ``k`` weeks."""
@@ -71,49 +120,57 @@ def rfc_reference_shares(n_weeks: int, disable_one_in_n: int) -> list[float]:
 
 
 class ComplianceFold:
-    """Streaming accumulator behind :func:`compliance_histogram`.
+    """The k-of-n count over ``n_weeks`` per-scan flag maps.
 
-    Consumes per-domain weekly spin-activity flag sequences (each of
-    length ``n_weeks``); domains that never spun are skipped, matching
-    the paper's Figure 2 selection.
+    A domain counts when it connected in every scan and spun in at
+    least one; its k is the number of scans it spun in.  A domain
+    missing from a scan's map did not connect in it.
     """
-
-    name = "compliance"
-    needs_edges_received = False
-    needs_edges_sorted = False
 
     def __init__(self, n_weeks: int) -> None:
         self.n_weeks = n_weeks
-        self._counts = [0] * n_weeks  # index k-1: spun in exactly k weeks
-        self._considered = 0
+        self._scans = 0
+        self._connected: dict[str, int] = {}
+        self._spun: dict[str, int] = {}
 
-    def update_many(self, flag_rows: Iterable[Sequence[bool]]) -> None:
-        counts = self._counts
-        considered = 0
-        for flags in flag_rows:
-            k = sum(flags)
-            if k == 0:
-                continue  # never spun in the selected weeks: not in Fig. 2
-            considered += 1
-            counts[k - 1] += 1
-        self._considered += considered
+    def update_many(self, flag_maps: Iterable[Mapping[str, int]]) -> None:
+        connected, spun = self._connected, self._spun
+        for flags in flag_maps:
+            self._scans += 1
+            for name, value in flags.items():
+                if value & FLAG_SUCCESS:
+                    connected[name] = connected.get(name, 0) + 1
+                    if value & FLAG_SPIN:
+                        spun[name] = spun.get(name, 0) + 1
 
     def finish(self) -> ComplianceHistogram:
-        considered = self._considered
-        observed = [
-            count / considered if considered else 0.0 for count in self._counts
-        ]
-        return ComplianceHistogram(
-            n_weeks=self.n_weeks,
-            considered_domains=considered,
-            observed_shares=observed,
-            rfc9000_shares=rfc_reference_shares(self.n_weeks, 16),
-            rfc9312_shares=rfc_reference_shares(self.n_weeks, 8),
-        )
+        if self._scans != self.n_weeks:
+            raise ValueError(f"folded {self._scans} scans, expected {self.n_weeks}")
+        counts = [0] * self.n_weeks
+        connected = self._connected
+        for name, k in self._spun.items():
+            if connected[name] == self.n_weeks:
+                counts[k - 1] += 1
+        return ComplianceHistogram(n_weeks=self.n_weeks, counts=counts)
 
 
-def compliance_histogram(result: LongitudinalResult) -> ComplianceHistogram:
-    """Compute Figure 2 from a longitudinal measurement result."""
-    fold = ComplianceFold(n_weeks=len(result.datasets))
-    fold.update_many(result.weekly_spin_activity().values())
-    return fold.finish()
+def scan_flags(
+    scanner: Scanner,
+    domains: Sequence[DomainRecord],
+    scans: Iterable[tuple[str, int]],
+) -> Iterator[dict[str, int]]:
+    """One ``{domain: flags}`` map per ``(week label, probe)`` scan of
+    ``domains``, each streamed through :meth:`Scanner.scan_stream`.
+
+    Figure 2 passes spread weeks at probe 0; the follow-up passes one
+    week at probes 1..16, which re-roll per-connection randomness while
+    the week's deployment stays fixed.
+    """
+    for week, probe in scans:
+        yield {
+            result.domain.name: (FLAG_SUCCESS if result.quic_support else 0)
+            | (FLAG_SPIN if result.shows_spin_activity else 0)
+            for result in scanner.scan_stream(
+                week_label=week, domains=domains, probe=probe
+            )
+        }

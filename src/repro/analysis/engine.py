@@ -38,12 +38,13 @@ skip the edge blocks no built record will show (projection pushdown).
 The six folds here read columns only and declare ``False``.  Absent
 attributes count as *needed* — unknown folds never see partial records.
 
-The domain-scoped sections (support, config, compliance) fold over
-domain results / weekly activity flags instead of connection records;
-their folds live next to their classic functions
+The domain-scoped sections fold over domain results instead of
+connection records, next to their classic functions
 (:class:`~repro.analysis.support.SupportFold`,
-:class:`~repro.analysis.config.ConfigurationFold`,
-:class:`~repro.analysis.compliance.ComplianceFold`).
+:class:`~repro.analysis.config.ConfigurationFold`);
+:class:`~repro.analysis.compliance.ComplianceFold` (Figure 2, the
+follow-up) counts per-scan ``{domain: flags}`` maps — the ``domains``
+map a week file stores — and reads no batch either.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from repro.analysis.accuracy import accuracy_study
 from repro.analysis.asorg import organization_table
-from repro.analysis.compliance import compliance_histogram
+from repro.analysis.compliance import ComplianceFold, scan_flags
 from repro.analysis.config import configuration_table
 from repro.analysis.report import (
     render_compliance_histogram,
@@ -27,7 +27,6 @@ from repro.analysis.report import (
 from repro.analysis.support import support_overview
 from repro.analysis.versions import version_distribution
 from repro.analysis.webserver import webserver_shares
-from repro.campaign.runner import CampaignRunner
 from repro.campaign.schedule import DEFAULT_CAMPAIGN
 from repro.internet.asdb import build_default_asdb
 from repro.internet.population import ListGroup, Population
@@ -60,8 +59,8 @@ class PaperReport:
     """The rendered report plus the underlying analysis objects.
 
     ``records`` is the accuracy pool (the CW 20 IPv4 connections plus two
-    re-scans of every spin-active domain); ``webservers`` are the
-    Section 4.2 shares over the CW 20 IPv4 connections alone.
+    re-scans of every spin-active domain, ``spin_domains``); ``webservers``
+    are the Section 4.2 shares over the CW 20 IPv4 connections alone.
     """
 
     text: str
@@ -73,6 +72,7 @@ class PaperReport:
     accuracy: object
     records: list
     webservers: list
+    spin_domains: list
 
     def metrics(self) -> dict[str, float]:
         """Every number of the paper's tables and figures, by name.
@@ -193,11 +193,17 @@ def generate_paper_report(
 
     compliance = None
     if include_longitudinal:
-        runner = CampaignRunner(population, DEFAULT_CAMPAIGN, scan_config)
         quic_domains = [d for d in population.iter_targets() if d.quic_enabled]
-        subset = quic_domains[:longitudinal_domain_cap]
-        longitudinal = runner.run_longitudinal(longitudinal_weeks, domains=subset)
-        compliance = compliance_histogram(longitudinal)
+        weeks = DEFAULT_CAMPAIGN.select_spread_weeks(longitudinal_weeks)
+        fold = ComplianceFold(len(weeks))
+        fold.update_many(
+            scan_flags(
+                scanner,
+                quic_domains[:longitudinal_domain_cap],
+                [(week.label, 0) for week in weeks],
+            )
+        )
+        compliance = fold.finish()
         sections.append("\n== Figure 2: weeks with spin enabled ==")
         sections.append(render_compliance_histogram(compliance))
 
@@ -247,4 +253,5 @@ def generate_paper_report(
         accuracy=accuracy,
         records=records,
         webservers=webservers,
+        spin_domains=spin_domains,
     )

@@ -1,15 +1,5 @@
-"""Measurement-campaign orchestration: calendar, weekly and longitudinal runs."""
+"""The measurement calendar: campaign weeks and their selections."""
 
-from repro.campaign.followup import FollowUpResult, FollowUpStudy
-from repro.campaign.runner import CampaignRunner, LongitudinalResult
 from repro.campaign.schedule import DEFAULT_CAMPAIGN, CalendarWeek, Campaign
 
-__all__ = [
-    "Campaign",
-    "CampaignRunner",
-    "CalendarWeek",
-    "DEFAULT_CAMPAIGN",
-    "FollowUpResult",
-    "FollowUpStudy",
-    "LongitudinalResult",
-]
+__all__ = ["Campaign", "CalendarWeek", "DEFAULT_CAMPAIGN"]

@@ -563,16 +563,31 @@ def _open_out(path: str):
         raise SystemExit(f"repro: error: cannot write {path}: {error}")
 
 
+def _checked(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its ValueError (an invalid option
+    value) turned into the one-line ``repro: error:`` exit."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as error:
+        raise SystemExit(f"repro: error: {error}")
+
+
+def _population(toplist: int, czds: int, seed: int):
+    """The synthetic population the domain-count options describe."""
+    from repro.internet.population import PopulationConfig, build_population
+
+    return build_population(
+        _checked(PopulationConfig, toplist_domains=toplist, czds_domains=czds, seed=seed)
+    )
+
+
 def _fault_plan_from_args(fault_args):
     """Parse repeated ``--fault`` values into one plan (or ``None``)."""
     if not fault_args:
         return None
     from repro.faults import parse_fault_plan
 
-    try:
-        return parse_fault_plan(",".join(fault_args))
-    except ValueError as error:
-        raise SystemExit(f"repro: error: {error}")
+    return _checked(parse_fault_plan, ",".join(fault_args))
 
 
 def _resilience_from_args(args):
@@ -622,15 +637,11 @@ def _parallel_config(
 ):
     from repro.web.parallel import ParallelScanConfig
 
-    try:
-        if workers == 0:
-            auto = ParallelScanConfig.auto()
-            workers = auto.workers
-        return ParallelScanConfig(
-            workers=workers, chunk_size=chunk_size, force_pool=force_pool
-        )
-    except ValueError as error:
-        raise SystemExit(f"repro: error: {error}")
+    if workers == 0:
+        workers = ParallelScanConfig.auto().workers
+    return _checked(
+        ParallelScanConfig, workers=workers, chunk_size=chunk_size, force_pool=force_pool
+    )
 
 
 def _refuse_non_cbr_out(path: str) -> None:
@@ -656,7 +667,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     from repro.artifacts.cbr import write_records_cbr
     from repro.faults import CheckpointError, truncate_jsonl_line
     from repro.faults.taxonomy import FailureFold
-    from repro.internet.population import PopulationConfig, build_population
     from repro.web.scanner import ScanConfig, Scanner
 
     # All configuration errors surface as one clean stderr line before
@@ -672,11 +682,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         )
     except ValueError as error:
         raise SystemExit(f"repro: error: {error}")
-    population = build_population(
-        PopulationConfig(
-            toplist_domains=args.toplist, czds_domains=args.czds, seed=args.seed
-        )
-    )
+    population = _population(args.toplist, args.czds, args.seed)
     parallel = _parallel_config(args.workers, args.chunk_size, args.force_pool)
     print(
         f"scanning {population.domain_count} domains "
@@ -931,27 +937,24 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_compliance(args: argparse.Namespace) -> int:
-    from repro.analysis.compliance import compliance_histogram
+    from repro.analysis.compliance import ComplianceFold, scan_flags
     from repro.analysis.report import render_compliance_histogram
-    from repro.campaign.runner import CampaignRunner
     from repro.campaign.schedule import DEFAULT_CAMPAIGN
-    from repro.internet.population import PopulationConfig, build_population
+    from repro.web.scanner import Scanner
 
-    population = build_population(
-        PopulationConfig(toplist_domains=0, czds_domains=args.czds, seed=args.seed)
-    )
+    weeks = _checked(DEFAULT_CAMPAIGN.select_spread_weeks, args.weeks)
+    population = _population(0, args.czds, args.seed)
     quic_domains = [d for d in population.iter_targets() if d.quic_enabled]
     print(
         f"scanning {len(quic_domains)} QUIC domains in {args.weeks} spread weeks ...",
         file=sys.stderr,
     )
-    with CampaignRunner(
-        population, DEFAULT_CAMPAIGN, parallel=_parallel_config(args.workers)
-    ) as runner:
-        result = runner.run_longitudinal(
-            args.weeks, domains=quic_domains, verbose=True
+    fold = ComplianceFold(len(weeks))
+    with Scanner(population, parallel=_parallel_config(args.workers)) as scanner:
+        fold.update_many(
+            scan_flags(scanner, quic_domains, [(week.label, 0) for week in weeks])
         )
-    print(render_compliance_histogram(compliance_histogram(result)))
+    print(render_compliance_histogram(fold.finish()))
     return 0
 
 
@@ -1050,13 +1053,8 @@ def _cmd_demo(_: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis.paper_report import generate_paper_report
-    from repro.internet.population import PopulationConfig, build_population
 
-    population = build_population(
-        PopulationConfig(
-            toplist_domains=args.toplist, czds_domains=args.czds, seed=args.seed
-        )
-    )
+    population = _population(args.toplist, args.czds, args.seed)
     print(
         f"running the full study over {population.domain_count} domains ...",
         file=sys.stderr,
@@ -1112,10 +1110,7 @@ def _load_slo_specs(slo_path: str | None):
             text = stream.read()
     except OSError as error:
         raise SystemExit(f"repro: error: cannot read {slo_path}: {error}")
-    try:
-        return parse_slo_specs(text)
-    except ValueError as error:
-        raise SystemExit(f"repro: error: {error}")
+    return _checked(parse_slo_specs, text)
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
@@ -1176,7 +1171,6 @@ def _cmd_status(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     import time
 
-    from repro.internet.population import PopulationConfig, build_population
     from repro.obs import PhaseProfiler
     from repro.telemetry import Telemetry
     from repro.web.scanner import Scanner
@@ -1184,19 +1178,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     # Diagnostics-only wall clock, injected so the profiler package
     # itself never reads one (the determinism lint covers it).
     clock = None if args.sim else time.perf_counter  # wallclock-ok: profiling diagnostics
-    try:
-        profiler = PhaseProfiler(
-            sample_interval_ms=args.sample_interval_ms, clock=clock
-        )
-    except ValueError as error:
-        raise SystemExit(f"repro: error: {error}")
+    profiler = _checked(
+        PhaseProfiler, sample_interval_ms=args.sample_interval_ms, clock=clock
+    )
     telemetry = Telemetry()
     telemetry.profiler = profiler
-    population = build_population(
-        PopulationConfig(
-            toplist_domains=args.toplist, czds_domains=args.czds, seed=args.seed
-        )
-    )
+    population = _population(args.toplist, args.czds, args.seed)
     print(
         f"profiling a scan of {population.domain_count} domains "
         f"(week {args.week}, IPv{args.ip_version},"
@@ -1255,18 +1242,16 @@ def _service_config_from_args(args: argparse.Namespace):
     ``repro: error:`` convention before any directory is touched."""
     from repro.service import ServiceConfig
 
-    try:
-        return ServiceConfig(
-            seed=args.seed,
-            czds_domains=args.czds,
-            toplist_domains=args.toplist,
-            first_week=args.first_week,
-            last_week=args.last_week,
-            ip_version=args.ip_version,
-            workers=args.workers,
-        )
-    except ValueError as error:
-        raise SystemExit(f"repro: error: {error}")
+    return _checked(
+        ServiceConfig,
+        seed=args.seed,
+        czds_domains=args.czds,
+        toplist_domains=args.toplist,
+        first_week=args.first_week,
+        last_week=args.last_week,
+        ip_version=args.ip_version,
+        workers=args.workers,
+    )
 
 
 def _service_stores(args: argparse.Namespace):

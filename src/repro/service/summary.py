@@ -30,18 +30,13 @@ from collections import Counter
 from typing import Mapping
 
 from repro._util.stats import add_counts
+from repro.analysis.compliance import FLAG_SPIN, FLAG_SUCCESS
 from repro.analysis.engine import build_record_folds
 from repro.artifacts.cbr import RecordBatch
 
 __all__ = ["WeekSummary", "combine_weeks"]
 
 _SUMMARY_SCHEMA = 1
-
-#: Domain flag bits: the domain had a successful connection / showed
-#: spin activity at least once in the week.  OR-merge keeps them stable
-#: under duplicate and out-of-order folds.
-FLAG_SUCCESS = 1
-FLAG_SPIN = 2
 
 
 class WeekSummary:
@@ -54,7 +49,9 @@ class WeekSummary:
         #: list authoritative: re-folding an artifact skips weeks that
         #: already carry its fingerprint.
         self.artifacts: list[str] = []
-        # adoption / compliance counters
+        # adoption / compliance counters; ``domains`` holds the week's
+        # per-domain flags (:mod:`repro.analysis.compliance`), which
+        # OR-merge keeps stable under duplicate and out-of-order folds.
         self.domains: dict[str, int] = {}
         self.connections_total = 0
         self.connections_success = 0

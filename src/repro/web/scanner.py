@@ -231,7 +231,7 @@ class Scanner:
 
         Blocks until every pool worker has exited.  Idempotent, and the
         scanner stays usable — a later ``scan()`` simply builds a fresh
-        pool.  Long-lived callers (campaign runner, CLI, service
+        pool.  Long-lived callers (repeated-scan studies, CLI, service
         daemon) close their scanner when a campaign ends instead of
         leaking live worker processes until garbage collection.
         """

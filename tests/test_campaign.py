@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.campaign.runner import CampaignRunner, LongitudinalResult
+from repro.analysis.compliance import FLAG_SPIN, FLAG_SUCCESS, ComplianceFold, scan_flags
 from repro.campaign.schedule import DEFAULT_CAMPAIGN, CalendarWeek, Campaign
 from repro.internet.population import PopulationConfig, build_population
-from repro.web.scanner import ScanDataset
+from repro.web.scanner import Scanner
+
+from compliance_oracle import reference_counts, weekly_spin_activity
 
 
 class TestCalendarWeek:
@@ -75,39 +77,54 @@ class TestCampaign:
 
 
 class TestLongitudinalRuns:
+    """Figure 2's driver: one flag map per spread week, folded k-of-n."""
+
     @pytest.fixture(scope="class")
     def longitudinal(self):
         population = build_population(
             PopulationConfig(toplist_domains=0, czds_domains=500, seed=21)
         )
-        runner = CampaignRunner(population, DEFAULT_CAMPAIGN)
-        domains = [d for d in population.domains if d.quic_enabled]
-        return runner.run_longitudinal(4, domains=domains)
+        domains = [d for d in population.iter_targets() if d.quic_enabled]
+        weeks = [(w.label, 0) for w in DEFAULT_CAMPAIGN.select_spread_weeks(4)]
+        scanner = Scanner(population)
+        maps = list(scan_flags(scanner, domains, weeks))
+        datasets = [scanner.scan(week_label=week, domains=domains) for week, _ in weeks]
+        return maps, datasets
 
     def test_one_dataset_per_week(self, longitudinal):
-        assert len(longitudinal.datasets) == 4
-        assert len(longitudinal.weeks) == 4
-        assert all(isinstance(d, ScanDataset) for d in longitudinal.datasets)
+        maps, datasets = longitudinal
+        assert len(maps) == len(datasets) == 4
+        assert [d.week_label for d in datasets] == [
+            w.label for w in DEFAULT_CAMPAIGN.select_spread_weeks(4)
+        ]
 
     def test_weekly_activity_requires_connection_every_week(self, longitudinal):
-        activity = longitudinal.weekly_spin_activity()
-        for name, flags in activity.items():
-            assert len(flags) == 4
+        maps, datasets = longitudinal
+        fold = ComplianceFold(4)
+        fold.update_many(maps)
+        histogram = fold.finish()
+        assert histogram.counts == reference_counts([d.results for d in datasets])
+        assert histogram.considered_domains == sum(
+            1
+            for flags in weekly_spin_activity([d.results for d in datasets]).values()
+            if any(flags)
+        )
+        assert histogram.considered_domains > 0
 
     def test_activity_flags_match_datasets(self, longitudinal):
-        activity = longitudinal.weekly_spin_activity()
-        for week_index, dataset in enumerate(longitudinal.datasets):
+        maps, datasets = longitudinal
+        for flags, dataset in zip(maps, datasets):
+            assert list(flags) == [r.domain.name for r in dataset.results]
             for result in dataset.results:
-                if result.domain.name in activity:
-                    assert activity[result.domain.name][week_index] == (
-                        result.quic_support and result.shows_spin_activity
-                    )
+                assert flags[result.domain.name] == (
+                    (FLAG_SUCCESS if result.quic_support else 0)
+                    | (FLAG_SPIN if result.shows_spin_activity else 0)
+                )
 
     def test_run_week_full_population(self):
         population = build_population(
             PopulationConfig(toplist_domains=30, czds_domains=80, seed=22)
         )
-        runner = CampaignRunner(population, DEFAULT_CAMPAIGN)
-        dataset = runner.run_week(CalendarWeek(2023, 20))
+        dataset = Scanner(population).scan(week_label=CalendarWeek(2023, 20).label)
         assert dataset.week_label == "cw20-2023"
         assert len(dataset.results) == 110

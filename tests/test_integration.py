@@ -9,11 +9,10 @@ import pytest
 
 from repro.analysis.accuracy import accuracy_study
 from repro.analysis.asorg import organization_table
-from repro.analysis.compliance import compliance_histogram
+from repro.analysis.compliance import ComplianceFold, scan_flags
 from repro.analysis.config import configuration_table
 from repro.analysis.support import support_overview
 from repro.analysis.webserver import webserver_shares
-from repro.campaign.runner import CampaignRunner
 from repro.campaign.schedule import DEFAULT_CAMPAIGN
 from repro.core.classify import SpinBehaviour
 from repro.internet.asdb import build_default_asdb
@@ -111,12 +110,13 @@ class TestAccuracyPipeline:
 
 class TestLongitudinalPipeline:
     def test_compliance_histogram_runs(self, tiny_population):
-        runner = CampaignRunner(tiny_population, DEFAULT_CAMPAIGN)
         spin_capable = [
-            d for d in tiny_population.domains if d.quic_enabled
+            d for d in tiny_population.iter_targets() if d.quic_enabled
         ][:150]
-        result = runner.run_longitudinal(4, domains=spin_capable)
-        histogram = compliance_histogram(result)
+        weeks = [(w.label, 0) for w in DEFAULT_CAMPAIGN.select_spread_weeks(4)]
+        fold = ComplianceFold(len(weeks))
+        fold.update_many(scan_flags(Scanner(tiny_population), spin_capable, weeks))
+        histogram = fold.finish()
         assert histogram.n_weeks == 4
         if histogram.considered_domains:
             assert sum(histogram.observed_shares) == pytest.approx(1.0)

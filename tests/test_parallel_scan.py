@@ -394,16 +394,18 @@ class TestPoolLifecycle:
         finally:
             scanner.close()
 
-    def test_campaign_runner_close(self, population):
-        from repro.campaign.runner import CampaignRunner
-        from repro.campaign.schedule import DEFAULT_CAMPAIGN
+    def test_repeated_scans_share_one_pool_until_close(self, population):
+        """``scan_flags`` streams every scan through the caller's
+        scanner: one pool serves all weeks, and ``with`` closes it."""
+        from repro.analysis.compliance import scan_flags
 
-        with CampaignRunner(
+        weeks = [("cw19-2023", 0), ("cw20-2023", 0)]
+        with Scanner(
             population,
-            DEFAULT_CAMPAIGN,
             parallel=ParallelScanConfig(workers=2, chunk_size=64, force_pool=True),
-        ) as runner:
-            week = DEFAULT_CAMPAIGN.weeks()[0]
-            runner.run_week(week)
-            assert runner.scanner._shard_pool is not None
-        assert runner.scanner._shard_pool is None
+        ) as scanner:
+            pools = []
+            for _ in scan_flags(scanner, population.domains[:40], weeks):
+                pools.append(scanner._shard_pool[1])
+            assert len(pools) == 2 and pools[0] is pools[1]
+        assert scanner._shard_pool is None

@@ -93,6 +93,9 @@ class TestPaperReportUnit:
         v4 = repro.Scanner(population).scan(week_label="cw20-2023", ip_version=4)
         assert report.webservers == webserver_shares(v4.connection_records())
         assert report.webservers != webserver_shares(report.records)
+        assert report.spin_domains == [
+            r.domain for r in v4.results if r.shows_spin_activity
+        ]
 
     def test_report_with_longitudinal(self):
         from repro.analysis.paper_report import generate_paper_report

@@ -35,6 +35,7 @@ from repro.analysis.accuracy import (
     SeriesSummary,
 )
 from repro.analysis.asorg import OrgFold
+from repro.analysis.compliance import FLAG_SPIN, FLAG_SUCCESS
 from repro.analysis.engine import AnalysisEngine, build_record_folds
 from repro.analysis.filter_study import FilterFold, FilterOutcome
 from repro.analysis.query import (
@@ -56,7 +57,7 @@ from repro.core.metrics import compare_means
 from repro.core.observer import SpinEdge, SpinObservation, spin_rtts_from_edges
 from repro.faults.taxonomy import FailureFold, FailureKind
 from repro.internet.asdb import IpAddr, build_default_asdb
-from repro.service.summary import FLAG_SPIN, FLAG_SUCCESS, WeekSummary
+from repro.service.summary import WeekSummary
 from repro.web.scanner import ConnectionRecord
 
 ASDB = build_default_asdb()

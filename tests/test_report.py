@@ -4,7 +4,7 @@ from conftest import make_connection_record
 from repro._util.stats import Histogram
 from repro.analysis.accuracy import accuracy_study
 from repro.analysis.asorg import organization_table
-from repro.analysis.compliance import ComplianceHistogram, rfc_reference_shares
+from repro.analysis.compliance import ComplianceHistogram
 from repro.analysis.report import (
     render_compliance_histogram,
     render_histogram,
@@ -62,13 +62,7 @@ class TestRenderOrgTable:
 
 class TestRenderCompliance:
     def test_weeks_and_references_listed(self):
-        histogram = ComplianceHistogram(
-            n_weeks=3,
-            considered_domains=10,
-            observed_shares=[0.2, 0.3, 0.5],
-            rfc9000_shares=rfc_reference_shares(3, 16),
-            rfc9312_shares=rfc_reference_shares(3, 8),
-        )
+        histogram = ComplianceHistogram(n_weeks=3, counts=[2, 3, 5])
         text = render_compliance_histogram(histogram)
         assert "RFC9000" in text and "RFC9312" in text
         assert "domains considered: 10" in text

@@ -15,6 +15,7 @@ import pytest
 
 from conftest import make_connection_record
 from repro.analysis.artifacts import export_records
+from repro.analysis.compliance import ComplianceFold, scan_flags
 from repro.analysis.report import render_analysis_sections
 from repro.artifacts import open_record_batches
 from repro.artifacts.cbr import CbrFormatError, write_records_cbr
@@ -33,6 +34,7 @@ from repro.service import (
 from repro.service.api import WeekUnreadable
 from repro.service.summary import WeekSummary
 from repro.telemetry import Telemetry
+from repro.web.scanner import Scanner
 
 CONFIG = ServiceConfig(
     seed=77,
@@ -254,6 +256,33 @@ class TestDaemon:
         monkeypatch.setattr(Population, "domains", property(refuse))
         run_daemon(tmp_path / "ranged")
         assert spool_bytes(tmp_path / "ranged") == spool_bytes(tmp_path / "listed")
+
+    def test_fig2_folds_from_the_week_files(self, tmp_path):
+        """The ``domains`` flag maps of three consecutive week files give
+        the same k-of-n histogram as the driver's scans of those weeks."""
+        config = dataclasses.replace(
+            CONFIG, czds_domains=400, toplist_domains=60, first_week="cw18-2023"
+        )
+        daemon = CampaignDaemon(tmp_path / "svc", config)
+        daemon.run_once()
+        weeks = daemon.indexer.weeks()
+        assert weeks == ["cw18-2023", "cw19-2023", "cw20-2023"]
+        archived = ComplianceFold(len(weeks))
+        archived.update_many(
+            json.loads(daemon.indexer.week_bytes(week))["domains"] for week in weeks
+        )
+        population = daemon.population
+        scanned = ComplianceFold(len(weeks))
+        scanned.update_many(
+            scan_flags(
+                Scanner(population),
+                list(population.iter_targets()),
+                [(week, 0) for week in weeks],
+            )
+        )
+        histogram = archived.finish()
+        assert histogram == scanned.finish()
+        assert histogram.considered_domains > 0
 
     def test_scheduler_paces_ticks_on_the_simulated_clock(self, tmp_path):
         daemon = CampaignDaemon(

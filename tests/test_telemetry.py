@@ -765,6 +765,56 @@ class TestOnePopulationUniverse:
         }, result.stderr
 
 
+class TestOneFlagDefinition:
+    """AST gate (same lint): the per-scan domain flag bits are assigned
+    in ``analysis/compliance.py`` alone."""
+
+    #: The week summary as it read when it defined the bits itself.
+    PARENT_SUMMARY = (
+        "from repro._util.stats import add_counts\n"
+        "\n"
+        "#: Domain flag bits.\n"
+        "FLAG_SUCCESS = 1\n"
+        "FLAG_SPIN = 2\n"
+    )
+    OTHER = (
+        "from repro.analysis.compliance import FLAG_SPIN, FLAG_SUCCESS\n"
+        "FLAG_SPIN: int = 4\n"
+        "SPUN = FLAG_SUCCESS | FLAG_SPIN\n"
+        "FLAG_SUCCESS, OTHER = 1, 2\n"
+        "FLAG_SPIN |= 8\n"
+        "flags = {FLAG_SUCCESS: 'success'}\n"
+    )
+
+    def test_the_parents_summary_and_other_assignments_are_caught(self, tmp_path):
+        files = {
+            "service/summary.py": self.PARENT_SUMMARY,
+            "web/hot.py": self.OTHER,
+            "telemetry/hot.py": self.OTHER,
+            "analysis/compliance.py": self.OTHER,
+        }
+        for name, source in files.items():
+            path = tmp_path / "repro" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(source, encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, str(TestDeterminismLint.LINT), str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        flagged = {
+            line.split(": ", 1)[0].split("repro/", 1)[1]
+            for line in result.stderr.splitlines()
+            if "repro/" in line
+        }
+        assert flagged == {
+            "service/summary.py:4", "service/summary.py:5",
+            "web/hot.py:2", "web/hot.py:4", "web/hot.py:5",
+            "telemetry/hot.py:2", "telemetry/hot.py:4", "telemetry/hot.py:5",
+        }, result.stderr
+
+
 class TestOneContainer:
     """AST gate (same lint): a cbr file's framing is read and written by
     the container's own functions, each construct in its one home."""
