@@ -12,14 +12,14 @@ Run:  python examples/adoption_scan.py [n_czds_domains]
 
 import sys
 
+from repro.analysis.adoption import domain_tables
 from repro.analysis.asorg import organization_table
-from repro.analysis.config import configuration_table
+from repro.analysis.compliance import domain_flags
 from repro.analysis.report import (
     render_configuration_table,
     render_org_table,
     render_support_overview,
 )
-from repro.analysis.support import support_overview
 from repro.analysis.webserver import webserver_shares
 from repro.internet.asdb import build_default_asdb
 from repro.internet.population import ListGroup, PopulationConfig, build_population
@@ -38,8 +38,11 @@ def main() -> None:
     print("scanning (one HTTP/3 fetch chain per domain) ...")
     dataset = Scanner(population).scan(week_label="cw20-2023", ip_version=4)
 
+    support, configuration = domain_tables(
+        domain_flags(dataset.results), population, dataset.ip_version, dataset.week_label
+    )
     print("\n=== Table 1: adoption overview ===")
-    print(render_support_overview(support_overview(dataset, population)))
+    print(render_support_overview(support))
 
     print("\n=== Table 2: AS organizations (com/net/org) ===")
     cno_names = {d.name for d in population.group_members(ListGroup.COM_NET_ORG)}
@@ -52,7 +55,7 @@ def main() -> None:
     print(render_org_table(organization_table(connections, build_default_asdb())))
 
     print("\n=== Table 3: spin configuration ===")
-    print(render_configuration_table(configuration_table(dataset, population)))
+    print(render_configuration_table(configuration))
 
     print("\n=== Webserver attribution (spinning connections) ===")
     for share in webserver_shares(dataset.connection_records())[:5]:

@@ -190,7 +190,10 @@ _JSONL_READER = frozenset(
 )
 
 #: The per-scan domain flag bits (``repro.analysis.compliance``).
-_DOMAIN_FLAGS = frozenset({"FLAG_SUCCESS", "FLAG_SPIN"})
+_DOMAIN_FLAGS = frozenset({
+    "FLAG_SUCCESS", "FLAG_SPIN",
+    "FLAG_SEEN_ALL_ZERO", "FLAG_SEEN_ALL_ONE", "FLAG_SEEN_SPIN", "FLAG_SEEN_GREASE",
+})
 
 #: The trace model's constructors and row lists (``repro.telemetry.trace``).
 _TRACE_CONSTRUCTORS = frozenset({"TraceRecord", "OpenSpan"})
@@ -660,8 +663,8 @@ def population_by_range(text: str) -> list[int]:
 
 def one_flag_definition(text: str) -> list[int]:
     """An assignment to a domain flag bit (``FLAG_SUCCESS`` /
-    ``FLAG_SPIN``): the bits are defined once, with the fold that counts
-    them."""
+    ``FLAG_SPIN`` / ``FLAG_SEEN_*``): the bits are defined once, with
+    the function that sets them and the fold that counts them."""
     numbers = set()
     for node in ast.walk(ast.parse(text)):
         if isinstance(node, ast.Assign):

@@ -9,6 +9,9 @@ table of EXPERIMENTS.md that sits between ``<!-- bands: SOURCE -->`` and
 ``source`` is SOURCE.  Everything outside the markers is hand-written
 and left alone.
 
+It refuses a tree with uncommitted changes (one error line, exit 1), so
+the commit ``results.json`` names is the code that was measured.
+
 Usage:
     PYTHONPATH=src python scripts/render_experiments.py
 """
@@ -63,11 +66,16 @@ def render(text: str, rows: list[dict], metrics: dict) -> str:
 
 
 def main() -> int:
-    metrics = studies.measure_all()
     commit = subprocess.run(
         ["git", "describe", "--always", "--dirty"],
         cwd=REPO, capture_output=True, text=True, check=True,
     ).stdout.strip()
+    if commit.endswith("-dirty"):
+        print(f"render_experiments: error: the tree at {commit} has uncommitted "
+              "changes; commit them so results.json names what was measured",
+              file=sys.stderr)
+        return 1
+    metrics = studies.measure_all()
     results = {
         "commit": commit,
         "population": studies.HARNESS,

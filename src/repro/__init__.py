@@ -23,18 +23,20 @@ synthetic, calibrated Internet (see DESIGN.md):
 
 Quickstart::
 
-    from repro import build_population, Scanner, support_overview
+    from repro import build_population, Scanner, domain_flags, domain_tables
 
     population = build_population()
     dataset = Scanner(population).scan()
-    overview = support_overview(dataset, population)
+    overview, configuration = domain_tables(
+        domain_flags(dataset.results), population, dataset.ip_version, dataset.week_label
+    )
 """
 
 from repro.analysis import (
     accuracy_study,
-    configuration_table,
+    domain_flags,
+    domain_tables,
     organization_table,
-    support_overview,
     webserver_shares,
 )
 from repro.campaign import DEFAULT_CAMPAIGN, CalendarWeek, Campaign
@@ -97,7 +99,8 @@ __all__ = [
     "build_default_asdb",
     "build_population",
     "compare_means",
-    "configuration_table",
+    "domain_flags",
+    "domain_tables",
     "is_greasing",
     "mapped_ratio",
     "observe_recorder",
@@ -106,7 +109,6 @@ __all__ = [
     "recorder_to_qlog",
     "run_exchange",
     "run_monitor",
-    "support_overview",
     "webserver_shares",
     "write_qlog",
 ]

@@ -28,18 +28,20 @@ from repro.analysis.accuracy import (
     SeriesSummary,
     accuracy_study,
 )
+from repro.analysis.adoption import (
+    ConfigurationRow,
+    ConfigurationTable,
+    SupportOverview,
+    SupportRow,
+    domain_tables,
+)
 from repro.analysis.asorg import OrgFold, OrgRow, OrgTable, organization_table
 from repro.analysis.compliance import (
     ComplianceFold,
     ComplianceHistogram,
+    domain_flags,
     rfc_reference_shares,
     scan_flags,
-)
-from repro.analysis.config import (
-    ConfigurationFold,
-    ConfigurationRow,
-    ConfigurationTable,
-    configuration_table,
 )
 from repro.analysis.report import (
     render_compliance_histogram,
@@ -50,12 +52,6 @@ from repro.analysis.report import (
     render_support_overview,
     render_table,
 )
-from repro.analysis.support import (
-    SupportFold,
-    SupportOverview,
-    SupportRow,
-    support_overview,
-)
 from repro.analysis.webserver import WebserverFold, WebserverShare, webserver_shares
 
 __all__ = [
@@ -63,11 +59,9 @@ __all__ = [
     "AccuracyFold",
     "AnalysisEngine",
     "ComplianceFold",
-    "ConfigurationFold",
     "FilterFold",
     "OrgFold",
     "RecordFold",
-    "SupportFold",
     "VersionFold",
     "WebserverFold",
     "build_record_folds",
@@ -93,7 +87,8 @@ __all__ = [
     "SupportRow",
     "WebserverShare",
     "accuracy_study",
-    "configuration_table",
+    "domain_flags",
+    "domain_tables",
     "organization_table",
     "render_compliance_histogram",
     "render_configuration_table",
@@ -107,6 +102,5 @@ __all__ = [
     "render_table",
     "rfc_reference_shares",
     "scan_flags",
-    "support_overview",
     "webserver_shares",
 ]

@@ -14,7 +14,9 @@ holds the deployment fixed and measures the disable rate itself.
 
 Both count ``n`` per-scan ``{domain: flags}`` maps — the map a service
 week file stores as ``domains`` — with one :class:`ComplianceFold`, and
-:func:`scan_flags` makes such maps from fresh scans.
+:func:`scan_flags` makes such maps from fresh scans.  The same maps
+answer Tables 1, 3 and 4 (:func:`repro.analysis.adoption.domain_tables`):
+:func:`connection_flags` is the one definition of a connection's bits.
 """
 
 from __future__ import annotations
@@ -24,26 +26,70 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from repro._util.stats import binomial_pmf
+from repro.core.classify import SpinBehaviour
 
 if TYPE_CHECKING:
     from repro.internet.population import DomainRecord
-    from repro.web.scanner import Scanner
+    from repro.web.scanner import DomainScanResult, Scanner
 
 __all__ = [
+    "FLAG_SEEN_ALL_ONE",
+    "FLAG_SEEN_ALL_ZERO",
+    "FLAG_SEEN_GREASE",
+    "FLAG_SEEN_SPIN",
     "FLAG_SPIN",
     "FLAG_SUCCESS",
     "ComplianceFold",
     "ComplianceHistogram",
+    "connection_flags",
+    "domain_flags",
     "rfc_reference_shares",
     "scan_flags",
+    "seen_behaviours",
 ]
 
 #: Domain flag bits of one scan: some connection succeeded
 #: (``DomainScanResult.quic_support``) / some connection saw both spin
 #: values, i.e. its spin mask is 3 (``shows_spin_activity``).  A domain
-#: *spun* in a scan when its flags are exactly ``FLAG_SUCCESS | FLAG_SPIN``.
+#: *spun* in a scan when both bits are set.
 FLAG_SUCCESS = 1
 FLAG_SPIN = 2
+#: One bit per :class:`SpinBehaviour` seen on a *successful* connection,
+#: the set :func:`~repro.core.classify.classify_domain` reads (Table 3).
+FLAG_SEEN_ALL_ZERO = 4
+FLAG_SEEN_ALL_ONE = 8
+FLAG_SEEN_SPIN = 16
+FLAG_SEEN_GREASE = 32
+
+#: Keyed by member value: the week indexer calls :func:`connection_flags`
+#: per record, and an ``Enum`` member's hash is a Python-level call.
+_SEEN = {"all_zero": FLAG_SEEN_ALL_ZERO, "all_one": FLAG_SEEN_ALL_ONE,
+         "spin": FLAG_SEEN_SPIN, "grease": FLAG_SEEN_GREASE, "no_packets": 0}
+
+
+def connection_flags(success: bool, mask: int, behaviour: SpinBehaviour) -> int:
+    """One connection's flag bits (``mask``: the spin values it saw, as
+    in the cbr column); a domain's flags are their OR."""
+    flags = FLAG_SPIN if mask == 3 else 0
+    if success:
+        flags |= FLAG_SUCCESS | _SEEN[behaviour._value_]
+    return flags
+
+
+def domain_flags(results: Iterable[DomainScanResult]) -> dict[str, int]:
+    """``{domain: flags}`` of scan results (a repeated domain: last wins)."""
+    flags = {}
+    for result in results:
+        bits = 0
+        for c in result.connections:
+            bits |= connection_flags(c.success, 3 if c.shows_spin_activity else 0, c.behaviour)
+        flags[result.domain.name] = bits
+    return flags
+
+
+def seen_behaviours(flags: int) -> list[SpinBehaviour]:
+    """The behaviours a domain's successful connections showed."""
+    return [SpinBehaviour(value) for value, bit in _SEEN.items() if flags & bit]
 
 
 @dataclass(frozen=True)
@@ -167,10 +213,6 @@ def scan_flags(
     the week's deployment stays fixed.
     """
     for week, probe in scans:
-        yield {
-            result.domain.name: (FLAG_SUCCESS if result.quic_support else 0)
-            | (FLAG_SPIN if result.shows_spin_activity else 0)
-            for result in scanner.scan_stream(
-                week_label=week, domains=domains, probe=probe
-            )
-        }
+        yield domain_flags(
+            scanner.scan_stream(week_label=week, domains=domains, probe=probe)
+        )

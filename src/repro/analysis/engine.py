@@ -38,13 +38,14 @@ skip the edge blocks no built record will show (projection pushdown).
 The six folds here read columns only and declare ``False``.  Absent
 attributes count as *needed* — unknown folds never see partial records.
 
-The domain-scoped sections fold over domain results instead of
-connection records, next to their classic functions
-(:class:`~repro.analysis.support.SupportFold`,
-:class:`~repro.analysis.config.ConfigurationFold`);
+The domain-scoped sections read no batch: they count per-scan
+``{domain: flags}`` maps (:mod:`repro.analysis.compliance`) — the
+``domains`` map a week file stores, or
+:func:`~repro.analysis.compliance.domain_flags` of scan results.
+:func:`~repro.analysis.adoption.domain_tables` answers Tables 1, 3 and
+4 from one map and the input list in one pass;
 :class:`~repro.analysis.compliance.ComplianceFold` (Figure 2, the
-follow-up) counts per-scan ``{domain: flags}`` maps — the ``domains``
-map a week file stores — and reads no batch either.
+follow-up) counts ``n`` maps.
 """
 
 from __future__ import annotations

@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 
 from repro.analysis.accuracy import accuracy_study
+from repro.analysis.adoption import domain_tables
 from repro.analysis.asorg import organization_table
-from repro.analysis.compliance import ComplianceFold, scan_flags
-from repro.analysis.config import configuration_table
+from repro.analysis.compliance import ComplianceFold, domain_flags, scan_flags
 from repro.analysis.report import (
     render_compliance_histogram,
     render_configuration_table,
@@ -24,7 +24,6 @@ from repro.analysis.report import (
     render_series_summary,
     render_support_overview,
 )
-from repro.analysis.support import support_overview
 from repro.analysis.versions import version_distribution
 from repro.analysis.webserver import webserver_shares
 from repro.campaign.schedule import DEFAULT_CAMPAIGN
@@ -171,7 +170,9 @@ def generate_paper_report(
     sections: list[str] = []
 
     v4 = scanner.scan(week_label="cw20-2023", ip_version=4)
-    support4 = support_overview(v4, population)
+    support4, configuration = domain_tables(
+        domain_flags(v4.results), population, 4, v4.week_label
+    )
     sections.append("== Table 1: IPv4 adoption overview ==")
     sections.append(render_support_overview(support4))
 
@@ -187,7 +188,6 @@ def generate_paper_report(
     sections.append("\n== Table 2: AS organizations (com/net/org) ==")
     sections.append(render_org_table(organizations))
 
-    configuration = configuration_table(v4, population)
     sections.append("\n== Table 3: spin configuration ==")
     sections.append(render_configuration_table(configuration))
 
@@ -208,7 +208,7 @@ def generate_paper_report(
         sections.append(render_compliance_histogram(compliance))
 
     v6 = scanner.scan(week_label="cw20-2023", ip_version=6)
-    support6 = support_overview(v6, population)
+    support6, _ = domain_tables(domain_flags(v6.results), population, 6, v6.week_label)
     sections.append("\n== Table 4: IPv6 adoption overview ==")
     sections.append(render_support_overview(support6))
 

@@ -11,10 +11,9 @@ from typing import Sequence
 
 from repro._util.stats import Histogram
 from repro.analysis.accuracy import SeriesSummary
+from repro.analysis.adoption import ConfigurationTable, SupportOverview
 from repro.analysis.asorg import OrgTable
 from repro.analysis.compliance import ComplianceHistogram
-from repro.analysis.config import ConfigurationTable
-from repro.analysis.support import SupportOverview
 from repro.internet.population import ListGroup
 
 __all__ = [
@@ -48,30 +47,12 @@ def render_support_overview(overview: SupportOverview) -> str:
     rows = []
     for group in ListGroup:
         row = overview.row(group)
-        rows.append(
-            (
-                group.value,
-                "#Domains",
-                row.domains_total,
-                row.domains_resolved,
-                row.domains_quic,
-                f"{row.domain_spin_share * 100:.1f} %",
-            )
-        )
-        rows.append(
-            (
-                "",
-                "#IPs",
-                "",
-                row.ips_resolved,
-                row.ips_quic,
-                f"{row.ip_spin_share * 100:.1f} %",
-            )
-        )
+        rows.append((group.value, "#Domains", row.domains_total, row.domains_resolved,
+                     row.domains_quic, f"{row.domain_spin_share * 100:.1f} %"))
+        rows.append(("", "#IPs", "", row.ips_resolved, row.ips_quic,
+                     f"{row.ip_spin_share * 100:.1f} %"))
     title = f"IPv{overview.ip_version} overview for {overview.week_label}"
-    table = render_table(
-        ("Group", "", "Total", "Resolved", "QUIC", "Spin"), rows
-    )
+    table = render_table(("Group", "", "Total", "Resolved", "QUIC", "Spin"), rows)
     return f"{title}\n{table}"
 
 

@@ -91,6 +91,12 @@ class ListGroup(Enum):
     CZDS = "czds"
     COM_NET_ORG = "com/net/org"
 
+    def holds(self, domain: DomainRecord) -> bool:
+        """Whether ``domain`` belongs to this view."""
+        if self is ListGroup.TOPLISTS:
+            return domain.in_toplist
+        return domain.in_czds if self is ListGroup.CZDS else domain.in_com_net_org
+
 
 @dataclass(frozen=True)
 class PopulationConfig:
@@ -223,10 +229,18 @@ class Population:
         """The address serving ``domain`` over IPv4 or IPv6.
 
         Raises :class:`ValueError` for unresolved domains or missing
-        AAAA records — callers check ``resolves`` / ``has_aaaa`` first.
+        AAAA records — :meth:`resolved_ip` checks both first.
         """
         pool, index = self._placement(domain, version)
         return pool.ip_of(index)
+
+    def resolved_ip(self, domain: DomainRecord, version: int) -> IpAddr | None:
+        """The address the scanner connects to and the adoption tables
+        count; ``None`` if ``domain`` does not resolve (over IPv6: has no
+        AAAA record)."""
+        if domain.resolves and (version != 6 or domain.has_aaaa):
+            return self.host_of(domain, version)
+        return None
 
     def stack_of(self, domain: DomainRecord, version: int, epoch: int = 0) -> str | None:
         """The webserver stack answering for ``domain`` in week ``epoch``.
@@ -270,11 +284,7 @@ class Population:
 
     def group_members(self, group: ListGroup) -> list[DomainRecord]:
         """Domains belonging to one of the Table 1 population views."""
-        if group is ListGroup.TOPLISTS:
-            return [d for d in self.domains if d.in_toplist]
-        if group is ListGroup.CZDS:
-            return [d for d in self.domains if d.in_czds]
-        return [d for d in self.domains if d.in_com_net_org]
+        return [d for d in self.domains if group.holds(d)]
 
     # ------------------------------------------------------------------
     # Range-addressed access

@@ -30,7 +30,7 @@ from collections import Counter
 from typing import Mapping
 
 from repro._util.stats import add_counts
-from repro.analysis.compliance import FLAG_SPIN, FLAG_SUCCESS
+from repro.analysis.compliance import FLAG_SPIN, FLAG_SUCCESS, connection_flags
 from repro.analysis.engine import build_record_folds
 from repro.artifacts.cbr import RecordBatch
 
@@ -70,8 +70,10 @@ class WeekSummary:
         self.connections_success += sum(batch.successes)
         self.connections_spinning += batch.masks.count(3)
         domains = self.domains
-        for domain, success, mask in zip(batch.domains, batch.successes, batch.masks):
-            flags = (FLAG_SUCCESS if success else 0) | (FLAG_SPIN if mask == 3 else 0)
+        for domain, flags in zip(
+            batch.domains,
+            map(connection_flags, batch.successes, batch.masks, batch.behaviours),
+        ):
             domains[domain] = domains.get(domain, 0) | flags
         add_counts(
             self.behaviours,

@@ -468,8 +468,8 @@ class Scanner:
             rng = seed_prefix.derive(domain.name, probe)
             result = DomainScanResult(domain=domain, resolved=False, quic_support=False)
             stack_name = None
-            if domain.resolves and (ip_version != 6 or domain.has_aaaa):
-                ip = result.resolved_ip = self.population.host_of(domain, ip_version)
+            ip = result.resolved_ip = self.population.resolved_ip(domain, ip_version)
+            if ip is not None:
                 result.resolved = True
                 if domain.quic_enabled:
                     stack_name = self.population.stack_of(domain, ip_version, epoch)

@@ -90,7 +90,7 @@ class ShardCostModel:  # the benchmark is its only caller
         )
 
     def domain_cost(self, domain: "DomainRecord") -> float:
-        if not domain.resolves or (self._ip_version == 6 and not domain.has_aaaa):
+        if self._population.resolved_ip(domain, self._ip_version) is None:
             return _COST_UNRESOLVED
         if not domain.quic_enabled:
             return _COST_NO_QUIC

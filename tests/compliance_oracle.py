@@ -10,11 +10,39 @@ over the scans' own domain results (anything with ``domain.name``,
   counters, active domains, disable rate and count distribution.
 
 :class:`repro.analysis.compliance.ComplianceFold` must agree with both.
+:func:`seen_flags` is the Table 3 half of a domain's flags, record by
+record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from repro.analysis.compliance import (
+    FLAG_SEEN_ALL_ONE,
+    FLAG_SEEN_ALL_ZERO,
+    FLAG_SEEN_GREASE,
+    FLAG_SEEN_SPIN,
+)
+from repro.core.classify import SpinBehaviour
+
+
+def seen_flags(connections) -> int:
+    """The behaviour bits of ``connections``: one per behaviour a
+    successful connection showed (``NO_PACKETS`` has none)."""
+    flags = 0
+    for connection in connections:
+        if not connection.success:
+            continue
+        if connection.behaviour is SpinBehaviour.ALL_ZERO:
+            flags |= FLAG_SEEN_ALL_ZERO
+        elif connection.behaviour is SpinBehaviour.ALL_ONE:
+            flags |= FLAG_SEEN_ALL_ONE
+        elif connection.behaviour is SpinBehaviour.SPIN:
+            flags |= FLAG_SEEN_SPIN
+        elif connection.behaviour is SpinBehaviour.GREASE:
+            flags |= FLAG_SEEN_GREASE
+    return flags
 
 
 def weekly_spin_activity(scans) -> dict[str, list[bool]]:

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from repro._util.stats import binomial_pmf
 from repro.analysis.compliance import (
+    FLAG_SEEN_ALL_ZERO,
+    FLAG_SEEN_SPIN,
     FLAG_SPIN,
     FLAG_SUCCESS,
     ComplianceFold,
@@ -21,6 +23,7 @@ from repro.analysis.compliance import (
     rfc_reference_shares,
     scan_flags,
 )
+from repro.core.classify import SpinBehaviour
 
 from compliance_oracle import FollowUpCounts, reference_counts
 
@@ -48,10 +51,15 @@ class TestReferenceShares:
 
 
 def result(name: str, connected: bool, spun: bool):
-    """The fields of a ``DomainScanResult`` the counting reads."""
+    """The fields of a ``DomainScanResult`` the counting reads: one
+    connection, which spins (``SPIN`` when it also succeeded) or not."""
+    behaviour = SpinBehaviour.SPIN if spun else SpinBehaviour.ALL_ZERO
     return SimpleNamespace(
         domain=SimpleNamespace(name=name), quic_support=connected,
         shows_spin_activity=spun,
+        connections=[
+            SimpleNamespace(success=connected, shows_spin_activity=spun, behaviour=behaviour)
+        ],
     )
 
 
@@ -172,8 +180,8 @@ class TestFoldAgainstOracle:
         maps = list(scan_flags(ReplayScanner(scans), ["a.com", "b.com"],
                                [("cw20-2023", 0), ("cw20-2023", 1)]))
         assert maps == [
-            {"a.com": FLAG_SPIN, "b.com": FLAG_SUCCESS},
-            {"a.com": FLAG_SUCCESS | FLAG_SPIN, "b.com": 0},
+            {"a.com": FLAG_SPIN, "b.com": FLAG_SUCCESS | FLAG_SEEN_ALL_ZERO},
+            {"a.com": FLAG_SUCCESS | FLAG_SPIN | FLAG_SEEN_SPIN, "b.com": 0},
         ]
 
     def test_finish_needs_n_scans(self):

@@ -1,15 +1,23 @@
 """Table aggregations (support overview, AS organizations, configuration)
-on hand-constructed scan data with known ground truth."""
+on hand-constructed scan data with known ground truth.
+
+Tables 1, 3 and 4 come from one pass over a scan's per-domain flags
+(:func:`domain_tables`); every case here is also checked against the
+reference folds over the scan results (:mod:`tables_oracle`), by hand
+and over random scans (a Hypothesis differential).
+"""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_connection_record
+from repro.analysis.adoption import domain_tables
 from repro.analysis.asorg import organization_table
-from repro.analysis.config import configuration_table
-from repro.analysis.support import support_overview
+from repro.analysis.compliance import domain_flags
 from repro.analysis.webserver import webserver_shares
 from repro.core.classify import SpinBehaviour
-from repro.internet.asdb import IpAddr, build_default_asdb
+from repro.internet.asdb import build_default_asdb
 from repro.internet.population import (
     ListGroup,
     Population,
@@ -18,78 +26,85 @@ from repro.internet.population import (
 )
 from repro.web.scanner import DomainScanResult, ScanDataset
 
+from tables_oracle import reference_tables
+
+#: At this seed every fixture name but ``unresolved.com`` resolves, each
+#: to its own IPv4 address.
+FIXTURE_SEED = 175
+#: ``values_seen`` of a connection by its spin mask (bit 0: a 0 was seen).
+VALUES = {0: set(), 1: {False}, 2: {True}, 3: {False, True}}
+
+
+def connection(population, domain, behaviour, success=True, mask=None, ip_version=4):
+    """A connection of ``domain`` to its resolved address."""
+    record = make_connection_record(behaviour=behaviour, domain=domain.name)
+    record.ip = population.resolved_ip(domain, ip_version)
+    record.ip_version = ip_version
+    record.success = success
+    if mask is None:
+        mask = {SpinBehaviour.ALL_ZERO: 1, SpinBehaviour.ALL_ONE: 2}.get(behaviour, 3)
+    record.observation.values_seen = set(VALUES[mask])
+    return record
+
+
+def scan_result(population, domain, connections=(), ip_version=4):
+    """``domain``'s result as the scanner builds it: resolution and
+    address from the population, QUIC from the connections."""
+    ip = population.resolved_ip(domain, ip_version)
+    return DomainScanResult(
+        domain=domain,
+        resolved=ip is not None,
+        quic_support=any(c.success for c in connections),
+        resolved_ip=ip,
+        connections=list(connections),
+    )
+
+
+def tables(population, dataset):
+    """Both routes over ``dataset``; they must agree."""
+    got = domain_tables(
+        domain_flags(dataset.results), population, dataset.ip_version, dataset.week_label
+    )
+    assert got == reference_tables(dataset, population)
+    return got
+
 
 def build_fixture():
     """Five CZDS domains and one toplist domain with known behaviour.
 
-    The population comes from the lists; what the tables count comes
-    from the scan results built here.
+    The population comes from the lists, resolution and addresses from
+    the population; what the tables count comes from the scan results
+    built here.
     """
     population = build_population_from_names(
         ["spin.com", "zero.com", "grease.org", "unresolved.com", "noquic.xyz"],
         ["one.net"],
+        PopulationConfig(seed=FIXTURE_SEED),
     )
-    records = {record.name: record for record in population.domains}
+    records = {record.name: record for record in population.iter_targets()}
+    addresses = {name: population.resolved_ip(record, 4) for name, record in records.items()}
+    assert [name for name, ip in addresses.items() if ip is None] == ["unresolved.com"]
+    assert len(set(addresses.values())) == len(addresses)
     dataset = ScanDataset(week_label="cw20-2023", ip_version=4)
 
-    def add_domain(name, zone, in_toplist, resolved, quic, connections, ip_value=None):
+    def add_domain(name, zone, in_toplist, behaviour=None):
         record = records[name]
         assert (record.zone, record.in_toplist) == (zone, in_toplist)
-        dataset.results.append(
-            DomainScanResult(
-                domain=record,
-                resolved=resolved,
-                quic_support=quic,
-                resolved_ip=IpAddr(ip_value, 4) if ip_value else None,
-                connections=connections,
-            )
-        )
-        return record
+        connections = [] if behaviour is None else [connection(population, record, behaviour)]
+        dataset.results.append(scan_result(population, record, connections))
 
-    spin_conn = make_connection_record(
-        spin_rtts=[40.0, 42.0],
-        stack_rtts=[38.0],
-        behaviour=SpinBehaviour.SPIN,
-        ip_value=0x0A000001,
-        domain="spin.com",
-    )
-    zero_conn = make_connection_record(
-        spin_rtts=[],
-        stack_rtts=[30.0],
-        behaviour=SpinBehaviour.ALL_ZERO,
-        ip_value=0x0A000002,
-        domain="zero.com",
-    )
-    zero_conn.observation.values_seen = {False}
-    grease_conn = make_connection_record(
-        spin_rtts=[2.0, 40.0],
-        stack_rtts=[38.0],
-        behaviour=SpinBehaviour.GREASE,
-        ip_value=0x0A000003,
-        domain="grease.org",
-    )
-    toplist_conn = make_connection_record(
-        spin_rtts=[],
-        stack_rtts=[20.0],
-        behaviour=SpinBehaviour.ALL_ONE,
-        ip_value=0x0A000004,
-        domain="one.net",
-    )
-    toplist_conn.observation.values_seen = {True}
-
-    add_domain("spin.com", "com", False, True, True, [spin_conn], 0x0A000001)
-    add_domain("zero.com", "com", False, True, True, [zero_conn], 0x0A000002)
-    add_domain("grease.org", "org", False, True, True, [grease_conn], 0x0A000003)
-    add_domain("unresolved.com", "com", False, False, False, [])
-    add_domain("noquic.xyz", "xyz", False, True, False, [], 0x0A000005)
-    add_domain("one.net", "net", True, True, True, [toplist_conn], 0x0A000004)
+    add_domain("spin.com", "com", False, SpinBehaviour.SPIN)
+    add_domain("zero.com", "com", False, SpinBehaviour.ALL_ZERO)
+    add_domain("grease.org", "org", False, SpinBehaviour.GREASE)
+    add_domain("unresolved.com", "com", False)
+    add_domain("noquic.xyz", "xyz", False)
+    add_domain("one.net", "net", True, SpinBehaviour.ALL_ONE)
     return population, dataset
 
 
 class TestSupportOverview:
     def test_domain_counts(self):
-        population, dataset = build_fixture()
-        overview = support_overview(dataset, population)
+        overview, _ = tables(*build_fixture())
         czds = overview.row(ListGroup.CZDS)
         assert czds.domains_total == 5
         assert czds.domains_resolved == 4
@@ -98,8 +113,7 @@ class TestSupportOverview:
         assert czds.domain_spin_share == pytest.approx(1 / 3)
 
     def test_ip_counts(self):
-        population, dataset = build_fixture()
-        overview = support_overview(dataset, population)
+        overview, _ = tables(*build_fixture())
         czds = overview.row(ListGroup.CZDS)
         assert czds.ips_resolved == 4  # includes the non-QUIC resolved IP
         assert czds.ips_quic == 3
@@ -107,8 +121,7 @@ class TestSupportOverview:
         assert czds.ip_spin_share == pytest.approx(1 / 3)
 
     def test_group_separation(self):
-        population, dataset = build_fixture()
-        overview = support_overview(dataset, population)
+        overview, _ = tables(*build_fixture())
         toplists = overview.row(ListGroup.TOPLISTS)
         assert toplists.domains_total == 1
         assert toplists.domains_quic == 1
@@ -119,14 +132,14 @@ class TestSupportOverview:
     def test_empty_groups_safe(self):
         population = Population(PopulationConfig(toplist_domains=0, czds_domains=0))
         dataset = ScanDataset(week_label="x", ip_version=4)
-        overview = support_overview(dataset, population)
+        overview, configuration = tables(population, dataset)
         assert overview.row(ListGroup.CZDS).domain_spin_share == 0.0
+        assert configuration.row(ListGroup.CZDS).all_zero_share == 0.0
 
 
 class TestConfigurationTable:
     def test_behaviour_counts(self):
-        population, dataset = build_fixture()
-        table = configuration_table(dataset, population)
+        _, table = tables(*build_fixture())
         czds = table.row(ListGroup.CZDS)
         assert czds.quic_domains == 3
         assert czds.all_zero == 1
@@ -137,10 +150,158 @@ class TestConfigurationTable:
         assert top.all_one == 1
 
     def test_shares(self):
-        population, dataset = build_fixture()
-        czds = configuration_table(dataset, population).row(ListGroup.CZDS)
+        _, table = tables(*build_fixture())
+        czds = table.row(ListGroup.CZDS)
         assert czds.all_zero_share == pytest.approx(1 / 3)
         assert czds.grease_share == pytest.approx(1 / 3)
+
+
+def small_population(seed=3, toplist=6, czds=24):
+    return Population(PopulationConfig(toplist_domains=toplist, czds_domains=czds, seed=seed))
+
+
+def one_domain_scan(population, pick, connections_of, ip_version=4):
+    """A full scan of ``population`` in which the first domain ``pick``
+    accepts gets ``connections_of(domain)``; every other domain none."""
+    dataset = ScanDataset(week_label="cw20-2023", ip_version=ip_version)
+    chosen = None
+    for domain in population.iter_targets():
+        connections = ()
+        if chosen is None and pick(domain):
+            chosen, connections = domain, connections_of(domain)
+        dataset.results.append(scan_result(population, domain, connections, ip_version))
+    assert chosen is not None
+    return dataset, chosen
+
+
+def czds_row(population, dataset):
+    overview, configuration = tables(population, dataset)
+    return overview.row(ListGroup.CZDS), configuration.row(ListGroup.CZDS)
+
+
+class TestEdgeCases:
+    """Each case through both routes, plus what it must count."""
+
+    def test_resolved_but_not_quic(self):
+        population = small_population()
+        dataset, _ = one_domain_scan(
+            population,
+            lambda d: d.in_czds and d.resolves,
+            lambda d: [connection(population, d, SpinBehaviour.SPIN, success=False)],
+        )
+        support, configuration = czds_row(population, dataset)
+        assert support.domains_resolved > 0 and support.ips_resolved > 0
+        assert support.domains_quic == support.ips_quic == configuration.quic_domains == 0
+
+    def test_v6_without_aaaa_is_unresolved(self):
+        population = small_population(czds=64)
+        dataset, chosen = one_domain_scan(
+            population, lambda d: d.in_czds and d.resolves and not d.has_aaaa, lambda d: [],
+            ip_version=6,
+        )
+        assert population.resolved_ip(chosen, 6) is None
+        assert population.resolved_ip(chosen, 4) is not None
+        support, _ = czds_row(population, dataset)
+        czds = [d for d in population.iter_targets() if d.in_czds]
+        assert support.domains_resolved == sum(d.resolves and d.has_aaaa for d in czds)
+
+    def test_success_with_only_no_packets(self):
+        """QUIC, but in no Table 3 column."""
+        population = small_population()
+        dataset, _ = one_domain_scan(
+            population,
+            lambda d: d.in_czds and d.resolves,
+            lambda d: [connection(population, d, SpinBehaviour.NO_PACKETS, mask=0)],
+        )
+        support, configuration = czds_row(population, dataset)
+        assert support.domains_quic == configuration.quic_domains == 1
+        assert support.domains_spin == 0
+        assert configuration.all_zero + configuration.all_one == 0
+        assert configuration.spin + configuration.grease == 0
+
+    def test_mixed_all_zero_and_all_one_is_grease(self):
+        population = small_population()
+        dataset, _ = one_domain_scan(
+            population,
+            lambda d: d.in_czds and d.resolves,
+            lambda d: [
+                connection(population, d, SpinBehaviour.ALL_ZERO),
+                connection(population, d, SpinBehaviour.ALL_ONE),
+            ],
+        )
+        _, configuration = czds_row(population, dataset)
+        assert (configuration.grease, configuration.quic_domains) == (1, 1)
+
+    def test_both_spin_values_only_on_a_failed_connection(self):
+        population = small_population()
+        dataset, chosen = one_domain_scan(
+            population,
+            lambda d: d.in_czds and d.resolves,
+            lambda d: [
+                connection(population, d, SpinBehaviour.SPIN, success=False, mask=3),
+                connection(population, d, SpinBehaviour.ALL_ZERO),
+            ],
+        )
+        support, configuration = czds_row(population, dataset)
+        assert (support.domains_quic, support.domains_spin) == (1, 0)
+        assert configuration.all_zero == 1
+
+    def test_duplicate_domain_result_last_wins(self):
+        population = small_population()
+        dataset, chosen = one_domain_scan(
+            population,
+            lambda d: d.in_czds and d.resolves,
+            lambda d: [connection(population, d, SpinBehaviour.SPIN)],
+        )
+        dataset.results.append(
+            scan_result(population, chosen, [connection(population, chosen, SpinBehaviour.ALL_ONE)])
+        )
+        support, configuration = czds_row(population, dataset)
+        assert (support.domains_spin, configuration.all_one) == (0, 1)
+
+    def test_empty_population(self):
+        population = Population(PopulationConfig(toplist_domains=0, czds_domains=0))
+        for ip_version in (4, 6):
+            overview, configuration = tables(
+                population, ScanDataset(week_label="x", ip_version=ip_version)
+            )
+            assert all(row.domains_total == 0 for row in overview.rows.values())
+            assert all(row.quic_domains == 0 for row in configuration.rows.values())
+
+
+CONNECTIONS = st.lists(
+    st.tuples(
+        st.booleans(), st.sampled_from(list(SpinBehaviour)), st.sampled_from(sorted(VALUES))
+    ),
+    max_size=3,
+)
+
+
+class TestAgainstReferenceFolds:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        toplist=st.integers(min_value=0, max_value=12),
+        czds=st.integers(min_value=0, max_value=40),
+        ip_version=st.sampled_from([4, 6]),
+        data=st.data(),
+    )
+    def test_random_scans(self, seed, toplist, czds, ip_version, data):
+        """Random connections on every resolved domain, and random
+        repeated results, give the reference folds' tables."""
+        population = small_population(seed, toplist, czds)
+        dataset = ScanDataset(week_label="cw20-2023", ip_version=ip_version)
+        domains = list(population.iter_targets())
+        repeats = data.draw(st.lists(st.sampled_from(domains), max_size=4)) if domains else []
+        for domain in domains + repeats:
+            connections = []
+            if population.resolved_ip(domain, ip_version) is not None:
+                connections = [
+                    connection(population, domain, behaviour, success, mask, ip_version)
+                    for success, behaviour, mask in data.draw(CONNECTIONS)
+                ]
+            dataset.results.append(scan_result(population, domain, connections, ip_version))
+        tables(population, dataset)
 
 
 class TestOrganizationTable:

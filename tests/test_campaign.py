@@ -7,7 +7,7 @@ from repro.campaign.schedule import DEFAULT_CAMPAIGN, CalendarWeek, Campaign
 from repro.internet.population import PopulationConfig, build_population
 from repro.web.scanner import Scanner
 
-from compliance_oracle import reference_counts, weekly_spin_activity
+from compliance_oracle import reference_counts, seen_flags, weekly_spin_activity
 
 
 class TestCalendarWeek:
@@ -119,6 +119,7 @@ class TestLongitudinalRuns:
                 assert flags[result.domain.name] == (
                     (FLAG_SUCCESS if result.quic_support else 0)
                     | (FLAG_SPIN if result.shows_spin_activity else 0)
+                    | seen_flags(result.connections)
                 )
 
     def test_run_week_full_population(self):

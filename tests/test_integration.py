@@ -8,10 +8,9 @@ shape assertions at calibrated scale live in the benchmark harness.
 import pytest
 
 from repro.analysis.accuracy import accuracy_study
+from repro.analysis.adoption import domain_tables
 from repro.analysis.asorg import organization_table
-from repro.analysis.compliance import ComplianceFold, scan_flags
-from repro.analysis.config import configuration_table
-from repro.analysis.support import support_overview
+from repro.analysis.compliance import ComplianceFold, domain_flags, scan_flags
 from repro.analysis.webserver import webserver_shares
 from repro.campaign.schedule import DEFAULT_CAMPAIGN
 from repro.core.classify import SpinBehaviour
@@ -25,10 +24,22 @@ def scan(tiny_population):
     return Scanner(tiny_population).scan(week_label="cw20-2023", ip_version=4)
 
 
+def tables_of(dataset, population):
+    """Tables 1/4 and 3 of ``dataset``."""
+    return domain_tables(
+        domain_flags(dataset.results), population, dataset.ip_version, dataset.week_label
+    )
+
+
+@pytest.fixture(scope="module")
+def tables(scan, tiny_population):
+    return tables_of(scan, tiny_population)
+
+
 class TestSupportPipeline:
-    def test_monotonic_funnel(self, scan, tiny_population):
+    def test_monotonic_funnel(self, tables):
         """total >= resolved >= quic >= spin for every view."""
-        overview = support_overview(scan, tiny_population)
+        overview, _ = tables
         for group in ListGroup:
             row = overview.row(group)
             assert row.domains_total >= row.domains_resolved
@@ -36,16 +47,16 @@ class TestSupportPipeline:
             assert row.domains_quic >= row.domains_spin
             assert row.ips_resolved >= row.ips_quic >= row.ips_spin
 
-    def test_spin_share_in_plausible_band(self, scan, tiny_population):
-        overview = support_overview(scan, tiny_population)
+    def test_spin_share_in_plausible_band(self, tables):
+        overview, _ = tables
         czds = overview.row(ListGroup.CZDS)
         assert czds.domains_quic > 50
         assert 0.02 < czds.domain_spin_share < 0.30
 
-    def test_quic_ips_denser_than_domains(self, scan, tiny_population):
+    def test_quic_ips_denser_than_domains(self, tables):
         """Shared hosting packs many QUIC domains per IP in the zone
         view (the paper's 1.2 % IP/domain ratio observation)."""
-        overview = support_overview(scan, tiny_population)
+        overview, _ = tables
         czds = overview.row(ListGroup.CZDS)
         assert czds.domains_per_quic_ip > 2.0
 
@@ -66,14 +77,14 @@ class TestOrganizationPipeline:
 
 
 class TestConfigurationPipeline:
-    def test_all_zero_dominates(self, scan, tiny_population):
-        table = configuration_table(scan, tiny_population)
+    def test_all_zero_dominates(self, tables):
+        _, table = tables
         czds = table.row(ListGroup.CZDS)
         assert czds.all_zero_share > 0.7
         assert czds.all_zero > czds.spin > 0
 
-    def test_counts_partition_quic_domains(self, scan, tiny_population):
-        czds = configuration_table(scan, tiny_population).row(ListGroup.CZDS)
+    def test_counts_partition_quic_domains(self, tables):
+        czds = tables[1].row(ListGroup.CZDS)
         classified = czds.all_zero + czds.all_one + czds.spin + czds.grease
         assert classified <= czds.quic_domains
         # NO_PACKETS connections are the only other bucket and are rare.
@@ -131,7 +142,26 @@ class TestLongitudinalPipeline:
 class TestIpv6Pipeline:
     def test_v6_scan_produces_support_rows(self, tiny_population):
         dataset = Scanner(tiny_population).scan(week_label="cw20-2023", ip_version=6)
-        overview = support_overview(dataset, tiny_population)
+        overview, _ = tables_of(dataset, tiny_population)
         czds = overview.row(ListGroup.CZDS)
         assert czds.domains_resolved < len(tiny_population.group_members(ListGroup.CZDS))
         assert overview.ip_version == 6
+
+
+class TestOneResolutionRule:
+    """The premise of counting addresses from the input list: on real
+    scans, every address the scanner reports is the population's."""
+
+    @pytest.mark.parametrize("ip_version", [4, 6])
+    def test_scan_addresses_are_the_populations(self, scan, tiny_population, ip_version):
+        if ip_version == 6:
+            scan = Scanner(tiny_population).scan(week_label="cw20-2023", ip_version=6)
+        connections = 0
+        for result in scan.results:
+            expected = tiny_population.resolved_ip(result.domain, ip_version)
+            assert result.resolved_ip == expected
+            assert result.resolved == (expected is not None)
+            for record in result.connections:
+                assert record.ip == expected
+                connections += 1
+        assert connections > 0

@@ -51,8 +51,15 @@ class TestTopLevelApi:
             repro.PopulationConfig(toplist_domains=20, czds_domains=60, seed=2)
         )
         dataset = repro.Scanner(population).scan()
-        overview = repro.support_overview(dataset, population)
+        overview, configuration = repro.domain_tables(
+            repro.domain_flags(dataset.results),
+            population,
+            dataset.ip_version,
+            dataset.week_label,
+        )
         assert overview.row(repro.ListGroup.CZDS).domains_total == 60
+        czds = configuration.row(repro.ListGroup.CZDS)
+        assert czds.quic_domains == overview.row(repro.ListGroup.CZDS).domains_quic
 
 
 class TestUnits:

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from compliance_oracle import seen_flags
 from conftest import count_calls
 
 from repro._util.stats import Histogram
@@ -329,6 +330,7 @@ def naive_summarize(week, records) -> WeekSummary:
         if record.shows_spin_activity:
             flags |= FLAG_SPIN
             summary.connections_spinning += 1
+        flags |= seen_flags([record])
         summary.connections_total += 1
         if flags:
             summary.domains[record.domain] = (

@@ -15,12 +15,13 @@ import pytest
 
 from conftest import make_connection_record
 from repro.analysis.artifacts import export_records
-from repro.analysis.compliance import ComplianceFold, scan_flags
+from repro.analysis.adoption import domain_tables
+from repro.analysis.compliance import ComplianceFold, domain_flags, scan_flags
 from repro.analysis.report import render_analysis_sections
 from repro.artifacts import open_record_batches
 from repro.artifacts.cbr import CbrFormatError, write_records_cbr
 from repro.cli import main
-from repro.internet.population import Population
+from repro.internet.population import ListGroup, Population
 from repro.service import (
     CampaignDaemon,
     Scheduler,
@@ -35,6 +36,8 @@ from repro.service.api import WeekUnreadable
 from repro.service.summary import WeekSummary
 from repro.telemetry import Telemetry
 from repro.web.scanner import Scanner
+
+from tables_oracle import reference_tables
 
 CONFIG = ServiceConfig(
     seed=77,
@@ -283,6 +286,26 @@ class TestDaemon:
         histogram = archived.finish()
         assert histogram == scanned.finish()
         assert histogram.considered_domains > 0
+
+    @pytest.mark.parametrize("ip_version", [4, 6])
+    def test_tables_1_and_3_fold_from_a_week_file(self, tmp_path, ip_version):
+        """A week file's ``domains`` map plus the daemon's input list give
+        the library route's Tables 1/4 and 3 over the same week."""
+        config = dataclasses.replace(
+            CONFIG, czds_domains=400, toplist_domains=60, ip_version=ip_version
+        )
+        daemon = CampaignDaemon(tmp_path / "svc", config)
+        daemon.run_once()
+        week = daemon.indexer.weeks()[-1]
+        population = daemon.population
+        archived = domain_tables(
+            json.loads(daemon.indexer.week_bytes(week))["domains"], population, ip_version, week
+        )
+        dataset = Scanner(population).scan(week_label=week, ip_version=ip_version)
+        library = domain_tables(domain_flags(dataset.results), population, ip_version, week)
+        assert archived == library == reference_tables(dataset, population)
+        czds = archived[0].row(ListGroup.CZDS)
+        assert czds.domains_resolved > czds.domains_quic > 0
 
     def test_scheduler_paces_ticks_on_the_simulated_clock(self, tmp_path):
         daemon = CampaignDaemon(

@@ -814,6 +814,33 @@ class TestOneFlagDefinition:
             "telemetry/hot.py:2", "telemetry/hot.py:4", "telemetry/hot.py:5",
         }, result.stderr
 
+    def test_behaviour_bits_defined_beside_the_tables_are_caught(self, tmp_path):
+        """The adoption tables spelling their own behaviour bits."""
+        path = tmp_path / "repro" / "analysis" / "adoption.py"
+        path.parent.mkdir(parents=True)
+        path.write_text(
+            "from repro.analysis.compliance import FLAG_SUCCESS\n"
+            "FLAG_SEEN_SPIN = 16\n"
+            "FLAG_SEEN_ALL_ZERO: int = 4\n"
+            "FLAG_SEEN_ALL_ONE, FLAG_SEEN_GREASE = 8, 32\n"
+            "QUIC_SPIN = FLAG_SUCCESS | FLAG_SEEN_SPIN\n",
+            encoding="utf-8",
+        )
+        result = subprocess.run(
+            [sys.executable, str(TestDeterminismLint.LINT), str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        flagged = {
+            line.split(": ", 1)[0].split("repro/", 1)[1]
+            for line in result.stderr.splitlines()
+            if "repro/" in line
+        }
+        assert flagged == {
+            "analysis/adoption.py:2", "analysis/adoption.py:3", "analysis/adoption.py:4",
+        }, result.stderr
+
 
 class TestOneContainer:
     """AST gate (same lint): a cbr file's framing is read and written by
