@@ -45,11 +45,10 @@ def main() -> None:
     print(render_support_overview(support))
 
     print("\n=== Table 2: AS organizations (com/net/org) ===")
-    cno_names = {d.name for d in population.group_members(ListGroup.COM_NET_ORG)}
     connections = [
         record
         for result in dataset.results
-        if result.domain.name in cno_names
+        if ListGroup.COM_NET_ORG.holds(result.domain)
         for record in result.connections
     ]
     print(render_org_table(organization_table(connections, build_default_asdb())))

@@ -177,11 +177,10 @@ def generate_paper_report(
     sections.append(render_support_overview(support4))
 
     asdb = build_default_asdb()
-    cno_names = {d.name for d in population.group_members(ListGroup.COM_NET_ORG)}
     cno_connections = [
         record
         for result in v4.results
-        if result.domain.name in cno_names
+        if ListGroup.COM_NET_ORG.holds(result.domain)
         for record in result.connections
     ]
     organizations = organization_table(cno_connections, asdb)

@@ -47,12 +47,30 @@ def render_support_overview(overview: SupportOverview) -> str:
     rows = []
     for group in ListGroup:
         row = overview.row(group)
-        rows.append((group.value, "#Domains", row.domains_total, row.domains_resolved,
-                     row.domains_quic, f"{row.domain_spin_share * 100:.1f} %"))
-        rows.append(("", "#IPs", "", row.ips_resolved, row.ips_quic,
-                     f"{row.ip_spin_share * 100:.1f} %"))
+        rows.append(
+            (
+                group.value,
+                "#Domains",
+                row.domains_total,
+                row.domains_resolved,
+                row.domains_quic,
+                f"{row.domain_spin_share * 100:.1f} %",
+            )
+        )
+        rows.append(
+            (
+                "",
+                "#IPs",
+                "",
+                row.ips_resolved,
+                row.ips_quic,
+                f"{row.ip_spin_share * 100:.1f} %",
+            )
+        )
     title = f"IPv{overview.ip_version} overview for {overview.week_label}"
-    table = render_table(("Group", "", "Total", "Resolved", "QUIC", "Spin"), rows)
+    table = render_table(
+        ("Group", "", "Total", "Resolved", "QUIC", "Spin"), rows
+    )
     return f"{title}\n{table}"
 
 

@@ -225,22 +225,14 @@ class Population:
     # Lookups
     # ------------------------------------------------------------------
 
-    def host_of(self, domain: DomainRecord, version: int) -> IpAddr:
-        """The address serving ``domain`` over IPv4 or IPv6.
-
-        Raises :class:`ValueError` for unresolved domains or missing
-        AAAA records — :meth:`resolved_ip` checks both first.
-        """
+    def resolved_ip(self, domain: DomainRecord, version: int) -> IpAddr | None:
+        """The address serving ``domain`` over IPv4 or IPv6, which the
+        scanner connects to and the adoption tables count; ``None`` if
+        ``domain`` does not resolve (over IPv6: has no AAAA record)."""
+        if not domain.resolves or (version == 6 and not domain.has_aaaa):
+            return None
         pool, index = self._placement(domain, version)
         return pool.ip_of(index)
-
-    def resolved_ip(self, domain: DomainRecord, version: int) -> IpAddr | None:
-        """The address the scanner connects to and the adoption tables
-        count; ``None`` if ``domain`` does not resolve (over IPv6: has no
-        AAAA record)."""
-        if domain.resolves and (version != 6 or domain.has_aaaa):
-            return self.host_of(domain, version)
-        return None
 
     def stack_of(self, domain: DomainRecord, version: int, epoch: int = 0) -> str | None:
         """The webserver stack answering for ``domain`` in week ``epoch``.
@@ -281,10 +273,6 @@ class Population:
         if domain.provider_name is None:
             raise ValueError(f"{domain.name} does not resolve")
         return _provider(domain.provider_name)
-
-    def group_members(self, group: ListGroup) -> list[DomainRecord]:
-        """Domains belonging to one of the Table 1 population views."""
-        return [d for d in self.domains if group.holds(d)]
 
     # ------------------------------------------------------------------
     # Range-addressed access

@@ -168,8 +168,7 @@ class DomainScanResult:
     resolved: bool
     quic_support: bool
     #: The address DNS resolution returned (also for domains that then
-    #: failed to answer HTTP/3) — feeds the Resolved-IP totals of
-    #: Tables 1 and 4.
+    #: failed to answer HTTP/3): :meth:`Population.resolved_ip`.
     resolved_ip: IpAddr | None = None
     connections: list[ConnectionRecord] = field(default_factory=list)
     #: Domain-level failure kind when no connection of the chain

@@ -89,7 +89,9 @@ class SupportFold:
             counter = self._counters[group]
             rows[group] = SupportRow(
                 group=group,
-                domains_total=len(self._population.group_members(group)),
+                domains_total=sum(
+                    group in _views(domain) for domain in self._population.iter_targets()
+                ),
                 domains_resolved=counter.domains_resolved,
                 domains_quic=counter.domains_quic,
                 domains_spin=counter.domains_spin,

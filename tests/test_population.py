@@ -21,30 +21,35 @@ def population():
     )
 
 
+def members(population, group):
+    """The domains of one population view, in list order."""
+    return [d for d in population.domains if group.holds(d)]
+
+
 class TestConstruction:
     def test_counts(self, population):
-        assert len(population.group_members(ListGroup.TOPLISTS)) == 600
-        assert len(population.group_members(ListGroup.CZDS)) == 3000
+        assert len(members(population, ListGroup.TOPLISTS)) == 600
+        assert len(members(population, ListGroup.CZDS)) == 3000
 
     def test_com_net_org_is_czds_subset(self, population):
-        cno = population.group_members(ListGroup.COM_NET_ORG)
-        czds = set(d.name for d in population.group_members(ListGroup.CZDS))
+        cno = members(population, ListGroup.COM_NET_ORG)
+        czds = set(d.name for d in members(population, ListGroup.CZDS))
         assert all(d.name in czds for d in cno)
         assert all(d.zone in ("com", "net", "org") for d in cno)
         # ~84.5 % of CZDS domains live in com/net/org.
         assert 0.78 < len(cno) / 3000 < 0.90
 
     def test_resolve_rates_near_marginals(self, population):
-        czds = population.group_members(ListGroup.CZDS)
+        czds = members(population, ListGroup.CZDS)
         resolved = sum(d.resolves for d in czds) / len(czds)
         assert 0.80 < resolved < 0.89
 
-        toplist = population.group_members(ListGroup.TOPLISTS)
+        toplist = members(population, ListGroup.TOPLISTS)
         resolved_top = sum(d.resolves for d in toplist) / len(toplist)
         assert 0.63 < resolved_top < 0.78
 
     def test_quic_rates_near_marginals(self, population):
-        czds = [d for d in population.group_members(ListGroup.CZDS) if d.resolves]
+        czds = [d for d in members(population, ListGroup.CZDS) if d.resolves]
         quic = sum(d.quic_enabled for d in czds) / len(czds)
         assert 0.09 < quic < 0.16
 
@@ -69,8 +74,8 @@ class TestHostLookup:
         from repro.internet.providers import provider_by_name
 
         domain = next(d for d in population.domains if d.quic_enabled)
-        ip_a = population.host_of(domain, 4)
-        ip_b = population.host_of(domain, 4)
+        ip_a = population.resolved_ip(domain, 4)
+        ip_b = population.resolved_ip(domain, 4)
         assert ip_a == ip_b
         provider = provider_by_name(domain.provider_name)
         network = ipaddress.ip_network(provider.v4_prefix)
@@ -80,18 +85,18 @@ class TestHostLookup:
         domain = next(
             d for d in population.domains if d.resolves and not d.has_aaaa
         )
-        with pytest.raises(ValueError):
-            population.host_of(domain, 6)
+        assert population.resolved_ip(domain, 6) is None
+        assert population.resolved_ip(domain, 4) is not None
 
     def test_unresolved_rejected(self, population):
         domain = next(d for d in population.domains if not d.resolves)
-        with pytest.raises(ValueError):
-            population.host_of(domain, 4)
+        assert population.resolved_ip(domain, 4) is None
+        assert population.resolved_ip(domain, 6) is None
 
     def test_bad_version_rejected(self, population):
         domain = next(d for d in population.domains if d.resolves)
         with pytest.raises(ValueError):
-            population.host_of(domain, 5)
+            population.resolved_ip(domain, 5)
 
 
 class TestStackProcess:

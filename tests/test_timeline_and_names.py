@@ -47,10 +47,10 @@ class TestPopulationFromNames:
         population = build_population_from_names(czds, toplist)
 
         assert len(population.domains) == 70
-        assert {d.name for d in population.group_members(ListGroup.TOPLISTS)} == set(
+        assert {d.name for d in population.domains if ListGroup.TOPLISTS.holds(d)} == set(
             toplist
         )
-        cno = population.group_members(ListGroup.COM_NET_ORG)
+        cno = [d for d in population.domains if ListGroup.COM_NET_ORG.holds(d)]
         assert all(d.zone == "com" for d in cno)
         assert len(cno) == 40
 
