@@ -234,7 +234,7 @@ class TestEdgeCases:
 
     def test_both_spin_values_only_on_a_failed_connection(self):
         population = small_population()
-        dataset, chosen = one_domain_scan(
+        dataset, _ = one_domain_scan(
             population,
             lambda d: d.in_czds and d.resolves,
             lambda d: [
@@ -253,9 +253,8 @@ class TestEdgeCases:
             lambda d: d.in_czds and d.resolves,
             lambda d: [connection(population, d, SpinBehaviour.SPIN)],
         )
-        dataset.results.append(
-            scan_result(population, chosen, [connection(population, chosen, SpinBehaviour.ALL_ONE)])
-        )
+        again = [connection(population, chosen, SpinBehaviour.ALL_ONE)]
+        dataset.results.append(scan_result(population, chosen, again))
         support, configuration = czds_row(population, dataset)
         assert (support.domains_spin, configuration.all_one) == (0, 1)
 
