@@ -34,7 +34,6 @@ from repro.faults.checkpoint import (
     scan_fingerprint,
 )
 from repro.faults.resilience import ResilienceConfig
-from repro.faults.shardwriter import AsyncCheckpointWriter
 from repro.faults.retry import RetryPolicy
 from repro.faults.spec import (
     BlackholeImpairment,
@@ -59,7 +58,6 @@ from repro.faults.taxonomy import (
 )
 
 __all__ = [
-    "AsyncCheckpointWriter",
     "BlackholeImpairment",
     "BreakerPass",
     "BreakerPolicy",

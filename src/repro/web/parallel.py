@@ -225,16 +225,17 @@ def shard_stream(
     otherwise the shards are slices of ``domains``.
 
     A shard becomes *due* when the window has room for it.  Under a
-    ``checkpoint`` (:class:`repro.faults.CheckpointStore` or its async
-    writer facade) a due shard is first looked up on disk — lazily, one
-    ordinal at a time, so a resume holds no more than the window either
-    — and only scanned when absent or damaged.  Loaded shards contribute
-    no telemetry: their events belong to the run that produced them.
+    ``checkpoint`` (:class:`repro.faults.CheckpointStore`) a due shard
+    is first looked up on disk — lazily, one ordinal at a time, so a
+    resume holds no more than the window either — and only scanned when
+    absent or damaged.  Loaded shards contribute no telemetry: their
+    events belong to the run that produced them.
 
     Everything order-sensitive happens at emission, one shard at a time
     in population order: the shard's telemetry bundle is absorbed, and a
-    freshly scanned shard is handed to the checkpoint before it is
-    yielded.  ``scanner.last_scan_stats`` is rewritten on every call and
+    freshly scanned shard is saved to the checkpoint on this thread
+    before it is yielded, so every emitted shard is already on disk
+    (and a failed save raises here, before the shard is emitted).  ``scanner.last_scan_stats`` is rewritten on every call and
     kept current as the stream advances.
     """
     from repro.faults.checkpoint import results_from_cbr_payload

@@ -309,26 +309,19 @@ class Scanner:
         store = None
         if checkpoint_dir is not None:
             from repro.faults.checkpoint import CheckpointStore, scan_fingerprint
-            from repro.faults.shardwriter import AsyncCheckpointWriter
 
             chunk = self.parallel.chunk_size or 256
-            # The async facade moves shard persistence onto a writer
-            # thread so checkpoint disk I/O overlaps scan compute; its
-            # close() below guarantees every emitted shard is on disk
-            # before the stream ends (or re-raises).
-            store = AsyncCheckpointWriter(
-                CheckpointStore(
-                    checkpoint_dir,
-                    fingerprint=scan_fingerprint(
-                        population.config.seed,
-                        week_label,
-                        ip_version,
-                        probe,
-                        population.iter_targets() if domains is None else domains,
-                        repr(self.config),
-                    ),
-                    chunk=chunk,
-                )
+            store = CheckpointStore(
+                checkpoint_dir,
+                fingerprint=scan_fingerprint(
+                    population.config.seed,
+                    week_label,
+                    ip_version,
+                    probe,
+                    population.iter_targets() if domains is None else domains,
+                    repr(self.config),
+                ),
+                chunk=chunk,
             )
         breaker = None
         resilience = self.config.resilience
@@ -359,25 +352,15 @@ class Scanner:
         with telemetry.phase("scan"), tracer.span(
             f"scan:{week_label}", ip_version=ip_version, domains=total
         ) as span:
-            try:
-                for shard in shard_stream(
-                    self, domains, week_label, ip_version, probe, chunk, store
-                ):
-                    for result in shard:
-                        if breaker is not None:
-                            result = breaker.step(result)
-                        emitted += 1
-                        quic += result.quic_support
-                        yield result
-                if store is not None:
-                    store.close()
-            except BaseException:
-                # A crashed scan still persists every shard it emitted:
-                # drain the writer, suppressing secondary write errors —
-                # the scan failure is what the caller must see.
-                if store is not None:
-                    store.close(suppress_errors=True)
-                raise
+            for shard in shard_stream(
+                self, domains, week_label, ip_version, probe, chunk, store
+            ):
+                for result in shard:
+                    if breaker is not None:
+                        result = breaker.step(result)
+                    emitted += 1
+                    quic += result.quic_support
+                    yield result
             # The merge marker closes the scan stage of the pipeline
             # however the work was split (inline "merges" too), so the
             # deterministic trace never depends on it.
