@@ -16,22 +16,10 @@ from repro._util.rng import derive_rng
 from repro.analysis.timeline import render_spin_timeline
 from repro.core.flow_table import SpinFlowTable
 from repro.core.spin import SpinPolicy
-from repro.core.wire_observer import Direction, WireObserver
+from repro.netsim.events import Simulator
 from repro.netsim.path import PathProfile
-from repro.web.http3 import ResponsePlan, run_exchange
-
-
-class _CapturingObserver(WireObserver):
-    """A tap that keeps raw (time, datagram) pairs for later merging."""
-
-    def __init__(self):
-        super().__init__(short_dcid_length=8)
-        self.captured: list[tuple[float, bytes]] = []
-
-    def on_datagram(self, time_ms, direction, data):
-        super().on_datagram(time_ms, direction, data)
-        if direction == Direction.SERVER_TO_CLIENT:
-            self.captured.append((time_ms, data))
+from repro.qlog.recorder import TraceRecorder
+from repro.web.http3 import ResponsePlan, build_exchange
 
 
 def main() -> None:
@@ -48,20 +36,29 @@ def main() -> None:
     merged: list[tuple[float, bytes]] = []
     recorders = []
     for index, (label, one_way, plan) in enumerate(scenarios):
-        tap = _CapturingObserver()
+        simulator = Simulator()
+        recorder = TraceRecorder(vantage_point="client")
         path = PathProfile(propagation_delay_ms=one_way)
-        result = run_exchange(
+        handle = build_exchange(
+            simulator,
             f"www.flow-{index}.test",
-            plan,
+            [plan],
             SpinPolicy.SPIN,
             SpinPolicy.SPIN,
             path,
             path,
             derive_rng(index, "flow-monitor"),
-            wire_observer=tap,
+            recorder=recorder,
+            start_ms=0.0,
         )
-        merged.extend(tap.captured)
-        recorders.append((label, one_way, result.recorder))
+        # The mirror port copies each server-to-client datagram as it
+        # reaches the client; connect() waits for start_ms, so the tap
+        # sees the first packet.
+        handle.downlink.install_tap(
+            lambda time_ms, data: merged.append((time_ms, data)), position=1.0
+        )
+        simulator.run(max_events=200_000)
+        recorders.append((label, one_way, recorder))
 
     # The mirror port delivers everything in (global) time order.
     merged.sort(key=lambda item: item[0])

@@ -3,12 +3,12 @@
 
 The paper motivates the spin bit as a tool for operators who cannot see
 QUIC's encrypted transport headers.  This example plays that role: a
-:class:`~repro.core.wire_observer.WireObserver` taps the raw datagrams
-of a connection (like a middlebox or the P4 hardware observer of Kunze
-et al. 2021), parses QUIC headers itself, reconstructs packet numbers,
-and measures the RTT from spin edges — then compares against the
-client's qlog ground truth, including a run with the Valid Edge Counter
-extension enabled.
+:class:`~repro.core.tomography.SpinTomographyObserver`, installed as the
+two path directions' taps, sees the raw datagrams of a connection (like
+a middlebox or the P4 hardware observer of Kunze et al. 2021), parses
+QUIC headers itself, reconstructs packet numbers, and measures the RTT
+from spin edges — then compares against the client's qlog ground truth,
+including a run with the Valid Edge Counter extension enabled.
 
 Run:  python examples/operator_observer.py
 """
@@ -16,15 +16,17 @@ Run:  python examples/operator_observer.py
 from repro._util.rng import derive_rng
 from repro.core.observer import observe_recorder
 from repro.core.spin import SpinPolicy
-from repro.core.wire_observer import WireObserver
+from repro.core.tomography import SpinTomographyObserver
 from repro.netsim.delays import UniformDelay
+from repro.netsim.events import Simulator
 from repro.netsim.path import PathProfile
+from repro.qlog.recorder import TraceRecorder
 from repro.quic.connection import ConnectionConfig
-from repro.web.http3 import ResponsePlan, run_exchange
+from repro.web.http3 import ResponsePlan, build_exchange
 
 
 def observe(enable_vec: bool, reorder: float = 0.0) -> None:
-    observer = WireObserver(short_dcid_length=8)
+    observer = SpinTomographyObserver(short_dcid_length=8)
     plan = ResponsePlan(
         server_header="LiteSpeed", think_time_ms=40.0, write_sizes=(240_000,)
     )
@@ -36,9 +38,12 @@ def observe(enable_vec: bool, reorder: float = 0.0) -> None:
         reorder_extra_delay=UniformDelay(20.0, 70.0),
     )
     config = ConnectionConfig(enable_vec=enable_vec)
-    result = run_exchange(
+    simulator = Simulator()
+    recorder = TraceRecorder(vantage_point="client")
+    handle = build_exchange(
+        simulator,
         "www.operator-view.test",
-        plan,
+        [plan],
         SpinPolicy.SPIN,
         SpinPolicy.SPIN,
         path,
@@ -46,14 +51,20 @@ def observe(enable_vec: bool, reorder: float = 0.0) -> None:
         derive_rng(7, "operator", enable_vec, reorder),
         client_config=config,
         server_config=config,
-        wire_observer=observer,
+        recorder=recorder,
+        start_ms=0.0,
     )
-    stats = observer.stats
-    print(f"  tapped {stats.datagrams} datagrams / {stats.packets} packets "
-          f"({stats.short_header_packets} short-header)")
+    # Each direction's tap sits at its receiving end (position 1.0): it
+    # sees every datagram as it is delivered.  connect() waits for
+    # start_ms, so the taps see the first packet.
+    handle.uplink.install_tap(observer.on_client_datagram, position=1.0)
+    handle.downlink.install_tap(observer.on_server_datagram, position=1.0)
+    simulator.run(max_events=200_000)
+    print(f"  tapped {observer.datagrams} datagrams / {observer.packets} packets "
+          f"({observer.short_header_packets} short-header)")
 
     wire = observer.observation()
-    qlog = observe_recorder(result.recorder)
+    qlog = observe_recorder(recorder)
     print(f"  wire-observer RTT samples: "
           f"{[round(s, 1) for s in wire.rtts_received_ms[:8]]}")
     print(f"  qlog-replay RTT samples:   "

@@ -11,50 +11,35 @@ localize latency on either side of its monitoring point.
 Run:  python examples/rtt_tomography.py
 """
 
-from repro._util.rng import derive_rng, fork_rng
-from repro.core.spin import EndpointRole, SpinPolicy
+from repro._util.rng import derive_rng
+from repro.core.spin import SpinPolicy
 from repro.core.tomography import SpinTomographyObserver
 from repro.netsim.delays import ConstantDelay
 from repro.netsim.events import Simulator
-from repro.netsim.path import PathProfile, duplex_paths
-from repro.quic.connection import ConnectionConfig, QuicEndpoint
-from repro.web.http3 import ResponsePlan, _ClientApp, _ServerApp
+from repro.netsim.path import PathProfile
+from repro.web.http3 import ResponsePlan, build_exchange
 
 ONE_WAY_MS = 35.0
 
 
 def run_with_tap(position_from_client: float) -> SpinTomographyObserver:
     simulator = Simulator()
-    rng = derive_rng(42, "tomography-example", position_from_client)
     observer = SpinTomographyObserver(short_dcid_length=8)
-
-    client = QuicEndpoint(
-        simulator, EndpointRole.CLIENT, ConnectionConfig(), SpinPolicy.SPIN,
-        fork_rng(rng, "client"),
-    )
-    server = QuicEndpoint(
-        simulator, EndpointRole.SERVER, ConnectionConfig(), SpinPolicy.SPIN,
-        fork_rng(rng, "server"),
-    )
     profile = PathProfile(propagation_delay_ms=ONE_WAY_MS, jitter=ConstantDelay(0.0))
-    uplink, downlink = duplex_paths(
-        simulator, profile, profile,
-        client.receive_datagram, server.receive_datagram, fork_rng(rng, "paths"),
-    )
-    # Co-locate the two direction taps at the same physical point.
-    uplink.install_tap(observer.on_client_datagram, position=position_from_client)
-    downlink.install_tap(
-        observer.on_server_datagram, position=1.0 - position_from_client
-    )
-    client.attach_transport(uplink.send)
-    server.attach_transport(downlink.send)
-
     plan = ResponsePlan(
         server_header="LiteSpeed", think_time_ms=25.0, write_sizes=(260_000,)
     )
-    _ClientApp(simulator, client, "www.tomography.test")
-    _ServerApp(simulator, server, [plan])
-    client.connect()
+    handle = build_exchange(
+        simulator, "www.tomography.test", [plan], SpinPolicy.SPIN, SpinPolicy.SPIN,
+        profile, profile, derive_rng(42, "tomography-example", position_from_client),
+        start_ms=0.0,
+    )
+    # Co-locate the two direction taps at the same physical point;
+    # connect() waits for start_ms, so they see the first packet.
+    handle.uplink.install_tap(observer.on_client_datagram, position=position_from_client)
+    handle.downlink.install_tap(
+        observer.on_server_datagram, position=1.0 - position_from_client
+    )
     simulator.run()
     return observer
 

@@ -3,7 +3,7 @@
 # (telemetry, fault, profiler, and migration-resolver overhead; scan,
 # monitor, analyze/query throughput and API latency are
 # `python3 -m bench run --workload
-# campaign_week|monitor_steady|monitor_churn|archive_query|service_readwrite`,
+# campaign_week|campaign_chaos|monitor_steady|monitor_churn|archive_query|service_readwrite`,
 # the benchmark of record),
 # and append each benchmark's result (stamped with commit and timestamp)
 # to BENCH_history.jsonl so every PR records its perf delta.  The cbr

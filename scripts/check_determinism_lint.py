@@ -131,6 +131,14 @@ Which further rules apply to which layer (directory under
   repeated-scan fold read the same bits, so an assignment to
   ``FLAG_SUCCESS`` or ``FLAG_SPIN`` anywhere else is a second meaning,
   and is flagged.  No pragma opts out.
+* One on-path tap, and scan work on the emitting thread: a path's
+  receiver is set when the path is built, so an assignment to
+  ``._receiver`` (or a ``setattr(..., "_receiver", ...)``) anywhere but
+  ``netsim/path.py`` is a second tap grafted onto it — observers go
+  through ``Path.install_tap``.  Under ``web/`` and ``faults/`` (the
+  scan path, whose checkpoint shards are saved before they are
+  emitted) an import of ``threading`` or ``queue`` is flagged.  No
+  pragma opts out.
 
 Benchmarks (``benchmarks/``) legitimately measure wall-clock and are
 not scanned.  A source line may opt out with the pattern's pragma when
@@ -678,11 +686,48 @@ def one_flag_definition(text: str) -> list[int]:
     return sorted(numbers)
 
 
+def one_tap_receiver(text: str) -> list[int]:
+    """An assignment to a path's ``._receiver``: a tap grafted onto the
+    delivery callback instead of installed with ``Path.install_tap``."""
+    numbers = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for inner in ast.walk(target):
+                    if isinstance(inner, ast.Attribute) and inner.attr == "_receiver":
+                        numbers.add(node.lineno)
+        elif (
+            _called_name(node) == "setattr"
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value == "_receiver"
+        ):
+            numbers.add(node.lineno)
+    return sorted(numbers)
+
+
+def thread_imports(text: str) -> list[int]:
+    """An import of ``threading`` or ``queue``: work handed to a thread."""
+    numbers = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] in ("threading", "queue") for name in names):
+            numbers.append(node.lineno)
+    return numbers
+
+
 #: What every file is held to; a layer (directory under ``repro/``) not
 #: listed below gets exactly this.
 _EVERYWHERE = (
     forbidden_lines, hand_built_trace_rows, listener_guards, endpoint_decoder_uses,
     container_framing, population_by_range, one_artifact_format, one_flag_definition,
+    one_tap_receiver,
 )
 
 #: layer → its rules.  The JSON-in-loop layers are the hot paths (the
@@ -693,11 +738,12 @@ _EVERYWHERE = (
 #: and may not spell its keys; ``analysis`` (and the week summary, which
 #: feeds the same folds) reads each connection's means off the batch and
 #: counts a batch at a time;
-#: ``artifacts`` is where the cbr container lives, once.
+#: ``artifacts`` is where the cbr container lives, once; ``web`` and
+#: ``faults`` (the scan path) start no thread.
 LAYER_RULES = {
     "analysis": _EVERYWHERE + (json_in_loops, fold_body_means, fold_counts_per_row),
     "artifacts": _EVERYWHERE + (one_container,),
-    "faults": _EVERYWHERE + (json_in_loops,),
+    "faults": _EVERYWHERE + (json_in_loops, thread_imports),
     "internet": _EVERYWHERE + (json_in_loops,),
     "monitor": _EVERYWHERE + (json_in_loops,),
     "netsim": _EVERYWHERE + (json_in_loops,),
@@ -705,9 +751,9 @@ LAYER_RULES = {
     "service": _EVERYWHERE + (json_in_loops, section_state_names),
     "telemetry": (
         forbidden_lines, json_in_loops, endpoint_decoder_uses, container_framing,
-        one_artifact_format, one_flag_definition,
+        one_artifact_format, one_flag_definition, one_tap_receiver,
     ),
-    "web": _EVERYWHERE + (json_in_loops,),
+    "web": _EVERYWHERE + (json_in_loops, thread_imports),
 }
 
 #: file → ``(rules added, rules lifted)``.  The reference codec's own
@@ -715,8 +761,9 @@ LAYER_RULES = {
 #: live; the endpoint and the field decoder carry the one-datapath rules,
 #: the monitor pipeline the rule that keeps it off the packet path, the
 #: flow table and resolver the rule that keeps flow identity one structure,
-#: the population generator is where populations are drawn, and the
-#: compliance fold is where the domain flags are defined.
+#: the population generator is where populations are drawn, the
+#: compliance fold is where the domain flags are defined, and the path
+#: is where its receiver is set.
 _CODEC_HOME = ((), (endpoint_decoder_uses,))
 FILE_RULES = {
     "repro/analysis/compliance.py": ((), (one_flag_definition,)),
@@ -724,6 +771,7 @@ FILE_RULES = {
     "repro/core/flow_table.py": ((one_flow_structure, tcp_decoder_uses), ()),
     "repro/internet/population.py": ((), (population_by_range,)),
     "repro/monitor/pipeline.py": ((monitor_packet_path,), ()),
+    "repro/netsim/path.py": ((), (one_tap_receiver,)),
     "repro/quic/__init__.py": _CODEC_HOME,
     "repro/quic/connection.py": ((forked_datapath,), ()),
     "repro/quic/datagram.py": _CODEC_HOME,
@@ -804,7 +852,10 @@ def main(argv: list[str] | None = None) -> int:
             "outside internet/population.py a population is read by range "
             "(materialize_range / iter_targets / domain_count), never as .domains, "
             "and no derive_rng( call names a population label; FLAG_SUCCESS / "
-            "FLAG_SPIN are assigned only in analysis/compliance.py)",
+            "FLAG_SPIN are assigned only in analysis/compliance.py; only "
+            "netsim/path.py assigns a path's ._receiver — taps use "
+            "Path.install_tap; web/ and faults/ import no threading / queue — "
+            "checkpoint shards are saved on the emitting thread)",
             file=sys.stderr,
         )
         return 1

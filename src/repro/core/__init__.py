@@ -5,6 +5,10 @@ the RFC 9000 spin state machines and deployment policies, the passive
 observer with its R/S orderings, the grease filter, the Section 5.1
 accuracy metrics, the Table 3 behaviour classification, the RFC 9312
 observer heuristics, and the (non-standardized) Valid Edge Counter.
+Raw datagrams are read by two on-path observers: the monitor's
+many-flow :class:`SpinFlowTable` (server-to-client only) and the
+one-connection, two-direction :class:`SpinTomographyObserver`, fed by a
+:meth:`repro.netsim.path.Path.install_tap` pair.
 """
 
 from repro.core.classify import SpinBehaviour, classify_connection, classify_domain
@@ -39,7 +43,6 @@ from repro.core.flow_resolver import FlowKeyResolver, tuple_flow_key
 from repro.core.flow_table import FlowRecord, FlowTableStats, SpinFlowTable
 from repro.core.tomography import ComponentSample, SpinTomographyObserver
 from repro.core.vec import VecObserver, VecSenderState
-from repro.core.wire_observer import Direction, WireObserver, WireObserverStats
 
 __all__ = [
     "AccuracyResult",
@@ -57,7 +60,6 @@ __all__ = [
     "SpinPolicy",
     "StaticThresholdFilter",
     "StreamingSpinObserver",
-    "Direction",
     "ComponentSample",
     "FlowKeyResolver",
     "FlowRecord",
@@ -66,8 +68,6 @@ __all__ = [
     "SpinTomographyObserver",
     "VecObserver",
     "VecSenderState",
-    "WireObserver",
-    "WireObserverStats",
     "absolute_difference_ms",
     "classify_connection",
     "classify_domain",

@@ -111,10 +111,14 @@ class Path:
         The tap fires at ``send_time + position x one-way-delay`` with
         the tap-local observation time — lost datagrams never reach it
         if they are dropped upstream of the whole path (loss position is
-        not modelled more finely).
+        not modelled more finely).  A path holds one tap: a second one
+        raises rather than silently blinding the first (a caller that
+        needs two consumers installs one callback that feeds both).
         """
         if not 0.0 <= position <= 1.0:
             raise ValueError("tap position must be in [0, 1]")
+        if self._tap is not None:
+            raise ValueError("this path already has a tap")
         self._tap = tap
         self._tap_position = position
 

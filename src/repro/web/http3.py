@@ -312,7 +312,6 @@ def build_exchange(
     think_gaps_ms: list[float] | None = None,
     recorder: TraceRecorder | None = None,
     final_probe: bool = True,
-    wire_observer=None,
     start_ms: float | None = None,
     counts: tuple[PacketCounts | None, PacketCounts | None] = (None, None),
 ) -> ExchangeHandle:
@@ -322,7 +321,10 @@ def build_exchange(
     of ``/``).  With ``start_ms`` set, the client's ``connect()`` is
     scheduled at that absolute simulated time instead of being invoked
     immediately — this is how the traffic multiplexer staggers many
-    concurrent connections on one shared simulator.  ``recorder`` is
+    concurrent connections on one shared simulator, and how an on-path
+    observer taps an exchange: ``start_ms=0.0``, then
+    ``handle.uplink`` / ``handle.downlink.install_tap(...)`` before the
+    first packet is sent.  ``recorder`` is
     optional: a monitoring tap that observes from the path does not need
     the client-side qlog trace.  ``counts`` is a (client, server) pair of
     :class:`~repro.quic.connection.PacketCounts` the endpoints count into
@@ -364,11 +366,6 @@ def build_exchange(
     client.attach_transport(uplink.send)
     server.attach_transport(downlink.send)
 
-    if wire_observer is not None:
-        from repro.core.wire_observer import tap_paths
-
-        tap_paths(simulator, uplink, downlink, wire_observer)
-
     client_app = _ClientApp(
         simulator,
         client,
@@ -406,7 +403,6 @@ def run_exchange(
     server_config: ConnectionConfig | None = None,
     path: str = "/",
     max_events: int = 200_000,
-    wire_observer=None,
     final_probe: bool = True,
     metrics=None,
     timeout_ms: float | None = None,
@@ -417,10 +413,6 @@ def run_exchange(
     Creates a fresh simulator, endpoint pair, and duplex path; runs until
     the event cascade drains.  The returned recorder is the client-side
     qlog-equivalent trace the analysis pipeline consumes.
-
-    ``wire_observer`` optionally installs an on-path
-    :class:`repro.core.wire_observer.WireObserver` tap that sees every
-    raw datagram of the connection (the network operator's view).
 
     ``timeout_ms`` imposes a simulated-time budget: if the client is
     still working at the deadline the exchange is abandoned and the
@@ -448,7 +440,6 @@ def run_exchange(
         paths=[path],
         recorder=recorder,
         final_probe=final_probe,
-        wire_observer=wire_observer,
     )
     if impairment is not None:
         handle.uplink.install_impairment(impairment)
@@ -528,7 +519,6 @@ def run_session(
     client_config: ConnectionConfig | None = None,
     server_config: ConnectionConfig | None = None,
     max_events: int = 400_000,
-    wire_observer=None,
 ) -> SessionResult:
     """Simulate a browsing session: sequential requests, one connection.
 
@@ -554,7 +544,6 @@ def run_session(
         paths=[f"/page-{index}" for index in range(len(plans))],
         think_gaps_ms=think_gaps_ms,
         recorder=recorder,
-        wire_observer=wire_observer,
     )
     simulator.run(max_events=max_events)
 

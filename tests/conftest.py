@@ -14,8 +14,12 @@ import pytest
 from repro._util.rng import derive_rng
 from repro.core.classify import SpinBehaviour
 from repro.core.observer import SpinObservation, SpinObserver
+from repro.core.spin import SpinPolicy
 from repro.internet.asdb import IpAddr
 from repro.internet.population import PopulationConfig, build_population
+from repro.netsim.events import Simulator
+from repro.qlog.recorder import TraceRecorder
+from repro.web.http3 import build_exchange
 from repro.web.scanner import ConnectionRecord
 
 
@@ -65,6 +69,46 @@ def make_connection_record(
         observation=observation,
         stack_rtts_ms=list(stack_rtts or []),
     )
+
+
+def tap_exchange(
+    plan,
+    profile,
+    rng,
+    uplink_tap=None,
+    downlink_tap=None,
+    server_policy=SpinPolicy.SPIN,
+    **configs,
+):
+    """Run one HTTP/3 fetch with on-path taps at each direction's
+    receiving end (``Path.install_tap``, position 1.0).
+
+    A tap is a ``tap(time_ms, data)`` callback that sees every delivered
+    datagram of its direction; ``configs`` are ``client_config`` /
+    ``server_config``.  Returns the finished :class:`ExchangeHandle`,
+    whose ``recorder`` holds the client's qlog trace.
+    """
+    simulator = Simulator()
+    handle = build_exchange(
+        simulator,
+        "www.tapped.test",
+        [plan],
+        SpinPolicy.SPIN,
+        server_policy,
+        profile,
+        profile,
+        rng,
+        recorder=TraceRecorder(vantage_point="client"),
+        start_ms=0.0,
+        **configs,
+    )
+    # connect() waits for start_ms, so the taps see the first packet.
+    if uplink_tap is not None:
+        handle.uplink.install_tap(uplink_tap, position=1.0)
+    if downlink_tap is not None:
+        handle.downlink.install_tap(downlink_tap, position=1.0)
+    simulator.run(max_events=200_000)
+    return handle
 
 
 @pytest.fixture(scope="session")

@@ -199,10 +199,27 @@ class TestKeyUpdate:
         )
         assert result.success
         # Key-phase transitions were observed on the wire ...
-        # (the recorder does not log the bit, so parse sent datagrams
-        # via a wire observer instead)
-        from repro.core.wire_observer import WireObserver
+        # (the recorder does not log the bit, so an on-path tap reads
+        # it off the server's short headers instead)
+        from conftest import tap_exchange
 
+        from repro.quic.onpath import walk_datagram
+
+        key_phases = set()
+
+        def read_key_phase(time_ms, data):
+            _, short_at = walk_datagram(data, 8)
+            if short_at >= 0:
+                key_phases.add(bool(data[short_at] & 0x04))
+
+        tap_exchange(
+            plan,
+            PathProfile(propagation_delay_ms=RTT_MS / 2, jitter=ConstantDelay(0.0)),
+            derive_rng(1, "test-exchange"),
+            downlink_tap=read_key_phase,
+            server_config=ConnectionConfig(key_update_interval_packets=20),
+        )
+        assert key_phases == {False, True}
         plain = fetch(plan=plan)
         observation_updated = observe_recorder(result.recorder)
         observation_plain = observe_recorder(plain.recorder)

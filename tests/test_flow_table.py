@@ -234,37 +234,33 @@ class TestChurn:
 class TestRealTraffic:
     def test_table_matches_single_flow_observer(self):
         """Feeding one real connection through the table equals the
-        dedicated wire observer."""
-        from repro._util.rng import derive_rng
-        from repro.core.spin import SpinPolicy
-        from repro.core.wire_observer import WireObserver
-        from repro.netsim.path import PathProfile
-        from repro.web.http3 import ResponsePlan, run_exchange
+        dedicated on-path observer."""
+        from conftest import tap_exchange
 
-        observer = WireObserver(short_dcid_length=8)
+        from repro._util.rng import derive_rng
+        from repro.core.tomography import SpinTomographyObserver
+        from repro.netsim.path import PathProfile
+        from repro.web.http3 import ResponsePlan
+
+        observer = SpinTomographyObserver(short_dcid_length=8)
         table = SpinFlowTable(short_dcid_length=8)
 
-        class TeeObserver(WireObserver):
-            def on_datagram(self, time_ms, direction, data):
-                super().on_datagram(time_ms, direction, data)
-                if direction == "server-to-client":
-                    table.on_server_datagram(time_ms, data)
+        def tee(time_ms, data):
+            observer.on_server_datagram(time_ms, data)
+            table.on_server_datagram(time_ms, data)
 
-        tee = TeeObserver(short_dcid_length=8)
         plan = ResponsePlan(server_header="x", think_time_ms=25.0, write_sizes=(60_000,))
         profile = PathProfile(propagation_delay_ms=20.0)
-        run_exchange(
-            "www.flows.test",
+        tap_exchange(
             plan,
-            SpinPolicy.SPIN,
-            SpinPolicy.SPIN,
-            profile,
             profile,
             derive_rng(11, "flowtable"),
-            wire_observer=tee,
+            uplink_tap=observer.on_client_datagram,
+            downlink_tap=tee,
         )
         (observation,) = table.observations().values()
-        assert observation.rtts_received_ms == tee.observation().rtts_received_ms
+        assert observation.rtts_received_ms
+        assert observation.rtts_received_ms == observer.observation().rtts_received_ms
 
 
 class TestZeroLengthCid:
@@ -421,49 +417,40 @@ class TestCidRotation:
         """The client rotates to a server-issued CID mid-connection;
         the exchange still completes and the server-to-client direction
         (keyed by the client's stable source CID) remains one flow."""
+        from conftest import tap_exchange
+
         from repro._util.rng import derive_rng
-        from repro.core.spin import SpinPolicy
-        from repro.core.wire_observer import Direction, WireObserver
         from repro.netsim.path import PathProfile
         from repro.quic.connection import ConnectionConfig
-        from repro.web.http3 import ResponsePlan, run_exchange
+        from repro.quic.datagram import decode_datagram
+        from repro.quic.packet import ShortHeader as SH
+        from repro.web.http3 import ResponsePlan
 
         table = SpinFlowTable(short_dcid_length=8)
         uplink_cids = set()
 
-        class Tap(WireObserver):
-            def on_datagram(self, time_ms, direction, data):
-                super().on_datagram(time_ms, direction, data)
-                if direction == Direction.SERVER_TO_CLIENT:
-                    table.on_server_datagram(time_ms, data)
-                else:
-                    from repro.quic.datagram import decode_datagram
-                    from repro.quic.packet import ShortHeader as SH
-
-                    try:
-                        for packet in decode_datagram(data, 8):
-                            if isinstance(packet.header, SH):
-                                uplink_cids.add(packet.header.destination_cid.hex)
-                    except Exception:
-                        pass
+        def read_uplink_cids(time_ms, data):
+            try:
+                for packet in decode_datagram(data, 8):
+                    if isinstance(packet.header, SH):
+                        uplink_cids.add(packet.header.destination_cid.hex)
+            except Exception:
+                pass
 
         plan = ResponsePlan(
             server_header="x", think_time_ms=20.0, write_sizes=(150_000,)
         )
         profile = PathProfile(propagation_delay_ms=20.0)
-        result = run_exchange(
-            "www.rotation.test",
+        handle = tap_exchange(
             plan,
-            SpinPolicy.SPIN,
-            SpinPolicy.SPIN,
-            profile,
             profile,
             derive_rng(13, "cid-rotation"),
+            uplink_tap=read_uplink_cids,
+            downlink_tap=table.on_server_datagram,
             client_config=ConnectionConfig(rotate_cid_after_packets=4),
-            wire_observer=Tap(short_dcid_length=8),
         )
-        assert result.success
-        assert result.client._cid_rotated
+        assert handle.done and handle.client.failed is None
+        assert handle.client._cid_rotated
         # The client used two different DCIDs on the uplink ...
         assert len(uplink_cids) == 2
         # ... while the downlink flow stays trackable as one.

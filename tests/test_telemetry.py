@@ -842,6 +842,77 @@ class TestOneFlagDefinition:
         }, result.stderr
 
 
+class TestOneTapOneThread:
+    """AST gate (same lint): only ``netsim/path.py`` sets a path's
+    receiver, and the scan path (``web/``, ``faults/``) starts no thread."""
+
+    #: The parent's on-path tap, which grafted itself onto the receivers.
+    PARENT_TAP = (
+        "def tap_paths(simulator, uplink, downlink, observer):\n"
+        "    original_up = uplink._receiver\n"
+        "    uplink._receiver = lambda data: original_up(data)\n"
+        "    downlink._receiver: object = None\n"
+        "    setattr(downlink, '_receiver', print)\n"
+        "    uplink.receiver = print\n"
+    )
+    #: The parent's checkpoint writer's imports, and other spellings.
+    PARENT_WRITER = (
+        "import queue\n"
+        "import threading\n"
+        "from threading import Thread\n"
+        "import queue as jobs, os\n"
+        "from concurrent.futures import wait\n"
+        "from .queue import Local\n"
+    )
+
+    def _flagged(self, tmp_path, files):
+        for name, source in files.items():
+            path = tmp_path / "repro" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(source, encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, str(TestDeterminismLint.LINT), str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        return {
+            line.split(": ", 1)[0].split("repro/", 1)[1]
+            for line in result.stderr.splitlines()
+            if "repro/" in line
+        }
+
+    def test_a_receiver_graft_outside_the_path_is_caught(self, tmp_path):
+        flagged = self._flagged(
+            tmp_path,
+            {
+                "core/wire_observer.py": self.PARENT_TAP,
+                "telemetry/hot.py": self.PARENT_TAP,
+                "netsim/path.py": self.PARENT_TAP,
+            },
+        )
+        assert flagged == {
+            f"{name}:{line}"
+            for name in ("core/wire_observer.py", "telemetry/hot.py")
+            for line in (3, 4, 5)
+        }
+
+    def test_a_thread_on_the_scan_path_is_caught(self, tmp_path):
+        flagged = self._flagged(
+            tmp_path,
+            {
+                "faults/shardwriter.py": self.PARENT_WRITER,
+                "web/hot.py": self.PARENT_WRITER,
+                "service/api.py": self.PARENT_WRITER,
+            },
+        )
+        assert flagged == {
+            f"{name}:{line}"
+            for name in ("faults/shardwriter.py", "web/hot.py")
+            for line in (1, 2, 3, 4)
+        }
+
+
 class TestOneContainer:
     """AST gate (same lint): a cbr file's framing is read and written by
     the container's own functions, each construct in its one home."""

@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro._util.rng import derive_rng, fork_rng
-from repro.core.spin import EndpointRole, SpinPolicy
+from repro._util.rng import derive_rng
+from repro.core.spin import SpinPolicy
 from repro.core.tomography import SpinTomographyObserver
 from repro.netsim.delays import ConstantDelay
 from repro.netsim.events import Simulator
-from repro.netsim.path import Path, PathProfile, duplex_paths
-from repro.quic.connection import ConnectionConfig, QuicEndpoint
-from repro.web.http3 import ResponsePlan, run_exchange
+from repro.netsim.path import Path, PathProfile
+from repro.web.http3 import ResponsePlan, build_exchange
 
 ONE_WAY_MS = 30.0
 
@@ -34,6 +33,20 @@ class TestPathTap:
         with pytest.raises(ValueError):
             path.install_tap(lambda t, d: None, position=1.5)
 
+    def test_second_tap_rejected(self):
+        """A path holds one tap: a second one must not silently replace
+        the first, which would stop seeing traffic."""
+        simulator = Simulator()
+        taps = []
+        profile = PathProfile(propagation_delay_ms=1.0, jitter=ConstantDelay(0.0))
+        path = Path(simulator, profile, lambda d: None, derive_rng(1, "t"))
+        path.install_tap(lambda t, d: taps.append(t))
+        with pytest.raises(ValueError, match="already has a tap"):
+            path.install_tap(lambda t, d: None, position=1.0)
+        path.send(b"x")
+        simulator.run()
+        assert taps == [pytest.approx(0.5)]
+
     def test_lost_datagram_never_reaches_tap(self):
         simulator = Simulator()
         taps = []
@@ -54,40 +67,22 @@ def run_tapped_exchange(tap_position_from_client: float, seed: int = 4):
     the sender; on the downlink, position ``1 - x``.
     """
     simulator = Simulator()
-    rng = derive_rng(seed, "tomography")
     observer = SpinTomographyObserver(short_dcid_length=8)
-    config = ConnectionConfig()
-
-    from repro.qlog.recorder import TraceRecorder
-
-    recorder = TraceRecorder()
-    client = QuicEndpoint(
-        simulator, EndpointRole.CLIENT, config, SpinPolicy.SPIN,
-        fork_rng(rng, "c"), recorder=recorder,
-    )
-    server = QuicEndpoint(
-        simulator, EndpointRole.SERVER, config, SpinPolicy.SPIN, fork_rng(rng, "s")
-    )
     profile = PathProfile(
         propagation_delay_ms=ONE_WAY_MS, jitter=ConstantDelay(0.0)
     )
-    uplink, downlink = duplex_paths(
-        simulator, profile, profile,
-        client.receive_datagram, server.receive_datagram, fork_rng(rng, "p"),
+    plan = ResponsePlan(server_header="x", think_time_ms=15.0, write_sizes=(220_000,))
+    handle = build_exchange(
+        simulator, "www.tomo.test", [plan], SpinPolicy.SPIN, SpinPolicy.SPIN,
+        profile, profile, derive_rng(seed, "tomography"), start_ms=0.0,
     )
-    uplink.install_tap(observer.on_client_datagram, position=tap_position_from_client)
-    downlink.install_tap(
+    # connect() waits for start_ms, so the taps see the first packet.
+    handle.uplink.install_tap(
+        observer.on_client_datagram, position=tap_position_from_client
+    )
+    handle.downlink.install_tap(
         observer.on_server_datagram, position=1.0 - tap_position_from_client
     )
-    client.attach_transport(uplink.send)
-    server.attach_transport(downlink.send)
-
-    from repro.web.http3 import _ClientApp, _ServerApp
-
-    plan = ResponsePlan(server_header="x", think_time_ms=15.0, write_sizes=(220_000,))
-    _ClientApp(simulator, client, "www.tomo.test")
-    _ServerApp(simulator, server, [plan])
-    client.connect()
     simulator.run()
     return observer
 
