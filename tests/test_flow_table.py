@@ -430,12 +430,9 @@ class TestCidRotation:
         uplink_cids = set()
 
         def read_uplink_cids(time_ms, data):
-            try:
-                for packet in decode_datagram(data, 8):
-                    if isinstance(packet.header, SH):
-                        uplink_cids.add(packet.header.destination_cid.hex)
-            except Exception:
-                pass
+            for packet in decode_datagram(data, 8):
+                if isinstance(packet.header, SH):
+                    uplink_cids.add(packet.header.destination_cid.hex)
 
         plan = ResponsePlan(
             server_header="x", think_time_ms=20.0, write_sizes=(150_000,)
