@@ -100,7 +100,7 @@ class SpinTomographyObserver:
     def on_client_datagram(self, time_ms: float, data: bytes) -> None:
         """Process a client-to-server datagram seen at the tap."""
         read = self._read_short(data, self._client_state)
-        if read is not None and read[3]:
+        if read is not None and read[3]:  # flipped
             self._on_client_edge(time_ms)
 
     def on_server_datagram(self, time_ms: float, data: bytes) -> None:
