@@ -16,7 +16,7 @@ PINS = Path(__file__).resolve().parent / "example_pins"
 
 
 @pytest.mark.parametrize(
-    "name", ["operator_observer", "flow_monitor", "rtt_tomography"]
+    "name", ["operator_observer", "flow_monitor", "rtt_tomography", "quickstart"]
 )
 def test_example_stdout_is_pinned(name, capsys):
     runpy.run_path(str(ROOT / "examples" / f"{name}.py"), run_name="__main__")
