@@ -29,8 +29,9 @@ from repro.internet.population import PopulationConfig, build_population
 from repro.netsim.delays import UniformDelay
 from repro.netsim.events import Simulator
 from repro.netsim.path import PathProfile
+from repro.qlog.recorder import TraceRecorder
 from repro.quic.connection import ConnectionConfig
-from repro.web.http3 import ResponsePlan, build_exchange, run_exchange, run_session
+from repro.web.http3 import ResponsePlan, build_exchange, run_exchange
 from repro.web.scanner import ScanConfig, Scanner
 
 BANDS = Path(__file__).with_name("bands.json")
@@ -229,14 +230,16 @@ def long_connections() -> dict[str, float]:
     for kind, (plans, gaps) in workloads.items():
         pairs[kind] = []
         for seed in range(60):
-            result = run_session(
-                "www.longform.test", plans, SpinPolicy.SPIN, SpinPolicy.SPIN,
+            simulator, recorder = Simulator(), TraceRecorder(vantage_point="client")
+            build_exchange(
+                simulator, "www.longform.test", plans, SpinPolicy.SPIN, SpinPolicy.SPIN,
                 profile, profile, derive_rng(seed, "longform", kind),
-                think_gaps_ms=gaps,
+                paths=[f"/page-{index}" for index in range(len(plans))],
+                think_gaps_ms=gaps, recorder=recorder,
             )
-            observation = observe_recorder(result.recorder)
+            simulator.run(max_events=400_000)
             pairs[kind].append(
-                (observation.rtts_received_ms, result.recorder.stack_rtts_ms())
+                (observe_recorder(recorder).rtts_received_ms, recorder.stack_rtts_ms())
             )
     sustained = per_sample_deviation_profile(pairs["sustained"], max_position=10)
     browsing = per_sample_deviation_profile(pairs["browsing"], max_position=10)

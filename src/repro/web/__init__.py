@@ -4,10 +4,8 @@ from repro.web.http3 import (
     ExchangeHandle,
     ExchangeResult,
     ResponsePlan,
-    SessionResult,
     build_exchange,
     run_exchange,
-    run_session,
 )
 from repro.web.scanner import (
     ConnectionRecord,
@@ -28,12 +26,10 @@ __all__ = [
     "ResponsePlan",
     "STACKS",
     "ScanConfig",
-    "SessionResult",
     "ScanDataset",
     "Scanner",
     "ServerStackProfile",
     "build_exchange",
     "run_exchange",
-    "run_session",
     "stack_by_name",
 ]

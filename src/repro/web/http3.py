@@ -30,10 +30,8 @@ __all__ = [
     "ExchangeHandle",
     "ExchangeResult",
     "ResponsePlan",
-    "SessionResult",
     "build_exchange",
     "run_exchange",
-    "run_session",
 ]
 
 #: HTTP/3 control overhead is ignored; stream 0 carries the request.
@@ -491,72 +489,4 @@ def run_exchange(
         client=client,
         server=server,
         timed_out=timed_out,
-    )
-
-
-@dataclass
-class SessionResult:
-    """Outcome of a multi-request session on one connection."""
-
-    success: bool
-    failure_reason: str | None
-    recorder: TraceRecorder
-    completed_requests: int
-    total_body_bytes: int
-    client: QuicEndpoint | None = None
-    server: QuicEndpoint | None = None
-
-
-def run_session(
-    host: str,
-    plans: list[ResponsePlan],
-    client_spin_policy: SpinPolicy,
-    server_spin_policy: SpinPolicy,
-    uplink_profile: PathProfile,
-    downlink_profile: PathProfile,
-    rng: random.Random,
-    think_gaps_ms: list[float] | None = None,
-    client_config: ConnectionConfig | None = None,
-    server_config: ConnectionConfig | None = None,
-    max_events: int = 400_000,
-) -> SessionResult:
-    """Simulate a browsing session: sequential requests, one connection.
-
-    ``plans[k]`` answers request ``k``; ``think_gaps_ms[k]`` is the
-    client think time between response ``k`` and request ``k + 1``.
-    Longer sessions expose the spin bit to more steady-state spin
-    cycles — the "longer connections" accuracy question the paper's
-    Section 6 raises.
-    """
-    simulator = Simulator()
-    recorder = TraceRecorder(vantage_point="client")
-    handle = build_exchange(
-        simulator,
-        host,
-        plans,
-        client_spin_policy,
-        server_spin_policy,
-        uplink_profile,
-        downlink_profile,
-        rng,
-        client_config=client_config,
-        server_config=server_config,
-        paths=[f"/page-{index}" for index in range(len(plans))],
-        think_gaps_ms=think_gaps_ms,
-        recorder=recorder,
-    )
-    simulator.run(max_events=max_events)
-
-    client, server, client_app = handle.client, handle.server, handle.client_app
-    recorder.odcid_hex = client.local_cid.hex
-    success = client_app.done and client.failed is None
-    total_bytes = sum(len(body) for body in client_app.responses.values())
-    return SessionResult(
-        success=success,
-        failure_reason=None if success else (client.failed or "incomplete session"),
-        recorder=recorder,
-        completed_requests=client_app.completed_requests,
-        total_body_bytes=total_bytes,
-        client=client,
-        server=server,
     )

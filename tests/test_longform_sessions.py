@@ -10,15 +10,20 @@ from repro.analysis.longform import (
 from repro.core.observer import observe_recorder
 from repro.core.spin import SpinPolicy
 from repro.netsim.delays import ConstantDelay
+from repro.netsim.events import Simulator
 from repro.netsim.path import PathProfile
-from repro.web.http3 import ResponsePlan, run_session
+from repro.qlog.recorder import TraceRecorder
+from repro.web.http3 import ResponsePlan, build_exchange
 
 RTT = 40.0
 
 
 def session(plans, gaps=None, seed=3):
+    """One connection serving ``plans`` in sequence, run to completion."""
     profile = PathProfile(propagation_delay_ms=RTT / 2, jitter=ConstantDelay(0.0))
-    return run_session(
+    simulator = Simulator()
+    handle = build_exchange(
+        simulator,
         "www.session.test",
         plans,
         SpinPolicy.SPIN,
@@ -26,8 +31,16 @@ def session(plans, gaps=None, seed=3):
         profile,
         profile,
         derive_rng(seed, "session"),
+        paths=[f"/page-{index}" for index in range(len(plans))],
         think_gaps_ms=gaps,
+        recorder=TraceRecorder(vantage_point="client"),
     )
+    simulator.run(max_events=400_000)
+    return handle
+
+
+def succeeded(handle) -> bool:
+    return handle.client_app.done and handle.client.failed is None
 
 
 class TestRunSession:
@@ -36,16 +49,17 @@ class TestRunSession:
             ResponsePlan(server_header="x", think_time_ms=20.0, write_sizes=(9_000,))
             for _ in range(5)
         ]
-        result = session(plans, gaps=[50.0] * 4)
-        assert result.success
-        assert result.completed_requests == 5
+        handle = session(plans, gaps=[50.0] * 4)
+        assert succeeded(handle)
+        assert handle.client_app.completed_requests == 5
         # Body bytes plus one textual response head per request.
-        assert 45_000 <= result.total_body_bytes < 46_000
+        body_bytes = sum(map(len, handle.client_app.responses.values()))
+        assert 45_000 <= body_bytes < 46_000
 
     def test_single_request_session_equals_exchange_shape(self):
         plans = [ResponsePlan(server_header="x", write_sizes=(12_000,))]
-        result = session(plans)
-        assert result.success and result.completed_requests == 1
+        handle = session(plans)
+        assert succeeded(handle) and handle.client_app.completed_requests == 1
 
     def test_gap_validation(self):
         plans = [ResponsePlan(server_header="x", write_sizes=(1_000,))] * 3
@@ -78,10 +92,9 @@ class TestLongConnectionStudy:
                     write_sizes=(body_bytes,),
                 )
             ]
-            result = session(plans, seed=seed_base + seed)
-            observation = observe_recorder(result.recorder)
+            recorder = session(plans, seed=seed_base + seed).recorder
             pairs.append(
-                (observation.rtts_received_ms, result.recorder.stack_rtts_ms())
+                (observe_recorder(recorder).rtts_received_ms, recorder.stack_rtts_ms())
             )
         return pairs
 
