@@ -174,8 +174,15 @@ class SpoolStore:
         return entries
 
     def _append_manifest(self, entry: dict) -> None:
-        with open(self.manifest_path, "a", encoding="utf-8") as stream:
-            stream.write(json.dumps(entry, sort_keys=True) + "\n")
+        line = json.dumps(entry, sort_keys=True) + "\n"
+        with open(self.manifest_path, "a+b") as stream:
+            # After a crash mid-append the file ends in a torn line: start
+            # a new one, or this entry is glued to the fragment and lost.
+            if stream.tell():
+                stream.seek(-1, os.SEEK_END)
+                if stream.read(1) != b"\n":
+                    line = "\n" + line
+            stream.write(line.encode("utf-8"))
 
 
 def scan_digest(fingerprint: dict) -> str:

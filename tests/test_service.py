@@ -240,6 +240,30 @@ class TestDaemon:
         assert paths == {record.path for record in clean_telemetry.tracer.records}
         assert all(len(set(path)) == len(path) for path in paths)
 
+    def test_a_torn_manifest_line_costs_one_rescan(self, tmp_path, monkeypatch):
+        """A crash mid-append of the artifact line leaves a torn tail.  The
+        restart re-scans the week once, and its scan entry must land on a
+        line of its own: glued to the fragment, it would be lost too and
+        every later tick would scan the week again."""
+        config = dataclasses.replace(CONFIG, first_week="cw20-2023")
+        directory = tmp_path / "svc"
+        append = SpoolStore._append_manifest
+
+        def crash_mid_append(spool, entry):
+            with open(spool.manifest_path, "a", encoding="utf-8") as stream:
+                stream.write(json.dumps(entry, sort_keys=True)[:20])
+            raise RuntimeError("simulated crash mid-append")
+
+        monkeypatch.setattr(SpoolStore, "_append_manifest", crash_mid_append)
+        with pytest.raises(RuntimeError, match="mid-append"):
+            CampaignDaemon(directory, config).run_once()
+        monkeypatch.setattr(SpoolStore, "_append_manifest", append)
+        scanned = [
+            CampaignDaemon(directory, config).run_once()["scanned_weeks"]
+            for _ in range(3)
+        ]
+        assert scanned == [["cw20-2023"], [], []]
+
     def test_a_tick_never_holds_the_domain_list(self, tmp_path, monkeypatch):
         """The daemon reads its population by range: a tick over one
         whose ``domains`` raises writes the same spool bytes."""
