@@ -28,6 +28,8 @@ import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from repro._util.files import replace_file
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.internet.population import DomainRecord
     from repro.web.scanner import DomainScanResult
@@ -191,7 +193,7 @@ class CheckpointStore:
                     "use a fresh directory"
                 )
         else:
-            _atomic_write(path, json.dumps(manifest, sort_keys=True) + "\n")
+            replace_file(path, (json.dumps(manifest, sort_keys=True) + "\n").encode("utf-8"))
 
     def shard_path(self, shard_index: int) -> Path:
         return self.directory / f"shard-{shard_index:05d}.cbr"
@@ -209,7 +211,7 @@ class CheckpointStore:
         concatenation — no re-decode.
         """
         payload = shard if isinstance(shard, bytes) else encode_domain_results(shard)
-        _atomic_write_bytes(self.shard_path(shard_index), payload)
+        replace_file(self.shard_path(shard_index), payload)
         self.shards_saved += 1
 
     def load_shard(
@@ -224,15 +226,3 @@ class CheckpointStore:
         if results is not None:
             self.shards_loaded += 1
         return results
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)

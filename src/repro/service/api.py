@@ -39,12 +39,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlparse
 
+from repro._util.files import replace_file
 from repro.analysis.engine import RECORD_SECTIONS
 from repro.obs.slo import (
     HealthEngine,
@@ -211,9 +211,7 @@ class ServiceState:
             payload = json.dumps(
                 {"domains": merged}, sort_keys=True, indent=1
             )
-            tmp = self.seeds_path.with_suffix(".tmp")
-            tmp.write_text(payload + "\n", encoding="utf-8")
-            os.replace(tmp, self.seeds_path)
+            replace_file(self.seeds_path, (payload + "\n").encode("utf-8"))
         return {
             "accepted": len(cleaned),
             "new": len(merged) - len(existing),

@@ -33,6 +33,7 @@ import os
 from pathlib import Path
 from typing import Callable
 
+from repro._util.files import replace_file
 from repro.service.summary import WeekSummary, combine_weeks
 from repro.telemetry import Telemetry
 
@@ -110,7 +111,7 @@ class WeekIndexer:
             payload = json.dumps(
                 {"artifacts": sorted(ledger)}, sort_keys=True, indent=1
             )
-            self._write_atomic(self._ledger_path, payload + "\n")
+            replace_file(self._ledger_path, (payload + "\n").encode("utf-8"))
             span.annotate(weeks=len(deltas), records=records)
             telemetry.registry.counter("index.artifacts_folded").inc()
             telemetry.registry.counter("index.weeks_merged").inc(len(deltas))
@@ -169,7 +170,7 @@ class WeekIndexer:
         if fingerprint in current.artifacts:
             return False
         current.merge(delta.state())
-        self._write_atomic(self.week_path(week), current.to_json())
+        replace_file(self.week_path(week), current.to_json().encode("utf-8"))
         return True
 
     # -- ledger --------------------------------------------------------
@@ -219,11 +220,6 @@ class WeekIndexer:
         return combine_weeks(summary for summary in loaded if summary is not None)
 
     # -- internals -----------------------------------------------------
-
-    def _write_atomic(self, path: Path, text: str) -> None:
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
 
     def _fault(self, event: str) -> None:
         if self._fault_hook is not None:

@@ -29,6 +29,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro._util.files import replace_file
 from repro.artifacts.cbr import _read_head
 from repro.telemetry import Telemetry
 
@@ -85,9 +86,7 @@ class SpoolStore:
                 fingerprint=fingerprint, path=path, size=len(payload), new=False
             )
         registry.counter("spool.bytes").inc(len(payload))
-        tmp = path.with_suffix(".tmp")
-        tmp.write_bytes(payload)
-        os.replace(tmp, path)
+        replace_file(path, payload)
         self._append_manifest(
             {
                 "event": "artifact",
