@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Per-PR perf gate: run the tier-1 tests, then the perf benchmarks
+# Per-PR perf gate: the determinism lint, the reachability census (fails
+# when reach.txt differs from the committed file), the tier-1 tests, then
+# the perf benchmarks
 # (telemetry, fault, profiler, and migration-resolver overhead; scan,
 # monitor, analyze/query throughput and API latency are
 # `python3 -m bench run --workload
@@ -16,6 +18,12 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== determinism lint =="
 python scripts/check_determinism_lint.py
+
+echo "== reachability census =="
+# reach.txt is committed: a function the entry points stop reaching, or
+# a row whose reason no longer holds, shows here as a diff to commit.
+python scripts/reach.py
+git diff --exit-code -- reach.txt
 
 echo "== tier-1 tests =="
 python -m pytest -x -q tests
@@ -41,7 +49,7 @@ records = list(dataset.connection_records())
 first = io.BytesIO()
 write_records_cbr(records, first)
 first.seek(0)
-decoded = list(CbrReader(first).iter_records())
+decoded = [record for batch in CbrReader(first).record_batches() for record in batch]
 if decoded != records:
     sys.exit("cbr round-trip identity FAILED: decoded records differ")
 second = io.BytesIO()

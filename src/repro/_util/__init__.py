@@ -1,7 +1,7 @@
 """Internal utilities shared across the :mod:`repro` package.
 
 These helpers are deliberately small and dependency-free: deterministic
-random-number handling, time-unit constants, and statistics primitives
+random-number handling, whole-file replacement, and statistics primitives
 used by both the simulator and the analysis pipeline.
 """
 
@@ -10,23 +10,16 @@ from repro._util.rng import derive_rng, fork_rng
 from repro._util.stats import (
     Histogram,
     binomial_pmf,
-    mean,
     percentile,
     weighted_choice,
 )
-from repro._util.units import MS_PER_SECOND, US_PER_MS, ms_to_seconds, seconds_to_ms
 
 __all__ = [
     "Histogram",
     "LogHistogram",
-    "MS_PER_SECOND",
-    "US_PER_MS",
     "binomial_pmf",
     "derive_rng",
     "fork_rng",
-    "mean",
-    "ms_to_seconds",
     "percentile",
-    "seconds_to_ms",
     "weighted_choice",
 ]

@@ -140,11 +140,6 @@ class LogHistogram:
         self.min_seen = min(self.min_seen, other.min_seen)
         self.max_seen = max(self.max_seen, other.max_seen)
 
-    @property
-    def mean(self) -> float | None:
-        """Exact arithmetic mean; ``None`` when empty."""
-        return self.total / self.count if self.count else None
-
     def percentile(self, q: float) -> float | None:
         """Approximate q-th percentile (``q`` in [0, 100]); ``None`` if empty.
 

@@ -21,22 +21,9 @@ __all__ = [
     "Histogram",
     "add_counts",
     "binomial_pmf",
-    "mean",
     "percentile",
     "weighted_choice",
 ]
-
-
-def mean(values: Iterable[float]) -> float:
-    """Arithmetic mean; raises :class:`ValueError` on an empty input."""
-    total = 0.0
-    count = 0
-    for value in values:
-        total += value
-        count += 1
-    if count == 0:
-        raise ValueError("mean() of an empty sequence")
-    return total / count
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -162,25 +149,6 @@ class Histogram:
         if total == 0:
             return [0.0] * len(self.counts)
         return [count / total for count in self.counts]
-
-    def fraction_below(self, edge: float) -> float:
-        """Fraction of observations strictly below ``edge``.
-
-        ``edge`` must coincide with a bin boundary; this is how the
-        paper-style summary statements ("x % of connections are within
-        25 ms") are computed from the histogram.
-        """
-        if edge not in self.edges:
-            raise ValueError(f"{edge} is not a bin edge of this histogram")
-        total = self.total
-        if total == 0:
-            return 0.0
-        index = list(self.edges).index(edge)
-        return (self.underflow + sum(self.counts[:index])) / total
-
-    def fraction_at_least(self, edge: float) -> float:
-        """Fraction of observations at or above ``edge`` (a bin boundary)."""
-        return 1.0 - self.fraction_below(edge)
 
     def merge(self, other: "Histogram") -> None:
         """Add ``other``'s bins in; its edges must be these edges."""

@@ -56,21 +56,6 @@ class OrgTable:
     other: OrgRow
     all_rows: list[OrgRow]
 
-    def row(self, org_name: str) -> OrgRow:
-        """Find a named organization's row (raises if absent)."""
-        for row in self.all_rows:
-            if row.org_name == org_name:
-                return row
-        raise KeyError(f"no organization named {org_name!r} in the table")
-
-    @property
-    def total_connections(self) -> int:
-        return sum(row.total_connections for row in self.all_rows)
-
-    @property
-    def total_spin_connections(self) -> int:
-        return sum(row.spin_connections for row in self.all_rows)
-
 
 class OrgFold:
     """Streaming accumulator behind :func:`organization_table`.

@@ -142,12 +142,6 @@ class ComplianceHistogram:
         spun = sum(k * count for k, count in enumerate(self.counts, 1))
         return 1.0 - spun / (self.n_weeks * considered)
 
-    def observed_cumulative_at_most(self, k: int) -> float:
-        """Observed share of domains spinning in at most ``k`` weeks."""
-        if not 1 <= k <= self.n_weeks:
-            raise ValueError(f"k must be in [1, {self.n_weeks}]")
-        return sum(self.observed_shares[:k])
-
 
 def rfc_reference_shares(n_weeks: int, disable_one_in_n: int) -> list[float]:
     """Expected shares for a compliant endpoint, conditioned on k >= 1.

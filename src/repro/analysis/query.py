@@ -161,9 +161,6 @@ class Predicate:
 
     def prune(self, zone: dict) -> bool:
         """``True`` only when ``zone`` proves no record can match."""
-        return False
-
-    def fields(self) -> frozenset[str]:
         raise NotImplementedError
 
     @property
@@ -211,9 +208,6 @@ class Eq(Predicate):
             return _zone_excludes_values(zone, "week", [week_serial(self.value)])
         return _zone_excludes_values(zone, self.name, [self.value])
 
-    def fields(self) -> frozenset[str]:
-        return frozenset({self.name})
-
     def point_domains(self) -> frozenset[str] | None:
         if self.name == "domain":
             return frozenset({self.value})
@@ -244,9 +238,6 @@ class In(Predicate):
         else:
             values = list(self.values)
         return _zone_excludes_values(zone, self.name, values)
-
-    def fields(self) -> frozenset[str]:
-        return frozenset({self.name})
 
     def point_domains(self) -> frozenset[str] | None:
         if self.name == "domain":
@@ -314,9 +305,6 @@ class Between(Predicate):
             return all(not low <= value <= high for value in members)
         return False  # status: residual-only
 
-    def fields(self) -> frozenset[str]:
-        return frozenset({self.name})
-
 
 @dataclass(frozen=True)
 class Present(Predicate):
@@ -338,9 +326,6 @@ class Present(Predicate):
             return "w" in zone and zone["w"] is None
         return False
 
-    def fields(self) -> frozenset[str]:
-        return frozenset({self.name})
-
 
 @dataclass(frozen=True)
 class And(Predicate):
@@ -361,9 +346,6 @@ class And(Predicate):
     def prune(self, zone: dict) -> bool:
         # One clause proving emptiness is enough for the conjunction.
         return any(clause.prune(zone) for clause in self.clauses)
-
-    def fields(self) -> frozenset[str]:
-        return frozenset().union(*(clause.fields() for clause in self.clauses))
 
     def point_domains(self) -> frozenset[str] | None:
         restricted = [

@@ -115,7 +115,6 @@ __all__ = [
     "RecordBatch",
     "bloom_might_contain",
     "concat_frames",
-    "domain_hash",
     "read_footer",
     "week_serial",
     "write_records_cbr",
@@ -386,11 +385,6 @@ def _domain_hash_bytes(name: str) -> bytes:
     return hashlib.sha256(b"cbr-dhash\x00" + name.encode("utf-8")).digest()[
         :_INDEX_HASH_SIZE
     ]
-
-
-def domain_hash(name: str) -> str:
-    """Seeded 40-bit domain hash keying the secondary index (hex)."""
-    return _domain_hash_bytes(name).hex()
 
 
 def _index_rows_lookup(rows: bytes, key: bytes) -> list[int]:
@@ -1644,10 +1638,6 @@ class CbrReader(_ChunkReader):
                 continue
             self.records_read += len(records)
             yield domains
-
-    def iter_records(self) -> Iterator[ConnectionRecord]:
-        for batch in self.record_batches():
-            yield from batch
 
 
 class CbrIndexedReader(_ChunkReader):

@@ -58,17 +58,14 @@ class CalendarWeek:
 
 @dataclass(frozen=True)
 class Campaign:
-    """A measurement campaign: weekly IPv4 scans, selected-week IPv6."""
+    """A measurement campaign: one scan per calendar week, first to last."""
 
     first: CalendarWeek
     last: CalendarWeek
-    ipv6_every_n_weeks: int = 4
 
     def __post_init__(self) -> None:
         if self.last < self.first:
             raise ValueError("campaign ends before it starts")
-        if self.ipv6_every_n_weeks < 1:
-            raise ValueError("ipv6_every_n_weeks must be >= 1")
 
     def weeks(self) -> list[CalendarWeek]:
         """All IPv4 measurement weeks, in order."""
@@ -76,14 +73,6 @@ class Campaign:
         while result[-1] < self.last:
             result.append(result[-1].next())
         return result
-
-    def ipv6_weeks(self) -> list[CalendarWeek]:
-        """The selected weeks with an additional IPv6 measurement."""
-        weeks = self.weeks()
-        selected = weeks[:: self.ipv6_every_n_weeks]
-        if weeks[-1] not in selected:
-            selected.append(weeks[-1])
-        return selected
 
     def select_spread_weeks(self, n: int) -> list[CalendarWeek]:
         """``n`` measurement weeks spread evenly across the campaign.

@@ -20,7 +20,6 @@ from repro.core.heuristics import (
 )
 from repro.core.metrics import (
     AccuracyResult,
-    absolute_difference_ms,
     compare_means,
     mapped_ratio,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "SpinTomographyObserver",
     "VecObserver",
     "VecSenderState",
-    "absolute_difference_ms",
     "classify_connection",
     "classify_domain",
     "compare_means",

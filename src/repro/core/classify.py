@@ -36,11 +36,6 @@ class SpinBehaviour(Enum):
     GREASE = "grease"
     NO_PACKETS = "no_packets"
 
-    @property
-    def shows_activity(self) -> bool:
-        """Spin activity in the Table 1 sense (both values seen)."""
-        return self in (SpinBehaviour.SPIN, SpinBehaviour.GREASE)
-
 
 def classify_connection(
     observation: SpinObservation, stack_rtts_ms: Sequence[float]

@@ -130,11 +130,6 @@ class FlowTableStats:
     peak_flows: int = 0
     idle_sweeps: int = 0
 
-    @property
-    def flows_retired(self) -> int:
-        """Flows that left the table (evicted + expired)."""
-        return self.flows_evicted + self.flows_expired
-
     def as_dict(self) -> dict:
         """JSON-serializable counter block (snapshot export)."""
         return asdict(self)
@@ -242,11 +237,6 @@ class SpinFlowTable:
         self._window_end_ms = float("inf" if on_window is None else "-inf")
         #: min(next sweep, window end): the one test a datagram pays.
         self._deadline_ms = float("-inf")
-
-    @property
-    def parse_errors(self) -> int:
-        """Undecodable datagrams seen so far (alias of ``stats``)."""
-        return self.stats.parse_errors
 
     def on_server_datagram(
         self, time_ms: float, data: bytes, tuple4: tuple | None = None

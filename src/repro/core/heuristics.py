@@ -27,7 +27,6 @@ __all__ = [
     "DynamicThresholdFilter",
     "PacketNumberFilter",
     "StaticThresholdFilter",
-    "apply_filters",
 ]
 
 
@@ -69,22 +68,11 @@ class DynamicThresholdFilter:
         if not 0.0 < self.fraction < 1.0:
             raise ValueError("fraction must be in (0, 1)")
 
-    def filter_edges(self, edges: Sequence[SpinEdge]) -> list[SpinEdge]:
-        """Return the edges that survive the hold time."""
-        accepted: list[SpinEdge] = []
-        estimate_ms: float | None = None
-        for edge in edges:
-            if accepted:
-                interval = edge.time_ms - accepted[-1].time_ms
-                if estimate_ms is not None and interval < self.fraction * estimate_ms:
-                    continue
-                estimate_ms = interval
-            accepted.append(edge)
-        return accepted
-
     def accepted_intervals(self, times_ms: Sequence[float]) -> list[float]:
-        """:meth:`filter_edges` by arrival time alone, as RTT samples:
-        each surviving edge's interval to the one accepted before it."""
+        """RTT samples of the edges arriving at ``times_ms`` that survive
+        the hold time: each one's interval to the edge accepted before it.
+        An edge closer than ``fraction`` of the running estimate to the
+        last accepted one is dropped."""
         intervals: list[float] = []
         fraction = self.fraction
         last_ms = times_ms[0] if times_ms else 0.0
@@ -124,14 +112,3 @@ class PacketNumberFilter:
             highest = packet_number
             kept.append((time_ms, packet_number, spin))
         return kept
-
-
-def apply_filters(
-    rtts_ms: Sequence[float],
-    static_filter: StaticThresholdFilter | None = None,
-) -> list[float]:
-    """Apply the default RFC 9312 sample-level filtering chain."""
-    samples = list(rtts_ms)
-    if static_filter is not None:
-        samples = static_filter.filter_rtts(samples)
-    return samples

@@ -18,16 +18,10 @@ from typing import NamedTuple, Sequence
 
 __all__ = [
     "AccuracyResult",
-    "absolute_difference_ms",
     "compare_means",
     "mapped_ratio",
     "mean_accuracy",
 ]
-
-
-def absolute_difference_ms(spin_mean_ms: float, quic_mean_ms: float) -> float:
-    """Figure 3's metric: ``spin - QUIC`` in milliseconds."""
-    return spin_mean_ms - quic_mean_ms
 
 
 def mapped_ratio(spin_mean_ms: float, quic_mean_ms: float) -> float:
@@ -71,17 +65,6 @@ class AccuracyResult(NamedTuple):
     quic_mean_ms: float
     absolute_ms: float
     ratio: float
-
-    @property
-    def overestimates(self) -> bool:
-        """Whether the spin bit overestimates the stack RTT."""
-        return self.absolute_ms > 0
-
-    def within_factor(self, factor: float) -> bool:
-        """Whether the ratio magnitude is at most ``factor``."""
-        if factor < 1.0:
-            raise ValueError("factor must be >= 1")
-        return abs(self.ratio) <= factor
 
 
 def compare_means(

@@ -85,10 +85,6 @@ class SpinObservation:
     def all_one(self) -> bool:
         return self.values_seen == {True}
 
-    def reordering_changed_result(self) -> bool:
-        """Whether the R and S sample series differ at all."""
-        return self.rtts_received_ms != self.rtts_sorted_ms
-
 
 class SpinObserver:
     """Incremental single-direction spin observer.

@@ -114,11 +114,6 @@ class SpinBitState:
             return bool(self._rng.getrandbits(1))
         return self._connection_value
 
-    @property
-    def largest_received_pn(self) -> int | None:
-        """Highest packet number processed so far (None before any)."""
-        return self._largest_received_pn
-
 
 @dataclass(frozen=True, slots=True)
 class SpinDeploymentConfig:

@@ -126,14 +126,6 @@ class SpinTomographyObserver:
             observer.on_packet(time_ms, vec)
         return observer.rtts_ms()
 
-    def upstream_rtts_ms(self) -> list[float]:
-        """Observer → server → observer components."""
-        return [sample.upstream_ms for sample in self.samples]
-
-    def downstream_rtts_ms(self) -> list[float]:
-        """Observer → client → observer components."""
-        return [sample.downstream_ms for sample in self.samples]
-
     # ------------------------------------------------------------------
 
     def _read_short(self, data: bytes, state: _SpinDirection):

@@ -24,7 +24,6 @@ from repro.faults.breaker import (
     BreakerPass,
     BreakerPolicy,
     CircuitBreaker,
-    apply_circuit_breaker,
 )
 from repro.faults.checkpoint import (
     CheckpointError,
@@ -46,14 +45,12 @@ from repro.faults.spec import (
     corrupt_datagram_stream,
     parse_fault_plan,
     truncate_jsonl_line,
-    truncate_jsonl_lines,
 )
 from repro.faults.taxonomy import (
     RETRYABLE_KINDS,
     FailureFold,
     FailureKind,
     classify_exchange,
-    failure_summary,
     render_failure_table,
 )
 
@@ -75,15 +72,12 @@ __all__ = [
     "ResilienceConfig",
     "RetryPolicy",
     "VN_FAULT_VERSION",
-    "apply_circuit_breaker",
     "classify_exchange",
     "corrupt_datagram_stream",
     "encode_domain_results",
-    "failure_summary",
     "parse_fault_plan",
     "render_failure_table",
     "results_from_cbr_payload",
     "scan_fingerprint",
     "truncate_jsonl_line",
-    "truncate_jsonl_lines",
 ]

@@ -22,12 +22,11 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
 from repro.faults.taxonomy import FailureKind
-from repro.telemetry import Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.web.scanner import DomainScanResult
 
-__all__ = ["BreakerPass", "BreakerPolicy", "CircuitBreaker", "apply_circuit_breaker"]
+__all__ = ["BreakerPass", "BreakerPolicy", "CircuitBreaker"]
 
 
 @dataclass(frozen=True)
@@ -54,10 +53,6 @@ class CircuitBreaker:
         self._half_open = False
         self.trips = 0
         self.skipped = 0
-
-    @property
-    def is_open(self) -> bool:
-        return self._skips_remaining > 0
 
     def allows(self) -> bool:
         """Whether the next attempt may proceed; counts a skip if not."""
@@ -166,21 +161,3 @@ class BreakerPass:
                 telemetry.registry.counter(
                     "scan.breaker_skipped", provider=key
                 ).inc(breaker.skipped)
-
-
-def apply_circuit_breaker(
-    results: list["DomainScanResult"],
-    policy: BreakerPolicy,
-    key_of: Callable[["DomainScanResult"], str],
-    telemetry=None,
-) -> dict[str, CircuitBreaker]:
-    """Run a whole :class:`BreakerPass` over a merged result list.
-
-    Skipped entries of ``results`` are replaced by their short-circuited
-    copies.  Returns the per-key breakers so callers can inspect trip
-    counts.
-    """
-    run = BreakerPass(policy, key_of)
-    results[:] = [run.step(result) for result in results]
-    run.flush(Telemetry.resolve(telemetry))
-    return run.breakers

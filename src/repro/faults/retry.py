@@ -49,7 +49,3 @@ class RetryPolicy:
         if self.jitter_fraction:
             delay += delay * self.jitter_fraction * rng.random()
         return delay
-
-    def schedule_ms(self, rng: random.Random) -> list[float]:
-        """The full backoff schedule a maximally-retrying exchange sees."""
-        return [self.delay_ms(index, rng) for index in range(self.max_attempts - 1)]

@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from repro._util.rng import derive_rng
 
@@ -45,7 +45,6 @@ __all__ = [
     "corrupt_datagram_stream",
     "parse_fault_plan",
     "truncate_jsonl_line",
-    "truncate_jsonl_lines",
 ]
 
 #: A reserved-looking wire version (0x?a?a?a?a pattern, RFC 9000 15) no
@@ -114,12 +113,6 @@ class FaultSpec:
             return self.magnitude
         return DEFAULT_MAGNITUDES.get(self.kind)
 
-    def to_string(self) -> str:
-        spell = f"{self.kind.value}:{self.probability:g}"
-        if self.magnitude is not None:
-            spell += f":{self.magnitude:g}"
-        return spell
-
 
 @dataclass(frozen=True)
 class BurstLossImpairment:
@@ -155,7 +148,7 @@ class DrawnFaults:
 
     Only the scan-side kinds appear here; ``qlog-truncate`` applies at
     export time and ``corrupt-datagram`` at the monitor's tap, each from
-    their own derived stream (see :func:`truncate_jsonl_lines` and
+    their own derived stream (see :func:`truncate_jsonl_line` and
     :func:`corrupt_datagram_stream`).
     """
 
@@ -205,9 +198,6 @@ class FaultPlan:
             if spec.kind is kind:
                 return spec
         return None
-
-    def to_string(self) -> str:
-        return ",".join(spec.to_string() for spec in self.specs)
 
     def draw(self, rng: random.Random) -> DrawnFaults:
         """Roll the plan once (one domain's faults) from ``rng``."""
@@ -300,20 +290,6 @@ def truncate_jsonl_line(
     if rng.random() < spec.probability and len(line) > 2:
         return line[: max(1, int(len(line) * rng.uniform(0.2, 0.9)))]
     return line
-
-
-def truncate_jsonl_lines(
-    lines: Sequence[str], plan: "FaultPlan | None", seed: int | str
-) -> tuple[list[str], int]:
-    """:func:`truncate_jsonl_line` over a whole export.
-
-    Returns ``(lines, truncated_count)``.
-    """
-    out = [
-        truncate_jsonl_line(line, index, plan, seed)
-        for index, line in enumerate(lines)
-    ]
-    return out, sum(len(cut) < len(line) for cut, line in zip(out, lines))
 
 
 def corrupt_datagram_stream(

@@ -15,7 +15,7 @@ renders the per-kind summary.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro._util.stats import add_counts
 
@@ -24,7 +24,6 @@ __all__ = [
     "FailureFold",
     "FailureKind",
     "classify_exchange",
-    "failure_summary",
     "render_failure_table",
 ]
 
@@ -95,7 +94,7 @@ def classify_exchange(exchange) -> FailureKind | None:
 
 
 class FailureFold:
-    """Streaming accumulator behind :func:`failure_summary`.
+    """Connection outcomes by failure kind (``repro analyze --section failures``).
 
     Failed records without a recorded kind (pre-taxonomy datasets)
     count as ``unclassified``.
@@ -142,7 +141,7 @@ class FailureFold:
         add_counts(self._counts, state.get("failure_kinds"))
 
     def finish(self) -> dict:
-        """The :func:`failure_summary` dict, kinds in stable enum order."""
+        """``{total, succeeded, failed, kinds}``, kinds in stable enum order."""
         ordered = dict(
             sorted(
                 self._counts.items(),
@@ -155,21 +154,6 @@ class FailureFold:
             "failed": self._total - self._succeeded,
             "kinds": ordered,
         }
-
-
-def failure_summary(records: Iterable) -> dict:
-    """Count connection outcomes by kind, in stable enum order.
-
-    ``records`` are :class:`~repro.web.scanner.ConnectionRecord` objects
-    (live or loaded from an artifact).
-    """
-    records = list(records)
-    fold = FailureFold()
-    fold.update_columns(
-        [record.success for record in records],
-        [getattr(record, "failure", None) for record in records],
-    )
-    return fold.finish()
 
 
 def render_failure_table(summary: dict) -> str:

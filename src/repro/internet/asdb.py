@@ -107,12 +107,9 @@ class AsDatabase:
             for version, slice_bits in ((4, _SLICE_HOST_BITS_V4), (6, _SLICE_HOST_BITS_V6))
         }
 
-    def lookup(self, ip: IpAddr) -> AsEntry | None:
-        """Map an IP to its AS entry, or ``None`` if unrouted."""
-        return self.lookup_value(ip.value, ip.version)
-
     def lookup_value(self, value: int, version: int) -> AsEntry | None:
-        """:meth:`lookup` for an address held as integer and version."""
+        """Map an address, held as integer and version, to its AS entry
+        (``None`` if unrouted)."""
         for shift, table in self._tables[version]:
             record = table.get(value >> shift)
             if record is not None:

@@ -293,13 +293,6 @@ class Population:
             self._domains = self.materialize_range(0, self.domain_count)
         return self._domains
 
-    def domain_at(self, index: int) -> DomainRecord:
-        if not 0 <= index < self.domain_count:
-            raise IndexError(
-                f"domain index {index} outside population of {self.domain_count}"
-            )
-        return self.materialize_range(index, index + 1)[0]
-
     def materialize_range(self, start: int, stop: int) -> list[DomainRecord]:
         """The domains at positions ``[start, stop)``, from their blocks."""
         start, stop = max(0, start), min(stop, self.domain_count)

@@ -9,10 +9,7 @@ from repro.netsim.clock import SimClock
 from repro.netsim.delays import (
     ConstantDelay,
     DelayModel,
-    ExponentialDelay,
     LogNormalDelay,
-    ParetoDelay,
-    ShiftedDelay,
     UniformDelay,
 )
 from repro.netsim.events import Simulator
@@ -37,7 +34,6 @@ __all__ = [
     "ConstantDelay",
     "DelayModel",
     "DrawnMigration",
-    "ExponentialDelay",
     "LogNormalDelay",
     "MigrationKind",
     "MigrationPlan",
@@ -45,8 +41,6 @@ __all__ = [
     "Path",
     "PathProfile",
     "PathStats",
-    "ParetoDelay",
-    "ShiftedDelay",
     "SimClock",
     "Simulator",
     "TcpFlowSpec",

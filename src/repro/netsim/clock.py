@@ -30,6 +30,3 @@ class SimClock:
                 f"clock cannot move backwards: {time_ms} < {self._now_ms}"
             )
         self._now_ms = time_ms
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SimClock(now_ms={self._now_ms:.3f})"

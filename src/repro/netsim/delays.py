@@ -17,10 +17,7 @@ from dataclasses import dataclass
 __all__ = [
     "ConstantDelay",
     "DelayModel",
-    "ExponentialDelay",
     "LogNormalDelay",
-    "ParetoDelay",
-    "ShiftedDelay",
     "UniformDelay",
 ]
 
@@ -32,7 +29,7 @@ class DelayModel:
         raise NotImplementedError
 
     def mean_ms(self) -> float:  # pragma: no cover - abstract
-        """Expected value, used by calibration sanity checks."""
+        """Expected value (the shard cost model's pace of a path)."""
         raise NotImplementedError
 
 
@@ -47,9 +44,6 @@ class ConstantDelay(DelayModel):
             raise ValueError("delay must be non-negative")
 
     def sample(self, rng: random.Random) -> float:
-        return self.value_ms
-
-    def mean_ms(self) -> float:
         return self.value_ms
 
 
@@ -69,23 +63,6 @@ class UniformDelay(DelayModel):
 
     def mean_ms(self) -> float:
         return (self.low_ms + self.high_ms) / 2.0
-
-
-@dataclass(frozen=True)
-class ExponentialDelay(DelayModel):
-    """Exponential delay with the given mean; memoryless queueing noise."""
-
-    mean_value_ms: float
-
-    def __post_init__(self) -> None:
-        if self.mean_value_ms <= 0:
-            raise ValueError("mean must be positive")
-
-    def sample(self, rng: random.Random) -> float:
-        return rng.expovariate(1.0 / self.mean_value_ms)
-
-    def mean_ms(self) -> float:
-        return self.mean_value_ms
 
 
 @dataclass(frozen=True)
@@ -109,51 +86,3 @@ class LogNormalDelay(DelayModel):
 
     def sample(self, rng: random.Random) -> float:
         return rng.lognormvariate(math.log(self.median_ms), self.sigma)
-
-    def mean_ms(self) -> float:
-        return self.median_ms * math.exp(self.sigma**2 / 2.0)
-
-
-@dataclass(frozen=True)
-class ParetoDelay(DelayModel):
-    """Pareto delay with scale ``minimum_ms`` and shape ``alpha``.
-
-    Used for the long-tail component of shared-hosting response times;
-    ``alpha`` must exceed 1 for a finite mean.
-    """
-
-    minimum_ms: float
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if self.minimum_ms <= 0:
-            raise ValueError("minimum must be positive")
-        if self.alpha <= 1.0:
-            raise ValueError("alpha must exceed 1 for a finite mean")
-
-    def sample(self, rng: random.Random) -> float:
-        return self.minimum_ms * rng.paretovariate(self.alpha)
-
-    def mean_ms(self) -> float:
-        return self.minimum_ms * self.alpha / (self.alpha - 1.0)
-
-
-@dataclass(frozen=True)
-class ShiftedDelay(DelayModel):
-    """A base distribution shifted by a constant offset.
-
-    Handy for "at least the kernel/NIC latency plus noise" compositions.
-    """
-
-    offset_ms: float
-    base: DelayModel
-
-    def __post_init__(self) -> None:
-        if self.offset_ms < 0:
-            raise ValueError("offset must be non-negative")
-
-    def sample(self, rng: random.Random) -> float:
-        return self.offset_ms + self.base.sample(rng)
-
-    def mean_ms(self) -> float:
-        return self.offset_ms + self.base.mean_ms()

@@ -64,11 +64,6 @@ class MigrationKind(Enum):
     PATH_MIGRATION = "path-migration"
 
     @property
-    def linkable(self) -> bool:
-        """Whether a CID-linkage observer can keep one flow identity."""
-        return self is not MigrationKind.PATH_MIGRATION
-
-    @property
     def changes_tuple(self) -> bool:
         return self is not MigrationKind.CID_ROTATION
 
@@ -135,10 +130,6 @@ class DrawnMigration:
     at_ms: float
     new_client_addr: tuple[str, int] | None = None
 
-    @property
-    def linkable(self) -> bool:
-        return self.kind.linkable
-
 
 #: Draw order is fixed to enum declaration order, never plan order, so
 #: two spellings of the same plan yield identical outcomes per seed.
@@ -161,12 +152,6 @@ class MigrationPlan:
     @property
     def is_empty(self) -> bool:
         return not any(spec.probability > 0.0 for spec in self.specs)
-
-    def spec(self, kind: MigrationKind) -> MigrationSpec | None:
-        for spec in self.specs:
-            if spec.kind is kind:
-                return spec
-        return None
 
     def to_string(self) -> str:
         return ",".join(spec.to_string() for spec in self.specs)

@@ -41,7 +41,7 @@ from repro.quic.packet_number import (
 from repro.quic.rtt import RttEstimator, RttSample
 from repro.quic.transport_params import TransportParameters, decode_transport_parameters
 from repro.quic.varint import decode_varint, encode_varint
-from repro.quic.version import SUPPORTED_VERSIONS, QuicVersion, is_spin_capable_version
+from repro.quic.version import SUPPORTED_VERSIONS, QuicVersion
 
 __all__ = [
     "AckFrame",
@@ -80,7 +80,6 @@ __all__ = [
     "encode_frames",
     "encode_packet_number",
     "encode_varint",
-    "is_spin_capable_version",
     "packet_number_length",
     "parse_header",
     "short_header_fields",

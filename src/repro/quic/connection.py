@@ -313,10 +313,6 @@ class QuicEndpoint:
         """Connect the endpoint's output to a path's ``send``."""
         self.transport = send
 
-    def set_remote_cid(self, cid: ConnectionId) -> None:
-        """Learn the peer's connection ID (from the handshake exchange)."""
-        self.remote_cid = cid
-
     # ------------------------------------------------------------------
     # Client-side handshake initiation
     # ------------------------------------------------------------------

@@ -55,6 +55,3 @@ class ConnectionId:
     def hex(self) -> str:
         """Hexadecimal rendering used in qlog output."""
         return self.value.hex()
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.hex or "(empty)"

@@ -80,10 +80,6 @@ class PacketType(Enum):
     ONE_RTT = "1RTT"
     VERSION_NEGOTIATION = "version_negotiation"
 
-    @property
-    def is_long_header(self) -> bool:
-        return self is not PacketType.ONE_RTT
-
 
 _LONG_TYPE_TO_PACKET_TYPE = {
     LongPacketType.INITIAL: PacketType.INITIAL,

@@ -90,18 +90,3 @@ class RttEstimator:
         )
         self.samples.append(sample)
         return sample
-
-    @property
-    def has_sample(self) -> bool:
-        """Whether at least one RTT sample has been taken."""
-        return self._has_sample
-
-    def adjusted_rtts(self) -> list[float]:
-        """All adjusted RTT samples in ms — the paper's *QUIC* series."""
-        return [sample.adjusted_rtt_ms for sample in self.samples]
-
-    def mean_rtt_ms(self) -> float:
-        """Mean of the adjusted samples (the per-connection *QUIC* mean)."""
-        if not self.samples:
-            raise ValueError("no RTT samples recorded")
-        return sum(s.adjusted_rtt_ms for s in self.samples) / len(self.samples)

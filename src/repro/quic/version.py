@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from enum import IntEnum
 
-__all__ = ["QuicVersion", "SUPPORTED_VERSIONS", "is_spin_capable_version"]
+__all__ = ["QuicVersion", "SUPPORTED_VERSIONS"]
 
 
 class QuicVersion(IntEnum):
@@ -25,11 +25,6 @@ class QuicVersion(IntEnum):
     # Version negotiation packets carry version 0; kept for completeness.
     NEGOTIATION = 0x00000000
 
-    @property
-    def is_draft(self) -> bool:
-        """True for pre-RFC draft versions (0xff00001b .. 0xff000022)."""
-        return (int(self) & 0xFF000000) == 0xFF000000
-
 
 #: Versions the scanner offers during the handshake, in preference order
 #: (QUIC v1 first, matching the paper's quic-go configuration).
@@ -40,17 +35,3 @@ SUPPORTED_VERSIONS: tuple[QuicVersion, ...] = (
     QuicVersion.DRAFT_29,
     QuicVersion.DRAFT_27,
 )
-
-
-def is_spin_capable_version(version: int) -> bool:
-    """Whether the latency spin bit is defined for ``version``.
-
-    The spin bit was introduced in draft-ietf-quic-transport and is part
-    of QUIC v1; for all versions the paper's scanner negotiates, the
-    first bit after the key-phase layout of short headers carries it.
-    """
-    try:
-        parsed = QuicVersion(version)
-    except ValueError:
-        return False
-    return parsed is not QuicVersion.NEGOTIATION

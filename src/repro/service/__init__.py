@@ -27,7 +27,6 @@ from repro.service.daemon import (
     CampaignDaemon,
     Scheduler,
     ServiceConfig,
-    SimulatedClock,
     WallClock,
 )
 from repro.service.indexer import WeekIndexer
@@ -39,7 +38,6 @@ __all__ = [
     "Scheduler",
     "ServiceConfig",
     "ServiceState",
-    "SimulatedClock",
     "SpoolEntry",
     "SpoolStore",
     "WallClock",

@@ -21,8 +21,8 @@ idempotent or checkpointed by an existing layer —
   exactly the missing weeks.
 
 Scheduling is clock-agnostic: :class:`Scheduler` paces ticks through a
-pluggable clock.  Tests drive a :class:`SimulatedClock`; the ``repro
-serve`` loop is the one place the service touches the wall clock, with
+pluggable clock.  Tests drive one where sleeping advances time; the
+``repro serve`` loop is the one place the service touches the wall clock, with
 the determinism-lint pragmas marking that boundary.
 """
 
@@ -43,7 +43,6 @@ __all__ = [
     "CampaignDaemon",
     "Scheduler",
     "ServiceConfig",
-    "SimulatedClock",
     "WallClock",
 ]
 
@@ -277,21 +276,6 @@ class CampaignDaemon:
         return self._fingerprints[week.label]
 
 
-class SimulatedClock:
-    """Deterministic clock for scheduler tests: sleeping advances time."""
-
-    def __init__(self) -> None:
-        self.now_s = 0.0
-        self.sleeps: list[float] = []
-
-    def monotonic(self) -> float:
-        return self.now_s
-
-    def sleep(self, seconds: float) -> None:
-        self.sleeps.append(seconds)
-        self.now_s += seconds
-
-
 class WallClock:
     """The real clock — only the serve loop runs on it, never analysis."""
 
@@ -307,19 +291,15 @@ class WallClock:
 
 
 class Scheduler:
-    """Paces daemon ticks on a fixed cadence through a pluggable clock."""
+    """Paces daemon ticks on a fixed cadence through a pluggable clock:
+    anything with ``monotonic()`` and ``sleep(seconds)``."""
 
-    def __init__(
-        self,
-        daemon: CampaignDaemon,
-        interval_s: float,
-        clock=None,
-    ) -> None:
+    def __init__(self, daemon: CampaignDaemon, interval_s: float, clock) -> None:
         if interval_s <= 0:
             raise ValueError("tick interval must be positive")
         self.daemon = daemon
         self.interval_s = interval_s
-        self.clock = clock if clock is not None else SimulatedClock()
+        self.clock = clock
         self.ticks = 0
 
     def run(

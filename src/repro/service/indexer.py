@@ -77,19 +77,15 @@ class WeekIndexer:
 
     # -- folding -------------------------------------------------------
 
-    def fold_artifact(self, path: str | os.PathLike, fingerprint: str) -> bool:
+    def _fold(self, path: str | os.PathLike, fingerprint: str, ledger: set[str]) -> bool:
         """Fold one artifact into the week summaries; ``True`` if folded.
 
-        Returns ``False`` when the ledger already lists ``fingerprint``
-        — the duplicate-submission no-op.  Partially folded artifacts
-        (crash before the ledger write) re-enter here and finish only
-        their missing weeks.
+        Returns ``False`` when ``ledger`` (read by the caller) already
+        lists ``fingerprint`` — the duplicate-submission no-op.  Partially
+        folded artifacts (crash before the ledger write) re-enter here and
+        finish only their missing weeks.  The fingerprint joins ``ledger``
+        as it joins the file.
         """
-        return self._fold(path, fingerprint, self.ledger())
-
-    def _fold(self, path: str | os.PathLike, fingerprint: str, ledger: set[str]) -> bool:
-        """:meth:`fold_artifact` against a ledger already read; the
-        fingerprint joins ``ledger`` as it joins the file."""
         if fingerprint in ledger:
             return False
         telemetry = self.telemetry

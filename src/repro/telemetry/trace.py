@@ -66,10 +66,6 @@ class TraceRecord(NamedTuple):
     end_ms: float
     attrs: dict
 
-    @property
-    def name(self) -> str:
-        return self.path[-1]
-
 
 class OpenSpan:
     """An open span; becomes one :class:`TraceRecord` when it ends.

@@ -70,10 +70,6 @@ class ResponsePlan:
         if self.status in (301, 302, 307, 308) and not self.redirect_location:
             raise ValueError("a redirect response needs a location")
 
-    @property
-    def is_redirect(self) -> bool:
-        return self.redirect_location is not None
-
     def header_block(self) -> bytes:
         """The textual response head preceding the body bytes."""
         total = sum(self.write_sizes)
@@ -288,11 +284,6 @@ class ExchangeHandle:
     downlink: "Path"
     client_app: _ClientApp
     recorder: TraceRecorder | None
-
-    @property
-    def done(self) -> bool:
-        """Whether the client session completed all its requests."""
-        return self.client_app.done
 
 
 def build_exchange(

@@ -151,14 +151,6 @@ class ConnectionRecord:
         """Spin values 0 and 1 both seen (Table 1's Spin criterion)."""
         return self.observation.spins
 
-    @property
-    def spin_rtts_received_ms(self) -> list[float]:
-        return self.observation.rtts_received_ms
-
-    @property
-    def spin_rtts_sorted_ms(self) -> list[float]:
-        return self.observation.rtts_sorted_ms
-
 
 @dataclass(slots=True)
 class DomainScanResult:

@@ -129,11 +129,9 @@ class TestComplianceHistogram:
     def test_cumulative(self):
         histogram = ComplianceHistogram(n_weeks=3, counts=[1, 1, 2])
         assert histogram.considered_domains == 4
-        assert histogram.observed_cumulative_at_most(2) == pytest.approx(0.5)
+        assert sum(histogram.observed_shares[:2]) == pytest.approx(0.5)
         assert histogram.rfc9000_shares == rfc_reference_shares(3, 16)
         assert histogram.rfc9312_shares == rfc_reference_shares(3, 8)
-        with pytest.raises(ValueError):
-            histogram.observed_cumulative_at_most(0)
 
 
 class TestFoldAgainstOracle:

@@ -340,24 +340,18 @@ class TestOrganizationTable:
         assert table.top_rows[0].total_rank == 1
         assert table.top_rows[0].spin_connections == 0
         assert table.top_rows[0].spin_rank is None
-        hostinger = table.row("Hostinger")
+        hostinger = next(row for row in table.all_rows if row.org_name == "Hostinger")
         assert hostinger.spin_connections == 3
         assert hostinger.spin_share == 1.0
         assert hostinger.spin_rank == 1
-        assert table.total_connections == 8
+        assert sum(row.total_connections for row in table.all_rows) == 8
 
     def test_failed_connections_excluded(self):
         asdb = build_default_asdb()
         record = make_connection_record(spin_rtts=[], stack_rtts=[])
         record.success = False
         table = organization_table([record], asdb)
-        assert table.total_connections == 0
-
-    def test_unknown_org_lookup_raises(self):
-        asdb = build_default_asdb()
-        table = organization_table([], asdb)
-        with pytest.raises(KeyError):
-            table.row("Nonexistent Org")
+        assert table.all_rows == []
 
 
 class TestWebserverShares:

@@ -65,12 +65,6 @@ class TestCampaign:
         with pytest.raises(ValueError):
             campaign.select_spread_weeks(10)
 
-    def test_ipv6_weeks_subset(self):
-        ipv6 = DEFAULT_CAMPAIGN.ipv6_weeks()
-        all_weeks = set(DEFAULT_CAMPAIGN.weeks())
-        assert set(ipv6) <= all_weeks
-        assert DEFAULT_CAMPAIGN.weeks()[-1] in ipv6
-
     def test_invalid_campaign(self):
         with pytest.raises(ValueError):
             Campaign(CalendarWeek(2023, 10), CalendarWeek(2023, 5))

@@ -49,7 +49,7 @@ def encode(records, chunk_records: int = 128) -> bytes:
 
 def decode(payload: bytes, **kwargs) -> list:
     reader = CbrReader(io.BytesIO(payload), **kwargs)
-    return list(reader.iter_records())
+    return [record for batch in reader.record_batches() for record in batch]
 
 
 def artifact_view(records) -> list:
@@ -143,7 +143,7 @@ class TestCorruption:
     def test_truncated_stream_counts_one_error(self, scan_records):
         payload = encode(scan_records, chunk_records=32)
         reader = CbrReader(io.BytesIO(payload[: len(payload) // 2]), errors="count")
-        decoded = list(reader.iter_records())
+        decoded = [record for batch in reader.record_batches() for record in batch]
         assert reader.corrupt_chunks == 1
         assert 0 < len(decoded) < len(scan_records)
         assert decoded == artifact_view(scan_records[: len(decoded)])
@@ -154,7 +154,7 @@ class TestCorruption:
         # chunk header starts right after magic+version and frame byte.
         payload[len(CBR_MAGIC) + 1 + 1 + 13 + 20] ^= 0xFF
         reader = CbrReader(io.BytesIO(bytes(payload)), errors="count")
-        decoded = list(reader.iter_records())
+        decoded = [record for batch in reader.record_batches() for record in batch]
         assert reader.corrupt_chunks == 1
         assert decoded == artifact_view(scan_records[32:])
 

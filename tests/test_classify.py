@@ -29,11 +29,6 @@ class TestConnectionClassification:
         obs = make_observation([])
         assert classify_connection(obs, []) is SpinBehaviour.NO_PACKETS
 
-    def test_activity_flag(self):
-        assert SpinBehaviour.SPIN.shows_activity
-        assert SpinBehaviour.GREASE.shows_activity
-        assert not SpinBehaviour.ALL_ZERO.shows_activity
-
 
 class TestDomainClassification:
     def test_any_spin_connection_makes_domain_spin(self):

@@ -152,7 +152,7 @@ def bare_endpoint(config=ConnectionConfig(), policy=SpinPolicy.ALWAYS_ZERO, dcid
     endpoint = QuicEndpoint(
         simulator, EndpointRole.SERVER, config, policy, derive_rng(1, "bare")
     )
-    endpoint.set_remote_cid(ConnectionId(dcid))
+    endpoint.remote_cid = ConnectionId(dcid)
     endpoint.handshake_complete = endpoint.handshake_confirmed = True
     wire = []
     endpoint.attach_transport(wire.append)
@@ -221,7 +221,7 @@ def captured_exchange(server_config, loss=0.0, seed=3):
 
         endpoint.attach_transport(capture)
     simulator.run()
-    assert loss or (handle.done and handle.client.failed is None)
+    assert loss or (handle.client_app.done and handle.client.failed is None)
     return sent
 
 
@@ -380,7 +380,7 @@ class TestSendBody:
         )
         wire = []
         endpoint.attach_transport(wire.append)
-        endpoint.set_remote_cid(ConnectionId(dcid))
+        endpoint.remote_cid = ConnectionId(dcid)
         endpoint.local_cid = ConnectionId(scid)
         endpoint.version = version
         endpoint._retry_token = token
@@ -950,7 +950,7 @@ class TestBoundedState:
 
         sample()
         simulator.run()
-        assert handle.done and handle.client.failed is None
+        assert handle.client_app.done and handle.client.failed is None
         limit = ConnectionConfig().max_congestion_window_packets
         assert handle.server.spaces[PacketSpace.APPLICATION].next_pn > 1_600
         # Control packets (HANDSHAKE_DONE, PING) await their ACKs too but

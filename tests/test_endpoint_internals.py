@@ -223,6 +223,6 @@ class TestPacketCounts:
             profile, profile, derive_rng(2, "counts"), server_config=server_config,
         )
         simulator.run()
-        assert handle.done and handle.client.failed is None
+        assert handle.client_app.done and handle.client.failed is None
         client, server = handle.client.counts, handle.server.counts
         assert (server.sent, client.sent) == (client.received, server.received)

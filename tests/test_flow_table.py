@@ -97,7 +97,7 @@ class TestTableManagement:
     def test_garbage_counted(self):
         table = SpinFlowTable()
         table.on_server_datagram(0.0, b"\x01\x02")
-        assert table.parse_errors == 1
+        assert table.stats.parse_errors == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -206,7 +206,7 @@ class TestChurn:
         assert stats.short_header_packets == 2
         assert stats.parse_errors == 1
         assert stats.flows_created == 2
-        assert stats.flows_retired == 0
+        assert stats.flows_evicted == stats.flows_expired == 0
         assert len(seen) == 2
         assert seen[0][0] == ConnectionId(CID_A).hex
 
@@ -403,7 +403,7 @@ class TestResolverIntegration:
         )
         table.on_server_datagram(1.0, segment, self.TUPLE2)
         table.on_server_datagram(2.0, b"\x00\x01\x02", self.TUPLE2)
-        assert table.parse_errors == 1  # garbage only
+        assert table.stats.parse_errors == 1  # garbage only
         assert resolver.tcp_datagrams == 1
         assert resolver.quic_datagrams == 1
         assert resolver.unparseable_datagrams == 1
@@ -446,7 +446,7 @@ class TestCidRotation:
             downlink_tap=table.on_server_datagram,
             client_config=ConnectionConfig(rotate_cid_after_packets=4),
         )
-        assert handle.done and handle.client.failed is None
+        assert handle.client_app.done and handle.client.failed is None
         assert handle.client._cid_rotated
         # The client used two different DCIDs on the uplink ...
         assert len(uplink_cids) == 2

@@ -6,7 +6,6 @@ from repro.core.heuristics import (
     DynamicThresholdFilter,
     PacketNumberFilter,
     StaticThresholdFilter,
-    apply_filters,
 )
 from repro.core.observer import SpinEdge, SpinObserver
 
@@ -23,10 +22,6 @@ class TestStaticThreshold:
         with pytest.raises(ValueError):
             StaticThresholdFilter(-1.0)
 
-    def test_apply_filters_chain(self):
-        assert apply_filters([0.5, 40.0], StaticThresholdFilter(1.0)) == [40.0]
-        assert apply_filters([0.5, 40.0]) == [0.5, 40.0]
-
 
 class TestDynamicThreshold:
     def _edges(self, times):
@@ -36,8 +31,8 @@ class TestDynamicThreshold:
         # Steady 40 ms cycles, then a 1 ms spurious edge pair.
         times = [0.0, 40.0, 80.0, 81.0, 120.0]
         filt = DynamicThresholdFilter(fraction=0.125)
-        accepted = filt.filter_edges(self._edges(times))
-        assert [edge.time_ms for edge in accepted] == [0.0, 40.0, 80.0, 120.0]
+        # The edge at 81 ms is dropped; 120 ms counts from 80 ms.
+        assert filt.accepted_intervals(times) == [40.0, 40.0, 40.0]
 
     def test_rtts_from_filtered_edges(self):
         times = [0.0, 40.0, 80.0, 81.0, 120.0]
@@ -47,7 +42,7 @@ class TestDynamicThreshold:
     def test_accepts_all_regular_edges(self):
         times = [0.0, 30.0, 60.0, 90.0]
         filt = DynamicThresholdFilter(fraction=0.25)
-        assert len(filt.filter_edges(self._edges(times))) == 4
+        assert filt.accepted_intervals(times) == [30.0, 30.0, 30.0]
 
     def test_fraction_validated(self):
         with pytest.raises(ValueError):

@@ -26,7 +26,6 @@ class TestResponsePlan:
             write_sizes=(10,),
         )
         assert b"location: https://example.com/start" in plan.header_block()
-        assert plan.is_redirect
 
     def test_redirect_requires_location(self):
         with pytest.raises(ValueError):

@@ -4,19 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.metrics import (
-    absolute_difference_ms,
-    compare_means,
-    mapped_ratio,
-)
+from repro.core.metrics import compare_means, mapped_ratio
 
 
 class TestAbsoluteDifference:
     def test_overestimation_positive(self):
-        assert absolute_difference_ms(150.0, 50.0) == 100.0
+        assert compare_means([150.0], [50.0]).absolute_ms == 100.0
 
     def test_underestimation_negative(self):
-        assert absolute_difference_ms(30.0, 50.0) == -20.0
+        assert compare_means([30.0], [50.0]).absolute_ms == -20.0
 
 
 class TestMappedRatio:
@@ -46,14 +42,6 @@ class TestCompareMeans:
         assert result.quic_mean_ms == 50.0
         assert result.absolute_ms == 100.0
         assert result.ratio == 3.0
-        assert result.overestimates
-
-    def test_within_factor(self):
-        result = compare_means([60.0], [50.0])
-        assert result.within_factor(1.25)
-        assert not result.within_factor(1.1)
-        with pytest.raises(ValueError):
-            result.within_factor(0.5)
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):

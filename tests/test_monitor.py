@@ -99,7 +99,7 @@ class TestLogHistogram:
         for value in values:
             hist.add(value)
         assert hist.count == 1000
-        assert hist.mean == pytest.approx(500.5)
+        assert hist.summary()["mean_ms"] == pytest.approx(500.5)
         assert hist.min_seen == 1.0
         assert hist.max_seen == 1000.0
         # Percentiles within the bin-ratio relative error (~±3.7 %).

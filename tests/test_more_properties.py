@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.analysis.compliance import rfc_reference_shares
 from repro.campaign.schedule import CalendarWeek, Campaign
 from repro.core.heuristics import DynamicThresholdFilter, StaticThresholdFilter
-from repro.core.observer import SpinEdge
 from repro.qlog.reader import qlog_to_recorder
 from repro.qlog.recorder import TraceRecorder
 from repro.qlog.writer import recorder_to_qlog
@@ -59,15 +58,14 @@ def test_static_filter_properties(samples, floor):
     fraction=st.floats(min_value=0.05, max_value=0.9),
 )
 def test_hold_time_filter_properties(times, fraction):
-    """The hold-time filter never adds edges and keeps the first one."""
-    edges = [SpinEdge(t, i, i % 2 == 0) for i, t in enumerate(times)]
-    filt = DynamicThresholdFilter(fraction=fraction)
-    accepted = filt.filter_edges(edges)
-    assert len(accepted) <= len(edges)
-    if edges:
-        assert accepted[0] == edges[0]
-    accepted_times = [edge.time_ms for edge in accepted]
-    assert accepted_times == sorted(accepted_times)
+    """The hold-time filter never adds edges, keeps the first one and
+    the first interval, and its intervals tile the accepted span."""
+    intervals = DynamicThresholdFilter(fraction=fraction).accepted_intervals(times)
+    assert len(intervals) <= max(len(times) - 1, 0)
+    if len(times) >= 2:
+        assert intervals[0] == times[1] - times[0]
+    assert all(interval >= 0 for interval in intervals)
+    assert sum(intervals) <= (times[-1] - times[0] if times else 0.0) + 1e-6
 
 
 @given(

@@ -8,10 +8,7 @@ from repro._util.rng import derive_rng
 from repro.netsim.clock import SimClock
 from repro.netsim.delays import (
     ConstantDelay,
-    ExponentialDelay,
     LogNormalDelay,
-    ParetoDelay,
-    ShiftedDelay,
     UniformDelay,
 )
 from repro.netsim.events import Simulator
@@ -134,7 +131,6 @@ class TestPath:
 class TestDelayModels:
     def test_constant(self, rng):
         assert ConstantDelay(3.0).sample(rng) == 3.0
-        assert ConstantDelay(3.0).mean_ms() == 3.0
 
     def test_uniform_bounds(self, rng):
         model = UniformDelay(2.0, 4.0)
@@ -147,29 +143,11 @@ class TestDelayModels:
         samples = sorted(model.sample(rng) for _ in range(4000))
         median = samples[len(samples) // 2]
         assert 40.0 < median < 62.0
-        assert model.mean_ms() > 50.0  # heavy right tail
-
-    def test_exponential_mean(self, rng):
-        model = ExponentialDelay(mean_value_ms=20.0)
-        mean = sum(model.sample(rng) for _ in range(4000)) / 4000
-        assert 17.0 < mean < 23.0
-
-    def test_pareto_minimum_and_mean(self, rng):
-        model = ParetoDelay(minimum_ms=5.0, alpha=3.0)
-        samples = [model.sample(rng) for _ in range(1000)]
-        assert all(s >= 5.0 for s in samples)
-        assert model.mean_ms() == pytest.approx(7.5)
-
-    def test_shifted(self, rng):
-        model = ShiftedDelay(offset_ms=10.0, base=ConstantDelay(1.0))
-        assert model.sample(rng) == 11.0
-        assert model.mean_ms() == 11.0
+        assert sum(samples) / len(samples) > 50.0  # heavy right tail
 
     def test_validation(self):
         with pytest.raises(ValueError):
             UniformDelay(5.0, 1.0)
-        with pytest.raises(ValueError):
-            ParetoDelay(1.0, 0.9)
         with pytest.raises(ValueError):
             LogNormalDelay(0.0, 1.0)
 

@@ -76,7 +76,7 @@ class TestSpanLog:
         connection, domain, scan = log.records
         assert (connection.start_ms, connection.end_ms) == (12.5, 12.5)
         assert (domain.start_ms, domain.end_ms) == (0.0, 12.5)
-        assert domain.name == "domain:a.example"
+        assert domain.path[-1] == "domain:a.example"
         assert scan.attrs == {"domains": 2}
         assert not log._stack
 
@@ -121,8 +121,8 @@ class TestSpanLog:
         log.event("a", time_ms=1.0, k=1)
         log.event("b", diag=True, shard=0)
         log.span("c", diag=True).end()
-        assert [record.name for record in log.records] == ["a"]
-        assert [record.name for record in log.diag_records] == ["b", "c"]
+        assert [record.path[-1] for record in log.records] == ["a"]
+        assert [record.path[-1] for record in log.diag_records] == ["b", "c"]
 
     def test_absorb_reroots_under_the_open_span(self):
         shard = Tracer()

@@ -328,7 +328,7 @@ def handshake_taps() -> list:
 
             endpoint.attach_transport(tapped)
         simulator.run()
-        assert handle.done
+        assert handle.client_app.done
     return taps
 
 

@@ -195,7 +195,7 @@ def _range_checks(make, data) -> None:
     assert population.materialize_range(a, b) == whole[a:b]
     assert make().materialize_range(a, b) == whole[a:b]
     for index in {a, b - 1, n - 1} & set(range(n)):
-        assert population.domain_at(index) == whole[index]
+        assert population.materialize_range(index, index + 1) == [whole[index]]
     assert list(population.iter_targets()) == whole
 
 
@@ -225,7 +225,3 @@ class TestBlockDraws:
     def test_names_must_cover_the_config(self):
         with pytest.raises(ValueError, match="2 names for 3 domains"):
             Population(PopulationConfig(toplist_domains=1, czds_domains=2), ["a.com", "b.com"])
-
-    def test_out_of_range_index_raises(self, population):
-        with pytest.raises(IndexError):
-            population.domain_at(population.domain_count)

@@ -71,7 +71,7 @@ class TestAsDatabase:
         asdb = build_default_asdb()
         cloudflare = provider_by_name("cloudflare")
         base = int(ipaddress.ip_network(cloudflare.v4_prefix).network_address)
-        entry = asdb.lookup(IpAddr(base + 100, 4))
+        entry = asdb.lookup_value(base + 100, 4)
         assert entry.asn == 13335
         assert entry.org_name == "Cloudflare"
 
@@ -79,19 +79,19 @@ class TestAsDatabase:
         asdb = build_default_asdb()
         google = provider_by_name("google")
         base = int(ipaddress.ip_network(google.v6_prefix).network_address)
-        entry = asdb.lookup(IpAddr(base + 5, 6))
+        entry = asdb.lookup_value(base + 5, 6)
         assert entry.org_name == "Google"
 
     def test_unrouted_ip_returns_none(self):
         asdb = build_default_asdb()
-        assert asdb.lookup(IpAddr(int(ipaddress.IPv4Address("1.1.1.1")), 4)) is None
+        assert asdb.lookup_value(int(ipaddress.IPv4Address("1.1.1.1")), 4) is None
 
     def test_long_tail_slices_are_distinct_orgs(self):
         asdb = build_default_asdb()
         tail = provider_by_name("other-hosting")
         base = int(ipaddress.ip_network(tail.v4_prefix).network_address)
-        first = asdb.lookup(IpAddr(base + 10, 4))
-        second = asdb.lookup(IpAddr(base + 10 + 256, 4))
+        first = asdb.lookup_value(base + 10, 4)
+        second = asdb.lookup_value(base + 10 + 256, 4)
         assert first.org_name != second.org_name
         assert first.asn != second.asn
 
@@ -99,7 +99,7 @@ class TestAsDatabase:
         asdb = build_default_asdb()
         tail = provider_by_name("other-hosting")
         base = int(ipaddress.ip_network(tail.v4_prefix).network_address)
-        assert asdb.lookup(IpAddr(base + 1, 4)) == asdb.lookup(IpAddr(base + 2, 4))
+        assert asdb.lookup_value(base + 1, 4) == asdb.lookup_value(base + 2, 4)
 
     def test_version_mismatch_prefix_rejected(self):
         bad = provider_by_name("cloudflare")
@@ -131,6 +131,11 @@ class TestIpAddr:
 
     def test_hashable_for_set_counting(self):
         assert len({IpAddr(1, 4), IpAddr(1, 4), IpAddr(1, 6)}) == 2
+
+
+def lookup(asdb: AsDatabase, ip: IpAddr):
+    """The AS entry ``asdb`` maps ``ip`` to."""
+    return asdb.lookup_value(ip.value, ip.version)
 
 
 def linear_lookup(asdb: AsDatabase, ip: IpAddr):
@@ -183,7 +188,7 @@ class TestPrefixTables:
                 ):
                     if 0 <= value < 1 << bits:
                         ip = IpAddr(value, record.version)
-                        assert asdb.lookup(ip) == linear_lookup(asdb, ip), str(ip)
+                        assert lookup(asdb, ip) == linear_lookup(asdb, ip), str(ip)
 
     def test_random_addresses(self, databases):
         rng = random.Random(20230520)
@@ -192,20 +197,19 @@ class TestPrefixTables:
                 for ip in (
                     IpAddr(rng.getrandbits(32), 4), IpAddr(rng.getrandbits(128), 6),
                 ):
-                    assert asdb.lookup(ip) == linear_lookup(asdb, ip), str(ip)
-                    assert asdb.lookup_value(ip.value, ip.version) == asdb.lookup(ip)
-
+                    assert lookup(asdb, ip) == linear_lookup(asdb, ip), str(ip)
+                    
     def test_longest_prefix_and_ties(self, databases):
         _, nested = databases
         def v4(text):
             return IpAddr(int(ipaddress.IPv4Address(text)), 4)
 
-        assert nested.lookup(v4("10.1.2.3")).org_name == "Host"
-        assert nested.lookup(v4("10.1.2.4")).org_name == "Slices #0"
-        assert nested.lookup(v4("10.1.3.4")).org_name == "Inner"
-        assert nested.lookup(v4("10.2.0.1")).org_name == "Outer"
-        assert nested.lookup(v4("11.0.0.1")).org_name == "Everything"
-        assert nested.lookup(IpAddr(1, 6)).org_name == "Everything"
+        assert lookup(nested, v4("10.1.2.3")).org_name == "Host"
+        assert lookup(nested, v4("10.1.2.4")).org_name == "Slices #0"
+        assert lookup(nested, v4("10.1.3.4")).org_name == "Inner"
+        assert lookup(nested, v4("10.2.0.1")).org_name == "Outer"
+        assert lookup(nested, v4("11.0.0.1")).org_name == "Everything"
+        assert nested.lookup_value(1, 6).org_name == "Everything"
 
     def test_the_default_database_is_built_once(self):
         assert build_default_asdb() is build_default_asdb()

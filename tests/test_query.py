@@ -310,7 +310,7 @@ class TestParseWhere:
             "cloudflare, google and failure present"
         )
         assert isinstance(predicate, And)
-        assert predicate.fields() == {"week", "provider", "failure"}
+        assert [clause.name for clause in predicate.clauses] == ["week", "provider", "failure"]
 
     def test_single_clause(self):
         predicate = parse_where("domain == a.example")

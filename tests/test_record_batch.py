@@ -76,7 +76,7 @@ class NaiveOrgFold(OrgFold):
         totals = self._totals
         spins = self._spins
         org_of = self._org_of
-        lookup = self._asdb.lookup
+        lookup = self._asdb.lookup_value
         spin = SpinBehaviour.SPIN
         for connection in records:
             if not connection.success:
@@ -84,7 +84,7 @@ class NaiveOrgFold(OrgFold):
             ip = connection.ip
             org = org_of.get(ip)
             if org is None:
-                entry = lookup(ip)
+                entry = lookup(ip.value, ip.version)
                 org = entry.org_name if entry is not None else "<unrouted>"
                 org_of[ip] = org
             totals[org] = totals.get(org, 0) + 1

@@ -15,7 +15,7 @@ class TestFirstSample:
         assert est.smoothed_rtt_ms == 40.0
         assert est.rttvar_ms == 20.0
         assert est.min_rtt_ms == 40.0
-        assert est.has_sample
+        assert len(est.samples) == 1
 
 
 class TestAckDelayHandling:
@@ -76,16 +76,11 @@ class TestSmoothing:
 
 
 class TestAccessors:
-    def test_mean_requires_samples(self):
-        with pytest.raises(ValueError):
-            RttEstimator().mean_rtt_ms()
-
     def test_mean_and_series(self):
         est = RttEstimator()
         est.on_ack_received(110.0, 100.0, 0.0)
         est.on_ack_received(230.0, 200.0, 0.0)
-        assert est.adjusted_rtts() == [10.0, 30.0]
-        assert est.mean_rtt_ms() == 20.0
+        assert [sample.adjusted_rtt_ms for sample in est.samples] == [10.0, 30.0]
 
     def test_time_travel_rejected(self):
         est = RttEstimator()

@@ -190,7 +190,7 @@ class TestStreamProperty:
         assert [
             record.attrs["start"]
             for record in telemetry.tracer.records
-            if record.name == "unit"
+            if record.path[-1] == "unit"
         ] == [start for start, _ in scanned]
         # The window bounds what is outstanding, by the stream's own
         # count and by the harness's.

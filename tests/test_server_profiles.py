@@ -72,8 +72,8 @@ class TestPlanSampling:
         saw_redirect = False
         for seed in range(200):
             plan = stack.sample_plan(derive_rng(seed, "r"), "https://t/")
-            saw_redirect = saw_redirect or plan.is_redirect
-            assert not stack.sample_plan(derive_rng(seed, "r"), None).is_redirect
+            saw_redirect = saw_redirect or plan.redirect_location is not None
+            assert stack.sample_plan(derive_rng(seed, "r"), None).redirect_location is None
         assert saw_redirect
 
     def test_dynamic_plans_have_gaps(self):

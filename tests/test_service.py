@@ -27,7 +27,6 @@ from repro.service import (
     Scheduler,
     ServiceConfig,
     ServiceState,
-    SimulatedClock,
     SpoolStore,
     WeekIndexer,
     build_server,
@@ -46,6 +45,21 @@ CONFIG = ServiceConfig(
     first_week="cw19-2023",
     last_week="cw20-2023",
 )
+
+
+class SimulatedClock:
+    """A scheduler clock where sleeping advances time."""
+
+    def __init__(self) -> None:
+        self.now_s = 0.0
+        self.sleeps: list[float] = []
+
+    def monotonic(self) -> float:
+        return self.now_s
+
+    def sleep(self, seconds: float) -> None:
+        self.sleeps.append(seconds)
+        self.now_s += seconds
 
 
 def run_daemon(directory) -> CampaignDaemon:
@@ -110,8 +124,7 @@ class TestIndexerIdempotence:
 
     def test_duplicate_fold_is_a_noop(self, daemon):
         before = index_bytes(daemon.indexer)
-        for entry in daemon.spool.artifacts():
-            assert daemon.indexer.fold_artifact(entry.path, entry.fingerprint) is False
+        assert daemon.indexer.fold_pending(daemon.spool) == []
         assert index_bytes(daemon.indexer) == before
 
     def test_duplicate_submission_is_a_noop(self, daemon, tmp_path):
@@ -130,9 +143,11 @@ class TestIndexerIdempotence:
         entries = daemon.spool.artifacts()
         assert len(entries) >= 2
         for name, order in (("fwd", entries), ("rev", list(reversed(entries)))):
-            indexer = WeekIndexer(tmp_path / name)
+            spool = SpoolStore(tmp_path / name / "spool")
+            indexer = WeekIndexer(tmp_path / name / "index")
             for entry in order:
-                assert indexer.fold_artifact(entry.path, entry.fingerprint)
+                spool.submit_bytes(entry.path.read_bytes())
+                assert indexer.fold_pending(spool) == [entry.fingerprint]
             assert index_bytes(indexer) == index_bytes(daemon.indexer), name
 
     def test_crash_mid_fold_then_resume_is_byte_identical(
@@ -788,7 +803,7 @@ class TestApiCache:
             deadline = time.monotonic() + 30
             while True:
                 diag = {
-                    (record.name, record.attrs["status"], record.attrs["count"])
+                    (record.path[-1], record.attrs["status"], record.attrs["count"])
                     for record in state.telemetry.tracer.diag_records
                 }
                 if diag == expected or time.monotonic() > deadline:

@@ -44,7 +44,8 @@ class TestHighestPacketNumberRule:
         state.on_packet_received(5, True)
         state.on_packet_received(3, False)  # reordered straggler
         assert state.outgoing_value() is True
-        assert state.largest_received_pn == 5
+        state.on_packet_received(6, False)  # the next pn above the high mark
+        assert state.outgoing_value() is False
 
     def test_duplicate_pn_ignored(self):
         state = SpinBitState(EndpointRole.CLIENT, SpinPolicy.SPIN)

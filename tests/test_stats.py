@@ -10,19 +10,9 @@ from repro._util.rng import derive_rng, fork_rng
 from repro._util.stats import (
     Histogram,
     binomial_pmf,
-    mean,
     percentile,
     weighted_choice,
 )
-
-
-class TestMean:
-    def test_basic(self):
-        assert mean([1.0, 2.0, 3.0]) == 2.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mean([])
 
 
 class TestPercentile:
@@ -108,17 +98,6 @@ class TestHistogram:
         hist = Histogram(edges=(0.0, 1.0))
         hist.extend([0.5, 5.0])
         assert hist.fractions() == [0.5]
-
-    def test_fraction_below(self):
-        hist = Histogram(edges=(0.0, 10.0, 20.0))
-        hist.extend([-5.0, 5.0, 15.0])
-        assert hist.fraction_below(10.0) == pytest.approx(2 / 3)
-        assert hist.fraction_at_least(10.0) == pytest.approx(1 / 3)
-
-    def test_fraction_below_requires_edge(self):
-        hist = Histogram(edges=(0.0, 10.0))
-        with pytest.raises(ValueError):
-            hist.fraction_below(5.0)
 
     def test_dict_roundtrip(self):
         hist = Histogram(edges=(0.0, 1.0, 2.0))

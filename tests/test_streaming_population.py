@@ -24,10 +24,6 @@ def streaming():
 
 
 class TestDeterminism:
-    def test_domain_at_is_pure(self, streaming):
-        for index in (0, 5, 39, 40, 123, 299):
-            assert streaming.domain_at(index) == streaming.domain_at(index)
-
     def test_fresh_instance_generates_identical_records(self, streaming):
         other = Population(CONFIG)
         assert streaming.materialize_range(0, 300) == other.materialize_range(
@@ -54,12 +50,6 @@ class TestDeterminism:
         assert all(r.in_czds for r in records[40:])
         assert records[0].name.startswith("top0000000.")
         assert records[40].name.startswith("domain000000000.")
-
-    def test_out_of_range_raises(self, streaming):
-        with pytest.raises(IndexError):
-            streaming.domain_at(300)
-        with pytest.raises(IndexError):
-            streaming.domain_at(-1)
 
 
 class TestBoundedSurface:

@@ -169,10 +169,10 @@ class TestScanTelemetry:
         # One deterministic trace row per domain and per connection,
         # under the scan's row.
         records = telemetry.tracer.records
-        stages = [record.name.partition(":")[0] for record in records]
+        stages = [record.path[-1].partition(":")[0] for record in records]
         assert stages.count("domain") == len(targets)
         assert stages.count("connection") == counters["scan.connections"]
-        assert records[-1].name == "scan:cw20-2023"
+        assert records[-1].path[-1] == "scan:cw20-2023"
         assert "workers" not in records[-1].attrs
 
     def test_telemetry_off_costs_nothing_semantically(
@@ -213,7 +213,7 @@ class TestMonitorTelemetry:
         assert all(
             len(row.path) == 2 and row.path[0] == "monitor" for row in windows
         )
-        indices = [int(row.name.removeprefix("window:")) for row in windows]
+        indices = [int(row.path[-1].removeprefix("window:")) for row in windows]
         assert indices == sorted(set(indices))
         assert sum(row.attrs["datagrams"] for row in windows) == summary.datagrams
         assert monitor.path == ("monitor",)

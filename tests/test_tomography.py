@@ -1,5 +1,7 @@
 """Mid-path taps and spin-based RTT decomposition."""
 
+from statistics import median_high
+
 import pytest
 
 from repro._util.rng import derive_rng
@@ -110,8 +112,8 @@ class TestDecomposition:
     def test_tap_near_client_shifts_mass_upstream(self):
         near_client = run_tapped_exchange(tap_position_from_client=0.1)
         near_server = run_tapped_exchange(tap_position_from_client=0.9)
-        up_client_side = sorted(near_client.upstream_rtts_ms())[len(near_client.samples) // 2]
-        up_server_side = sorted(near_server.upstream_rtts_ms())[len(near_server.samples) // 2]
+        up_client_side = median_high(s.upstream_ms for s in near_client.samples)
+        up_server_side = median_high(s.upstream_ms for s in near_server.samples)
         # Close to the client almost the whole path is "upstream";
         # close to the server almost none of it is.
         assert up_client_side > up_server_side + ONE_WAY_MS
