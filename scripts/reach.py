@@ -8,25 +8,26 @@ Runs the production entry points under one ``sys.setprofile`` /
   analyze, query, convert, compliance, report, monitor, demo,
   telemetry, status, profile, top, service run-once / submit / index /
   serve), with the documented refusals;
-- ``scripts/chaos_smoke.sh``'s faulted scan, which trips the breaker;
-- every ``/v1/*`` route of a live ``repro serve``, plus one malformed
-  request;
+- ``scripts/chaos_smoke.sh``'s faulted scan;
+- every ``/v1/*`` route of a live ``repro serve``, plus malformed
+  requests;
 - one smoke-scale round of each ``bench`` workload;
 - every script under ``examples/``;
 - the Section 6 studies of ``benchmarks/studies.py`` over a
   tier-1-scale report.
 
-Pool workers are forked, so they inherit the hook; each one writes what
-it entered at exit through a ``multiprocessing.util.Finalize``
+The groups of :data:`ENTRY_POINTS` run in parallel forked processes.
+Pool workers are forked too, so they inherit the hook; each one writes
+what it entered at exit through a ``multiprocessing.util.Finalize``
 registered after the fork.
 
 Every function defined under ``src/repro`` that nothing entered is a
 row of ``reach.txt``: ``path::qualname<TAB>reason``, sorted, without
 line numbers.  A reason is one of
 
-- ``bench``: the name appears in a file under ``bench/``;
-- ``library``: the name, its class or its module is in
-  ``repro.__all__`` or README.md;
+- ``bench``: entered by the benchmark's own pass (:func:`bench_layers`)
+  or named under ``bench/``;
+- ``library``: public surface on purpose (:func:`library_rows`);
 - ``oracle <test file>``: that test checks other production code
   against the function;
 - ``guard <test file>``: error or malformed-input handling the entry
@@ -34,12 +35,12 @@ line numbers.  A reason is one of
 
 ``bench`` and ``library`` are recomputed on every run; ``oracle`` and
 ``guard`` are carried over from the committed file.  A row with no
-reason is written with an empty reason column; the tier-1 test
-``tests/test_reach.py`` fails on it.  Resolve such a row by deleting
-the function (and the tests that only exercised it), or by giving it
-one of the four reasons.
+reason is written with an empty reason column, and the script exits 1;
+the tier-1 test ``tests/test_reach.py`` fails on it too.  Resolve such a
+row by deleting the function (and the tests that only exercised it), or
+by writing one of the four reasons into ``reach.txt``.
 
-Run:  python scripts/reach.py          (about 100 s on a 2-core host)
+Run:  python scripts/reach.py          (about 90 s on a 2-core host)
 """
 
 from __future__ import annotations
@@ -66,7 +67,13 @@ SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
 REACH = ROOT / "reach.txt"
 REASONS = ("bench", "library", "oracle", "guard")
-EXAMPLE_ARGS = {"accuracy_study": ["4000"], "adoption_scan": ["2000"], "rfc_compliance": ["1500"]}
+#: ``[n_czds_domains]`` of the population studies under ``examples/``:
+#: small, but large enough that every branch of their output prints.
+EXAMPLE_ARGS = {
+    "accuracy_study": ["4000"],
+    "adoption_scan": ["2000"],
+    "rfc_compliance": ["1500"],
+}
 
 # ----------------------------------------------------------------------
 # The hook.
@@ -156,7 +163,11 @@ def census(groups) -> list[set[tuple[str, str]]]:
             if process.exitcode:
                 raise SystemExit(f"reach: a census group exited with {process.exitcode}")
         return [
-            {tuple(row) for dump in sorted(dumps.iterdir()) for row in json.loads(dump.read_text())}
+            {
+                tuple(row)
+                for dump in sorted(dumps.iterdir())
+                for row in json.loads(dump.read_text())
+            }
             for _, dumps in running
         ]
 
@@ -254,7 +265,8 @@ def chaos_scan(work: Path) -> None:
          "--qlog-sample-rate", 0.05, "--workers", 1,
          "--out", work / "chaos.cbr", "--qlog-out", work / "chaos-qlog.jsonl")
     _cli("analyze", work / "chaos.cbr", "--section", "failures")
-    _cli("analyze", work / "chaos.cbr", "--where", "failure present and provider in cloudflare,google")
+    _cli("analyze", work / "chaos.cbr",
+         "--where", "failure present and provider in cloudflare,google")
 
 
 def _free_port() -> int:
@@ -311,47 +323,40 @@ def api_routes(work: Path) -> None:
     thread.join()
 
 
-def bench_rounds(work: Path) -> None:
-    """One smoke-scale round of each benchmark workload, untraced."""
+def _bench_smoke(work: Path, traced: bool) -> None:
+    """One smoke-scale round of each benchmark workload; traced, also its
+    per-layer measurements."""
     from bench import run, workloads
     from bench.harness import Meter, Tracer
 
     for name, workload_type in workloads.WORKLOADS.items():
-        workdir = work / f"bench-{name}"
+        workdir = work / f"bench-{name}-{int(traced)}"
         workdir.mkdir()
         workload = workload_type(
             run.DEFAULT_SEED, workloads.SCALES["smoke"][name], Meter(),
-            Tracer(name), workloads.Checks(), workdir, False,
+            Tracer(name), workloads.Checks(), workdir, traced,
         )
-        try:
-            workload.setup()
-            workload.round()
-            workload.finish()
-        finally:
-            workload.teardown()
-
-
-def bench_layers(work: Path) -> None:
-    """What only the benchmark reaches: one traced smoke round of each
-    workload and its per-layer measurements."""
-    from bench import run, workloads
-    from bench.harness import Meter, Tracer
-
-    for name, workload_type in workloads.WORKLOADS.items():
-        workload = workload_type(
-            run.DEFAULT_SEED, workloads.SCALES["smoke"][name], Meter(),
-            Tracer(name), workloads.Checks(), work / f"layers-{name}", True,
-        )
-        (work / f"layers-{name}").mkdir()
         try:
             workload.setup()
             workload.setup_speed = 1.0
-            workload.tracer.enabled = True
+            workload.tracer.enabled = traced
             workload.round()
             workload.finish()
-            workload.layer_metrics(0.2)
+            if traced:
+                workload.layer_metrics(0.2)
         finally:
             workload.teardown()
+
+
+def bench_rounds(work: Path) -> None:
+    """One smoke round of each benchmark workload, as the benchmark runs it."""
+    _bench_smoke(work, traced=False)
+
+
+def bench_layers(work: Path) -> None:
+    """What only the benchmark reaches: a traced smoke round of each
+    workload and its per-layer measurements."""
+    _bench_smoke(work, traced=True)
 
 
 def examples(work: Path) -> None:
@@ -464,8 +469,9 @@ def _words(text: str) -> set[str]:
 
 def bench_words() -> set[str]:
     """Every identifier-shaped word in a file under ``bench/``."""
+    sources = sorted((ROOT / "bench").rglob("*"))
     return set().union(
-        *(_words(source.read_text()) for source in sorted((ROOT / "bench").rglob("*")) if source.is_file() and source.suffix in (".py", ".md"))
+        *(_words(source.read_text()) for source in sources if source.suffix in (".py", ".md"))
     )
 
 
@@ -572,7 +578,7 @@ def main() -> int:
     )
     for key in blank:
         print(f"  no reason: {key}", file=sys.stderr)
-    return 0
+    return 1 if blank else 0
 
 
 if __name__ == "__main__":

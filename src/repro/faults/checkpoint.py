@@ -193,7 +193,8 @@ class CheckpointStore:
                     "use a fresh directory"
                 )
         else:
-            replace_file(path, (json.dumps(manifest, sort_keys=True) + "\n").encode("utf-8"))
+            text = json.dumps(manifest, sort_keys=True) + "\n"
+            replace_file(path, text.encode("utf-8"))
 
     def shard_path(self, shard_index: int) -> Path:
         return self.directory / f"shard-{shard_index:05d}.cbr"
