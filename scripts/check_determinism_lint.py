@@ -139,6 +139,12 @@ Which further rules apply to which layer (directory under
   scan path, whose checkpoint shards are saved before they are
   emitted) an import of ``threading`` or ``queue`` is flagged.  No
   pragma opts out.
+* One config error path, ``repro/cli.py`` only: an invalid option value
+  is a ValueError from the library's own validation, which ``_checked``
+  turns into the one ``repro: error:`` line, so an ``except`` naming
+  ``ValueError`` anywhere but inside ``_checked`` is a second path, and
+  is flagged; a handler names the subclass it means (``CbrFormatError``,
+  ``QueryError``).  No pragma opts out.
 
 Benchmarks (``benchmarks/``) legitimately measure wall-clock and are
 not scanned.  A source line may opt out with the pattern's pragma when
@@ -722,6 +728,26 @@ def thread_imports(text: str) -> list[int]:
     return numbers
 
 
+def one_config_error_path(text: str) -> list[int]:
+    """An ``except`` naming ``ValueError`` outside ``_checked``: an invalid
+    option value caught inline instead of on the CLI's one error path."""
+    tree = ast.parse(text)
+    home = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_checked"
+        for inner in ast.walk(node)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler)
+        and node.type is not None
+        and "ValueError" in _names_in(node.type)
+        and id(node) not in home
+    )
+
+
 #: What every file is held to; a layer (directory under ``repro/``) not
 #: listed below gets exactly this.
 _EVERYWHERE = (
@@ -762,11 +788,12 @@ LAYER_RULES = {
 #: the monitor pipeline the rule that keeps it off the packet path, the
 #: flow table and resolver the rule that keeps flow identity one structure,
 #: the population generator is where populations are drawn, the
-#: compliance fold is where the domain flags are defined, and the path
-#: is where its receiver is set.
+#: compliance fold is where the domain flags are defined, the path is
+#: where its receiver is set, and the CLI catches ValueError in one place.
 _CODEC_HOME = ((), (endpoint_decoder_uses,))
 FILE_RULES = {
     "repro/analysis/compliance.py": ((), (one_flag_definition,)),
+    "repro/cli.py": ((one_config_error_path,), ()),
     "repro/core/flow_resolver.py": ((one_flow_structure, tcp_decoder_uses), ()),
     "repro/core/flow_table.py": ((one_flow_structure, tcp_decoder_uses), ()),
     "repro/internet/population.py": ((), (population_by_range,)),
@@ -855,7 +882,9 @@ def main(argv: list[str] | None = None) -> int:
             "FLAG_SPIN are assigned only in analysis/compliance.py; only "
             "netsim/path.py assigns a path's ._receiver — taps use "
             "Path.install_tap; web/ and faults/ import no threading / queue — "
-            "checkpoint shards are saved on the emitting thread)",
+            "checkpoint shards are saved on the emitting thread; the CLI module "
+            "catches ValueError only in _checked — other handlers name the "
+            "subclass they mean)",
             file=sys.stderr,
         )
         return 1

@@ -12,7 +12,6 @@ The subcommands mirror the study's workflow::
     repro demo        # one observed connection, spin vs stack RTT
     repro telemetry   # summarize a --telemetry-out directory
     repro service     # campaign daemon + week index + HTTP query API
-    repro serve       # shorthand for 'repro service serve'
     repro status      # SLO health verdict (live server or finished campaign)
     repro profile     # sampling profiler over a seeded scan
     repro top         # one-shot operator console over a running server
@@ -33,6 +32,13 @@ operator-side counterpart: it multiplexes many concurrent simulated
 connections into one tap stream and publishes windowed RTT metric
 snapshots as JSONL while the stream runs.
 
+The parser is one table (DESIGN.md §16): ``_FLAGS`` declares each flag
+once, and each ``_ROWS`` row names a subcommand's handler, the library
+configs it builds and the flags it takes.  A flag's default is the
+row's own, else the default of the config field it sets, else the
+declaration's.  Handlers build every config through ``_checked`` before
+any output or work, so an invalid value is one ``repro: error:`` line.
+
 Output discipline: stdout carries only machine-parseable command output
 (datasets, analysis blocks, summaries); every progress or diagnostic
 line goes to stderr.  ``--telemetry-out DIR`` on ``scan`` and
@@ -44,523 +50,289 @@ renders for humans.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
+
+from repro.analysis.engine import RECORD_SECTIONS
+from repro.core.flow_table import OVERFLOW_POLICIES
+from repro.faults import (
+    BreakerPolicy,
+    CheckpointError,
+    ResilienceConfig,
+    RetryPolicy,
+    parse_fault_plan,
+    truncate_jsonl_line,
+)
+from repro.internet.population import PopulationConfig, build_population
+from repro.monitor import MonitorConfig, TrafficConfig, WindowConfig, run_monitor
+from repro.netsim import parse_migration_plan
+from repro.service import CampaignDaemon, ServiceConfig, SpoolStore, WeekIndexer, serve_forever
+from repro.web.parallel import ParallelScanConfig
+from repro.web.scanner import ScanConfig, Scanner
 
 __all__ = ["main"]
 
+#: Every flag and positional argument, declared once as its
+#: ``add_argument`` keywords.  A default given here is one that no
+#: library config holds and that no row overrides.
+_FLAGS: dict[str, dict] = {
+    "--czds": dict(type=int, help="CZDS domain count"),
+    "--toplist": dict(type=int, help="toplist domain count"),
+    "--seed": dict(
+        type=int,
+        help="seed of the population, or of the simulated traffic (monitor, "
+        "and analyze's migration section)",
+    ),
+    "--week": dict(default="cw20-2023", help="calendar week label"),
+    "--ip-version": dict(type=int, choices=(4, 6), default=4),
+    "--workers": dict(
+        type=int, help="scan worker processes (1 = in-process; 0 = one per core)"
+    ),
+    "--chunk-size": dict(type=int, help="domains per worker shard (default: auto)"),
+    "--force-pool": dict(
+        action="store_true",
+        help="always dispatch through the worker pool, even when the "
+        "engine would fall back in-process (single core / single shard)",
+    ),
+    "--out": dict(
+        required=True,
+        help="output path: scan's cbr artifact (for the JSONL export, run "
+        "'repro convert OUT.cbr OUT.jsonl' afterwards), monitor's snapshot "
+        "JSONL, profile's collapsed stacks (flamegraph input); '-' for stdout "
+        "(monitor, profile)",
+    ),
+    "--telemetry-out": dict(
+        metavar="DIR",
+        help="write deterministic telemetry to this directory: trace.jsonl, "
+        "metrics.prom, ... for scan and monitor, the query planner counters "
+        "for analyze and query, this invocation's for service",
+    ),
+    "--fault": dict(
+        action="append",
+        metavar="SPEC",
+        help="inject seeded faults: 'kind:prob[:magnitude]' (comma-separable, "
+        "repeatable); kinds: loss-burst, blackhole, handshake-stall, "
+        "vn-failure, reset, slow-server, qlog-truncate, corrupt-datagram; "
+        "in monitor's tap stream, 'corrupt-datagram:prob' truncates that "
+        "fraction of datagrams",
+    ),
+    "--connect-timeout-ms": dict(
+        type=float, help="simulated-time budget per connection attempt"
+    ),
+    "--domain-budget-ms": dict(
+        type=float, help="simulated-time budget per domain (caps retries)"
+    ),
+    "--retries": dict(
+        type=int,
+        default=0,
+        help="retry attempts after a retryable failure (default 0)",
+    ),
+    "--breaker-threshold": dict(
+        type=int,
+        help="trip a per-provider circuit breaker after this many "
+        "consecutive failures (default: off)",
+    ),
+    "--breaker-cooldown": dict(
+        type=int, help="attempts a tripped breaker skips before half-opening"
+    ),
+    "--checkpoint-dir": dict(
+        metavar="DIR",
+        help="crash-safe resume: persist completed shards here and load "
+        "them back when re-running the same scan",
+    ),
+    "--qlog-sample-rate": dict(
+        type=float, help="fraction of connections to capture full qlogs for"
+    ),
+    "--qlog-out": dict(
+        help="write sampled qlog documents as JSONL ('-' for stdout)"
+    ),
+    "dataset": dict(
+        help="artifact path ('-' for stdin); analyze needs none for "
+        "--section migration, which simulates its own traffic",
+    ),
+    "--section": dict(choices=(*RECORD_SECTIONS, "migration", "all"), default="all"),
+    "--flows": dict(
+        type=int,
+        help="concurrent QUIC flows to simulate (analyze: migration section)",
+    ),
+    "--tcp-flows": dict(
+        type=int,
+        help="multiplex N simulated TCP flows into the tap (exercises "
+        "transport classification; analyze: migration section)",
+    ),
+    "--migrate": dict(
+        metavar="PLAN",
+        help="inject seeded connection migrations mid-flow; comma-separated "
+        "kind:probability[:delay_ms] with kinds nat-rebind, cid-rotation, "
+        "path-migration (e.g. 'nat-rebind:0.3,path-migration:0.05'); "
+        "analyze: the migration section's plan",
+    ),
+    "--json": dict(
+        action="store_true",
+        help="emit JSON instead of the rendered text: the study result of "
+        "analyze's migration section, or status's structured report",
+    ),
+    "--where": dict(
+        metavar="EXPR",
+        help="filter records before analysis, with zone-map chunk pruning "
+        "on cbr artifacts; e.g. \"provider == cloudflare and week between "
+        "cw20-2023 and cw25-2023\" (operators: ==, in, between, present; "
+        "clauses joined by 'and')",
+    ),
+    "--verbose": dict(
+        action="store_true",
+        help="print the query-planner plan line to stderr (off by default "
+        "so piped output stays clean; telemetry counters are unaffected)",
+    ),
+    "name": dict(help="registered domain name to look up"),
+    "input": dict(help="cbr artifact path, or a --checkpoint-dir directory of shards"),
+    "output": dict(
+        help="output path: '.jsonl' writes the JSONL export, anything else cbr"
+    ),
+    "--weeks": dict(type=int, default=12),
+    "--skip-longitudinal": dict(
+        action="store_true", help="skip the 12-week Figure 2 study (the slowest part)"
+    ),
+    "--arrival-window-ms": dict(
+        type=float, help="flow starts are staggered uniformly over this span"
+    ),
+    "--window-ms": dict(type=float, help="aggregation window width"),
+    "--slide": dict(
+        type=int, help="sliding view over the last N windows (1 = tumbling only)"
+    ),
+    "--max-flows": dict(type=int, help="flow-table capacity"),
+    "--idle-timeout-ms": dict(type=float, help="retire flows idle for this long"),
+    "--overflow-policy": dict(
+        choices=OVERFLOW_POLICIES, help="behaviour when the flow table is full"
+    ),
+    "--no-cid-linkage": dict(
+        action="store_true",
+        help="disable CID-to-flow linkage in the resolver (degraded control "
+        "arm: migrations split flows instead of being tracked)",
+    ),
+    "--dir": dict(
+        required=True,
+        metavar="DIR",
+        help="service directory (spool/ and index/ live underneath); status "
+        "judges it offline",
+    ),
+    "--first-week": dict(help="first campaign week label"),
+    "--last-week": dict(help="last campaign week label"),
+    "--max-weeks": dict(
+        type=int, help="scan at most this many pending weeks this tick (default: all)"
+    ),
+    "--host": dict(default="127.0.0.1"),
+    "--port": dict(type=int, default=8323),
+    "--interval-s": dict(
+        type=float,
+        default=3600.0,
+        help="scan-scheduler cadence in wall-clock seconds",
+    ),
+    "--no-scan": dict(
+        action="store_true", help="serve the existing index only; schedule no scans"
+    ),
+    "artifacts": dict(nargs="+", help="artifact paths to spool"),
+    "directory": dict(help="directory passed to --telemetry-out"),
+    "--url": dict(
+        metavar="URL", help="base URL of a running 'repro service serve' API"
+    ),
+    "--slo": dict(
+        metavar="FILE",
+        help="JSON list of SLO specs replacing the built-in objectives",
+    ),
+    "--metrics": dict(
+        metavar="FILE",
+        help="metrics.json snapshot to evaluate alongside --dir gauges "
+        "(default: DIR/telemetry/metrics.json when present)",
+    ),
+    "--exit-code": dict(
+        action="store_true",
+        help="exit 0 when ok, 1 when degraded, 2 when failing (shell gate)",
+    ),
+    "--sim": dict(
+        action="store_true",
+        help="charge simulated milliseconds instead of wall time "
+        "(deterministic per seed)",
+    ),
+    "--sample-interval-ms": dict(
+        type=float,
+        default=1.0,
+        help="milliseconds of self time per synthetic sample",
+    ),
+    "--analyze": dict(
+        action="store_true",
+        help="also run the analysis folds over the scanned dataset, "
+        "profiled per section",
+    ),
+}
+
+#: Flags whose dest is not the name of the config field they set.
+_FIELD = {
+    "czds": "czds_domains",
+    "toplist": "toplist_domains",
+    "slide": "slide_windows",
+    "breaker_threshold": "failure_threshold",
+    "breaker_cooldown": "cooldown_attempts",
+}
+
+
+class _Row(NamedTuple):
+    """One subcommand; a row without a handler is a group of them."""
+
+    name: str
+    help: str
+    handler: Callable[[argparse.Namespace], int] | None = None
+    #: The library configs the handler builds; a flag that sets one of
+    #: their fields defaults to that field's default.
+    configs: tuple[type, ...] = ()
+    #: Flag names; a tuple of names is a group of which one is given.
+    flags: tuple = ()
+    #: Defaults that exist only in the CLI, by dest.  A default makes a
+    #: required flag optional and a positional argument ``nargs="?"``.
+    defaults: dict = {}
+
+
+def _add_flags(parser: argparse.ArgumentParser, row: _Row) -> None:
+    fields = {
+        field.name: field.default
+        for config in row.configs
+        for field in dataclasses.fields(config)
+    }
+    for entry in row.flags:
+        group = isinstance(entry, tuple)
+        target = parser.add_mutually_exclusive_group(required=True) if group else parser
+        for name in entry if group else (entry,):
+            kwargs = dict(_FLAGS[name])
+            dest = name.lstrip("-").replace("-", "_")
+            field_default = fields.get(_FIELD.get(dest, dest))
+            if dest in row.defaults:
+                kwargs["default"] = row.defaults[dest]
+                kwargs.pop("required", None)
+                if not name.startswith("-"):
+                    kwargs["nargs"] = "?"
+            elif field_default not in (None, dataclasses.MISSING):
+                kwargs["default"] = field_default
+            target.add_argument(name, **kwargs)
+
 
 def _build_parser() -> argparse.ArgumentParser:
-    from repro.analysis.engine import RECORD_SECTIONS
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Does It Spin?' (IMC 2023): scan a "
         "synthetic web population for QUIC spin-bit adoption and analyze "
         "the resulting dataset.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    scan = sub.add_parser("scan", help="run a weekly measurement into a cbr artifact")
-    scan.add_argument("--czds", type=int, default=8_000, help="CZDS domain count")
-    scan.add_argument("--toplist", type=int, default=1_000, help="toplist domain count")
-    scan.add_argument("--seed", type=int, default=20230520)
-    scan.add_argument("--week", default="cw20-2023", help="calendar week label")
-    scan.add_argument("--ip-version", type=int, choices=(4, 6), default=4)
-    scan.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="scan worker processes (1 = in-process; 0 = one per core)",
-    )
-    scan.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help="domains per worker shard (default: auto)",
-    )
-    scan.add_argument(
-        "--force-pool",
-        action="store_true",
-        help="always dispatch through the worker pool, even when the "
-        "engine would fall back in-process (single core / single shard)",
-    )
-    scan.add_argument(
-        "--out",
-        required=True,
-        help="output cbr artifact path (for the JSONL export, run "
-        "'repro convert OUT.cbr OUT.jsonl' afterwards)",
-    )
-    scan.add_argument(
-        "--telemetry-out",
-        default=None,
-        metavar="DIR",
-        help="write deterministic telemetry (trace.jsonl, metrics.prom, ...) "
-        "to this directory",
-    )
-    scan.add_argument(
-        "--fault",
-        action="append",
-        default=None,
-        metavar="SPEC",
-        help="inject seeded faults: 'kind:prob[:magnitude]' (comma-separable, "
-        "repeatable); kinds: loss-burst, blackhole, handshake-stall, "
-        "vn-failure, reset, slow-server, qlog-truncate, corrupt-datagram",
-    )
-    scan.add_argument(
-        "--connect-timeout-ms",
-        type=float,
-        default=None,
-        help="simulated-time budget per connection attempt",
-    )
-    scan.add_argument(
-        "--domain-budget-ms",
-        type=float,
-        default=None,
-        help="simulated-time budget per domain (caps retries)",
-    )
-    scan.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="retry attempts after a retryable failure (default 0)",
-    )
-    scan.add_argument(
-        "--breaker-threshold",
-        type=int,
-        default=None,
-        help="trip a per-provider circuit breaker after this many "
-        "consecutive failures (default: off)",
-    )
-    scan.add_argument(
-        "--breaker-cooldown",
-        type=int,
-        default=20,
-        help="attempts a tripped breaker skips before half-opening",
-    )
-    scan.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        metavar="DIR",
-        help="crash-safe resume: persist completed shards here and load "
-        "them back when re-running the same scan",
-    )
-    scan.add_argument(
-        "--qlog-sample-rate",
-        type=float,
-        default=0.0,
-        help="fraction of connections to capture full qlogs for",
-    )
-    scan.add_argument(
-        "--qlog-out",
-        default=None,
-        help="write sampled qlog documents as JSONL ('-' for stdout)",
-    )
-
-    analyze = sub.add_parser("analyze", help="analyze a cbr artifact")
-    analyze.add_argument(
-        "dataset",
-        nargs="?",
-        default=None,
-        help="artifact path ('-' for stdin); not needed for "
-        "--section migration, which simulates its own traffic",
-    )
-    analyze.add_argument(
-        "--section",
-        choices=(*RECORD_SECTIONS, "migration", "all"),
-        default="all",
-    )
-    analyze.add_argument(
-        "--flows",
-        type=int,
-        default=120,
-        help="(migration section) QUIC flows to simulate",
-    )
-    analyze.add_argument(
-        "--tcp-flows",
-        type=int,
-        default=10,
-        help="(migration section) TCP flows multiplexed into the tap",
-    )
-    analyze.add_argument(
-        "--seed", type=int, default=20230520, help="(migration section)"
-    )
-    analyze.add_argument(
-        "--migrate",
-        default="nat-rebind:0.3,cid-rotation:0.3,path-migration:0.1",
-        metavar="PLAN",
-        help="(migration section) comma-separated kind:probability[:delay_ms] "
-        "migration plan",
-    )
-    analyze.add_argument(
-        "--json",
-        action="store_true",
-        help="(migration section) emit the study result as JSON instead of "
-        "the rendered table",
-    )
-    analyze.add_argument(
-        "--where",
-        default=None,
-        metavar="EXPR",
-        help="filter records before analysis, with zone-map chunk pruning "
-        "on cbr artifacts; e.g. \"provider == cloudflare and week between "
-        "cw20-2023 and cw25-2023\" (operators: ==, in, between, present; "
-        "clauses joined by 'and')",
-    )
-    analyze.add_argument(
-        "--telemetry-out",
-        default=None,
-        metavar="DIR",
-        help="write deterministic telemetry (query planner counters) to "
-        "this directory",
-    )
-    analyze.add_argument(
-        "--verbose",
-        action="store_true",
-        help="print the query-planner plan line to stderr (off by default "
-        "so piped output stays clean; telemetry counters are unaffected)",
-    )
-
-    query = sub.add_parser(
-        "query",
-        help="index-backed point lookups over an artifact (cbr footer "
-        "domain index + zone maps)",
-    )
-    query_sub = query.add_subparsers(dest="query_command", required=True)
-    query_domain = query_sub.add_parser(
-        "domain", help="print every connection record of one domain as JSONL"
-    )
-    query_domain.add_argument("name", help="registered domain name to look up")
-    query_domain.add_argument("dataset", help="artifact path ('-' for stdin)")
-    query_domain.add_argument(
-        "--telemetry-out",
-        default=None,
-        metavar="DIR",
-        help="write deterministic telemetry (query planner counters) to "
-        "this directory",
-    )
-    query_domain.add_argument(
-        "--verbose",
-        action="store_true",
-        help="print the query-planner plan line to stderr (off by default "
-        "so piped output stays clean; telemetry counters are unaffected)",
-    )
-
-    convert = sub.add_parser(
-        "convert",
-        help="export a cbr artifact as Appendix B JSONL, re-encode it, or "
-        "merge a checkpoint directory of cbr shards",
-    )
-    convert.add_argument(
-        "input", help="cbr artifact path, or a --checkpoint-dir directory of shards"
-    )
-    convert.add_argument(
-        "output",
-        help="output path: '.jsonl' writes the JSONL export, anything else cbr",
-    )
-
-    compliance = sub.add_parser(
-        "compliance", help="12-week longitudinal RFC-compliance study (Figure 2)"
-    )
-    compliance.add_argument("--czds", type=int, default=5_000)
-    compliance.add_argument("--seed", type=int, default=20230520)
-    compliance.add_argument("--weeks", type=int, default=12)
-    compliance.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="scan worker processes (1 = in-process; 0 = one per core)",
-    )
-
-    report = sub.add_parser(
-        "report", help="regenerate every table and figure of the paper"
-    )
-    report.add_argument("--czds", type=int, default=8_000)
-    report.add_argument("--toplist", type=int, default=1_000)
-    report.add_argument("--seed", type=int, default=20230520)
-    report.add_argument(
-        "--skip-longitudinal",
-        action="store_true",
-        help="skip the 12-week Figure 2 study (the slowest part)",
-    )
-
-    monitor = sub.add_parser(
-        "monitor",
-        help="streaming on-path spin monitoring of interleaved many-flow traffic",
-    )
-    monitor.add_argument("--flows", type=int, default=200, help="concurrent flows")
-    monitor.add_argument("--seed", type=int, default=20230520)
-    monitor.add_argument(
-        "--arrival-window-ms",
-        type=float,
-        default=5_000.0,
-        help="flow starts are staggered uniformly over this span",
-    )
-    monitor.add_argument(
-        "--window-ms", type=float, default=1_000.0, help="aggregation window width"
-    )
-    monitor.add_argument(
-        "--slide",
-        type=int,
-        default=1,
-        help="sliding view over the last N windows (1 = tumbling only)",
-    )
-    monitor.add_argument(
-        "--max-flows", type=int, default=10_000, help="flow-table capacity"
-    )
-    monitor.add_argument(
-        "--idle-timeout-ms",
-        type=float,
-        default=30_000.0,
-        help="retire flows idle for this long",
-    )
-    monitor.add_argument(
-        "--overflow-policy",
-        choices=("evict-lru", "drop-new"),
-        default="evict-lru",
-        help="behaviour when the flow table is full",
-    )
-    monitor.add_argument(
-        "--out", required=True, help="snapshot JSONL path ('-' for stdout)"
-    )
-    monitor.add_argument(
-        "--telemetry-out",
-        default=None,
-        metavar="DIR",
-        help="write deterministic telemetry (trace.jsonl, metrics.prom, ...) "
-        "to this directory",
-    )
-    monitor.add_argument(
-        "--fault",
-        action="append",
-        default=None,
-        metavar="SPEC",
-        help="inject seeded faults into the tap stream; "
-        "'corrupt-datagram:prob' truncates that fraction of datagrams",
-    )
-    monitor.add_argument(
-        "--migrate",
-        default=None,
-        metavar="PLAN",
-        help="inject seeded connection migrations mid-flow; comma-separated "
-        "kind:probability[:delay_ms] with kinds nat-rebind, cid-rotation, "
-        "path-migration (e.g. 'nat-rebind:0.3,path-migration:0.05')",
-    )
-    monitor.add_argument(
-        "--tcp-flows",
-        type=int,
-        default=0,
-        help="multiplex N simulated TCP flows into the tap (exercises "
-        "transport classification)",
-    )
-    monitor.add_argument(
-        "--no-cid-linkage",
-        action="store_true",
-        help="disable CID-to-flow linkage in the resolver (degraded control "
-        "arm: migrations split flows instead of being tracked)",
-    )
-
-    sub.add_parser("demo", help="one simulated connection, spin vs stack RTT")
-
-    service = sub.add_parser(
-        "service",
-        help="measurement-as-a-service plane: campaign daemon, incremental "
-        "week index, HTTP/JSON query API",
-    )
-    service_sub = service.add_subparsers(dest="service_command", required=True)
-
-    run_once = service_sub.add_parser(
-        "run-once",
-        help="one daemon tick: scan pending campaign weeks into the spool "
-        "and fold every new artifact into the week index",
-    )
-    _add_service_dir_arg(run_once)
-    _add_service_campaign_args(run_once)
-    run_once.add_argument(
-        "--max-weeks",
-        type=int,
-        default=None,
-        help="scan at most this many pending weeks this tick (default: all)",
-    )
-
-    service_serve = service_sub.add_parser(
-        "serve", help="run the HTTP/JSON query API (plus the scan scheduler)"
-    )
-    _add_serve_args(service_serve)
-
-    index = service_sub.add_parser(
-        "index",
-        help="fold every spooled artifact the ledger does not list yet",
-    )
-    _add_service_dir_arg(index)
-
-    submit = service_sub.add_parser(
-        "submit",
-        help="spool existing artifact files (content-addressed, dedup on "
-        "identical bytes) and fold them into the week index",
-    )
-    _add_service_dir_arg(submit)
-    submit.add_argument("artifacts", nargs="+", help="artifact paths to spool")
-
-    serve = sub.add_parser(
-        "serve", help="shorthand for 'repro service serve'"
-    )
-    _add_serve_args(serve)
-
-    telemetry = sub.add_parser(
-        "telemetry", help="inspect telemetry directories written by scan/monitor"
-    )
-    telemetry_sub = telemetry.add_subparsers(dest="telemetry_command", required=True)
-    summarize = telemetry_sub.add_parser(
-        "summarize", help="human-readable digest of a saved telemetry directory"
-    )
-    summarize.add_argument("directory", help="directory passed to --telemetry-out")
-
-    status = sub.add_parser(
-        "status",
-        help="evaluate SLOs into a health verdict, from a live server's "
-        "/v1/metrics or a finished campaign's service directory",
-    )
-    target = status.add_mutually_exclusive_group(required=True)
-    target.add_argument(
-        "--dir", metavar="DIR", help="service directory to judge offline"
-    )
-    target.add_argument(
-        "--url", metavar="URL", help="base URL of a running 'repro serve'"
-    )
-    status.add_argument(
-        "--slo",
-        default=None,
-        metavar="FILE",
-        help="JSON list of SLO specs replacing the built-in objectives",
-    )
-    status.add_argument(
-        "--metrics",
-        default=None,
-        metavar="FILE",
-        help="metrics.json snapshot to evaluate alongside --dir gauges "
-        "(default: DIR/telemetry/metrics.json when present)",
-    )
-    status.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the structured report instead of the text rendering",
-    )
-    status.add_argument(
-        "--exit-code",
-        action="store_true",
-        help="exit 0 when ok, 1 when degraded, 2 when failing (shell gate)",
-    )
-
-    profile = sub.add_parser(
-        "profile",
-        help="run the sampling profiler over a seeded scan and report "
-        "per-phase self time",
-    )
-    profile.add_argument("--czds", type=int, default=400, help="CZDS domain count")
-    profile.add_argument(
-        "--toplist", type=int, default=100, help="toplist domain count"
-    )
-    profile.add_argument("--seed", type=int, default=20230520)
-    profile.add_argument("--week", default="cw20-2023", help="calendar week label")
-    profile.add_argument("--ip-version", type=int, choices=(4, 6), default=4)
-    profile.add_argument(
-        "--sim",
-        action="store_true",
-        help="charge simulated milliseconds instead of wall time "
-        "(deterministic per seed)",
-    )
-    profile.add_argument(
-        "--sample-interval-ms",
-        type=float,
-        default=1.0,
-        help="milliseconds of self time per synthetic sample",
-    )
-    profile.add_argument(
-        "--analyze",
-        action="store_true",
-        help="also run the analysis folds over the scanned dataset, "
-        "profiled per section",
-    )
-    profile.add_argument(
-        "--out",
-        default=None,
-        metavar="FILE",
-        help="write collapsed stacks (flamegraph input) there ('-' for stdout)",
-    )
-
-    top = sub.add_parser(
-        "top", help="one-shot operator console over a running 'repro serve'"
-    )
-    top.add_argument(
-        "--url",
-        default="http://127.0.0.1:8323",
-        help="base URL of the running service API",
-    )
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for row in _ROWS:
+        group, _, name = row.name.rpartition(" ")
+        command = groups[group].add_parser(name, help=row.help)
+        if row.handler is None:
+            groups[row.name] = command.add_subparsers(
+                dest=f"{name}_command", required=True
+            )
+        _add_flags(command, row)
     return parser
-
-
-def _add_service_dir_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--dir",
-        required=True,
-        metavar="DIR",
-        help="service directory (spool/ and index/ live underneath)",
-    )
-    parser.add_argument(
-        "--telemetry-out",
-        default=None,
-        metavar="DIR",
-        help="write deterministic telemetry for this invocation there",
-    )
-
-
-def _add_service_campaign_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=20230520)
-    parser.add_argument("--czds", type=int, default=2_000, help="CZDS domain count")
-    parser.add_argument(
-        "--toplist", type=int, default=200, help="toplist domain count"
-    )
-    parser.add_argument(
-        "--first-week", default="cw18-2023", help="first campaign week label"
-    )
-    parser.add_argument(
-        "--last-week", default="cw20-2023", help="last campaign week label"
-    )
-    parser.add_argument("--ip-version", type=int, choices=(4, 6), default=4)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="scan worker processes (1 = in-process; 0 = one per core)",
-    )
-
-
-def _add_serve_args(parser: argparse.ArgumentParser) -> None:
-    _add_service_dir_arg(parser)
-    _add_service_campaign_args(parser)
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8323)
-    parser.add_argument(
-        "--interval-s",
-        type=float,
-        default=3600.0,
-        help="scan-scheduler cadence in wall-clock seconds",
-    )
-    parser.add_argument(
-        "--no-scan",
-        action="store_true",
-        help="serve the existing index only; schedule no scans",
-    )
-
-
-def _open_out(path: str):
-    if path == "-":
-        return sys.stdout, False
-    try:
-        return open(path, "w", encoding="utf-8"), True
-    except OSError as error:
-        raise SystemExit(f"repro: error: cannot write {path}: {error}")
 
 
 def _checked(build, *args, **kwargs):
@@ -572,37 +344,33 @@ def _checked(build, *args, **kwargs):
         raise SystemExit(f"repro: error: {error}")
 
 
-def _population(toplist: int, czds: int, seed: int):
-    """The synthetic population the domain-count options describe."""
-    from repro.internet.population import PopulationConfig, build_population
-
-    return build_population(
-        _checked(PopulationConfig, toplist_domains=toplist, czds_domains=czds, seed=seed)
-    )
-
-
-def _fault_plan_from_args(fault_args):
-    """Parse repeated ``--fault`` values into one plan (or ``None``)."""
-    if not fault_args:
-        return None
-    from repro.faults import parse_fault_plan
-
-    return _checked(parse_fault_plan, ",".join(fault_args))
+def _config(config_type, args: argparse.Namespace, **given):
+    """A ``config_type`` from the flags that set its fields, and
+    ``given``, through :func:`_checked`."""
+    values = {_FIELD.get(dest, dest): value for dest, value in vars(args).items()}
+    names = [field.name for field in dataclasses.fields(config_type)]
+    picked = {name: values[name] for name in names if name in values}
+    return _checked(config_type, **{**picked, **given})
 
 
-def _resilience_from_args(args):
-    """Build a ResilienceConfig from scan flags; ``None`` when all off."""
-    from repro.faults import BreakerPolicy, ResilienceConfig, RetryPolicy
+def _open_out(path: str):
+    if path == "-":
+        return sys.stdout, False
+    try:
+        return open(path, "w", encoding="utf-8"), True
+    except OSError as error:
+        raise SystemExit(f"repro: error: cannot write {path}: {error}")
 
-    retry = RetryPolicy(max_attempts=args.retries + 1) if args.retries else None
-    breaker = (
-        BreakerPolicy(
-            failure_threshold=args.breaker_threshold,
-            cooldown_attempts=args.breaker_cooldown,
-        )
-        if args.breaker_threshold is not None
-        else None
-    )
+
+def _plan(parse, text: str | None):
+    """The ``--fault`` / ``--migrate`` plan ``text`` describes, or ``None``."""
+    return _checked(parse, text) if text else None
+
+
+def _resilience(args: argparse.Namespace):
+    """The scan flags' ResilienceConfig; ``None`` when all are off."""
+    retry = _checked(RetryPolicy, max_attempts=args.retries + 1) if args.retries else None
+    breaker = _config(BreakerPolicy, args) if args.breaker_threshold is not None else None
     if (
         args.connect_timeout_ms is None
         and args.domain_budget_ms is None
@@ -610,12 +378,13 @@ def _resilience_from_args(args):
         and breaker is None
     ):
         return None
-    return ResilienceConfig(
-        connect_timeout_ms=args.connect_timeout_ms,
-        domain_budget_ms=args.domain_budget_ms,
-        retry=retry,
-        breaker=breaker,
-    )
+    return _config(ResilienceConfig, args, retry=retry, breaker=breaker)
+
+
+def _parallel(args: argparse.Namespace):
+    """The ParallelScanConfig of ``--workers`` (0 = one per core)."""
+    workers = args.workers or ParallelScanConfig.auto().workers
+    return _config(ParallelScanConfig, args, workers=workers)
 
 
 def _make_telemetry(on):
@@ -630,18 +399,6 @@ def _save_telemetry(telemetry, telemetry_out: str | None) -> None:
     if telemetry_out:
         telemetry.save(telemetry_out)
         print(f"telemetry written to {telemetry_out}", file=sys.stderr)
-
-
-def _parallel_config(
-    workers: int, chunk_size: int | None = None, force_pool: bool = False
-):
-    from repro.web.parallel import ParallelScanConfig
-
-    if workers == 0:
-        workers = ParallelScanConfig.auto().workers
-    return _checked(
-        ParallelScanConfig, workers=workers, chunk_size=chunk_size, force_pool=force_pool
-    )
 
 
 def _refuse_non_cbr_out(path: str) -> None:
@@ -665,25 +422,14 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     import json
 
     from repro.artifacts.cbr import write_records_cbr
-    from repro.faults import CheckpointError, truncate_jsonl_line
     from repro.faults.taxonomy import FailureFold
-    from repro.web.scanner import ScanConfig, Scanner
 
-    # All configuration errors surface as one clean stderr line before
-    # any work starts; stdout stays machine-parseable.
     _refuse_non_cbr_out(args.out)
-    faults = _fault_plan_from_args(args.fault)
-    try:
-        resilience = _resilience_from_args(args)
-        scan_config = ScanConfig(
-            qlog_sample_rate=args.qlog_sample_rate,
-            faults=faults,
-            resilience=resilience,
-        )
-    except ValueError as error:
-        raise SystemExit(f"repro: error: {error}")
-    population = _population(args.toplist, args.czds, args.seed)
-    parallel = _parallel_config(args.workers, args.chunk_size, args.force_pool)
+    faults = _plan(parse_fault_plan, ",".join(args.fault or ()))
+    scan_config = _config(ScanConfig, args, faults=faults, resilience=_resilience(args))
+    population_config = _config(PopulationConfig, args)
+    parallel = _parallel(args)
+    population = build_population(population_config)
     print(
         f"scanning {population.domain_count} domains "
         f"(week {args.week}, IPv{args.ip_version}, "
@@ -730,7 +476,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             count = write_records_cbr(connection_stream(), stream)
     except CheckpointError as error:
         raise SystemExit(f"repro: error: {error}")
-    except (OSError, ValueError) as error:
+    except OSError as error:
         raise SystemExit(f"repro: error: cannot write {args.out}: {error}")
     finally:
         scanner.close()
@@ -841,19 +587,8 @@ def _cmd_analyze_migration(args: argparse.Namespace) -> int:
         render_migration_section,
         run_linkage_study,
     )
-    from repro.monitor import TrafficConfig
-    from repro.netsim import parse_migration_plan
 
-    try:
-        plan = parse_migration_plan(args.migrate) if args.migrate else None
-        traffic = TrafficConfig(
-            flows=args.flows,
-            seed=args.seed,
-            migration=plan,
-            tcp_flows=args.tcp_flows,
-        )
-    except ValueError as error:
-        raise SystemExit(f"repro: error: {error}")
+    traffic = _config(TrafficConfig, args, migration=_plan(parse_migration_plan, args.migrate))
     print(
         f"simulating {traffic.flows} QUIC + {traffic.tcp_flows} TCP flows "
         f"under plan '{args.migrate or '(none)'}' (seed {traffic.seed}) "
@@ -894,7 +629,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
     from repro.analysis.artifacts import export_records
     from repro.artifacts import open_record_batches
-    from repro.artifacts.cbr import concat_frames, write_records_cbr
+    from repro.artifacts.cbr import CbrFormatError, concat_frames, write_records_cbr
 
     export = args.output.endswith(".jsonl")
     if not export:
@@ -927,7 +662,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
                     _, count = concat_frames(sources, out)
                 else:
                     count = write_records_cbr(records(), out)
-    except (OSError, ValueError) as error:  # CbrFormatError is a ValueError
+    except (OSError, CbrFormatError) as error:
         if os.path.isfile(args.output):
             os.remove(args.output)  # ours, and torn
         raise SystemExit(f"repro: error: {error}")
@@ -940,17 +675,18 @@ def _cmd_compliance(args: argparse.Namespace) -> int:
     from repro.analysis.compliance import ComplianceFold, scan_flags
     from repro.analysis.report import render_compliance_histogram
     from repro.campaign.schedule import DEFAULT_CAMPAIGN
-    from repro.web.scanner import Scanner
 
     weeks = _checked(DEFAULT_CAMPAIGN.select_spread_weeks, args.weeks)
-    population = _population(0, args.czds, args.seed)
+    population_config = _config(PopulationConfig, args, toplist_domains=0)
+    parallel = _parallel(args)
+    population = build_population(population_config)
     quic_domains = [d for d in population.iter_targets() if d.quic_enabled]
     print(
         f"scanning {len(quic_domains)} QUIC domains in {args.weeks} spread weeks ...",
         file=sys.stderr,
     )
     fold = ComplianceFold(len(weeks))
-    with Scanner(population, parallel=_parallel_config(args.workers)) as scanner:
+    with Scanner(population, parallel=parallel) as scanner:
         fold.update_many(
             scan_flags(scanner, quic_domains, [(week.label, 0) for week in weeks])
         )
@@ -959,45 +695,21 @@ def _cmd_compliance(args: argparse.Namespace) -> int:
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
-    from repro.monitor import (
+    traffic = _config(TrafficConfig, args, migration=_plan(parse_migration_plan, args.migrate))
+    monitor = _config(
         MonitorConfig,
-        TrafficConfig,
-        WindowConfig,
-        run_monitor,
+        args,
+        window=_config(WindowConfig, args),
+        track_migration=traffic.migration_active or args.tcp_flows > 0,
+        cid_linkage=not args.no_cid_linkage,
     )
-
-    try:
-        migration = None
-        if args.migrate:
-            from repro.netsim import parse_migration_plan
-
-            migration = parse_migration_plan(args.migrate)
-        traffic = TrafficConfig(
-            flows=args.flows,
-            seed=args.seed,
-            arrival_window_ms=args.arrival_window_ms,
-            migration=migration,
-            tcp_flows=args.tcp_flows,
-        )
-        monitor = MonitorConfig(
-            max_flows=args.max_flows,
-            idle_timeout_ms=args.idle_timeout_ms,
-            overflow_policy=args.overflow_policy,
-            window=WindowConfig(
-                window_ms=args.window_ms, slide_windows=args.slide
-            ),
-            track_migration=traffic.migration_active or args.tcp_flows > 0,
-            cid_linkage=not args.no_cid_linkage,
-        )
-    except ValueError as error:
-        raise SystemExit(f"repro: error: {error}")
+    faults = _plan(parse_fault_plan, ",".join(args.fault or ()))
     print(
         f"monitoring {traffic.flows} flows "
         f"(seed {traffic.seed}, {monitor.window.window_ms:.0f} ms windows, "
         f"table capacity {monitor.max_flows}) ...",
         file=sys.stderr,
     )
-    faults = _fault_plan_from_args(args.fault)
     telemetry = _make_telemetry(args.telemetry_out)
     stream, close = _open_out(args.out)
     try:
@@ -1054,7 +766,7 @@ def _cmd_demo(_: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis.paper_report import generate_paper_report
 
-    population = _population(args.toplist, args.czds, args.seed)
+    population = build_population(_config(PopulationConfig, args))
     print(
         f"running the full study over {population.domain_count} domains ...",
         file=sys.stderr,
@@ -1153,7 +865,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
             try:
                 with open(metrics_path, "r", encoding="utf-8") as stream:
                     loaded = json.load(stream)
-            except (OSError, ValueError) as error:
+            except (OSError, UnicodeDecodeError, json.JSONDecodeError) as error:
                 raise SystemExit(
                     f"repro: error: cannot read {metrics_path}: {error}"
                 )
@@ -1173,7 +885,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     from repro.obs import PhaseProfiler
     from repro.telemetry import Telemetry
-    from repro.web.scanner import Scanner
 
     # Diagnostics-only wall clock, injected so the profiler package
     # itself never reads one (the determinism lint covers it).
@@ -1183,7 +894,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
     telemetry = Telemetry()
     telemetry.profiler = profiler
-    population = _population(args.toplist, args.czds, args.seed)
+    population = build_population(_config(PopulationConfig, args))
     print(
         f"profiling a scan of {population.domain_count} domains "
         f"(week {args.week}, IPv{args.ip_version},"
@@ -1237,26 +948,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def _service_config_from_args(args: argparse.Namespace):
-    """Build a ServiceConfig, routing every error through the one-line
-    ``repro: error:`` convention before any directory is touched."""
-    from repro.service import ServiceConfig
-
-    return _checked(
-        ServiceConfig,
-        seed=args.seed,
-        czds_domains=args.czds,
-        toplist_domains=args.toplist,
-        first_week=args.first_week,
-        last_week=args.last_week,
-        ip_version=args.ip_version,
-        workers=args.workers,
-    )
-
-
 def _service_stores(args: argparse.Namespace):
-    from repro.service import SpoolStore, WeekIndexer
-
     try:
         spool = SpoolStore(f"{args.dir}/spool")
         indexer = WeekIndexer(f"{args.dir}/index")
@@ -1267,60 +959,74 @@ def _service_stores(args: argparse.Namespace):
     return spool, indexer
 
 
-def _cmd_service(args: argparse.Namespace) -> int:
+def _daemon(args: argparse.Namespace, config: ServiceConfig, telemetry):
+    try:
+        return CampaignDaemon(args.dir, config, telemetry=telemetry)
+    except OSError as error:
+        raise SystemExit(
+            f"repro: error: cannot open service directory {args.dir}: {error}"
+        )
+
+
+def _cmd_run_once(args: argparse.Namespace) -> int:
     import json
 
-    from repro.service import CampaignDaemon, serve_forever
+    config = _config(ServiceConfig, args)
+    telemetry = _make_telemetry(args.telemetry_out)
+    status = _daemon(args, config, telemetry).run_once(
+        max_weeks=args.max_weeks, verbose=True
+    )
+    _save_telemetry(telemetry, args.telemetry_out)
+    print(json.dumps(status, sort_keys=True))
+    return 0
 
-    command = getattr(args, "service_command", "serve")
-    if command in ("run-once", "serve"):
-        config = _service_config_from_args(args)
-        # A server's telemetry is what /v1/metrics, /v1/status and
-        # /v1/spans answer with (and is never saved), so it is always on.
-        telemetry = _make_telemetry(args.telemetry_out or command == "serve")
-        try:
-            daemon = CampaignDaemon(args.dir, config, telemetry=telemetry)
-        except OSError as error:
-            raise SystemExit(
-                f"repro: error: cannot open service directory {args.dir}: {error}"
-            )
-        if command == "run-once":
-            status = daemon.run_once(max_weeks=args.max_weeks, verbose=True)
-            _save_telemetry(telemetry, args.telemetry_out)
-            print(json.dumps(status, sort_keys=True))
-            return 0
-        if args.port < 0 or args.port > 65535:
-            raise SystemExit(f"repro: error: invalid port {args.port}")
-        try:
-            serve_forever(
-                daemon,
-                host=args.host,
-                port=args.port,
-                interval_s=None if args.no_scan else args.interval_s,
-            )
-        except ValueError as error:
-            raise SystemExit(f"repro: error: {error}")
-        except OSError as error:
-            raise SystemExit(
-                f"repro: error: cannot bind {args.host}:{args.port}: {error}"
-            )
-        return 0
+
+def _check_listener(port: int, interval_s: float | None) -> None:
+    """The values ``serve_forever`` refuses, checked before the service
+    directory is opened."""
+    if not 0 <= port <= 65535:
+        raise ValueError(f"invalid port {port}")
+    if interval_s is not None and interval_s <= 0:
+        raise ValueError("tick interval must be positive")
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    config = _config(ServiceConfig, args)
+    interval_s = None if args.no_scan else args.interval_s
+    _checked(_check_listener, args.port, interval_s)
+    # A server's telemetry is what /v1/metrics, /v1/status and
+    # /v1/spans answer with (and is never saved), so it is always on.
+    daemon = _daemon(args, config, _make_telemetry(True))
+    try:
+        serve_forever(daemon, host=args.host, port=args.port, interval_s=interval_s)
+    except OSError as error:
+        raise SystemExit(
+            f"repro: error: cannot bind {args.host}:{args.port}: {error}"
+        )
+    return 0
+
+
+def _cmd_fold(args: argparse.Namespace) -> int:
+    """``service index`` / ``service submit``: spool the given artifacts,
+    then fold every one the ledger does not list yet."""
+    import json
+
+    from repro.artifacts.cbr import CbrFormatError
 
     spool, indexer = _service_stores(args)
     telemetry = _make_telemetry(args.telemetry_out)
-    if command == "submit":
-        for path in args.artifacts:
-            try:
-                entry = spool.submit_file(path)
-            except OSError as error:
-                raise SystemExit(f"repro: error: cannot read {path}: {error}")
-            except ValueError as error:  # CbrFormatError: not a cbr artifact
-                raise SystemExit(f"repro: error: cannot spool {path}: {error}")
-            print(
-                f"spooled {path} as {entry.fingerprint}"
-                + ("" if entry.new else " (duplicate payload)"),
-                file=sys.stderr,
-            )
+    for path in getattr(args, "artifacts", ()):
+        try:
+            entry = spool.submit_file(path)
+        except OSError as error:
+            raise SystemExit(f"repro: error: cannot read {path}: {error}")
+        except CbrFormatError as error:
+            raise SystemExit(f"repro: error: cannot spool {path}: {error}")
+        print(
+            f"spooled {path} as {entry.fingerprint}"
+            + ("" if entry.new else " (duplicate payload)"),
+            file=sys.stderr,
+        )
     folded = indexer.fold_pending(spool)
     telemetry.registry.counter("service.artifacts_folded").inc(len(folded))
     _save_telemetry(telemetry, args.telemetry_out)
@@ -1333,28 +1039,165 @@ def _cmd_service(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
-    "scan": _cmd_scan,
-    "report": _cmd_report,
-    "analyze": _cmd_analyze,
-    "query": _cmd_query,
-    "convert": _cmd_convert,
-    "compliance": _cmd_compliance,
-    "monitor": _cmd_monitor,
-    "demo": _cmd_demo,
-    "telemetry": _cmd_telemetry,
-    "service": _cmd_service,
-    "serve": _cmd_service,
-    "status": _cmd_status,
-    "profile": _cmd_profile,
-    "top": _cmd_top,
-}
+_TARGET_FLAGS = ("--czds", "--toplist", "--seed", "--week", "--ip-version")
+_CAMPAIGN_FLAGS = (
+    "--dir", "--telemetry-out", "--seed", "--czds", "--toplist",
+    "--first-week", "--last-week", "--ip-version", "--workers",
+)
+
+_ROWS = (
+    _Row(
+        "scan",
+        "run a weekly measurement into a cbr artifact",
+        _cmd_scan,
+        (
+            PopulationConfig, ScanConfig, ParallelScanConfig, ResilienceConfig,
+            RetryPolicy, BreakerPolicy,
+        ),
+        (
+            *_TARGET_FLAGS, "--workers", "--chunk-size", "--force-pool", "--out",
+            "--telemetry-out", "--fault", "--connect-timeout-ms", "--domain-budget-ms",
+            "--retries", "--breaker-threshold", "--breaker-cooldown", "--checkpoint-dir",
+            "--qlog-sample-rate", "--qlog-out",
+        ),
+        dict(czds=8_000, toplist=1_000, breaker_threshold=None),
+    ),
+    _Row(
+        "analyze",
+        "analyze a cbr artifact",
+        _cmd_analyze,
+        (TrafficConfig,),
+        (
+            "dataset", "--section", "--flows", "--tcp-flows", "--seed", "--migrate",
+            "--json", "--where", "--telemetry-out", "--verbose",
+        ),
+        dict(
+            dataset=None,
+            flows=120,
+            tcp_flows=10,
+            migrate="nat-rebind:0.3,cid-rotation:0.3,path-migration:0.1",
+        ),
+    ),
+    _Row(
+        "query",
+        "index-backed point lookups over an artifact (cbr footer "
+        "domain index + zone maps)",
+    ),
+    _Row(
+        "query domain",
+        "print every connection record of one domain as JSONL",
+        _cmd_query,
+        flags=("name", "dataset", "--telemetry-out", "--verbose"),
+    ),
+    _Row(
+        "convert",
+        "export a cbr artifact as Appendix B JSONL, re-encode it, or "
+        "merge a checkpoint directory of cbr shards",
+        _cmd_convert,
+        flags=("input", "output"),
+    ),
+    _Row(
+        "compliance",
+        "12-week longitudinal RFC-compliance study (Figure 2)",
+        _cmd_compliance,
+        (PopulationConfig, ParallelScanConfig),
+        ("--czds", "--seed", "--weeks", "--workers"),
+        dict(czds=5_000),
+    ),
+    _Row(
+        "report",
+        "regenerate every table and figure of the paper",
+        _cmd_report,
+        (PopulationConfig,),
+        ("--czds", "--toplist", "--seed", "--skip-longitudinal"),
+        dict(czds=8_000, toplist=1_000),
+    ),
+    _Row(
+        "monitor",
+        "streaming on-path spin monitoring of interleaved many-flow traffic",
+        _cmd_monitor,
+        (TrafficConfig, MonitorConfig, WindowConfig),
+        (
+            "--flows", "--seed", "--arrival-window-ms", "--window-ms", "--slide",
+            "--max-flows", "--idle-timeout-ms", "--overflow-policy", "--out",
+            "--telemetry-out", "--fault", "--migrate", "--tcp-flows", "--no-cid-linkage",
+        ),
+        dict(flows=200),
+    ),
+    _Row("demo", "one simulated connection, spin vs stack RTT", _cmd_demo),
+    _Row(
+        "service",
+        "measurement-as-a-service plane: campaign daemon, incremental "
+        "week index, HTTP/JSON query API",
+    ),
+    _Row(
+        "service run-once",
+        "one daemon tick: scan pending campaign weeks into the spool "
+        "and fold every new artifact into the week index",
+        _cmd_run_once,
+        (ServiceConfig,),
+        (*_CAMPAIGN_FLAGS, "--max-weeks"),
+    ),
+    _Row(
+        "service serve",
+        "run the HTTP/JSON query API (plus the scan scheduler)",
+        _cmd_serve,
+        (ServiceConfig,),
+        (*_CAMPAIGN_FLAGS, "--host", "--port", "--interval-s", "--no-scan"),
+    ),
+    _Row(
+        "service index",
+        "fold every spooled artifact the ledger does not list yet",
+        _cmd_fold,
+        flags=("--dir", "--telemetry-out"),
+    ),
+    _Row(
+        "service submit",
+        "spool existing artifact files (content-addressed, dedup on "
+        "identical bytes) and fold them into the week index",
+        _cmd_fold,
+        flags=("--dir", "--telemetry-out", "artifacts"),
+    ),
+    _Row("telemetry", "inspect telemetry directories written by scan/monitor"),
+    _Row(
+        "telemetry summarize",
+        "human-readable digest of a saved telemetry directory",
+        _cmd_telemetry,
+        flags=("directory",),
+    ),
+    _Row(
+        "status",
+        "evaluate SLOs into a health verdict, from a live server's "
+        "/v1/metrics or a finished campaign's service directory",
+        _cmd_status,
+        flags=(("--dir", "--url"), "--slo", "--metrics", "--json", "--exit-code"),
+        defaults=dict(dir=None),
+    ),
+    _Row(
+        "profile",
+        "run the sampling profiler over a seeded scan and report "
+        "per-phase self time",
+        _cmd_profile,
+        (PopulationConfig,),
+        (*_TARGET_FLAGS, "--sim", "--sample-interval-ms", "--analyze", "--out"),
+        dict(czds=400, toplist=100, out=None),
+    ),
+    _Row(
+        "top",
+        "one-shot operator console over a running 'repro service serve'",
+        _cmd_top,
+        flags=("--url",),
+        defaults=dict(url="http://127.0.0.1:8323"),
+    ),
+)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    sub = getattr(args, f"{args.command}_command", None)
+    name = f"{args.command} {sub}" if sub else args.command
+    return next(row for row in _ROWS if row.name == name).handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

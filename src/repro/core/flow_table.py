@@ -54,6 +54,19 @@ __all__ = ["FlowRecord", "FlowTableStats", "SpinFlowTable", "tuple_flow_key"]
 OVERFLOW_POLICIES = ("evict-lru", "drop-new")
 
 
+def check_table_shape(max_flows: int, idle_timeout_ms: float, overflow_policy: str) -> None:
+    """Raise ValueError unless the three values size a flow table."""
+    if max_flows < 1:
+        raise ValueError("max_flows must be positive")
+    if idle_timeout_ms <= 0:
+        raise ValueError("idle_timeout_ms must be positive")
+    if overflow_policy not in OVERFLOW_POLICIES:
+        raise ValueError(
+            f"overflow_policy must be one of {OVERFLOW_POLICIES}, "
+            f"got {overflow_policy!r}"
+        )
+
+
 def tuple_flow_key(tuple4: tuple) -> str:
     """The flow key of a zero-length-CID flow: its 4-tuple, namespaced.
 
@@ -202,15 +215,7 @@ class SpinFlowTable:
         on_sample: Callable[[float, float], None] | None = None,
         on_window: Callable[[float], tuple[set, float]] | None = None,
     ):
-        if max_flows < 1:
-            raise ValueError("max_flows must be positive")
-        if idle_timeout_ms <= 0:
-            raise ValueError("idle_timeout_ms must be positive")
-        if overflow_policy not in OVERFLOW_POLICIES:
-            raise ValueError(
-                f"overflow_policy must be one of {OVERFLOW_POLICIES}, "
-                f"got {overflow_policy!r}"
-            )
+        check_table_shape(max_flows, idle_timeout_ms, overflow_policy)
         self.short_dcid_length = short_dcid_length
         self.max_flows = max_flows
         self.idle_timeout_ms = idle_timeout_ms

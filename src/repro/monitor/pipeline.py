@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
 from repro.core.flow_resolver import FlowKeyResolver
-from repro.core.flow_table import FlowRecord, SpinFlowTable
+from repro.core.flow_table import FlowRecord, SpinFlowTable, check_table_shape
 from repro.monitor.aggregate import WindowAggregator, WindowConfig, WindowSnapshot
 from repro.monitor.traffic import TapDatagram
 from repro.telemetry import Telemetry
@@ -49,6 +49,9 @@ class MonitorConfig:
     #: flows via 4-tuple continuity; ``False`` is the degraded control
     #: arm (``analyze --section migration`` compares the two).
     cid_linkage: bool = True
+
+    def __post_init__(self) -> None:
+        check_table_shape(self.max_flows, self.idle_timeout_ms, self.overflow_policy)
 
 
 @dataclass

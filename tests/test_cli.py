@@ -243,18 +243,31 @@ class TestArgumentErrors:
             ["compliance", "--czds", "-5"],
             ["report", "--czds", "-5"],
             ["scan", "--czds", "-5", "--out", "OUT"],
+            ["monitor", "--flows", "5", "--max-flows", "0", "--out", "-"],
+            ["monitor", "--flows", "5", "--max-flows", "-1", "--out", "-"],
+            ["monitor", "--flows", "5", "--idle-timeout-ms", "0", "--out", "-"],
+            ["compliance", "--czds", "10", "--workers", "-2"],
+            ["monitor", "--flows", "5", "--fault", "bogus:1", "--out", "-"],
+            ["service", "serve", "--dir", "DIR", "--port", "99999"],
+            ["service", "serve", "--dir", "DIR", "--interval-s", "-1"],
         ],
-        ids=["weeks-1", "weeks-59", "compliance-czds", "report-czds", "scan-czds"],
+        ids=[
+            "weeks-1", "weeks-59", "compliance-czds", "report-czds", "scan-czds",
+            "monitor-max-flows-0", "monitor-max-flows-negative", "monitor-idle-timeout-0",
+            "compliance-workers", "monitor-fault", "serve-port", "serve-interval",
+        ],
     )
     def test_invalid_config_is_one_error_line(self, argv, tmp_path, capsys):
         """An invalid option value exits with one ``repro: error:`` line
-        before any scanning, not with a traceback."""
-        argv = [str(tmp_path / "x.cbr") if arg == "OUT" else arg for arg in argv]
+        before any output or scanning, and before any file or directory
+        is created, not with a traceback."""
+        paths = {"OUT": str(tmp_path / "x.cbr"), "DIR": str(tmp_path / "svc")}
+        argv = [paths.get(arg, arg) for arg in argv]
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         message = str(excinfo.value)
         assert message.startswith("repro: error:") and "\n" not in message
-        assert capsys.readouterr().out == ""
+        assert capsys.readouterr() == ("", "")
         assert list(tmp_path.iterdir()) == []
 
     def test_service_config_errors_use_the_cli_convention(self, tmp_path):
@@ -265,7 +278,7 @@ class TestArgumentErrors:
              "--first-week", "week-zero"],
             ["service", "run-once", "--dir", str(tmp_path / "b"),
              "--czds", "0", "--toplist", "0"],
-            ["serve", "--dir", str(tmp_path / "c"), "--port", "99999"],
+            ["service", "serve", "--dir", str(tmp_path / "c"), "--port", "99999"],
         ]
         for argv in cases:
             with pytest.raises(SystemExit) as excinfo:

@@ -8,13 +8,20 @@
 * ``errors``: the one ``repro: error:`` line each invalid value gives,
   run in an empty working directory.
 
-A change to how the parser is built must leave both unchanged.
+A change to how the parser is built must leave both unchanged.  Below
+them, static checks of the table the parser is built from (DESIGN.md
+§16) and of the lint rule that keeps one config error path.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import dataclasses
+import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,3 +93,115 @@ class TestPinnedSurface:
             if str(excinfo.value) != entry["error"]:
                 wrong.append((entry["argv"], str(excinfo.value)))
         assert wrong == []
+
+
+CLI = Path(__file__).resolve().parent.parent / "src" / "repro" / "cli.py"
+LINT = Path(__file__).resolve().parent.parent / "scripts" / "check_determinism_lint.py"
+
+
+class TestOneTable:
+    """Static checks of the table the parser is built from."""
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["--seed", "--telemetry-out", "--workers", "--czds", "--toplist",
+         "--ip-version", "--week", "--verbose"],
+    )
+    def test_a_shared_flag_is_declared_once(self, flag):
+        """Declared = a key of a dict literal or the first argument of an
+        ``add_argument`` call; rows name the flag, they do not declare it."""
+        declarations = 0
+        for node in ast.walk(ast.parse(CLI.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Dict):
+                keys = node.keys
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "add_argument":
+                keys = node.args[:1]
+            else:
+                continue
+            declarations += sum(
+                isinstance(key, ast.Constant) and key.value == flag for key in keys
+            )
+        assert declarations == 1
+
+    def test_a_flag_defaults_to_the_config_field_it_sets(self):
+        """Unless its row holds a default of its own, a flag whose dest
+        names a field of a config the row builds parses to that field's
+        default, of the same type."""
+        from repro.cli import _FIELD, _ROWS
+
+        required_only = {}
+        for entry in PINS["namespaces"]:
+            required_only.setdefault(_command_of(entry["namespace"]), entry["argv"])
+        checked = 0
+        for row in _ROWS:
+            if row.handler is None:
+                continue
+            namespace = vars(_build_parser().parse_args(required_only[row.name]))
+            fields = {
+                field.name: field.default
+                for config in row.configs
+                for field in dataclasses.fields(config)
+            }
+            for entry in row.flags:
+                for name in entry if isinstance(entry, tuple) else (entry,):
+                    dest = name.lstrip("-").replace("-", "_")
+                    field = _FIELD.get(dest, dest)
+                    if field in fields and dest not in row.defaults:
+                        assert _canonical(namespace[dest]) == _canonical(fields[field]), (
+                            row.name, name,
+                        )
+                        checked += 1
+        assert checked >= 30
+
+    def test_the_cli_catches_value_error_only_in_checked(self):
+        spec = importlib.util.spec_from_file_location("determinism_lint", LINT)
+        lint = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(lint)
+        assert lint.one_config_error_path(CLI.read_text(encoding="utf-8")) == []
+
+    def test_serve_is_an_unknown_command(self, tmp_path, capsys):
+        """``repro service serve`` is the one spelling."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--dir", str(tmp_path / "svc")])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'serve'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestOneConfigErrorPath:
+    """The lint rule that keeps ``_checked`` the CLI's one ValueError
+    handler, run on a mutant tree."""
+
+    #: One handler inside ``_checked`` and one inline, as the parent's
+    #: ``_cmd_scan`` caught its config errors.
+    CLI_SOURCE = (
+        "def _checked(build):\n"
+        "    try:\n"
+        "        return build()\n"
+        "    except ValueError as error:\n"
+        "        raise SystemExit(error)\n"
+        "\n"
+        "def _cmd_scan(args):\n"
+        "    try:\n"
+        "        return int(args.retries)\n"
+        "    except (OSError, ValueError) as error:\n"
+        "        raise SystemExit(error)\n"
+        "    except KeyError:\n"
+        "        return 1\n"
+    )
+
+    def test_an_inline_value_error_handler_is_caught(self, tmp_path):
+        for name in ("cli.py", "web/cli.py"):
+            path = tmp_path / "repro" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(self.CLI_SOURCE, encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, str(LINT), str(tmp_path)], capture_output=True, text=True
+        )
+        assert result.returncode == 1
+        flagged = {
+            line.split(": ", 1)[0].split("repro/", 1)[1]
+            for line in result.stderr.splitlines()
+            if "repro/" in line
+        }
+        assert flagged == {"cli.py:10"}
