@@ -9,7 +9,7 @@ Runs the production entry points under one ``sys.setprofile`` /
   telemetry, status, profile, top, service run-once / submit / index /
   serve), with the documented refusals;
 - ``scripts/chaos_smoke.sh``'s faulted scan;
-- every ``/v1/*`` route of a live ``repro serve``, plus malformed
+- every ``/v1/*`` route of a live ``repro service serve``, plus malformed
   requests;
 - one smoke-scale round of each ``bench`` workload;
 - every script under ``examples/``;
@@ -127,7 +127,7 @@ def _run_group(steps, work: Path, dumps: Path) -> None:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         for step in steps:
             # An exception raised inside the hook (the interrupt that
-            # stops ``repro serve``) unsets it: set it again.
+            # stops ``repro service serve``) unsets it: set it again.
             sys.setprofile(_hook)
             began = time.perf_counter()
             step(work)
@@ -276,7 +276,7 @@ def _free_port() -> int:
 
 
 def api_routes(work: Path) -> None:
-    """``repro serve`` on the main thread; every route from another."""
+    """``repro service serve`` on the main thread; every route from another."""
     import _thread
 
     port = _free_port()
@@ -318,7 +318,7 @@ def api_routes(work: Path) -> None:
     thread = threading.Thread(target=client)
     thread.start()
     # The scheduler's first tick finds both weeks scanned: nothing to do.
-    _cli("serve", "--dir", svc, "--seed", 77, "--czds", 140, "--toplist", 40,
+    _cli("service", "serve", "--dir", svc, "--seed", 77, "--czds", 140, "--toplist", 40,
          "--first-week", "cw19-2023", "--last-week", "cw20-2023", "--port", port)
     thread.join()
 

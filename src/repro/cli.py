@@ -298,6 +298,7 @@ def _add_flags(parser: argparse.ArgumentParser, row: _Row) -> None:
         field.name: field.default
         for config in row.configs
         for field in dataclasses.fields(config)
+        if field.default is not dataclasses.MISSING
     }
     for entry in row.flags:
         group = isinstance(entry, tuple)
@@ -305,14 +306,14 @@ def _add_flags(parser: argparse.ArgumentParser, row: _Row) -> None:
         for name in entry if group else (entry,):
             kwargs = dict(_FLAGS[name])
             dest = name.lstrip("-").replace("-", "_")
-            field_default = fields.get(_FIELD.get(dest, dest))
+            field = _FIELD.get(dest, dest)
             if dest in row.defaults:
                 kwargs["default"] = row.defaults[dest]
                 kwargs.pop("required", None)
                 if not name.startswith("-"):
                     kwargs["nargs"] = "?"
-            elif field_default not in (None, dataclasses.MISSING):
-                kwargs["default"] = field_default
+            elif field in fields:
+                kwargs["default"] = fields[field]
             target.add_argument(name, **kwargs)
 
 

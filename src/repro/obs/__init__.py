@@ -9,7 +9,7 @@ seed:
 * :mod:`repro.obs.slo` — declarative SLOs evaluated as burn rates over
   exported metrics snapshots, yielding structured health reports.
 * :mod:`repro.obs.console` — the one-shot ``repro top`` operator
-  console over a running ``repro serve``.
+  console over a running ``repro service serve``.
 """
 
 from .profile import PhaseProfiler

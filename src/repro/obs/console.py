@@ -1,4 +1,4 @@
-"""`repro top`: a one-shot text console over a running `repro serve`.
+"""`repro top`: a one-shot text console over a running `repro service serve`.
 
 Deliberately not a curses loop: one fetch, one render, exit.  That
 keeps it scriptable (watch(1) gives you the refresh loop for free),

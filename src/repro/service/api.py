@@ -114,8 +114,8 @@ class ServiceState:
         self.indexer = indexer
         #: What ``/v1/metrics``, ``/v1/status`` and ``/v1/spans`` serve
         #: back; ``None`` is off like anywhere else — requests go
-        #: uncounted and the three answer empty (``repro serve`` always
-        #: hands its daemon and its state one live bundle).
+        #: uncounted and the three answer empty (``repro service serve``
+        #: always hands its daemon and its state one live bundle).
         self.telemetry = Telemetry.resolve(telemetry)
         self.seeds_path = seeds_path or (spool.directory / _SEEDS_NAME)
         self.health_engine = health_engine or HealthEngine(

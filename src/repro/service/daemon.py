@@ -22,8 +22,8 @@ idempotent or checkpointed by an existing layer —
 
 Scheduling is clock-agnostic: :class:`Scheduler` paces ticks through a
 pluggable clock.  Tests drive one where sleeping advances time; the
-``repro serve`` loop is the one place the service touches the wall clock, with
-the determinism-lint pragmas marking that boundary.
+``repro service serve`` loop is the one place the service touches the
+wall clock, with the determinism-lint pragmas marking that boundary.
 """
 
 from __future__ import annotations

@@ -187,7 +187,8 @@ class TestTickReadsTheLedgerOnce:
 class TestStateWithoutABundle:
     """``ServiceState`` is an owner like any other: without a bundle it
     is off.  What its three telemetry routes then answer is pinned here
-    (DESIGN.md §12); ``repro serve`` always hands it a live bundle."""
+    (DESIGN.md §12); ``repro service serve`` always hands it a live
+    bundle."""
 
     def test_its_telemetry_routes_answer_empty(self, tmp_path):
         state = ServiceState(SpoolStore(tmp_path / "spool"), WeekIndexer(tmp_path / "index"))
