@@ -21,6 +21,7 @@ answer Tables 1, 3 and 4 (:func:`repro.analysis.adoption.domain_tables`):
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
@@ -200,13 +201,16 @@ def scan_flags(
     scans: Iterable[tuple[str, int]],
 ) -> Iterator[dict[str, int]]:
     """One ``{domain: flags}`` map per ``(week label, probe)`` scan of
-    ``domains``, each streamed through :meth:`Scanner.scan_stream`.
+    ``domains``, the scans streamed through one
+    :meth:`Scanner.scan_streams` window.
 
     Figure 2 passes spread weeks at probe 0; the follow-up passes one
     week at probes 1..16, which re-roll per-connection randomness while
     the week's deployment stays fixed.
     """
-    for week, probe in scans:
-        yield domain_flags(
-            scanner.scan_stream(week_label=week, domains=domains, probe=probe)
-        )
+    streams = scanner.scan_streams(
+        [dict(week_label=week, domains=domains, probe=probe) for week, probe in scans]
+    )
+    with closing(streams):
+        for stream in streams:
+            yield domain_flags(stream)

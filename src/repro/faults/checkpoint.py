@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from repro._util.files import replace_file
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.internet.population import DomainRecord
+    from repro.internet.population import DomainRecord, Population
     from repro.web.scanner import DomainScanResult
 
 __all__ = [
@@ -54,26 +54,26 @@ def scan_fingerprint(
     week_label: str,
     ip_version: int,
     probe: int,
-    targets: Iterable["DomainRecord"],
+    targets: "Population | Iterable[DomainRecord]",
     config_repr: str,
 ) -> dict:
     """Identity of one scan, for manifest compatibility checks.
 
-    The target list is folded to a digest so manifests stay small; it is
-    hashed name by name, so ``targets`` may be any iterable — a
-    population's ``iter_targets()`` never becomes a list (the digest
-    equals that of the names joined by ``|``).  The scan config enters
-    via its ``repr`` (frozen dataclasses render every field), so
-    resuming under a different fault plan or resilience setting is
-    rejected instead of silently mixing regimes.
+    The target list is folded to a digest so manifests stay small
+    (:func:`~repro.internet.population.names_digest`).  A whole
+    population passes itself: it walks its targets for the digest once
+    and keeps it, so the fingerprints of a campaign's weeks cost one
+    walk.  The scan config enters via its ``repr`` (frozen dataclasses
+    render every field), so resuming under a different fault plan or
+    resilience setting is rejected instead of silently mixing regimes.
     """
-    names = hashlib.sha256()
-    count = 0
-    for domain in targets:
-        if count:
-            names.update(b"|")
-        names.update(domain.name.encode("utf-8"))
-        count += 1
+    from repro.internet.population import Population, names_digest
+
+    count, digest = (
+        targets.targets_digest
+        if isinstance(targets, Population)
+        else names_digest(targets)
+    )
     config_digest = hashlib.sha256(config_repr.encode("utf-8")).hexdigest()[:16]
     return {
         "seed": seed,
@@ -81,7 +81,7 @@ def scan_fingerprint(
         "ip_version": ip_version,
         "probe": probe,
         "targets": count,
-        "targets_digest": names.hexdigest()[:16],
+        "targets_digest": digest,
         "config_digest": config_digest,
     }
 

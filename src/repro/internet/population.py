@@ -31,9 +31,11 @@ its domain list.
 from __future__ import annotations
 
 import functools
+import hashlib
 import ipaddress
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Iterable
 
 from repro._util.rng import derive_rng
 from repro._util.stats import weighted_choice
@@ -47,6 +49,7 @@ __all__ = [
     "PopulationConfig",
     "build_population",
     "build_population_from_names",
+    "names_digest",
 ]
 
 #: CZDS zone mix: .com dominates, matching the paper's com/net/org share
@@ -82,6 +85,19 @@ _MAX_CHURN_LOOKBACK_WEEKS = 160
 #: stream per block: a range costs the blocks it touches, and one stream
 #: seeding is shared by 64 records instead of paid per record.
 BLOCK_SIZE = 64
+
+
+def names_digest(targets: Iterable[DomainRecord]) -> tuple[int, str]:
+    """``(count, digest)`` of the names joined by ``|``, in order, hashed
+    one name at a time so an iterator of targets never becomes a list."""
+    names = hashlib.sha256()
+    count = 0
+    for domain in targets:
+        if count:
+            names.update(b"|")
+        names.update(domain.name.encode("utf-8"))
+        count += 1
+    return count, names.hexdigest()[:16]
 
 
 class ListGroup(Enum):
@@ -308,6 +324,12 @@ class Population:
         """Yield every domain in population order, one block at a time."""
         for block in range(-(-self.domain_count // BLOCK_SIZE)):
             yield from self._draw_block(block)
+
+    @functools.cached_property
+    def targets_digest(self) -> tuple[int, str]:
+        """:func:`names_digest` of every domain, from one walk of the
+        population however many scan fingerprints ask for it."""
+        return names_digest(self.iter_targets())
 
     def trim_caches(self, limit: int = 200_000) -> None:
         """Drop stack/persistence caches once they exceed ``limit``.

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import io
 import sys
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -97,9 +98,6 @@ class CampaignDaemon:
         )
         self._population = None
         self._scanner = None
-        #: week label -> scan fingerprint; every input to it is fixed for
-        #: the daemon's life, and each one draws the whole population.
-        self._fingerprints: dict[str, dict] = {}
 
     def close(self) -> None:
         """Shut down the daemon's scanner pool deterministically."""
@@ -187,8 +185,14 @@ class CampaignDaemon:
             if max_weeks is not None:
                 pending = pending[:max_weeks]
             scanned = []
-            for week in pending:
-                scanned.append(self._scan_week(week, verbose=verbose))
+            # One stream for the tick's weeks: week k is spooled while
+            # week k + 1's shards already run.
+            streams = self.scanner.scan_streams(
+                [self._scan_args(week) for week in pending], verbose=verbose
+            )
+            with closing(streams):
+                for week, results in zip(pending, streams):
+                    scanned.append(self._spool_week(week, results, verbose))
             folded = self.indexer.fold_pending(self.spool)
             # The tick's read-back — the "query" step of the pipeline:
             # the status report is served from the index the tick just
@@ -217,11 +221,19 @@ class CampaignDaemon:
             "indexed_weeks": indexed,
         }
 
-    def _scan_week(self, week: CalendarWeek, verbose: bool = False) -> str:
-        from repro.artifacts.cbr import write_records_cbr
+    def _scan_args(self, week: CalendarWeek) -> dict:
+        """The week's scan, checkpointed under its fingerprint's digest."""
+        digest = scan_digest(self._scan_fingerprint(week))
+        return {
+            "week_label": week.label,
+            "ip_version": self.config.ip_version,
+            "checkpoint_dir": self.directory / "spool" / "checkpoints" / digest,
+        }
 
-        fingerprint = self._scan_fingerprint(week)
-        digest = scan_digest(fingerprint)
+    def _spool_week(self, week: CalendarWeek, results, verbose: bool = False) -> str:
+        from repro.artifacts.cbr import write_records_cbr
+        from repro.web.scanner import ScanDataset
+
         if verbose:
             print(
                 f"service: scanning week {week.label} "
@@ -231,18 +243,15 @@ class CampaignDaemon:
         import time
 
         started = time.perf_counter()  # wallclock-ok: throughput gauge only
-        dataset = self.scanner.scan(
-            week_label=week.label,
-            ip_version=self.config.ip_version,
-            verbose=verbose,
-            checkpoint_dir=self.directory / "spool" / "checkpoints" / digest,
-        )
+        dataset = ScanDataset(week.label, self.config.ip_version, list(results))
         elapsed = time.perf_counter() - started  # wallclock-ok: gauge only
         telemetry = self.telemetry
         if elapsed > 0:
             # Wall-clock throughput is operational state, not a
             # measurement artifact: it feeds the scan-throughput SLO and
-            # never enters the trace.
+            # never enters the trace.  A tick's weeks overlap, so it is
+            # the week's domains over the wait for its first to last
+            # result; some of its shards ran during the week before.
             telemetry.registry.gauge("service.scan_domains_per_s").set(
                 len(dataset.results) / elapsed
             )
@@ -252,7 +261,7 @@ class CampaignDaemon:
             entry = self.spool.submit_bytes(
                 buffer.getvalue(), source=f"daemon:{week.label}"
             )
-            self.spool.record_scan(fingerprint, entry.fingerprint)
+            self.spool.record_scan(self._scan_fingerprint(week), entry.fingerprint)
             spool_span.annotate(
                 artifact=entry.fingerprint,
                 bytes=entry.size,
@@ -264,16 +273,14 @@ class CampaignDaemon:
         """The scan's identity — same derivation the checkpoint layer uses."""
         from repro.faults.checkpoint import scan_fingerprint
 
-        if week.label not in self._fingerprints:
-            self._fingerprints[week.label] = scan_fingerprint(
-                self.config.seed,
-                week.label,
-                self.config.ip_version,
-                0,
-                self.population.iter_targets(),
-                repr(self.scanner.config),
-            )
-        return self._fingerprints[week.label]
+        return scan_fingerprint(
+            self.config.seed,
+            week.label,
+            self.config.ip_version,
+            0,
+            self.population,
+            repr(self.scanner.config),
+        )
 
 
 class WallClock:

@@ -13,18 +13,23 @@ between domains and the target list can be sharded freely.
   into fixed ``chunk``-sized ranges, so a shard's ordinal names the
   same domains in every run (what lets a checkpoint resume at another
   worker count).
+* **Scans.**  One stream runs a sequence of scans (a campaign tick's
+  weeks, Fig. 2's passes) in (scan, ordinal) order, so the pool does
+  not drain at a scan boundary.
 * **Executor.**  A shard that is due is scanned in-process, or — when
-  more than one core and more than one shard are available, or
-  ``force_pool`` is set — submitted to a process pool in ordinal order.
+  more than one usable core and more than one shard are available, or
+  ``force_pool`` is set — submitted to a process pool in that order.
   Tasks carry ``(start, count)`` range descriptors (workers materialize
   their own slice; ad-hoc ``domains=`` lists ship their records) and
   come back as one cbr payload, not a pickled object graph.
 * **Window.**  At most ``max(2, workers * 3)`` shards are outstanding
-  (in flight, or finished but behind a slower predecessor), so memory
-  is proportional to the window, never the population.
-* **Emission.**  Shards leave in ascending ordinal; telemetry absorb and
-  checkpoint save happen there, and :meth:`Scanner.scan_stream` runs the
-  circuit breaker over what is emitted — all in population order.
+  (queued, in flight, or finished but behind a slower predecessor), and
+  the queue is kept that deep, so a worker's next shard is already
+  waiting when it finishes one.  Memory is proportional to the window,
+  never the population.
+* **Emission.**  Shards leave in (scan, ordinal) order; telemetry absorb
+  and checkpoint save happen there, and :meth:`Scanner.scan_stream` runs
+  the circuit breaker over what is emitted — all in population order.
 
 Emission order alone fixes every byte downstream, so the stream is
 **bit-identical** at any worker count or completion order — same
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import os
 import weakref
+from itertools import islice
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -43,10 +49,19 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 from repro.web.shardplan import ShardRange, plan_shards
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.faults.checkpoint import CheckpointStore
     from repro.internet.population import DomainRecord, PopulationConfig
     from repro.web.scanner import DomainScanResult, ScanConfig, Scanner
 
-__all__ = ["ParallelScanConfig", "close_pool", "shard_stream"]
+__all__ = ["ParallelScanConfig", "ShardedScan", "close_pool", "shard_stream"]
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity, if known."""
+    cores = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return min(cores, len(os.sched_getaffinity(0)))
+    return cores
 
 
 @dataclass(frozen=True)
@@ -76,8 +91,8 @@ class ParallelScanConfig:
 
     @classmethod
     def auto(cls) -> "ParallelScanConfig":
-        """One worker per available core."""
-        return cls(workers=max(1, os.cpu_count() or 1))
+        """One worker per usable core."""
+        return cls(workers=_usable_cores())
 
     def resolve_chunk_size(self, n_targets: int) -> int:
         """The shard size used for ``n_targets`` domains.
@@ -209,53 +224,71 @@ def _drop_pool(scanner: "Scanner") -> None:
 # ----------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ShardedScan:
+    """One scan of a shard stream: ``total`` targets cut every ``chunk``;
+    ``domains=None`` is the scanner's whole population, else its list."""
+
+    week_label: str
+    ip_version: int
+    probe: int
+    total: int
+    chunk: int
+    domains: "Sequence[DomainRecord] | None" = None
+    checkpoint: "CheckpointStore | None" = None
+
+    @property
+    def shard_count(self) -> int:
+        return -(-self.total // self.chunk)
+
+
 def shard_stream(
-    scanner: "Scanner",
-    domains: "Sequence[DomainRecord] | None",
-    week_label: str,
-    ip_version: int,
-    probe: int,
-    chunk: int,
-    checkpoint=None,
-) -> Iterator[list["DomainScanResult"]]:
-    """Yield every shard's results, in ascending ordinal, bounded memory.
+    scanner: "Scanner", scans: "Sequence[ShardedScan]"
+) -> Iterator[tuple[int, list["DomainScanResult"]]]:
+    """Yield ``(scan number, shard results)`` in (scan, ordinal) order.
 
-    ``domains=None`` scans the scanner's whole population through
-    ``materialize_range`` (nothing here ever asks for the full list);
-    otherwise the shards are slices of ``domains``.
+    Shards are dispatched in that order through one window, so the next
+    scan's first shards run while the scan before emits its last ones.
 
-    A shard becomes *due* when the window has room for it.  Under a
-    ``checkpoint`` (:class:`repro.faults.CheckpointStore`) a due shard
-    is first looked up on disk — lazily, one ordinal at a time, so a
-    resume holds no more than the window either — and only scanned when
-    absent or damaged.  Loaded shards contribute no telemetry: their
-    events belong to the run that produced them.
+    A shard becomes *due* when the window has room for it.  Under its
+    scan's ``checkpoint`` (:class:`repro.faults.CheckpointStore`) a due
+    shard is first looked up on disk — lazily, one ordinal at a time, so
+    a resume holds no more than the window either — and only scanned
+    when absent or damaged.  Loaded shards contribute no telemetry:
+    their events belong to the run that produced them.
 
-    Everything order-sensitive happens at emission, one shard at a time
-    in population order: the shard's telemetry bundle is absorbed, and a
-    freshly scanned shard is saved to the checkpoint on this thread
-    before it is yielded, so every emitted shard is already on disk
-    (and a failed save raises here, before the shard is emitted).  ``scanner.last_scan_stats`` is rewritten on every call and
-    kept current as the stream advances.
+    Everything order-sensitive happens at emission, one shard at a time:
+    the shard's telemetry bundle is absorbed, and a freshly scanned
+    shard is saved to its checkpoint on this thread before it is
+    yielded.  So every emitted shard is already on disk, and a failed
+    save raises here, before the shard is emitted.  A consumer that
+    stops or raises cancels every queued shard, later scans' included,
+    and waits out the ones already running.  ``scanner.last_scan_stats``
+    is rewritten on every call and kept current as the stream advances.
     """
     from repro.faults.checkpoint import results_from_cbr_payload
     from repro.web.scanner import stamp_week
 
     population = scanner.population
     telemetry = scanner.telemetry
-    total = population.domain_count if domains is None else len(domains)
-
-    def targets_of(shard: ShardRange):
-        if domains is None:
-            return population.materialize_range(shard.start, shard.stop)
-        return domains[shard.start : shard.stop]
-
-    shards = plan_shards(total, chunk)
-    parallel = scanner.parallel
-    usable = min(parallel.workers, os.cpu_count() or 1)
-    use_pool = bool(shards) and (
-        parallel.force_pool or (usable > 1 and len(shards) > 1)
+    #: (position, (scan number, scan, shard)) of every shard of every
+    #: scan, in dispatch and emission order; one scan's plan at a time,
+    #: so memory does not grow with the number of scans
+    plan = enumerate(
+        (n, scan, shard)
+        for n, scan in enumerate(scans)
+        for shard in plan_shards(scan.total, scan.chunk)
     )
+    count = sum(scan.shard_count for scan in scans)
+
+    def targets_of(scan: ShardedScan, shard: ShardRange):
+        if scan.domains is None:
+            return population.materialize_range(shard.start, shard.stop)
+        return scan.domains[shard.start : shard.stop]
+
+    parallel = scanner.parallel
+    usable = min(parallel.workers, _usable_cores())
+    use_pool = count > 0 and (parallel.force_pool or (usable > 1 and count > 1))
     workers = 1
     if use_pool:
         workers = parallel.workers if parallel.force_pool else usable
@@ -268,57 +301,52 @@ def shard_stream(
         "pool": use_pool,
         "max_outstanding": 0,
     }
-    #: ordinal -> (results | None, worker cbr payload | None, telemetry
-    #: parts | None, loaded from the checkpoint?)
+    #: position in ``plan`` -> (results | None, worker cbr payload |
+    #: None, telemetry parts | None, loaded from the checkpoint?)
     ready: dict[int, tuple] = {}
     inflight: dict = {}
-    #: ordinal -> its targets, drawn once when the shard comes due
-    drawn: dict[int, Sequence["DomainRecord"]] = {}
-    next_due = 0
+    #: position -> (scan number, scan, shard, its targets drawn once
+    #: when the shard came due), for every shard in flight or ready
+    drawn: dict[int, tuple] = {}
 
     def fill_window() -> None:
-        nonlocal next_due
-        while (
-            next_due < len(shards)
-            and len(inflight) < workers
-            and len(inflight) + len(ready) < window
-        ):
-            due = shards[next_due]
-            next_due += 1
-            targets = drawn[due.index] = targets_of(due)
-            if checkpoint is not None:
-                loaded = checkpoint.load_shard(due.index, targets)
+        for position, (number, scan, due) in islice(plan, window - len(drawn)):
+            targets = targets_of(scan, due)
+            drawn[position] = (number, scan, due, targets)
+            if scan.checkpoint is not None:
+                loaded = scan.checkpoint.load_shard(due.index, targets)
                 if loaded is not None:
-                    ready[due.index] = (loaded, None, None, True)
+                    ready[position] = (loaded, None, None, True)
                     continue
             stats["units"] += 1
             if use_pool:
                 # The population's own ranges ship as descriptors; the
                 # workers cannot rebuild an ad-hoc list, so its records go.
-                records = None if domains is None else tuple(targets)
-                task = (due.start, due.count, records, week_label, ip_version, probe)
+                records = None if scan.domains is None else tuple(targets)
+                task = (
+                    due.start, due.count, records,
+                    scan.week_label, scan.ip_version, scan.probe,
+                )
                 pool = _pool_for(scanner, workers)
-                inflight[pool.submit(_scan_unit, task)] = due.index
+                inflight[pool.submit(_scan_unit, task)] = position
             else:
                 results, telem = scanner.scan_shard(
-                    targets, week_label, ip_version, probe
+                    targets, scan.week_label, scan.ip_version, scan.probe
                 )
-                ready[due.index] = (results, None, telem, False)
-        stats["max_outstanding"] = max(
-            stats["max_outstanding"], len(inflight) + len(ready)
-        )
+                ready[position] = (results, None, telem, False)
+        stats["max_outstanding"] = max(stats["max_outstanding"], len(drawn))
 
     try:
-        for shard in shards:
+        for position in range(count):
             fill_window()
-            while shard.index not in ready:
+            while position not in ready:
                 done, _ = wait(inflight, return_when=FIRST_COMPLETED)
                 for future in done:
                     payload, telem = future.result()
                     ready[inflight.pop(future)] = (None, payload, telem, False)
                 fill_window()
-            results, payload, telem, loaded = ready.pop(shard.index)
-            targets = drawn.pop(shard.index)
+            results, payload, telem, loaded = ready.pop(position)
+            number, scan, shard, targets = drawn.pop(position)
             if payload is not None:
                 # Decoded only now, so shards waiting in the window are
                 # compact bytes; strict, because a damaged in-memory IPC
@@ -332,19 +360,23 @@ def shard_stream(
                     f"shard:{shard.index}", diag=True, domains=shard.count
                 )
             if loaded:
-                stamp_week(results, week_label)  # may predate week stamping
-            elif checkpoint is not None:
+                stamp_week(results, scan.week_label)  # may predate week stamping
+            elif scan.checkpoint is not None:
                 # A worker's payload is already the shard file's bytes.
-                checkpoint.save_shard(
+                scan.checkpoint.save_shard(
                     shard.index, results if payload is None else payload
                 )
             population.trim_caches()
-            yield results
+            yield number, results
     except Exception:
         if use_pool:
             # A broken pool must not poison later scans on this scanner.
             _drop_pool(scanner)
         raise
     finally:
-        for future in inflight:  # consumer stopped early, or a crash
+        # The consumer stopped early, or a crash: nothing queued may run
+        # on, and nothing running may outlive the stream.
+        for future in inflight:
             future.cancel()
+        if inflight:
+            wait(inflight)

@@ -17,6 +17,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Iterator, Sequence
 
 from repro._util.rng import SeedPrefix, fork_rng
@@ -39,7 +40,7 @@ from repro.quic.connection import ConnectionConfig
 from repro.qlog.writer import recorder_to_qlog
 from repro.telemetry import Telemetry, trace_id_for
 from repro.web.http3 import run_exchange
-from repro.web.parallel import ParallelScanConfig, close_pool, shard_stream
+from repro.web.parallel import ParallelScanConfig, ShardedScan, close_pool, shard_stream
 from repro.web.server_profiles import ServerStackProfile, stack_by_name
 
 
@@ -266,6 +267,7 @@ class Scanner:
         probe: int = 0,
         verbose: bool = False,
         checkpoint_dir=None,
+        _shards: Iterator[list[DomainScanResult]] | None = None,
     ) -> Iterator[DomainScanResult]:
         """Scan ``domains`` (default: the whole population) as a stream.
 
@@ -294,27 +296,14 @@ class Scanner:
         population order: its per-provider state only ever moves
         forward, so decisions are identical for any worker count, and
         checkpoint shards always hold pre-breaker results.
+
+        ``_shards`` is this scan's share of a :meth:`scan_streams` window.
         """
         population = self.population
         total = population.domain_count if domains is None else len(domains)
-        chunk = self.parallel.resolve_chunk_size(total)
-        store = None
-        if checkpoint_dir is not None:
-            from repro.faults.checkpoint import CheckpointStore, scan_fingerprint
-
-            chunk = self.parallel.chunk_size or 256
-            store = CheckpointStore(
-                checkpoint_dir,
-                fingerprint=scan_fingerprint(
-                    population.config.seed,
-                    week_label,
-                    ip_version,
-                    probe,
-                    population.iter_targets() if domains is None else domains,
-                    repr(self.config),
-                ),
-                chunk=chunk,
-            )
+        if _shards is None:
+            scan = self._sharded(week_label, ip_version, domains, probe, checkpoint_dir)
+            _shards = (shard for _, shard in shard_stream(self, [scan]))
         breaker = None
         resilience = self.config.resilience
         if resilience is not None and resilience.breaker is not None:
@@ -344,9 +333,7 @@ class Scanner:
         with telemetry.phase("scan"), tracer.span(
             f"scan:{week_label}", ip_version=ip_version, domains=total
         ) as span:
-            for shard in shard_stream(
-                self, domains, week_label, ip_version, probe, chunk, store
-            ):
+            for shard in _shards:
                 for result in shard:
                     if breaker is not None:
                         result = breaker.step(result)
@@ -371,6 +358,53 @@ class Scanner:
                 f"{stats['workers']} worker(s))",
                 file=sys.stderr,
             )
+
+    def scan_streams(
+        self, scans: Sequence[dict], verbose: bool = False
+    ) -> Iterator[Iterator[DomainScanResult]]:
+        """One result stream per scan, all fed through one shard window.
+
+        ``scans`` are :meth:`scan_stream` keyword arguments.  Stream *k*
+        is ``scan_stream(**scans[k])``'s — results, span and checkpoint
+        files — but scan *k + 1*'s shards already run while scan *k*
+        emits its last ones.  Consume the streams in order, each to its
+        end; closing this generator cancels every shard still queued.
+        """
+        planned = [self._sharded(**scan) for scan in scans]
+        shards = shard_stream(self, planned)
+
+        def share(number: int, count: int) -> Iterator[list[DomainScanResult]]:
+            for owner, results in islice(shards, count):
+                if owner != number:
+                    raise RuntimeError("consume scan streams in order, each to its end")
+                yield results
+
+        try:
+            for number, (scan, sharded) in enumerate(zip(scans, planned)):
+                count = sharded.shard_count
+                yield self.scan_stream(**scan, verbose=verbose, _shards=share(number, count))
+        finally:
+            shards.close()
+
+    def _sharded(
+        self, week_label="cw20-2023", ip_version=4, domains=None, probe=0,
+        checkpoint_dir=None,
+    ) -> ShardedScan:
+        """A scan's shard plan and checkpoint store."""
+        population = self.population
+        total = population.domain_count if domains is None else len(domains)
+        chunk = self.parallel.resolve_chunk_size(total)
+        store = None
+        if checkpoint_dir is not None:
+            from repro.faults.checkpoint import CheckpointStore, scan_fingerprint
+
+            chunk = self.parallel.chunk_size or 256
+            fingerprint = scan_fingerprint(
+                population.config.seed, week_label, ip_version, probe,
+                population if domains is None else domains, repr(self.config),
+            )
+            store = CheckpointStore(checkpoint_dir, fingerprint, chunk)
+        return ShardedScan(week_label, ip_version, probe, total, chunk, domains, store)
 
     def scan_shard(
         self,

@@ -73,14 +73,15 @@ def results_of(matrix: dict[str, list]) -> list[list]:
 
 
 class ReplayScanner:
-    """Serves recorded result lists as ``scan_stream`` (probe = index)."""
+    """Serves recorded result lists as ``scan_streams`` (probe = index)."""
 
     def __init__(self, scans: list[list]) -> None:
         self.scans = scans
 
-    def scan_stream(self, week_label, domains, probe):
-        assert week_label == "cw20-2023"
-        return iter(self.scans[probe])
+    def scan_streams(self, scans):
+        for scan in scans:
+            assert scan["week_label"] == "cw20-2023"
+            yield iter(self.scans[scan["probe"]])
 
 
 def fold(scans: list[list], names) -> ComplianceHistogram:

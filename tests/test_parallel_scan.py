@@ -115,6 +115,27 @@ class TestPoolFallback:
         ).scan(week_label="cw20-2023", domains=population.domains[:20])
         assert len(dataset.results) == 20
 
+    def test_cpu_affinity_bounds_the_pool(self, population, monkeypatch):
+        """Pinned to one core of a larger machine, two workers cannot
+        beat one: the scan stays inline and ``auto()`` sizes for one."""
+        import repro.web.parallel as parallel_mod
+
+        def explode(*args, **kwargs):  # pragma: no cover - defensive
+            raise AssertionError("pool built on a single usable core")
+
+        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(
+            parallel_mod.os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", explode)
+        scanner = Scanner(
+            population, parallel=ParallelScanConfig(workers=2, chunk_size=7)
+        )
+        dataset = scanner.scan(week_label="cw20-2023", domains=population.domains[:20])
+        assert len(dataset.results) == 20
+        assert scanner.last_scan_stats["pool"] is False
+        assert ParallelScanConfig.auto().workers == 1
+
     def test_single_shard_falls_back_inline(self, population, monkeypatch):
         import repro.web.parallel as parallel_mod
 

@@ -34,6 +34,8 @@ from repro.service import (
 from repro.service.api import WeekUnreadable
 from repro.service.summary import WeekSummary
 from repro.telemetry import Telemetry
+from repro.web import parallel as parallel_mod
+from repro.web.parallel import ParallelScanConfig
 from repro.web.scanner import Scanner
 
 from tables_oracle import reference_tables
@@ -66,6 +68,26 @@ def run_daemon(directory) -> CampaignDaemon:
     daemon = CampaignDaemon(directory, CONFIG)
     daemon.run_once()
     return daemon
+
+
+def pooled_scanner(daemon: CampaignDaemon) -> Scanner:
+    """A real two-worker pool at a chunk that cuts CONFIG into 12
+    shards a week, injected as the daemon's scanner."""
+    daemon._scanner = Scanner(
+        daemon.population,
+        parallel=ParallelScanConfig(workers=2, chunk_size=16, force_pool=True),
+        telemetry=daemon.telemetry,
+    )
+    return daemon._scanner
+
+
+def tree_bytes(directory, skip: str | None = None) -> dict[str, bytes]:
+    """Every file under ``directory`` by relative path, but ``skip``'s."""
+    return {
+        str(path.relative_to(directory)): path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file() and (skip is None or skip not in path.parts)
+    }
 
 
 def index_bytes(indexer: WeekIndexer) -> dict[str, bytes]:
@@ -219,37 +241,97 @@ class TestDaemon:
         assert status["folded_artifacts"] == []
         assert status["indexed_weeks"] == ["cw19-2023", "cw20-2023"]
 
+    def test_a_pooled_tick_equals_an_inline_tick(self, tmp_path):
+        """Two weeks through one real pool window — week 2's shards run
+        while week 1 is spooled — write the inline tick's spool, index
+        and trace rows, and the checkpoint files of an inline tick at
+        the same chunk."""
+        clean_telemetry = Telemetry()
+        clean = CampaignDaemon(tmp_path / "clean", CONFIG, telemetry=clean_telemetry)
+        clean.run_once()
+        chunked = CampaignDaemon(tmp_path / "chunked", CONFIG)
+        chunked._scanner = Scanner(
+            chunked.population, parallel=ParallelScanConfig(chunk_size=16)
+        )
+        chunked.run_once()
+
+        telemetry = Telemetry()
+        with CampaignDaemon(tmp_path / "pooled", CONFIG, telemetry=telemetry) as daemon:
+            scanner = pooled_scanner(daemon)
+            assert daemon.run_once()["scanned_weeks"] == ["cw19-2023", "cw20-2023"]
+            assert scanner.last_scan_stats["pool"] is True
+            assert scanner.last_scan_stats["units"] == 24
+        assert tree_bytes(tmp_path / "pooled", skip="checkpoints") == tree_bytes(
+            tmp_path / "clean", skip="checkpoints"
+        )
+        assert tree_bytes(tmp_path / "pooled") == tree_bytes(tmp_path / "chunked")
+        paths = [record.path for record in telemetry.tracer.records]
+        assert paths == [record.path for record in clean_telemetry.tracer.records]
+
     @pytest.mark.parametrize(
-        "failing", ["spool.submit_bytes", "scanner.scan_shard"]
+        "failing, failing_call, pooled",
+        [
+            pytest.param("spool.submit_bytes", 2, False, id="spool.submit_bytes"),
+            pytest.param("scanner.scan_shard", 2, False, id="scanner.scan_shard"),
+            pytest.param(
+                "spool.submit_bytes", 1, True, id="pooled-first-spool.submit_bytes"
+            ),
+        ],
     )
     def test_crashed_tick_retries_to_the_uninterrupted_index_and_trace(
-        self, tmp_path, monkeypatch, failing
+        self, tmp_path, monkeypatch, failing, failing_call, pooled
     ):
-        """A tick whose second week fails — in the scan, or spooling its
-        artifact — leaves no span open; the next tick on the same daemon
-        and telemetry ends at the uninterrupted run's index bytes and
-        row paths."""
+        """A tick that fails — in the scan, or spooling a week's artifact,
+        with a pool also while the next week's shards are queued — leaves
+        no span open and no shard running; the next tick on the same
+        daemon and telemetry ends at the uninterrupted run's index bytes
+        and row paths."""
         clean_telemetry = Telemetry()
         clean = CampaignDaemon(tmp_path / "clean", CONFIG, telemetry=clean_telemetry)
         clean.run_once()
 
         telemetry = Telemetry()
         daemon = CampaignDaemon(tmp_path / "crashed", CONFIG, telemetry=telemetry)
+        if pooled:
+            pooled_scanner(daemon)
+        submitted = []  # (week, future) of every shard sent to the pool
+        pool_for = parallel_mod._pool_for
+
+        class RecordingPool:
+            def __init__(self, pool):
+                self.pool = pool
+
+            def submit(self, function, task):
+                future = self.pool.submit(function, task)
+                submitted.append((task[3], future))
+                return future
+
+        monkeypatch.setattr(
+            parallel_mod, "_pool_for", lambda *args: RecordingPool(pool_for(*args))
+        )
         owner, method = failing.split(".")
         real = getattr(getattr(daemon, owner), method)
         calls = []
+        queued_at_crash = []
 
-        def fail_the_second_call(*args, **kwargs):
+        def fail_the_chosen_call(*args, **kwargs):
             calls.append(args)
-            if len(calls) == 2:
+            if len(calls) == failing_call:
+                queued_at_crash.extend(week for week, _ in submitted)
                 raise RuntimeError("simulated crash")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(getattr(daemon, owner), method, fail_the_second_call)
-        with pytest.raises(RuntimeError, match="simulated crash"):
-            daemon.run_once()
-        assert telemetry.tracer._stack == []
-        assert daemon.run_once()["indexed_weeks"] == ["cw19-2023", "cw20-2023"]
+        monkeypatch.setattr(getattr(daemon, owner), method, fail_the_chosen_call)
+        try:
+            with pytest.raises(RuntimeError, match="simulated crash"):
+                daemon.run_once()
+            assert telemetry.tracer._stack == []
+            assert all(future.done() for _, future in submitted)
+            if pooled:
+                assert "cw20-2023" in queued_at_crash
+            assert daemon.run_once()["indexed_weeks"] == ["cw19-2023", "cw20-2023"]
+        finally:
+            daemon.close()
         assert index_bytes(daemon.indexer) == index_bytes(clean.indexer)
         paths = {record.path for record in telemetry.tracer.records}
         assert paths == {record.path for record in clean_telemetry.tracer.records}
@@ -282,14 +364,6 @@ class TestDaemon:
     def test_a_tick_never_holds_the_domain_list(self, tmp_path, monkeypatch):
         """The daemon reads its population by range: a tick over one
         whose ``domains`` raises writes the same spool bytes."""
-
-        def spool_bytes(directory) -> dict[str, bytes]:
-            return {
-                str(path.relative_to(directory)): path.read_bytes()
-                for path in sorted((directory / "spool").rglob("*"))
-                if path.is_file()
-            }
-
         run_daemon(tmp_path / "listed")
 
         def refuse(population):
@@ -297,7 +371,9 @@ class TestDaemon:
 
         monkeypatch.setattr(Population, "domains", property(refuse))
         run_daemon(tmp_path / "ranged")
-        assert spool_bytes(tmp_path / "ranged") == spool_bytes(tmp_path / "listed")
+        assert tree_bytes(tmp_path / "ranged" / "spool") == tree_bytes(
+            tmp_path / "listed" / "spool"
+        )
 
     def test_fig2_folds_from_the_week_files(self, tmp_path):
         """The ``domains`` flag maps of three consecutive week files give
