@@ -4,8 +4,9 @@ The analysis modules (Tables 1-4, Figures 2-4) only need a handful of
 well-specified operations: means, percentiles, binomial probabilities for
 the RFC-compliance reference curves of Figure 2, and a histogram type
 whose bins can be rendered as the relative histograms the paper plots.
-Implementing them here (instead of pulling in scipy at import time) keeps
-the core library light; numpy is used only where it clearly pays off.
+Implementing them here (instead of pulling in scipy or numpy at import
+time) keeps the core library light: the package has no third-party
+dependency.
 """
 
 from __future__ import annotations

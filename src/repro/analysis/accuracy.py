@@ -215,7 +215,7 @@ class AccuracyFold:
         spin_received, spin_sorted, grease_received, grease_sorted = results.values()
         for entry in batch.comparable:
             absolute, _, quic_mean, received, _, sorted_series, behaviour = entry
-            changed = sorted_series != received
+            changed = sorted_series is not received and sorted_series != received
             resorted = mean_accuracy(sorted_series, quic_mean) if changed else entry
             if resorted is None:
                 continue

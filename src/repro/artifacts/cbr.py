@@ -1101,14 +1101,37 @@ def _decode_columns(
         raise CbrFormatError("bad spin-value mask column")
     pos += n
     chunk.packets_seen, pos = _read_uv_column(buf, pos, n)
+    # Reordering changes few series (paper: 0.28 % of connections), so a
+    # chunk's sorted edge block and RTT column are mostly byte copies of
+    # the received ones.  A block's own bytes fix its length (counts,
+    # the packet-number length prefix, the bit count), so a sorted block
+    # whose prefix equals the received block is that block: its columns
+    # are shared, not decoded again.
+    start = pos
     chunk.edges_received, chunk.times_received, pos = _decode_edge_columns(
         buf, pos, n, want_edges_received
     )
-    chunk.edges_sorted, chunk.times_sorted, pos = _decode_edge_columns(
-        buf, pos, n, want_edges_sorted
-    )
+    end = 2 * pos - start
+    shared = buf[start:pos] == buf[pos:end]
+    if shared:
+        chunk.times_sorted = chunk.times_received
+        if want_edges_sorted and not want_edges_received:
+            chunk.edges_sorted = _decode_edge_columns(buf, pos, n, True)[0]
+        else:
+            chunk.edges_sorted = chunk.edges_received if want_edges_sorted else None
+        pos = end
+    else:
+        chunk.edges_sorted, chunk.times_sorted, pos = _decode_edge_columns(
+            buf, pos, n, want_edges_sorted
+        )
+    start = pos
     chunk.rtts_received, pos = _decode_rtt_columns(buf, pos, chunk.times_received)
-    chunk.rtts_sorted, pos = _decode_rtt_columns(buf, pos, chunk.times_sorted)
+    end = 2 * pos - start
+    if shared and buf[start:pos] == buf[pos:end]:
+        chunk.rtts_sorted = chunk.rtts_received
+        pos = end
+    else:
+        chunk.rtts_sorted, pos = _decode_rtt_columns(buf, pos, chunk.times_sorted)
     stack_counts, pos = _read_uv_column(buf, pos, n)
     stack_flat, pos = _read_doubles(buf, pos, sum(stack_counts))
     chunk.stacks = _split(stack_flat, stack_counts)

@@ -277,11 +277,11 @@ def collect_service_gauges(spool, indexer) -> dict[str, float]:
     with the same SLOs the live ``/v1/status`` endpoint uses.
     """
     ledger = indexer.ledger()
-    entries = spool.artifacts()
-    backlog = sum(1 for entry in entries if entry.fingerprint not in ledger)
+    spooled = spool.fingerprints()
+    backlog = sum(1 for fingerprint in spooled if fingerprint not in ledger)
     return {
         "service.spool_backlog": float(backlog),
-        "service.artifacts_spooled": float(len(entries)),
+        "service.artifacts_spooled": float(len(spooled)),
         "service.weeks_indexed": float(len(indexer.weeks())),
     }
 

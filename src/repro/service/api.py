@@ -179,11 +179,12 @@ class ServiceState:
                         skip.difference_update(cached.summary.artifacts)
             except WeekUnreadable:
                 skip.clear()  # which artifacts hold the name is unknown
-        for entry in self.spool.artifacts():
-            if entry.fingerprint in skip:
+        spool = self.spool
+        for fingerprint in spool.fingerprints():
+            if fingerprint in skip:
                 continue
             stats = QueryStats()
-            yield from domain_lines(str(entry.path), name, stats)
+            yield from domain_lines(str(spool.artifact_path(fingerprint)), name, stats)
             stats.emit(self.telemetry)
 
     def add_seeds(self, domains: list[str]) -> dict:
@@ -375,7 +376,7 @@ class _Handler(BaseHTTPRequestHandler):
                 {
                     "status": "ok",
                     "weeks": state.weeks(),
-                    "artifacts": len(state.spool.artifacts()),
+                    "artifacts": len(state.spool.fingerprints()),
                 }
             )
         elif route == "/v1/weeks":

@@ -209,7 +209,7 @@ class CampaignDaemon:
             registry.counter("service.artifacts_folded").inc(len(folded))
             registry.gauge("service.pending_weeks").set(len(still_pending))
             registry.gauge("service.weeks_indexed").set(len(indexed))
-            spooled = {entry.fingerprint for entry in self.spool.artifacts()}
+            spooled = set(self.spool.fingerprints())
             registry.gauge("service.spool_backlog").set(
                 len(spooled - self.indexer.ledger())  # one ledger read a tick
             )

@@ -114,17 +114,29 @@ class SpoolStore:
     def artifact_path(self, fingerprint: str) -> Path:
         return self.artifact_dir / f"{fingerprint}.cbr"
 
-    def artifacts(self) -> list[SpoolEntry]:
-        """Every spooled artifact, in fingerprint order.
+    def fingerprints(self) -> list[str]:
+        """Every spooled artifact's fingerprint, sorted — one listing.
 
         Listed from the directory, not the manifest, so a lost or
-        damaged manifest never hides payloads from the indexer.
+        damaged manifest never hides payloads from the indexer.  Names
+        only: a caller that skips most of them (the indexer, against its
+        ledger) pays no ``stat`` for those.  ``.tmp`` siblings of a
+        submit in flight do not end in ``.cbr``.
         """
+        return sorted(
+            name[:-4]
+            for name in os.listdir(self.artifact_dir)
+            if name.endswith(".cbr") and not name.startswith(".")
+        )
+
+    def artifacts(self) -> list[SpoolEntry]:
+        """Every spooled artifact, in fingerprint order, with its size."""
         entries = []
-        for path in sorted(self.artifact_dir.glob("*.cbr")):
+        for fingerprint in self.fingerprints():
+            path = self.artifact_path(fingerprint)
             entries.append(
                 SpoolEntry(
-                    fingerprint=path.stem,
+                    fingerprint=fingerprint,
                     path=path,
                     size=path.stat().st_size,
                     new=False,

@@ -13,14 +13,17 @@ The second half is the per-record budget, in the manner of
 + ``c_call``) of one all-section pass over a 26-week cbr archive, per
 record.  The count is a pure function of the code and the archive, so a
 regression shows as a number.  The week indexer has the same kind of
-number: calls per record of one ``fold_pending`` of a 500-record week.
+number: calls per record of one ``fold_pending`` of a 500-record week,
+and the calls that fold adds per artifact the ledger already lists (a
+fold pays for new work, not for spool history).
 
-======================  ===============  =====  ==================  ==============  =============
-all-section pass         before (PR 13)  PR 14  count-based series  derived column  batch counts
-======================  ===============  =====  ==================  ==============  =============
-calls per record                   66.3   43.9                43.2            28.6           18.0
-calls per folded record               —      —                77.0            62.4           54.4
-======================  ===============  =====  ==================  ==============  =============
+=======================  ===============  =======  ==================  ==============  =============  ============
+all-section pass          record objects  columns  count-based series  derived column  batch counts  shared block
+=======================  ===============  =======  ==================  ==============  =============  ============
+calls per record                    66.3     43.9                43.2            28.6           18.0          16.8
+calls per folded record                —        —                77.0            62.4           54.4          54.2
+calls per listed artifact              —        —                   —               —           47.3           8.0
+=======================  ===============  =======  ==================  ==============  =============  ============
 
 The last test holds the folds to their memory contract: a fold's state
 is counters, so it is as large after eight passes as after one.
@@ -46,12 +49,17 @@ CHUNK_RECORDS = 256
 
 #: Calls per record of the all-section pass, as measured; the gate
 #: allows +10 %.
-CALLS_PER_RECORD_MEASURED = 18.0
+CALLS_PER_RECORD_MEASURED = 16.8
 
 #: Calls per record of folding one spooled week of ``FOLD_WEEK_RECORDS``
 #: into a fresh index (decode, six folds, week file, ledger), likewise.
 FOLD_WEEK_RECORDS = 500
-CALLS_PER_FOLDED_RECORD_MEASURED = 54.4
+CALLS_PER_FOLDED_RECORD_MEASURED = 54.2
+
+#: Calls one ``fold_pending`` spends per spooled artifact the ledger
+#: already lists (measured 8.0: a set lookup, and the ledger's own
+#: rewrite); a fold that builds an entry per listed artifact costs ~47.
+CALLS_PER_LISTED_ARTIFACT_GATE = 12
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +202,28 @@ def calls_per_folded_record(directory):
     return calls / FOLD_WEEK_RECORDS
 
 
+def calls_of_a_fold_after(directory, folded):
+    """One ``fold_pending`` of one ``FOLD_WEEK_RECORDS`` week into an
+    index whose ledger already lists ``folded`` 20-record artifacts."""
+    directory.mkdir()
+    spool = SpoolStore(directory / "spool")
+    indexer = WeekIndexer(directory / "index")
+    artifact = directory / "artifact.cbr"
+    for seed in range(folded):
+        with open(artifact, "wb") as stream:
+            write_records_cbr(make_archive_week(1, 20, seed=seed), stream)
+        spool.submit_file(artifact)
+    assert len(indexer.fold_pending(spool)) == folded
+    with open(artifact, "wb") as stream:
+        write_records_cbr(
+            make_archive_week(0, FOLD_WEEK_RECORDS), stream, chunk_records=CHUNK_RECORDS
+        )
+    spool.submit_file(artifact)
+    calls, done = count_calls(lambda: indexer.fold_pending(spool))
+    assert len(done) == 1
+    return calls
+
+
 class TestWorkBudget:
     def test_all_section_pass_fits_the_budget(self, archive):
         path, records = archive
@@ -211,6 +241,14 @@ class TestWorkBudget:
         print(f"fold_pending: {first:.1f} calls per folded record")
         assert first <= CALLS_PER_FOLDED_RECORD_MEASURED * 1.10
         assert first == calls_per_folded_record(tmp_path / "second")
+
+    def test_a_fold_pays_little_for_what_the_ledger_lists(self, tmp_path):
+        calls_of_a_fold_after(tmp_path / "warm", 1)
+        few = calls_of_a_fold_after(tmp_path / "few", 1)
+        many = calls_of_a_fold_after(tmp_path / "many", 61)
+        per_artifact = (many - few) / 60
+        print(f"fold_pending: {per_artifact:.1f} calls per listed artifact")
+        assert per_artifact <= CALLS_PER_LISTED_ARTIFACT_GATE
 
 
 def _int_leaves(state) -> int:

@@ -977,3 +977,102 @@ class TestSequenceOfRecords:
         assert records[0] in batch
         assert RecordBatch.coerce(batch) is batch
         assert RecordBatch.coerce(iter(records)) == records
+
+
+# ----------------------------------------------------------------------
+# The shared sorted block: a chunk whose sorted edge block (and RTT
+# column) is a byte copy of the received one decodes it once.
+# ----------------------------------------------------------------------
+
+#: Edge times without a negative zero, so ``==`` on a series is equality
+#: of its encoded bytes.
+UNSIGNED_MS = MS.map(lambda value: value + 0.0)
+
+
+@st.composite
+def reordered_records(draw, reordered: bool):
+    """A record whose sorted series equal its received ones — or, when
+    ``reordered``, differ: two of its edges swapped, or the same edges
+    under an explicit sorted RTT series of their own."""
+    record = draw(connection_records())
+    count = draw(st.integers(2 if reordered else 0, 6))
+    numbers = draw(st.lists(st.integers(0, 2**20), min_size=count, max_size=count,
+                            unique=True))
+    edges = [
+        SpinEdge(draw(UNSIGNED_MS), number, draw(st.booleans())) for number in numbers
+    ]
+    series = st.lists(UNSIGNED_MS, max_size=5)
+    received = spin_rtts_from_edges(edges) if draw(st.booleans()) else draw(series)
+    edges_sorted, sorted_series = list(edges), list(received)
+    if reordered and draw(st.booleans()):
+        i, j = sorted(draw(st.lists(st.integers(0, count - 1), min_size=2, max_size=2,
+                                    unique=True)))
+        edges_sorted[i], edges_sorted[j] = edges_sorted[j], edges_sorted[i]
+        sorted_series = (
+            spin_rtts_from_edges(edges_sorted) if draw(st.booleans()) else draw(series)
+        )
+    elif reordered:
+        sorted_series = received + [draw(UNSIGNED_MS)]
+    observation = replace(
+        record.observation, edges_received=edges, edges_sorted=edges_sorted,
+        rtts_received_ms=received, rtts_sorted_ms=sorted_series,
+    )
+    return replace(record, observation=observation)
+
+
+@st.composite
+def reordered_chunks(draw):
+    """Records reordered in none of them, in all of them, or at random
+    positions."""
+    size = draw(st.integers(0, 12))
+    where = draw(st.sampled_from(["none", "all", "random"]))
+    flags = {
+        "none": [False] * size,
+        "all": [True] * size,
+        "random": draw(st.lists(st.booleans(), min_size=size, max_size=size)),
+    }[where]
+    return [draw(reordered_records(flag)) for flag in flags]
+
+
+def differs(record) -> bool:
+    observation = record.observation
+    return (observation.edges_sorted, observation.rtts_sorted_ms) != (
+        observation.edges_received, observation.rtts_received_ms
+    )
+
+
+class TestSharedSortedBlock:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(reordered_chunks(), st.integers(1, 6), st.booleans(), st.booleans())
+    def test_a_shared_block_decodes_what_two_blocks_did(
+        self, records, chunk_records, received, sorted_
+    ):
+        batches = decode_batches(
+            encode(records, chunk_records),
+            want_edges_received=received, want_edges_sorted=sorted_,
+        )
+        shown = [strip_edges(r, received, sorted_) for r in records]
+        assert [r for batch in batches for r in batch] == shown
+        for start, batch in zip(range(0, len(records), chunk_records), batches):
+            chunk = records[start : start + chunk_records]
+            assert (batch.rtts_sorted is batch.rtts_received) == (
+                not any(map(differs, chunk))
+            )
+        expected = AnalysisEngine(build_record_folds("all", asdb=ASDB)).run(
+            [RecordBatch.from_records(records)]
+        )
+        assert AnalysisEngine(build_record_folds("all", asdb=ASDB)).run(batches) == expected
+
+    def test_a_reordered_record_unshares_only_its_chunk(self):
+        records = [_spinning(_edges(0.0, 30.0 + i, 70.0), stack=[25.0]) for i in range(4)]
+        swapped = records[3].observation
+        swapped.edges_sorted = swapped.edges_sorted[::-1]
+        swapped.rtts_sorted_ms = spin_rtts_from_edges(swapped.edges_sorted)
+        clean, reordered = decode_batches(encode(records, chunk_records=2))
+        assert clean.rtts_sorted is clean.rtts_received
+        assert clean._chunk.times_sorted is clean.times_received
+        assert clean._chunk.edges_sorted is clean._chunk.edges_received
+        assert reordered.rtts_sorted is not reordered.rtts_received
+        assert reordered._chunk.times_sorted is not reordered.times_received
+        assert list(clean) + list(reordered) == records

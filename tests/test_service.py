@@ -13,13 +13,13 @@ from contextlib import contextmanager, redirect_stdout
 
 import pytest
 
-from conftest import make_connection_record
+from conftest import make_archive_week, make_connection_record
 from repro.analysis.artifacts import export_records
 from repro.analysis.adoption import domain_tables
 from repro.analysis.compliance import ComplianceFold, domain_flags, scan_flags
 from repro.analysis.report import render_analysis_sections
 from repro.artifacts import open_record_batches
-from repro.artifacts.cbr import CbrFormatError, write_records_cbr
+from repro.artifacts.cbr import CbrFormatError, read_footer, write_records_cbr
 from repro.cli import main
 from repro.internet.population import ListGroup, Population
 from repro.service import (
@@ -116,6 +116,23 @@ class TestSpool:
         spool.manifest_path.write_text("{torn json\n", encoding="utf-8")
         listed = spool.artifacts()
         assert [item.fingerprint for item in listed] == [entry.fingerprint]
+
+    def test_fingerprints_list_the_artifact_names_only(self, tmp_path):
+        """One listing, in string order: a submit's ``.tmp`` sibling, a
+        hidden file and foreign names stay out; ``artifacts()`` is the
+        same list with sizes."""
+        spool = SpoolStore(tmp_path / "spool")
+        sizes = {
+            spool.submit_bytes(b"payload-%d" % index).fingerprint: 9 + (index > 9)
+            for index in range(12)
+        }
+        fingerprints = sorted(sizes)
+        for stray in ("abc.cbr.tmp", ".hidden.cbr", "notes.txt", "manifest.jsonl"):
+            (spool.artifact_dir / stray).write_bytes(b"x")
+        assert spool.fingerprints() == fingerprints
+        assert [(e.fingerprint, e.size) for e in spool.artifacts()] == [
+            (fingerprint, sizes[fingerprint]) for fingerprint in fingerprints
+        ]
 
     @pytest.mark.parametrize("payload", ["jsonl-export", "five-random-bytes", "empty"])
     def test_submit_file_refuses_what_is_not_cbr(self, payload, tmp_path):
@@ -229,6 +246,35 @@ class TestIndexerIdempotence:
             counters = telemetry.registry.snapshot()["counters"]
             assert counters["index.artifacts_folded"] == 1
             assert counters["index.weeks_merged"] == 2
+
+    def test_a_damaged_chunk_is_counted_not_lost_silently(self, tmp_path):
+        """A chunk that fails its CRC costs its records, and the fold says
+        so: the ``index:`` row carries ``corrupt_chunks`` and the
+        registry counts it.  A clean fold's row has no such field."""
+        stream = io.BytesIO()
+        write_records_cbr(make_archive_week(0, 600), stream, chunk_records=256)
+        payload = bytearray(stream.getvalue())
+        offset, length, n_records, _ = read_footer(stream)["chunks"][1]
+        assert n_records == 256
+        payload[offset + length // 2] ^= 0xFF
+        folds = {}
+        for name, data in (("clean", stream.getvalue()), ("damaged", bytes(payload))):
+            spool = SpoolStore(tmp_path / name / "spool")
+            telemetry = Telemetry()
+            indexer = WeekIndexer(tmp_path / name / "index", telemetry=telemetry)
+            fingerprint = spool.submit_bytes(data).fingerprint
+            assert indexer.fold_pending(spool) == [fingerprint]
+            assert fingerprint in indexer.ledger()
+            (row,) = [
+                r for r in telemetry.tracer.records if r.path == (f"index:{fingerprint}",)
+            ]
+            counters = telemetry.registry.snapshot()["counters"]
+            folds[name] = (
+                indexer.load_week("cw10-2023").connections_total,
+                row.attrs.get("corrupt_chunks"),
+                counters.get("index.chunks_corrupt"),
+            )
+        assert folds == {"clean": (600, None, None), "damaged": (344, 1, 1)}
 
 
 class TestDaemon:

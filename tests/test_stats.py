@@ -25,7 +25,7 @@ class TestPercentile:
         assert percentile(values, 100) == 5.0
 
     def test_matches_numpy(self):
-        import numpy as np
+        np = pytest.importorskip("numpy")
 
         values = [3.0, 1.0, 4.0, 1.5, 9.2, 2.6]
         for q in (10, 25, 50, 75, 90):
