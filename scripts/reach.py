@@ -300,13 +300,6 @@ def api_routes(work: Path) -> None:
             ):
                 with contextlib.suppress(OSError):
                     urllib.request.urlopen(base + path, timeout=30).read()
-            for body in (b'{"domains": ["a.example", "b.example"]}', b"{not json"):
-                request = urllib.request.Request(
-                    base + "/v1/seeds", data=body, method="POST",
-                    headers={"Content-Type": "application/json"},
-                )
-                with contextlib.suppress(OSError):
-                    urllib.request.urlopen(request, timeout=30).read()
             with socket.create_connection(("127.0.0.1", port), timeout=5) as raw:
                 raw.sendall(b"NOT-HTTP \x00\r\n\r\n")
                 raw.recv(4096)
@@ -505,8 +498,8 @@ def library_rows(rows, functions) -> set[tuple[str, str]]:
     """Rows that are public surface on purpose: the function is in
     ``repro.__all__`` or named in README.md (a method as
     ``Class.method``), or it is a public module-level function of a
-    module README.md names (``repro.internet.listfiles``); and the
-    private helpers of such rows, in their module, that they call."""
+    module README.md names; and the private helpers of such rows, in
+    their module, that they call."""
     import repro
 
     readme = (ROOT / "README.md").read_text()

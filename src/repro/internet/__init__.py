@@ -1,19 +1,12 @@
 """Synthetic Internet model: providers, AS database, population."""
 
 from repro.internet.asdb import AsDatabase, AsEntry, IpAddr, build_default_asdb
-from repro.internet.listfiles import (
-    dedupe_preserving_order,
-    parse_toplist_csv,
-    parse_zone_file,
-    read_target_population,
-)
 from repro.internet.population import (
     DomainRecord,
     ListGroup,
     Population,
     PopulationConfig,
     build_population,
-    build_population_from_names,
 )
 from repro.internet.providers import (
     NO_QUIC_PROVIDERS,
@@ -35,10 +28,5 @@ __all__ = [
     "Provider",
     "build_default_asdb",
     "build_population",
-    "build_population_from_names",
-    "dedupe_preserving_order",
-    "parse_toplist_csv",
-    "parse_zone_file",
-    "read_target_population",
     "provider_by_name",
 ]

@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import ipaddress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -48,7 +48,6 @@ __all__ = [
     "Population",
     "PopulationConfig",
     "build_population",
-    "build_population_from_names",
     "names_digest",
 ]
 
@@ -222,15 +221,11 @@ class Population:
     Record *i* is drawn from the RNG stream of its aligned block
     (``derive_rng(seed, "population-block", i // BLOCK_SIZE)``), in index
     order inside the block, so any range is regenerated from the blocks
-    it touches, identically in every process.  ``names`` (toplist names
-    first) replaces the drawn names and zones with a given list's.
+    it touches, identically in every process.
     """
 
-    def __init__(self, config: PopulationConfig, names=None):
+    def __init__(self, config: PopulationConfig):
         self.config = config
-        self.names = None if names is None else tuple(names)
-        if self.names is not None and len(self.names) != self.domain_count:
-            raise ValueError(f"{len(self.names)} names for {self.domain_count} domains")
         self._pools = _build_pools(config)
         self._domains: list[DomainRecord] | None = None
         #: (entity label, epoch) → stack name; bounded by one campaign.
@@ -357,20 +352,16 @@ class Population:
         for index in range(first, min(first + BLOCK_SIZE, self.domain_count)):
             toplist = index < config.toplist_domains
             sources: tuple[str, ...] = ()
-            if self.names is not None:
-                name = self.names[index]
-                zone = name.rsplit(".", 1)[-1]
+            zone = weighted_choice(rng, _ZONE_NAMES, _ZONE_WEIGHTS)
+            if toplist:
+                name = f"top{index:07d}.{zone}"
+                # Tagged with the toplists that contain it
+                # (deduplicated union, Sec. 3.1.1).
+                sources = tuple(
+                    source for source in _TOPLIST_SOURCES if rng.random() < 0.45
+                ) or ("tranco",)
             else:
-                zone = weighted_choice(rng, _ZONE_NAMES, _ZONE_WEIGHTS)
-                if toplist:
-                    name = f"top{index:07d}.{zone}"
-                    # Tagged with the toplists that contain it
-                    # (deduplicated union, Sec. 3.1.1).
-                    sources = tuple(
-                        source for source in _TOPLIST_SOURCES if rng.random() < 0.45
-                    ) or ("tranco",)
-                else:
-                    name = f"domain{index - config.toplist_domains:09d}.{zone}"
+                name = f"domain{index - config.toplist_domains:09d}.{zone}"
             record = DomainRecord(
                 name=name,
                 zone=zone,
@@ -589,26 +580,3 @@ def _build_pools(config: PopulationConfig) -> dict[tuple[str, str, int], _HostPo
                     regions[version][1] += size * stride + 64
     return pools
 
-
-def build_population_from_names(
-    czds_names: list[str],
-    toplist_names: list[str] | None = None,
-    config: PopulationConfig | None = None,
-) -> Population:
-    """Build a population over externally supplied domain names.
-
-    ``czds_names`` / ``toplist_names`` typically come from
-    :mod:`repro.internet.listfiles` (real toplist CSVs and zone files).
-    Domain counts in ``config`` are replaced by the list sizes, while all
-    rates, provider mixes, and the stack-churn process apply unchanged.
-    The records come from the same block draws as a generated
-    population's, with each name's TLD as its zone and no toplist
-    sources invented for it.
-    """
-    toplist_names = toplist_names or []
-    config = replace(
-        config or PopulationConfig(),
-        toplist_domains=len(toplist_names),
-        czds_domains=len(czds_names),
-    )
-    return Population(config, names=[*toplist_names, *czds_names])

@@ -24,7 +24,6 @@ Endpoints (all JSON unless noted)::
     GET  /v1/metrics                     telemetry registry snapshot
     GET  /v1/status                      SLO health report (repro.obs.slo)
     GET  /v1/spans                       trace rows of the campaign
-    POST /v1/seeds                       register target domains
 
 ``week`` defaults to ``all`` (every indexed week merged).  Errors are
 JSON too, and counted: ``{"error": ...}`` with a 4xx/5xx status, whether
@@ -44,7 +43,6 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlparse
 
-from repro._util.files import replace_file
 from repro.analysis.engine import RECORD_SECTIONS
 from repro.obs.slo import (
     HealthEngine,
@@ -60,8 +58,6 @@ from repro.telemetry import Telemetry, trace_rows
 
 __all__ = ["ServiceState", "build_server", "serve_forever"]
 
-_SEEDS_NAME = "seeds.json"
-_MAX_BODY_BYTES = 4 << 20
 _JSON_HEADERS = (("Content-Type", "application/json"),)
 
 
@@ -107,7 +103,6 @@ class ServiceState:
         spool: SpoolStore,
         indexer: WeekIndexer,
         telemetry=None,
-        seeds_path=None,
         health_engine: HealthEngine | None = None,
     ) -> None:
         self.spool = spool
@@ -117,7 +112,6 @@ class ServiceState:
         #: uncounted and the three answer empty (``repro service serve``
         #: always hands its daemon and its state one live bundle).
         self.telemetry = Telemetry.resolve(telemetry)
-        self.seeds_path = seeds_path or (spool.directory / _SEEDS_NAME)
         self.health_engine = health_engine or HealthEngine(
             default_service_slos()
         )
@@ -186,38 +180,6 @@ class ServiceState:
             stats = QueryStats()
             yield from domain_lines(str(spool.artifact_path(fingerprint)), name, stats)
             stats.emit(self.telemetry)
-
-    def add_seeds(self, domains: list[str]) -> dict:
-        """Merge a seed batch into the service's target backlog.
-
-        The backlog is advisory input for future campaigns (the paper's
-        Tranco/CZDS list intake); storage is a sorted, deduplicated JSON
-        file so repeated batches are idempotent.
-        """
-        cleaned = sorted(
-            {name.strip().lower() for name in domains if name and name.strip()}
-        )
-        if not cleaned:
-            raise ValueError("no usable domain names in the seed batch")
-        with self._lock:
-            existing: list[str] = []
-            if self.seeds_path.is_file():
-                try:
-                    existing = json.loads(
-                        self.seeds_path.read_text(encoding="utf-8")
-                    ).get("domains", [])
-                except (OSError, json.JSONDecodeError):
-                    existing = []
-            merged = sorted(set(existing) | set(cleaned))
-            payload = json.dumps(
-                {"domains": merged}, sort_keys=True, indent=1
-            )
-            replace_file(self.seeds_path, (payload + "\n").encode("utf-8"))
-        return {
-            "accepted": len(cleaned),
-            "new": len(merged) - len(existing),
-            "total": len(merged),
-        }
 
     def counter(self, name: str, amount: int = 1) -> None:
         self.telemetry.registry.counter(name).inc(amount)
@@ -400,32 +362,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_json(f"unknown endpoint {url.path}", status=404)
             return "<unknown>"
         return route
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        state = self.state
-        state.counter("service.requests_total")
-        url = urlparse(self.path)
-        if url.path.rstrip("/") != "/v1/seeds":
-            self._send_error_json(f"unknown endpoint {url.path}", status=404)
-            return
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = -1
-        if length <= 0 or length > _MAX_BODY_BYTES:
-            self._send_error_json("a JSON body with Content-Length is required")
-            return
-        try:
-            data = json.loads(self.rfile.read(length).decode("utf-8"))
-            domains = data["domains"]
-            if not isinstance(domains, list):
-                raise TypeError("domains must be a list")
-            result = state.add_seeds([str(name) for name in domains])
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError) as error:
-            self._send_error_json(f"invalid seed batch: {error}")
-            return
-        state.counter("service.seeds_accepted", result["accepted"])
-        self._send_json(result)
 
     # -- endpoint bodies -----------------------------------------------
 

@@ -102,9 +102,7 @@ class WeekIndexer:
                     self._fault("week-written")
                 records += deltas[week].connections_total
             ledger.add(fingerprint)
-            payload = json.dumps(
-                {"artifacts": sorted(ledger)}, sort_keys=True, indent=1
-            )
+            payload = json.dumps({"artifacts": sorted(ledger)}, sort_keys=True)
             replace_file(self._ledger_path, (payload + "\n").encode("utf-8"))
             span.annotate(weeks=len(deltas), records=records)
             if corrupt:

@@ -108,10 +108,10 @@ class ParallelScanConfig:
 
 
 # ----------------------------------------------------------------------
-# Worker side.  What the population is drawn from — its config and name
-# list — and the scan config are shipped once per worker via the pool
-# initializer; each task then carries only a range descriptor — or, for
-# ad-hoc target lists, its domain records — so task payloads stay small.
+# Worker side.  The population config and the scan config are shipped
+# once per worker via the pool initializer; each task then carries only
+# a range descriptor — or, for ad-hoc target lists, its domain records —
+# so task payloads stay small.
 # ----------------------------------------------------------------------
 
 _WORKER_SCANNER: "Scanner | None" = None
@@ -119,7 +119,6 @@ _WORKER_SCANNER: "Scanner | None" = None
 
 def _init_worker(
     population_config: "PopulationConfig",
-    names: "tuple[str, ...] | None",
     scan_config: "ScanConfig",
     bundle_type: type,
 ) -> None:
@@ -127,7 +126,7 @@ def _init_worker(
     from repro.internet.population import Population
     from repro.web.scanner import Scanner
 
-    population = Population(population_config, names)
+    population = Population(population_config)
     # The worker's own bundle — one of the parent's type, which is what
     # pickles — is never written to: ``scan_shard`` records each shard
     # into a fresh one of its state.
@@ -187,7 +186,6 @@ def _pool_for(scanner: "Scanner", workers: int) -> ProcessPoolExecutor:
         initializer=_init_worker,
         initargs=(
             scanner.population.config,
-            scanner.population.names,
             scanner.config,
             bundle_type,
         ),

@@ -22,15 +22,15 @@ from repro.internet.population import (
     ListGroup,
     Population,
     PopulationConfig,
-    build_population_from_names,
 )
 from repro.web.scanner import DomainScanResult, ScanDataset
 
 from tables_oracle import reference_tables
 
-#: At this seed every fixture name but ``unresolved.com`` resolves, each
-#: to its own IPv4 address.
-FIXTURE_SEED = 175
+#: At this seed the fixture's six domains resolve to distinct IPv4
+#: addresses, but for exactly one CZDS domain, which is in com/net/org;
+#: one resolved CZDS domain is outside com/net/org.
+FIXTURE_SEED = 213
 #: ``values_seen`` of a connection by its spin mask (bit 0: a 0 was seen).
 VALUES = {0: set(), 1: {False}, 2: {True}, 3: {False, True}}
 
@@ -69,36 +69,39 @@ def tables(population, dataset):
     return got
 
 
+def small_population(seed=3, toplist=6, czds=24):
+    return Population(PopulationConfig(toplist_domains=toplist, czds_domains=czds, seed=seed))
+
+
 def build_fixture():
     """Five CZDS domains and one toplist domain with known behaviour.
 
-    The population comes from the lists, resolution and addresses from
-    the population; what the tables count comes from the scan results
-    built here.
+    The domains, their resolution and addresses come from a generated
+    population; behaviours go to the domains by role, and what the
+    tables count comes from the scan results built here.
     """
-    population = build_population_from_names(
-        ["spin.com", "zero.com", "grease.org", "unresolved.com", "noquic.xyz"],
-        ["one.net"],
-        PopulationConfig(seed=FIXTURE_SEED),
-    )
-    records = {record.name: record for record in population.iter_targets()}
-    addresses = {name: population.resolved_ip(record, 4) for name, record in records.items()}
-    assert [name for name, ip in addresses.items() if ip is None] == ["unresolved.com"]
-    assert len(set(addresses.values())) == len(addresses)
+    population = small_population(FIXTURE_SEED, toplist=1, czds=5)
+    records = list(population.iter_targets())
+    addresses = {r.name: population.resolved_ip(r, 4) for r in records}
+    resolved = [ip for ip in addresses.values() if ip is not None]
+    assert len(set(resolved)) == len(resolved) == 5
+    (top,) = [r for r in records if r.in_toplist]
+    czds = [r for r in records if r.in_czds]
+    (unresolved,) = [r for r in czds if addresses[r.name] is None]
+    (outside,) = [r for r in czds if not ListGroup.COM_NET_ORG.holds(r)]
+    assert ListGroup.COM_NET_ORG.holds(unresolved) and addresses[outside.name]
+    spin, zero, grease = [r for r in czds if r.name not in (unresolved.name, outside.name)]
+    behaviours = {
+        spin.name: SpinBehaviour.SPIN,
+        zero.name: SpinBehaviour.ALL_ZERO,
+        grease.name: SpinBehaviour.GREASE,
+        top.name: SpinBehaviour.ALL_ONE,
+    }
     dataset = ScanDataset(week_label="cw20-2023", ip_version=4)
-
-    def add_domain(name, zone, in_toplist, behaviour=None):
-        record = records[name]
-        assert (record.zone, record.in_toplist) == (zone, in_toplist)
+    for record in records:
+        behaviour = behaviours.get(record.name)
         connections = [] if behaviour is None else [connection(population, record, behaviour)]
         dataset.results.append(scan_result(population, record, connections))
-
-    add_domain("spin.com", "com", False, SpinBehaviour.SPIN)
-    add_domain("zero.com", "com", False, SpinBehaviour.ALL_ZERO)
-    add_domain("grease.org", "org", False, SpinBehaviour.GREASE)
-    add_domain("unresolved.com", "com", False)
-    add_domain("noquic.xyz", "xyz", False)
-    add_domain("one.net", "net", True, SpinBehaviour.ALL_ONE)
     return population, dataset
 
 
@@ -127,7 +130,7 @@ class TestSupportOverview:
         assert toplists.domains_quic == 1
         assert toplists.domains_spin == 0
         cno = overview.row(ListGroup.COM_NET_ORG)
-        assert cno.domains_total == 4  # com, com, org, com (not xyz)
+        assert cno.domains_total == 4  # every CZDS domain but the one outside
 
     def test_empty_groups_safe(self):
         population = Population(PopulationConfig(toplist_domains=0, czds_domains=0))
@@ -154,10 +157,6 @@ class TestConfigurationTable:
         czds = table.row(ListGroup.CZDS)
         assert czds.all_zero_share == pytest.approx(1 / 3)
         assert czds.grease_share == pytest.approx(1 / 3)
-
-
-def small_population(seed=3, toplist=6, czds=24):
-    return Population(PopulationConfig(toplist_domains=toplist, czds_domains=czds, seed=seed))
 
 
 def one_domain_scan(population, pick, connections_of, ip_version=4):

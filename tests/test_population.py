@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 
 from repro.internet.population import (
     ListGroup,
-    Population,
     PopulationConfig,
     build_population,
-    build_population_from_names,
 )
 from repro.web.server_profiles import STACKS
 
@@ -200,7 +198,7 @@ def _range_checks(make, data) -> None:
 
 
 class TestBlockDraws:
-    """Record *i* is a function of (config, names, i // BLOCK_SIZE) and
+    """Record *i* is a function of (config, i // BLOCK_SIZE) and
     its place in that block, so every access path draws the same list."""
 
     @settings(max_examples=40, deadline=None)
@@ -208,20 +206,3 @@ class TestBlockDraws:
     def test_any_range_is_the_lists_slice(self, toplist, czds, seed, data):
         config = PopulationConfig(toplist_domains=toplist, czds_domains=czds, seed=seed)
         _range_checks(lambda: build_population(config), data)
-
-    @settings(max_examples=40, deadline=None)
-    @given(toplist=SIZES, czds=SIZES, seed=st.integers(0, 2**32), data=st.data())
-    def test_names_path_draws_the_same_way(self, toplist, czds, seed, data):
-        top = [f"www.t{i}.{('com', 'shop', 'org')[i % 3]}" for i in range(toplist)]
-        zone = [f"z{i}.{('net', 'xyz')[i % 2]}" for i in range(czds)]
-        config = PopulationConfig(seed=seed)
-        make = lambda: build_population_from_names(zone, top, config)  # noqa: E731
-        _range_checks(make, data)
-        records = make().domains
-        assert [r.name for r in records] == top + zone
-        assert all(r.zone == r.name.rsplit(".", 1)[1] for r in records)
-        assert [r.in_toplist for r in records] == [True] * toplist + [False] * czds
-
-    def test_names_must_cover_the_config(self):
-        with pytest.raises(ValueError, match="2 names for 3 domains"):
-            Population(PopulationConfig(toplist_domains=1, czds_domains=2), ["a.com", "b.com"])

@@ -492,7 +492,7 @@ class TestDaemon:
 def service(tmp_path_factory):
     """A folded service directory plus a live API server."""
     daemon = run_daemon(tmp_path_factory.mktemp("svc-api"))
-    state = ServiceState(daemon.spool, daemon.indexer)
+    state = ServiceState(daemon.spool, daemon.indexer, telemetry=Telemetry())
     server = build_server(state)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -513,12 +513,17 @@ def spooled_records(spool) -> list:
     ]
 
 
-def http_get(url: str) -> tuple[int, bytes]:
+def http_get(url: "str | urllib.request.Request") -> tuple[int, bytes]:
     try:
         with urllib.request.urlopen(url) as response:
             return response.status, response.read()
     except urllib.error.HTTPError as error:
         return error.code, error.read()
+
+
+def errored_requests(base: str) -> int:
+    counters = json.loads(http_get(f"{base}/v1/metrics")[1])["metrics"]["counters"]
+    return counters.get("service.requests_errored", 0)
 
 
 class TestApi:
@@ -599,29 +604,20 @@ class TestApi:
         for line in cli_lines:
             assert line in api_lines
 
-    def test_post_seeds_roundtrip(self, service):
-        daemon, base = service
-        payload = json.dumps(
-            {"domains": ["tranco-a.example", "tranco-b.example", "tranco-a.example"]}
-        ).encode("utf-8")
-        request = urllib.request.Request(
-            f"{base}/v1/seeds", data=payload, method="POST",
-            headers={"Content-Type": "application/json"},
-        )
-        with urllib.request.urlopen(request) as response:
-            result = json.loads(response.read())
-        assert result["accepted"] == 2
-        stored = json.loads(
-            (daemon.spool.directory / "seeds.json").read_text(encoding="utf-8")
-        )
-        assert stored["domains"] == ["tranco-a.example", "tranco-b.example"]
-
     def test_unknown_endpoint_and_week_are_json_errors(self, service):
         _, base = service
         status, body = http_get(f"{base}/v1/nope")
         assert status == 404 and "error" in json.loads(body)
         status, body = http_get(f"{base}/v1/adoption?week=cw01-1999")
         assert status == 404 and "error" in json.loads(body)
+        # No route takes a POST: the HTTP layer refuses it, counted and in JSON.
+        errored = errored_requests(base)
+        post = urllib.request.Request(
+            f"{base}/v1/seeds", data=b'{"domains": ["a.example"]}', method="POST"
+        )
+        status, body = http_get(post)
+        assert status == 501 and "error" in json.loads(body)
+        assert errored_requests(base) == errored + 1
 
 
 @pytest.fixture(scope="module")

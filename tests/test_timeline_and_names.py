@@ -1,13 +1,6 @@
-"""Timeline rendering and list-driven population building."""
-
-import pytest
+"""Timeline rendering."""
 
 from repro.analysis.timeline import render_spin_timeline
-from repro.internet.population import (
-    ListGroup,
-    PopulationConfig,
-    build_population_from_names,
-)
 from repro.qlog.recorder import TraceRecorder
 
 
@@ -39,43 +32,3 @@ class TestTimeline:
         text = render_spin_timeline(TraceRecorder())
         assert "received 1-RTT packets: 0" in text
 
-
-class TestPopulationFromNames:
-    def test_names_and_groups_preserved(self):
-        czds = [f"zone{i}.com" for i in range(40)] + [f"zone{i}.xyz" for i in range(10)]
-        toplist = [f"top{i}.org" for i in range(20)]
-        population = build_population_from_names(czds, toplist)
-
-        assert len(population.domains) == 70
-        assert {d.name for d in population.domains if ListGroup.TOPLISTS.holds(d)} == set(
-            toplist
-        )
-        cno = [d for d in population.domains if ListGroup.COM_NET_ORG.holds(d)]
-        assert all(d.zone == "com" for d in cno)
-        assert len(cno) == 40
-
-    def test_scannable(self):
-        population = build_population_from_names(
-            [f"d{i}.com" for i in range(120)], config=PopulationConfig(seed=3)
-        )
-        from repro.web.scanner import Scanner
-
-        dataset = Scanner(population).scan()
-        resolved = sum(r.resolved for r in dataset.results)
-        assert 0 < resolved <= 120
-        for result in dataset.results:
-            if result.connections:
-                assert result.connections[0].domain.startswith("d")
-
-    def test_deterministic(self):
-        names = [f"d{i}.net" for i in range(30)]
-        a = build_population_from_names(names, config=PopulationConfig(seed=9))
-        b = build_population_from_names(names, config=PopulationConfig(seed=9))
-        assert [d.provider_name for d in a.domains] == [
-            d.provider_name for d in b.domains
-        ]
-
-    def test_zone_derived_from_tld(self):
-        population = build_population_from_names(["a.shop", "b.com"])
-        zones = {d.name: d.zone for d in population.domains}
-        assert zones == {"a.shop": "shop", "b.com": "com"}
