@@ -45,7 +45,8 @@ QUERY_DOMAIN = "top0000036.com"
 #: The two ``index/week-*`` files were re-recorded on top of ba2ba38: the
 #: values of their ``domains`` map gained the behaviour bits
 #: (``FLAG_SEEN_*``); every other key, and each value's two low bits,
-#: is as before.
+#: is as before.  ``index/ledger.json`` was re-recorded when the ledger
+#: lost its ``indent``: the same sorted fingerprints on one line.
 GOLDEN = {
     "archive.cbr": "81cc561c60a38a7c34342143c866405464ed0ecd67486533abc3dabbc21719b3",
     "archive.jsonl": "33015a22baf289fb792bb87469687740c725cc74ece0f0e3cbac948391081347",
@@ -60,7 +61,7 @@ GOLDEN = {
     "where-provider-failure": "c3494177887ecb2f0f41edab9abea0249838a4f7031910654ecf9fc64c8601db",
     "where-edges": "d8e2e2c08be8935e84f72ad6ddf6d6334fbc7119adaeefe6624ee4db57062aec",
     "query-domain": "c06fc35d7ae6b72abd91fa0510f0d2c80c4a385d57870a79f5742924aaa81a89",
-    "index/ledger.json": "2da64a5355c9153b194f8ba1fc0eb9e466f48c70e11041b6292f87c25de8e04d",
+    "index/ledger.json": "a6b01fbcaca68647c1a2dad466b0fef97db4effdf438dabcc3c2610fa257ccda",
     "index/week-cw20-2023.json": "e8b37406954937d28ff0d7d73e6fdde10d2eb353945b836573f6bc5fe0bc19e4",
     "index/week-cw21-2023.json": "179eb0f17772eadd7650008aa4f0508e156a13b0e9ca19106ca5edb32bf4b08d",
     "api-analyze-filters": "849d1d683b19e26855f56c70e02a4c46335ab993fbb31a9427cdd53f3f8cb8e1",
