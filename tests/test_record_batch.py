@@ -26,7 +26,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from compliance_oracle import seen_flags
-from conftest import count_calls
+from conftest import count_calls, indented_week_json
 
 from repro._util.stats import Histogram
 from repro.analysis.accuracy import (
@@ -816,6 +816,32 @@ class TestFoldState:
         assert WeekSummary.from_json(summary.to_json()).to_json() == summary.to_json()
         summary.merge(WeekSummary.from_json(other.to_json()).state())
         assert summary.to_json() == both.to_json()
+
+
+class TestWeekFileEncoding:
+    """The week file is compact canonical JSON: it parses to what the
+    indented encoding it replaced parsed to, and a new week's file is
+    its delta as it is — the bytes merging the delta into an empty
+    summary gave."""
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(RECORD_LISTS, RECORD_LISTS, st.lists(st.text("0123456789abcdef", min_size=16,
+                                                        max_size=16), max_size=4, unique=True))
+    def test_compact_json_parses_as_the_indented_oracle(self, first, second, names):
+        summary = WeekSummary("cw20-2023", ASDB)
+        summary.artifacts.extend(names)
+        summary.update(RecordBatch.from_records(first))
+        other = WeekSummary("cw20-2023", ASDB)
+        other.update(RecordBatch.from_records(second))
+        summary.merge(other.state())
+        compact = summary.to_json()
+        assert compact.endswith("}\n") and "\n" not in compact[:-1]
+        assert json.loads(compact) == json.loads(indented_week_json(summary))
+        assert WeekSummary.from_json(indented_week_json(summary)).to_json() == compact
+        empty = WeekSummary("cw20-2023")
+        empty.merge(summary.state())
+        assert empty.to_json() == compact
 
 
 def _plain(value):
