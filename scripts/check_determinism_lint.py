@@ -145,6 +145,12 @@ Which further rules apply to which layer (directory under
   ``ValueError`` anywhere but inside ``_checked`` is a second path, and
   is flagged; a handler names the subclass it means (``CbrFormatError``,
   ``QueryError``).  No pragma opts out.
+* Compact JSON on the fold path, ``service/`` and ``artifacts/``: a
+  ``json.dumps`` / ``json.dump`` call passing ``indent=`` takes the
+  pure-Python encoder instead of the C one, and these layers write JSON
+  on every fold (week files, the ledger, the spool manifest, the cbr
+  footer), so it is flagged — sorted keys keep the output canonical
+  without it.  No pragma opts out.
 
 Benchmarks (``benchmarks/``) legitimately measure wall-clock and are
 not scanned.  A source line may opt out with the pattern's pragma when
@@ -728,6 +734,20 @@ def thread_imports(text: str) -> list[int]:
     return numbers
 
 
+def compact_json(text: str) -> list[int]:
+    """A ``json.dumps`` / ``json.dump`` call passing ``indent=``: the
+    pure-Python encoder where the C one would do."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("dump", "dumps")
+        and getattr(node.func.value, "id", None) == "json"
+        and any(keyword.arg == "indent" for keyword in node.keywords)
+    )
+
+
 def one_config_error_path(text: str) -> list[int]:
     """An ``except`` naming ``ValueError`` outside ``_checked``: an invalid
     option value caught inline instead of on the CLI's one error path."""
@@ -765,16 +785,17 @@ _EVERYWHERE = (
 #: feeds the same folds) reads each connection's means off the batch and
 #: counts a batch at a time;
 #: ``artifacts`` is where the cbr container lives, once; ``web`` and
-#: ``faults`` (the scan path) start no thread.
+#: ``faults`` (the scan path) start no thread; ``service`` and
+#: ``artifacts`` write JSON on every fold, so without ``indent``.
 LAYER_RULES = {
     "analysis": _EVERYWHERE + (json_in_loops, fold_body_means, fold_counts_per_row),
-    "artifacts": _EVERYWHERE + (one_container,),
+    "artifacts": _EVERYWHERE + (one_container, compact_json),
     "faults": _EVERYWHERE + (json_in_loops, thread_imports),
     "internet": _EVERYWHERE + (json_in_loops,),
     "monitor": _EVERYWHERE + (json_in_loops,),
     "netsim": _EVERYWHERE + (json_in_loops,),
     "obs": _EVERYWHERE + (json_in_loops,),
-    "service": _EVERYWHERE + (json_in_loops, section_state_names),
+    "service": _EVERYWHERE + (json_in_loops, section_state_names, compact_json),
     "telemetry": (
         forbidden_lines, json_in_loops, endpoint_decoder_uses, container_framing,
         one_artifact_format, one_flag_definition, one_tap_receiver,
@@ -884,7 +905,8 @@ def main(argv: list[str] | None = None) -> int:
             "Path.install_tap; web/ and faults/ import no threading / queue — "
             "checkpoint shards are saved on the emitting thread; the CLI module "
             "catches ValueError only in _checked — other handlers name the "
-            "subclass they mean)",
+            "subclass they mean; under service/ and artifacts/ no json.dumps / "
+            "json.dump passes indent= — it takes the pure-Python encoder)",
             file=sys.stderr,
         )
         return 1

@@ -913,6 +913,62 @@ class TestOneTapOneThread:
         }
 
 
+class TestCompactJson:
+    """AST gate (same lint): under ``service/`` and ``artifacts/`` no JSON
+    is encoded with ``indent=`` — it takes the pure-Python encoder, and
+    these layers encode on every fold."""
+
+    #: ``WeekSummary.to_json`` as it read while week files were indented.
+    PARENT_SUMMARY = (
+        "import json\n"
+        "def to_json(self):\n"
+        "    data = {'schema': 1, 'week': self.week, **self.state()}\n"
+        "    return json.dumps(data, sort_keys=True, indent=1) + '\\n'\n"
+    )
+    OTHER = (
+        "import json\n"
+        "def write(data, stream):\n"
+        "    json.dump(data, stream, indent=None)\n"
+        "    stream.write(json.dumps(data, sort_keys=True))\n"
+        "    text = json.dumps(\n"
+        "        data,\n"
+        "        indent=2,  # wallclock-ok jsonl-ok robustness-ok\n"
+        "    )\n"
+        "    return dumps(data, indent=1), self.json.dumps(data, indent=1)\n"
+    )
+
+    def test_the_parents_week_encoder_and_other_indents_are_caught(self, tmp_path):
+        files = {
+            "service/summary.py": self.PARENT_SUMMARY,
+            "service/other.py": self.OTHER,
+            "artifacts/other.py": self.OTHER,
+            "telemetry/runtime.py": self.OTHER,
+            "analysis/other.py": self.OTHER,
+        }
+        for name, source in files.items():
+            path = tmp_path / "repro" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(source, encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, str(TestDeterminismLint.LINT), str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        flagged = {
+            line.split(": ", 1)[0].split("repro/", 1)[1]
+            for line in result.stderr.splitlines()
+            if "repro/" in line
+        }
+        # ``indent=None`` is an indent keyword too; a bare ``dumps`` and
+        # an attribute that is not the module are not the json module.
+        assert flagged == {
+            "service/summary.py:4",
+            "service/other.py:3", "service/other.py:5",
+            "artifacts/other.py:3", "artifacts/other.py:5",
+        }, result.stderr
+
+
 class TestOneContainer:
     """AST gate (same lint): a cbr file's framing is read and written by
     the container's own functions, each construct in its one home."""
