@@ -13,20 +13,23 @@ __all__ = ["SimClock"]
 
 
 class SimClock:
-    """Monotonically advancing simulated time in milliseconds."""
+    """Monotonically advancing simulated time in milliseconds.
+
+    ``now_ms`` is a plain attribute, read on every packet: the event loop
+    sets it directly (its queue never yields a past event, because
+    scheduling into the past is refused), everything else moves it with
+    :meth:`advance_to`.
+    """
+
+    __slots__ = ("now_ms",)
 
     def __init__(self, start_ms: float = 0.0):
-        self._now_ms = float(start_ms)
-
-    @property
-    def now_ms(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now_ms
+        self.now_ms = float(start_ms)
 
     def advance_to(self, time_ms: float) -> None:
         """Move the clock forward to ``time_ms``; never backwards."""
-        if time_ms < self._now_ms:
+        if time_ms < self.now_ms:
             raise ValueError(
-                f"clock cannot move backwards: {time_ms} < {self._now_ms}"
+                f"clock cannot move backwards: {time_ms} < {self.now_ms}"
             )
-        self._now_ms = time_ms
+        self.now_ms = time_ms

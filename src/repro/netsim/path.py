@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from repro.netsim.delays import ConstantDelay, DelayModel, UniformDelay
@@ -137,49 +138,42 @@ class Path:
 
     def send(self, datagram: bytes) -> None:
         """Inject a datagram; it arrives (or is lost) per the profile."""
+        profile = self.profile
         self.stats.sent += 1
-        if self.profile.loss_probability and self._rng.random() < self.profile.loss_probability:
+        if profile.loss_probability and self._rng.random() < profile.loss_probability:
             self.stats.lost += 1
             return
-        if self._impairment is not None and self._impairment(
-            self._simulator.now_ms, self._rng
-        ):
+        now = self._simulator.clock.now_ms
+        if self._impairment is not None and self._impairment(now, self._rng):
             self.stats.lost += 1
             self.stats.impaired += 1
             return
         queueing = 0.0
-        serialization = self.profile.serialization_delay_ms(len(datagram))
+        serialization = profile.serialization_delay_ms(len(datagram))
         if serialization:
-            now = self._simulator.now_ms
             start = max(now, self._link_free_at_ms)
             self._link_free_at_ms = start + serialization
             queueing = (start - now) + serialization
-        delay = (
-            queueing
-            + self.profile.propagation_delay_ms
-            + self.profile.jitter.sample(self._rng)
-        )
+        delay = queueing + profile.propagation_delay_ms + profile.jitter.sample(self._rng)
         if (
-            self.profile.reorder_probability
-            and self._rng.random() < self.profile.reorder_probability
+            profile.reorder_probability
+            and self._rng.random() < profile.reorder_probability
         ):
-            delay += self.profile.reorder_extra_delay.sample(self._rng)
+            delay += profile.reorder_extra_delay.sample(self._rng)
             self.stats.reordered += 1
-            arrival = self._simulator.now_ms + delay
+            arrival = now + delay
             # A reorder event deliberately escapes the FIFO clamp; it
             # may land behind packets sent after it.
-        elif self.profile.fifo:
-            arrival = max(self._simulator.now_ms + delay, self._last_arrival_ms)
+        elif profile.fifo:
+            arrival = max(now + delay, self._last_arrival_ms)
             self._last_arrival_ms = arrival
         else:
-            arrival = self._simulator.now_ms + delay
+            arrival = now + delay
+        # The bound callbacks go in with their arguments: no closure per datagram.
         if self._tap is not None:
-            now = self._simulator.now_ms
             tap_time = now + (arrival - now) * self._tap_position
-            self._simulator.schedule_at(
-                tap_time, lambda t=tap_time, d=datagram: self._tap(t, d)
-            )
-        self._simulator.schedule_at(arrival, lambda d=datagram: self._deliver(d))
+            self._simulator.schedule_at(tap_time, partial(self._tap, tap_time, datagram))
+        self._simulator.schedule_at(arrival, partial(self._deliver, datagram))
 
     def _deliver(self, datagram: bytes) -> None:
         self.stats.delivered += 1
