@@ -50,12 +50,17 @@ WALL_CLOCK_GAUGE = "service.scan_domains_per_s"
 #: packets.  ``trace`` and ``diag`` did not move.  ``trace``, ``snapshot``
 #: and ``prom`` were re-recorded once more, on top of 57a25ca, with the
 #: scan pins of ``tests/test_scan_golden.py`` (the population moved to
-#: per-block RNG streams); ``diag`` did not move.
+#: per-block RNG streams); ``diag`` did not move.  ``snapshot`` and
+#: ``prom`` were re-recorded with the scan pins' ``metrics`` when the
+#: endpoints got one timer each: the whole diff is
+#: ``netsim.events_dispatched`` 9332 -> 5494 and
+#: ``netsim.queue_high_water`` 512 -> 205; ``trace`` and ``diag`` did not
+#: move.
 TICK_GOLDEN = {
     "trace": "6b85ec1f0fa84d41a3827bc20b3e9489cc564710486c02842a3e2da5afec757b",
     "diag": "2eeec39d78a8718dcd11d01efd6335060348125618c1575532378f537a250eed",
-    "snapshot": "6acbc695e7dfe028536f7c4aefe6abdc493dae2ab7c14bedd2f439dac51000ab",
-    "prom": "e62644ed109ee75a626b7eb51ac6cbbc28bc2de86cfd176807ea548c55559319",
+    "snapshot": "676e157d68409b6f94d0c981c0e5f49965cc0ffd00744792bf76cc710dfefae6",
+    "prom": "af6910667b1b7245a198067cd30c60f77918bb69b717c7bddad5f5dc570eb7d9",
 }
 
 EMPTY_SNAPSHOT = {"counters": {}, "gauges": {}, "histograms": {}}
