@@ -157,6 +157,11 @@ Which further rules apply to which layer (directory under
   handler (``_pto_fired``, ``_delayed_ack_fired``) — as the callback, or
   wrapped in a ``partial`` or a ``lambda`` — is a per-packet timer event
   coming back, and is flagged.  No pragma opts out.
+* One serving model, ``service/`` only: accepted connections go to
+  handler threads that outlive them (``api._HandlerPoolServer``), so a
+  name, attribute or import of ``ThreadingHTTPServer`` /
+  ``ThreadingMixIn`` / ``ThreadingTCPServer`` — a new thread per
+  connection — is flagged.  No pragma opts out.
 
 Benchmarks (``benchmarks/``) legitimately measure wall-clock and are
 not scanned.  A source line may opt out with the pattern's pragma when
@@ -773,6 +778,30 @@ def one_timer(text: str) -> list[int]:
     )
 
 
+#: The stdlib's servers that start a thread per accepted connection.
+_THREAD_PER_CONNECTION = frozenset(
+    {"ThreadingHTTPServer", "ThreadingMixIn", "ThreadingTCPServer"}
+)
+
+
+def one_serving_model(text: str) -> list[int]:
+    """A name, attribute or import of a thread-per-connection server: a
+    second serving model beside the handler threads that outlive their
+    connections."""
+    return sorted(
+        {
+            node.lineno
+            for node in ast.walk(ast.parse(text))
+            if _bare_name(node) in _THREAD_PER_CONNECTION
+            or isinstance(node, (ast.Import, ast.ImportFrom))
+            and any(
+                alias.name.rsplit(".", 1)[-1] in _THREAD_PER_CONNECTION
+                for alias in node.names
+            )
+        }
+    )
+
+
 def one_config_error_path(text: str) -> list[int]:
     """An ``except`` naming ``ValueError`` outside ``_checked``: an invalid
     option value caught inline instead of on the CLI's one error path."""
@@ -811,7 +840,8 @@ _EVERYWHERE = (
 #: counts a batch at a time;
 #: ``artifacts`` is where the cbr container lives, once; ``web`` and
 #: ``faults`` (the scan path) start no thread; ``service`` and
-#: ``artifacts`` write JSON on every fold, so without ``indent``.
+#: ``artifacts`` write JSON on every fold, so without ``indent``;
+#: ``service`` serves from handler threads that outlive connections.
 LAYER_RULES = {
     "analysis": _EVERYWHERE + (json_in_loops, fold_body_means, fold_counts_per_row),
     "artifacts": _EVERYWHERE + (one_container, compact_json),
@@ -820,7 +850,9 @@ LAYER_RULES = {
     "monitor": _EVERYWHERE + (json_in_loops,),
     "netsim": _EVERYWHERE + (json_in_loops,),
     "obs": _EVERYWHERE + (json_in_loops,),
-    "service": _EVERYWHERE + (json_in_loops, section_state_names, compact_json),
+    "service": _EVERYWHERE + (
+        json_in_loops, section_state_names, compact_json, one_serving_model,
+    ),
     "telemetry": (
         forbidden_lines, json_in_loops, endpoint_decoder_uses, container_framing,
         one_artifact_format, one_flag_definition, one_tap_receiver,
@@ -932,7 +964,10 @@ def main(argv: list[str] | None = None) -> int:
             "checkpoint shards are saved on the emitting thread; the CLI module "
             "catches ValueError only in _checked — other handlers name the "
             "subclass they mean; under service/ and artifacts/ no json.dumps / "
-            "json.dump passes indent= — it takes the pure-Python encoder)",
+            "json.dump passes indent= — it takes the pure-Python encoder; "
+            "service/ names no ThreadingHTTPServer / ThreadingMixIn / "
+            "ThreadingTCPServer — connections go to handler threads that "
+            "outlive them)",
             file=sys.stderr,
         )
         return 1

@@ -1,17 +1,18 @@
 """HTTP/JSON query API over the week index — the service's front door.
 
-A stdlib :class:`http.server.ThreadingHTTPServer` serving millisecond
-answers from the indexer's summary files.  A summary request does
-answer-sized work: it reads the ledger (the index *version*), looks its
-week up in :class:`ServiceState`'s cache and writes the encoded body it
-finds there.  Parsing, merging the all-weeks view and rendering happen
-once per change of a week file's *content*, never per request, and no
-request decodes an artifact chunk.  The one deliberately cold endpoint
-is ``/v1/domain/<name>``, which runs an index-backed point lookup
-against the spooled ``cbr`` artifacts that can hold the name — its
-chunk decodes are *counted* in the telemetry registry
-(``query.chunks_total`` …), which is how the benchmark asserts the
-summary endpoints decode zero chunks.
+A stdlib :class:`http.server.HTTPServer` serving millisecond answers
+from the indexer's summary files, each connection on one of a few
+handler threads that outlive their connections (:func:`build_server`).
+A summary request does answer-sized work: it reads the ledger (the index
+*version*), looks its week up in :class:`ServiceState`'s cache and
+writes the encoded body it finds there.  Parsing, merging the all-weeks
+view and rendering happen once per change of a week file's *content*,
+never per request, and no request decodes an artifact chunk.  The one
+deliberately cold endpoint is ``/v1/domain/<name>``, which runs an
+index-backed point lookup against the spooled ``cbr`` artifacts that can
+hold the name — its chunk decodes are *counted* in the telemetry
+registry (``query.chunks_total`` …), which is how the benchmark asserts
+the summary endpoints decode zero chunks.
 
 Endpoints (all JSON unless noted)::
 
@@ -38,9 +39,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import queue
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from urllib.parse import parse_qs, unquote, urlparse
 
 from repro.analysis.engine import RECORD_SECTIONS
@@ -405,14 +408,114 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
 
+#: Handler threads the first connection starts, and the most that wait
+#: between connections.  A closed-loop client opens its next connection
+#: before the previous one's handler has read EOF, so a single waiting
+#: thread would leave most connections starting one.
+_READY_HANDLERS = 4
+_MAX_IDLE_HANDLERS = 8
+
+#: The calling thread's CPU set, where the platform has one.
+_cpu_set = getattr(os, "sched_getaffinity", lambda pid: None)
+
+
+class _HandlerPoolServer(HTTPServer):
+    """An :class:`HTTPServer` that hands each accepted connection to a
+    waiting handler thread, or to a new one (see :func:`build_server`).
+
+    A waiting thread blocks on its own mailbox; ``_idle`` is a stack of
+    ``(mailbox, thread)``, so the thread that went idle last is woken
+    first.
+    """
+
+    def __init__(self, server_address, handler_class) -> None:
+        super().__init__(server_address, handler_class)
+        self._lock = threading.Lock()
+        self._idle: list[tuple[queue.SimpleQueue, threading.Thread]] = []
+        self._started = 0
+        self._closed = False
+
+    def process_request(self, request, client_address) -> None:
+        connection = (request, client_address, _cpu_set(0))
+        with self._lock:
+            if not self._closed:
+                if self._idle:
+                    self._idle.pop()[0].put(connection)
+                    return
+                self._start_handler_locked(connection)
+                while self._started < _READY_HANDLERS:
+                    self._start_handler_locked(None)
+                return
+        self.shutdown_request(request)
+
+    def _start_handler_locked(self, connection) -> None:
+        """Start a thread on ``connection``, or waiting if ``None``."""
+        self._started += 1
+        mailbox = queue.SimpleQueue()
+        thread = threading.Thread(
+            target=self._serve,
+            args=(mailbox,),
+            name=f"repro-api:{self.server_address[1]}/{self._started}",
+            daemon=True,
+        )
+        if connection is None:
+            self._idle.append((mailbox, thread))
+        else:
+            mailbox.put(connection)
+        thread.start()
+
+    def _serve(self, mailbox: queue.SimpleQueue) -> None:
+        """One handler thread's life: connections from its mailbox, until
+        a ``None`` or enough other threads wait."""
+        cores = None
+        while (connection := mailbox.get()) is not None:
+            request, client_address, accepted_on = connection
+            try:
+                # A thread started per connection inherited the accepting
+                # thread's CPU set; one that outlives it takes it on.
+                if accepted_on != cores:
+                    os.sched_setaffinity(0, accepted_on)
+                    cores = accepted_on
+                self.finish_request(request, client_address)
+            except Exception:  # as ThreadingMixIn: report, serve on
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+            with self._lock:
+                if self._closed or len(self._idle) >= _MAX_IDLE_HANDLERS:
+                    return
+                self._idle.append((mailbox, threading.current_thread()))
+
+    def server_close(self) -> None:
+        """Close the socket and end the waiting threads; a thread holding
+        a connection ends with it."""
+        super().server_close()
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for mailbox, _ in idle:
+            mailbox.put(None)
+        for _, thread in idle:
+            thread.join()
+
+
 def build_server(
     state: ServiceState, host: str = "127.0.0.1", port: int = 0
-) -> ThreadingHTTPServer:
-    """A ready-to-serve HTTP server bound to ``host:port`` (0 = any)."""
+) -> HTTPServer:
+    """A ready-to-serve HTTP server bound to ``host:port`` (0 = any).
+
+    Each accepted connection goes to a waiting handler thread, named
+    ``repro-api:<port>/<n>``, instead of a thread of its own.  The first
+    connection starts ``_READY_HANDLERS`` of them; a connection that
+    finds none waiting starts one more, so a slow or keep-alive client
+    holds up no other.  A thread serves one connection at a time, under
+    the CPU set of the thread that accepted it, and waits for the next
+    between them; it ends when ``_MAX_IDLE_HANDLERS`` others already
+    wait.  They are daemon threads: ``server_close()`` ends the waiting
+    ones, and a thread still serving a connection ends with it.
+    """
     handler = type("ReproServiceHandler", (_Handler,), {"state": state})
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = True
-    return server
+    return _HandlerPoolServer((host, port), handler)
 
 
 def serve_forever(

@@ -7,6 +7,7 @@ simulations; integration tests exercise the real pipeline separately.
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 
@@ -200,8 +201,8 @@ def indented_week_json(summary) -> str:
 def count_calls(run, only=None):
     """``(calls, run())``: the Python-level calls (``sys.setprofile``
     ``call`` + ``c_call``) ``run`` makes — a pure function of the code
-    and its input, no clock involved.  With ``only`` (a builtin), the
-    calls of that function alone."""
+    and its input, no clock involved, counted with the garbage collector
+    off.  With ``only`` (a builtin), the calls of that function alone."""
     calls = 0
 
     def count(frame, event, arg):
@@ -212,9 +213,17 @@ def count_calls(run, only=None):
             calls += event == "c_call" and arg is only
 
     previous = sys.getprofile()
+    # A collection inside the window would count the interpreter's GC
+    # callbacks (Hypothesis installs one), and whether one falls there
+    # depends on what ran before: the collector waits outside.
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
     sys.setprofile(count)
     try:
         result = run()
     finally:
         sys.setprofile(previous)
+        if collecting:
+            gc.enable()
     return calls, result

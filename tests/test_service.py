@@ -1,10 +1,13 @@
 """The measurement-as-a-service plane (spool, indexer, daemon, API)."""
 
 import dataclasses
+import http.client
 import io
 import json
+import os
 import random
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -31,7 +34,7 @@ from repro.service import (
     WeekIndexer,
     build_server,
 )
-from repro.service.api import WeekUnreadable
+from repro.service.api import _READY_HANDLERS, WeekUnreadable
 from repro.service.summary import WeekSummary
 from repro.telemetry import Telemetry
 from repro.web import parallel as parallel_mod
@@ -992,6 +995,184 @@ class TestApiCache:
             assert diag == expected
             rows = json.loads(http_get(f"{base}/v1/spans")[1])["diag"]
             assert {row["name"] for row in rows} == {name for name, _, _ in expected}
+
+
+def handler_threads(base: str) -> set[str]:
+    """Names of the live handler threads of the server at ``base``."""
+    prefix = f"repro-api:{base.rsplit(':', 1)[1]}/"
+    return {
+        thread.name
+        for thread in threading.enumerate()
+        if thread.name.startswith(prefix)
+    }
+
+
+def connect(base: str) -> socket.socket:
+    host, port = base.removeprefix("http://").split(":")
+    return socket.create_connection((host, int(port)), timeout=30)
+
+
+class TestServingModel:
+    """Accepted connections go to handler threads that outlive them: the
+    ready set serves a closed-loop client, a connection that finds no
+    thread waiting starts one, and ``server_close()`` ends the waiting."""
+
+    def test_sequential_reads_start_no_thread_after_the_ready_set(
+        self, tmp_path, monkeypatch
+    ):
+        """``urllib`` asks the server to close; ``http.client`` (the
+        benchmark's client) leaves the handler to read EOF while the
+        next connection is already accepted."""
+        started = []
+        start = threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        with serving(tmp_path) as (state, base):
+            port = int(base.rsplit(":", 1)[1])
+            seen = set()
+            monkeypatch.setattr(threading.Thread, "start", counted_start)
+            for turn in range(200):
+                if turn % 2:
+                    assert http_get(f"{base}/v1/weeks")[0] == 200
+                else:
+                    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+                    connection.request("GET", "/v1/weeks")
+                    assert connection.getresponse().read() == encoded({"weeks": []})
+                    connection.close()
+                seen |= handler_threads(base)
+            monkeypatch.undo()
+            assert state.metrics_snapshot()["counters"]["service.requests_total"] == 200
+        assert set(started) == seen  # every thread started is a handler
+        assert len(started) <= _READY_HANDLERS + 1, started
+
+    def test_silent_connections_hold_up_no_request(self, tmp_path):
+        with serving(tmp_path) as (_, base):
+            silent = [connect(base) for _ in range(_READY_HANDLERS + 2)]
+            try:
+                with urllib.request.urlopen(f"{base}/v1/weeks", timeout=5) as response:
+                    assert response.status == 200
+                    assert response.read() == encoded({"weeks": []})
+                # One thread per silent connection, and one for the read.
+                assert len(handler_threads(base)) == _READY_HANDLERS + 3
+            finally:
+                for connection in silent:
+                    connection.close()
+
+    def test_a_client_gone_mid_request_line_holds_up_nothing(self, tmp_path):
+        with serving(tmp_path) as (state, base):
+            with connect(base) as connection:
+                connection.sendall(b"GET /v1/weeks HT")
+            assert http_get(f"{base}/v1/weeks") == (200, encoded({"weeks": []}))
+            # The cut line is refused (400, into a closed socket) and
+            # counted; its handler may finish after the read's.
+            deadline = time.monotonic() + 30
+            while True:
+                counters = state.metrics_snapshot()["counters"]
+                answered = counters.get("service.requests_total", 0)
+                if answered == 2 or time.monotonic() > deadline:
+                    break
+                time.sleep(0.001)
+            assert answered == 2
+            assert counters["service.requests_errored"] == 1
+            assert http_get(f"{base}/v1/weeks")[0] == 200
+
+    def test_concurrent_reads_get_the_sequential_bytes(self, scanned, tmp_path):
+        with serving(tmp_path) as (state, base):
+            submit(state.spool, scanned["cw19-2023"])
+            submit(state.spool, scanned["cw20-2023"])
+            state.indexer.fold_pending(state.spool)
+            paths = sorted(bodies_from_disk(state.indexer))
+            sequential = {path: http_get(base + path) for path in paths}
+            assert sequential == {
+                path: (200, body) for path, body in bodies_from_disk(state.indexer).items()
+            }
+            answers: list[list] = [[] for _ in range(4)]
+
+            def read(into: list) -> None:
+                for turn in range(50):
+                    path = paths[(turn + len(into)) % len(paths)]
+                    into.append((path, http_get(base + path)))
+
+            readers = [threading.Thread(target=read, args=(into,)) for into in answers]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # switch threads inside the handoff
+            try:
+                for reader in readers:
+                    reader.start()
+                for reader in readers:
+                    reader.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(reader.is_alive() for reader in readers)
+            assert [len(into) for into in answers] == [50] * 4
+            for into in answers:
+                for path, answer in into:
+                    assert answer == sequential[path], path
+            counters = state.metrics_snapshot()["counters"]
+            assert counters["service.requests_total"] == len(paths) + 4 * 50
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs two CPUs to tell CPU sets apart",
+    )
+    def test_handlers_take_on_the_accept_loops_cpu_set(self, tmp_path):
+        """As a thread started per connection inherited it."""
+        state = ServiceState(
+            SpoolStore(tmp_path / "spool"), WeekIndexer(tmp_path / "index"),
+            telemetry=Telemetry(),
+        )
+        server = build_server(state)
+        accept = threading.Thread(target=server.serve_forever, args=(0.02,), daemon=True)
+        accept.start()
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        held = []
+        try:
+            assert http_get(f"{base}/v1/weeks")[0] == 200  # starts the ready set
+            pinned = {max(os.sched_getaffinity(0))}
+            os.sched_setaffinity(accept.native_id, pinned)
+            for _ in range(_READY_HANDLERS):  # each holds a thread of its own
+                connection = http.client.HTTPConnection(
+                    "127.0.0.1", server.server_address[1], timeout=30
+                )
+                connection.request("GET", "/v1/weeks")
+                assert connection.getresponse().read() == encoded({"weeks": []})
+                held.append(connection)
+            handlers = handler_threads(base)
+            cpu_sets = [
+                os.sched_getaffinity(thread.native_id)
+                for thread in threading.enumerate()
+                if thread.name in handlers
+            ]
+            assert cpu_sets.count(pinned) >= _READY_HANDLERS, cpu_sets
+        finally:
+            for connection in held:
+                connection.close()
+            server.shutdown()
+            server.server_close()
+            accept.join(timeout=30)
+
+    def test_server_close_ends_the_waiting_threads(self, tmp_path):
+        with serving(tmp_path) as (_, base):
+            port = int(base.rsplit(":", 1)[1])
+            # A keep-alive connection holds its thread past the close.
+            held = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            held.request("GET", "/v1/weeks")
+            assert held.getresponse().read() == encoded({"weeks": []})
+            for _ in range(20):
+                assert http_get(f"{base}/v1/weeks")[0] == 200
+            assert len(handler_threads(base)) >= _READY_HANDLERS
+        # serving() ran shutdown() and server_close().
+        try:
+            assert len(handler_threads(base)) == 1
+        finally:
+            held.close()
+        deadline = time.monotonic() + 30
+        while handler_threads(base) and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert not handler_threads(base)
 
 
 class TestDomainLookup:

@@ -573,6 +573,53 @@ class TestDeterminismLint:
                 )
         assert "telemetry/sites.py" not in result.stderr
 
+    #: The API's server as it read while it started a thread per connection.
+    PARENT_SERVER = (
+        "from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer\n"
+        "def build_server(state, host, port) -> ThreadingHTTPServer:\n"
+        "    server = ThreadingHTTPServer((host, port), handler)\n"
+        "    server.daemon_threads = True\n"
+        "    return server\n"
+    )
+    #: Other spellings of a thread per connection, and innocent neighbours.
+    OTHER_SERVERS = (
+        "import socketserver, http.server\n"
+        "from socketserver import ThreadingMixIn as Mixin, TCPServer\n"
+        "class Server(socketserver.ThreadingMixIn, http.server.HTTPServer): pass\n"
+        "server = socketserver.ThreadingTCPServer(address, handler)\n"
+        "class Pooled(http.server.HTTPServer):  # not a ThreadingHTTPServer\n"
+        "    '''Unlike ThreadingMixIn, queues connections.'''\n"
+        "    daemon_threads = True\n"
+    )
+
+    def test_a_thread_per_connection_server_is_caught(self, tmp_path):
+        files = {
+            "service/api.py": self.PARENT_SERVER,
+            "service/other.py": self.OTHER_SERVERS,
+            "obs/server.py": self.PARENT_SERVER + self.OTHER_SERVERS,
+        }
+        for name, source in files.items():
+            path = tmp_path / "repro" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(source, encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, str(self.LINT), str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        flagged = {
+            line.split(": ", 1)[0].split("repro/", 1)[1]
+            for line in result.stderr.splitlines()
+            if "repro/" in line
+        }
+        # Comments, docstrings and a server of its own are not a use;
+        # the rule holds under service/ only.
+        assert flagged == {
+            "service/api.py:1", "service/api.py:2", "service/api.py:3",
+            "service/other.py:2", "service/other.py:3", "service/other.py:4",
+        }, result.stderr
+
 
 class TestOneSectionDeclaration:
     """AST gate (same lint): under ``service/`` no analysis section's
