@@ -802,6 +802,39 @@ def one_serving_model(text: str) -> list[int]:
     )
 
 
+#: What reads a telemetry snapshot: a URL opener and the snapshot file's name.
+_SNAPSHOT_READERS = frozenset({"urlopen", "SNAPSHOT_FILENAME"})
+
+
+def one_snapshot_source(text: str) -> list[int]:
+    """A name, attribute or import of ``urlopen``, a use of
+    ``SNAPSHOT_FILENAME``, or a ``"metrics.json"`` constant other than the
+    one that defines it: a snapshot read beside the one loader."""
+    tree = ast.parse(text)
+    definition = {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(_bare_name(target) == "SNAPSHOT_FILENAME" for target in node.targets)
+    }
+    return sorted(
+        {
+            node.lineno
+            for node in ast.walk(tree)
+            if (
+                _bare_name(node) in _SNAPSHOT_READERS
+                and not isinstance(getattr(node, "ctx", None), ast.Store)
+            )
+            or isinstance(node, ast.ImportFrom)
+            and any(alias.name == "urlopen" for alias in node.names)
+            or isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and (node.value == "metrics.json" or node.value.endswith("/metrics.json"))
+            and id(node) not in definition
+        }
+    )
+
+
 def one_config_error_path(text: str) -> list[int]:
     """An ``except`` naming ``ValueError`` outside ``_checked``: an invalid
     option value caught inline instead of on the CLI's one error path."""
@@ -827,7 +860,7 @@ def one_config_error_path(text: str) -> list[int]:
 _EVERYWHERE = (
     forbidden_lines, hand_built_trace_rows, listener_guards, endpoint_decoder_uses,
     container_framing, population_by_range, one_artifact_format, one_flag_definition,
-    one_tap_receiver,
+    one_tap_receiver, one_snapshot_source,
 )
 
 #: layer → its rules.  The JSON-in-loop layers are the hot paths (the
@@ -855,7 +888,7 @@ LAYER_RULES = {
     ),
     "telemetry": (
         forbidden_lines, json_in_loops, endpoint_decoder_uses, container_framing,
-        one_artifact_format, one_flag_definition, one_tap_receiver,
+        one_artifact_format, one_flag_definition, one_tap_receiver, one_snapshot_source,
     ),
     "web": _EVERYWHERE + (json_in_loops, thread_imports),
 }
@@ -867,7 +900,9 @@ LAYER_RULES = {
 #: flow table and resolver the rule that keeps flow identity one structure,
 #: the endpoint also the rule that keeps its timers one wake-up, the population generator is where populations are drawn, the
 #: compliance fold is where the domain flags are defined, the path is
-#: where its receiver is set, and the CLI catches ValueError in one place.
+#: where its receiver is set, the CLI catches ValueError in one place,
+#: the snapshot loader is where a snapshot is read (from a URL or
+#: ``metrics.json``) and the telemetry bundle's ``save`` writes it.
 _CODEC_HOME = ((), (endpoint_decoder_uses,))
 FILE_RULES = {
     "repro/analysis/compliance.py": ((), (one_flag_definition,)),
@@ -877,12 +912,14 @@ FILE_RULES = {
     "repro/internet/population.py": ((), (population_by_range,)),
     "repro/monitor/pipeline.py": ((monitor_packet_path,), ()),
     "repro/netsim/path.py": ((), (one_tap_receiver,)),
+    "repro/obs/snapshot.py": ((), (one_snapshot_source,)),
     "repro/quic/__init__.py": _CODEC_HOME,
     "repro/quic/connection.py": ((forked_datapath, one_timer), ()),
     "repro/quic/datagram.py": _CODEC_HOME,
     "repro/quic/frames.py": ((field_decoder_objects,), (endpoint_decoder_uses,)),
     "repro/quic/packet.py": _CODEC_HOME,
     "repro/service/summary.py": ((fold_body_means, fold_counts_per_row), ()),
+    "repro/telemetry/runtime.py": ((), (one_snapshot_source,)),
 }
 
 
@@ -967,7 +1004,9 @@ def main(argv: list[str] | None = None) -> int:
             "json.dump passes indent= — it takes the pure-Python encoder; "
             "service/ names no ThreadingHTTPServer / ThreadingMixIn / "
             "ThreadingTCPServer — connections go to handler threads that "
-            "outlive them)",
+            "outlive them; only obs/snapshot.py opens a URL (urlopen) or reads "
+            "SNAPSHOT_FILENAME / \"metrics.json\" — repro status has one "
+            "snapshot loader — and only Telemetry.save writes it)",
             file=sys.stderr,
         )
         return 1

@@ -6,8 +6,9 @@ Runs the production entry points under one ``sys.setprofile`` /
 
 - the CLI runs of the verify recipe (scan inline and on the pool,
   analyze, query, convert, compliance, report, monitor, demo,
-  telemetry, status, profile, top, service run-once / submit / index /
-  serve), with the documented refusals;
+  status over a telemetry directory, a service directory and a live
+  server, profile, service run-once / submit / index / serve), with the
+  documented refusals;
 - ``scripts/chaos_smoke.sh``'s faulted scan;
 - every ``/v1/*`` route of a live ``repro service serve``, plus malformed
   requests;
@@ -234,7 +235,7 @@ def cli_runs(work: Path) -> None:
          "--migrate", "nat-rebind:0.35,cid-rotation:0.35", "--tcp-flows", 8,
          "--max-flows", 32, "--fault", "corrupt-datagram:0.08",
          "--out", work / "mc.jsonl")
-    _cli("telemetry", "summarize", work / "t1")
+    _cli("status", "--dir", work / "t1")
     _cli("profile", "--czds", 100, "--toplist", 20, "--sim", "--analyze",
          "--out", work / "stacks.txt")
     svc = work / "svc"
@@ -304,7 +305,6 @@ def api_routes(work: Path) -> None:
                 raw.sendall(b"NOT-HTTP \x00\r\n\r\n")
                 raw.recv(4096)
             _cli("status", "--url", base)
-            _cli("top", "--url", base)
         finally:
             _thread.interrupt_main()
 

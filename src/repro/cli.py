@@ -10,11 +10,9 @@ The subcommands mirror the study's workflow::
     repro report      # regenerate every table and figure in one run
     repro monitor     # streaming on-path monitoring of many-flow traffic
     repro demo        # one observed connection, spin vs stack RTT
-    repro telemetry   # summarize a --telemetry-out directory
     repro service     # campaign daemon + week index + HTTP query API
-    repro status      # SLO health verdict (live server or finished campaign)
+    repro status      # SLO health + telemetry digest (live server or directory)
     repro profile     # sampling profiler over a seeded scan
-    repro top         # one-shot operator console over a running server
 
 ``scan`` writes the artifact that ``analyze`` consumes — the columnar
 binary ``cbr`` store — so the two halves can run on different machines,
@@ -43,7 +41,7 @@ Output discipline: stdout carries only machine-parseable command output
 (datasets, analysis blocks, summaries); every progress or diagnostic
 line goes to stderr.  ``--telemetry-out DIR`` on ``scan`` and
 ``monitor`` additionally writes the deterministic telemetry directory
-(see :mod:`repro.telemetry`), which ``repro telemetry summarize DIR``
+(see :mod:`repro.telemetry`), which ``repro status --dir DIR``
 renders for humans.
 """
 
@@ -215,7 +213,7 @@ _FLAGS: dict[str, dict] = {
         required=True,
         metavar="DIR",
         help="service directory (spool/ and index/ live underneath); status "
-        "judges it offline",
+        "reads it, or a --telemetry-out directory, offline",
     ),
     "--first-week": dict(help="first campaign week label"),
     "--last-week": dict(help="last campaign week label"),
@@ -233,18 +231,12 @@ _FLAGS: dict[str, dict] = {
         action="store_true", help="serve the existing index only; schedule no scans"
     ),
     "artifacts": dict(nargs="+", help="artifact paths to spool"),
-    "directory": dict(help="directory passed to --telemetry-out"),
     "--url": dict(
         metavar="URL", help="base URL of a running 'repro service serve' API"
     ),
     "--slo": dict(
         metavar="FILE",
         help="JSON list of SLO specs replacing the built-in objectives",
-    ),
-    "--metrics": dict(
-        metavar="FILE",
-        help="metrics.json snapshot to evaluate alongside --dir gauges "
-        "(default: DIR/telemetry/metrics.json when present)",
     ),
     "--exit-code": dict(
         action="store_true",
@@ -779,105 +771,37 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_telemetry(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.telemetry import (
-        SNAPSHOT_FILENAME,
-        TRACE_FILENAME,
-        read_trace,
-        render_summary,
-    )
-
-    directory = Path(args.directory)
-    snapshot_path = directory / SNAPSHOT_FILENAME
-    if not snapshot_path.is_file():
-        raise SystemExit(
-            f"repro: error: no telemetry snapshot at {snapshot_path}"
-        )
-    snapshot = json.loads(snapshot_path.read_text(encoding="utf-8"))
-    rows = None
-    trace_path = directory / TRACE_FILENAME
-    if trace_path.is_file():
-        with open(trace_path, "r", encoding="utf-8", errors="replace") as stream:
-            rows, skipped = read_trace(stream)
-        if skipped:
-            print(
-                f"repro telemetry: skipped {skipped} unreadable line(s) "
-                f"of {trace_path}",
-                file=sys.stderr,
-            )
-    print(render_summary(snapshot, rows))
-    return 0
-
-
-def _load_slo_specs(slo_path: str | None):
-    """The SLO spec set for ``repro status``: built-ins or a JSON file."""
-    from repro.obs import default_service_slos, parse_slo_specs
-
-    if not slo_path:
-        return default_service_slos()
-    try:
-        with open(slo_path, "r", encoding="utf-8") as stream:
-            text = stream.read()
-    except OSError as error:
-        raise SystemExit(f"repro: error: cannot read {slo_path}: {error}")
-    return _checked(parse_slo_specs, text)
-
-
 def _cmd_status(args: argparse.Namespace) -> int:
     import json
-    import os
 
-    from repro.obs import HealthEngine
+    from repro.obs import HealthEngine, default_service_slos, parse_slo_specs
+    from repro.obs.snapshot import load_snapshot
+    from repro.telemetry import render_summary
 
-    specs = _load_slo_specs(args.slo)
-    if args.url:
-        from repro.obs.console import fetch_json, health_from_payload
-
-        base = args.url.rstrip("/")
+    specs = default_service_slos()
+    if args.slo:
         try:
-            if args.slo:
-                # Custom objectives: pull the raw snapshot and judge
-                # locally — the server only knows its own spec set.
-                payload = fetch_json(base + "/v1/metrics")
-                snapshot = payload.get("metrics", payload)
-                report = HealthEngine(specs).evaluate(snapshot)
-            else:
-                report = health_from_payload(fetch_json(base + "/v1/status"))
-        except ConnectionError as error:
-            raise SystemExit(f"repro: error: {error}")
-    else:
-        from repro.obs import collect_service_gauges
-
-        if not os.path.isdir(args.dir):
-            raise SystemExit(
-                f"repro: error: no service directory at {args.dir}"
-            )
-        spool, indexer = _service_stores(args)
-        snapshot: dict = {"counters": {}, "gauges": {}, "histograms": {}}
-        metrics_path = args.metrics
-        if metrics_path is None:
-            candidate = os.path.join(args.dir, "telemetry", "metrics.json")
-            if os.path.isfile(candidate):
-                metrics_path = candidate
-        if metrics_path:
-            try:
-                with open(metrics_path, "r", encoding="utf-8") as stream:
-                    loaded = json.load(stream)
-            except (OSError, UnicodeDecodeError, json.JSONDecodeError) as error:
-                raise SystemExit(
-                    f"repro: error: cannot read {metrics_path}: {error}"
-                )
-            for section in ("counters", "gauges", "histograms"):
-                snapshot[section].update(loaded.get(section, {}))
-        snapshot["gauges"].update(collect_service_gauges(spool, indexer))
-        report = HealthEngine(specs).evaluate(snapshot)
+            with open(args.slo, encoding="utf-8") as stream:
+                text = stream.read()
+        except OSError as error:
+            raise SystemExit(f"repro: error: cannot read {args.slo}: {error}")
+        specs = _checked(parse_slo_specs, text)
+    try:
+        snapshot, rows, skipped = _checked(load_snapshot, args.url, args.dir)
+    except ConnectionError as error:
+        raise SystemExit(f"repro: error: {error}")
+    if skipped:
+        print(
+            f"repro status: skipped {skipped} unreadable line(s) of the trace "
+            f"at {args.url or args.dir}",
+            file=sys.stderr,
+        )
+    report = HealthEngine(specs).evaluate(snapshot)
     if args.json:
         print(json.dumps(report.to_dict(), sort_keys=True))
     else:
         print(report.render())
+        print(render_summary(snapshot, rows))
     return report.exit_code if args.exit_code else 0
 
 
@@ -931,21 +855,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                 stream.close()
         if close:
             print(f"collapsed stacks written to {args.out}", file=sys.stderr)
-    return 0
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    from repro.obs.console import fetch_json, render_console
-
-    base = args.url.rstrip("/")
-    try:
-        healthz = fetch_json(base + "/v1/healthz")
-        status = fetch_json(base + "/v1/status")
-        metrics = fetch_json(base + "/v1/metrics")
-        spans_payload = fetch_json(base + "/v1/spans")
-    except ConnectionError as error:
-        raise SystemExit(f"repro: error: {error}")
-    print(render_console(healthz, status, metrics, spans_payload))
     return 0
 
 
@@ -1159,19 +1068,12 @@ _ROWS = (
         _cmd_fold,
         flags=("--dir", "--telemetry-out", "artifacts"),
     ),
-    _Row("telemetry", "inspect telemetry directories written by scan/monitor"),
-    _Row(
-        "telemetry summarize",
-        "human-readable digest of a saved telemetry directory",
-        _cmd_telemetry,
-        flags=("directory",),
-    ),
     _Row(
         "status",
-        "evaluate SLOs into a health verdict, from a live server's "
-        "/v1/metrics or a finished campaign's service directory",
+        "evaluate SLOs into a health verdict and digest the telemetry, "
+        "from a live server or a service or telemetry directory",
         _cmd_status,
-        flags=(("--dir", "--url"), "--slo", "--metrics", "--json", "--exit-code"),
+        flags=(("--dir", "--url"), "--slo", "--json", "--exit-code"),
         defaults=dict(dir=None),
     ),
     _Row(
@@ -1182,13 +1084,6 @@ _ROWS = (
         (PopulationConfig,),
         (*_TARGET_FLAGS, "--sim", "--sample-interval-ms", "--analyze", "--out"),
         dict(czds=400, toplist=100, out=None),
-    ),
-    _Row(
-        "top",
-        "one-shot operator console over a running 'repro service serve'",
-        _cmd_top,
-        flags=("--url",),
-        defaults=dict(url="http://127.0.0.1:8323"),
     ),
 )
 

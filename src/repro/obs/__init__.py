@@ -8,8 +8,8 @@ seed:
   scan/analyze hot paths (simulated or injected wall clock).
 * :mod:`repro.obs.slo` — declarative SLOs evaluated as burn rates over
   exported metrics snapshots, yielding structured health reports.
-* :mod:`repro.obs.console` — the one-shot ``repro top`` operator
-  console over a running ``repro service serve``.
+* :mod:`repro.obs.snapshot` — the one snapshot ``repro status`` reads,
+  from a running ``repro service serve`` or from a directory.
 """
 
 from .profile import PhaseProfiler
@@ -18,9 +18,9 @@ from .slo import (
     HealthReport,
     SLOResult,
     SLOSpec,
-    collect_service_gauges,
     default_service_slos,
     parse_slo_specs,
+    with_service_gauges,
 )
 
 __all__ = [
@@ -29,7 +29,7 @@ __all__ = [
     "PhaseProfiler",
     "SLOResult",
     "SLOSpec",
-    "collect_service_gauges",
     "default_service_slos",
     "parse_slo_specs",
+    "with_service_gauges",
 ]

@@ -10,8 +10,8 @@ produces and ``/v1/metrics`` serves) and renders a structured
 
 Evaluation is *pure*: snapshot in, report out.  No scanning, no
 clock reads, no network — which is what lets ``repro status`` run the
-same engine against a live server's ``/v1/metrics`` or against the
-``metrics.json`` a finished campaign left on disk.
+same engine over the one snapshot :mod:`repro.obs.snapshot` loads, from
+a live server's ``/v1/metrics`` or from a directory on disk.
 
 Verdicts come from the **burn rate** — how fast the measured value
 consumes its objective (``actual / objective``, inverted for
@@ -29,9 +29,7 @@ missing  ``no_data`` (never degrades)
 Spec kinds:
 
 * ``max_value`` / ``min_value`` — gauge (or counter) bound.
-* ``max_ratio`` — numerator/denominator counters (e.g. error rate);
-  evaluated over the *delta* from a prior snapshot when one is given,
-  so a long-lived server's old errors do not haunt its current health.
+* ``max_ratio`` — numerator/denominator counters (e.g. error rate).
 * ``quantile_max`` — histogram percentile bound (p50/p90/p99) using
   the log-histogram summary quantiles.
 """
@@ -46,9 +44,9 @@ __all__ = [
     "HealthReport",
     "SLOResult",
     "SLOSpec",
-    "collect_service_gauges",
     "default_service_slos",
     "parse_slo_specs",
+    "with_service_gauges",
 ]
 
 VERDICT_ORDER = ("ok", "no_data", "degraded", "failing")
@@ -150,10 +148,8 @@ class HealthEngine:
     def __init__(self, specs: Sequence[SLOSpec]):
         self.specs = tuple(specs)
 
-    def evaluate(self, snapshot: dict, prior: dict | None = None) -> HealthReport:
-        results = tuple(
-            self._evaluate_one(spec, snapshot, prior) for spec in self.specs
-        )
+    def evaluate(self, snapshot: dict) -> HealthReport:
+        results = tuple(self._evaluate_one(spec, snapshot) for spec in self.specs)
         overall = "ok"
         for result in results:
             if VERDICT_ORDER.index(result.verdict) > VERDICT_ORDER.index(overall):
@@ -165,10 +161,8 @@ class HealthEngine:
             overall = "ok"
         return HealthReport(overall, results)
 
-    def _evaluate_one(
-        self, spec: SLOSpec, snapshot: dict, prior: dict | None
-    ) -> SLOResult:
-        actual = self._measure(spec, snapshot, prior)
+    def _evaluate_one(self, spec: SLOSpec, snapshot: dict) -> SLOResult:
+        actual = self._measure(spec, snapshot)
         if actual is None:
             return SLOResult(spec, "no_data", None, None)
         burn = self._burn(spec, actual)
@@ -180,27 +174,18 @@ class HealthEngine:
             verdict = "failing"
         return SLOResult(spec, verdict, actual, burn)
 
-    def _measure(
-        self, spec: SLOSpec, snapshot: dict, prior: dict | None
-    ) -> float | None:
+    def _measure(self, spec: SLOSpec, snapshot: dict) -> float | None:
         if spec.kind in ("max_value", "min_value"):
             return _scalar(snapshot, spec.metric)
         if spec.kind == "max_ratio":
             numerator = _scalar(snapshot, spec.metric)
             denominator = _scalar(snapshot, spec.total or "")
-            if denominator is None:
+            if denominator is None or denominator <= 0:
                 return None
             # A missing numerator with a live denominator means the
             # event never happened (error counters only appear on the
             # first error) — that is a ratio of zero, not missing data.
-            if numerator is None:
-                numerator = 0.0
-            if prior is not None:
-                numerator -= _scalar(prior, spec.metric) or 0.0
-                denominator -= _scalar(prior, spec.total or "") or 0.0
-            if denominator <= 0:
-                return None
-            return max(0.0, numerator) / denominator
+            return max(0.0, numerator or 0.0) / denominator
         if spec.kind == "quantile_max":
             histogram = snapshot.get("histograms", {}).get(spec.metric)
             if not histogram or not histogram.get("count"):
@@ -267,23 +252,26 @@ def parse_slo_specs(text: str) -> list[SLOSpec]:
     return specs
 
 
-def collect_service_gauges(spool, indexer) -> dict[str, float]:
-    """Service-plane gauges derived from a spool + index directory pair.
+def with_service_gauges(snapshot: dict, spool, indexer) -> dict:
+    """``snapshot`` with the gauges of a spool + index directory pair set.
 
     Duck-typed over :class:`~repro.service.SpoolStore` and
-    :class:`~repro.service.WeekIndexer`; reads only the artifact
-    listing and the ledger — never a chunk, never a scan — which is
-    what lets ``repro status --dir`` judge a finished campaign offline
-    with the same SLOs the live ``/v1/status`` endpoint uses.
+    :class:`~repro.service.WeekIndexer`, either ``None`` when its
+    directory does not exist; reads only the artifact listing and the
+    ledger — never a chunk, never a scan.  ``/v1/metrics`` serves, and
+    ``repro status --dir`` judges, the snapshot this returns, so a
+    campaign is judged by the same gauges live and offline.  Gauges are
+    ordered by series id, as a saved ``metrics.json`` orders them.
     """
-    ledger = indexer.ledger()
-    spooled = spool.fingerprints()
-    backlog = sum(1 for fingerprint in spooled if fingerprint not in ledger)
-    return {
-        "service.spool_backlog": float(backlog),
+    ledger = indexer.ledger() if indexer else set()
+    spooled = spool.fingerprints() if spool else []
+    gauges = {
+        **snapshot["gauges"],
+        "service.spool_backlog": float(sum(1 for f in spooled if f not in ledger)),
         "service.artifacts_spooled": float(len(spooled)),
-        "service.weeks_indexed": float(len(indexer.weeks())),
+        "service.weeks_indexed": float(len(indexer.weeks()) if indexer else 0),
     }
+    return {**snapshot, "gauges": dict(sorted(gauges.items()))}
 
 
 def default_service_slos() -> list[SLOSpec]:

@@ -22,8 +22,8 @@ Endpoints (all JSON unless noted)::
     GET  /v1/compliance?week=...         behaviour-class distribution
     GET  /v1/analyze?week=...&section=   the repro-analyze text block
     GET  /v1/domain/<name>               the domain's records (JSONL body)
-    GET  /v1/metrics                     telemetry registry snapshot
-    GET  /v1/status                      SLO health report (repro.obs.slo)
+    GET  /v1/metrics                     telemetry snapshot (registry + directory gauges)
+    GET  /v1/status                      SLO health report over that snapshot
     GET  /v1/spans                       trace rows of the campaign
 
 ``week`` defaults to ``all`` (every indexed week merged).  Errors are
@@ -50,8 +50,8 @@ from repro.analysis.engine import RECORD_SECTIONS
 from repro.obs.slo import (
     HealthEngine,
     HealthReport,
-    collect_service_gauges,
     default_service_slos,
+    with_service_gauges,
 )
 from repro.service.daemon import CampaignDaemon
 from repro.service.indexer import WeekIndexer, ledger_artifacts
@@ -106,18 +106,15 @@ class ServiceState:
         spool: SpoolStore,
         indexer: WeekIndexer,
         telemetry=None,
-        health_engine: HealthEngine | None = None,
     ) -> None:
         self.spool = spool
         self.indexer = indexer
         #: What ``/v1/metrics``, ``/v1/status`` and ``/v1/spans`` serve
         #: back; ``None`` is off like anywhere else — requests go
-        #: uncounted and the three answer empty (``repro service serve``
-        #: always hands its daemon and its state one live bundle).
+        #: uncounted, the snapshot holds the directory gauges alone and
+        #: the spans are empty (``repro service serve`` always hands its
+        #: daemon and its state one live bundle).
         self.telemetry = Telemetry.resolve(telemetry)
-        self.health_engine = health_engine or HealthEngine(
-            default_service_slos()
-        )
         self._lock = threading.Lock()
         self._version: bytes | None = None
         self._weeks: dict[str, _CachedWeek] = {}  # calendar order
@@ -193,19 +190,17 @@ class ServiceState:
         self.telemetry.tracer.count(f"request:{route}", status=status)
 
     def metrics_snapshot(self) -> dict:
-        return self.telemetry.registry.snapshot()
+        """The registry with the directory-derived service gauges set: what
+        ``/v1/metrics`` serves and ``/v1/status`` judges, so the report is
+        meaningful even before the daemon's first tick set any gauges."""
+        return with_service_gauges(
+            self.telemetry.registry.snapshot(), self.spool, self.indexer
+        )
 
     def health_report(self) -> HealthReport:
-        """Evaluate the configured SLOs over the current telemetry.
-
-        The snapshot is the exported registry augmented with the
-        directory-derived service gauges, so the report is meaningful
-        even before the daemon's first tick set any gauges — and it is
-        computed purely from telemetry, never by re-scanning.
-        """
-        snapshot = self.metrics_snapshot()
-        snapshot["gauges"].update(collect_service_gauges(self.spool, self.indexer))
-        return self.health_engine.evaluate(snapshot)
+        """The default SLOs over :meth:`metrics_snapshot` — computed purely
+        from telemetry, never by re-scanning."""
+        return HealthEngine(default_service_slos()).evaluate(self.metrics_snapshot())
 
     def spans_payload(self) -> dict:
         """The campaign trace in export shape (`/v1/spans`)."""

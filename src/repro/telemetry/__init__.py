@@ -20,11 +20,12 @@ and the only place that knows the trace row format.
   text-format snapshots, and the human ``render_summary``;
 * :mod:`repro.telemetry.runtime` — the :class:`Telemetry` bundle the
   CLI threads through ``--telemetry-out DIR`` and reads back via
-  ``repro telemetry summarize DIR``.
+  ``repro status --dir DIR``.
 
 :mod:`repro.obs` consumes what this package records: the phase
 profiler (carried on the bundle as ``.profiler``), the SLO health
-engine over metrics snapshots, and the ``repro top`` console.
+engine over metrics snapshots, and the one snapshot loader behind
+``repro status``.
 """
 
 from repro.telemetry.export import (
@@ -35,7 +36,6 @@ from repro.telemetry.export import (
     read_trace,
     registry_to_prometheus,
     render_summary,
-    stage_latency_table,
     trace_rows,
     write_trace_jsonl,
 )
@@ -72,7 +72,6 @@ __all__ = [
     "render_summary",
     "resolve_registry",
     "span_id_for",
-    "stage_latency_table",
     "trace_id_for",
     "trace_rows",
     "write_trace_jsonl",

@@ -12,8 +12,8 @@ of the recorded data:
 * ``metrics.prom`` — Prometheus text exposition: counters as
   ``_total``, gauges plain, histograms as summaries (quantile series
   plus ``_sum``/``_count``), all series sorted by key.
-* :func:`render_summary` — the human-readable digest behind
-  ``repro telemetry summarize``.
+* :func:`render_summary` — the human-readable digest that ``repro
+  status`` prints below its health lines.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ __all__ = [
     "PROM_FILENAME",
     "SNAPSHOT_FILENAME",
     "TRACE_FILENAME",
+    "checked_rows",
     "read_trace",
     "registry_to_prometheus",
     "render_summary",
-    "stage_latency_table",
     "trace_rows",
     "write_trace_jsonl",
 ]
@@ -91,35 +91,34 @@ _ROW_FIELD_TYPES = (
 )
 
 
-def _parse_row(line: str) -> dict | None:
-    """``line`` as a trace row, or ``None`` when it is not one."""
+def checked_rows(candidates: Sequence) -> tuple[list[dict], int]:
+    """The trace rows among ``candidates``: ``(rows, candidates skipped)``.
+
+    Rows come from outside (a file another build wrote or a crash cut
+    short, a server's ``/v1/spans``): anything that is not an object
+    carrying every field the renderer reads is counted and skipped,
+    never raised.
+    """
+    rows = [
+        row
+        for row in candidates
+        if isinstance(row, dict)
+        and all(isinstance(row.get(field), kind) for field, kind in _ROW_FIELD_TYPES)
+    ]
+    return rows, len(candidates) - len(rows)
+
+
+def _decoded(line: str):
     try:
-        row = json.loads(line)
+        return json.loads(line)
     except json.JSONDecodeError:
         return None
-    if isinstance(row, dict) and all(
-        isinstance(row.get(field), kind) for field, kind in _ROW_FIELD_TYPES
-    ):
-        return row
-    return None
 
 
 def read_trace(stream: IO[str]) -> tuple[list[dict], int]:
-    """Load a trace JSONL stream: ``(rows, lines skipped)``.
-
-    The file is outside input (another build wrote it, or a crash cut
-    it short): a line that is not JSON, not an object, or lacks a field
-    the renderer reads is counted and skipped, never raised.
-    """
-    rows, skipped = [], 0
-    for line in stream:
-        if line.strip():
-            row = _parse_row(line)
-            if row is None:
-                skipped += 1
-            else:
-                rows.append(row)
-    return rows, skipped
+    """Load a trace JSONL stream: ``(rows, lines skipped)``; a line that
+    is not JSON is skipped like any other non-row."""
+    return checked_rows([_decoded(line) for line in stream if line.strip()])
 
 
 def _prom_name(name: str) -> str:
@@ -193,33 +192,6 @@ def _percentile(sorted_values: Sequence[float], q: float) -> float:
     return sorted_values[rank]
 
 
-def stage_latency_table(rows: Sequence[dict]) -> list[dict]:
-    """Per-stage duration percentiles from trace rows.
-
-    A *stage* is the row name up to its first ``:`` (``domain``,
-    ``scan``, ``spool``, ...).  Stages whose rows carry no duration
-    (orchestration markers, point events) report counts only.
-    """
-    by_stage: dict[str, list[float]] = {}
-    for row in rows:
-        stage = str(row.get("name", "")).partition(":")[0]
-        duration = float(row.get("end_ms", 0.0)) - float(row.get("start_ms", 0.0))
-        by_stage.setdefault(stage, []).append(duration)
-    table = []
-    for stage in sorted(by_stage):
-        durations = sorted(by_stage[stage])
-        entry = {"stage": stage, "count": len(durations)}
-        if durations[-1] > 0.0:
-            entry.update(
-                p50_ms=round(_percentile(durations, 50.0), 3),
-                p90_ms=round(_percentile(durations, 90.0), 3),
-                p99_ms=round(_percentile(durations, 99.0), 3),
-                max_ms=round(durations[-1], 3),
-            )
-        table.append(entry)
-    return table
-
-
 def render_summary(snapshot: dict, rows: Sequence[dict] | None = None) -> str:
     """Human-readable digest of a registry snapshot (+ optional trace).
 
@@ -235,26 +207,32 @@ def render_summary(snapshot: dict, rows: Sequence[dict] | None = None) -> str:
     if rows:
         lines.append(f"trace: {len(rows)} rows (trace {rows[0].get('trace')})")
         collapsed: dict[tuple[str, ...], int] = {}
+        stages: dict[str, list[float]] = {}
         for row in rows:
             path = tuple(
                 segment.partition(":")[0] for segment in row["path"].split("/")
             )
             collapsed[path] = collapsed.get(path, 0) + 1
+            stages.setdefault(row["name"].partition(":")[0], []).append(
+                float(row["end_ms"]) - float(row["start_ms"])
+            )
         for path in sorted(collapsed):
             count = collapsed[path]
             suffix = f" x{count}" if count > 1 else ""
             lines.append(f"{'  ' * len(path)}{path[-1]}{suffix}")
-        timed = [entry for entry in stage_latency_table(rows) if "p50_ms" in entry]
+        # A stage whose rows carry no duration (orchestration markers,
+        # point events) has no latency line.
+        timed = {stage: sorted(d) for stage, d in sorted(stages.items()) if max(d) > 0.0}
         if timed:
             lines.append("stage latency (simulated ms):")
-            for entry in timed:
-                lines.append(
-                    f"  {entry['stage']:16s} count={entry['count']}"
-                    f" p50={entry['p50_ms']:g}"
-                    f" p90={entry['p90_ms']:g}"
-                    f" p99={entry['p99_ms']:g}"
-                    f" max={entry['max_ms']:g}"
-                )
+        for stage, durations in timed.items():
+            p50, p90, p99, top = (
+                round(_percentile(durations, q), 3) for q in (50.0, 90.0, 99.0, 100.0)
+            )
+            lines.append(
+                f"  {stage:16s} count={len(durations)}"
+                f" p50={p50:g} p90={p90:g} p99={p99:g} max={top:g}"
+            )
     elif rows is not None:
         lines.append("trace: (no rows)")
     counters = snapshot.get("counters", {})

@@ -19,10 +19,10 @@ run).
 
     DIR/trace.jsonl    deterministic trace rows (byte-identical per seed)
     DIR/diag.jsonl     sharding-dependent rows (per-shard, API requests)
-    DIR/metrics.json   registry snapshot (lossless reload for summarize)
+    DIR/metrics.json   registry snapshot (lossless reload for status)
     DIR/metrics.prom   Prometheus text exposition snapshot
 
-which ``repro telemetry summarize DIR`` reads back.
+which ``repro status --dir DIR`` reads back.
 """
 
 from __future__ import annotations

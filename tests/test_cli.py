@@ -122,7 +122,7 @@ class TestTelemetryCommand:
         assert [event["step"] for event in events] == list(range(len(events)))
 
     def test_summarize_renders_counters(self, telemetry_dir, capsys):
-        assert main(["telemetry", "summarize", str(telemetry_dir)]) == 0
+        assert main(["status", "--dir", str(telemetry_dir)]) == 0
         out = capsys.readouterr().out
         assert "counters:" in out
         assert "scan.domains" in out
@@ -130,7 +130,7 @@ class TestTelemetryCommand:
 
     def test_summarize_missing_directory_fails(self, tmp_path):
         with pytest.raises(SystemExit):
-            main(["telemetry", "summarize", str(tmp_path / "nope")])
+            main(["status", "--dir", str(tmp_path / "nope")])
 
     @pytest.mark.parametrize(
         "damage, skipped",
@@ -158,7 +158,7 @@ class TestTelemetryCommand:
         trace = damaged / "trace.jsonl"
         written = damage(trace.read_text().splitlines())
         trace.write_text("\n".join(written))
-        assert main(["telemetry", "summarize", str(damaged)]) == 0
+        assert main(["status", "--dir", str(damaged)]) == 0
         captured = capsys.readouterr()
         assert f"skipped {skipped} unreadable line(s)" in captured.err
         rows = len(written) - skipped

@@ -6,7 +6,8 @@
   subcommand with only its required arguments, then with each of its
   flags set to a non-default value;
 * ``errors``: the one ``repro: error:`` line each invalid value gives,
-  run in an empty working directory.
+  run in an empty working directory that holds only the ``files`` (path
+  → text) an entry lists.
 
 A change to how the parser is built must leave both unchanged.  Below
 them, static checks of the table the parser is built from (DESIGN.md
@@ -87,6 +88,9 @@ class TestPinnedSurface:
         for number, entry in enumerate(PINS["errors"]):
             workdir = tmp_path / str(number)
             workdir.mkdir()
+            for name, text in entry.get("files", {}).items():
+                (workdir / name).parent.mkdir(parents=True, exist_ok=True)
+                (workdir / name).write_text(text, encoding="utf-8")
             monkeypatch.chdir(workdir)
             with pytest.raises(SystemExit) as excinfo:
                 main(entry["argv"])

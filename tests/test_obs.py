@@ -420,15 +420,15 @@ class TestSLOEngine:
         assert empty.overall == "no_data"
         assert empty.exit_code == 0
 
-    def test_max_ratio_uses_the_delta_from_prior(self):
+    def test_max_ratio_judges_the_whole_snapshot(self):
         spec = SLOSpec(
             "errors", "max_ratio", "err", total="total", objective=0.05
         )
-        engine = HealthEngine([spec])
-        now = {"counters": {"err": 24.0, "total": 120.0}, "gauges": {}}
-        assert engine.evaluate(now).overall == "failing"
-        prior = {"counters": {"err": 24.0, "total": 20.0}, "gauges": {}}
-        assert engine.evaluate(now, prior=prior).overall == "ok"
+        report = HealthEngine([spec]).evaluate(
+            {"counters": {"err": 24.0, "total": 120.0}, "gauges": {}}
+        )
+        assert report.overall == "failing"
+        assert report.results[0].actual == 0.2
 
     def test_max_ratio_missing_numerator_counts_as_zero(self):
         spec = SLOSpec(
@@ -590,7 +590,7 @@ class TestObsCli:
             main(["status", "--dir", str(tmp_path / "nope")])
 
     def test_summarize_appends_the_span_tree(self, service_dir, capsys):
-        code = main(["telemetry", "summarize", str(service_dir / "telemetry")])
+        code = main(["status", "--dir", str(service_dir)])
         assert code == 0
         text = capsys.readouterr().out
         assert "trace:" in text
@@ -624,6 +624,6 @@ class TestObsCli:
         assert lines
         assert all(line.rsplit(" ", 1)[1].isdigit() for line in lines)
 
-    def test_top_unreachable_server_errors(self):
+    def test_status_url_unreachable_server_errors(self):
         with pytest.raises(SystemExit, match="cannot reach"):
-            main(["top", "--url", "http://127.0.0.1:1"])
+            main(["status", "--url", "http://127.0.0.1:1"])

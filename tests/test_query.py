@@ -462,7 +462,7 @@ class TestCliQuery:
         )
         assert code == 0
         capsys.readouterr()
-        assert main(["telemetry", "summarize", str(telemetry_dir)]) == 0
+        assert main(["status", "--dir", str(telemetry_dir)]) == 0
         summary = capsys.readouterr().out
         assert "query.chunks_total" in summary
         assert "query.chunks_pruned" in summary

@@ -621,6 +621,71 @@ class TestDeterminismLint:
         }, result.stderr
 
 
+    #: The read-outs as they read while ``repro status --url`` and
+    #: ``repro top`` fetched through the console and ``--dir`` found its
+    #: own ``metrics.json``.
+    PARENT_READOUTS = {
+        "obs/console.py": (
+            "import urllib.request\n"
+            "def fetch_json(url, timeout=5.0):\n"
+            "    with urllib.request.urlopen(url, timeout=timeout) as response:\n"
+            "        return response.read()\n"
+        ),
+        "cli.py": (
+            "import os\n"
+            "def _cmd_status(args):\n"
+            '    candidate = os.path.join(args.dir, "telemetry", "metrics.json")\n'
+            "    return os.path.isfile(candidate)\n"
+        ),
+    }
+    #: Other spellings of a second snapshot source, and innocent neighbours.
+    OTHER_READOUTS = (
+        "from urllib.request import urlopen as get\n"
+        "from repro.telemetry import SNAPSHOT_FILENAME\n"
+        "snapshot = (directory / SNAPSHOT_FILENAME).read_text()\n"
+        'legacy = open(f"{directory}/metrics.json").read()\n'
+        "body = urllib.request.urlopen(base + '/v1/metrics').read()\n"
+        '"""Reads what ``metrics.json`` holds."""  # not metrics.json\n'
+        'PROM = "metrics.prom"\n'
+        'SNAPSHOT_FILENAME = "metrics.json"\n'
+    )
+
+    def test_a_second_snapshot_source_is_caught(self, tmp_path):
+        files = {
+            **self.PARENT_READOUTS,
+            "service/reader.py": self.OTHER_READOUTS,
+            "telemetry/reader.py": self.OTHER_READOUTS,
+            "obs/snapshot.py": self.OTHER_READOUTS,
+            "telemetry/runtime.py": self.OTHER_READOUTS,
+        }
+        for name, source in files.items():
+            path = tmp_path / "repro" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(source, encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, str(self.LINT), str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        flagged = {
+            line.split(": ", 1)[0].split("repro/", 1)[1]
+            for line in result.stderr.splitlines()
+            if "repro/" in line
+        }
+        # Docstrings, comments, other files and the definition are not a
+        # read; the loader and the bundle's writer are the rule's homes.
+        assert flagged == {
+            "obs/console.py:3",
+            "cli.py:3",
+            *(
+                f"{name}:{line}"
+                for name in ("service/reader.py", "telemetry/reader.py")
+                for line in (1, 3, 4, 5)
+            ),
+        }, result.stderr
+
+
 class TestOneSectionDeclaration:
     """AST gate (same lint): under ``service/`` no analysis section's
     state key is spelled — the week summary passes ``fold.state()``

@@ -192,14 +192,21 @@ class TestTickReadsTheLedgerOnce:
 class TestStateWithoutABundle:
     """``ServiceState`` is an owner like any other: without a bundle it
     is off.  What its three telemetry routes then answer is pinned here
-    (DESIGN.md §12); ``repro service serve`` always hands it a live
-    bundle."""
+    (DESIGN.md §12): the registry adds nothing to the directory's gauges;
+    ``repro service serve`` always hands it a live bundle."""
 
     def test_its_telemetry_routes_answer_empty(self, tmp_path):
         state = ServiceState(SpoolStore(tmp_path / "spool"), WeekIndexer(tmp_path / "index"))
         state.counter("service.requests_total")
         state.observe_request_ms("/v1/weeks", 1.0, 200)
-        assert state.metrics_snapshot() == EMPTY_SNAPSHOT
+        assert state.metrics_snapshot() == {
+            **EMPTY_SNAPSHOT,
+            "gauges": {
+                "service.artifacts_spooled": 0.0,
+                "service.spool_backlog": 0.0,
+                "service.weeks_indexed": 0.0,
+            },
+        }
         assert state.spans_payload() == {"trace": None, "spans": [], "diag": []}
         report = state.health_report().to_dict()
         assert {slo["name"]: slo["verdict"] for slo in report["slos"]} == {
