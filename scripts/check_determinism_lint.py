@@ -162,6 +162,12 @@ Which further rules apply to which layer (directory under
   name, attribute or import of ``ThreadingHTTPServer`` /
   ``ThreadingMixIn`` / ``ThreadingTCPServer`` — a new thread per
   connection — is flagged.  No pragma opts out.
+* One request grammar, ``service/`` only: a request head is read once,
+  by ``api._Handler.parse_request``, which takes the two fields the
+  handler reads, and a request target is split on its ``?``.  So a
+  name, attribute or import of ``parse_headers`` (an ``email`` message
+  of every header), of ``urlparse`` / ``urlsplit`` or of the ``email``
+  package is flagged.  No pragma opts out.
 
 Benchmarks (``benchmarks/``) legitimately measure wall-clock and are
 not scanned.  A source line may opt out with the pattern's pragma when
@@ -802,6 +808,34 @@ def one_serving_model(text: str) -> list[int]:
     )
 
 
+#: The generic parsers a request head or target would go through again.
+_GENERIC_REQUEST_PARSERS = frozenset({"parse_headers", "urlparse", "urlsplit"})
+
+
+def one_request_grammar(text: str) -> list[int]:
+    """A name, attribute or import of ``parse_headers``, ``urlparse`` /
+    ``urlsplit`` or the ``email`` package: a request parsed a second
+    time, beside the handler's one read of its head."""
+    lines = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+            names = [module.rsplit(".", 1)[-1] for module in modules]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+            names = [alias.name for alias in node.names]
+        else:
+            modules = []
+            names = [_bare_name(node)]
+            if isinstance(node, ast.Name) and node.id == "email":
+                modules = ["email"]
+        if any(module.split(".", 1)[0] == "email" for module in modules) or any(
+            name in _GENERIC_REQUEST_PARSERS for name in names
+        ):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
 #: What reads a telemetry snapshot: a URL opener and the snapshot file's name.
 _SNAPSHOT_READERS = frozenset({"urlopen", "SNAPSHOT_FILENAME"})
 
@@ -874,7 +908,8 @@ _EVERYWHERE = (
 #: ``artifacts`` is where the cbr container lives, once; ``web`` and
 #: ``faults`` (the scan path) start no thread; ``service`` and
 #: ``artifacts`` write JSON on every fold, so without ``indent``;
-#: ``service`` serves from handler threads that outlive connections.
+#: ``service`` serves from handler threads that outlive connections and
+#: reads a request head once.
 LAYER_RULES = {
     "analysis": _EVERYWHERE + (json_in_loops, fold_body_means, fold_counts_per_row),
     "artifacts": _EVERYWHERE + (one_container, compact_json),
@@ -885,6 +920,7 @@ LAYER_RULES = {
     "obs": _EVERYWHERE + (json_in_loops,),
     "service": _EVERYWHERE + (
         json_in_loops, section_state_names, compact_json, one_serving_model,
+        one_request_grammar,
     ),
     "telemetry": (
         forbidden_lines, json_in_loops, endpoint_decoder_uses, container_framing,
@@ -1004,7 +1040,8 @@ def main(argv: list[str] | None = None) -> int:
             "json.dump passes indent= — it takes the pure-Python encoder; "
             "service/ names no ThreadingHTTPServer / ThreadingMixIn / "
             "ThreadingTCPServer — connections go to handler threads that "
-            "outlive them; only obs/snapshot.py opens a URL (urlopen) or reads "
+            "outlive them — and no parse_headers / urlparse / urlsplit / email — "
+            "_Handler.parse_request reads a request head once; only obs/snapshot.py opens a URL (urlopen) or reads "
             "SNAPSHOT_FILENAME / \"metrics.json\" — repro status has one "
             "snapshot loader — and only Telemetry.save writes it)",
             file=sys.stderr,

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from typing import Callable, NamedTuple, Sequence
 
@@ -1093,7 +1094,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     sub = getattr(args, f"{args.command}_command", None)
     name = f"{args.command} {sub}" if sub else args.command
-    return next(row for row in _ROWS if row.name == name).handler(args)
+    try:
+        code = next(row for row in _ROWS if row.name == name).handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # The reader went away (``repro status | head -1``): the rest of
+        # the output goes to devnull, so the flush at exit raises nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -3,7 +3,8 @@
 A stdlib :class:`http.server.HTTPServer` serving millisecond answers
 from the indexer's summary files, each connection on one of a few
 handler threads that outlive their connections (:func:`build_server`).
-A summary request does answer-sized work: it reads the ledger (the index
+A summary request does answer-sized work: it reads its request head
+once (:meth:`_Handler.parse_request`), stats the ledger (the index
 *version*), looks its week up in :class:`ServiceState`'s cache and
 writes the encoded body it finds there.  Parsing, merging the all-weeks
 view and rendering happen once per change of a week file's *content*,
@@ -38,13 +39,15 @@ merged answer; the request after the file is rewritten is served again.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import os
 import queue
+import re
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
-from urllib.parse import parse_qs, unquote, urlparse
+from urllib.parse import parse_qs, unquote
 
 from repro.analysis.engine import RECORD_SECTIONS
 from repro.obs.slo import (
@@ -73,32 +76,46 @@ class WeekUnreadable(Exception):
 
 
 class _CachedWeek:
-    """One week file as last read: content digest, parse, encoded answers."""
+    """One week file as last read: stat key, content digest, parse,
+    encoded answers."""
 
-    __slots__ = ("digest", "summary", "bodies", "checked")
+    __slots__ = ("path", "key", "digest", "summary", "bodies", "checked")
 
-    def __init__(self) -> None:
-        self.digest = None  # sha256 of week-<label>.json; for "all", {label: digest}
+    def __init__(self, path: str = "") -> None:
+        self.path = path  # week-<label>.json
+        self.key = None  # stat key the parse stands for; None: read the file
+        self.digest = None  # sha256 of the file; for "all", {label: digest}
         self.summary: WeekSummary | None = None
         self.bodies: dict = {}  # (route, section) -> response body
-        self.checked = False  # digest compared under the current version
+        self.checked = False  # key compared under the current version
+
+
+#: Equal to no index version: the first request reads the index.
+_UNREAD = object()
 
 
 class ServiceState:
     """Shared, cached view of one service directory.
 
-    Every request reads the ledger — the index *version* — which is the
-    whole per-request filesystem footprint of the summary endpoints and
-    what makes a fold by the daemon or an external ``repro service
-    index`` visible on the next request.  A new version re-lists the
-    weeks and marks every cached week unchecked; the first request for a
-    week under that version compares its file's digest and re-parses
-    only if the bytes differ (a fold rewrites one or two week files, the
-    others keep their parse and their encoded bodies).  Content, not
-    mtime: a rewrite within the timestamp granularity, or one that puts
-    the same bytes back, is judged by what it wrote.  Labels the index
-    does not list get a 404 without touching the disk or the cache, so
-    the cache holds at most one entry per indexed week.
+    Every request stats the ledger — the index *version* is its stat key
+    (:meth:`WeekIndexer.version`) — which is the whole per-request
+    filesystem footprint of the summary endpoints and what makes a fold
+    by the daemon or an external ``repro service index`` visible on the
+    next request.  A new version reads and parses the ledger (once per
+    key, for :meth:`domain_records`), re-lists the weeks and marks every
+    cached week unchecked.  The first request for a week under that
+    version stats its file: a key that did not move stands for the parse
+    it was taken with, and only a moved one is read, hashed and — if the
+    digest differs — parsed again (a fold rewrites one or two week
+    files, the others keep their parse and their encoded bodies, and a
+    file rewritten with the same bytes keeps its parse too).  A key is
+    kept only if its mtime is strictly older than the ledger's under
+    which it was taken (git's "racily clean" rule): any later write to
+    the file is stamped at least that late, so it moves the key, while a
+    file written in the ledger's own tick is read again under the next
+    version.  Labels the index does not list get a 404 without touching
+    the disk or the cache, so the cache holds at most one entry per
+    indexed week.
     """
 
     def __init__(
@@ -116,7 +133,11 @@ class ServiceState:
         #: daemon and its state one live bundle).
         self.telemetry = Telemetry.resolve(telemetry)
         self._lock = threading.Lock()
-        self._version: bytes | None = None
+        self._version = _UNREAD
+        self._ledger: set[str] = set()  # what the ledger lists, read under _version
+        #: A week file's stat key is kept only if its mtime is below this:
+        #: the ledger's mtime under ``_version`` (none without a ledger).
+        self._trusted_before: float = float("-inf")
         self._weeks: dict[str, _CachedWeek] = {}  # calendar order
         self._all = _CachedWeek()
         self._weeks_body = b""
@@ -165,7 +186,7 @@ class ServiceState:
 
         with self._lock:
             self._refresh_locked()
-            skip = ledger_artifacts(self._version)
+            skip = set(self._ledger)
             try:
                 for week in self._weeks:
                     cached = self._week_locked(week)
@@ -212,41 +233,60 @@ class ServiceState:
         }
 
     def _refresh_locked(self) -> None:
-        version = self.indexer.version()
+        indexer = self.indexer
+        version = indexer.version()
         if version == self._version:
             return
-        # The ledger is read before the directory and the week files, so
-        # whatever a fold wrote before this version is seen under it.
+        # The ledger is stat-ed, then read, before the directory and the
+        # week files, so whatever a fold wrote before this version is
+        # seen under it.
+        self._ledger = ledger_artifacts(indexer.ledger_bytes())
         cached = self._weeks
         self._weeks = {
-            week: cached.get(week) or _CachedWeek() for week in self.indexer.weeks()
+            week: cached.get(week) or _CachedWeek(os.fspath(indexer.week_path(week)))
+            for week in indexer.weeks()
         }
         for entry in self._weeks.values():
             entry.checked = False
         self._all.checked = False
         self._weeks_body = _encode({"weeks": list(self._weeks)})
+        self._trusted_before = float("-inf") if version is None else version[2]
         self._version = version
 
     def _week_locked(self, week: str) -> _CachedWeek | None:
         entry = self._weeks.get(week)
         if entry is None or entry.checked:
             return entry
-        data = self.indexer.week_bytes(week)
-        if data is None:
+        return self._check_locked(week, entry)
+
+    def _check_locked(self, week: str, entry: _CachedWeek) -> _CachedWeek | None:
+        """``entry`` compared with its file under the current version:
+        re-read if its stat key moved, re-parsed if its digest did."""
+        try:
+            stat = os.stat(entry.path)
+        except OSError:
             return None
-        digest = hashlib.sha256(data).digest()
-        if digest != entry.digest:
-            # Parsed before anything is assigned: a file that does not
-            # parse leaves the entry as it was (unchecked, so the next
-            # request reads the file again) and caches nothing.
-            try:
-                summary = WeekSummary.from_json(data)
-            except (ValueError, KeyError, TypeError, AttributeError) as error:
-                self.counter("service.weeks_unreadable")
-                raise WeekUnreadable(
-                    f"week {week!r} is unreadable: {type(error).__name__}: {error}"
-                ) from error
-            entry.digest, entry.summary, entry.bodies = digest, summary, {}
+        key = (stat.st_ino, stat.st_size, stat.st_mtime_ns)
+        if key != entry.key:
+            # Stat-ed before it is read: a write in between leaves a key
+            # older than the bytes, which only costs a read next time.
+            data = self.indexer.week_bytes(week)
+            if data is None:
+                return None
+            digest = hashlib.sha256(data).digest()
+            if digest != entry.digest:
+                # Parsed before anything is assigned: a file that does
+                # not parse leaves the entry as it was (unchecked, so the
+                # next request reads the file again) and caches nothing.
+                try:
+                    summary = WeekSummary.from_json(data)
+                except (ValueError, KeyError, TypeError, AttributeError) as error:
+                    self.counter("service.weeks_unreadable")
+                    raise WeekUnreadable(
+                        f"week {week!r} is unreadable: {type(error).__name__}: {error}"
+                    ) from error
+                entry.digest, entry.summary, entry.bodies = digest, summary, {}
+            entry.key = key if stat.st_mtime_ns < self._trusted_before else None
         entry.checked = True
         return entry
 
@@ -255,7 +295,10 @@ class ServiceState:
         in any order); a week it holds rewritten or gone starts it anew."""
         entry = self._all
         if not entry.checked:
-            checked = {label: self._week_locked(label) for label in self._weeks}
+            checked = {
+                label: week if week.checked else self._check_locked(label, week)
+                for label, week in self._weeks.items()
+            }
             digests = {label: week.digest for label, week in checked.items() if week}
             held = entry.digest
             if digests != held:
@@ -267,6 +310,92 @@ class ServiceState:
                 entry.digest, entry.bodies = digests, {}
             entry.checked = True
         return entry
+
+
+#: ``http.client``'s limits on a request head: bytes per header line,
+#: and lines (the blank one that ends the head included, as it counts).
+_MAX_LINE = http.client._MAXLINE
+_MAX_HEADERS = http.client._MAXHEADERS
+#: What ends a head (``b""``: the client closed its side).
+_HEAD_ENDS = frozenset({b"\r\n", b"\n", b""})
+#: A line as ``email.feedparser`` splits its input (universal newlines),
+#: its line ending kept.
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+#: A field line as ``email.feedparser`` takes one: a name and its colon.
+_FIELD_LINE = re.compile(r"[\041-\071\073-\176]*:")
+#: The header fields the handler reads (by lower-cased name).
+_FIELDS = ("connection", "expect")
+
+
+def _version_number(version: str) -> tuple[int, int] | None:
+    """``HTTP/<major>.<minor>`` as ``http.server`` accepts it (RFC 2145:
+    two integers of at most ten digits each, leading zeros ignored), or
+    ``None`` for a bad version."""
+    if not version.startswith("HTTP/"):
+        return None
+    parts = version[5:].split(".")
+    if len(parts) != 2 or not all(part.isdigit() and len(part) <= 10 for part in parts):
+        return None
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError:  # a digit int() does not read, such as "²"
+        return None
+
+
+def _head_fields(lines: list[bytes]) -> dict[str, str]:
+    """The :data:`_FIELDS` values ``http.client.parse_headers`` (through
+    ``email.parser``, compat32) gives for the header ``lines``: the first
+    field of a name wins, continuation lines are joined on, an envelope
+    ``From`` line is skipped, and the first other line that is not a
+    field ends the headers — the email parser takes the rest for a
+    body."""
+    found: dict[str, str] = {}
+    field: list[str] = []  # the open field's lines
+
+    def close(field: list[str]) -> None:
+        name, value = field[0].split(":", 1)
+        name = name.lower()
+        if name in _FIELDS and name not in found:
+            value = value.lstrip(" \t") + "".join(field[1:])
+            found[name] = value.rstrip("\r\n")
+
+    for line in _LINE.findall(b"".join(lines).decode("iso-8859-1")):
+        if line[0] in " \t":
+            if field:  # a continuation before any field is dropped
+                field.append(line)
+            continue
+        if field:
+            close(field)
+            field = []
+        if line.startswith("From "):
+            continue
+        if not _FIELD_LINE.match(line):
+            break
+        field = [line]
+    if field:
+        close(field)
+    return found
+
+
+#: The ``Date`` header value and the second it was formatted for.
+_date = (-1, "")
+
+
+def _http_date() -> str:
+    """``email.utils.formatdate(usegmt=True)`` of now, formatted once per
+    second."""
+    global _date
+    # The Date header is wall-clock by definition; it enters no artifact.
+    second = int(time.time())  # wallclock-ok: HTTP Date header
+    if second != _date[0]:
+        year, month, day, hour, minute, sec, weekday = time.gmtime(second)[:7]
+        _date = (
+            second,
+            f"{BaseHTTPRequestHandler.weekdayname[weekday]}, {day:02d} "
+            f"{BaseHTTPRequestHandler.monthname[month]} {year:04d} "
+            f"{hour:02d}:{minute:02d}:{sec:02d} GMT",
+        )
+    return _date[1]
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -282,6 +411,79 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # requests are counted in telemetry, not printed
 
+    def parse_request(self) -> bool:
+        """:meth:`BaseHTTPRequestHandler.parse_request`, with the head read
+        once and only the fields the handler reads taken from it.
+
+        The same contract: a bad request line or version is a 400, HTTP/2
+        and above a 505, a header line over ``http.client``'s limit or one
+        line too many a 431 ("Line too long" / "Too many headers"); a
+        two-word ``GET`` is an HTTP/0.9 simple request; ``Connection:
+        close`` / ``keep-alive`` and ``Expect: 100-continue`` act as they
+        do there; a path starting ``//`` is folded to one ``/``.  What
+        differs is the cost: the stdlib builds an ``email`` message of
+        every header, this reads ``Connection`` and ``Expect`` as that
+        message would give them and sets no ``self.headers``.
+        """
+        self.command = None  # set in case of error on the first line
+        self.request_version = version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:  # enough to determine the protocol version
+            version = words[-1]
+            number = _version_number(version)
+            if number is None:
+                self.send_error(400, f"Bad request version ({version!r})")
+                return False
+            if number >= (1, 1) and self.protocol_version >= "HTTP/1.1":
+                self.close_connection = False
+            if number >= (2, 0):
+                self.send_error(505, f"Invalid HTTP version ({version[5:]})")
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(400, f"Bad request syntax ({requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(400, f"Bad HTTP/0.9 request type ({command!r})")
+                return False
+        if path.startswith("//"):  # gh-87389: no scheme-relative path
+            path = "/" + path.lstrip("/")
+        self.command, self.path = command, path
+        lines = []
+        readline = self.rfile.readline
+        while True:
+            line = readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                self.send_error(431, "Line too long")
+                return False
+            lines.append(line)
+            if len(lines) > _MAX_HEADERS:
+                self.send_error(431, "Too many headers")
+                return False
+            if line in _HEAD_ENDS:
+                break
+        fields = _head_fields(lines)
+        connection = fields.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive" and self.protocol_version >= "HTTP/1.1":
+            self.close_connection = False
+        if (
+            fields.get("expect", "").lower() == "100-continue"
+            and self.protocol_version >= "HTTP/1.1"
+            and self.request_version >= "HTTP/1.1"
+        ):
+            return self.handle_expect_100()
+        return True
+
     def _send(self, status: int, headers, body: bytes) -> None:
         """The whole response — what ``send_response`` + ``send_header``
         + ``end_headers`` + a body write emit — in one write."""
@@ -292,7 +494,7 @@ class _Handler(BaseHTTPRequestHandler):
         lines = [
             f"{self.protocol_version} {status} {self.responses[status][0]}",
             f"Server: {self.version_string()}",
-            f"Date: {self.date_time_string()}",
+            f"Date: {_http_date()}",
             *(f"{name}: {value}" for name, value in headers),
             f"Content-Length: {len(body)}\r\n\r\n",
         ]
@@ -331,9 +533,9 @@ class _Handler(BaseHTTPRequestHandler):
         """Answer one GET; returns the route template it matched."""
         state = self.state
         state.counter("service.requests_total")
-        url = urlparse(self.path)
-        route = url.path.rstrip("/") or "/"
-        query = parse_qs(url.query) if url.query else {}
+        target, _, query = self.path.partition("?")
+        route = target.rstrip("/") or "/"
+        query = parse_qs(query) if query else {}
         week = (query.get("week") or ["all"])[0]
         if route == "/v1/healthz":
             self._send_json(
@@ -361,7 +563,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif route == "/v1/spans":
             self._send_json(state.spans_payload())
         else:
-            self._send_error_json(f"unknown endpoint {url.path}", status=404)
+            self._send_error_json(f"unknown endpoint {target}", status=404)
             return "<unknown>"
         return route
 

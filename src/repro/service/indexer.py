@@ -42,7 +42,10 @@ __all__ = ["WeekIndexer"]
 
 _LEDGER_NAME = "ledger.json"
 _WEEK_PREFIX = "week-"
-_WEEK_LABEL = slice(len(_WEEK_PREFIX), -len(".json"))
+_WEEK_SUFFIX = ".json"
+_WEEK_LABEL = slice(len(_WEEK_PREFIX), -len(_WEEK_SUFFIX))
+_PREFIX = slice(None, len(_WEEK_PREFIX))
+_SUFFIX = slice(-len(_WEEK_SUFFIX), None)
 
 #: Week bucket for records predating the scanner's week stamping.
 UNSTAMPED_WEEK = "unstamped"
@@ -178,18 +181,31 @@ class WeekIndexer:
 
     def ledger(self) -> set[str]:
         """Fingerprints whose fold completed (every week file written)."""
-        return ledger_artifacts(self.version())
+        return ledger_artifacts(self.ledger_bytes())
 
-    def version(self) -> bytes:
-        """Cache tag for the API layer: changes iff the index changed.
-
-        The ledger file as it is — read on every API request.
-        """
+    def ledger_bytes(self) -> bytes:
+        """The ledger file as it is (``b""`` when there is none)."""
         try:
             with open(self._ledger_path, "rb") as stream:
                 return stream.read()
         except OSError:
             return b""
+
+    def version(self) -> tuple[int, int, int] | None:
+        """Cache tag for the API layer: changes whenever a fold completes.
+
+        The ledger's stat key, ``(st_ino, st_size, st_mtime_ns)`` —
+        one ``os.stat`` per API request; ``None`` while there is no
+        ledger.  Every ledger write is a :func:`replace_file`: the new
+        ledger is written beside the old one, so it has another inode,
+        and the key moves on every fold, however many land in one
+        timestamp tick.
+        """
+        try:
+            stat = os.stat(self._ledger_path)
+        except OSError:
+            return None
+        return (stat.st_ino, stat.st_size, stat.st_mtime_ns)
 
     # -- reading -------------------------------------------------------
 
@@ -198,10 +214,11 @@ class WeekIndexer:
 
     def weeks(self) -> list[str]:
         """Indexed week labels, in calendar order (unstamped last)."""
+        # Sliced, not startswith/endswith: a listing costs no call per name.
         labels = [
             name[_WEEK_LABEL]
             for name in os.listdir(self.directory)
-            if name.startswith(_WEEK_PREFIX) and name.endswith(".json")
+            if name[_PREFIX] == _WEEK_PREFIX and name[_SUFFIX] == _WEEK_SUFFIX
         ]
         return sorted(labels, key=_week_sort_key)
 

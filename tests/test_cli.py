@@ -1,11 +1,17 @@
 """The command-line interface."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
+from repro.telemetry import Telemetry
 
 
 class TestDemo:
@@ -382,3 +388,34 @@ class TestReport:
             ]
         ) == 0
         assert capsys.readouterr().out.splitlines() == REPORT_GOLDEN
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_a_reader_gone_after_one_line_is_a_quiet_exit(self, tmp_path, unbuffered):
+        """``repro status --dir D | head -1``.  The digest lists 2 000
+        counters, more than a pipe holds, so the writer is still writing
+        when the reader closes its end — whether it writes every line
+        (``PYTHONUNBUFFERED``) or a buffer at a time."""
+        telemetry = Telemetry()
+        for number in range(2000):
+            telemetry.registry.counter(f"filler.counter_{number:04d}").inc()
+        telemetry.save(tmp_path)
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+            PYTHONUNBUFFERED=unbuffered,
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "status", "--dir", str(tmp_path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        first = child.stdout.readline()
+        child.stdout.close()
+        stderr = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=120) == 1
+        assert first.startswith(b"health: ")
+        assert stderr == b""

@@ -2,6 +2,7 @@
 
 import dataclasses
 import http.client
+import http.server
 import io
 import json
 import os
@@ -15,6 +16,8 @@ import urllib.request
 from contextlib import contextmanager, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import indented_week_json, make_archive_week, make_connection_record
 from repro.analysis.artifacts import export_records
@@ -34,7 +37,7 @@ from repro.service import (
     WeekIndexer,
     build_server,
 )
-from repro.service.api import _READY_HANDLERS, WeekUnreadable
+from repro.service.api import _READY_HANDLERS, WeekUnreadable, _Handler
 from repro.service.summary import WeekSummary
 from repro.telemetry import Telemetry
 from repro.web import parallel as parallel_mod
@@ -951,6 +954,39 @@ class TestApiCache:
                 "all", "adoption", WeekSummary.adoption
             ) == http_get(f"{base}/v1/adoption")[1]
 
+    def test_a_same_size_rewrite_in_the_ledgers_tick_is_served_fresh(
+        self, scanned, tmp_path
+    ):
+        """A week file rewritten in place at its size within the timestamp
+        tick it was read in keeps its stat key; since that tick is the
+        ledger's, the key was not trusted, and the next index version
+        reads the file again."""
+        with serving(tmp_path) as (state, base):
+            submit(state.spool, scanned["cw19-2023"])
+            state.indexer.fold_pending(state.spool)
+            path = state.indexer.week_path("cw19-2023")
+            tick = os.stat(state.indexer.directory / "ledger.json").st_mtime_ns
+            os.utime(path, ns=(tick, tick))  # written in the ledger's tick
+            self.assert_fresh(state, base)
+            good = path.read_bytes()
+            total = json.loads(good)["connections_total"]
+            field = b'"connections_total": %d,'
+            rewritten = good.replace(field % total, field % (total ^ 1))
+            assert rewritten != good and len(rewritten) == len(good)
+            key = os.stat(path)
+            with open(path, "r+b") as stream:
+                stream.write(rewritten)
+            os.utime(path, ns=(tick, tick))
+            stat = os.stat(path)
+            assert (stat.st_ino, stat.st_size, stat.st_mtime_ns) == (
+                key.st_ino, key.st_size, key.st_mtime_ns
+            )
+            submit(state.spool, scanned["cw20-2023"])
+            assert len(state.indexer.fold_pending(state.spool)) == 1
+            _, body = http_get(f"{base}/v1/adoption?week=cw19-2023")
+            assert json.loads(body)["connections_total"] == total ^ 1
+            self.assert_fresh(state, base)
+
     def test_protocol_rejects_are_json_and_counted(self, tmp_path):
         rejects = {
             b"GARBAGE\r\n\r\n": b" 400 ",
@@ -995,6 +1031,164 @@ class TestApiCache:
             assert diag == expected
             rows = json.loads(http_get(f"{base}/v1/spans")[1])["diag"]
             assert {row["name"] for row in rows} == {name for name, _, _ in expected}
+
+
+class _Parsed:
+    """A handler as far as ``parse_request`` takes it: the head in
+    ``rfile``, what ``send_error`` was asked recorded (and, as both
+    servers' ``send_error`` do, the connection marked to close)."""
+
+    def send_error(self, code, message=None, explain=None):
+        self.errors.append((int(code), message))
+        self.close_connection = True
+
+
+class _StdlibParsed(_Parsed, http.server.BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
+
+class _ServiceParsed(_Parsed, _Handler):
+    pass
+
+
+def parse_outcome(handler_class, head: bytes) -> tuple:
+    """What ``parse_request`` makes of ``head`` (after the request line
+    is read as ``handle_one_request`` reads it)."""
+    handler = handler_class.__new__(handler_class)
+    handler.rfile, handler.wfile, handler.errors = io.BytesIO(head), io.BytesIO(), []
+    handler.raw_requestline = handler.rfile.readline(65537)
+    accepted = handler.parse_request()
+    return (
+        accepted, handler.errors, handler.command, getattr(handler, "path", None),
+        handler.request_version, handler.close_connection, handler.requestline,
+        handler.rfile.tell(), handler.wfile.getvalue(),
+    )
+
+
+_LATIN1 = st.text(st.characters(min_codepoint=0x20, max_codepoint=0xFF), max_size=6)
+_ENDINGS = st.sampled_from(["\r\n", "\r\n", "\r\n", "\n", "\r", "\r\r\n", ""])
+_VERSIONS = st.sampled_from([
+    "HTTP/0.9", "HTTP/1.0", "HTTP/1.1", "HTTP/2.0", "HTTP/3.0", "HTTP/1.10",
+    "HTTP/01.1", "HTTP/1", "HTTP/1.1.1", "HTTP/.1", "http/1.1", "HTTP/\xb2.1",
+    "HTTP/12345678901.1", "HTTP/1.0123456789", "HTTP/1.x", "HTTP/",
+]) | _LATIN1
+_PATHS = st.sampled_from(["/v1/weeks", "//", "//v1//weeks", "///x?week=all", "/a?b=c#d", "*"])
+#: A request line http.server accepts, most of the time, so that the
+#: headers behind it are read.
+_REQUEST_LINES = st.builds(
+    lambda method, path, version, end: f"{method} {path} {version}{end}",
+    st.sampled_from(["GET", "HEAD", "POST"]),
+    _PATHS,
+    st.sampled_from(["HTTP/1.1", "HTTP/1.1", "HTTP/1.0"]),
+    st.sampled_from(["\r\n", "\n"]),
+) | st.builds(
+    lambda method, path, version, words, gap, end: gap.join(
+        [method, path, version, "extra"][:words]
+    ) + end,
+    st.sampled_from(["GET", "HEAD", "POST", "get", "G\xe9T", ""]) | _LATIN1,
+    _PATHS | _LATIN1,
+    _VERSIONS,
+    st.integers(0, 4),
+    st.sampled_from([" ", " ", "  ", "\t", "\xa0", "\x85", "\x1c"]),
+    _ENDINGS,
+)
+_NAMES = st.sampled_from([
+    "Connection", "connection", "CONNECTION", "Expect", "EXPECT", "Host", "X-Pad",
+    "From", "From ", "Bad Name", "", "Conn\xe9ction", "Connection ", "\tConnection",
+    " Connection",
+]) | _LATIN1
+_VALUES = st.sampled_from([
+    "close", "Close", "keep-alive", "Keep-Alive", " close", "close ", "\tclose",
+    "100-continue", "100-Continue", "100-continue\r", "clos\xe9", "", "x",
+    "x\x85Connection: close", "x\x0bExpect: 100-continue", "x\x0cConnection: close",
+    "x\x1cConnection: close", "x\rConnection: close",
+]) | _LATIN1
+_FIELDS = st.builds(
+    lambda name, colon, value, end: name + colon + value + end,
+    _NAMES, st.sampled_from([": ", ":", ":\t", ": \t", " : ", ""]), _VALUES, _ENDINGS,
+) | st.sampled_from([" more\r\n", "\tclose\r\n", "  \r\n", "\t\n"])
+_HEADS = st.builds(
+    lambda line, fields, end, tail: (line + "".join(fields) + end + tail).encode("latin-1"),
+    _REQUEST_LINES,
+    st.lists(_FIELDS, max_size=6),
+    st.sampled_from(["\r\n", "\n", ""]),
+    st.sampled_from(["", "GET /v1/weeks HTTP/1.1\r\n\r\n", "body"]),
+)
+
+
+class TestRequestHead:
+    """``_Handler.parse_request`` against ``BaseHTTPRequestHandler``'s on
+    the same bytes: the same status and message, the same request, the
+    same bytes read and written (``100 Continue``)."""
+
+    def assert_same(self, head: bytes) -> tuple:
+        expected = parse_outcome(_StdlibParsed, head)
+        assert parse_outcome(_ServiceParsed, head) == expected, head[:200]
+        return expected
+
+    @settings(max_examples=1500, deadline=None)
+    @given(_HEADS)
+    def test_generated_heads_parse_as_the_stdlib_parses_them(self, head):
+        self.assert_same(head)
+
+    @pytest.mark.parametrize("count", [0, 1, 98, 99, 100, 101])
+    @pytest.mark.parametrize("name", ["Connection", "Expect", "X-Pad"])
+    def test_header_counts_at_the_limit(self, count, name):
+        fields = "".join(f"{name}: {value}\r\n" for value in range(count))
+        for value in ("close", "100-continue", "keep-alive"):
+            head = f"GET / HTTP/1.1\r\n{fields}{name}: {value}\r\n\r\n"
+            self.assert_same(head.encode("latin-1"))
+
+    @pytest.mark.parametrize("size", [65_534, 65_535, 65_536, 65_537])
+    def test_a_header_line_at_the_length_limit(self, size):
+        """``size`` bytes of header line with its CRLF: 65 536 is the most
+        ``http.client`` reads, a 65 537-byte line is a 431."""
+        for prefix in ("Connection: close", "X-Pad: a"):
+            line = prefix + "a" * (size - len(prefix) - 2) + "\r\n"
+            accepted, errors, *_ = self.assert_same(
+                f"GET / HTTP/1.1\r\n{line}\r\n".encode("latin-1")
+            )
+            assert accepted == (size <= 65_536), errors
+
+    @pytest.mark.parametrize("head", [
+        b"GET /v1/weeks HTTP/1.1\r\nConnection: close\r\nconnection: keep-alive\r\n\r\n",
+        b"GET /v1/weeks HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n",
+        b"GET /v1/weeks HTTP/1.1\r\nExpect: 100-continue\r\n\r\n",
+        b"GET /v1/weeks HTTP/1.0\r\nExpect: 100-continue\r\n\r\n",
+        b"GET /v1/weeks HTTP/1.1\r\nBad Line\r\nConnection: close\r\n\r\n",
+        b"GET /v1/weeks HTTP/1.1\r\nBad Name: x\r\nConnection: close\r\n\r\n",
+        b"GET /v1/weeks HTTP/1.1\r\nConnection:\r\n close\r\n\r\n",
+        b"GET /v1/weeks HTTP/1.1\r\nX: y\rConnection: close\r\n\r\n",
+        b"GET /v1/weeks HTTP/1.1\r\nX: y\x85Connection: close\r\n\r\n",
+        b"GET /v1/weeks HTTP/1.1\r\nX: y\x0cConnection: close\r\n\r\n",
+        b"GET /v1/weeks HTTP/1.1\r\nConnection:\tclose\r\n\r\n",
+        b"GET /v1/weeks HTTP/1.1\r\nConnection: close\r\n  \r\n\r\n",
+        b"GET /v1/weeks HTTP/1.1\r\n:x\r\n close\r\nConnection: close\r\n\r\n",
+        b"GET /v1/weeks HTTP/1.1\r\nFrom x\r\nConnection: close\r\nFrom y\r\n\r\n",
+        b"GET /v1/weeks HTTP/1.1\r\n Connection: close\r\nExpect: 100-continue\n\n",
+        b"GET /v1/weeks HTTP/1.1\r\n: close\r\nConnection: clos\xe9\r\n\r\n",
+        b"GET //v1//weeks?week=all\n",
+        b"GET /v1/weeks\r\nConnection: keep-alive\r\n\r\n",
+        b"POST /v1/weeks\r\n\r\n",
+        b"GET /v1/weeks HTTP/2.0\r\n\r\n",
+        b"GET /v1/weeks HTTP/1.1 extra\r\n\r\n",
+        b"GET /v1/weeks HTTP/\xb2.1\r\n\r\n",
+        b"GET /v1/weeks HTTP/12345678901.1\r\n\r\n",
+        b"GET /v1/weeks HTTP/1.00000000001\r\n\r\n",
+        b"\r\n",
+        b"",
+    ])
+    def test_edge_heads(self, head):
+        self.assert_same(head)
+
+    def test_the_date_header_is_the_stdlibs(self, monkeypatch):
+        import email.utils
+
+        from repro.service import api
+
+        for now in (0.0, 951_782_400.5, 1_684_540_799.999, 4_102_444_800.0):
+            monkeypatch.setattr(api.time, "time", lambda: now)
+            assert api._http_date() == email.utils.formatdate(now, usegmt=True)
 
 
 def handler_threads(base: str) -> set[str]:

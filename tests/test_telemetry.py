@@ -620,6 +620,57 @@ class TestDeterminismLint:
             "service/other.py:2", "service/other.py:3", "service/other.py:4",
         }, result.stderr
 
+    #: The API's routing as it read while ``http.server`` parsed each
+    #: head into an ``email`` message and ``urlparse`` split the target.
+    PARENT_ROUTING = (
+        "from urllib.parse import parse_qs, unquote, urlparse\n"
+        "def _route_get(self):\n"
+        "    url = urlparse(self.path)\n"
+        "    return url.path, parse_qs(url.query)\n"
+    )
+    #: Other ways back to a generic head or target parse, and innocent
+    #: neighbours.
+    OTHER_PARSES = (
+        "import email.utils\n"
+        "from email import message_from_string\n"
+        "headers = http.client.parse_headers(self.rfile)\n"
+        "from http.client import parse_headers as read_head\n"
+        "target = urllib.parse.urlsplit(path)\n"
+        "date = email.utils.formatdate(usegmt=True)\n"
+        "def parse_request(self):  # not email.parser, not urlparse\n"
+        "    '''Unlike parse_headers, reads two fields.'''\n"
+        "    target, _, query = self.path.partition('?')\n"
+        "    return parse_qs(query), unquote(target), user.email\n"
+    )
+
+    def test_a_second_request_parse_is_caught(self, tmp_path):
+        files = {
+            "service/api.py": self.PARENT_ROUTING,
+            "service/other.py": self.OTHER_PARSES,
+            "obs/client.py": self.PARENT_ROUTING + self.OTHER_PARSES,
+        }
+        for name, source in files.items():
+            path = tmp_path / "repro" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(source, encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, str(self.LINT), str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        flagged = {
+            line.split(": ", 1)[0].split("repro/", 1)[1]
+            for line in result.stderr.splitlines()
+            if "repro/" in line
+        }
+        # Comments, docstrings, parse_qs / unquote and an attribute called
+        # email are not a use; the rule holds under service/ only.
+        assert flagged == {
+            "service/api.py:1", "service/api.py:3",
+            *(f"service/other.py:{line}" for line in range(1, 7)),
+        }, result.stderr
+
 
     #: The read-outs as they read while ``repro status --url`` and
     #: ``repro top`` fetched through the console and ``--dir`` found its
