@@ -243,11 +243,6 @@ _FLAGS: dict[str, dict] = {
         action="store_true",
         help="exit 0 when ok, 1 when degraded, 2 when failing (shell gate)",
     ),
-    "--sim": dict(
-        action="store_true",
-        help="charge simulated milliseconds instead of wall time "
-        "(deterministic per seed)",
-    ),
     "--sample-interval-ms": dict(
         type=float,
         default=1.0,
@@ -814,9 +809,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     # Diagnostics-only wall clock, injected so the profiler package
     # itself never reads one (the determinism lint covers it).
-    clock = None if args.sim else time.perf_counter  # wallclock-ok: profiling diagnostics
     profiler = _checked(
-        PhaseProfiler, sample_interval_ms=args.sample_interval_ms, clock=clock
+        PhaseProfiler,
+        clock=time.perf_counter,  # wallclock-ok: profiling diagnostics
+        sample_interval_ms=args.sample_interval_ms,
     )
     telemetry = Telemetry()
     telemetry.profiler = profiler
@@ -824,7 +820,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print(
         f"profiling a scan of {population.domain_count} domains "
         f"(week {args.week}, IPv{args.ip_version},"
-        f" {'simulated' if args.sim else 'wall'} clock) ...",
+        " wall clock) ...",
         file=sys.stderr,
     )
     started = time.perf_counter()  # wallclock-ok: coverage denominator (stderr only)
@@ -840,12 +836,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         )
         engine.run([dataset.connection_records()])
     print(profiler.render_report("repro profile"))
-    if not args.sim:
-        print(
-            f"coverage: {profiler.coverage(elapsed_ms) * 100.0:.1f}% of "
-            f"{elapsed_ms:.0f} ms scan wall time attributed",
-            file=sys.stderr,
-        )
+    print(
+        f"coverage: {profiler.coverage(elapsed_ms) * 100.0:.1f}% of "
+        f"{elapsed_ms:.0f} ms scan wall time attributed",
+        file=sys.stderr,
+    )
     if args.out:
         stream, close = _open_out(args.out)
         try:
@@ -1083,7 +1078,7 @@ _ROWS = (
         "per-phase self time",
         _cmd_profile,
         (PopulationConfig,),
-        (*_TARGET_FLAGS, "--sim", "--sample-interval-ms", "--analyze", "--out"),
+        (*_TARGET_FLAGS, "--sample-interval-ms", "--analyze", "--out"),
         dict(czds=400, toplist=100, out=None),
     ),
 )

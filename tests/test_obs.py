@@ -12,8 +12,10 @@ is (snapshot in, report out), and the API surfaces (``/v1/status``,
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 from contextlib import redirect_stdout
@@ -49,6 +51,12 @@ CONFIG = ServiceConfig(
     first_week="cw19-2023",
     last_week="cw20-2023",
 )
+
+
+def counting_clock():
+    """A profiler clock that advances one second per read, so every self
+    time is a whole number of reads, exactly."""
+    return itertools.count().__next__
 
 
 def http_get(url: str) -> tuple[int, bytes]:
@@ -257,7 +265,7 @@ class TestScanSpans:
         _, clean = self._scan(tiny_population, targets, 1, tmp_path / "clean")
 
         telemetry = Telemetry()
-        telemetry.profiler = PhaseProfiler()
+        telemetry.profiler = PhaseProfiler(clock=counting_clock())
         scanner = Scanner(
             tiny_population,
             ScanConfig(),
@@ -329,20 +337,22 @@ class TestCampaignSpans:
 
 
 class TestProfiler:
-    def test_sim_mode_charges_the_open_stack(self):
-        profiler = PhaseProfiler(sample_interval_ms=1.0)
-        with profiler.phase("scan"):
-            with profiler.phase("exchange"):
-                profiler.charge(30.0)
-                profiler.charge(12.0)
-            profiler.charge(8.0)
+    def test_self_time_excludes_the_children(self):
+        clock = counting_clock()
+        profiler = PhaseProfiler(clock=clock, sample_interval_ms=1000.0)
+        with profiler.phase("scan"):  # read 0
+            with profiler.phase("exchange"):  # reads 1 .. 4
+                clock(), clock()
+            with profiler.phase("exchange"):  # reads 5 .. 6
+                pass
+        # scan: 7 s elapsed at read 7, 4 s of it in its children.
         assert profiler.self_ms == {
-            ("scan", "exchange"): 42.0,
-            ("scan",): 8.0,
+            ("scan", "exchange"): 4000.0,
+            ("scan",): 3000.0,
         }
-        assert profiler.total_ms == 50.0
-        assert profiler.samples()[("scan", "exchange")] == 42
-        assert profiler.collapsed() == ["scan 8", "scan;exchange 42"]
+        assert profiler.total_ms == 7000.0
+        assert profiler.samples()[("scan", "exchange")] == 4
+        assert profiler.collapsed() == ["scan 3", "scan;exchange 4"]
 
     def test_wall_mode_attributes_self_time(self):
         ticks = iter([0.0, 0.010, 0.040, 0.050])  # seconds
@@ -355,14 +365,8 @@ class TestProfiler:
         assert profiler.self_ms[("outer",)] == pytest.approx(20.0)
         assert profiler.coverage(50.0) == pytest.approx(1.0)
 
-    def test_wall_mode_ignores_charges(self):
-        profiler = PhaseProfiler(clock=lambda: 0.0)
-        with profiler.phase("p"):
-            profiler.charge(1000.0)
-        assert profiler.total_ms == 0.0
-
     def test_non_lifo_close_is_an_error(self):
-        profiler = PhaseProfiler()
+        profiler = PhaseProfiler(clock=counting_clock())
         outer = profiler.phase("outer").__enter__()
         inner = profiler.phase("inner").__enter__()
         with pytest.raises(RuntimeError, match="LIFO"):
@@ -376,7 +380,7 @@ class TestProfiler:
 
         def profiled():
             telemetry = Telemetry()
-            telemetry.profiler = PhaseProfiler()
+            telemetry.profiler = PhaseProfiler(clock=counting_clock())
             Scanner(tiny_population, ScanConfig(), telemetry=telemetry).scan(
                 week_label="cw20-2023", ip_version=4, domains=targets
             )
@@ -598,31 +602,38 @@ class TestObsCli:
         assert "      domain x360\n        connection x" in text
         assert "stage latency (simulated ms):\n  domain " in text
 
-    def test_profile_sim_reports_phases(self, capsys):
-        code = main(
-            [
-                "profile", "--sim", "--czds", "40", "--toplist", "10",
-                "--seed", "9",
-            ]
-        )
-        assert code == 0
-        text = capsys.readouterr().out
-        assert "repro profile:" in text
-        assert "scan;scan.domain;exchange" in text
+    #: ``repro profile --czds 40 --toplist 10 --seed 9`` on a clock that
+    #: advances one second per read: each row counts the reads in its
+    #: phase (the scanner's own stderr timer reads the same clock).
+    PROFILE = [
+        "repro profile: 153000.000 ms attributed across 4 phases",
+        "   49.67%   76000.000 ms  scan;scan.domain",
+        "   33.33%   51000.000 ms  scan",
+        "    8.50%   13000.000 ms  scan;scan.domain;classify",
+        "    8.50%   13000.000 ms  scan;scan.domain;exchange",
+    ]
+    PROFILE_ARGV = ["profile", "--czds", "40", "--toplist", "10", "--seed", "9"]
 
-    def test_profile_writes_collapsed_stacks(self, tmp_path, capsys):
+    def test_profile_reports_phases(self, capsys, monkeypatch):
+        monkeypatch.setattr(time, "perf_counter", counting_clock())
+        assert main(self.PROFILE_ARGV) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == self.PROFILE
+        assert "coverage: 98.1% of 156000 ms scan wall time" in captured.err
+
+    def test_profile_writes_collapsed_stacks(self, tmp_path, capsys, monkeypatch):
         out_path = tmp_path / "stacks.txt"
-        code = main(
-            [
-                "profile", "--sim", "--czds", "40", "--toplist", "10",
-                "--seed", "9", "--out", str(out_path),
-            ]
-        )
-        assert code == 0
+        monkeypatch.setattr(time, "perf_counter", counting_clock())
+        assert main(
+            [*self.PROFILE_ARGV, "--sample-interval-ms", "1000", "--out", str(out_path)]
+        ) == 0
         capsys.readouterr()
-        lines = out_path.read_text(encoding="utf-8").splitlines()
-        assert lines
-        assert all(line.rsplit(" ", 1)[1].isdigit() for line in lines)
+        assert out_path.read_text(encoding="utf-8").splitlines() == [
+            "scan 51",
+            "scan;scan.domain 76",
+            "scan;scan.domain;classify 13",
+            "scan;scan.domain;exchange 13",
+        ]
 
     def test_status_url_unreachable_server_errors(self):
         with pytest.raises(SystemExit, match="cannot reach"):
