@@ -4,8 +4,8 @@
 package reads.  Everything deterministic stays a pure function of the
 seed:
 
-* :mod:`repro.obs.profile` — charge-driven sampling profiler for the
-  scan/analyze hot paths (simulated or injected wall clock).
+* :mod:`repro.obs.profile` — phase profiler for the scan/analyze hot
+  paths, on an injected clock.
 * :mod:`repro.obs.slo` — declarative SLOs evaluated as burn rates over
   exported metrics snapshots, yielding structured health reports.
 * :mod:`repro.obs.snapshot` — the one snapshot ``repro status`` reads,

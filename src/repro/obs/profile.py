@@ -1,25 +1,14 @@
-"""Deterministic sampling profiler for the scan/analyze hot paths.
+"""Phase profiler for the scan/analyze hot paths.
 
-Classic sampling profilers interrupt the process on a wall-clock timer,
-which makes two things impossible here: the sample counts would differ
-between runs (breaking the reproducibility contract if they ever enter
-an artifact) and the overhead would be probe-dependent.  This profiler
-inverts the approach: the *instrumented code* tells the profiler where
-time went, and the profiler converts those charges into synthetic
-"samples" at a fixed interval — so the report looks like a collapsed
-flame stack, but equal seeds produce equal reports.
-
-Two time sources, one accounting model:
-
-* **Simulated mode** (``clock=None``): hot paths call
-  :meth:`PhaseProfiler.charge` with simulated-clock durations (a
-  domain's exchange cascade).  Reports are deterministic per seed.
-* **Wall mode** (``clock=callable``): the CLI injects a monotonic
-  clock (``time.perf_counter``) and :meth:`phase` measures elapsed
-  time itself.  This is the ``repro profile`` mode — diagnostics only,
-  never written into an artifact, which is why the clock must be
-  injected rather than read here (the determinism lint covers this
-  package).
+Hot paths open named phases (:meth:`PhaseProfiler.phase`), and the
+profiler reads an injected clock at each phase's entry and exit,
+turning the elapsed time into synthetic "samples" at a fixed interval,
+so the report looks like a collapsed flame stack.  The caller owns the
+clock: the ``repro profile`` CLI and the benchmark inject a monotonic
+wall clock (``time.perf_counter``), tests a counting one.  The profile
+is diagnostics only, never written into an artifact, which is why the
+clock must be injected rather than read here (the determinism lint
+covers this package).
 
 Phases nest lexically like spans; cost is attributed as **self time**:
 a parent's report excludes the time its children accounted for, so the
@@ -47,31 +36,28 @@ class _Phase:
 
     def __enter__(self) -> "_Phase":
         self._profiler._push(self)
-        if self._profiler._clock is not None:
-            self._begin = self._profiler._clock()
+        self._begin = self._profiler._clock()
         return self
 
     def __exit__(self, *exc_info) -> None:
-        elapsed = 0.0
-        if self._profiler._clock is not None:
-            elapsed = (self._profiler._clock() - self._begin) * 1000.0
+        elapsed = (self._profiler._clock() - self._begin) * 1000.0
         self._profiler._pop(self, elapsed)
 
 
 class PhaseProfiler:
-    """Stack-sampling profiler driven by explicit time charges.
+    """Stack-sampling profiler over phases timed by ``clock``.
 
-    ``sample_interval_ms`` sets the granularity: every full interval of
-    charged time becomes one sample against the current stack.  The
-    sub-interval remainder is carried per stack, not dropped, so total
-    sample counts converge on total time regardless of how finely the
-    hot path slices its charges.
+    ``clock`` returns seconds.  ``sample_interval_ms`` sets the
+    granularity: every full interval of a stack's accumulated self time
+    becomes one sample against it.  Self time accumulates per stack, so
+    total sample counts converge on total time regardless of how finely
+    the hot path slices its phases.
     """
 
     def __init__(
         self,
+        clock: Callable[[], float],
         sample_interval_ms: float = 1.0,
-        clock: Callable[[], float] | None = None,
     ):
         if sample_interval_ms <= 0:
             raise ValueError("sample_interval_ms must be positive")
@@ -88,18 +74,6 @@ class PhaseProfiler:
         """Open a nested phase; use as a context manager."""
         return _Phase(self, name)
 
-    def charge(self, duration_ms: float) -> None:
-        """Attribute ``duration_ms`` of simulated time to the open stack.
-
-        In wall mode the elapsed time a charge represents was already
-        measured by the enclosing phase, so charges are ignored there —
-        instrumented code can call :meth:`charge` unconditionally.
-        """
-        if self._clock is not None or duration_ms <= 0 or not self._stack:
-            return
-        path = tuple(frame._name for frame in self._stack)
-        self._account(path, duration_ms)
-
     def _push(self, frame: _Phase) -> None:
         self._stack.append(frame)
 
@@ -108,23 +82,16 @@ class PhaseProfiler:
             raise RuntimeError("profiler phases must close in LIFO order")
         path = tuple(f._name for f in self._stack)
         self._stack.pop()
-        if self._clock is None:
-            return
         self_ms = max(0.0, elapsed_ms - frame._child_elapsed)
-        self._account(path, self_ms)
-        if self._stack:
-            self._stack[-1]._child_elapsed += elapsed_ms
-
-    def _account(self, path: tuple[str, ...], self_ms: float) -> None:
-        if not path:
-            return
         self.self_ms[path] = self.self_ms.get(path, 0.0) + self_ms
         self.total_ms += self_ms
+        if self._stack:
+            self._stack[-1]._child_elapsed += elapsed_ms
 
     # -- reporting ------------------------------------------------------
 
     def samples(self) -> dict[tuple[str, ...], int]:
-        """Synthetic sample counts per stack (floor of charged intervals).
+        """Synthetic sample counts per stack (floor of whole intervals).
 
         Stacks that accumulated less than one interval still report one
         sample so no phase silently vanishes from the report.

@@ -98,6 +98,8 @@ class CampaignDaemon:
         )
         self._population = None
         self._scanner = None
+        #: Domains this daemon has scanned, over all its ticks.
+        self.domains_scanned = 0
 
     def close(self) -> None:
         """Shut down the daemon's scanner pool deterministically."""
@@ -240,22 +242,9 @@ class CampaignDaemon:
                 f"(IPv{self.config.ip_version}) ...",
                 file=sys.stderr,
             )
-        import time
-
-        started = time.perf_counter()  # wallclock-ok: throughput gauge only
         dataset = ScanDataset(week.label, self.config.ip_version, list(results))
-        elapsed = time.perf_counter() - started  # wallclock-ok: gauge only
-        telemetry = self.telemetry
-        if elapsed > 0:
-            # Wall-clock throughput is operational state, not a
-            # measurement artifact: it feeds the scan-throughput SLO and
-            # never enters the trace.  A tick's weeks overlap, so it is
-            # the week's domains over the wait for its first to last
-            # result; some of its shards ran during the week before.
-            telemetry.registry.gauge("service.scan_domains_per_s").set(
-                len(dataset.results) / elapsed
-            )
-        with telemetry.tracer.span(f"spool:{week.label}") as spool_span:
+        self.domains_scanned += len(dataset.results)
+        with self.telemetry.tracer.span(f"spool:{week.label}") as spool_span:
             buffer = io.BytesIO()
             write_records_cbr(dataset.connection_records(), buffer)
             entry = self.spool.submit_bytes(
@@ -319,15 +308,27 @@ class Scheduler:
 
         The next tick is scheduled relative to the *start* of the last
         one, so slow scans do not drift the cadence further than they
-        must.
+        must.  A tick that scanned domains sets the gauge
+        ``service.scan_domains_per_s``: its domains over its elapsed
+        time on this clock.
         """
         while max_ticks is None or self.ticks < max_ticks:
             if should_stop is not None and should_stop():
                 return
             started = self.clock.monotonic()
+            scanned = self.daemon.domains_scanned
             self.daemon.run_once(verbose=verbose)
             self.ticks += 1
+            elapsed = self.clock.monotonic() - started
+            scanned = self.daemon.domains_scanned - scanned
+            if scanned and elapsed > 0:
+                # Throughput on the scheduler's clock is operational
+                # state, not a measurement: it feeds the scan-throughput
+                # SLO and never enters a tick's own telemetry, which
+                # stays a function of the seed.
+                self.daemon.telemetry.registry.gauge(
+                    "service.scan_domains_per_s"
+                ).set(scanned / elapsed)
             if max_ticks is not None and self.ticks >= max_ticks:
                 return
-            elapsed = self.clock.monotonic() - started
             self.clock.sleep(max(0.0, self.interval_s - elapsed))

@@ -51,7 +51,7 @@ class Telemetry:
         self.registry = MetricsRegistry()
         self.tracer = Tracer()
         #: Optional :class:`repro.obs.profile.PhaseProfiler`, reached
-        #: through :meth:`phase` / :meth:`charge`; unset, both do nothing.
+        #: through :meth:`phase`; unset, its phases do nothing.
         self.profiler = None
 
     @staticmethod
@@ -63,11 +63,6 @@ class Telemetry:
     def phase(self, name: str):
         """The profiler's phase ``name``, to be entered with ``with``."""
         return _DROPPED if self.profiler is None else self.profiler.phase(name)
-
-    def charge(self, duration_ms: float) -> None:
-        """Attribute simulated time to the open phases."""
-        if self.profiler is not None:
-            self.profiler.charge(duration_ms)
 
     def shard(self) -> "Telemetry":
         """A fresh bundle in the same state for one shard to record into;

@@ -627,11 +627,7 @@ class Scanner:
                     timeout_ms=connect_timeout,
                     impairment=impairment,
                 )
-                sim_end_ms = exchange.client.simulator.now_ms
-                # In simulated mode this charges the exchange's sim
-                # duration to the open stack; in wall mode the phase
-                # measured itself and the charge is a no-op.
-                telemetry.charge(sim_end_ms)
+            sim_end_ms = exchange.client.simulator.now_ms
             self._domain_sim_ms += sim_end_ms
             registry.counter("scan.connections").inc()
             outcome = "success" if exchange.success else "failure"

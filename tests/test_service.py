@@ -551,6 +551,36 @@ class TestDaemon:
         assert all(0.0 <= s <= 300.0 for s in clock.sleeps)
         assert daemon.indexer.weeks() == ["cw20-2023"]
 
+    def test_scheduler_sets_the_throughput_gauge_on_its_clock(self, tmp_path):
+        """The gauge is the tick's domains over the tick's time on the
+        scheduler's clock; a tick that scans nothing leaves it as it was."""
+
+        class SteppingClock(SimulatedClock):
+            def monotonic(self) -> float:
+                self.now_s += 2.0
+                return self.now_s
+
+        telemetry = Telemetry()
+        daemon = CampaignDaemon(
+            tmp_path / "svc",
+            ServiceConfig(
+                seed=5,
+                czds_domains=60,
+                toplist_domains=0,
+                first_week="cw20-2023",
+                last_week="cw20-2023",
+            ),
+            telemetry=telemetry,
+        )
+        gauge = telemetry.registry.gauge("service.scan_domains_per_s")
+        Scheduler(daemon, interval_s=300.0, clock=SteppingClock()).run(max_ticks=1)
+        assert daemon.domains_scanned == 60
+        assert gauge.value == 60 / 2.0
+        gauge.set(7.0)
+        Scheduler(daemon, interval_s=300.0, clock=SteppingClock()).run(max_ticks=1)
+        assert daemon.domains_scanned == 60
+        assert gauge.value == 7.0
+
 
 @pytest.fixture(scope="module")
 def service(tmp_path_factory):
@@ -1461,6 +1491,29 @@ class TestServiceCli:
 
         assert main(["service", "index", "--dir", str(service_dir)]) == 0
         assert json.loads(capsys.readouterr().out)["folded_artifacts"] == []
+
+    def test_run_once_telemetry_is_a_function_of_the_seed(self, tmp_path, capsys):
+        """Two ``run-once --telemetry-out`` runs of one seed write the
+        same four files: no wall-clock gauge lands in a tick's own
+        registry (the scheduler sets it, on its clock)."""
+        saved = []
+        for run in ("a", "b"):
+            out = tmp_path / run / "telemetry"
+            assert main(
+                [
+                    "service", "run-once", "--dir", str(tmp_path / run / "svc"),
+                    "--seed", "5", "--czds", "60", "--toplist", "10",
+                    "--first-week", "cw20-2023", "--last-week", "cw20-2023",
+                    "--telemetry-out", str(out),
+                ]
+            ) == 0
+            saved.append({path.name: path.read_bytes() for path in out.iterdir()})
+        capsys.readouterr()
+        assert sorted(saved[0]) == [
+            "diag.jsonl", "metrics.json", "metrics.prom", "trace.jsonl"
+        ]
+        assert saved[0] == saved[1]
+        assert b"scan_domains_per_s" not in saved[0]["metrics.prom"]
 
     def test_submit_of_a_jsonl_export_is_a_clean_error(self, tmp_path, capsys):
         exported = tmp_path / "week.jsonl"
