@@ -236,7 +236,7 @@ def cli_runs(work: Path) -> None:
          "--max-flows", 32, "--fault", "corrupt-datagram:0.08",
          "--out", work / "mc.jsonl")
     _cli("status", "--dir", work / "t1")
-    _cli("profile", "--czds", 100, "--toplist", 20, "--sim", "--analyze",
+    _cli("profile", "--czds", 100, "--toplist", 20, "--analyze",
          "--out", work / "stacks.txt")
     svc = work / "svc"
     _cli("service", "run-once", "--dir", svc, "--seed", 77, "--czds", 140,
