@@ -8,7 +8,8 @@
 #      resume included,
 #   3. the failure-taxonomy summary is byte-identical across workers,
 #   4. a checkpointed campaign with a deleted shard resumes to the same
-#      merged dataset as an uninterrupted run,
+#      merged dataset as an uninterrupted run (repro scan names the
+#      scan's own directory under --checkpoint-dir on stderr),
 #   5. the monitor survives corrupt datagrams deterministically,
 #   6. injected connection migrations (NAT rebinds, CID rotations,
 #      path migrations) plus multiplexed TCP flows stay deterministic,
@@ -57,11 +58,16 @@ cmp "$WORK/tax1.txt" "$WORK/tax4.txt"
 cat "$WORK/tax1.txt"
 
 echo "== chaos smoke: checkpoint / crash / resume =="
+# The checkpoint directory of a scan, as its stderr names it.
+checkpoint_of() { sed -n 's/^checkpoint: //p' "$1"; }
+
 python -m repro.cli scan "${COMMON[@]}" --chunk-size 128 \
-    --checkpoint-dir "$WORK/ckpt" --out "$WORK/ckpt-full.cbr" 2>/dev/null
-rm "$WORK/ckpt/shard-00002.cbr"   # simulate a crash losing one shard
+    --checkpoint-dir "$WORK/ckpt" --out "$WORK/ckpt-full.cbr" 2>"$WORK/ckpt.err"
+CKPT="$(checkpoint_of "$WORK/ckpt.err")"
+rm "$CKPT/shard-00002.cbr"   # simulate a crash losing one shard
 python -m repro.cli scan "${COMMON[@]}" --chunk-size 128 --workers 4 --force-pool \
-    --checkpoint-dir "$WORK/ckpt" --out "$WORK/ckpt-resumed.cbr" 2>/dev/null
+    --checkpoint-dir "$WORK/ckpt" --out "$WORK/ckpt-resumed.cbr" 2>"$WORK/ckpt-resumed.err"
+[ "$(checkpoint_of "$WORK/ckpt-resumed.err")" = "$CKPT" ]
 cmp "$WORK/ckpt-full.cbr" "$WORK/ckpt-resumed.cbr"
 cmp "$WORK/ckpt-full.cbr" "$WORK/w1.cbr"
 
@@ -74,23 +80,25 @@ for arm in 1 4; do
     python -m repro.cli scan "${COMMON[@]}" --workers "$arm" "${POOL[@]}" \
         --chunk-size 128 --checkpoint-dir "$WORK/stream$arm-ckpt" \
         --out "$WORK/stream$arm.cbr" --qlog-out "$WORK/stream$arm-qlog.jsonl" \
-        --telemetry-out "$WORK/stream$arm-telemetry" 2>/dev/null
+        --telemetry-out "$WORK/stream$arm-telemetry" 2>"$WORK/stream$arm.err"
 done
+STREAM1="$(checkpoint_of "$WORK/stream1.err")"
+STREAM4="$(checkpoint_of "$WORK/stream4.err")"
 cmp "$WORK/stream1.cbr" "$WORK/stream4.cbr"
 cmp "$WORK/stream1-qlog.jsonl" "$WORK/stream4-qlog.jsonl"
 cmp "$WORK/stream1-telemetry/trace.jsonl" "$WORK/stream4-telemetry/trace.jsonl"
 cmp "$WORK/stream1-telemetry/metrics.json" "$WORK/stream4-telemetry/metrics.json"
-rm "$WORK/stream1-ckpt/shard-00003.cbr"   # a crash loses one shard
+rm "$STREAM1/shard-00003.cbr"   # a crash loses one shard
 python -m repro.cli scan "${COMMON[@]}" --workers 4 --force-pool \
     --chunk-size 128 --checkpoint-dir "$WORK/stream1-ckpt" \
     --out "$WORK/stream-resumed.cbr" --qlog-out "$WORK/stream-resumed-qlog.jsonl" \
     2>/dev/null
 cmp "$WORK/stream1.cbr" "$WORK/stream-resumed.cbr"
 cmp "$WORK/stream1-qlog.jsonl" "$WORK/stream-resumed-qlog.jsonl"
-cmp "$WORK/stream4-ckpt/shard-00003.cbr" "$WORK/stream1-ckpt/shard-00003.cbr"
+cmp "$STREAM4/shard-00003.cbr" "$STREAM1/shard-00003.cbr"
 
 echo "== chaos smoke: checkpoint merge via frame copy =="
-python -m repro.cli convert "$WORK/ckpt" "$WORK/merged.cbr" 2>/dev/null
+python -m repro.cli convert "$CKPT" "$WORK/merged.cbr" 2>/dev/null
 python -m repro.cli analyze "$WORK/merged.cbr" --section failures \
     2>/dev/null >"$WORK/tax-merged.txt"
 cmp "$WORK/tax-merged.txt" "$WORK/tax1.txt"

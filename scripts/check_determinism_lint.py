@@ -169,6 +169,17 @@ Which further rules apply to which layer (directory under
   of every header), of ``urlparse`` / ``urlsplit`` or of the ``email``
   package is flagged.  No pragma opts out.
 
+* Two write shapes, ``faults/``, ``service/`` and ``artifacts/``:
+  durable state is a file replaced whole (``replace_file``: the old
+  bytes or the new after a crash) or a line appended to a log
+  (``append_line``: at most a torn last line, which is not committed),
+  both in ``repro/_util/files.py``.  So an ``open`` whose mode writes
+  (``w``, ``a``, ``x``, ``+``, or a mode that is not a literal), a
+  ``write_bytes`` / ``write_text`` call and an ``os.replace`` /
+  ``os.rename`` are flagged: a third shape would need a crash rule of
+  its own.  Writing to a stream the caller opened is not.  No pragma
+  opts out.
+
 Benchmarks (``benchmarks/``) legitimately measure wall-clock and are
 not scanned.  A source line may opt out with the pattern's pragma when
 the value is *diagnostics only* and never enters an artifact (e.g. the
@@ -765,6 +776,43 @@ def compact_json(text: str) -> list[int]:
     )
 
 
+#: Writes that bypass ``replace_file`` / ``append_line``: the file
+#: methods, and ``os``'s renames.
+_FILE_WRITES = frozenset({"write_bytes", "write_text"})
+_OS_RENAMES = frozenset({"replace", "rename"})
+
+
+def _open_mode(call: ast.Call) -> str | None:
+    """The mode an ``open(path, mode)`` / ``path.open(mode)`` call passes
+    (``"r"`` when none); ``None`` when it is not a string literal."""
+    mode = next((k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None:
+        position = 1 if isinstance(call.func, ast.Name) else 0
+        if len(call.args) <= position:
+            return "r"
+        mode = call.args[position]
+    return mode.value if isinstance(mode, ast.Constant) and isinstance(mode.value, str) else None
+
+
+def two_write_shapes(text: str) -> list[int]:
+    """A durable write beside the two shapes in ``repro._util.files``: an
+    ``open`` whose mode writes (``w``, ``a``, ``x``, ``+``, or a mode that
+    is not a literal), a ``write_bytes`` / ``write_text`` call, an
+    ``os.replace`` / ``os.rename``."""
+    lines = set()
+    for node in ast.walk(ast.parse(text)):
+        name = _called_name(node)
+        if name == "open":
+            mode = _open_mode(node)
+            if mode is None or set(mode) & set("wax+"):
+                lines.add(node.lineno)
+        elif name in _FILE_WRITES or (
+            name in _OS_RENAMES and _bare_name(getattr(node.func, "value", None)) == "os"
+        ):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
 #: The endpoint's timer handlers, which only its one wake-up runs.
 _TIMER_HANDLERS = frozenset({"_pto_fired", "_delayed_ack_fired"})
 
@@ -909,18 +957,19 @@ _EVERYWHERE = (
 #: ``faults`` (the scan path) start no thread; ``service`` and
 #: ``artifacts`` write JSON on every fold, so without ``indent``;
 #: ``service`` serves from handler threads that outlive connections and
-#: reads a request head once.
+#: reads a request head once; ``faults``, ``service`` and ``artifacts``
+#: persist state through the two write shapes only.
 LAYER_RULES = {
     "analysis": _EVERYWHERE + (json_in_loops, fold_body_means, fold_counts_per_row),
-    "artifacts": _EVERYWHERE + (one_container, compact_json),
-    "faults": _EVERYWHERE + (json_in_loops, thread_imports),
+    "artifacts": _EVERYWHERE + (one_container, compact_json, two_write_shapes),
+    "faults": _EVERYWHERE + (json_in_loops, thread_imports, two_write_shapes),
     "internet": _EVERYWHERE + (json_in_loops,),
     "monitor": _EVERYWHERE + (json_in_loops,),
     "netsim": _EVERYWHERE + (json_in_loops,),
     "obs": _EVERYWHERE + (json_in_loops,),
     "service": _EVERYWHERE + (
         json_in_loops, section_state_names, compact_json, one_serving_model,
-        one_request_grammar,
+        one_request_grammar, two_write_shapes,
     ),
     "telemetry": (
         forbidden_lines, json_in_loops, endpoint_decoder_uses, container_framing,
@@ -1043,7 +1092,10 @@ def main(argv: list[str] | None = None) -> int:
             "outlive them — and no parse_headers / urlparse / urlsplit / email — "
             "_Handler.parse_request reads a request head once; only obs/snapshot.py opens a URL (urlopen) or reads "
             "SNAPSHOT_FILENAME / \"metrics.json\" — repro status has one "
-            "snapshot loader — and only Telemetry.save writes it)",
+            "snapshot loader — and only Telemetry.save writes it; under "
+            "faults/, service/ and artifacts/ durable state is written by "
+            "replace_file or append_line (repro._util.files) only — no "
+            "writing open, write_bytes / write_text, os.replace / os.rename)",
             file=sys.stderr,
         )
         return 1

@@ -198,6 +198,7 @@ def cli_runs(work: Path) -> None:
     _cli("scan", "--czds", 60, "--toplist", 10, "--workers", 0, "--out", work / "ds0.cbr")
     _cli("scan", "--czds", 300, "--toplist", 50, "--chunk-size", 64,
          "--checkpoint-dir", ckpt, "--out", work / "ck.cbr")
+    (ckpt,) = ckpt.iterdir()  # the scan's own directory under --checkpoint-dir
     _cli("analyze", ds)
     _cli("analyze", ds, "--section", "failures")
     _cli("analyze", ds, "--json")

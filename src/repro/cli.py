@@ -57,7 +57,6 @@ from repro.analysis.engine import RECORD_SECTIONS
 from repro.core.flow_table import OVERFLOW_POLICIES
 from repro.faults import (
     BreakerPolicy,
-    CheckpointError,
     ResilienceConfig,
     RetryPolicy,
     parse_fault_plan,
@@ -137,8 +136,9 @@ _FLAGS: dict[str, dict] = {
     ),
     "--checkpoint-dir": dict(
         metavar="DIR",
-        help="crash-safe resume: persist completed shards here and load "
-        "them back when re-running the same scan",
+        help="crash-safe resume: persist completed shards in the scan's own "
+        "directory under DIR (named on stderr) and load them back when "
+        "re-running the same scan",
     ),
     "--qlog-sample-rate": dict(
         type=float, help="fraction of connections to capture full qlogs for"
@@ -185,7 +185,7 @@ _FLAGS: dict[str, dict] = {
         "so piped output stays clean; telemetry counters are unaffected)",
     ),
     "name": dict(help="registered domain name to look up"),
-    "input": dict(help="cbr artifact path, or a --checkpoint-dir directory of shards"),
+    "input": dict(help="cbr artifact path, or one scan's checkpoint directory of shards"),
     "output": dict(
         help="output path: '.jsonl' writes the JSONL export, anything else cbr"
     ),
@@ -463,8 +463,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     try:
         with open(args.out, "wb") as stream:
             count = write_records_cbr(connection_stream(), stream)
-    except CheckpointError as error:
-        raise SystemExit(f"repro: error: {error}")
     except OSError as error:
         raise SystemExit(f"repro: error: cannot write {args.out}: {error}")
     finally:
@@ -609,11 +607,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    """``repro convert IN OUT``: ``IN`` is a cbr artifact or a checkpoint
-    directory of cbr shards.  An ``OUT`` ending in ``.jsonl`` gets the
-    Appendix B export; any other ``OUT`` is cbr — the shards' frames
-    copied (no decode, no re-encode), or the artifact re-encoded.  A
-    failed convert leaves no ``OUT`` behind."""
+    """``repro convert IN OUT``: ``IN`` is a cbr artifact or one scan's
+    checkpoint directory of cbr shards.  An ``OUT`` ending in ``.jsonl``
+    gets the Appendix B export; any other ``OUT`` is cbr — the shards'
+    frames copied (no decode, no re-encode), or the artifact re-encoded.
+    A failed convert leaves no ``OUT`` behind."""
     import os
 
     from repro.analysis.artifacts import export_records
@@ -633,7 +631,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         )
         if not sources:
             raise SystemExit(
-                f"repro: error: no cbr shards (shard-*.cbr) in {args.input}"
+                f"repro: error: no cbr shards (shard-*.cbr) in {args.input} "
+                "(a scan's own directory is the one repro scan names)"
             )
 
     def records():

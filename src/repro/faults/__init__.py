@@ -30,6 +30,7 @@ from repro.faults.checkpoint import (
     CheckpointStore,
     encode_domain_results,
     results_from_cbr_payload,
+    scan_digest,
     scan_fingerprint,
 )
 from repro.faults.resilience import ResilienceConfig
@@ -78,6 +79,7 @@ __all__ = [
     "parse_fault_plan",
     "render_failure_table",
     "results_from_cbr_payload",
+    "scan_digest",
     "scan_fingerprint",
     "truncate_jsonl_line",
 ]

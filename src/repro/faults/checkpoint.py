@@ -2,22 +2,22 @@
 
 ``repro scan --checkpoint-dir DIR`` persists every finished shard of
 domain results as one atomically-written columnar binary file
-(``shard-NNNNN.cbr``, :data:`~repro.artifacts.cbr.KIND_DOMAINS` chunks)
-plus a manifest binding the directory to the scan's identity (seed,
-week, IP version, probe, target list, shard size).  A killed scan
-resumes by loading the finished shards and scanning only the rest;
-because each domain's randomness is independently derived and the
-circuit breaker runs over emitted results (never from checkpointed
-state), the resumed dataset is bit-identical to an uninterrupted run.
-``repro convert DIR out.cbr`` merges a checkpoint directory into one
-artifact by copying CRC-verified chunk frames — no decode, no
-re-encode.
+(``DIR/<name>/shard-NNNNN.cbr``, :data:`~repro.artifacts.cbr.KIND_DOMAINS`
+chunks).  ``<name>`` is a digest of the scan's identity (seed, week, IP
+version, probe, target list, config) and of the shard size, so the path
+is the identity: a scan opens its own directory and never sees another
+scan's shards.  A killed scan resumes by loading the finished shards
+and scanning only the rest; because each domain's randomness is
+independently derived and the circuit breaker runs over emitted results
+(never from checkpointed state), the resumed dataset is bit-identical
+to an uninterrupted run.  ``repro convert DIR/<name> out.cbr`` merges
+one scan's shards into one artifact by copying CRC-verified chunk
+frames — no decode, no re-encode.
 
-Robustness rules: a missing, truncated, or otherwise unreadable shard
-file — including one in the retired ``shard-NNNNN.jsonl`` format — is
-treated as "not scanned yet" and simply re-scanned; a manifest
-that does not match the requested scan raises :class:`CheckpointError`
-(silently mixing two campaigns would corrupt the dataset).
+Robustness rule: a missing, truncated, or otherwise unreadable shard
+file — including one in the retired ``shard-NNNNN.jsonl`` format, or
+one left directly under ``DIR`` by the retired manifest layout — is
+treated as "not scanned yet" and simply re-scanned.
 """
 
 from __future__ import annotations
@@ -39,14 +39,13 @@ __all__ = [
     "CheckpointStore",
     "encode_domain_results",
     "results_from_cbr_payload",
+    "scan_digest",
     "scan_fingerprint",
 ]
 
-_MANIFEST_SCHEMA = 1
-
 
 class CheckpointError(ValueError):
-    """Raised when a checkpoint directory cannot serve the scan."""
+    """Raised for a shard size below one or a damaged worker payload."""
 
 
 def scan_fingerprint(
@@ -57,15 +56,17 @@ def scan_fingerprint(
     targets: "Population | Iterable[DomainRecord]",
     config_repr: str,
 ) -> dict:
-    """Identity of one scan, for manifest compatibility checks.
+    """Identity of one scan: what names its checkpoint directory and its
+    entry in the spool manifest.
 
-    The target list is folded to a digest so manifests stay small
+    The target list is folded to a digest so the identity stays small
     (:func:`~repro.internet.population.names_digest`).  A whole
     population passes itself: it walks its targets for the digest once
     and keeps it, so the fingerprints of a campaign's weeks cost one
     walk.  The scan config enters via its ``repr`` (frozen dataclasses
-    render every field), so resuming under a different fault plan or
-    resilience setting is rejected instead of silently mixing regimes.
+    render every field), so a scan under a different fault plan or
+    resilience setting gets a directory of its own instead of silently
+    mixing regimes.
     """
     from repro.internet.population import Population, names_digest
 
@@ -84,6 +85,12 @@ def scan_fingerprint(
         "targets_digest": digest,
         "config_digest": config_digest,
     }
+
+
+def scan_digest(fingerprint: dict) -> str:
+    """Stable digest of an identity dict (a path name, a manifest key)."""
+    canonical = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
 def encode_domain_results(results: Sequence["DomainScanResult"]) -> bytes:
@@ -160,41 +167,21 @@ def results_from_cbr_payload(
 
 
 class CheckpointStore:
-    """Shard-granular result persistence under one directory."""
+    """Shard-granular result persistence under one scan's directory.
 
-    MANIFEST_NAME = "manifest.json"
+    The store lives in ``directory/<name>``, ``<name>`` the
+    :func:`scan_digest` of the fingerprint and the shard size: two runs
+    that differ in either (chunk included — merged, their shards would
+    hold some domains twice) share no file.
+    """
 
     def __init__(self, directory: str | os.PathLike, fingerprint: dict, chunk: int):
         if chunk < 1:
             raise CheckpointError("checkpoint chunk must be >= 1")
-        self.directory = Path(directory)
-        self.chunk = chunk
-        self.fingerprint = fingerprint
+        self.directory = Path(directory) / scan_digest({**fingerprint, "chunk": chunk})
         self.shards_loaded = 0
         self.shards_saved = 0
         self.directory.mkdir(parents=True, exist_ok=True)
-        manifest = {
-            "schema": _MANIFEST_SCHEMA,
-            "chunk": chunk,
-            "fingerprint": fingerprint,
-        }
-        path = self.directory / self.MANIFEST_NAME
-        if path.is_file():
-            try:
-                existing = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
-                raise CheckpointError(
-                    f"unreadable checkpoint manifest {path}: {exc}"
-                ) from exc
-            if existing != manifest:
-                raise CheckpointError(
-                    f"checkpoint directory {self.directory} belongs to a "
-                    "different scan (seed/week/targets/config mismatch); "
-                    "use a fresh directory"
-                )
-        else:
-            text = json.dumps(manifest, sort_keys=True) + "\n"
-            replace_file(path, text.encode("utf-8"))
 
     def shard_path(self, shard_index: int) -> Path:
         return self.directory / f"shard-{shard_index:05d}.cbr"

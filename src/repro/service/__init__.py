@@ -9,7 +9,7 @@ that service, in three layers that only talk through files:
   scheduler drives the regular scanner over the configured campaign,
   spooling each week's dataset as a content-addressed ``cbr`` artifact
   (:mod:`repro.service.spool`).  Every step resumes after a crash via
-  existing machinery (scan checkpoints, content dedupe, fold ledger).
+  scan checkpoints, content dedupe and the appended fold ledger.
 * :mod:`repro.service.indexer` — the incremental indexer: folds each
   artifact exactly once into persistent per-week counter summaries
   (:mod:`repro.service.summary`), idempotent and order-independent down

@@ -103,7 +103,9 @@ class ServiceState:
     by the daemon or an external ``repro service index`` visible on the
     next request.  A new version reads and parses the ledger (once per
     key, for :meth:`domain_records`), re-lists the weeks and marks every
-    cached week unchecked.  The first request for a week under that
+    cached week unchecked; a ledger that ends in an unterminated line is
+    a fold still committing, and the weeks cached under the last version
+    keep answering.  The first request for a week under a new
     version stats its file: a key that did not move stands for the parse
     it was taken with, and only a moved one is read, hashed and — if the
     digest differs — parsed again (a fold rewrites one or two week
@@ -240,7 +242,10 @@ class ServiceState:
         # The ledger is stat-ed, then read, before the directory and the
         # week files, so whatever a fold wrote before this version is
         # seen under it.
-        self._ledger = ledger_artifacts(indexer.ledger_bytes())
+        data = indexer.ledger_bytes()
+        if data[-1:] not in (b"", b"\n") and self._version is not _UNREAD:
+            return  # a fold whose line is torn has not committed: keep the cache
+        self._ledger = ledger_artifacts(data)
         cached = self._weeks
         self._weeks = {
             week: cached.get(week) or _CachedWeek(os.fspath(indexer.week_path(week)))

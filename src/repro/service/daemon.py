@@ -224,12 +224,12 @@ class CampaignDaemon:
         }
 
     def _scan_args(self, week: CalendarWeek) -> dict:
-        """The week's scan, checkpointed under its fingerprint's digest."""
-        digest = scan_digest(self._scan_fingerprint(week))
+        """The week's scan, checkpointed under ``spool/checkpoints``
+        (each scan in its own directory there)."""
         return {
             "week_label": week.label,
             "ip_version": self.config.ip_version,
-            "checkpoint_dir": self.directory / "spool" / "checkpoints" / digest,
+            "checkpoint_dir": self.directory / "spool" / "checkpoints",
         }
 
     def _spool_week(self, week: CalendarWeek, results, verbose: bool = False) -> str:

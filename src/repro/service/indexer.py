@@ -7,18 +7,21 @@ week stamp, and merges the per-week counter summaries
 ``week-<label>.json`` files.  The query API then answers from those
 files without ever touching raw chunks again.
 
-Idempotence has two layers, mirroring how the checkpoint store treats
-manifests as binding and shards as advisory:
+Idempotence has two layers:
 
-* ``ledger.json`` — the fast path: a sorted list of artifact
-  fingerprints already folded.  It is written *last*, after every week
-  file, so it never claims work that was not completed.
+* ``ledger.log`` — the fast path: one appended ``<fingerprint>`` line
+  per completed fold (:func:`~repro._util.files.append_line`).  The line
+  goes *last*, after every week file, so the ledger never claims work
+  that was not completed, and only terminated lines count: a tail torn
+  by a crash, or still being written, is no claim at all.
 * the per-week ``artifacts`` lists — the correctness mechanism: merging
   a week slice and recording the fingerprint happen in the same atomic
   file replace.  A crash between two week files therefore leaves a
   half-folded artifact whose re-fold skips exactly the weeks already
   carrying its fingerprint — the resumed summaries are byte-identical
-  to an uninterrupted fold.
+  to an uninterrupted fold.  An index whose ledger is lost (or is the
+  retired ``ledger.json``, which nothing reads) re-checks every
+  artifact against these lists once and double-counts nothing.
 
 Deterministic fault injection (:mod:`repro.faults` discipline): the
 constructor takes a ``fault_hook`` callable invoked with an event label
@@ -29,18 +32,17 @@ from the hook, with no wall clock or signal handling involved.
 from __future__ import annotations
 
 import functools
-import json
 import os
 from pathlib import Path
 from typing import Callable
 
-from repro._util.files import replace_file
+from repro._util.files import append_line, replace_file
 from repro.service.summary import WeekSummary
 from repro.telemetry import Telemetry
 
 __all__ = ["WeekIndexer"]
 
-_LEDGER_NAME = "ledger.json"
+_LEDGER_NAME = "ledger.log"
 _WEEK_PREFIX = "week-"
 _WEEK_SUFFIX = ".json"
 _WEEK_LABEL = slice(len(_WEEK_PREFIX), -len(_WEEK_SUFFIX))
@@ -107,9 +109,8 @@ class WeekIndexer:
                     )
                     self._fault("week-written")
                 records += deltas[week].connections_total
+            append_line(self._ledger_path, fingerprint.encode("ascii"))
             ledger.add(fingerprint)
-            payload = json.dumps({"artifacts": sorted(ledger)}, sort_keys=True)
-            replace_file(self._ledger_path, (payload + "\n").encode("utf-8"))
             span.annotate(weeks=len(deltas), records=records)
             if corrupt:
                 # A damaged chunk's records are lost to the index; the
@@ -126,7 +127,7 @@ class WeekIndexer:
         """Fold every spooled artifact the ledger does not list yet.
 
         Returns the fingerprints actually folded, in fingerprint order
-        (which the ledger makes irrelevant for the resulting bytes).
+        (which the week files' bytes do not depend on).
         The ledger is read once, here, however many artifacts follow,
         and pending work comes from the spool's names: an artifact the
         ledger lists costs one set lookup.
@@ -184,7 +185,7 @@ class WeekIndexer:
         return ledger_artifacts(self.ledger_bytes())
 
     def ledger_bytes(self) -> bytes:
-        """The ledger file as it is (``b""`` when there is none)."""
+        """The ledger file as it is, torn tail and all (``b""``: none)."""
         try:
             with open(self._ledger_path, "rb") as stream:
                 return stream.read()
@@ -196,10 +197,9 @@ class WeekIndexer:
 
         The ledger's stat key, ``(st_ino, st_size, st_mtime_ns)`` —
         one ``os.stat`` per API request; ``None`` while there is no
-        ledger.  Every ledger write is a :func:`replace_file`: the new
-        ledger is written beside the old one, so it has another inode,
-        and the key moves on every fold, however many land in one
-        timestamp tick.
+        ledger.  Every fold appends a line, so the size grows and the
+        key moves on every fold, however many land in one timestamp
+        tick.
         """
         try:
             stat = os.stat(self._ledger_path)
@@ -249,13 +249,10 @@ class WeekIndexer:
 
 
 def ledger_artifacts(data: bytes) -> set[str]:
-    """The fingerprints the ledger file ``data`` lists."""
-    try:
-        return set(json.loads(data).get("artifacts") or [])
-    except (ValueError, AttributeError):
-        # An unreadable ledger only costs re-checks against the
-        # per-week artifact lists, never a double fold.
-        return set()
+    """The fingerprints the ledger file ``data`` lists: its terminated
+    lines.  A damaged line names no artifact, which only costs a
+    re-check against the per-week artifact lists, never a double fold."""
+    return set(data.decode("ascii", "replace").split("\n")[:-1])
 
 
 @functools.lru_cache(maxsize=1024)

@@ -12,12 +12,13 @@ Two files per spool directory:
 * ``artifacts/<fingerprint>.cbr`` — the payloads, written atomically
   (tmp + rename) so a crash mid-submit never leaves a torn artifact
   under a valid name;
-* ``manifest.jsonl`` — one appended JSON line per event: artifact
-  submissions (with size and source label) and completed daemon scans
-  (with their :func:`repro.faults.scan_fingerprint` identity).  The
-  manifest is advisory metadata: reading tolerates damaged lines, and
-  the artifact set is always recoverable from the directory listing
-  alone.
+* ``manifest.jsonl`` — one appended JSON line per event
+  (:func:`~repro._util.files.append_line`): artifact submissions (with
+  size and source label) and completed daemon scans (with their
+  :func:`repro.faults.scan_fingerprint` identity).  The manifest is
+  advisory metadata: reading takes terminated lines and skips damaged
+  ones, and the artifact set is always recoverable from the directory
+  listing alone.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro._util.files import replace_file
+from repro._util.files import append_line, replace_file
 from repro.artifacts.cbr import _read_head
+from repro.faults.checkpoint import scan_digest
 from repro.telemetry import Telemetry
 
 __all__ = ["SpoolEntry", "SpoolStore", "artifact_fingerprint", "scan_digest"]
@@ -168,35 +170,21 @@ class SpoolStore:
         return scans
 
     def _manifest_entries(self) -> list[dict]:
-        if not self.manifest_path.is_file():
-            return []
-        entries = []
         try:
-            lines = self.manifest_path.read_text(encoding="utf-8").splitlines()
+            with open(self.manifest_path, "rb") as stream:
+                lines = stream.read().split(b"\n")[:-1]  # terminated lines
         except OSError:
             return []
+        entries = []
         for line in lines:
             try:
                 data = json.loads(line)  # jsonl-ok: the manifest codec itself
-            except json.JSONDecodeError:
-                continue  # torn tail after a crash mid-append
+            except ValueError:
+                continue  # a line torn by a crash mid-append
             if isinstance(data, dict):
                 entries.append(data)
         return entries
 
     def _append_manifest(self, entry: dict) -> None:
-        line = json.dumps(entry, sort_keys=True) + "\n"
-        with open(self.manifest_path, "a+b") as stream:
-            # After a crash mid-append the file ends in a torn line: start
-            # a new one, or this entry is glued to the fragment and lost.
-            if stream.tell():
-                stream.seek(-1, os.SEEK_END)
-                if stream.read(1) != b"\n":
-                    line = "\n" + line
-            stream.write(line.encode("utf-8"))
-
-
-def scan_digest(fingerprint: dict) -> str:
-    """Stable digest of a scan-identity dict (manifest lookup key)."""
-    canonical = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        line = json.dumps(entry, sort_keys=True).encode("utf-8")
+        append_line(self.manifest_path, line)

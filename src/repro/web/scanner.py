@@ -285,11 +285,12 @@ class Scanner:
         (domains, elapsed, throughput, executor) to stderr.
 
         ``checkpoint_dir`` enables crash-safe resume: completed shards
-        are written there as they are emitted, and a re-run of the
-        *same* scan (seed, week, IP version, probe, targets, config)
-        loads them back instead of re-scanning.  The shard size is fixed
-        by the chunk configuration, not the worker count, so a campaign
-        can be resumed with a different ``--workers`` and still merge
+        are written to the scan's own directory under it as they are
+        emitted (``verbose`` names it), and a re-run of the *same* scan
+        (seed, week, IP version, probe, targets, config, chunk) loads
+        them back instead of re-scanning.  The shard size is fixed by the
+        chunk configuration, not the worker count, so a campaign can be
+        resumed with a different ``--workers`` and still merge
         bit-identically.
 
         The circuit breaker runs here, over emitted results in
@@ -303,6 +304,8 @@ class Scanner:
         total = population.domain_count if domains is None else len(domains)
         if _shards is None:
             scan = self._sharded(week_label, ip_version, domains, probe, checkpoint_dir)
+            if verbose and scan.checkpoint is not None:
+                print(f"checkpoint: {scan.checkpoint.directory}", file=sys.stderr)
             _shards = (shard for _, shard in shard_stream(self, [scan]))
         breaker = None
         resilience = self.config.resilience

@@ -189,6 +189,13 @@ def make_archive_week(week_offset: int, count: int, seed: int = 20230520):
     return records
 
 
+def scan_checkpoint(directory):
+    """The one scan directory a ``--checkpoint-dir`` holds: the store
+    keeps each scan's shards under a name derived from its identity."""
+    (scan,) = [path for path in directory.iterdir() if path.is_dir()]
+    return scan
+
+
 def indented_week_json(summary) -> str:
     """A week file as ``WeekSummary.to_json`` wrote it while it still
     passed ``indent=1`` (the pure-Python JSON encoder): the oracle the

@@ -303,7 +303,7 @@ def calls_of_the_first_all_read(directory, weeks):
         assert len(state.indexer.fold_pending(spool)) == 1
 
     fold(range(weeks))
-    folded_ns = os.stat(state.indexer.directory / "ledger.json").st_mtime_ns
+    folded_ns = os.stat(state.indexer.directory / "ledger.log").st_mtime_ns
     for offset in range(weeks):
         age_ns = (weeks - offset) * WEEK_NS
         os.utime(

@@ -3,19 +3,21 @@
 A checkpointed scan must (a) produce exactly the dataset of a
 non-checkpointed run, (b) resume after a crash — including with a
 different worker count — to the bit-identical merged result, (c) treat
-damaged shards as "not scanned yet", and (d) refuse to mix two different
-campaigns in one directory.
+damaged shards as "not scanned yet", and (d) keep two different scans
+under one ``--checkpoint-dir`` apart: each scan's shards live in a
+directory named by its identity and shard size.
 """
 
 from __future__ import annotations
 
 import io
-import json
 import multiprocessing
 
 import pytest
+from conftest import scan_checkpoint
 
 from repro.analysis.artifacts import record_to_dict
+from repro.artifacts import open_record_batches
 from repro.artifacts.cbr import read_footer, write_records_cbr
 from repro.cli import main
 from repro.faults import (
@@ -25,6 +27,7 @@ from repro.faults import (
     ResilienceConfig,
     RetryPolicy,
     parse_fault_plan,
+    scan_digest,
     scan_fingerprint,
 )
 from repro.web.parallel import ParallelScanConfig
@@ -89,13 +92,20 @@ class TestCheckpointedScan:
         )
         assert _dataset_dicts(dataset) == _dataset_dicts(plain_dataset)
 
-    def test_writes_manifest_and_all_shards(self, tiny_population, targets, tmp_path):
+    def test_writes_all_shards_under_the_scans_name(
+        self, tiny_population, targets, tmp_path
+    ):
         directory = tmp_path / "ckpt"
-        _scanner(tiny_population).scan(domains=targets, checkpoint_dir=directory)
-        manifest = json.loads((directory / "manifest.json").read_text())
-        assert manifest["chunk"] == CHUNK
-        assert manifest["fingerprint"]["targets"] == len(targets)
-        shards = sorted(p.name for p in directory.glob("shard-*.cbr"))
+        scanner = _scanner(tiny_population)
+        scanner.scan(domains=targets, checkpoint_dir=directory)
+        fingerprint = scan_fingerprint(
+            tiny_population.config.seed, "cw20-2023", 4, 0, targets,
+            repr(scanner.config),
+        )
+        store = scan_checkpoint(directory)
+        assert store.name == scan_digest({**fingerprint, "chunk": CHUNK})
+        assert sorted(p.name for p in directory.iterdir()) == [store.name]
+        shards = sorted(p.name for p in store.iterdir())
         expected = -(-len(targets) // CHUNK)  # ceil division
         assert len(shards) == expected
         assert shards[0] == "shard-00000.cbr"
@@ -140,7 +150,8 @@ def _artifact_bytes(dataset) -> bytes:
 
 
 def _shard_files(directory) -> dict[str, bytes]:
-    return {p.name: p.read_bytes() for p in directory.glob("shard-*.cbr")}
+    """The shard files of the one scan checkpointed under ``directory``."""
+    return {p.name: p.read_bytes() for p in directory.glob("*/shard-*.cbr")}
 
 
 class TestCrashAndResume:
@@ -229,10 +240,10 @@ class TestCrashAndResume:
         shard 0 only as ``shard-00000.jsonl`` re-scans it, never raises."""
         directory = tmp_path / "ckpt"
         _scanner(tiny_population).scan(domains=targets, checkpoint_dir=directory)
-        shard = directory / "shard-00000.cbr"
+        shard = scan_checkpoint(directory) / "shard-00000.cbr"
         payload = shard.read_bytes()
         shard.unlink()
-        (directory / "shard-00000.jsonl").write_text('{"domain":"old.example"}\n')
+        (shard.parent / "shard-00000.jsonl").write_text('{"domain":"old.example"}\n')
         scanner = _scanner(tiny_population)
         resumed = scanner.scan(domains=targets, checkpoint_dir=directory)
         assert scanner.last_scan_stats["units"] == 1
@@ -246,7 +257,7 @@ class TestCrashAndResume:
         _scanner(tiny_population, workers=1).scan(
             domains=targets, checkpoint_dir=directory
         )
-        (directory / "shard-00002.cbr").unlink()  # crash loses one shard
+        (scan_checkpoint(directory) / "shard-00002.cbr").unlink()  # crash loses one shard
         resumed = _scanner(tiny_population, workers=4).scan(
             domains=targets, checkpoint_dir=directory
         )
@@ -257,7 +268,7 @@ class TestCrashAndResume:
     ):
         directory = tmp_path / "ckpt"
         _scanner(tiny_population).scan(domains=targets, checkpoint_dir=directory)
-        shard = directory / "shard-00001.cbr"
+        shard = scan_checkpoint(directory) / "shard-00001.cbr"
         payload = shard.read_bytes()
         shard.write_bytes(payload[: len(payload) // 2])  # torn write
         resumed = _scanner(tiny_population).scan(
@@ -275,7 +286,7 @@ class TestCrashAndResume:
         loader does not take for "not scanned yet"."""
         directory = tmp_path / "ckpt"
         _scanner(tiny_population).scan(domains=targets, checkpoint_dir=directory)
-        shard = directory / "shard-00001.cbr"
+        shard = scan_checkpoint(directory) / "shard-00001.cbr"
         payload = shard.read_bytes()
         shard.write_bytes(payload[:4])
         resumed = _scanner(tiny_population).scan(
@@ -294,56 +305,82 @@ class TestCrashAndResume:
         shard merges, without zones to carry.)"""
         directory = tmp_path / "ckpt"
         _scanner(tiny_population).scan(domains=targets, checkpoint_dir=directory)
-        shard = directory / "shard-00001.cbr"
+        shard = scan_checkpoint(directory) / "shard-00001.cbr"
         payload = shard.read_bytes()
         if cut == 24:  # the 0x03 index frame: inside its header
             cut = read_footer(io.BytesIO(payload))["domain_index"]["at"] + 3
         shard.write_bytes(payload[:cut])
         merged = tmp_path / "merged.cbr"
         with pytest.raises(SystemExit, match="^repro: error: "):
-            main(["convert", str(directory), str(merged)])
+            main(["convert", str(shard.parent), str(merged)])
         assert not merged.exists()
         shard.write_bytes(payload)
-        assert main(["convert", str(directory), str(merged)]) == 0
+        assert main(["convert", str(shard.parent), str(merged)]) == 0
         assert read_footer(io.BytesIO(merged.read_bytes()))["records"] > 0
 
 
+def _records(path) -> list[dict]:
+    with open_record_batches(str(path)) as source:
+        return [record_to_dict(record) for record in source.records()]
+
+
 class TestCampaignIdentity:
-    def test_different_config_is_rejected(self, tiny_population, targets, tmp_path):
-        directory = tmp_path / "ckpt"
-        _scanner(tiny_population).scan(domains=targets, checkpoint_dir=directory)
-        other = Scanner(
-            tiny_population,
-            ScanConfig(),  # different fault/resilience regime
-            parallel=ParallelScanConfig(chunk_size=CHUNK),
-        )
-        with pytest.raises(CheckpointError, match="different scan"):
-            other.scan(domains=targets, checkpoint_dir=directory)
+    """A checkpoint's identity is its path: scans that differ in their
+    fingerprint or their shard size each get a directory of their own
+    under one ``--checkpoint-dir``, and ``repro convert`` of one of them
+    merges that scan's records alone."""
 
-    def test_different_week_is_rejected(self, tiny_population, targets, tmp_path):
+    @pytest.mark.parametrize("differ", ["config", "week", "targets", "chunk"])
+    def test_scans_that_differ_share_no_shard(
+        self, tiny_population, targets, tmp_path, differ
+    ):
         directory = tmp_path / "ckpt"
-        _scanner(tiny_population).scan(
-            week_label="cw20-2023", domains=targets, checkpoint_dir=directory
-        )
-        with pytest.raises(CheckpointError, match="different scan"):
-            _scanner(tiny_population).scan(
-                week_label="cw21-2023", domains=targets, checkpoint_dir=directory
+        base = _scanner(tiny_population).scan(domains=targets, checkpoint_dir=directory)
+        (first,) = directory.iterdir()
+        scanner, kwargs = _scanner(tiny_population), {"domains": targets}
+        if differ == "config":  # another fault and resilience regime
+            scanner = Scanner(
+                tiny_population, ScanConfig(), parallel=ParallelScanConfig(chunk_size=CHUNK)
             )
-
-    def test_different_targets_are_rejected(self, tiny_population, targets, tmp_path):
-        directory = tmp_path / "ckpt"
-        _scanner(tiny_population).scan(domains=targets, checkpoint_dir=directory)
-        with pytest.raises(CheckpointError, match="different scan"):
-            _scanner(tiny_population).scan(
-                domains=targets[:-1], checkpoint_dir=directory
+        elif differ == "week":
+            kwargs["week_label"] = "cw21-2023"
+        elif differ == "targets":
+            kwargs["domains"] = targets[:-1]
+        else:
+            scanner = Scanner(
+                tiny_population, CONFIG, parallel=ParallelScanConfig(chunk_size=CHUNK + 1)
             )
+        other = scanner.scan(checkpoint_dir=directory, **kwargs)
+        assert scanner.last_scan_stats["units"] > 0  # nothing was resumed
+        (second,) = set(directory.iterdir()) - {first}
+        for store, dataset in ((first, base), (second, other)):
+            assert store.name.isalnum() and len(store.name) == 16
+            merged = tmp_path / f"{store.name}.cbr"
+            assert main(["convert", str(store), str(merged)]) == 0
+            assert _records(merged) == [
+                record_to_dict(record) for record in dataset.connection_records()
+            ], differ
 
-    def test_unreadable_manifest_is_rejected(self, tiny_population, targets, tmp_path):
+    def test_an_old_layout_directory_is_rescanned(
+        self, tiny_population, targets, plain_dataset, tmp_path
+    ):
+        """Shards and a ``manifest.json`` directly under the directory,
+        as the retired layout wrote them, are neither read nor touched."""
         directory = tmp_path / "ckpt"
         _scanner(tiny_population).scan(domains=targets, checkpoint_dir=directory)
+        store = scan_checkpoint(directory)
+        for shard in store.iterdir():
+            shard.rename(directory / shard.name)
+        store.rmdir()
         (directory / "manifest.json").write_text("{not json")
-        with pytest.raises(CheckpointError, match="unreadable checkpoint manifest"):
-            _scanner(tiny_population).scan(domains=targets, checkpoint_dir=directory)
+        old = {path.name: path.read_bytes() for path in directory.iterdir()}
+        scanner = _scanner(tiny_population)
+        resumed = scanner.scan(domains=targets, checkpoint_dir=directory)
+        assert scanner.last_scan_stats["units"] == -(-len(targets) // CHUNK)
+        assert _dataset_dicts(resumed) == _dataset_dicts(plain_dataset)
+        assert {
+            path.name: path.read_bytes() for path in directory.iterdir() if path.is_file()
+        } == old
 
 
 class TestStoreInternals:
@@ -407,13 +444,14 @@ class TestWorkStealingResume:
             first.scan(domains=targets, checkpoint_dir=tmp_path)
         finally:
             first.close()
-        shard_files = sorted(p.name for p in tmp_path.glob("shard-*.cbr"))
+        store = scan_checkpoint(tmp_path)
+        shard_files = sorted(p.name for p in store.glob("shard-*.cbr"))
         assert len(shard_files) == -(-N_DOMAINS // CHUNK)
 
         # Simulated crash: two shards never made it to disk.
-        (tmp_path / "shard-00001.cbr").unlink()
-        (tmp_path / "shard-00003.cbr").unlink()
-        untouched = (tmp_path / "shard-00002.cbr").read_bytes()
+        (store / "shard-00001.cbr").unlink()
+        (store / "shard-00003.cbr").unlink()
+        untouched = (store / "shard-00002.cbr").read_bytes()
 
         second = _pool_scanner(tiny_population, workers=2)
         try:
@@ -422,6 +460,6 @@ class TestWorkStealingResume:
             second.close()
         assert _dataset_dicts(resumed) == _dataset_dicts(plain_dataset)
         # The surviving shard was loaded, not rewritten.
-        assert (tmp_path / "shard-00002.cbr").read_bytes() == untouched
+        assert (store / "shard-00002.cbr").read_bytes() == untouched
         # The lost shards are back, re-persisted from worker payloads.
-        assert sorted(p.name for p in tmp_path.glob("shard-*.cbr")) == shard_files
+        assert sorted(p.name for p in store.glob("shard-*.cbr")) == shard_files

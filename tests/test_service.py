@@ -37,6 +37,7 @@ from repro.service import (
     WeekIndexer,
     build_server,
 )
+from repro.service import indexer as indexer_module
 from repro.service.api import _READY_HANDLERS, WeekUnreadable, _Handler
 from repro.service.summary import WeekSummary
 from repro.telemetry import Telemetry
@@ -97,13 +98,33 @@ def tree_bytes(directory, skip: str | None = None) -> dict[str, bytes]:
 
 
 def index_bytes(indexer: WeekIndexer) -> dict[str, bytes]:
-    """Every summary file's bytes, plus the ledger — the identity probe."""
+    """Every summary file's bytes, plus the ledger's lines — the identity
+    probe.  The ledger is an appended log, in the order folds completed,
+    so its lines are compared sorted: a line twice, torn or missing
+    still differs."""
     files = {
         path.name: path.read_bytes()
         for path in indexer.directory.glob("week-*.json")
     }
-    files["ledger.json"] = (indexer.directory / "ledger.json").read_bytes()
+    lines = (indexer.directory / "ledger.log").read_bytes().splitlines(keepends=True)
+    files["ledger.log"] = b"".join(sorted(lines))
     return files
+
+
+def week_files(indexer: WeekIndexer) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in indexer.directory.glob("week-*.json")}
+
+
+def tear_the_ledger_line(monkeypatch, cut: int) -> None:
+    """Make the next ledger append write ``cut`` bytes of its line, no
+    ``\\n``, and crash: the state a crash mid-append leaves."""
+
+    def torn_append(path, line):
+        with open(path, "ab") as stream:
+            stream.write(line[:cut])
+        raise RuntimeError("simulated crash mid-append")
+
+    monkeypatch.setattr(indexer_module, "append_line", torn_append)
 
 
 class TestSpool:
@@ -252,6 +273,79 @@ class TestIndexerIdempotence:
             counters = telemetry.registry.snapshot()["counters"]
             assert counters["index.artifacts_folded"] == 1
             assert counters["index.weeks_merged"] == 2
+
+    @pytest.mark.parametrize("cut", [0, 7, 16])
+    def test_a_torn_ledger_line_costs_one_recheck_and_counts_once(
+        self, daemon, tmp_path, monkeypatch, cut
+    ):
+        """A crash mid-append of the ledger line (none of it, part of the
+        fingerprint, all of it but the ``\\n``) leaves a tail that lists
+        nothing.  The restart re-checks the artifact against the week
+        files, which hold it already, and appends its line: the week files
+        are the uninterrupted fold's, and the ledger lists the artifact."""
+        spool = SpoolStore(tmp_path / "spool")
+        entry = submit(spool, spooled_records(daemon.spool))
+        fingerprint = entry.fingerprint.encode("ascii")
+        reference = WeekIndexer(tmp_path / "reference")
+        assert reference.fold_pending(spool) == [entry.fingerprint]
+        indexer = WeekIndexer(tmp_path / "index")
+        tear_the_ledger_line(monkeypatch, cut)
+        with pytest.raises(RuntimeError, match="mid-append"):
+            indexer.fold_pending(spool)
+        monkeypatch.undo()
+        assert indexer.ledger_bytes() == fingerprint[:cut]
+        assert indexer.ledger() == set()
+        assert week_files(indexer) == week_files(reference)
+        restarted = WeekIndexer(tmp_path / "index")
+        assert restarted.fold_pending(spool) == [entry.fingerprint]
+        assert restarted.fold_pending(spool) == []
+        assert week_files(restarted) == week_files(reference)
+        # The new line starts after the fragment, which it terminates: a
+        # fragment names no artifact, and a whole fingerprint torn only
+        # of its newline names this one a second time.
+        lines = restarted.ledger_bytes().split(b"\n")
+        assert lines == [fingerprint[:cut]] * (cut > 0) + [fingerprint, b""]
+        assert entry.fingerprint in restarted.ledger()
+        for summary in map(restarted.load_week, restarted.weeks()):
+            assert summary.artifacts == [entry.fingerprint]
+
+    def test_an_old_layout_index_rechecks_once_and_folds_on(self, scanned, tmp_path):
+        """An index the retired ``ledger.json`` layout left — week files
+        and a JSON list of fingerprints, no ``ledger.log`` — re-checks
+        each spooled artifact against the week files' artifact lists
+        once, counts nothing twice, and then folds and serves what a
+        fresh index does."""
+        cw19, cw20 = scanned["cw19-2023"], scanned["cw20-2023"]
+        first = cw19[: len(cw19) // 2] + cw20[: len(cw20) // 2]
+        second = cw19[len(cw19) // 2 :] + cw20[len(cw20) // 2 :]
+        with serving(tmp_path / "old") as (old, old_base), serving(
+            tmp_path / "fresh"
+        ) as (fresh, fresh_base):
+
+            def assert_same_answers():
+                assert week_files(old.indexer) == week_files(fresh.indexer)
+                for path in [*bodies_from_disk(fresh.indexer), f"/v1/domain/{cw19[0].domain}"]:
+                    answer = http_get(fresh_base + path)
+                    assert answer[0] == 200, path
+                    assert http_get(old_base + path) == answer, path
+
+            for state in (old, fresh):
+                submit(state.spool, first)
+                assert len(state.indexer.fold_pending(state.spool)) == 1
+            listed = sorted(old.indexer.ledger())
+            (old.indexer.directory / "ledger.log").unlink()
+            (old.indexer.directory / "ledger.json").write_text(
+                json.dumps({"artifacts": listed}, sort_keys=True) + "\n"
+            )
+            assert old.indexer.ledger() == set()
+            assert_same_answers()
+            assert old.indexer.fold_pending(old.spool) == listed  # the re-check
+            assert_same_answers()
+            for state in (old, fresh):
+                submit(state.spool, second)
+                assert len(state.indexer.fold_pending(state.spool)) == 1
+            assert old.indexer.ledger() == fresh.indexer.ledger()
+            assert_same_answers()
 
     def test_a_damaged_chunk_is_counted_not_lost_silently(self, tmp_path):
         """A chunk that fails its CRC costs its records, and the fold says
@@ -995,7 +1089,7 @@ class TestApiCache:
             submit(state.spool, scanned["cw19-2023"])
             state.indexer.fold_pending(state.spool)
             path = state.indexer.week_path("cw19-2023")
-            tick = os.stat(state.indexer.directory / "ledger.json").st_mtime_ns
+            tick = os.stat(state.indexer.directory / "ledger.log").st_mtime_ns
             os.utime(path, ns=(tick, tick))  # written in the ledger's tick
             self.assert_fresh(state, base)
             good = path.read_bytes()
@@ -1015,6 +1109,37 @@ class TestApiCache:
             assert len(state.indexer.fold_pending(state.spool)) == 1
             _, body = http_get(f"{base}/v1/adoption?week=cw19-2023")
             assert json.loads(body)["connections_total"] == total ^ 1
+            self.assert_fresh(state, base)
+
+    def test_a_read_while_the_ledger_line_is_torn_serves_the_body_before_the_fold(
+        self, scanned, tmp_path, monkeypatch
+    ):
+        """A fold whose ledger line is not terminated — still being
+        written, or torn by a crash — has not committed: its week files
+        are on disk, but a server that answered before it keeps the
+        bodies it had, until the line lands."""
+        cw19 = scanned["cw19-2023"]
+        with serving(tmp_path) as (state, base):
+            submit(state.spool, cw19[: len(cw19) // 2])
+            assert len(state.indexer.fold_pending(state.spool)) == 1
+            self.assert_fresh(state, base)
+            before = {path: http_get(base + path) for path in bodies_from_disk(state.indexer)}
+            submit(state.spool, cw19[len(cw19) // 2 :])
+            tear_the_ledger_line(monkeypatch, 7)
+            with pytest.raises(RuntimeError, match="mid-append"):
+                state.indexer.fold_pending(state.spool)
+            monkeypatch.undo()
+            assert bodies_from_disk(state.indexer).keys() == before.keys()
+            assert bodies_from_disk(state.indexer) != {
+                path: body for path, (_, body) in before.items()
+            }
+            for path, answer in before.items():
+                assert http_get(base + path) == answer, path
+            # A server that starts on the torn ledger has nothing older:
+            # it reads the week files as they are.
+            started = ServiceState(state.spool, WeekIndexer(state.indexer.directory))
+            assert started.weeks() == ["cw19-2023"]
+            assert len(WeekIndexer(state.indexer.directory).fold_pending(state.spool)) == 1
             self.assert_fresh(state, base)
 
     def test_protocol_rejects_are_json_and_counted(self, tmp_path):

@@ -10,6 +10,7 @@ of shards in memory.
 from __future__ import annotations
 
 import pytest
+from conftest import scan_checkpoint
 
 from repro.internet.population import Population, PopulationConfig
 from repro.web.parallel import ParallelScanConfig
@@ -222,7 +223,7 @@ class TestStreamCli:
         # arm's worker count.  Loaded shards add no telemetry, so the
         # resumed traces equal each other, not the first run's.
         for arm in self.ARMS:
-            (tmp_path / arm / "ckpt" / "shard-00002.cbr").unlink()
+            (scan_checkpoint(tmp_path / arm / "ckpt") / "shard-00002.cbr").unlink()
         resumed = {
             "w1": self._run(tmp_path / "w4", "w1"),
             "w4": self._run(tmp_path / "w1", "w4"),

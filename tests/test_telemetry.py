@@ -1132,6 +1132,66 @@ class TestCompactJson:
         }, result.stderr
 
 
+class TestTwoWriteShapes:
+    """AST gate (same lint): under ``faults/``, ``service/`` and
+    ``artifacts/`` durable state is written by ``replace_file`` or
+    ``append_line`` only, so each write has one crash rule."""
+
+    #: The fold ledger rewritten whole by hand, through a scratch file.
+    LEDGER_REWRITE = (
+        "import json, os\n"
+        "def _write_ledger(self, ledger):\n"
+        "    tmp = self.directory / 'ledger.json.tmp'\n"
+        "    tmp.write_text(json.dumps({'artifacts': sorted(ledger)}))\n"
+        "    os.replace(tmp, self.directory / 'ledger.json')\n"
+    )
+    #: Other writes beside the two shapes, and innocent neighbours.
+    OTHER = (
+        "def write(self, path, mode, payload):\n"
+        "    with open(path, 'a+b') as stream: stream.write(payload)\n"
+        "    open(path, mode=\"w\", encoding='utf-8').close()\n"
+        "    path.open('r+b').close(); path.write_bytes(payload)\n"
+        "    open(path, 'xb').close(); open(path, mode).close()\n"
+        "    os.rename(path, path.with_suffix('.old'))  # jsonl-ok robustness-ok\n"
+        "    with open(path, 'rb') as stream, path.open() as again: pass\n"
+        "    replace_file(path, payload); append_line(path, payload)\n"
+        "    self._open(); open(path).close(); label.replace('a', 'b')\n"
+        "    stream.write(payload)\n"
+    )
+
+    def test_a_scratch_ledger_rewrite_and_other_writes_are_caught(self, tmp_path):
+        files = {
+            "service/indexer.py": self.LEDGER_REWRITE,
+            "faults/other.py": self.OTHER,
+            "artifacts/other.py": self.OTHER,
+            "web/other.py": self.LEDGER_REWRITE + self.OTHER,
+            "_util/files.py": self.LEDGER_REWRITE + self.OTHER,
+        }
+        for name, source in files.items():
+            path = tmp_path / "repro" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(source, encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, str(TestDeterminismLint.LINT), str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        flagged = {
+            line.split(": ", 1)[0].split("repro/", 1)[1]
+            for line in result.stderr.splitlines()
+            if "repro/" in line
+        }
+        # Reads, the two shapes, a method called _open, str.replace and a
+        # caller's stream are not a durable write; the rule holds under
+        # faults/, service/ and artifacts/ only.
+        assert flagged == {
+            "service/indexer.py:4", "service/indexer.py:5",
+            *(f"{layer}/other.py:{line}" for layer in ("faults", "artifacts")
+              for line in range(2, 7)),
+        }, result.stderr
+
+
 class TestOneTimer:
     """AST gate (same lint): ``quic/connection.py`` schedules no event per
     probe or delayed-ACK deadline — the deadlines are fields behind the
