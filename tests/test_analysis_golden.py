@@ -49,7 +49,10 @@ QUERY_DOMAIN = "top0000036.com"
 #: lost its ``indent``: the same sorted fingerprints on one line.  The
 #: two ``index/week-*`` files were re-recorded when the week files lost
 #: their ``indent`` too: the same canonical state, parsed equal, on one
-#: line.
+#: line.  The ledger pin became ``index/ledger.log`` when the ledger
+#: became an appended log (one ``<fingerprint>\n`` line per fold, the
+#: same one fingerprint); every file of the index is pinned, not only
+#: the ``*.json`` ones.
 GOLDEN = {
     "archive.cbr": "81cc561c60a38a7c34342143c866405464ed0ecd67486533abc3dabbc21719b3",
     "archive.jsonl": "33015a22baf289fb792bb87469687740c725cc74ece0f0e3cbac948391081347",
@@ -64,7 +67,7 @@ GOLDEN = {
     "where-provider-failure": "c3494177887ecb2f0f41edab9abea0249838a4f7031910654ecf9fc64c8601db",
     "where-edges": "d8e2e2c08be8935e84f72ad6ddf6d6334fbc7119adaeefe6624ee4db57062aec",
     "query-domain": "c06fc35d7ae6b72abd91fa0510f0d2c80c4a385d57870a79f5742924aaa81a89",
-    "index/ledger.json": "a6b01fbcaca68647c1a2dad466b0fef97db4effdf438dabcc3c2610fa257ccda",
+    "index/ledger.log": "5a7b7c33dad57d4ca514e944a631b8dc0a83bfbd1e944f6a5cd63cc58e7946d7",
     "index/week-cw20-2023.json": "d094d18c4b869bab789f88885ba3095a3ebbb2c19179595d9f3188bb5fa3d129",
     "index/week-cw21-2023.json": "8e7eef18d1afbca93975d911bfabd812bf5b840705d9478bf6ebf0ede0f3f388",
     "api-analyze-filters": "849d1d683b19e26855f56c70e02a4c46335ab993fbb31a9427cdd53f3f8cb8e1",
@@ -128,7 +131,7 @@ def observe(root) -> dict[str, str]:
     for name, options in commands.items():
         seen[name] = _stdout(["analyze", cbr, *options])
     seen["query-domain"] = _stdout(["query", "domain", QUERY_DOMAIN, cbr])
-    for path in sorted((service_dir / "index").glob("*.json")):
+    for path in sorted((service_dir / "index").iterdir()):
         seen[f"index/{path.name}"] = _sha256(path.read_bytes())
     seen["api-analyze-filters"] = _sha256(
         _api_body(service_dir, "/v1/analyze?week=cw21-2023&section=filters")
