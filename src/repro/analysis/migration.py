@@ -32,6 +32,7 @@ from repro.core.flow_resolver import FlowKeyResolver
 from repro.core.flow_table import SpinFlowTable
 from repro.core.observer import SpinObserver
 from repro.monitor.traffic import TrafficConfig, TrafficMux
+from repro.quic.connection import CID_LENGTH
 from repro.quic.onpath import DirectionState, walk_datagram
 
 __all__ = ["render_migration_section", "run_linkage_study"]
@@ -56,7 +57,7 @@ def run_linkage_study(traffic: TrafficConfig) -> dict:
         # Unbounded-ish table: the study measures linkage damage, not
         # capacity churn, so eviction must not add noise.
         tables[arm] = SpinFlowTable(
-            short_dcid_length=traffic.short_dcid_length,
+            short_dcid_length=CID_LENGTH,
             max_flows=max(1_000_000, 4 * traffic.flows),
             idle_timeout_ms=3_600_000.0,
             retain_retired=True,
@@ -70,7 +71,7 @@ def run_linkage_study(traffic: TrafficConfig) -> dict:
         for table in tables.values():
             table.on_server_datagram(tap.time_ms, tap.data, tap.tuple4)
         try:
-            _, short_at = walk_datagram(tap.data, traffic.short_dcid_length)
+            _, short_at = walk_datagram(tap.data, CID_LENGTH)
         except ValueError:
             continue
         if short_at < 0:
@@ -79,7 +80,7 @@ def run_linkage_study(traffic: TrafficConfig) -> dict:
             oracle[tap.flow_index] = (SpinObserver(), DirectionState())
         observer, direction = oracle[tap.flow_index]
         spin_bit, _, _, full_pn, _ = direction.read_short(
-            tap.data, short_at, traffic.short_dcid_length
+            tap.data, short_at, CID_LENGTH
         )
         observer.on_packet(tap.time_ms, full_pn, spin_bit)
 

@@ -180,7 +180,6 @@ class CheckpointStore:
             raise CheckpointError("checkpoint chunk must be >= 1")
         self.directory = Path(directory) / scan_digest({**fingerprint, "chunk": chunk})
         self.shards_loaded = 0
-        self.shards_saved = 0
         self.directory.mkdir(parents=True, exist_ok=True)
 
     def shard_path(self, shard_index: int) -> Path:
@@ -200,7 +199,6 @@ class CheckpointStore:
         """
         payload = shard if isinstance(shard, bytes) else encode_domain_results(shard)
         replace_file(self.shard_path(shard_index), payload)
-        self.shards_saved += 1
 
     def load_shard(
         self, shard_index: int, targets: Sequence["DomainRecord"]

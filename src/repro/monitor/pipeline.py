@@ -20,12 +20,13 @@ set and calls back here once per window, not per datagram
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable
+from typing import Callable, ClassVar, Iterable
 
 from repro.core.flow_resolver import FlowKeyResolver
 from repro.core.flow_table import FlowRecord, SpinFlowTable, check_table_shape
 from repro.monitor.aggregate import WindowAggregator, WindowConfig, WindowSnapshot
 from repro.monitor.traffic import TapDatagram
+from repro.quic.connection import CID_LENGTH
 from repro.telemetry import Telemetry
 
 __all__ = ["MonitorConfig", "MonitorPipeline", "MonitorSummary"]
@@ -35,7 +36,8 @@ __all__ = ["MonitorConfig", "MonitorPipeline", "MonitorSummary"]
 class MonitorConfig:
     """Sizing of the monitoring plane (flow table + windows)."""
 
-    short_dcid_length: int = 8
+    #: The endpoints' connection-ID length, which short headers carry.
+    short_dcid_length: ClassVar[int] = CID_LENGTH
     max_flows: int = 10_000
     idle_timeout_ms: float = 30_000.0
     overflow_policy: str = "evict-lru"

@@ -15,6 +15,11 @@ bit-identical across runs *and* any single flow can be re-simulated in
 isolation (:meth:`TrafficMux.replay_single`) yielding exactly its slice
 of the interleaved stream — the property the flow-table equivalence
 tests assert.
+
+The stack and path mix are constants, :data:`DEFAULT_STACK_MIX` and
+:data:`DEFAULT_PATH_CLASSES`, until the monitor draws its flows from the
+scan's population (ROADMAP.md, item 11).  Every client spins, and every
+server flushes like the scan's (``SERVER_FLUSH_DISPATCH_MS``).
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from repro.netsim.events import Simulator
 from repro.netsim.migration import DrawnMigration, MigrationPlan, draw_client_addr
 from repro.netsim.path import PathProfile
 from repro.netsim.tcp import draw_tcp_flow_spec, schedule_tcp_flow
-from repro.quic.connection import ConnectionConfig, PacketCounts
+from repro.quic.connection import SERVER_FLUSH_DISPATCH_MS, ConnectionConfig, PacketCounts
 from repro.telemetry import resolve_registry
 from repro.web.http3 import ResponsePlan, build_exchange
 from repro.web.server_profiles import stack_by_name
@@ -48,6 +53,10 @@ __all__ = [
 #: The monitored origin as the tap addresses it; client addresses are
 #: drawn per flow, so the 4-tuple's entropy lives entirely client-side.
 SERVER_ADDR = ("198.18.0.1", 443)
+
+#: Simulated-time span of one batch of the stream generator: the tap
+#: buffer holds at most this much traffic.
+_DRAIN_WINDOW_MS = 250.0
 
 
 class TapDatagram(NamedTuple):
@@ -110,6 +119,9 @@ DEFAULT_STACK_MIX: tuple[tuple[str, float], ...] = (
     ("grease-connection", 0.003),
 )
 
+_PATH_CLASSES, _PATH_WEIGHTS = zip(*DEFAULT_PATH_CLASSES)
+_STACK_NAMES, _STACK_WEIGHTS = zip(*DEFAULT_STACK_MIX)
+
 
 @dataclass(frozen=True)
 class TrafficConfig:
@@ -120,16 +132,6 @@ class TrafficConfig:
     #: Flow starts are staggered uniformly over this span, so the tap
     #: always sees ramp-up, steady interleaving, and drain-out phases.
     arrival_window_ms: float = 5_000.0
-    short_dcid_length: int = 8
-    client_spin_policy: SpinPolicy = SpinPolicy.SPIN
-    server_flush_dispatch_ms: tuple[float, float] = (0.8, 2.5)
-    stack_mix: tuple[tuple[str, float], ...] = DEFAULT_STACK_MIX
-    path_classes: tuple[tuple[PathClass, float], ...] = DEFAULT_PATH_CLASSES
-    #: Simulated-time granularity at which the stream generator yields
-    #: batches; smaller values bound the tap buffer tighter.
-    drain_window_ms: float = 250.0
-    #: Event-cascade runaway guard; ``None`` scales with ``flows``.
-    max_events: int | None = None
     #: Connection-migration chaos (repro.netsim.migration); ``None`` or
     #: an all-zero plan leaves every flow's event cascade — and so the
     #: tap stream's payload bytes — untouched.
@@ -143,8 +145,6 @@ class TrafficConfig:
             raise ValueError("flows must be positive")
         if self.arrival_window_ms < 0:
             raise ValueError("arrival_window_ms must be non-negative")
-        if self.drain_window_ms <= 0:
-            raise ValueError("drain_window_ms must be positive")
         if self.tcp_flows < 0:
             raise ValueError("tcp_flows must be non-negative")
 
@@ -154,7 +154,8 @@ class TrafficConfig:
 
     @property
     def event_budget(self) -> int:
-        return self.max_events or max(400_000, 6_000 * self.flows)
+        """Event-cascade runaway guard, scaled with ``flows``."""
+        return max(400_000, 6_000 * self.flows)
 
 
 @dataclass(frozen=True)
@@ -180,13 +181,9 @@ def _spec_for(config: TrafficConfig, prefix: SeedPrefix, index: int) -> FlowSpec
     """Draw flow ``index``'s parameters from its own derived stream."""
     rng = prefix.derive(index)
     start_ms = rng.random() * config.arrival_window_ms
-    classes = [entry[0] for entry in config.path_classes]
-    class_weights = [entry[1] for entry in config.path_classes]
-    path_class = weighted_choice(rng, classes, class_weights)
+    path_class = weighted_choice(rng, _PATH_CLASSES, _PATH_WEIGHTS)
     propagation = rng.uniform(path_class.min_delay_ms, path_class.max_delay_ms)
-    names = [entry[0] for entry in config.stack_mix]
-    stack_weights = [entry[1] for entry in config.stack_mix]
-    stack = stack_by_name(weighted_choice(rng, names, stack_weights))
+    stack = stack_by_name(weighted_choice(rng, _STACK_NAMES, _STACK_WEIGHTS))
     server_policy = resolve_connection_policy(stack.spin_config, rng)
     retry_required = (
         stack.retry_probability > 0.0 and rng.random() < stack.retry_probability
@@ -305,10 +302,9 @@ class TrafficMux:
         for tcp_index in range(self.config.tcp_flows):
             self._launch_tcp(simulator, tcp_index, buffer)
         budget = self.config.event_budget
-        window = self.config.drain_window_ms
         try:
             while simulator.pending_events:
-                deadline = simulator.next_event_time_ms + window
+                deadline = simulator.next_event_time_ms + _DRAIN_WINDOW_MS
                 simulator.run_until(deadline, max_events=budget)
                 if buffer:
                     yield from buffer
@@ -360,14 +356,14 @@ class TrafficMux:
             simulator,
             spec.host,
             [spec.plan],
-            self.config.client_spin_policy,
+            SpinPolicy.SPIN,
             spec.server_policy,
             profile,
             profile,
             derive_rng(spec.exchange_seed, "exchange"),
             client_config=client_config,
             server_config=ConnectionConfig(
-                flush_dispatch_ms=self.config.server_flush_dispatch_ms,
+                flush_dispatch_ms=SERVER_FLUSH_DISPATCH_MS,
                 version=stack.supported_versions[0],
                 supported_versions=stack.supported_versions,
                 retry_required=spec.retry_required,

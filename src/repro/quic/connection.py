@@ -57,7 +57,7 @@ from repro.quic.transport_params import (
 from repro.quic.varint import encode_varint, varint_length
 from repro.quic.version import SUPPORTED_VERSIONS, QuicVersion
 
-__all__ = ["ConnectionConfig", "PacketCounts", "PacketSpace", "QuicEndpoint"]
+__all__ = ["CID_LENGTH", "ConnectionConfig", "PacketCounts", "PacketSpace", "QuicEndpoint"]
 
 #: Synthetic handshake-flight sizes (bytes), shaped like typical TLS 1.3
 #: exchanges: ClientHello, ServerHello, the server's EncryptedExtensions+
@@ -68,6 +68,28 @@ SERVER_HANDSHAKE_FLIGHT_SIZE = 2644
 CLIENT_FINISHED_SIZE = 52
 
 _INITIAL_PACKET_MIN_SIZE = 1200
+
+# The endpoint constants: quic-go's behaviour, which is what the paper's
+# scanner ran, and one value each for every endpoint of the study.
+#: Length of every connection ID an endpoint issues or invents; on-path
+#: readers parse short headers with it.
+CID_LENGTH = 8
+#: Largest STREAM chunk of a 1-RTT packet (the server's handshake flight
+#: leaves 80 bytes of it for headers).
+MTU_BYTES = 1200
+#: The congestion window in 1-RTT packets: where it starts, and its cap.
+INITIAL_CONGESTION_WINDOW_PACKETS = 10
+MAX_CONGESTION_WINDOW_PACKETS = 256
+#: The probe timeout before the first RTT sample, and how many probes a
+#: packet gets before the connection fails.
+PTO_INITIAL_MS = 600.0
+PTO_MAX_RETRIES = 5
+#: Ack-eliciting 1-RTT packets received that are acknowledged at once
+#: rather than after ``max_ack_delay_ms``.
+ACK_ELICITING_THRESHOLD = 2
+#: The ``flush_dispatch_ms`` of every server the scan and the monitor
+#: simulate.
+SERVER_FLUSH_DISPATCH_MS = (0.8, 2.5)
 
 
 class PacketSpace(Enum):
@@ -97,7 +119,15 @@ _PING = PingFrame().encode()
 
 @dataclass(frozen=True)
 class ConnectionConfig:
-    """Tunables of one endpoint; defaults follow quic-go's behaviour."""
+    """Tunables of one endpoint; defaults follow quic-go's behaviour.
+
+    What no caller varies is a module constant instead: ``CID_LENGTH``,
+    ``MTU_BYTES``, ``INITIAL_CONGESTION_WINDOW_PACKETS``,
+    ``MAX_CONGESTION_WINDOW_PACKETS``, ``PTO_INITIAL_MS``,
+    ``PTO_MAX_RETRIES`` and ``ACK_ELICITING_THRESHOLD``.  Keys never
+    update (the key-phase bit stays clear), and a connection ID changes
+    only through :meth:`QuicEndpoint.migrate_to_alternate_cid`.
+    """
 
     version: QuicVersion = QuicVersion.VERSION_1
     #: Versions this endpoint can speak, in preference order.  The
@@ -107,15 +137,8 @@ class ConnectionConfig:
     #: Server-side address validation: demand a Retry round trip before
     #: accepting the handshake.
     retry_required: bool = False
-    cid_length: int = 8
     ack_delay_exponent: int = 3
     max_ack_delay_ms: float = 25.0
-    mtu_bytes: int = 1200
-    initial_congestion_window_packets: int = 10
-    max_congestion_window_packets: int = 256
-    pto_initial_ms: float = 600.0
-    pto_max_retries: int = 5
-    ack_eliciting_threshold: int = 2
     #: Enable the Valid Edge Counter extension (repro.core.vec) in the
     #: two reserved short-header bits.  Off by default: RFC-compliant
     #: endpoints send zeroed reserved bits.
@@ -126,15 +149,6 @@ class ConnectionConfig:
     #: passive spin samples from randomly undercutting the stack's
     #: minimum RTT (which would trip the grease filter).
     flush_dispatch_ms: tuple[float, float] = (0.0, 0.0)
-    #: Initiate a key update (RFC 9001 Section 6: the key-phase bit
-    #: flips) after every N 1-RTT packets sent; ``None`` disables.  The
-    #: spin observer must stay oblivious to key-phase flips.
-    key_update_interval_packets: int | None = None
-    #: Rotate to a peer-issued connection ID after sending N 1-RTT
-    #: packets (RFC 9000 Section 5.1.1); ``None`` disables.  Endpoints
-    #: are unaffected, but CID-keyed passive observers see the flow
-    #: split — a real limitation of on-path spin monitoring.
-    rotate_cid_after_packets: int | None = None
     #: Fault injection (repro.faults): a server holds the ClientHello
     #: for this long before answering — an overloaded or tarpitting
     #: origin.  0 disables (the default, and the fault-free fast path).
@@ -256,7 +270,7 @@ class QuicEndpoint:
         self.vec_state = VecSenderState() if config.enable_vec else None
         self.rtt_estimator = RttEstimator(max_ack_delay_ms=config.max_ack_delay_ms)
 
-        self.local_cid = ConnectionId.generate(rng, config.cid_length)
+        self.local_cid = ConnectionId.generate(rng, CID_LENGTH)
         self.remote_cid: ConnectionId | None = None
         #: The version currently in use; may change once via VN.
         self.version = int(config.version)
@@ -302,13 +316,11 @@ class QuicEndpoint:
         self._stream_recv: dict[int, dict[int, bytes]] = {}
         self._stream_recv_delivered: dict[int, int] = {}
         self._stream_recv_fin_at: dict[int, int] = {}
-        self._congestion_window = config.initial_congestion_window_packets
+        self._congestion_window = INITIAL_CONGESTION_WINDOW_PACKETS
         self._app_packets_in_flight = 0
-        self._key_phase = False
         self._app_packets_sent = 0
         #: Alternate CIDs the peer issued via NEW_CONNECTION_ID.
         self._peer_issued_cids: list[ConnectionId] = []
-        self._cid_rotated = False
 
         # One timer (RFC 9002 6.2, Appendix A.8): probe deadlines live on
         # the sent packets, the current ACK generation's delayed-ACK
@@ -336,7 +348,7 @@ class QuicEndpoint:
             raise RuntimeError("only a client can initiate a connection")
         if self.remote_cid is None:
             # The client invents the server's initial DCID (RFC 9000 7.2).
-            self.remote_cid = ConnectionId.generate(self.rng, self.config.cid_length)
+            self.remote_cid = ConnectionId.generate(self.rng, CID_LENGTH)
         self._send_client_hello()
 
     def _send_client_hello(self) -> None:
@@ -355,7 +367,7 @@ class QuicEndpoint:
         if not self.handshake_complete:
             raise RuntimeError("cannot send 1-RTT data before handshake keys")
         total = len(data)
-        chunk_size = self.config.mtu_bytes
+        chunk_size = MTU_BYTES
         queue = self._stream_send_queue
         for offset in range(0, total, chunk_size):
             end = offset + chunk_size
@@ -397,7 +409,7 @@ class QuicEndpoint:
         if not data[0] & 0x80:
             self._receive(data, 0, peer_exponent)
             return
-        walk_datagram(data, self.config.cid_length)
+        walk_datagram(data, CID_LENGTH)
         at = 0
         size = len(data)
         while at < size:
@@ -427,7 +439,7 @@ class QuicEndpoint:
             if not first & 0x40:
                 raise HeaderParseError("fixed bit is zero (not a QUIC v1/draft packet)")
             packet_type = _ONE_RTT
-            pn_at = at + 1 + self.config.cid_length
+            pn_at = at + 1 + CID_LENGTH
             pn_length = (first & 0x03) + 1
             payload_at = pn_at + pn_length
             end = len(data)
@@ -525,7 +537,7 @@ class QuicEndpoint:
             # The handshake spaces acknowledge promptly (RFC 9002 6.2.1):
             # the choreography piggybacks their ACKs on its next flight.
             if not first & 0x80:
-                if state.pending_ack_eliciting >= self.config.ack_eliciting_threshold:
+                if state.pending_ack_eliciting >= ACK_ELICITING_THRESHOLD:
                     self._send(_ONE_RTT, ack=True)
                 else:
                     self._delay_ack(state, now + self.config.max_ack_delay_ms)
@@ -684,9 +696,7 @@ class QuicEndpoint:
             state.largest_acked_by_peer = largest
         if is_application and newly_acked:
             grown = self._congestion_window + len(newly_acked)
-            self._congestion_window = min(
-                grown, self.config.max_congestion_window_packets
-            )
+            self._congestion_window = min(grown, MAX_CONGESTION_WINDOW_PACKETS)
             low_ms, high_ms = self.config.flush_dispatch_ms
             if high_ms > 0.0 and self._stream_send_queue:
                 self.simulator.schedule(
@@ -757,7 +767,7 @@ class QuicEndpoint:
                 self.local_params.encode(), SERVER_HANDSHAKE_FLIGHT_SIZE, 0x0B
             )
         )
-        chunk_size = self.config.mtu_bytes - 80  # leave header room
+        chunk_size = MTU_BYTES - 80  # leave header room
 
         # The Initial (ACK + ServerHello) shares its datagram with the
         # first Handshake packet; the rest of the flight goes alone.
@@ -797,7 +807,7 @@ class QuicEndpoint:
         """Server: client Finished processed — confirm via HANDSHAKE_DONE."""
         self.handshake_confirmed = True
         self._send(_HANDSHAKE, ack=True, hold=True)
-        alternate = ConnectionId.generate(self.rng, self.config.cid_length)
+        alternate = ConnectionId.generate(self.rng, CID_LENGTH)
         done = HandshakeDoneFrame().encode()
         new_cid = NewConnectionIdFrame(
             sequence_number=1, retire_prior_to=0, connection_id=bytes(alternate)
@@ -818,7 +828,7 @@ class QuicEndpoint:
         """
         frames = bytearray()
         for sequence in range(1, self.config.issue_alternate_cids + 1):
-            alternate = ConnectionId.generate(self.rng, self.config.cid_length)
+            alternate = ConnectionId.generate(self.rng, CID_LENGTH)
             frames += NewConnectionIdFrame(
                 sequence_number=sequence,
                 retire_prior_to=0,
@@ -838,7 +848,6 @@ class QuicEndpoint:
             return None
         previous = self.remote_cid
         self.remote_cid = self._peer_issued_cids.pop(0)
-        self._cid_rotated = True
         if self.recorder is not None:
             self.recorder.metadata.setdefault("cid_updates", []).append(
                 {
@@ -963,31 +972,13 @@ class QuicEndpoint:
             if pn_length > 4:
                 raise ValueError("packet number range too large to encode")
             if short:
-                rotate_after = config.rotate_cid_after_packets
-                if (
-                    rotate_after is not None
-                    and not self._cid_rotated
-                    and self._app_packets_sent >= rotate_after
-                    and self._peer_issued_cids
-                ):
-                    self.remote_cid = self._peer_issued_cids.pop(0)
-                    self._cid_rotated = True
                 spin_bit = self.spin.outgoing_value()
-                interval = config.key_update_interval_packets
-                if (
-                    interval
-                    and self._app_packets_sent
-                    and self._app_packets_sent % interval == 0
-                ):
-                    self._key_phase = not self._key_phase
                 self._app_packets_sent += 1
                 if self.vec_state is not None:
                     vec = self.vec_state.vec_for_outgoing(spin_bit)
                 first = 0x40 | (vec << 3) | (pn_length - 1)
                 if spin_bit:
                     first |= 0x20
-                if self._key_phase:
-                    first |= 0x04
                 buf = bytearray((first,))
                 buf += self.remote_cid.value
             else:
@@ -1087,7 +1078,7 @@ class QuicEndpoint:
                 rtt.smoothed_rtt_ms + 4.0 * rtt.rttvar_ms + self.config.max_ack_delay_ms
             )
         else:
-            interval = self.config.pto_initial_ms
+            interval = PTO_INITIAL_MS
         info = state.sent[pn]
         time_ms = self.simulator.clock.now_ms + interval * (2**retries)
         info.probe_at = key = (time_ms, self.simulator.deadline(time_ms))
@@ -1144,7 +1135,7 @@ class QuicEndpoint:
         info = state.sent.get(pn)
         if info is None or info.retransmitted:
             return  # acknowledged, or already probed
-        if retries >= self.config.pto_max_retries:
+        if retries >= PTO_MAX_RETRIES:
             self.failed = f"pto exhausted in {space.value} space (pn {pn})"
             self.closed = True
             return

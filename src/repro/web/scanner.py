@@ -36,7 +36,7 @@ from repro.internet.asdb import IpAddr
 from repro.internet.population import DomainRecord, Population
 from repro.netsim.delays import LogNormalDelay, UniformDelay
 from repro.netsim.path import PathProfile
-from repro.quic.connection import ConnectionConfig
+from repro.quic.connection import SERVER_FLUSH_DISPATCH_MS, ConnectionConfig
 from repro.qlog.writer import recorder_to_qlog
 from repro.telemetry import Telemetry, trace_id_for
 from repro.web.http3 import run_exchange
@@ -90,7 +90,7 @@ class ScanConfig:
     #: swap packets within a flight and stay invisible.
     reorder_extra_delay_ms: float = 5.0
     jitter_ms: float = 0.8
-    server_flush_dispatch_ms: tuple[float, float] = (0.8, 2.5)
+    server_flush_dispatch_ms: tuple[float, float] = SERVER_FLUSH_DISPATCH_MS
     qlog_sample_rate: float = 0.0
     client_spin_policy: SpinPolicy = SpinPolicy.SPIN
     #: Send the final two-PING detection probe before teardown (see

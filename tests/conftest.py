@@ -80,15 +80,18 @@ def tap_exchange(
     uplink_tap=None,
     downlink_tap=None,
     server_policy=SpinPolicy.SPIN,
+    actions=(),
     **configs,
 ):
     """Run one HTTP/3 fetch with on-path taps at each direction's
     receiving end (``Path.install_tap``, position 1.0).
 
     A tap is a ``tap(time_ms, data)`` callback that sees every delivered
-    datagram of its direction; ``configs`` are ``client_config`` /
-    ``server_config``.  Returns the finished :class:`ExchangeHandle`,
-    whose ``recorder`` holds the client's qlog trace.
+    datagram of its direction; ``actions`` are ``(time_ms, action)``
+    pairs, ``action(handle)`` run at that simulated time; ``configs``
+    are ``client_config`` / ``server_config``.  Returns the finished
+    :class:`ExchangeHandle`, whose ``recorder`` holds the client's qlog
+    trace.
     """
     simulator = Simulator()
     handle = build_exchange(
@@ -109,6 +112,8 @@ def tap_exchange(
         handle.uplink.install_tap(uplink_tap, position=1.0)
     if downlink_tap is not None:
         handle.downlink.install_tap(downlink_tap, position=1.0)
+    for time_ms, action in actions:
+        simulator.schedule_at(time_ms, lambda action=action: action(handle))
     simulator.run(max_events=200_000)
     return handle
 

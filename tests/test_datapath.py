@@ -281,7 +281,6 @@ class TestSendBody:
         pn=st.sampled_from([0, 1, 127, 128, 255, 256, 70_000, 1 << 24, (1 << 31) + 5]),
         acked_gap=st.none() | st.sampled_from([1, 2, 100, 127, 128, 40_000, 1 << 23, 1 << 30]),
         spin=st.booleans(),
-        key_phase=st.booleans(),
         vec=st.integers(0, 3),
         dcid=st.binary(max_size=20),
         runs=st.none() | received_runs(),
@@ -290,7 +289,7 @@ class TestSendBody:
         stream=st.none() | st.tuples(varints, varints, st.binary(max_size=50), st.booleans()),
     )
     def test_wire_bytes_equal_the_dataclass_encoding(
-        self, pn, acked_gap, spin, key_phase, vec, dcid, runs, delay_ms, exponent, stream
+        self, pn, acked_gap, spin, vec, dcid, runs, delay_ms, exponent, stream
     ):
         largest_acked = None if acked_gap is None or acked_gap > pn else pn - acked_gap
         simulator, endpoint, wire = bare_endpoint(
@@ -298,7 +297,6 @@ class TestSendBody:
             SpinPolicy.ALWAYS_ONE if spin else SpinPolicy.ALWAYS_ZERO,
             dcid,
         )
-        endpoint._key_phase = key_phase
         endpoint.vec_state = _FixedVec(vec)
         state = endpoint.spaces[PacketSpace.APPLICATION]
         state.next_pn = pn
@@ -330,7 +328,6 @@ class TestSendBody:
             destination_cid=ConnectionId(dcid),
             packet_number=pn,
             spin_bit=spin,
-            key_phase=key_phase,
             vec=vec,
             largest_acked=largest_acked,
         )
@@ -465,10 +462,9 @@ class TestSendBody:
         }
         assert retransmissions > 20  # more lone packets than the loss-free flights have
 
-    def test_stream_queue_writes_stream_frames_as_the_dataclass_does(self):
-        simulator, endpoint, wire = bare_endpoint(
-            ConnectionConfig(initial_congestion_window_packets=32)
-        )
+    def test_stream_queue_writes_stream_frames_as_the_dataclass_does(self, monkeypatch):
+        monkeypatch.setattr(connection_module, "INITIAL_CONGESTION_WINDOW_PACKETS", 32)
+        simulator, endpoint, wire = bare_endpoint()
         body = bytes(range(256)) * 40
         endpoint.send_stream(4, body[:3000], fin=False)
         endpoint.send_stream(68, body, fin=True)  # two-byte stream id
@@ -636,8 +632,8 @@ class _FullWalkModel:
     """
 
     def __init__(self, config):
-        self.max_window = config.max_congestion_window_packets
-        self.window = config.initial_congestion_window_packets
+        self.max_window = connection_module.MAX_CONGESTION_WINDOW_PACKETS
+        self.window = connection_module.INITIAL_CONGESTION_WINDOW_PACKETS
         self.in_flight = 0
         self.sent = {}
         self.rtt = RttEstimator(max_ack_delay_ms=config.max_ack_delay_ms)
@@ -720,7 +716,14 @@ class TestAckBookkeeping:
         and probe timeouts: after every step the endpoint agrees with the
         full walk on RTT samples, congestion window, packets in flight,
         largest acknowledged and the set still awaiting an ACK."""
-        config = ConnectionConfig(initial_congestion_window_packets=4, max_congestion_window_packets=12)
+        # A window of 4 capped at 12, so the search reaches the cap.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(connection_module, "INITIAL_CONGESTION_WINDOW_PACKETS", 4)
+            patch.setattr(connection_module, "MAX_CONGESTION_WINDOW_PACKETS", 12)
+            self._check_against_full_walk(plan, random)
+
+    def _check_against_full_walk(self, plan, random):
+        config = ConnectionConfig()
         simulator, endpoint, wire = bare_endpoint(config)
         state = endpoint.spaces[PacketSpace.APPLICATION]
         model = _FullWalkModel(config)
@@ -951,7 +954,7 @@ class TestBoundedState:
         sample()
         simulator.run()
         assert handle.client_app.done and handle.client.failed is None
-        limit = ConnectionConfig().max_congestion_window_packets
+        limit = connection_module.MAX_CONGESTION_WINDOW_PACKETS
         assert handle.server.spaces[PacketSpace.APPLICATION].next_pn > 1_600
         # Control packets (HANDSHAKE_DONE, PING) await their ACKs too but
         # are not charged against the window: a small constant on top.
@@ -969,7 +972,7 @@ class TestBoundedState:
             profile, profile, derive_rng(5, "bounded"),
         )
         assert result.success
-        limit = ConnectionConfig().max_congestion_window_packets
+        limit = connection_module.MAX_CONGESTION_WINDOW_PACKETS
         for endpoint in (result.client, result.server):
             for state in endpoint.spaces.values():
                 assert len(state.sent) <= limit

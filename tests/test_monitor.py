@@ -88,8 +88,6 @@ class TestTrafficMux:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrafficConfig(flows=0)
-        with pytest.raises(ValueError):
-            TrafficConfig(drain_window_ms=0.0)
 
 
 class TestLogHistogram:

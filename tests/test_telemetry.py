@@ -222,18 +222,16 @@ class TestMonitorTelemetry:
         assert monitor.attrs["samples"] == summary.samples.get("count", 0)
         assert telemetry.tracer._stack == []
 
-    def test_custom_window_binning_folds_in(self):
-        from repro.monitor.aggregate import WindowConfig
-
+    def test_window_histogram_folds_in(self):
+        """The pipeline's lifetime RTT histogram is the registry's
+        binning, so it folds in whole."""
         telemetry = Telemetry()
-        config = MonitorConfig(
-            window=WindowConfig(hist_min_ms=1.0, hist_bins_per_decade=8)
-        )
-        pipeline = MonitorPipeline(config, telemetry=telemetry)
+        pipeline = MonitorPipeline(telemetry=telemetry)
         mux = TrafficMux(TrafficConfig(flows=10, seed=5), metrics=telemetry.registry)
         summary = pipeline.process_stream(mux.stream())
         hist = telemetry.registry.snapshot()["histograms"]["monitor.rtt_ms"]
-        assert hist["count"] == summary.samples.get("count", 0)
+        assert hist["count"] == summary.samples.get("count", 0) > 0
+        assert hist == pipeline.aggregator.lifetime.summary()
 
 
 class TestDeterminismLint:

@@ -26,7 +26,7 @@ from repro.monitor.traffic import TrafficConfig, TrafficMux
 from repro.netsim.delays import ConstantDelay, UniformDelay
 from repro.netsim.migration import parse_migration_plan
 from repro.netsim.path import PathProfile
-from repro.quic.connection import ConnectionConfig, QuicEndpoint
+from repro.quic.connection import PTO_INITIAL_MS, ConnectionConfig, QuicEndpoint
 from repro.quic.version import QuicVersion
 from repro.telemetry.metrics import MetricsRegistry
 from repro.web.http3 import ResponsePlan, run_exchange
@@ -43,7 +43,7 @@ class PerPacketTimers(QuicEndpoint):
                 rtt.smoothed_rtt_ms + 4.0 * rtt.rttvar_ms + self.config.max_ack_delay_ms
             )
         else:
-            interval = self.config.pto_initial_ms
+            interval = PTO_INITIAL_MS
         self.simulator.schedule(
             interval * (2**retries), partial(self._pto_fired, state.space, pn, retries)
         )
