@@ -212,13 +212,15 @@ class _FlowWire:
     The tap lambda captures this holder, not a tuple value, so a
     scheduled NAT rebind swaps ``tuple4`` mid-flow and every later
     datagram is stamped with the new path — exactly what a mid-path tap
-    would observe.
+    would observe.  ``handle`` is the flow's exchange once its launch
+    has run: the migration event, scheduled before, reaches it here.
     """
 
-    __slots__ = ("tuple4",)
+    __slots__ = ("tuple4", "handle")
 
     def __init__(self, tuple4: tuple):
         self.tuple4 = tuple4
+        self.handle = None
 
 
 #: Retry cadence/cap for a CID switch racing the NEW_CONNECTION_ID
@@ -230,14 +232,18 @@ _MIGRATE_RETRY_MAX = 40
 class TrafficMux:
     """N concurrent flows, one time-ordered interleaved tap stream.
 
-    All flows share one simulator; each is wired up via
-    :func:`repro.web.http3.build_exchange` with its ``connect()``
-    scheduled at the flow's staggered start.  A tap on each flow's
+    All flows share one simulator.  Each flow's launch is one event at
+    its staggered start that wires it up via
+    :func:`repro.web.http3.build_exchange` and connects at once, so
+    endpoints, paths and their random streams are reachable only from
+    the flow's start until its events drain (then they are cycles the
+    garbage collector frees); before that a flow is its
+    :class:`FlowSpec` and one queued event.  A tap on each flow's
     downlink (mid-path, position 0.5) appends the observed datagrams to
     a shared buffer, which :meth:`stream` drains in simulated-time
     windows — so the generator yields a strictly time-ordered stream
-    while only ever buffering one window's worth of datagrams and the
-    state of currently-active connections.
+    while buffering one window's worth of datagrams and the flows that
+    are live.
 
     Migration chaos and TCP flows ride the same determinism scheme from
     their own derived streams — ``(seed, "monitor", "tuple", index)``
@@ -298,7 +304,7 @@ class TrafficMux:
         # are garbage, what they counted is not.
         counts = PacketCounts(EndpointRole.CLIENT), PacketCounts(EndpointRole.SERVER)
         for spec in self.specs:
-            self._launch(simulator, spec, buffer, counts)
+            self._schedule_flow(simulator, spec, buffer, counts)
         for tcp_index in range(self.config.tcp_flows):
             self._launch_tcp(simulator, tcp_index, buffer)
         budget = self.config.event_budget
@@ -325,18 +331,37 @@ class TrafficMux:
         simulator = Simulator()
         buffer: list[TapDatagram] = []
         self.migration_log = []
-        self._launch(simulator, self.specs[index], buffer)
+        self._schedule_flow(simulator, self.specs[index], buffer)
         simulator.run(max_events=self.config.event_budget)
         return buffer
 
     # ------------------------------------------------------------------
+
+    def _schedule_flow(
+        self,
+        simulator: Simulator,
+        spec: FlowSpec,
+        buffer: list[TapDatagram],
+        counts: tuple = (None, None),
+    ) -> None:
+        # Launch and migration take their FIFO ranks here, in flow order,
+        # so events at equal times run in the same order however late
+        # the flow is built.
+        wire = _FlowWire(self.client_tuple(spec.index))
+        simulator.schedule_at(
+            spec.start_ms, lambda: self._launch(simulator, spec, buffer, counts, wire)
+        )
+        migration = self.migrations.get(spec.index)
+        if migration is not None:
+            self._schedule_migration(simulator, spec.index, migration, wire)
 
     def _launch(
         self,
         simulator: Simulator,
         spec: FlowSpec,
         buffer: list[TapDatagram],
-        counts: tuple = (None, None),
+        counts: tuple,
+        wire: _FlowWire,
     ) -> None:
         profile = PathProfile(
             propagation_delay_ms=spec.propagation_delay_ms,
@@ -370,21 +395,18 @@ class TrafficMux:
                 ack_delay_exponent=stack.ack_delay_exponent,
                 max_ack_delay_ms=stack.max_ack_delay_ms,
             ),
-            start_ms=spec.start_ms,
             counts=counts,
         )
-        wire = _FlowWire(self.client_tuple(spec.index))
         handle.downlink.install_tap(
             lambda time_ms, data, index=spec.index, wire=wire: buffer.append(
                 TapDatagram(time_ms, index, data, wire.tuple4)
             ),
             position=0.5,
         )
-        if migration is not None:
-            self._schedule_migration(simulator, spec.index, migration, handle, wire)
+        wire.handle = handle
 
     def _schedule_migration(
-        self, simulator, index: int, migration: DrawnMigration, handle, wire: _FlowWire
+        self, simulator, index: int, migration: DrawnMigration, wire: _FlowWire
     ) -> None:
         kind = migration.kind
         new_tuple = (
@@ -401,7 +423,7 @@ class TrafficMux:
         if not kind.changes_cid:
             # NAT rebind: pure wire-level path change, endpoints unaware.
             def rebind() -> None:
-                if handle.server.closed:
+                if wire.handle.server.closed:
                     return
                 wire.tuple4 = new_tuple
                 log(simulator.now_ms)
@@ -416,9 +438,10 @@ class TrafficMux:
         # the same instant the CID does — the unlinkability RFC 9000 9.5
         # demands — never before.
         def attempt(retries: int = 0) -> None:
-            if handle.server.closed:
+            server = wire.handle.server
+            if server.closed:
                 return
-            switched = handle.server.migrate_to_alternate_cid()
+            switched = server.migrate_to_alternate_cid()
             if switched is not None:
                 if new_tuple is not None:
                     wire.tuple4 = new_tuple

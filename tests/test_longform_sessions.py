@@ -53,7 +53,7 @@ class TestRunSession:
         assert succeeded(handle)
         assert handle.client_app.completed_requests == 5
         # Body bytes plus one textual response head per request.
-        body_bytes = sum(map(len, handle.client_app.responses.values()))
+        body_bytes = sum(handle.client_app.response_bytes.values())
         assert 45_000 <= body_bytes < 46_000
 
     def test_single_request_session_equals_exchange_shape(self):
