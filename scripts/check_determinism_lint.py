@@ -151,6 +151,12 @@ Which further rules apply to which layer (directory under
   on every fold (week files, the ledger, the spool manifest, the cbr
   footer), so it is flagged — sorted keys keep the output canonical
   without it.  No pragma opts out.
+* No collector, everywhere under ``src/repro/``: a finished connection
+  is freed by reference count — an endpoint drops its transport and
+  callbacks when it closes, and an owner that stops a simulator early
+  clears its queue — so an import of ``gc`` (a collection called to
+  bound memory, or the collector switched off) is flagged.  No pragma
+  opts out.
 * One timer per endpoint, ``quic/connection.py`` only: probe and
   delayed-ACK deadlines are fields behind one wake-up, so a ``schedule``
   / ``schedule_at`` call whose arguments name the probe or delayed-ACK
@@ -747,8 +753,8 @@ def one_tap_receiver(text: str) -> list[int]:
     return sorted(numbers)
 
 
-def thread_imports(text: str) -> list[int]:
-    """An import of ``threading`` or ``queue``: work handed to a thread."""
+def _imports_of(text: str, modules: tuple[str, ...]) -> list[int]:
+    """Lines of an absolute import of one of ``modules`` or of a submodule."""
     numbers = []
     for node in ast.walk(ast.parse(text)):
         if isinstance(node, ast.Import):
@@ -757,9 +763,19 @@ def thread_imports(text: str) -> list[int]:
             names = [node.module or ""]
         else:
             continue
-        if any(name.split(".")[0] in ("threading", "queue") for name in names):
+        if any(name.split(".")[0] in modules for name in names):
             numbers.append(node.lineno)
     return numbers
+
+
+def thread_imports(text: str) -> list[int]:
+    """An import of ``threading`` or ``queue``: work handed to a thread."""
+    return _imports_of(text, ("threading", "queue"))
+
+
+def no_collector(text: str) -> list[int]:
+    """An import of ``gc``: memory bounded by a collection, not by ownership."""
+    return _imports_of(text, ("gc",))
 
 
 def compact_json(text: str) -> list[int]:
@@ -942,7 +958,7 @@ def one_config_error_path(text: str) -> list[int]:
 _EVERYWHERE = (
     forbidden_lines, hand_built_trace_rows, listener_guards, endpoint_decoder_uses,
     container_framing, population_by_range, one_artifact_format, one_flag_definition,
-    one_tap_receiver, one_snapshot_source,
+    one_tap_receiver, one_snapshot_source, no_collector,
 )
 
 #: layer → its rules.  The JSON-in-loop layers are the hot paths (the
@@ -974,6 +990,7 @@ LAYER_RULES = {
     "telemetry": (
         forbidden_lines, json_in_loops, endpoint_decoder_uses, container_framing,
         one_artifact_format, one_flag_definition, one_tap_receiver, one_snapshot_source,
+        no_collector,
     ),
     "web": _EVERYWHERE + (json_in_loops, thread_imports),
 }
@@ -1095,7 +1112,9 @@ def main(argv: list[str] | None = None) -> int:
             "snapshot loader — and only Telemetry.save writes it; under "
             "faults/, service/ and artifacts/ durable state is written by "
             "replace_file or append_line (repro._util.files) only — no "
-            "writing open, write_bytes / write_text, os.replace / os.rename)",
+            "writing open, write_bytes / write_text, os.replace / os.rename); "
+            "nothing under src/ imports gc — what a finished connection held is "
+            "freed by reference count)",
             file=sys.stderr,
         )
         return 1

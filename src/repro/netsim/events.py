@@ -118,6 +118,17 @@ class Simulator:
         self._sequence = sequence + 1
         return sequence
 
+    def clear(self) -> None:
+        """Drop every pending event and deadline.
+
+        Queued callbacks hold their owners and the owners hold the
+        simulator: an owner that stops a run for good (a timeout, a
+        consumer that reads no further) clears the queue, so that
+        neither waits for the garbage collector.
+        """
+        self._queue.clear()
+        self._deadlines.clear()
+
     def run(self, max_events: int = 1_000_000) -> int:
         """Execute events until the queue drains.
 

@@ -247,6 +247,13 @@ class QuicEndpoint:
       data (client: after processing the server's handshake flight).
     * ``on_stream_data(stream_id, data, fin)`` — ordered stream bytes.
     * ``on_connection_close()`` — peer closed.
+
+    Whatever closes the endpoint also drops the transport and the
+    callbacks (:meth:`release`), after any callback it fires: they are
+    how an endpoint holds its peer and its application, and a closed
+    endpoint ignores datagrams and timers anyway.  So a finished
+    connection is freed by reference count, not left for the garbage
+    collector.
     """
 
     def __init__(
@@ -338,6 +345,14 @@ class QuicEndpoint:
         """Connect the endpoint's output to a path's ``send``."""
         self.transport = send
 
+    def release(self) -> None:
+        """Drop the transport and the application callbacks."""
+        self.transport = None
+        self.on_handshake_keys = None
+        self.on_stream_data = None
+        self.on_connection_close = None
+        self.on_ping_acked = None
+
     # ------------------------------------------------------------------
     # Client-side handshake initiation
     # ------------------------------------------------------------------
@@ -387,6 +402,7 @@ class QuicEndpoint:
         frame = ConnectionCloseFrame(error_code=error_code, is_application=is_application)
         self._send(_ONE_RTT if self.handshake_complete else _INITIAL, frame.encode())
         self.closed = True
+        self.release()
 
     # ------------------------------------------------------------------
     # Receive path
@@ -531,6 +547,7 @@ class QuicEndpoint:
                 self.peer_close_error_code = item[1]
                 if self.on_connection_close is not None:
                     self.on_connection_close()
+                self.release()
 
         if ack_eliciting and not self.closed:
             state.pending_ack_eliciting += 1
@@ -576,6 +593,7 @@ class QuicEndpoint:
         if chosen is None:
             self.failed = "version negotiation failed: no common version"
             self.closed = True
+            self.release()
             return
         self._version_negotiated = True
         self.version = chosen
@@ -1138,6 +1156,7 @@ class QuicEndpoint:
         if retries >= PTO_MAX_RETRIES:
             self.failed = f"pto exhausted in {space.value} space (pn {pn})"
             self.closed = True
+            self.release()
             return
         info.retransmitted = True
         if space is PacketSpace.APPLICATION:

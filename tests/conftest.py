@@ -210,6 +210,21 @@ def indented_week_json(summary) -> str:
     return json.dumps(data, sort_keys=True, indent=1) + "\n"
 
 
+def collect_rtt_samples(estimator):
+    """The list of every :class:`~repro.quic.rtt.RttSample` ``estimator``
+    returns from now on, in order: the estimator itself keeps none."""
+    samples = []
+    on_ack_received = estimator.on_ack_received
+
+    def spy(*args, **kwargs):
+        sample = on_ack_received(*args, **kwargs)
+        samples.append(sample)
+        return sample
+
+    estimator.on_ack_received = spy
+    return samples
+
+
 def count_calls(run, only=None):
     """``(calls, run())``: the Python-level calls (``sys.setprofile``
     ``call`` + ``c_call``) ``run`` makes — a pure function of the code

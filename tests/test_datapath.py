@@ -59,6 +59,8 @@ from repro.quic.rtt import RttEstimator
 from repro.quic.version import QuicVersion
 from repro.web.http3 import ResponsePlan, build_exchange, run_exchange
 
+from conftest import collect_rtt_samples
+
 # The payload corpus (frames, then bit flips, truncation, garbage tails)
 # and the hand-built rejections are the on-path walk's: one definition of
 # "what decode_frames must be matched on" for both readers.
@@ -727,6 +729,8 @@ class TestAckBookkeeping:
         simulator, endpoint, wire = bare_endpoint(config)
         state = endpoint.spaces[PacketSpace.APPLICATION]
         model = _FullWalkModel(config)
+        endpoint_samples = collect_rtt_samples(endpoint.rtt_estimator)
+        model_samples = collect_rtt_samples(model.rtt)
         pings_acked = []
         peer_pn = 0
 
@@ -777,7 +781,7 @@ class TestAckBookkeeping:
             elif kind == "wait":
                 simulator.clock.advance_to(simulator.now_ms + argument)
             assert len(pings_acked) == model.pings_acked
-            assert endpoint.rtt_estimator.samples == model.rtt.samples
+            assert endpoint_samples == model_samples
             assert endpoint._congestion_window == model.window
             assert endpoint._app_packets_in_flight == model.in_flight
             assert state.largest_acked_by_peer == model.largest_acked

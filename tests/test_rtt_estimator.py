@@ -4,18 +4,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.quic.rtt import RttEstimator
+from repro.quic.rtt import RttEstimator, RttSample
 
 
 class TestFirstSample:
     def test_initializes_smoothed_and_var(self):
         est = RttEstimator()
-        est.on_ack_received(now_ms=100.0, send_time_ms=60.0, ack_delay_ms=0.0)
+        sample = est.on_ack_received(now_ms=100.0, send_time_ms=60.0, ack_delay_ms=0.0)
         assert est.latest_rtt_ms == 40.0
         assert est.smoothed_rtt_ms == 40.0
         assert est.rttvar_ms == 20.0
         assert est.min_rtt_ms == 40.0
-        assert len(est.samples) == 1
+        assert sample == RttSample(100.0, 40.0, 40.0, 0.0)
 
 
 class TestAckDelayHandling:
@@ -78,9 +78,11 @@ class TestSmoothing:
 class TestAccessors:
     def test_mean_and_series(self):
         est = RttEstimator()
-        est.on_ack_received(110.0, 100.0, 0.0)
-        est.on_ack_received(230.0, 200.0, 0.0)
-        assert [sample.adjusted_rtt_ms for sample in est.samples] == [10.0, 30.0]
+        samples = [
+            est.on_ack_received(110.0, 100.0, 0.0),
+            est.on_ack_received(230.0, 200.0, 0.0),
+        ]
+        assert [sample.adjusted_rtt_ms for sample in samples] == [10.0, 30.0]
 
     def test_time_travel_rejected(self):
         est = RttEstimator()
@@ -95,9 +97,10 @@ def test_invariants_property(rtts):
     """min <= every latest sample; smoothed stays within observed range."""
     est = RttEstimator()
     clock = 0.0
+    samples = []
     for rtt in rtts:
         clock += rtt + 1.0
-        est.on_ack_received(clock, clock - rtt, 0.0)
+        samples.append(est.on_ack_received(clock, clock - rtt, 0.0))
     assert est.min_rtt_ms == pytest.approx(min(rtts))
     assert min(rtts) - 1e-9 <= est.smoothed_rtt_ms <= max(rtts) + 1e-9
-    assert len(est.samples) == len(rtts)
+    assert [sample.latest_rtt_ms for sample in samples] == pytest.approx(rtts)

@@ -1246,6 +1246,46 @@ class TestOneTimer:
         }, result.stderr
 
 
+class TestNoCollector:
+    """AST gate (same lint): nothing under ``src/repro/`` imports ``gc`` —
+    a finished connection is freed by reference count, not by a
+    collection."""
+
+    SOURCE = (
+        "import gc\n"
+        "from gc import collect\n"
+        "import os, gc as collector\n"
+        "import gcp\n"
+        "from . import gc\n"
+        "def free(self):\n"
+        "    self.gc.collect()  # wallclock-ok jsonl-ok robustness-ok\n"
+        "    return 'import gc'\n"
+    )
+
+    def test_an_import_of_the_collector_is_caught(self, tmp_path):
+        files = ("monitor/traffic.py", "telemetry/runtime.py", "cli.py", "quic/rtt.py")
+        for name in files:
+            path = tmp_path / "repro" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(self.SOURCE, encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, str(TestDeterminismLint.LINT), str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        flagged = {
+            line.split(": ", 1)[0].split("repro/", 1)[1]
+            for line in result.stderr.splitlines()
+            if "repro/" in line
+        }
+        # Another module, a relative import, an attribute and a string
+        # are not the collector; the rule holds in every layer.
+        assert flagged == {f"{name}:{line}" for name in files for line in (1, 2, 3)}, (
+            result.stderr
+        )
+
+
 class TestOneContainer:
     """AST gate (same lint): a cbr file's framing is read and written by
     the container's own functions, each construct in its one home."""

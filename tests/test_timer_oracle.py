@@ -31,6 +31,8 @@ from repro.quic.version import QuicVersion
 from repro.telemetry.metrics import MetricsRegistry
 from repro.web.http3 import ResponsePlan, run_exchange
 
+from conftest import collect_rtt_samples
+
 
 class PerPacketTimers(QuicEndpoint):
     """The endpoint as it scheduled its timers before: every probe
@@ -52,6 +54,18 @@ class PerPacketTimers(QuicEndpoint):
         self.simulator.schedule_at(
             deadline_ms, partial(self._delayed_ack_fired, state.ack_timer_generation)
         )
+
+
+def spied(endpoint_class):
+    """``endpoint_class`` with the RTT samples its estimator returns
+    kept as ``rtt_samples`` (the estimator keeps none)."""
+
+    class Spied(endpoint_class):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.rtt_samples = collect_rtt_samples(self.rtt_estimator)
+
+    return Spied
 
 
 def exchange(endpoint_class, case):
@@ -81,7 +95,7 @@ def exchange(endpoint_class, case):
     )
     metrics = MetricsRegistry()
     with MonkeyPatch.context() as patch:
-        patch.setattr(http3_module, "QuicEndpoint", endpoint_class)
+        patch.setattr(http3_module, "QuicEndpoint", spied(endpoint_class))
         result = run_exchange(
             "www.oracle.test", plan, SpinPolicy.SPIN, SpinPolicy.SPIN, profile, profile,
             derive_rng(seed, "timer-oracle"), server_config=server_config,
@@ -97,10 +111,9 @@ def observable(result):
         "sent": result.recorder.sent,
         "received": result.recorder.received,
         "rtt_samples": result.recorder.rtt_samples,
-        "client_samples": client.rtt_estimator.samples,
-        "server_samples": server.rtt_estimator.samples,
+        "client_samples": client.rtt_samples,
+        "server_samples": server.rtt_samples,
         "end_ms": client.simulator.now_ms,
-        "work_left": client.simulator.pending_events > 0,
         "timed_out": result.timed_out,
         "failure": result.failure_reason,
         "status": result.status,
