@@ -157,6 +157,12 @@ Which further rules apply to which layer (directory under
   clears its queue — so an import of ``gc`` (a collection called to
   bound memory, or the collector switched off) is flagged.  No pragma
   opts out.
+* One scan identity, everywhere but ``web/scanner.py``: a scan's
+  fingerprint (what names its checkpoint directory and its ``scan``
+  entry in the spool manifest) is derived by ``Scanner.fingerprint``
+  alone, so a ``scan_fingerprint(`` call anywhere else is a second
+  derivation that can drift from it, and is flagged.  No pragma opts
+  out.
 * One timer per endpoint, ``quic/connection.py`` only: probe and
   delayed-ACK deadlines are fields behind one wake-up, so a ``schedule``
   / ``schedule_at`` call whose arguments name the probe or delayed-ACK
@@ -778,6 +784,16 @@ def no_collector(text: str) -> list[int]:
     return _imports_of(text, ("gc",))
 
 
+def one_scan_identity(text: str) -> list[int]:
+    """A ``scan_fingerprint(`` call: a scan's identity derived beside
+    ``Scanner.fingerprint``, which checkpoints and the daemon share."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(text))
+        if _called_name(node) == "scan_fingerprint"
+    )
+
+
 def compact_json(text: str) -> list[int]:
     """A ``json.dumps`` / ``json.dump`` call passing ``indent=``: the
     pure-Python encoder where the C one would do."""
@@ -958,7 +974,7 @@ def one_config_error_path(text: str) -> list[int]:
 _EVERYWHERE = (
     forbidden_lines, hand_built_trace_rows, listener_guards, endpoint_decoder_uses,
     container_framing, population_by_range, one_artifact_format, one_flag_definition,
-    one_tap_receiver, one_snapshot_source, no_collector,
+    one_tap_receiver, one_snapshot_source, no_collector, one_scan_identity,
 )
 
 #: layer → its rules.  The JSON-in-loop layers are the hot paths (the
@@ -990,7 +1006,7 @@ LAYER_RULES = {
     "telemetry": (
         forbidden_lines, json_in_loops, endpoint_decoder_uses, container_framing,
         one_artifact_format, one_flag_definition, one_tap_receiver, one_snapshot_source,
-        no_collector,
+        no_collector, one_scan_identity,
     ),
     "web": _EVERYWHERE + (json_in_loops, thread_imports),
 }
@@ -1002,7 +1018,8 @@ LAYER_RULES = {
 #: flow table and resolver the rule that keeps flow identity one structure,
 #: the endpoint also the rule that keeps its timers one wake-up, the population generator is where populations are drawn, the
 #: compliance fold is where the domain flags are defined, the path is
-#: where its receiver is set, the CLI catches ValueError in one place,
+#: where its receiver is set, the scanner derives a scan's identity,
+#: the CLI catches ValueError in one place,
 #: the snapshot loader is where a snapshot is read (from a URL or
 #: ``metrics.json``) and the telemetry bundle's ``save`` writes it.
 _CODEC_HOME = ((), (endpoint_decoder_uses,))
@@ -1022,6 +1039,7 @@ FILE_RULES = {
     "repro/quic/packet.py": _CODEC_HOME,
     "repro/service/summary.py": ((fold_body_means, fold_counts_per_row), ()),
     "repro/telemetry/runtime.py": ((), (one_snapshot_source,)),
+    "repro/web/scanner.py": ((), (one_scan_identity,)),
 }
 
 
@@ -1114,7 +1132,8 @@ def main(argv: list[str] | None = None) -> int:
             "replace_file or append_line (repro._util.files) only — no "
             "writing open, write_bytes / write_text, os.replace / os.rename); "
             "nothing under src/ imports gc — what a finished connection held is "
-            "freed by reference count)",
+            "freed by reference count; only web/scanner.py calls scan_fingerprint( — "
+            "checkpoints and the daemon read Scanner.fingerprint)",
             file=sys.stderr,
         )
         return 1

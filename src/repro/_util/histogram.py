@@ -3,7 +3,7 @@
 :class:`LogHistogram` is the streaming-percentile workhorse (Prometheus
 / HdrHistogram style): constant memory, exact count/mean/min/max,
 approximate percentiles with a relative error bounded by the bin ratio
-(~±3.7 % at the default 32 bins per decade).
+(~±3.7 % at its 32 bins per decade).
 
 The running sum is kept as exact Shewchuk partials instead of a plain
 float accumulator.  A plain ``+=`` is order-dependent (float addition
@@ -42,47 +42,38 @@ def _add_partial(partials: list[float], value: float) -> None:
     partials[index:] = [value]
 
 
+#: The one binning: 0.1 ms to 60 s, 32 bins per decade.
+MIN_VALUE = 0.1
+MAX_VALUE = 60_000.0
+BINS_PER_DECADE = 32
+_LOG_MIN = math.log10(MIN_VALUE)
+_BINS = math.ceil((math.log10(MAX_VALUE) - _LOG_MIN) * BINS_PER_DECADE)
+
+
 class LogHistogram:
     """Fixed-bin log-scale histogram with streaming percentiles.
 
-    Bins cover ``[min_value, max_value)`` with ``bins_per_decade``
+    Bins cover ``[MIN_VALUE, MAX_VALUE)`` with ``BINS_PER_DECADE``
     logarithmically spaced bins per factor of ten; values outside the
     range land in dedicated under-/overflow bins, so nothing is ever
     dropped.  ``count``/``mean``/``min``/``max`` are exact; percentiles
     are read from the bin cumulative and reported at the bin's
-    geometric midpoint.
+    geometric midpoint.  Every histogram has the same binning, so any
+    two merge.
     """
 
     __slots__ = (
-        "min_value",
-        "max_value",
-        "bins_per_decade",
         "counts",
         "underflow",
         "overflow",
         "count",
         "min_seen",
         "max_seen",
-        "_log_min",
         "_partials",
     )
 
-    def __init__(
-        self,
-        min_value: float = 0.1,
-        max_value: float = 60_000.0,
-        bins_per_decade: int = 32,
-    ):
-        if min_value <= 0 or max_value <= min_value:
-            raise ValueError("need 0 < min_value < max_value")
-        if bins_per_decade < 1:
-            raise ValueError("bins_per_decade must be positive")
-        self.min_value = min_value
-        self.max_value = max_value
-        self.bins_per_decade = bins_per_decade
-        self._log_min = math.log10(min_value)
-        decades = math.log10(max_value) - self._log_min
-        self.counts = [0] * (int(math.ceil(decades * bins_per_decade)) or 1)
+    def __init__(self):
+        self.counts = [0] * _BINS
         self.underflow = 0
         self.overflow = 0
         self.count = 0
@@ -110,26 +101,18 @@ class LogHistogram:
             self.min_seen = value
         if value > self.max_seen:
             self.max_seen = value
-        if value < self.min_value:
+        if value < MIN_VALUE:
             self.underflow += 1
-        elif value >= self.max_value:
+        elif value >= MAX_VALUE:
             self.overflow += 1
         else:
-            index = int(
-                (math.log10(value) - self._log_min) * self.bins_per_decade
-            )
-            if index >= len(self.counts):  # float edge at max_value
-                index = len(self.counts) - 1
+            index = int((math.log10(value) - _LOG_MIN) * BINS_PER_DECADE)
+            if index >= _BINS:  # float edge at MAX_VALUE
+                index = _BINS - 1
             self.counts[index] += 1
 
     def merge(self, other: "LogHistogram") -> None:
-        """Fold ``other`` (same binning) into this histogram."""
-        if (
-            other.min_value != self.min_value
-            or other.max_value != self.max_value
-            or other.bins_per_decade != self.bins_per_decade
-        ):
-            raise ValueError("cannot merge histograms with different binning")
+        """Fold ``other`` into this histogram."""
         for index, count in enumerate(other.counts):
             self.counts[index] += count
         self.underflow += other.underflow
@@ -158,9 +141,7 @@ class LogHistogram:
         for index, count in enumerate(self.counts):
             cumulative += count
             if target <= cumulative:
-                midpoint = 10.0 ** (
-                    self._log_min + (index + 0.5) / self.bins_per_decade
-                )
+                midpoint = 10.0 ** (_LOG_MIN + (index + 0.5) / BINS_PER_DECADE)
                 return min(max(midpoint, self.min_seen), self.max_seen)
         return self.max_seen
 

@@ -29,7 +29,7 @@ from repro.analysis.webserver import webserver_shares
 from repro.campaign.schedule import DEFAULT_CAMPAIGN
 from repro.internet.asdb import build_default_asdb
 from repro.internet.population import ListGroup, Population
-from repro.web.scanner import ScanConfig, Scanner
+from repro.web.scanner import Scanner
 
 __all__ = ["PaperReport", "generate_paper_report"]
 
@@ -155,7 +155,6 @@ class PaperReport:
 
 def generate_paper_report(
     population: Population,
-    scan_config: ScanConfig | None = None,
     longitudinal_weeks: int = 12,
     longitudinal_domain_cap: int = 1_200,
     include_longitudinal: bool = True,
@@ -166,7 +165,7 @@ def generate_paper_report(
     re-scans are the expensive part); set ``include_longitudinal=False``
     to skip it entirely.
     """
-    scanner = Scanner(population, scan_config)
+    scanner = Scanner(population)
     sections: list[str] = []
 
     v4 = scanner.scan(week_label="cw20-2023", ip_version=4)

@@ -74,7 +74,7 @@ def render_support_overview(overview: SupportOverview) -> str:
     return f"{title}\n{table}"
 
 
-def render_org_table(table: OrgTable, spin_top_n: int = 5) -> str:
+def render_org_table(table: OrgTable) -> str:
     """Table 2 layout: top orgs by volume plus the <other> aggregate."""
     rows = []
     for row in table.top_rows:
@@ -122,7 +122,7 @@ def _bar(fraction: float, scale: float) -> str:
     return "#" * filled
 
 
-def render_histogram(histogram: Histogram, labels: Sequence[str] | None = None) -> str:
+def render_histogram(histogram: Histogram) -> str:
     """A histogram as labeled text bars (relative frequencies)."""
     fractions = histogram.fractions()
     total = histogram.total
@@ -130,14 +130,12 @@ def render_histogram(histogram: Histogram, labels: Sequence[str] | None = None) 
     over = histogram.overflow / total if total else 0.0
     scale = max([*fractions, under, over, 1e-9])
     lines = []
-    edge_labels = labels or [
-        f"[{histogram.edges[i]:g}, {histogram.edges[i + 1]:g})"
-        for i in range(len(fractions))
-    ]
-    lines.append(f"{'< ' + format(histogram.edges[0], 'g'):>16}  {under * 100:5.1f} %  {_bar(under, scale)}")
-    for label, fraction in zip(edge_labels, fractions):
+    edges = histogram.edges
+    lines.append(f"{'< ' + format(edges[0], 'g'):>16}  {under * 100:5.1f} %  {_bar(under, scale)}")
+    for low, high, fraction in zip(edges, edges[1:], fractions):
+        label = f"[{low:g}, {high:g})"
         lines.append(f"{label:>16}  {fraction * 100:5.1f} %  {_bar(fraction, scale)}")
-    lines.append(f"{'>= ' + format(histogram.edges[-1], 'g'):>16}  {over * 100:5.1f} %  {_bar(over, scale)}")
+    lines.append(f"{'>= ' + format(edges[-1], 'g'):>16}  {over * 100:5.1f} %  {_bar(over, scale)}")
     return "\n".join(lines)
 
 

@@ -66,7 +66,8 @@ def scan_fingerprint(
     walk.  The scan config enters via its ``repr`` (frozen dataclasses
     render every field), so a scan under a different fault plan or
     resilience setting gets a directory of its own instead of silently
-    mixing regimes.
+    mixing regimes.  Its one caller under ``src/`` is
+    :meth:`~repro.web.scanner.Scanner.fingerprint`.
     """
     from repro.internet.population import Population, names_digest
 

@@ -7,7 +7,7 @@ pieces implement that here:
 * :class:`~repro._util.histogram.LogHistogram` (re-exported here for
   back-compat) — a fixed-bin log-scale histogram (constant memory,
   exact count/mean/min/max, approximate percentiles with a relative
-  error bounded by the bin ratio — ~±3.7 % at the default 32 bins per
+  error bounded by the bin ratio — ~±3.7 % at its 32 bins per
   decade).  This is the standard telemetry trick (Prometheus /
   HdrHistogram style) for streaming RTT percentiles; the telemetry
   plane (:mod:`repro.telemetry`) uses the same class for its metric
@@ -50,11 +50,6 @@ class WindowConfig:
             raise ValueError("window_ms must be positive")
         if self.slide_windows < 1:
             raise ValueError("slide_windows must be >= 1")
-
-    def make_histogram(self) -> LogHistogram:
-        """An RTT histogram at the default binning, the telemetry
-        registry's: 0.1 ms to 60 s, 32 bins per decade."""
-        return LogHistogram()
 
 
 class _WindowState:
@@ -135,7 +130,7 @@ class WindowAggregator:
 
     def __init__(self, config: WindowConfig | None = None):
         self.config = config or WindowConfig()
-        self.lifetime = self.config.make_histogram()
+        self.lifetime = LogHistogram()
         self.windows_emitted = 0
         self._current: _WindowState | None = None
         self._recent: deque[_WindowState] = deque(
@@ -155,7 +150,7 @@ class WindowAggregator:
                 index=index,
                 start_ms=index * width,
                 end_ms=(index + 1) * width,
-                samples=self.config.make_histogram(),
+                samples=LogHistogram(),
             )
             self._current = current
         return current
@@ -214,7 +209,7 @@ class WindowAggregator:
 
     def _sliding_summary(self) -> dict:
         """Merge of the last ``slide_windows`` closed windows."""
-        merged = self.config.make_histogram()
+        merged = LogHistogram()
         datagrams = packets = 0
         flow_keys: set[str] = set()
         for window in self._recent:

@@ -162,10 +162,11 @@ class CampaignDaemon:
     def pending_weeks(self) -> list[CalendarWeek]:
         """Campaign weeks whose scan the spool manifest does not record."""
         completed = self.spool.completed_scans()
+        scanner, ip_version = self.scanner, self.config.ip_version
         return [
             week
             for week in self.config.campaign().weeks()
-            if scan_digest(self._scan_fingerprint(week)) not in completed
+            if scan_digest(scanner.fingerprint(week.label, ip_version)) not in completed
         ]
 
     def run_once(self, max_weeks: int | None = None, verbose: bool = False) -> dict:
@@ -250,27 +251,16 @@ class CampaignDaemon:
             entry = self.spool.submit_bytes(
                 buffer.getvalue(), source=f"daemon:{week.label}"
             )
-            self.spool.record_scan(self._scan_fingerprint(week), entry.fingerprint)
+            self.spool.record_scan(
+                self.scanner.fingerprint(week.label, dataset.ip_version),
+                entry.fingerprint,
+            )
             spool_span.annotate(
                 artifact=entry.fingerprint,
                 bytes=entry.size,
                 duplicate=not entry.new,
             )
         return week.label
-
-    def _scan_fingerprint(self, week: CalendarWeek) -> dict:
-        """The scan's identity — same derivation the checkpoint layer uses."""
-        from repro.faults.checkpoint import scan_fingerprint
-
-        return scan_fingerprint(
-            self.config.seed,
-            week.label,
-            self.config.ip_version,
-            0,
-            self.population,
-            repr(self.scanner.config),
-        )
-
 
 class WallClock:
     """The real clock — only the serve loop runs on it, never analysis."""

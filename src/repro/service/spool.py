@@ -15,7 +15,7 @@ Two files per spool directory:
 * ``manifest.jsonl`` — one appended JSON line per event
   (:func:`~repro._util.files.append_line`): artifact submissions (with
   size and source label) and completed daemon scans (with their
-  :func:`repro.faults.scan_fingerprint` identity).  The manifest is
+  :meth:`~repro.web.scanner.Scanner.fingerprint` identity).  The manifest is
   advisory metadata: reading takes terminated lines and skips damaged
   ones, and the artifact set is always recoverable from the directory
   listing alone.
@@ -151,7 +151,7 @@ class SpoolStore:
     def record_scan(self, fingerprint: dict, artifact: str) -> None:
         """Mark one campaign scan as completed and spooled.
 
-        ``fingerprint`` is the :func:`repro.faults.scan_fingerprint`
+        ``fingerprint`` is the :meth:`~repro.web.scanner.Scanner.fingerprint`
         dict; ``artifact`` the content address its dataset landed under.
         Written *after* the artifact itself, so a crash between the two
         re-runs the scan — which resubmits the identical payload and

@@ -396,7 +396,6 @@ def run_exchange(
     rng: random.Random,
     client_config: ConnectionConfig | None = None,
     server_config: ConnectionConfig | None = None,
-    path: str = "/",
     max_events: int = 200_000,
     final_probe: bool = True,
     metrics=None,
@@ -432,7 +431,7 @@ def run_exchange(
         rng,
         client_config=client_config,
         server_config=server_config,
-        paths=[path],
+        paths=["/"],
         recorder=recorder,
         final_probe=final_probe,
     )

@@ -72,27 +72,33 @@ def stamp_week(results: list["DomainScanResult"], week_label: str) -> None:
             record.week = week_label
 
 
+#: The path model every scanned connection crosses: per-packet loss and
+#: reordering probabilities, a uniform queueing jitter of up to 0.8 ms,
+#: and the log-normal extra delay (median 5 ms) a reordered packet picks
+#: up.  Its heavy tail occasionally displaces a packet across a spin
+#: phase boundary — the Fig. 1b failure mode — while typical events swap
+#: packets within a flight and stay invisible.  The delay models are
+#: frozen, so every connection shares one of each.
+LOSS_PROBABILITY = 0.001
+REORDER_PROBABILITY = 0.0015
+JITTER = UniformDelay(0.0, 0.8)
+REORDER_EXTRA_DELAY = LogNormalDelay(median_ms=5.0, sigma=1.2)
+
+
 @dataclass(frozen=True)
 class ScanConfig:
-    """Scanner tunables.
+    """What a caller chooses about a scan.
 
-    ``loss_probability`` and ``reorder_probability`` are per-packet path
-    impairments; ``jitter_ms`` bounds the uniform per-packet queueing
-    jitter.  ``qlog_sample_rate`` controls for what fraction of
-    connections the full qlog document is retained (artifact export).
+    The client (a spinning quic-go, :data:`SpinPolicy.SPIN`), the
+    server's flush dispatch (``SERVER_FLUSH_DISPATCH_MS``) and the path
+    model (the constants above) are fixed.  The ``repr`` of the fields
+    below is the config digest in the scan's identity
+    (:meth:`Scanner.fingerprint`).  ``qlog_sample_rate`` controls for
+    what fraction of connections the full qlog document is retained
+    (artifact export).
     """
 
-    loss_probability: float = 0.001
-    reorder_probability: float = 0.0015
-    #: Median of the log-normal extra delay a reordered packet picks up.
-    #: The heavy tail occasionally displaces a packet across a spin
-    #: phase boundary — the Fig. 1b failure mode — while typical events
-    #: swap packets within a flight and stay invisible.
-    reorder_extra_delay_ms: float = 5.0
-    jitter_ms: float = 0.8
-    server_flush_dispatch_ms: tuple[float, float] = SERVER_FLUSH_DISPATCH_MS
     qlog_sample_rate: float = 0.0
-    client_spin_policy: SpinPolicy = SpinPolicy.SPIN
     #: Send the final two-PING detection probe before teardown (see
     #: DESIGN.md Sec. 7); disabling it models a teardown-happy client
     #: that misses spinners on single-flight responses.
@@ -399,15 +405,25 @@ class Scanner:
         chunk = self.parallel.resolve_chunk_size(total)
         store = None
         if checkpoint_dir is not None:
-            from repro.faults.checkpoint import CheckpointStore, scan_fingerprint
+            from repro.faults.checkpoint import CheckpointStore
 
             chunk = self.parallel.chunk_size or 256
-            fingerprint = scan_fingerprint(
-                population.config.seed, week_label, ip_version, probe,
-                population if domains is None else domains, repr(self.config),
-            )
+            fingerprint = self.fingerprint(week_label, ip_version, domains, probe)
             store = CheckpointStore(checkpoint_dir, fingerprint, chunk)
         return ShardedScan(week_label, ip_version, probe, total, chunk, domains, store)
+
+    def fingerprint(
+        self, week_label: str, ip_version: int, domains=None, probe: int = 0
+    ) -> dict:
+        """The scan's identity: what names its checkpoint directory and
+        its ``scan`` entry in a spool manifest.  Derived here alone."""
+        from repro.faults.checkpoint import scan_fingerprint
+
+        population = self.population
+        return scan_fingerprint(
+            population.config.seed, week_label, ip_version, probe,
+            population if domains is None else domains, repr(self.config),
+        )
 
     def scan_shard(
         self,
@@ -580,16 +596,12 @@ class Scanner:
             elif drawn_faults.loss_burst is not None:
                 impairment = drawn_faults.loss_burst
 
-        one_way = propagation_delay.sample(rng)
-        jitter = UniformDelay(0.0, config.jitter_ms)
         profile = PathProfile(
-            propagation_delay_ms=one_way,
-            jitter=jitter,
-            loss_probability=config.loss_probability,
-            reorder_probability=config.reorder_probability,
-            reorder_extra_delay=LogNormalDelay(
-                median_ms=config.reorder_extra_delay_ms, sigma=1.2
-            ),
+            propagation_delay_ms=propagation_delay.sample(rng),
+            jitter=JITTER,
+            loss_probability=LOSS_PROBABILITY,
+            reorder_probability=REORDER_PROBABILITY,
+            reorder_extra_delay=REORDER_EXTRA_DELAY,
         )
 
         telemetry = self.telemetry
@@ -610,14 +622,14 @@ class Scanner:
                 exchange = run_exchange(
                     host,
                     plan,
-                    config.client_spin_policy,
+                    SpinPolicy.SPIN,
                     server_policy,
                     uplink_profile=profile,
                     downlink_profile=profile,
                     rng=fork_rng(rng, "exchange"),
                     final_probe=config.final_probe,
                     server_config=ConnectionConfig(
-                        flush_dispatch_ms=config.server_flush_dispatch_ms,
+                        flush_dispatch_ms=SERVER_FLUSH_DISPATCH_MS,
                         version=server_versions[0],
                         supported_versions=server_versions,
                         retry_required=retry_required,

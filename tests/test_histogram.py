@@ -31,17 +31,17 @@ class TestEdgeCases:
         assert summary["min_ms"] == summary["max_ms"] == 42.0
 
     def test_overflow_bucket_reports_exact_maximum(self):
-        hist = LogHistogram(min_value=1.0, max_value=100.0)
+        hist = LogHistogram()
         hist.add(50.0)
-        hist.add(1_000_000.0)  # lands in the overflow bin
+        hist.add(1_000_000.0)  # lands in the overflow bin (>= 60 s)
         assert hist.overflow == 1
         assert hist.count == 2
         assert hist.percentile(99.0) == 1_000_000.0
         assert hist.max_seen == 1_000_000.0
 
     def test_underflow_bucket_reports_exact_minimum(self):
-        hist = LogHistogram(min_value=1.0, max_value=100.0)
-        hist.add(0.001)
+        hist = LogHistogram()
+        hist.add(0.001)  # below 0.1 ms: the underflow bin
         hist.add(50.0)
         assert hist.underflow == 1
         assert hist.percentile(1.0) == 0.001
@@ -55,22 +55,8 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             hist.percentile(101.0)
 
-    def test_invalid_binning_rejected(self):
-        with pytest.raises(ValueError):
-            LogHistogram(min_value=0.0)
-        with pytest.raises(ValueError):
-            LogHistogram(min_value=10.0, max_value=5.0)
-        with pytest.raises(ValueError):
-            LogHistogram(bins_per_decade=0)
-
 
 class TestMerge:
-    def test_merge_requires_same_binning(self):
-        a = LogHistogram(0.1, 60_000.0, 32)
-        b = LogHistogram(1.0, 60_000.0, 32)
-        with pytest.raises(ValueError, match="binning"):
-            a.merge(b)
-
     def test_sharded_merge_is_exact(self):
         """Sharded fill + merge equals sequential fill, bit for bit.
 

@@ -24,30 +24,17 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SETTER_DIRS = ("src", "bench", "benchmarks", "scripts")
 CLI = "src/repro/cli.py"
 
-_FINGERPRINT = (
-    "repr(ScanConfig) is part of the scan fingerprint: dropping the field "
-    "would rename every checkpoint directory and rescan a running campaign"
-)
 _CALIBRATION = (
     "ROADMAP items 4(c) and 5 decide whether it becomes a rule or a "
     "calibrated constant"
 )
 #: Fields kept with one value in use, and why.
 UNSET_ALLOWED = {
-    **{
-        ("ScanConfig", name): _FINGERPRINT
-        for name in (
-            "loss_probability", "reorder_probability", "reorder_extra_delay_ms",
-            "jitter_ms", "server_flush_dispatch_ms", "client_spin_policy",
-        )
-    },
-    **{
-        ("PopulationConfig", name): _CALIBRATION
-        for name in (
-            "resolve_rate_toplist", "resolve_rate_czds", "quic_rate_toplist",
-            "quic_rate_czds", "zone_density_scale", "stack_persistence_tiers",
-        )
-    },
+    ("PopulationConfig", name): _CALIBRATION
+    for name in (
+        "resolve_rate_toplist", "resolve_rate_czds", "quic_rate_toplist",
+        "quic_rate_czds", "zone_density_scale", "stack_persistence_tiers",
+    )
 }
 
 

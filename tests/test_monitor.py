@@ -92,7 +92,7 @@ class TestTrafficMux:
 
 class TestLogHistogram:
     def test_exact_stats_and_percentile_accuracy(self):
-        hist = LogHistogram(0.1, 60_000.0, bins_per_decade=32)
+        hist = LogHistogram()
         values = [float(v) for v in range(1, 1001)]  # 1..1000 ms
         for value in values:
             hist.add(value)
@@ -105,13 +105,13 @@ class TestLogHistogram:
             assert hist.percentile(q) == pytest.approx(expected, rel=0.05)
 
     def test_out_of_range_values_kept(self):
-        hist = LogHistogram(1.0, 100.0)
+        hist = LogHistogram()
         hist.add(0.01)
-        hist.add(5_000.0)
+        hist.add(500_000.0)
         assert hist.count == 2
         assert hist.underflow == 1 and hist.overflow == 1
         assert hist.percentile(0.0) == 0.01
-        assert hist.percentile(100.0) == 5_000.0
+        assert hist.percentile(100.0) == 500_000.0
 
     def test_merge_equals_combined(self):
         a, b, combined = (LogHistogram() for _ in range(3))
@@ -124,10 +124,6 @@ class TestLogHistogram:
         a.merge(b)
         assert a.counts == combined.counts
         assert a.summary() == combined.summary()
-
-    def test_merge_rejects_different_binning(self):
-        with pytest.raises(ValueError):
-            LogHistogram(0.1, 100.0).merge(LogHistogram(0.1, 200.0))
 
     def test_empty_summary(self):
         assert LogHistogram().summary() == {"count": 0}

@@ -1,6 +1,7 @@
 """The measurement-as-a-service plane (spool, indexer, daemon, API)."""
 
 import dataclasses
+import hashlib
 import http.client
 import http.server
 import io
@@ -564,6 +565,61 @@ class TestDaemon:
             for _ in range(3)
         ]
         assert scanned == [["cw20-2023"], [], []]
+
+    #: ``repr(ScanConfig())`` while the path model was six more fields:
+    #: the config digest of the ``scan`` lines an older daemon wrote.
+    OLDER_CONFIG_REPR = (
+        "ScanConfig(loss_probability=0.001, reorder_probability=0.0015, "
+        "reorder_extra_delay_ms=5.0, jitter_ms=0.8, server_flush_dispatch_ms=(0.8, 2.5), "
+        "qlog_sample_rate=0.0, client_spin_policy=<SpinPolicy.SPIN: 'spin'>, "
+        "final_probe=True, faults=None, resilience=None)"
+    )
+
+    def test_an_older_config_digest_costs_one_rescan_and_changes_no_byte(
+        self, tmp_path
+    ):
+        """A manifest whose ``scan`` lines carry another config digest —
+        and checkpoints under the names that digest gave — is what a
+        daemon from before the digest changed leaves behind.  The next
+        tick rescans every week once; the payloads are equal, so the
+        spool deduplicates them, the fold is a no-op, and the index and
+        every data route serve a fresh run's bytes."""
+        fresh = run_daemon(tmp_path / "fresh")
+        directory = tmp_path / "svc"
+        older = run_daemon(directory)
+        digest = hashlib.sha256(self.OLDER_CONFIG_REPR.encode("utf-8")).hexdigest()[:16]
+        manifest = older.spool.manifest_path
+        lines = []
+        for line in manifest.read_bytes().splitlines():
+            entry = json.loads(line)
+            if entry["event"] == "scan":
+                assert entry["fingerprint"]["config_digest"] != digest
+                entry["fingerprint"]["config_digest"] = digest
+            lines.append(json.dumps(entry, sort_keys=True) + "\n")
+        manifest.write_text("".join(lines), encoding="utf-8")
+        checkpoints = directory / "spool" / "checkpoints"
+        for number, store in enumerate(sorted(checkpoints.iterdir())):
+            store.rename(checkpoints / f"older-{number}")
+        spooled, index = older.spool.fingerprints(), index_bytes(older.indexer)
+
+        daemon = CampaignDaemon(directory, CONFIG)
+        assert daemon.pending_weeks() == CONFIG.campaign().weeks()
+        status = daemon.run_once()
+        assert status["scanned_weeks"] == ["cw19-2023", "cw20-2023"]
+        assert status["folded_artifacts"] == []
+        assert daemon.spool.fingerprints() == spooled
+        assert index_bytes(daemon.indexer) == index == index_bytes(fresh.indexer)
+        assert CampaignDaemon(directory, CONFIG).pending_weeks() == []
+
+        names = [record.domain for record in entry_records(fresh.spool.artifacts()[0])]
+        with serving(directory) as (state, base), serving(tmp_path / "fresh") as (
+            _, fresh_base
+        ):
+            domains = [f"/v1/domain/{name}" for name in names[:5]]
+            for route in [*bodies_from_disk(state.indexer), *domains]:
+                status, body = http_get(base + route)
+                assert status == 200, route
+                assert http_get(fresh_base + route) == (200, body), route
 
     def test_a_tick_never_holds_the_domain_list(self, tmp_path, monkeypatch):
         """The daemon reads its population by range: a tick over one

@@ -920,9 +920,10 @@ class TestOnePopulationUniverse:
             for line in result.stderr.splitlines()
             if "repro/" in line
         }
+        # Line 6 is the daemon's own scan identity (``one_scan_identity``).
         assert flagged == {
-            "service/daemon.py:11", "web/hot.py:2", "web/hot.py:3", "web/hot.py:5",
-            "web/hot.py:7",
+            "service/daemon.py:6", "service/daemon.py:11", "web/hot.py:2",
+            "web/hot.py:3", "web/hot.py:5", "web/hot.py:7",
         }, result.stderr
 
 
@@ -1284,6 +1285,61 @@ class TestNoCollector:
         assert flagged == {f"{name}:{line}" for name in files for line in (1, 2, 3)}, (
             result.stderr
         )
+
+
+class TestOneScanIdentity:
+    """AST gate (same lint): a scan's identity is derived in
+    ``web/scanner.py`` alone (``Scanner.fingerprint``) — the checkpoint
+    store and the daemon's manifest key read that one derivation."""
+
+    #: ``CampaignDaemon._scan_fingerprint`` as it read beside the scanner's.
+    PARENT_DAEMON = (
+        "class CampaignDaemon:\n"
+        "    def _scan_fingerprint(self, week):\n"
+        "        from repro.faults.checkpoint import scan_fingerprint\n"
+        "\n"
+        "        return scan_fingerprint(\n"
+        "            self.config.seed, week.label, self.config.ip_version, 0,\n"
+        "            self.population, repr(self.scanner.config),\n"
+        "        )\n"
+    )
+    OTHER = (
+        "from repro import faults\n"
+        "from repro.faults import scan_fingerprint\n"
+        "identity = faults.scan_fingerprint(1, 'cw20-2023', 4, 0, [], 'cfg')\n"
+        "derive = scan_fingerprint\n"
+        "def scan_fingerprint(*args):  # wallclock-ok jsonl-ok robustness-ok\n"
+        "    return scanner.fingerprint('cw20-2023', 4)\n"
+    )
+
+    def test_a_second_derivation_is_caught(self, tmp_path):
+        files = {
+            "service/daemon.py": self.PARENT_DAEMON,
+            "telemetry/runtime.py": self.OTHER,
+            "faults/checkpoint.py": self.OTHER,
+            "web/scanner.py": self.PARENT_DAEMON + self.OTHER,
+        }
+        for name, source in files.items():
+            path = tmp_path / "repro" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(source, encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, str(TestDeterminismLint.LINT), str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        flagged = {
+            line.split(": ", 1)[0].split("repro/", 1)[1]
+            for line in result.stderr.splitlines()
+            if "repro/" in line
+        }
+        # An import, a reference, the definition and a call of the
+        # scanner's method are not derivations; the scanner's file may
+        # call it.
+        assert flagged == {
+            "service/daemon.py:5", "telemetry/runtime.py:3", "faults/checkpoint.py:3",
+        }, result.stderr
 
 
 class TestOneContainer:
